@@ -12,6 +12,7 @@ The ``REPRO_BENCH_SCALE`` environment variable scales the input sizes
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,17 @@ def bench_scale() -> float:
 def scaled(n: int, minimum: int = 50) -> int:
     """Scale a nominal input size by the global benchmark scale."""
     return max(minimum, int(n * bench_scale()))
+
+
+def results_path(name: str) -> Path:
+    """Where a benchmark writes its JSON: the gitignored ``benchmarks/out/``.
+
+    The ``BENCH_PR*.json`` files at the repository root are the read-only
+    history of earlier PRs; a test run must leave the tree clean.
+    """
+    out = Path(__file__).resolve().parent / "out"
+    out.mkdir(exist_ok=True)
+    return out / name
 
 
 @pytest.fixture(scope="session")

@@ -15,8 +15,8 @@ split-phase (:func:`repro.dist.exchange.exchange_buckets_async`), and gates:
   must not exceed the bulk-synchronous one (the credit subtracts the hidden
   bandwidth fraction, never the latency).
 
-Results are written to ``BENCH_PR3.json`` (overlap fraction, modelled times,
-wall clock per path) so future PRs have a trajectory to regress against.
+Results are written to ``benchmarks/out/BENCH_PR3.json`` (overlap fraction,
+modelled times, wall clock per path) so future PRs have a trajectory to regress against.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
-from conftest import scaled
+from conftest import results_path, scaled
 from repro.dist.exchange import exchange_buckets, exchange_buckets_async
 from repro.dist.partition import (
     select_splitters,
@@ -44,7 +43,7 @@ from repro.strings.packed import PackedStringArray, packed_lcp_array, packed_sor
 NUM_STRINGS_PER_PE = scaled(100_000, minimum=20_000)
 NUM_PES = 4
 
-_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR3.json"
+_RESULTS_PATH = results_path("BENCH_PR3.json")
 
 
 @pytest.fixture(scope="module")

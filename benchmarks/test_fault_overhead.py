@@ -28,7 +28,8 @@ the production path.
 
 Decoded runs and merged output must be bit-identical sealed vs unsealed,
 and the sealed wire volume must exceed the unsealed by exactly
-``CHECKSUM_WIRE_BYTES`` per block.  Results land in ``BENCH_PR7.json``;
+``CHECKSUM_WIRE_BYTES`` per block.  Results land in
+``benchmarks/out/BENCH_PR7.json``;
 the CI perf-smoke job runs this module and archives the JSON next to the
 PR 6 trajectory.
 """
@@ -38,12 +39,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import scaled
+from conftest import results_path, scaled
 from repro.bench.harness import peak_rss_bytes
 from repro.dist.exchange import LcpCompressedBlock, StringBlock
 from repro.dist.partition import (
@@ -64,7 +64,7 @@ NUM_STRINGS = scaled(60_000, minimum=10_000)
 NUM_DESTINATIONS = 8
 OVERHEAD_GATE = 0.05  # sealed pipeline: at most 5% over unsealed
 
-_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR7.json"
+_RESULTS_PATH = results_path("BENCH_PR7.json")
 
 
 def _timed(fn, reps=4):

@@ -21,8 +21,8 @@ previously only *assumed* by the cost-model formulas:
   for the recorded origin bottleneck, and the modelled latency ordering
   (hypercube < grid < direct for ``p = 8``) matches the startup counts.
 
-Results are written to ``BENCH_PR5.json`` (volumes, inflation factors,
-startup counts, modelled times) so future PRs have a trajectory to regress
+Results are written to ``benchmarks/out/BENCH_PR5.json`` (volumes, inflation
+factors, startup counts, modelled times) so future PRs have a trajectory to regress
 against.
 """
 
@@ -32,11 +32,10 @@ import json
 import math
 import os
 import time
-from pathlib import Path
 
 import pytest
 
-from conftest import scaled
+from conftest import results_path, scaled
 from repro.dist.exchange import exchange_buckets
 from repro.dist.partition import (
     select_splitters,
@@ -53,7 +52,7 @@ from repro.strings.packed import PackedStringArray, packed_lcp_array, packed_sor
 NUM_STRINGS_PER_PE = scaled(50_000, minimum=10_000)
 NUM_PES = 8
 
-_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR5.json"
+_RESULTS_PATH = results_path("BENCH_PR5.json")
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,8 @@ The JSON additionally records trajectory data (not gated): per-stage
 barrier-exclusive seconds from the traced run's timeline, raw
 ``Recorder`` throughput (events/second into the ring buffer — the
 microbenchmark bound on any per-event cost), and ring-overflow behaviour
-at a deliberately tiny capacity.  Results land in ``BENCH_PR10.json``;
+at a deliberately tiny capacity.  Results land in
+``benchmarks/out/BENCH_PR10.json``;
 the CI perf-smoke job runs this module and archives the JSON next to the
 earlier trajectories.
 """
@@ -27,11 +28,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
-from conftest import scaled
+from conftest import results_path, scaled
 from repro.bench.harness import peak_rss_bytes
 from repro.obs import Recorder
 from repro.session import Cluster, MSSpec
@@ -43,7 +43,7 @@ OVERHEAD_GATE = 0.05  # traced sort: at most 5% over untraced
 ATTEMPTS = 4
 RECORDER_EVENTS = 200_000
 
-_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR10.json"
+_RESULTS_PATH = results_path("BENCH_PR10.json")
 
 
 @pytest.fixture(scope="module")

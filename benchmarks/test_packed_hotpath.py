@@ -30,8 +30,8 @@ test pins byte-identical sorted output and traffic across all six
 ``dsort`` algorithms with the packed path on and off.
 
 Results (strings/second per stage plus peak RSS) are written to
-``BENCH_PR6.json`` so future PRs have a trajectory to regress against; the
-CI perf-smoke job runs exactly this module and archives the JSON.
+``benchmarks/out/BENCH_PR6.json`` so future PRs have a trajectory to regress
+against; the CI perf-smoke job runs exactly this module and archives the JSON.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import scaled
+from conftest import results_path, scaled
 from repro.bench.harness import peak_rss_bytes
 from repro.dist.api import ALGORITHMS, dsort
 from repro.dist.exchange import LcpCompressedBlock, StringBlock
@@ -87,7 +86,7 @@ STAGE_FLOORS = {
     "merge": 4.0,
 }
 
-_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR6.json"
+_RESULTS_PATH = results_path("BENCH_PR6.json")
 
 
 def _scalar_lcp_array(strings):

@@ -16,7 +16,7 @@ gate is waived.  Bit-identical outputs, LCP arrays and simulated wire
 volume across the two engines are asserted unconditionally — the speedup
 must never come at the price of the conformance contract.
 
-Results land in ``BENCH_PR8.json`` (with ``cpu_count`` and
+Results land in ``benchmarks/out/BENCH_PR8.json`` (with ``cpu_count`` and
 ``gate_enforced`` so archived numbers are interpretable); the CI
 perf-smoke job runs this module and archives the JSON next to the PR 7
 trajectory.
@@ -27,17 +27,16 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
-from conftest import scaled
+from conftest import results_path, scaled
 from repro.bench.harness import peak_rss_bytes
 from repro.mpi.procengine import process_engine_available
 from repro.session import Cluster
 from repro.strings.generators import dn_instance
 
-_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR8.json"
+_RESULTS_PATH = results_path("BENCH_PR8.json")
 
 NUM_PES = 4
 SPEEDUP_GATE = 2.0

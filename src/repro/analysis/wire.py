@@ -46,7 +46,6 @@ _VERIFY_METHODS = frozenset({"_verify_seal", "verify"})
 _HOT_FUNCTIONS = frozenset(
     {
         "decode_run",
-        "pop_segment",
         "lcp_multiway_merge_packed",
         "exchange_buckets",
         "exchange_buckets_async",

@@ -185,6 +185,8 @@ class ProcComm(MeteredComm):
         super().__init__(rank, size, fault=injector is not None, recorder=recorder)
         self._peer_conns = peer_conns
         self._error_event = error_event
+        # when this rank first aborted the run (None: it has not)
+        self._failed_at: Optional[float] = None
         self._meter_obj = meter
         self._injector_obj = injector
         self._timeout = timeout
@@ -219,7 +221,10 @@ class ProcComm(MeteredComm):
 
     def _fail(self, exc: BaseException) -> None:
         """Abort the whole run: flag the shared error event and let the
-        exception propagate out of this worker."""
+        exception propagate out of this worker.  The time is taken before
+        the flag goes up, so no rank that reacts to it can stamp earlier."""
+        if self._failed_at is None:
+            self._failed_at = time.monotonic()
         self._error_event.set()
 
     def _recovery_channel(self, source: int) -> _FaultChannel:
@@ -558,7 +563,10 @@ def _worker_main(
 
     Runs ``fn(comm, *rank_args, *common_args)`` against a fresh
     :class:`ProcComm`, then reports ``(status, result_or_exc, report,
-    injector_state, trace_export)`` to the parent over its private pipe.
+    injector_state, trace_export, failed_at)`` to the parent over its
+    private pipe; ``failed_at`` is the ``time.monotonic()`` reading at which
+    the rank program raised (``None`` on success), by which the parent tells
+    the first failure from the ones it caused.
     The worker's meter is full-size (it records explicit rank slots exactly
     like the thread engine's shared meter), so the parent's merge is exact;
     with tracing on, the rank's recorder ring rides the same pipe as a
@@ -595,18 +603,15 @@ def _worker_main(
     )
     status = "done"
     payload: Any = None
+    failed_at: Optional[float] = None
     try:
         rank_args = tuple(args_per_rank[rank]) if args_per_rank is not None else ()
         payload = fn(comm, *rank_args, *common_args)
-    except SpmdError as exc:
-        # secondary failure (another rank aborted first, or a local timeout
-        # already recorded through _fail); still reported, parent picks the
-        # primary cause
-        status = "aborted"
-        payload = exc
-        error_event.set()
     except BaseException as exc:  # noqa: BLE001 - re-raised in the parent
-        status = "failed"
+        # "aborted": an ordering violation or timeout found here, or the echo
+        # of another rank's abort; all reported, the parent picks the cause
+        failed_at = comm._failed_at or time.monotonic()
+        status = "aborted" if isinstance(exc, SpmdError) else "failed"
         payload = exc
         error_event.set()
     report = meter.report()
@@ -616,14 +621,17 @@ def _worker_main(
     trace_export = recorder.export() if recorder is not None else None
     out = child_ends[rank]
     try:
-        out.send((status, payload, report, state, trace_export))
+        out.send((status, payload, report, state, trace_export, failed_at))
     except Exception:
         try:
             fallback = SpmdError(
                 f"rank {rank}: result of type "
                 f"{type(payload).__name__} could not be pickled"
             )
-            out.send(("failed", fallback, report, state, trace_export))
+            out.send(
+                ("failed", fallback, report, state, trace_export,
+                 failed_at or time.monotonic())
+            )
         except Exception:  # pragma: no cover - parent sees EOF instead
             pass
     comm._teardown()
@@ -772,7 +780,8 @@ class ProcessEngine:
             conn.close()
 
         results: List[Any] = [None] * num_pes
-        failures: List[Tuple[int, BaseException]] = []
+        # (when it happened on the clock all forked workers share, rank, what)
+        failures: List[Tuple[float, int, BaseException]] = []
         trace_exports: Dict[int, Dict[str, Any]] = {}
         pending: Dict[Any, int] = {conn: r for r, conn in enumerate(parent_ends)}
         deadline = time.monotonic() + timeout + 30.0
@@ -784,11 +793,13 @@ class ProcessEngine:
             for conn in ready:
                 rank = pending.pop(conn)
                 try:
-                    status, payload, report, state, trace_export = conn.recv()
+                    status, payload, report, state, trace_export, failed_at = (
+                        conn.recv()
+                    )
                 except (EOFError, OSError):
                     error_event.set()
                     failures.append(
-                        (rank, SpmdError(
+                        (time.monotonic(), rank, SpmdError(
                             f"rank {rank} worker died without reporting "
                             "(killed or crashed hard)"
                         ))
@@ -803,12 +814,12 @@ class ProcessEngine:
                 if status == "done":
                     results[rank] = payload
                 else:
-                    failures.append((rank, payload))
+                    failures.append((failed_at, rank, payload))
         if pending:
             error_event.set()
             for conn, rank in pending.items():
                 failures.append(
-                    (rank, SpmdError(
+                    (time.monotonic(), rank, SpmdError(
                         f"rank {rank} did not report within the deadlock "
                         f"deadline ({timeout:.0f}s + grace)"
                     ))
@@ -828,11 +839,11 @@ class ProcessEngine:
         if self.runs_completed > 1:
             self.state_reuses += 1
         if failures:
-            failures.sort(key=lambda item: item[0])
-            primary = next(
-                (exc for _, exc in failures if not isinstance(exc, SpmdError)),
-                failures[0][1],
-            )
+            # a program's own exception beats any SpmdError; among equals the
+            # first to happen is the cause, the later ones its echoes
+            primary = min(
+                failures, key=lambda f: (isinstance(f[2], SpmdError), f[0], f[1])
+            )[2]
             raise SpmdError(
                 f"SPMD run on {num_pes} PEs failed: {primary!r}"
             ) from primary

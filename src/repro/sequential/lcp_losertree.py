@@ -26,7 +26,7 @@ The merge also produces the LCP array of the output sequence for free.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,17 +65,15 @@ class LcpLoserTree:
         while size < k:
             size *= 2
         self._k = size
-        # packed runs stay packed (the batched emit slices their buffers
-        # directly); list runs keep the original list-of-bytes layout
-        self._runs: List[Union[List[bytes], PackedStringArray]] = [
-            r if isinstance(r, PackedStringArray) else list(r) for r in runs
-        ] + [[] for _ in range(size - len(runs))]
+        self._runs: List[List[bytes]] = [list(r) for r in runs] + [
+            [] for _ in range(size - len(runs))
+        ]
         if lcps is None:
             self._run_lcps = [self._compute_lcps(r) for r in self._runs]
         else:
-            self._run_lcps = [
-                h if isinstance(h, np.ndarray) else list(h) for h in lcps
-            ] + [[] for _ in range(size - len(lcps))]
+            self._run_lcps = [list(h) for h in lcps] + [
+                [] for _ in range(size - len(lcps))
+            ]
             for i, r in enumerate(self._runs):
                 if len(self._run_lcps[i]) != len(r):
                     raise ValueError(
@@ -91,9 +89,9 @@ class LcpLoserTree:
         # only meaningful for runs on the most recently replayed path, which
         # is exactly when the value is read.
         self._cur_lcp = [0] * size
-        # node i >= 1: loser run index and LCP(loser, winner that passed)
+        # node i >= 1: loser run index; its ``_cur_lcp`` is LCP(loser, winner
+        # that passed)
         self._loser = [0] * size
-        self._loser_lcp = [0] * size
         self._winner = 0
         self._winner_lcp = 0
         self._init_tree()
@@ -161,7 +159,6 @@ class LcpLoserTree:
             w, loser, h = self._play(left, right)
             winners[node] = w
             self._loser[node] = loser
-            self._loser_lcp[node] = h
             # the loser's cached LCP must refer to the winner that passed it,
             # which is the reference string the next replay of this node uses
             self._cur_lcp[loser] = h
@@ -206,7 +203,6 @@ class LcpLoserTree:
             opp = self._loser[node]
             winner, loser, h = self._play(cand, opp)
             self._loser[node] = loser
-            self._loser_lcp[node] = h
             # the loser's cached lcp (vs last output) stays what it was; the
             # node additionally remembers LCP(loser, winner) = h for the next
             # time this node is replayed with this winner as the reference
@@ -216,72 +212,6 @@ class LcpLoserTree:
         self._winner = cand
         self._winner_lcp = self._cur_lcp[cand] if self._current[cand] is not None else 0
         return value, out_lcp
-
-    def pop_segment(self) -> Tuple[int, int, int, int]:
-        """Remove the winner *and* every following string of the same run
-        that wins its next tournament without any comparison.
-
-        Returns ``(run, start, stop, first_lcp)``: the strings removed are
-        ``runs[run][start:stop]`` and their output LCPs are ``first_lcp``
-        followed by the run's own LCP entries ``start+1 .. stop-1``.
-
-        Why this is exactly the scalar pop sequence: when the winner ``V``
-        from run ``w`` is popped, every live loser ``l`` on ``w``'s
-        leaf-to-root path caches ``LCP(l, V)`` (the key invariant — ``V``
-        passed each of those nodes on its way to the root), and those losers
-        are the minima of their subtrees, i.e. the only contenders the next
-        candidate must beat.  Let ``M`` be the largest of those cached
-        values.  A following string of run ``w`` whose run-LCP exceeds ``M``
-        wins every path comparison on the cached values alone (strictly
-        larger LCP ⇒ smaller string, no characters inspected) and leaves
-        every cached value unchanged — ``LCP(l, new) = LCP(l, prev)``
-        because ``LCP(prev, new) > LCP(l, prev)``.  The scalar replays it
-        skips are therefore state no-ops with zero character reads, so
-        outputs, LCPs *and* the comparison statistics stay bit-identical.
-        """
-        w = self._winner
-        if self._current[w] is None:
-            raise IndexError("pop from an empty LcpLoserTree")
-        first_lcp = int(self._winner_lcp)
-        start = self._pos[w]
-        run = self._runs[w]
-        run_lcps = self._run_lcps[w]
-
-        ceiling = -1  # largest cached LCP of a live contender on w's path
-        node = (self._k + w) // 2
-        while node >= 1:
-            loser = self._loser[node]
-            if self._current[loser] is not None and self._loser_lcp[node] > ceiling:
-                ceiling = self._loser_lcp[node]
-            node //= 2
-
-        stop = start + 1
-        if stop < len(run):
-            blockers = np.nonzero(np.asarray(run_lcps[stop:]) <= ceiling)[0]
-            stop = stop + int(blockers[0]) if blockers.size else len(run)
-
-        self._pos[w] = stop
-        if stop < len(run):
-            self._current[w] = run[stop]
-            self._cur_lcp[w] = run_lcps[stop]
-        else:
-            self._current[w] = None
-            self._cur_lcp[w] = 0
-
-        # one replay for the whole segment (= the scalar sequence's last one)
-        cand = w
-        node = (self._k + w) // 2
-        while node >= 1:
-            opp = self._loser[node]
-            winner, loser, h = self._play(cand, opp)
-            self._loser[node] = loser
-            self._loser_lcp[node] = h
-            self._cur_lcp_store(loser, h)
-            cand = winner
-            node //= 2
-        self._winner = cand
-        self._winner_lcp = self._cur_lcp[cand] if self._current[cand] is not None else 0
-        return w, start, stop, first_lcp
 
     def _cur_lcp_store(self, run: int, lcp_vs_winner: int) -> None:
         """Record the loser's LCP relative to the winner that just passed it.
@@ -320,35 +250,133 @@ def lcp_multiway_merge_packed(
 ) -> Tuple[PackedStringArray, np.ndarray]:
     """Merge packed sorted runs into one packed run + ``int64`` LCP array.
 
-    The batched-emit twin of :func:`lcp_multiway_merge`: winner segments
-    come out of :meth:`LcpLoserTree.pop_segment` and are appended as bulk
-    buffer slices — no per-string ``bytes`` objects, no list appends.
-    Output strings, LCP values and comparison statistics are bit-identical
-    to the scalar merge of the same runs.
+    Plays the tournament of :func:`lcp_multiway_merge` — same tree shape,
+    tie-breaks and character reads, so strings, LCPs and ``stats`` are
+    bit-identical — as one flat loop over plain-Python views of the runs:
+
+    * a replay reads characters only when two cached LCPs tie; any other
+      decision is one integer comparison and writes nothing;
+    * the strings following a winner in its run ``w`` whose run-LCP exceeds
+      ``ceiling``, the largest LCP cached by a live contender on ``w``'s
+      path, win their replays on cached values alone and leave the tree as
+      it is (``LCP(l, new) = LCP(l, prev)`` as ``LCP(prev, new) > LCP(l,
+      prev)``): the whole *segment* costs one forward scan and one replay,
+      and every LCP entry is read once over the whole merge;
+    * a segment is only recorded; afterwards its characters are one slice
+      of the runs' bytes, and offsets and LCPs one gather per output.
+
+    At most one non-empty run: it comes back as is, with a copy of its LCPs.
     """
-    tree = LcpLoserTree(runs, lcps, stats)
-    total = sum(len(r) for r in runs)
-    buf_parts: List[np.ndarray] = []
-    len_parts: List[np.ndarray] = []
-    lcp_parts: List[np.ndarray] = []
-    done = 0
-    while done < total:
-        w, start, stop, first_lcp = tree.pop_segment()
-        run = tree._runs[w]
-        off = run.offsets
-        buf_parts.append(run.buffer[int(off[start]) : int(off[stop])])
-        len_parts.append(run.lengths[start:stop])
-        seg_lcps = np.empty(stop - start, dtype=np.int64)
-        seg_lcps[0] = first_lcp
-        seg_lcps[1:] = tree._run_lcps[w][start + 1 : stop]
-        lcp_parts.append(seg_lcps)
-        done += stop - start
-    if not buf_parts:
+    if len(lcps) != len(runs) or any(len(h) != len(r) for r, h in zip(runs, lcps)):
+        raise ValueError("need one LCP array per run and one LCP per string")
+    live = [i for i, run in enumerate(runs) if len(run)]
+    if not live:
         return PackedStringArray.empty(), np.zeros(0, dtype=np.int64)
-    out_buf = np.concatenate(buf_parts)
-    lens = np.concatenate(len_parts)
+    if len(live) == 1:
+        out_lcps = np.array(lcps[live[0]], dtype=np.int64)
+        out_lcps[0] = 0
+        return runs[live[0]], out_lcps
+
+    # the runs back to back: run r is strings bounds[r]:bounds[r+1]
+    bounds = np.cumsum([0] + [len(run) for run in runs]).tolist()
+    total = bounds[-1]
+    lengths = np.concatenate([run.lengths for run in runs])
+    off = [0] + np.cumsum(lengths).tolist()
+    data = b"".join(
+        [r.buffer[int(r.offsets[0]) : int(r.offsets[-1])].tobytes() for r in runs]
+    )
+    cat_lcps = np.full(total + 1, -1, dtype=np.int64)
+    cat_lcps[:total] = np.concatenate(lcps)
+    # A run's first entry is never read as a run-LCP, and it sits where a scan
+    # or an advance off the end of the previous run lands: -1 there (and past
+    # the last run) stops every scan and marks the run exhausted, below every
+    # live LCP.  The output overwrites these entries: each starts a segment.
+    cat_lcps[bounds[:-1]] = -1
+    lcp = cat_lcps.tolist()
+
+    k = 1
+    while k < len(runs):
+        k *= 2
+    pos = bounds[:-1] + [total] * (k - len(runs))
+    # LCP of each run's current string with the last output string (-1: run
+    # exhausted); read only on the path replayed next, where it is current
+    ref = [0 if len(run) else -1 for run in runs] + [-1] * (k - len(runs))
+    comparisons = chars = 0
+
+    def beats(x: int, y: int, h: int) -> bool:
+        """Compare the current strings of runs ``x`` and ``y``, known to agree
+        on ``h`` characters; the loser caches their LCP."""
+        nonlocal comparisons, chars
+        a, b = off[pos[x]], off[pos[y]]
+        len_a, len_b = off[pos[x] + 1] - a, off[pos[y] + 1] - b
+        limit = min(len_a, len_b)
+        i = h
+        while i < limit and data[a + i] == data[b + i]:
+            i += 1
+        comparisons += 1
+        if i < limit:
+            chars += i - h + 1
+            x_wins = data[a + i] < data[b + i]
+        else:
+            chars += i - h
+            x_wins = len_a < len_b or (len_a == len_b and x < y)
+        ref[y if x_wins else x] = i
+        return x_wins
+
+    # bottom-up initialisation: real comparisons against the reference ''
+    loser = [0] * k
+    winners = list(range(k)) * 2
+    for node in range(k - 1, 0, -1):
+        x, y = winners[2 * node], winners[2 * node + 1]
+        if ref[x] < 0 or (ref[y] == 0 and not beats(x, y, 0)):
+            x, y = y, x
+        winners[node], loser[node] = x, y
+
+    seg_start: List[int] = []
+    seg_stop: List[int] = []
+    seg_lcp: List[int] = []
+    w, first_lcp = winners[1], 0
+    while first_lcp >= 0:  # -1: the winner is exhausted, so every run is
+        parent = (k + w) >> 1  # of w's leaf: where its path to the root starts
+        ceiling = -1
+        node = parent
+        while node:
+            h = ref[loser[node]]
+            if h > ceiling:
+                ceiling = h
+            node >>= 1
+        start = pos[w]
+        stop = start + 1
+        while lcp[stop] > ceiling:
+            stop += 1
+        seg_start.append(start)
+        seg_stop.append(stop)
+        seg_lcp.append(first_lcp)
+        pos[w] = stop
+
+        # one replay for the whole segment (= the scalar sequence's last one)
+        h = ref[w] = lcp[stop]
+        node = parent
+        while node:
+            opp = loser[node]
+            opp_h = ref[opp]
+            # larger cached LCP wins unread; equal ones (both exhausted: the
+            # stored loser moves up, as in the scalar tree) read characters
+            if opp_h > h or (opp_h == h and (h < 0 or not beats(w, opp, h))):
+                loser[node] = w
+                w, h = opp, opp_h
+            node >>= 1
+        first_lcp = h
+    if stats is not None:
+        stats.merge(CharStats(chars, comparisons))
+
+    starts = np.array(seg_start, dtype=np.int64)
+    counts = np.array(seg_stop, dtype=np.int64) - starts
+    out_starts = np.cumsum(counts) - counts
+    order = np.repeat(starts - out_starts, counts) + np.arange(total, dtype=np.int64)
+    out_lcps = cat_lcps[order]
+    out_lcps[out_starts] = seg_lcp
     out_off = np.zeros(total + 1, dtype=np.int64)
-    np.cumsum(lens, out=out_off[1:])
-    out_lcps = np.concatenate(lcp_parts)
-    out_lcps[0] = 0
-    return PackedStringArray(out_buf, out_off), out_lcps
+    np.cumsum(lengths[order], out=out_off[1:])
+    out = b"".join([data[off[a] : off[b]] for a, b in zip(seg_start, seg_stop)])
+    return PackedStringArray(np.frombuffer(out, dtype=np.uint8), out_off), out_lcps

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.sequential import (
@@ -12,8 +13,10 @@ from repro.sequential import (
     lcp_multiway_merge,
     multiway_merge,
 )
+from repro.sequential.lcp_losertree import lcp_multiway_merge_packed
 from repro.strings.generators import duplicate_heavy, random_strings
 from repro.strings.lcp import lcp_array
+from repro.strings.packed import PackedStringArray
 
 
 def _runs_from(strings, k, seed=0):
@@ -125,6 +128,53 @@ class TestLcpLoserTree:
     def test_peek(self):
         tree = LcpLoserTree([[b"z"], [b"a"]])
         assert tree.peek() == b"a"
+
+
+class TestPackedMergeDegenerateShapes:
+    """Shapes with nothing to play; the differential property test in
+    ``test_properties_sequential.py`` covers everything else."""
+
+    @staticmethod
+    def _packed(runs):
+        return (
+            [PackedStringArray.from_strings(r) for r in runs],
+            [np.array(lcp_array(r), dtype=np.int64) for r in runs],
+        )
+
+    def test_all_runs_empty(self):
+        merged, lcps = lcp_multiway_merge_packed(*self._packed([[], [], []]))
+        assert len(merged) == 0 and merged.to_list() == []
+        assert lcps.dtype == np.int64 and lcps.shape == (0,)
+        merged, lcps = lcp_multiway_merge_packed([], [])
+        assert len(merged) == 0 and lcps.shape == (0,)
+
+    def test_one_non_empty_run_comes_back_zero_copy(self):
+        runs, lcps = self._packed([[], [b"ab", b"abc", b"b"], [], []])
+        lcps[1][0] = 5  # the ignored first entry
+        stats = CharStats()
+        merged, out_lcps = lcp_multiway_merge_packed(runs, lcps, stats)
+        assert merged.buffer is runs[1].buffer
+        assert merged.to_list() == [b"ab", b"abc", b"b"]
+        assert out_lcps.tolist() == [0, 2, 0]
+        assert lcps[1].tolist() == [5, 2, 0]  # the caller's array is untouched
+        assert stats == CharStats()
+
+    def test_single_run(self):
+        runs, lcps = self._packed([[b"", b"a", b"a"]])
+        merged, out_lcps = lcp_multiway_merge_packed(runs, lcps)
+        assert merged.buffer is runs[0].buffer
+        assert out_lcps.tolist() == [0, 0, 1]
+
+    def test_run_of_only_empty_strings(self):
+        runs, lcps = self._packed([[b"", b""], [b"", b"x"], [b""]])
+        stats, scalar_stats = CharStats(), CharStats()
+        merged, out_lcps = lcp_multiway_merge_packed(runs, lcps, stats)
+        expected, expected_lcps = lcp_multiway_merge(
+            [r.to_list() for r in runs], [h.tolist() for h in lcps], scalar_stats
+        )
+        assert merged.to_list() == expected == [b"", b"", b"", b"", b"x"]
+        assert out_lcps.tolist() == expected_lcps == [0, 0, 0, 0, 0]
+        assert stats == scalar_stats
 
 
 class TestLcpEfficiency:

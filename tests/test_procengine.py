@@ -12,6 +12,7 @@ here doubles as a leak check.
 
 import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -88,6 +89,29 @@ class TestLifecycle:
         finally:
             engine.shutdown()
         assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("pause", [0.0, 0.05])
+    def test_the_first_failure_is_reported_not_the_lowest_rank(self, pause):
+        """Rank 1's tag mismatch is the cause; rank 0 failing to send into
+        the pipe rank 1 closed on its way out is an echo of it.  With the
+        pause the echo always happens; without, it is the race tier-1 lost
+        about one run in six."""
+
+        def prog(comm):
+            if comm.rank == 0:
+                comm.send(b"first", dest=1, tag=1)
+                time.sleep(pause)
+                comm.send(b"second", dest=1, tag=2)
+                return None
+            return comm.recv(source=0, tag=2)  # posted out of order
+
+        engine = ProcessEngine(2)
+        try:
+            for _ in range(10):
+                with pytest.raises(SpmdError, match="tag mismatch"):
+                    engine.run(prog)
+        finally:
+            engine.shutdown()
 
     def test_cluster_context_manager_shuts_the_engine_down(self):
         with Cluster(num_pes=2, engine="processes") as cluster:

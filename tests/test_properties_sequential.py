@@ -6,16 +6,21 @@ Invariants covered:
   array, for arbitrary byte strings;
 * the LCP loser tree agrees with sorted() on arbitrary partitions of the
   input into runs;
+* the packed merge is the scalar LCP loser tree, bit for bit: strings, LCPs
+  and the character/comparison counters, on adversarial run shapes;
 * LCP arrays and distinguishing prefixes satisfy their defining relations;
 * the Golomb coder round-trips arbitrary sorted integer sequences (the coder
   lives in the dist package but is a pure sequential data structure).
 """
 
 import hypothesis.strategies as st
+import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from repro.dist.golomb import decode_sorted, encode_sorted
 from repro.sequential import (
+    CharStats,
     lcp_insertion_sort,
     lcp_merge,
     lcp_multiway_merge,
@@ -23,7 +28,9 @@ from repro.sequential import (
     multikey_quicksort,
     multiway_merge,
 )
+from repro.sequential.lcp_losertree import lcp_multiway_merge_packed
 from repro.strings.lcp import distinguishing_prefixes, lcp, lcp_array
+from repro.strings.packed import PackedStringArray
 
 # byte strings over a tiny alphabet maximise shared prefixes and duplicates,
 # which is where the LCP machinery can go wrong
@@ -75,6 +82,51 @@ def test_lcp_losertree_merges_arbitrary_runs(runs):
     expected = sorted(s for r in runs for s in r)
     assert merged == expected
     assert out_lcps == lcp_array(expected)
+
+
+# NUL bytes, empty strings, heavy duplicates (three letters, short strings)
+# and prefix chains (every prefix of one word), all of which land in
+# different runs
+merge_text = st.one_of(
+    st.binary(max_size=6).map(lambda b: bytes(b"\x00ab"[c % 3] for c in b)),
+    st.integers(min_value=0, max_value=12).map(lambda n: (b"ab\x00" * 4)[:n]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    runs=st.lists(st.lists(merge_text, max_size=12), min_size=1, max_size=9),
+    lead=st.lists(merge_text, max_size=2),
+    junk=st.integers(min_value=0, max_value=9),
+    data=st.data(),
+)
+def test_packed_merge_is_the_scalar_lcp_losertree(runs, lead, junk, data):
+    runs = [sorted(r) for r in runs]
+    # every run is a window into a larger array: offsets[0] != 0 when the
+    # lead holds characters; the ignored first LCP entry holds junk
+    packed = [
+        PackedStringArray.from_strings(lead + r + lead)[len(lead) : len(lead) + len(r)]
+        for r in runs
+    ]
+    lcps = [np.array(lcp_array(r), dtype=np.int64) for r in runs]
+    for h in lcps:
+        h[:1] = junk
+    before = [(p.buffer.copy(), p.offsets.copy(), h.copy()) for p, h in zip(packed, lcps)]
+
+    want_stats, got_stats = CharStats(), CharStats()
+    want, want_lcps = lcp_multiway_merge(runs, [h.tolist() for h in lcps], want_stats)
+    got, got_lcps = lcp_multiway_merge_packed(packed, lcps, got_stats)
+
+    assert got.to_list() == want
+    assert got_lcps.dtype == np.int64 and got_lcps.tolist() == want_lcps
+    assert got_stats == want_stats
+    for (buf, off, h0), p, h in zip(before, packed, lcps):
+        assert (p.buffer == buf).all() and (p.offsets == off).all() and (h == h0).all()
+
+    bad = data.draw(st.integers(min_value=0, max_value=len(runs) - 1))
+    lcps[bad] = np.append(lcps[bad], 0)
+    with pytest.raises(ValueError):
+        lcp_multiway_merge_packed(packed, lcps)
 
 
 @settings(max_examples=100, deadline=None)
