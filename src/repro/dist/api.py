@@ -355,8 +355,10 @@ def pdms_sort(
     config = config or PDMSConfig()
     local_sorted, _ = _local_sort(comm, strings, config.local_sorter)
     if isinstance(local_sorted, PackedStringArray):
-        # the prefix-doubling protocol and the origin-labelled merge are
-        # per-string by nature; keep them on the original list layout
+        # prefix doubling hashes one bytes slice per active string (its
+        # fingerprints, lengths and verdicts are arrays from there on) and
+        # the origin-labelled merge below works on string objects, so both
+        # take the list layout
         local_sorted = local_sorted.to_list()
 
     doubling = approximate_dist_prefixes(

@@ -12,16 +12,45 @@ The codec below is the classic Golomb construction: a gap ``d`` is written
 as the unary quotient ``d // M`` followed by the truncated-binary remainder
 ``d % M``.  Repeated values (gap 0) are legal — exact duplicates of a
 fingerprint cost a single bit each.
+
+Layout: values are one ``uint64`` array end to end, so universes up to
+``2**64`` are exact (no ``int64`` intermediate on values, gaps or codes).
+:func:`encode_sorted` is the one encoder: it lays every code word out in a
+bit array at once and packs it.  :func:`decode_sorted` reads bit by bit on
+Python ints and is kept as the scalar oracle the encoder is tested against
+(the simulated receive side reads :attr:`GolombCodedSet.values`).
 """
 
 from __future__ import annotations
 
 import math
+import zlib
 from typing import Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from ..mpi.serialization import WireSized, varint_size
 
-__all__ = ["golomb_parameter", "encode_sorted", "decode_sorted", "GolombCodedSet"]
+__all__ = [
+    "as_uint64",
+    "golomb_parameter",
+    "encode_sorted",
+    "decode_sorted",
+    "GolombCodedSet",
+]
+
+
+def as_uint64(values: Sequence[int]) -> np.ndarray:
+    """``values`` as one ``uint64`` array; ``ValueError`` unless all are ints in ``[0, 2**64)``."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "ui" and arr.size:
+        # numpy types an int list that straddles 2**63 as float64 and one that
+        # leaves 64 bits as object: look at the Python values and cast exactly
+        if all(isinstance(v, (int, np.integer)) and 0 <= int(v) < 1 << 64 for v in values):
+            return np.array(values, dtype=np.uint64)
+    elif arr.dtype.kind == "u" or not arr.size or arr.min() >= 0:
+        return arr.astype(np.uint64, copy=False)
+    raise ValueError("negative, non-integer or wider-than-64-bit value cannot be Golomb-coded")
 
 
 def golomb_parameter(universe: int, n: int) -> int:
@@ -35,41 +64,6 @@ def golomb_parameter(universe: int, n: int) -> int:
     if n <= 0:
         return 1
     return max(1, math.ceil(math.log(2) * universe / n))
-
-
-class _BitWriter:
-    """MSB-first bit appender backed by a bytearray."""
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-        self._cur = 0
-        self._fill = 0
-
-    def write_bit(self, bit: int) -> None:
-        """Append one bit."""
-        self._cur = (self._cur << 1) | (bit & 1)
-        self._fill += 1
-        if self._fill == 8:
-            self._buf.append(self._cur)
-            self._cur = 0
-            self._fill = 0
-
-    def write_bits(self, value: int, width: int) -> None:
-        """Append ``value`` as ``width`` bits, MSB first."""
-        for shift in range(width - 1, -1, -1):
-            self.write_bit((value >> shift) & 1)
-
-    def write_unary(self, q: int) -> None:
-        """Append ``q`` in unary: q one-bits then a zero terminator."""
-        for _ in range(q):
-            self.write_bit(1)
-        self.write_bit(0)
-
-    def getvalue(self) -> bytes:
-        """The written bits as bytes, zero-padded to a byte boundary."""
-        if self._fill:
-            return bytes(self._buf) + bytes([self._cur << (8 - self._fill)])
-        return bytes(self._buf)
 
 
 class _BitReader:
@@ -108,34 +102,37 @@ def _remainder_width(m: int) -> Tuple[int, int]:
 
 
 def encode_sorted(values: Sequence[int], universe: int) -> Tuple[bytes, int]:
-    """Golomb-encode a sorted sequence of non-negative ints.
+    """Golomb-encode a sorted sequence of non-negative ints (or ``uint64`` array).
 
     Returns ``(payload, m)``; ``m`` is the parameter the decoder needs.
-    Unsorted or negative input raises ``ValueError``.
+    Unsorted or negative input raises ``ValueError``.  Values, gaps and
+    ``m`` are ``uint64``: universes up to ``2**64`` are exact.
     """
-    prev = 0
-    for i, v in enumerate(values):
-        if v < 0:
-            raise ValueError(f"negative value {v} cannot be Golomb-coded")
-        if i > 0 and v < prev:
-            raise ValueError("encode_sorted requires a sorted sequence")
-        prev = v
-
-    m = golomb_parameter(universe, len(values))
-    writer = _BitWriter()
+    vals = as_uint64(values)
+    if vals.size > 1 and bool((vals[1:] < vals[:-1]).any()):
+        raise ValueError("encode_sorted requires a sorted sequence")
+    m = golomb_parameter(universe, vals.size)
     b, cutoff = _remainder_width(m)
-    prev = 0
-    for v in values:
-        delta = v - prev
-        prev = v
-        writer.write_unary(delta // m)
-        if m > 1:
-            r = delta % m
-            if r < cutoff:
-                writer.write_bits(r, b - 1)
-            else:
-                writer.write_bits(r + cutoff, b)
-    return writer.getvalue(), m
+    deltas = np.diff(vals, prepend=np.uint64(0))
+    q = deltas // np.uint64(m)
+    r = deltas - q * np.uint64(m)
+    # remainder code words left-aligned in b bits: a long word is r + cutoff
+    # in b bits, a short one is r in b - 1 bits (its last column is dropped)
+    long_code = r >= np.uint64(cutoff)
+    code = np.where(long_code, r + np.uint64(cutoff), r << np.uint64(1))
+    lengths = q.astype(np.int64) + (b + long_code)
+    pos = np.cumsum(lengths) - (b + long_code)  # the unary terminators
+    bits = np.ones(int(lengths.sum()), dtype=np.uint8)  # the unary runs
+    bits[pos] = 0
+    if b:  # m == 1 has no remainder bits
+        # only the low ceil(b / 8) bytes of a code word hold code bits
+        low = code.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - (b + 7) // 8 :]
+        columns = np.unpackbits(low, axis=1)
+        for column in range(columns.shape[1] - b, columns.shape[1] - 1):
+            pos += 1
+            bits[pos] = columns[:, column]
+        bits[pos[long_code] + 1] = columns[long_code, -1]
+    return np.packbits(bits).tobytes(), m
 
 
 def decode_sorted(payload: bytes, m: int, count: int) -> List[int]:
@@ -161,14 +158,15 @@ def decode_sorted(payload: bytes, m: int, count: int) -> List[int]:
 class GolombCodedSet(WireSized):
     """A sorted integer set stored Golomb-coded, usable as a wire message.
 
-    The constructor accepts the values in any order and sorts them; the wire
-    size is the compressed payload plus the two varint headers (parameter and
-    element count) a real implementation would frame the message with.
+    The constructor accepts the values in any order and sorts them into
+    :attr:`values`, a ``uint64`` array; the wire size is the compressed
+    payload plus the two varint headers (parameter and element count) a
+    real implementation would frame the message with.
     """
 
     def __init__(self, values: Sequence[int], universe: int):
         self.universe = universe
-        self.values = sorted(values)
+        self.values = np.sort(as_uint64(values))
         self.payload, self.m = encode_sorted(self.values, universe)
 
     def decode(self) -> List[int]:
@@ -179,11 +177,15 @@ class GolombCodedSet(WireSized):
         """Coded payload plus the varint-framed parameter ``M`` and count."""
         return len(self.payload) + varint_size(self.m) + varint_size(len(self.values))
 
+    def content_crc(self) -> int:
+        """CRC32 of what travels: the framing (``M``, count) and the payload."""
+        return zlib.crc32(self.payload, zlib.crc32(b"G%d;%d;" % (self.m, len(self))))
+
     def __len__(self) -> int:
         return len(self.values)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
+        return iter(self.values.tolist())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GolombCodedSet({len(self.values)} values, m={self.m})"

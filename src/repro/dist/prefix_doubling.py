@@ -26,8 +26,10 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
+import numpy as np
+
 from ..mpi.comm import Communicator
-from .duplicates import find_unique_fingerprints, prefix_fingerprint
+from .duplicates import prefix_fingerprints, unique_fingerprint_mask
 
 __all__ = ["PrefixDoublingResult", "approximate_dist_prefixes"]
 
@@ -70,52 +72,47 @@ def approximate_dist_prefixes(
     if initial_length < 1:
         raise ValueError("initial_length must be at least 1")
 
-    n = len(strings)
-    lengths = [0] * n
-    # empty strings carry no information and retire immediately with DIST 0
-    active = [i for i in range(n) if strings[i]]
+    # array-native bookkeeping: the string lengths, the answer and the indices
+    # of the still-active strings; empty strings carry no information and
+    # retire immediately with DIST 0
+    full = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+    lengths = np.zeros(len(strings), dtype=np.int64)
+    active = np.flatnonzero(full)
 
-    result = PrefixDoublingResult(lengths=lengths, rounds=0)
+    result = PrefixDoublingResult(lengths=[], rounds=0)
     candidate = int(initial_length)
     with comm.phase("prefix-doubling"):
         while result.rounds < _MAX_ROUNDS:
-            globally_active = comm.allreduce(len(active))
+            globally_active = comm.allreduce(active.size)
             if globally_active == 0:
                 break
             result.round_active_counts.append(globally_active)
             result.rounds += 1
 
-            fingerprints = [
-                prefix_fingerprint(
-                    strings[i][:candidate], salt=result.rounds, bits=bits
-                )
-                for i in active
-            ]
-            result.fingerprints_sent += len(fingerprints)
-            comm.record_local_work(
-                sum(min(candidate, len(strings[i])) for i in active), len(active)
+            fingerprints = prefix_fingerprints(
+                [strings[i][:candidate] for i in active.tolist()],
+                salt=result.rounds,
+                bits=bits,
             )
-            unique = find_unique_fingerprints(
+            result.fingerprints_sent += active.size
+            hashed = np.minimum(full[active], candidate)
+            comm.record_local_work(int(hashed.sum()), active.size)
+            unique = unique_fingerprint_mask(
                 comm, fingerprints, bits=bits, golomb=golomb,
                 phase="prefix-doubling",
             )
 
-            still_active: List[int] = []
-            for i, is_unique in zip(active, unique):
-                if is_unique:
-                    lengths[i] = min(candidate, len(strings[i]))
-                elif candidate >= len(strings[i]):
-                    # the entire string is shared: a true (or full-prefix)
-                    # duplicate, distinguishable only by its terminator
-                    lengths[i] = len(strings[i])
-                else:
-                    still_active.append(i)
-            active = still_active
+            # a unique fingerprint retires the string at the hashed length; so
+            # does a duplicate whose entire string was hashed — a true (or
+            # full-prefix) duplicate, distinguishable only by its terminator
+            retired = unique | (hashed == full[active])
+            lengths[active[retired]] = hashed[retired]
+            active = active[~retired]
             candidate = max(int(math.floor(candidate * (1.0 + epsilon))), candidate + 1)
 
         # safety-net exit: if the round bound was hit with strings still
         # active (pathologically small epsilon/initial_length), retire them
         # with their full length — always a valid DIST upper bound
-        for i in active:
-            lengths[i] = len(strings[i])
+        lengths[active] = full[active]
+    result.lengths = lengths.tolist()
     return result

@@ -1,12 +1,16 @@
 """Shared fixtures of the test suite: the engine axis and leak policing.
 
-Two things live here:
+Three things live here:
 
 * the ``engine`` fixture — parametrizes a test over every registered
   execution backend (``threads``, ``processes``, plus any third-party
   registration), scoping ``REPRO_ENGINE`` so the whole call tree under test
   runs on that backend, and skipping cells gracefully where the platform
   cannot run one (see ``tests/engine_conformance.py``);
+* the ``tier1`` hypothesis profile — ``derandomize=True`` makes every
+  property test draw the same examples on every run, so a failure under
+  ``-x`` stops on the same example every time (and ``deadline=None`` keeps a
+  loaded host from turning a slow example into a flake);
 * an autouse leak check — every test must leave the process clean: no live
   multiprocessing children and no orphaned ``reproshm-*`` shared-memory
   segments.  This holds ``ProcessEngine.run``/``shutdown`` to their
@@ -23,6 +27,16 @@ import time
 import pytest
 
 from engine_conformance import engine_params, set_engine
+
+try:
+    from hypothesis import settings
+except ImportError:
+    # CI's lint and docs-lint jobs run single test files without hypothesis
+    # installed; no property test is collected there, so no profile is needed.
+    pass
+else:
+    settings.register_profile("tier1", derandomize=True, deadline=None)
+    settings.load_profile("tier1")
 
 _SHM_DIR = "/dev/shm"
 _SHM_PREFIX = "reproshm-"

@@ -1,5 +1,10 @@
 """Tests for distributed duplicate detection and the Golomb fingerprint coding."""
 
+import hashlib
+import random
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from repro.dist.duplicates import (
@@ -7,9 +12,60 @@ from repro.dist.duplicates import (
     FingerprintBlock,
     find_unique_fingerprints,
     prefix_fingerprint,
+    prefix_fingerprints,
+    unique_fingerprint_mask,
 )
 from repro.dist.golomb import GolombCodedSet, decode_sorted, encode_sorted, golomb_parameter
+from repro.faults import FaultPlan, FaultRule
 from repro.mpi import run_spmd
+from repro.mpi.serialization import payload_checksum
+
+
+# ``encode_sorted`` output recorded from the bit-at-a-time writer this encoder
+# replaced: name -> (values, universe, payload hex, m).  The cases: no value,
+# one value, m = 1 (unary only), power-of-two m (cutoff 0, every remainder
+# b bits), m = 2, repeated values, a unary run longer than 64 bits, and
+# universes 7 / 2^16 / 2^38 / 2^62 / 2^64 (values and m beyond int64).
+GOLDEN_SMALL = {
+    "empty": ([], 100, "", 1),
+    "one": ([5], 1 << 16, "0005", 45427),
+    "m1": ([0, 0, 1, 2, 3, 3, 4, 5, 6, 6], 7, "2a54", 1),
+    "pow2_m": ([0, 17, 18, 91], 92, "0421f480", 16),
+    "m2": ([1, 2, 2, 5, 9, 10, 11, 11], 23, "52e280", 2),
+    "repeated": ([7, 7, 7, 9, 9], 1 << 16, "001c00000000020000", 9086),
+    "big_quotient": ([400], 7, "ffffffffffffffffffff00", 5),
+    "u7": ([0, 2, 3, 6], 7, "2340", 2),
+    "u16": ([3, 900, 901, 40000, 65535], 1 << 16, "000c3810007cac3dca28", 9086),
+    "u38": (
+        [12345, 1 << 20, (1 << 37) + 99, (1 << 38) - 1],
+        1 << 38,
+        "0000030390000fcfc7dd751703d3baea6e0488",
+        47632711550,
+    ),
+    "u62": (
+        [0, 1 << 40, (1 << 61) + 12345, (1 << 62) - 1],
+        1 << 62,
+        "000000000000000000010000000000dd75350311529373baea6e0622a3a518",
+        799144290325165952,
+    ),
+    "u64": (
+        [1, (1 << 63) - 1, 1 << 63, (1 << 64) - 1],
+        1 << 64,
+        "000000000000000775d4dc0c4548cbfc000000000000000eeba9b8188a9197fc",
+        3196577161300663808,
+    ),
+    "u64_one": ([(1 << 64) - 1], 1 << 64, "a746f404171843ff80", 12786308645202655232),
+}
+
+# the same for ``sorted(Random(seed).randrange(universe) for _ in range(n))``:
+# name -> (universe, n, seed, blake2b-8 hex of the payload, payload bytes, m)
+GOLDEN_BULK = {
+    "u7": (7, 40, 1, "feeab57f4be273d9", 6, 1),
+    "u16": (1 << 16, 700, 2, "2b731f168d1c48db", 703, 65),
+    "u38": (1 << 38, 3000, 3, "866b235505a627e6", 10473, 63510283),
+    "u62": (1 << 62, 500, 4, "63742569af3e3826", 3407, 6393154322601328),
+    "u64": (1 << 64, 500, 5, "6c7491b48400533b", 3532, 25572617290405312),
+}
 
 
 class TestPrefixFingerprint:
@@ -29,6 +85,20 @@ class TestPrefixFingerprint:
 
     def test_empty_prefix_ok(self):
         assert isinstance(prefix_fingerprint(b""), int)
+
+    def test_values_recorded_from_the_scalar_blake2b_version(self):
+        assert prefix_fingerprint(b"ACGT", salt=3, bits=40) == 0xC4E7E9B5DE
+        assert prefix_fingerprint(b"ACGT", salt=3, bits=64) == 0xB55158C4E7E9B5DE
+        assert prefix_fingerprint(b"", salt=-1, bits=8) == 97
+
+    def test_batch_is_keyed_blake2b_big_endian_masked(self):
+        prefixes = [b"", b"a", b"ACGT" * 9, b"\x00\xff"]
+        batch = prefix_fingerprints(prefixes, salt=2, bits=40)
+        assert batch.dtype == np.uint64
+        key = (2).to_bytes(8, "little", signed=True)
+        digests = [hashlib.blake2b(s, digest_size=8, key=key).digest() for s in prefixes]
+        assert batch.tolist() == [int.from_bytes(d, "big") & ((1 << 40) - 1) for d in digests]
+        assert prefix_fingerprints([], bits=64).shape == (0,)
 
 
 class TestGolombCoding:
@@ -53,18 +123,59 @@ class TestGolombCoding:
         with pytest.raises(ValueError):
             encode_sorted([-1, 2], universe=100)
 
+    def test_rejects_negative_int64_array(self):
+        with pytest.raises(ValueError):
+            encode_sorted(np.array([-1, 2]), universe=100)
+
+    def test_rejects_values_wider_than_64_bits(self):
+        with pytest.raises(ValueError):
+            encode_sorted([1, 1 << 64], universe=1 << 64)
+
+    def test_rejects_non_integers(self):
+        for bad in ([1.0, 2.0], np.array([1.5]), [-1, 1 << 63], [[1, 2], [3]]):
+            with pytest.raises(ValueError):
+                encode_sorted(bad, universe=1 << 64)
+
     def test_coded_set_object(self):
         gs = GolombCodedSet([9, 2, 5], universe=1 << 16)
-        assert gs.values == [2, 5, 9]
+        assert gs.values.dtype == np.uint64
+        assert gs.values.tolist() == [2, 5, 9]
         assert gs.decode() == [2, 5, 9]
         assert len(gs) == 3
         assert list(gs) == [2, 5, 9]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SMALL))
+    def test_golden_payloads(self, name):
+        values, universe, payload_hex, m = GOLDEN_SMALL[name]
+        assert encode_sorted(values, universe) == (bytes.fromhex(payload_hex), m)
+        as_array = np.array(values, dtype=np.uint64)
+        assert encode_sorted(as_array, universe) == (bytes.fromhex(payload_hex), m)
+        gs = GolombCodedSet(values, universe)
+        assert gs.decode() == gs.values.tolist() == values
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_BULK))
+    def test_golden_bulk_payloads(self, name):
+        universe, n, seed, digest, size, m = GOLDEN_BULK[name]
+        rng = random.Random(seed)
+        values = sorted(rng.randrange(universe) for _ in range(n))
+        payload, got_m = encode_sorted(values, universe)
+        assert (len(payload), got_m) == (size, m)
+        assert hashlib.blake2b(payload, digest_size=8).hexdigest() == digest
+        assert decode_sorted(payload, m, n) == values
 
     def test_compression_beats_fixed_width_for_dense_sets(self):
         # 1000 values in a 2^24 universe: ~14 bits each fixed vs ~ log2(gap)+2
         values = sorted(range(0, 1 << 20, 1 << 10))
         gs = GolombCodedSet(values, universe=1 << 24)
         assert gs.wire_bytes() < len(values) * 3
+
+
+# one small message per class, differing from its neighbour in a single value
+MESSAGE_MAKERS = {
+    "block": lambda x: FingerprintBlock([1, x, 1 << 39], bits=40),
+    "coded": lambda x: GolombCodedSet([1, x, 1 << 39], universe=1 << 40),
+    "bits": lambda x: BitVector([True, x == 7, False]),
+}
 
 
 class TestMessageTypes:
@@ -76,6 +187,49 @@ class TestMessageTypes:
     def test_bitvector_roundtrip(self):
         bv = BitVector([True, False, True])
         assert list(bv) == [True, False, True]
+        assert bv[1] is False and len(bv) == 3
+        assert bv.packed.tolist() == [0b10100000]
+        assert len(BitVector([])) == 0 and list(BitVector([])) == []
+
+    def test_arrays_are_owned_as_uint64_and_packed_bits(self):
+        blk = FingerprintBlock([3, (1 << 64) - 1], bits=64)
+        assert blk.values.dtype == np.uint64
+        assert list(blk) == [3, (1 << 64) - 1]
+        assert BitVector(np.array([1, 0, 1])).flags.dtype == np.bool_
+
+    @pytest.mark.parametrize("make", sorted(MESSAGE_MAKERS))
+    def test_content_crc_follows_the_content(self, make):
+        build = MESSAGE_MAKERS[make]
+        assert build(7).content_crc() == build(7).content_crc()
+        assert build(7).content_crc() != build(6).content_crc()
+        assert payload_checksum(build(7)) != payload_checksum(build(6))
+
+    def test_content_crc_sees_a_flipped_bit_and_the_type(self):
+        blk = FingerprintBlock([3, 1], bits=32)
+        before = blk.content_crc()
+        blk.values[1] ^= np.uint64(1)
+        assert blk.content_crc() != before
+        empties = (
+            FingerprintBlock([], bits=40),
+            GolombCodedSet([], universe=1 << 40),
+            BitVector([]),
+        )
+        assert len({msg.content_crc() for msg in empties}) == 3
+
+    @pytest.mark.parametrize("make", sorted(MESSAGE_MAKERS))
+    def test_send_survives_a_corrupt_rule(self, engine, make):
+        """Each message class checksums, so the fault layer can carry it."""
+        build = MESSAGE_MAKERS[make]
+
+        def prog(comm):
+            comm.set_phase("exchange")
+            comm.send(build(comm.rank), (comm.rank + 1) % comm.size, tag=5)
+            return comm.recv((comm.rank - 1) % comm.size, tag=5).content_crc()
+
+        plan = FaultPlan(seed=2, rules=(FaultRule(kind="corrupt", src=0, dst=1),))
+        results, report = run_spmd(3, prog, fault_plan=plan, timeout=20.0)
+        assert results == [build(r).content_crc() for r in (2, 0, 1)]
+        assert report.faults_injected == 1 and report.faults_detected == 1
 
 
 def _run_detection(per_pe_fingerprints, golomb=False, bits=32):
@@ -91,6 +245,43 @@ def _run_detection(per_pe_fingerprints, golomb=False, bits=32):
     return results, report
 
 
+def _grid_input(p, bits):
+    """Seeded per-PE fingerprints with duplicates within and across PEs, the
+    two range ends, and (for p > 1) an empty rank."""
+    rng = random.Random(100 * p + bits)
+    limit = 1 << bits
+    pool = [0, limit - 1] + [rng.randrange(limit) for _ in range(150)]
+    per_pe = [[rng.choice(pool) for _ in range(rng.randrange(50, 200))] for _ in range(p)]
+    if p > 1:
+        per_pe[1] = []
+    return per_pe
+
+
+# bytes of the "duplicate-detection" phase on ``_grid_input``, recorded from
+# the per-value list implementation: (p, bits, golomb) -> bytes (self-sends
+# are free, so p = 1 moves nothing)
+GRID_PHASE_BYTES = {
+    (1, 8, False): 0,
+    (1, 8, True): 0,
+    (1, 40, False): 0,
+    (1, 40, True): 0,
+    (1, 64, False): 0,
+    (1, 64, True): 0,
+    (3, 8, False): 230,
+    (3, 8, True): 105,
+    (3, 40, False): 737,
+    (3, 40, True): 661,
+    (3, 64, False): 1484,
+    (3, 64, True): 1395,
+    (4, 8, False): 402,
+    (4, 8, True): 191,
+    (4, 40, False): 1873,
+    (4, 40, True): 1658,
+    (4, 64, False): 2141,
+    (4, 64, True): 2042,
+}
+
+
 class TestFindUniqueFingerprints:
     @pytest.mark.parametrize("golomb", [False, True])
     def test_basic_detection(self, golomb):
@@ -100,6 +291,36 @@ class TestFindUniqueFingerprints:
         assert results[0] == [False, True]
         assert results[1] == [True]
         assert results[2] == [False, True]
+
+    @pytest.mark.parametrize("golomb", [False, True])
+    @pytest.mark.parametrize("bits", [8, 40, 64])
+    @pytest.mark.parametrize("p", [1, 3, 4])
+    def test_matches_counter_oracle(self, engine, p, bits, golomb):
+        per_pe = _grid_input(p, bits)
+        results, report = _run_detection(per_pe, golomb=golomb, bits=bits)
+        counts = Counter(v for fps in per_pe for v in fps)
+        assert results == [[counts[v] == 1 for v in fps] for fps in per_pe]
+        moved = report.phase_bytes.get("duplicate-detection", 0)
+        assert moved == GRID_PHASE_BYTES[p, bits, golomb]
+
+    @pytest.mark.parametrize("golomb", [False, True])
+    def test_all_duplicates_and_empty_ranks(self, engine, golomb):
+        per_pe = [[5, 9, 5], [], [9, 5], []]
+        results, _ = _run_detection(per_pe, golomb=golomb, bits=8)
+        assert results == [[False] * 3, [], [False] * 2, []]
+
+    def test_uint64_array_input(self):
+        per_pe = [np.array([7, 1 << 63], dtype=np.uint64), np.array([7], dtype=np.uint64)]
+        results, _ = _run_detection(per_pe, golomb=True, bits=64)
+        assert results == [[False, True], [False]]
+
+    def test_mask_form_is_the_same_verdicts_as_a_bool_array(self):
+        def prog(comm, fps):
+            return unique_fingerprint_mask(comm, fps, bits=8, golomb=True)
+
+        results, _ = run_spmd(2, prog, args_per_rank=[([5, 5, 8],), ([],)])
+        assert [r.dtype for r in results] == [np.bool_, np.bool_]
+        assert [r.tolist() for r in results] == [[False, False, True], []]
 
     def test_duplicates_within_one_pe(self):
         per_pe = [[5, 5, 8], [9]]
@@ -124,13 +345,9 @@ class TestFindUniqueFingerprints:
 
     def test_never_declares_true_duplicate_unique(self):
         # safety property: identical values can never come back "unique"
-        import random
-
         rng = random.Random(3)
         per_pe = [[rng.randrange(100) for _ in range(50)] for _ in range(4)]
         results, _ = _run_detection(per_pe)
-        from collections import Counter
-
         counts = Counter(v for fps in per_pe for v in fps)
         for fps, verdicts in zip(per_pe, results):
             for v, unique in zip(fps, verdicts):
@@ -142,12 +359,32 @@ class TestFindUniqueFingerprints:
     def test_out_of_range_fingerprint_rejected(self):
         from repro.mpi import SpmdError
 
-        with pytest.raises(SpmdError):
-            _run_detection([[2**40], [1]], bits=32)
+        with pytest.raises(SpmdError) as excinfo:
+            _run_detection([[1, 2**40, 2**41], [1]], bits=32)
+        assert "fingerprint 1099511627776 does not fit in 32 bits" in str(
+            excinfo.value.__cause__
+        )
+        with pytest.raises(SpmdError) as excinfo:
+            _run_detection([[4, -3], [1]], bits=64)
+        assert "fingerprint -3 does not fit in 64 bits" in str(excinfo.value.__cause__)
+        # arrays are validated like lists, whatever numpy's casting rules are
+        with pytest.raises(SpmdError) as excinfo:
+            _run_detection([np.array([4, -3]), [1]], bits=64)
+        assert "fingerprint -3 does not fit in 64 bits" in str(excinfo.value.__cause__)
+        with pytest.raises(SpmdError) as excinfo:
+            _run_detection([np.array([4, 300], dtype=np.uint64), [1]], bits=8)
+        assert "fingerprint 300 does not fit in 8 bits" in str(excinfo.value.__cause__)
+
+    def test_non_integer_fingerprints_are_a_value_error(self):
+        from repro.mpi import SpmdError
+
+        for bad, shown in (([1, 2.5], "2.5"), ([[1, 2], [3]], "[1, 2]")):
+            with pytest.raises(SpmdError) as excinfo:
+                _run_detection([bad, [1]], bits=40)
+            assert isinstance(excinfo.value.__cause__, ValueError)
+            assert f"fingerprint {shown} does not fit in 40 bits" in str(excinfo.value.__cause__)
 
     def test_golomb_reduces_traffic(self):
-        import random
-
         rng = random.Random(1)
         per_pe = [[rng.randrange(1 << 32) for _ in range(400)] for _ in range(4)]
         _, plain_report = _run_detection(per_pe, golomb=False, bits=32)

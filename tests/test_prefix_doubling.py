@@ -1,10 +1,18 @@
 """Tests for the distinguishing-prefix approximation (Step 1+epsilon, Theorem 6)."""
 
+import hashlib
+
 import pytest
 
 from repro.dist.prefix_doubling import approximate_dist_prefixes
 from repro.mpi import run_spmd
-from repro.strings.generators import dn_instance, duplicate_heavy, random_strings, suffix_instance
+from repro.strings.generators import (
+    dn_instance,
+    dna_reads,
+    duplicate_heavy,
+    random_strings,
+    suffix_instance,
+)
 from repro.strings.lcp import distinguishing_prefixes
 
 
@@ -137,3 +145,30 @@ class TestProtocolBehaviour:
         assert len(results[0].lengths) == 100
         true = distinguishing_prefixes(strings)
         assert all(a >= t for a, t in zip(results[0].lengths, true))
+
+    def test_max_rounds_safety_net_retires_with_full_length(self):
+        # growth of +1 per round from length 1 cannot reach 100 chars in 64 rounds
+        strings = [b"x" * 100, b"x" * 100, b"y"]
+        results, _ = _run([strings], initial_length=1, epsilon=1e-9)
+        assert results[0].rounds == 64
+        assert results[0].lengths == [100, 100, 1]
+
+
+class TestPinnedRun:
+    """One run recorded from the per-string list implementation: the array
+    bookkeeping must leave every observable of the protocol bit-equal."""
+
+    @pytest.mark.parametrize(
+        "golomb, total_bytes_sent", [(False, 5338), (True, 4934)], ids=["pdms", "pdms-golomb"]
+    )
+    def test_dna_reads_p4(self, engine, golomb, total_bytes_sent):
+        results, report = _run(_blocks(dna_reads(600, seed=17), 4), golomb=golomb)
+        lengths = [r.lengths for r in results]
+        assert all(type(x) is int for per_rank in lengths for x in per_rank)
+        assert [sum(per_rank) for per_rank in lengths] == [7164, 6998, 7637, 7589]
+        digest = hashlib.blake2b(repr(lengths).encode(), digest_size=8).hexdigest()
+        assert digest == "704ae634e3ce19a5"
+        assert [r.rounds for r in results] == [4] * 4
+        assert [r.round_active_counts for r in results] == [[600, 275, 249, 212]] * 4
+        assert [r.fingerprints_sent for r in results] == [327, 320, 345, 344]
+        assert report.total_bytes_sent == total_bytes_sent

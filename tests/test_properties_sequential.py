@@ -93,7 +93,7 @@ merge_text = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None)
 @given(
     runs=st.lists(st.lists(merge_text, max_size=12), min_size=1, max_size=9),
     lead=st.lists(merge_text, max_size=2),
@@ -172,11 +172,20 @@ def test_distinguishing_prefix_definition(strings):
             assert dist[i] == min(max_lcp + 1, len(s))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=200))
-def test_golomb_roundtrip(values):
-    values = sorted(values)
-    payload, m = encode_sorted(values, universe=2**32)
+@st.composite
+def sorted_values_in_a_universe(draw):
+    """``(values, universe)`` over the universes the fingerprints really use,
+    from a dense 7 to the full 64 bits (values and gaps beyond ``int64``)."""
+    universe = draw(st.sampled_from([7, 2**16, 2**32, 2**38, 2**62, 2**64]))
+    values = draw(st.lists(st.integers(min_value=0, max_value=universe - 1), max_size=200))
+    return sorted(values), universe
+
+
+@settings(max_examples=300, deadline=None)
+@given(sorted_values_in_a_universe())
+def test_golomb_roundtrip(case):
+    values, universe = case
+    payload, m = encode_sorted(values, universe=universe)
     assert decode_sorted(payload, m, len(values)) == values
 
 
