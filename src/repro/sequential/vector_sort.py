@@ -7,14 +7,16 @@ the per-string :mod:`repro.sequential.msd_radix` recursion:
 
 * NUL-free blocks sort through one stable ``np.argsort`` over a padded
   ``|S{width}`` key view (NUL padding compares below every real character,
-  so the padded order *is* ``bytes`` order);
+  so the padded order *is* ``bytes`` order) whose reordered rows are the
+  sorted buffer (:func:`repro.strings.packed.sort_with_order`);
 * blocks containing NUL bytes sort through a stable ``np.lexsort`` over
   big-endian ``uint64`` key columns with the string length as the final
   tie-break — equal padded keys mean the shorter string is a prefix of the
   longer (the longer one's tail is all NULs up to the key width), so
   shorter-first is exactly ``bytes`` order;
-* blocks whose longest string exceeds the fixed-width guard rails fall back
-  to the scalar sorter (:func:`vector_sort_with_lcp` returns ``None`` and
+* blocks past the guard rails (a string over 4096 bytes, over 256 in a
+  NUL-bearing block, a key matrix over 128 MiB) fall back to the scalar
+  sorter (:func:`vector_sort_with_lcp` returns ``None`` and
   :func:`repro.sequential.msd_radix.msd_radix_sort` runs its recursion).
 
 The output pair — sorted packed array plus its ``int64`` LCP array — is
@@ -37,6 +39,7 @@ from ..strings.packed import (
     _MAX_FIXED_BYTES,
     fixed_width_keys,
     packed_lcp_array,
+    sort_with_order,
     take,
 )
 from .stats import CharStats
@@ -76,24 +79,16 @@ def vector_sort_with_lcp(
     :func:`repro.sequential.msd_radix.msd_radix_sort` on the same strings
     (sorted order and LCP array are both content-determined).
     """
-    n = len(arr)
-    if n == 0:
-        return arr, np.zeros(0, dtype=np.int64)
-    width = arr.max_len
+    n, width = len(arr), arr.max_len
     if width == 0:
-        # all-empty block: already sorted, all LCPs 0
-        if stats is not None:
-            stats.add_chars(0)
+        # no strings or all empty: already sorted, all LCPs 0, nothing inspected
         return arr, np.zeros(n, dtype=np.int64)
     if _fixed_width_ok(arr, width):
-        order = np.argsort(fixed_width_keys(arr, width), kind="stable").astype(
-            np.int64
-        )
+        srt, _ = sort_with_order(arr)
     elif width <= _MAX_LEXSORT_WIDTH and n * width <= _MAX_FIXED_BYTES:
-        order = _column_lexsort(arr, width)
+        srt = take(arr, _column_lexsort(arr, width))
     else:
         return None
-    srt = take(arr, order)
     out_lcps = packed_lcp_array(srt)
     if stats is not None:
         # every character enters the key material exactly once

@@ -32,6 +32,7 @@ from .packed import (
     packed_enabled,
     packed_lcp_array,
     packed_sort,
+    sort_with_order,
 )
 
 __all__ = [
@@ -150,15 +151,11 @@ def distinguishing_prefixes(strings: Sequence[bytes]) -> List[int]:
         try:
             arr = PackedStringArray.from_strings(strings)
         except TypeError:
-            arr = None
-        if arr is not None:
-            from .packed import packed_argsort, take
-
-            order = packed_argsort(arr)
-            sorted_arr = take(arr, order)
-            d = _dist_of_sorted_packed(sorted_arr)
+            pass  # non-bytes elements: fall through to the scalar loop
+        else:
+            sorted_arr, order = sort_with_order(arr)
             out_np = np.empty(n, dtype=np.int64)
-            out_np[order] = d
+            out_np[order] = _dist_of_sorted_packed(sorted_arr)
             return out_np.tolist()
 
     order = sorted(range(n), key=lambda i: strings[i])

@@ -59,6 +59,7 @@ __all__ = [
     "packed_bucket_boundaries",
     "packed_argsort",
     "packed_sort",
+    "sort_with_order",
     "take",
     "truncate",
 ]
@@ -166,11 +167,7 @@ class PackedStringArray:
         return self.buffer[self.offsets[idx] : self.offsets[idx + 1]].tobytes()
 
     def __iter__(self) -> Iterator[bytes]:
-        base = int(self.offsets[0])
-        data = self.buffer[base : int(self.offsets[-1])].tobytes()
-        off = (self.offsets - base).tolist()  # plain ints: fast slice indices
-        for a, b in zip(off, off[1:]):
-            yield data[a:b]
+        return iter(self.to_list())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PackedStringArray):
@@ -500,18 +497,18 @@ def fixed_width_keys(arr: PackedStringArray, width: int) -> np.ndarray:
     on the truncated strings (padding NULs compare below every character)."""
     if width <= 0:
         raise ValueError("width must be positive")
-    n = len(arr)
     off = arr.offsets
     base = int(off[0])
     padded = np.concatenate(
         [arr.buffer[base : int(off[-1])], np.zeros(width, dtype=np.uint8)]
     )
     windows = np.lib.stride_tricks.sliding_window_view(padded, width)
-    mat = windows[off[:-1] - base].copy()  # (n, width) row-contiguous copies
-    # NUL-pad past each string's end (the window read runs into the
-    # following strings' bytes, which would corrupt the ordering)
-    mask = np.arange(width, dtype=np.int64)[None, :] >= arr.lengths[:, None]
-    mat[mask] = 0
+    mat = windows[off[:-1] - base]  # (n, width): a fresh row-contiguous copy
+    if len(arr) and int(arr.lengths.min()) < width:
+        # NUL-pad past each string's end (the window read runs into the
+        # following strings' bytes, which would corrupt the ordering)
+        ends = np.minimum(arr.lengths, width).astype(np.int32)
+        mat *= np.arange(width, dtype=np.int32) < ends[:, None]
     return mat.reshape(-1).view(f"S{width}")
 
 
@@ -566,16 +563,7 @@ def packed_bucket_boundaries(
 
 def packed_argsort(arr: PackedStringArray) -> np.ndarray:
     """Stable argsort in lexicographic ``bytes`` order."""
-    n = len(arr)
-    if n < 2:
-        return np.arange(n, dtype=np.int64)
-    width = arr.max_len
-    if width == 0:
-        return np.arange(n, dtype=np.int64)
-    if _fixed_width_ok(arr, width):
-        return np.argsort(fixed_width_keys(arr, width), kind="stable").astype(np.int64)
-    data = arr.to_list()
-    return np.asarray(sorted(range(n), key=data.__getitem__), dtype=np.int64)
+    return sort_with_order(arr)[1]
 
 
 def take(arr: PackedStringArray, order: np.ndarray) -> PackedStringArray:
@@ -591,9 +579,35 @@ def take(arr: PackedStringArray, order: np.ndarray) -> PackedStringArray:
     return PackedStringArray(arr.buffer[idx], off)
 
 
+def sort_with_order(arr: PackedStringArray) -> Tuple[PackedStringArray, np.ndarray]:
+    """Lexicographically sorted copy of ``arr`` and the stable order behind it.
+
+    A NUL-free block emits the rows of the key matrix it has just sorted:
+    with no NUL in any string, the non-zero bytes of ``mat[order]`` are
+    exactly the sorted strings' bytes.  That gather is ``O(n * width)`` where
+    :func:`take` is ``O(num_chars)``: measured, the rows are faster up to 2-6
+    matrix cells per character and smaller up to 8, so they run up to 4 and
+    ``take`` beyond (one long string among many short ones).
+    """
+    n, width = len(arr), arr.max_len
+    if n > 1 and _fixed_width_ok(arr, width):
+        keys = fixed_width_keys(arr, width)
+        order = np.argsort(keys, kind="stable")
+        if n * width <= 4 * arr.num_chars:
+            rows = keys.view(np.uint8).reshape(n, width)[order]
+            off = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(arr.lengths[order], out=off[1:])
+            padded = arr.num_chars != n * width
+            return PackedStringArray(rows[rows != 0] if padded else rows.reshape(-1), off), order
+    else:  # NUL bytes, oversized keys, or nothing to sort
+        data = arr.to_list()
+        order = np.asarray(sorted(range(n), key=data.__getitem__), dtype=np.int64)
+    return take(arr, order), order
+
+
 def packed_sort(arr: PackedStringArray) -> PackedStringArray:
     """Lexicographically sorted copy of ``arr``."""
-    return take(arr, packed_argsort(arr))
+    return sort_with_order(arr)[0]
 
 
 def truncate(arr: PackedStringArray, max_lens: Sequence[int]) -> PackedStringArray:

@@ -8,6 +8,9 @@ exact duplicates, one-byte alphabets, and strings sharing prefixes longer
 than 255 characters (so LCP values need multi-byte varints).
 """
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,16 +18,21 @@ from hypothesis import given, settings, strategies as st
 from repro.dist.exchange import LcpCompressedBlock, StringBlock
 from repro.dist.partition import bucket_boundaries, split_into_buckets
 from repro.mpi.serialization import varint_size, varint_sizes, varint_total, wire_size
+from repro.sequential import CharStats
+from repro.sequential.vector_sort import vector_sort_with_lcp
 from repro.strings.lcp import lcp, lcp_array, lcp_compress_lengths
 from repro.strings.packed import (
     PackedStringArray,
     _front_decode_scalar,
+    fixed_width_keys,
     front_code,
     front_decode,
     packed_argsort,
     packed_bucket_boundaries,
     packed_lcp_array,
     packed_sort,
+    sort_with_order,
+    take,
     truncate,
     use_packed,
 )
@@ -89,7 +97,7 @@ class TestRoundTrip:
         hi = data.draw(st.integers(lo, len(xs)))
         view = arr[lo:hi]
         assert view.buffer is arr.buffer  # shared character data
-        assert view.to_list() == xs[lo:hi]
+        assert view.to_list() == list(view) == [view[i] for i in range(len(view))] == xs[lo:hi]
         assert packed_lcp_array(view).tolist() == scalar_lcp_array(xs[lo:hi])
 
     @given(string_lists())
@@ -335,3 +343,91 @@ class TestPackedPartition:
         for (ls, lh), (ps, ph) in zip(list_buckets, packed_buckets):
             assert ps.to_list() == ls
             assert ph.tolist() == lh
+
+
+# ---------------------------------------------------------------------------
+# the vectorized local sort and its row gather
+# ---------------------------------------------------------------------------
+
+@st.composite
+def sort_blocks(draw):
+    """A block as the local sort meets it: ragged (with the >255-char tail),
+    uniform-length, all-empty, single-string or with trailing NULs (the
+    lexsort branch) — always a window into a larger array."""
+    shape = draw(st.sampled_from(["ragged", "uniform", "empty", "single", "nul"]))
+    xs = draw(string_lists(min_size=1))
+    if shape == "uniform":
+        width = draw(st.integers(1, 9))
+        xs = [s.ljust(width, b"a")[:width] for s in xs]
+    elif shape == "empty":
+        xs = [b""] * len(xs)
+    elif shape == "single":
+        xs = xs[:1]
+    elif shape == "nul":
+        xs = [s + b"\x00" * (len(s) % 3) for s in xs] + [b"\x00"]
+    lead = draw(st.lists(st.binary(max_size=4), max_size=2))
+    view = PackedStringArray.from_strings(lead + xs + lead)[len(lead) : len(lead) + len(xs)]
+    return xs, view
+
+
+class TestLocalSort:
+    @given(sort_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_vector_sort_matches_sorted_and_scalar_lcps(self, block):
+        xs, view = block
+        stats = CharStats()
+        res = vector_sort_with_lcp(view, stats)
+        if res is None:  # only NUL-bearing blocks wider than the lexsort limit
+            assert view.has_zero_byte() and view.max_len > 256
+            return
+        srt, lcps = res
+        assert srt.to_list() == sorted(xs)
+        assert lcps.dtype == np.int64 and lcps.tolist() == scalar_lcp_array(sorted(xs))
+        if view.num_chars:  # an all-empty block comes back as it is
+            assert srt.buffer.size == view.num_chars and srt.offsets[0] == 0
+        assert stats == CharStats(
+            chars_inspected=view.num_chars, bucket_passes=int(view.num_chars > 0)
+        )
+
+    @given(sort_blocks())
+    @settings(max_examples=150, deadline=None)
+    def test_sort_with_order_is_the_stable_argsort_gather(self, block):
+        xs, view = block
+        srt, order = sort_with_order(view)
+        assert order.tolist() == sorted(range(len(xs)), key=xs.__getitem__)
+        assert srt.to_list() == take(view, order).to_list() == sorted(xs)
+        assert srt.buffer.size == view.num_chars and srt.offsets[0] == 0
+
+    @given(sort_blocks(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_fixed_width_keys_equal_the_ljust_oracle(self, block, data):
+        xs, view = block
+        width = data.draw(st.integers(1, view.max_len + 3))
+        keys = fixed_width_keys(view, width)
+        assert keys.dtype == np.dtype(f"S{width}") and keys.shape == (len(xs),)
+        assert keys.tobytes() == b"".join(s[:width].ljust(width, b"\x00") for s in xs)
+
+    def test_one_long_string_among_short_ones_gathers_per_character(self, monkeypatch):
+        """20 000 strings of 5-35 bytes and one of 1 000: the key matrix is 50
+        cells per character, so emitting its rows would copy the padding once
+        more (61 MB traced peak where the parent's ``take`` path has 41 MB)."""
+        import repro.strings.packed as packed_mod
+
+        rng = random.Random(5)
+        xs = [bytes(rng.choices(range(97, 123), k=rng.randrange(5, 36))) for _ in range(20000)]
+        xs.append(b"z" * 1000)
+        arr = PackedStringArray.from_strings(xs)
+        gathers = []
+        monkeypatch.setattr(
+            packed_mod, "take", lambda a, order: gathers.append(len(order)) or take(a, order)
+        )
+        tracemalloc.start()
+        try:
+            srt, lcps = vector_sort_with_lcp(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gathers == [len(xs)]
+        assert srt.to_list() == sorted(xs)
+        assert lcps.tolist() == packed_lcp_array(PackedStringArray.from_strings(sorted(xs))).tolist()
+        assert peak <= 41e6 * 1.1

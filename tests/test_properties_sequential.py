@@ -8,6 +8,8 @@ Invariants covered:
   input into runs;
 * the packed merge is the scalar LCP loser tree, bit for bit: strings, LCPs
   and the character/comparison counters, on adversarial run shapes;
+* the flat atomic merge is the scalar ``LoserTree``, bit for bit, on list and
+  packed runs, and MS-simple/FKmerge still count what the parent counted;
 * LCP arrays and distinguishing prefixes satisfy their defining relations;
 * the Golomb coder round-trips arbitrary sorted integer sequences (the coder
   lives in the dist package but is a pure sequential data structure).
@@ -18,9 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro import Cluster, FKMergeSpec, MSSimpleSpec
 from repro.dist.golomb import decode_sorted, encode_sorted
 from repro.sequential import (
     CharStats,
+    LoserTree,
     lcp_insertion_sort,
     lcp_merge,
     lcp_multiway_merge,
@@ -29,6 +33,7 @@ from repro.sequential import (
     multiway_merge,
 )
 from repro.sequential.lcp_losertree import lcp_multiway_merge_packed
+from repro.strings.generators import commoncrawl_like
 from repro.strings.lcp import distinguishing_prefixes, lcp, lcp_array
 from repro.strings.packed import PackedStringArray
 
@@ -135,6 +140,73 @@ def test_atomic_losertree_merges_arbitrary_runs(runs):
     runs = [sorted(r) for r in runs]
     merged = multiway_merge(runs)
     assert merged == sorted(s for r in runs for s in r)
+
+
+# as merge_text, with 0xFF as the largest byte
+atomic_text = st.one_of(
+    st.binary(max_size=6).map(lambda b: bytes(b"\x00a\xff"[c % 3] for c in b)),
+    st.integers(min_value=0, max_value=12).map(lambda n: (b"a\xff\x00" * 4)[:n]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    runs=st.lists(st.lists(atomic_text, max_size=12), max_size=9),
+    lead=st.lists(atomic_text, max_size=2),
+    packed=st.lists(st.booleans(), min_size=9, max_size=9),
+)
+def test_flat_merge_is_the_scalar_atomic_losertree(runs, lead, packed):
+    runs = [sorted(r) for r in runs]
+    # some runs arrive packed, as windows into a larger array
+    given_runs = [
+        PackedStringArray.from_strings(lead + r + lead)[len(lead) : len(lead) + len(r)]
+        if as_packed
+        else list(r)
+        for r, as_packed in zip(runs, packed)
+    ]
+    before = [list(r) for r in given_runs]
+
+    want_stats, got_stats = CharStats(), CharStats()
+    tree = LoserTree(runs, want_stats)
+    want = [tree.pop() for _ in range(sum(map(len, runs)))]
+    assert tree.empty()
+    got = multiway_merge(given_runs, got_stats)
+
+    assert got == want
+    assert got_stats == want_stats
+    assert multiway_merge(given_runs) == want
+    assert [list(r) for r in given_runs] == before
+
+
+class _FromRun(bytes):
+    """A string that remembers which run it came from."""
+
+    run = -1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(atomic_text, max_size=8), max_size=9))
+def test_flat_merge_emits_equal_strings_in_run_order(runs):
+    tagged = [[_FromRun(s) for s in sorted(r)] for r in runs]
+    for index, run in enumerate(tagged):
+        for s in run:
+            s.run = index
+    got = multiway_merge(tagged)
+    assert [(s, s.run) for s in got] == sorted((s, s.run) for run in tagged for s in run)
+
+
+@pytest.mark.parametrize(
+    "spec, total_bytes_sent",
+    [(MSSimpleSpec(exchange_topology="hypercube"), 61894), (FKMergeSpec(), 47355)],
+    ids=["ms-simple", "fkmerge"],
+)
+def test_no_lcp_baselines_count_what_the_scalar_tree_counted(engine, spec, total_bytes_sent):
+    """Counters of a fixed run, recorded before the merge became a flat loop."""
+    data = commoncrawl_like(1500, seed=20)
+    res = Cluster(num_pes=4, engine=engine).sort(data, spec)
+    assert res.sorted_strings == sorted(data)
+    assert res.report.chars_inspected_per_pe == [44407, 45178, 37352, 34579]
+    assert res.report.total_bytes_sent == total_bytes_sent
 
 
 @settings(max_examples=100, deadline=None)
