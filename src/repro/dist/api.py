@@ -29,7 +29,6 @@ pdms-golomb PDMS with Golomb-coded fingerprint messages
 
 from __future__ import annotations
 
-import heapq
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -46,8 +45,11 @@ from ..sequential.stats import CharStats
 from ..strings.lcp import lcp_array
 from ..strings.packed import (
     PackedStringArray,
+    clip_lcps,
+    concat_runs,
     packed_enabled,
     packed_lcp_array,
+    sort_with_order,
     truncate,
 )
 from ..strings.stringset import StringSet, validate_strings
@@ -353,32 +355,23 @@ def pdms_sort(
     origin labels, and a dict of protocol statistics.
     """
     config = config or PDMSConfig()
-    local_sorted, _ = _local_sort(comm, strings, config.local_sorter)
-    if isinstance(local_sorted, PackedStringArray):
-        # prefix doubling hashes one bytes slice per active string (its
-        # fingerprints, lengths and verdicts are arrays from there on) and
-        # the origin-labelled merge below works on string objects, so both
-        # take the list layout
-        local_sorted = local_sorted.to_list()
-
+    local_sorted, lcps = _local_sort(comm, strings, config.local_sorter)
+    # the run stays packed from here on (a list-sorted block is packed once);
+    # only prefix doubling, which hashes one bytes slice per active string,
+    # takes the list layout
+    packed = PackedStringArray.from_strings(local_sorted)
     doubling = approximate_dist_prefixes(
         comm,
-        local_sorted,
+        packed.to_list(),
         initial_length=config.initial_length,
         epsilon=config.epsilon,
         golomb=config.golomb,
     )
     # prefixes of a sorted array are sorted (every prefix extends past the
-    # LCP with its neighbours, by the DIST guarantee), so the LCP array of
-    # the prefix sequence is valid input for bucketing
-    if packed_enabled():
-        prefixes = truncate(
-            PackedStringArray.from_strings(local_sorted), doubling.lengths
-        )
-        prefix_lcps = packed_lcp_array(prefixes)
-    else:
-        prefixes = [s[:n] for s, n in zip(local_sorted, doubling.lengths)]
-        prefix_lcps = lcp_array(prefixes)
+    # LCP with its neighbours, by the DIST guarantee), and their LCP array
+    # is the local one clipped to the prefix lengths
+    prefixes = truncate(packed, doubling.lengths)
+    prefix_lcps = clip_lcps(prefixes, lcps)
 
     splitters = determine_splitters(
         comm,
@@ -393,11 +386,7 @@ def pdms_sort(
     # array).  Each bucket is a contiguous run of that array, so only its
     # start offset needs to travel; the receiver learns the source PE from
     # the message slot and reconstructs the positions by counting.
-    starts = []
-    start = 0
-    for bucket_strings, _ in buckets:
-        starts.append(start)
-        start += len(bucket_strings)
+    starts = np.cumsum([0] + [len(bucket) for bucket, _ in buckets[:-1]]).tolist()
     received = _exchange(
         comm,
         buckets,
@@ -407,15 +396,17 @@ def pdms_sort(
     )
 
     with comm.phase("merge"):
-        decorated = [
-            [(s, (src, first + i)) for i, s in enumerate(run)]
-            for src, (run, _, first) in enumerate(received)
-        ]
-        merged = list(heapq.merge(*decorated, key=lambda item: item[0]))
-        out = [s for s, _ in merged]
-        origins = [origin for _, origin in merged]
-        out_lcps = lcp_array(out)
-        comm.record_local_work(sum(len(s) for s in out), len(out))
+        # one stable sort over the runs back to back in source order: ties
+        # keep the lower source PE first, as a k-way merge would, and the
+        # order says which run and position every output came from
+        runs, bounds = concat_runs([run for run, _, _ in received])
+        merged, order = sort_with_order(runs)
+        src = np.searchsorted(bounds[1:], order, side="right")
+        firsts = np.array([first for _, _, first in received], dtype=np.int64)
+        origins = list(zip(src.tolist(), (order - bounds[src] + firsts[src]).tolist()))
+        out = merged.to_list()
+        out_lcps = packed_lcp_array(merged).tolist()
+        comm.record_local_work(merged.num_chars, len(out))
 
     extra = {
         "doubling_rounds": doubling.rounds,

@@ -54,13 +54,17 @@ def prefix_fingerprints(
     """Deterministic ``bits``-wide fingerprints of string prefixes (``uint64``).
 
     ``salt`` decouples the hash functions of different doubling rounds so a
-    collision in one round cannot persist into the next.
+    collision in one round cannot persist into the next.  It keys one
+    ``blake2b`` state per call, and each prefix hashes a copy of that state.
     """
     if not 1 <= bits <= 64:
         raise ValueError("bits must be in [1, 64]")
-    key = salt.to_bytes(8, "little", signed=True)
-    blake2b = hashlib.blake2b
-    digests = [blake2b(prefix, digest_size=8, key=key).digest() for prefix in prefixes]
+    copy = hashlib.blake2b(digest_size=8, key=salt.to_bytes(8, "little", signed=True)).copy
+    digests = []
+    for prefix in prefixes:
+        state = copy()
+        state.update(prefix)
+        digests.append(state.digest())
     wide = np.frombuffer(b"".join(digests), dtype=">u8").astype(np.uint64)
     return wide & np.uint64((1 << bits) - 1)
 

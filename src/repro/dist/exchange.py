@@ -60,7 +60,6 @@ from ..strings.lcp import lcp_array
 from ..strings.packed import (
     PackedStringArray,
     front_code,
-    front_decode,
     packed_lcp_array,
 )
 
@@ -227,21 +226,6 @@ class LcpCompressedBlock(WireSized):
             self._compute_crc() if wire_checksums_enabled() else None
         )
 
-    @classmethod
-    def _from_packed(
-        cls,
-        lcps: np.ndarray,
-        suffixes: PackedStringArray,
-        original: Optional[PackedStringArray] = None,
-    ) -> "LcpCompressedBlock":
-        blk = cls.__new__(cls)
-        blk.entries = None
-        blk._lcps = lcps
-        blk._suffixes = suffixes
-        blk._original = original
-        blk._crc = blk._compute_crc() if wire_checksums_enabled() else None
-        return blk
-
     def _compute_crc(self) -> int:
         """CRC32 of the front-coded wire content, recomputed from scratch.
 
@@ -281,13 +265,17 @@ class LcpCompressedBlock(WireSized):
         if len(strings) != len(lcps):
             raise ValueError("strings and lcps must have equal length")
         if isinstance(strings, PackedStringArray):
-            clipped, suffixes = front_code(strings, lcps)
             # keep a reference to the encoded run: the simulated machine
             # delivers messages zero-copy (exactly as StringBlock does), so
             # the receiver charges wire bytes for the front-coded form but
             # does not redo the byte-level reconstruction that
             # :func:`front_decode` implements (and the tests pin)
-            return cls._from_packed(clipped, suffixes, original=strings)
+            blk = cls.__new__(cls)
+            blk.entries = None
+            blk._lcps, blk._suffixes = front_code(strings, lcps)
+            blk._original = strings
+            blk._crc = blk._compute_crc() if wire_checksums_enabled() else None
+            return blk
         entries: List[Tuple[int, bytes]] = []
         prev_len = 0
         for i, (s, h) in enumerate(zip(strings, lcps)):
@@ -311,11 +299,8 @@ class LcpCompressedBlock(WireSized):
     def decode(self) -> Tuple[List[bytes], List[int]]:
         """Reconstruct ``(strings, lcps)`` from the front-coded entries."""
         self._verify_seal()
-        if self._suffixes is not None:
-            if self._original is not None:
-                return self._original.to_list(), self._lcps.tolist()
-            decoded = front_decode(self._lcps, self._suffixes)
-            return decoded.to_list(), self._lcps.tolist()
+        if self._original is not None:
+            return self._original.to_list(), self._lcps.tolist()
         strings: List[bytes] = []
         lcps: List[int] = []
         prev = b""
@@ -334,18 +319,14 @@ class LcpCompressedBlock(WireSized):
     def decode_run(self) -> Tuple[Strings, Lcps]:
         """Decode to the natural representation of the sent bucket.
 
-        A packed-backed block yields a :class:`PackedStringArray` plus the
-        ``int64`` LCP array **without materialising** ``list[bytes]``: the
-        reference-shipped original when present (the simulated machine
-        delivers messages zero-copy), otherwise the vectorized
-        :func:`repro.strings.packed.front_decode` reconstruction.  An
-        entry-backed block behaves exactly like :meth:`decode`.
+        A packed-backed block yields the sent :class:`PackedStringArray`
+        (delivered zero-copy) plus the ``int64`` LCP array **without
+        materialising** ``list[bytes]``.  An entry-backed block behaves
+        exactly like :meth:`decode`.
         """
         self._verify_seal()
-        if self._suffixes is not None:
-            if self._original is not None:
-                return self._original, self._lcps
-            return front_decode(self._lcps, self._suffixes), self._lcps
+        if self._original is not None:
+            return self._original, self._lcps
         return self.decode()
 
     def wire_bytes(self) -> int:

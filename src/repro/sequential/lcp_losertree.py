@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..strings.packed import PackedStringArray
+from ..strings.packed import PackedStringArray, concat_runs
 from .stats import CharStats
 
 __all__ = ["LcpLoserTree", "lcp_multiway_merge", "lcp_multiway_merge_packed"]
@@ -278,13 +278,12 @@ def lcp_multiway_merge_packed(
         return runs[live[0]], out_lcps
 
     # the runs back to back: run r is strings bounds[r]:bounds[r+1]
-    bounds = np.cumsum([0] + [len(run) for run in runs]).tolist()
+    cat, cat_bounds = concat_runs(runs)
+    bounds = cat_bounds.tolist()
     total = bounds[-1]
-    lengths = np.concatenate([run.lengths for run in runs])
-    off = [0] + np.cumsum(lengths).tolist()
-    data = b"".join(
-        [r.buffer[int(r.offsets[0]) : int(r.offsets[-1])].tobytes() for r in runs]
-    )
+    lengths = cat.lengths
+    off = cat.offsets.tolist()
+    data = cat.buffer.tobytes()
     cat_lcps = np.full(total + 1, -1, dtype=np.int64)
     cat_lcps[:total] = np.concatenate(lcps)
     # A run's first entry is never read as a run-LCP, and it sits where a scan

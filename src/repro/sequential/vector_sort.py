@@ -8,7 +8,9 @@ the per-string :mod:`repro.sequential.msd_radix` recursion:
 * NUL-free blocks sort through one stable ``np.argsort`` over a padded
   ``|S{width}`` key view (NUL padding compares below every real character,
   so the padded order *is* ``bytes`` order) whose reordered rows are the
-  sorted buffer (:func:`repro.strings.packed.sort_with_order`);
+  sorted buffer (:func:`repro.strings.packed.sort_with_order`), unless
+  that key matrix would hold more than 4 bytes per character: such a
+  skewed block is ordered by ``sorted()`` and gathered per character;
 * blocks containing NUL bytes sort through a stable ``np.lexsort`` over
   big-endian ``uint64`` key columns with the string length as the final
   tie-break — equal padded keys mean the shorter string is a prefix of the

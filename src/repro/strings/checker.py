@@ -139,18 +139,18 @@ def check_prefix_permutation(
     """Checker for PDMS, which permutes (approximate) distinguishing prefixes.
 
     PDMS does not move whole strings; each output entry is a prefix of some
-    input string that is at least as long as that string's distinguishing
-    prefix.  Consequently the correctness conditions are:
+    input string.  The checked conditions are:
 
     1. each PE's output prefixes are locally sorted,
     2. PE boundaries are respected under prefix comparison,
-    3. every output prefix is a prefix of exactly one (multiset-matched)
-       input string, and the global multiset sizes agree,
-    4. the prefix order is consistent with the order of the full strings:
-       sorting the matched full strings yields the same arrangement.  We
-       verify this by checking that the sequence of matched full strings is
-       itself globally sorted *when compared only up to the transmitted
-       prefix lengths* — which is exactly the guarantee PDMS gives.
+    3. the global multiset sizes agree and every output prefix is a prefix
+       of a distinct (greedily multiset-matched) input string.
+
+    Together they say the matched full strings are globally sorted *when
+    compared only up to the transmitted prefix lengths* — exactly the
+    guarantee PDMS gives — so the full strings' order needs no separate
+    check.  Whether a prefix reaches its string's distinguishing prefix is
+    not checked.
     """
     p = len(output_prefixes_per_pe)
     flat_in = [s for part in inputs_per_pe for s in part]
@@ -175,23 +175,18 @@ def check_prefix_permutation(
     # which it is a prefix; greedy matching over sorted inputs suffices
     # because prefixes sort adjacent to their extensions.
     remaining = Counter(flat_in)
-    unmatched = 0
     for pref in flat_out:
         # exact input string equal to the prefix is the cheapest match
         if remaining.get(pref, 0) > 0:
             remaining[pref] -= 1
             continue
-        found = False
         for cand in list(remaining):
             if remaining[cand] > 0 and cand.startswith(pref):
                 remaining[cand] -= 1
-                found = True
                 break
-        if not found:
-            unmatched += 1
-            if unmatched > 0:
-                raise SortCheckError(
-                    f"output prefix {pref!r} does not match any remaining input string"
-                )
+        else:
+            raise SortCheckError(
+                f"output prefix {pref!r} does not match any remaining input string"
+            )
 
     return CheckReport(num_strings=len(flat_in), num_pes=p)

@@ -14,7 +14,8 @@ distributed exchange path is built from:
 * :func:`packed_lcp_array` — LCP array of adjacent strings via broadcasted
   block comparison over offset-aligned views (no per-character Python work);
 * :func:`front_code` / :func:`front_decode` — batched LCP front coding
-  (Section V, Step 3) operating directly on the byte buffer;
+  (Section V, Step 3) operating directly on the byte buffer, with the LCP
+  clip :func:`clip_lcps` that also gives PDMS its prefix LCP array;
 * :func:`packed_bucket_boundaries` — splitter partition of a sorted run via
   ``np.searchsorted`` over a fixed-width key view;
 * :func:`packed_argsort` / :func:`packed_sort` — whole-array sorting through
@@ -49,10 +50,12 @@ import numpy as np
 __all__ = [
     "PackedStringArray",
     "as_packed",
+    "concat_runs",
     "packed_enabled",
     "set_packed_enabled",
     "use_packed",
     "packed_lcp_array",
+    "clip_lcps",
     "front_code",
     "front_decode",
     "fixed_width_keys",
@@ -240,6 +243,17 @@ def as_packed(strings: Sequence[bytes]) -> PackedStringArray:
     return PackedStringArray.from_strings(strings)
 
 
+def concat_runs(runs: Sequence[PackedStringArray]) -> Tuple[PackedStringArray, np.ndarray]:
+    """The runs back to back in one fresh array (``offsets[0] == 0``), and
+    the ``int64`` run bounds: run ``r`` is strings ``bounds[r]:bounds[r+1]``."""
+    bounds = np.zeros(len(runs) + 1, dtype=np.int64)
+    np.cumsum([len(run) for run in runs], out=bounds[1:])
+    offsets = np.zeros(int(bounds[-1]) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([run.lengths for run in runs]), out=offsets[1:])
+    buffer = np.concatenate([run.buffer[int(run.offsets[0]) : int(run.offsets[-1])] for run in runs])
+    return PackedStringArray(buffer, offsets), bounds
+
+
 # ---------------------------------------------------------------------------
 # vectorized LCP of adjacent strings
 # ---------------------------------------------------------------------------
@@ -342,25 +356,37 @@ _LITTLE_ENDIAN = sys.byteorder == "little"
 # batched LCP front coding (Section V, Step 3)
 # ---------------------------------------------------------------------------
 
+def clip_lcps(arr: PackedStringArray, lcps: Sequence[int]) -> np.ndarray:
+    """``lcps`` with the first entry 0 and each entry clipped to both
+    neighbouring lengths of ``arr`` (a fresh ``int64`` array).
+
+    Since ``LCP(s[:a], t[:b]) = min(LCP(s, t), a, b)``, clipping a sorted
+    run's LCP array to the lengths of its truncated strings yields the LCP
+    array of the truncated run — how PDMS gets its prefixes' LCPs for free.
+    """
+    h = np.array(lcps, dtype=np.int64)
+    if len(h) != len(arr):
+        raise ValueError("strings and lcps must have equal length")
+    if len(h):
+        lens = arr.lengths
+        h[0] = 0
+        np.minimum(h[1:], np.minimum(lens[1:], lens[:-1]), out=h[1:])
+    return h
+
+
 def front_code(
     arr: PackedStringArray, lcps: Sequence[int]
 ) -> Tuple[np.ndarray, PackedStringArray]:
     """Front-code a sorted run: ``(clipped LCPs, suffix array)``.
 
     Mirrors :meth:`LcpCompressedBlock.encode`: the first string travels in
-    full (LCP forced to 0) and every LCP is clipped to both neighbouring
-    lengths.  The suffixes land in a fresh packed array whose buffer is
-    exactly the characters that go on the wire.
+    full and every LCP is clipped by :func:`clip_lcps`.  The suffixes land
+    in a fresh packed array whose buffer is exactly the characters that go
+    on the wire.
     """
     n = len(arr)
-    h = np.asarray(lcps, dtype=np.int64)
-    if len(h) != n:
-        raise ValueError("strings and lcps must have equal length")
+    h = clip_lcps(arr, lcps)
     lens = arr.lengths
-    if n:
-        h = h.copy()
-        h[0] = 0
-        np.minimum(h[1:], np.minimum(lens[1:], lens[:-1]), out=h[1:])
     suf_lens = lens - h
     suf_off = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(suf_lens, out=suf_off[1:])
@@ -584,24 +610,24 @@ def sort_with_order(arr: PackedStringArray) -> Tuple[PackedStringArray, np.ndarr
 
     A NUL-free block emits the rows of the key matrix it has just sorted:
     with no NUL in any string, the non-zero bytes of ``mat[order]`` are
-    exactly the sorted strings' bytes.  That gather is ``O(n * width)`` where
-    :func:`take` is ``O(num_chars)``: measured, the rows are faster up to 2-6
-    matrix cells per character and smaller up to 8, so they run up to 4 and
-    ``take`` beyond (one long string among many short ones).
+    exactly the sorted strings' bytes.  The matrix and its gather are
+    ``O(n * width)`` where :func:`take` is ``O(num_chars)``: measured, the
+    rows are faster up to 2-6 matrix cells per character and smaller up to 8,
+    so the key sort runs up to 4.  Beyond that (one long string among many
+    short ones) no matrix is built: ``sorted()`` orders the block.
     """
     n, width = len(arr), arr.max_len
-    if n > 1 and _fixed_width_ok(arr, width):
+    if n > 1 and n * width <= 4 * arr.num_chars and _fixed_width_ok(arr, width):
         keys = fixed_width_keys(arr, width)
         order = np.argsort(keys, kind="stable")
-        if n * width <= 4 * arr.num_chars:
-            rows = keys.view(np.uint8).reshape(n, width)[order]
-            off = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(arr.lengths[order], out=off[1:])
-            padded = arr.num_chars != n * width
-            return PackedStringArray(rows[rows != 0] if padded else rows.reshape(-1), off), order
-    else:  # NUL bytes, oversized keys, or nothing to sort
-        data = arr.to_list()
-        order = np.asarray(sorted(range(n), key=data.__getitem__), dtype=np.int64)
+        rows = keys.view(np.uint8).reshape(n, width)[order]
+        off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(arr.lengths[order], out=off[1:])
+        padded = arr.num_chars != n * width
+        return PackedStringArray(rows[rows != 0] if padded else rows.reshape(-1), off), order
+    # NUL bytes, skewed or oversized keys, or nothing to sort
+    data = arr.to_list()
+    order = np.asarray(sorted(range(n), key=data.__getitem__), dtype=np.int64)
     return take(arr, order), order
 
 

@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dist.duplicates import (
     BitVector,
@@ -99,6 +100,19 @@ class TestPrefixFingerprint:
         digests = [hashlib.blake2b(s, digest_size=8, key=key).digest() for s in prefixes]
         assert batch.tolist() == [int.from_bytes(d, "big") & ((1 << 40) - 1) for d in digests]
         assert prefix_fingerprints([], bits=64).shape == (0,)
+
+    @given(st.lists(st.binary(max_size=80), max_size=30),
+           st.sampled_from([-1, 0, 3, 1 << 40]), st.sampled_from([1, 8, 40, 64]))
+    @settings(max_examples=80, deadline=None)
+    def test_one_keyed_state_equals_per_prefix_keyed_calls(self, prefixes, salt, bits):
+        prefixes = prefixes + [b""]
+        key = salt.to_bytes(8, "little", signed=True)
+        expected = [
+            int.from_bytes(hashlib.blake2b(s, digest_size=8, key=key).digest(), "big")
+            & ((1 << bits) - 1)
+            for s in prefixes
+        ]
+        assert prefix_fingerprints(prefixes, salt=salt, bits=bits).tolist() == expected
 
 
 class TestGolombCoding:

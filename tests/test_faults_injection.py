@@ -290,6 +290,22 @@ class TestBlockSeals:
         plain = LcpCompressedBlock.encode(packed, lcps)
         assert sealed.wire_bytes() == plain.wire_bytes() + CHECKSUM_WIRE_BYTES
 
+    @pytest.mark.parametrize("target", ["lcp", "suffix_char"])
+    def test_packed_lcp_block_tamper_detected(self, target):
+        # the seal covers the front-coded form: LCPs and the sealed suffixes
+        run = sorted(self.STRINGS)
+        with use_wire_checksums(True):
+            sealed = LcpCompressedBlock.encode(
+                PackedStringArray.from_strings(run), lcp_array(run)
+            )
+        if target == "lcp":
+            sealed._lcps[2] -= 1  # LCP(apple, apply) = 4 becomes 3
+        else:
+            sealed._suffixes.buffer[-1] ^= 1
+        for decode in (sealed.decode, sealed.decode_run):
+            with pytest.raises(CorruptFrameError, match="LcpCompressedBlock"):
+                decode()
+
     def test_unsealed_blocks_have_no_overhead(self):
         blk = StringBlock(self.STRINGS)
         assert blk._crc is None

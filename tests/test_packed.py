@@ -24,6 +24,8 @@ from repro.strings.lcp import lcp, lcp_array, lcp_compress_lengths
 from repro.strings.packed import (
     PackedStringArray,
     _front_decode_scalar,
+    clip_lcps,
+    concat_runs,
     fixed_width_keys,
     front_code,
     front_decode,
@@ -218,6 +220,85 @@ class TestFrontCoding:
             front_decode(np.array([1, 0]), suffixes)
 
 
+class TestClipLcps:
+    """``clip_lcps`` turns a sorted run's LCPs into its truncation's LCPs."""
+
+    @staticmethod
+    def _check(srt, lims):
+        arr = PackedStringArray.from_strings(srt)
+        prefixes = truncate(arr, lims)
+        clipped = clip_lcps(prefixes, packed_lcp_array(arr))
+        assert clipped.dtype == np.int64
+        assert clipped.tolist() == packed_lcp_array(prefixes).tolist()
+        assert clipped.tolist() == scalar_lcp_array([s[:n] for s, n in zip(srt, lims)])
+
+    @given(string_lists(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_truncated_run_lcps(self, xs, data):
+        srt = sorted(xs)
+        self._check(srt, [data.draw(st.integers(0, len(s))) for s in srt])
+
+    @given(st.binary(max_size=20), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_single_string(self, s, data):
+        self._check([s], [data.draw(st.integers(0, len(s)))])
+
+    def test_empty_block_and_full_lengths(self):
+        self._check([], [])
+        srt = sorted([b"ab", b"abc", b"abc", b"b", b""])
+        self._check(srt, [len(s) for s in srt])
+
+    def test_first_entry_zeroed_and_input_untouched(self):
+        arr = PackedStringArray.from_strings([b"ab", b"abc"])
+        lcps = np.array([7, 5], dtype=np.int64)
+        assert clip_lcps(arr, lcps).tolist() == [0, 2]
+        assert lcps.tolist() == [7, 5]
+        with pytest.raises(ValueError):
+            clip_lcps(arr, [0])
+
+
+class TestConcatRuns:
+    """``concat_runs`` lays runs back to back and says where each one is."""
+
+    @given(st.lists(string_lists(), min_size=1, max_size=5))
+    @settings(max_examples=80, deadline=None)
+    def test_runs_back_to_back(self, parts):
+        # offset-window views: every run borrows a buffer with bytes around it
+        runs = [PackedStringArray.from_strings([b"head"] + xs + [b"tail"])[1:-1] for xs in parts]
+        cat, bounds = concat_runs(runs)
+        assert cat.to_list() == [s for xs in parts for s in xs]
+        assert bounds.dtype == np.int64
+        assert bounds.tolist() == np.cumsum([0] + [len(xs) for xs in parts]).tolist()
+        assert cat.offsets[0] == 0 and cat.buffer.size == cat.num_chars
+        for r, xs in enumerate(parts):
+            assert cat[int(bounds[r]) : int(bounds[r + 1])].to_list() == xs
+
+
+class TestPackedLcpBlock:
+    """A packed ``LcpCompressedBlock`` accounts for its ``front_code``
+    suffixes and hands the receiver the sent run."""
+
+    @given(string_lists())
+    @settings(max_examples=80, deadline=None)
+    def test_accounting_equals_front_code(self, xs):
+        srt = sorted(xs)
+        h = scalar_lcp_array(srt)
+        arr = PackedStringArray.from_strings(srt)
+        hc, suffixes = front_code(arr, h)
+        blk = LcpCompressedBlock.encode(arr, h)
+        assert len(blk) == len(suffixes)
+        assert blk.chars_sent == suffixes.num_chars
+        assert blk.wire_bytes() == (
+            varint_size(len(suffixes))
+            + varint_total(hc)
+            + varint_total(suffixes.lengths)
+            + suffixes.num_chars
+        )
+        run, lcps = blk.decode_run()
+        assert run is arr and lcps.tolist() == hc.tolist()
+        assert blk.decode() == (srt, hc.tolist())
+
+
 class TestFrontDecodeVectorizedOracle:
     """The PSV-chain ``front_decode`` ≡ the scalar per-string loop.
 
@@ -408,9 +489,10 @@ class TestLocalSort:
         assert keys.tobytes() == b"".join(s[:width].ljust(width, b"\x00") for s in xs)
 
     def test_one_long_string_among_short_ones_gathers_per_character(self, monkeypatch):
-        """20 000 strings of 5-35 bytes and one of 1 000: the key matrix is 50
-        cells per character, so emitting its rows would copy the padding once
-        more (61 MB traced peak where the parent's ``take`` path has 41 MB)."""
+        """20 000 strings of 5-35 bytes and one of 1 000: a key matrix would be
+        50 cells per character (a 20 MB matrix; emitting its rows copies the
+        padding once more, 61 MB traced peak), so none is built and ``take``
+        gathers the ``sorted()`` order."""
         import repro.strings.packed as packed_mod
 
         rng = random.Random(5)
@@ -421,6 +503,7 @@ class TestLocalSort:
         monkeypatch.setattr(
             packed_mod, "take", lambda a, order: gathers.append(len(order)) or take(a, order)
         )
+        monkeypatch.setattr(packed_mod, "fixed_width_keys", None)  # calling it fails
         tracemalloc.start()
         try:
             srt, lcps = vector_sort_with_lcp(arr)
