@@ -17,9 +17,11 @@ import pytest
 from conftest import print_experiment, scaled
 from repro.bench.harness import ExperimentResult, ExperimentRunner
 from repro.dist.api import distribute_strings
+from repro.session import MSSimpleSpec, MSSpec, PDMSGolombSpec, PDMSSpec
 from repro.strings.generators import commoncrawl_like, dna_reads
 
-_RUNNER = ExperimentRunner(seed=4)
+SEED = 4
+_RUNNER = ExperimentRunner(seed=SEED)
 P = 8
 
 _WEB = distribute_strings(commoncrawl_like(scaled(6000), seed=8), P, by="chars")
@@ -31,27 +33,28 @@ _RESULT = ExperimentResult(
 )
 
 VARIANTS = [
-    # (label, algorithm, blocks, options)
-    ("web/ms-simple", "ms-simple", "_WEB", {}),
-    ("web/ms", "ms", "_WEB", {}),
-    ("web/ms-char-sampling", "ms", "_WEB", {"sampling": "character"}),
-    ("web/ms-hquick-samples", "ms", "_WEB", {"sample_sort": "hquick"}),
-    ("web/pdms", "pdms", "_WEB", {}),
-    ("dna/pdms-eps0.5", "pdms", "_DNA", {"epsilon": 0.5}),
-    ("dna/pdms-eps1", "pdms", "_DNA", {}),
-    ("dna/pdms-eps3", "pdms", "_DNA", {"epsilon": 3.0}),
-    ("dna/pdms-golomb", "pdms-golomb", "_DNA", {}),
-    ("dna/ms", "ms", "_DNA", {}),
+    # (label, spec, blocks)
+    ("web/ms-simple", MSSimpleSpec(seed=SEED), "_WEB"),
+    ("web/ms", MSSpec(seed=SEED), "_WEB"),
+    ("web/ms-char-sampling", MSSpec(seed=SEED, sampling="character"), "_WEB"),
+    ("web/ms-hquick-samples", MSSpec(seed=SEED, sample_sort="hquick"), "_WEB"),
+    ("web/pdms", PDMSSpec(seed=SEED), "_WEB"),
+    ("dna/pdms-eps0.5", PDMSSpec(seed=SEED, epsilon=0.5), "_DNA"),
+    ("dna/pdms-eps1", PDMSSpec(seed=SEED), "_DNA"),
+    ("dna/pdms-eps3", PDMSSpec(seed=SEED, epsilon=3.0), "_DNA"),
+    ("dna/pdms-golomb", PDMSGolombSpec(seed=SEED), "_DNA"),
+    ("dna/ms", MSSpec(seed=SEED), "_DNA"),
 ]
 
 
-@pytest.mark.parametrize("label, algorithm, blocks_name, options", VARIANTS)
-def test_ablation_cell(benchmark, label, algorithm, blocks_name, options):
+@pytest.mark.parametrize(
+    "label, spec, blocks_name", VARIANTS, ids=[v[0] for v in VARIANTS]
+)
+def test_ablation_cell(benchmark, label, spec, blocks_name):
     blocks = _WEB if blocks_name == "_WEB" else _DNA
     cell = benchmark.pedantic(
         _RUNNER.run_cell,
-        args=(_RESULT.name, algorithm, P, label, blocks),
-        kwargs=options,
+        args=(_RESULT.name, spec, P, label, blocks),
         rounds=1,
         iterations=1,
     )

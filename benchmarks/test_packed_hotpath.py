@@ -27,7 +27,7 @@ its own floor (see ``STAGE_FLOORS`` — notably ``decode ≥ 3×``, up from
 the ~1.05× the PR 2 materializing decode was stuck at).  Crucially, wire
 bytes, decoded runs and merged output must be bit-identical.  A second
 test pins byte-identical sorted output and traffic across all six
-``dsort`` algorithms with the packed path on and off.
+paper algorithms with the packed path on and off.
 
 Results (strings/second per stage plus peak RSS) are written to
 ``benchmarks/out/BENCH_PR6.json`` so future PRs have a trajectory to regress
@@ -44,13 +44,14 @@ import numpy as np
 import pytest
 
 from conftest import results_path, scaled
+from repro.bench.experiments import DEFAULT_ALGORITHMS
 from repro.bench.harness import peak_rss_bytes
-from repro.dist.api import ALGORITHMS, dsort
 from repro.dist.exchange import LcpCompressedBlock, StringBlock
 from repro.dist.partition import split_into_buckets, string_based_samples, select_splitters
 from repro.sequential import sort_strings_with_lcp
 from repro.sequential.lcp_losertree import lcp_multiway_merge, lcp_multiway_merge_packed
 from repro.sequential.msd_radix import msd_radix_sort
+from repro.session import Cluster, default_registry
 from repro.strings.generators import commoncrawl_like, dn_instance
 from repro.strings.lcp import lcp
 from repro.strings.packed import (
@@ -279,14 +280,16 @@ def test_packed_exchange_hotpath_speedup(local_run):
         )
 
 
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("algorithm", sorted(DEFAULT_ALGORITHMS))
 def test_all_algorithms_byte_identical(algorithm):
     """Packed vs scalar path: identical sorted output and wire accounting."""
     corpus = dn_instance(scaled(600, minimum=200), 0.7, length=48, seed=13)
-    with use_packed(True):
-        fast = dsort(corpus, algorithm=algorithm, num_pes=4, check=True, seed=5)
-    with use_packed(False):
-        slow = dsort(corpus, algorithm=algorithm, num_pes=4, check=True, seed=5)
+    spec = default_registry().spec_class(algorithm)(seed=5)
+    with Cluster(4) as cluster:
+        with use_packed(True):
+            fast = cluster.sort(corpus, spec, check=True)
+        with use_packed(False):
+            slow = cluster.sort(corpus, spec, check=True)
     assert fast.sorted_strings == slow.sorted_strings
     assert fast.outputs_per_pe == slow.outputs_per_pe
     assert fast.report.total_bytes_sent == slow.report.total_bytes_sent

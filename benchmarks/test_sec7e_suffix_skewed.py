@@ -18,6 +18,7 @@ import pytest
 from conftest import print_experiment, scaled
 from repro.bench.harness import ExperimentResult, ExperimentRunner
 from repro.dist.api import distribute_strings
+from repro.session import MSSpec
 from repro.strings.generators import skewed_dn_instance, suffix_instance
 
 _RUNNER = ExperimentRunner(seed=3)
@@ -83,8 +84,13 @@ def test_skewed_sampling_cell(benchmark, scheme):
     blocks = distribute_strings(_SKEW_CORPUS, p, by="strings")
     cell = benchmark.pedantic(
         _RUNNER.run_cell,
-        args=(_SKEW_RESULT.name, "ms", p, f"skewed-{scheme}", blocks),
-        kwargs={"sampling": scheme},
+        args=(
+            _SKEW_RESULT.name,
+            MSSpec(seed=_RUNNER.seed, sampling=scheme),
+            p,
+            f"skewed-{scheme}",
+            blocks,
+        ),
         rounds=1,
         iterations=1,
     )

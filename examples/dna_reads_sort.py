@@ -26,7 +26,7 @@ _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro import dsort
+from repro import Cluster, MSSpec, PDMSGolombSpec
 from repro.strings import dna_reads, dn_ratio
 
 
@@ -39,8 +39,9 @@ def main() -> None:
         f"D/N = {dn_ratio(reads):.2f} (paper's DNAREADS: 0.38)\n"
     )
 
-    ms = dsort(reads, algorithm="ms", num_pes=8, check=True, seed=3)
-    pdms = dsort(reads, algorithm="pdms-golomb", num_pes=8, check=True, seed=3)
+    with Cluster(num_pes=8) as cluster:
+        ms = cluster.sort(reads, MSSpec(seed=3), check=True)
+        pdms = cluster.sort(reads, PDMSGolombSpec(seed=3), check=True)
 
     print(f"{'':<14}{'bytes/string':>14}{'total MB sent':>16}")
     for name, res in (("MS", ms), ("PDMS-Golomb", pdms)):

@@ -21,7 +21,15 @@ _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro import ALGORITHMS, dsort
+from repro import (
+    Cluster,
+    FKMergeSpec,
+    HQuickSpec,
+    MSSimpleSpec,
+    MSSpec,
+    PDMSGolombSpec,
+    PDMSSpec,
+)
 from repro.dist import use_async_exchange
 from repro.strings import dn_instance, dn_ratio
 
@@ -38,16 +46,30 @@ def main() -> None:
     print(header)
     print("-" * len(header))
 
-    for algorithm in ALGORITHMS:
-        result = dsort(data, algorithm=algorithm, num_pes=8, check=True, seed=1)
-        kind = "prefixes" if algorithm.startswith("pdms") else "full strings"
-        print(
-            f"{algorithm:<12} {result.bytes_per_string():>12.1f} "
-            f"{result.modeled_time():>12.2e} s  {kind}"
+    specs = [
+        spec_cls(seed=1)
+        for spec_cls in (
+            HQuickSpec, FKMergeSpec, MSSimpleSpec, MSSpec, PDMSSpec, PDMSGolombSpec
         )
+    ]
+    # one simulated machine serves every sort below
+    with Cluster(num_pes=8) as cluster:
+        for spec in specs:
+            result = cluster.sort(data, spec, check=True)
+            kind = "prefixes" if result.origins_per_pe is not None else "full strings"
+            print(
+                f"{result.algorithm:<12} {result.bytes_per_string():>12.1f} "
+                f"{result.modeled_time():>12.2e} s  {kind}"
+            )
 
-    # The sorted data is available as per-PE slices or as one flat list.
-    result = dsort(data, algorithm="ms", num_pes=8, check=True)
+        # The sorted data is available as per-PE slices or as one flat list.
+        result = cluster.sort(data, MSSpec(), check=True)
+        # Split-phase exchange: receivers decode and prepare the merge while
+        # later buckets are still in flight.  Same strings, same bytes on the
+        # wire — plus an overlap fraction the cost model credits.
+        with use_async_exchange(True):
+            overlapped = cluster.sort(data, MSSpec(), check=True)
+
     flat = result.sorted_strings
     assert flat == sorted(data)
     print()
@@ -55,11 +77,6 @@ def main() -> None:
     print("per-PE output sizes:", [len(part) for part in result.outputs_per_pe])
     print("communication per phase (bytes):", result.report.phase_bytes)
 
-    # Split-phase exchange: receivers decode and prepare the merge while
-    # later buckets are still in flight.  Same strings, same bytes on the
-    # wire — plus an overlap fraction the cost model credits.
-    with use_async_exchange(True):
-        overlapped = dsort(data, algorithm="ms", num_pes=8, check=True)
     assert overlapped.sorted_strings == flat
     assert overlapped.report.total_bytes_sent == result.report.total_bytes_sent
     print()

@@ -26,7 +26,7 @@ _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro import dsort
+from repro import Cluster, MSSpec, PDMSGolombSpec, PDMSSpec
 from repro.strings import dn_ratio, suffix_instance
 
 
@@ -41,10 +41,10 @@ def main() -> None:
     )
 
     results = {}
-    for algorithm in ("ms", "pdms", "pdms-golomb"):
-        results[algorithm] = dsort(
-            suffixes, algorithm=algorithm, num_pes=8, check=True, seed=9
-        )
+    with Cluster(num_pes=8) as cluster:
+        for spec in (MSSpec(seed=9), PDMSSpec(seed=9), PDMSGolombSpec(seed=9)):
+            result = cluster.sort(suffixes, spec, check=True)
+            results[result.algorithm] = result
 
     print(f"{'algorithm':<14}{'bytes/suffix':>14}{'total MB sent':>16}{'modeled time':>16}")
     for name, res in results.items():

@@ -16,9 +16,6 @@ Quickstart::
     result = cluster.sort(data, MSSpec(), check=True)
     print(result.bytes_per_string(), result.modeled_time())
 
-(The legacy one-shot :func:`dsort` facade remains as a thin wrapper over a
-throwaway :class:`Cluster`.)
-
 Architecture
 ------------
 
@@ -40,7 +37,7 @@ Architecture
   (``hquick``), Golomb-coded fingerprint duplicate detection
   (``golomb``/``duplicates``), the DIST-prefix approximation
   (``prefix_doubling``), D/N estimation (``dn_estimator``) and the
-  per-algorithm rank programs plus the legacy :func:`dsort` shim (``api``);
+  per-algorithm rank programs that read their knobs off the spec (``api``);
 * :mod:`repro.session` — the public API: :class:`Cluster` sessions over a
   reusable simulated machine, the typed :class:`SortSpec` configuration
   hierarchy, the pluggable algorithm registry and streaming batch ingest;
@@ -58,16 +55,12 @@ _SUBMODULE_HINT = (
 
 try:
     from .dist import (
-        ALGORITHMS,
-        DSortResult,
-        dsort,
+        SortResult,
         distribute_strings,
         ms_sort,
         pdms_sort,
         hquick_sort,
         fkmerge_sort,
-        MSConfig,
-        PDMSConfig,
     )
     from .mpi import Communicator, run_spmd
     from .net import MachineModel, DEFAULT_MACHINE
@@ -105,16 +98,12 @@ __all__ = [
     "AutoSpec",
     "AlgorithmRegistry",
     "register_algorithm",
-    "ALGORITHMS",
-    "DSortResult",
-    "dsort",
+    "SortResult",
     "distribute_strings",
     "ms_sort",
     "pdms_sort",
     "hquick_sort",
     "fkmerge_sort",
-    "MSConfig",
-    "PDMSConfig",
     "Communicator",
     "run_spmd",
     "MachineModel",

@@ -28,11 +28,11 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from ..dist.api import DSortResult
+from ..dist.api import SortResult
 from ..dist.exchange import async_exchange_enabled, exchange_topology_name
 from ..net.cost_model import DEFAULT_MACHINE, MachineModel
 from ..strings.packed import packed_enabled
-from ..session import Cluster, SortSpec, spec_from_options
+from ..session import Cluster, SortSpec, default_registry
 from ..strings.lcp import dn_ratio, merge_lcp_statistics
 from ..strings.stringset import StringSet
 
@@ -205,10 +205,9 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-def _imbalance(result: DSortResult) -> float:
+def _imbalance(result: SortResult) -> float:
     """Max/avg ratio of the output character counts over PEs (load balance)."""
     sizes = [sum(len(s) for s in part) for part in result.outputs_per_pe]
-    nonzero = [s for s in sizes if s] or [0]
     avg = sum(sizes) / len(sizes) if sizes else 0
     if avg == 0:
         return 1.0
@@ -220,8 +219,7 @@ class ExperimentRunner:
 
     Sweeps are driven by :class:`repro.session.SortSpec` lists — algorithm
     names are accepted anywhere a spec is and mean that algorithm's default
-    spec (legacy ``**options`` still map through
-    :func:`repro.session.spec_from_options`).  Every cell is keyed by the
+    spec with ``seed=self.seed``.  Every cell is keyed by the
     spec's stable :meth:`~repro.session.SortSpec.config_hash`.  One
     :class:`repro.session.Cluster` per PE count is built lazily and reused
     across all cells of that size, so a whole sweep shares its simulated
@@ -316,16 +314,10 @@ class ExperimentRunner:
             self._clusters[num_pes] = Cluster(num_pes=num_pes, machine=self.machine)
         return self._clusters[num_pes]
 
-    def _resolve_spec(
-        self, algorithm: Union[str, SortSpec], options: Dict[str, object]
-    ) -> SortSpec:
+    def _resolve_spec(self, algorithm: Union[str, SortSpec]) -> SortSpec:
         if isinstance(algorithm, SortSpec):
-            if options:
-                raise ValueError(
-                    "pass tuning options inside the SortSpec, not alongside it"
-                )
             return algorithm
-        return spec_from_options(algorithm, options, seed=self.seed)
+        return default_registry().spec_class(algorithm)(seed=self.seed)
 
     def run_cell(
         self,
@@ -335,17 +327,16 @@ class ExperimentRunner:
         input_name: str,
         blocks: Sequence[Sequence[bytes]],
         resume: bool = False,
-        **options,
     ) -> CellResult:
         """Run one configuration on one pre-distributed input.
 
         ``algorithm`` is a :class:`~repro.session.SortSpec` or an algorithm
-        name (the latter optionally refined by legacy keyword ``options``).
+        name (that algorithm's default spec with the runner's ``seed``).
         With ``resume=True`` and a configured ``cache_dir``, a cell already
         checkpointed under the same ``(experiment, config_hash, num_pes,
         input_name)`` key is loaded and returned without running the sort.
         """
-        spec = self._resolve_spec(algorithm, options)
+        spec = self._resolve_spec(algorithm)
         cache_path = self._cell_cache_path(
             experiment, spec.config_hash(), num_pes, input_name
         )
@@ -432,7 +423,6 @@ class ExperimentRunner:
         input_name: str = "input",
         input_stats: bool = False,
         resume: bool = False,
-        **options,
     ) -> ExperimentResult:
         """Run ``specs x pe_counts``; the input may depend on ``num_pes``.
 
@@ -447,7 +437,7 @@ class ExperimentRunner:
         cell of a PE count is cached, its input is not even generated.
         """
         out = ExperimentResult(name=experiment, description=description)
-        specs = [self._resolve_spec(a, dict(options)) for a in algorithms]
+        specs = [self._resolve_spec(a) for a in algorithms]
         for p in pe_counts:
             # probe the checkpoint cache once per cell; the probed cells are
             # reused below, never re-read

@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence
 from .bench import experiments as canned
 from .bench.harness import ExperimentRunner
 from .net.cost_model import DEFAULT_MACHINE
-from .session import Cluster, SortSpec, default_registry, spec_from_options
+from .session import Cluster, SortSpec, default_registry
 from .strings import generators
 from .strings.lcp import dn_ratio
 
@@ -97,8 +97,10 @@ def _add_sort_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--check", action="store_true", help="verify the output contracts")
     parser.add_argument(
-        "--sampling", choices=("string", "character"), default="string",
-        help="regular sampling scheme for the splitter determination",
+        "--sampling", choices=("string", "character"), default=None,
+        help="regular sampling scheme for the splitter determination "
+        "(default: string); rejected, like the same --spec key, for "
+        "algorithms without sampled splitters",
     )
     parser.add_argument(
         "--distribute-by", choices=("strings", "chars"), default="strings",
@@ -263,12 +265,14 @@ def _spec_from_args(args) -> SortSpec:
             with open(raw[1:], "r") as fh:
                 raw = fh.read()
         return SortSpec.from_dict(json.loads(raw))
-    return spec_from_options(
-        args.algorithm,
-        {"sampling": args.sampling},
-        seed=args.seed,
-        distribute_by=args.distribute_by,
-    )
+    knobs = {
+        "algorithm": args.algorithm,
+        "seed": args.seed,
+        "distribute_by": args.distribute_by,
+    }
+    if args.sampling is not None:
+        knobs["sampling"] = args.sampling
+    return SortSpec.from_dict(knobs)
 
 
 def _load_fault_plan(raw: Optional[str]):

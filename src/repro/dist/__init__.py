@@ -12,21 +12,18 @@ Layering (each module usable and testable on its own):
 * :mod:`~repro.dist.golomb` / :mod:`~repro.dist.duplicates` — Golomb-coded
   sorted sets and distributed fingerprint duplicate detection;
 * :mod:`~repro.dist.prefix_doubling` — the DIST-prefix approximation;
-* :mod:`~repro.dist.dn_estimator` — sampling-based D/N estimation for
-  ``dsort(algorithm="auto")``;
-* :mod:`~repro.dist.api` — the per-algorithm SPMD rank programs, the
-  :class:`DSortResult`/:class:`RankOutput` result shapes and the legacy
-  :func:`dsort` facade (new code goes through :mod:`repro.session`).
+* :mod:`~repro.dist.dn_estimator` — sampling-based D/N estimation for the
+  ``auto`` algorithm;
+* :mod:`~repro.dist.api` — the per-algorithm SPMD rank programs, which read
+  their knobs off a :class:`~repro.session.SortSpec`, and the
+  :class:`SortResult`/:class:`RankOutput` result shapes (callers sort
+  through :class:`repro.session.Cluster`).
 """
 
 from .api import (
-    ALGORITHMS,
-    DSortResult,
-    MSConfig,
-    PDMSConfig,
     RankOutput,
+    SortResult,
     distribute_strings,
-    dsort,
     fkmerge_sort,
     hquick_sort,
     ms_sort,
@@ -54,13 +51,9 @@ __all__ = [
     "exchange_topology_name",
     "set_exchange_topology",
     "use_exchange_topology",
-    "ALGORITHMS",
-    "DSortResult",
-    "MSConfig",
-    "PDMSConfig",
     "RankOutput",
+    "SortResult",
     "distribute_strings",
-    "dsort",
     "fkmerge_sort",
     "hquick_sort",
     "ms_sort",

@@ -1,19 +1,18 @@
-"""Rank programs and the legacy facade of the distributed string sorters.
+"""Rank programs and result shapes of the distributed string sorters.
 
-The *current* public API lives in :mod:`repro.session`: a
+The public API lives in :mod:`repro.session`: a
 :class:`~repro.session.Cluster` running typed
 :class:`~repro.session.SortSpec` configurations through the pluggable
 algorithm registry.  This module keeps
 
 * the per-algorithm rank programs (:func:`ms_sort`, :func:`pdms_sort`,
-  :func:`fkmerge_sort`, plus :func:`repro.dist.hquick.hquick_sort`), usable
-  directly with :func:`repro.mpi.run_spmd` when a caller wants to embed a
-  sorter inside a larger SPMD computation;
-* :class:`DSortResult`, the result object both APIs return;
-* :func:`dsort`, the legacy one-shot facade — now a thin shim that maps its
-  keyword options onto a :class:`~repro.session.SortSpec` (emitting a
-  :class:`DeprecationWarning` for the untyped ``**options`` spelling) and
-  runs it on a throwaway :class:`~repro.session.Cluster`.
+  :func:`fkmerge_sort`, plus :func:`repro.dist.hquick.hquick_sort`), which
+  read their knobs off the spec and are usable directly with
+  :func:`repro.mpi.run_spmd` when a caller wants to embed a sorter inside a
+  larger SPMD computation;
+* :class:`RankOutput`, what a rank program registered with the session
+  returns, and :class:`SortResult`, what :meth:`Cluster.sort` returns;
+* :func:`distribute_strings`, the input distribution.
 
 Algorithms (Sections IV-VI):
 
@@ -29,9 +28,8 @@ pdms-golomb PDMS with Golomb-coded fingerprint messages
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,52 +62,14 @@ from .prefix_doubling import approximate_dist_prefixes
 from .splitters import determine_splitters
 
 __all__ = [
-    "ALGORITHMS",
-    "MSConfig",
-    "PDMSConfig",
-    "DSortResult",
+    "SortResult",
     "RankOutput",
     "distribute_strings",
-    "dsort",
     "ms_sort",
     "pdms_sort",
     "fkmerge_sort",
     "hquick_sort",
 ]
-
-
-# ---------------------------------------------------------------------------
-# configuration
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MSConfig:
-    """Tuning knobs of the distributed merge sort (MS / MS-simple)."""
-
-    sampling: str = "string"            # "string" | "character"
-    sample_sort: str = "central"        # "central" | "hquick"
-    local_sorter: str = "msd_radix"
-    oversampling: Optional[int] = None
-    lcp_compression: bool = True        # Step 3 front coding
-    lcp_merge: bool = True              # Step 4 LCP loser tree
-    # bucket-delivery strategy ("direct" | "hypercube" | "grid"); None
-    # inherits the process/cluster setting (REPRO_EXCHANGE_TOPOLOGY)
-    exchange_topology: Optional[str] = None
-
-
-@dataclass
-class PDMSConfig:
-    """Tuning knobs of the prefix-doubling merge sort (PDMS / PDMS-Golomb)."""
-
-    sampling: str = "string"
-    sample_sort: str = "central"
-    local_sorter: str = "msd_radix"
-    oversampling: Optional[int] = None
-    epsilon: float = 1.0                # prefix growth factor (1 + epsilon)
-    initial_length: int = 16
-    golomb: bool = False
-    # bucket-delivery strategy; None inherits the process/cluster setting
-    exchange_topology: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +207,7 @@ def _exchange(comm: Communicator, buckets, **kwargs):
     flight, which is where the recorded overlap comes from.  The returned
     list is indexed by source PE either way, so the downstream merge — and
     therefore the sorted output, LCP arrays and traffic accounting — is
-    bit-identical across both paths.  The ``topology`` keyword (a config's
+    bit-identical across both paths.  The ``topology`` keyword (a spec's
     ``exchange_topology``, usually ``None`` = inherit the process/cluster
     setting) selects direct or multi-level routed delivery; it changes the
     measured routing volume, never the decoded runs.
@@ -261,31 +221,37 @@ def _exchange(comm: Communicator, buckets, **kwargs):
 
 
 def ms_sort(
-    comm: Communicator, strings: Sequence[bytes], config: Optional[MSConfig] = None
+    comm: Communicator, strings: Sequence[bytes], spec: Any, lcp: bool = True
 ) -> Tuple[List[bytes], List[int]]:
-    """Distributed merge sort (Section V); returns ``(sorted, lcp_array)``."""
-    config = config or MSConfig()
-    local_sorted, lcps = _local_sort(comm, strings, config.local_sorter)
+    """Distributed merge sort (Section V); returns ``(sorted, lcp_array)``.
+
+    ``spec`` is an :class:`~repro.session.MSSpec`-shaped configuration: its
+    ``local_sorter``, ``sampling``, ``sample_sort``, ``oversampling`` and
+    ``exchange_topology`` are read.  ``lcp`` switches the LCP machinery —
+    front coding on the wire (Step 3) and the LCP loser-tree merge
+    (Step 4) — on for MS and off for MS-simple.
+    """
+    local_sorted, lcps = _local_sort(comm, strings, spec.local_sorter)
     local_view, lcps_view = _as_hot_path(local_sorted, lcps)
     splitters = determine_splitters(
         comm,
         local_view,
-        scheme=config.sampling,
-        sample_sort=config.sample_sort,
-        oversampling=config.oversampling,
+        scheme=spec.sampling,
+        sample_sort=spec.sample_sort,
+        oversampling=spec.oversampling,
     )
     buckets = split_into_buckets(local_view, lcps_view, splitters)
     received = _exchange(
         comm,
         buckets,
-        lcp_compression=config.lcp_compression,
-        ship_lcps=config.lcp_merge,
-        topology=config.exchange_topology,
+        lcp_compression=lcp,
+        ship_lcps=lcp,
+        topology=spec.exchange_topology,
     )
     with comm.phase("merge"):
         stats = CharStats()
         runs = [run for run, _ in received]
-        if config.lcp_merge:
+        if lcp:
             run_lcps = [h for _, h in received]
             if runs and all(isinstance(r, PackedStringArray) for r in runs):
                 # packed end-to-end: batched loser-tree emit into one packed
@@ -306,11 +272,7 @@ def ms_sort(
 
 
 def fkmerge_sort(
-    comm: Communicator,
-    strings: Sequence[bytes],
-    oversampling: Optional[int] = None,
-    local_sorter: str = "msd_radix",
-    exchange_topology: Optional[str] = None,
+    comm: Communicator, strings: Sequence[bytes], spec: Any
 ) -> Tuple[List[bytes], None]:
     """The FKmerge baseline: centralised sample sort, atomic multiway merge.
 
@@ -318,15 +280,17 @@ def fkmerge_sort(
     common prefixes — and the splitters are sorted on PE 0 (the scalability
     bottleneck Section VII-D measures).  Unlike the original implementation,
     repeated strings are handled (documented deviation from the paper).
+    ``spec`` is a :class:`~repro.session.FKMergeSpec`-shaped configuration:
+    its ``local_sorter``, ``oversampling`` and ``exchange_topology`` are read.
     """
-    local_sorted, lcps = _local_sort(comm, strings, local_sorter)
+    local_sorted, lcps = _local_sort(comm, strings, spec.local_sorter)
     local_view, lcps_view = _as_hot_path(local_sorted, lcps)
     splitters = determine_splitters(
         comm,
         local_view,
         scheme="string",
         sample_sort="central",
-        oversampling=oversampling,
+        oversampling=spec.oversampling,
     )
     buckets = split_into_buckets(local_view, lcps_view, splitters)
     # the baseline has no LCP machinery on the wire: strings travel verbatim
@@ -335,7 +299,7 @@ def fkmerge_sort(
         buckets,
         lcp_compression=False,
         ship_lcps=False,
-        topology=exchange_topology,
+        topology=spec.exchange_topology,
     )
     with comm.phase("merge"):
         stats = CharStats()
@@ -345,17 +309,19 @@ def fkmerge_sort(
 
 
 def pdms_sort(
-    comm: Communicator, strings: Sequence[bytes], config: Optional[PDMSConfig] = None
+    comm: Communicator, strings: Sequence[bytes], spec: Any, golomb: bool = False
 ):
     """Prefix-doubling merge sort (Section VI).
 
     Returns ``(prefixes, lcp_array, origins, extra)``: the globally sorted
     approximate distinguishing prefixes held by this rank, their LCP array,
     per-prefix ``(source PE, position in that PE's locally sorted array)``
-    origin labels, and a dict of protocol statistics.
+    origin labels, and a dict of protocol statistics.  ``spec`` is a
+    :class:`~repro.session.PDMSSpec`-shaped configuration: the sampling
+    knobs of :func:`ms_sort` plus ``epsilon`` and ``initial_length`` are
+    read.  ``golomb`` Golomb-codes the fingerprint messages (PDMS-Golomb).
     """
-    config = config or PDMSConfig()
-    local_sorted, lcps = _local_sort(comm, strings, config.local_sorter)
+    local_sorted, lcps = _local_sort(comm, strings, spec.local_sorter)
     # the run stays packed from here on (a list-sorted block is packed once);
     # only prefix doubling, which hashes one bytes slice per active string,
     # takes the list layout
@@ -363,9 +329,9 @@ def pdms_sort(
     doubling = approximate_dist_prefixes(
         comm,
         packed.to_list(),
-        initial_length=config.initial_length,
-        epsilon=config.epsilon,
-        golomb=config.golomb,
+        initial_length=spec.initial_length,
+        epsilon=spec.epsilon,
+        golomb=golomb,
     )
     # prefixes of a sorted array are sorted (every prefix extends past the
     # LCP with its neighbours, by the DIST guarantee), and their LCP array
@@ -376,10 +342,10 @@ def pdms_sort(
     splitters = determine_splitters(
         comm,
         prefixes,
-        scheme=config.sampling,
-        sample_sort=config.sample_sort,
-        oversampling=config.oversampling,
-        weights=doubling.lengths if config.sampling == "character" else None,
+        scheme=spec.sampling,
+        sample_sort=spec.sample_sort,
+        oversampling=spec.oversampling,
+        weights=doubling.lengths if spec.sampling == "character" else None,
     )
     buckets = split_into_buckets(prefixes, prefix_lcps, splitters)
     # origin labels are (source PE, position in that PE's locally sorted
@@ -392,7 +358,7 @@ def pdms_sort(
         buckets,
         lcp_compression=True,
         payloads=starts,
-        topology=config.exchange_topology,
+        topology=spec.exchange_topology,
     )
 
     with comm.phase("merge"):
@@ -417,7 +383,7 @@ def pdms_sort(
 
 
 # ---------------------------------------------------------------------------
-# rank output + legacy algorithm table
+# result shapes
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -437,46 +403,8 @@ class RankOutput:
     extra: Dict[str, Any] = field(default_factory=dict)
 
 
-#: backward-compatible alias (the pre-redesign private name)
-_RankOutput = RankOutput
-
-RankRunner = Callable[[Communicator, List[bytes], int, Dict[str, Any]], RankOutput]
-
-
-def _legacy_runner(name: str) -> RankRunner:
-    """Adapt a registry entry to the legacy ``(comm, local, seed, options)``
-    rank-runner signature (what :data:`ALGORITHMS` has always exposed)."""
-
-    def run(comm, local, seed, options):
-        from ..session.specs import LEGACY_OPTIONS, spec_from_options
-        from ..session.registry import default_registry
-
-        # the historical runners ignored keys they did not understand;
-        # keep that for callers embedding them in their own SPMD programs
-        # (``dsort`` itself validates before the run starts)
-        options = {k: v for k, v in options.items() if k in LEGACY_OPTIONS}
-        spec = spec_from_options(name, options, seed=seed)
-        return default_registry().get(name).runner(comm, local, spec)
-
-    run.__name__ = f"run_{name.replace('-', '_')}"
-    return run
-
-
-#: legacy name -> rank-runner table (kept for callers embedding the rank
-#: programs in their own SPMD runs; new code resolves algorithms through
-#: :class:`repro.session.AlgorithmRegistry` instead)
-ALGORITHMS: Dict[str, RankRunner] = {
-    name: _legacy_runner(name)
-    for name in ("hquick", "fkmerge", "ms-simple", "ms", "pdms", "pdms-golomb")
-}
-
-
-# ---------------------------------------------------------------------------
-# result object
-# ---------------------------------------------------------------------------
-
 @dataclass
-class DSortResult:
+class SortResult:
     """Everything a caller (or the benchmark harness) wants to know about a run."""
 
     algorithm: str
@@ -498,10 +426,6 @@ class DSortResult:
     def sorted_strings(self) -> List[bytes]:
         """The globally sorted output as one flat list (PE order)."""
         return [s for part in self.outputs_per_pe for s in part]
-
-    def packed_output(self) -> "PackedStringArray":
-        """The globally sorted output as one packed array (PE order)."""
-        return PackedStringArray.from_strings(self.sorted_strings)
 
     def bytes_per_string(self) -> float:
         """The paper's headline metric: total bytes sent / input strings."""
@@ -528,94 +452,3 @@ class DSortResult:
         :func:`repro.dist.exchange.use_async_exchange`).
         """
         return self.report.overlap_fraction("exchange")
-
-
-# ---------------------------------------------------------------------------
-# the facade
-# ---------------------------------------------------------------------------
-
-def dsort(
-    data: Sequence,
-    algorithm: str = "ms",
-    num_pes: Optional[int] = None,
-    pre_distributed: bool = False,
-    check: bool = False,
-    seed: int = 0,
-    timeout: Optional[float] = None,
-    distribute_by: str = "strings",
-    engine: Optional[str] = None,
-    **options: Any,
-) -> DSortResult:
-    """Sort a string array on a throwaway simulated machine (legacy facade).
-
-    This is the backward-compatible one-shot wrapper over the session API:
-    it maps its arguments onto a :class:`repro.session.SortSpec`, builds a
-    throwaway :class:`repro.session.Cluster` and runs
-    :meth:`~repro.session.Cluster.sort` on it.  Passing algorithm knobs via
-    ``**options`` is **deprecated** (emits a :class:`DeprecationWarning`);
-    construct the typed spec instead — outputs, LCP arrays and wire bytes
-    are bit-identical either way.
-
-    Parameters
-    ----------
-    data:
-        Either a flat sequence of strings (``bytes`` or ``str``), a
-        :class:`StringSet`, a :class:`PackedStringArray` (both distributed
-        zero-copy as buffer views) or, with ``pre_distributed=True``, a
-        sequence of per-PE blocks (lists or packed arrays).
-    algorithm:
-        A registered algorithm name (:data:`ALGORITHMS` plus ``"auto"``,
-        which lets a D/N estimate pick between ``ms`` and ``pdms-golomb``
-        at run time).
-    num_pes:
-        Number of simulated PEs (ignored with ``pre_distributed``, which
-        derives it from the number of blocks).  Defaults to 8.
-    check:
-        Verify the output contract (Section V for the full-string sorters,
-        the prefix-permutation contract of Section VI for PDMS).
-    seed:
-        Randomisation seed (hQuick pivot sampling, D/N estimation); never
-        affects the sorted output.
-    timeout:
-        Deadlock-detection timeout per blocking operation, in seconds;
-        ``None`` (default) inherits the process-level setting (the
-        ``REPRO_SPMD_TIMEOUT`` environment variable, or 600 s).
-    distribute_by:
-        Input distribution criterion: ``"strings"`` balances string counts,
-        ``"chars"`` balances character mass (for length-skewed workloads).
-    engine:
-        Execution backend name (``"threads"``, ``"processes"``, or a
-        registered third-party backend); ``None`` (default) inherits the
-        process-level setting (the ``REPRO_ENGINE`` environment variable,
-        or ``"threads"``).  Outputs, LCP arrays and wire bytes are
-        bit-identical across engines.
-    options:
-        Deprecated algorithm knobs: ``sampling``, ``sample_sort``,
-        ``local_sorter``, ``oversampling``, ``epsilon``,
-        ``initial_length``.  Options not applicable to the chosen algorithm
-        are ignored.
-    """
-    from ..session import Cluster, spec_from_options
-
-    if options:
-        warnings.warn(
-            "passing algorithm knobs to dsort(**options) is deprecated; "
-            "build a typed repro.session.SortSpec (e.g. MSSpec(sampling=...)) "
-            "and run it with repro.session.Cluster.sort",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    spec = spec_from_options(
-        algorithm, options, seed=seed, distribute_by=distribute_by
-    )
-
-    if pre_distributed:
-        data = list(data)
-        if not data:
-            raise ValueError("pre_distributed input needs at least one block")
-        num_pes = len(data)
-    else:
-        num_pes = 8 if num_pes is None else num_pes
-
-    with Cluster(num_pes=num_pes, timeout=timeout, engine=engine) as cluster:
-        return cluster.sort(data, spec, check=check, pre_distributed=pre_distributed)

@@ -4,9 +4,9 @@ The paper's evaluation shows a clean decision boundary: when the total
 distinguishing prefix size ``D`` is small relative to the raw input size
 ``N``, prefix doubling (PDMS) wins by a wide margin; when ``D/N`` is close
 to 1 the doubling rounds are pure overhead and plain MS is the better
-choice.  ``dsort(algorithm="auto")`` automates the choice with a cheap
-estimate: every PE contributes a small random sample of its strings, PE 0
-computes the sample's D/N ratio exactly, and the verdict is broadcast.
+choice.  The ``auto`` algorithm (``AutoSpec``) automates the choice with a
+cheap estimate: every PE contributes a small random sample of its strings,
+PE 0 computes the sample's D/N ratio exactly, and the verdict is broadcast.
 
 The estimator is intentionally coarse — D/N of a uniform subsample tracks
 the population value well for all of the paper's input families, and the

@@ -21,7 +21,7 @@ Both classes are **dual-backed**: constructed from a
 encoding, wire accounting and decoding run as vectorized numpy kernels over
 the contiguous byte buffer; constructed from ``list[bytes]`` the original
 scalar code runs.  Wire sizes and decoded contents are bit-identical either
-way — the benchmark suite pins this across all six ``dsort`` algorithms.
+way — the benchmark suite pins this across all six algorithms.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ _ASYNC_ENABLED = os.environ.get("REPRO_ASYNC_EXCHANGE", "0").strip().lower() in 
 
 
 def async_exchange_enabled() -> bool:
-    """Whether ``dsort``'s rank programs use the split-phase exchange.
+    """Whether the rank programs in :mod:`repro.dist.api` exchange split-phase.
 
     Defaults to the ``REPRO_ASYNC_EXCHANGE`` environment variable (off unless
     set to ``1``/``true``/``yes``/``on``).  The toggle changes *when* work

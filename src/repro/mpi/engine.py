@@ -78,7 +78,7 @@ def default_timeout() -> float:
     tests and deployments can adjust it without touching code); falls back
     to 600 s.  Every layer that accepts ``timeout=None`` —
     :class:`ThreadEngine`, :func:`run_spmd`, :class:`repro.session.Cluster`,
-    :func:`repro.dist.api.dsort`, the CLI — resolves ``None`` through here.
+    the CLI — resolves ``None`` through here.
     """
     raw = os.environ.get("REPRO_SPMD_TIMEOUT", "").strip()
     if not raw:
@@ -1206,11 +1206,10 @@ def resolve_engine_name(name: Optional[str] = None) -> str:
     """Resolve an engine name: explicit > ``REPRO_ENGINE`` env > ``"threads"``.
 
     The single resolution rule every entry point shares —
-    :class:`repro.session.Cluster`, :func:`run_spmd`,
-    :func:`repro.dist.api.dsort` and the CLI's ``--engine`` flag all pass
-    their (possibly ``None``) engine argument through here, so exporting
-    ``REPRO_ENGINE=processes`` switches a whole test run onto the
-    multiprocessing backend without touching code.
+    :class:`repro.session.Cluster`, :func:`run_spmd` and the CLI's
+    ``--engine`` flag all pass their (possibly ``None``) engine argument
+    through here, so exporting ``REPRO_ENGINE=processes`` switches a whole
+    test run onto the multiprocessing backend without touching code.
     """
     if name:
         return name

@@ -8,15 +8,15 @@ redesign:
   process-global environment toggles;
 * the :class:`SortSpec` hierarchy — one frozen, validated, serializable
   configuration dataclass per algorithm (``to_dict`` / ``from_dict`` /
-  stable ``config_hash()``), replacing ``dsort(**options)``;
+  stable ``config_hash()``), read directly by the rank programs;
 * :class:`AlgorithmRegistry` / :func:`register_algorithm` — the pluggable
   name -> (rank runner, spec class) mapping through which third-party SPMD
   rank programs join ``Cluster.sort`` without editing ``repro.dist.api``;
 * :class:`BatchStream` — streaming batch ingest
   (:meth:`Cluster.sort_batches`) with a cumulative merged traffic report.
 
-The legacy one-shot :func:`repro.dsort` facade remains as a deprecating
-shim over a throwaway :class:`Cluster`.
+``Cluster(...).sort(data, spec)`` is the one entry point; it returns a
+:class:`repro.dist.api.SortResult`.
 """
 
 from .cluster import Cluster
@@ -36,7 +36,6 @@ from .specs import (
     PDMSSpec,
     SampledSpec,
     SortSpec,
-    spec_from_options,
 )
 from .stream import BatchStream
 
@@ -56,5 +55,4 @@ __all__ = [
     "PDMSSpec",
     "PDMSGolombSpec",
     "AutoSpec",
-    "spec_from_options",
 ]

@@ -14,7 +14,7 @@ process-global environment toggles (``REPRO_PACKED`` /
     result = cluster.sort(data, MSSpec(sampling="character"), check=True)
 
 Streaming ingest (:meth:`Cluster.sort_batches`) sorts an iterable of chunks
-one at a time — bounded memory, per-batch :class:`repro.dist.api.DSortResult`
+one at a time — bounded memory, per-batch :class:`repro.dist.api.SortResult`
 objects, and a cumulative merged :class:`repro.net.metrics.TrafficReport` —
 the path a CommonCrawl WET reader will feed.
 """
@@ -25,7 +25,7 @@ import threading
 from contextlib import ExitStack, contextmanager
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
-from ..dist.api import DSortResult, RankOutput, distribute_strings
+from ..dist.api import RankOutput, SortResult, distribute_strings
 from ..dist.exchange import use_async_exchange, use_exchange_topology
 from ..faults.checksum import use_wire_checksums
 from ..faults.plan import FaultPlan
@@ -59,10 +59,10 @@ def _block_num_chars(block: Sequence) -> int:
 def _merge_rank_extras(results: List[RankOutput]) -> Dict[str, Any]:
     """Aggregate per-rank ``extra`` dicts, asserting the ranks agree.
 
-    The historical facade reported ``results[0].extra`` only; with
-    ``algorithm="auto"`` a bug in the (collective) estimate could let ranks
-    silently pick different algorithms.  Here every rank's extras are
-    combined and any disagreement on a shared key raises.
+    Reporting ``results[0].extra`` alone would let a bug in the
+    (collective) estimate of ``AutoSpec`` have ranks silently pick
+    different algorithms.  Here every rank's extras are combined and any
+    disagreement on a shared key raises.
     """
     merged: Dict[str, Any] = {}
     owner: Dict[str, int] = {}
@@ -248,14 +248,9 @@ class Cluster:
                 stack.enter_context(use_wire_checksums(self.wire_checksums))
             yield
 
-    def _resolve_spec(
-        self, spec: Union[SortSpec, str, None], algorithm: Optional[str]
-    ) -> SortSpec:
-        if spec is not None and algorithm is not None:
-            raise ValueError("pass either spec or algorithm, not both")
+    def _resolve_spec(self, spec: Union[SortSpec, str, None]) -> SortSpec:
         if spec is None:
-            name = algorithm if algorithm is not None else "ms"
-            return self.registry.spec_class(name)()
+            return self.registry.spec_class("ms")()
         if isinstance(spec, str):
             return self.registry.spec_class(spec)()
         if not isinstance(spec, SortSpec):
@@ -316,12 +311,11 @@ class Cluster:
         data: Sequence,
         spec: Union[SortSpec, str, None] = None,
         *,
-        algorithm: Optional[str] = None,
         check: bool = False,
         pre_distributed: bool = False,
         max_retries: int = 0,
-    ) -> DSortResult:
-        """Sort ``data`` on this cluster; returns a :class:`DSortResult`.
+    ) -> SortResult:
+        """Sort ``data`` on this cluster; returns a :class:`SortResult`.
 
         Parameters
         ----------
@@ -333,8 +327,6 @@ class Cluster:
         spec:
             A :class:`SortSpec` (or an algorithm name, meaning that
             algorithm's default spec).  Defaults to ``MSSpec()``.
-        algorithm:
-            Convenience alternative to ``spec``: an algorithm name.
         check:
             Verify the output contract (full-sort or the PDMS
             prefix-permutation contract).
@@ -352,7 +344,7 @@ class Cluster:
         """
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        spec = self._resolve_spec(spec, algorithm)
+        spec = self._resolve_spec(spec)
         entry = self.registry.get(type(spec).algorithm)
         blocks = self._distribute(data, spec, pre_distributed)
 
@@ -398,7 +390,7 @@ class Cluster:
         has_origins = any(r.origins is not None for r in results)
         origins = [r.origins or [] for r in results] if has_origins else None
 
-        result = DSortResult(
+        result = SortResult(
             algorithm=entry.name,
             num_pes=self.num_pes,
             num_strings=sum(len(b) for b in blocks),
@@ -425,14 +417,13 @@ class Cluster:
         batches: Iterable[Sequence],
         spec: Union[SortSpec, str, None] = None,
         *,
-        algorithm: Optional[str] = None,
         check: bool = False,
         max_retries: int = 0,
     ) -> BatchStream:
         """Sort an iterable of chunks one at a time (streaming ingest).
 
         Each chunk is distributed, sorted and returned as its own
-        :class:`DSortResult` while the next chunk has not been pulled from
+        :class:`SortResult` while the next chunk has not been pulled from
         ``batches`` yet — memory stays bounded by one chunk plus its sorted
         output, which is what lets a WET-file reader feed terabyte-scale
         corpora through a laptop-sized simulation.  The returned
@@ -447,5 +438,5 @@ class Cluster:
         the stream resumes at the failed chunk, never re-sorting (or
         skipping) earlier ones.
         """
-        spec = self._resolve_spec(spec, algorithm)
+        spec = self._resolve_spec(spec)
         return BatchStream(self, batches, spec, check=check, max_retries=max_retries)

@@ -33,8 +33,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Type
 
 from ..mpi.comm import Communicator
 from ..dist.api import (
-    MSConfig,
-    PDMSConfig,
     RankOutput,
     fkmerge_sort,
     hquick_sort,
@@ -149,70 +147,33 @@ class AlgorithmRegistry:
 
 
 # ---------------------------------------------------------------------------
-# built-in runners (spec-typed adapters over the rank programs in dist.api)
+# built-in runners (the rank programs in dist.api, wrapped as RankOutput)
 # ---------------------------------------------------------------------------
 
-def _ms_config(spec: SampledSpecLike, lcp: bool) -> MSConfig:
-    return MSConfig(
-        sampling=spec.sampling,
-        sample_sort=spec.sample_sort,
-        local_sorter=spec.local_sorter,
-        oversampling=spec.oversampling,
-        lcp_compression=lcp,
-        lcp_merge=lcp,
-        exchange_topology=spec.exchange_topology,
-    )
-
-
-def _pdms_config(spec: PDMSSpec, golomb: bool) -> PDMSConfig:
-    return PDMSConfig(
-        sampling=spec.sampling,
-        sample_sort=spec.sample_sort,
-        local_sorter=spec.local_sorter,
-        oversampling=spec.oversampling,
-        epsilon=spec.epsilon,
-        initial_length=spec.initial_length,
-        golomb=golomb,
-        exchange_topology=spec.exchange_topology,
-    )
-
-
 def _run_hquick(comm: Communicator, local, spec: HQuickSpec) -> RankOutput:
-    out, lcps = hquick_sort(
-        comm, local, seed=spec.seed, local_sorter=spec.local_sorter
+    return RankOutput(
+        *hquick_sort(comm, local, seed=spec.seed, local_sorter=spec.local_sorter)
     )
-    return RankOutput(out, lcps)
 
 
 def _run_fkmerge(comm: Communicator, local, spec: FKMergeSpec) -> RankOutput:
-    out, _ = fkmerge_sort(
-        comm,
-        local,
-        oversampling=spec.oversampling,
-        local_sorter=spec.local_sorter,
-        exchange_topology=spec.exchange_topology,
-    )
-    return RankOutput(out, None)
+    return RankOutput(*fkmerge_sort(comm, local, spec))
 
 
 def _run_ms(comm: Communicator, local, spec: MSSpec) -> RankOutput:
-    out, lcps = ms_sort(comm, local, _ms_config(spec, lcp=True))
-    return RankOutput(out, lcps)
+    return RankOutput(*ms_sort(comm, local, spec, lcp=True))
 
 
 def _run_ms_simple(comm: Communicator, local, spec: MSSimpleSpec) -> RankOutput:
-    out, lcps = ms_sort(comm, local, _ms_config(spec, lcp=False))
-    return RankOutput(out, lcps)
+    return RankOutput(*ms_sort(comm, local, spec, lcp=False))
 
 
 def _run_pdms(comm: Communicator, local, spec: PDMSSpec) -> RankOutput:
-    out, lcps, origins, extra = pdms_sort(comm, local, _pdms_config(spec, golomb=False))
-    return RankOutput(out, lcps, origins, extra)
+    return RankOutput(*pdms_sort(comm, local, spec, golomb=False))
 
 
 def _run_pdms_golomb(comm: Communicator, local, spec: PDMSGolombSpec) -> RankOutput:
-    out, lcps, origins, extra = pdms_sort(comm, local, _pdms_config(spec, golomb=True))
-    return RankOutput(out, lcps, origins, extra)
+    return RankOutput(*pdms_sort(comm, local, spec, golomb=True))
 
 
 def _run_auto(comm: Communicator, local, spec: AutoSpec) -> RankOutput:
@@ -227,10 +188,6 @@ def _run_auto(comm: Communicator, local, spec: AutoSpec) -> RankOutput:
     output.extra["chosen_algorithm"] = chosen
     output.extra["estimated_dn"] = estimate.dn_ratio
     return output
-
-
-# purely for the type annotations of the adapters above
-SampledSpecLike = MSSpec
 
 
 _BUILTINS = [
@@ -259,7 +216,7 @@ def register_algorithm(
     registry: Optional[AlgorithmRegistry] = None,
     overwrite: bool = False,
 ) -> AlgorithmEntry:
-    """Register a rank program so ``Cluster.sort`` (and ``dsort``) can run it.
+    """Register a rank program so ``Cluster.sort`` can run it.
 
     ``runner(comm, local_strings, spec)`` must be a valid SPMD program over
     the :class:`repro.mpi.comm.Communicator` interface and return a

@@ -1,8 +1,9 @@
 """Typed, frozen, serializable sorting configurations (:class:`SortSpec`).
 
-One dataclass per algorithm replaces the untyped ``dsort(**options)`` dict:
-a spec is validated at construction time, hashable, immutable, and travels
-losslessly through ``to_dict`` / :meth:`SortSpec.from_dict`.  The stable
+One dataclass per algorithm holds that algorithm's knobs, and the rank
+programs in :mod:`repro.dist.api` read them straight off the spec.  A spec is
+validated at construction time, hashable, immutable, and travels losslessly
+through ``to_dict`` / :meth:`SortSpec.from_dict`.  The stable
 :meth:`SortSpec.config_hash` keys benchmark cells and (per the roadmap)
 future checkpoint files, so it must not depend on process state — it is a
 SHA-256 over the canonical JSON form, identical across processes, Python
@@ -43,8 +44,6 @@ __all__ = [
     "PDMSSpec",
     "PDMSGolombSpec",
     "AutoSpec",
-    "spec_from_options",
-    "LEGACY_OPTIONS",
 ]
 
 _DISTRIBUTE_BY = ("strings", "chars")
@@ -293,51 +292,3 @@ class AutoSpec(PDMSSpec):
     """
 
     algorithm: ClassVar[str] = "auto"
-
-
-#: the legacy ``dsort(**options)`` vocabulary (kept for the shim's errors)
-LEGACY_OPTIONS = frozenset(
-    {
-        "sampling",
-        "sample_sort",
-        "local_sorter",
-        "oversampling",
-        "epsilon",
-        "initial_length",
-        "exchange_topology",
-    }
-)
-
-
-def spec_from_options(
-    algorithm: str,
-    options: Optional[Mapping[str, Any]] = None,
-    *,
-    seed: int = 0,
-    distribute_by: str = "strings",
-    registry=None,
-) -> SortSpec:
-    """Map a legacy ``dsort``-style flat option dict onto the typed spec.
-
-    This is the compatibility seam behind the deprecated ``dsort(**options)``
-    spelling: option names are validated against the legacy vocabulary
-    (:data:`LEGACY_OPTIONS`, with a nearest-match suggestion on typos), and
-    options that do not apply to the chosen algorithm are silently ignored —
-    exactly the facade's historical contract.
-    """
-    from .registry import default_registry
-
-    registry = registry if registry is not None else default_registry()
-    options = dict(options or {})
-    unknown = set(options) - LEGACY_OPTIONS
-    if unknown:
-        worst = sorted(unknown)[0]
-        raise ValueError(
-            f"unknown dsort option(s) {sorted(unknown)}"
-            f"{_suggest(worst, LEGACY_OPTIONS)}; "
-            f"available: {sorted(LEGACY_OPTIONS)}"
-        )
-    spec_cls = registry.spec_class(algorithm)
-    known = {f.name for f in fields(spec_cls)}
-    kwargs = {k: v for k, v in options.items() if k in known and v is not None}
-    return spec_cls(seed=seed, distribute_by=distribute_by, **kwargs)

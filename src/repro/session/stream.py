@@ -3,7 +3,7 @@
 :class:`BatchStream` is what :meth:`repro.session.Cluster.sort_batches`
 returns: an iterator that pulls one chunk at a time from the source
 iterable, sorts it on the owning cluster, and yields that chunk's
-:class:`repro.dist.api.DSortResult`.  Only the cumulative counters and the
+:class:`repro.dist.api.SortResult`.  Only the cumulative counters and the
 merged :class:`repro.net.metrics.TrafficReport` are retained between
 batches — per-batch inputs and outputs are handed to the caller and
 forgotten, keeping memory bounded by a single chunk regardless of corpus
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence, TYPE_CHECKING
 
-from ..dist.api import DSortResult
+from ..dist.api import SortResult
 from ..net.metrics import TrafficReport, fold_traffic_report, zero_traffic_report
 from .specs import SortSpec
 
@@ -72,7 +72,7 @@ class BatchStream:
         """The stream is its own (single-pass) iterator."""
         return self
 
-    def __next__(self) -> DSortResult:
+    def __next__(self) -> SortResult:
         """Pull, sort and account the next chunk; ``StopIteration`` at the end.
 
         A failed sort leaves the chunk checkpointed: the next call retries

@@ -11,7 +11,7 @@ This module packages that contract as reusable pieces:
   parametrization, with graceful skips where a backend cannot run (e.g. the
   platform lacks ``fork`` or POSIX shared memory);
 * :func:`set_engine` — a context manager scoping ``REPRO_ENGINE`` so the
-  whole call tree (``Cluster``, ``dsort``, ``run_spmd``) runs on the chosen
+  whole call tree (``Cluster``, ``run_spmd``) runs on the chosen
   backend;
 * :func:`sort_fingerprint` — one conformance cell: run a sort on a given
   engine and reduce the result to the comparable fingerprint;
@@ -35,8 +35,8 @@ from repro.mpi.engine import ENGINES
 from repro.mpi.procengine import process_engine_available
 from repro.session import Cluster, default_registry
 
-#: the matrix axes of the conformance suite
-ALGORITHMS = ("ms", "ms-simple", "pdms", "pdms-golomb", "hquick", "fkmerge")
+#: the paper's six algorithms; with the axes below, the conformance matrix
+PAPER_ALGORITHMS = ("ms", "ms-simple", "pdms", "pdms-golomb", "hquick", "fkmerge")
 TOPOLOGIES = ("direct", "hypercube", "grid")
 EXCHANGE_MODES = (False, True)  # sync, async
 

@@ -7,7 +7,7 @@ Two layers are covered here:
   the MPI non-overtaking rule — receives from one source match messages in
   posting order no matter how their handles are driven;
 * the determinism contract of ``REPRO_ASYNC_EXCHANGE``: with the split-phase
-  exchange on, every ``dsort`` algorithm must produce **bit-identical**
+  exchange on, every paper algorithm must produce **bit-identical**
   sorted outputs, LCP arrays and wire-byte accounting (total, per PE and per
   phase) versus the bulk-synchronous path, on adversarial inputs — tiny
   alphabets, duplicates, empty strings, empty ranks.  Only the overlap
@@ -18,8 +18,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.dist import dsort, use_async_exchange
-from repro.dist.api import ALGORITHMS
+from engine_conformance import PAPER_ALGORITHMS
+from repro.dist import use_async_exchange
 from repro.dist.exchange import (
     async_exchange_enabled,
     exchange_buckets,
@@ -28,6 +28,7 @@ from repro.dist.exchange import (
 )
 from repro.mpi.comm import waitall, waitany
 from repro.mpi.engine import run_spmd
+from repro.session import Cluster, MSSpec, default_registry
 from repro.strings.generators import dn_instance
 from repro.strings.lcp import lcp_array
 
@@ -180,10 +181,11 @@ def test_async_exchange_carries_payloads():
 
 def test_overlap_credit_reduces_modeled_comm_time():
     corpus = dn_instance(num_strings=400, dn=0.5, length=40, seed=2)
-    with use_async_exchange(False):
-        sync = dsort(corpus, algorithm="ms", num_pes=4, seed=1)
-    with use_async_exchange(True):
-        overlapped = dsort(corpus, algorithm="ms", num_pes=4, seed=1)
+    with Cluster(4) as cluster:
+        with use_async_exchange(False):
+            sync = cluster.sort(corpus, MSSpec(seed=1))
+        with use_async_exchange(True):
+            overlapped = cluster.sort(corpus, MSSpec(seed=1))
     assert overlapped.overlap_fraction() > 0.0
     assert sync.overlap_fraction() == 0.0
     machine = sync.report  # same byte counts feed both models
@@ -221,10 +223,12 @@ _SETTINGS = dict(
 
 
 def _run_both(strings, algorithm, p, seed=3):
-    with use_async_exchange(False):
-        sync = dsort(strings, algorithm=algorithm, num_pes=p, seed=seed)
-    with use_async_exchange(True):
-        overlapped = dsort(strings, algorithm=algorithm, num_pes=p, seed=seed)
+    spec = default_registry().spec_class(algorithm)(seed=seed)
+    with Cluster(p) as cluster:
+        with use_async_exchange(False):
+            sync = cluster.sort(strings, spec)
+        with use_async_exchange(True):
+            overlapped = cluster.sort(strings, spec)
     assert overlapped.sorted_strings == sync.sorted_strings
     assert overlapped.outputs_per_pe == sync.outputs_per_pe
     assert overlapped.lcps_per_pe == sync.lcps_per_pe
@@ -241,14 +245,14 @@ def _run_both(strings, algorithm, p, seed=3):
 @settings(**_SETTINGS)
 @given(
     strings=adversarial_strings,
-    algorithm=st.sampled_from(sorted(ALGORITHMS)),
+    algorithm=st.sampled_from(sorted(PAPER_ALGORITHMS)),
     p=st.integers(min_value=1, max_value=4),
 )
 def test_async_exchange_is_deterministic(strings, algorithm, p):
     _run_both(strings, algorithm, p)
 
 
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("algorithm", sorted(PAPER_ALGORITHMS))
 def test_async_exchange_deterministic_fixed_corpus(algorithm):
     """Non-random twin of the hypothesis test on a skew-heavy instance."""
     corpus = dn_instance(num_strings=300, dn=0.8, length=32, seed=17)

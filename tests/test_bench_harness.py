@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.bench.experiments import (
     ablation_lcp_golomb,
     skewed_sampling_experiment,
@@ -76,13 +74,6 @@ class TestSpecDrivenSweeps:
         assert cell.extra["spec"] == spec.to_dict()
         assert cell.as_dict()["config_hash"] == spec.config_hash()
 
-    def test_spec_with_extra_options_rejected(self):
-        from repro.session import MSSpec
-
-        runner = ExperimentRunner()
-        with pytest.raises(ValueError, match="inside the SortSpec"):
-            runner.run_cell("unit", MSSpec(), 2, "rand", [[b"a"], [b"b"]], sampling="string")
-
     def test_sweep_over_spec_list(self):
         from repro.session import MSSpec, PDMSSpec
 
@@ -108,13 +99,13 @@ class TestSpecDrivenSweeps:
         runner.run_cell("unit", "pdms", 2, "rand", blocks)
         assert runner.cluster_for(2).engine.state_reuses >= 1
 
-    def test_name_cells_also_carry_config_hash(self):
-        runner = ExperimentRunner()
+    def test_name_cells_run_the_default_spec_with_the_runner_seed(self):
+        from repro.session import MSSpec
+
+        runner = ExperimentRunner(seed=5)
         data = random_strings(100, 1, 8, seed=13)
         cell = runner.run_cell("unit", "ms", 2, "rand", [data[:50], data[50:]])
-        from repro.session import spec_from_options
-
-        assert cell.config_hash == spec_from_options("ms", {}).config_hash()
+        assert cell.config_hash == MSSpec(seed=5).config_hash()
 
 
 class TestCheckpointedCells:

@@ -97,6 +97,22 @@ class TestSortSpecFlags:
         with pytest.raises(ValueError, match="sampling"):
             main(["sort", "-n", "50", "--spec", '{"algorithm": "ms", "sampilng": "x"}'])
 
+    def test_sampling_flag_is_validated_like_a_spec_key(self, capsys):
+        # hquick samples no splitters: the flag is refused, not dropped
+        with pytest.raises(ValueError, match="unknown key.*sampling.*hquick"):
+            main(["sort", "-a", "hquick", "-n", "50", "--sampling", "character"])
+        assert main(["sort", "-a", "hquick", "-n", "50", "-p", "2"]) == 0
+
+    def test_sampling_flag_reaches_the_spec(self, capsys):
+        code = main(
+            ["sort", "-n", "150", "-p", "2", "-w", "random", "--sampling", "character"]
+        )
+        assert code == 0
+        from repro.session import MSSpec
+
+        expected = MSSpec(sampling="character").config_hash()
+        assert f"config hash        : {expected}" in capsys.readouterr().out
+
 
 class TestAlgorithmsCommand:
     def test_lists_registry(self, capsys):

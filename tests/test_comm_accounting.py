@@ -10,15 +10,16 @@ import math
 
 import pytest
 
-from repro.dist import ALGORITHMS, dsort
+from engine_conformance import PAPER_ALGORITHMS
+from repro.session import Cluster, MSSpec, PDMSGolombSpec, PDMSSpec, default_registry
 from repro.strings.generators import commoncrawl_like, dna_reads
 
 _DATA = commoncrawl_like(500, seed=201)
 
 
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS) + ["auto"])
+@pytest.mark.parametrize("algorithm", sorted(PAPER_ALGORITHMS) + ["auto"])
 def test_metrics_finite_and_positive(algorithm):
-    res = dsort(_DATA, algorithm=algorithm, num_pes=4, seed=1)
+    res = Cluster(4).sort(_DATA, default_registry().spec_class(algorithm)(seed=1))
     bps = res.bytes_per_string()
     assert math.isfinite(bps) and bps > 0
     time = res.modeled_time()
@@ -26,19 +27,19 @@ def test_metrics_finite_and_positive(algorithm):
     assert res.report.total_bytes_sent == sum(res.report.bytes_sent_per_pe)
 
 
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("algorithm", sorted(PAPER_ALGORITHMS))
 def test_phase_bytes_sum_to_total(algorithm):
-    res = dsort(_DATA, algorithm=algorithm, num_pes=4, seed=2)
+    res = Cluster(4).sort(_DATA, default_registry().spec_class(algorithm)(seed=2))
     assert sum(res.report.phase_bytes.values()) == res.report.total_bytes_sent
 
 
 def test_send_receive_volumes_balance():
-    res = dsort(_DATA, algorithm="ms", num_pes=4, seed=3)
+    res = Cluster(4).sort(_DATA, MSSpec(seed=3))
     assert sum(res.report.bytes_sent_per_pe) == sum(res.report.bytes_received_per_pe)
 
 
 def test_single_pe_runs_send_nothing():
-    res = dsort(_DATA, algorithm="ms", num_pes=1, seed=4)
+    res = Cluster(1).sort(_DATA, MSSpec(seed=4))
     assert res.report.total_bytes_sent == 0
     assert res.bytes_per_string() == 0.0
 
@@ -47,9 +48,10 @@ def test_pdms_golomb_beats_ms_on_high_duplicate_input():
     """The paper's core claim: on duplicate-heavy real-world-like inputs the
     Golomb-coded prefix-doubling sorter communicates fewer bytes than MS."""
     reads = dna_reads(800, seed=202)
-    ms = dsort(reads, algorithm="ms", num_pes=4)
-    golomb = dsort(reads, algorithm="pdms-golomb", num_pes=4)
+    with Cluster(4) as cluster:
+        ms = cluster.sort(reads, MSSpec())
+        golomb = cluster.sort(reads, PDMSGolombSpec())
+        plain = cluster.sort(reads, PDMSSpec())
     assert golomb.report.total_bytes_sent < ms.report.total_bytes_sent
     # and the Golomb wire format never costs more than the plain one
-    plain = dsort(reads, algorithm="pdms", num_pes=4)
     assert golomb.report.total_bytes_sent <= plain.report.total_bytes_sent

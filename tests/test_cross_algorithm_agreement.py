@@ -9,7 +9,8 @@ lengths, and heavy duplication.  Everything is verified through
 
 import pytest
 
-from repro.dist import ALGORITHMS, dsort
+from engine_conformance import PAPER_ALGORITHMS
+from repro.session import Cluster, PDMSSpec, default_registry
 from repro.strings.checker import check_distributed_sort, check_prefix_permutation
 from repro.strings.generators import (
     dn_instance,
@@ -28,7 +29,8 @@ INSTANCES = {
 
 
 def test_registry_covers_all_paper_algorithms():
-    assert set(ALGORITHMS) == set(FULL_STRING_ALGORITHMS) | set(PREFIX_ALGORITHMS)
+    assert set(PAPER_ALGORITHMS) == set(FULL_STRING_ALGORITHMS) | set(PREFIX_ALGORITHMS)
+    assert set(default_registry().names()) == set(PAPER_ALGORITHMS) | {"auto"}
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -36,10 +38,11 @@ def test_full_string_algorithms_agree(name):
     data = INSTANCES[name]()
     truth = sorted(data)
     flat_outputs = {}
-    for algorithm in FULL_STRING_ALGORITHMS:
-        res = dsort(data, algorithm=algorithm, num_pes=4, seed=7)
-        check_distributed_sort(res.inputs_per_pe, res.outputs_per_pe)
-        flat_outputs[algorithm] = res.sorted_strings
+    with Cluster(4) as cluster:
+        for algorithm in FULL_STRING_ALGORITHMS:
+            res = cluster.sort(data, default_registry().spec_class(algorithm)(seed=7))
+            check_distributed_sort(res.inputs_per_pe, res.outputs_per_pe)
+            flat_outputs[algorithm] = res.sorted_strings
     for algorithm, flat in flat_outputs.items():
         assert flat == truth, f"{algorithm} disagrees with ground truth on {name}"
 
@@ -49,10 +52,11 @@ def test_prefix_algorithms_agree(name):
     data = INSTANCES[name]()
     truth = sorted(data)
     outputs = {}
-    for algorithm in PREFIX_ALGORITHMS:
-        res = dsort(data, algorithm=algorithm, num_pes=4, seed=7)
-        check_prefix_permutation(res.inputs_per_pe, res.outputs_per_pe)
-        outputs[algorithm] = res.sorted_strings
+    with Cluster(4) as cluster:
+        for algorithm in PREFIX_ALGORITHMS:
+            res = cluster.sort(data, default_registry().spec_class(algorithm)(seed=7))
+            check_prefix_permutation(res.inputs_per_pe, res.outputs_per_pe)
+            outputs[algorithm] = res.sorted_strings
     # Golomb coding changes the wire format only, never the detection
     # outcome, so the two variants emit identical prefix streams
     assert outputs["pdms"] == outputs["pdms-golomb"]
@@ -72,10 +76,7 @@ class TestDegenerateConfigurations:
         # 64-round safety net triggers with strings still active, which must
         # retire them at full length (a valid DIST bound), not at zero
         data = [b"x" * 100 + bytes([65 + i]) for i in range(8)]
-        res = dsort(
-            data, algorithm="pdms", num_pes=2, check=True,
-            epsilon=0.01, initial_length=1,
-        )
+        res = Cluster(2).sort(data, PDMSSpec(epsilon=0.01, initial_length=1), check=True)
         assert sorted(res.sorted_strings) == sorted(data)
 
     def test_char_distribution_of_all_empty_strings_stays_balanced(self):
@@ -90,6 +91,8 @@ class TestDegenerateConfigurations:
 def test_agreement_across_pe_counts(p):
     data = dn_instance(400, 0.6, length=40, seed=104)
     truth = sorted(data)
-    for algorithm in FULL_STRING_ALGORITHMS:
-        res = dsort(data, algorithm=algorithm, num_pes=p, check=True, seed=p)
-        assert res.sorted_strings == truth
+    with Cluster(p) as cluster:
+        for algorithm in FULL_STRING_ALGORITHMS:
+            spec = default_registry().spec_class(algorithm)(seed=p)
+            res = cluster.sort(data, spec, check=True)
+            assert res.sorted_strings == truth

@@ -1,8 +1,8 @@
 """Per-algorithm tests of the distributed sorters (hQuick, FKmerge, MS, PDMS).
 
-Each algorithm is exercised through the ``dsort`` facade (which also runs the
+Each algorithm is exercised through ``Cluster.sort`` (which also runs the
 full contract checker) on inputs chosen to hit its specific mechanisms, plus
-direct SPMD-level tests of properties the facade does not expose.
+direct SPMD-level tests of properties a cluster sort does not expose.
 
 The whole module runs once per registered execution engine (the
 module-scoped ``spmd_engine`` fixture below scopes ``REPRO_ENGINE``), so
@@ -13,8 +13,17 @@ engines the platform cannot run are skipped with the platform's reason.
 import pytest
 
 from engine_conformance import engine_params, set_engine
-from repro.dist import MSConfig, dsort, ms_sort
+from repro.dist import ms_sort
 from repro.mpi import run_spmd
+from repro.session import (
+    Cluster,
+    FKMergeSpec,
+    HQuickSpec,
+    MSSimpleSpec,
+    MSSpec,
+    PDMSGolombSpec,
+    PDMSSpec,
+)
 from repro.strings.checker import check_distributed_sort
 from repro.strings.generators import (
     commoncrawl_like,
@@ -45,32 +54,33 @@ class TestHQuick:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
     def test_sorts_on_various_pe_counts(self, p):
         data = random_strings(500, 0, 15, seed=p)
-        res = dsort(data, algorithm="hquick", num_pes=p, check=True)
+        res = Cluster(p).sort(data, HQuickSpec(), check=True)
         assert res.sorted_strings == sorted(data)
 
     def test_non_power_of_two_pes_leave_tail_ranks_empty(self):
         data = random_strings(600, 1, 10, seed=5)
-        res = dsort(data, algorithm="hquick", num_pes=6, check=True)
+        res = Cluster(6).sort(data, HQuickSpec(), check=True)
         # only 2^floor(log2 6) = 4 PEs hold data
         assert all(len(res.outputs_per_pe[r]) == 0 for r in (4, 5))
         assert res.sorted_strings == sorted(data)
 
     def test_duplicate_heavy_input(self):
         data = duplicate_heavy(700, 10, 8, seed=6)
-        res = dsort(data, algorithm="hquick", num_pes=4, check=True)
+        res = Cluster(4).sort(data, HQuickSpec(), check=True)
         assert res.sorted_strings == sorted(data)
 
     def test_produces_local_lcp_arrays(self):
         data = random_strings(300, 1, 12, seed=7)
-        res = dsort(data, algorithm="hquick", num_pes=4, check=True)
+        res = Cluster(4).sort(data, HQuickSpec(), check=True)
         for out, lcps in zip(res.outputs_per_pe, res.lcps_per_pe):
             assert lcps == lcp_array(out)
 
     def test_moves_data_multiple_times(self):
         """hQuick's communication volume is much higher than MS's (Theorem 1)."""
         data = dn_instance(800, 0.5, length=60, seed=8)
-        hq = dsort(data, algorithm="hquick", num_pes=8)
-        ms = dsort(data, algorithm="ms", num_pes=8)
+        with Cluster(8) as cluster:
+            hq = cluster.sort(data, HQuickSpec())
+            ms = cluster.sort(data, MSSpec())
         assert hq.report.total_bytes_sent > 1.5 * ms.report.total_bytes_sent
 
 
@@ -78,19 +88,19 @@ class TestFKmerge:
     @pytest.mark.parametrize("name", sorted(SMALL_INPUTS))
     def test_sorts(self, name):
         data = SMALL_INPUTS[name]()
-        res = dsort(data, algorithm="fkmerge", num_pes=4, check=True)
+        res = Cluster(4).sort(data, FKMergeSpec(), check=True)
         assert res.sorted_strings == sorted(data)
 
     def test_handles_repeated_strings_unlike_original(self):
         """The paper reports the original FKmerge crashes on repeated strings;
         our reimplementation must handle them (documented deviation)."""
         data = duplicate_heavy(1000, 3, 6, seed=9)
-        res = dsort(data, algorithm="fkmerge", num_pes=5, check=True)
+        res = Cluster(5).sort(data, FKMergeSpec(), check=True)
         assert res.sorted_strings == sorted(data)
 
     def test_returns_no_lcp_array(self):
         data = random_strings(200, 1, 8, seed=10)
-        res = dsort(data, algorithm="fkmerge", num_pes=3)
+        res = Cluster(3).sort(data, FKMergeSpec())
         assert all(h is None for h in res.lcps_per_pe)
 
     def test_centralised_sample_sort_structure(self):
@@ -98,7 +108,7 @@ class TestFKmerge:
         broadcast of the splitters (the bottleneck the paper blames for its
         poor scalability)."""
         data = dn_instance(900, 0.2, length=40, seed=11)
-        res = dsort(data, algorithm="fkmerge", num_pes=6)
+        res = Cluster(6).sort(data, FKMergeSpec())
         kinds = [
             c.kind for c in res.report.collectives if c.phase == "splitter-determination"
         ]
@@ -111,49 +121,48 @@ class TestMS:
     @pytest.mark.parametrize("algorithm", ["ms", "ms-simple"])
     def test_sorts(self, name, algorithm):
         data = SMALL_INPUTS[name]()
-        res = dsort(data, algorithm=algorithm, num_pes=4, check=True)
+        res = Cluster(4).sort(data, algorithm, check=True)
         assert res.sorted_strings == sorted(data)
 
     @pytest.mark.parametrize("p", [1, 2, 5, 9])
     def test_various_pe_counts(self, p):
         data = dn_instance(600, 0.4, length=40, seed=12)
-        res = dsort(data, algorithm="ms", num_pes=p, check=True)
+        res = Cluster(p).sort(data, MSSpec(), check=True)
         assert res.sorted_strings == sorted(data)
 
     def test_lcp_arrays_correct_per_pe(self):
         data = commoncrawl_like(500, seed=13)
-        res = dsort(data, algorithm="ms", num_pes=4, check=True)
+        res = Cluster(4).sort(data, MSSpec(), check=True)
         for out, lcps in zip(res.outputs_per_pe, res.lcps_per_pe):
             assert lcps == lcp_array(out)
 
     def test_lcp_compression_reduces_volume_vs_simple(self):
         data = dn_instance(800, 0.8, length=64, seed=14)
-        ms = dsort(data, algorithm="ms", num_pes=4)
-        simple = dsort(data, algorithm="ms-simple", num_pes=4)
+        with Cluster(4) as cluster:
+            ms = cluster.sort(data, MSSpec())
+            simple = cluster.sort(data, MSSimpleSpec())
         assert ms.report.total_bytes_sent < simple.report.total_bytes_sent
 
     def test_character_sampling_option(self):
         data = dn_instance(700, 0.5, length=40, seed=15)
-        res = dsort(data, algorithm="ms", num_pes=4, check=True, sampling="character")
+        res = Cluster(4).sort(data, MSSpec(sampling="character"), check=True)
         assert res.sorted_strings == sorted(data)
 
     def test_hquick_sample_sort_option(self):
         data = random_strings(700, 1, 14, seed=16)
-        res = dsort(data, algorithm="ms", num_pes=4, check=True, sample_sort="hquick")
+        res = Cluster(4).sort(data, MSSpec(sample_sort="hquick"), check=True)
         assert res.sorted_strings == sorted(data)
 
     def test_alternative_local_sorter(self):
         data = random_strings(400, 1, 10, seed=17)
-        res = dsort(
-            data, algorithm="ms", num_pes=3, check=True, local_sorter="lcp_mergesort"
-        )
+        res = Cluster(3).sort(data, MSSpec(local_sorter="lcp_mergesort"), check=True)
         assert res.sorted_strings == sorted(data)
 
     def test_empty_rank_inputs(self):
         blocks = [[], random_strings(200, 1, 8, seed=18), [], [b"zz", b"aa"]]
 
         def prog(comm, local):
-            return ms_sort(comm, local, MSConfig())
+            return ms_sort(comm, local, MSSpec())
 
         results, _ = run_spmd(4, prog, args_per_rank=[(b,) for b in blocks])
         outputs = [r[0] for r in results]
@@ -161,12 +170,12 @@ class TestMS:
 
     def test_tiny_inputs_fewer_strings_than_pes(self):
         data = [b"b", b"a"]
-        res = dsort(data, algorithm="ms", num_pes=6, check=True)
+        res = Cluster(6).sort(data, MSSpec(), check=True)
         assert res.sorted_strings == [b"a", b"b"]
 
     def test_oversampling_parameter(self):
         data = dn_instance(600, 0.3, length=40, seed=19)
-        res = dsort(data, algorithm="ms", num_pes=4, check=True, oversampling=32)
+        res = Cluster(4).sort(data, MSSpec(oversampling=32), check=True)
         assert res.sorted_strings == sorted(data)
 
 
@@ -175,13 +184,13 @@ class TestPDMS:
     @pytest.mark.parametrize("name", sorted(SMALL_INPUTS))
     def test_prefix_contract(self, name, algorithm):
         data = SMALL_INPUTS[name]()
-        res = dsort(data, algorithm=algorithm, num_pes=4, check=True)
+        res = Cluster(4).sort(data, algorithm, check=True)
         assert res.num_strings == len(data)
 
     def test_prefix_order_matches_full_string_order(self):
         """Sorting the origins' full strings must equal a direct sort."""
         data = dna_reads(600, seed=20)
-        res = dsort(data, algorithm="pdms", num_pes=4, check=True)
+        res = Cluster(4).sort(data, PDMSSpec(), check=True)
         # reconstruct the full strings via the origin labels
         bucket_lists = _reconstruct_origin_buckets(res)
         reconstructed = []
@@ -197,37 +206,37 @@ class TestPDMS:
 
     def test_pdms_sends_fewer_bytes_when_dn_small(self):
         data = suffix_instance(text_len=1200, alphabet_size=4, max_suffix_len=300, seed=21)
-        pdms = dsort(data, algorithm="pdms", num_pes=4)
-        ms = dsort(data, algorithm="ms", num_pes=4)
+        with Cluster(4) as cluster:
+            pdms = cluster.sort(data, PDMSSpec())
+            ms = cluster.sort(data, MSSpec())
         assert pdms.report.total_bytes_sent < 0.4 * ms.report.total_bytes_sent
 
     def test_golomb_variant_not_more_traffic(self):
         data = dna_reads(800, seed=22)
-        plain = dsort(data, algorithm="pdms", num_pes=4)
-        golomb = dsort(data, algorithm="pdms-golomb", num_pes=4)
+        with Cluster(4) as cluster:
+            plain = cluster.sort(data, PDMSSpec())
+            golomb = cluster.sort(data, PDMSGolombSpec())
         assert golomb.report.total_bytes_sent <= plain.report.total_bytes_sent
 
     def test_doubling_metadata_exposed(self):
         data = dna_reads(400, seed=23)
-        res = dsort(data, algorithm="pdms", num_pes=4)
+        res = Cluster(4).sort(data, PDMSSpec())
         assert res.extra["doubling_rounds"] >= 1
         assert res.extra["approx_dist_total"] >= len(data)
 
     def test_epsilon_option(self):
         data = dna_reads(400, seed=24)
-        res = dsort(data, algorithm="pdms", num_pes=4, check=True, epsilon=0.5)
+        res = Cluster(4).sort(data, PDMSSpec(epsilon=0.5), check=True)
         assert res.num_strings == len(data)
 
     def test_character_sampling_uses_dist_weights(self):
         data = suffix_instance(text_len=700, alphabet_size=3, max_suffix_len=200, seed=25)
-        res = dsort(
-            data, algorithm="pdms", num_pes=4, check=True, sampling="character"
-        )
+        res = Cluster(4).sort(data, PDMSSpec(sampling="character"), check=True)
         assert res.num_strings == len(data)
 
     def test_duplicate_only_input(self):
         data = [b"same-string"] * 300
-        res = dsort(data, algorithm="pdms", num_pes=4, check=True)
+        res = Cluster(4).sort(data, PDMSSpec(), check=True)
         flat = [s for part in res.outputs_per_pe for s in part]
         assert all(s == b"same-string" for s in flat)
         assert len(flat) == 300

@@ -1,10 +1,10 @@
-"""Tests for the sampling-based D/N estimator and dsort(algorithm='auto')."""
+"""Tests for the sampling-based D/N estimator and the ``auto`` algorithm."""
 
 import pytest
 
-from repro.dist import dsort
 from repro.dist.dn_estimator import DnEstimate, estimate_dn_ratio, recommend_algorithm
 from repro.mpi import run_spmd
+from repro.session import AutoSpec, Cluster
 from repro.strings.generators import dn_instance, duplicate_heavy, random_strings, suffix_instance
 from repro.strings.lcp import dn_ratio
 
@@ -77,19 +77,19 @@ class TestRecommendation:
 class TestAutoAlgorithm:
     def test_auto_picks_pdms_for_low_dn(self):
         data = suffix_instance(text_len=900, alphabet_size=4, max_suffix_len=250, seed=7)
-        res = dsort(data, algorithm="auto", num_pes=4, check=True)
+        res = Cluster(4).sort(data, AutoSpec(), check=True)
         assert res.extra["chosen_algorithm"] == "pdms-golomb"
         assert res.extra["estimated_dn"] < 0.5
         assert res.origins_per_pe is not None
 
     def test_auto_picks_ms_for_high_dn(self):
         data = duplicate_heavy(600, 8, 14, seed=8)
-        res = dsort(data, algorithm="auto", num_pes=4, check=True)
+        res = Cluster(4).sort(data, AutoSpec(), check=True)
         assert res.extra["chosen_algorithm"] == "ms"
         assert res.sorted_strings == sorted(data)
 
     def test_auto_result_is_correct_either_way(self):
         data = dn_instance(500, 0.4, length=50, seed=9)
-        res = dsort(data, algorithm="auto", num_pes=3, check=True)
+        res = Cluster(3).sort(data, AutoSpec(), check=True)
         assert res.num_strings == 500
         assert res.extra["chosen_algorithm"] in ("ms", "pdms-golomb")

@@ -26,14 +26,20 @@ COVERAGE_FLOOR = 0.95
 
 # The promised public API surface: every one of these must be documented.
 REQUIRED = {
-    "repro/dist/api.py": ["dsort", "DSortResult", "RankOutput", "distribute_strings"],
+    "repro/dist/api.py": [
+        "SortResult",
+        "RankOutput",
+        "distribute_strings",
+        "ms_sort",
+        "pdms_sort",
+        "fkmerge_sort",
+    ],
     "repro/session/cluster.py": ["Cluster", "Cluster.sort", "Cluster.sort_batches"],
     "repro/session/specs.py": [
         "SortSpec",
         "SortSpec.to_dict",
         "SortSpec.from_dict",
         "SortSpec.config_hash",
-        "spec_from_options",
     ],
     "repro/session/registry.py": [
         "AlgorithmRegistry",

@@ -21,10 +21,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from engine_conformance import engine_params, set_engine
-from repro.dist.api import ALGORITHMS
+from engine_conformance import PAPER_ALGORITHMS, engine_params, set_engine
 from repro.net.router import TOPOLOGIES
-from repro.session import Cluster, default_registry
+from repro.session import Cluster, MSSpec, default_registry
 from repro.strings.generators import dn_instance
 
 ROUTED = ("hypercube", "grid")
@@ -94,7 +93,7 @@ def _assert_equivalent(strings, algorithm, p, topology, use_async=False, seed=3)
 @settings(**_SETTINGS)
 @given(
     strings=adversarial_strings,
-    algorithm=st.sampled_from(sorted(ALGORITHMS)),
+    algorithm=st.sampled_from(sorted(PAPER_ALGORITHMS)),
     p=st.integers(min_value=1, max_value=5),
     topology=st.sampled_from(ROUTED),
 )
@@ -103,7 +102,7 @@ def test_routed_topologies_are_deterministic(strings, algorithm, p, topology):
 
 
 @pytest.mark.parametrize("topology", ROUTED)
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("algorithm", sorted(PAPER_ALGORITHMS))
 def test_routed_topologies_fixed_corpus(algorithm, topology):
     """Non-random twin of the hypothesis test on a skew-heavy instance."""
     corpus = dn_instance(num_strings=300, dn=0.8, length=32, seed=17)
@@ -112,7 +111,7 @@ def test_routed_topologies_fixed_corpus(algorithm, topology):
 
 
 @pytest.mark.parametrize("topology", ROUTED)
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("algorithm", sorted(PAPER_ALGORITHMS))
 def test_routed_topologies_split_phase(algorithm, topology):
     """Async + routed: the split-phase routed exchange is equally identical."""
     corpus = dn_instance(num_strings=200, dn=0.6, length=24, seed=11)
@@ -150,17 +149,12 @@ def test_spec_field_overrides_cluster_setting():
     assert inherited.report.forwarded_bytes > 0
 
 
-def test_dsort_accepts_exchange_topology_option():
-    """The legacy facade maps exchange_topology like every other knob."""
-    import warnings
-
-    from repro.dist import dsort
-
+def test_spec_exchange_topology_reaches_the_rank_program():
+    """The spec's exchange_topology is read like every other knob."""
     corpus = dn_instance(num_strings=100, dn=0.5, length=20, seed=4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        routed = dsort(corpus, algorithm="ms", num_pes=4, exchange_topology="grid")
-        direct = dsort(corpus, algorithm="ms", num_pes=4, exchange_topology="direct")
+    with Cluster(4) as cluster:
+        routed = cluster.sort(corpus, MSSpec(exchange_topology="grid"))
+        direct = cluster.sort(corpus, MSSpec(exchange_topology="direct"))
     assert routed.sorted_strings == direct.sorted_strings
     assert routed.report.forwarded_bytes > 0
     assert direct.report.forwarded_bytes == 0

@@ -23,10 +23,10 @@ import os
 
 import pytest
 
+from engine_conformance import PAPER_ALGORITHMS
 from repro.faults import FaultPlan, FaultRule
 from repro.session import Cluster
 
-ALGORITHMS = ("ms", "ms-simple", "pdms", "pdms-golomb", "hquick", "fkmerge")
 TOPOLOGIES = ("direct", "hypercube", "grid")
 NUM_PES = 4
 TIMEOUT = 30.0
@@ -72,7 +72,7 @@ def _sort(algorithm, topology, async_exchange, plan=None, max_retries=0):
     return cluster, result
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 @pytest.mark.parametrize("async_exchange", (False, True),
                          ids=("sync", "async"))
@@ -107,7 +107,7 @@ def test_chaos_recovery_is_bit_identical(
         assert report.faults_injected >= 1
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
 def test_chaos_crash_recovers_via_session_retry(algorithm):
     """A single-shot rank crash is survived by ``max_retries`` on any algorithm."""
     _, baseline = _sort(algorithm, None, False, plan=FaultPlan())

@@ -17,7 +17,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dist.api import PDMSConfig, _local_sort
+from repro.dist.api import _local_sort
 from repro.dist.exchange import exchange_buckets
 from repro.dist.partition import split_into_buckets
 from repro.dist.prefix_doubling import approximate_dist_prefixes
@@ -28,19 +28,19 @@ from repro.strings.generators import dna_reads, duplicate_heavy
 from repro.strings.lcp import lcp_array
 
 
-def reference_pdms(comm, strings, config):
+def reference_pdms(comm, strings, spec, golomb):
     """The list-based PDMS rank program, merge by ``heapq``."""
-    local_sorted, _ = _local_sort(comm, strings, config.local_sorter)
+    local_sorted, _ = _local_sort(comm, strings, spec.local_sorter)
     local_sorted = list(local_sorted)
     doubling = approximate_dist_prefixes(
-        comm, local_sorted, initial_length=config.initial_length,
-        epsilon=config.epsilon, golomb=config.golomb,
+        comm, local_sorted, initial_length=spec.initial_length,
+        epsilon=spec.epsilon, golomb=golomb,
     )
     prefixes = [s[:n] for s, n in zip(local_sorted, doubling.lengths)]
     splitters = determine_splitters(
-        comm, prefixes, scheme=config.sampling, sample_sort=config.sample_sort,
-        oversampling=config.oversampling,
-        weights=doubling.lengths if config.sampling == "character" else None,
+        comm, prefixes, scheme=spec.sampling, sample_sort=spec.sample_sort,
+        oversampling=spec.oversampling,
+        weights=doubling.lengths if spec.sampling == "character" else None,
     )
     buckets = split_into_buckets(prefixes, lcp_array(prefixes), splitters)
     starts = [sum(len(b) for b, _ in buckets[:d]) for d in range(len(buckets))]
@@ -61,21 +61,13 @@ def reference_pdms(comm, strings, config):
     return out, lcp_array(out), [origin for _, origin in merged], extra
 
 
-def _config(spec):
-    return PDMSConfig(
-        sampling=spec.sampling, sample_sort=spec.sample_sort,
-        local_sorter=spec.local_sorter, oversampling=spec.oversampling,
-        epsilon=spec.epsilon, initial_length=spec.initial_length,
-        golomb=isinstance(spec, PDMSGolombSpec),
-    )
-
-
 def _assert_matches_reference(blocks, spec):
     with Cluster(len(blocks)) as cluster:
         got = cluster.sort(blocks, spec, pre_distributed=True, check=True)
     results, report = run_spmd(
         len(blocks), reference_pdms,
-        args_per_rank=[(b,) for b in blocks], common_args=(_config(spec),),
+        args_per_rank=[(b,) for b in blocks],
+        common_args=(spec, isinstance(spec, PDMSGolombSpec)),
     )
     assert got.outputs_per_pe == [r[0] for r in results]
     assert got.lcps_per_pe == [r[1] for r in results]

@@ -10,12 +10,12 @@ ranks, more PEs than strings.
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
-from repro.dist import dsort
 from repro.dist.partition import (
     bucket_boundaries,
     select_splitters,
     string_based_samples,
 )
+from repro.session import Cluster, FKMergeSpec, HQuickSpec, MSSimpleSpec, MSSpec, PDMSSpec
 from repro.strings.checker import check_distributed_sort, check_prefix_permutation
 
 # small alphabet -> many shared prefixes and exact duplicates
@@ -32,7 +32,7 @@ _SETTINGS = dict(
 @settings(**_SETTINGS)
 @given(strings=string_lists, p=st.integers(min_value=1, max_value=5))
 def test_ms_sorts_arbitrary_inputs(strings, p):
-    res = dsort(strings, algorithm="ms", num_pes=p)
+    res = Cluster(p).sort(strings, MSSpec())
     check_distributed_sort(res.inputs_per_pe, res.outputs_per_pe, res.lcps_per_pe)
     assert res.sorted_strings == sorted(strings)
 
@@ -40,14 +40,14 @@ def test_ms_sorts_arbitrary_inputs(strings, p):
 @settings(**_SETTINGS)
 @given(strings=string_lists, p=st.integers(min_value=1, max_value=5))
 def test_ms_simple_sorts_arbitrary_inputs(strings, p):
-    res = dsort(strings, algorithm="ms-simple", num_pes=p)
+    res = Cluster(p).sort(strings, MSSimpleSpec())
     assert res.sorted_strings == sorted(strings)
 
 
 @settings(**_SETTINGS)
 @given(strings=string_lists, p=st.integers(min_value=1, max_value=4))
 def test_hquick_sorts_arbitrary_inputs(strings, p):
-    res = dsort(strings, algorithm="hquick", num_pes=p)
+    res = Cluster(p).sort(strings, HQuickSpec())
     check_distributed_sort(res.inputs_per_pe, res.outputs_per_pe)
     assert res.sorted_strings == sorted(strings)
 
@@ -55,14 +55,14 @@ def test_hquick_sorts_arbitrary_inputs(strings, p):
 @settings(**_SETTINGS)
 @given(strings=string_lists, p=st.integers(min_value=1, max_value=4))
 def test_fkmerge_sorts_arbitrary_inputs(strings, p):
-    res = dsort(strings, algorithm="fkmerge", num_pes=p)
+    res = Cluster(p).sort(strings, FKMergeSpec())
     assert res.sorted_strings == sorted(strings)
 
 
 @settings(**_SETTINGS)
 @given(strings=string_lists, p=st.integers(min_value=1, max_value=4))
 def test_pdms_prefix_contract_on_arbitrary_inputs(strings, p):
-    res = dsort(strings, algorithm="pdms", num_pes=p)
+    res = Cluster(p).sort(strings, PDMSSpec())
     check_prefix_permutation(res.inputs_per_pe, res.outputs_per_pe)
 
 

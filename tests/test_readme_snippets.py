@@ -1,10 +1,11 @@
-"""Doctest-style gate: every README Python snippet must actually run.
+"""Doctest-style gate: every README and API reference snippet must run.
 
-The README is the first thing users copy-paste from; API drift there is
-worse than in any docstring.  This test extracts every fenced ``python``
-code block from README.md and executes it in a fresh namespace (with the
-``src`` layout on ``sys.path``, as the README's own instructions establish).
-Stdout is swallowed; exceptions fail the test with the offending block.
+The README and ``docs/API.md`` are what users copy-paste from; API drift
+there is worse than in any docstring.  This test extracts every fenced
+``python`` code block from both files and executes each in a fresh
+namespace (with the ``src`` layout on ``sys.path``, as the README's own
+instructions establish), so every block must stand alone.  Stdout is
+swallowed; exceptions fail the test with the offending block.
 """
 
 from __future__ import annotations
@@ -19,24 +20,29 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+API_DOC = ROOT / "docs" / "API.md"
 
 _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 
 
-def _python_blocks() -> list:
-    return _FENCE.findall(README.read_text())
+def _python_blocks(path: pathlib.Path) -> list:
+    return _FENCE.findall(path.read_text())
+
+
+_SNIPPETS = [
+    pytest.param(path.name, index, block, id=f"{path.name}-block{index}")
+    for path in (README, API_DOC)
+    for index, block in enumerate(_python_blocks(path))
+]
 
 
 def test_readme_has_python_snippets():
-    assert len(_python_blocks()) >= 2, "README lost its Python quickstart blocks"
+    assert len(_python_blocks(README)) >= 2, "README lost its Python quickstart blocks"
+    assert _python_blocks(API_DOC), "docs/API.md lost its Python examples"
 
 
-@pytest.mark.parametrize(
-    "index,block",
-    list(enumerate(_python_blocks())),
-    ids=lambda v: f"block{v}" if isinstance(v, int) else None,
-)
-def test_readme_snippet_runs(index, block):
+@pytest.mark.parametrize("doc,index,block", _SNIPPETS)
+def test_readme_snippet_runs(doc, index, block):
     src = str(ROOT / "src")
     if src not in sys.path:
         sys.path.insert(0, src)
@@ -44,12 +50,12 @@ def test_readme_snippet_runs(index, block):
     stdout = io.StringIO()
     try:
         with contextlib.redirect_stdout(stdout):
-            exec(compile(block, f"README.md[python block {index}]", "exec"), namespace)
+            exec(compile(block, f"{doc}[python block {index}]", "exec"), namespace)
     except Exception as exc:  # pragma: no cover - failure reporting
         pytest.fail(
-            f"README python block {index} raised {type(exc).__name__}: {exc}\n"
+            f"{doc} python block {index} raised {type(exc).__name__}: {exc}\n"
             f"---\n{block}"
         )
     # snippets that print must have printed something real
     if "print(" in block:
-        assert stdout.getvalue().strip(), f"README block {index} printed nothing"
+        assert stdout.getvalue().strip(), f"{doc} block {index} printed nothing"

@@ -1,10 +1,13 @@
-"""Cluster sessions: machine reuse, scoped toggles, engine seam, registry."""
+"""Cluster sessions and the input distribution they sort.
+
+Sorting, machine reuse, scoped toggles, the engine seam and the registry.
+"""
 
 from dataclasses import dataclass
 
 import pytest
 
-from repro.dist.api import RankOutput, dsort, ms_sort, MSConfig
+from repro.dist.api import RankOutput, distribute_strings, ms_sort
 from repro.mpi.engine import (
     ENGINES,
     SpmdError,
@@ -39,10 +42,6 @@ class TestClusterSort:
         assert by_name.outputs_per_pe == by_spec.outputs_per_pe
         assert by_name.report.total_bytes_sent == by_spec.report.total_bytes_sent
 
-    def test_spec_and_algorithm_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            Cluster(num_pes=2).sort([b"a"], MSSpec(), algorithm="ms")
-
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
             Cluster(num_pes=2).sort([b"a"], "bogosort")
@@ -50,6 +49,50 @@ class TestClusterSort:
     def test_pre_distributed_block_count_must_match(self):
         with pytest.raises(ValueError, match="2 blocks"):
             Cluster(num_pes=4).sort([[b"a"], [b"b"]], pre_distributed=True)
+
+    def test_pre_distributed_input(self):
+        blocks = [[b"d", b"a"], [b"c", b"b"]]
+        res = Cluster(num_pes=2).sort(blocks, MSSpec(), pre_distributed=True, check=True)
+        assert res.num_pes == 2
+        assert res.sorted_strings == [b"a", b"b", b"c", b"d"]
+
+    def test_accepts_str_input(self):
+        res = Cluster(num_pes=2).sort(["pear", "apple", "fig"], MSSpec(), check=True)
+        assert res.sorted_strings == [b"apple", b"fig", b"pear"]
+
+    def test_result_metadata(self):
+        data = random_strings(300, 1, 10, seed=3)
+        res = Cluster(num_pes=4).sort(data, MSSpec())
+        assert res.algorithm == "ms"
+        assert res.num_pes == 4
+        assert res.num_strings == 300
+        assert res.num_chars == sum(len(s) for s in data)
+        assert res.bytes_per_string() > 0
+        assert res.modeled_time() > 0
+        assert "splitter-determination" in res.report.phase_bytes
+        assert "exchange" in res.report.phase_bytes
+
+    def test_more_pes_than_strings(self):
+        res = Cluster(num_pes=8).sort([b"b", b"a", b"c"], MSSpec(), check=True)
+        assert res.sorted_strings == [b"a", b"b", b"c"]
+
+    def test_single_pe_every_registered_algorithm(self):
+        data = random_strings(150, 0, 10, seed=4)
+        with Cluster(num_pes=1) as cluster:
+            for name in default_registry().names():
+                res = cluster.sort(data, name, check=True)
+                assert res.num_strings == 150
+
+    def test_empty_input(self):
+        res = Cluster(num_pes=3).sort([], MSSpec(), check=True)
+        assert res.sorted_strings == []
+
+    def test_seed_changes_hquick_randomisation_not_result(self):
+        data = random_strings(300, 1, 10, seed=7)
+        with Cluster(num_pes=4) as cluster:
+            a = cluster.sort(data, HQuickSpec(seed=1))
+            b = cluster.sort(data, HQuickSpec(seed=2))
+        assert a.sorted_strings == b.sorted_strings == sorted(data)
 
     def test_distribute_by_chars_balances_character_mass(self):
         data = [b"x" * 60] * 3 + [b"y"] * 200
@@ -217,7 +260,7 @@ class TestRegistryExtension:
             algorithm = "ms-verified"
 
         def runner(comm, local, spec):
-            out, lcps = ms_sort(comm, local, MSConfig(sampling=spec.sampling))
+            out, lcps = ms_sort(comm, local, spec)
             return RankOutput(out, lcps, extra={"custom": True})
 
         reg = default_registry().copy()
@@ -276,7 +319,38 @@ class TestExtrasAggregation:
                 [b"a", b"b"], RankStampSpec()
             )
 
-    def test_legacy_dsort_also_aggregates(self):
+    def test_auto_aggregates_on_a_high_dn_input(self):
         data = dn_instance(num_strings=200, dn=0.9, length=30, seed=11)
-        res = dsort(data, algorithm="auto", num_pes=3)
+        res = Cluster(num_pes=3).sort(data, "auto")
         assert res.extra["chosen_algorithm"] in ("ms", "pdms-golomb")
+
+
+class TestDistributeStrings:
+    def test_by_strings_balances_counts(self):
+        data = random_strings(100, 1, 5, seed=1)
+        blocks = distribute_strings(data, 7)
+        assert len(blocks) == 7
+        assert sum(len(b) for b in blocks) == 100
+        assert max(len(b) for b in blocks) - min(len(b) for b in blocks) <= 1
+
+    def test_by_chars_balances_characters(self):
+        data = [b"x" * 50] * 4 + [b"y"] * 200
+        blocks = distribute_strings(data, 4, by="chars")
+        sizes = [sum(len(s) for s in b) for b in blocks]
+        assert sum(sizes) == sum(len(s) for s in data)
+        assert max(sizes) < 0.6 * sum(sizes)
+
+    def test_preserves_order_and_content(self):
+        data = random_strings(53, 1, 6, seed=2)
+        blocks = distribute_strings(data, 5)
+        assert [s for b in blocks for s in b] == data
+
+    def test_accepts_str_input(self):
+        blocks = distribute_strings(["b", "a"], 2)
+        assert blocks == [[b"b"], [b"a"]]
+
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError):
+            distribute_strings([b"a"], 0)
+        with pytest.raises(ValueError):
+            distribute_strings([b"a"], 2, by="magic")

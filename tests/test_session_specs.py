@@ -17,7 +17,6 @@ from repro.session import (
     PDMSSpec,
     SortSpec,
     default_registry,
-    spec_from_options,
 )
 
 ALL_SPEC_CLASSES = [
@@ -161,28 +160,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             spec.replace(epsilon=-1.0)
 
-
-class TestSpecFromOptions:
-    def test_maps_legacy_vocabulary(self):
-        spec = spec_from_options(
-            "pdms-golomb",
-            {"sampling": "character", "epsilon": 0.5, "initial_length": 8},
-            seed=7,
-            distribute_by="chars",
-        )
-        assert spec == PDMSGolombSpec(
-            sampling="character",
-            epsilon=0.5,
-            initial_length=8,
-            seed=7,
-            distribute_by="chars",
-        )
-
-    def test_ignores_inapplicable_options(self):
-        # the facade's historical contract: epsilon means nothing to hquick
-        spec = spec_from_options("hquick", {"epsilon": 0.5, "local_sorter": "timsort"})
-        assert spec == HQuickSpec(local_sorter="timsort")
-
-    def test_unknown_option_suggests_nearest_match(self):
-        with pytest.raises(ValueError, match="sample_sort"):
-            spec_from_options("ms", {"sample_srot": "central"})

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from repro.dist import dsort
+from repro.session import Cluster, HQuickSpec, MSSimpleSpec, MSSpec, PDMSSpec
 from repro.strings.generators import dn_instance, random_strings, suffix_instance
 from repro.strings.lcp import distinguishing_prefix_size
 
@@ -25,7 +25,7 @@ class TestTheorem4MSVolume:
     def test_ms_volume_within_bound(self):
         p = 4
         data = dn_instance(1200, 0.5, length=60, seed=1)
-        res = dsort(data, algorithm="ms-simple", num_pes=p)
+        res = Cluster(p).sort(data, MSSimpleSpec())
         n_hat = max(len(b) for b in res.inputs_per_pe)
         chars_hat = max(sum(len(s) for s in b) for b in res.inputs_per_pe)
         l_hat = max(len(s) for s in data)
@@ -37,8 +37,8 @@ class TestTheorem4MSVolume:
 
     def test_ms_volume_scales_with_input_not_with_p_squared(self):
         data = dn_instance(1600, 0.5, length=40, seed=2)
-        res4 = dsort(data, algorithm="ms", num_pes=4)
-        res8 = dsort(data, algorithm="ms", num_pes=8)
+        res4 = Cluster(4).sort(data, MSSpec())
+        res8 = Cluster(8).sort(data, MSSpec())
         # total communicated volume grows only mildly with p (more splitter
         # traffic), nowhere near quadratically
         assert res8.report.total_bytes_sent < 2.5 * res4.report.total_bytes_sent
@@ -52,7 +52,7 @@ class TestTheorem5PDMSVolume:
         p = 4
         data = dn_instance(1000, dn, length=80, seed=3)
         d_total = distinguishing_prefix_size(data)
-        res = dsort(data, algorithm="pdms", num_pes=p)
+        res = Cluster(p).sort(data, PDMSSpec())
         # exchanged prefix characters are bounded by (1+eps)*D plus the start
         # guess per string; measure via the per-PE approximation totals
         approx_total = res.extra["approx_dist_total"]
@@ -61,8 +61,9 @@ class TestTheorem5PDMSVolume:
 
     def test_pdms_beats_ms_when_d_much_smaller_than_n(self):
         data = suffix_instance(text_len=1500, alphabet_size=4, max_suffix_len=400, seed=4)
-        ms = dsort(data, algorithm="ms", num_pes=4)
-        pdms = dsort(data, algorithm="pdms", num_pes=4)
+        with Cluster(4) as cluster:
+            ms = cluster.sort(data, MSSpec())
+            pdms = cluster.sort(data, PDMSSpec())
         assert pdms.report.total_bytes_sent < 0.35 * ms.report.total_bytes_sent
 
     def test_pdms_overhead_bounded_when_d_equals_n(self):
@@ -70,8 +71,9 @@ class TestTheorem5PDMSVolume:
         effect is the fingerprint traffic, a bounded number of bytes per
         string and round, on top of whatever MS sends."""
         data = dn_instance(800, 1.0, length=60, seed=5)
-        ms = dsort(data, algorithm="ms", num_pes=4)
-        pdms = dsort(data, algorithm="pdms", num_pes=4)
+        with Cluster(4) as cluster:
+            ms = cluster.sort(data, MSSpec())
+            pdms = cluster.sort(data, PDMSSpec())
         overhead = pdms.report.total_bytes_sent - ms.report.total_bytes_sent
         rounds = max(1, pdms.extra["doubling_rounds"])
         # <= ~12 bytes per string per doubling round (fingerprint + verdict + headers)
@@ -90,7 +92,7 @@ class TestTheorem6DuplicateDetection:
     def test_fingerprint_traffic_linear_in_strings(self):
         p = 4
         data = random_strings(2000, 20, 40, alphabet_size=4, seed=6)
-        res = dsort(data, algorithm="pdms", num_pes=p)
+        res = Cluster(p).sort(data, PDMSSpec())
         doubling_bytes = res.report.phase_bytes.get("prefix-doubling", 0)
         rounds = res.extra["doubling_rounds"]
         # per round and string: a fingerprint (<= 8 bytes) + a verdict bit +
@@ -99,7 +101,7 @@ class TestTheorem6DuplicateDetection:
 
     def test_round_count_logarithmic_in_dist_length(self):
         data = dn_instance(600, 0.9, length=120, seed=7)
-        res = dsort(data, algorithm="pdms", num_pes=4)
+        res = Cluster(4).sort(data, PDMSSpec())
         # distinguishing prefixes ~ 110 chars; doubling from a small guess
         # needs O(log d_hat) rounds
         assert res.extra["doubling_rounds"] <= math.ceil(math.log2(130)) + 3
@@ -110,8 +112,8 @@ class TestTheorem1HQuick:
 
     def test_hquick_volume_grows_with_log_p(self):
         data = random_strings(1200, 10, 20, seed=8)
-        res2 = dsort(data, algorithm="hquick", num_pes=2)
-        res8 = dsort(data, algorithm="hquick", num_pes=8)
+        res2 = Cluster(2).sort(data, HQuickSpec())
+        res8 = Cluster(8).sort(data, HQuickSpec())
         assert res8.report.total_bytes_sent > 1.5 * res2.report.total_bytes_sent
 
     def test_hquick_latency_polylogarithmic(self):
@@ -120,7 +122,7 @@ class TestTheorem1HQuick:
 
         latency_only = MachineModel(alpha=1.0, beta=0.0, char_time=0.0, item_time=0.0)
         data = random_strings(600, 5, 10, seed=9)
-        hq = dsort(data, algorithm="hquick", num_pes=8)
+        hq = Cluster(8).sort(data, HQuickSpec())
         t = hq.report.modeled_comm_time(latency_only)
         p = 8
         # a handful of alltoalls/sendrecvs per dimension: well below alpha * p^2
