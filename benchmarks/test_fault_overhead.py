@@ -2,8 +2,8 @@
 
 The fault subsystem seals every exchange block (:class:`StringBlock`,
 :class:`LcpCompressedBlock`) with a CRC32 over its wire content, verified
-at decode.  Sealing is opt-in (``use_wire_checksums`` / a fault plan with
-corrupt rules), so the clean path pays nothing — but once armed, the seal
+at decode.  Sealing is opt-in (``Cluster(wire_checksums=True)``, which
+builds every block with ``seal=True``), so the clean path pays nothing — but once armed, the seal
 must stay cheap enough that turning detection on in production-style runs
 is a non-decision.  This module measures exactly that price.
 
@@ -51,7 +51,7 @@ from repro.dist.partition import (
     split_into_buckets,
     string_based_samples,
 )
-from repro.faults import CHECKSUM_WIRE_BYTES, use_wire_checksums
+from repro.faults import CHECKSUM_WIRE_BYTES
 from repro.sequential.lcp_losertree import lcp_multiway_merge_packed
 from repro.sequential.msd_radix import msd_radix_sort
 from repro.strings.generators import commoncrawl_like
@@ -91,20 +91,19 @@ def workload():
 
 def _pipeline(packed, splitters, sealed):
     """One PE end to end: sort .. merge; per-stage best-of-reps times."""
-    with use_wire_checksums(sealed):
-        t_sort, (srt, _) = _timed(lambda: msd_radix_sort(packed))
-        t_lcp, lcps = _timed(lambda: packed_lcp_array(srt))
-        t_part, buckets = _timed(lambda: split_into_buckets(srt, lcps, splitters))
-        t_enc, blocks = _timed(
-            lambda: [LcpCompressedBlock.encode(s, h) for s, h in buckets]
-        )
-        t_wire, wires = _timed(lambda: [b.wire_bytes() for b in blocks])
-        t_dec, decoded = _timed(lambda: [b.decode_run() for b in blocks])
-        runs = [run for run, _ in decoded]
-        run_lcps = [np.asarray(h, dtype=np.int64) for _, h in decoded]
-        t_mrg, (merged, merged_lcps) = _timed(
-            lambda: lcp_multiway_merge_packed(runs, run_lcps)
-        )
+    t_sort, (srt, _) = _timed(lambda: msd_radix_sort(packed))
+    t_lcp, lcps = _timed(lambda: packed_lcp_array(srt))
+    t_part, buckets = _timed(lambda: split_into_buckets(srt, lcps, splitters))
+    t_enc, blocks = _timed(
+        lambda: [LcpCompressedBlock.encode(s, h, seal=sealed) for s, h in buckets]
+    )
+    t_wire, wires = _timed(lambda: [b.wire_bytes() for b in blocks])
+    t_dec, decoded = _timed(lambda: [b.decode_run() for b in blocks])
+    runs = [run for run, _ in decoded]
+    run_lcps = [np.asarray(h, dtype=np.int64) for _, h in decoded]
+    t_mrg, (merged, merged_lcps) = _timed(
+        lambda: lcp_multiway_merge_packed(runs, run_lcps)
+    )
     times = {
         "sort": t_sort,
         "lcp": t_lcp,
@@ -119,17 +118,16 @@ def _pipeline(packed, splitters, sealed):
 
 def _framing_only(buckets, sealed, compressed):
     """Seal cost with nothing to amortise: just encode -> wire -> decode."""
-    with use_wire_checksums(sealed):
-        if compressed:
-            t_enc, blocks = _timed(
-                lambda: [LcpCompressedBlock.encode(s, h) for s, h in buckets]
-            )
-        else:
-            t_enc, blocks = _timed(
-                lambda: [StringBlock(s, h) for s, h in buckets]
-            )
-        t_wire, _ = _timed(lambda: [b.wire_bytes() for b in blocks])
-        t_dec, _ = _timed(lambda: [b.decode_run() for b in blocks])
+    if compressed:
+        t_enc, blocks = _timed(
+            lambda: [LcpCompressedBlock.encode(s, h, seal=sealed) for s, h in buckets]
+        )
+    else:
+        t_enc, blocks = _timed(
+            lambda: [StringBlock(s, h, seal=sealed) for s, h in buckets]
+        )
+    t_wire, _ = _timed(lambda: [b.wire_bytes() for b in blocks])
+    t_dec, _ = _timed(lambda: [b.decode_run() for b in blocks])
     return t_enc + t_wire + t_dec
 
 
@@ -225,11 +223,10 @@ def test_sealed_contents_identical_across_representations(workload):
     lcps = packed_lcp_array(srt)
     packed_buckets = split_into_buckets(srt, lcps, splitters)
     scalar_buckets = split_into_buckets(srt.to_list(), lcps.tolist(), splitters)
-    with use_wire_checksums(True):
-        for (ps, ph), (ss, sh) in zip(packed_buckets, scalar_buckets):
-            pb = LcpCompressedBlock.encode(ps, ph)
-            sb = LcpCompressedBlock.encode(ss, list(sh))
-            assert pb.content_crc() == sb.content_crc()
-            pr = StringBlock(ps, ph)
-            sr = StringBlock(list(ss), list(sh))
-            assert pr.content_crc() == sr.content_crc()
+    for (ps, ph), (ss, sh) in zip(packed_buckets, scalar_buckets):
+        pb = LcpCompressedBlock.encode(ps, ph, seal=True)
+        sb = LcpCompressedBlock.encode(ss, list(sh), seal=True)
+        assert pb.content_crc() == sb.content_crc()
+        pr = StringBlock(ps, ph, seal=True)
+        sr = StringBlock(list(ss), list(sh), seal=True)
+        assert pr.content_crc() == sr.content_crc()

@@ -17,9 +17,9 @@ the packed representation carried end-to-end (sort → exchange → merge):
 * ``merge``      — multiway LCP merge of the received runs (batched
   segment emission into a packed output vs the per-string loser tree).
 
-Each stage runs twice: once over ``list[bytes]`` with the scalar code
-(``use_packed(False)``) and once over :class:`PackedStringArray` with the
-vectorized kernels.  The acceptance gates assert the exchange aggregate
+Each stage runs twice: once over ``list[bytes]`` with the scalar code and
+once over :class:`PackedStringArray` with the vectorized kernels (every
+kernel picks its path from the input it is given).  The acceptance gates assert the exchange aggregate
 (lcp + partition + encode + wire + decode, the same stages the PR 2
 trajectory gated) is **≥ 5× faster**, the full end-to-end aggregate with
 the new sort and merge stages is **≥ 3× faster**, and every stage clears
@@ -54,11 +54,7 @@ from repro.sequential.msd_radix import msd_radix_sort
 from repro.session import Cluster, default_registry
 from repro.strings.generators import commoncrawl_like, dn_instance
 from repro.strings.lcp import lcp
-from repro.strings.packed import (
-    PackedStringArray,
-    packed_lcp_array,
-    use_packed,
-)
+from repro.strings.packed import PackedStringArray, packed_lcp_array
 
 # the ROADMAP's target scale: one PE's share of a large exchange
 NUM_STRINGS = scaled(100_000, minimum=20_000)
@@ -121,28 +117,24 @@ def local_run():
 def _measure_pipelines(corpus, srt, splitters):
     """One measurement pass: per-stage best-of-reps times for both paths."""
     # -- scalar pipeline (the pre-packed code path) ----------------------------
-    with use_packed(False):
-        t_sort_s, (sorted_s, sort_lcps_s) = _timed(
-            lambda: sort_strings_with_lcp(corpus)
-        )
-        t_lcp_s, h_s = _timed(lambda: _scalar_lcp_array(srt))
-        t_part_s, buckets_s = _timed(lambda: split_into_buckets(srt, h_s, splitters))
-        t_enc_s, blocks_s = _timed(
-            lambda: [LcpCompressedBlock.encode(s, h) for s, h in buckets_s]
-        )
-        t_wire_s, wires_s = _timed(lambda: [b.wire_bytes() for b in blocks_s])
-        t_dec_s, decoded_s = _timed(lambda: [b.decode() for b in blocks_s])
-        runs_s = [run for run, _ in decoded_s]
-        run_lcps_s = [hs for _, hs in decoded_s]
-        t_mrg_s, (merged_s, merged_lcps_s) = _timed(
-            lambda: lcp_multiway_merge(runs_s, run_lcps_s)
-        )
+    t_sort_s, (sorted_s, sort_lcps_s) = _timed(lambda: sort_strings_with_lcp(corpus))
+    t_lcp_s, h_s = _timed(lambda: _scalar_lcp_array(srt))
+    t_part_s, buckets_s = _timed(lambda: split_into_buckets(srt, h_s, splitters))
+    t_enc_s, blocks_s = _timed(
+        lambda: [LcpCompressedBlock.encode(s, h) for s, h in buckets_s]
+    )
+    t_wire_s, wires_s = _timed(lambda: [b.wire_bytes() for b in blocks_s])
+    t_dec_s, decoded_s = _timed(lambda: [b.decode() for b in blocks_s])
+    runs_s = [run for run, _ in decoded_s]
+    run_lcps_s = [hs for _, hs in decoded_s]
+    t_mrg_s, (merged_s, merged_lcps_s) = _timed(
+        lambda: lcp_multiway_merge(runs_s, run_lcps_s)
+    )
 
     # -- packed pipeline (packing cost charged to sort / lcp) ------------------
-    with use_packed(True):
-        t_sort_p, (sorted_p, sort_lcps_p) = _timed(
-            lambda: msd_radix_sort(PackedStringArray.from_strings(corpus))
-        )
+    t_sort_p, (sorted_p, sort_lcps_p) = _timed(
+        lambda: msd_radix_sort(PackedStringArray.from_strings(corpus))
+    )
 
     def packed_lcp():
         arr = PackedStringArray.from_strings(srt)
@@ -285,11 +277,10 @@ def test_all_algorithms_byte_identical(algorithm):
     """Packed vs scalar path: identical sorted output and wire accounting."""
     corpus = dn_instance(scaled(600, minimum=200), 0.7, length=48, seed=13)
     spec = default_registry().spec_class(algorithm)(seed=5)
-    with Cluster(4) as cluster:
-        with use_packed(True):
-            fast = cluster.sort(corpus, spec, check=True)
-        with use_packed(False):
-            slow = cluster.sort(corpus, spec, check=True)
+    with Cluster(4, packed=True) as cluster:
+        fast = cluster.sort(corpus, spec, check=True)
+    with Cluster(4, packed=False) as cluster:
+        slow = cluster.sort(corpus, spec, check=True)
     assert fast.sorted_strings == slow.sorted_strings
     assert fast.outputs_per_pe == slow.outputs_per_pe
     assert fast.report.total_bytes_sent == slow.report.total_bytes_sent

@@ -30,7 +30,6 @@ from repro import (
     PDMSGolombSpec,
     PDMSSpec,
 )
-from repro.dist import use_async_exchange
 from repro.strings import dn_instance, dn_ratio
 
 
@@ -64,11 +63,12 @@ def main() -> None:
 
         # The sorted data is available as per-PE slices or as one flat list.
         result = cluster.sort(data, MSSpec(), check=True)
-        # Split-phase exchange: receivers decode and prepare the merge while
-        # later buckets are still in flight.  Same strings, same bytes on the
-        # wire — plus an overlap fraction the cost model credits.
-        with use_async_exchange(True):
-            overlapped = cluster.sort(data, MSSpec(), check=True)
+    # Split-phase exchange, a setting of the cluster: receivers decode and
+    # prepare the merge while later buckets are still in flight.  Same
+    # strings, same bytes on the wire — plus an overlap fraction the cost
+    # model credits.
+    with Cluster(num_pes=8, async_exchange=True) as cluster:
+        overlapped = cluster.sort(data, MSSpec(), check=True)
 
     flat = result.sorted_strings
     assert flat == sorted(data)
@@ -80,7 +80,7 @@ def main() -> None:
     assert overlapped.sorted_strings == flat
     assert overlapped.report.total_bytes_sent == result.report.total_bytes_sent
     print()
-    print("split-phase exchange (REPRO_ASYNC_EXCHANGE=1):")
+    print("split-phase exchange (Cluster(async_exchange=True)):")
     print(f"  overlap fraction: {overlapped.overlap_fraction():.2f} "
           "of the exchange window hidden behind merge preparation")
     print(f"  modeled time: {result.modeled_time():.2e} s sync vs "

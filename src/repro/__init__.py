@@ -41,6 +41,8 @@ Architecture
 * :mod:`repro.session` — the public API: :class:`Cluster` sessions over a
   reusable simulated machine, the typed :class:`SortSpec` configuration
   hierarchy, the pluggable algorithm registry and streaming batch ingest;
+  each cluster's execution settings are one frozen :class:`RunConfig`
+  (:mod:`repro.config`);
 * :mod:`repro.bench` — the experiment harness reproducing the paper's
   figures (spec-driven sweeps keyed by ``config_hash``), driven by
   ``benchmarks/`` and the CLI (``python -m repro``).
@@ -54,6 +56,7 @@ _SUBMODULE_HINT = (
 )
 
 try:
+    from .config import RunConfig
     from .dist import (
         SortResult,
         distribute_strings,
@@ -88,6 +91,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Cluster",
+    "RunConfig",
     "SortSpec",
     "HQuickSpec",
     "FKMergeSpec",

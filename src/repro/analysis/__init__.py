@@ -9,8 +9,9 @@ timeouts or silent byte drift:
   orphaned receives, root/op mismatches, self-addressed blocking posts);
 * :mod:`~repro.analysis.wire` — wire-format discipline (verify-before-
   decode on sealed blocks/frames, zero-copy hot path);
-* :mod:`~repro.analysis.toggles` — the central ``REPRO_*`` toggle
-  registry and its hygiene rules.
+* :mod:`~repro.analysis.toggles` — toggle hygiene: every ``REPRO_*``
+  setting is a :class:`repro.config.RunConfig` field, read only by
+  ``RunConfig.from_env``.
 
 Entry points: :func:`~repro.analysis.runner.run_lint` (library),
 ``repro lint`` (CLI), ``tests/test_comm_lint.py`` (gate).  See
@@ -34,7 +35,6 @@ from .runner import (
     run_lint,
     write_commgraphs,
 )
-from .toggles import REGISTRY, ToggleSpec
 
 __all__ = [
     "PackageIndex",
@@ -53,6 +53,4 @@ __all__ = [
     "render_json",
     "run_lint",
     "write_commgraphs",
-    "REGISTRY",
-    "ToggleSpec",
 ]

@@ -51,19 +51,14 @@ def run_lint(
     package: str = "repro",
     extra_paths: Sequence[Path] = (),
     docs_path: Optional[Path] = None,
-    full_tree: Optional[bool] = None,
 ) -> LintReport:
     """Run all three passes; return the finalized deterministic report.
 
     ``root=None`` scans the installed package.  ``extra_paths`` adds loose
-    fixture files (indexed as ``lintfixture.*``).  ``full_tree`` gates the
-    stale-toggle rule; by default it is on exactly when the real package
-    tree is part of the scan.
+    fixture files (indexed as ``lintfixture.*``).
     """
     if root is None and not extra_paths:
         root = default_source_root()
-    if full_tree is None:
-        full_tree = root is not None
     if docs_path is None and root is not None:
         docs_path = default_docs_path(root)
     docs_text = docs_path.read_text(encoding="utf-8") if docs_path else None
@@ -73,10 +68,7 @@ def run_lint(
     report = LintReport()
     report.extend(run_spmd_pass(index), index.suppressions)
     report.extend(run_wire_pass(index), index.suppressions)
-    report.extend(
-        run_toggle_pass(index, docs_text=docs_text, full_tree=full_tree),
-        index.suppressions,
-    )
+    report.extend(run_toggle_pass(index, docs_text=docs_text), index.suppressions)
 
     for name, entry in sorted(detect_algorithms(index).items()):
         report.commgraphs[name] = build_commgraph(index, name, entry)

@@ -1,137 +1,72 @@
-"""Pass 3 — central ``REPRO_*`` toggle registry and toggle-hygiene lint.
+"""Pass 3 — toggle-hygiene lint against the one settings table.
 
-Every process-global toggle the package reads from the environment is
-declared here, once, with its documentation string and its per-cluster
-knob (the :class:`repro.session.cluster.Cluster` constructor argument that
-scopes the same behaviour to one cluster instead of the whole process).
-The lint pass then enforces four invariants over the scanned tree:
+Every execution setting the package reads from the environment is a field
+of :class:`repro.config.RunConfig`, declared once with its ``REPRO_*``
+variable, and :meth:`RunConfig.from_env` is the only reader.  The lint
+pass enforces three invariants over the scanned tree:
 
 ``toggle-unregistered``
-    An ``os.environ`` / ``os.getenv`` read of a ``REPRO_*`` name that has
-    no :data:`REGISTRY` entry.  New toggles must be declared centrally.
+    A literal ``os.environ`` / ``os.getenv`` read of a ``REPRO_*`` name
+    anywhere outside ``RunConfig.from_env``.  New settings must become
+    ``RunConfig`` fields.
 
 ``toggle-undocumented``
-    A registered toggle not mentioned in ``docs/API.md``.
+    A ``RunConfig`` field whose variable is not mentioned in
+    ``docs/API.md``.
 
 ``toggle-knob-missing``
-    A registered toggle whose declared ``Cluster`` knob is not actually a
-    ``Cluster.__init__`` parameter (or that declares neither a knob nor an
-    explicit exemption reason).
-
-``toggle-stale``
-    A registered toggle with no environment read anywhere in the scanned
-    tree — a registry entry that outlived its code.  Only checked on full
-    package scans (fixture scans would trivially trip it).
+    A ``RunConfig`` field that is not a ``Cluster.__init__`` parameter.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import fields
+from typing import Iterator, List, Optional, Tuple
 
+from ..config import RunConfig
 from .commgraph import PackageIndex
 from .model import Finding
 
-__all__ = ["ToggleSpec", "REGISTRY", "run_toggle_pass", "find_env_reads"]
+__all__ = ["run_toggle_pass", "find_env_reads"]
 
-
-@dataclass(frozen=True)
-class ToggleSpec:
-    """One declared process-global environment toggle."""
-
-    #: the ``REPRO_*`` environment variable name
-    name: str
-    #: one-line description (mirrored by the docs/API.md row)
-    description: str
-    #: the ``Cluster.__init__`` keyword that scopes the same behaviour to a
-    #: single cluster; ``None`` only together with ``exempt_reason``
-    knob: Optional[str] = None
-    #: why no per-cluster knob exists, when ``knob`` is ``None``
-    exempt_reason: Optional[str] = None
-
-
-#: the central registry: every ``REPRO_*`` environment read in the package
-#: must correspond to exactly one entry here.
-REGISTRY: Tuple[ToggleSpec, ...] = (
-    ToggleSpec(
-        name="REPRO_PACKED",
-        description=(
-            "Packed (arena-backed) string representation on the hot path; "
-            "'0' falls back to python-object string lists."
-        ),
-        knob="packed",
-    ),
-    ToggleSpec(
-        name="REPRO_ASYNC_EXCHANGE",
-        description=(
-            "Split-phase isend/irecv bucket exchange instead of the "
-            "synchronous alltoall; '1' opts in."
-        ),
-        knob="async_exchange",
-    ),
-    ToggleSpec(
-        name="REPRO_EXCHANGE_TOPOLOGY",
-        description=(
-            "Exchange routing topology: 'direct' (default), 'hypercube', "
-            "or 'grid'."
-        ),
-        knob="exchange_topology",
-    ),
-    ToggleSpec(
-        name="REPRO_WIRE_CHECKSUMS",
-        description=(
-            "CRC32 content seals on wire frames (StringBlock / "
-            "LcpCompressedBlock / RouteFrame); '1' opts in."
-        ),
-        knob="wire_checksums",
-    ),
-    ToggleSpec(
-        name="REPRO_SPMD_TIMEOUT",
-        description=(
-            "SPMD rank-program watchdog timeout in seconds (default 600); "
-            "read at every engine launch."
-        ),
-        knob="timeout",
-    ),
-    ToggleSpec(
-        name="REPRO_ENGINE",
-        description=(
-            "Default execution engine when none is requested explicitly: "
-            "'threads' (default) or 'processes'."
-        ),
-        knob="engine",
-    ),
-    ToggleSpec(
-        name="REPRO_TRACE",
-        description=(
-            "Per-rank phase/comm timeline tracing (repro.obs); '1' arms the "
-            "ring-buffer recorders and attaches a Timeline to the report."
-        ),
-        knob="trace",
-    ),
-)
-
-_BY_NAME: Dict[str, ToggleSpec] = {spec.name: spec for spec in REGISTRY}
+_TABLE = "repro.config.RunConfig"
 
 
 def find_env_reads(index: PackageIndex) -> List[Tuple[str, str, int]]:
-    """All literal ``REPRO_*`` environment reads: (name, path, line).
+    """Literal ``REPRO_*`` environment reads outside the one reader.
 
-    Recognises ``os.environ.get(...)``, ``os.environ[...]``,
-    ``os.getenv(...)`` and the same spellings on a bare ``environ`` /
-    ``getenv`` import.  Non-literal names are invisible to this pass (and
-    to every other static consumer, which is why the convention bans
-    them).
+    Returns ``(name, path, line)`` triples.  Recognises
+    ``os.environ.get(...)``, ``os.environ[...]``, ``os.getenv(...)`` and
+    the same spellings on a bare ``environ`` / ``getenv`` import; the body
+    of ``RunConfig.from_env`` is skipped.  Non-literal names are invisible
+    to this pass (and to every other static consumer, which is why the
+    convention bans them).
     """
     reads: List[Tuple[str, str, int]] = []
     for module in sorted(index.modules):
         info = index.modules[module]
-        for node in ast.walk(info.tree):  # type: ignore[arg-type]
+        for node in _outside_the_reader(info.tree):  # type: ignore[arg-type]
             name = _env_read_name(node)
             if name is not None and name.startswith("REPRO_"):
                 reads.append((name, info.path, node.lineno))  # type: ignore[attr-defined]
-    return reads
+    return sorted(reads, key=lambda r: (r[1], r[2], r[0]))
+
+
+def _outside_the_reader(tree: ast.AST) -> Iterator[ast.AST]:
+    """Every node of ``tree`` except those inside ``RunConfig.from_env``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        reader = isinstance(node, ast.ClassDef) and node.name == "RunConfig"
+        for child in ast.iter_child_nodes(node):
+            if not (
+                reader
+                and isinstance(child, ast.FunctionDef)
+                and child.name == "from_env"
+            ):
+                stack.append(child)
 
 
 def _env_read_name(node: ast.AST) -> Optional[str]:
@@ -184,93 +119,56 @@ def _cluster_knobs(index: PackageIndex) -> Optional[List[str]]:
 
 
 def run_toggle_pass(
-    index: PackageIndex,
-    docs_text: Optional[str] = None,
-    full_tree: bool = True,
+    index: PackageIndex, docs_text: Optional[str] = None
 ) -> List[Finding]:
-    """Enforce the four toggle-hygiene invariants over the indexed tree.
+    """Enforce the three toggle-hygiene invariants over the indexed tree.
 
     ``docs_text`` is the content of ``docs/API.md`` (``None`` skips the
-    documentation rule, e.g. for installed trees without docs).
-    ``full_tree`` gates the stale-entry rule to whole-package scans.
+    documentation rule, e.g. for installed trees without docs); the knob
+    rule only runs when the tree contains ``Cluster``.
     """
     findings: List[Finding] = []
-    reads = find_env_reads(index)
-
-    for name, path, line in reads:
-        if name not in _BY_NAME:
-            findings.append(
-                Finding(
-                    rule="toggle-unregistered",
-                    path=path,
-                    line=line,
-                    message=(
-                        f"environment read of {name} has no entry in the "
-                        "central toggle registry "
-                        "(repro.analysis.toggles.REGISTRY); declare it with "
-                        "a description and Cluster knob mapping (or explicit "
-                        "exemption)"
-                    ),
-                    context=name,
-                )
+    for name, path, line in find_env_reads(index):
+        findings.append(
+            Finding(
+                rule="toggle-unregistered",
+                path=path,
+                line=line,
+                message=(
+                    f"environment read of {name} outside RunConfig.from_env; "
+                    f"declare the setting as a field of {_TABLE} instead"
+                ),
+                context=name,
             )
+        )
 
     knobs = _cluster_knobs(index)
-    registry_path = "repro.analysis.toggles.REGISTRY"
-    for spec in REGISTRY:
-        if docs_text is not None and spec.name not in docs_text:
+    for setting in fields(RunConfig):
+        env = setting.metadata["env"]
+        if docs_text is not None and env not in docs_text:
             findings.append(
                 Finding(
                     rule="toggle-undocumented",
                     path="docs/API.md",
                     line=1,
                     message=(
-                        f"registered toggle {spec.name} is not mentioned in "
-                        "docs/API.md; every toggle needs a documentation row"
+                        f"setting {setting.name} ({env}) is not mentioned in "
+                        "docs/API.md; every RunConfig field needs a row"
                     ),
-                    context=spec.name,
+                    context=env,
                 )
             )
-        if spec.knob is None:
-            if not spec.exempt_reason:
-                findings.append(
-                    Finding(
-                        rule="toggle-knob-missing",
-                        path=registry_path,
-                        line=1,
-                        message=(
-                            f"toggle {spec.name} declares neither a Cluster "
-                            "knob nor an exemption reason"
-                        ),
-                        context=spec.name,
-                    )
-                )
-        elif knobs is not None and spec.knob not in knobs:
+        if knobs is not None and setting.name not in knobs:
             findings.append(
                 Finding(
                     rule="toggle-knob-missing",
-                    path=registry_path,
+                    path=_TABLE,
                     line=1,
                     message=(
-                        f"toggle {spec.name} declares Cluster knob "
-                        f"{spec.knob!r}, but Cluster.__init__ has no such "
-                        "parameter"
+                        f"RunConfig field {setting.name!r} is not a "
+                        "Cluster.__init__ parameter"
                     ),
-                    context=spec.name,
-                )
-            )
-        if full_tree and spec.name not in {name for name, _, _ in reads}:
-            findings.append(
-                Finding(
-                    rule="toggle-stale",
-                    path=registry_path,
-                    line=1,
-                    message=(
-                        f"registered toggle {spec.name} has no environment "
-                        "read anywhere in the scanned tree; remove the stale "
-                        "registry entry"
-                    ),
-                    context=spec.name,
+                    context=env,
                 )
             )
     return findings

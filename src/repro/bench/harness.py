@@ -29,9 +29,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..dist.api import SortResult
-from ..dist.exchange import async_exchange_enabled, exchange_topology_name
 from ..net.cost_model import DEFAULT_MACHINE, MachineModel
-from ..strings.packed import packed_enabled
 from ..session import Cluster, SortSpec, default_registry
 from ..strings.lcp import dn_ratio, merge_lcp_statistics
 from ..strings.stringset import StringSet
@@ -264,13 +262,12 @@ class ExperimentRunner:
         (experiment, input_name) pair — sanitizing/joining cannot alias two
         distinct keys — together with everything that shapes a cell without
         appearing in the spec's ``config_hash``: the runner context
-        (input-generation ``seed``, ``machine`` model) and the effective
-        process-level execution toggles a spec may inherit
-        (``REPRO_EXCHANGE_TOPOLOGY`` / ``REPRO_ASYNC_EXCHANGE`` /
-        ``REPRO_PACKED``).  The toggle snapshot is conservative — a spec
-        that pins its own ``exchange_topology`` gets invalidated with the
-        globals too — which errs towards recomputing, never towards
-        serving a cell measured under different settings.
+        (input-generation ``seed``, ``machine`` model) and the
+        :class:`~repro.config.RunConfig` of the cluster that sorts the cell.
+        The whole config is hashed — a spec that pins its own
+        ``exchange_topology`` is invalidated with the cluster's too — which
+        errs towards recomputing, never towards serving a cell measured
+        under different settings.
         """
         if self.cache_dir is None:
             return None
@@ -280,11 +277,7 @@ class ExperimentRunner:
                 "input_name": input_name,
                 "seed": self.seed,
                 "machine": asdict(self.machine),
-                "context": {
-                    "exchange_topology": exchange_topology_name(),
-                    "async_exchange": async_exchange_enabled(),
-                    "packed": packed_enabled(),
-                },
+                "context": asdict(self.cluster_for(num_pes).config),
             },
             sort_keys=True,
         )
@@ -377,7 +370,7 @@ class ExperimentRunner:
         cell.extra["peak_rss_bytes"] = peak_rss_bytes()
         overlap = report.overlap_fraction("exchange")
         if overlap > 0.0:
-            # split-phase exchange runs (REPRO_ASYNC_EXCHANGE=1) record how
+            # split-phase exchange runs (async_exchange=True) record how
             # much of the delivery window was hidden behind merge preparation
             cell.extra["overlap_fraction"] = round(overlap, 4)
         if report.forwarded_bytes > 0:
@@ -392,7 +385,7 @@ class ExperimentRunner:
                 for stage, secs in sorted(report.barrier_wait_seconds.items())
             }
         if report.timeline is not None:
-            # traced runs (Cluster(trace=True) / REPRO_TRACE=1) carry the
+            # traced runs (trace=True) carry the
             # per-stage time series into the BENCH_* trajectory files
             stage_secs = report.timeline.stage_seconds(exclusive=True)
             cell.extra["stage_seconds"] = {

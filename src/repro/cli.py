@@ -296,8 +296,8 @@ def _run_sort(args, trace: Optional[bool]):
     data = _load_or_generate(args)
     spec = _spec_from_args(args)
     plan = _load_fault_plan(args.fault_plan)
-    # the flags only ever opt *in*: without them the REPRO_ASYNC_EXCHANGE /
-    # REPRO_TRACE environment settings (or the defaults, off) stay in charge
+    # the flags only ever opt *in*: without them the run configuration the
+    # environment asks for (or the defaults, off) stays in charge
     cluster = Cluster(
         num_pes=args.num_pes,
         engine=args.engine,
@@ -321,7 +321,7 @@ def _cmd_sort(args) -> int:
     report = result.report
     print(f"algorithm          : {result.algorithm}")
     print(f"config hash        : {spec.config_hash()}")
-    print(f"engine             : {cluster.engine_name}")
+    print(f"engine             : {cluster.config.engine}")
     print(f"simulated PEs      : {args.num_pes}")
     print(f"strings / chars    : {result.num_strings} / {result.num_chars}")
     print(f"input D/N          : {dn_ratio(data):.3f}")
@@ -330,15 +330,8 @@ def _cmd_sort(args) -> int:
         print(f"transported bytes  : {report.transported_bytes} "
               "(real pipe frames + shared-memory payloads)")
     if report.forwarded_bytes > 0:
-        from .dist.exchange import exchange_topology_name
-
-        # precedence mirrors the exchange itself: spec field, then the
-        # cluster-level flag, then the process-wide setting
-        topology = (
-            getattr(spec, "exchange_topology", None)
-            or args.exchange_topology
-            or exchange_topology_name()
-        )
+        # precedence mirrors the exchange itself: spec field, then the cluster
+        topology = spec.exchange_topology or cluster.config.exchange_topology
         print(f"origin bytes       : {report.origin_bytes_sent}")
         print(f"forwarded bytes    : {report.forwarded_bytes} "
               f"(multi-level routing, {topology})")
@@ -385,12 +378,12 @@ def _cmd_trace(args) -> int:
         meta={
             "algorithm": result.algorithm,
             "config_hash": spec.config_hash(),
-            "engine": cluster.engine_name,
+            "engine": cluster.config.engine,
             "num_strings": result.num_strings,
         },
     )
     print(f"algorithm          : {result.algorithm}")
-    print(f"engine             : {cluster.engine_name}")
+    print(f"engine             : {cluster.config.engine}")
     print(f"simulated PEs      : {args.num_pes}")
     print(f"trace spans        : {len(timeline.spans)} "
           f"({timeline.dropped_events} dropped)")

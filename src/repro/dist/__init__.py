@@ -30,27 +30,12 @@ from .api import (
     pdms_sort,
 )
 from .dn_estimator import DnEstimate, estimate_dn_ratio, recommend_algorithm
-from .exchange import (
-    async_exchange_enabled,
-    exchange_buckets,
-    exchange_buckets_async,
-    exchange_topology_name,
-    set_async_exchange,
-    set_exchange_topology,
-    use_async_exchange,
-    use_exchange_topology,
-)
+from .exchange import exchange_buckets, exchange_buckets_async
 from .prefix_doubling import PrefixDoublingResult, approximate_dist_prefixes
 
 __all__ = [
-    "async_exchange_enabled",
     "exchange_buckets",
     "exchange_buckets_async",
-    "set_async_exchange",
-    "use_async_exchange",
-    "exchange_topology_name",
-    "set_exchange_topology",
-    "use_exchange_topology",
     "RankOutput",
     "SortResult",
     "distribute_strings",

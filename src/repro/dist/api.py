@@ -45,17 +45,12 @@ from ..strings.packed import (
     PackedStringArray,
     clip_lcps,
     concat_runs,
-    packed_enabled,
     packed_lcp_array,
     sort_with_order,
     truncate,
 )
 from ..strings.stringset import StringSet, validate_strings
-from .exchange import (
-    async_exchange_enabled,
-    exchange_buckets,
-    exchange_buckets_async,
-)
+from .exchange import exchange_buckets, exchange_buckets_async
 from .hquick import hquick_sort
 from .partition import split_into_buckets
 from .prefix_doubling import approximate_dist_prefixes
@@ -163,14 +158,14 @@ def distribute_strings(
 def _local_sort(comm: Communicator, strings, sorter: str):
     """Step 1: sort this rank's block; packed in, packed out on the hot path.
 
-    Under ``REPRO_PACKED`` with the default ``msd_radix`` sorter the block
-    is lifted into a :class:`PackedStringArray` (zero-copy when it already
-    is one) and :func:`repro.sequential.msd_radix.msd_radix_sort` dispatches
-    to the vectorized fixed-width-key sorter — the sorted run and its LCP
-    array stay packed end-to-end.  Every other configuration runs the
-    original scalar sorters over ``list[bytes]``.
+    With ``comm.config.packed`` and the default ``msd_radix`` sorter the
+    block is lifted into a :class:`PackedStringArray` (zero-copy when it
+    already is one) and :func:`repro.sequential.msd_radix.msd_radix_sort`
+    dispatches to the vectorized fixed-width-key sorter — the sorted run and
+    its LCP array stay packed end-to-end.  Every other configuration runs
+    the original scalar sorters over ``list[bytes]``.
     """
-    hot = packed_enabled() and sorter == "msd_radix"
+    hot = comm.config.packed and sorter == "msd_radix"
     if isinstance(strings, PackedStringArray):
         if not hot:
             strings = strings.to_list()
@@ -183,14 +178,14 @@ def _local_sort(comm: Communicator, strings, sorter: str):
     return out, lcps
 
 
-def _as_hot_path(local_sorted, lcps):
-    """Lift a locally sorted run onto the packed hot path (when enabled).
+def _as_hot_path(comm: Communicator, local_sorted, lcps):
+    """Lift a locally sorted run onto the packed hot path (``comm.config.packed``).
 
     From here to the exchange everything — sampling, bucket boundaries,
     front coding, wire accounting — runs over the contiguous buffer; with
     the fast paths disabled the original ``list``-based code runs instead.
     """
-    if packed_enabled():
+    if comm.config.packed:
         return (
             PackedStringArray.from_strings(local_sorted),
             np.asarray(lcps, dtype=np.int64),
@@ -199,20 +194,19 @@ def _as_hot_path(local_sorted, lcps):
 
 
 def _exchange(comm: Communicator, buckets, **kwargs):
-    """Run the bucket exchange, split-phase when globally enabled.
+    """Run the bucket exchange, split-phase with ``comm.config.async_exchange``.
 
-    With :func:`repro.dist.exchange.async_exchange_enabled` the split-phase
-    generator is consumed in arrival order — each run is decoded (and its
-    slot in the merge input prepared) while later buckets are still in
-    flight, which is where the recorded overlap comes from.  The returned
+    Split-phase, the generator is consumed in arrival order — each run is
+    decoded (and its slot in the merge input prepared) while later buckets
+    are still in flight, which is where the recorded overlap comes from.  The returned
     list is indexed by source PE either way, so the downstream merge — and
     therefore the sorted output, LCP arrays and traffic accounting — is
     bit-identical across both paths.  The ``topology`` keyword (a spec's
-    ``exchange_topology``, usually ``None`` = inherit the process/cluster
-    setting) selects direct or multi-level routed delivery; it changes the
-    measured routing volume, never the decoded runs.
+    ``exchange_topology``, usually ``None`` = the run's setting) selects
+    direct or multi-level routed delivery; it changes the measured routing
+    volume, never the decoded runs.
     """
-    if not async_exchange_enabled():
+    if not comm.config.async_exchange:
         return exchange_buckets(comm, buckets, **kwargs)
     received: List[Any] = [None] * comm.size
     for item in exchange_buckets_async(comm, buckets, **kwargs):
@@ -232,7 +226,7 @@ def ms_sort(
     (Step 4) — on for MS and off for MS-simple.
     """
     local_sorted, lcps = _local_sort(comm, strings, spec.local_sorter)
-    local_view, lcps_view = _as_hot_path(local_sorted, lcps)
+    local_view, lcps_view = _as_hot_path(comm, local_sorted, lcps)
     splitters = determine_splitters(
         comm,
         local_view,
@@ -284,7 +278,7 @@ def fkmerge_sort(
     its ``local_sorter``, ``oversampling`` and ``exchange_topology`` are read.
     """
     local_sorted, lcps = _local_sort(comm, strings, spec.local_sorter)
-    local_view, lcps_view = _as_hot_path(local_sorted, lcps)
+    local_view, lcps_view = _as_hot_path(comm, local_sorted, lcps)
     splitters = determine_splitters(
         comm,
         local_view,
@@ -448,7 +442,7 @@ class SortResult:
         The fraction of the split-phase exchange window the PEs spent
         decoding and preparing the merge while deliveries were still in
         flight.  0.0 for the bulk-synchronous path (the default; enable the
-        split-phase exchange with ``REPRO_ASYNC_EXCHANGE=1`` or
-        :func:`repro.dist.exchange.use_async_exchange`).
+        split-phase exchange with ``Cluster(async_exchange=True)`` or
+        ``REPRO_ASYNC_EXCHANGE=1``).
         """
         return self.report.overlap_fraction("exchange")

@@ -26,22 +26,17 @@ way — the benchmark suite pins this across all six algorithms.
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import contextmanager
 from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..faults.checksum import (
-    CHECKSUM_WIRE_BYTES,
-    block_checksum,
-    wire_checksums_enabled,
-)
 from ..faults.errors import CorruptFrameError
 from ..mpi.comm import Communicator, waitany
 from ..mpi.serialization import (
+    CHECKSUM_WIRE_BYTES,
     WireSized,
+    block_checksum,
     packed_wire_bytes,
     varint_size,
     varint_total,
@@ -49,12 +44,9 @@ from ..mpi.serialization import (
 )
 from ..net.router import (
     ExchangeTopology,
-    exchange_topology_name,
     resolve_topology,
     routed_exchange,
     routed_exchange_iter,
-    set_exchange_topology,
-    use_exchange_topology,
 )
 from ..strings.lcp import lcp_array
 from ..strings.packed import (
@@ -68,55 +60,12 @@ __all__ = [
     "LcpCompressedBlock",
     "exchange_buckets",
     "exchange_buckets_async",
-    "async_exchange_enabled",
-    "set_async_exchange",
-    "use_async_exchange",
-    "exchange_topology_name",
-    "set_exchange_topology",
-    "use_exchange_topology",
 ]
 
 # tag base for the split-phase exchange, outside the ranges hquick claims
 # (100/200/300 + dimension), so mixed SPMD programs keep the engine's
 # tag-ordering diagnostics meaningful
 _TAG_ASYNC_EXCHANGE = 450
-
-_ASYNC_ENABLED = os.environ.get("REPRO_ASYNC_EXCHANGE", "0").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-    "on",
-)
-
-
-def async_exchange_enabled() -> bool:
-    """Whether the rank programs in :mod:`repro.dist.api` exchange split-phase.
-
-    Defaults to the ``REPRO_ASYNC_EXCHANGE`` environment variable (off unless
-    set to ``1``/``true``/``yes``/``on``).  The toggle changes *when* work
-    happens, never *what* is computed: outputs, LCP arrays and wire-byte
-    accounting are bit-identical either way (pinned by
-    ``tests/test_async_exchange.py`` across all six algorithms).
-    """
-    return _ASYNC_ENABLED
-
-
-def set_async_exchange(flag: bool) -> bool:
-    """Enable/disable the split-phase exchange; returns the previous setting."""
-    global _ASYNC_ENABLED
-    previous = _ASYNC_ENABLED
-    _ASYNC_ENABLED = bool(flag)
-    return previous
-
-
-@contextmanager
-def use_async_exchange(flag: bool):
-    """Context manager form of :func:`set_async_exchange` (for tests/benchmarks)."""
-    previous = set_async_exchange(flag)
-    try:
-        yield
-    finally:
-        set_async_exchange(previous)
 
 Strings = Union[Sequence[bytes], PackedStringArray]
 Lcps = Union[Sequence[int], np.ndarray, None]
@@ -125,14 +74,14 @@ Lcps = Union[Sequence[int], np.ndarray, None]
 class StringBlock(WireSized):
     """One bucket sent verbatim, optionally together with its LCP array.
 
-    When wire checksums are enabled (``REPRO_WIRE_CHECKSUMS`` /
-    :func:`repro.faults.set_wire_checksums`) the block is *sealed* at
-    construction: a CRC32 of its content travels with it (4 extra wire
-    bytes) and :meth:`decode` / :meth:`decode_run` verify the seal, raising
-    :class:`~repro.faults.errors.CorruptFrameError` on mismatch.
+    With ``seal`` (the exchange passes ``comm.config.wire_checksums``) the
+    block is *sealed* at construction: a CRC32 of its content travels with
+    it (4 extra wire bytes) and :meth:`decode` / :meth:`decode_run` verify
+    the seal, raising :class:`~repro.faults.errors.CorruptFrameError` on
+    mismatch.
     """
 
-    def __init__(self, strings: Strings, lcps: Lcps = None):
+    def __init__(self, strings: Strings, lcps: Lcps = None, seal: bool = False):
         if lcps is not None and len(strings) != len(lcps):
             raise ValueError("strings and lcps must have equal length")
         if isinstance(strings, PackedStringArray):
@@ -143,9 +92,7 @@ class StringBlock(WireSized):
             self._packed = None
             self.strings = list(strings)
             self.lcps = list(lcps) if lcps is not None else None
-        self._crc: Optional[int] = (
-            self._compute_crc() if wire_checksums_enabled() else None
-        )
+        self._crc: Optional[int] = self._compute_crc() if seal else None
 
     def _compute_crc(self) -> int:
         """CRC32 of the block's content, recomputed from scratch (bulk)."""
@@ -211,20 +158,18 @@ class LcpCompressedBlock(WireSized):
     """One bucket with LCP front coding: ``(lcp, suffix-past-lcp)`` per string.
 
     Like :class:`StringBlock`, the block is sealed with a content CRC32 when
-    wire checksums are enabled, verified at decode time (4 extra wire bytes;
+    built with ``seal``, verified at decode time (4 extra wire bytes;
     :class:`~repro.faults.errors.CorruptFrameError` on mismatch).  The seal
     covers the front-coded wire form — LCPs and suffixes — not the
     zero-copy ``original`` reference.
     """
 
-    def __init__(self, entries: Sequence[Tuple[int, bytes]]):
+    def __init__(self, entries: Sequence[Tuple[int, bytes]], seal: bool = False):
         self.entries: Optional[List[Tuple[int, bytes]]] = list(entries)
         self._lcps: Optional[np.ndarray] = None
         self._suffixes: Optional[PackedStringArray] = None
         self._original: Optional[PackedStringArray] = None
-        self._crc: Optional[int] = (
-            self._compute_crc() if wire_checksums_enabled() else None
-        )
+        self._crc: Optional[int] = self._compute_crc() if seal else None
 
     def _compute_crc(self) -> int:
         """CRC32 of the front-coded wire content, recomputed from scratch.
@@ -254,8 +199,10 @@ class LcpCompressedBlock(WireSized):
             )
 
     @classmethod
-    def encode(cls, strings: Strings, lcps: Lcps) -> "LcpCompressedBlock":
-        """Front-code a sorted run with its LCP array.
+    def encode(
+        cls, strings: Strings, lcps: Lcps, seal: bool = False
+    ) -> "LcpCompressedBlock":
+        """Front-code a sorted run with its LCP array (sealed with ``seal``).
 
         The first string always travels in full; LCP values are clipped
         defensively (an LCP can never exceed either neighbour).  Packed
@@ -274,7 +221,7 @@ class LcpCompressedBlock(WireSized):
             blk.entries = None
             blk._lcps, blk._suffixes = front_code(strings, lcps)
             blk._original = strings
-            blk._crc = blk._compute_crc() if wire_checksums_enabled() else None
+            blk._crc = blk._compute_crc() if seal else None
             return blk
         entries: List[Tuple[int, bytes]] = []
         prev_len = 0
@@ -282,7 +229,7 @@ class LcpCompressedBlock(WireSized):
             h = 0 if i == 0 else min(h, len(s), prev_len)
             entries.append((h, s[h:]))
             prev_len = len(s)
-        return cls(entries)
+        return cls(entries, seal)
 
     def __len__(self) -> int:
         if self._suffixes is not None:
@@ -370,17 +317,22 @@ def _validate_buckets(
 
 
 def _encode_blocks(
+    comm: Communicator,
     buckets: Sequence[Tuple[Strings, Lcps]],
     lcp_compression: bool,
     ship_lcps: bool,
 ) -> List[WireSized]:
-    """Encode per-destination buckets into wire blocks (shared by both paths)."""
+    """Encode per-destination buckets into wire blocks (shared by both paths).
+
+    The blocks are sealed when the run says so (``comm.config.wire_checksums``).
+    """
+    seal = comm.config.wire_checksums
     if lcp_compression:
         return [
-            LcpCompressedBlock.encode(strings, lcps) for strings, lcps in buckets
+            LcpCompressedBlock.encode(strings, lcps, seal) for strings, lcps in buckets
         ]
     return [
-        StringBlock(strings, lcps if ship_lcps and lcps is not None else None)
+        StringBlock(strings, lcps if ship_lcps and lcps is not None else None, seal)
         for strings, lcps in buckets
     ]
 
@@ -413,18 +365,16 @@ def exchange_buckets(
     ``topology`` selects the delivery strategy (Section II): ``"direct"``
     (one message per destination — the default), ``"hypercube"`` or
     ``"grid"`` (multi-level store-and-forward routing through
-    :mod:`repro.net.router`), or ``None`` to inherit the process-wide
-    setting (``REPRO_EXCHANGE_TOPOLOGY`` /
-    :func:`use_exchange_topology`, scoped per session by
-    :class:`repro.session.Cluster`).  Routing changes startup counts and the
+    :mod:`repro.net.router`), or ``None`` for the run's setting
+    (``comm.config.exchange_topology``).  Routing changes startup counts and the
     measured total volume (forwarded bytes are attributed separately) but
     never the decoded runs or the origin wire bytes.
     """
     _validate_buckets(comm, buckets, payloads)
-    topo = resolve_topology(topology)
+    topo = resolve_topology(topology, comm)
 
     with comm.phase("exchange"):
-        blocks = _encode_blocks(buckets, lcp_compression, ship_lcps)
+        blocks = _encode_blocks(comm, buckets, lcp_compression, ship_lcps)
         if payloads is None:
             messages: List[Any] = list(blocks)
         else:
@@ -493,7 +443,7 @@ def exchange_buckets_async(
     blocking routed path.
     """
     _validate_buckets(comm, buckets, payloads)
-    topo = resolve_topology(topology)
+    topo = resolve_topology(topology, comm)
     if not topo.is_direct:
         yield from _routed_exchange_async(
             comm, topo, buckets, lcp_compression, payloads, ship_lcps
@@ -502,7 +452,7 @@ def exchange_buckets_async(
 
     with comm.phase("exchange"):
         window_start = time.perf_counter()
-        blocks = _encode_blocks(buckets, lcp_compression, ship_lcps)
+        blocks = _encode_blocks(comm, buckets, lcp_compression, ship_lcps)
         if payloads is None:
             messages: List[Any] = list(blocks)
         else:
@@ -584,7 +534,7 @@ def _routed_exchange_async(
     which is exactly the window the router meters as overlap.
     """
     with comm.phase("exchange"):
-        blocks = _encode_blocks(buckets, lcp_compression, ship_lcps)
+        blocks = _encode_blocks(comm, buckets, lcp_compression, ship_lcps)
         if payloads is None:
             messages: List[Any] = list(blocks)
         else:

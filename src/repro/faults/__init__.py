@@ -10,14 +10,7 @@ retries (:meth:`repro.session.Cluster.sort` ``max_retries``) recover.  See
 machine and the recovery guarantees table.
 """
 
-from .checksum import (
-    block_checksum,
-    CHECKSUM_WIRE_BYTES,
-    payload_checksum,
-    set_wire_checksums,
-    use_wire_checksums,
-    wire_checksums_enabled,
-)
+from ..mpi.serialization import CHECKSUM_WIRE_BYTES, block_checksum, payload_checksum
 from .errors import CorruptFrameError, FaultError, LostMessageError, RankCrashError
 from .inject import FaultAction, FaultInjector
 from .plan import FAULT_KINDS, FaultPlan, FaultRule
@@ -38,7 +31,4 @@ __all__ = [
     "CHECKSUM_WIRE_BYTES",
     "block_checksum",
     "payload_checksum",
-    "wire_checksums_enabled",
-    "set_wire_checksums",
-    "use_wire_checksums",
 ]

@@ -7,7 +7,6 @@ from .engine import (
     ThreadEngine,
     get_engine,
     register_engine,
-    resolve_engine_name,
     run_spmd,
 )
 from .procengine import ProcessEngine, process_engine_available
@@ -31,7 +30,6 @@ __all__ = [
     "run_spmd",
     "register_engine",
     "get_engine",
-    "resolve_engine_name",
     "wire_size",
     "varint_size",
     "WireSized",

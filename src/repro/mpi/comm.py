@@ -23,7 +23,10 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
+
+if TYPE_CHECKING:
+    from ..config import RunConfig
 
 __all__ = ["Communicator", "ReduceOp", "Request", "waitall", "waitany"]
 
@@ -112,6 +115,9 @@ class Communicator:
     # subclasses set these in __init__
     rank: int
     size: int
+    #: the run configuration the rank programs read (packed path, exchange
+    #: mode, topology, seals); the engine supplies it
+    config: RunConfig
 
     # ------------------------------------------------------------------ identity
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

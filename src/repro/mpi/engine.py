@@ -28,7 +28,6 @@ Typical use::
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
@@ -36,6 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
+from ..config import RunConfig
 from ..faults.errors import (
     CorruptFrameError,
     FaultError,
@@ -46,7 +46,7 @@ from ..faults.inject import FaultInjector
 from ..faults.plan import FaultPlan
 from ..faults.wire import Envelope, envelope_overhead
 from ..net.metrics import TrafficMeter, TrafficReport
-from ..obs.recorder import DEFAULT_CAPACITY, Recorder, resolve_trace
+from ..obs.recorder import DEFAULT_CAPACITY, Recorder
 from ..obs.timeline import Timeline
 from .comm import Communicator, ReduceOp, Request
 from .serialization import payload_checksum, wire_size
@@ -57,41 +57,10 @@ __all__ = [
     "ThreadEngine",
     "SpmdError",
     "run_spmd",
-    "default_timeout",
     "ENGINES",
     "get_engine",
     "register_engine",
-    "resolve_engine_name",
 ]
-
-# Default ceiling on how long a rank may wait inside a collective or recv
-# before the run is declared deadlocked.  Generous because local sorting of
-# large simulated inputs can legitimately take a while on one thread while
-# the others already sit in the next barrier.
-_DEFAULT_TIMEOUT = 600.0
-
-
-def default_timeout() -> float:
-    """The process-wide default deadlock timeout, in seconds.
-
-    Reads the ``REPRO_SPMD_TIMEOUT`` environment variable at every call (so
-    tests and deployments can adjust it without touching code); falls back
-    to 600 s.  Every layer that accepts ``timeout=None`` —
-    :class:`ThreadEngine`, :func:`run_spmd`, :class:`repro.session.Cluster`,
-    the CLI — resolves ``None`` through here.
-    """
-    raw = os.environ.get("REPRO_SPMD_TIMEOUT", "").strip()
-    if not raw:
-        return _DEFAULT_TIMEOUT
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SPMD_TIMEOUT must be a number of seconds, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise ValueError(f"REPRO_SPMD_TIMEOUT must be positive, got {raw!r}")
-    return value
 
 
 class SpmdError(RuntimeError):
@@ -125,7 +94,7 @@ class _SharedState:
 
     num_pes: int
     meter: TrafficMeter
-    timeout: float
+    config: RunConfig
     injector: Optional[FaultInjector] = None
     #: per-rank trace recorders of the *current* run (``None`` = tracing
     #: off); re-armed by the engine before every run, never reused across
@@ -162,7 +131,7 @@ class _SharedState:
         self.error_event.set()
         self.barrier.abort()
 
-    def reset(self, meter: TrafficMeter, timeout: float) -> None:
+    def reset(self, meter: TrafficMeter) -> None:
         """Re-arm a clean state for the next run on the same machine.
 
         Only valid after a successful run: the barrier is intact (a broken
@@ -171,7 +140,6 @@ class _SharedState:
         numbers, retransmit buffers, delay pens) starts fresh per run.
         """
         self.meter = meter
-        self.timeout = timeout
         self.board = [None] * self.num_pes
         self.error_event = threading.Event()
         self.errors = []
@@ -260,7 +228,7 @@ class _RecvRequest(Request):
             comm._match_pending_recvs(self.source)
             if self._done:
                 return True
-        if time.monotonic() - self._posted > comm._state.timeout:
+        if time.monotonic() - self._posted > comm.config.timeout:
             message = (
                 f"rank {comm.rank}: timed out waiting for a message "
                 f"from rank {self.source} (tag {self.tag})"
@@ -343,10 +311,13 @@ class MeteredComm(Communicator):
         rank: int,
         size: int,
         fault: bool,
+        config: RunConfig,
         recorder: Optional[Recorder] = None,
     ):
         self.rank = rank
         self.size = size
+        #: the run configuration of the engine this rank runs on
+        self.config = config
         self._phase = "unlabelled"
         #: this rank's trace recorder, or ``None`` with tracing off — every
         #: instrumentation site is a single ``is None`` test, so the traced
@@ -783,6 +754,7 @@ class ThreadComm(MeteredComm):
             rank,
             state.num_pes,
             fault=state.injector is not None,
+            config=state.config,
             recorder=state.recorders[rank] if state.recorders else None,
         )
         self._state = state
@@ -809,7 +781,7 @@ class ThreadComm(MeteredComm):
     # ------------------------------------------------------------------ low-level sync
     def _barrier_wait(self) -> None:
         try:
-            self._state.barrier.wait(timeout=self._state.timeout)
+            self._state.barrier.wait(timeout=self.config.timeout)
         except threading.BrokenBarrierError:
             raise SpmdError(
                 f"rank {self.rank}: SPMD run aborted "
@@ -997,9 +969,10 @@ class ThreadEngine:
     rebuilds it.
 
     This class is also the **engine selection seam**: alternative backends
-    (e.g. a future mpi4py process engine) implement the same two-method
-    surface (``__init__(num_pes, timeout=...)`` + :meth:`run`) and register
-    under a name via :func:`register_engine`.
+    implement the same surface (``__init__(num_pes, config=...,
+    fault_plan=...)`` + :meth:`run`) and register under a name via
+    :func:`register_engine`.  ``config=None`` means
+    :meth:`RunConfig.from_env`.
     """
 
     #: registry name of this backend
@@ -1008,19 +981,15 @@ class ThreadEngine:
     def __init__(
         self,
         num_pes: int,
-        timeout: Optional[float] = None,
+        config: Optional[RunConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
-        trace: Optional[bool] = None,
         trace_capacity: int = DEFAULT_CAPACITY,
     ):
         if num_pes <= 0:
             raise ValueError("num_pes must be positive")
         self.num_pes = num_pes
-        # None -> the process-wide default (REPRO_SPMD_TIMEOUT env or 600 s)
-        self.timeout = default_timeout() if timeout is None else timeout
-        #: whether runs record per-rank trace timelines (explicit flag >
-        #: ``REPRO_TRACE`` env > off); see :mod:`repro.obs`
-        self.trace = resolve_trace(trace)
+        #: the run configuration every rank sees as ``comm.config``
+        self.config = RunConfig.from_env() if config is None else config
         self.trace_capacity = trace_capacity
         #: the installed chaos schedule, or None for the zero-overhead path
         self.fault_plan = fault_plan
@@ -1039,15 +1008,15 @@ class ThreadEngine:
         #: runs that reused the previous run's shared state (machine reuse)
         self.state_reuses = 0
 
-    def _acquire_state(self, meter: TrafficMeter, timeout: float) -> _SharedState:
+    def _acquire_state(self, meter: TrafficMeter) -> _SharedState:
         if self._state is not None and self._state.is_clean():
-            self._state.reset(meter, timeout)
+            self._state.reset(meter)
             self.state_reuses += 1
             return self._state
         return _SharedState(
             num_pes=self.num_pes,
             meter=meter,
-            timeout=timeout,
+            config=self.config,
             injector=self._injector,
         )
 
@@ -1057,7 +1026,6 @@ class ThreadEngine:
         args_per_rank: Optional[Sequence[Tuple]] = None,
         common_args: Tuple = (),
         meter: Optional[TrafficMeter] = None,
-        timeout: Optional[float] = None,
     ) -> Tuple[List[Any], TrafficReport]:
         """Run ``fn(comm, *rank_args, *common_args)`` on every simulated PE.
 
@@ -1074,9 +1042,6 @@ class ThreadEngine:
         meter:
             Optional externally created :class:`TrafficMeter` (useful when a
             caller aggregates several phases); a fresh one by default.
-        timeout:
-            Deadlock-detection timeout per blocking operation, in seconds
-            (defaults to the engine's timeout).
 
         Returns
         -------
@@ -1091,10 +1056,7 @@ class ThreadEngine:
         meter = meter if meter is not None else TrafficMeter(num_pes)
         meter.engine = self.name
         with self._run_lock:
-            return self._run_locked(
-                fn, args_per_rank, common_args, meter,
-                self.timeout if timeout is None else timeout,
-            )
+            return self._run_locked(fn, args_per_rank, common_args, meter)
 
     def _run_locked(
         self,
@@ -1102,13 +1064,12 @@ class ThreadEngine:
         args_per_rank: Optional[Sequence[Tuple]],
         common_args: Tuple,
         meter: TrafficMeter,
-        timeout: float,
     ) -> Tuple[List[Any], TrafficReport]:
         num_pes = self.num_pes
-        state = self._acquire_state(meter, timeout)
+        state = self._acquire_state(meter)
         state.recorders = (
             [Recorder(rank, capacity=self.trace_capacity) for rank in range(num_pes)]
-            if self.trace
+            if self.config.trace
             else None
         )
         recorders = state.recorders
@@ -1170,19 +1131,18 @@ class ThreadEngine:
         self._state = None
 
 
-#: engine name -> factory (``factory(num_pes, timeout=...)``)
+#: engine name -> factory (``factory(num_pes, config=..., fault_plan=...)``)
 ENGINES: Dict[str, Callable[..., ThreadEngine]] = {"threads": ThreadEngine}
 
 
 def register_engine(name: str, factory: Callable[..., Any]) -> None:
     """Register an execution backend under ``name`` (e.g. a future ``"mpi"``).
 
-    ``factory(num_pes, timeout=...)`` must return an object with the
-    :class:`ThreadEngine` surface (a ``run`` method with the same signature).
-    Backends that support chaos testing additionally accept the optional
-    ``fault_plan=`` keyword (a :class:`repro.faults.FaultPlan`); callers
-    only pass it when a plan is actually installed, so factories without
-    the seam keep working.
+    ``factory(num_pes, config=..., fault_plan=...)`` must return an object
+    with the :class:`ThreadEngine` surface (a ``run`` method with the same
+    signature) whose communicators expose ``config`` (a
+    :class:`~repro.config.RunConfig`).  ``fault_plan`` is a
+    :class:`repro.faults.FaultPlan` or ``None``.
     """
     if not name:
         raise ValueError("engine name must be a non-empty string")
@@ -1202,21 +1162,6 @@ def get_engine(name: str) -> Callable[..., Any]:
         ) from None
 
 
-def resolve_engine_name(name: Optional[str] = None) -> str:
-    """Resolve an engine name: explicit > ``REPRO_ENGINE`` env > ``"threads"``.
-
-    The single resolution rule every entry point shares —
-    :class:`repro.session.Cluster`, :func:`run_spmd` and the CLI's
-    ``--engine`` flag all pass their (possibly ``None``) engine argument
-    through here, so exporting ``REPRO_ENGINE=processes`` switches a whole
-    test run onto the multiprocessing backend without touching code.
-    """
-    if name:
-        return name
-    env = os.environ.get("REPRO_ENGINE", "").strip()
-    return env or "threads"
-
-
 def run_spmd(
     num_pes: int,
     fn: Callable[..., Any],
@@ -1233,22 +1178,17 @@ def run_spmd(
     The one-shot convenience wrapper around an execution engine (which
     long-lived callers — e.g. :class:`repro.session.Cluster` — hold on to
     for machine reuse); see :meth:`ThreadEngine.run` for the parameters.
-    ``timeout=None`` resolves via :func:`default_timeout` (the
-    ``REPRO_SPMD_TIMEOUT`` environment variable, or 600 s); ``fault_plan``
-    installs a :class:`repro.faults.FaultPlan` chaos schedule; ``engine``
-    picks the backend by registry name via :func:`resolve_engine_name`
-    (``None`` honours ``REPRO_ENGINE``, default ``"threads"``); ``trace``
-    arms per-rank timeline recording (``None`` honours ``REPRO_TRACE`` —
-    and, like ``fault_plan``, the keyword is only forwarded when set, so
-    third-party factories without the seam keep working).
+    The run configuration is :meth:`RunConfig.from_env` with every
+    non-``None`` ``timeout``, ``engine`` and ``trace`` applied;
+    ``fault_plan`` installs a :class:`repro.faults.FaultPlan` chaos
+    schedule.
     """
-    factory = get_engine(resolve_engine_name(engine))
-    kwargs: Dict[str, Any] = {"timeout": timeout}
-    if fault_plan is not None:
-        kwargs["fault_plan"] = fault_plan
-    if trace is not None:
-        kwargs["trace"] = trace
-    backend = factory(num_pes, **kwargs)
+    config = RunConfig.from_env().override(
+        timeout=timeout, engine=engine, trace=trace
+    )
+    backend = get_engine(config.engine)(
+        num_pes, config=config, fault_plan=fault_plan
+    )
     try:
         return backend.run(
             fn, args_per_rank=args_per_rank, common_args=common_args, meter=meter

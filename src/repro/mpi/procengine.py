@@ -23,11 +23,11 @@ or the CLI's ``--engine processes``) and implements the full
   advanced by exactly one process and the parent can merge the forked
   schedule states back losslessly after the run.
 
-Workers are forked per run: rank programs, closures and the session's
-process-global toggles (``REPRO_PACKED`` etc.) are inherited, never
-pickled.  The parent absorbs each worker's full-size traffic meter into the
-caller's meter, merges injector state, joins the children and sweeps any
-shared-memory debris — :meth:`ProcessEngine.shutdown` is idempotent and the
+Workers are forked per run: rank programs, closures and the engine's
+:class:`~repro.config.RunConfig` are inherited, never pickled.  The parent
+absorbs each worker's full-size traffic meter into the caller's meter,
+merges injector state, joins the children and sweeps any shared-memory
+debris — :meth:`ProcessEngine.shutdown` is idempotent and the
 leak-check fixture in ``tests/conftest.py`` holds the engine to that
 contract.
 """
@@ -43,12 +43,13 @@ from collections import deque
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
+from ..config import RunConfig
 from ..faults.errors import LostMessageError
 from ..faults.inject import FaultInjector
 from ..faults.plan import FaultPlan
 from ..faults.wire import Envelope, envelope_overhead
 from ..net.metrics import TrafficMeter, TrafficReport
-from ..obs.recorder import DEFAULT_CAPACITY, Recorder, resolve_trace
+from ..obs.recorder import DEFAULT_CAPACITY, Recorder
 from ..obs.timeline import Timeline
 from . import shm
 from .comm import Request
@@ -57,7 +58,6 @@ from .engine import (
     SpmdError,
     _FaultChannel,
     _SendRequest,
-    default_timeout,
 )
 from .serialization import payload_checksum, wire_size
 
@@ -136,7 +136,7 @@ class _ProcRecvRequest(Request):
             )
             comm._fail(exc)
             raise exc
-        if time.monotonic() - self._posted > comm._timeout:
+        if time.monotonic() - self._posted > comm.config.timeout:
             message = (
                 f"rank {comm.rank}: timed out waiting for a message "
                 f"from rank {self.source} (tag {self.tag})"
@@ -177,19 +177,20 @@ class ProcComm(MeteredComm):
         error_event: Any,
         meter: TrafficMeter,
         injector: Optional[FaultInjector],
-        timeout: float,
+        config: RunConfig,
         shm_prefix: str,
         shm_threshold: int,
         recorder: Optional[Recorder] = None,
     ):
-        super().__init__(rank, size, fault=injector is not None, recorder=recorder)
+        super().__init__(
+            rank, size, fault=injector is not None, config=config, recorder=recorder
+        )
         self._peer_conns = peer_conns
         self._error_event = error_event
         # when this rank first aborted the run (None: it has not)
         self._failed_at: Optional[float] = None
         self._meter_obj = meter
         self._injector_obj = injector
-        self._timeout = timeout
         self._shm_prefix = shm_prefix
         self._shm_threshold = shm_threshold
         self._shm_counter = 0
@@ -283,7 +284,7 @@ class ProcComm(MeteredComm):
     def _await_coll(self, src: int, seq: int) -> Any:
         """Wait for collective step ``seq`` from ``src`` (deadlock-clocked)."""
         stash = self._coll_stash.setdefault(src, {})
-        deadline = time.monotonic() + self._timeout
+        deadline = time.monotonic() + self.config.timeout
         while seq not in stash:
             self._check_abort(f"collective step {seq} from rank {src}")
             if not self._service(src, 0.05):
@@ -553,10 +554,9 @@ def _worker_main(
     args_per_rank: Optional[Sequence[Tuple]],
     common_args: Tuple,
     injector: Optional[FaultInjector],
-    timeout: float,
+    config: RunConfig,
     shm_prefix: str,
     shm_threshold: int,
-    trace: bool = False,
     trace_capacity: int = DEFAULT_CAPACITY,
 ) -> None:
     """Entry point of one forked rank worker.
@@ -588,7 +588,7 @@ def _worker_main(
         if r != rank:
             conn.close()
     meter = TrafficMeter(size)
-    recorder = Recorder(rank, capacity=trace_capacity) if trace else None
+    recorder = Recorder(rank, capacity=trace_capacity) if config.trace else None
     comm = ProcComm(
         rank,
         size,
@@ -596,7 +596,7 @@ def _worker_main(
         error_event,
         meter,
         injector,
-        timeout,
+        config,
         shm_prefix,
         shm_threshold,
         recorder=recorder,
@@ -648,10 +648,10 @@ class ProcessEngine:
     with the same engine surface (``run``, ``shutdown``, ``_injector``,
     ``runs_completed``) registered as ``"processes"``.  Workers are forked
     per run — fork (required; see :func:`process_engine_available`) lets
-    rank programs be arbitrary closures and carries the session's
-    process-global toggles and the engine's fault injector into the workers
-    without pickling.  Conformance with the thread engine — bit-identical
-    outputs, LCPs, origin wire bytes and config hashes — is pinned by
+    rank programs be arbitrary closures and carries the engine's run
+    configuration and fault injector into the workers without pickling.
+    Conformance with the thread engine — bit-identical outputs, LCPs,
+    origin wire bytes and config hashes — is pinned by
     ``tests/test_engine_conformance.py``.
     """
 
@@ -661,10 +661,9 @@ class ProcessEngine:
     def __init__(
         self,
         num_pes: int,
-        timeout: Optional[float] = None,
+        config: Optional[RunConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
         shm_threshold: Optional[int] = None,
-        trace: Optional[bool] = None,
         trace_capacity: int = DEFAULT_CAPACITY,
     ):
         ok, reason = process_engine_available()
@@ -673,10 +672,8 @@ class ProcessEngine:
         if num_pes <= 0:
             raise ValueError("num_pes must be positive")
         self.num_pes = num_pes
-        self.timeout = default_timeout() if timeout is None else timeout
-        #: whether runs record per-rank trace timelines (explicit flag >
-        #: ``REPRO_TRACE`` env > off); see :mod:`repro.obs`
-        self.trace = resolve_trace(trace)
+        #: the run configuration every rank sees as ``comm.config``
+        self.config = RunConfig.from_env() if config is None else config
         self.trace_capacity = trace_capacity
         #: the installed chaos schedule, or None for the zero-overhead path
         self.fault_plan = fault_plan
@@ -707,7 +704,6 @@ class ProcessEngine:
         args_per_rank: Optional[Sequence[Tuple]] = None,
         common_args: Tuple = (),
         meter: Optional[TrafficMeter] = None,
-        timeout: Optional[float] = None,
     ) -> Tuple[List[Any], TrafficReport]:
         """Run ``fn(comm, *rank_args, *common_args)`` on every PE process.
 
@@ -724,10 +720,7 @@ class ProcessEngine:
         meter = meter if meter is not None else TrafficMeter(num_pes)
         meter.engine = self.name
         with self._run_lock:
-            return self._run_locked(
-                fn, args_per_rank, common_args, meter,
-                self.timeout if timeout is None else timeout,
-            )
+            return self._run_locked(fn, args_per_rank, common_args, meter)
 
     def _run_locked(
         self,
@@ -735,9 +728,9 @@ class ProcessEngine:
         args_per_rank: Optional[Sequence[Tuple]],
         common_args: Tuple,
         meter: TrafficMeter,
-        timeout: float,
     ) -> Tuple[List[Any], TrafficReport]:
         num_pes = self.num_pes
+        timeout = self.config.timeout
         self._run_seq += 1
         prefix = f"{self._shm_prefix}-r{self._run_seq}"
         # start the resource tracker pre-fork so all workers share one
@@ -761,8 +754,8 @@ class ProcessEngine:
                 args=(
                     rank, num_pes, pair_conns, child_ends, error_event,
                     fn, args_per_rank, common_args, self._injector,
-                    timeout, prefix, self._shm_threshold,
-                    self.trace, self.trace_capacity,
+                    self.config, prefix, self._shm_threshold,
+                    self.trace_capacity,
                 ),
                 name=f"repro-pe-{rank}",
                 daemon=True,

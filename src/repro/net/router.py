@@ -40,19 +40,12 @@ construction the algebra the routed exchange executes.
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..faults.checksum import (
-    CHECKSUM_WIRE_BYTES,
-    payload_checksum,
-    wire_checksums_enabled,
-)
 from ..faults.errors import CorruptFrameError
-from ..mpi.serialization import varint_size
+from ..mpi.serialization import CHECKSUM_WIRE_BYTES, payload_checksum, varint_size
 from .topology import grid_dims, hypercube_dimension, is_power_of_two, partner
 
 __all__ = [
@@ -66,9 +59,6 @@ __all__ = [
     "TOPOLOGIES",
     "TOPOLOGY_NAMES",
     "resolve_topology",
-    "exchange_topology_name",
-    "set_exchange_topology",
-    "use_exchange_topology",
     "routed_exchange",
     "routed_exchange_iter",
 ]
@@ -87,7 +77,8 @@ class RouteFrame:
     the direct exchange moves blocks); ``nbytes`` is its exact wire size so
     every hop charges what a real store-and-forward implementation would.
 
-    When wire checksums are enabled the origin PE *seals* the frame — a
+    When the run seals its wire formats (``comm.config.wire_checksums``)
+    the origin PE *seals* the frame — a
     per-origin sequence number plus a CRC32 of the payload — and the
     destination PE verifies the seal on delivery (forwarders pass sealed
     frames through untouched, exactly like a real store-and-forward router
@@ -361,63 +352,24 @@ TOPOLOGIES: Dict[str, ExchangeTopology] = {
     t.name: t for t in (DirectTopology(), HypercubeTopology(), GridTopology())
 }
 
-#: the valid ``exchange_topology`` vocabulary (specs, CLI, env toggle)
+#: the valid ``exchange_topology`` vocabulary (specs, CLI, run config)
 TOPOLOGY_NAMES: Tuple[str, ...] = tuple(sorted(TOPOLOGIES))
-
-_TOPOLOGY_NAME = (
-    os.environ.get("REPRO_EXCHANGE_TOPOLOGY", "direct").strip().lower() or "direct"
-)
-
-
-def exchange_topology_name() -> str:
-    """The process-wide default delivery strategy of the bucket exchange.
-
-    Defaults to the ``REPRO_EXCHANGE_TOPOLOGY`` environment variable
-    (``direct`` unless set).  The strategy changes *how* buckets travel —
-    and therefore the measured total volume and startup counts — never what
-    is computed: outputs, LCP arrays and **origin** wire bytes are
-    bit-identical across strategies (pinned by
-    ``tests/test_exchange_topologies.py`` across all six algorithms).
-    """
-    return _TOPOLOGY_NAME
-
-
-def set_exchange_topology(name: str) -> str:
-    """Set the process-wide delivery strategy; returns the previous name."""
-    global _TOPOLOGY_NAME
-    if name not in TOPOLOGIES:
-        raise ValueError(
-            f"unknown exchange topology {name!r}; "
-            f"available: {list(TOPOLOGY_NAMES)}"
-        )
-    previous = _TOPOLOGY_NAME
-    _TOPOLOGY_NAME = name
-    return previous
-
-
-@contextmanager
-def use_exchange_topology(name: str):
-    """Context-manager form of :func:`set_exchange_topology` (tests, sessions)."""
-    previous = set_exchange_topology(name)
-    try:
-        yield
-    finally:
-        set_exchange_topology(previous)
 
 
 def resolve_topology(
-    topology: Union[str, ExchangeTopology, None],
+    topology: Union[str, ExchangeTopology, None], comm
 ) -> ExchangeTopology:
     """Resolve a topology argument to a strategy object.
 
-    ``None`` means "inherit the process-wide setting" (see
-    :func:`exchange_topology_name`), a string is looked up in
-    :data:`TOPOLOGIES`, and a ready :class:`ExchangeTopology` instance
-    passes through — the same three spellings
-    :func:`repro.dist.exchange.exchange_buckets` accepts.
+    ``None`` means the run's setting (``comm.config.exchange_topology``),
+    a string is looked up in :data:`TOPOLOGIES`, and a ready
+    :class:`ExchangeTopology` instance passes through — the same three
+    spellings :func:`repro.dist.exchange.exchange_buckets` accepts.  The
+    strategy changes how buckets travel, never the decoded runs or the
+    origin wire bytes.
     """
     if topology is None:
-        topology = _TOPOLOGY_NAME
+        topology = comm.config.exchange_topology
     if isinstance(topology, ExchangeTopology):
         return topology
     try:
@@ -470,13 +422,16 @@ def _post_round_sends(comm, topology, outgoing, p: int, k: int) -> List[Any]:
 
 
 def _prepare_frames(
-    comm, messages: Sequence[Any], sizes: Sequence[int]
+    comm, messages: Sequence[Any], sizes: Sequence[int], seal: bool
 ) -> Tuple[List[Tuple[int, Any]], List[RouteFrame], int]:
-    """Split per-destination messages into (already home, in transit, origin bytes)."""
+    """Split per-destination messages into (already home, in transit, origin bytes).
+
+    With ``seal`` every frame in transit carries a sequence number and the
+    CRC32 of its payload.
+    """
     ready: List[Tuple[int, Any]] = []
     transit: List[RouteFrame] = []
     origin_total = 0
-    seal = wire_checksums_enabled()
     seq = 0
     for dst, message in enumerate(messages):
         if dst == comm.rank:
@@ -513,7 +468,9 @@ def routed_exchange(
     """
     p, rank = comm.size, comm.rank
     received: List[Any] = [None] * p
-    ready, transit, origin_total = _prepare_frames(comm, messages, sizes)
+    ready, transit, origin_total = _prepare_frames(
+        comm, messages, sizes, comm.config.wire_checksums
+    )
     for src, payload in ready:
         received[src] = payload
     for k in range(topology.num_rounds(p)):
@@ -562,7 +519,9 @@ def routed_exchange_iter(
     """
     p, rank = comm.size, comm.rank
     window_start = time.perf_counter()
-    ready, transit, origin_total = _prepare_frames(comm, messages, sizes)
+    ready, transit, origin_total = _prepare_frames(
+        comm, messages, sizes, comm.config.wire_checksums
+    )
     overlapped = 0.0
 
     def drain_ready(outstanding: List[Any]) -> Iterator[Tuple[int, Any]]:

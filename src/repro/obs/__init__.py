@@ -22,7 +22,8 @@ labeled :class:`MetricsSnapshot` (strings/sec and peak RSS per stage,
 fault counters as series).
 
 Tracing is enabled by ``Cluster(trace=True)``, the ``REPRO_TRACE``
-environment toggle, or the CLI's ``--trace`` flag; see
+environment variable (:class:`repro.config.RunConfig`), or the CLI's
+``--trace`` flag; see
 ``docs/OBSERVABILITY.md`` for the span taxonomy and overhead bounds.
 """
 
@@ -33,16 +34,13 @@ from .exporters import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from .recorder import DEFAULT_CAPACITY, TRACE_ENV, Recorder, resolve_trace, trace_enabled
+from .recorder import DEFAULT_CAPACITY, Recorder
 from .registry import MetricsRegistry, MetricsSnapshot
 from .timeline import Instant, Span, Timeline
 
 __all__ = [
     "DEFAULT_CAPACITY",
-    "TRACE_ENV",
     "Recorder",
-    "resolve_trace",
-    "trace_enabled",
     "Span",
     "Instant",
     "Timeline",

@@ -29,47 +29,18 @@ thread.
 
 from __future__ import annotations
 
-import os
 import resource
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
-    "TRACE_ENV",
     "DEFAULT_CAPACITY",
-    "trace_enabled",
-    "resolve_trace",
     "Recorder",
 ]
-
-#: the environment toggle that arms tracing process-wide (see the central
-#: registry in :mod:`repro.analysis.toggles`); the per-cluster knob is
-#: ``Cluster(trace=...)``
-TRACE_ENV = "REPRO_TRACE"
 
 #: default ring capacity, per rank; at ~100 ns and ~100 bytes per event
 #: this bounds a rank's trace at a few MB and far outlasts a typical run
 DEFAULT_CAPACITY = 65536
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
-
-def trace_enabled() -> bool:
-    """Whether the ``REPRO_TRACE`` environment toggle arms tracing."""
-    return os.environ.get("REPRO_TRACE", "").strip().lower() in _TRUTHY
-
-
-def resolve_trace(flag: Optional[bool] = None) -> bool:
-    """Resolve a tracing request: explicit flag > ``REPRO_TRACE`` env > off.
-
-    The single resolution rule every entry point shares — the engines,
-    :class:`repro.session.Cluster` and the CLI's ``--trace`` flag all pass
-    their (possibly ``None``) trace argument through here, mirroring
-    :func:`repro.mpi.engine.resolve_engine_name`.
-    """
-    if flag is not None:
-        return bool(flag)
-    return trace_enabled()
 
 
 def _rss_bytes() -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..strings.packed import PackedStringArray, packed_enabled
+from ..strings.packed import PackedStringArray
 from .multikey_quicksort import multikey_quicksort
 from .stats import CharStats
 from .vector_sort import vector_sort_with_lcp
@@ -44,14 +44,14 @@ def msd_radix_sort(
     LCP insertion sort as base cases).  The produced LCP array comes at no
     extra asymptotic cost, exactly as described in the paper.
 
-    A :class:`repro.strings.packed.PackedStringArray` input under
-    ``REPRO_PACKED`` dispatches to the vectorized
+    A :class:`repro.strings.packed.PackedStringArray` input dispatches to
+    the vectorized
     :func:`repro.sequential.vector_sort.vector_sort_with_lcp` (returning a
     packed array + ``int64`` LCP array with bit-identical contents); its
     long-string fallback — and every ``list`` input — runs the scalar
     recursion below.
     """
-    if depth == 0 and packed_enabled() and isinstance(strings, PackedStringArray):
+    if depth == 0 and isinstance(strings, PackedStringArray):
         vectorized = vector_sort_with_lcp(strings, stats)
         if vectorized is not None:
             return vectorized

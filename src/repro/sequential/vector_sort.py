@@ -2,7 +2,7 @@
 
 The distributed algorithms spend Step 1 sorting each PE's block.  When the
 block arrives as a :class:`repro.strings.packed.PackedStringArray` (the hot
-path of ``REPRO_PACKED``), the whole sort can run inside numpy instead of
+path of a packed run configuration), the whole sort can run inside numpy instead of
 the per-string :mod:`repro.sequential.msd_radix` recursion:
 
 * NUL-free blocks sort through one stable ``np.argsort`` over a padded

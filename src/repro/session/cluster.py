@@ -2,9 +2,9 @@
 
 A :class:`Cluster` owns one execution engine (by default the thread-per-rank
 :class:`repro.mpi.engine.ThreadEngine`, whose shared machine state is reused
-across sorts) together with the per-cluster settings that used to live in
-process-global environment toggles (``REPRO_PACKED`` /
-``REPRO_ASYNC_EXCHANGE``).  Sorting goes through typed
+across sorts) together with its :class:`~repro.config.RunConfig`, resolved
+once at construction and carried to every rank as ``comm.config``.  Sorting
+goes through typed
 :class:`repro.session.SortSpec` configurations resolved against a pluggable
 :class:`repro.session.AlgorithmRegistry`::
 
@@ -21,27 +21,18 @@ the path a CommonCrawl WET reader will feed.
 
 from __future__ import annotations
 
-import threading
-from contextlib import ExitStack, contextmanager
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
+from ..config import RunConfig
 from ..dist.api import RankOutput, SortResult, distribute_strings
-from ..dist.exchange import use_async_exchange, use_exchange_topology
-from ..faults.checksum import use_wire_checksums
 from ..faults.plan import FaultPlan
 from ..net.metrics import TrafficMeter, TrafficReport
-from ..net.router import TOPOLOGY_NAMES, exchange_topology_name
 from ..obs.derive import run_metrics
 from ..mpi.comm import Communicator
-from ..mpi.engine import (
-    SpmdError,
-    default_timeout,
-    get_engine,
-    resolve_engine_name,
-)
+from ..mpi.engine import SpmdError, get_engine
 from ..net.cost_model import DEFAULT_MACHINE, MachineModel
 from ..strings.checker import check_distributed_sort, check_prefix_permutation
-from ..strings.packed import PackedStringArray, use_packed
+from ..strings.packed import PackedStringArray
 from ..strings.stringset import validate_strings
 from .registry import AlgorithmRegistry, default_registry
 from .specs import SortSpec
@@ -81,7 +72,16 @@ def _merge_rank_extras(results: List[RankOutput]) -> Dict[str, Any]:
 
 
 class Cluster:
-    """A reusable simulated machine plus its scoped execution settings.
+    """A reusable simulated machine plus its run configuration.
+
+    ``engine``, ``packed``, ``async_exchange``, ``exchange_topology``,
+    ``timeout``, ``wire_checksums`` and ``trace`` are the fields of
+    :class:`~repro.config.RunConfig`: :attr:`config` is the ``REPRO_*``
+    environment (:meth:`~repro.config.RunConfig.from_env`) with every
+    keyword that is not ``None`` applied, and every sort on this cluster
+    runs with it.  A spec whose own ``exchange_topology`` is set overrides
+    the cluster's for that sort.  ``docs/API.md`` lists the fields, their
+    defaults and accepted values.
 
     Parameters
     ----------
@@ -95,29 +95,19 @@ class Cluster:
         ``"threads"`` is the built-in simulator, ``"processes"`` runs the
         same rank programs as real OS processes
         (:class:`repro.mpi.procengine.ProcessEngine`), and third-party
-        backends plug in via :func:`repro.mpi.engine.register_engine`.
-        ``None`` (default) inherits the process-level setting (the
-        ``REPRO_ENGINE`` environment variable, or ``"threads"``); see
+        backends plug in via :func:`repro.mpi.engine.register_engine`; see
         ``docs/ENGINES.md`` for the backend contract.
     packed / async_exchange:
-        Per-cluster versions of the former process-global toggles: ``True``
-        / ``False`` force the packed hot path / split-phase exchange on or
-        off for sorts on this cluster, ``None`` (default) inherits the
-        process-level setting (``REPRO_PACKED`` / ``REPRO_ASYNC_EXCHANGE``).
-        Neither affects sorted outputs, LCP arrays or wire bytes.
+        The packed hot path / split-phase exchange.  Neither affects sorted
+        outputs, LCP arrays or wire bytes.
     exchange_topology:
-        Per-cluster delivery strategy of the bucket all-to-all:
-        ``"direct"``, ``"hypercube"`` or ``"grid"``
-        (:mod:`repro.net.router`); ``None`` (default) inherits the
-        process-level ``REPRO_EXCHANGE_TOPOLOGY`` setting.  A spec whose
-        own ``exchange_topology`` field is set overrides the cluster for
-        that sort.  Routing changes startup counts and measured total
-        volume (forwarded bytes are attributed separately), never sorted
-        outputs, LCP arrays or origin wire bytes.
+        Delivery strategy of the bucket all-to-all: ``"direct"``,
+        ``"hypercube"`` or ``"grid"`` (:mod:`repro.net.router`).  Routing
+        changes startup counts and measured total volume (forwarded bytes
+        are attributed separately), never sorted outputs, LCP arrays or
+        origin wire bytes.
     timeout:
-        Deadlock-detection timeout per blocking operation, in seconds;
-        ``None`` (default) inherits the process-level setting (the
-        ``REPRO_SPMD_TIMEOUT`` environment variable, or 600 s).
+        Deadlock-detection timeout per blocking operation, in seconds.
     fault_plan:
         Optional :class:`repro.faults.FaultPlan` chaos schedule, installed
         into the engine: point-to-point messages travel in checksummed,
@@ -126,23 +116,18 @@ class Cluster:
         ``docs/FAULTS.md``).  ``None`` (default) keeps the zero-overhead
         wire format.
     wire_checksums:
-        Per-cluster version of the ``REPRO_WIRE_CHECKSUMS`` toggle: ``True``
-        / ``False`` force CRC32 seals on the exchange's wire formats
+        CRC32 seals on the exchange's wire formats
         (:class:`~repro.dist.exchange.StringBlock` /
         :class:`~repro.dist.exchange.LcpCompressedBlock` /
-        :class:`~repro.net.router.RouteFrame`) on or off for sorts on this
-        cluster, ``None`` (default) inherits the process-level setting.
-        Seals add 4 bytes per block (plus a varint sequence number per
-        routed frame) to the accounted wire volume.
+        :class:`~repro.net.router.RouteFrame`).  Seals add 4 bytes per
+        block (plus a varint sequence number per routed frame) to the
+        accounted wire volume.
     trace:
-        Per-cluster version of the ``REPRO_TRACE`` toggle: ``True`` arms
-        per-rank timeline recording (:mod:`repro.obs`) for sorts on this
-        cluster — the result's report carries ``timeline`` (aligned
-        per-rank phase/barrier spans) and ``metrics`` (a labeled
-        :class:`~repro.obs.registry.MetricsSnapshot`) attachments —
-        ``False`` forces tracing off, ``None`` (default) inherits the
-        process-level setting.  Tracing never changes sorted outputs or
-        byte accounting; overhead is bounded (<5 %, pinned by
+        Per-rank timeline recording (:mod:`repro.obs`): the result's report
+        carries ``timeline`` (aligned per-rank phase/barrier spans) and
+        ``metrics`` (a labeled :class:`~repro.obs.registry.MetricsSnapshot`)
+        attachments.  Tracing never changes sorted outputs or byte
+        accounting; overhead is bounded (<5 %, pinned by
         ``BENCH_PR10.json``) and zero when off.
     registry:
         The :class:`~repro.session.AlgorithmRegistry` resolving algorithm
@@ -166,36 +151,23 @@ class Cluster:
     ):
         if num_pes <= 0:
             raise ValueError("num_pes must be positive")
-        if exchange_topology is not None and exchange_topology not in TOPOLOGY_NAMES:
-            raise ValueError(
-                f"unknown exchange_topology {exchange_topology!r}; "
-                f"use one of {list(TOPOLOGY_NAMES)} or None to inherit"
-            )
         self.num_pes = num_pes
         self.machine = machine
-        self.packed = packed
-        self.async_exchange = async_exchange
-        self.exchange_topology = exchange_topology
-        self.timeout = default_timeout() if timeout is None else timeout
+        #: the run configuration of every sort on this cluster
+        self.config = RunConfig.from_env().override(
+            engine=engine,
+            packed=packed,
+            async_exchange=async_exchange,
+            exchange_topology=exchange_topology,
+            timeout=timeout,
+            wire_checksums=wire_checksums,
+            trace=trace,
+        )
         self.fault_plan = fault_plan
-        self.wire_checksums = wire_checksums
-        self.trace = trace
         self.registry = registry if registry is not None else default_registry()
-        self.engine_name = resolve_engine_name(engine)
-        # only pass the fault/trace seams when explicitly requested:
-        # third-party engine factories without the keywords keep working
-        # untouched (None still lets the engine honour REPRO_TRACE itself)
-        engine_kwargs: Dict[str, Any] = {"timeout": self.timeout}
-        if fault_plan is not None:
-            engine_kwargs["fault_plan"] = fault_plan
-        if trace is not None:
-            engine_kwargs["trace"] = trace
-        self._engine = get_engine(self.engine_name)(num_pes, **engine_kwargs)
-        # serialises toggle application *together with* the run: the engine
-        # has its own run lock, but the packed/async windows must cover the
-        # whole run of the sort they belong to, not interleave with a
-        # sibling sort's window
-        self._sort_lock = threading.Lock()
+        self._engine = get_engine(self.config.engine)(
+            num_pes, config=self.config, fault_plan=fault_plan
+        )
 
     # ------------------------------------------------------------------ internals
     @property
@@ -225,28 +197,6 @@ class Cluster:
     def __exit__(self, exc_type, exc, tb) -> None:
         """Exit the session scope, releasing engine resources."""
         self.shutdown()
-
-    @contextmanager
-    def _scoped_toggles(self):
-        """Apply this cluster's packed/async settings for one run.
-
-        The underlying switches are process-global, so the scope is the
-        duration of the run.  Concurrent sorts on *this* cluster are safe
-        (:meth:`sort` holds one lock across toggle window and engine run);
-        concurrent sorts on differently-configured clusters in one process
-        would still interleave their windows — use one cluster per thread
-        or identical settings in that case.
-        """
-        with ExitStack() as stack:
-            if self.packed is not None:
-                stack.enter_context(use_packed(self.packed))
-            if self.async_exchange is not None:
-                stack.enter_context(use_async_exchange(self.async_exchange))
-            if self.exchange_topology is not None:
-                stack.enter_context(use_exchange_topology(self.exchange_topology))
-            if self.wire_checksums is not None:
-                stack.enter_context(use_wire_checksums(self.wire_checksums))
-            yield
 
     def _resolve_spec(self, spec: Union[SortSpec, str, None]) -> SortSpec:
         if spec is None:
@@ -279,8 +229,7 @@ class Cluster:
 
     def _topology_label(self, spec: SortSpec) -> str:
         """The exchange topology a sort effectively used (for metric labels)."""
-        name = getattr(spec, "exchange_topology", None) or self.exchange_topology
-        return name if name is not None else exchange_topology_name()
+        return spec.exchange_topology or self.config.exchange_topology
 
     @staticmethod
     def _fold_failed_attempts(
@@ -351,25 +300,24 @@ class Cluster:
         def rank_program(comm: Communicator, local) -> RankOutput:
             return entry.runner(comm, local, spec)
 
-        with self._sort_lock, self._scoped_toggles():
-            failed_reports: List[TrafficReport] = []
-            while True:
-                meter = TrafficMeter(self.num_pes)
-                try:
-                    results, report = self._engine.run(
-                        rank_program,
-                        args_per_rank=[(b,) for b in blocks],
-                        meter=meter,
-                    )
-                    break
-                except SpmdError:
-                    if len(failed_reports) >= max_retries:
-                        raise
-                    # keep the failed attempt's fault counters; the engine's
-                    # next run transparently rebuilds the poisoned state
-                    failed_reports.append(meter.report())
-            if failed_reports:
-                self._fold_failed_attempts(report, failed_reports)
+        failed_reports: List[TrafficReport] = []
+        while True:
+            meter = TrafficMeter(self.num_pes)
+            try:
+                results, report = self._engine.run(
+                    rank_program,
+                    args_per_rank=[(b,) for b in blocks],
+                    meter=meter,
+                )
+                break
+            except SpmdError:
+                if len(failed_reports) >= max_retries:
+                    raise
+                # keep the failed attempt's fault counters; the engine's
+                # next run transparently rebuilds the poisoned state
+                failed_reports.append(meter.report())
+        if failed_reports:
+            self._fold_failed_attempts(report, failed_reports)
 
         if report.timeline is not None:
             # derive the labeled metrics snapshot while the run's context
@@ -379,7 +327,7 @@ class Cluster:
                 report.timeline,
                 labels={
                     "algorithm": entry.name,
-                    "engine": self.engine_name,
+                    "engine": self.config.engine,
                     "topology": self._topology_label(spec),
                 },
                 num_strings=sum(len(b) for b in blocks),

@@ -63,7 +63,7 @@ class SortSpec:
 
     A spec bundles everything that defines *what* a sort computes and how
     its knobs are set; everything about *where* it runs (number of PEs,
-    machine model, engine, packed/async toggles) lives on the
+    machine model, run configuration) lives on the
     :class:`repro.session.Cluster` instead.
 
     Attributes
@@ -83,8 +83,8 @@ class SortSpec:
         ``"direct"`` (one message per destination), ``"hypercube"`` or
         ``"grid"`` (multi-level store-and-forward routing through
         :mod:`repro.net.router`), or ``None`` (default) to inherit the
-        process/cluster setting (``REPRO_EXCHANGE_TOPOLOGY`` /
-        ``Cluster(exchange_topology=...)``).  Changes startup counts and
+        cluster's setting (``Cluster(exchange_topology=...)`` /
+        ``REPRO_EXCHANGE_TOPOLOGY``).  Changes startup counts and
         measured routing volume, never the sorted output or the origin
         wire bytes.
     """

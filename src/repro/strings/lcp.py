@@ -29,7 +29,6 @@ import numpy as np
 
 from .packed import (
     PackedStringArray,
-    packed_enabled,
     packed_lcp_array,
     packed_sort,
     sort_with_order,
@@ -81,13 +80,13 @@ def lcp_array(strings: Sequence[bytes]) -> List[int]:
     arrays of arbitrarily ordered received sequences), but the common case is
     a sorted sequence.
 
-    Packed inputs — and, when the packed fast paths are enabled, any large
-    enough ``bytes`` sequence — are dispatched to the vectorized
+    Packed inputs — and any large enough ``bytes`` sequence — are
+    dispatched to the vectorized
     :func:`repro.strings.packed.packed_lcp_array`; the values are identical.
     """
     if isinstance(strings, PackedStringArray):
         return packed_lcp_array(strings).tolist()
-    if packed_enabled() and len(strings) >= _PACKED_LCP_THRESHOLD:
+    if len(strings) >= _PACKED_LCP_THRESHOLD:
         try:
             packed = PackedStringArray.from_strings(strings)
         except TypeError:
@@ -147,16 +146,15 @@ def distinguishing_prefixes(strings: Sequence[bytes]) -> List[int]:
         # terminator if it is empty)
         return [min(1, len(s0)) if s0 else 0]
 
-    if packed_enabled() or isinstance(strings, PackedStringArray):
-        try:
-            arr = PackedStringArray.from_strings(strings)
-        except TypeError:
-            pass  # non-bytes elements: fall through to the scalar loop
-        else:
-            sorted_arr, order = sort_with_order(arr)
-            out_np = np.empty(n, dtype=np.int64)
-            out_np[order] = _dist_of_sorted_packed(sorted_arr)
-            return out_np.tolist()
+    try:
+        arr = PackedStringArray.from_strings(strings)
+    except TypeError:
+        pass  # non-bytes elements: fall through to the scalar loop
+    else:
+        sorted_arr, order = sort_with_order(arr)
+        out_np = np.empty(n, dtype=np.int64)
+        out_np[order] = _dist_of_sorted_packed(sorted_arr)
+        return out_np.tolist()
 
     order = sorted(range(n), key=lambda i: strings[i])
     sorted_strings = [strings[i] for i in order]
@@ -194,13 +192,11 @@ def _sorted_packed_of(strings: Sequence[bytes]) -> Optional[PackedStringArray]:
     Containers that maintain their own cache (``StringSet``) are asked via
     the ``sorted_packed()`` hook, so repeated statistics calls from the
     bench harness reuse one sort instead of re-sorting the full input every
-    time.  Plain sequences are packed and sorted on the fly when the packed
-    fast paths are enabled.
+    time.  Plain sequences are packed and sorted on the fly; ``None`` means
+    they hold something other than bytes.
     """
     if isinstance(strings, PackedStringArray):
         return packed_sort(strings)
-    if not packed_enabled():
-        return None
     hook = getattr(strings, "sorted_packed", None)
     if callable(hook):
         return hook()

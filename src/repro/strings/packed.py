@@ -31,18 +31,14 @@ Every kernel is bit-exact with its scalar counterpart in
 :mod:`repro.strings.lcp` / :mod:`repro.dist.exchange`; the property tests in
 ``tests/test_packed.py`` pin that equivalence on adversarial inputs and the
 ``benchmarks/test_packed_hotpath.py`` micro-benchmark tracks the speedup.
-
-The module-level switch :func:`set_packed_enabled` (or the ``REPRO_PACKED=0``
-environment variable) turns the packed fast paths off globally; the
-simulator then runs the original scalar code, which the benchmark uses as
-its baseline and tests use to assert identical results.
+A cluster built with ``packed=False`` (:class:`repro.config.RunConfig`)
+keeps its rank programs on the original scalar code, which tests use to
+assert identical results.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-from contextlib import contextmanager
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -51,9 +47,6 @@ __all__ = [
     "PackedStringArray",
     "as_packed",
     "concat_runs",
-    "packed_enabled",
-    "set_packed_enabled",
-    "use_packed",
     "packed_lcp_array",
     "clip_lcps",
     "front_code",
@@ -72,36 +65,6 @@ __all__ = [
 # fallback saves.
 _MAX_FIXED_WIDTH = 4096
 _MAX_FIXED_BYTES = 1 << 27  # 128 MiB of padded key material
-
-_ENABLED = os.environ.get("REPRO_PACKED", "1").strip().lower() not in (
-    "0",
-    "false",
-    "no",
-    "off",
-)
-
-
-def packed_enabled() -> bool:
-    """Whether the vectorized packed-array fast paths are globally enabled."""
-    return _ENABLED
-
-
-def set_packed_enabled(flag: bool) -> bool:
-    """Enable/disable the packed fast paths; returns the previous setting."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(flag)
-    return previous
-
-
-@contextmanager
-def use_packed(flag: bool):
-    """Context manager form of :func:`set_packed_enabled` (for tests/benchmarks)."""
-    previous = set_packed_enabled(flag)
-    try:
-        yield
-    finally:
-        set_packed_enabled(previous)
 
 
 class PackedStringArray:

@@ -1,8 +1,7 @@
-"""Seeded bug: a ``REPRO_*`` environment read with no registry entry.
+"""Seeded bug: a ``REPRO_*`` environment read outside ``RunConfig.from_env``.
 
-``REPRO_TURBO`` is read here but declared nowhere in
-``repro.analysis.toggles.REGISTRY``.  Expected finding:
-``toggle-unregistered``.
+``REPRO_TURBO`` is read here directly instead of through a
+``repro.config.RunConfig`` field.  Expected finding: ``toggle-unregistered``.
 """
 
 import os

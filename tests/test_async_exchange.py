@@ -6,7 +6,7 @@ Two layers are covered here:
   :class:`repro.mpi.comm.Request` handles, ``waitall``/``waitany``), including
   the MPI non-overtaking rule — receives from one source match messages in
   posting order no matter how their handles are driven;
-* the determinism contract of ``REPRO_ASYNC_EXCHANGE``: with the split-phase
+* the determinism contract of ``async_exchange``: with the split-phase
   exchange on, every paper algorithm must produce **bit-identical**
   sorted outputs, LCP arrays and wire-byte accounting (total, per PE and per
   phase) versus the bulk-synchronous path, on adversarial inputs — tiny
@@ -19,13 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from engine_conformance import PAPER_ALGORITHMS
-from repro.dist import use_async_exchange
-from repro.dist.exchange import (
-    async_exchange_enabled,
-    exchange_buckets,
-    exchange_buckets_async,
-    set_async_exchange,
-)
+from repro.dist.exchange import exchange_buckets, exchange_buckets_async
 from repro.mpi.comm import waitall, waitany
 from repro.mpi.engine import run_spmd
 from repro.session import Cluster, MSSpec, default_registry
@@ -181,27 +175,21 @@ def test_async_exchange_carries_payloads():
 
 def test_overlap_credit_reduces_modeled_comm_time():
     corpus = dn_instance(num_strings=400, dn=0.5, length=40, seed=2)
-    with Cluster(4) as cluster:
-        with use_async_exchange(False):
-            sync = cluster.sort(corpus, MSSpec(seed=1))
-        with use_async_exchange(True):
-            overlapped = cluster.sort(corpus, MSSpec(seed=1))
+    sync = Cluster(4, async_exchange=False).sort(corpus, MSSpec(seed=1))
+    overlapped = Cluster(4, async_exchange=True).sort(corpus, MSSpec(seed=1))
     assert overlapped.overlap_fraction() > 0.0
     assert sync.overlap_fraction() == 0.0
     machine = sync.report  # same byte counts feed both models
     assert overlapped.report.modeled_comm_time() <= machine.modeled_comm_time()
 
 
-def test_toggle_roundtrip():
-    before = async_exchange_enabled()
-    try:
-        assert set_async_exchange(True) == before
-        assert async_exchange_enabled()
-        with use_async_exchange(False):
-            assert not async_exchange_enabled()
-        assert async_exchange_enabled()
-    finally:
-        set_async_exchange(before)
+def test_rank_programs_follow_the_cluster_setting():
+    def mode(comm):
+        return comm.config.async_exchange
+
+    for flag in (False, True):
+        results, _ = Cluster(2, async_exchange=flag).engine.run(mode)
+        assert results == [flag, flag]
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +212,10 @@ _SETTINGS = dict(
 
 def _run_both(strings, algorithm, p, seed=3):
     spec = default_registry().spec_class(algorithm)(seed=seed)
-    with Cluster(p) as cluster:
-        with use_async_exchange(False):
-            sync = cluster.sort(strings, spec)
-        with use_async_exchange(True):
-            overlapped = cluster.sort(strings, spec)
+    with Cluster(p, async_exchange=False) as cluster:
+        sync = cluster.sort(strings, spec)
+    with Cluster(p, async_exchange=True) as cluster:
+        overlapped = cluster.sort(strings, spec)
     assert overlapped.sorted_strings == sync.sorted_strings
     assert overlapped.outputs_per_pe == sync.outputs_per_pe
     assert overlapped.lcps_per_pe == sync.lcps_per_pe

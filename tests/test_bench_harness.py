@@ -207,27 +207,45 @@ class TestCheckpointedCells:
         again.sweep("demo", "d", [MSSpec()], [2], self._factory, resume=True)
         assert again.cells_resumed == 1
 
-    def test_resume_keys_on_effective_execution_toggles(self, tmp_path):
+    def test_resume_keys_on_effective_execution_toggles(self, tmp_path, monkeypatch):
         """Regression: cells measured under an inherited routed topology (or
-        async/packed toggle) must not resume as direct-delivery data."""
-        from repro.dist.exchange import use_exchange_topology
+        any other run-config setting) must not resume as direct-delivery
+        data."""
         from repro.session import MSSpec
 
-        with use_exchange_topology("hypercube"):
-            routed = ExperimentRunner(cache_dir=tmp_path)
-            res = routed.sweep("demo", "d", [MSSpec()], [2], self._factory)
-            assert res.cells[0].extra["forwarded_bytes"] > 0
+        monkeypatch.setenv("REPRO_EXCHANGE_TOPOLOGY", "hypercube")
+        routed = ExperimentRunner(cache_dir=tmp_path)
+        res = routed.sweep("demo", "d", [MSSpec()], [2], self._factory)
+        assert res.cells[0].extra["forwarded_bytes"] > 0
 
+        monkeypatch.delenv("REPRO_EXCHANGE_TOPOLOGY")
         direct = ExperimentRunner(cache_dir=tmp_path)
         res2 = direct.sweep("demo", "d", [MSSpec()], [2], self._factory, resume=True)
         assert direct.cells_resumed == 0
         assert "forwarded_bytes" not in res2.cells[0].extra
 
-        # under the same toggle the routed cell resumes
-        with use_exchange_topology("hypercube"):
-            again = ExperimentRunner(cache_dir=tmp_path)
-            again.sweep("demo", "d", [MSSpec()], [2], self._factory, resume=True)
-            assert again.cells_resumed == 1
+        # under the same setting the routed cell resumes
+        monkeypatch.setenv("REPRO_EXCHANGE_TOPOLOGY", "hypercube")
+        again = ExperimentRunner(cache_dir=tmp_path)
+        again.sweep("demo", "d", [MSSpec()], [2], self._factory, resume=True)
+        assert again.cells_resumed == 1
+
+    def test_resume_keys_on_wire_checksums(self, tmp_path, monkeypatch):
+        """Regression: a cell measured with sealed blocks (4 more wire bytes
+        per block) must not be served to an unsealed run."""
+        from repro.session import MSSpec
+
+        monkeypatch.setenv("REPRO_WIRE_CHECKSUMS", "1")
+        sealed = ExperimentRunner(cache_dir=tmp_path)
+        (cell,) = sealed.sweep("demo", "d", [MSSpec()], [2], self._factory).cells
+
+        monkeypatch.delenv("REPRO_WIRE_CHECKSUMS")
+        plain = ExperimentRunner(cache_dir=tmp_path)
+        (fresh,) = plain.sweep(
+            "demo", "d", [MSSpec()], [2], self._factory, resume=True
+        ).cells
+        assert plain.cells_resumed == 0
+        assert fresh.total_bytes_sent < cell.total_bytes_sent
 
     def test_cache_key_never_aliases_experiment_and_input_name(self, tmp_path):
         """Regression: the '--' separator and the filename sanitizer must not

@@ -12,12 +12,12 @@ Three contracts pinned here:
 """
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import (
-    REGISTRY,
     build_commgraph,
     detect_algorithms,
     parse_tree,
@@ -26,6 +26,7 @@ from repro.analysis import (
     write_commgraphs,
 )
 from repro.cli import main as cli_main
+from repro.config import RunConfig
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
@@ -64,7 +65,8 @@ def test_src_scan_covers_the_whole_package():
     report = run_lint(SRC_ROOT)
     assert report.stats["modules"] > 50
     assert report.stats["rank_programs"] > 20
-    assert report.stats["env_reads"] == len(REGISTRY)
+    # RunConfig.from_env is the only reader, and it is exempt
+    assert report.stats["env_reads"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -168,21 +170,38 @@ def test_hquick_is_pure_p2p():
 
 
 # ---------------------------------------------------------------------------
-# toggle registry invariants
+# the settings table
 # ---------------------------------------------------------------------------
 
-def test_every_toggle_has_knob_and_docs_row():
+def test_every_setting_has_knob_and_docs_row():
     docs = (SRC_ROOT.parent.parent / "docs" / "API.md").read_text()
     from repro.session.cluster import Cluster
     import inspect
 
     knobs = set(inspect.signature(Cluster.__init__).parameters)
-    for spec in REGISTRY:
-        assert spec.name in docs, f"{spec.name} missing from docs/API.md"
-        if spec.knob is None:
-            assert spec.exempt_reason, spec.name
-        else:
-            assert spec.knob in knobs, f"{spec.name}: no Cluster knob {spec.knob!r}"
+    for setting in fields(RunConfig):
+        env = setting.metadata["env"]
+        assert env in docs, f"{env} missing from docs/API.md"
+        assert setting.name in knobs, f"{env}: no Cluster knob {setting.name!r}"
+
+
+def test_a_literal_read_outside_the_reader_is_caught(tmp_path):
+    source = tmp_path / "reader.py"
+    source.write_text(
+        "import os\n"
+        "\n"
+        "class RunConfig:\n"
+        "    @classmethod\n"
+        "    def from_env(cls):\n"
+        "        return os.environ.get('REPRO_FAST')\n"
+        "\n"
+        "def elsewhere():\n"
+        "    return os.getenv('REPRO_FAST')\n"
+    )
+    report = run_lint(root=None, extra_paths=[source])
+    assert [(f.rule, f.line) for f in report.findings] == [
+        ("toggle-unregistered", 9)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ REQUIRED = {
         "fkmerge_sort",
     ],
     "repro/session/cluster.py": ["Cluster", "Cluster.sort", "Cluster.sort_batches"],
+    "repro/config.py": ["RunConfig", "RunConfig.from_env", "RunConfig.override"],
     "repro/session/specs.py": [
         "SortSpec",
         "SortSpec.to_dict",

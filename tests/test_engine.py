@@ -294,9 +294,10 @@ class TestEngineStateReuse:
 
     @staticmethod
     def _engine(num_pes=2, timeout=5.0):
+        from repro.config import RunConfig
         from repro.mpi.engine import ThreadEngine
 
-        return ThreadEngine(num_pes, timeout=timeout)
+        return ThreadEngine(num_pes, config=RunConfig(timeout=timeout))
 
     def test_clean_runs_reuse_state(self):
         eng = self._engine()

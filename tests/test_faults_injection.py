@@ -8,6 +8,7 @@ deterministic: one rule, one channel, known message counts.  The broader
 import numpy as np
 import pytest
 
+from repro.config import RunConfig
 from repro.dist.exchange import LcpCompressedBlock, StringBlock
 from repro.faults import (
     CHECKSUM_WIRE_BYTES,
@@ -16,14 +17,8 @@ from repro.faults import (
     FaultRule,
     LostMessageError,
     RankCrashError,
-    use_wire_checksums,
 )
-from repro.mpi.engine import (
-    SpmdError,
-    ThreadEngine,
-    default_timeout,
-    run_spmd,
-)
+from repro.mpi.engine import SpmdError, ThreadEngine, run_spmd
 from repro.net.router import RouteFrame, frame_wire_bytes
 from repro.session import Cluster, MSSpec
 from repro.strings.generators import random_strings
@@ -165,14 +160,14 @@ class TestDuplicateAndDelay:
 class TestCrashAndStraggle:
     def test_crash_raises_typed_error(self):
         plan = FaultPlan(seed=6, rules=(FaultRule(kind="crash", rank=1),))
-        eng = ThreadEngine(4, timeout=10.0, fault_plan=plan)
+        eng = ThreadEngine(4, config=RunConfig(timeout=10.0), fault_plan=plan)
         with pytest.raises(SpmdError) as excinfo:
             eng.run(ring_prog, args_per_rank=ARGS)
         assert isinstance(excinfo.value.__cause__, RankCrashError)
 
     def test_crash_once_then_engine_retry_succeeds(self):
         plan = FaultPlan(seed=6, rules=(FaultRule(kind="crash", rank=1, max_hits=1),))
-        eng = ThreadEngine(4, timeout=10.0, fault_plan=plan)
+        eng = ThreadEngine(4, config=RunConfig(timeout=10.0), fault_plan=plan)
         with pytest.raises(SpmdError):
             eng.run(ring_prog, args_per_rank=ARGS)
         results, _ = eng.run(ring_prog, args_per_rank=ARGS)
@@ -191,25 +186,25 @@ class TestCrashAndStraggle:
 class TestDefaultTimeout:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "42.5")
-        assert default_timeout() == 42.5
-        assert ThreadEngine(2).timeout == 42.5
-        assert Cluster(num_pes=2).timeout == 42.5
+        assert RunConfig.from_env().timeout == 42.5
+        assert ThreadEngine(2).config.timeout == 42.5
+        assert Cluster(num_pes=2).config.timeout == 42.5
 
     def test_default_without_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_SPMD_TIMEOUT", raising=False)
-        assert default_timeout() == 600.0
+        assert RunConfig.from_env().timeout == 600.0
 
     def test_invalid_env_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "soon")
         with pytest.raises(ValueError, match="REPRO_SPMD_TIMEOUT"):
-            default_timeout()
+            RunConfig.from_env()
         monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "-3")
         with pytest.raises(ValueError, match="positive"):
-            default_timeout()
+            RunConfig.from_env()
 
     def test_explicit_timeout_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "42.5")
-        assert ThreadEngine(2, timeout=7.0).timeout == 7.0
+        assert Cluster(num_pes=2, timeout=7.0).engine.config.timeout == 7.0
 
 
 class TestCollectiveAccounting:
@@ -247,14 +242,12 @@ class TestBlockSeals:
 
     def test_string_block_seal_round_trip_and_overhead(self):
         plain = StringBlock(self.STRINGS)
-        with use_wire_checksums(True):
-            sealed = StringBlock(self.STRINGS)
-            assert sealed.decode()[0] == self.STRINGS
+        sealed = StringBlock(self.STRINGS, seal=True)
+        assert sealed.decode()[0] == self.STRINGS
         assert sealed.wire_bytes() == plain.wire_bytes() + CHECKSUM_WIRE_BYTES
 
     def test_string_block_tamper_detected(self):
-        with use_wire_checksums(True):
-            blk = StringBlock(list(self.STRINGS))
+        blk = StringBlock(list(self.STRINGS), seal=True)
         blk.strings[1] = b"apqly"
         with pytest.raises(CorruptFrameError, match="StringBlock"):
             blk.decode()
@@ -262,9 +255,8 @@ class TestBlockSeals:
     def test_packed_string_block_seal(self):
         packed = PackedStringArray.from_strings(self.STRINGS)
         plain = StringBlock(packed)
-        with use_wire_checksums(True):
-            sealed = StringBlock(PackedStringArray.from_strings(self.STRINGS))
-            strings, _ = sealed.decode()
+        sealed = StringBlock(PackedStringArray.from_strings(self.STRINGS), seal=True)
+        strings, _ = sealed.decode()
         assert strings == self.STRINGS
         assert sealed.wire_bytes() == plain.wire_bytes() + CHECKSUM_WIRE_BYTES
 
@@ -272,9 +264,8 @@ class TestBlockSeals:
         lcps = lcp_array(sorted(self.STRINGS))
         run = sorted(self.STRINGS)
         plain = LcpCompressedBlock.encode(run, lcps)
-        with use_wire_checksums(True):
-            sealed = LcpCompressedBlock.encode(list(run), list(lcps))
-            assert sealed.decode()[0] == run
+        sealed = LcpCompressedBlock.encode(list(run), list(lcps), seal=True)
+        assert sealed.decode()[0] == run
         assert sealed.wire_bytes() == plain.wire_bytes() + CHECKSUM_WIRE_BYTES
         sealed.entries[1] = (0, b"zzz")
         with pytest.raises(CorruptFrameError, match="LcpCompressedBlock"):
@@ -284,9 +275,8 @@ class TestBlockSeals:
         run = sorted(self.STRINGS)
         packed = PackedStringArray.from_strings(run)
         lcps = np.asarray(lcp_array(run), dtype=np.int64)
-        with use_wire_checksums(True):
-            sealed = LcpCompressedBlock.encode(packed, lcps)
-            assert sealed.decode()[0] == run
+        sealed = LcpCompressedBlock.encode(packed, lcps, seal=True)
+        assert sealed.decode()[0] == run
         plain = LcpCompressedBlock.encode(packed, lcps)
         assert sealed.wire_bytes() == plain.wire_bytes() + CHECKSUM_WIRE_BYTES
 
@@ -294,10 +284,9 @@ class TestBlockSeals:
     def test_packed_lcp_block_tamper_detected(self, target):
         # the seal covers the front-coded form: LCPs and the sealed suffixes
         run = sorted(self.STRINGS)
-        with use_wire_checksums(True):
-            sealed = LcpCompressedBlock.encode(
-                PackedStringArray.from_strings(run), lcp_array(run)
-            )
+        sealed = LcpCompressedBlock.encode(
+            PackedStringArray.from_strings(run), lcp_array(run), seal=True
+        )
         if target == "lcp":
             sealed._lcps[2] -= 1  # LCP(apple, apply) = 4 becomes 3
         else:
@@ -419,11 +408,11 @@ class TestClusterWireChecksums:
         # seals cost wire bytes: 4 per exchanged block
         assert sealed.report.total_bytes_sent > plain.report.total_bytes_sent
 
-    def test_cluster_flag_scopes_the_toggle(self):
-        from repro.faults import wire_checksums_enabled
-
+    def test_cluster_flag_stays_with_its_cluster(self):
         Cluster(num_pes=2, wire_checksums=True).sort(self.DATA, MSSpec())
-        assert not wire_checksums_enabled()
+        plain = Cluster(num_pes=2).sort(self.DATA, MSSpec())
+        unsealed = Cluster(num_pes=2, wire_checksums=False).sort(self.DATA, MSSpec())
+        assert plain.report.total_bytes_sent == unsealed.report.total_bytes_sent
 
 
 class TestCliFaultFlags:

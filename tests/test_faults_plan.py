@@ -9,10 +9,8 @@ from repro.faults import (
     FaultPlan,
     FaultRule,
     payload_checksum,
-    set_wire_checksums,
-    use_wire_checksums,
-    wire_checksums_enabled,
 )
+from repro.config import RunConfig
 from repro.strings.packed import PackedStringArray
 
 
@@ -229,20 +227,12 @@ class TestPayloadChecksum:
         assert payload_checksum(Sealed()) == payload_checksum(Sealed())
 
 
-class TestChecksumToggle:
-    def test_default_off_and_scoped_enable(self):
-        assert not wire_checksums_enabled()
-        with use_wire_checksums(True):
-            assert wire_checksums_enabled()
-        assert not wire_checksums_enabled()
+class TestChecksumSetting:
+    def test_default_off(self):
+        assert RunConfig().wire_checksums is False
 
-    def test_set_returns_previous(self):
-        prev = set_wire_checksums(True)
-        try:
-            assert prev is False
-            assert set_wire_checksums(False) is True
-        finally:
-            set_wire_checksums(prev)
+    def test_environment_opts_in(self):
+        assert RunConfig.from_env({"REPRO_WIRE_CHECKSUMS": "1"}).wire_checksums
 
     def test_checksum_wire_bytes_constant(self):
         assert CHECKSUM_WIRE_BYTES == 4

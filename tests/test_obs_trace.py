@@ -25,7 +25,6 @@ from repro.obs import (
     Recorder,
     chrome_trace,
     render_waterfall,
-    resolve_trace,
     validate_chrome_trace,
 )
 from repro.obs.timeline import Timeline
@@ -80,16 +79,16 @@ class TestRecorder:
         kinds = [e[0] for e in doc["events"]]
         assert kinds == ["phase", "comm", "finish"]
 
-    def test_resolve_trace_precedence(self, monkeypatch):
+    def test_trace_precedence(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert resolve_trace(None) is False
-        assert resolve_trace(True) is True
+        assert Cluster(num_pes=1).config.trace is False
+        assert Cluster(num_pes=1, trace=True).config.trace is True
         monkeypatch.setenv("REPRO_TRACE", "1")
-        assert resolve_trace(None) is True
+        assert Cluster(num_pes=1).config.trace is True
         # an explicit knob always beats the environment
-        assert resolve_trace(False) is False
+        assert Cluster(num_pes=1, trace=False).config.trace is False
         monkeypatch.setenv("REPRO_TRACE", "0")
-        assert resolve_trace(None) is False
+        assert Cluster(num_pes=1).config.trace is False
 
 
 class TestTracedRuns:

@@ -36,7 +36,6 @@ from repro.strings.packed import (
     sort_with_order,
     take,
     truncate,
-    use_packed,
 )
 
 # ---------------------------------------------------------------------------
@@ -148,11 +147,8 @@ class TestLcpEquivalence:
     @given(string_lists())
     @settings(max_examples=60, deadline=None)
     def test_lcp_array_dispatch_is_equivalent(self, xs):
-        with use_packed(True):
-            fast = lcp_array(xs * 3)  # ×3 pushes past the dispatch threshold
-        with use_packed(False):
-            slow = lcp_array(xs * 3)
-        assert fast == slow
+        fast = lcp_array(xs * 3)  # ×3 pushes past the dispatch threshold
+        assert fast == scalar_lcp_array(xs * 3)
 
     @given(string_lists())
     @settings(max_examples=60, deadline=None)

@@ -17,12 +17,7 @@ import time
 import pytest
 
 from engine_conformance import engine_available
-from repro.mpi import (
-    SpmdError,
-    get_engine,
-    resolve_engine_name,
-    run_spmd,
-)
+from repro.mpi import SpmdError, get_engine, run_spmd
 from repro.mpi.procengine import ProcessEngine, process_engine_available
 from repro.session import Cluster
 
@@ -147,15 +142,16 @@ class TestValidation:
 class TestResolution:
     def test_explicit_name_beats_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "threads")
-        assert resolve_engine_name("processes") == "processes"
+        cluster = Cluster(num_pes=1, engine="processes")
+        assert cluster.config.engine == cluster.engine.name == "processes"
 
     def test_environment_beats_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "processes")
-        assert resolve_engine_name(None) == "processes"
+        assert Cluster(num_pes=1).engine.name == "processes"
 
     def test_default_is_threads(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert resolve_engine_name(None) == "threads"
+        assert Cluster(num_pes=1).engine.name == "threads"
 
     def test_registry_resolves_the_class(self):
         assert get_engine("processes") is ProcessEngine

@@ -17,10 +17,13 @@ Three layers are covered:
   formulas assume, and the recorded collective kinds drive those formulas.
 """
 
+from types import SimpleNamespace
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.config import RunConfig
 from repro.mpi.engine import run_spmd
 from repro.mpi.serialization import wire_size
 from repro.net.cost_model import MachineModel
@@ -28,11 +31,8 @@ from repro.net.router import (
     TOPOLOGIES,
     TOPOLOGY_NAMES,
     batch_wire_bytes,
-    exchange_topology_name,
     resolve_topology,
     routed_exchange,
-    set_exchange_topology,
-    use_exchange_topology,
 )
 from repro.net.topology import grid_dims, hypercube_dimension, is_power_of_two
 
@@ -264,31 +264,28 @@ def test_modeled_comm_time_dispatches_grid_kind():
 
 
 # ---------------------------------------------------------------------------
-# toggles and resolution
+# resolution
 # ---------------------------------------------------------------------------
 
 
+def _comm_with(topology):
+    return SimpleNamespace(config=RunConfig(exchange_topology=topology))
+
+
 def test_resolve_topology_spellings():
-    assert resolve_topology("grid") is TOPOLOGIES["grid"]
-    assert resolve_topology(TOPOLOGIES["hypercube"]) is TOPOLOGIES["hypercube"]
-    assert resolve_topology(None).name == exchange_topology_name()
+    comm = _comm_with("direct")
+    assert resolve_topology("grid", comm) is TOPOLOGIES["grid"]
+    assert resolve_topology(TOPOLOGIES["hypercube"], comm) is TOPOLOGIES["hypercube"]
+    assert resolve_topology(None, comm).name == "direct"
     with pytest.raises(ValueError, match="unknown exchange topology"):
-        resolve_topology("torus")
+        resolve_topology("torus", comm)
 
 
-def test_topology_toggle_roundtrip():
-    before = exchange_topology_name()
-    try:
-        assert set_exchange_topology("hypercube") == before
-        assert exchange_topology_name() == "hypercube"
-        with use_exchange_topology("grid"):
-            assert exchange_topology_name() == "grid"
-            assert resolve_topology(None).name == "grid"
-        assert exchange_topology_name() == "hypercube"
-        with pytest.raises(ValueError, match="unknown exchange topology"):
-            set_exchange_topology("mesh")
-    finally:
-        set_exchange_topology(before)
+@pytest.mark.parametrize("name", TOPOLOGY_NAMES)
+def test_none_resolves_to_the_runs_topology(name):
+    assert resolve_topology(None, _comm_with(name)) is TOPOLOGIES[name]
+    # an explicit argument (a spec's own topology) beats the run's
+    assert resolve_topology("direct", _comm_with(name)).is_direct
 
 
 def test_batch_framing_overhead_is_explicit():

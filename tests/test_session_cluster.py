@@ -1,12 +1,15 @@
 """Cluster sessions and the input distribution they sort.
 
-Sorting, machine reuse, scoped toggles, the engine seam and the registry.
+Sorting, machine reuse, the run configuration, the engine seam and the
+registry.
 """
 
+import threading
 from dataclasses import dataclass
 
 import pytest
 
+from repro.config import RunConfig
 from repro.dist.api import RankOutput, distribute_strings, ms_sort
 from repro.mpi.engine import (
     ENGINES,
@@ -25,7 +28,6 @@ from repro.session import (
     register_algorithm,
 )
 from repro.strings.generators import dn_instance, random_strings
-from repro.strings.packed import packed_enabled
 
 
 class TestClusterSort:
@@ -149,8 +151,6 @@ class TestMachineReuse:
 
 class TestConcurrentSorts:
     def test_concurrent_sorts_on_one_cluster_serialise_safely(self):
-        import threading
-
         data = random_strings(200, 1, 10, seed=20)
         cluster = Cluster(num_pes=3)
         results = [None, None]
@@ -192,13 +192,11 @@ class TestMachineModel:
         )
 
 
-class TestScopedToggles:
-    def test_packed_setting_is_scoped_to_the_cluster(self):
+class TestRunConfig:
+    def test_packed_setting_is_the_clusters(self):
         data = dn_instance(num_strings=300, dn=0.5, length=30, seed=5)
-        before = packed_enabled()
         packed_on = Cluster(num_pes=4, packed=True).sort(data, MSSpec())
         packed_off = Cluster(num_pes=4, packed=False).sort(data, MSSpec())
-        assert packed_enabled() == before  # restored after each sort
         assert packed_on.outputs_per_pe == packed_off.outputs_per_pe
         assert packed_on.lcps_per_pe == packed_off.lcps_per_pe
         assert (
@@ -215,11 +213,94 @@ class TestScopedToggles:
         assert overlapped.report.total_bytes_sent == sync.report.total_bytes_sent
         assert dict(overlapped.report.phase_bytes) == dict(sync.report.phase_bytes)
 
-    def test_none_inherits_process_setting(self):
-        cluster = Cluster(num_pes=2)
-        assert cluster.packed is None and cluster.async_exchange is None
+    def test_none_inherits_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ASYNC_EXCHANGE", "1")
+        cluster = Cluster(num_pes=2, packed=False)
+        assert cluster.config == RunConfig.from_env().override(packed=False)
+        assert cluster.config.async_exchange and not cluster.config.packed
+        assert cluster.engine.config is cluster.config
         data = random_strings(60, 1, 6, seed=7)
         assert cluster.sort(data, MSSpec(), check=True).sorted_strings == sorted(data)
+
+    def test_every_rank_sees_the_clusters_config(self):
+        cluster = Cluster(num_pes=3, exchange_topology="grid", wire_checksums=True)
+        results, _ = cluster.engine.run(lambda comm: comm.config)
+        assert results == [cluster.config] * 3
+
+    def test_invalid_keyword_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="REPRO_EXCHANGE_TOPOLOGY"):
+            Cluster(num_pes=2, exchange_topology="torus")
+        with pytest.raises(ValueError, match="positive"):
+            Cluster(num_pes=2, timeout=0)
+
+
+def _paused_ms(first: threading.Event, then: threading.Event):
+    """An ``ms`` runner that sets ``first``, then sorts once ``then`` is set."""
+    ms = default_registry().get("ms").runner
+
+    def runner(comm, local, spec):
+        first.set()
+        assert then.wait(30), "the other cluster never reached its cue"
+        return ms(comm, local, spec)
+
+    return runner
+
+
+@pytest.mark.parametrize(
+    "setting, mine, theirs",
+    [
+        ("wire_checksums", True, False),
+        ("exchange_topology", "hypercube", "direct"),
+        ("async_exchange", True, False),
+    ],
+)
+def test_concurrent_clusters_keep_their_own_settings(setting, mine, theirs):
+    """Regression: cluster A exchanges while cluster B's run is in flight.
+
+    The settings once lived in process globals that each sort flipped for
+    its duration, so B starting its run switched A's exchange to B's value
+    (unsealed, A sent 1249 B here instead of its own sealed 1257 B).
+    """
+    data = random_strings(400, 1, 8, seed=31)
+
+    def fingerprint(result):
+        report = result.report
+        return report.total_bytes_sent, sorted(report.overlap_window_seconds)
+
+    alone = {
+        value: fingerprint(
+            Cluster(2, engine="threads", **{setting: value}).sort(data, "ms")
+        )
+        for value in (mine, theirs)
+    }
+    assert alone[mine] != alone[theirs]
+
+    a_started, b_in_flight = threading.Event(), threading.Event()
+    a_done = threading.Event()
+    reg_a, reg_b = default_registry().copy(), default_registry().copy()
+    reg_a.register("ms", _paused_ms(a_started, b_in_flight), MSSpec, overwrite=True)
+    reg_b.register("ms", _paused_ms(b_in_flight, a_done), MSSpec, overwrite=True)
+    a = Cluster(2, engine="threads", registry=reg_a, **{setting: mine})
+    b = Cluster(2, engine="threads", registry=reg_b, **{setting: theirs})
+    results = {}
+
+    def sort(name, cluster):
+        try:
+            results[name] = cluster.sort(data, "ms")
+        finally:
+            if name == "a":
+                a_done.set()
+
+    thread_a = threading.Thread(target=sort, args=("a", a))
+    thread_a.start()
+    assert a_started.wait(30)
+    thread_b = threading.Thread(target=sort, args=("b", b))
+    thread_b.start()
+    thread_a.join(60)
+    thread_b.join(60)
+    assert not thread_a.is_alive() and not thread_b.is_alive()
+    assert fingerprint(results["a"]) == alone[mine]
+    assert fingerprint(results["b"]) == alone[theirs]
 
 
 class TestEngineSeam:
@@ -229,7 +310,7 @@ class TestEngineSeam:
     def test_unknown_engine_lists_available(self):
         with pytest.raises(ValueError, match="threads"):
             get_engine("mpi")
-        with pytest.raises(ValueError, match="unknown engine"):
+        with pytest.raises(ValueError, match="REPRO_ENGINE.*mpi4py"):
             Cluster(num_pes=2, engine="mpi4py")
 
     def test_registered_engine_is_selectable(self):

@@ -10,12 +10,18 @@ changes a digest here.  Both engines must reproduce the same digests.
 Every algorithm runs with its default spec on 1 and 4 PEs; every knob below
 runs on 4 PEs for each algorithm whose spec has the fields.  The cluster pins
 the packed path (the scalar sorters count inspected characters differently),
-direct delivery and unsealed blocks, so no process-level toggle can move a
+direct delivery and unsealed blocks, so no ``REPRO_*`` variable can move a
 digest.
+
+A second axis runs the six algorithms under the run configurations that
+used to be separate CI legs — the scalar path, the split-phase exchange,
+and hypercube and grid routing — and holds outputs, LCP arrays, origins and
+origin wire bytes to the default configuration's.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import fields
 
@@ -23,7 +29,7 @@ import numpy as np
 import pytest
 
 from engine_conformance import PAPER_ALGORITHMS
-from repro import Cluster
+from repro import Cluster, RunConfig
 from repro.session import default_registry
 from repro.strings import dn_instance, dna_reads
 
@@ -282,3 +288,36 @@ _CASES = list(_cases())
 )
 def test_result_digest_is_pinned(engine, case, algorithm, knobs, pes):
     assert case_digests(algorithm, knobs, pes, engine) == EXPECTED[case]
+
+
+#: every run setting at its default, except the engine (the test's axis)
+_DEFAULT_RUN = {f.name: f.default for f in fields(RunConfig) if f.name != "engine"}
+
+#: the run configurations that were once CI legs of their own
+_CONFIG_AXIS = {
+    "packed-off": {"packed": False},
+    "async-on": {"async_exchange": True},
+    "hypercube": {"exchange_topology": "hypercube"},
+    "grid": {"exchange_topology": "grid"},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _observables(algorithm, engine, leg=None):
+    """What no run setting may change: outputs, LCPs, origins, origin bytes."""
+    settings = {**_DEFAULT_RUN, **_CONFIG_AXIS.get(leg, {})}
+    spec = default_registry().spec_class(algorithm)(seed=3)
+    with Cluster(4, engine=engine, **settings) as cluster:
+        result = cluster.sort(_INPUTS["dn"](), spec)
+    return (
+        repr(_plain(result.outputs_per_pe)),
+        repr(_plain(result.lcps_per_pe)),
+        repr(_plain(result.origins_per_pe)),
+        result.report.origin_bytes_sent,
+    )
+
+
+@pytest.mark.parametrize("leg", sorted(_CONFIG_AXIS))
+@pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
+def test_run_config_leaves_results_unchanged(engine, algorithm, leg):
+    assert _observables(algorithm, engine, leg) == _observables(algorithm, engine)
