@@ -316,13 +316,11 @@ def pdms_sort(
     read.  ``golomb`` Golomb-codes the fingerprint messages (PDMS-Golomb).
     """
     local_sorted, lcps = _local_sort(comm, strings, spec.local_sorter)
-    # the run stays packed from here on (a list-sorted block is packed once);
-    # only prefix doubling, which hashes one bytes slice per active string,
-    # takes the list layout
+    # the run stays packed from here on (a list-sorted block is packed once)
     packed = PackedStringArray.from_strings(local_sorted)
     doubling = approximate_dist_prefixes(
         comm,
-        packed.to_list(),
+        packed,
         initial_length=spec.initial_length,
         epsilon=spec.epsilon,
         golomb=golomb,

@@ -24,18 +24,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Sequence, Union
 
 import numpy as np
 
 from ..mpi.comm import Communicator
-from .duplicates import prefix_fingerprints, unique_fingerprint_mask
+from ..strings.packed import PackedStringArray
+from .duplicates import extend_prefix_hashes, mix_fingerprints, unique_fingerprint_mask
 
 __all__ = ["PrefixDoublingResult", "approximate_dist_prefixes"]
 
-# 40-bit fingerprints: collisions are ~2^-25 per pair and only ever inflate
-# the estimate; 5 bytes per fingerprint is a large share of PDMS's total
-# communication volume, so width is chosen as small as safety allows.
+# 40-bit fingerprints: two distinct prefixes collide with probability about
+# 2^-40 + (c/2^31)^2 and a collision only ever inflates the estimate; 5 bytes
+# per fingerprint is a large share of PDMS's total communication volume, so
+# width is chosen as small as safety allows.
 DEFAULT_FINGERPRINT_BITS = 40
 
 # Geometric growth reaches any realistic string length quickly; 64 rounds is
@@ -55,7 +57,7 @@ class PrefixDoublingResult:
 
 def approximate_dist_prefixes(
     comm: Communicator,
-    strings: Sequence[bytes],
+    strings: Union[PackedStringArray, Sequence[bytes]],
     initial_length: int = 16,
     epsilon: float = 1.0,
     golomb: bool = False,
@@ -71,13 +73,18 @@ def approximate_dist_prefixes(
         raise ValueError("epsilon must be positive")
     if initial_length < 1:
         raise ValueError("initial_length must be at least 1")
+    if not 1 <= bits <= 64:
+        raise ValueError("bits must be in [1, 64]")
 
-    # array-native bookkeeping: the string lengths, the answer and the indices
-    # of the still-active strings; empty strings carry no information and
-    # retire immediately with DIST 0
-    full = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
-    lengths = np.zeros(len(strings), dtype=np.int64)
+    # array-native bookkeeping: the string lengths, the answer, the still-active
+    # strings' indices and hashes (of their length-``hashed_to`` prefixes);
+    # empty strings carry no information and retire immediately with DIST 0
+    packed = PackedStringArray.from_strings(strings)
+    full = packed.lengths
+    lengths = np.zeros(len(packed), dtype=np.int64)
     active = np.flatnonzero(full)
+    hashes = np.zeros((2, active.size), dtype=np.int64)
+    hashed_to = 0
 
     result = PrefixDoublingResult(lengths=[], rounds=0)
     candidate = int(initial_length)
@@ -89,11 +96,9 @@ def approximate_dist_prefixes(
             result.round_active_counts.append(globally_active)
             result.rounds += 1
 
-            fingerprints = prefix_fingerprints(
-                [strings[i][:candidate] for i in active.tolist()],
-                salt=result.rounds,
-                bits=bits,
-            )
+            hashes = extend_prefix_hashes(hashes, packed, active, hashed_to, candidate)
+            hashed_to = candidate
+            fingerprints = mix_fingerprints(hashes, salt=result.rounds, bits=bits)
             result.fingerprints_sent += active.size
             hashed = np.minimum(full[active], candidate)
             comm.record_local_work(int(hashed.sum()), active.size)
@@ -108,6 +113,7 @@ def approximate_dist_prefixes(
             retired = unique | (hashed == full[active])
             lengths[active[retired]] = hashed[retired]
             active = active[~retired]
+            hashes = hashes[:, ~retired]
             candidate = max(int(math.floor(candidate * (1.0 + epsilon))), candidate + 1)
 
         # safety-net exit: if the round bound was hit with strings still

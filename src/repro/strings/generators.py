@@ -39,6 +39,7 @@ __all__ = [
     "dna_reads",
     "suffix_instance",
     "duplicate_heavy",
+    "thue_morse",
     "GeneratorSpec",
     "make_generator",
 ]
@@ -380,6 +381,20 @@ def duplicate_heavy(
     distinct = random_strings(num_distinct, length, length, seed=seed)
     picks = rng.integers(0, num_distinct, size=num_strings)
     return [distinct[int(i)] for i in picks]
+
+
+def thue_morse(num_strings: int, length: int = 1024, seed: Optional[int] = None) -> List[bytes]:
+    """Windows of the Thue–Morse word over ``{a, b}`` at random offsets: the
+    adversary of polynomial hashing modulo ``2^64`` (an aligned block of 2048
+    characters and its complement collide for every odd base), with long
+    shared prefixes and verbatim repeats."""
+    rng = np.random.default_rng(seed)
+    word = np.zeros(1, dtype=np.uint8)
+    while word.size < 4 * length + num_strings:
+        word = np.concatenate([word, word ^ 1])
+    text = (word + ord("a")).tobytes()
+    starts = rng.integers(0, word.size - length + 1, size=num_strings)
+    return [text[s : s + length] for s in starts.tolist()]
 
 
 # ---------------------------------------------------------------------------

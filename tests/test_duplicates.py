@@ -1,7 +1,9 @@
 """Tests for distributed duplicate detection and the Golomb fingerprint coding."""
 
 import hashlib
+import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,15 +13,15 @@ from hypothesis import given, settings, strategies as st
 from repro.dist.duplicates import (
     BitVector,
     FingerprintBlock,
-    find_unique_fingerprints,
-    prefix_fingerprint,
-    prefix_fingerprints,
+    extend_prefix_hashes,
+    mix_fingerprints,
     unique_fingerprint_mask,
 )
 from repro.dist.golomb import GolombCodedSet, decode_sorted, encode_sorted, golomb_parameter
 from repro.faults import FaultPlan, FaultRule
 from repro.mpi import run_spmd
 from repro.mpi.serialization import payload_checksum
+from repro.strings import PackedStringArray, dna_reads, duplicate_heavy, thue_morse
 
 
 # ``encode_sorted`` output recorded from the bit-at-a-time writer this encoder
@@ -69,50 +71,191 @@ GOLDEN_BULK = {
 }
 
 
-class TestPrefixFingerprint:
-    def test_deterministic(self):
-        assert prefix_fingerprint(b"abc") == prefix_fingerprint(b"abc")
+M64 = (1 << 64) - 1
+PRIMES = ((1 << 31) - 1, 2147483629)
 
-    def test_salt_changes_value(self):
-        assert prefix_fingerprint(b"abc", salt=1) != prefix_fingerprint(b"abc", salt=2)
 
-    def test_different_prefixes_differ(self):
-        assert prefix_fingerprint(b"abc") != prefix_fingerprint(b"abd")
+def _fmix64(x):
+    for mult in (0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53):
+        x = ((x ^ (x >> 33)) * mult) & M64
+    return x ^ (x >> 33)
 
-    def test_bit_width_respected(self):
-        for bits in (24, 32, 48, 64):
-            fp = prefix_fingerprint(b"some prefix", bits=bits)
-            assert 0 <= fp < (1 << bits)
 
-    def test_empty_prefix_ok(self):
-        assert isinstance(prefix_fingerprint(b""), int)
+BASES = tuple(257 + _fmix64(k) % (p - 257) for k, p in zip((1, 2), PRIMES))
 
-    def test_values_recorded_from_the_scalar_blake2b_version(self):
-        assert prefix_fingerprint(b"ACGT", salt=3, bits=40) == 0xC4E7E9B5DE
-        assert prefix_fingerprint(b"ACGT", salt=3, bits=64) == 0xB55158C4E7E9B5DE
-        assert prefix_fingerprint(b"", salt=-1, bits=8) == 97
 
-    def test_batch_is_keyed_blake2b_big_endian_masked(self):
-        prefixes = [b"", b"a", b"ACGT" * 9, b"\x00\xff"]
-        batch = prefix_fingerprints(prefixes, salt=2, bits=40)
-        assert batch.dtype == np.uint64
-        key = (2).to_bytes(8, "little", signed=True)
-        digests = [hashlib.blake2b(s, digest_size=8, key=key).digest() for s in prefixes]
-        assert batch.tolist() == [int.from_bytes(d, "big") & ((1 << 40) - 1) for d in digests]
-        assert prefix_fingerprints([], bits=64).shape == (0,)
+def reference_fingerprint(s, length, salt, bits):
+    """The fingerprint by its definition, one character at a time."""
+    hashes = []
+    for base, prime in zip(BASES, PRIMES):
+        h = 0
+        for j in range(length):
+            h = (h * base + (s[j] + 1 if j < len(s) else 0)) % prime
+        hashes.append(h)
+    key = (salt * 0x9E3779B97F4A7C15) & M64
+    return _fmix64(((hashes[0] << 31) | hashes[1]) ^ key) & ((1 << bits) - 1)
 
-    @given(st.lists(st.binary(max_size=80), max_size=30),
-           st.sampled_from([-1, 0, 3, 1 << 40]), st.sampled_from([1, 8, 40, 64]))
-    @settings(max_examples=80, deadline=None)
-    def test_one_keyed_state_equals_per_prefix_keyed_calls(self, prefixes, salt, bits):
-        prefixes = prefixes + [b""]
-        key = salt.to_bytes(8, "little", signed=True)
-        expected = [
-            int.from_bytes(hashlib.blake2b(s, digest_size=8, key=key).digest(), "big")
-            & ((1 << bits) - 1)
-            for s in prefixes
+
+def fingerprints(strings, length, salt=0, bits=64):
+    """Every string's fingerprint at ``length``, hashed from scratch."""
+    packed = PackedStringArray.from_strings(strings)
+    rows = np.arange(len(packed))
+    hashes = extend_prefix_hashes(np.zeros((2, rows.size), np.int64), packed, rows, 0, length)
+    return mix_fingerprints(hashes, salt, bits)
+
+
+def candidate_lengths(initial_length=16, epsilon=1.0):
+    """The doubling protocol's candidate lengths, round by round."""
+    candidate = initial_length
+    while True:
+        yield candidate
+        candidate = max(int(math.floor(candidate * (1.0 + epsilon))), candidate + 1)
+
+
+def round_fingerprints(strings, bits=40, rounds=None, **schedule):
+    """``(salt, length, fingerprints)`` of every string per doubling round,
+    extended incrementally as the protocol does (no string retires)."""
+    packed = PackedStringArray.from_strings(strings)
+    rows = np.arange(len(packed))
+    hashes, lo = np.zeros((2, rows.size), np.int64), 0
+    rounds = rounds or max(packed.max_len.bit_length(), 1) + 1
+    for salt, length in zip(range(1, rounds + 1), candidate_lengths(**schedule)):
+        hashes = extend_prefix_hashes(hashes, packed, rows, lo, length)
+        lo = length
+        yield salt, length, mix_fingerprints(hashes, salt, bits)
+
+
+_bytes_with_edges = st.lists(st.sampled_from(b"\x00\x01a\xfe\xff"), max_size=45).map(bytes)
+
+
+class TestPrefixFingerprints:
+    @given(st.lists(_bytes_with_edges, min_size=1, max_size=12), st.integers(1, 60),
+           st.sampled_from([0, 1, 7, 64]), st.sampled_from([1, 16, 40, 64]))
+    @settings(max_examples=80)
+    def test_matches_the_definition(self, strings, length, salt, bits):
+        got = fingerprints(strings, length, salt, bits)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [reference_fingerprint(s, length, salt, bits) for s in strings]
+
+    def test_values_are_pinned(self):
+        assert fingerprints([b"ACGT"], 4, salt=3, bits=40).tolist() == [0xC7C654E5A9]
+        assert fingerprints([b"ACGT"], 4, salt=3, bits=64).tolist() == [0x6A104DC7C654E5A9]
+        assert fingerprints([b"ACGT"], 16, salt=3, bits=40).tolist() == [174122539714]
+        assert fingerprints([b""], 1, salt=1, bits=8).tolist() == [234]
+
+    def test_salt_padding_and_content_separate_values(self):
+        assert fingerprints([b"abc"], 3, salt=1)[0] != fingerprints([b"abc"], 3, salt=2)[0]
+        assert len(set(fingerprints([b"abc", b"abd", b"abc\x00", b"ab"], 4).tolist())) == 4
+        same_prefix = fingerprints([b"abc", b"abcdef"], 3).tolist()
+        assert same_prefix == fingerprints([b"abc"] * 2, 3).tolist()
+
+    def test_thue_morse_block_and_complement_differ(self):
+        # the first 2^11 characters of the Thue–Morse word and their
+        # complement: modulo 2^64 they collide for every odd base, modulo the
+        # two primes they do not
+        word = bytes(b"ab"[bin(i).count("1") & 1] for i in range(2048))
+        flipped = word.translate(bytes.maketrans(b"ab", b"ba"))
+        for base in (31, 257, 0x9E3779B97F4A7C15):
+            mod_2_64 = []
+            for w in (word, flipped):
+                h = 0
+                for c in w:
+                    h = (h * base + c) & M64
+                mod_2_64.append(h)
+            assert mod_2_64[0] == mod_2_64[1]
+        assert len(set(fingerprints([word, flipped], 2048).tolist())) == 2
+
+    @given(st.lists(_bytes_with_edges, max_size=10), st.sampled_from([0.5, 1.0]),
+           st.integers(1, 20), st.data())
+    @settings(max_examples=80)
+    def test_incremental_equals_from_scratch(self, strings, epsilon, initial_length, data):
+        packed = PackedStringArray.from_strings(strings)
+        rows = np.arange(len(packed))
+        hashes, lo = np.zeros((2, rows.size), np.int64), 0
+        for _, length in zip(range(6), candidate_lengths(initial_length, epsilon)):
+            hashes = extend_prefix_hashes(hashes, packed, rows, lo, length)
+            lo = length
+            scratch = [fingerprints([strings[i]], length, 5)[0] for i in rows.tolist()]
+            assert mix_fingerprints(hashes, 5, 64).tolist() == scratch
+            keep = np.array(data.draw(st.lists(st.booleans(), min_size=rows.size,
+                                               max_size=rows.size)), dtype=bool)
+            rows, hashes = rows[keep], hashes[:, keep]
+
+    def test_equal_prefixes_hash_alike_whatever_the_companions(self):
+        # the rank holding only short strings must not clip the width to its
+        # longest string: its copies of a prefix must hash as the long rank's
+        shared = [b"", b"A", b"ACGTACGTACGTACGT", b"ACGT\x00"]
+        long_rank = shared + [b"ACGTACGTACGTACGT" + b"T" * 300, b"G" * 500]
+        short_rank = shared + [b"C", b"ACGTACGTACGTACGTA"]
+        for (_, length, fa), (_, _, fb) in zip(round_fingerprints(long_rank),
+                                               round_fingerprints(short_rank, rounds=8)):
+            for i, s in enumerate(long_rank):
+                for j, t in enumerate(short_rank):
+                    if s[:length] == t[:length]:
+                        assert fa[i] == fb[j], (length, s, t)
+
+    def test_both_engines_compute_the_same_values(self, engine):
+        blocks = [dna_reads(200, seed=3), [b"ACGT", b""], thue_morse(50, 300, seed=4)]
+
+        def prog(comm, block):
+            return [fps.tolist() for _, _, fps in round_fingerprints(block, rounds=6)]
+
+        results, _ = run_spmd(3, prog, args_per_rank=[(b,) for b in blocks])
+        assert results == [prog(None, b) for b in blocks]
+
+    def test_memory_stays_bounded_on_long_strings(self):
+        # 1000 strings of 64 KiB: the column chunks, not the strings, bound memory
+        n, width = 1000, 1 << 16
+        data = np.random.default_rng(0).integers(0, 256, n * width, dtype=np.uint8)
+        packed = PackedStringArray(data, np.arange(n + 1, dtype=np.int64) * width)
+        rows = np.arange(n)
+        tracemalloc.start()
+        try:
+            hashes = extend_prefix_hashes(np.zeros((2, n), np.int64), packed, rows, 0, width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        assert hashes[:, :3].tolist() == extend_prefix_hashes(
+            np.zeros((2, 3), np.int64), packed, rows[:3], 0, width).tolist()
+
+
+ORACLE_INPUTS = {
+    "dna": lambda: dna_reads(3000, seed=21),
+    "duplicates": lambda: duplicate_heavy(3000, 200, 40, seed=22),
+    "thue-morse": lambda: thue_morse(3000, 1024, seed=23),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+def test_verdicts_against_an_exact_prefix_counter(name):
+    """The protocol's verdicts on three ranks, round by round: no false
+    *unique* ever, no false duplicate at 40 bits, and at 16 bits false
+    duplicates within 2x of the birthday expectation."""
+    strings = ORACLE_INPUTS[name]()
+    blocks = [strings[r::3] for r in range(3)]
+    rounds = max(map(len, strings)).bit_length() + 1
+
+    def prog(comm, block, bits):
+        return [
+            unique_fingerprint_mask(comm, fps, bits=bits, golomb=True)
+            for _, _, fps in round_fingerprints(block, bits=bits, rounds=rounds)
         ]
-        assert prefix_fingerprints(prefixes, salt=salt, bits=bits).tolist() == expected
+
+    expected = observed = 0.0
+    for bits in (40, 16):
+        results, _ = run_spmd(3, prog, args_per_rank=[(b, bits) for b in blocks])
+        for k, length in zip(range(rounds), candidate_lengths()):
+            exact = Counter(s[:length] for s in strings)
+            exact_unique = np.array([exact[s[:length]] == 1 for b in blocks for s in b])
+            verdicts = np.concatenate([per_round[k] for per_round in results])
+            assert not (verdicts & ~exact_unique).any()
+            if bits == 40:
+                assert (verdicts == exact_unique).all()
+            else:
+                observed += int((exact_unique & ~verdicts).sum())
+                expected += exact_unique.sum() * (1 - (1 - 2.0 ** -16) ** (len(exact) - 1))
+    assert expected / 2 <= observed <= 2 * expected
 
 
 class TestGolombCoding:
@@ -247,9 +390,9 @@ class TestMessageTypes:
 
 
 def _run_detection(per_pe_fingerprints, golomb=False, bits=32):
-    """Helper: run find_unique_fingerprints on the SPMD engine."""
+    """Helper: run unique_fingerprint_mask on the SPMD engine, verdicts as lists."""
     def prog(comm, fps):
-        return find_unique_fingerprints(comm, fps, bits=bits, golomb=golomb)
+        return unique_fingerprint_mask(comm, fps, bits=bits, golomb=golomb).tolist()
 
     results, report = run_spmd(
         len(per_pe_fingerprints),

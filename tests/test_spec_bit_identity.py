@@ -6,6 +6,8 @@ inspected per PE — to one SHA-256.  The digests were recorded before the rank
 programs started reading their knobs off the :class:`~repro.session.SortSpec`,
 so a knob that stops reaching its rank program, or reaches the wrong one,
 changes a digest here.  Both engines must reproduce the same digests.
+Where the fingerprint hash moves PDMS's wire bytes, a second digest without
+them holds everything else to the values recorded before the hash changed.
 
 Every algorithm runs with its default spec on 1 and 4 PEs; every knob below
 runs on 4 PEs for each algorithm whose spec has the fields.  The cluster pins
@@ -71,23 +73,26 @@ def _plain(value):
     return value
 
 
-def result_digest(result) -> str:
-    """SHA-256 over everything a knob could change in a sort's result."""
-    payload = (
+def result_digest(result, wire_bytes: bool = True) -> str:
+    """SHA-256 over everything a knob could change in a sort's result;
+    ``wire_bytes=False`` leaves out the total bytes sent."""
+    payload = [
         result.outputs_per_pe,
         result.lcps_per_pe,
         result.origins_per_pe,
         result.extra,
-        result.report.total_bytes_sent,
         result.report.chars_inspected_per_pe,
-    )
+    ]
+    if wire_bytes:
+        payload.insert(4, result.report.total_bytes_sent)
     return hashlib.sha256(repr(_plain(payload)).encode()).hexdigest()
 
 
 def case_digests(algorithm, knobs, pes, engine):
-    """``{"<input>/p<p>": digest}`` of one case on ``engine``."""
+    """``{"<input>/p<p>": digest}`` of one case on ``engine``, and the same
+    for the digests without wire bytes."""
     spec = default_registry().spec_class(algorithm)(**knobs)
-    digests = {}
+    digests, bytes_free = {}, {}
     for p in pes:
         with Cluster(
             p,
@@ -99,7 +104,8 @@ def case_digests(algorithm, knobs, pes, engine):
             for input_name, make in _INPUTS.items():
                 result = cluster.sort(make(), spec)
                 digests[f"{input_name}/p{p}"] = result_digest(result)
-    return digests
+                bytes_free[f"{input_name}/p{p}"] = result_digest(result, wire_bytes=False)[:16]
+    return digests, bytes_free
 
 
 #: case id -> ``{"<input>/p<p>": result digest}``
@@ -159,62 +165,62 @@ EXPECTED = {
     "pdms": {
         "dn/p1": "c2939a7664cfa844eb60881a5e4fdea5925661ccf7c75f913497a0d3976c4c48",
         "dna/p1": "8f174dee2eaf8236491f55bf7ebe304b990658e164b5dcb476f5cd9ddd97a131",
-        "dn/p4": "81de4df5a23987c36103f71b5d63888517ed888882c1d6e4312a0e6bfbcacbcf",
-        "dna/p4": "ef3deb53210215855ed0c696c74e8deacab082c9f79c33ad1050e4beb74791a0",
+        "dn/p4": "eb91c89b40c82992810a41c81cfba3bf8e13f2c51b04a8b087ad53e1cb261484",
+        "dna/p4": "6781322de3133051e91f50af6872ab10d8a37d9ceafa5b0385ab0475c3fc3450",
     },
     "pdms[sampling=character]": {
-        "dn/p4": "19efdc0594ad145d30c544775089b7386dda948b75ad35d61fea3e71a29158c7",
-        "dna/p4": "6e73ee3c44ec55f2ec8f2866b3998dc0926b069cf0a2e321a33d4308af948c33",
+        "dn/p4": "7f594404b4cca45dfe82b7f3052e9cafd656523dae6d7602a690d36443fc432d",
+        "dna/p4": "0def625ca25b58d20adfeb249735726be4f8c490da770759e2b0b2f257249ef4",
     },
     "pdms[sample_sort=hquick]": {
-        "dn/p4": "4da7abbdc9f3c59dbe0ea5105fb23b5205c47cd47148c5d6a468e1a9e5d5a512",
-        "dna/p4": "e84afc13782fc5d93973e5c666641a508e7b79df4b6eb4ebe28e7586ab504fb4",
+        "dn/p4": "39c5272c31db471b72c98f9314aa85102c30af6497cbfeab1d4b9e8b820414fc",
+        "dna/p4": "637dd81b21fa89b85862c7a410027e19b93e304f11a68ffb591886bfea862a8b",
     },
     "pdms[oversampling=3]": {
-        "dn/p4": "cbc48910657ee2f3244330458ccd017a916009da539cb5418cb19ce03cdea8b7",
-        "dna/p4": "d5df8aeb97d458186d906af0e0923a2ce9cc94918dd1f9879501dc35ada074cf",
+        "dn/p4": "efec47ec282f0b2b2ed02dd843724fddf3c2b399bb884317a6761f2c97de6d8f",
+        "dna/p4": "74b2f91e376c1e9376cd4a6f94f7d6ddf0824c5fbe6e6c337e07bb6849ace42f",
     },
     "pdms[local_sorter=multikey_quicksort]": {
-        "dn/p4": "133c7a097e751b61a1839a43ee7b8d47aed2b0b4c284f5706dfcc092947bdf79",
-        "dna/p4": "165f66347af14ce2199e391eb69b567e0493f44786c1dd1f55e4fece645629ef",
+        "dn/p4": "3fc1caf8155535f7106a4be58291b1d5f3b473274c3bf30e812307c637b97f10",
+        "dna/p4": "51cc0c08cb995ea38e6d8e390aa59631f3fe2e7bd0267152b47a8f9b26f76002",
     },
     "pdms[epsilon=0.5,initial_length=2]": {
-        "dn/p4": "ab1c8f3f1270ed44e7f64821fe766f296ba43f21ef82af8154981dcb216f7517",
-        "dna/p4": "a011e6ccbb65b88510c02e710a3c46da9812ee3e3b00f27ceed2b03281389410",
+        "dn/p4": "348393e8f8f045e98b7b842ee10f3336ed224887822da895430cdacafe25ca00",
+        "dna/p4": "41e7f68971575f098e52694c8d2afa7ae51f3ab301fcfcd12f5bb922273d673b",
     },
     "pdms[exchange_topology=hypercube]": {
-        "dn/p4": "694787d08e2fe6ab27e6ae230383ad992bf14f015c8de5fd6f181cbfaff943cf",
-        "dna/p4": "0daf49beca12f2ad29af8e4b343838003f527775e0c2dd0fe0ef0fb91cd9e1ed",
+        "dn/p4": "dfe042d424068f44bf84ef370aa60590dd050982c997759feca383fa51104c32",
+        "dna/p4": "64e6dd8ea96f3f728bdd385763d366d2a1bfc5c5ed87569ad8427e3742f5d194",
     },
     "pdms-golomb": {
         "dn/p1": "c2939a7664cfa844eb60881a5e4fdea5925661ccf7c75f913497a0d3976c4c48",
         "dna/p1": "8f174dee2eaf8236491f55bf7ebe304b990658e164b5dcb476f5cd9ddd97a131",
-        "dn/p4": "f55f6e5151410c3dd8379a7dea2cdc7f24055e91078100351e8a5a8797d7ed82",
-        "dna/p4": "ef3deb53210215855ed0c696c74e8deacab082c9f79c33ad1050e4beb74791a0",
+        "dn/p4": "7a8b0ec929757998a45cc0dd42a0552b518b07777127853c16602a59f20d8a4a",
+        "dna/p4": "6781322de3133051e91f50af6872ab10d8a37d9ceafa5b0385ab0475c3fc3450",
     },
     "pdms-golomb[sampling=character]": {
-        "dn/p4": "b7d87769b260151d539c9b4fedc16b1078e1613e810c4bd07304078a4cb9b56a",
-        "dna/p4": "6e73ee3c44ec55f2ec8f2866b3998dc0926b069cf0a2e321a33d4308af948c33",
+        "dn/p4": "bca86b9175bea1e6c4ee38e9ba246f95510b0fef9e8a926aeea2ec554bf182d9",
+        "dna/p4": "0def625ca25b58d20adfeb249735726be4f8c490da770759e2b0b2f257249ef4",
     },
     "pdms-golomb[sample_sort=hquick]": {
-        "dn/p4": "ea43bd7acd3d4f920c407a38244f66f2873198bd96af45aa9f87fff410860f1a",
-        "dna/p4": "e84afc13782fc5d93973e5c666641a508e7b79df4b6eb4ebe28e7586ab504fb4",
+        "dn/p4": "fc7213d6f31f2d234fa0e87c2fe4bc41156a0f1f7135c6c0db3a8891bc1e47bd",
+        "dna/p4": "637dd81b21fa89b85862c7a410027e19b93e304f11a68ffb591886bfea862a8b",
     },
     "pdms-golomb[oversampling=3]": {
-        "dn/p4": "c51041b11f26a2d79a12e338ebe6db0df2681a586eeeca369c3bb3898e37a073",
-        "dna/p4": "d5df8aeb97d458186d906af0e0923a2ce9cc94918dd1f9879501dc35ada074cf",
+        "dn/p4": "b5c30eb0deeb030c441b02690c4875d444d2b49a8ce3b2d2db6b359faad1a554",
+        "dna/p4": "74b2f91e376c1e9376cd4a6f94f7d6ddf0824c5fbe6e6c337e07bb6849ace42f",
     },
     "pdms-golomb[local_sorter=multikey_quicksort]": {
-        "dn/p4": "9c2ebbdac17ac70151253ab0b55d1056c750e8e745b489e02fec9601b15eb484",
-        "dna/p4": "165f66347af14ce2199e391eb69b567e0493f44786c1dd1f55e4fece645629ef",
+        "dn/p4": "120d433f513087eb7de297c5d9a5e57c2fbdbfe7627f0fd02c15ff6ac6d79307",
+        "dna/p4": "51cc0c08cb995ea38e6d8e390aa59631f3fe2e7bd0267152b47a8f9b26f76002",
     },
     "pdms-golomb[epsilon=0.5,initial_length=2]": {
-        "dn/p4": "5a519cd58de3a578263b1ea2938d2fce33b283499e913d0b4e16b3e33875b385",
-        "dna/p4": "a011e6ccbb65b88510c02e710a3c46da9812ee3e3b00f27ceed2b03281389410",
+        "dn/p4": "558b2af24f6ab315e2c7e2504cc3fdf039845e7ddaa767ef8717df2875c69cff",
+        "dna/p4": "2221d2131f05b91b21971e4ed29868186cbc0e19f38adbceb5ac5d471092bd0c",
     },
     "pdms-golomb[exchange_topology=hypercube]": {
-        "dn/p4": "a1340d3def5aff94835dedcecb671a7bed451bda50f9c36755146a35bd06d83a",
-        "dna/p4": "0daf49beca12f2ad29af8e4b343838003f527775e0c2dd0fe0ef0fb91cd9e1ed",
+        "dn/p4": "7ef299dc8ec394f3a28ff7b006bfd132127e8d9bce490d246a543cd1be679e87",
+        "dna/p4": "64e6dd8ea96f3f728bdd385763d366d2a1bfc5c5ed87569ad8427e3742f5d194",
     },
     "hquick": {
         "dn/p1": "3bf51c9b49205ed640099a3806d9030363c99d4058d287435a1200f660e34100",
@@ -252,32 +258,60 @@ EXPECTED = {
         "dn/p1": "f52a5033718253fbf28bdca6cb0721245edc43d632ef86b8dd3df4fdd02e5254",
         "dna/p1": "084f8644a0271fa393a868a3d7f56fe575796c4727ad834f392399beaf8f1d25",
         "dn/p4": "06ca08452dcb1e226f829994cc0297a99866332f23be642c5d0d8d25c58e1d76",
-        "dna/p4": "6d60716f0b9795edae7f56cbb6430fcedf9975088ff47ae0b14d9c1c8e2d5236",
+        "dna/p4": "ea662d8528dd21f49d9462b676dd0c227741f59c9b0f03ef6c968adf87fca491",
     },
     "auto[sampling=character]": {
         "dn/p4": "2c02a95658069b63600ec8802177eb0489697ee48b7f88edcb565643ef5ac6d8",
-        "dna/p4": "2af283c10514c924ceab05b2a89ec4f8fee4853f8b1b61de1152e62518263fc8",
+        "dna/p4": "0786b74b33c3a7e62d7f9b0a26a0c5d710451f96520d76fae83780fadfe4f2e2",
     },
     "auto[sample_sort=hquick]": {
         "dn/p4": "f30ddb51214053938a1ca9482319b04766e62584d1f8debdf805c17fc98f7a4e",
-        "dna/p4": "98732e3697d2adc7d1aa6e1680b354ce9290e77bd0adac7369f45f471dbe9f68",
+        "dna/p4": "48e96711584cac3f77f7113a908e332fd97f158de8191a880c2ae59a955a33d0",
     },
     "auto[oversampling=3]": {
         "dn/p4": "c76bd3aa3f6d21dd9dbb44045e18550acd3a931cbf8ed557c5e301f654154692",
-        "dna/p4": "c220fa6c417f042a49d411c7b41a8f037f3cdbbe3f7e259d9021ae23e85d153f",
+        "dna/p4": "d8180aa545b34dfe2c88645e54458f96d4c7a1cc3e4e9597141e07eb2604f57e",
     },
     "auto[local_sorter=multikey_quicksort]": {
         "dn/p4": "394359b629448b318133bda18c2f9a3c1730a1c40dade0a0ec087fd52066af98",
-        "dna/p4": "81951c1a8fd56ba64afb791a25376b28b1a0f323664dbc55adcdf06f5befc2be",
+        "dna/p4": "54418a874c3817af700134ad2c6faf6b64596adb2de392ed4d0971e4099224b4",
     },
     "auto[epsilon=0.5,initial_length=2]": {
         "dn/p4": "06ca08452dcb1e226f829994cc0297a99866332f23be642c5d0d8d25c58e1d76",
-        "dna/p4": "48fb7e79369527a715fd47369740c99486045ba1e57463c1cc7a1950ce2e893a",
+        "dna/p4": "e0f46f87b99010b6e7bb7a45a124b5cc3d344c954e61c63df3b9c6e445b63311",
     },
     "auto[exchange_topology=hypercube]": {
         "dn/p4": "97aa9721eaaedbfb3c8d48aa201ef334e20f2d69d273897671c1782d69a8972f",
-        "dna/p4": "4b9f6128cbe94b08e041f2014cb622f7250d586f38cf41d9487a390e3cd9449a",
+        "dna/p4": "3f4fcc5ff9b47e4f4f155f0a4177ccaa81678b04cfabcaada75b8bf336372be8",
     },
+}
+
+#: cases whose wire bytes follow the fingerprint hash -> ``{"<input>/p<p>":
+#: digest without wire bytes}``, recorded with the blake2b fingerprints the
+#: double Karp–Rabin hash replaced: outputs, LCP arrays, origins, ``extra``
+#: (doubling rounds and lengths) and characters inspected must not move
+BYTES_FREE = {
+    "pdms": {"dn/p4": "49c6c8b2efba349d", "dna/p4": "3698c4c42f8e925b"},
+    "pdms[sampling=character]": {"dn/p4": "046aa3fe08e2a854", "dna/p4": "d02106674126aab6"},
+    "pdms[sample_sort=hquick]": {"dn/p4": "1bdc8a4e1abaaddc", "dna/p4": "e4d166222541ba60"},
+    "pdms[oversampling=3]": {"dn/p4": "87e07b198bab561f", "dna/p4": "d8ffebb73afc0cb9"},
+    "pdms[local_sorter=multikey_quicksort]": {"dn/p4": "3ddb26fab7f09551", "dna/p4": "41f0c647e46b2b9e"},
+    "pdms[epsilon=0.5,initial_length=2]": {"dn/p4": "9caf748127d87613", "dna/p4": "28e3881ebeea8aae"},
+    "pdms[exchange_topology=hypercube]": {"dn/p4": "49c6c8b2efba349d", "dna/p4": "3698c4c42f8e925b"},
+    "pdms-golomb": {"dn/p4": "49c6c8b2efba349d", "dna/p4": "3698c4c42f8e925b"},
+    "pdms-golomb[sampling=character]": {"dn/p4": "046aa3fe08e2a854", "dna/p4": "d02106674126aab6"},
+    "pdms-golomb[sample_sort=hquick]": {"dn/p4": "1bdc8a4e1abaaddc", "dna/p4": "e4d166222541ba60"},
+    "pdms-golomb[oversampling=3]": {"dn/p4": "87e07b198bab561f", "dna/p4": "d8ffebb73afc0cb9"},
+    "pdms-golomb[local_sorter=multikey_quicksort]": {"dn/p4": "3ddb26fab7f09551", "dna/p4": "41f0c647e46b2b9e"},
+    "pdms-golomb[epsilon=0.5,initial_length=2]": {"dn/p4": "9caf748127d87613", "dna/p4": "28e3881ebeea8aae"},
+    "pdms-golomb[exchange_topology=hypercube]": {"dn/p4": "49c6c8b2efba349d", "dna/p4": "3698c4c42f8e925b"},
+    "auto": {"dna/p4": "756c044ae28bc756"},
+    "auto[sampling=character]": {"dna/p4": "a9f85ad89f43f96b"},
+    "auto[sample_sort=hquick]": {"dna/p4": "8886a3ac6e1c5e30"},
+    "auto[oversampling=3]": {"dna/p4": "1217194e5d39e5ac"},
+    "auto[local_sorter=multikey_quicksort]": {"dna/p4": "e0a3079b6b459b82"},
+    "auto[epsilon=0.5,initial_length=2]": {"dna/p4": "410a78fb08be506d"},
+    "auto[exchange_topology=hypercube]": {"dna/p4": "756c044ae28bc756"},
 }
 
 _CASES = list(_cases())
@@ -287,7 +321,10 @@ _CASES = list(_cases())
     "case, algorithm, knobs, pes", _CASES, ids=[c[0] for c in _CASES]
 )
 def test_result_digest_is_pinned(engine, case, algorithm, knobs, pes):
-    assert case_digests(algorithm, knobs, pes, engine) == EXPECTED[case]
+    digests, bytes_free = case_digests(algorithm, knobs, pes, engine)
+    assert digests == EXPECTED[case]
+    for key, want in BYTES_FREE.get(case, {}).items():
+        assert bytes_free[key] == want, key
 
 
 #: every run setting at its default, except the engine (the test's axis)
