@@ -6,14 +6,21 @@ tracing on stays cheap enough that leaving ``REPRO_TRACE=1`` armed on a
 production-style run is a non-decision.  This module measures both.
 
 The gated measurement is a whole distributed sort (``Cluster.sort``,
-multiway mergesort, threads engine) wall-clocked untraced and then
-traced, best of a few attempts each — wall-clock gates flake under
-noisy-neighbour CPU contention, so like the PR 7 checksum gate this one
-takes the *minimum* observed overhead across attempts before asserting
-it is **< 5%**.  Identity is asserted alongside: traced and untraced
-sorts produce the same output and the same wire-byte accounting.
+multiway mergesort, threads engine) timed untraced and traced in pairs.
+The threads engine runs every rank inside this process, so the process
+CPU time of a sort is the work it did, tracing included; the gate reads
+that clock rather than wall time, which also counts the seconds the ranks
+sat descheduled behind other tenants of a shared host (on 2 vCPUs, wall
+samples of the same ~0.1 s sort spread by +-30%, enough to trip a 5% gate
+at no real overhead).  Each pair starts from a collected heap and the
+pairs alternate which arm runs first, so neither arm systematically pays
+for the other's garbage.  Like the checksum-seal gate
+(``test_fault_overhead.py``), the test takes the *minimum* observed
+overhead across attempts before asserting it is **< 5%**.  Identity is asserted alongside: traced and untraced sorts
+produce the same output and the same wire-byte accounting.
 
-The JSON additionally records trajectory data (not gated): per-stage
+The JSON additionally records trajectory data (not gated): the wall-clock
+times of the gated pair, per-stage
 barrier-exclusive seconds from the traced run's timeline, raw
 ``Recorder`` throughput (events/second into the ring buffer — the
 microbenchmark bound on any per-event cost), and ring-overflow behaviour
@@ -25,6 +32,7 @@ earlier trajectories.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -40,7 +48,7 @@ from repro.strings.generators import commoncrawl_like
 NUM_STRINGS = scaled(20_000, minimum=4_000)
 NUM_PES = 4
 OVERHEAD_GATE = 0.05  # traced sort: at most 5% over untraced
-ATTEMPTS = 4
+ATTEMPTS = 10
 RECORDER_EVENTS = 200_000
 
 _RESULTS_PATH = results_path("BENCH_PR10.json")
@@ -52,19 +60,32 @@ def corpus():
 
 
 def _sort_once(data, trace):
-    """One full sort on a fresh cluster; returns (seconds, result)."""
+    """One full sort on a fresh cluster: (cpu_seconds, wall_seconds, result)."""
+    gc.collect()
     with Cluster(num_pes=NUM_PES, trace=trace) as cluster:
-        t0 = time.perf_counter()
+        w0 = time.perf_counter()
+        c0 = time.process_time()
         result = cluster.sort(data, MSSpec())
-        elapsed = time.perf_counter() - t0
-    return elapsed, result
+        cpu = time.process_time() - c0
+        wall = time.perf_counter() - w0
+    return cpu, wall, result
+
+
+def _sort_pair(data, attempt):
+    """One untraced and one traced sort, the first arm alternating by attempt."""
+    if attempt % 2 == 0:
+        off = _sort_once(data, trace=False)
+        on = _sort_once(data, trace=True)
+    else:
+        on = _sort_once(data, trace=True)
+        off = _sort_once(data, trace=False)
+    return off, on
 
 
 def test_trace_overhead_under_gate(corpus):
     best = None
-    for _ in range(ATTEMPTS):
-        t_off, res_off = _sort_once(corpus, trace=False)
-        t_on, res_on = _sort_once(corpus, trace=True)
+    for attempt in range(ATTEMPTS):
+        (c_off, w_off, res_off), (c_on, w_on, res_on) = _sort_pair(corpus, attempt)
 
         # identity: tracing observes the run, it never changes it
         assert res_on.sorted_strings == res_off.sorted_strings
@@ -77,12 +98,13 @@ def test_trace_overhead_under_gate(corpus):
         assert res_off.report.timeline is None
         assert res_on.report.timeline is not None
 
-        overhead = t_on / t_off - 1.0
+        overhead = c_on / c_off - 1.0
         if best is None or overhead < best[0]:
-            best = (overhead, t_off, t_on, res_on)
+            best = (overhead, c_off, c_on, w_off, w_on, res_on)
         if best[0] < OVERHEAD_GATE * 0.4:
             break
-    overhead, t_off, t_on, traced = best
+    attempts = attempt + 1
+    overhead, c_off, c_on, w_off, w_on, traced = best
 
     timeline = traced.report.timeline
     stage_seconds = {
@@ -111,10 +133,14 @@ def test_trace_overhead_under_gate(corpus):
         "num_pes": NUM_PES,
         "bench_scale": os.environ.get("REPRO_BENCH_SCALE", "1.0"),
         "sort": {
-            "untraced_seconds": round(t_off, 6),
-            "traced_seconds": round(t_on, 6),
+            "untraced_cpu_seconds": round(c_off, 6),
+            "traced_cpu_seconds": round(c_on, 6),
             "overhead": round(overhead, 4),
             "gate": OVERHEAD_GATE,
+            "attempts": attempts,
+            "untraced_seconds": round(w_off, 6),
+            "traced_seconds": round(w_on, 6),
+            "wall_overhead": round(w_on / w_off - 1.0, 4),
         },
         "traced_run": {
             "spans": len(timeline.spans),
@@ -135,7 +161,7 @@ def test_trace_overhead_under_gate(corpus):
     assert overhead < OVERHEAD_GATE, (
         f"tracing cost {overhead * 100:.1f}% on a full sort "
         f"(gate {OVERHEAD_GATE * 100:.0f}%; "
-        f"untraced {t_off:.3f}s, traced {t_on:.3f}s)"
+        f"untraced {c_off:.3f} CPU-s, traced {c_on:.3f} CPU-s)"
     )
     # the recorder must sustain well beyond any realistic event rate
     assert events_per_second > 1e5

@@ -63,12 +63,6 @@ def main() -> None:
 
         # The sorted data is available as per-PE slices or as one flat list.
         result = cluster.sort(data, MSSpec(), check=True)
-    # Split-phase exchange, a setting of the cluster: receivers decode and
-    # prepare the merge while later buckets are still in flight.  Same
-    # strings, same bytes on the wire — plus an overlap fraction the cost
-    # model credits.
-    with Cluster(num_pes=8, async_exchange=True) as cluster:
-        overlapped = cluster.sort(data, MSSpec(), check=True)
 
     flat = result.sorted_strings
     assert flat == sorted(data)
@@ -76,15 +70,6 @@ def main() -> None:
     print("first three sorted strings:", [s[:20] for s in flat[:3]])
     print("per-PE output sizes:", [len(part) for part in result.outputs_per_pe])
     print("communication per phase (bytes):", result.report.phase_bytes)
-
-    assert overlapped.sorted_strings == flat
-    assert overlapped.report.total_bytes_sent == result.report.total_bytes_sent
-    print()
-    print("split-phase exchange (Cluster(async_exchange=True)):")
-    print(f"  overlap fraction: {overlapped.overlap_fraction():.2f} "
-          "of the exchange window hidden behind merge preparation")
-    print(f"  modeled time: {result.modeled_time():.2e} s sync vs "
-          f"{overlapped.modeled_time():.2e} s overlapped (same wire bytes)")
 
 
 if __name__ == "__main__":

@@ -67,7 +67,7 @@ def main() -> None:
 
     # -- streaming batch ingest --------------------------------------------
     chunks = [data[i : i + 750] for i in range(0, len(data), 750)]
-    stream = Cluster(num_pes=8, async_exchange=True).sort_batches(
+    stream = Cluster(num_pes=8).sort_batches(
         chunks, MSSpec(), check=True
     )
     for batch in stream:  # lazy: one chunk in memory at a time
@@ -77,8 +77,7 @@ def main() -> None:
         f"batch ingest: {stream.batches_done} batches, "
         f"{stream.num_strings} strings, "
         f"{merged.total_bytes_sent} total bytes "
-        f"({stream.bytes_per_string():.1f} bytes/string), "
-        f"overlap fraction {merged.overlap_fraction('exchange'):.2f}"
+        f"({stream.bytes_per_string():.1f} bytes/string)"
     )
 
 

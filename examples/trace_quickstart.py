@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Tour of ``repro.obs``: trace a sort, read the timeline, export artifacts.
 
-Runs one traced multiway-mergesort (split-phase exchange armed so the
-exchange/merge overlap is visible), prints the terminal waterfall, a few
+Runs one traced multiway-mergesort, prints the terminal waterfall, a few
 timeline queries and a metrics excerpt, and writes a Chrome-trace JSON
 artifact that opens in ``chrome://tracing`` or https://ui.perfetto.dev.
 
@@ -40,7 +39,7 @@ def main() -> None:
 
     # tracing is a per-cluster knob (or REPRO_TRACE=1 process-wide);
     # outputs and byte accounting are bit-identical with it on or off
-    with Cluster(num_pes=4, trace=True, async_exchange=True) as cluster:
+    with Cluster(num_pes=4, trace=True) as cluster:
         result = cluster.sort(data, MSSpec(), check=True)
 
     timeline = result.report.timeline
@@ -52,9 +51,6 @@ def main() -> None:
         print(f"stage seconds      : {stage:<24} {secs * 1e3:8.2f} ms")
     print(f"barrier wait       : {timeline.barrier_seconds() * 1e3:.2f} ms "
           "(metered separately, never booked to a stage)")
-    overlap = timeline.overlap_pairs("exchange", "merge")
-    print(f"exchange||merge    : {overlap * 1e3:.2f} ms ran concurrently "
-          "across ranks (split-phase overlap)")
 
     # -- derived metrics snapshot ------------------------------------------
     snap = result.report.metrics

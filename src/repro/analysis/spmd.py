@@ -23,9 +23,9 @@ surfaces as a deadlock timeout (or silent byte drift) at scale:
 
 ``spmd-self-send``
     Peer arithmetic that statically folds to the caller's own rank on a
-    *blocking* primitive (``send``/``recv``/``sendrecv``).  The split-phase
-    exchange legitimately self-posts ``isend``/``irecv`` pairs, so the
-    non-blocking primitives are exempt.
+    *blocking* primitive (``send``/``recv``/``sendrecv``).  The
+    non-blocking primitives are exempt: a program may legitimately
+    self-post an ``isend``/``irecv`` pair.
 
 Suppression: ``# lint: spmd-ok(<rule>)`` on the finding's line or the
 line above (see docs/ANALYSIS.md).

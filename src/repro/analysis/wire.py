@@ -48,10 +48,7 @@ _HOT_FUNCTIONS = frozenset(
         "decode_run",
         "lcp_multiway_merge_packed",
         "exchange_buckets",
-        "exchange_buckets_async",
-        "_routed_exchange_async",
         "routed_exchange",
-        "routed_exchange_iter",
         "front_code",
         "front_decode",
     }

@@ -368,11 +368,6 @@ class ExperimentRunner:
         # memory high-water mark at the time the cell finished (bytes); the
         # packed-path PRs track this next to strings/sec in the BENCH_* files
         cell.extra["peak_rss_bytes"] = peak_rss_bytes()
-        overlap = report.overlap_fraction("exchange")
-        if overlap > 0.0:
-            # split-phase exchange runs (async_exchange=True) record how
-            # much of the delivery window was hidden behind merge preparation
-            cell.extra["overlap_fraction"] = round(overlap, 4)
         if report.forwarded_bytes > 0:
             # multi-level routed delivery: expose the measured inflation
             cell.extra["forwarded_bytes"] = report.forwarded_bytes

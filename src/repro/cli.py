@@ -114,11 +114,6 @@ def _add_sort_options(parser: argparse.ArgumentParser) -> None:
         "--distribute-by/--seed",
     )
     parser.add_argument(
-        "--async-exchange", action="store_true",
-        help="run the bucket exchange split-phase (overlaps merge preparation "
-        "with delivery; outputs and wire bytes are bit-identical)",
-    )
-    parser.add_argument(
         "--exchange-topology", choices=("direct", "hypercube", "grid"),
         default=None,
         help="bucket all-to-all delivery strategy: direct (default), or "
@@ -296,12 +291,11 @@ def _run_sort(args, trace: Optional[bool]):
     data = _load_or_generate(args)
     spec = _spec_from_args(args)
     plan = _load_fault_plan(args.fault_plan)
-    # the flags only ever opt *in*: without them the run configuration the
-    # environment asks for (or the defaults, off) stays in charge
+    # an unset flag is None: the run configuration the environment asks for
+    # (or the default) stays in charge
     cluster = Cluster(
         num_pes=args.num_pes,
         engine=args.engine,
-        async_exchange=True if args.async_exchange else None,
         exchange_topology=args.exchange_topology,
         timeout=args.timeout,
         fault_plan=plan,
@@ -345,8 +339,6 @@ def _cmd_sort(args) -> int:
     print(f"bytes per string   : {result.bytes_per_string():.2f}")
     print(f"modelled time      : {result.modeled_time(DEFAULT_MACHINE):.3e} s")
     print(f"bytes by phase     : {dict(report.phase_bytes)}")
-    if result.overlap_fraction() > 0.0:
-        print(f"exchange overlap   : {result.overlap_fraction():.2f} of the delivery window")
     if args.check:
         print("output check       : passed")
     if report.timeline is not None:

@@ -1,6 +1,6 @@
 """The run configuration: how a cluster executes its sorts.
 
-A :class:`RunConfig` holds the seven execution settings of one
+A :class:`RunConfig` holds the six execution settings of one
 :class:`repro.session.Cluster` (or one :func:`repro.mpi.run_spmd` call).  It
 is resolved once, when the cluster is built: the ``REPRO_*`` environment
 first (:meth:`RunConfig.from_env`, the only place the package reads those
@@ -11,10 +11,9 @@ sort at the same time in one process.  A spec's own ``exchange_topology``
 still overrides the cluster's for that sort.
 
 None of the settings changes sorted outputs, LCP arrays or origin wire
-bytes: ``packed`` and ``async_exchange`` change how the work is done,
-``exchange_topology`` adds forwarded routing bytes, ``wire_checksums`` adds
-4 seal bytes per block, and ``timeout``, ``engine`` and ``trace`` govern the
-engine.  ``docs/API.md`` lists each field with its variable, keyword, CLI
+bytes: ``packed`` changes how the work is done, ``exchange_topology`` adds
+forwarded routing bytes, ``wire_checksums`` adds 4 seal bytes per block, and
+``timeout``, ``engine`` and ``trace`` govern the engine.  ``docs/API.md`` lists each field with its variable, keyword, CLI
 flag and accepted values.
 """
 
@@ -44,9 +43,6 @@ class RunConfig:
         Sort and exchange over packed arrays; ``False`` runs the scalar
         sorters over ``list[bytes]`` (they count inspected characters
         differently).
-    async_exchange:
-        Run the bucket exchange split-phase, decoding runs while later ones
-        are still in flight.
     exchange_topology:
         Delivery strategy of the bucket all-to-all: ``"direct"``,
         ``"hypercube"`` or ``"grid"`` (:mod:`repro.net.router`).
@@ -61,7 +57,6 @@ class RunConfig:
     """
 
     packed: bool = _setting(True, "REPRO_PACKED")
-    async_exchange: bool = _setting(False, "REPRO_ASYNC_EXCHANGE")
     exchange_topology: str = _setting("direct", "REPRO_EXCHANGE_TOPOLOGY")
     wire_checksums: bool = _setting(False, "REPRO_WIRE_CHECKSUMS")
     timeout: float = _setting(600.0, "REPRO_SPMD_TIMEOUT")

@@ -30,12 +30,11 @@ from .api import (
     pdms_sort,
 )
 from .dn_estimator import DnEstimate, estimate_dn_ratio, recommend_algorithm
-from .exchange import exchange_buckets, exchange_buckets_async
+from .exchange import exchange_buckets
 from .prefix_doubling import PrefixDoublingResult, approximate_dist_prefixes
 
 __all__ = [
     "exchange_buckets",
-    "exchange_buckets_async",
     "RankOutput",
     "SortResult",
     "distribute_strings",

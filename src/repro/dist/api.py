@@ -50,7 +50,7 @@ from ..strings.packed import (
     truncate,
 )
 from ..strings.stringset import StringSet, validate_strings
-from .exchange import exchange_buckets, exchange_buckets_async
+from .exchange import exchange_buckets
 from .hquick import hquick_sort
 from .partition import split_into_buckets
 from .prefix_doubling import approximate_dist_prefixes
@@ -193,27 +193,6 @@ def _as_hot_path(comm: Communicator, local_sorted, lcps):
     return local_sorted, lcps
 
 
-def _exchange(comm: Communicator, buckets, **kwargs):
-    """Run the bucket exchange, split-phase with ``comm.config.async_exchange``.
-
-    Split-phase, the generator is consumed in arrival order — each run is
-    decoded (and its slot in the merge input prepared) while later buckets
-    are still in flight, which is where the recorded overlap comes from.  The returned
-    list is indexed by source PE either way, so the downstream merge — and
-    therefore the sorted output, LCP arrays and traffic accounting — is
-    bit-identical across both paths.  The ``topology`` keyword (a spec's
-    ``exchange_topology``, usually ``None`` = the run's setting) selects
-    direct or multi-level routed delivery; it changes the measured routing
-    volume, never the decoded runs.
-    """
-    if not comm.config.async_exchange:
-        return exchange_buckets(comm, buckets, **kwargs)
-    received: List[Any] = [None] * comm.size
-    for item in exchange_buckets_async(comm, buckets, **kwargs):
-        received[item[0]] = tuple(item[1:])
-    return received
-
-
 def ms_sort(
     comm: Communicator, strings: Sequence[bytes], spec: Any, lcp: bool = True
 ) -> Tuple[List[bytes], List[int]]:
@@ -235,7 +214,7 @@ def ms_sort(
         oversampling=spec.oversampling,
     )
     buckets = split_into_buckets(local_view, lcps_view, splitters)
-    received = _exchange(
+    received = exchange_buckets(
         comm,
         buckets,
         lcp_compression=lcp,
@@ -288,7 +267,7 @@ def fkmerge_sort(
     )
     buckets = split_into_buckets(local_view, lcps_view, splitters)
     # the baseline has no LCP machinery on the wire: strings travel verbatim
-    received = _exchange(
+    received = exchange_buckets(
         comm,
         buckets,
         lcp_compression=False,
@@ -345,7 +324,7 @@ def pdms_sort(
     # start offset needs to travel; the receiver learns the source PE from
     # the message slot and reconstructs the positions by counting.
     starts = np.cumsum([0] + [len(bucket) for bucket, _ in buckets[:-1]]).tolist()
-    received = _exchange(
+    received = exchange_buckets(
         comm,
         buckets,
         lcp_compression=True,
@@ -434,13 +413,3 @@ class SortResult:
             machine = self.machine if self.machine is not None else DEFAULT_MACHINE
         return self.report.modeled_total_time(machine)
 
-    def overlap_fraction(self) -> float:
-        """Communication/computation overlap of the string exchange.
-
-        The fraction of the split-phase exchange window the PEs spent
-        decoding and preparing the merge while deliveries were still in
-        flight.  0.0 for the bulk-synchronous path (the default; enable the
-        split-phase exchange with ``Cluster(async_exchange=True)`` or
-        ``REPRO_ASYNC_EXCHANGE=1``).
-        """
-        return self.report.overlap_fraction("exchange")

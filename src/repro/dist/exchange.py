@@ -26,13 +26,12 @@ way — the benchmark suite pins this across all six algorithms.
 
 from __future__ import annotations
 
-import time
-from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..faults.errors import CorruptFrameError
-from ..mpi.comm import Communicator, waitany
+from ..mpi.comm import Communicator
 from ..mpi.serialization import (
     CHECKSUM_WIRE_BYTES,
     WireSized,
@@ -42,12 +41,7 @@ from ..mpi.serialization import (
     varint_total,
     wire_size,
 )
-from ..net.router import (
-    ExchangeTopology,
-    resolve_topology,
-    routed_exchange,
-    routed_exchange_iter,
-)
+from ..net.router import ExchangeTopology, resolve_topology, routed_exchange
 from ..strings.lcp import lcp_array
 from ..strings.packed import (
     PackedStringArray,
@@ -59,13 +53,7 @@ __all__ = [
     "StringBlock",
     "LcpCompressedBlock",
     "exchange_buckets",
-    "exchange_buckets_async",
 ]
-
-# tag base for the split-phase exchange, outside the ranges hquick claims
-# (100/200/300 + dimension), so mixed SPMD programs keep the engine's
-# tag-ordering diagnostics meaningful
-_TAG_ASYNC_EXCHANGE = 450
 
 Strings = Union[Sequence[bytes], PackedStringArray]
 Lcps = Union[Sequence[int], np.ndarray, None]
@@ -296,47 +284,6 @@ class LcpCompressedBlock(WireSized):
         return total + seal
 
 
-def _run_chars(strings: Strings) -> int:
-    """Total characters of a decoded run (packed or list) for work accounting."""
-    if isinstance(strings, PackedStringArray):
-        return strings.num_chars
-    return sum(len(s) for s in strings)
-
-
-def _validate_buckets(
-    comm: Communicator,
-    buckets: Sequence[Tuple[Strings, Lcps]],
-    payloads: Optional[Sequence[Any]],
-) -> None:
-    if len(buckets) != comm.size:
-        raise ValueError(
-            f"need one bucket per PE ({comm.size}), got {len(buckets)}"
-        )
-    if payloads is not None and len(payloads) != comm.size:
-        raise ValueError("payloads must have one entry per PE")
-
-
-def _encode_blocks(
-    comm: Communicator,
-    buckets: Sequence[Tuple[Strings, Lcps]],
-    lcp_compression: bool,
-    ship_lcps: bool,
-) -> List[WireSized]:
-    """Encode per-destination buckets into wire blocks (shared by both paths).
-
-    The blocks are sealed when the run says so (``comm.config.wire_checksums``).
-    """
-    seal = comm.config.wire_checksums
-    if lcp_compression:
-        return [
-            LcpCompressedBlock.encode(strings, lcps, seal) for strings, lcps in buckets
-        ]
-    return [
-        StringBlock(strings, lcps if ship_lcps and lcps is not None else None, seal)
-        for strings, lcps in buckets
-    ]
-
-
 def exchange_buckets(
     comm: Communicator,
     buckets: Sequence[Tuple[Strings, Lcps]],
@@ -370,11 +317,26 @@ def exchange_buckets(
     measured total volume (forwarded bytes are attributed separately) but
     never the decoded runs or the origin wire bytes.
     """
-    _validate_buckets(comm, buckets, payloads)
+    if len(buckets) != comm.size:
+        raise ValueError(
+            f"need one bucket per PE ({comm.size}), got {len(buckets)}"
+        )
+    if payloads is not None and len(payloads) != comm.size:
+        raise ValueError("payloads must have one entry per PE")
     topo = resolve_topology(topology, comm)
+    seal = comm.config.wire_checksums
 
     with comm.phase("exchange"):
-        blocks = _encode_blocks(comm, buckets, lcp_compression, ship_lcps)
+        if lcp_compression:
+            blocks: List[WireSized] = [
+                LcpCompressedBlock.encode(strings, lcps, seal)
+                for strings, lcps in buckets
+            ]
+        else:
+            blocks = [
+                StringBlock(strings, lcps if ship_lcps else None, seal)
+                for strings, lcps in buckets
+            ]
         if payloads is None:
             messages: List[Any] = list(blocks)
         else:
@@ -393,167 +355,12 @@ def exchange_buckets(
             else:
                 block, payload = message
             strings, lcps = block.decode_run()
-            decoded_chars += _run_chars(strings)
+            if isinstance(strings, PackedStringArray):
+                decoded_chars += strings.num_chars
+            else:
+                decoded_chars += sum(len(s) for s in strings)
             out.append(
                 (strings, lcps) if payloads is None else (strings, lcps, payload)
             )
         comm.record_local_work(decoded_chars, sum(len(r[0]) for r in out))
     return out
-
-
-def exchange_buckets_async(
-    comm: Communicator,
-    buckets: Sequence[Tuple[Strings, Lcps]],
-    lcp_compression: bool = False,
-    payloads: Optional[Sequence[Any]] = None,
-    ship_lcps: bool = True,
-    topology: Union[str, ExchangeTopology, None] = None,
-) -> Iterator[Tuple]:
-    """Split-phase twin of :func:`exchange_buckets`: yield runs as they land.
-
-    Posts one non-blocking send per destination (the packed bucket views of
-    PR 2 make these zero-copy) and one non-blocking receive per source *up
-    front*, then yields ``(src, strings, lcps)`` — or ``(src, strings, lcps,
-    payload)`` with ``payloads`` — in **arrival order** as deliveries
-    complete.  Each run is decoded (front-decoding, LCP reconstruction) the
-    moment it lands, and whatever the caller does between ``yield``s — e.g.
-    preparing the LCP loser-tree merge — happens while the remaining
-    deliveries are still in flight.  There is no serialisation barrier in
-    the middle of the exchange; the epilogue synchronises only to agree on
-    the collective's bottleneck volume for the cost model.
-
-    Accounting contract (pinned by ``tests/test_async_exchange.py``): wire
-    bytes, phase attribution and decoded local work are **identical** to the
-    blocking path — encoding, wire sizing and decoding are the very same
-    code.  Additionally the meter records the *overlap*: the wall-clock time
-    this rank spent decoding/merging while at least one receive was
-    outstanding, surfaced as ``TrafficReport.overlap_fraction("exchange")``
-    and credited against the bandwidth term by
-    :meth:`repro.net.cost_model.MachineModel.overlap_credit`.
-
-    The generator must be exhausted (all ranks reach the epilogue at the
-    same SPMD program point); abandoning it mid-exchange deadlocks the run
-    like any skipped collective would.
-
-    ``topology`` works exactly as in :func:`exchange_buckets`; under a
-    multi-level topology the deliveries are driven by
-    :func:`repro.net.router.routed_exchange_iter`, which yields runs as
-    their frames reach this rank (arrivals are spread over the routing
-    rounds), with the same decoded contents and wire accounting as the
-    blocking routed path.
-    """
-    _validate_buckets(comm, buckets, payloads)
-    topo = resolve_topology(topology, comm)
-    if not topo.is_direct:
-        yield from _routed_exchange_async(
-            comm, topo, buckets, lcp_compression, payloads, ship_lcps
-        )
-        return
-
-    with comm.phase("exchange"):
-        window_start = time.perf_counter()
-        blocks = _encode_blocks(comm, buckets, lcp_compression, ship_lcps)
-        if payloads is None:
-            messages: List[Any] = list(blocks)
-        else:
-            messages = [(blk, pay) for blk, pay in zip(blocks, payloads)]
-        sizes = [wire_size(m) for m in messages]
-
-        send_requests = [
-            comm.isend(m, dst, tag=_TAG_ASYNC_EXCHANGE, nbytes=sizes[dst])
-            for dst, m in enumerate(messages)
-        ]
-        recv_requests = [
-            comm.irecv(src, tag=_TAG_ASYNC_EXCHANGE) for src in range(comm.size)
-        ]
-
-        pending = list(range(comm.size))
-        decoded_chars = 0
-        decoded_items = 0
-        overlapped = 0.0
-
-        def in_flight() -> bool:
-            # a delivery is in flight only while its message has not arrived;
-            # an arrived-but-unconsumed request must not inflate the overlap
-            return any(not recv_requests[s].test() for s in pending)
-
-        while pending:
-            src = pending.pop(waitany([recv_requests[s] for s in pending]))
-            message = recv_requests[src].wait()  # completed; returns payload
-            if payloads is None:
-                block, payload = message, None
-            else:
-                block, payload = message
-            # a compute segment counts as overlapped only when a delivery was
-            # in flight both when it started *and* when it ended — a message
-            # landing mid-segment thus voids the whole segment, biasing the
-            # measurement (and hence the cost-model credit) low, never high
-            overlapping = bool(pending) and in_flight()
-            decode_start = time.perf_counter()
-            strings, lcps = block.decode_run()
-            decoded_chars += _run_chars(strings)
-            decoded_items += len(strings)
-            yield_at = time.perf_counter()
-            if overlapping and in_flight():
-                overlapped += yield_at - decode_start
-            overlapping = bool(pending) and in_flight()
-            yield (
-                (src, strings, lcps)
-                if payloads is None
-                else (src, strings, lcps, payload)
-            )
-            # time the caller spent on the run we just handed over, with
-            # later deliveries still in flight
-            if overlapping and in_flight():
-                overlapped += time.perf_counter() - yield_at
-
-        comm.waitall(send_requests)
-        comm.record_local_work(decoded_chars, decoded_items)
-
-        window = time.perf_counter() - window_start
-        fraction = overlapped / window if window > 0.0 else 0.0
-        comm.record_overlap(overlapped, window)
-        my_total = sum(sz for dst, sz in enumerate(sizes) if dst != comm.rank)
-        comm.record_exchange_collective(my_total, overlap_fraction=fraction)
-
-
-def _routed_exchange_async(
-    comm: Communicator,
-    topo: ExchangeTopology,
-    buckets: Sequence[Tuple[Strings, Lcps]],
-    lcp_compression: bool,
-    payloads: Optional[Sequence[Any]],
-    ship_lcps: bool,
-) -> Iterator[Tuple]:
-    """Split-phase twin of the routed exchange (multi-level topologies).
-
-    Encodes like the direct paths, hands delivery to
-    :func:`repro.net.router.routed_exchange_iter` and decodes each run the
-    moment its frames reach this rank — the decode (and whatever the caller
-    does before pulling the next run) happens between the router's yields,
-    which is exactly the window the router meters as overlap.
-    """
-    with comm.phase("exchange"):
-        blocks = _encode_blocks(comm, buckets, lcp_compression, ship_lcps)
-        if payloads is None:
-            messages: List[Any] = list(blocks)
-        else:
-            messages = [(blk, pay) for blk, pay in zip(blocks, payloads)]
-        sizes = [wire_size(m) for m in messages]
-
-        decoded_chars = 0
-        decoded_items = 0
-        for src, message in routed_exchange_iter(comm, topo, messages, sizes):
-            if payloads is None:
-                block, payload = message, None
-            else:
-                block, payload = message
-            strings, lcps = block.decode_run()
-            decoded_chars += _run_chars(strings)
-            decoded_items += len(strings)
-            yield (
-                (src, strings, lcps)
-                if payloads is None
-                else (src, strings, lcps, payload)
-            )
-        comm.record_local_work(decoded_chars, decoded_items)

@@ -37,8 +37,8 @@ class Request:
     Mirrors MPI's request objects: :meth:`test` polls for completion without
     blocking, :meth:`wait` blocks until the operation finishes and returns the
     received object (``None`` for sends).  Use :func:`waitall` / :func:`waitany`
-    to drive several outstanding requests, e.g. a split-phase exchange that
-    consumes buckets in arrival order.
+    to drive several outstanding requests, e.g. the sends of one routed
+    exchange round.
     """
 
     def test(self) -> bool:
@@ -144,34 +144,15 @@ class Communicator:
     def record_local_work(self, chars: int, items: int = 0) -> None:
         """Report local character/string work for the modelled running time."""
 
-    def record_overlap(self, overlapped: float, window: float) -> None:
-        """Report communication/computation overlap for the current phase.
-
-        ``overlapped`` is the wall-clock time this rank spent computing while
-        at least one non-blocking receive was outstanding; ``window`` is the
-        duration of the whole split-phase operation.  Backends without a
-        meter may ignore the call.
-        """
-
-    def record_exchange_collective(
-        self,
-        nbytes: int,
-        overlap_fraction: float = 0.0,
-        hypercube: bool = False,
-        kind: Optional[str] = None,
-    ) -> None:
-        """Record a split-phase all-to-all as one collective cost-model event.
+    def record_exchange_collective(self, nbytes: int, kind: str) -> None:
+        """Record a routed exchange as its one collective cost-model event.
 
         Every rank passes the total bytes it sent to *other* ranks (the
         **origin** volume — routed deliveries account their forwarding
         overhead separately, see :meth:`record_route`); the backend agrees
-        on the bottleneck volume (and the mean overlap fraction) and records
-        a single event, exactly mirroring what the blocking
-        :meth:`alltoall` records — so the modelled time of a split-phase
-        exchange differs from the blocking one only by the overlap credit.
-        ``kind`` names the event explicitly (``"alltoall-hypercube"``,
-        ``"alltoall-grid"``, ...); without it the legacy ``hypercube`` flag
-        picks between the two historical kinds.  Must be called by all
+        on the bottleneck volume and records a single event of ``kind``
+        (``"alltoall-hypercube"``, ``"alltoall-grid"``, ...), exactly as the
+        direct :meth:`alltoall` records its own.  Must be called by all
         ranks at the same program point (it may synchronise internally).
         """
 
@@ -262,15 +243,9 @@ class Communicator:
         raise NotImplementedError
 
     def alltoall(
-        self, objs: Sequence[Any], nbytes: Optional[Sequence[int]] = None,
-        hypercube: bool = False,
+        self, objs: Sequence[Any], nbytes: Optional[Sequence[int]] = None
     ) -> List[Any]:
-        """Personalised all-to-all: ``objs[d]`` goes to rank ``d``.
-
-        ``hypercube=True`` only changes the *cost accounting* (latency
-        ``alpha log p`` at the price of a ``log p`` volume factor, see
-        Theorem 6's discussion); delivery semantics are identical.
-        """
+        """Personalised all-to-all: ``objs[d]`` goes to rank ``d``."""
         raise NotImplementedError
 
     def reduce(self, value: Any, op: str = ReduceOp.SUM, root: int = 0) -> Any:

@@ -406,32 +406,14 @@ class MeteredComm(Communicator):
         """Charge local character/string work to this rank's meter slot."""
         self._meter.record_local_work(self.rank, chars, items)
 
-    def record_overlap(self, overlapped: float, window: float) -> None:
-        """Report split-phase overlap seconds under this rank's current phase."""
-        self._meter.record_overlap(self.rank, self._phase, overlapped, window)
-
-    def record_exchange_collective(
-        self,
-        nbytes: int,
-        overlap_fraction: float = 0.0,
-        hypercube: bool = False,
-        kind: Optional[str] = None,
-    ) -> None:
-        """Agree on and record one all-to-all event for a split-phase exchange."""
+    def record_exchange_collective(self, nbytes: int, kind: str) -> None:
+        """Agree on and record the one all-to-all event of a routed exchange."""
         # agree on the bottleneck volume exactly like the blocking alltoall
         # does (a board exchange moves no accounted bytes), then let rank 0
         # record the one collective event the cost model sees
-        stats = self._board_exchange((int(nbytes), float(overlap_fraction)))
+        totals = self._board_exchange(int(nbytes))
         if self.rank == 0:
-            if kind is None:
-                kind = "alltoall-hypercube" if hypercube else "alltoall"
-            self._meter.record_collective(
-                kind,
-                max(b for b, _ in stats),
-                self.size,
-                self._phase,
-                overlap_fraction=sum(f for _, f in stats) / len(stats),
-            )
+            self._meter.record_collective(kind, max(totals), self.size, self._phase)
 
     def record_route(self, route: str, nbytes: int, forwarded: int) -> None:
         """Attribute one routed batch (full wire size + forwarded share)."""
@@ -681,7 +663,6 @@ class MeteredComm(Communicator):
         self,
         objs: Sequence[Any],
         nbytes: Optional[Sequence[int]] = None,
-        hypercube: bool = False,
     ) -> List[Any]:
         """Personalised all-to-all; returns received objects in source order."""
         if len(objs) != self.size:
@@ -703,9 +684,8 @@ class MeteredComm(Communicator):
         # one rank records the collective event with the bottleneck volume
         totals = self._board_exchange(my_total)
         if self.rank == 0:
-            kind = "alltoall-hypercube" if hypercube else "alltoall"
             self._meter.record_collective(
-                kind, max(totals, default=0), self.size, self._phase
+                "alltoall", max(totals, default=0), self.size, self._phase
             )
         return received
 

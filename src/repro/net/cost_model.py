@@ -113,46 +113,28 @@ class MachineModel:
             return 0.0
         return self.alpha * math.log2(p) + self.beta * nbytes_per_pe * p
 
-    def alltoall_direct(
-        self, max_bytes_per_pe: int, p: int, overlap_fraction: float = 0.0
-    ) -> float:
+    def alltoall_direct(self, max_bytes_per_pe: int, p: int) -> float:
         """Personalised all-to-all with direct delivery: ``O(alpha p + beta h)``.
 
         ``max_bytes_per_pe`` is the bottleneck ``h``: the maximum over PEs of
         the total bytes sent (or received) by that PE in this exchange.
-        ``overlap_fraction`` applies the split-phase overlap credit, see
-        :meth:`overlap_credit`.
         """
         if p <= 1:
             return 0.0
-        return (
-            self.alpha * p
-            + self.beta * max_bytes_per_pe
-            - self.overlap_credit(max_bytes_per_pe, overlap_fraction)
-        )
+        return self.alpha * p + self.beta * max_bytes_per_pe
 
-    def alltoall_hypercube(
-        self, max_bytes_per_pe: int, p: int, overlap_fraction: float = 0.0
-    ) -> float:
+    def alltoall_hypercube(self, max_bytes_per_pe: int, p: int) -> float:
         """Personalised all-to-all routed through a hypercube.
 
         Latency drops to ``O(alpha log p)`` while the volume is inflated by a
         ``log p`` factor (every item travels through up to ``log p`` hops).
-        ``overlap_fraction`` credits the inflated bandwidth term, see
-        :meth:`overlap_credit`.
         """
         if p <= 1:
             return 0.0
         lg = math.log2(p)
-        return (
-            self.alpha * lg
-            + self.beta * max_bytes_per_pe * lg
-            - self.overlap_credit(max_bytes_per_pe * lg, overlap_fraction)
-        )
+        return self.alpha * lg + self.beta * max_bytes_per_pe * lg
 
-    def alltoall_grid(
-        self, max_bytes_per_pe: int, p: int, overlap_fraction: float = 0.0
-    ) -> float:
+    def alltoall_grid(self, max_bytes_per_pe: int, p: int) -> float:
         """Personalised all-to-all routed over the two-level ``r x c`` grid.
 
         Each existing phase (rows with ``c > 1``, columns with ``r > 1``) is
@@ -162,32 +144,13 @@ class MachineModel:
         the bandwidth term accordingly.  The measured inflation of the
         routed implementation (:mod:`repro.net.router`) is validated
         against this formula by ``benchmarks/test_multilevel_exchange.py``.
-        ``overlap_fraction`` credits the inflated bandwidth term, see
-        :meth:`overlap_credit`.
         """
         if p <= 1:
             return 0.0
         rows, cols = grid_dims(p)
         phases = (1 if rows > 1 else 0) + (1 if cols > 1 else 0)
         volume = max_bytes_per_pe * phases
-        return (
-            self.alpha * ((rows - 1) + (cols - 1))
-            + self.beta * volume
-            - self.overlap_credit(volume, overlap_fraction)
-        )
-
-    def overlap_credit(self, nbytes: int, overlap_fraction: float) -> float:
-        """Bandwidth time hidden behind overlapped computation.
-
-        A split-phase exchange that keeps the receiver computing for a
-        fraction ``f`` of its delivery window hides that fraction of the
-        ``beta`` (bandwidth) term; the per-message latency ``alpha`` cannot
-        be hidden — posting still pays it — so the credit never touches it.
-        The fraction is clamped to ``[0, 1]``: overlapping more compute than
-        the window holds cannot make communication cheaper than free.
-        """
-        f = min(1.0, max(0.0, overlap_fraction))
-        return self.beta * nbytes * f
+        return self.alpha * ((rows - 1) + (cols - 1)) + self.beta * volume
 
     # ------------------------------------------------------------------ local work
     def local_work(self, chars: int, items: int = 0) -> float:

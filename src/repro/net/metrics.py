@@ -41,19 +41,12 @@ __all__ = [
 
 @dataclass
 class CollectiveEvent:
-    """One collective operation as seen by the cost model.
-
-    ``overlap_fraction`` is non-zero only for split-phase exchanges: the
-    fraction of the operation's window during which the participating ranks
-    computed while receives were still outstanding.  The cost model credits
-    that fraction of the bandwidth term (latency cannot be hidden).
-    """
+    """One collective operation as seen by the cost model."""
 
     kind: str          # "bcast", "gather", "allgather", "alltoall", "reduce", "barrier", "p2p-round"
     phase: str
     max_bytes_per_pe: int
     num_pes: int
-    overlap_fraction: float = 0.0
 
 
 @dataclass
@@ -68,20 +61,11 @@ class TrafficReport:
     chars_inspected_per_pe: List[int]
     items_processed_per_pe: List[int]
     collectives: List[CollectiveEvent] = field(default_factory=list)
-    # per phase: summed wall-clock seconds ranks spent computing while >= 1
-    # non-blocking receive was outstanding, and the summed window durations
-    overlap_seconds: Dict[str, float] = field(default_factory=dict)
-    overlap_window_seconds: Dict[str, float] = field(default_factory=dict)
     # routed multi-level delivery: bytes each PE sent on behalf of *other*
     # origins (relay payloads + frame headers), and bytes per route phase
     # (e.g. "hypercube-dim0", "grid-rows"); both zero under direct delivery
     forwarded_bytes_per_pe: List[int] = field(default_factory=list)
     route_bytes: Dict[str, int] = field(default_factory=dict)
-    # bytes-weighted overlap accumulators, populated only when reports are
-    # merged: sum of (fraction x phase bytes) and sum of phase bytes over
-    # the folded inputs (see fold_traffic_report)
-    overlap_weighted: Dict[str, float] = field(default_factory=dict)
-    overlap_weight: Dict[str, float] = field(default_factory=dict)
     # fault-mode counters (repro.faults): per-PE injected faults (charged to
     # the struck rank), detected faults and recovery retries (charged to the
     # detecting receiver), and retransmitted wire bytes (recovery traffic,
@@ -194,39 +178,8 @@ class TrafficReport:
             return 0.0
         return self.total_bytes_sent / num_strings
 
-    def overlap_fraction(self, phase: str = "exchange") -> float:
-        """Fraction of ``phase``'s split-phase windows spent computing.
-
-        For a single run: summed compute-while-receiving seconds over all
-        ranks divided by summed window seconds.  For a *merged* report
-        (:func:`merge_traffic_reports`): the bytes-weighted average of the
-        constituent runs' fractions — a run that moved twice the bytes
-        counts twice, and fully synchronous runs count with fraction 0 —
-        so the cost-model credit of a batch stream reflects how much of
-        its *traffic* was overlapped, not wall-clock accidents.  0.0 when
-        the phase never ran a split-phase (asynchronous) operation, and
-        0.0 for a merged report whose constituents moved no bytes in the
-        phase at all (zero traffic can have no overlapped traffic — the
-        leaf wall-clock fallback below never applies once the phase is
-        registered in the bytes-weighted ledger).
-        """
-        weight = self.overlap_weight.get(phase)
-        if weight is not None:
-            if weight <= 0.0:
-                return 0.0
-            return min(1.0, self.overlap_weighted.get(phase, 0.0) / weight)
-        window = self.overlap_window_seconds.get(phase, 0.0)
-        if window <= 0.0:
-            return 0.0
-        return min(1.0, self.overlap_seconds.get(phase, 0.0) / window)
-
     def modeled_comm_time(self, machine: MachineModel = DEFAULT_MACHINE) -> float:
-        """Alpha-beta communication time implied by the recorded collectives.
-
-        Split-phase exchanges (``overlap_fraction > 0``) are charged the
-        overlap-credited all-to-all cost: the hidden fraction of the
-        bandwidth term is subtracted, the latency term never is.
-        """
+        """Alpha-beta communication time implied by the recorded collectives."""
         total = 0.0
         for ev in self.collectives:
             if ev.kind == "bcast":
@@ -238,17 +191,11 @@ class TrafficReport:
             elif ev.kind == "allgather":
                 total += machine.allgather(ev.max_bytes_per_pe, ev.num_pes)
             elif ev.kind == "alltoall":
-                total += machine.alltoall_direct(
-                    ev.max_bytes_per_pe, ev.num_pes, ev.overlap_fraction
-                )
+                total += machine.alltoall_direct(ev.max_bytes_per_pe, ev.num_pes)
             elif ev.kind == "alltoall-hypercube":
-                total += machine.alltoall_hypercube(
-                    ev.max_bytes_per_pe, ev.num_pes, ev.overlap_fraction
-                )
+                total += machine.alltoall_hypercube(ev.max_bytes_per_pe, ev.num_pes)
             elif ev.kind == "alltoall-grid":
-                total += machine.alltoall_grid(
-                    ev.max_bytes_per_pe, ev.num_pes, ev.overlap_fraction
-                )
+                total += machine.alltoall_grid(ev.max_bytes_per_pe, ev.num_pes)
             elif ev.kind == "barrier":
                 total += machine.broadcast(0, ev.num_pes)
             elif ev.kind == "p2p-round":
@@ -286,8 +233,6 @@ _PER_PE_FIELDS = (
 
 _PHASE_DICT_FIELDS = (
     "phase_bytes",
-    "overlap_seconds",
-    "overlap_window_seconds",
     "route_bytes",
     "barrier_wait_seconds",
 )
@@ -316,16 +261,9 @@ def fold_traffic_report(target: "TrafficReport", report: "TrafficReport") -> Non
     """Add ``report``'s counters into ``target`` **in place**.
 
     The single definition of the report-merge contract: per-PE
-    byte/message/work/forwarded counters and per-phase byte/route/overlap
-    dicts add element-wise (exact sums), collective events concatenate (so
-    the cost model charges every run's collectives), and the overlap
-    *fraction* combines as a **bytes-weighted average**: each folded
-    report contributes ``overlap_fraction(phase) x phase_bytes[phase]``, so
-    a fully synchronous batch dilutes the merged fraction in proportion to
-    the traffic it moved — it is neither dropped (which would leave
-    whatever the first overlapped report carried) nor averaged by
-    wall-clock windows (which would let a slow small batch outvote a fast
-    large one).  Used by :func:`merge_traffic_reports` and by the streaming
+    byte/message/work/forwarded counters and per-phase byte/route/barrier
+    dicts add element-wise (exact sums) and collective events concatenate
+    (so the cost model charges every run's collectives).  Used by :func:`merge_traffic_reports` and by the streaming
     accumulator of :class:`repro.session.stream.BatchStream` (which folds
     batch by batch instead of re-merging the growing cumulative report).
     """
@@ -347,36 +285,6 @@ def fold_traffic_report(target: "TrafficReport", report: "TrafficReport") -> Non
         totals = getattr(target, attr)
         for phase, value in getattr(report, attr).items():
             totals[phase] = totals.get(phase, 0) + value
-    if report.overlap_weight:
-        # already-merged input: its weighted sums fold associatively
-        for phase, value in report.overlap_weighted.items():
-            target.overlap_weighted[phase] = (
-                target.overlap_weighted.get(phase, 0.0) + value
-            )
-        for phase, value in report.overlap_weight.items():
-            target.overlap_weight[phase] = (
-                target.overlap_weight.get(phase, 0.0) + value
-            )
-    else:
-        # leaf (single-run) input: weight its fraction by the bytes the
-        # phase moved; a phase with traffic but no split-phase window
-        # contributes fraction 0 at full weight.  Phases the leaf touched
-        # without moving bytes (e.g. an exchange of all-empty buckets)
-        # register at zero weight, so a merged all-zero-bytes report
-        # answers ``overlap_fraction`` with 0.0 instead of falling back
-        # to the summed wall-clock windows of its constituents.
-        for phase, nbytes in report.phase_bytes.items():
-            weight = float(nbytes) if nbytes > 0 else 0.0
-            fraction = report.overlap_fraction(phase) if weight else 0.0
-            target.overlap_weighted[phase] = (
-                target.overlap_weighted.get(phase, 0.0) + fraction * weight
-            )
-            target.overlap_weight[phase] = (
-                target.overlap_weight.get(phase, 0.0) + weight
-            )
-        for phase in report.overlap_window_seconds:
-            target.overlap_weighted.setdefault(phase, 0.0)
-            target.overlap_weight.setdefault(phase, 0.0)
     target.collectives.extend(report.collectives)
     target.job_retries += report.job_retries
     # observability attachments fold through their own algebra: timelines
@@ -436,8 +344,6 @@ class TrafficMeter:
         self._items = [0] * num_pes
         self._collectives: List[CollectiveEvent] = []
         self._phases: Dict[int, str] = {}
-        self._overlap: Dict[str, float] = defaultdict(float)
-        self._overlap_window: Dict[str, float] = defaultdict(float)
         self._barrier_wait: Dict[str, float] = defaultdict(float)
         self._forwarded = [0] * num_pes
         self._route_bytes: Dict[str, int] = defaultdict(int)
@@ -488,15 +394,6 @@ class TrafficMeter:
         with self._lock:
             self._chars[rank] += chars
             self._items[rank] += items
-
-    def record_overlap(
-        self, rank: int, phase: str, overlapped: float, window: float
-    ) -> None:
-        """Record split-phase overlap: ``rank`` computed for ``overlapped``
-        seconds of a ``window``-second asynchronous operation in ``phase``."""
-        with self._lock:
-            self._overlap[phase] += max(0.0, overlapped)
-            self._overlap_window[phase] += max(0.0, window)
 
     def record_barrier_wait(self, rank: int, phase: str, seconds: float) -> None:
         """Record ``seconds`` ``rank`` spent blocked in ``barrier()`` during ``phase``.
@@ -606,10 +503,6 @@ class TrafficMeter:
                     totals[pe] += v
             for phase, v in report.phase_bytes.items():
                 self._phase_bytes[phase] += v
-            for phase, v in report.overlap_seconds.items():
-                self._overlap[phase] += v
-            for phase, v in report.overlap_window_seconds.items():
-                self._overlap_window[phase] += v
             for phase, v in report.barrier_wait_seconds.items():
                 self._barrier_wait[phase] += v
             for route, v in report.route_bytes.items():
@@ -622,7 +515,6 @@ class TrafficMeter:
         max_bytes_per_pe: int,
         num_pes: int,
         phase: Optional[str] = None,
-        overlap_fraction: float = 0.0,
     ) -> None:
         """Append one collective event for the cost model (see CollectiveEvent)."""
         with self._lock:
@@ -632,7 +524,6 @@ class TrafficMeter:
                     phase=phase if phase is not None else "unlabelled",
                     max_bytes_per_pe=max_bytes_per_pe,
                     num_pes=num_pes,
-                    overlap_fraction=overlap_fraction,
                 )
             )
 
@@ -649,8 +540,6 @@ class TrafficMeter:
                 chars_inspected_per_pe=list(self._chars),
                 items_processed_per_pe=list(self._items),
                 collectives=list(self._collectives),
-                overlap_seconds=dict(self._overlap),
-                overlap_window_seconds=dict(self._overlap_window),
                 barrier_wait_seconds=dict(self._barrier_wait),
                 forwarded_bytes_per_pe=list(self._forwarded),
                 route_bytes=dict(self._route_bytes),

@@ -40,9 +40,8 @@ construction the algebra the routed exchange executes.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..faults.errors import CorruptFrameError
 from ..mpi.serialization import CHECKSUM_WIRE_BYTES, payload_checksum, varint_size
@@ -60,12 +59,11 @@ __all__ = [
     "TOPOLOGY_NAMES",
     "resolve_topology",
     "routed_exchange",
-    "routed_exchange_iter",
 ]
 
 # tag base of the routed exchange rounds (one tag per round), outside the
-# ranges hquick (100/200/300 + dimension) and the split-phase direct
-# exchange (450) claim, so the engine's tag-ordering diagnostics stay sharp
+# ranges hquick (100/200/300 + dimension) claims, so the engine's
+# tag-ordering diagnostics stay sharp
 _TAG_ROUTED = 470
 
 
@@ -457,9 +455,8 @@ def routed_exchange(
 ) -> List[Any]:
     """Deliver ``messages[dst]`` to every ``dst`` over ``topology`` (blocking).
 
-    The bulk-synchronous twin of :func:`routed_exchange_iter`: all rounds
-    run to completion, then the payloads are returned indexed by origin PE —
-    the same shape ``Communicator.alltoall`` returns, so the caller's decode
+    All rounds run to completion, then the payloads are returned indexed by
+    origin PE — the same shape ``Communicator.alltoall`` returns, so the caller's decode
     loop is byte-for-byte the one the direct exchange uses.  Records one
     cost-model collective event (:meth:`ExchangeTopology.collective_kind`)
     carrying the **origin** bottleneck volume, exactly as the direct
@@ -494,78 +491,3 @@ def routed_exchange(
     )
     return received
 
-
-def routed_exchange_iter(
-    comm,
-    topology: ExchangeTopology,
-    messages: Sequence[Any],
-    sizes: Sequence[int],
-) -> Iterator[Tuple[int, Any]]:
-    """Split-phase routed delivery: yield ``(origin, payload)`` in arrival order.
-
-    Frames reach their destination spread over the rounds (a hypercube
-    neighbour's bucket arrives in round 0 even when ``d`` rounds remain), so
-    the caller decodes early arrivals — everything it does between ``yield``
-    s — while later rounds are still in flight.  The time the caller spends
-    on a yielded payload is counted as overlap only when at least one of the
-    current round's receives is genuinely un-arrived both when the segment
-    starts *and* when it ends, the same deliberately low-biased rule the
-    direct split-phase exchange uses.  Wire accounting (origin, forwarded
-    and per-round route bytes) is identical to :func:`routed_exchange`; the
-    epilogue records the overlap and the one cost-model collective event.
-
-    Like every split-phase collective, the generator must be exhausted at
-    the same SPMD program point on all ranks.
-    """
-    p, rank = comm.size, comm.rank
-    window_start = time.perf_counter()
-    ready, transit, origin_total = _prepare_frames(
-        comm, messages, sizes, comm.config.wire_checksums
-    )
-    overlapped = 0.0
-
-    def drain_ready(outstanding: List[Any]) -> Iterator[Tuple[int, Any]]:
-        """Yield queued arrivals, crediting caller time while recvs are open."""
-        nonlocal overlapped
-        while ready:
-            item = ready.pop(0)
-            overlapping = any(not r.test() for r in outstanding)
-            started = time.perf_counter()
-            yield item
-            ended = time.perf_counter()
-            if overlapping and any(not r.test() for r in outstanding):
-                overlapped += ended - started
-
-    for k in range(topology.num_rounds(p)):
-        peers = topology.round_peers(rank, p, k)
-        outgoing, transit = _split_outgoing(topology, transit, rank, p, k, peers)
-        requests = _post_round_sends(comm, topology, outgoing, p, k)
-        recvs = [comm.irecv(peer, tag=_TAG_ROUTED + k) for peer in peers]
-        # decode what already arrived while this round's batches fly
-        yield from drain_ready(recvs)
-        pending = list(range(len(peers)))
-        while pending:
-            done = pending.pop(comm.waitany([recvs[i] for i in pending]))
-            for frame in recvs[done].wait():
-                if frame.dest == rank:
-                    frame.verify()  # end-to-end seal check at the destination
-                    ready.append((frame.origin, frame.payload))
-                else:
-                    transit.append(frame)
-            yield from drain_ready([recvs[i] for i in pending])
-        comm.waitall(requests)
-    if transit:  # pragma: no cover - topology contract violation
-        raise RuntimeError(
-            f"{topology.name}: {len(transit)} frame(s) undelivered at rank {rank}"
-        )
-    # nothing is in flight any more: the final drain earns no overlap credit
-    while ready:
-        yield ready.pop(0)
-    window = time.perf_counter() - window_start
-    fraction = overlapped / window if window > 0.0 else 0.0
-    comm.record_overlap(overlapped, window)
-    comm.record_exchange_collective(
-        origin_total,
-        overlap_fraction=fraction,
-        kind=topology.collective_kind(p),
-    )

@@ -76,12 +76,6 @@ def run_metrics(
 
     _fault_series(reg, report, common)
 
-    overlap = reg.gauge(
-        "repro_overlap_fraction",
-        "Fraction of the stage's split-phase windows spent computing.",
-    )
-    overlap.set(report.overlap_fraction("exchange"), stage="exchange", **common)
-
     retries = reg.counter("repro_job_retries_total", "Whole-job re-runs after failures.")
     retries.inc(getattr(report, "job_retries", 0), **common)
 

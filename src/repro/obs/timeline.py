@@ -186,23 +186,6 @@ class Timeline:
                 peaks[s.name] = max(peaks.get(s.name, 0), int(rss))
         return peaks
 
-    def overlap_pairs(self, a: str, b: str) -> float:
-        """Seconds during which phases ``a`` and ``b`` ran concurrently.
-
-        Summed pairwise intersection of ``a``-spans and ``b``-spans on
-        *different* ranks — the quantity that makes split-phase overlap
-        (exchange on one rank while another merges) visible as a number,
-        not just as interleaved bars in the Chrome trace.
-        """
-        spans_a = list(self.iter_spans(cat="phase", name=a))
-        spans_b = list(self.iter_spans(cat="phase", name=b))
-        total = 0.0
-        for sa in spans_a:
-            for sb in spans_b:
-                if sa.rank != sb.rank:
-                    total += _intersection(sa, sb)
-        return total
-
     # ------------------------------------------------------------------ algebra
     def shifted(self, offset: float) -> "Timeline":
         """A copy with every timestamp moved by ``offset`` seconds."""

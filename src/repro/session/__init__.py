@@ -5,7 +5,7 @@ redesign:
 
 * :class:`Cluster` — a reusable simulated machine with its run
   configuration (:class:`repro.config.RunConfig`: engine backend, packed
-  hot path, split-phase exchange, ...), resolved once per cluster;
+  hot path, exchange topology, ...), resolved once per cluster;
 * the :class:`SortSpec` hierarchy — one frozen, validated, serializable
   configuration dataclass per algorithm (``to_dict`` / ``from_dict`` /
   stable ``config_hash()``), read directly by the rank programs;

@@ -10,7 +10,7 @@ goes through typed
 
     from repro.session import Cluster, MSSpec
 
-    cluster = Cluster(num_pes=8, async_exchange=True)
+    cluster = Cluster(num_pes=8, exchange_topology="hypercube")
     result = cluster.sort(data, MSSpec(sampling="character"), check=True)
 
 Streaming ingest (:meth:`Cluster.sort_batches`) sorts an iterable of chunks
@@ -74,8 +74,8 @@ def _merge_rank_extras(results: List[RankOutput]) -> Dict[str, Any]:
 class Cluster:
     """A reusable simulated machine plus its run configuration.
 
-    ``engine``, ``packed``, ``async_exchange``, ``exchange_topology``,
-    ``timeout``, ``wire_checksums`` and ``trace`` are the fields of
+    ``engine``, ``packed``, ``exchange_topology``, ``timeout``,
+    ``wire_checksums`` and ``trace`` are the fields of
     :class:`~repro.config.RunConfig`: :attr:`config` is the ``REPRO_*``
     environment (:meth:`~repro.config.RunConfig.from_env`) with every
     keyword that is not ``None`` applied, and every sort on this cluster
@@ -97,9 +97,9 @@ class Cluster:
         (:class:`repro.mpi.procengine.ProcessEngine`), and third-party
         backends plug in via :func:`repro.mpi.engine.register_engine`; see
         ``docs/ENGINES.md`` for the backend contract.
-    packed / async_exchange:
-        The packed hot path / split-phase exchange.  Neither affects sorted
-        outputs, LCP arrays or wire bytes.
+    packed:
+        The packed hot path.  It does not affect sorted outputs, LCP arrays
+        or wire bytes.
     exchange_topology:
         Delivery strategy of the bucket all-to-all: ``"direct"``,
         ``"hypercube"`` or ``"grid"`` (:mod:`repro.net.router`).  Routing
@@ -141,7 +141,6 @@ class Cluster:
         machine: MachineModel = DEFAULT_MACHINE,
         engine: Optional[str] = None,
         packed: Optional[bool] = None,
-        async_exchange: Optional[bool] = None,
         exchange_topology: Optional[str] = None,
         timeout: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
@@ -157,7 +156,6 @@ class Cluster:
         self.config = RunConfig.from_env().override(
             engine=engine,
             packed=packed,
-            async_exchange=async_exchange,
             exchange_topology=exchange_topology,
             timeout=timeout,
             wire_checksums=wire_checksums,

@@ -111,7 +111,7 @@ class BatchStream:
         """Cumulative traffic over the batches sorted so far.
 
         Exact element-wise sums of the per-batch reports (bytes, messages,
-        local work, per-phase bytes, overlap clocks) with all collective
+        local work, per-phase bytes, barrier waits) with all collective
         events retained, so ``merged_report.total_bytes_sent`` equals the
         sum of the individual batches' totals.
         """

@@ -4,7 +4,8 @@ Any backend registered via :func:`repro.mpi.engine.register_engine` must be
 observationally indistinguishable from the reference thread engine: the
 same rank programs must produce **bit-identical** sorted outputs, LCP
 arrays, PDMS origin labels, origin wire bytes, per-PE byte vectors and
-config hashes — for every algorithm, exchange topology and exchange mode.
+config hashes — for every algorithm, exchange topology and hot path
+(packed arrays or the scalar lists).
 This module packages that contract as reusable pieces:
 
 * :func:`all_engines` / :func:`engine_params` — the engine axis for pytest
@@ -38,7 +39,7 @@ from repro.session import Cluster, default_registry
 #: the paper's six algorithms; with the axes below, the conformance matrix
 PAPER_ALGORITHMS = ("ms", "ms-simple", "pdms", "pdms-golomb", "hquick", "fkmerge")
 TOPOLOGIES = ("direct", "hypercube", "grid")
-EXCHANGE_MODES = (False, True)  # sync, async
+HOT_PATHS = (True, False)  # packed arrays, scalar lists
 
 #: the engine every other backend is compared against
 REFERENCE_ENGINE = "threads"
@@ -122,7 +123,7 @@ def sort_fingerprint(
     engine: str,
     algorithm: str,
     topology: str = "direct",
-    async_exchange: bool = False,
+    packed: bool = True,
     num_pes: int = 4,
     seed: int = DEFAULT_SEED,
 ) -> Dict[str, Any]:
@@ -136,10 +137,7 @@ def sort_fingerprint(
     """
     spec = default_registry().spec_class(algorithm)(seed=3)
     with Cluster(
-        num_pes=num_pes,
-        engine=engine,
-        exchange_topology=topology,
-        async_exchange=True if async_exchange else None,
+        num_pes=num_pes, engine=engine, exchange_topology=topology, packed=packed
     ) as cluster:
         result = cluster.sort(conformance_workload(seed), spec, check=True)
     report = result.report

@@ -7,7 +7,9 @@ tag) channel are matched to receives **in posting order** — the i-th
 channel, regardless of engine, payload shape, or how the completion waits
 interleave.  The property is driven by hypothesis over random per-channel
 message sequences and exercised on every available engine via the shared
-``engine_params`` axis from :mod:`engine_conformance`.
+``engine_params`` axis from :mod:`engine_conformance`.  The request
+handles themselves (``isend``/``irecv``, ``waitany``/``waitall``, self-sends,
+a blocking ``recv`` behind an open ``irecv``) are pinned on every engine too.
 """
 
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from engine_conformance import engine_params, set_engine
 from repro.mpi import run_spmd
+from repro.mpi.comm import waitall, waitany
 
 # payloads that survive any transport: bytes of varying size so both the
 # in-band pipe path and (on large examples) the shm path get exercised
@@ -123,3 +126,88 @@ def test_out_of_order_waits_preserve_matching():
     results, _ = run_spmd(3, prog)
     for received in results:
         assert received == [0, 1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# request handles: isend/irecv, waitany/waitall
+# ---------------------------------------------------------------------------
+
+
+def test_isend_irecv_roundtrip():
+    def program(comm):
+        peer = (comm.rank + 1) % comm.size
+        source = (comm.rank - 1) % comm.size
+        send = comm.isend(f"hello from {comm.rank}", peer)
+        recv = comm.irecv(source)
+        assert send.wait() is None
+        assert send.test()
+        got = recv.wait()
+        assert recv.done
+        return got
+
+    results, report = run_spmd(4, program)
+    assert results == [f"hello from {(r - 1) % 4}" for r in range(4)]
+    assert all(b > 0 for b in report.bytes_sent_per_pe)
+
+
+def test_irecv_matches_in_posting_order():
+    """Driving the *second* request first must not steal the first message."""
+
+    def program(comm):
+        if comm.rank == 0:
+            comm.isend("first", 1, tag=7).wait()
+            comm.isend("second", 1, tag=7).wait()
+            return None
+        if comm.rank == 1:
+            a = comm.irecv(0, tag=7)
+            b = comm.irecv(0, tag=7)
+            got_b = b.wait()  # out-of-order drive
+            got_a = a.wait()
+            return (got_a, got_b)
+        return None
+
+    results, _ = run_spmd(2, program)
+    assert results[1] == ("first", "second")
+
+
+def test_waitany_reports_completions_and_waitall_orders_payloads():
+    def program(comm):
+        if comm.rank == 0:
+            requests = [comm.irecv(src) for src in range(1, comm.size)]
+            seen = []
+            remaining = list(requests)
+            while remaining:
+                idx = waitany(remaining)
+                seen.append(remaining.pop(idx).wait())
+            # waitall on completed requests returns payloads in request order
+            assert waitall(requests) == [f"r{src}" for src in range(1, comm.size)]
+            return sorted(seen)
+        comm.isend(f"r{comm.rank}", 0).wait()
+        return None
+
+    results, _ = run_spmd(3, program)
+    assert results[0] == ["r1", "r2"]
+
+
+def test_isend_to_self_is_free_and_delivered():
+    def program(comm):
+        comm.isend("mine", comm.rank).wait()
+        return comm.irecv(comm.rank).wait()
+
+    results, report = run_spmd(2, program)
+    assert results == ["mine", "mine"]
+    assert report.total_bytes_sent == 0  # self-messages cost nothing
+
+
+def test_blocking_recv_interoperates_with_irecv():
+    def program(comm):
+        if comm.rank == 0:
+            comm.send("a", 1, tag=1)
+            comm.send("b", 1, tag=1)
+            return None
+        first = comm.irecv(0, tag=1)
+        second = comm.recv(0, tag=1)  # blocking recv behind an open irecv
+        return (first.wait(), second)
+
+    results, _ = run_spmd(2, program)
+    assert results[1] == ("a", "b")

@@ -51,7 +51,6 @@ REQUIRED = {
     "repro/session/stream.py": ["BatchStream"],
     "repro/dist/exchange.py": [
         "exchange_buckets",
-        "exchange_buckets_async",
         "StringBlock",
         "LcpCompressedBlock",
     ],

@@ -1,14 +1,14 @@
 """The cross-engine conformance matrix: every backend vs the thread engine.
 
 Drives ``tests/engine_conformance.py`` over the full contract surface —
-all six algorithms x three exchange topologies x sync/async exchange — and
+all six algorithms x three exchange topologies x packed/scalar hot path — and
 asserts each cell's fingerprint (sorted outputs, LCP arrays, PDMS origins,
 config hash, origin/total/per-PE wire bytes, decoded local work) is
 bit-identical between the candidate engine and the ``threads`` reference.
 Cells for engines the platform cannot run are skipped with the platform's
 reason, never errored.
 
-Reference fingerprints are computed once per (algorithm, topology, mode)
+Reference fingerprints are computed once per (algorithm, topology, path)
 cell and cached for the whole module, so adding a backend to the axis costs
 only that backend's runs.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from engine_conformance import (
-    EXCHANGE_MODES,
+    HOT_PATHS,
     PAPER_ALGORITHMS,
     REFERENCE_ENGINE,
     TOPOLOGIES,
@@ -32,11 +32,11 @@ from engine_conformance import (
 _reference_cache = {}
 
 
-def _reference(algorithm, topology, async_exchange):
-    key = (algorithm, topology, async_exchange)
+def _reference(algorithm, topology, packed):
+    key = (algorithm, topology, packed)
     if key not in _reference_cache:
         _reference_cache[key] = sort_fingerprint(
-            REFERENCE_ENGINE, algorithm, topology, async_exchange
+            REFERENCE_ENGINE, algorithm, topology, packed
         )
     return _reference_cache[key]
 
@@ -48,28 +48,20 @@ def candidate_engine(request):
 
 
 class TestConformanceMatrix:
-    @pytest.mark.parametrize("async_exchange", EXCHANGE_MODES, ids=("sync", "async"))
+    @pytest.mark.parametrize("packed", HOT_PATHS, ids=("packed", "scalar"))
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
     def test_cell_matches_reference(
-        self, candidate_engine, algorithm, topology, async_exchange
+        self, candidate_engine, algorithm, topology, packed
     ):
         """One matrix cell: candidate fingerprint == reference fingerprint."""
-        reference = _reference(algorithm, topology, async_exchange)
-        if candidate_engine == REFERENCE_ENGINE:
-            # self-conformance: a second run must reproduce the first
-            fp = sort_fingerprint(
-                REFERENCE_ENGINE, algorithm, topology, async_exchange
-            )
-        else:
-            fp = sort_fingerprint(
-                candidate_engine, algorithm, topology, async_exchange
-            )
+        reference = _reference(algorithm, topology, packed)
+        # on the reference engine this is self-conformance: a second run
+        # must reproduce the first
+        fp = sort_fingerprint(candidate_engine, algorithm, topology, packed)
+        path = "packed" if packed else "scalar"
         assert_engines_agree(
-            fp,
-            reference,
-            label=f"{candidate_engine}/{algorithm}/{topology}/"
-            f"{'async' if async_exchange else 'sync'}",
+            fp, reference, label=f"{candidate_engine}/{algorithm}/{topology}/{path}"
         )
         assert fp["engine_tag"] == candidate_engine
 

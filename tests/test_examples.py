@@ -31,7 +31,6 @@ class TestExamples:
         assert "bytes/string" in out
         assert "pdms-golomb" in out
         assert "per-PE output sizes" in out
-        assert "overlap fraction" in out
 
     def test_session_quickstart(self):
         out = _run("session_quickstart.py")

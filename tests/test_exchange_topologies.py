@@ -4,9 +4,8 @@ The delivery strategy of the bucket all-to-all (``direct`` / ``hypercube`` /
 ``grid``, see :mod:`repro.net.router`) changes *how* buckets travel — the
 startup counts, the measured total volume, the per-route attribution —
 never *what* is computed.  This suite pins, for every algorithm and both
-the bulk-synchronous and split-phase exchange paths, on adversarial inputs
-(tiny alphabets, duplicates, empty strings, empty ranks, non-power-of-two
-machines):
+hot paths (packed arrays and scalar lists on the wire), on adversarial inputs (tiny alphabets, duplicates, empty strings, empty ranks,
+non-power-of-two machines):
 
 * bit-identical sorted outputs, LCP arrays and PDMS origin labels;
 * bit-identical **origin** wire bytes (``TrafficReport.origin_bytes_sent``),
@@ -54,19 +53,15 @@ _SETTINGS = dict(
 )
 
 
-def _sort(strings, algorithm, p, topology, use_async=False, seed=3):
+def _sort(strings, algorithm, p, topology, seed=3, packed=None):
     spec = default_registry().spec_class(algorithm)(seed=seed)
-    cluster = Cluster(
-        num_pes=p,
-        exchange_topology=topology,
-        async_exchange=True if use_async else None,
-    )
+    cluster = Cluster(num_pes=p, exchange_topology=topology, packed=packed)
     return cluster.sort(strings, spec)
 
 
-def _assert_equivalent(strings, algorithm, p, topology, use_async=False, seed=3):
-    direct = _sort(strings, algorithm, p, "direct", use_async=use_async, seed=seed)
-    routed = _sort(strings, algorithm, p, topology, use_async=use_async, seed=seed)
+def _assert_equivalent(strings, algorithm, p, topology, seed=3, packed=None):
+    direct = _sort(strings, algorithm, p, "direct", seed=seed, packed=packed)
+    routed = _sort(strings, algorithm, p, topology, seed=seed, packed=packed)
     assert routed.sorted_strings == direct.sorted_strings
     assert routed.outputs_per_pe == direct.outputs_per_pe
     assert routed.lcps_per_pe == direct.lcps_per_pe
@@ -112,22 +107,20 @@ def test_routed_topologies_fixed_corpus(algorithm, topology):
 
 @pytest.mark.parametrize("topology", ROUTED)
 @pytest.mark.parametrize("algorithm", sorted(PAPER_ALGORITHMS))
-def test_routed_topologies_split_phase(algorithm, topology):
-    """Async + routed: the split-phase routed exchange is equally identical."""
+def test_routed_topologies_scalar_path(algorithm, topology):
+    """Scalar lists through the router are equally identical to direct."""
     corpus = dn_instance(num_strings=200, dn=0.6, length=24, seed=11)
-    direct, routed = _assert_equivalent(
-        corpus, algorithm, 4, topology, use_async=True, seed=7
-    )
-    # the sync routed run matches the async routed run byte for byte
-    sync = _sort(corpus, algorithm, 4, topology, use_async=False, seed=7)
-    assert sync.outputs_per_pe == routed.outputs_per_pe
-    assert sync.report.total_bytes_sent == routed.report.total_bytes_sent
-    assert sync.report.bytes_sent_per_pe == routed.report.bytes_sent_per_pe
+    _, routed = _assert_equivalent(corpus, algorithm, 4, topology, seed=7, packed=False)
+    # the packed routed run matches the scalar routed run byte for byte
+    packed = _sort(corpus, algorithm, 4, topology, seed=7, packed=True)
+    assert packed.outputs_per_pe == routed.outputs_per_pe
+    assert packed.report.total_bytes_sent == routed.report.total_bytes_sent
+    assert packed.report.bytes_sent_per_pe == routed.report.bytes_sent_per_pe
     assert (
-        sync.report.forwarded_bytes_per_pe
+        packed.report.forwarded_bytes_per_pe
         == routed.report.forwarded_bytes_per_pe
     )
-    assert dict(sync.report.route_bytes) == dict(routed.report.route_bytes)
+    assert dict(packed.report.route_bytes) == dict(routed.report.route_bytes)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 8])

@@ -1,8 +1,8 @@
 """The chaos matrix: seeded fault plans across algorithms and topologies.
 
 The acceptance contract of the fault subsystem: under seeded drop / corrupt
-/ straggle plans, every algorithm x topology x exchange-mode combination
-either completes with **bit-identical** outputs, LCP arrays and origin wire
+/ straggle plans, every algorithm x topology x hot path (packed arrays or
+scalar lists on the wire) combination either completes with **bit-identical** outputs, LCP arrays and origin wire
 bytes (after transparent recovery), or raises a typed fault error — never a
 hang past the configured timeout, never silently wrong output.  Crash plans
 recover through ``Cluster.sort(..., max_retries=...)``.
@@ -58,10 +58,10 @@ def _plan(kind: str) -> FaultPlan:
     )
 
 
-def _sort(algorithm, topology, async_exchange, plan=None, max_retries=0):
+def _sort(algorithm, topology, plan=None, max_retries=0, packed=None):
     cluster = Cluster(
         num_pes=NUM_PES,
-        async_exchange=async_exchange,
+        packed=packed,
         exchange_topology=topology,
         timeout=TIMEOUT,
         fault_plan=plan,
@@ -74,16 +74,13 @@ def _sort(algorithm, topology, async_exchange, plan=None, max_retries=0):
 
 @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
 @pytest.mark.parametrize("topology", TOPOLOGIES)
-@pytest.mark.parametrize("async_exchange", (False, True),
-                         ids=("sync", "async"))
+@pytest.mark.parametrize("packed", (True, False), ids=("packed", "scalar"))
 @pytest.mark.parametrize("fault_kind", ("drop", "corrupt", "straggle"))
-def test_chaos_recovery_is_bit_identical(
-    algorithm, topology, async_exchange, fault_kind
-):
+def test_chaos_recovery_is_bit_identical(algorithm, topology, packed, fault_kind):
     """Seeded chaos either recovers bit-identically or raises typed errors."""
-    _, baseline = _sort(algorithm, topology, async_exchange, plan=FaultPlan())
+    _, baseline = _sort(algorithm, topology, plan=FaultPlan(), packed=packed)
     plan = _plan(fault_kind)
-    cluster, chaotic = _sort(algorithm, topology, async_exchange, plan=plan)
+    cluster, chaotic = _sort(algorithm, topology, plan=plan, packed=packed)
 
     # bit-identical recovery: outputs, LCPs and origin wire volume
     assert chaotic.outputs_per_pe == baseline.outputs_per_pe
@@ -110,12 +107,12 @@ def test_chaos_recovery_is_bit_identical(
 @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
 def test_chaos_crash_recovers_via_session_retry(algorithm):
     """A single-shot rank crash is survived by ``max_retries`` on any algorithm."""
-    _, baseline = _sort(algorithm, None, False, plan=FaultPlan())
+    _, baseline = _sort(algorithm, None, plan=FaultPlan())
     plan = FaultPlan(
         seed=CHAOS_SEED,
         rules=(FaultRule(kind="crash", rank=1, after=1, max_hits=1),),
     )
-    _, recovered = _sort(algorithm, None, False, plan=plan, max_retries=2)
+    _, recovered = _sort(algorithm, None, plan=plan, max_retries=2)
     assert recovered.outputs_per_pe == baseline.outputs_per_pe
     assert recovered.lcps_per_pe == baseline.lcps_per_pe
     assert recovered.report.faults_injected == 1
@@ -125,8 +122,8 @@ def test_chaos_crash_recovers_via_session_retry(algorithm):
 def test_chaos_plans_replay_identically():
     """Two runs of one plan produce identical fault schedules and reports."""
     plan = _plan("drop")
-    _, first = _sort("ms", "hypercube", False, plan=plan)
-    _, second = _sort("ms", "hypercube", False, plan=plan)
+    _, first = _sort("ms", "hypercube", plan=plan)
+    _, second = _sort("ms", "hypercube", plan=plan)
     assert first.outputs_per_pe == second.outputs_per_pe
     assert (
         first.report.faults_injected_per_pe

@@ -17,7 +17,6 @@ from repro.mpi import run_spmd
 #: one malformed value per variable
 MALFORMED = {
     "REPRO_PACKED": "nope",
-    "REPRO_ASYNC_EXCHANGE": "2",
     "REPRO_EXCHANGE_TOPOLOGY": "bogus",
     "REPRO_WIRE_CHECKSUMS": "sealed",
     "REPRO_SPMD_TIMEOUT": "nan",
@@ -31,7 +30,11 @@ def test_every_field_has_one_variable():
     assert sorted(names) == sorted(MALFORMED)
 
 
-@pytest.mark.parametrize("variable, value", sorted(MALFORMED.items()))
+@pytest.mark.parametrize(
+    "variable, value",
+    # a number that is not 0/1 is not a boolean either
+    sorted(MALFORMED.items()) + [("REPRO_WIRE_CHECKSUMS", "2")],
+)
 def test_malformed_variable_fails_fast(monkeypatch, variable, value):
     monkeypatch.setenv(variable, value)
     with pytest.raises(ValueError, match=variable):
@@ -60,7 +63,6 @@ def test_every_value_is_read():
     config = RunConfig.from_env(
         {
             "REPRO_PACKED": "0",
-            "REPRO_ASYNC_EXCHANGE": "1",
             "REPRO_EXCHANGE_TOPOLOGY": "grid",
             "REPRO_WIRE_CHECKSUMS": "1",
             "REPRO_SPMD_TIMEOUT": "42.5",
@@ -70,7 +72,6 @@ def test_every_value_is_read():
     )
     assert config == RunConfig(
         packed=False,
-        async_exchange=True,
         exchange_topology="grid",
         wire_checksums=True,
         timeout=42.5,

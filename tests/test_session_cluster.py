@@ -203,21 +203,11 @@ class TestRunConfig:
             packed_on.report.total_bytes_sent == packed_off.report.total_bytes_sent
         )
 
-    def test_async_exchange_cluster_overlaps_and_matches_sync(self):
-        data = dn_instance(num_strings=400, dn=0.5, length=40, seed=6)
-        sync = Cluster(num_pes=4, async_exchange=False).sort(data, MSSpec())
-        overlapped = Cluster(num_pes=4, async_exchange=True).sort(data, MSSpec())
-        assert overlapped.overlap_fraction() > 0.0
-        assert sync.overlap_fraction() == 0.0
-        assert overlapped.outputs_per_pe == sync.outputs_per_pe
-        assert overlapped.report.total_bytes_sent == sync.report.total_bytes_sent
-        assert dict(overlapped.report.phase_bytes) == dict(sync.report.phase_bytes)
-
     def test_none_inherits_the_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ASYNC_EXCHANGE", "1")
+        monkeypatch.setenv("REPRO_WIRE_CHECKSUMS", "1")
         cluster = Cluster(num_pes=2, packed=False)
         assert cluster.config == RunConfig.from_env().override(packed=False)
-        assert cluster.config.async_exchange and not cluster.config.packed
+        assert cluster.config.wire_checksums and not cluster.config.packed
         assert cluster.engine.config is cluster.config
         data = random_strings(60, 1, 6, seed=7)
         assert cluster.sort(data, MSSpec(), check=True).sorted_strings == sorted(data)
@@ -251,7 +241,6 @@ def _paused_ms(first: threading.Event, then: threading.Event):
     [
         ("wire_checksums", True, False),
         ("exchange_topology", "hypercube", "direct"),
-        ("async_exchange", True, False),
     ],
 )
 def test_concurrent_clusters_keep_their_own_settings(setting, mine, theirs):
@@ -264,8 +253,7 @@ def test_concurrent_clusters_keep_their_own_settings(setting, mine, theirs):
     data = random_strings(400, 1, 8, seed=31)
 
     def fingerprint(result):
-        report = result.report
-        return report.total_bytes_sent, sorted(report.overlap_window_seconds)
+        return result.report.total_bytes_sent
 
     alone = {
         value: fingerprint(

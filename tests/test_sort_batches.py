@@ -94,17 +94,20 @@ class TestSortBatches:
         cluster.sort_batches(_chunks(4, 30, seed=5), MSSpec()).run()
         assert cluster.engine.state_reuses >= 3
 
-    def test_overlapping_cluster_settings_apply_per_batch(self):
+    def test_cluster_settings_apply_per_batch(self):
         chunks = [
             dn_instance(num_strings=200, dn=0.5, length=30, seed=6)
             for _ in range(2)
         ]
-        sync = Cluster(num_pes=3, async_exchange=False)
-        overlapped = Cluster(num_pes=3, async_exchange=True)
-        a = sync.sort_batches(chunks, MSSpec()).run()
-        b = overlapped.sort_batches(chunks, MSSpec()).run()
-        assert a.merged_report.total_bytes_sent == b.merged_report.total_bytes_sent
-        assert b.merged_report.overlap_fraction("exchange") > 0.0
+        plain = Cluster(num_pes=3, wire_checksums=False)
+        sealed = Cluster(num_pes=3, wire_checksums=True)
+        a = plain.sort_batches(chunks, MSSpec()).run()
+        b = sealed.sort_batches(chunks, MSSpec()).run()
+        # 4 seal bytes on each of the 3 x 2 cross-PE blocks of both batches
+        assert (
+            b.merged_report.total_bytes_sent - a.merged_report.total_bytes_sent
+            == 2 * 6 * 4
+        )
 
 
 class TestMergeTrafficReports:
@@ -118,111 +121,6 @@ class TestMergeTrafficReports:
         merged = merge_traffic_reports([res.report])
         assert merged.bytes_sent_per_pe == res.report.bytes_sent_per_pe
         assert merged.phase_bytes == res.report.phase_bytes
-
-    def test_overlap_fraction_merges_bytes_weighted(self):
-        """Regression: the merged overlap fraction is the bytes-weighted
-        average of the inputs' fractions — not whatever the first report
-        carried, and not a wall-clock-window average."""
-
-        def leaf(nbytes, overlap_s, window_s):
-            report = TrafficReport(
-                num_pes=2,
-                bytes_sent_per_pe=[nbytes, 0],
-                bytes_received_per_pe=[0, nbytes],
-                messages_per_pe=[1, 0],
-                phase_bytes={"exchange": nbytes},
-                chars_inspected_per_pe=[0, 0],
-                items_processed_per_pe=[0, 0],
-                forwarded_bytes_per_pe=[0, 0],
-            )
-            report.overlap_seconds = {"exchange": overlap_s}
-            report.overlap_window_seconds = {"exchange": window_s}
-            return report
-
-        # fractions 0.8 (tiny run, huge slow window) and 0.1 (big fast run):
-        # a window-weighted average would give ~0.73, first-report carry 0.8
-        a = leaf(nbytes=100, overlap_s=8.0, window_s=10.0)
-        b = leaf(nbytes=900, overlap_s=0.01, window_s=0.1)
-        assert a.overlap_fraction("exchange") == pytest.approx(0.8)
-        assert b.overlap_fraction("exchange") == pytest.approx(0.1)
-
-        merged = merge_traffic_reports([a, b])
-        expected = (0.8 * 100 + 0.1 * 900) / (100 + 900)
-        assert merged.overlap_fraction("exchange") == pytest.approx(expected)
-        # order independence (weighted averages commute)
-        assert merge_traffic_reports([b, a]).overlap_fraction(
-            "exchange"
-        ) == pytest.approx(expected)
-        # associativity: folding a merged report preserves the weighting
-        c = leaf(nbytes=1000, overlap_s=0.0, window_s=0.5)
-        nested = merge_traffic_reports([merged, c])
-        flat = merge_traffic_reports([a, b, c])
-        assert nested.overlap_fraction("exchange") == pytest.approx(
-            flat.overlap_fraction("exchange")
-        )
-        assert flat.overlap_fraction("exchange") == pytest.approx(
-            (0.8 * 100 + 0.1 * 900 + 0.0 * 1000) / 2000
-        )
-
-    def test_zero_byte_batches_merge_to_zero_overlap(self):
-        """Regression: merging batches that moved no bytes reads 0.0.
-
-        The leaf fold used to skip zero-byte phases entirely, leaving the
-        merged report's bytes-weighted ledger empty so ``overlap_fraction``
-        fell back to the constituents' summed wall-clock windows — a batch
-        that moved nothing could report a large overlap fraction.
-        """
-
-        def leaf(nbytes, overlap_s, window_s):
-            report = TrafficReport(
-                num_pes=2,
-                bytes_sent_per_pe=[nbytes, 0],
-                bytes_received_per_pe=[0, nbytes],
-                messages_per_pe=[1, 0],
-                phase_bytes={"exchange": nbytes},
-                chars_inspected_per_pe=[0, 0],
-                items_processed_per_pe=[0, 0],
-                forwarded_bytes_per_pe=[0, 0],
-            )
-            report.overlap_seconds = {"exchange": overlap_s}
-            report.overlap_window_seconds = {"exchange": window_s}
-            return report
-
-        idle = leaf(nbytes=0, overlap_s=8.0, window_s=10.0)
-        # a *leaf* report still answers from its wall-clock window ...
-        assert idle.overlap_fraction("exchange") == pytest.approx(0.8)
-        # ... but merging registers the phase at zero weight: no traffic
-        # means no overlapped traffic, whatever the clocks measured
-        merged = merge_traffic_reports([idle, leaf(0, 1.0, 2.0)])
-        assert merged.overlap_weight["exchange"] == 0.0
-        assert merged.overlap_fraction("exchange") == 0.0
-        # zero-byte constituents neither dilute nor boost real traffic
-        busy = leaf(nbytes=500, overlap_s=3.0, window_s=10.0)
-        both = merge_traffic_reports([idle, busy])
-        assert both.overlap_fraction("exchange") == pytest.approx(0.3)
-
-    def test_empty_batch_stream_overlap_is_bytes_weighted(self):
-        """Empty batches through ``sort_batches`` answer from the bytes
-        ledger (the few envelope bytes they move), never the wall-clock
-        window fallback of a leaf report."""
-        stream = Cluster(num_pes=3, async_exchange=True).sort_batches(
-            [[], [], []], MSSpec()
-        )
-        results = list(stream)
-        merged = stream.merged_report
-        assert "exchange" in merged.overlap_weight
-        per = [r.report for r in results]
-        weight = sum(r.phase_bytes.get("exchange", 0) for r in per)
-        expected = (
-            sum(
-                r.overlap_fraction("exchange") * r.phase_bytes.get("exchange", 0)
-                for r in per
-            )
-            / weight
-            if weight
-            else 0.0
-        )
-        assert merged.overlap_fraction("exchange") == pytest.approx(expected)
 
     def test_forwarded_bytes_merge_additively(self):
         """New routed-delivery counters fold like every other counter."""

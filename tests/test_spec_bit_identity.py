@@ -16,8 +16,8 @@ direct delivery and unsealed blocks, so no ``REPRO_*`` variable can move a
 digest.
 
 A second axis runs the six algorithms under the run configurations that
-used to be separate CI legs — the scalar path, the split-phase exchange,
-and hypercube and grid routing — and holds outputs, LCP arrays, origins and
+used to be separate CI legs — the scalar path, hypercube and grid
+routing, and the scalar path routed over a hypercube — and holds outputs, LCP arrays, origins and
 origin wire bytes to the default configuration's.
 """
 
@@ -333,9 +333,9 @@ _DEFAULT_RUN = {f.name: f.default for f in fields(RunConfig) if f.name != "engin
 #: the run configurations that were once CI legs of their own
 _CONFIG_AXIS = {
     "packed-off": {"packed": False},
-    "async-on": {"async_exchange": True},
     "hypercube": {"exchange_topology": "hypercube"},
     "grid": {"exchange_topology": "grid"},
+    "hypercube-scalar": {"exchange_topology": "hypercube", "packed": False},
 }
 
 

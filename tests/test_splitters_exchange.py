@@ -140,3 +140,70 @@ class TestExchangeBuckets:
         _, bare = run_spmd(3, prog, args_per_rank=[(b, False) for b in blocks])
         # the LCP varints cost wire bytes — they are not a free lunch
         assert shipped.total_bytes_sent > bare.total_bytes_sent
+
+    @pytest.mark.parametrize("compression", [False, True])
+    @pytest.mark.parametrize("topology", ["direct", "hypercube", "grid"])
+    def test_payloads_ride_every_topology(self, topology, compression):
+        """Each bucket's extra payload reaches its destination on every route."""
+
+        def prog(comm):
+            buckets = [([b"x%d" % dst, b"x%dy" % dst], [0, 2]) for dst in range(comm.size)]
+            payloads = [100 * comm.rank + dst for dst in range(comm.size)]
+            received = exchange_buckets(
+                comm,
+                buckets,
+                lcp_compression=compression,
+                payloads=payloads,
+                topology=topology,
+            )
+            return [(list(run), list(lcps), payload) for run, lcps, payload in received]
+
+        results, _ = run_spmd(4, prog)
+        for rank, rows in enumerate(results):
+            assert rows == [
+                ([b"x%d" % rank, b"x%dy" % rank], [0, 2], 100 * src + rank)
+                for src in range(4)
+            ]
+
+    @pytest.mark.parametrize("compression", [False, True])
+    @pytest.mark.parametrize("topology", ["hypercube", "grid"])
+    def test_routed_delivery_matches_direct(self, topology, compression):
+        """Routing changes how buckets travel, never the runs nor origin bytes."""
+        strings = dn_instance(600, 0.7, length=24, seed=5)
+        blocks = _blocks(strings, 4)
+
+        def prog(comm, local, route):
+            local_sorted, lcps = sort_strings_with_lcp(local)
+            splitters = determine_splitters(comm, local_sorted)
+            buckets = split_into_buckets(local_sorted, lcps, splitters)
+            received = exchange_buckets(
+                comm, buckets, lcp_compression=compression, topology=route
+            )
+            return [(list(run), list(run_lcps)) for run, run_lcps in received]
+
+        direct, plain = run_spmd(4, prog, args_per_rank=[(b, "direct") for b in blocks])
+        routed, report = run_spmd(4, prog, args_per_rank=[(b, topology) for b in blocks])
+        assert routed == direct
+        assert report.origin_bytes_sent == plain.total_bytes_sent
+        assert plain.forwarded_bytes == 0
+        assert report.forwarded_bytes > 0
+
+    @pytest.mark.parametrize("compression", [False, True])
+    @pytest.mark.parametrize("topology", ["direct", "hypercube", "grid"])
+    def test_empty_buckets_every_topology(self, topology, compression):
+        """Ranks with nothing to send still receive one (empty) run per source."""
+
+        def prog(comm):
+            buckets = [([], []) for _ in range(comm.size)]
+            if comm.rank == 0:
+                buckets[comm.size - 1] = ([b"only"], [0])
+            received = exchange_buckets(
+                comm, buckets, lcp_compression=compression, topology=topology
+            )
+            return [list(run) for run, _ in received]
+
+        results, _ = run_spmd(4, prog)
+        for rank, runs in enumerate(results):
+            assert runs == [
+                [b"only"] if (src, rank) == (0, 3) else [] for src in range(4)
+            ]
