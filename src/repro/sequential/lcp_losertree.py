@@ -22,6 +22,13 @@ apply:
 * equal cached LCPs  →  compare characters starting at that offset.
 
 The merge also produces the LCP array of the output sequence for free.
+
+:class:`LcpLoserTree` plays this one ``pop()`` at a time and is the oracle;
+:func:`lcp_multiway_merge_packed` plays the same tournament on packed runs as
+one flat loop with no helper calls: each leaf-to-root path is a tuple of
+nodes built once per call (the path table), seating and replays walk those
+tuples, and the character comparison of an LCP tie is written inline at its
+one site in the loop.
 """
 
 from __future__ import annotations
@@ -252,16 +259,23 @@ def lcp_multiway_merge_packed(
 
     Plays the tournament of :func:`lcp_multiway_merge` — same tree shape,
     tie-breaks and character reads, so strings, LCPs and ``stats`` are
-    bit-identical — as one flat loop over plain-Python views of the runs:
+    bit-identical — as one flat loop over plain-Python views of the runs
+    (bytes, offsets, lengths and LCPs as plain lists):
 
-    * a replay reads characters only when two cached LCPs tie; any other
+    * every walk follows a tuple of the path table ``paths``, each run's
+      leaf-to-root nodes built once per call; seating the runs left to
+      right plays the matches of a bottom-up build on the same walks;
+    * a match reads characters only when two cached LCPs tie, at the loop's
+      one comparison site (inline: no closure, no call); any other
       decision is one integer comparison and writes nothing;
     * the strings following a winner in its run ``w`` whose run-LCP exceeds
       ``ceiling``, the largest LCP cached by a live contender on ``w``'s
       path, win their replays on cached values alone and leave the tree as
       it is (``LCP(l, new) = LCP(l, prev)`` as ``LCP(prev, new) > LCP(l,
       prev)``): the whole *segment* costs one forward scan and one replay,
-      and every LCP entry is read once over the whole merge;
+      and every LCP entry is read once over the whole merge.  A next
+      string whose run-LCP is not above the LCP cached at ``w``'s first
+      node ends the segment before the ceiling is taken;
     * a segment is only recorded; afterwards its characters are one slice
       of the runs' bytes, and offsets and LCPs one gather per output.
 
@@ -283,6 +297,7 @@ def lcp_multiway_merge_packed(
     total = bounds[-1]
     lengths = cat.lengths
     off = cat.offsets.tolist()
+    size = lengths.tolist()
     data = cat.buffer.tobytes()
     cat_lcps = np.full(total + 1, -1, dtype=np.int64)
     cat_lcps[:total] = np.concatenate(lcps)
@@ -296,76 +311,95 @@ def lcp_multiway_merge_packed(
     k = 1
     while k < len(runs):
         k *= 2
+    # the path table: paths[r] is run r's leaf-to-root path, bottom up
+    paths = tuple(tuple((k + r) >> j for j in range(1, k.bit_length())) for r in range(k))
     pos = bounds[:-1] + [total] * (k - len(runs))
     # LCP of each run's current string with the last output string (-1: run
     # exhausted); read only on the path replayed next, where it is current
     ref = [0 if len(run) else -1 for run in runs] + [-1] * (k - len(runs))
-    comparisons = chars = 0
-
-    def beats(x: int, y: int, h: int) -> bool:
-        """Compare the current strings of runs ``x`` and ``y``, known to agree
-        on ``h`` characters; the loser caches their LCP."""
-        nonlocal comparisons, chars
-        a, b = off[pos[x]], off[pos[y]]
-        len_a, len_b = off[pos[x] + 1] - a, off[pos[y] + 1] - b
-        limit = min(len_a, len_b)
-        i = h
-        while i < limit and data[a + i] == data[b + i]:
-            i += 1
-        comparisons += 1
-        if i < limit:
-            chars += i - h + 1
-            x_wins = data[a + i] < data[b + i]
-        else:
-            chars += i - h
-            x_wins = len_a < len_b or (len_a == len_b and x < y)
-        ref[y if x_wins else x] = i
-        return x_wins
-
-    # bottom-up initialisation: real comparisons against the reference ''
     loser = [0] * k
-    winners = list(range(k)) * 2
-    for node in range(k - 1, 0, -1):
-        x, y = winners[2 * node], winners[2 * node + 1]
-        if ref[x] < 0 or (ref[y] == 0 and not beats(x, y, 0)):
-            x, y = y, x
-        winners[node], loser[node] = x, y
+    comparisons = chars = 0
 
     seg_start: List[int] = []
     seg_stop: List[int] = []
     seg_lcp: List[int] = []
-    w, first_lcp = winners[1], 0
-    while first_lcp >= 0:  # -1: the winner is exhausted, so every run is
-        parent = (k + w) >> 1  # of w's leaf: where its path to the root starts
-        ceiling = -1
-        node = parent
-        while node:
-            h = ref[loser[node]]
-            if h > ceiling:
-                ceiling = h
-            node >>= 1
-        start = pos[w]
-        stop = start + 1
-        while lcp[stop] > ceiling:
-            stop += 1
-        seg_start.append(start)
-        seg_stop.append(stop)
-        seg_lcp.append(first_lcp)
-        pos[w] = stop
-
-        # one replay for the whole segment (= the scalar sequence's last one)
-        h = ref[w] = lcp[stop]
-        node = parent
-        while node:
+    # Seating: runs enter left to right against the reference '' (every live
+    # run's LCP 0).  Run ``seat`` climbs while it is a right child, playing the
+    # left subtree's winner waiting at each node, and the winner then waits
+    # at ``rest``, the first node it reaches from the left: the matches of a
+    # bottom-up build.  The last run climbs to the root (``rest`` 0); from
+    # then on the route is the winner's path, replayed once per segment.
+    seat = w = 0
+    h, route, rest = ref[0], (), k >> 1
+    while True:
+        for node in route:
             opp = loser[node]
             opp_h = ref[opp]
-            # larger cached LCP wins unread; equal ones (both exhausted: the
-            # stored loser moves up, as in the scalar tree) read characters
-            if opp_h > h or (opp_h == h and (h < 0 or not beats(w, opp, h))):
+            if opp_h == h:
+                if h >= 0:
+                    # the one comparison site: both strings agree with the
+                    # reference on h characters, so compare from there; the
+                    # loser caches the LCP the two share
+                    p, q = pos[w], pos[opp]
+                    a, b = off[p], off[q]
+                    len_a, len_b = size[p], size[q]
+                    limit = len_a if len_a < len_b else len_b
+                    i = h
+                    while i < limit:
+                        ca, cb = data[a + i], data[b + i]
+                        if ca != cb:
+                            break
+                        i += 1
+                    comparisons += 1
+                    if i < limit:
+                        chars += i - h + 1
+                        if ca < cb:
+                            ref[opp] = i
+                            continue
+                    else:
+                        chars += i - h
+                        # a prefix wins; equal strings: the lower run
+                        if len_a < len_b or (len_a == len_b and w < opp):
+                            ref[opp] = i
+                            continue
+                    ref[w] = i
+                # opp wins the comparison, or both are exhausted and the
+                # stored loser moves up, as in the scalar tree
+                loser[node] = w
+                w = opp
+            elif opp_h > h:  # larger cached LCP wins unread
                 loser[node] = w
                 w, h = opp, opp_h
-            node >>= 1
-        first_lcp = h
+        if rest:
+            loser[rest] = w
+            seat += 1
+            climb = (seat ^ (seat + 1)).bit_length() - 1  # trailing one bits
+            w, h, route = seat, ref[seat], paths[seat][:climb]
+            rest = (k + seat) >> (climb + 1)
+            continue
+        if h < 0:  # the winner is exhausted, so every run is
+            break
+        # the segment: the following strings of w whose run-LCP exceeds the
+        # ceiling, the largest LCP cached by a live contender on w's path.
+        # A run-LCP not above the first node's cached LCP is not above the
+        # ceiling either: the segment is one string, the ceiling not taken
+        route = paths[w]
+        start = pos[w]
+        stop = start + 1
+        if lcp[stop] > ref[loser[route[0]]]:
+            ceiling = -1
+            for node in route:
+                opp_h = ref[loser[node]]
+                if opp_h > ceiling:
+                    ceiling = opp_h
+            while lcp[stop] > ceiling:
+                stop += 1
+        seg_start.append(start)
+        seg_stop.append(stop)
+        seg_lcp.append(h)
+        pos[w] = stop
+        # one replay for the whole segment (= the scalar sequence's last one)
+        h = ref[w] = lcp[stop]
     if stats is not None:
         stats.merge(CharStats(chars, comparisons))
 

@@ -44,7 +44,7 @@ __all__ = ["Cluster"]
 def _block_num_chars(block: Sequence) -> int:
     if isinstance(block, PackedStringArray):
         return block.num_chars
-    return sum(len(s) for s in block)
+    return sum(map(len, block))
 
 
 def _merge_rank_extras(results: List[RankOutput]) -> Dict[str, Any]:

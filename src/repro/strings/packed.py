@@ -18,7 +18,7 @@ distributed exchange path is built from:
   clip :func:`clip_lcps` that also gives PDMS its prefix LCP array;
 * :func:`packed_bucket_boundaries` — splitter partition of a sorted run via
   ``np.searchsorted`` over a fixed-width key view;
-* :func:`packed_argsort` / :func:`packed_sort` — whole-array sorting through
+* :func:`sort_with_order` / :func:`packed_sort` — whole-array sorting through
   numpy's fixed-width byte dtype where safe;
 * :func:`truncate` — vectorized per-string prefix truncation (PDMS builds
   its approximate distinguishing prefixes with this).
@@ -53,7 +53,6 @@ __all__ = [
     "front_decode",
     "fixed_width_keys",
     "packed_bucket_boundaries",
-    "packed_argsort",
     "packed_sort",
     "sort_with_order",
     "take",
@@ -548,11 +547,6 @@ def packed_bucket_boundaries(
         bounds.append(bisect_right(arr, f, lo=bounds[-1]))
     bounds.append(n)
     return bounds
-
-
-def packed_argsort(arr: PackedStringArray) -> np.ndarray:
-    """Stable argsort in lexicographic ``bytes`` order."""
-    return sort_with_order(arr)[1]
 
 
 def take(arr: PackedStringArray, order: np.ndarray) -> PackedStringArray:

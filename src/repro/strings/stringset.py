@@ -51,8 +51,12 @@ def validate_strings(strings: Iterable[object]) -> List[bytes]:
 
     ``str`` values are encoded as UTF-8.  Any other type raises ``TypeError``
     so that errors surface at the API boundary instead of deep inside a
-    sorting routine.
+    sorting routine.  When every element is exactly ``bytes``, the list is
+    built and checked with C-level iteration only.
     """
+    strings = list(strings)
+    if set(map(type, strings)) <= {bytes}:
+        return strings
     out: List[bytes] = []
     for s in strings:
         if isinstance(s, bytes):

@@ -62,6 +62,29 @@ class TestClusterSort:
         res = Cluster(num_pes=2).sort(["pear", "apple", "fig"], MSSpec(), check=True)
         assert res.sorted_strings == [b"apple", b"fig", b"pear"]
 
+    def test_mixed_input_types_convert_element_by_element(self):
+        class Tagged(bytes):
+            pass
+
+        tagged = Tagged(b"m")
+        data = [b"z", b"y", "xé", bytearray(b"w"), tagged, b"v"]
+        expected = [[b"z", b"y", "xé".encode()], [b"w", b"m", b"v"]]
+        res = Cluster(num_pes=2).sort(data, MSSpec(), check=True)
+        assert res.inputs_per_pe == expected
+        assert [type(s) for s in res.inputs_per_pe[1]] == [bytes, Tagged, bytes]
+        assert res.inputs_per_pe[1][1] is tagged  # a bytes subclass is kept as is
+        assert res.sorted_strings == sorted(s for b in expected for s in b)
+        blocks = [data[:3], data[3:]]
+        res = Cluster(num_pes=2).sort(blocks, MSSpec(), pre_distributed=True)
+        assert res.inputs_per_pe == expected
+
+    def test_non_string_after_many_bytes_raises(self):
+        data = [b"a"] * 1000 + [7]
+        with pytest.raises(TypeError, match=r"^strings must be bytes or str, got 'int'$"):
+            Cluster(num_pes=2).sort(data, MSSpec())
+        with pytest.raises(TypeError, match=r"^strings must be bytes or str, got 'int'$"):
+            Cluster(num_pes=2).sort([data[:500], data[500:]], MSSpec(), pre_distributed=True)
+
     def test_result_metadata(self):
         data = random_strings(300, 1, 10, seed=3)
         res = Cluster(num_pes=4).sort(data, MSSpec())
