@@ -23,12 +23,10 @@ of the same size as the gate.  Attempts alternate which pipeline runs
 first, so neither pays a systematic warm-up or second-run cost.
 
 The JSON additionally records framing-only micro numbers — the seal cost
-concentrated on just encode/wire/decode with nothing to amortise against —
-for both the packed and the legacy scalar representation.  Those are
-trajectory data, not gates: the packed framing stages are zero-copy
+concentrated on just encode/wire/decode with nothing to amortise against.
+Those are trajectory data, not gates: the framing stages are zero-copy
 (microseconds for ~10⁵ strings), so *any* per-byte integrity check is a
-large multiple of them, and the scalar representation is itself ~5× off
-the production path.
+large multiple of them.
 
 Decoded runs and merged output must be bit-identical sealed vs unsealed,
 and the sealed wire volume must exceed the unsealed by exactly
@@ -175,22 +173,20 @@ def test_wire_checksum_overhead_under_gate(workload):
     overhead, off_times, on_times = best
 
     # framing-only micro numbers (trajectory, not gated): seal arithmetic
-    # against zero-copy framing, packed and scalar representations
+    # against zero-copy framing
     srt, _ = msd_radix_sort(packed)
     lcps = packed_lcp_array(srt)
     packed_buckets = split_into_buckets(srt, lcps, splitters)
-    scalar_buckets = split_into_buckets(srt.to_list(), lcps.tolist(), splitters)
     framing = {}
-    for label, buckets in (("packed", packed_buckets), ("scalar", scalar_buckets)):
-        for compressed in (True, False):
-            off = _framing_only(buckets, False, compressed)
-            on = _framing_only(buckets, True, compressed)
-            key = f"{label}_{'lcp_block' if compressed else 'string_block'}"
-            framing[key] = {
-                "unsealed_seconds": round(off, 6),
-                "sealed_seconds": round(on, 6),
-                "overhead": round(on / off - 1.0, 4),
-            }
+    for compressed in (True, False):
+        off = _framing_only(packed_buckets, False, compressed)
+        on = _framing_only(packed_buckets, True, compressed)
+        key = f"packed_{'lcp_block' if compressed else 'string_block'}"
+        framing[key] = {
+            "unsealed_seconds": round(off, 6),
+            "sealed_seconds": round(on, 6),
+            "overhead": round(on / off - 1.0, 4),
+        }
 
     payload = {
         "benchmark": "wire-checksum seal overhead (one PE end to end)",
@@ -218,19 +214,3 @@ def test_wire_checksum_overhead_under_gate(workload):
             for k, v in _stage_table(off_times, on_times).items()
         )
     )
-
-
-def test_sealed_contents_identical_across_representations(workload):
-    """Packed- and scalar-backed sealed blocks agree on content seals."""
-    packed, splitters = workload
-    srt, _ = msd_radix_sort(packed)
-    lcps = packed_lcp_array(srt)
-    packed_buckets = split_into_buckets(srt, lcps, splitters)
-    scalar_buckets = split_into_buckets(srt.to_list(), lcps.tolist(), splitters)
-    for (ps, ph), (ss, sh) in zip(packed_buckets, scalar_buckets):
-        pb = LcpCompressedBlock.encode(ps, ph, seal=True)
-        sb = LcpCompressedBlock.encode(ss, list(sh), seal=True)
-        assert pb.content_crc() == sb.content_crc()
-        pr = StringBlock(ps, ph, seal=True)
-        sr = StringBlock(list(ss), list(sh), seal=True)
-        assert pr.content_crc() == sr.content_crc()

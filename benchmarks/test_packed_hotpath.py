@@ -18,16 +18,17 @@ the packed representation carried end-to-end (sort → exchange → merge):
   segment emission into a packed output vs the per-string loser tree).
 
 Each stage runs twice: once over ``list[bytes]`` with the scalar code and
-once over :class:`PackedStringArray` with the vectorized kernels (every
-kernel picks its path from the input it is given).  The acceptance gates assert the exchange aggregate
+once over :class:`PackedStringArray` with the vectorized kernels.  The
+exchange blocks hold packed runs only, so the scalar comparand of the
+encode, wire and decode stages — the list-backed front-coding encoder, its
+wire-byte count and its decode — lives in this module, as
+``_scalar_lcp_array`` does.  The acceptance gates assert the exchange aggregate
 (lcp + partition + encode + wire + decode, the same stages the PR 2
 trajectory gated) is **≥ 5× faster**, the full end-to-end aggregate with
 the new sort and merge stages is **≥ 3× faster**, and every stage clears
 its own floor (see ``STAGE_FLOORS`` — notably ``decode ≥ 3×``, up from
 the ~1.05× the PR 2 materializing decode was stuck at).  Crucially, wire
-bytes, decoded runs and merged output must be bit-identical.  A second
-test pins byte-identical sorted output and traffic across all six
-paper algorithms with the packed path on and off.
+bytes, decoded runs and merged output must be bit-identical.
 
 Results (strings/second per stage plus peak RSS) are written to
 ``benchmarks/out/BENCH_PR6.json`` so future PRs have a trajectory to regress
@@ -44,15 +45,14 @@ import numpy as np
 import pytest
 
 from conftest import results_path, scaled
-from repro.bench.experiments import DEFAULT_ALGORITHMS
 from repro.bench.harness import peak_rss_bytes
-from repro.dist.exchange import LcpCompressedBlock, StringBlock
+from repro.dist.exchange import LcpCompressedBlock
 from repro.dist.partition import split_into_buckets, string_based_samples, select_splitters
 from repro.sequential import sort_strings_with_lcp
 from repro.sequential.lcp_losertree import lcp_multiway_merge, lcp_multiway_merge_packed
+from repro.mpi.serialization import varint_size
 from repro.sequential.msd_radix import msd_radix_sort
-from repro.session import Cluster, default_registry
-from repro.strings.generators import commoncrawl_like, dn_instance
+from repro.strings.generators import commoncrawl_like
 from repro.strings.lcp import lcp
 from repro.strings.packed import PackedStringArray, packed_lcp_array
 
@@ -93,6 +93,45 @@ def _scalar_lcp_array(strings):
     return out
 
 
+def _scalar_encode(strings, lcps):
+    """The list-backed front coder: one ``(lcp, suffix)`` entry per string."""
+    if len(strings) != len(lcps):
+        raise ValueError("strings and lcps must have equal length")
+    entries = []
+    prev_len = 0
+    for i, (s, h) in enumerate(zip(strings, lcps)):
+        h = 0 if i == 0 else min(h, len(s), prev_len)
+        entries.append((h, s[h:]))
+        prev_len = len(s)
+    return entries
+
+
+def _scalar_wire_bytes(entries):
+    """Varint count + per-string (varint LCP, varint suffix length, suffix)."""
+    total = varint_size(len(entries))
+    for h, suffix in entries:
+        total += varint_size(h) + varint_size(len(suffix)) + len(suffix)
+    return total
+
+
+def _scalar_decode(entries):
+    """Reconstruct ``(strings, lcps)`` from the front-coded entries."""
+    strings = []
+    lcps = []
+    prev = b""
+    for h, suffix in entries:
+        if h > len(prev):
+            raise ValueError(
+                f"corrupt LCP-compressed block: LCP {h} exceeds the "
+                f"previous string's length {len(prev)}"
+            )
+        s = prev[:h] + suffix
+        strings.append(s)
+        lcps.append(h)
+        prev = s
+    return strings, lcps
+
+
 def _timed(fn, reps=4):
     """Best-of-``reps`` wall time (first runs pay page-fault warmup)."""
     best = float("inf")
@@ -120,11 +159,9 @@ def _measure_pipelines(corpus, srt, splitters):
     t_sort_s, (sorted_s, sort_lcps_s) = _timed(lambda: sort_strings_with_lcp(corpus))
     t_lcp_s, h_s = _timed(lambda: _scalar_lcp_array(srt))
     t_part_s, buckets_s = _timed(lambda: split_into_buckets(srt, h_s, splitters))
-    t_enc_s, blocks_s = _timed(
-        lambda: [LcpCompressedBlock.encode(s, h) for s, h in buckets_s]
-    )
-    t_wire_s, wires_s = _timed(lambda: [b.wire_bytes() for b in blocks_s])
-    t_dec_s, decoded_s = _timed(lambda: [b.decode() for b in blocks_s])
+    t_enc_s, blocks_s = _timed(lambda: [_scalar_encode(s, h) for s, h in buckets_s])
+    t_wire_s, wires_s = _timed(lambda: [_scalar_wire_bytes(b) for b in blocks_s])
+    t_dec_s, decoded_s = _timed(lambda: [_scalar_decode(b) for b in blocks_s])
     runs_s = [run for run, _ in decoded_s]
     run_lcps_s = [hs for _, hs in decoded_s]
     t_mrg_s, (merged_s, merged_lcps_s) = _timed(
@@ -270,19 +307,3 @@ def test_packed_exchange_hotpath_speedup(local_run):
             f"stage '{stage}' only {got:.2f}x faster than scalar "
             f"(floor {floor}x)"
         )
-
-
-@pytest.mark.parametrize("algorithm", sorted(DEFAULT_ALGORITHMS))
-def test_all_algorithms_byte_identical(algorithm):
-    """Packed vs scalar path: identical sorted output and wire accounting."""
-    corpus = dn_instance(scaled(600, minimum=200), 0.7, length=48, seed=13)
-    spec = default_registry().spec_class(algorithm)(seed=5)
-    with Cluster(4, packed=True) as cluster:
-        fast = cluster.sort(corpus, spec, check=True)
-    with Cluster(4, packed=False) as cluster:
-        slow = cluster.sort(corpus, spec, check=True)
-    assert fast.sorted_strings == slow.sorted_strings
-    assert fast.outputs_per_pe == slow.outputs_per_pe
-    assert fast.report.total_bytes_sent == slow.report.total_bytes_sent
-    assert dict(fast.report.phase_bytes) == dict(slow.report.phase_bytes)
-    assert fast.report.bytes_sent_per_pe == slow.report.bytes_sent_per_pe

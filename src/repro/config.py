@@ -1,6 +1,6 @@
 """The run configuration: how a cluster executes its sorts.
 
-A :class:`RunConfig` holds the six execution settings of one
+A :class:`RunConfig` holds the five execution settings of one
 :class:`repro.session.Cluster` (or one :func:`repro.mpi.run_spmd` call).  It
 is resolved once, when the cluster is built: the ``REPRO_*`` environment
 first (:meth:`RunConfig.from_env`, the only place the package reads those
@@ -11,10 +11,10 @@ sort at the same time in one process.  A spec's own ``exchange_topology``
 still overrides the cluster's for that sort.
 
 None of the settings changes sorted outputs, LCP arrays or origin wire
-bytes: ``packed`` changes how the work is done, ``exchange_topology`` adds
-forwarded routing bytes, ``wire_checksums`` adds 4 seal bytes per block, and
-``timeout``, ``engine`` and ``trace`` govern the engine.  ``docs/API.md`` lists each field with its variable, keyword, CLI
-flag and accepted values.
+bytes: ``exchange_topology`` adds forwarded routing bytes,
+``wire_checksums`` adds 4 seal bytes per block, and ``timeout``, ``engine``
+and ``trace`` govern the engine.  ``docs/API.md`` lists each field with its
+variable, keyword, CLI flag and accepted values.
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ class RunConfig:
 
     Attributes
     ----------
-    packed:
-        Sort and exchange over packed arrays; ``False`` runs the scalar
-        sorters over ``list[bytes]`` (they count inspected characters
-        differently).
     exchange_topology:
         Delivery strategy of the bucket all-to-all: ``"direct"``,
         ``"hypercube"`` or ``"grid"`` (:mod:`repro.net.router`).
@@ -56,7 +52,6 @@ class RunConfig:
         Record per-rank timelines (:mod:`repro.obs`).
     """
 
-    packed: bool = _setting(True, "REPRO_PACKED")
     exchange_topology: str = _setting("direct", "REPRO_EXCHANGE_TOPOLOGY")
     wire_checksums: bool = _setting(False, "REPRO_WIRE_CHECKSUMS")
     timeout: float = _setting(600.0, "REPRO_SPMD_TIMEOUT")
@@ -68,6 +63,9 @@ class RunConfig:
         from .mpi.engine import ENGINES
         from .net.router import TOPOLOGY_NAMES
 
+        for f in fields(self):
+            if f.type == "bool" and not isinstance(getattr(self, f.name), bool):
+                self._reject(f.name, "a bool")
         if self.exchange_topology not in TOPOLOGY_NAMES:
             self._reject("exchange_topology", f"one of {list(TOPOLOGY_NAMES)}")
         if isinstance(self.timeout, bool) or not (

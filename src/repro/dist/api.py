@@ -37,7 +37,7 @@ from ..mpi.comm import Communicator
 from ..net.cost_model import DEFAULT_MACHINE, MachineModel
 from ..net.metrics import TrafficReport
 from ..sequential import sort_strings_with_lcp
-from ..sequential.lcp_losertree import lcp_multiway_merge, lcp_multiway_merge_packed
+from ..sequential.lcp_losertree import lcp_multiway_merge_packed
 from ..sequential.losertree import multiway_merge
 from ..sequential.stats import CharStats
 from ..strings.lcp import lcp_array
@@ -156,41 +156,20 @@ def distribute_strings(
 # ---------------------------------------------------------------------------
 
 def _local_sort(comm: Communicator, strings, sorter: str):
-    """Step 1: sort this rank's block; packed in, packed out on the hot path.
+    """Step 1: sort this rank's block into a packed run and ``int64`` LCPs.
 
-    With ``comm.config.packed`` and the default ``msd_radix`` sorter the
-    block is lifted into a :class:`PackedStringArray` (zero-copy when it
-    already is one) and :func:`repro.sequential.msd_radix.msd_radix_sort`
-    dispatches to the vectorized fixed-width-key sorter — the sorted run and
-    its LCP array stay packed end-to-end.  Every other configuration runs
-    the original scalar sorters over ``list[bytes]``.
+    ``msd_radix`` sorts the packed block (zero-copy when it already is one)
+    with the vectorized fixed-width-key sorter.  The other sorters, and
+    ``msd_radix``'s long-string fallback, run over ``list[bytes]``; their
+    output is packed once here.
     """
-    hot = comm.config.packed and sorter == "msd_radix"
-    if isinstance(strings, PackedStringArray):
-        if not hot:
-            strings = strings.to_list()
-    elif hot:
+    if sorter == "msd_radix":
         strings = PackedStringArray.from_strings(strings)
     with comm.phase("local-sort"):
         stats = CharStats()
         out, lcps = sort_strings_with_lcp(strings, sorter, stats)
         comm.record_local_work(stats.chars_inspected, len(out))
-    return out, lcps
-
-
-def _as_hot_path(comm: Communicator, local_sorted, lcps):
-    """Lift a locally sorted run onto the packed hot path (``comm.config.packed``).
-
-    From here to the exchange everything — sampling, bucket boundaries,
-    front coding, wire accounting — runs over the contiguous buffer; with
-    the fast paths disabled the original ``list``-based code runs instead.
-    """
-    if comm.config.packed:
-        return (
-            PackedStringArray.from_strings(local_sorted),
-            np.asarray(lcps, dtype=np.int64),
-        )
-    return local_sorted, lcps
+    return PackedStringArray.from_strings(out), np.asarray(lcps, dtype=np.int64)
 
 
 def ms_sort(
@@ -205,15 +184,14 @@ def ms_sort(
     (Step 4) — on for MS and off for MS-simple.
     """
     local_sorted, lcps = _local_sort(comm, strings, spec.local_sorter)
-    local_view, lcps_view = _as_hot_path(comm, local_sorted, lcps)
     splitters = determine_splitters(
         comm,
-        local_view,
+        local_sorted,
         scheme=spec.sampling,
         sample_sort=spec.sample_sort,
         oversampling=spec.oversampling,
     )
-    buckets = split_into_buckets(local_view, lcps_view, splitters)
+    buckets = split_into_buckets(local_sorted, lcps, splitters)
     received = exchange_buckets(
         comm,
         buckets,
@@ -225,18 +203,13 @@ def ms_sort(
         stats = CharStats()
         runs = [run for run, _ in received]
         if lcp:
-            run_lcps = [h for _, h in received]
-            if runs and all(isinstance(r, PackedStringArray) for r in runs):
-                # packed end-to-end: batched loser-tree emit into one packed
-                # output buffer; materialised to lists only at the rank
-                # output boundary (contents bit-identical to the scalar merge)
-                merged, merged_lcps = lcp_multiway_merge_packed(
-                    runs, run_lcps, stats
-                )
-                out = merged.to_list()
-                out_lcps = merged_lcps.tolist()
-            else:
-                out, out_lcps = lcp_multiway_merge(runs, run_lcps, stats)
+            # batched loser-tree emit into one packed output buffer,
+            # materialised to lists only at the rank output boundary
+            merged, merged_lcps = lcp_multiway_merge_packed(
+                runs, [h for _, h in received], stats
+            )
+            out = merged.to_list()
+            out_lcps = merged_lcps.tolist()
         else:
             out = multiway_merge(runs, stats)
             out_lcps = lcp_array(out)
@@ -257,15 +230,14 @@ def fkmerge_sort(
     its ``local_sorter``, ``oversampling`` and ``exchange_topology`` are read.
     """
     local_sorted, lcps = _local_sort(comm, strings, spec.local_sorter)
-    local_view, lcps_view = _as_hot_path(comm, local_sorted, lcps)
     splitters = determine_splitters(
         comm,
-        local_view,
+        local_sorted,
         scheme="string",
         sample_sort="central",
         oversampling=spec.oversampling,
     )
-    buckets = split_into_buckets(local_view, lcps_view, splitters)
+    buckets = split_into_buckets(local_sorted, lcps, splitters)
     # the baseline has no LCP machinery on the wire: strings travel verbatim
     received = exchange_buckets(
         comm,
@@ -295,11 +267,9 @@ def pdms_sort(
     read.  ``golomb`` Golomb-codes the fingerprint messages (PDMS-Golomb).
     """
     local_sorted, lcps = _local_sort(comm, strings, spec.local_sorter)
-    # the run stays packed from here on (a list-sorted block is packed once)
-    packed = PackedStringArray.from_strings(local_sorted)
     doubling = approximate_dist_prefixes(
         comm,
-        packed,
+        local_sorted,
         initial_length=spec.initial_length,
         epsilon=spec.epsilon,
         golomb=golomb,
@@ -307,7 +277,7 @@ def pdms_sort(
     # prefixes of a sorted array are sorted (every prefix extends past the
     # LCP with its neighbours, by the DIST guarantee), and their LCP array
     # is the local one clipped to the prefix lengths
-    prefixes = truncate(packed, doubling.lengths)
+    prefixes = truncate(local_sorted, doubling.lengths)
     prefix_lcps = clip_lcps(prefixes, lcps)
 
     splitters = determine_splitters(

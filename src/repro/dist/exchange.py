@@ -16,12 +16,11 @@ Both classes implement ``wire_bytes`` so the traffic meter charges exactly
 what a real implementation would put on the wire; the Python objects
 themselves move by reference inside the simulated machine.
 
-Both classes are **dual-backed**: constructed from a
-:class:`repro.strings.packed.PackedStringArray` bucket (the hot path) all
-encoding, wire accounting and decoding run as vectorized numpy kernels over
-the contiguous byte buffer; constructed from ``list[bytes]`` the original
-scalar code runs.  Wire sizes and decoded contents are bit-identical either
-way — the benchmark suite pins this across all six algorithms.
+Both classes hold one packed run: a
+:class:`repro.strings.packed.PackedStringArray` plus an ``int64`` LCP array.
+A ``list[bytes]`` bucket is packed once at construction; a packed bucket
+(what the rank programs cut) is held zero-copy.  Encoding, wire accounting
+and decoding run as vectorized numpy kernels over the contiguous buffer.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from ..mpi.serialization import (
     wire_size,
 )
 from ..net.router import ExchangeTopology, resolve_topology, routed_exchange
-from ..strings.lcp import lcp_array
 from ..strings.packed import (
     PackedStringArray,
     front_code,
@@ -64,28 +62,20 @@ class StringBlock(WireSized):
 
     With ``seal`` (the exchange passes ``comm.config.wire_checksums``) the
     block is *sealed* at construction: a CRC32 of its content travels with
-    it (4 extra wire bytes) and :meth:`decode` / :meth:`decode_run` verify
-    the seal, raising :class:`~repro.faults.errors.CorruptFrameError` on
-    mismatch.
+    it (4 extra wire bytes) and :meth:`decode_run` verifies the seal,
+    raising :class:`~repro.faults.errors.CorruptFrameError` on mismatch.
     """
 
     def __init__(self, strings: Strings, lcps: Lcps = None, seal: bool = False):
         if lcps is not None and len(strings) != len(lcps):
             raise ValueError("strings and lcps must have equal length")
-        if isinstance(strings, PackedStringArray):
-            self._packed: Optional[PackedStringArray] = strings
-            self.strings: Sequence[bytes] = strings
-            self.lcps = None if lcps is None else np.asarray(lcps, dtype=np.int64)
-        else:
-            self._packed = None
-            self.strings = list(strings)
-            self.lcps = list(lcps) if lcps is not None else None
+        self.strings = PackedStringArray.from_strings(strings)
+        self.lcps = None if lcps is None else np.asarray(lcps, dtype=np.int64)
         self._crc: Optional[int] = self._compute_crc() if seal else None
 
     def _compute_crc(self) -> int:
         """CRC32 of the block's content, recomputed from scratch (bulk)."""
-        content = self._packed if self._packed is not None else self.strings
-        return block_checksum(content, self.lcps)
+        return block_checksum(self.strings, self.lcps)
 
     def content_crc(self) -> int:
         """The checksum the envelope layer folds in (the seal, or fresh)."""
@@ -98,33 +88,16 @@ class StringBlock(WireSized):
                 "its seal (frame corrupted in transit)"
             )
 
-    def decode(self) -> Tuple[List[bytes], List[int]]:
-        """``(strings, lcps)``; the LCP array is recomputed when not shipped."""
-        self._verify_seal()
-        if self._packed is not None:
-            strings = self._packed.to_list()
-            if self.lcps is not None:
-                return strings, self.lcps.tolist()
-            return strings, packed_lcp_array(self._packed).tolist()
-        strings = list(self.strings)
-        lcps = list(self.lcps) if self.lcps is not None else lcp_array(strings)
-        return strings, lcps
+    def decode_run(self) -> Tuple[PackedStringArray, np.ndarray]:
+        """The sent run and its ``int64`` LCP array (recomputed when not shipped).
 
-    def decode_run(self) -> Tuple[Strings, Lcps]:
-        """Decode to the natural representation of the sent bucket.
-
-        A packed-backed block yields its :class:`PackedStringArray` and an
-        ``int64`` LCP array **without materialising** ``list[bytes]`` — the
-        downstream local sort and merge consume the packed run directly.  A
-        list-backed block behaves exactly like :meth:`decode`.  Contents are
-        bit-identical either way.
+        The run is handed over without materialising ``list[bytes]``: the
+        downstream merge consumes it directly.
         """
         self._verify_seal()
-        if self._packed is not None:
-            if self.lcps is not None:
-                return self._packed, self.lcps
-            return self._packed, packed_lcp_array(self._packed)
-        return self.decode()
+        if self.lcps is not None:
+            return self.strings, self.lcps
+        return self.strings, packed_lcp_array(self.strings)
 
     def wire_bytes(self) -> int:
         """Varint count + per-string (varint length, payload) [+ varint LCPs].
@@ -132,48 +105,34 @@ class StringBlock(WireSized):
         A sealed block additionally carries its 4-byte CRC32 on the wire.
         """
         seal = CHECKSUM_WIRE_BYTES if self._crc is not None else 0
-        if self._packed is not None:
-            return packed_wire_bytes(self._packed, self.lcps) + seal
-        total = varint_size(len(self.strings))
-        for s in self.strings:
-            total += varint_size(len(s)) + len(s)
-        if self.lcps is not None:
-            total += sum(varint_size(h) for h in self.lcps)
-        return total + seal
+        return packed_wire_bytes(self.strings, self.lcps) + seal
 
 
 class LcpCompressedBlock(WireSized):
     """One bucket with LCP front coding: ``(lcp, suffix-past-lcp)`` per string.
 
-    Like :class:`StringBlock`, the block is sealed with a content CRC32 when
-    built with ``seal``, verified at decode time (4 extra wire bytes;
-    :class:`~repro.faults.errors.CorruptFrameError` on mismatch).  The seal
-    covers the front-coded wire form — LCPs and suffixes — not the
-    zero-copy ``original`` reference.
+    Built by :meth:`encode`.  Like :class:`StringBlock`, the block is sealed
+    with a content CRC32 when built with ``seal``, verified at decode time
+    (4 extra wire bytes; :class:`~repro.faults.errors.CorruptFrameError` on
+    mismatch).  The seal covers the front-coded wire form — LCPs and
+    suffixes — not the zero-copy reference to the sent run.
     """
 
-    def __init__(self, entries: Sequence[Tuple[int, bytes]], seal: bool = False):
-        self.entries: Optional[List[Tuple[int, bytes]]] = list(entries)
-        self._lcps: Optional[np.ndarray] = None
-        self._suffixes: Optional[PackedStringArray] = None
-        self._original: Optional[PackedStringArray] = None
+    def __init__(
+        self,
+        run: PackedStringArray,
+        lcps: np.ndarray,
+        suffixes: PackedStringArray,
+        seal: bool = False,
+    ):
+        self._original = run
+        self._lcps = lcps
+        self._suffixes = suffixes
         self._crc: Optional[int] = self._compute_crc() if seal else None
 
     def _compute_crc(self) -> int:
-        """CRC32 of the front-coded wire content, recomputed from scratch.
-
-        Folds the suffix payload and the LCP array in bulk
-        (:func:`block_checksum`), so a packed-backed and an entry-backed
-        block with the same front-coded content seal identically.
-        """
-        if self._suffixes is not None:
-            return block_checksum(self._suffixes, self._lcps)
-        if not self.entries:
-            return block_checksum((), np.zeros(0, dtype=np.int64))
-        lcps, suffixes = zip(*self.entries)
-        return block_checksum(
-            suffixes, np.fromiter(lcps, dtype=np.int64, count=len(suffixes))
-        )
+        """CRC32 of the front-coded wire content (suffixes and LCPs, bulk)."""
+        return block_checksum(self._suffixes, self._lcps)
 
     def content_crc(self) -> int:
         """The checksum the envelope layer folds in (the seal, or fresh)."""
@@ -193,76 +152,31 @@ class LcpCompressedBlock(WireSized):
         """Front-code a sorted run with its LCP array (sealed with ``seal``).
 
         The first string always travels in full; LCP values are clipped
-        defensively (an LCP can never exceed either neighbour).  Packed
-        buckets are encoded by the batched :func:`repro.strings.packed.front_code`
-        kernel — one gather builds the whole suffix buffer.
+        defensively (an LCP can never exceed either neighbour).  One gather
+        of :func:`repro.strings.packed.front_code` builds the whole suffix
+        buffer.  The block keeps a reference to the run: the simulated
+        machine delivers messages zero-copy, so the receiver charges wire
+        bytes for the front-coded form but does not redo the byte-level
+        reconstruction that :func:`repro.strings.packed.front_decode`
+        implements (and the tests pin).
         """
         if len(strings) != len(lcps):
             raise ValueError("strings and lcps must have equal length")
-        if isinstance(strings, PackedStringArray):
-            # keep a reference to the encoded run: the simulated machine
-            # delivers messages zero-copy (exactly as StringBlock does), so
-            # the receiver charges wire bytes for the front-coded form but
-            # does not redo the byte-level reconstruction that
-            # :func:`front_decode` implements (and the tests pin)
-            blk = cls.__new__(cls)
-            blk.entries = None
-            blk._lcps, blk._suffixes = front_code(strings, lcps)
-            blk._original = strings
-            blk._crc = blk._compute_crc() if seal else None
-            return blk
-        entries: List[Tuple[int, bytes]] = []
-        prev_len = 0
-        for i, (s, h) in enumerate(zip(strings, lcps)):
-            h = 0 if i == 0 else min(h, len(s), prev_len)
-            entries.append((h, s[h:]))
-            prev_len = len(s)
-        return cls(entries, seal)
+        run = PackedStringArray.from_strings(strings)
+        return cls(run, *front_code(run, lcps), seal)
 
     def __len__(self) -> int:
-        if self._suffixes is not None:
-            return len(self._suffixes)
-        return len(self.entries)
+        return len(self._suffixes)
 
     @property
     def chars_sent(self) -> int:
         """Characters on the wire after front coding (suffixes only)."""
-        if self._suffixes is not None:
-            return self._suffixes.num_chars
-        return sum(len(suffix) for _, suffix in self.entries)
+        return self._suffixes.num_chars
 
-    def decode(self) -> Tuple[List[bytes], List[int]]:
-        """Reconstruct ``(strings, lcps)`` from the front-coded entries."""
+    def decode_run(self) -> Tuple[PackedStringArray, np.ndarray]:
+        """The sent run (delivered zero-copy) and its ``int64`` LCP array."""
         self._verify_seal()
-        if self._original is not None:
-            return self._original.to_list(), self._lcps.tolist()
-        strings: List[bytes] = []
-        lcps: List[int] = []
-        prev = b""
-        for h, suffix in self.entries:
-            if h > len(prev):
-                raise ValueError(
-                    f"corrupt LCP-compressed block: LCP {h} exceeds the "
-                    f"previous string's length {len(prev)}"
-                )
-            s = prev[:h] + suffix
-            strings.append(s)
-            lcps.append(h)
-            prev = s
-        return strings, lcps
-
-    def decode_run(self) -> Tuple[Strings, Lcps]:
-        """Decode to the natural representation of the sent bucket.
-
-        A packed-backed block yields the sent :class:`PackedStringArray`
-        (delivered zero-copy) plus the ``int64`` LCP array **without
-        materialising** ``list[bytes]``.  An entry-backed block behaves
-        exactly like :meth:`decode`.
-        """
-        self._verify_seal()
-        if self._original is not None:
-            return self._original, self._lcps
-        return self.decode()
+        return self._original, self._lcps
 
     def wire_bytes(self) -> int:
         """Varint count + per-string (varint LCP, varint suffix length, suffix).
@@ -270,18 +184,13 @@ class LcpCompressedBlock(WireSized):
         A sealed block additionally carries its 4-byte CRC32 on the wire.
         """
         seal = CHECKSUM_WIRE_BYTES if self._crc is not None else 0
-        if self._suffixes is not None:
-            return (
-                varint_size(len(self._suffixes))
-                + varint_total(self._lcps)
-                + varint_total(self._suffixes.lengths)
-                + self._suffixes.num_chars
-                + seal
-            )
-        total = varint_size(len(self.entries))
-        for h, suffix in self.entries:
-            total += varint_size(h) + varint_size(len(suffix)) + len(suffix)
-        return total + seal
+        return (
+            varint_size(len(self._suffixes))
+            + varint_total(self._lcps)
+            + varint_total(self._suffixes.lengths)
+            + self._suffixes.num_chars
+            + seal
+        )
 
 
 def exchange_buckets(
@@ -295,8 +204,8 @@ def exchange_buckets(
     """Deliver bucket ``j`` to PE ``j``; return the received runs.
 
     ``buckets`` must contain exactly ``comm.size`` ``(strings, lcps)`` pairs
-    (either ``list[bytes]`` + ``list[int]`` or packed arrays + ``int64``
-    arrays).  The return value has one entry per *source* PE:
+    (packed arrays + ``int64`` arrays; a ``list[bytes]`` bucket is packed
+    once).  The return value has one entry per *source* PE: packed
     ``(strings, lcps)`` tuples, or ``(strings, lcps, payload)`` when
     ``payloads`` supplies one extra (wire-accounted) object per destination —
     PDMS uses this to ship each bucket's origin offset alongside the
@@ -355,10 +264,7 @@ def exchange_buckets(
             else:
                 block, payload = message
             strings, lcps = block.decode_run()
-            if isinstance(strings, PackedStringArray):
-                decoded_chars += strings.num_chars
-            else:
-                decoded_chars += sum(len(s) for s in strings)
+            decoded_chars += strings.num_chars
             out.append(
                 (strings, lcps) if payloads is None else (strings, lcps, payload)
             )

@@ -1,6 +1,6 @@
 """Simulated MPI: communicator interface, wire-size accounting, SPMD engines."""
 
-from .comm import Communicator, ReduceOp, Request, waitall, waitany
+from .comm import Communicator, ReduceOp, Request, waitall
 from .engine import (
     SpmdError,
     ThreadComm,
@@ -21,7 +21,6 @@ __all__ = [
     "ReduceOp",
     "Request",
     "waitall",
-    "waitany",
     "ThreadComm",
     "ThreadEngine",
     "ProcessEngine",

@@ -21,14 +21,13 @@ obtains the exact "bytes sent per string" numbers of Figures 4 and 5.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
 
 if TYPE_CHECKING:
     from ..config import RunConfig
 
-__all__ = ["Communicator", "ReduceOp", "Request", "waitall", "waitany"]
+__all__ = ["Communicator", "ReduceOp", "Request", "waitall"]
 
 
 class Request:
@@ -36,9 +35,9 @@ class Request:
 
     Mirrors MPI's request objects: :meth:`test` polls for completion without
     blocking, :meth:`wait` blocks until the operation finishes and returns the
-    received object (``None`` for sends).  Use :func:`waitall` / :func:`waitany`
-    to drive several outstanding requests, e.g. the sends of one routed
-    exchange round.
+    received object (``None`` for sends).  Use :func:`waitall` to drive
+    several outstanding requests, e.g. the sends of one routed exchange
+    round.
     """
 
     def test(self) -> bool:
@@ -58,25 +57,6 @@ class Request:
 def waitall(requests: Sequence[Request]) -> List[Any]:
     """Wait for every request; returns their payloads in request order."""
     return [r.wait() for r in requests]
-
-
-def waitany(requests: Sequence[Request], poll_interval: float = 0.0005) -> int:
-    """Block until at least one request completes; returns its index.
-
-    Completed requests are reported before any polling sleep happens, so a
-    caller repeatedly removing finished requests drains them in arrival
-    order.  Raises ``ValueError`` on an empty sequence (nothing can ever
-    complete).  Backend-specific failure detection lives in ``test`` — the
-    thread engine's requests raise :class:`repro.mpi.engine.SpmdError` from
-    there when the run is aborted or the deadlock timeout expires.
-    """
-    if not requests:
-        raise ValueError("waitany needs at least one request")
-    while True:
-        for i, r in enumerate(requests):
-            if r.test():
-                return i
-        time.sleep(poll_interval)
 
 
 class ReduceOp:
@@ -115,7 +95,7 @@ class Communicator:
     # subclasses set these in __init__
     rank: int
     size: int
-    #: the run configuration the rank programs read (packed path, exchange
+    #: the run configuration the rank programs read (exchange
     #: mode, topology, seals); the engine supplies it
     config: RunConfig
 
@@ -215,11 +195,6 @@ class Communicator:
     def waitall(requests: Sequence[Request]) -> List[Any]:
         """Convenience alias for :func:`waitall` (request-order payloads)."""
         return waitall(requests)
-
-    @staticmethod
-    def waitany(requests: Sequence[Request]) -> int:
-        """Convenience alias for :func:`waitany` (index of a finished request)."""
-        return waitany(requests)
 
     # ------------------------------------------------------------------ collectives
     def barrier(self) -> None:

@@ -106,8 +106,7 @@ def packed_wire_bytes(
     packed: PackedStringArray, lcps: Any = None
 ) -> int:
     """Wire size of a packed string block: count + length headers + payload
-    (+ optional LCP varints) — the vectorized twin of ``StringBlock``'s
-    scalar accounting."""
+    (+ optional LCP varints), the accounting of ``StringBlock``."""
     lengths = packed.lengths
     total = varint_size(len(packed)) + varint_total(lengths) + packed.num_chars
     if lcps is not None:
@@ -177,32 +176,19 @@ def payload_checksum(obj: Any) -> int:
     return _checksum(obj, 0)
 
 
-def block_checksum(strings: Any, lcps: Any = None) -> int:
-    """Bulk CRC32 seal of a string block: the strings plus an optional LCPs.
+def block_checksum(strings: PackedStringArray, lcps: Any = None) -> int:
+    """Bulk CRC32 seal of a packed string block plus optional LCPs.
 
     The sealing twin of :func:`payload_checksum` for the exchange-block hot
-    path: where the generic walker folds one element at a time (a Python
-    loop per string), this folds the whole block in a handful of C-speed
-    operations — one ``b"".join`` over the payload plus the ``int64``
-    length and LCP arrays.  That is what keeps the sealed exchange path
-    inside the perf-smoke overhead gate (< 5% over unsealed).
-
-    Content-equivalent representations seal equally: a ``list[bytes]`` and
-    a :class:`~repro.strings.packed.PackedStringArray` holding the same
-    strings fold the same count, character payload and length array, and
-    the LCPs fold as an ``int64`` array whether given as a list or an
-    ``ndarray``.  Any content mutation — string bytes, a length, an LCP,
-    the count, the order — changes the result.
+    path: where the generic walker folds one element at a time, this folds
+    the whole block in a handful of C-speed operations — the contiguous
+    character payload plus the ``int64`` length and LCP arrays.  That is
+    what keeps the sealed exchange path inside the perf-smoke overhead gate
+    (< 5% over unsealed).  The LCPs fold as an ``int64`` array whether
+    given as a list or an ``ndarray``.  Any content mutation — string
+    bytes, a length, an LCP, the count, the order — changes the result.
     """
-    if isinstance(strings, PackedStringArray):
-        crc = _checksum(strings, 0)
-    else:
-        crc = zlib.crc32(b"P" + len(strings).to_bytes(8, "little"), 0)
-        crc = zlib.crc32(b"".join(strings), crc)
-        lens = np.fromiter(
-            map(len, strings), dtype=np.int64, count=len(strings)
-        )
-        crc = zlib.crc32(lens, crc)
+    crc = _checksum(strings, 0)
     if lcps is None:
         return zlib.crc32(b"N", crc)
     arr = np.asarray(lcps, dtype=np.int64)

@@ -1,8 +1,8 @@
 """Vectorized local sorter: ``np.argsort`` over fixed-width key columns.
 
 The distributed algorithms spend Step 1 sorting each PE's block.  When the
-block arrives as a :class:`repro.strings.packed.PackedStringArray` (the hot
-path of a packed run configuration), the whole sort can run inside numpy instead of
+block arrives as a :class:`repro.strings.packed.PackedStringArray` (as every
+rank program's block does), the whole sort can run inside numpy instead of
 the per-string :mod:`repro.sequential.msd_radix` recursion:
 
 * NUL-free blocks sort through one stable ``np.argsort`` over a padded

@@ -4,8 +4,8 @@ This package is the public face of the distributed sorters since the API
 redesign:
 
 * :class:`Cluster` — a reusable simulated machine with its run
-  configuration (:class:`repro.config.RunConfig`: engine backend, packed
-  hot path, exchange topology, ...), resolved once per cluster;
+  configuration (:class:`repro.config.RunConfig`: engine backend,
+  exchange topology, ...), resolved once per cluster;
 * the :class:`SortSpec` hierarchy — one frozen, validated, serializable
   configuration dataclass per algorithm (``to_dict`` / ``from_dict`` /
   stable ``config_hash()``), read directly by the rank programs;

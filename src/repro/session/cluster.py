@@ -74,8 +74,8 @@ def _merge_rank_extras(results: List[RankOutput]) -> Dict[str, Any]:
 class Cluster:
     """A reusable simulated machine plus its run configuration.
 
-    ``engine``, ``packed``, ``exchange_topology``, ``timeout``,
-    ``wire_checksums`` and ``trace`` are the fields of
+    ``engine``, ``exchange_topology``, ``timeout``, ``wire_checksums`` and
+    ``trace`` are the fields of
     :class:`~repro.config.RunConfig`: :attr:`config` is the ``REPRO_*``
     environment (:meth:`~repro.config.RunConfig.from_env`) with every
     keyword that is not ``None`` applied, and every sort on this cluster
@@ -97,9 +97,6 @@ class Cluster:
         (:class:`repro.mpi.procengine.ProcessEngine`), and third-party
         backends plug in via :func:`repro.mpi.engine.register_engine`; see
         ``docs/ENGINES.md`` for the backend contract.
-    packed:
-        The packed hot path.  It does not affect sorted outputs, LCP arrays
-        or wire bytes.
     exchange_topology:
         Delivery strategy of the bucket all-to-all: ``"direct"``,
         ``"hypercube"`` or ``"grid"`` (:mod:`repro.net.router`).  Routing
@@ -140,7 +137,6 @@ class Cluster:
         *,
         machine: MachineModel = DEFAULT_MACHINE,
         engine: Optional[str] = None,
-        packed: Optional[bool] = None,
         exchange_topology: Optional[str] = None,
         timeout: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
@@ -155,7 +151,6 @@ class Cluster:
         #: the run configuration of every sort on this cluster
         self.config = RunConfig.from_env().override(
             engine=engine,
-            packed=packed,
             exchange_topology=exchange_topology,
             timeout=timeout,
             wire_checksums=wire_checksums,

@@ -43,7 +43,6 @@ __all__ = [
     "distinguishing_prefix_size",
     "dn_ratio",
     "merge_lcp_statistics",
-    "lcp_compress_lengths",
 ]
 
 
@@ -265,24 +264,3 @@ def merge_lcp_statistics(strings: Sequence[bytes]) -> Tuple[float, float]:
         mean_len = sum(len(s) for s in strings) / n
     frac = mean_lcp / mean_len if mean_len > 0 else 0.0
     return (mean_lcp, frac)
-
-
-def lcp_compress_lengths(strings: Sequence[bytes], lcps: Sequence[int]) -> int:
-    """Number of characters remaining after LCP compression.
-
-    With LCP compression (Section V, Step 3) each string transmits only its
-    suffix past the LCP with the *previous* string in the same message; the
-    first string of a message is always sent in full.  The return value is
-    ``sum(len(s_i) - h_i)`` which the exchange step uses for byte accounting.
-    """
-    if len(strings) != len(lcps):
-        raise ValueError("strings and lcps must have equal length")
-    if isinstance(strings, PackedStringArray):
-        lens = strings.lengths
-        clipped = np.minimum(np.asarray(lcps, dtype=np.int64), lens)
-        return int((lens - clipped).sum())
-    total = 0
-    for s, h in zip(strings, lcps):
-        clipped = min(h, len(s))
-        total += len(s) - clipped
-    return total

@@ -27,13 +27,11 @@ Slicing a :class:`PackedStringArray` is **zero-copy**: views share the
 character buffer and merely narrow the offsets window, so cutting a sorted
 run into ``p`` destination buckets allocates no string data at all.
 
-Every kernel is bit-exact with its scalar counterpart in
-:mod:`repro.strings.lcp` / :mod:`repro.dist.exchange`; the property tests in
-``tests/test_packed.py`` pin that equivalence on adversarial inputs and the
-``benchmarks/test_packed_hotpath.py`` micro-benchmark tracks the speedup.
-A cluster built with ``packed=False`` (:class:`repro.config.RunConfig`)
-keeps its rank programs on the original scalar code, which tests use to
-assert identical results.
+Every kernel is bit-exact with its scalar counterpart (the scalar
+:mod:`repro.strings.lcp` machinery and the original per-string front
+coder); the property tests in ``tests/test_packed.py`` pin that equivalence
+on adversarial inputs and the ``benchmarks/test_packed_hotpath.py``
+micro-benchmark tracks the speedup.
 """
 
 from __future__ import annotations
@@ -341,8 +339,9 @@ def front_code(
 ) -> Tuple[np.ndarray, PackedStringArray]:
     """Front-code a sorted run: ``(clipped LCPs, suffix array)``.
 
-    Mirrors :meth:`LcpCompressedBlock.encode`: the first string travels in
-    full and every LCP is clipped by :func:`clip_lcps`.  The suffixes land
+    The wire form of :meth:`repro.dist.exchange.LcpCompressedBlock.encode`:
+    the first string travels in full and every LCP is clipped by
+    :func:`clip_lcps`.  The suffixes land
     in a fresh packed array whose buffer is exactly the characters that go
     on the wire.
     """

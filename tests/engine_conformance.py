@@ -4,8 +4,7 @@ Any backend registered via :func:`repro.mpi.engine.register_engine` must be
 observationally indistinguishable from the reference thread engine: the
 same rank programs must produce **bit-identical** sorted outputs, LCP
 arrays, PDMS origin labels, origin wire bytes, per-PE byte vectors and
-config hashes — for every algorithm, exchange topology and hot path
-(packed arrays or the scalar lists).
+config hashes — for every algorithm and exchange topology.
 This module packages that contract as reusable pieces:
 
 * :func:`all_engines` / :func:`engine_params` — the engine axis for pytest
@@ -39,7 +38,6 @@ from repro.session import Cluster, default_registry
 #: the paper's six algorithms; with the axes below, the conformance matrix
 PAPER_ALGORITHMS = ("ms", "ms-simple", "pdms", "pdms-golomb", "hquick", "fkmerge")
 TOPOLOGIES = ("direct", "hypercube", "grid")
-HOT_PATHS = (True, False)  # packed arrays, scalar lists
 
 #: the engine every other backend is compared against
 REFERENCE_ENGINE = "threads"
@@ -123,7 +121,6 @@ def sort_fingerprint(
     engine: str,
     algorithm: str,
     topology: str = "direct",
-    packed: bool = True,
     num_pes: int = 4,
     seed: int = DEFAULT_SEED,
 ) -> Dict[str, Any]:
@@ -136,9 +133,7 @@ def sort_fingerprint(
     engines legitimately differ on).
     """
     spec = default_registry().spec_class(algorithm)(seed=3)
-    with Cluster(
-        num_pes=num_pes, engine=engine, exchange_topology=topology, packed=packed
-    ) as cluster:
+    with Cluster(num_pes=num_pes, engine=engine, exchange_topology=topology) as cluster:
         result = cluster.sort(conformance_workload(seed), spec, check=True)
     report = result.report
     return {

@@ -8,7 +8,7 @@ channel, regardless of engine, payload shape, or how the completion waits
 interleave.  The property is driven by hypothesis over random per-channel
 message sequences and exercised on every available engine via the shared
 ``engine_params`` axis from :mod:`engine_conformance`.  The request
-handles themselves (``isend``/``irecv``, ``waitany``/``waitall``, self-sends,
+handles themselves (``isend``/``irecv``, ``waitall``, self-sends,
 a blocking ``recv`` behind an open ``irecv``) are pinned on every engine too.
 """
 
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from engine_conformance import engine_params, set_engine
 from repro.mpi import run_spmd
-from repro.mpi.comm import waitall, waitany
+from repro.mpi.comm import waitall
 
 # payloads that survive any transport: bytes of varying size so both the
 # in-band pipe path and (on large examples) the shm path get exercised
@@ -129,7 +129,7 @@ def test_out_of_order_waits_preserve_matching():
 
 
 # ---------------------------------------------------------------------------
-# request handles: isend/irecv, waitany/waitall
+# request handles: isend/irecv, waitall
 # ---------------------------------------------------------------------------
 
 
@@ -170,18 +170,12 @@ def test_irecv_matches_in_posting_order():
     assert results[1] == ("first", "second")
 
 
-def test_waitany_reports_completions_and_waitall_orders_payloads():
+def test_waitall_orders_payloads():
     def program(comm):
         if comm.rank == 0:
             requests = [comm.irecv(src) for src in range(1, comm.size)]
-            seen = []
-            remaining = list(requests)
-            while remaining:
-                idx = waitany(remaining)
-                seen.append(remaining.pop(idx).wait())
-            # waitall on completed requests returns payloads in request order
-            assert waitall(requests) == [f"r{src}" for src in range(1, comm.size)]
-            return sorted(seen)
+            # waitall returns payloads in request order
+            return waitall(requests)
         comm.isend(f"r{comm.rank}", 0).wait()
         return None
 

@@ -12,11 +12,14 @@ engines the platform cannot run are skipped with the platform's reason.
 
 import pytest
 
-from engine_conformance import engine_params, set_engine
+from engine_conformance import PAPER_ALGORITHMS, engine_params, set_engine
 from repro.dist import ms_sort
+from repro.dist.api import _local_sort
 from repro.mpi import run_spmd
+from repro.sequential import SEQUENTIAL_SORTERS
 from repro.session import (
     Cluster,
+    default_registry,
     FKMergeSpec,
     HQuickSpec,
     MSSimpleSpec,
@@ -34,6 +37,7 @@ from repro.strings.generators import (
     suffix_instance,
 )
 from repro.strings.lcp import lcp_array
+from repro.strings.packed import PackedStringArray
 
 @pytest.fixture(scope="module", params=engine_params(), autouse=True)
 def spmd_engine(request):
@@ -177,6 +181,48 @@ class TestMS:
         data = dn_instance(600, 0.3, length=40, seed=19)
         res = Cluster(4).sort(data, MSSpec(oversampling=32), check=True)
         assert res.sorted_strings == sorted(data)
+
+
+class TestLocalSort:
+    """Step 1 hands the later steps one representation, whatever the sorter."""
+
+    BLOCKS = {
+        "dn": lambda: dn_instance(300, 0.5, length=30, seed=20),
+        # a NUL byte and a string past 256 bytes: msd_radix's scalar fallback
+        "fallback": lambda: [b"x" * 300 + b"\0a", b"b\0", b"a" * 10],
+    }
+
+    @pytest.mark.parametrize("packed_input", [False, True], ids=["list", "packed"])
+    @pytest.mark.parametrize("block", sorted(BLOCKS))
+    @pytest.mark.parametrize("sorter", sorted(SEQUENTIAL_SORTERS))
+    def test_packed_run_and_int64_lcps(self, sorter, block, packed_input):
+        data = self.BLOCKS[block]()
+        given = PackedStringArray.from_strings(data) if packed_input else data
+
+        def prog(comm):
+            run, lcps = _local_sort(comm, given, sorter)
+            assert isinstance(run, PackedStringArray)
+            assert lcps.dtype.name == "int64"
+            return run.to_list(), lcps.tolist()
+
+        results, _ = run_spmd(1, prog)
+        run, lcps = results[0]
+        assert run == sorted(data)
+        assert lcps == lcp_array(run)
+
+    @pytest.mark.parametrize("sorter", sorted(set(SEQUENTIAL_SORTERS) - {"msd_radix"}))
+    @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
+    def test_every_algorithm_takes_every_sorter(self, algorithm, sorter):
+        """A list-sorted run, packed once, sorts and travels like msd_radix's."""
+        data = self.BLOCKS["dn"]() + self.BLOCKS["fallback"]()
+        spec_class = default_registry().spec_class(algorithm)
+        with Cluster(4) as cluster:
+            got = cluster.sort(data, spec_class(local_sorter=sorter), check=True)
+            want = cluster.sort(data, spec_class())
+        assert got.outputs_per_pe == want.outputs_per_pe
+        assert got.lcps_per_pe == want.lcps_per_pe
+        assert got.origins_per_pe == want.origins_per_pe
+        assert got.report.origin_bytes_sent == want.report.origin_bytes_sent
 
 
 class TestPDMS:

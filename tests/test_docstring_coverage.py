@@ -62,7 +62,7 @@ REQUIRED = {
         "get_engine",
         "register_engine",
     ],
-    "repro/mpi/comm.py": ["Communicator", "Request", "waitall", "waitany"],
+    "repro/mpi/comm.py": ["Communicator", "Request", "waitall"],
     "repro/strings/stringset.py": ["StringSet"],
     "repro/strings/packed.py": ["PackedStringArray"],
     "repro/net/metrics.py": [

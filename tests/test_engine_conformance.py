@@ -1,15 +1,13 @@
 """The cross-engine conformance matrix: every backend vs the thread engine.
 
 Drives ``tests/engine_conformance.py`` over the full contract surface —
-all six algorithms x three exchange topologies x packed/scalar hot path — and
-asserts each cell's fingerprint (sorted outputs, LCP arrays, PDMS origins,
+all six algorithms x three exchange topologies — and asserts each cell's fingerprint (sorted outputs, LCP arrays, PDMS origins,
 config hash, origin/total/per-PE wire bytes, decoded local work) is
 bit-identical between the candidate engine and the ``threads`` reference.
 Cells for engines the platform cannot run are skipped with the platform's
 reason, never errored.
 
-Reference fingerprints are computed once per (algorithm, topology, path)
-cell and cached for the whole module, so adding a backend to the axis costs
+Reference fingerprints are computed once per (algorithm, topology) cell and cached for the whole module, so adding a backend to the axis costs
 only that backend's runs.
 """
 
@@ -18,7 +16,6 @@ from __future__ import annotations
 import pytest
 
 from engine_conformance import (
-    HOT_PATHS,
     PAPER_ALGORITHMS,
     REFERENCE_ENGINE,
     TOPOLOGIES,
@@ -32,12 +29,10 @@ from engine_conformance import (
 _reference_cache = {}
 
 
-def _reference(algorithm, topology, packed):
-    key = (algorithm, topology, packed)
+def _reference(algorithm, topology):
+    key = (algorithm, topology)
     if key not in _reference_cache:
-        _reference_cache[key] = sort_fingerprint(
-            REFERENCE_ENGINE, algorithm, topology, packed
-        )
+        _reference_cache[key] = sort_fingerprint(REFERENCE_ENGINE, algorithm, topology)
     return _reference_cache[key]
 
 
@@ -48,20 +43,16 @@ def candidate_engine(request):
 
 
 class TestConformanceMatrix:
-    @pytest.mark.parametrize("packed", HOT_PATHS, ids=("packed", "scalar"))
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
-    def test_cell_matches_reference(
-        self, candidate_engine, algorithm, topology, packed
-    ):
+    def test_cell_matches_reference(self, candidate_engine, algorithm, topology):
         """One matrix cell: candidate fingerprint == reference fingerprint."""
-        reference = _reference(algorithm, topology, packed)
+        reference = _reference(algorithm, topology)
         # on the reference engine this is self-conformance: a second run
         # must reproduce the first
-        fp = sort_fingerprint(candidate_engine, algorithm, topology, packed)
-        path = "packed" if packed else "scalar"
+        fp = sort_fingerprint(candidate_engine, algorithm, topology)
         assert_engines_agree(
-            fp, reference, label=f"{candidate_engine}/{algorithm}/{topology}/{path}"
+            fp, reference, label=f"{candidate_engine}/{algorithm}/{topology}"
         )
         assert fp["engine_tag"] == candidate_engine
 

@@ -3,8 +3,8 @@
 The delivery strategy of the bucket all-to-all (``direct`` / ``hypercube`` /
 ``grid``, see :mod:`repro.net.router`) changes *how* buckets travel — the
 startup counts, the measured total volume, the per-route attribution —
-never *what* is computed.  This suite pins, for every algorithm and both
-hot paths (packed arrays and scalar lists on the wire), on adversarial inputs (tiny alphabets, duplicates, empty strings, empty ranks,
+never *what* is computed.  This suite pins, for every algorithm, on
+adversarial inputs (tiny alphabets, duplicates, empty strings, empty ranks,
 non-power-of-two machines):
 
 * bit-identical sorted outputs, LCP arrays and PDMS origin labels;
@@ -53,15 +53,15 @@ _SETTINGS = dict(
 )
 
 
-def _sort(strings, algorithm, p, topology, seed=3, packed=None):
+def _sort(strings, algorithm, p, topology, seed=3):
     spec = default_registry().spec_class(algorithm)(seed=seed)
-    cluster = Cluster(num_pes=p, exchange_topology=topology, packed=packed)
+    cluster = Cluster(num_pes=p, exchange_topology=topology)
     return cluster.sort(strings, spec)
 
 
-def _assert_equivalent(strings, algorithm, p, topology, seed=3, packed=None):
-    direct = _sort(strings, algorithm, p, "direct", seed=seed, packed=packed)
-    routed = _sort(strings, algorithm, p, topology, seed=seed, packed=packed)
+def _assert_equivalent(strings, algorithm, p, topology, seed=3):
+    direct = _sort(strings, algorithm, p, "direct", seed=seed)
+    routed = _sort(strings, algorithm, p, topology, seed=seed)
     assert routed.sorted_strings == direct.sorted_strings
     assert routed.outputs_per_pe == direct.outputs_per_pe
     assert routed.lcps_per_pe == direct.lcps_per_pe
@@ -82,7 +82,6 @@ def _assert_equivalent(strings, algorithm, p, topology, seed=3, packed=None):
     # + frame/batch headers (a few bytes per frame and round)
     header_allowance = 16 * p * p * max_hops
     assert inflation <= (max_hops - 1) * exchange_bytes + header_allowance
-    return direct, routed
 
 
 @settings(**_SETTINGS)
@@ -103,24 +102,6 @@ def test_routed_topologies_fixed_corpus(algorithm, topology):
     corpus = dn_instance(num_strings=300, dn=0.8, length=32, seed=17)
     corpus += [b"", b"a" * 31, corpus[0], corpus[0]]  # empties + duplicates
     _assert_equivalent(corpus, algorithm, 4, topology, seed=9)
-
-
-@pytest.mark.parametrize("topology", ROUTED)
-@pytest.mark.parametrize("algorithm", sorted(PAPER_ALGORITHMS))
-def test_routed_topologies_scalar_path(algorithm, topology):
-    """Scalar lists through the router are equally identical to direct."""
-    corpus = dn_instance(num_strings=200, dn=0.6, length=24, seed=11)
-    _, routed = _assert_equivalent(corpus, algorithm, 4, topology, seed=7, packed=False)
-    # the packed routed run matches the scalar routed run byte for byte
-    packed = _sort(corpus, algorithm, 4, topology, seed=7, packed=True)
-    assert packed.outputs_per_pe == routed.outputs_per_pe
-    assert packed.report.total_bytes_sent == routed.report.total_bytes_sent
-    assert packed.report.bytes_sent_per_pe == routed.report.bytes_sent_per_pe
-    assert (
-        packed.report.forwarded_bytes_per_pe
-        == routed.report.forwarded_bytes_per_pe
-    )
-    assert dict(packed.report.route_bytes) == dict(routed.report.route_bytes)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 8])

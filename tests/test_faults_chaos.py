@@ -1,11 +1,14 @@
 """The chaos matrix: seeded fault plans across algorithms and topologies.
 
 The acceptance contract of the fault subsystem: under seeded drop / corrupt
-/ straggle plans, every algorithm x topology x hot path (packed arrays or
-scalar lists on the wire) combination either completes with **bit-identical** outputs, LCP arrays and origin wire
-bytes (after transparent recovery), or raises a typed fault error — never a
-hang past the configured timeout, never silently wrong output.  Crash plans
-recover through ``Cluster.sort(..., max_retries=...)``.
+/ straggle plans, every algorithm x topology combination either completes
+with **bit-identical** outputs, LCP arrays and origin wire bytes (after
+transparent recovery), or raises a typed fault error — never a
+hang past the configured timeout, never silently wrong output.  Each cell
+runs unsealed and with the content seals of ``wire_checksums`` (the pairing
+``FaultPlan.wants_checksums`` offers), since seals on blocks and route
+frames must not disturb recovery.  Crash plans recover through
+``Cluster.sort(..., max_retries=...)``.
 
 ``faults_injected`` is reconciled exactly against the injector (both count
 the same fired rules); ``faults_detected`` / ``retries`` are asserted as
@@ -58,11 +61,11 @@ def _plan(kind: str) -> FaultPlan:
     )
 
 
-def _sort(algorithm, topology, plan=None, max_retries=0, packed=None):
+def _sort(algorithm, topology, plan=None, max_retries=0, sealed=False):
     cluster = Cluster(
         num_pes=NUM_PES,
-        packed=packed,
         exchange_topology=topology,
+        wire_checksums=sealed,
         timeout=TIMEOUT,
         fault_plan=plan,
     )
@@ -74,13 +77,13 @@ def _sort(algorithm, topology, plan=None, max_retries=0, packed=None):
 
 @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
 @pytest.mark.parametrize("topology", TOPOLOGIES)
-@pytest.mark.parametrize("packed", (True, False), ids=("packed", "scalar"))
+@pytest.mark.parametrize("sealed", (False, True), ids=("unsealed", "sealed"))
 @pytest.mark.parametrize("fault_kind", ("drop", "corrupt", "straggle"))
-def test_chaos_recovery_is_bit_identical(algorithm, topology, packed, fault_kind):
+def test_chaos_recovery_is_bit_identical(algorithm, topology, sealed, fault_kind):
     """Seeded chaos either recovers bit-identically or raises typed errors."""
-    _, baseline = _sort(algorithm, topology, plan=FaultPlan(), packed=packed)
+    _, baseline = _sort(algorithm, topology, plan=FaultPlan(), sealed=sealed)
     plan = _plan(fault_kind)
-    cluster, chaotic = _sort(algorithm, topology, plan=plan, packed=packed)
+    cluster, chaotic = _sort(algorithm, topology, plan=plan, sealed=sealed)
 
     # bit-identical recovery: outputs, LCPs and origin wire volume
     assert chaotic.outputs_per_pe == baseline.outputs_per_pe

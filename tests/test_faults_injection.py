@@ -237,71 +237,56 @@ class TestCollectiveAccounting:
         assert events[0].max_bytes_per_pe == wire_size(b"yyy")
 
 
+def _writable(strings):
+    """A packed array over a private, writable copy of the characters."""
+    packed = PackedStringArray.from_strings(strings)
+    return PackedStringArray(packed.buffer.copy(), packed.offsets)
+
+
 class TestBlockSeals:
     STRINGS = [b"apple", b"apply", b"banana", b""]
 
     def test_string_block_seal_round_trip_and_overhead(self):
         plain = StringBlock(self.STRINGS)
-        sealed = StringBlock(self.STRINGS, seal=True)
-        assert sealed.decode()[0] == self.STRINGS
+        sealed = StringBlock(PackedStringArray.from_strings(self.STRINGS), seal=True)
+        strings, _ = sealed.decode_run()
+        assert strings.to_list() == self.STRINGS
         assert sealed.wire_bytes() == plain.wire_bytes() + CHECKSUM_WIRE_BYTES
 
     def test_string_block_tamper_detected(self):
-        blk = StringBlock(list(self.STRINGS), seal=True)
-        blk.strings[1] = b"apqly"
+        blk = StringBlock(_writable(self.STRINGS), seal=True)
+        blk.strings.buffer[6] ^= 1  # apply -> aqply
         with pytest.raises(CorruptFrameError, match="StringBlock"):
-            blk.decode()
+            blk.decode_run()
 
-    def test_packed_string_block_seal(self):
-        packed = PackedStringArray.from_strings(self.STRINGS)
-        plain = StringBlock(packed)
-        sealed = StringBlock(PackedStringArray.from_strings(self.STRINGS), seal=True)
-        strings, _ = sealed.decode()
-        assert strings == self.STRINGS
-        assert sealed.wire_bytes() == plain.wire_bytes() + CHECKSUM_WIRE_BYTES
-
-    def test_lcp_block_seal_and_tamper(self):
-        lcps = lcp_array(sorted(self.STRINGS))
-        run = sorted(self.STRINGS)
-        plain = LcpCompressedBlock.encode(run, lcps)
-        sealed = LcpCompressedBlock.encode(list(run), list(lcps), seal=True)
-        assert sealed.decode()[0] == run
-        assert sealed.wire_bytes() == plain.wire_bytes() + CHECKSUM_WIRE_BYTES
-        sealed.entries[1] = (0, b"zzz")
-        with pytest.raises(CorruptFrameError, match="LcpCompressedBlock"):
-            sealed.decode()
-
-    def test_packed_lcp_block_seal(self):
+    def test_lcp_block_seal(self):
         run = sorted(self.STRINGS)
         packed = PackedStringArray.from_strings(run)
         lcps = np.asarray(lcp_array(run), dtype=np.int64)
         sealed = LcpCompressedBlock.encode(packed, lcps, seal=True)
-        assert sealed.decode()[0] == run
-        plain = LcpCompressedBlock.encode(packed, lcps)
+        assert sealed.decode_run()[0].to_list() == run
+        plain = LcpCompressedBlock.encode(run, list(lcps))
         assert sealed.wire_bytes() == plain.wire_bytes() + CHECKSUM_WIRE_BYTES
 
     @pytest.mark.parametrize("target", ["lcp", "suffix_char"])
-    def test_packed_lcp_block_tamper_detected(self, target):
+    def test_lcp_block_tamper_detected(self, target):
         # the seal covers the front-coded form: LCPs and the sealed suffixes
         run = sorted(self.STRINGS)
-        sealed = LcpCompressedBlock.encode(
-            PackedStringArray.from_strings(run), lcp_array(run), seal=True
-        )
+        sealed = LcpCompressedBlock.encode(run, lcp_array(run), seal=True)
         if target == "lcp":
             sealed._lcps[2] -= 1  # LCP(apple, apply) = 4 becomes 3
         else:
             sealed._suffixes.buffer[-1] ^= 1
-        for decode in (sealed.decode, sealed.decode_run):
-            with pytest.raises(CorruptFrameError, match="LcpCompressedBlock"):
-                decode()
+        with pytest.raises(CorruptFrameError, match="LcpCompressedBlock"):
+            sealed.decode_run()
 
     def test_unsealed_blocks_have_no_overhead(self):
-        blk = StringBlock(self.STRINGS)
+        blk = StringBlock(_writable(self.STRINGS))
         assert blk._crc is None
         # tampering an unsealed block goes undetected by design (the
         # baseline wire format carries no checksum)
-        blk.strings[0] = b"tampered"
-        blk.decode()
+        blk.strings.buffer[0] ^= 1
+        blk.decode_run()
 
 
 class TestRouteFrameSeals:

@@ -9,7 +9,6 @@ from repro.strings.lcp import (
     lcp,
     lcp_array,
     lcp_array_of_sorted,
-    lcp_compress_lengths,
     merge_lcp_statistics,
     verify_lcp_array,
 )
@@ -149,18 +148,3 @@ class TestMergeLcpStatistics:
     def test_degenerate_inputs(self):
         assert merge_lcp_statistics([]) == (0.0, 0.0)
         assert merge_lcp_statistics([b"abc"]) == (0.0, 0.0)
-
-
-class TestLcpCompressLengths:
-    def test_counts_remaining_characters(self):
-        strings = [b"algae", b"alpha", b"alps"]
-        lcps = [0, 2, 3]
-        # 5 + (5-2) + (4-3)
-        assert lcp_compress_lengths(strings, lcps) == 9
-
-    def test_clips_lcp_to_string_length(self):
-        assert lcp_compress_lengths([b"ab"], [10]) == 0
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            lcp_compress_lengths([b"a"], [0, 0])

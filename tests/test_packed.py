@@ -20,7 +20,7 @@ from repro.dist.partition import bucket_boundaries, split_into_buckets
 from repro.mpi.serialization import varint_size, varint_sizes, varint_total, wire_size
 from repro.sequential import CharStats
 from repro.sequential.vector_sort import vector_sort_with_lcp
-from repro.strings.lcp import lcp, lcp_array, lcp_compress_lengths
+from repro.strings.lcp import lcp, lcp_array
 from repro.strings.packed import (
     PackedStringArray,
     _front_decode_scalar,
@@ -70,6 +70,32 @@ def scalar_lcp_array(strings):
     for i in range(1, len(strings)):
         out[i] = lcp(strings[i - 1], strings[i])
     return out
+
+
+def scalar_front_code(strings, lcps):
+    """Reference encoder: the original per-string ``(lcp, suffix)`` loop."""
+    entries = []
+    prev_len = 0
+    for i, (s, h) in enumerate(zip(strings, lcps)):
+        h = 0 if i == 0 else min(h, len(s), prev_len)
+        entries.append((h, s[h:]))
+        prev_len = len(s)
+    return entries
+
+
+def scalar_wire_bytes(strings, lcps=None):
+    """Reference ``StringBlock`` accounting: count, (length, payload), LCPs."""
+    total = varint_size(len(strings))
+    total += sum(varint_size(len(s)) + len(s) for s in strings)
+    return total + sum(varint_size(h) for h in lcps or ())
+
+
+def scalar_front_coded_wire_bytes(entries):
+    """Reference ``LcpCompressedBlock`` accounting: count, (lcp, length, suffix)."""
+    return varint_size(len(entries)) + sum(
+        varint_size(h) + varint_size(len(suffix)) + len(suffix)
+        for h, suffix in entries
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +175,6 @@ class TestLcpEquivalence:
         fast = lcp_array(xs * 3)  # ×3 pushes past the dispatch threshold
         assert fast == scalar_lcp_array(xs * 3)
 
-    @given(string_lists())
-    @settings(max_examples=60, deadline=None)
-    def test_lcp_compress_lengths_packed(self, xs):
-        srt = sorted(xs)
-        h = scalar_lcp_array(srt)
-        arr = PackedStringArray.from_strings(srt)
-        assert lcp_compress_lengths(arr, h) == lcp_compress_lengths(srt, h)
-
 
 # ---------------------------------------------------------------------------
 # front coding: encode / decode / wire accounting
@@ -168,9 +186,8 @@ class TestFrontCoding:
     def test_encode_matches_scalar_entries(self, xs):
         srt = sorted(xs)
         h = scalar_lcp_array(srt)
-        scalar_blk = LcpCompressedBlock.encode(srt, h)
         hc, suffixes = front_code(PackedStringArray.from_strings(srt), h)
-        assert [(int(a), b) for a, b in zip(hc, suffixes)] == scalar_blk.entries
+        assert [(int(a), b) for a, b in zip(hc, suffixes)] == scalar_front_code(srt, h)
 
     @given(string_lists())
     @settings(max_examples=120, deadline=None)
@@ -189,10 +206,11 @@ class TestFrontCoding:
         assert (
             LcpCompressedBlock.encode(arr, h).wire_bytes()
             == LcpCompressedBlock.encode(srt, h).wire_bytes()
+            == scalar_front_coded_wire_bytes(scalar_front_code(srt, h))
         )
-        assert StringBlock(arr).wire_bytes() == StringBlock(srt).wire_bytes()
-        assert StringBlock(arr, h).wire_bytes() == StringBlock(srt, h).wire_bytes()
-        assert wire_size(arr) == StringBlock(srt).wire_bytes()
+        assert StringBlock(arr).wire_bytes() == scalar_wire_bytes(srt)
+        assert StringBlock(srt, h).wire_bytes() == scalar_wire_bytes(srt, h)
+        assert wire_size(arr) == scalar_wire_bytes(srt)
 
     @given(string_lists())
     @settings(max_examples=60, deadline=None)
@@ -200,12 +218,13 @@ class TestFrontCoding:
         srt = sorted(xs)
         h = scalar_lcp_array(srt)
         arr = PackedStringArray.from_strings(srt)
-        assert (
-            LcpCompressedBlock.encode(arr, h).decode()
-            == LcpCompressedBlock.encode(srt, h).decode()
-        )
-        assert StringBlock(arr).decode() == StringBlock(srt).decode()
-        assert StringBlock(arr, h).decode() == StringBlock(srt, h).decode()
+        clipped = [hi for hi, _ in scalar_front_code(srt, h)]
+        for strings in (arr, srt):
+            run, lcps = LcpCompressedBlock.encode(strings, h).decode_run()
+            assert run.to_list() == srt and lcps.tolist() == clipped
+            for shipped, want in ((None, h), (h, h)):
+                run, lcps = StringBlock(strings, shipped).decode_run()
+                assert run.to_list() == srt and lcps.tolist() == want
 
     def test_corrupt_packed_block_detected(self):
         suffixes = PackedStringArray.from_strings([b"ab", b"c"])
@@ -291,7 +310,6 @@ class TestPackedLcpBlock:
         )
         run, lcps = blk.decode_run()
         assert run is arr and lcps.tolist() == hc.tolist()
-        assert blk.decode() == (srt, hc.tolist())
 
 
 class TestFrontDecodeVectorizedOracle:

@@ -7,6 +7,7 @@ when the cluster is built, naming the variable, instead of inside a rank or
 not at all.
 """
 
+import inspect
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
@@ -16,7 +17,6 @@ from repro.mpi import run_spmd
 
 #: one malformed value per variable
 MALFORMED = {
-    "REPRO_PACKED": "nope",
     "REPRO_EXCHANGE_TOPOLOGY": "bogus",
     "REPRO_WIRE_CHECKSUMS": "sealed",
     "REPRO_SPMD_TIMEOUT": "nan",
@@ -28,6 +28,22 @@ MALFORMED = {
 def test_every_field_has_one_variable():
     names = [f.metadata["env"] for f in fields(RunConfig)]
     assert sorted(names) == sorted(MALFORMED)
+
+
+def test_cluster_keywords_are_the_fields():
+    params = inspect.signature(Cluster).parameters.values()
+    keywords = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+    settings = {f.name for f in fields(RunConfig)}
+    # every other keyword, a retired setting included, is a TypeError
+    assert keywords == settings | {"machine", "fault_plan", "registry"}
+
+
+def test_retired_packed_setting_is_rejected():
+    # the packed path is the only path: neither the keyword nor the field exists
+    with pytest.raises(TypeError, match="packed"):
+        Cluster(num_pes=2, packed=False)
+    with pytest.raises(TypeError, match="packed"):
+        RunConfig(packed=True)
 
 
 @pytest.mark.parametrize(
@@ -49,8 +65,20 @@ def test_malformed_variable_fails_fast(monkeypatch, variable, value):
      ("0", False), ("false", False), ("NO", False), ("Off", False)],
 )
 def test_boolean_spellings(raw, expected):
-    config = RunConfig.from_env({"REPRO_PACKED": raw, "REPRO_TRACE": raw})
-    assert config.packed is expected and config.trace is expected
+    config = RunConfig.from_env({"REPRO_WIRE_CHECKSUMS": raw, "REPRO_TRACE": raw})
+    assert config.wire_checksums is expected and config.trace is expected
+
+
+@pytest.mark.parametrize("value", ["0", "false", 1])
+@pytest.mark.parametrize("name", ["trace", "wire_checksums"])
+def test_boolean_fields_take_only_bools(name, value):
+    # "0" and "false" are truthy strings: stored as given they would arm the
+    # setting they mean to disarm
+    env = next(f.metadata["env"] for f in fields(RunConfig) if f.name == name)
+    with pytest.raises(ValueError, match=f"{name} \\({env}\\) must be a bool"):
+        RunConfig(**{name: value})
+    with pytest.raises(ValueError, match=env):
+        Cluster(num_pes=2, **{name: value})
 
 
 def test_unset_or_empty_means_the_default():
@@ -62,7 +90,6 @@ def test_unset_or_empty_means_the_default():
 def test_every_value_is_read():
     config = RunConfig.from_env(
         {
-            "REPRO_PACKED": "0",
             "REPRO_EXCHANGE_TOPOLOGY": "grid",
             "REPRO_WIRE_CHECKSUMS": "1",
             "REPRO_SPMD_TIMEOUT": "42.5",
@@ -71,7 +98,6 @@ def test_every_value_is_read():
         }
     )
     assert config == RunConfig(
-        packed=False,
         exchange_topology="grid",
         wire_checksums=True,
         timeout=42.5,
@@ -92,10 +118,10 @@ def test_keywords_beat_the_environment(monkeypatch):
 
 def test_override_ignores_none():
     base = RunConfig(trace=True)
-    assert base.override(trace=None, packed=None) == base
+    assert base.override(trace=None, wire_checksums=None) == base
     assert base.override(trace=False) == RunConfig()
 
 
 def test_config_is_frozen():
     with pytest.raises(FrozenInstanceError):
-        RunConfig().packed = False
+        RunConfig().trace = True

