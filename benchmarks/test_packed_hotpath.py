@@ -8,7 +8,10 @@ the packed representation carried end-to-end (sort → exchange → merge):
   recursion; packing cost charged to the packed side);
 * ``lcp``        — LCP array of the locally sorted run (packing included);
 * ``partition``  — cutting the run into per-destination buckets;
-* ``encode``     — LCP front coding of every bucket;
+* ``encode``     — LCP front coding of every bucket: the packed side clips
+  each bucket's LCPs and keeps the run, building no suffix byte (``wire``
+  then accounts the front-coded form from the two arrays), timed against
+  the scalar encoder that builds every ``(lcp, suffix)`` entry;
 * ``wire``       — varint/payload wire-byte accounting of every block;
 * ``decode``     — yielding the received runs to the merge
   (``decode_run()``: a packed run crosses the exchange boundary with *no*

@@ -49,8 +49,6 @@ _HOT_FUNCTIONS = frozenset(
         "lcp_multiway_merge_packed",
         "exchange_buckets",
         "routed_exchange",
-        "front_code",
-        "front_decode",
     }
 )
 

@@ -14,12 +14,14 @@ available:
 
 Both classes implement ``wire_bytes`` so the traffic meter charges exactly
 what a real implementation would put on the wire; the Python objects
-themselves move by reference inside the simulated machine.
+themselves move by reference inside the simulated machine.  So the
+front-coded form is accounted, never built: its byte count is a sum over
+the run's lengths and clipped LCPs, and the receiver takes the sent run.
 
 Both classes hold one packed run: a
 :class:`repro.strings.packed.PackedStringArray` plus an ``int64`` LCP array.
 A ``list[bytes]`` bucket is packed once at construction; a packed bucket
-(what the rank programs cut) is held zero-copy.  Encoding, wire accounting
+(what the rank programs cut) is held zero-copy.  Wire accounting, sealing
 and decoding run as vectorized numpy kernels over the contiguous buffer.
 """
 
@@ -41,11 +43,7 @@ from ..mpi.serialization import (
     wire_size,
 )
 from ..net.router import ExchangeTopology, resolve_topology, routed_exchange
-from ..strings.packed import (
-    PackedStringArray,
-    front_code,
-    packed_lcp_array,
-)
+from ..strings.packed import PackedStringArray, clip_lcps, packed_lcp_array
 
 __all__ = [
     "StringBlock",
@@ -111,28 +109,26 @@ class StringBlock(WireSized):
 class LcpCompressedBlock(WireSized):
     """One bucket with LCP front coding: ``(lcp, suffix-past-lcp)`` per string.
 
-    Built by :meth:`encode`.  Like :class:`StringBlock`, the block is sealed
-    with a content CRC32 when built with ``seal``, verified at decode time
-    (4 extra wire bytes; :class:`~repro.faults.errors.CorruptFrameError` on
-    mismatch).  The seal covers the front-coded wire form — LCPs and
-    suffixes — not the zero-copy reference to the sent run.
+    Built by :meth:`encode`, the block holds the sent run and its clipped
+    LCP array — nothing else.  The front-coded form is a pure function of
+    the two, so the block never builds it: :attr:`chars_sent` and
+    :meth:`wire_bytes` count it from the length and LCP arrays, and the
+    receiver takes the run zero-copy.  Like :class:`StringBlock`, the block
+    is sealed with a content CRC32 when built with ``seal``, verified at
+    decode time (4 extra wire bytes;
+    :class:`~repro.faults.errors.CorruptFrameError` on mismatch).  The seal
+    covers the run's characters, its lengths and its clipped LCPs: all that
+    the suffix form is computed from.
     """
 
-    def __init__(
-        self,
-        run: PackedStringArray,
-        lcps: np.ndarray,
-        suffixes: PackedStringArray,
-        seal: bool = False,
-    ):
-        self._original = run
+    def __init__(self, run: PackedStringArray, lcps: np.ndarray, seal: bool = False):
+        self._run = run
         self._lcps = lcps
-        self._suffixes = suffixes
         self._crc: Optional[int] = self._compute_crc() if seal else None
 
     def _compute_crc(self) -> int:
-        """CRC32 of the front-coded wire content (suffixes and LCPs, bulk)."""
-        return block_checksum(self._suffixes, self._lcps)
+        """CRC32 of the run and its clipped LCPs (bulk)."""
+        return block_checksum(self._run, self._lcps)
 
     def content_crc(self) -> int:
         """The checksum the envelope layer folds in (the seal, or fresh)."""
@@ -152,31 +148,27 @@ class LcpCompressedBlock(WireSized):
         """Front-code a sorted run with its LCP array (sealed with ``seal``).
 
         The first string always travels in full; LCP values are clipped
-        defensively (an LCP can never exceed either neighbour).  One gather
-        of :func:`repro.strings.packed.front_code` builds the whole suffix
-        buffer.  The block keeps a reference to the run: the simulated
-        machine delivers messages zero-copy, so the receiver charges wire
-        bytes for the front-coded form but does not redo the byte-level
-        reconstruction that :func:`repro.strings.packed.front_decode`
-        implements (and the tests pin).
+        defensively (an LCP can never exceed either neighbour) by
+        :func:`repro.strings.packed.clip_lcps`.  That clip is the whole
+        encoding: no suffix byte is gathered, since the simulated machine
+        delivers the run by reference and the wire form is accounted from
+        the arrays.
         """
-        if len(strings) != len(lcps):
-            raise ValueError("strings and lcps must have equal length")
         run = PackedStringArray.from_strings(strings)
-        return cls(run, *front_code(run, lcps), seal)
+        return cls(run, clip_lcps(run, lcps), seal)
 
     def __len__(self) -> int:
-        return len(self._suffixes)
+        return len(self._run)
 
     @property
     def chars_sent(self) -> int:
         """Characters on the wire after front coding (suffixes only)."""
-        return self._suffixes.num_chars
+        return self._run.num_chars - int(self._lcps.sum())
 
     def decode_run(self) -> Tuple[PackedStringArray, np.ndarray]:
         """The sent run (delivered zero-copy) and its ``int64`` LCP array."""
         self._verify_seal()
-        return self._original, self._lcps
+        return self._run, self._lcps
 
     def wire_bytes(self) -> int:
         """Varint count + per-string (varint LCP, varint suffix length, suffix).
@@ -185,10 +177,10 @@ class LcpCompressedBlock(WireSized):
         """
         seal = CHECKSUM_WIRE_BYTES if self._crc is not None else 0
         return (
-            varint_size(len(self._suffixes))
+            varint_size(len(self._run))
             + varint_total(self._lcps)
-            + varint_total(self._suffixes.lengths)
-            + self._suffixes.num_chars
+            + varint_total(self._run.lengths - self._lcps)
+            + self.chars_sent
             + seal
         )
 

@@ -5,6 +5,8 @@ deterministic: one rule, one channel, known message counts.  The broader
 "any plan, any algorithm" sweeps live in ``tests/test_faults_chaos.py``.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -268,17 +270,38 @@ class TestBlockSeals:
         plain = LcpCompressedBlock.encode(run, list(lcps))
         assert sealed.wire_bytes() == plain.wire_bytes() + CHECKSUM_WIRE_BYTES
 
-    @pytest.mark.parametrize("target", ["lcp", "suffix_char"])
+    @pytest.mark.parametrize("target", ["lcp", "run_char", "length"])
     def test_lcp_block_tamper_detected(self, target):
-        # the seal covers the front-coded form: LCPs and the sealed suffixes
+        # the seal covers what the front-coded form is computed from: the
+        # run's characters, its lengths and its clipped LCPs
         run = sorted(self.STRINGS)
-        sealed = LcpCompressedBlock.encode(run, lcp_array(run), seal=True)
+        sealed = LcpCompressedBlock.encode(_writable(run), lcp_array(run), seal=True)
+        offsets = sealed._run.offsets
         if target == "lcp":
             sealed._lcps[2] -= 1  # LCP(apple, apply) = 4 becomes 3
+        elif target == "run_char":
+            sealed._run.buffer[int(offsets[-1]) - 1] ^= 1  # banana -> banano
         else:
-            sealed._suffixes.buffer[-1] ^= 1
+            # a received frame is a fresh object: rebuild the run with one
+            # interior offset moved (apple|apply -> appl|eapply)
+            shifted = offsets.copy()
+            shifted[2] -= 1
+            sealed._run = PackedStringArray(sealed._run.buffer, shifted)
         with pytest.raises(CorruptFrameError, match="LcpCompressedBlock"):
             sealed.decode_run()
+
+    def test_lcp_block_seal_survives_pickle(self):
+        # the processes engine pickles every block with protocol 5
+        run = sorted(self.STRINGS)
+        lcps = lcp_array(run)
+        packed = PackedStringArray.from_strings([b"head"] + run + [b"tail"])[1:-1]
+        sealed = LcpCompressedBlock.encode(packed, lcps, seal=True)
+        received = pickle.loads(pickle.dumps(sealed, protocol=5))
+        got_run, got_lcps = received.decode_run()
+        want_run, want_lcps = sealed.decode_run()
+        assert got_run.to_list() == want_run.to_list() == run
+        assert got_lcps.tolist() == want_lcps.tolist()
+        assert received.wire_bytes() == sealed.wire_bytes()
 
     def test_unsealed_blocks_have_no_overhead(self):
         blk = StringBlock(_writable(self.STRINGS))

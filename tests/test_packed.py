@@ -8,6 +8,7 @@ exact duplicates, one-byte alphabets, and strings sharing prefixes longer
 than 255 characters (so LCP values need multi-byte varints).
 """
 
+import pickle
 import random
 import tracemalloc
 
@@ -17,18 +18,21 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dist.exchange import LcpCompressedBlock, StringBlock
 from repro.dist.partition import bucket_boundaries, split_into_buckets
-from repro.mpi.serialization import varint_size, varint_sizes, varint_total, wire_size
+from repro.mpi.serialization import (
+    block_checksum,
+    varint_size,
+    varint_sizes,
+    varint_total,
+    wire_size,
+)
 from repro.sequential import CharStats
 from repro.sequential.vector_sort import vector_sort_with_lcp
 from repro.strings.lcp import lcp, lcp_array
 from repro.strings.packed import (
     PackedStringArray,
-    _front_decode_scalar,
     clip_lcps,
     concat_runs,
     fixed_width_keys,
-    front_code,
-    front_decode,
     packed_bucket_boundaries,
     packed_lcp_array,
     packed_sort,
@@ -36,6 +40,11 @@ from repro.strings.packed import (
     take,
     truncate,
 )
+
+from oracles.front_coding import _front_decode_scalar, front_code, front_decode
+
+#: pickle framing of a packed array beyond its payload: two numpy headers
+_PICKLE_OVERHEAD = 512
 
 # ---------------------------------------------------------------------------
 # input strategies
@@ -125,6 +134,20 @@ class TestRoundTrip:
         assert view.buffer is arr.buffer  # shared character data
         assert view.to_list() == list(view) == [view[i] for i in range(len(view))] == xs[lo:hi]
         assert packed_lcp_array(view).tolist() == scalar_lcp_array(xs[lo:hi])
+
+    @given(string_lists(min_size=2), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pickled_view_carries_only_its_window(self, xs, data):
+        # ``head``/``tail`` strings pad the shared buffer around every view
+        arr = PackedStringArray.from_strings([b"head" * 256] + xs + [b"tail" * 256])
+        lo = data.draw(st.integers(1, len(xs) + 1))
+        view = arr[lo : data.draw(st.integers(lo, len(xs) + 1))]
+        blob = pickle.dumps(view, protocol=5)
+        back = pickle.loads(blob)
+        assert back.to_list() == view.to_list()
+        assert block_checksum(back) == block_checksum(view)
+        assert len(blob) <= view.num_chars + 8 * (len(view) + 1) + _PICKLE_OVERHEAD
+        assert len(blob) < arr.num_chars  # not the shared buffer
 
     @given(string_lists())
     @settings(max_examples=60, deadline=None)
@@ -289,8 +312,9 @@ class TestConcatRuns:
 
 
 class TestPackedLcpBlock:
-    """A packed ``LcpCompressedBlock`` accounts for its ``front_code``
-    suffixes and hands the receiver the sent run."""
+    """A packed ``LcpCompressedBlock`` builds no suffix bytes, yet accounts
+    exactly for the oracle's ``front_code`` form and hands the receiver what
+    the oracle's ``front_decode`` reconstructs."""
 
     @given(string_lists())
     @settings(max_examples=80, deadline=None)
@@ -310,6 +334,7 @@ class TestPackedLcpBlock:
         )
         run, lcps = blk.decode_run()
         assert run is arr and lcps.tolist() == hc.tolist()
+        assert front_decode(hc, suffixes).to_list() == run.to_list()
 
 
 class TestFrontDecodeVectorizedOracle:
