@@ -21,8 +21,10 @@ Pins two disciplines established by earlier PRs:
 ``wire-hot-materialize``
     PR 6's zero-copy discipline: the packed hot path must not fall back to
     ``to_list()`` (a full python-object materialization of the packed
-    arena).  Flagged inside the known hot functions; boundary and
-    diagnostic code (``__repr__``, cold fallbacks) is free to materialize.
+    arena).  Flagged inside the known hot functions — the exchange, the
+    merge, the partitioning and the rank programs, which return packed
+    runs; boundary and diagnostic code (``__repr__``, the list views of a
+    ``SortResult``, cold fallbacks) is free to materialize.
 """
 
 from __future__ import annotations
@@ -42,13 +44,18 @@ _DECODE_METHODS = frozenset({"decode", "decode_run"})
 _VERIFY_METHODS = frozenset({"_verify_seal", "verify"})
 
 #: functions on the packed hot path where ``to_list()`` is a perf bug —
-#: decode/merge/exchange inner loops pinned by PR 6's zero-copy discipline
+#: the decode/merge/exchange inner loops, the partitioning, and the rank
+#: programs, whose outputs stay packed
 _HOT_FUNCTIONS = frozenset(
     {
         "decode_run",
         "lcp_multiway_merge_packed",
         "exchange_buckets",
         "routed_exchange",
+        "ms_sort",
+        "pdms_sort",
+        "split_into_buckets",
+        "character_based_samples",
     }
 )
 

@@ -205,7 +205,7 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 def _imbalance(result: SortResult) -> float:
     """Max/avg ratio of the output character counts over PEs (load balance)."""
-    sizes = [sum(len(s) for s in part) for part in result.outputs_per_pe]
+    sizes = [r.strings.num_chars for r in result.rank_outputs]
     avg = sum(sizes) / len(sizes) if sizes else 0
     if avg == 0:
         return 1.0

@@ -29,7 +29,8 @@ pdms-golomb PDMS with Golomb-coded fingerprint messages
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,16 +41,17 @@ from ..sequential import sort_strings_with_lcp
 from ..sequential.lcp_losertree import lcp_multiway_merge_packed
 from ..sequential.losertree import multiway_merge
 from ..sequential.stats import CharStats
-from ..strings.lcp import lcp_array
 from ..strings.packed import (
     PackedStringArray,
     clip_lcps,
     concat_runs,
     packed_lcp_array,
     sort_with_order,
+    string_lengths,
     truncate,
+    validate_strings,
 )
-from ..strings.stringset import StringSet, validate_strings
+from ..strings.stringset import StringSet
 from .exchange import exchange_buckets
 from .hquick import hquick_sort
 from .partition import split_into_buckets
@@ -71,91 +73,59 @@ __all__ = [
 # input distribution
 # ---------------------------------------------------------------------------
 
-def _distribute_packed(
-    data: PackedStringArray, num_pes: int, by: str
-) -> List[PackedStringArray]:
-    """Zero-copy distribution of a packed array: blocks are buffer views."""
-    n = len(data)
-    if by == "strings":
-        return [
-            data[_strings_lo(n, num_pes, r) : _strings_lo(n, num_pes, r + 1)]
-            for r in range(num_pes)
-        ]
+def _block_counts(strings: Sequence, num_pes: int, by: str) -> np.ndarray:
+    """Strings per block of :func:`distribute_strings`.
+
+    ``by="chars"`` is the greedy rule — after appending string ``i`` the
+    current block is ``min(p-1, cum_i * p // total)``, and string ``i`` lands
+    in the block that was current *before* it was appended — as one
+    ``cumsum`` over the string lengths.
+    """
+    if by not in ("strings", "chars"):
+        raise ValueError(f"unknown distribution criterion {by!r}; use 'strings' or 'chars'")
     if by == "chars":
-        total = data.num_chars
-        if total == 0:
-            return _distribute_packed(data, num_pes, "strings")
-        # vectorized twin of the scalar greedy loop: after appending string
-        # i the target block is min(p-1, cum_i * p // total), and string i
-        # lands in the block that was current *before* it was appended
-        cum = np.cumsum(data.lengths)
-        after = np.minimum(num_pes - 1, (cum * num_pes) // total)
-        owner = np.concatenate([np.zeros(1, dtype=np.int64), after[:-1]]) if n else after
-        counts = np.bincount(owner, minlength=num_pes) if n else np.zeros(num_pes, int)
-        bounds = np.zeros(num_pes + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        return [data[int(bounds[r]) : int(bounds[r + 1])] for r in range(num_pes)]
-    raise ValueError(f"unknown distribution criterion {by!r}; use 'strings' or 'chars'")
-
-
-def _strings_lo(n: int, num_pes: int, r: int) -> int:
-    base, rem = divmod(n, num_pes)
-    return r * base + min(r, rem)
+        cum = np.cumsum(string_lengths(strings))
+        if len(cum) and cum[-1] > 0:
+            after = np.minimum(num_pes - 1, (cum * num_pes) // cum[-1])
+            owner = np.concatenate([np.zeros(1, dtype=np.int64), after[:-1]])
+            return np.bincount(owner, minlength=num_pes)
+        # no character mass to balance (e.g. all-empty strings): balancing
+        # counts is the only meaningful criterion left
+    base, rem = divmod(len(strings), num_pes)
+    return base + (np.arange(num_pes) < rem)
 
 
 def distribute_strings(
     data: Sequence, num_pes: int, by: str = "strings"
-) -> List[List[bytes]]:
+) -> List[Union[List[bytes], PackedStringArray]]:
     """Deal a string array into ``num_pes`` contiguous, balanced blocks.
 
     ``by="strings"`` balances string counts (block sizes differ by at most
     one); ``by="chars"`` balances character mass, the right notion when
-    string lengths are skewed.  Order is preserved; ``str`` inputs are
-    UTF-8 encoded.
+    string lengths are skewed.  Order is preserved.
 
-    :class:`StringSet` and :class:`PackedStringArray` inputs are distributed
-    **zero-copy**: each block is a view into the shared character buffer.
+    Each block is a slice of the validated input
+    (:func:`~repro.strings.packed.validate_strings`): a ``list[bytes]``
+    for a sequence of ``bytes``/``str`` (``str`` UTF-8 encoded), and a
+    **zero-copy** view into the shared character buffer for a
+    :class:`StringSet` or :class:`PackedStringArray`.
     """
     if num_pes <= 0:
         raise ValueError("num_pes must be positive")
     if isinstance(data, StringSet):
-        data = data.packed()
-    if isinstance(data, PackedStringArray):
-        return _distribute_packed(data, num_pes, by)
+        data = data.strings
     strings = validate_strings(data)
-    n = len(strings)
-    if by == "strings":
-        base, rem = divmod(n, num_pes)
-        blocks: List[List[bytes]] = []
-        pos = 0
-        for r in range(num_pes):
-            size = base + (1 if r < rem else 0)
-            blocks.append(strings[pos : pos + size])
-            pos += size
-        return blocks
-    if by == "chars":
-        total = sum(len(s) for s in strings)
-        if total == 0:
-            # no character mass to balance (e.g. all-empty strings):
-            # balancing counts is the only meaningful criterion left
-            return distribute_strings(strings, num_pes, by="strings")
-        blocks = [[] for _ in range(num_pes)]
-        cum = 0
-        block = 0
-        for s in strings:
-            blocks[block].append(s)
-            cum += len(s)
-            while block < num_pes - 1 and cum * num_pes >= (block + 1) * total:
-                block += 1
-        return blocks
-    raise ValueError(f"unknown distribution criterion {by!r}; use 'strings' or 'chars'")
+    bounds = [0] + np.cumsum(_block_counts(strings, num_pes, by)).tolist()
+    return [strings[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
 # rank programs
 # ---------------------------------------------------------------------------
 
-def _local_sort(comm: Communicator, strings, sorter: str):
+def _local_sort(
+    comm: Communicator, strings: Sequence[bytes], sorter: str
+) -> Tuple[PackedStringArray, np.ndarray]:
     """Step 1: sort this rank's block into a packed run and ``int64`` LCPs.
 
     ``msd_radix`` sorts the packed block (zero-copy when it already is one)
@@ -174,8 +144,11 @@ def _local_sort(comm: Communicator, strings, sorter: str):
 
 def ms_sort(
     comm: Communicator, strings: Sequence[bytes], spec: Any, lcp: bool = True
-) -> Tuple[List[bytes], List[int]]:
+) -> Tuple[PackedStringArray, np.ndarray]:
     """Distributed merge sort (Section V); returns ``(sorted, lcp_array)``.
+
+    This rank's sorted strings come back as one packed run with its
+    ``int64`` LCP array.
 
     ``spec`` is an :class:`~repro.session.MSSpec`-shaped configuration: its
     ``local_sorter``, ``sampling``, ``sample_sort``, ``oversampling`` and
@@ -203,24 +176,23 @@ def ms_sort(
         stats = CharStats()
         runs = [run for run, _ in received]
         if lcp:
-            # batched loser-tree emit into one packed output buffer,
-            # materialised to lists only at the rank output boundary
+            # batched loser-tree emit into one packed output buffer
             merged, merged_lcps = lcp_multiway_merge_packed(
                 runs, [h for _, h in received], stats
             )
-            out = merged.to_list()
-            out_lcps = merged_lcps.tolist()
         else:
-            out = multiway_merge(runs, stats)
-            out_lcps = lcp_array(out)
-        comm.record_local_work(stats.chars_inspected, len(out))
-    return out, out_lcps
+            merged = PackedStringArray.from_strings(multiway_merge(runs, stats))
+            merged_lcps = packed_lcp_array(merged)
+        comm.record_local_work(stats.chars_inspected, len(merged))
+    return merged, merged_lcps
 
 
 def fkmerge_sort(
     comm: Communicator, strings: Sequence[bytes], spec: Any
-) -> Tuple[List[bytes], None]:
+) -> Tuple[PackedStringArray, None]:
     """The FKmerge baseline: centralised sample sort, atomic multiway merge.
+
+    Returns this rank's sorted strings as one packed run, and no LCP array.
 
     No LCP machinery anywhere — full strings travel and the merge rescans
     common prefixes — and the splitters are sorted on PE 0 (the scalability
@@ -248,18 +220,21 @@ def fkmerge_sort(
     )
     with comm.phase("merge"):
         stats = CharStats()
-        out = multiway_merge([run for run, _ in received], stats)
-        comm.record_local_work(stats.chars_inspected, len(out))
-    return out, None
+        merged = PackedStringArray.from_strings(
+            multiway_merge([run for run, _ in received], stats)
+        )
+        comm.record_local_work(stats.chars_inspected, len(merged))
+    return merged, None
 
 
 def pdms_sort(
     comm: Communicator, strings: Sequence[bytes], spec: Any, golomb: bool = False
-):
+) -> Tuple[PackedStringArray, np.ndarray, np.ndarray, Dict[str, Any]]:
     """Prefix-doubling merge sort (Section VI).
 
     Returns ``(prefixes, lcp_array, origins, extra)``: the globally sorted
-    approximate distinguishing prefixes held by this rank, their LCP array,
+    approximate distinguishing prefixes held by this rank as one packed
+    run, their ``int64`` LCP array, the ``(n, 2)`` ``int64`` array of
     per-prefix ``(source PE, position in that PE's locally sorted array)``
     origin labels, and a dict of protocol statistics.  ``spec`` is a
     :class:`~repro.session.PDMSSpec`-shaped configuration: the sampling
@@ -310,24 +285,23 @@ def pdms_sort(
         merged, order = sort_with_order(runs)
         src = np.searchsorted(bounds[1:], order, side="right")
         firsts = np.array([first for _, _, first in received], dtype=np.int64)
-        origins = list(zip(src.tolist(), (order - bounds[src] + firsts[src]).tolist()))
-        out = merged.to_list()
-        out_lcps = packed_lcp_array(merged).tolist()
-        comm.record_local_work(merged.num_chars, len(out))
+        origins = np.stack([src, order - bounds[src] + firsts[src]], axis=1)
+        merged_lcps = packed_lcp_array(merged)
+        comm.record_local_work(merged.num_chars, len(merged))
 
     extra = {
         "doubling_rounds": doubling.rounds,
         "approx_dist_total": comm.allreduce(sum(doubling.lengths)),
         "fingerprints_sent": comm.allreduce(doubling.fingerprints_sent),
     }
-    return out, out_lcps, origins, extra
+    return merged, merged_lcps, origins, extra
 
 
 # ---------------------------------------------------------------------------
 # result shapes
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class RankOutput:
     """Uniform per-rank result shape across all algorithms.
 
@@ -336,26 +310,43 @@ class RankOutput:
     rank's sorted strings, optionally their LCP array, the PDMS-style
     origin labels, and a dict of protocol statistics (``extra`` values must
     agree across ranks — the result assembly asserts it).
+
+    The strings may be a packed run or a ``list[bytes]``, the LCPs and
+    origins arrays or lists; they are held packed — a
+    :class:`PackedStringArray`, ``int64`` LCPs and an ``(n, 2)`` ``int64``
+    origins array — packing a list once, here.
     """
 
-    strings: List[bytes]
-    lcps: Optional[List[int]] = None
-    origins: Optional[List[Tuple[int, int]]] = None
+    strings: PackedStringArray
+    lcps: Optional[np.ndarray] = None
+    origins: Optional[np.ndarray] = None
     extra: Dict[str, Any] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self.strings = PackedStringArray.from_strings(self.strings)
+        if self.lcps is not None:
+            self.lcps = np.asarray(self.lcps, dtype=np.int64)
+        if self.origins is not None:
+            self.origins = np.asarray(self.origins, dtype=np.int64).reshape(-1, 2)
 
-@dataclass
+
+@dataclass(eq=False)
 class SortResult:
-    """Everything a caller (or the benchmark harness) wants to know about a run."""
+    """Everything a caller (or the benchmark harness) wants to know about a run.
+
+    The per-PE outputs stay packed in :attr:`rank_outputs`; the list views
+    (:attr:`outputs_per_pe`, :attr:`lcps_per_pe`, :attr:`origins_per_pe`,
+    :attr:`sorted_strings`) are built once, on first access.
+    """
 
     algorithm: str
     num_pes: int
     num_strings: int
     num_chars: int
-    inputs_per_pe: List[List[bytes]]
-    outputs_per_pe: List[List[bytes]]
-    lcps_per_pe: List[Optional[List[int]]]
-    origins_per_pe: Optional[List[List[Tuple[int, int]]]]
+    #: each PE's input block as the caller handed it in, validated
+    inputs_per_pe: List[Union[List[bytes], PackedStringArray]]
+    #: each PE's packed output run, LCPs and origins
+    rank_outputs: List[RankOutput]
     report: TrafficReport
     extra: Dict[str, Any] = field(default_factory=dict)
     #: the machine model of the cluster that produced this result (used by
@@ -363,7 +354,28 @@ class SortResult:
     #: falls back to :data:`repro.net.cost_model.DEFAULT_MACHINE`
     machine: Optional[MachineModel] = None
 
-    @property
+    @cached_property
+    def outputs_per_pe(self) -> List[List[bytes]]:
+        """Each PE's sorted output as a ``list[bytes]``."""
+        return [list(r.strings) for r in self.rank_outputs]
+
+    @cached_property
+    def lcps_per_pe(self) -> List[Optional[List[int]]]:
+        """Each PE's LCP array as a ``list[int]`` (``None`` where absent)."""
+        return [None if r.lcps is None else r.lcps.tolist() for r in self.rank_outputs]
+
+    @cached_property
+    def origins_per_pe(self) -> Optional[List[List[Tuple[int, int]]]]:
+        """Each PE's ``(source PE, position)`` origin labels; ``None`` unless
+        some rank reported origins."""
+        if all(r.origins is None for r in self.rank_outputs):
+            return None
+        return [
+            [] if r.origins is None else list(map(tuple, r.origins.tolist()))
+            for r in self.rank_outputs
+        ]
+
+    @cached_property
     def sorted_strings(self) -> List[bytes]:
         """The globally sorted output as one flat list (PE order)."""
         return [s for part in self.outputs_per_pe for s in part]

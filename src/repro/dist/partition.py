@@ -18,8 +18,6 @@ Two regular sampling schemes are implemented:
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,37 +61,25 @@ def character_based_samples(
     ``weights`` defaults to the string lengths; PDMS passes the approximated
     distinguishing prefix lengths instead so that splitters balance the data
     that is actually communicated.  All-zero weights fall back to
-    string-based sampling.
+    string-based sampling.  The cumulative mass is one ``cumsum`` and all
+    ``v`` sample positions fall out of a single ``searchsorted``.
     """
-    n = len(sorted_strings)
+    arr = PackedStringArray.from_strings(sorted_strings)
+    n = len(arr)
     if weights is not None and len(weights) != n:
         raise ValueError(
             f"weights length {len(weights)} != number of strings {n}"
         )
     if n == 0 or v <= 0:
         return []
-    if weights is None and isinstance(sorted_strings, PackedStringArray):
-        # packed fast path: the cumulative character mass is one cumsum and
-        # all v sample positions fall out of a single searchsorted
-        cumulative_np = np.cumsum(sorted_strings.lengths)
-        total = int(cumulative_np[-1])
-        if total <= 0:
-            return string_based_samples(sorted_strings, v)
-        targets = (np.arange(1, v + 1, dtype=np.int64) * total) // (v + 1)
-        idx = np.minimum(n - 1, np.searchsorted(cumulative_np, targets, side="right"))
-        return [sorted_strings[int(i)] for i in idx]
-    if weights is None:
-        weights = [len(s) for s in sorted_strings]
-    total = sum(weights)
+    mass = arr.lengths if weights is None else np.asarray(weights, dtype=np.int64)
+    cumulative = np.cumsum(mass)
+    total = int(cumulative[-1])
     if total <= 0:
-        return string_based_samples(sorted_strings, v)
-    cumulative = list(accumulate(weights))
-    out: List[bytes] = []
-    for k in range(v):
-        target = ((k + 1) * total) // (v + 1)
-        idx = min(n - 1, bisect_right(cumulative, target))
-        out.append(sorted_strings[idx])
-    return out
+        return string_based_samples(arr, v)
+    targets = (np.arange(1, v + 1, dtype=np.int64) * total) // (v + 1)
+    idx = np.minimum(n - 1, np.searchsorted(cumulative, targets, side="right"))
+    return [arr[int(i)] for i in idx]
 
 
 def select_splitters(sorted_sample: Sequence[bytes], parts: int) -> List[bytes]:
@@ -115,62 +101,43 @@ def bucket_boundaries(
     Bucket ``j`` holds the strings in ``(f_{j-1}, f_j]`` — ties with a
     splitter go to the *lower* bucket, which is what makes exact duplicates
     land on a single PE.  The return value has ``len(splitters) + 2``
-    entries, starting at 0 and ending at ``len(sorted_strings)``.
-
-    Packed inputs dispatch to the ``np.searchsorted`` kernel of
-    :mod:`repro.strings.packed`; the boundaries are identical.
+    entries, starting at 0 and ending at ``len(sorted_strings)``.  The
+    boundaries come from the ``np.searchsorted`` kernel
+    :func:`repro.strings.packed.packed_bucket_boundaries`.
     """
-    if isinstance(sorted_strings, PackedStringArray):
-        return packed_bucket_boundaries(sorted_strings, splitters)
-    for i in range(1, len(splitters)):
-        if splitters[i - 1] > splitters[i]:
-            raise ValueError("splitters must be sorted")
-    bounds = [0]
-    for f in splitters:
-        bounds.append(bisect_right(sorted_strings, f, lo=bounds[-1]))
-    bounds.append(len(sorted_strings))
-    return bounds
+    return packed_bucket_boundaries(
+        PackedStringArray.from_strings(sorted_strings), splitters
+    )
 
 
 def split_into_buckets(
     sorted_strings: Sequence[bytes],
     lcps: Sequence[int],
     splitters: Sequence[bytes],
-) -> List[Tuple[List[bytes], List[int]]]:
+) -> List[Tuple[PackedStringArray, np.ndarray]]:
     """Cut a sorted local array (with LCP array) into per-destination buckets.
 
     The LCP values inside a bucket stay valid because the bucket is a
     contiguous run; only the first entry is reset to 0 (its predecessor goes
     to a different PE).
 
-    With a packed input the buckets are **zero-copy views** of the local
-    array (shared character buffer, narrowed offsets) paired with ``int64``
-    LCP slices — no string data is moved until the exchange serialises it.
+    The buckets are **zero-copy views** of the packed local array (shared
+    character buffer, narrowed offsets) paired with ``int64`` LCP slices —
+    no string data is moved until the exchange serialises it.
     """
-    if len(sorted_strings) != len(lcps):
+    arr = PackedStringArray.from_strings(sorted_strings)
+    if len(arr) != len(lcps):
         raise ValueError(
-            f"strings ({len(sorted_strings)}) and lcps ({len(lcps)}) "
-            "must have equal length"
+            f"strings ({len(arr)}) and lcps ({len(lcps)}) must have equal length"
         )
-    bounds = bucket_boundaries(sorted_strings, splitters)
-    if isinstance(sorted_strings, PackedStringArray):
-        lcps_np = np.asarray(lcps, dtype=np.int64)
-        packed_buckets: List[Tuple[PackedStringArray, np.ndarray]] = []
-        for j in range(len(bounds) - 1):
-            lo, hi = bounds[j], bounds[j + 1]
-            bucket_lcps = lcps_np[lo:hi].copy()
-            if bucket_lcps.size:
-                bucket_lcps[0] = 0
-            packed_buckets.append((sorted_strings[lo:hi], bucket_lcps))
-        return packed_buckets
-    buckets: List[Tuple[List[bytes], List[int]]] = []
-    for j in range(len(bounds) - 1):
-        lo, hi = bounds[j], bounds[j + 1]
-        bucket_strings = list(sorted_strings[lo:hi])
-        bucket_lcps = list(lcps[lo:hi])
-        if bucket_lcps:
+    bounds = packed_bucket_boundaries(arr, splitters)
+    lcps_np = np.asarray(lcps, dtype=np.int64)
+    buckets: List[Tuple[PackedStringArray, np.ndarray]] = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        bucket_lcps = lcps_np[lo:hi].copy()
+        if bucket_lcps.size:
             bucket_lcps[0] = 0
-        buckets.append((bucket_strings, bucket_lcps))
+        buckets.append((arr[lo:hi], bucket_lcps))
     return buckets
 
 

@@ -32,19 +32,12 @@ from ..mpi.comm import Communicator
 from ..mpi.engine import SpmdError, get_engine
 from ..net.cost_model import DEFAULT_MACHINE, MachineModel
 from ..strings.checker import check_distributed_sort, check_prefix_permutation
-from ..strings.packed import PackedStringArray
-from ..strings.stringset import validate_strings
+from ..strings.packed import string_lengths, validate_strings
 from .registry import AlgorithmRegistry, default_registry
 from .specs import SortSpec
 from .stream import BatchStream
 
 __all__ = ["Cluster"]
-
-
-def _block_num_chars(block: Sequence) -> int:
-    if isinstance(block, PackedStringArray):
-        return block.num_chars
-    return sum(map(len, block))
 
 
 def _merge_rank_extras(results: List[RankOutput]) -> Dict[str, Any]:
@@ -208,10 +201,7 @@ class Cluster:
         self, data: Sequence, spec: SortSpec, pre_distributed: bool
     ) -> List[Sequence]:
         if pre_distributed:
-            blocks = [
-                b if isinstance(b, PackedStringArray) else validate_strings(b)
-                for b in data
-            ]
+            blocks = [validate_strings(b) for b in data]
             if len(blocks) != self.num_pes:
                 raise ValueError(
                     f"pre_distributed input has {len(blocks)} blocks but the "
@@ -326,29 +316,24 @@ class Cluster:
                 num_strings=sum(len(b) for b in blocks),
             )
 
-        outputs = [r.strings for r in results]
-        lcps = [r.lcps for r in results]
-        has_origins = any(r.origins is not None for r in results)
-        origins = [r.origins or [] for r in results] if has_origins else None
-
         result = SortResult(
             algorithm=entry.name,
             num_pes=self.num_pes,
             num_strings=sum(len(b) for b in blocks),
-            num_chars=sum(_block_num_chars(b) for b in blocks),
+            num_chars=sum(int(string_lengths(b).sum()) for b in blocks),
             inputs_per_pe=blocks,
-            outputs_per_pe=outputs,
-            lcps_per_pe=lcps,
-            origins_per_pe=origins,
+            rank_outputs=results,
             report=report,
             extra=_merge_rank_extras(results),
             machine=self.machine,
         )
 
         if check:
-            if has_origins:
+            outputs = result.outputs_per_pe
+            if result.origins_per_pe is not None:
                 check_prefix_permutation(blocks, outputs)
             else:
+                lcps = result.lcps_per_pe
                 all_lcps = lcps if all(h is not None for h in lcps) else None
                 check_distributed_sort(blocks, outputs, all_lcps)
         return result

@@ -23,7 +23,7 @@ for sorted ``S`` the closest strings (by LCP) are the immediate neighbours, so
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -66,36 +66,16 @@ def lcp(a: bytes, b: bytes) -> int:
     return lo
 
 
-# past this many strings the one-time packing cost is repaid many times over
-# by the broadcasted block comparisons of the vectorized kernel
-_PACKED_LCP_THRESHOLD = 64
-
-
 def lcp_array(strings: Sequence[bytes]) -> List[int]:
     """LCP array of a string sequence in its *given* order.
 
     ``out[0] == 0`` and ``out[i] == lcp(strings[i-1], strings[i])``.  The input
     does not need to be sorted (the distributed exchange step works with LCP
     arrays of arbitrarily ordered received sequences), but the common case is
-    a sorted sequence.
-
-    Packed inputs — and any large enough ``bytes`` sequence — are
-    dispatched to the vectorized
-    :func:`repro.strings.packed.packed_lcp_array`; the values are identical.
+    a sorted sequence.  The input is packed (a packed array as it is) and
+    handed to the vectorized :func:`repro.strings.packed.packed_lcp_array`.
     """
-    if isinstance(strings, PackedStringArray):
-        return packed_lcp_array(strings).tolist()
-    if len(strings) >= _PACKED_LCP_THRESHOLD:
-        try:
-            packed = PackedStringArray.from_strings(strings)
-        except TypeError:
-            pass  # non-bytes elements: fall through to the scalar loop
-        else:
-            return packed_lcp_array(packed).tolist()
-    out = [0] * len(strings)
-    for i in range(1, len(strings)):
-        out[i] = lcp(strings[i - 1], strings[i])
-    return out
+    return packed_lcp_array(PackedStringArray.from_strings(strings)).tolist()
 
 
 def lcp_array_of_sorted(strings: Sequence[bytes]) -> List[int]:
@@ -136,42 +116,10 @@ def distinguishing_prefixes(strings: Sequence[bytes]) -> List[int]:
     the entire string — is required, matching the paper's convention that the
     0 terminator is part of the string).
     """
-    n = len(strings)
-    if n == 0:
-        return []
-    if n == 1:
-        s0 = strings[0]
-        # a single string is distinguished by its first character (or by its
-        # terminator if it is empty)
-        return [min(1, len(s0)) if s0 else 0]
-
-    try:
-        arr = PackedStringArray.from_strings(strings)
-    except TypeError:
-        pass  # non-bytes elements: fall through to the scalar loop
-    else:
-        sorted_arr, order = sort_with_order(arr)
-        out_np = np.empty(n, dtype=np.int64)
-        out_np[order] = _dist_of_sorted_packed(sorted_arr)
-        return out_np.tolist()
-
-    order = sorted(range(n), key=lambda i: strings[i])
-    sorted_strings = [strings[i] for i in order]
-    h = lcp_array(sorted_strings)
-
-    dist_sorted = [0] * n
-    for i in range(n):
-        left = h[i] if i > 0 else 0
-        right = h[i + 1] if i + 1 < n else 0
-        d = max(left, right) + 1
-        dist_sorted[i] = min(d, len(sorted_strings[i]))
-        if len(sorted_strings[i]) == 0:
-            dist_sorted[i] = 0
-
-    out = [0] * n
-    for pos, original in enumerate(order):
-        out[original] = dist_sorted[pos]
-    return out
+    sorted_arr, order = sort_with_order(PackedStringArray.from_strings(strings))
+    out = np.empty(len(sorted_arr), dtype=np.int64)
+    out[order] = _dist_of_sorted_packed(sorted_arr)
+    return out.tolist()
 
 
 def _dist_of_sorted_packed(sorted_arr: PackedStringArray) -> np.ndarray:
@@ -185,29 +133,22 @@ def _dist_of_sorted_packed(sorted_arr: PackedStringArray) -> np.ndarray:
     return d
 
 
-def _sorted_packed_of(strings: Sequence[bytes]) -> Optional[PackedStringArray]:
-    """A lexicographically sorted packed view of ``strings``, or ``None``.
+def _sorted_packed_of(strings: Sequence[bytes]) -> PackedStringArray:
+    """A lexicographically sorted packed view of ``strings``.
 
     Containers that maintain their own cache (``StringSet``) are asked via
     the ``sorted_packed()`` hook, so repeated statistics calls from the
     bench harness reuse one sort instead of re-sorting the full input every
-    time.  Plain sequences are packed and sorted on the fly; ``None`` means
-    they hold something other than bytes.
+    time.  Any other sequence is packed (a packed array as it is) and sorted
+    on the fly.
     """
-    if isinstance(strings, PackedStringArray):
-        return packed_sort(strings)
     hook = getattr(strings, "sorted_packed", None)
     if callable(hook):
         return hook()
-    try:
-        return packed_sort(PackedStringArray.from_strings(strings))
-    except TypeError:
-        return None
+    return packed_sort(PackedStringArray.from_strings(strings))
 
 
 def _total_chars(strings: Sequence[bytes]) -> int:
-    if isinstance(strings, PackedStringArray):
-        return strings.num_chars
     num_chars = getattr(strings, "num_chars", None)
     if num_chars is not None:
         return int(num_chars)
@@ -220,14 +161,7 @@ def distinguishing_prefix_size(strings: Sequence[bytes]) -> int:
     ``D`` is order-independent, so the cached sorted packed representation
     (when available) is used directly without tracking the permutation.
     """
-    sorted_arr = _sorted_packed_of(strings)
-    if sorted_arr is not None:
-        if len(sorted_arr) == 0:
-            return 0
-        if len(sorted_arr) == 1:
-            return min(1, sorted_arr.num_chars)
-        return int(_dist_of_sorted_packed(sorted_arr).sum())
-    return sum(distinguishing_prefixes(strings))
+    return int(_dist_of_sorted_packed(_sorted_packed_of(strings)).sum())
 
 
 def dn_ratio(strings: Sequence[bytes]) -> float:
@@ -253,14 +187,7 @@ def merge_lcp_statistics(strings: Sequence[bytes]) -> Tuple[float, float]:
     if n < 2:
         return (0.0, 0.0)
     sorted_arr = _sorted_packed_of(strings)
-    if sorted_arr is not None:
-        h = packed_lcp_array(sorted_arr)
-        mean_lcp = float(h[1:].sum()) / (n - 1)
-        mean_len = sorted_arr.num_chars / n
-    else:
-        srt = sorted(strings)
-        h = lcp_array(srt)
-        mean_lcp = sum(h[1:]) / (n - 1)
-        mean_len = sum(len(s) for s in strings) / n
+    mean_lcp = float(packed_lcp_array(sorted_arr)[1:].sum()) / (n - 1)
+    mean_len = sorted_arr.num_chars / n
     frac = mean_lcp / mean_len if mean_len > 0 else 0.0
     return (mean_lcp, frac)

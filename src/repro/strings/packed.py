@@ -37,13 +37,12 @@ Every kernel is bit-exact with its scalar counterpart (the scalar
 from __future__ import annotations
 
 import sys
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "PackedStringArray",
-    "as_packed",
     "concat_runs",
     "packed_lcp_array",
     "clip_lcps",
@@ -51,8 +50,10 @@ __all__ = [
     "packed_bucket_boundaries",
     "packed_sort",
     "sort_with_order",
+    "string_lengths",
     "take",
     "truncate",
+    "validate_strings",
 ]
 
 # Guard rails for the fixed-width (padded ``|S``) fast paths: beyond these the
@@ -202,9 +203,45 @@ class PackedStringArray:
         return bool((lc < rc).all())
 
 
-def as_packed(strings: Sequence[bytes]) -> PackedStringArray:
-    """Coerce to :class:`PackedStringArray` (alias of ``from_strings``)."""
-    return PackedStringArray.from_strings(strings)
+def validate_strings(
+    strings: Iterable[object],
+) -> Union[PackedStringArray, List[bytes]]:
+    """The input boundary: a packed array as it is, anything else coerced
+    into a ``list[bytes]``.
+
+    ``str`` values are encoded as UTF-8, ``bytearray`` values copied to
+    ``bytes``, and ``bytes`` values (subclasses included) kept as they are.
+    Any other type raises ``TypeError``, so that errors surface at the API
+    boundary instead of deep inside a sorting routine.  When every element
+    is exactly ``bytes``, the list is built and checked with C-level
+    iteration only.
+    """
+    if isinstance(strings, PackedStringArray):
+        return strings
+    strings = list(strings)
+    if set(map(type, strings)) <= {bytes}:
+        return strings
+    out: List[bytes] = []
+    for s in strings:
+        if isinstance(s, bytes):
+            out.append(s)
+        elif isinstance(s, bytearray):
+            out.append(bytes(s))
+        elif isinstance(s, str):
+            out.append(s.encode("utf-8"))
+        else:
+            raise TypeError(
+                f"strings must be bytes or str, got {type(s).__name__!r}"
+            )
+    return out
+
+
+def string_lengths(strings: Union[PackedStringArray, Sequence[bytes]]) -> np.ndarray:
+    """Per-string ``int64`` lengths: a packed array's cached ``lengths``,
+    measured for any other sequence of ``bytes``."""
+    if isinstance(strings, PackedStringArray):
+        return strings.lengths
+    return np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
 
 
 def concat_runs(runs: Sequence[PackedStringArray]) -> Tuple[PackedStringArray, np.ndarray]:

@@ -40,6 +40,7 @@ SEEDED = {
     "unchecked_decode.py": "wire-unverified-decode",
     "unverified_frame.py": "wire-unverified-frame",
     "hot_materialize.py": "wire-hot-materialize",
+    "rank_materialize.py": "wire-hot-materialize",
     "unregistered_toggle.py": "toggle-unregistered",
 }
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dist.exchange import LcpCompressedBlock, StringBlock
-from repro.dist.partition import bucket_boundaries, split_into_buckets
+from repro.dist.partition import bucket_boundaries
 from repro.mpi.serialization import (
     block_checksum,
     varint_size,
@@ -42,6 +42,7 @@ from repro.strings.packed import (
 )
 
 from oracles.front_coding import _front_decode_scalar, front_code, front_decode
+from oracles.partition import bucket_boundaries as bisect_boundaries
 
 #: pickle framing of a packed array beyond its payload: two numpy headers
 _PICKLE_OVERHEAD = 512
@@ -426,14 +427,14 @@ class TestPackedPartition:
         pool = srt + [b"", b"m", b"zzz"]
         splitters = sorted(data.draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k)))
         arr = PackedStringArray.from_strings(srt)
-        assert packed_bucket_boundaries(arr, splitters) == bucket_boundaries(srt, splitters)
-        assert bucket_boundaries(arr, splitters) == bucket_boundaries(srt, splitters)
+        assert packed_bucket_boundaries(arr, splitters) == bisect_boundaries(srt, splitters)
+        assert bucket_boundaries(arr, splitters) == bisect_boundaries(srt, splitters)
 
     def test_nul_bytes_fall_back_correctly(self):
         srt = sorted([b"\x00", b"\x00a", b"a\x00b", b"a", b"ab", b"b"])
         splitters = [b"\x00a", b"a\x00b"]
         arr = PackedStringArray.from_strings(srt)
-        assert packed_bucket_boundaries(arr, splitters) == bucket_boundaries(srt, splitters)
+        assert packed_bucket_boundaries(arr, splitters) == bisect_boundaries(srt, splitters)
 
     def test_stringset_caches_sorted_packed(self):
         from repro.strings.lcp import merge_lcp_statistics
@@ -446,22 +447,6 @@ class TestPackedPartition:
         reference = merge_lcp_statistics(list(ss.strings))
         assert merge_lcp_statistics(ss) == reference
         assert merge_lcp_statistics(ss) == reference  # served from the cache
-
-    @given(string_lists(min_size=1), st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_split_into_buckets_packed_equals_list(self, xs, data):
-        srt = sorted(xs)
-        h = scalar_lcp_array(srt)
-        k = data.draw(st.integers(0, 3))
-        splitters = sorted(data.draw(st.lists(st.sampled_from(srt), min_size=k, max_size=k)))
-        list_buckets = split_into_buckets(srt, h, splitters)
-        packed_buckets = split_into_buckets(
-            PackedStringArray.from_strings(srt), np.asarray(h), splitters
-        )
-        assert len(list_buckets) == len(packed_buckets)
-        for (ls, lh), (ps, ph) in zip(list_buckets, packed_buckets):
-            assert ps.to_list() == ls
-            assert ph.tolist() == lh
 
 
 # ---------------------------------------------------------------------------

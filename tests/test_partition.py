@@ -1,7 +1,9 @@
 """Tests for sampling, splitter selection and bucket computation (Section V-A)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.dist.api import distribute_strings
 from repro.dist.partition import (
     bucket_boundaries,
     bucket_sizes_upper_bound_chars,
@@ -13,6 +15,9 @@ from repro.dist.partition import (
 )
 from repro.strings.generators import dn_instance, random_strings, skewed_dn_instance
 from repro.strings.lcp import lcp_array
+from repro.strings.packed import PackedStringArray
+
+from oracles import partition as oracle
 
 
 class TestStringBasedSamples:
@@ -115,9 +120,9 @@ class TestSplitIntoBuckets:
         assert [s for strs, _ in buckets for s in strs] == data
         for strs, blcps in buckets:
             assert len(strs) == len(blcps)
-            if blcps:
+            if len(blcps):
                 assert blcps[0] == 0
-                assert blcps == lcp_array(strs) or blcps[1:] == lcp_array(strs)[1:]
+                assert blcps.tolist() == lcp_array(strs)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -169,3 +174,48 @@ class TestTheoremBounds:
             bucket_sizes_upper_bound_strings(10, 0, 1)
         with pytest.raises(ValueError):
             bucket_sizes_upper_bound_chars(10, 1, 0, 5)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised bodies against the scalar loops they replaced
+# ---------------------------------------------------------------------------
+
+_inputs = st.one_of(
+    st.lists(st.binary(max_size=6), max_size=40),
+    # few distinct strings: duplicates, shared prefixes, NUL bytes
+    st.lists(st.sampled_from([b"", b"a", b"ab", b"abc", b"b", b"ba", b"\x00", b"a\x00"]), max_size=40),
+    st.lists(st.just(b""), max_size=12),
+)
+
+
+@given(strings=_inputs, p=st.integers(1, 12), v=st.integers(0, 9), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_vectorised_partition_matches_scalar_oracles(strings, p, v, data):
+    """``distribute_strings``, ``character_based_samples`` and
+    ``split_into_buckets`` equal the scalar loops on list and packed input,
+    with all-empty strings and more PEs than strings among the draws."""
+    packed = PackedStringArray.from_strings(strings)
+    for by in ("strings", "chars"):
+        expected = oracle.distribute(strings, p, by)
+        assert distribute_strings(strings, p, by) == expected
+        assert [b.to_list() for b in distribute_strings(packed, p, by)] == expected
+
+    srt = sorted(strings)
+    arr = PackedStringArray.from_strings(srt)
+    weights = data.draw(st.lists(st.integers(0, 9), min_size=len(srt), max_size=len(srt)))
+    k = data.draw(st.integers(0, 4))
+    pool = srt + [b"", b"a", b"m", b"zzz"]
+    splitters = sorted(data.draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k)))
+    bounds = oracle.bucket_boundaries(srt, splitters)
+    h = lcp_array(srt)
+    expected_buckets = [
+        (srt[lo:hi], [0] + h[lo + 1 : hi] if hi > lo else [])
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    for sorted_input in (srt, arr):
+        assert character_based_samples(sorted_input, v) == oracle.character_based_samples(srt, v)
+        assert character_based_samples(sorted_input, v, weights) == (
+            oracle.character_based_samples(srt, v, weights)
+        )
+        buckets = split_into_buckets(sorted_input, h, splitters)
+        assert [(b.to_list(), bh.tolist()) for b, bh in buckets] == expected_buckets

@@ -7,6 +7,7 @@ registry.
 import threading
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from repro.config import RunConfig
@@ -28,6 +29,7 @@ from repro.session import (
     register_algorithm,
 )
 from repro.strings.generators import dn_instance, random_strings
+from repro.strings.packed import PackedStringArray
 
 
 class TestClusterSort:
@@ -356,6 +358,47 @@ class TestRegistryExtension:
         assert res.algorithm == "ms-verified"
         assert res.extra["custom"] is True
         assert res.sorted_strings == sorted(data)
+
+    @pytest.mark.parametrize("engine", ["threads", "processes"])
+    def test_list_and_packed_runners_give_equal_results(self, engine):
+        """A runner may hand ``RankOutput`` lists (the registry example's
+        shape before rank programs returned packed runs) or the packed pair
+        ``ms_sort`` returns: both give the same result."""
+
+        @dataclass(frozen=True)
+        class ListMSSpec(MSSpec):
+            algorithm = "ms-lists"
+
+        @dataclass(frozen=True)
+        class PackedMSSpec(MSSpec):
+            algorithm = "ms-packed"
+
+        def list_runner(comm, local, spec):
+            out, lcps = ms_sort(comm, local, spec)
+            return RankOutput(out.to_list(), lcps.tolist(), extra={"stamped": True})
+
+        def packed_runner(comm, local, spec):
+            out, lcps = ms_sort(comm, local, spec)
+            return RankOutput(out, lcps, extra={"stamped": True})
+
+        reg = default_registry().copy()
+        reg.register("ms-lists", list_runner, ListMSSpec)
+        reg.register("ms-packed", packed_runner, PackedMSSpec)
+        data = dn_instance(300, 0.5, length=20, seed=12)
+        with Cluster(num_pes=3, engine=engine, registry=reg) as cluster:
+            listed = cluster.sort(data, ListMSSpec(), check=True)
+            packed = cluster.sort(data, PackedMSSpec(), check=True)
+        for res in (listed, packed):
+            assert all(isinstance(r.strings, PackedStringArray) for r in res.rank_outputs)
+            assert all(r.lcps.dtype == np.int64 for r in res.rank_outputs)
+        assert packed.outputs_per_pe == listed.outputs_per_pe
+        assert packed.lcps_per_pe == listed.lcps_per_pe
+        assert packed.origins_per_pe is listed.origins_per_pe is None
+        assert packed.sorted_strings == listed.sorted_strings == sorted(data)
+        assert packed.inputs_per_pe == listed.inputs_per_pe
+        assert (packed.num_strings, packed.num_chars) == (listed.num_strings, listed.num_chars)
+        assert packed.extra == listed.extra == {"stamped": True}
+        assert packed.report.total_bytes_sent == listed.report.total_bytes_sent
 
     def test_register_refuses_silent_shadowing(self):
         reg = default_registry().copy()

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.strings.stringset import (
-    StringSet,
-    concat_size,
-    effective_alphabet,
-    max_length,
-    validate_strings,
-)
+from repro.strings.packed import PackedStringArray
+from repro.strings.stringset import StringSet, validate_strings
 
 
 class TestValidateStrings:
@@ -27,27 +22,6 @@ class TestValidateStrings:
 
     def test_empty_iterable(self):
         assert validate_strings([]) == []
-
-
-class TestModuleHelpers:
-    def test_concat_size(self):
-        assert concat_size([b"ab", b"", b"cde"]) == 5
-
-    def test_concat_size_empty(self):
-        assert concat_size([]) == 0
-
-    def test_max_length(self):
-        assert max_length([b"ab", b"abcd", b""]) == 4
-
-    def test_max_length_empty(self):
-        assert max_length([]) == 0
-
-    def test_effective_alphabet(self):
-        assert effective_alphabet([b"aab", b"ba"]) == 2
-        assert effective_alphabet([b"abc", b"d"]) == 4
-
-    def test_effective_alphabet_empty(self):
-        assert effective_alphabet([]) == 0
 
 
 class TestStringSetBasics:
@@ -92,54 +66,10 @@ class TestStringSetStatistics:
         assert ss.max_len == 0
         assert ss.average_length == 0.0
 
-    def test_statistics_are_cached(self):
-        ss = StringSet([b"abc"])
-        assert ss.num_chars == 3
-        # mutating the underlying list after the first access does not change
-        # the cached value; callers hand over ownership
-        ss.strings.append(b"zzzz")
-        assert ss.num_chars == 3
-
-
-class TestStringSetOperations:
-    def test_sorted_and_is_sorted(self):
-        ss = StringSet([b"b", b"a"])
-        assert not ss.is_sorted()
-        assert ss.sorted().is_sorted()
-        assert list(ss.sorted()) == [b"a", b"b"]
-
-    def test_is_sorted_with_duplicates(self):
-        assert StringSet([b"a", b"a", b"b"]).is_sorted()
-
-    def test_split_round_robin(self):
-        ss = StringSet([b"0", b"1", b"2", b"3", b"4"])
-        parts = ss.split_round_robin(2)
-        assert [list(p) for p in parts] == [[b"0", b"2", b"4"], [b"1", b"3"]]
-
-    def test_split_blocks_covers_everything(self):
-        ss = StringSet([bytes([c]) for c in range(97, 97 + 10)])
-        parts = ss.split_blocks(3)
-        assert sum(len(p) for p in parts) == 10
-        assert [s for p in parts for s in p] == list(ss)
-
-    def test_split_by_chars_balances_characters(self):
-        ss = StringSet([b"x" * 10] * 4 + [b"y"] * 4)
-        parts = ss.split_by_chars(2)
-        sizes = [sum(len(s) for s in p) for p in parts]
-        assert sum(sizes) == ss.num_chars
-        # the heavy strings should not all end up on one side
-        assert max(sizes) <= ss.num_chars * 0.75
-
-    def test_split_invalid_parts(self):
-        ss = StringSet([b"a"])
-        with pytest.raises(ValueError):
-            ss.split_blocks(0)
-        with pytest.raises(ValueError):
-            ss.split_round_robin(-1)
-        with pytest.raises(ValueError):
-            ss.split_by_chars(0)
-
-    def test_concat(self):
-        a = StringSet([b"a"])
-        b = StringSet([b"b"])
-        assert list(a.concat(b)) == [b"a", b"b"]
+    def test_packed_input_is_adopted_without_a_copy(self):
+        arr = PackedStringArray.from_strings([b"ab", b"", b"cde"])
+        ss = StringSet(arr)
+        assert ss.strings is arr
+        assert ss.num_chars == 5 and ss.max_len == 3 and ss.alphabet_size == 5
+        assert ss[1:].strings.buffer is arr.buffer  # slices are views
+        assert list(ss[1:]) == [b"", b"cde"]
