@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dist.exchange import LcpCompressedBlock, StringBlock
-from repro.dist.partition import bucket_boundaries
+from repro.dist.partition import bucket_boundaries, split_into_buckets
 from repro.mpi.serialization import (
     block_checksum,
     varint_size,
@@ -447,6 +447,24 @@ class TestPackedPartition:
         reference = merge_lcp_statistics(list(ss.strings))
         assert merge_lcp_statistics(ss) == reference
         assert merge_lcp_statistics(ss) == reference  # served from the cache
+
+    @given(string_lists(min_size=1), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_split_into_buckets_packed_equals_list(self, xs, data):
+        srt = sorted(xs)
+        h = scalar_lcp_array(srt)
+        k = data.draw(st.integers(0, 3))
+        splitters = sorted(data.draw(st.lists(st.sampled_from(srt), min_size=k, max_size=k)))
+        list_buckets = split_into_buckets(srt, h, splitters)
+        packed_buckets = split_into_buckets(
+            PackedStringArray.from_strings(srt), np.asarray(h), splitters
+        )
+        bounds = bisect_boundaries(srt, splitters)
+        assert len(list_buckets) == len(packed_buckets) == len(bounds) - 1
+        for (ls, lh), (ps, ph), lo, hi in zip(list_buckets, packed_buckets, bounds, bounds[1:]):
+            assert ls.to_list() == ps.to_list() == srt[lo:hi]
+            expected = ([0] + h[lo + 1 : hi]) if hi > lo else []
+            assert lh.tolist() == ph.tolist() == expected
 
 
 # ---------------------------------------------------------------------------

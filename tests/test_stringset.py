@@ -1,8 +1,10 @@
 """Unit tests for repro.strings.stringset."""
 
+import numpy as np
 import pytest
 
-from repro.strings.packed import PackedStringArray
+from repro.dist.api import distribute_strings
+from repro.strings.packed import PackedStringArray, concat_runs, string_lengths
 from repro.strings.stringset import StringSet, validate_strings
 
 
@@ -22,6 +24,35 @@ class TestValidateStrings:
 
     def test_empty_iterable(self):
         assert validate_strings([]) == []
+
+
+class TestModuleHelpers:
+    """``N``, ``l_hat`` and ``sigma`` of a plain list of strings."""
+
+    def test_concat_size(self):
+        strings = [b"ab", b"", b"cde"]
+        assert int(string_lengths(strings).sum()) == 5
+        assert int(string_lengths(PackedStringArray.from_strings(strings)).sum()) == 5
+
+    def test_concat_size_empty(self):
+        lengths = string_lengths([])
+        assert lengths.dtype == np.int64 and lengths.size == 0
+        assert PackedStringArray.from_strings([]).num_chars == 0
+
+    def test_max_length(self):
+        assert PackedStringArray.from_strings([b"ab", b"abcd", b""]).max_len == 4
+
+    def test_max_length_empty(self):
+        assert PackedStringArray.from_strings([]).max_len == 0
+        assert PackedStringArray.from_strings([b""]).max_len == 0
+
+    def test_effective_alphabet(self):
+        assert StringSet([b"aab", b"ba"]).alphabet_size == 2
+        assert StringSet([b"abc", b"d"]).alphabet_size == 4
+
+    def test_effective_alphabet_empty(self):
+        assert StringSet([]).alphabet_size == 0
+        assert StringSet([b"", b""]).alphabet_size == 0
 
 
 class TestStringSetBasics:
@@ -73,3 +104,55 @@ class TestStringSetStatistics:
         assert ss.num_chars == 5 and ss.max_len == 3 and ss.alphabet_size == 5
         assert ss[1:].strings.buffer is arr.buffer  # slices are views
         assert list(ss[1:]) == [b"", b"cde"]
+
+    def test_statistics_are_cached(self):
+        ss = StringSet([b"abc", b"b"])
+        assert ss.strings.lengths is ss.strings.lengths
+        assert ss.sorted_packed() is ss.sorted_packed()
+        assert ss.num_chars == 4 and ss.max_len == 3
+
+
+class TestStringSetOperations:
+    def test_sorted_and_is_sorted(self):
+        ss = StringSet([b"b", b"a"])
+        assert not ss.strings.is_sorted()
+        assert ss.sorted_packed().is_sorted()
+        assert list(ss.sorted_packed()) == [b"a", b"b"]
+        assert list(ss) == [b"b", b"a"]  # the set itself keeps its order
+
+    def test_is_sorted_with_duplicates(self):
+        assert StringSet([b"a", b"a", b"b"]).strings.is_sorted()
+        assert StringSet([b"", b"", b"a"]).strings.is_sorted()
+        assert not StringSet([b"ab", b"a"]).strings.is_sorted()
+
+    def test_split_blocks_covers_everything(self):
+        ss = StringSet([bytes([c]) for c in range(97, 97 + 10)])
+        parts = distribute_strings(ss, 3)
+        assert [len(p) for p in parts] == [4, 3, 3]
+        assert [s for p in parts for s in p] == list(ss)
+        assert all(p.buffer is ss.strings.buffer for p in parts)  # views
+
+    def test_split_by_chars_balances_characters(self):
+        ss = StringSet([b"x" * 10] * 4 + [b"y"] * 4)
+        parts = distribute_strings(ss, 2, by="chars")
+        sizes = [p.num_chars for p in parts]
+        assert sum(sizes) == ss.num_chars
+        # the heavy strings should not all end up on one side
+        assert max(sizes) <= ss.num_chars * 0.75
+        assert [s for p in parts for s in p] == list(ss)
+
+    def test_split_invalid_parts(self):
+        ss = StringSet([b"a"])
+        with pytest.raises(ValueError):
+            distribute_strings(ss, 0)
+        with pytest.raises(ValueError):
+            distribute_strings(ss, -1, by="chars")
+        with pytest.raises(ValueError):
+            distribute_strings(ss, 2, by="lines")
+
+    def test_concat(self):
+        a = StringSet([b"a"])
+        b = StringSet([b"b", b""])
+        cat, bounds = concat_runs([a.strings, b.strings])
+        assert list(StringSet(cat)) == [b"a", b"b", b""]
+        assert bounds.tolist() == [0, 1, 3]
