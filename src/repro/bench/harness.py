@@ -379,25 +379,10 @@ class ExperimentRunner:
                 stage: round(secs, 6)
                 for stage, secs in sorted(report.barrier_wait_seconds.items())
             }
-        if report.timeline is not None:
-            # traced runs (trace=True) carry the
-            # per-stage time series into the BENCH_* trajectory files
-            stage_secs = report.timeline.stage_seconds(exclusive=True)
-            cell.extra["stage_seconds"] = {
-                stage: round(secs, 6) for stage, secs in stage_secs.items()
-            }
-            cell.extra["stage_strings_per_second"] = {
-                stage: round(num_strings / secs, 1)
-                for stage, secs in stage_secs.items()
-                if secs > 0.0
-            }
-            cell.extra["stage_peak_rss_bytes"] = (
-                report.timeline.peak_rss_per_stage()
-            )
-            if report.timeline.dropped_events:
-                cell.extra["trace_dropped_events"] = (
-                    report.timeline.dropped_events
-                )
+        if report.metrics is not None:
+            # traced runs (trace=True) carry their whole metrics snapshot —
+            # per-stage seconds, strings/sec and peak RSS included
+            cell.extra["metrics"] = report.metrics.to_json()
         self._store_cached_cell(cache_path, cell)
         return cell
 

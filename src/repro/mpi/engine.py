@@ -380,9 +380,9 @@ class MeteredComm(Communicator):
             action = injector.on_phase(self.rank, name)
             if action is not None:
                 if action.kind == "crash":
-                    meter.record_fault_injected(self.rank)
+                    meter.count("faults_injected_per_pe", self.rank)
                     # a crash is trivially "detected": the run aborts loudly
-                    meter.record_fault_detected(self.rank)
+                    meter.count("faults_detected_per_pe", self.rank)
                     if rec is not None:
                         rec.instant("fault-crash", {"phase": name})
                     raise RankCrashError(
@@ -390,7 +390,7 @@ class MeteredComm(Communicator):
                         "(fault plan)"
                     )
                 if action.kind == "straggle":
-                    meter.record_fault_injected(self.rank)
+                    meter.count("faults_injected_per_pe", self.rank)
                     if rec is not None:
                         rec.instant(
                             "fault-straggle",
@@ -435,7 +435,7 @@ class MeteredComm(Communicator):
         expected = self._expected.get(source, 0)
         if env.seq < expected:
             # duplicate of an already-delivered message: detected and dropped
-            self._meter.record_fault_detected(self.rank)
+            self._meter.count("faults_detected_per_pe", self.rank)
             return
         # stash (in-sequence or early) and let _drain deliver/recover; an
         # early arrival with a missing predecessor is the gap _drain spots
@@ -460,13 +460,13 @@ class MeteredComm(Communicator):
                     self._deliver(source, env)
                     continue
                 # corruption detected: the clean copy sits in the buffer
-                meter.record_fault_detected(self.rank)
+                meter.count("faults_detected_per_pe", self.rank)
                 self._pull(source, expected, lost=False)
                 continue
             if stash:
                 # a successor arrived but the expected message did not:
                 # evidence of a drop — pull a retransmit right away
-                meter.record_fault_detected(self.rank)
+                meter.count("faults_detected_per_pe", self.rank)
                 self._pull(source, expected, lost=True)
                 continue
             return
@@ -503,7 +503,7 @@ class MeteredComm(Communicator):
                 # ack raced us (a late duplicate delivered it); nothing to do
                 return
             env, env_bytes = entry
-            meter.record_retry(self.rank)
+            meter.count("retries_per_pe", self.rank)
             # a retransmit repeats the envelope's wire cost without being
             # origin volume — accounted like forwarded traffic
             meter.record_retransmit(source, self.rank, env_bytes, phase=self._phase)
@@ -517,8 +517,8 @@ class MeteredComm(Communicator):
             if action is not None and action.kind == "corrupt":
                 # the retransmit was struck too (one more injected fault on
                 # the sender's wire); detected, try again
-                meter.record_fault_injected(source)
-                meter.record_fault_detected(self.rank)
+                meter.count("faults_injected_per_pe", source)
+                meter.count("faults_detected_per_pe", self.rank)
                 continue
             self._deliver(source, env)
             return
@@ -562,7 +562,7 @@ class MeteredComm(Communicator):
         # deadline passed and the envelope is still unacked: treat as dropped
         armed[1] *= 2.0
         armed[0] = now + armed[1]
-        self._meter.record_fault_detected(self.rank)
+        self._meter.count("faults_detected_per_pe", self.rank)
         self._pull(source, expected, lost=True)
         self._drain(source)
 
@@ -825,21 +825,21 @@ class ThreadComm(MeteredComm):
             q.put(env)
         elif action.kind == "drop":
             # never enqueued; the receiver recovers from the buffer
-            meter.record_fault_injected(self.rank)
+            meter.count("faults_injected_per_pe", self.rank)
         elif action.kind == "duplicate":
-            meter.record_fault_injected(self.rank)
+            meter.count("faults_injected_per_pe", self.rank)
             q.put(env)
             q.put(Envelope(env.seq, env.tag, env.crc, env.payload))
             # the duplicate costs wire bytes but is not origin volume
             meter.record_retransmit(self.rank, dest, env_bytes)
         elif action.kind == "corrupt":
-            meter.record_fault_injected(self.rank)
+            meter.count("faults_injected_per_pe", self.rank)
             # tamper a *copy*: the retransmit buffer keeps the clean CRC
             # (payloads move by shared reference, so the simulated bit-flip
             # lives in the envelope's checksum field)
             q.put(Envelope(env.seq, env.tag, env.crc ^ action.mask, env.payload))
         elif action.kind == "delay":
-            meter.record_fault_injected(self.rank)
+            meter.count("faults_injected_per_pe", self.rank)
         else:  # pragma: no cover - injector only emits message kinds here
             q.put(env)
         # this send is one overtaking event: held messages tick AFTER the

@@ -25,7 +25,7 @@ or the CLI's ``--engine processes``) and implements the full
 
 Workers are forked per run: rank programs, closures and the engine's
 :class:`~repro.config.RunConfig` are inherited, never pickled.  The parent
-absorbs each worker's full-size traffic meter into the caller's meter,
+folds each worker's full-size traffic meter into the caller's meter,
 merges injector state, joins the children and sweeps any shared-memory
 debris — :meth:`ProcessEngine.shutdown` is idempotent and the
 leak-check fixture in ``tests/conftest.py`` holds the engine to that
@@ -212,7 +212,7 @@ class ProcComm(MeteredComm):
     # ------------------------------------------------------------------ engine hooks
     @property
     def _meter(self) -> TrafficMeter:
-        """This worker's full-size meter (absorbed by the parent afterwards)."""
+        """This worker's full-size meter (folded into the parent's afterwards)."""
         return self._meter_obj
 
     @property
@@ -329,7 +329,7 @@ class ProcComm(MeteredComm):
             # fails on the *receiving* side of some later operation
             self._dead.add(dest)
             return
-        self._meter_obj.record_transport(self.rank, len(blob) + shm_bytes)
+        self._meter_obj.count("transported_bytes_per_pe", self.rank, len(blob) + shm_bytes)
 
     def _service(self, src: int, timeout: float) -> bool:
         """Receive whatever ``src``'s pipe holds (waiting up to ``timeout``).
@@ -452,19 +452,19 @@ class ProcComm(MeteredComm):
             self._accept(source, env)
         elif action.kind == "drop":
             # withheld; recovery pulls it from the local buffer
-            meter.record_fault_injected(source)
+            meter.count("faults_injected_per_pe", source)
         elif action.kind == "duplicate":
-            meter.record_fault_injected(source)
+            meter.count("faults_injected_per_pe", source)
             self._accept(source, env)
             # the duplicate costs wire bytes but is not origin volume
             meter.record_retransmit(source, self.rank, env_bytes)
             self._accept(source, Envelope(seq, tag, crc, payload))
         elif action.kind == "corrupt":
-            meter.record_fault_injected(source)
+            meter.count("faults_injected_per_pe", source)
             # tamper the envelope's seal; the clean copy stays buffered
             self._accept(source, Envelope(seq, tag, crc ^ action.mask, payload))
         elif action.kind == "delay":
-            meter.record_fault_injected(source)
+            meter.count("faults_injected_per_pe", source)
         else:  # pragma: no cover - injector only emits message kinds here
             self._accept(source, env)
         # this arrival is one overtaking event: held envelopes tick AFTER
@@ -799,7 +799,7 @@ class ProcessEngine:
                     )
                     continue
                 if report is not None:
-                    meter.absorb(report)
+                    meter.fold(report)
                 if state is not None and self._injector is not None:
                     self._injector.merge_state(state)
                 if trace_export is not None:

@@ -1,19 +1,17 @@
 """Per-PE communication and work accounting.
 
-Every simulated communicator feeds a :class:`TrafficMeter`.  The meter keeps,
-per PE and per named phase,
-
-* bytes sent and received (exact wire sizes, see
-  :mod:`repro.mpi.serialization`),
-* number of messages,
-* a log of collective operations (kind, per-PE bottleneck bytes) so the
-  benchmark harness can apply the alpha-beta formulas of
-  :class:`repro.net.cost_model.MachineModel`,
-* character-inspection counts contributed by the local sorting/merging steps,
-* routed-delivery attribution (:mod:`repro.net.router`): per-PE *forwarded*
-  bytes — relay payloads plus frame headers, charged on top of the origin
-  volume — and per-route-phase byte totals, so the ``log p`` volume
-  inflation of multi-level delivery is measured, not assumed.
+Every simulated communicator feeds a :class:`TrafficMeter`, a lock around
+one :class:`TrafficReport`.  The report keeps every count — bytes sent and
+received (exact wire sizes, see :mod:`repro.mpi.serialization`), messages,
+characters inspected by the local sorting/merging steps, routed-delivery
+attribution (:mod:`repro.net.router`: forwarded bytes per PE and bytes per
+route phase), fault and recovery counts, barrier waits — in one
+``(counter, label)`` table.  Each counter is declared once, as a
+:class:`Counter` attribute of the report carrying its label kind and the
+Prometheus family :func:`repro.obs.derive.run_metrics` exports it under.
+Next to the table the report logs collective operations (kind, per-PE
+bottleneck bytes) for the alpha-beta formulas of
+:class:`repro.net.cost_model.MachineModel`.
 
 The meter is written to from many rank threads concurrently; a single lock
 protects all mutation (the operations are tiny compared to the work they
@@ -23,19 +21,17 @@ account for).
 from __future__ import annotations
 
 import threading
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .cost_model import DEFAULT_MACHINE, MachineModel
 
 __all__ = [
+    "COUNTERS",
     "CollectiveEvent",
+    "Counter",
     "TrafficMeter",
     "TrafficReport",
-    "zero_traffic_report",
-    "fold_traffic_report",
-    "merge_traffic_reports",
 ]
 
 
@@ -49,45 +45,53 @@ class CollectiveEvent:
     num_pes: int
 
 
+class Counter:
+    """One counter of :class:`TrafficReport` and the read-only view of it.
+
+    ``label`` names what the counter is keyed by: ``"pe"`` (a rank, read
+    back as a per-PE list), ``"stage"`` or ``"route"`` (a phase name, read
+    back as a dict), or ``""`` (one unlabelled total).  ``family`` and
+    ``help`` are the Prometheus family the metrics snapshot exports it as.
+    """
+
+    def __init__(self, label: str, family: str, help: str):
+        self.label = label
+        self.family = family
+        self.help = help
+        self.__doc__ = help
+        self.name = ""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, report: Optional["TrafficReport"], owner: Any = None) -> Any:
+        if report is None:
+            return self
+        counts = report.counts
+        if self.label == "pe":
+            return [counts.get((self.name, pe), 0) for pe in range(report.num_pes)]
+        if self.label:
+            return {key: v for (name, key), v in counts.items() if name == self.name}
+        return counts.get((self.name, None), 0)
+
+    def __set__(self, report: "TrafficReport", value: Any) -> None:
+        raise AttributeError(
+            f"{self.name} is a read-only view; record through a TrafficMeter"
+        )
+
+
 @dataclass
 class TrafficReport:
-    """Aggregated view of a finished run (returned by :meth:`TrafficMeter.report`)."""
+    """Aggregated view of a finished run (returned by :meth:`TrafficMeter.report`).
+
+    ``counts`` maps ``(counter, label)`` to a value, the label being a rank,
+    a phase, a route or ``None``; the :class:`Counter` attributes below read
+    it back under their historical names.
+    """
 
     num_pes: int
-    bytes_sent_per_pe: List[int]
-    bytes_received_per_pe: List[int]
-    messages_per_pe: List[int]
-    phase_bytes: Dict[str, int]
-    chars_inspected_per_pe: List[int]
-    items_processed_per_pe: List[int]
+    counts: Dict[Tuple[str, Any], float] = field(default_factory=dict)
     collectives: List[CollectiveEvent] = field(default_factory=list)
-    # routed multi-level delivery: bytes each PE sent on behalf of *other*
-    # origins (relay payloads + frame headers), and bytes per route phase
-    # (e.g. "hypercube-dim0", "grid-rows"); both zero under direct delivery
-    forwarded_bytes_per_pe: List[int] = field(default_factory=list)
-    route_bytes: Dict[str, int] = field(default_factory=dict)
-    # fault-mode counters (repro.faults): per-PE injected faults (charged to
-    # the struck rank), detected faults and recovery retries (charged to the
-    # detecting receiver), and retransmitted wire bytes (recovery traffic,
-    # excluded from origin volume); all zero outside fault mode
-    faults_injected_per_pe: List[int] = field(default_factory=list)
-    faults_detected_per_pe: List[int] = field(default_factory=list)
-    retries_per_pe: List[int] = field(default_factory=list)
-    retransmitted_bytes_per_pe: List[int] = field(default_factory=list)
-    # seconds ranks spent blocked in barrier(), per surrounding phase — its
-    # own account so stragglers never inflate merge/exchange timings (the
-    # phase-attribution fix; folds additively like the byte dicts)
-    barrier_wait_seconds: Dict[str, float] = field(default_factory=dict)
-    # bytes the execution engine's data plane *actually moved* on behalf of
-    # each PE's sends (pipe frames plus shared-memory payload bytes).  Zero
-    # under the thread engine, which moves object references; the processes
-    # engine fills it in, and the conformance suite reconciles it against
-    # the simulated wire accounting (real transport >= 0 whenever the
-    # simulated counters are non-zero)
-    transported_bytes_per_pe: List[int] = field(default_factory=list)
-    #: whole-job re-runs a session performed after failed attempts
-    #: (``Cluster.sort(..., max_retries=N)``); folds additively
-    job_retries: int = 0
     #: name of the execution engine that produced this report ("" when the
     #: meter was driven outside an engine; "mixed" after folding reports
     #: from different engines)
@@ -100,11 +104,150 @@ class TrafficReport:
     timeline: Optional[Any] = None
     metrics: Optional[Any] = None
 
+    bytes_sent_per_pe = Counter("pe", "repro_bytes_sent_total", "Wire bytes sent, per PE.")
+    bytes_received_per_pe = Counter(
+        "pe", "repro_bytes_received_total", "Wire bytes received, per PE."
+    )
+    messages_per_pe = Counter("pe", "repro_messages_total", "Point-to-point messages sent, per PE.")
+    phase_bytes = Counter("stage", "repro_stage_bytes_total", "Wire bytes sent, per stage.")
+    chars_inspected_per_pe = Counter(
+        "pe", "repro_chars_inspected_total",
+        "Characters inspected by local sorting and merging, per PE.",
+    )
+    items_processed_per_pe = Counter(
+        "pe", "repro_items_processed_total",
+        "Strings handled by local sorting and merging, per PE.",
+    )
+    # routed multi-level delivery: bytes each PE sent on behalf of *other*
+    # origins (relay payloads + frame headers), and bytes per route phase
+    # (e.g. "hypercube-dim0", "grid-rows"); both zero under direct delivery
+    forwarded_bytes_per_pe = Counter(
+        "pe", "repro_forwarded_bytes_total", "Routing-overhead bytes relayed, per PE."
+    )
+    route_bytes = Counter(
+        "route", "repro_route_bytes_total", "Routed-delivery wire bytes, per route phase."
+    )
+    # fault-mode counters (repro.faults): per-PE injected faults (charged to
+    # the struck rank), detected faults and recovery retries (charged to the
+    # detecting receiver), and retransmitted wire bytes (recovery traffic,
+    # excluded from origin volume); all zero outside fault mode
+    faults_injected_per_pe = Counter(
+        "pe", "repro_faults_injected_total", "Faults injected by the active plan, per PE."
+    )
+    faults_detected_per_pe = Counter(
+        "pe", "repro_faults_detected_total", "Fault events detected (CRC, gaps), per PE."
+    )
+    retries_per_pe = Counter(
+        "pe", "repro_fault_retries_total", "Retransmit pulls initiated, per PE."
+    )
+    retransmitted_bytes_per_pe = Counter(
+        "pe", "repro_retransmitted_bytes_total", "Recovery traffic wire bytes, per PE."
+    )
+    # seconds ranks spent blocked in barrier(), per surrounding phase — its
+    # own account so stragglers never inflate merge/exchange timings
+    barrier_wait_seconds = Counter(
+        "stage", "repro_barrier_wait_seconds_total",
+        "Seconds ranks spent blocked in barrier(), per surrounding stage.",
+    )
+    # bytes the execution engine's data plane *actually moved* on behalf of
+    # each PE's sends (pipe frames plus shared-memory payload bytes).  Zero
+    # under the thread engine, which moves object references; the
+    # conformance suite reconciles it against the simulated wire accounting
+    transported_bytes_per_pe = Counter(
+        "pe", "repro_transported_bytes_total",
+        "Bytes the engine's data plane moved, per PE.",
+    )
+    # whole-job re-runs a session performed after failed attempts
+    # (``Cluster.sort(..., max_retries=N)``)
+    job_retries = Counter("", "repro_job_retries_total", "Whole-job re-runs after failures.")
+
+    # -- the table -----------------------------------------------------------------
+    def add(self, name: str, label: Any, value: float) -> None:
+        """Add ``value`` to counter ``name`` at ``label`` (rank, phase, route or None)."""
+        if name not in _NAMES:
+            raise KeyError(f"unknown counter {name!r}")
+        key = (name, label)
+        self.counts[key] = self.counts.get(key, 0) + value
+
+    def total(self, name: str) -> float:
+        """Counter ``name`` summed over its labels."""
+        return sum(v for (n, _), v in self.counts.items() if n == name)
+
+    def subset(self, names: Iterable[str]) -> "TrafficReport":
+        """A report of the same machine holding only the counters ``names``."""
+        keep = set(names)
+        return TrafficReport(
+            self.num_pes,
+            counts={k: v for k, v in self.counts.items() if k[0] in keep},
+        )
+
+    def series(self) -> Iterator[Tuple[Counter, List[Tuple[Any, float]]]]:
+        """Every counter with its ``(label, value)`` samples, in table order.
+
+        Per-PE counters list every rank (zeros included), stage and route
+        counters their labels sorted, unlabelled counters one ``(None,
+        value)`` pair — the input of :func:`repro.obs.derive.run_metrics`.
+        """
+        for counter in COUNTERS:
+            values = getattr(self, counter.name)
+            if counter.label == "pe":
+                yield counter, list(enumerate(values))
+            elif counter.label:
+                yield counter, sorted(values.items())
+            else:
+                yield counter, [(None, values)]
+
+    def fold(self, other: "TrafficReport") -> None:
+        """Add ``other`` into this report **in place**.
+
+        The one definition of the report-merge contract: counts add per
+        ``(counter, label)`` (exact sums) and collective events concatenate
+        (so the cost model charges every run's collectives).  Observability
+        attachments fold through their own ``merged``: timelines
+        concatenate end-to-end, metric snapshots add counters/histograms and
+        keep the later gauges.  ``other`` is never mutated — a first fold
+        aliases its attachments, later folds build fresh merged objects.
+        """
+        if other.num_pes != self.num_pes:
+            raise ValueError(
+                "cannot merge traffic reports from machines of different sizes: "
+                f"{sorted({self.num_pes, other.num_pes})}"
+            )
+        for key, value in other.counts.items():
+            self.counts[key] = self.counts.get(key, 0) + value
+        self.collectives.extend(other.collectives)
+        if other.timeline is not None:
+            self.timeline = (
+                other.timeline
+                if self.timeline is None
+                else self.timeline.merged(other.timeline)
+            )
+        if other.metrics is not None:
+            self.metrics = (
+                other.metrics
+                if self.metrics is None
+                else self.metrics.merged(other.metrics)
+            )
+        # engine provenance: first tagged report wins; folding reports
+        # produced by different engines yields the explicit marker "mixed"
+        if other.engine:
+            if not self.engine:
+                self.engine = other.engine
+            elif self.engine != other.engine:
+                self.engine = "mixed"
+
+    def merged(self, other: "TrafficReport") -> "TrafficReport":
+        """A fresh report of ``self`` folded with ``other`` (inputs unmutated)."""
+        out = TrafficReport(self.num_pes)
+        out.fold(self)
+        out.fold(other)
+        return out
+
     # -- aggregate helpers ---------------------------------------------------------
     @property
     def total_bytes_sent(self) -> int:
         """Bytes sent summed over all PEs (origin volume + routing overhead)."""
-        return sum(self.bytes_sent_per_pe)
+        return self.total("bytes_sent_per_pe")
 
     @property
     def forwarded_bytes(self) -> int:
@@ -113,7 +256,7 @@ class TrafficReport:
         Zero under direct delivery; under multi-level delivery this is the
         measured volume inflation the cost model's indirect formulas assume.
         """
-        return sum(self.forwarded_bytes_per_pe)
+        return self.total("forwarded_bytes_per_pe")
 
     @property
     def origin_bytes_sent(self) -> int:
@@ -133,19 +276,19 @@ class TrafficReport:
     @property
     def faults_injected(self) -> int:
         """Faults injected by the active fault plan, summed over all PEs."""
-        return sum(self.faults_injected_per_pe)
+        return self.total("faults_injected_per_pe")
 
     @property
     def faults_detected(self) -> int:
         """Detected fault events (CRC mismatches, sequence gaps, duplicates,
         crashes), summed over all PEs."""
-        return sum(self.faults_detected_per_pe)
+        return self.total("faults_detected_per_pe")
 
     @property
     def retries(self) -> int:
         """Recovery attempts: per-message retransmit pulls summed over all
         PEs, plus whole-job re-runs (:attr:`job_retries`)."""
-        return sum(self.retries_per_pe) + self.job_retries
+        return self.total("retries_per_pe") + self.job_retries
 
     @property
     def retransmitted_bytes(self) -> int:
@@ -155,7 +298,7 @@ class TrafficReport:
         :attr:`origin_bytes_sent` — a retransmitted bucket still left its
         origin exactly once.
         """
-        return sum(self.retransmitted_bytes_per_pe)
+        return self.total("retransmitted_bytes_per_pe")
 
     @property
     def transported_bytes(self) -> int:
@@ -165,12 +308,7 @@ class TrafficReport:
         pipe frames plus shared-memory payloads for the processes engine,
         0 for the thread engine (references move for free).
         """
-        return sum(self.transported_bytes_per_pe)
-
-    @property
-    def max_bytes_sent(self) -> int:
-        """Bottleneck PE: the maximum bytes any single PE sent."""
-        return max(self.bytes_sent_per_pe, default=0)
+        return self.total("transported_bytes_per_pe")
 
     def bytes_per_string(self, num_strings: int) -> float:
         """The paper's headline metric: total bytes sent / total input strings."""
@@ -217,118 +355,15 @@ class TrafficReport:
         return self.modeled_local_time(machine) + self.modeled_comm_time(machine)
 
 
-_PER_PE_FIELDS = (
-    "bytes_sent_per_pe",
-    "bytes_received_per_pe",
-    "messages_per_pe",
-    "chars_inspected_per_pe",
-    "items_processed_per_pe",
-    "forwarded_bytes_per_pe",
-    "faults_injected_per_pe",
-    "faults_detected_per_pe",
-    "retries_per_pe",
-    "retransmitted_bytes_per_pe",
-    "transported_bytes_per_pe",
+#: the report's counters in declaration order: the one list of them
+COUNTERS: Tuple[Counter, ...] = tuple(
+    v for v in vars(TrafficReport).values() if isinstance(v, Counter)
 )
-
-_PHASE_DICT_FIELDS = (
-    "phase_bytes",
-    "route_bytes",
-    "barrier_wait_seconds",
-)
-
-
-def zero_traffic_report(num_pes: int) -> "TrafficReport":
-    """An all-zero report for ``num_pes`` PEs (the merge identity)."""
-    return TrafficReport(
-        num_pes=num_pes,
-        bytes_sent_per_pe=[0] * num_pes,
-        bytes_received_per_pe=[0] * num_pes,
-        messages_per_pe=[0] * num_pes,
-        phase_bytes={},
-        chars_inspected_per_pe=[0] * num_pes,
-        items_processed_per_pe=[0] * num_pes,
-        forwarded_bytes_per_pe=[0] * num_pes,
-        faults_injected_per_pe=[0] * num_pes,
-        faults_detected_per_pe=[0] * num_pes,
-        retries_per_pe=[0] * num_pes,
-        retransmitted_bytes_per_pe=[0] * num_pes,
-        transported_bytes_per_pe=[0] * num_pes,
-    )
-
-
-def fold_traffic_report(target: "TrafficReport", report: "TrafficReport") -> None:
-    """Add ``report``'s counters into ``target`` **in place**.
-
-    The single definition of the report-merge contract: per-PE
-    byte/message/work/forwarded counters and per-phase byte/route/barrier
-    dicts add element-wise (exact sums) and collective events concatenate
-    (so the cost model charges every run's collectives).  Used by :func:`merge_traffic_reports` and by the streaming
-    accumulator of :class:`repro.session.stream.BatchStream` (which folds
-    batch by batch instead of re-merging the growing cumulative report).
-    """
-    if report.num_pes != target.num_pes:
-        raise ValueError(
-            "cannot merge traffic reports from machines of different sizes: "
-            f"{sorted({target.num_pes, report.num_pes})}"
-        )
-    for attr in _PER_PE_FIELDS:
-        totals = getattr(target, attr)
-        values = getattr(report, attr)
-        if len(totals) < len(values):
-            # hand-built reports may omit optional per-PE lists; treat the
-            # missing slots as zeros on the accumulator side
-            totals.extend([0] * (len(values) - len(totals)))
-        for pe, v in enumerate(values):
-            totals[pe] += v
-    for attr in _PHASE_DICT_FIELDS:
-        totals = getattr(target, attr)
-        for phase, value in getattr(report, attr).items():
-            totals[phase] = totals.get(phase, 0) + value
-    target.collectives.extend(report.collectives)
-    target.job_retries += report.job_retries
-    # observability attachments fold through their own algebra: timelines
-    # concatenate end-to-end (every span exactly once), metric snapshots
-    # add counters/histograms and keep the later gauges.  ``report``'s
-    # attachments are never mutated — a first fold aliases them into the
-    # accumulator, later folds build fresh merged objects.
-    if report.timeline is not None:
-        target.timeline = (
-            report.timeline
-            if target.timeline is None
-            else target.timeline.merged(report.timeline)
-        )
-    if report.metrics is not None:
-        target.metrics = (
-            report.metrics
-            if target.metrics is None
-            else target.metrics.merged(report.metrics)
-        )
-    # engine provenance: first tagged report wins; folding reports produced
-    # by different engines yields the explicit marker "mixed"
-    if report.engine:
-        if not target.engine:
-            target.engine = report.engine
-        elif target.engine != report.engine:
-            target.engine = "mixed"
-
-
-def merge_traffic_reports(reports: List["TrafficReport"]) -> "TrafficReport":
-    """Combine per-run reports into one cumulative report (exact sums).
-
-    A fresh report built by folding every input through
-    :func:`fold_traffic_report`; the inputs are never mutated.  All reports
-    must describe the same machine (equal ``num_pes``).  An empty input
-    merges to an all-zero single-PE report.
-    """
-    merged = zero_traffic_report(reports[0].num_pes if reports else 1)
-    for r in reports:
-        fold_traffic_report(merged, r)
-    return merged
+_NAMES = frozenset(c.name for c in COUNTERS)
 
 
 class TrafficMeter:
-    """Thread-safe collector of communication/work statistics for one run."""
+    """Thread-safe collector of one run's statistics: a lock around a report."""
 
     def __init__(self, num_pes: int):
         self.num_pes = num_pes
@@ -336,32 +371,14 @@ class TrafficMeter:
         #: execution engine sets this at the start of a run
         self.engine = ""
         self._lock = threading.Lock()
-        self._sent = [0] * num_pes
-        self._received = [0] * num_pes
-        self._messages = [0] * num_pes
-        self._phase_bytes: Dict[str, int] = defaultdict(int)
-        self._chars = [0] * num_pes
-        self._items = [0] * num_pes
-        self._collectives: List[CollectiveEvent] = []
+        self._report = TrafficReport(num_pes)
         self._phases: Dict[int, str] = {}
-        self._barrier_wait: Dict[str, float] = defaultdict(float)
-        self._forwarded = [0] * num_pes
-        self._route_bytes: Dict[str, int] = defaultdict(int)
-        self._faults_injected = [0] * num_pes
-        self._faults_detected = [0] * num_pes
-        self._retries = [0] * num_pes
-        self._retransmitted = [0] * num_pes
-        self._transported = [0] * num_pes
 
     # ------------------------------------------------------------------ phases
     def set_phase(self, rank: int, phase: str) -> None:
         """Label subsequent traffic of ``rank`` with ``phase``."""
         with self._lock:
             self._phases[rank] = phase
-
-    def current_phase(self, rank: int) -> str:
-        """The phase label currently attributed to ``rank``'s traffic."""
-        return self._phases.get(rank, "unlabelled")
 
     # ------------------------------------------------------------------ recording
     def record_send(
@@ -382,18 +399,22 @@ class TrafficMeter:
         if src == dst:
             return
         with self._lock:
-            self._sent[src] += nbytes
-            self._received[dst] += nbytes
-            self._messages[src] += 1
-            if phase is None:
-                phase = self._phases.get(src, "unlabelled")
-            self._phase_bytes[phase] += nbytes
+            self._send(src, dst, nbytes, phase)
+
+    def _send(self, src: int, dst: int, nbytes: int, phase: Optional[str]) -> None:
+        report = self._report
+        report.add("bytes_sent_per_pe", src, nbytes)
+        report.add("bytes_received_per_pe", dst, nbytes)
+        report.add("messages_per_pe", src, 1)
+        if phase is None:
+            phase = self._phases.get(src, "unlabelled")
+        report.add("phase_bytes", phase, nbytes)
 
     def record_local_work(self, rank: int, chars: int, items: int = 0) -> None:
         """Charge ``rank`` with ``chars`` inspected characters / ``items`` strings."""
         with self._lock:
-            self._chars[rank] += chars
-            self._items[rank] += items
+            self._report.add("chars_inspected_per_pe", rank, chars)
+            self._report.add("items_processed_per_pe", rank, items)
 
     def record_barrier_wait(self, rank: int, phase: str, seconds: float) -> None:
         """Record ``seconds`` ``rank`` spent blocked in ``barrier()`` during ``phase``.
@@ -404,7 +425,7 @@ class TrafficMeter:
         the observability layer; ``tests/test_obs_trace.py`` pins the split).
         """
         with self._lock:
-            self._barrier_wait[phase] += max(0.0, seconds)
+            self._report.add("barrier_wait_seconds", phase, max(0.0, seconds))
 
     def record_route(
         self, rank: int, route: str, nbytes: int, forwarded: int
@@ -418,23 +439,20 @@ class TrafficMeter:
         routing phase (e.g. ``"hypercube-dim1"``, ``"grid-rows"``).
         """
         with self._lock:
-            self._forwarded[rank] += forwarded
-            self._route_bytes[route] += nbytes
+            self._report.add("forwarded_bytes_per_pe", rank, forwarded)
+            self._report.add("route_bytes", route, nbytes)
 
-    def record_fault_injected(self, rank: int) -> None:
-        """Count one injected fault against ``rank`` (the struck PE)."""
-        with self._lock:
-            self._faults_injected[rank] += 1
+    def count(self, name: str, rank: int, value: int = 1) -> None:
+        """Add ``value`` to the per-PE counter ``name`` of ``rank``.
 
-    def record_fault_detected(self, rank: int) -> None:
-        """Count one detected fault event at ``rank`` (the detecting PE)."""
+        For the counters with nothing to derive: faults injected (charged
+        to the struck rank), faults detected and retransmit pulls (charged
+        to the detecting rank), and the bytes the engine's data plane
+        physically moved (pipes + shared memory; the thread engine moves
+        references and never counts them).
+        """
         with self._lock:
-            self._faults_detected[rank] += 1
-
-    def record_retry(self, rank: int) -> None:
-        """Count one recovery retry (retransmit pull) initiated by ``rank``."""
-        with self._lock:
-            self._retries[rank] += 1
+            self._report.add(name, rank, value)
 
     def record_retransmit(
         self, src: int, dst: int, nbytes: int, phase: Optional[str] = None
@@ -450,64 +468,8 @@ class TrafficMeter:
         if src == dst:
             return
         with self._lock:
-            self._sent[src] += nbytes
-            self._received[dst] += nbytes
-            self._messages[src] += 1
-            self._retransmitted[src] += nbytes
-            if phase is None:
-                phase = self._phases.get(src, "unlabelled")
-            self._phase_bytes[phase] += nbytes
-
-    def record_transport(self, rank: int, nbytes: int) -> None:
-        """Count ``nbytes`` the engine's data plane physically moved for ``rank``.
-
-        Orthogonal to the simulated wire accounting: :meth:`record_send`
-        charges what a real MPI implementation *would* serialise, this
-        counts what the engine's transport (pipes + shared memory) really
-        shipped.  The thread engine never calls it.
-        """
-        with self._lock:
-            self._transported[rank] += nbytes
-
-    def absorb(self, report: TrafficReport) -> None:
-        """Fold a finished per-worker ``report`` into this live meter.
-
-        The processes engine gives every rank worker its own full-size
-        meter (each records into explicit rank slots, exactly like the
-        thread engine's shared meter) and merges the per-worker snapshots
-        into the caller's meter here.  Addition is element-wise and exact,
-        so the merged report is bit-identical to what one shared meter
-        would have collected.
-        """
-        if report.num_pes != self.num_pes:
-            raise ValueError(
-                "cannot absorb a report from a different machine size: "
-                f"meter has {self.num_pes} PEs, report {report.num_pes}"
-            )
-        pairs = (
-            (self._sent, report.bytes_sent_per_pe),
-            (self._received, report.bytes_received_per_pe),
-            (self._messages, report.messages_per_pe),
-            (self._chars, report.chars_inspected_per_pe),
-            (self._items, report.items_processed_per_pe),
-            (self._forwarded, report.forwarded_bytes_per_pe),
-            (self._faults_injected, report.faults_injected_per_pe),
-            (self._faults_detected, report.faults_detected_per_pe),
-            (self._retries, report.retries_per_pe),
-            (self._retransmitted, report.retransmitted_bytes_per_pe),
-            (self._transported, report.transported_bytes_per_pe),
-        )
-        with self._lock:
-            for totals, values in pairs:
-                for pe, v in enumerate(values):
-                    totals[pe] += v
-            for phase, v in report.phase_bytes.items():
-                self._phase_bytes[phase] += v
-            for phase, v in report.barrier_wait_seconds.items():
-                self._barrier_wait[phase] += v
-            for route, v in report.route_bytes.items():
-                self._route_bytes[route] += v
-            self._collectives.extend(report.collectives)
+            self._send(src, dst, nbytes, phase)
+            self._report.add("retransmitted_bytes_per_pe", src, nbytes)
 
     def record_collective(
         self,
@@ -518,7 +480,7 @@ class TrafficMeter:
     ) -> None:
         """Append one collective event for the cost model (see CollectiveEvent)."""
         with self._lock:
-            self._collectives.append(
+            self._report.collectives.append(
                 CollectiveEvent(
                     kind=kind,
                     phase=phase if phase is not None else "unlabelled",
@@ -527,26 +489,21 @@ class TrafficMeter:
                 )
             )
 
+    def fold(self, report: TrafficReport) -> None:
+        """Fold a finished ``report`` into this live meter.
+
+        The processes engine gives every rank worker its own full-size
+        meter and folds the per-worker snapshots into the caller's meter
+        here; addition is exact, so the result is bit-identical to what one
+        shared meter would have collected.
+        """
+        with self._lock:
+            self._report.fold(report)
+
     # ------------------------------------------------------------------ results
     def report(self) -> TrafficReport:
-        """Snapshot all counters into an immutable :class:`TrafficReport`."""
+        """Snapshot all counters into a fresh :class:`TrafficReport`."""
+        snapshot = TrafficReport(self.num_pes, engine=self.engine)
         with self._lock:
-            return TrafficReport(
-                num_pes=self.num_pes,
-                bytes_sent_per_pe=list(self._sent),
-                bytes_received_per_pe=list(self._received),
-                messages_per_pe=list(self._messages),
-                phase_bytes=dict(self._phase_bytes),
-                chars_inspected_per_pe=list(self._chars),
-                items_processed_per_pe=list(self._items),
-                collectives=list(self._collectives),
-                barrier_wait_seconds=dict(self._barrier_wait),
-                forwarded_bytes_per_pe=list(self._forwarded),
-                route_bytes=dict(self._route_bytes),
-                faults_injected_per_pe=list(self._faults_injected),
-                faults_detected_per_pe=list(self._faults_detected),
-                retries_per_pe=list(self._retries),
-                retransmitted_bytes_per_pe=list(self._retransmitted),
-                transported_bytes_per_pe=list(self._transported),
-                engine=self.engine,
-            )
+            snapshot.fold(self._report)
+        return snapshot

@@ -11,8 +11,8 @@ instruments where bytes go.  Four layers, each usable on its own:
   the raw event streams, rank-offset alignment, exclusive phase seconds
   (barrier wait subtracted), and batch-wise merging.
 * :mod:`repro.obs.registry` — a typed metrics registry (counters, gauges,
-  histograms with labeled series), immutable snapshots with delta/merge
-  algebra, Prometheus text exposition and JSON export.
+  histograms with labeled series), immutable snapshots with a merge
+  fold, Prometheus text exposition and JSON export.
 * :mod:`repro.obs.exporters` — Chrome-trace/Perfetto JSON, a schema
   validator for CI, and a terminal phase-waterfall renderer.
 

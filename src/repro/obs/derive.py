@@ -3,15 +3,17 @@
 The bridge between the accounting layer (:class:`repro.net.metrics.TrafficReport`,
 exact byte counters) and the tracing layer (:class:`repro.obs.timeline.Timeline`,
 where time went): :func:`run_metrics` populates a
-:class:`~repro.obs.registry.MetricsRegistry` with the run's counters and
-the derived gauges the ROADMAP asks for — strings/sec per stage (items
-over *exclusive* stage seconds, so barrier wait never deflates a stage's
-throughput) and peak RSS per stage (boundary-sampled high-water marks) —
-and returns the immutable snapshot that attaches to
+:class:`~repro.obs.registry.MetricsRegistry` with the run's counters (one
+family per counter of the report's table, read through
+``TrafficReport.series()``) and the derived gauges the ROADMAP asks for —
+strings/sec per stage (items over *exclusive* stage seconds, so barrier
+wait never deflates a stage's throughput) and peak RSS per stage
+(boundary-sampled high-water marks) — and returns the immutable snapshot
+that attaches to
 ``TrafficReport.metrics``.
 
 Every series carries the common label set (``algorithm``, ``engine``,
-``topology``) plus its own discriminators (``pe``, ``stage``); see
+``topology``) plus its own discriminators (``pe``, ``stage``, ``route``); see
 ``docs/OBSERVABILITY.md`` for the full naming scheme.
 """
 
@@ -52,61 +54,15 @@ def run_metrics(
         common["engine"] = report.engine
     reg = MetricsRegistry()
 
-    sent = reg.counter("repro_bytes_sent_total", "Wire bytes sent, per PE.")
-    messages = reg.counter("repro_messages_total", "Point-to-point messages sent, per PE.")
-    forwarded = reg.counter(
-        "repro_forwarded_bytes_total", "Routing-overhead bytes relayed, per PE."
-    )
-    for pe in range(report.num_pes):
-        sent.inc(report.bytes_sent_per_pe[pe], pe=pe, **common)
-        messages.inc(report.messages_per_pe[pe], pe=pe, **common)
-        if report.forwarded_bytes_per_pe:
-            forwarded.inc(report.forwarded_bytes_per_pe[pe], pe=pe, **common)
-
-    stage_bytes = reg.counter("repro_stage_bytes_total", "Wire bytes sent, per stage.")
-    for stage, nbytes in sorted(report.phase_bytes.items()):
-        stage_bytes.inc(nbytes, stage=stage, **common)
-
-    barrier = reg.counter(
-        "repro_barrier_wait_seconds_total",
-        "Seconds ranks spent blocked in barrier(), per surrounding stage.",
-    )
-    for stage, seconds in sorted(getattr(report, "barrier_wait_seconds", {}).items()):
-        barrier.inc(seconds, stage=stage, **common)
-
-    _fault_series(reg, report, common)
-
-    retries = reg.counter("repro_job_retries_total", "Whole-job re-runs after failures.")
-    retries.inc(getattr(report, "job_retries", 0), **common)
+    for counter, samples in report.series():
+        metric = reg.counter(counter.family, counter.help)
+        for key, value in samples:
+            own = {counter.label: key} if counter.label else {}
+            metric.inc(value, **own, **common)
 
     if timeline is not None:
         _timeline_series(reg, timeline, common, num_strings)
     return reg.snapshot()
-
-
-def _fault_series(reg: MetricsRegistry, report: Any, common: Dict[str, str]) -> None:
-    """Surface the fault subsystem's counters as per-PE series."""
-    injected = reg.counter(
-        "repro_faults_injected_total", "Faults injected by the active plan, per PE."
-    )
-    detected = reg.counter(
-        "repro_faults_detected_total", "Fault events detected (CRC, gaps), per PE."
-    )
-    retries = reg.counter(
-        "repro_fault_retries_total", "Retransmit pulls initiated, per PE."
-    )
-    retransmitted = reg.counter(
-        "repro_retransmitted_bytes_total", "Recovery traffic wire bytes, per PE."
-    )
-    pairs = (
-        (injected, report.faults_injected_per_pe),
-        (detected, report.faults_detected_per_pe),
-        (retries, report.retries_per_pe),
-        (retransmitted, report.retransmitted_bytes_per_pe),
-    )
-    for metric, values in pairs:
-        for pe, value in enumerate(values):
-            metric.inc(value, pe=pe, **common)
 
 
 def _timeline_series(

@@ -4,11 +4,11 @@ Three metric kinds, all with labeled series (a metric is a *family*; each
 distinct label combination is one series):
 
 * **counter** — monotonically increasing totals (bytes sent, faults
-  injected); merge adds, delta subtracts.
+  injected); merge adds.
 * **gauge** — point-in-time readings (strings/sec, peak RSS); merge keeps
-  the later value, delta keeps the current reading.
+  the later value.
 * **histogram** — bucketed distributions (span durations); merge adds
-  bucket counts, delta subtracts them.
+  bucket counts.
 
 A :class:`MetricsRegistry` is the mutable collector; a
 :class:`MetricsSnapshot` is the immutable, picklable view that attaches to
@@ -165,10 +165,6 @@ class MetricsRegistry:
             }
         return MetricsSnapshot(families=families)
 
-    def render_prometheus(self) -> str:
-        """Prometheus text exposition of the current state."""
-        return self.snapshot().render_prometheus()
-
 
 @dataclass
 class MetricsSnapshot:
@@ -213,7 +209,7 @@ class MetricsSnapshot:
     def merged(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
         """Fold ``other`` into a new snapshot (inputs unmutated).
 
-        The fold contract of :func:`repro.net.metrics.fold_traffic_report`
+        The fold contract of :meth:`repro.net.metrics.TrafficReport.fold`
         for the metrics attachment: counter and histogram series add
         element-wise (exact sums, so batch/retry folds stay additive),
         gauge series take the *later* snapshot's reading.
@@ -230,25 +226,6 @@ class MetricsSnapshot:
                     f"{mine['kind']} vs {family['kind']}"
                 )
             _fold_samples(mine, family)
-        return MetricsSnapshot(families=families)
-
-    def delta(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
-        """What happened since ``earlier``: counters/histograms subtract,
-        gauges keep this snapshot's reading."""
-        families: Dict[str, Dict[str, Any]] = {}
-        for name, family in self.families.items():
-            out = _copy_family(family)
-            before = earlier.families.get(name)
-            if before is not None and family["kind"] != "gauge":
-                prior = {
-                    _label_key(labels): value for labels, value in before["samples"]
-                }
-                samples = []
-                for labels, value in out["samples"]:
-                    prev = prior.get(_label_key(labels))
-                    samples.append((labels, _subtract(value, prev)))
-                out["samples"] = samples
-            families[name] = out
         return MetricsSnapshot(families=families)
 
     # ------------------------------------------------------------------ exposition
@@ -358,18 +335,3 @@ def _add(a: Any, b: Any) -> Any:
             "count": a["count"] + b["count"],
         }
     return a + b
-
-
-def _subtract(a: Any, b: Optional[Any]) -> Any:
-    if b is None:
-        return _copy_value(a)
-    if isinstance(a, dict):
-        return {
-            "buckets": {
-                le: a["buckets"].get(le, 0) - b["buckets"].get(le, 0)
-                for le in {*a["buckets"], *b["buckets"]}
-            },
-            "sum": a["sum"] - b["sum"],
-            "count": a["count"] - b["count"],
-        }
-    return a - b

@@ -207,7 +207,7 @@ class Timeline:
     def merged(self, other: "Timeline") -> "Timeline":
         """A new timeline folding ``other`` after ``self`` (inputs unmutated).
 
-        The fold contract of :func:`repro.net.metrics.fold_traffic_report`
+        The fold contract of :meth:`repro.net.metrics.TrafficReport.fold`
         for the timeline attachment: ``other``'s spans are shifted to start
         where ``self`` ends (batches/retry attempts render sequentially,
         never interleaved with a different run), every span and instant of

@@ -39,6 +39,9 @@ from .stream import BatchStream
 
 __all__ = ["Cluster"]
 
+#: the counters a failed attempt carries into the job's report
+_FAULT_COUNTERS = ("faults_injected_per_pe", "faults_detected_per_pe", "retries_per_pe")
+
 
 def _merge_rank_extras(results: List[RankOutput]) -> Dict[str, Any]:
     """Aggregate per-rank ``extra`` dicts, asserting the ranks agree.
@@ -214,29 +217,6 @@ class Cluster:
         """The exchange topology a sort effectively used (for metric labels)."""
         return spec.exchange_topology or self.config.exchange_topology
 
-    @staticmethod
-    def _fold_failed_attempts(
-        report: TrafficReport, failed: List[TrafficReport]
-    ) -> None:
-        """Carry the fault counters of failed attempts into the final report.
-
-        A crashed attempt's traffic is discarded (the retry reruns it from
-        scratch, so folding its bytes would double-charge the wire), but its
-        *fault* counters are part of the job's story: without them a
-        crash-then-retry job would report zero injected faults and the
-        chaos suite could not reconcile the report against the plan.
-        """
-        for fr in failed:
-            for target, source in (
-                (report.faults_injected_per_pe, fr.faults_injected_per_pe),
-                (report.faults_detected_per_pe, fr.faults_detected_per_pe),
-                (report.retries_per_pe, fr.retries_per_pe),
-            ):
-                for i, v in enumerate(source):
-                    if v and i < len(target):
-                        target[i] += v
-        report.job_retries += len(failed)
-
     # ------------------------------------------------------------------ sorting
     def sort(
         self,
@@ -283,7 +263,11 @@ class Cluster:
         def rank_program(comm: Communicator, local) -> RankOutput:
             return entry.runner(comm, local, spec)
 
-        failed_reports: List[TrafficReport] = []
+        # what failed attempts leave in the job's report: their fault
+        # counts (so the chaos suite can reconcile them against the plan)
+        # and one job retry each, never their bytes (the retry reruns the
+        # job from scratch, so their traffic would be charged twice)
+        failed = TrafficReport(self.num_pes)
         while True:
             meter = TrafficMeter(self.num_pes)
             try:
@@ -294,13 +278,12 @@ class Cluster:
                 )
                 break
             except SpmdError:
-                if len(failed_reports) >= max_retries:
+                if failed.job_retries >= max_retries:
                     raise
-                # keep the failed attempt's fault counters; the engine's
-                # next run transparently rebuilds the poisoned state
-                failed_reports.append(meter.report())
-        if failed_reports:
-            self._fold_failed_attempts(report, failed_reports)
+                # the engine's next run transparently rebuilds the poisoned state
+                failed.fold(meter.report().subset(_FAULT_COUNTERS))
+                failed.add("job_retries", None, 1)
+        report.fold(failed)
 
         if report.timeline is not None:
             # derive the labeled metrics snapshot while the run's context

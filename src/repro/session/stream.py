@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence, TYPE_CHECKING
 
 from ..dist.api import SortResult
-from ..net.metrics import TrafficReport, fold_traffic_report, zero_traffic_report
+from ..net.metrics import TrafficReport
 from .specs import SortSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -65,7 +65,7 @@ class BatchStream:
         self.batches_done = 0
         self.num_strings = 0
         self.num_chars = 0
-        self._merged = zero_traffic_report(cluster.num_pes)
+        self._merged = TrafficReport(cluster.num_pes)
 
     # ------------------------------------------------------------------ iteration
     def __iter__(self) -> "BatchStream":
@@ -91,8 +91,8 @@ class BatchStream:
         self.num_chars += result.num_chars
         # fold in place: re-merging the cumulative report every batch would
         # copy the accumulated collective events again (quadratic over a
-        # long ingest); the merge contract itself lives in net.metrics
-        fold_traffic_report(self._merged, result.report)
+        # long ingest)
+        self._merged.fold(result.report)
         return result
 
     def run(self) -> "BatchStream":

@@ -68,7 +68,8 @@ REQUIRED = {
     "repro/net/metrics.py": [
         "TrafficReport",
         "TrafficMeter",
-        "merge_traffic_reports",
+        "TrafficReport.fold",
+        "TrafficReport.merged",
     ],
     "repro/net/cost_model.py": ["MachineModel"],
 }

@@ -1,5 +1,8 @@
 """Tests for traffic metering and the hypercube topology helpers."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.net.cost_model import MachineModel
@@ -82,6 +85,42 @@ class TestTrafficMeter:
         rep = meter.report()
         meter.record_send(0, 1, 10)
         assert rep.total_bytes_sent == 10
+
+    def test_count_charges_one_named_counter(self):
+        meter = TrafficMeter(2)
+        meter.count("faults_injected_per_pe", 1)
+        meter.count("transported_bytes_per_pe", 0, 64)
+        rep = meter.report()
+        assert rep.faults_injected_per_pe == [0, 1]
+        assert rep.transported_bytes == 64
+        with pytest.raises(KeyError, match="unknown counter"):
+            meter.count("faults_injectd_per_pe", 0)
+
+    def test_concurrent_recording_loses_no_update(self):
+        meter = TrafficMeter(4)
+        sends = 2000
+
+        def rank(r):
+            meter.set_phase(r, "exchange")
+            for _ in range(sends):
+                meter.record_send(r, (r + 1) % 4, 3)
+                meter.count("retries_per_pe", r)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=rank, args=(r % 4,)) for r in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        rep = meter.report()
+        assert rep.bytes_sent_per_pe == [2 * 3 * sends] * 4
+        assert rep.phase_bytes == {"exchange": 8 * 3 * sends}
+        assert rep.retries_per_pe == [2 * sends] * 4
 
 
 class TestTopology:

@@ -20,7 +20,9 @@ import time
 
 import pytest
 
+from repro.faults import FaultPlan, FaultRule
 from repro.mpi import run_spmd
+from repro.net.metrics import COUNTERS
 from repro.obs import (
     Recorder,
     chrome_trace,
@@ -197,3 +199,45 @@ class TestClusterTrace:
         assert (
             observed.report.total_bytes_sent == baseline.report.total_bytes_sent
         )
+
+    def test_every_counter_family_reconciles_after_a_retried_crash(self, engine):
+        """Each report-derived family sums to its report total, and a
+        failed attempt leaves its fault counts but not its bytes."""
+        import random
+
+        rng = random.Random(13)
+        data = [bytes(rng.choices(b"abcd", k=14)) for _ in range(400)]
+        crash = FaultRule(kind="crash", rank=1, phase="merge", max_hits=1)
+        with Cluster(
+            num_pes=4, timeout=30.0, trace=True,
+            fault_plan=FaultPlan(seed=4, rules=(crash,)),
+        ) as cluster:
+            report = cluster.sort(data, MSSpec(), check=True, max_retries=1).report
+        # the same envelopes on the wire, no fault fired
+        with Cluster(
+            num_pes=4, timeout=30.0, fault_plan=FaultPlan(seed=4)
+        ) as clean:
+            baseline = clean.sort(data, MSSpec()).report
+
+        snap = report.metrics
+        for counter in COUNTERS:
+            assert counter.family in snap.names(), counter.family
+            summed = sum(value for _, value in snap.series(counter.family))
+            assert summed == pytest.approx(report.total(counter.name)), counter.name
+
+        def family_total(name):
+            return sum(value for _, value in snap.series(name))
+
+        assert family_total("repro_stage_bytes_total") == family_total(
+            "repro_bytes_sent_total"
+        )
+        # the crashed attempt's fault counts are kept ...
+        assert report.job_retries == 1
+        assert family_total("repro_job_retries_total") == 1
+        assert report.faults_injected == 1
+        assert family_total("repro_faults_injected_total") == 1
+        assert report.faults_detected >= 1
+        # ... and its traffic is not: the bytes are one clean run's
+        assert report.bytes_sent_per_pe == baseline.bytes_sent_per_pe
+        assert report.phase_bytes == baseline.phase_bytes
+        assert report.chars_inspected_per_pe == baseline.chars_inspected_per_pe

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.metrics import TrafficReport, merge_traffic_reports
+from repro.net.metrics import TrafficMeter, TrafficReport
 from repro.session import BatchStream, Cluster, MSSpec, PDMSGolombSpec
 from repro.strings.generators import dn_instance, random_strings
 
@@ -110,15 +110,24 @@ class TestSortBatches:
         )
 
 
-class TestMergeTrafficReports:
-    def test_empty_merge_is_zero(self):
-        merged = merge_traffic_reports([])
-        assert merged.total_bytes_sent == 0
-        assert merged.phase_bytes == {}
+def _merge(reports):
+    """Fold ``reports`` into a fresh report (the inputs stay unmutated)."""
+    merged = TrafficReport(reports[0].num_pes)
+    for report in reports:
+        merged = merged.merged(report)
+    return merged
+
+
+class TestReportFold:
+    def test_empty_report_is_zero(self):
+        empty = TrafficMeter(2).report()
+        assert empty.total_bytes_sent == 0
+        assert empty.bytes_sent_per_pe == [0, 0]
+        assert empty.phase_bytes == {}
 
     def test_single_report_is_identity(self):
         res = Cluster(num_pes=2).sort(random_strings(60, 1, 8, seed=7), MSSpec())
-        merged = merge_traffic_reports([res.report])
+        merged = _merge([res.report])
         assert merged.bytes_sent_per_pe == res.report.bytes_sent_per_pe
         assert merged.phase_bytes == res.report.phase_bytes
 
@@ -130,7 +139,7 @@ class TestMergeTrafficReports:
             )
             for s in (1, 2)
         ]
-        merged = merge_traffic_reports([r.report for r in res])
+        merged = _merge([r.report for r in res])
         assert merged.forwarded_bytes == sum(
             r.report.forwarded_bytes for r in res
         )
@@ -152,7 +161,7 @@ class TestMergeTrafficReports:
         Timelines concatenate (every span exactly once, dropped counts
         add); metrics snapshots fold additively for counters and
         histograms with later-wins gauges; the inputs stay unmutated.
-        The same ``fold_traffic_report`` path also runs on fault-retry
+        The same ``TrafficReport.fold`` path also runs on fault-retry
         folds, so this pins the no-lost/no-double-counted-span contract
         for retries too.
         """
@@ -168,7 +177,7 @@ class TestMergeTrafficReports:
             r.metrics.value("repro_bytes_sent_total", pe=0) for r in reports
         ]
 
-        merged = merge_traffic_reports(reports)
+        merged = _merge(reports)
         # spans concatenate: none lost, none double-counted
         assert len(merged.timeline.spans) == sum(span_counts)
         assert merged.timeline.dropped_events == sum(
@@ -194,7 +203,7 @@ class TestMergeTrafficReports:
             Cluster(num_pes=2).sort(random_strings(50, 1, 8, seed=s), MSSpec())
             for s in (3, 4)
         ]
-        merged = merge_traffic_reports([r.report for r in res])
+        merged = _merge([r.report for r in res])
         assert merged.timeline is None
         assert merged.metrics is None
 
@@ -205,45 +214,28 @@ class TestMergeTrafficReports:
         plain = Cluster(num_pes=2).sort(
             random_strings(50, 1, 8, seed=6), MSSpec()
         )
-        merged = merge_traffic_reports([plain.report, traced.report])
+        merged = _merge([plain.report, traced.report])
         assert merged.timeline is not None
         assert len(merged.timeline.spans) == len(traced.report.timeline.spans)
 
     def test_barrier_wait_seconds_fold_additively(self):
         def leaf(seconds):
-            report = TrafficReport(
-                num_pes=2,
-                bytes_sent_per_pe=[0, 0],
-                bytes_received_per_pe=[0, 0],
-                messages_per_pe=[0, 0],
-                phase_bytes={},
-                chars_inspected_per_pe=[0, 0],
-                items_processed_per_pe=[0, 0],
-            )
-            report.barrier_wait_seconds = {"merge": seconds}
-            return report
+            meter = TrafficMeter(2)
+            meter.record_barrier_wait(0, "merge", seconds)
+            return meter.report()
 
-        merged = merge_traffic_reports([leaf(0.25), leaf(0.5)])
+        merged = _merge([leaf(0.25), leaf(0.5)])
         assert merged.barrier_wait_seconds["merge"] == pytest.approx(0.75)
 
     def test_mismatched_sizes_rejected(self):
-        a = TrafficReport(
-            num_pes=1,
-            bytes_sent_per_pe=[0],
-            bytes_received_per_pe=[0],
-            messages_per_pe=[0],
-            phase_bytes={},
-            chars_inspected_per_pe=[0],
-            items_processed_per_pe=[0],
-        )
-        b = TrafficReport(
-            num_pes=2,
-            bytes_sent_per_pe=[0, 0],
-            bytes_received_per_pe=[0, 0],
-            messages_per_pe=[0, 0],
-            phase_bytes={},
-            chars_inspected_per_pe=[0, 0],
-            items_processed_per_pe=[0, 0],
-        )
+        a = TrafficMeter(1).report()
+        b = TrafficMeter(2).report()
         with pytest.raises(ValueError, match="different sizes"):
-            merge_traffic_reports([a, b])
+            a.merged(b)
+        with pytest.raises(ValueError, match="different sizes"):
+            a.fold(b)
+
+    def test_counts_are_read_only_views(self):
+        report = TrafficMeter(2).report()
+        with pytest.raises(AttributeError, match="read-only"):
+            report.phase_bytes = {"merge": 1}
