@@ -130,8 +130,10 @@ def _add_sort_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--timeout", type=float, default=None,
-        help="deadlock-detection timeout per blocking operation, in seconds "
-        "(default: the REPRO_SPMD_TIMEOUT environment variable, or 600)",
+        help="deadlock-detection timeout per blocking operation, in seconds, "
+        "of the processes engine; the threads engine detects deadlock exactly "
+        "and ignores it (default: the REPRO_SPMD_TIMEOUT environment "
+        "variable, or 600)",
     )
     parser.add_argument(
         "--fault-plan",

@@ -45,7 +45,9 @@ class RunConfig:
     wire_checksums:
         Seal every exchange block and route frame with a CRC32.
     timeout:
-        Deadlock-detection timeout per blocking operation, in seconds.
+        Deadlock-detection timeout per blocking operation, in seconds, of
+        the processes engine; the threads engine detects deadlock exactly
+        and ignores it.
     engine:
         Execution backend name (see :data:`repro.mpi.engine.ENGINES`).
     trace:

@@ -145,8 +145,9 @@ class FaultPlan:
         raises :class:`~repro.faults.errors.LostMessageError` /
         :class:`~repro.faults.errors.CorruptFrameError`.
     retry_delay:
-        Base of the receiver's exponential backoff (seconds) before pulling
-        a retransmit of a message that never arrived.
+        Base of the processes engine's exponential backoff (seconds) before
+        a receiver pulls a retransmit of a withheld message that no
+        successor reveals (the threads engine pulls it once no rank can run).
     """
 
     seed: int = 0

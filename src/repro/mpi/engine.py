@@ -1,22 +1,30 @@
-"""Thread-per-rank SPMD execution engine with a simulated communicator.
+"""Cooperative thread-per-rank SPMD execution engine with a simulated communicator.
 
 This is the substrate that stands in for the paper's MPI cluster.  Each
-simulated PE runs the algorithm's per-rank function in its own Python thread
-and communicates through :class:`ThreadComm`, which implements the
-:class:`repro.mpi.comm.Communicator` interface on top of
+simulated PE runs the algorithm's per-rank function in its own Python
+thread, but the threads take turns: exactly one rank holds the *baton* and
+runs, and it passes the baton to the next runnable rank in cyclic order
+only where it would block.  Ranks communicate through :class:`ThreadComm`,
+which implements the :class:`repro.mpi.comm.Communicator` interface on top of
 
-* a shared "board" (one slot per rank) plus a reusable barrier for
-  collectives — the classic write / barrier / read / barrier pattern, valid
-  because SPMD programs issue collectives in the same order on every rank,
-* per-ordered-pair message queues for point-to-point traffic, both blocking
+* a shared "board" (one slot per rank) for collectives — one rendezvous
+  per board exchange: each rank writes its slot, and the last to arrive
+  takes the snapshot and wakes the others (valid because SPMD programs
+  issue collectives in the same order on every rank),
+* per-ordered-pair deques for point-to-point traffic, both blocking
   (``send``/``recv``) and non-blocking (``isend``/``irecv`` returning
   :class:`repro.mpi.comm.Request` handles matched in posting order).
 
-The engine does not try to be fast (the GIL serialises the local work
-anyway, which the benchmark methodology accounts for — see
-``docs/ARCHITECTURE.md``); it is meant to be *correct*, deadlock-diagnosing
-and to deliver exact communication volume accounting via
-:class:`repro.net.metrics.TrafficMeter`.
+The schedule depends on the program alone, never on thread timing, so a
+run is deterministic: the same program and fault plan reproduce every
+count of the :class:`~repro.net.metrics.TrafficMeter` report (barrier wait
+seconds, being wall-clock, aside).  A blocked rank can only be woken by
+another rank's action, so "no rank runnable" is exactly a deadlock: the
+engine raises it at once, naming every blocked rank and what it waits for,
+and never reads ``RunConfig.timeout`` (only the processes engine does).
+The engine does not try to be fast — one rank runs at a time, as under the
+GIL anyway (see ``docs/ARCHITECTURE.md``); it is meant to be *correct*,
+deterministic, deadlock-diagnosing and exactly metered.
 
 Typical use::
 
@@ -28,11 +36,9 @@ Typical use::
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..config import RunConfig
@@ -67,100 +73,151 @@ class SpmdError(RuntimeError):
     """Raised when a simulated SPMD run fails (rank exception or deadlock)."""
 
 
-class _FaultChannel:
-    """Fault-mode sender-side state of one ordered ``(src, dst)`` pair.
+#: what a blocked rank waits for: (wake condition, description, withheld
+#: check — ``None`` unless it is a fault-mode receive that recovery may serve)
+_Wait = Tuple[Callable[[], bool], str, Optional[Callable[[], bool]]]
 
-    ``next_seq`` numbers the channel's messages in send order; ``unacked``
-    is the retransmit buffer (clean envelopes, removed when the receiver
-    delivers them in order — a piggybacked ack); ``delayed`` pens envelopes
-    a ``delay`` rule held back, each with a countdown of messages that must
-    overtake it before release.
+
+class _SharedState:
+    """One simulated machine: the rank threads' shared objects and scheduler.
+
+    Exactly one rank thread runs at a time, the one whose baton lock was
+    released.  A rank hands the baton on only in :meth:`block` — a receive
+    with nothing queued, a collective rendezvous — to the next runnable
+    rank in cyclic order, and sleeps until a rank hands it back.  Only the
+    running rank changes shared state, so the scheduler evaluates the
+    blocked ranks' wake conditions itself; the interleaving is a function of
+    the program alone.
     """
 
-    __slots__ = ("lock", "next_seq", "unacked", "delayed")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.next_seq = 0
-        # seq -> (clean envelope, accounted wire bytes incl. framing)
-        self.unacked: Dict[int, Tuple[Envelope, int]] = {}
-        # [remaining messages to overtake, held envelope]
-        self.delayed: List[List[Any]] = []
-
-
-@dataclass
-class _SharedState:
-    """Objects shared by all rank threads of one SPMD run."""
-
-    num_pes: int
-    meter: TrafficMeter
-    config: RunConfig
-    injector: Optional[FaultInjector] = None
-    #: per-rank trace recorders of the *current* run (``None`` = tracing
-    #: off); re-armed by the engine before every run, never reused across
-    #: runs (a recorder's ring belongs to exactly one run's timeline)
-    recorders: Optional[List[Recorder]] = None
-
-    def __post_init__(self) -> None:
-        self.barrier = threading.Barrier(self.num_pes)
-        self.board: List[Any] = [None] * self.num_pes
-        self.queues: Dict[Tuple[int, int], "queue.SimpleQueue[Tuple[int, Any]]"] = {
-            (s, d): queue.SimpleQueue()
-            for s in range(self.num_pes)
-            for d in range(self.num_pes)
+    def __init__(
+        self,
+        num_pes: int,
+        meter: TrafficMeter,
+        config: RunConfig,
+        injector: Optional[FaultInjector],
+    ):
+        self.num_pes = num_pes
+        self.config = config
+        self.injector = injector
+        #: per ordered pair ``(src, dst)``: messages sent and not yet taken
+        self.queues: Dict[Tuple[int, int], Deque[Tuple[Any, ...]]] = {
+            (s, d): deque() for s in range(num_pes) for d in range(num_pes)
         }
-        self.error_event = threading.Event()
-        self.errors: List[BaseException] = []
-        self.error_lock = threading.Lock()
-        # fault-mode per-channel sender state, created lazily per pair
-        self.channels: Dict[Tuple[int, int], _FaultChannel] = {}
-        self._channels_lock = threading.Lock()
-
-    def channel(self, src: int, dst: int) -> _FaultChannel:
-        """The fault-mode channel state of the ordered pair ``(src, dst)``."""
-        ch = self.channels.get((src, dst))
-        if ch is None:
-            with self._channels_lock:
-                ch = self.channels.setdefault((src, dst), _FaultChannel())
-        return ch
-
-    def fail(self, exc: BaseException) -> None:
-        """Record ``exc`` and abort the run (wakes every blocked rank)."""
-        with self.error_lock:
-            self.errors.append(exc)
-        self.error_event.set()
-        self.barrier.abort()
+        self.reset(meter)
 
     def reset(self, meter: TrafficMeter) -> None:
-        """Re-arm a clean state for the next run on the same machine.
-
-        Only valid after a successful run: the barrier is intact (a broken
-        barrier is never reusable) and the message queues have been drained
-        by the ranks themselves.  Fault-mode channel state (sequence
-        numbers, retransmit buffers, delay pens) starts fresh per run.
-        """
+        """Arm the per-run state: meter, board, errors and the scheduler."""
+        p = self.num_pes
         self.meter = meter
-        self.board = [None] * self.num_pes
-        self.error_event = threading.Event()
-        self.errors = []
-        self.channels = {}
-        self.recorders = None
+        #: per-rank trace recorders of the *current* run (``None`` = tracing
+        #: off); never reused across runs (a recorder's ring belongs to
+        #: exactly one run's timeline)
+        self.recorders: Optional[List[Recorder]] = None
+        self.board: List[Any] = [None] * p
+        self.snapshot: List[Any] = []
+        self.arrived = 0
+        #: completed rendezvous; a waiter wakes when this moves on
+        self.collectives = 0
+        self.errors: List[BaseException] = []
+        # a rank may run while its baton lock is released
+        self.batons = [threading.Lock() for _ in range(p)]
+        for baton in self.batons:
+            baton.acquire()
+        self.waits: List[Optional[_Wait]] = [None] * p
+        self.finished = [False] * p
+        #: the blocked receiver chosen to pull a withheld envelope
+        self.rescued: Optional[int] = None
+
+    def fail(self, exc: BaseException) -> None:
+        """Record ``exc``: the run aborts, every rank unwinds when it next runs."""
+        self.errors.append(exc)
 
     def is_clean(self) -> bool:
         """Whether this state can be reused (no errors, no stray messages)."""
-        return (
-            not self.errors
-            and not self.barrier.broken
-            and all(q.empty() for q in self.queues.values())
-        )
+        return not self.errors and not any(self.queues.values())
+
+    # ------------------------------------------------------------------ scheduler
+    def block(
+        self,
+        rank: int,
+        ready: Callable[[], bool],
+        what: str,
+        withheld: Optional[Callable[[], bool]] = None,
+    ) -> bool:
+        """Let other ranks run until ``ready()`` holds.
+
+        Returns ``True`` instead when no rank could run and ``rank`` was
+        chosen to pull the envelope ``withheld()`` reports in its recovery
+        buffer.  Raises :class:`SpmdError` once the run has aborted.
+        """
+        self.waits[rank] = (ready, what, withheld)
+        try:
+            while not ready():
+                nxt = self._pick(rank)
+                if nxt != rank:
+                    self.batons[nxt].release()
+                    self.batons[rank].acquire()
+                if self.errors:
+                    raise SpmdError(
+                        f"rank {rank}: SPMD run aborted while waiting for {what}"
+                    )
+                if self.rescued == rank:
+                    self.rescued = None
+                    return True
+            return False
+        finally:
+            self.waits[rank] = None
+
+    def finish(self, rank: int) -> None:
+        """``rank`` returned: hand the baton on for good."""
+        self.finished[rank] = True
+        if not all(self.finished):
+            self.batons[self._pick(rank)].release()
+
+    def _pick(self, rank: int) -> int:
+        """The rank to run after ``rank`` (some rank has not returned).
+
+        The first runnable rank in cyclic order after ``rank`` (``rank``
+        itself last).  With none runnable, a blocked fault-mode receiver
+        whose recovery buffer withholds the envelope it waits for is chosen
+        to pull it; failing that the run is deadlocked, which is recorded
+        as the run's error (every rank then runs, to unwind).
+        """
+        order = [(rank + i) % self.num_pes for i in range(1, self.num_pes + 1)]
+        for r in order:
+            wait = self.waits[r]
+            if not self.finished[r] and (wait is None or self.errors or wait[0]()):
+                return r
+        for r in order:
+            wait = self.waits[r]
+            withheld = wait[2] if wait is not None else None
+            if withheld is not None and withheld():
+                self.rescued = r
+                return r
+        self.fail(self._deadlock())
+        return next(r for r in order if not self.finished[r])
+
+    def _deadlock(self) -> BaseException:
+        """The error naming every rank's state when none can run."""
+        states = [
+            f"rank {r} has returned" if wait is None else f"rank {r} waits for {wait[1]}"
+            for r, wait in enumerate(self.waits)
+        ]
+        message = "deadlock, no rank can run: " + "; ".join(states)
+        # in fault mode a starved receive is the typed failure class the
+        # chaos suite asserts on; the engine wraps it in SpmdError
+        if any(wait is not None and wait[2] is not None for wait in self.waits):
+            return LostMessageError(message)
+        return SpmdError(message)
 
 
 class _SendRequest(Request):
-    """Request handle of an :meth:`ThreadComm.isend`.
+    """Request handle of an ``isend``.
 
-    The simulated network has unbounded buffering (per-pair ``SimpleQueue``),
-    so a non-blocking send completes eagerly: the payload is enqueued and the
-    wire bytes accounted at post time, and the handle is born completed.
+    The simulated network has unbounded buffering, so a non-blocking send
+    completes eagerly: the payload is handed to the transport and the wire
+    bytes accounted at post time, and the handle is born completed.
     """
 
     __slots__ = ()
@@ -175,28 +232,23 @@ class _SendRequest(Request):
 
 
 class _RecvRequest(Request):
-    """Request handle of an :meth:`ThreadComm.irecv`.
+    """Request handle of an ``irecv``.
 
     Outstanding receives from the same source are matched to incoming
     messages in *posting* order (the MPI non-overtaking rule): whichever
-    request is polled, the communicator first drains the source's queue into
-    the pending-request FIFO, so driving requests out of order cannot steal
-    a message destined for an earlier request.
+    request is polled, the communicator first hands the source's arrivals
+    to the pending-request FIFO, so driving requests out of order cannot
+    steal a message destined for an earlier request.
     """
 
-    __slots__ = ("_comm", "source", "tag", "_done", "_value", "_posted")
+    __slots__ = ("_comm", "source", "tag", "_done", "_value")
 
-    def __init__(self, comm: "ThreadComm", source: int, tag: int):
+    def __init__(self, comm: "MeteredComm", source: int, tag: int):
         self._comm = comm
         self.source = source
         self.tag = tag
         self._done = False
         self._value: Any = None
-        # the deadlock clock starts when the receive is *posted*, not at the
-        # first poll: a rank that posts an irecv and then computes for longer
-        # than the timeout before polling must still abort promptly if the
-        # peer is gone.
-        self._posted = time.monotonic()
 
     def _complete(self, got_tag: int, obj: Any) -> None:
         if got_tag != self.tag:
@@ -209,71 +261,15 @@ class _RecvRequest(Request):
         self._done = True
 
     def test(self) -> bool:
-        """Poll: drain the source queue, then report completion or timeout."""
-        if self._done:
-            return True
-        comm = self._comm
-        if comm._state.error_event.is_set():
-            raise SpmdError(
-                f"rank {comm.rank}: SPMD run aborted while waiting for "
-                f"a message from rank {self.source}"
-            )
-        comm._match_pending_recvs(self.source)
-        if self._done:
-            return True
-        if comm._fault:
-            # nothing arrived: after a backoff, pull a retransmit of the
-            # expected message from the sender's buffer (drop recovery)
-            comm._maybe_backoff_pull(self.source)
-            comm._match_pending_recvs(self.source)
-            if self._done:
-                return True
-        if time.monotonic() - self._posted > comm.config.timeout:
-            message = (
-                f"rank {comm.rank}: timed out waiting for a message "
-                f"from rank {self.source} (tag {self.tag})"
-            )
-            # in fault mode the typed error names the failure class the
-            # chaos suite asserts on; the engine wraps it in SpmdError
-            exc: BaseException = (
-                LostMessageError(message) if comm._fault else SpmdError(message)
-            )
-            comm._state.fail(exc)
-            raise SpmdError(
-                f"rank {comm.rank}: recv timeout from rank {self.source}"
-            )
-        return False
+        """Poll: match what has arrived; never blocks."""
+        if not self._done:
+            self._comm._match_pending_recvs(self.source)
+        return self._done
 
     def wait(self) -> Any:
-        """Block until the message arrives; returns the payload.
-
-        When this request is the oldest outstanding receive for its source
-        (the common case — and always the case for blocking ``recv``), the
-        wait blocks in ``queue.get`` like the engine always has, so idle
-        ranks sleep in the OS instead of spinning the GIL; ``test()`` still
-        runs every timeout slice for abort/deadlock detection.  Requests
-        behind an older sibling fall back to polling until they reach the
-        head of the FIFO.
-        """
-        comm = self._comm
-        if comm._fault:
-            # every arrival must pass the sequencing/verification layer, so
-            # the blocking fast path below (which bypasses it) is disabled;
-            # test() pumps, verifies and recovers on every poll
-            while not self.test():
-                time.sleep(0.0005)
-            return self._value
-        q = comm._state.queues[(self.source, comm.rank)]
+        """Block until the message arrives; returns the payload."""
         while not self.test():
-            pending = comm._pending_recvs.get(self.source)
-            if pending and pending[0] is self:
-                try:
-                    got_tag, obj = q.get(timeout=0.05)
-                except queue.Empty:
-                    continue
-                pending.popleft()._complete(got_tag, obj)  # completes self
-            else:
-                time.sleep(0.0005)
+            self._comm._await_message(self)
         return self._value
 
 
@@ -282,23 +278,22 @@ class MeteredComm(Communicator):
 
     Everything that must be **bit-identical across execution engines** lives
     here: the accounting hooks, the collective algebra (which edges each
-    collective charges to the meter), the blocking ``recv``/``sendrecv``
-    conveniences, and the fault-mode receive pipeline (sequencing, CRC
-    verification, gap detection, pull-based recovery with exponential
-    backoff).  Concrete engines subclass it and provide only the
-    *transport*: how payloads physically move between ranks.
+    collective charges to the meter), point-to-point framing and posting-order
+    matching, and the fault-mode receive pipeline (injection on arrival,
+    sequencing, CRC verification, gap detection, pull-based recovery).
+    Concrete engines subclass it and provide only the *transport*: how
+    payloads physically move between ranks and how a rank waits.
 
     Subclasses must implement the hook surface:
 
-    * :attr:`_meter` / :attr:`_injector` — the run's shared
-      :class:`~repro.net.metrics.TrafficMeter` and optional
-      :class:`~repro.faults.inject.FaultInjector`;
-    * :meth:`_barrier_wait` / :meth:`_board_exchange` — the low-level
-      synchronisation primitives the collectives are built on;
     * :meth:`_fail` — abort the whole run with an exception;
-    * :meth:`_recovery_channel` — per-source :class:`_FaultChannel` holding
-      the retransmit buffer the recovery path pulls from;
-    * ``send`` / ``isend`` / ``irecv`` — the point-to-point transport.
+    * :meth:`_board_exchange` — every rank contributes one object and
+      observes all of them (collectives and ``barrier`` are built on it);
+    * :meth:`_transmit` — carry one point-to-point message body to ``dest``;
+    * :meth:`_arrivals` — the bodies that have arrived from ``source``, in
+      send order, as a deque the caller consumes;
+    * :meth:`_await_message` — wait until more may have arrived for a
+      pending receive (or raise if it never can).
 
     The thread engine (:class:`ThreadComm`) and the multiprocessing engine
     (:class:`repro.mpi.procengine.ProcComm`) are the two in-tree
@@ -306,11 +301,15 @@ class MeteredComm(Communicator):
     is the executable contract for third-party ones.
     """
 
+    #: the request class :meth:`irecv` creates
+    _request_type = _RecvRequest
+
     def __init__(
         self,
         rank: int,
         size: int,
-        fault: bool,
+        meter: TrafficMeter,
+        injector: Optional[FaultInjector],
         config: RunConfig,
         recorder: Optional[Recorder] = None,
     ):
@@ -318,47 +317,50 @@ class MeteredComm(Communicator):
         self.size = size
         #: the run configuration of the engine this rank runs on
         self.config = config
+        #: the meter this rank records into, and the installed fault injector
+        self._meter = meter
+        self._injector = injector
         self._phase = "unlabelled"
         #: this rank's trace recorder, or ``None`` with tracing off — every
         #: instrumentation site is a single ``is None`` test, so the traced
         #: path costs nothing when disarmed (pinned by BENCH_PR10)
         self._recorder = recorder
-        self._pending_recvs: Dict[int, Deque[Any]] = {}
+        self._pending_recvs: Dict[int, Deque[_RecvRequest]] = {}
         #: whether a fault plan is installed (adds envelope framing + recovery)
-        self._fault = fault
-        if fault:
-            # receiver-side sequencing state, per source rank
+        self._fault = injector is not None
+        if self._fault:
+            # sender side: next sequence number per destination
+            self._send_seq: Dict[int, int] = {}
+            # receiver side, per source: verified (tag, payload) pairs not
+            # yet matched, next sequence number to deliver, early arrivals,
+            # the recovery buffer (seq -> (clean envelope, wire bytes incl.
+            # framing)) and the delay pen ([arrivals still to overtake,
+            # held envelope])
+            self._inbox: Dict[int, Deque[Tuple[Any, ...]]] = {}
             self._expected: Dict[int, int] = {}
             self._ooo: Dict[int, Dict[int, Envelope]] = {}
-            self._inbox: Dict[int, Deque[Tuple[int, Any]]] = {}
-            # [deadline, armed] exponential-backoff state of the drop detector
-            self._pull_backoff: Dict[int, List[float]] = {}
+            self._unacked: Dict[int, Dict[int, Tuple[Envelope, int]]] = {}
+            self._delay_pens: Dict[int, List[List[Any]]] = {}
 
     # ------------------------------------------------------------------ engine hooks
-    @property
-    def _meter(self) -> TrafficMeter:
-        """The run's shared traffic meter (engine hook)."""
-        raise NotImplementedError
-
-    @property
-    def _injector(self) -> Optional[FaultInjector]:
-        """The installed fault injector, or ``None`` (engine hook)."""
-        raise NotImplementedError
-
     def _fail(self, exc: BaseException) -> None:
         """Record ``exc`` and abort the whole run (engine hook)."""
         raise NotImplementedError
 
-    def _recovery_channel(self, source: int) -> "_FaultChannel":
-        """Fault-channel state of ``source -> self.rank`` (engine hook)."""
-        raise NotImplementedError
-
-    def _barrier_wait(self) -> None:
-        """Block until every rank reaches the same point (engine hook)."""
-        raise NotImplementedError
-
     def _board_exchange(self, contribution: Any) -> List[Any]:
         """All ranks contribute one object; everyone observes all of them."""
+        raise NotImplementedError
+
+    def _transmit(self, dest: int, body: Tuple[Any, ...]) -> None:
+        """Carry one message body to ``dest`` (engine hook)."""
+        raise NotImplementedError
+
+    def _arrivals(self, source: int) -> Optional[Deque[Tuple[Any, ...]]]:
+        """The message bodies that arrived from ``source`` (engine hook)."""
+        raise NotImplementedError
+
+    def _await_message(self, request: _RecvRequest) -> None:
+        """Wait until more may have arrived for ``request`` (engine hook)."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------ accounting
@@ -419,17 +421,141 @@ class MeteredComm(Communicator):
         """Attribute one routed batch (full wire size + forwarded share)."""
         self._meter.record_route(self.rank, route, nbytes, forwarded)
 
-    # ------------------------------------------------------------------ blocking p2p
+    # ------------------------------------------------------------------ point-to-point
+    def send(self, obj: Any, dest: int, tag: int = 0, nbytes: Optional[int] = None) -> None:
+        """Send ``obj`` to ``dest`` and account its wire size.
+
+        With a fault plan installed the message travels inside an
+        :class:`~repro.faults.wire.Envelope` (sequence number + payload
+        CRC32, charged on the wire) stamped with the sender's phase, and the
+        plan's message rules strike it on arrival (:meth:`_arrive`); without
+        one, this is the zero-overhead baseline path.
+        """
+        if not 0 <= dest < self.size:
+            raise ValueError(f"invalid destination rank {dest}")
+        size = wire_size(obj) if nbytes is None else nbytes
+        rec = self._recorder
+        if rec is not None:
+            rec.comm("send", dest, size)
+        if not self._fault:
+            self._meter.record_send(self.rank, dest, size)
+            self._transmit(dest, (tag, obj))
+            return
+        seq = self._send_seq.get(dest, 0)
+        self._send_seq[dest] = seq + 1
+        env_bytes = size + envelope_overhead(seq)
+        self._meter.record_send(self.rank, dest, env_bytes)
+        self._transmit(
+            dest, (seq, tag, payload_checksum(obj), env_bytes, self._phase, obj)
+        )
+
+    def isend(
+        self, obj: Any, dest: int, tag: int = 0, nbytes: Optional[int] = None
+    ) -> Request:
+        """Non-blocking send; completes eagerly (the network buffers unboundedly)."""
+        self.send(obj, dest, tag, nbytes)
+        return _SendRequest()
+
     def recv(self, source: int, tag: int = 0) -> Any:
         """Blocking receive: post an ``irecv`` and wait for it."""
         return self.irecv(source, tag).wait()
+
+    def irecv(self, source: int, tag: int = 0) -> Request:
+        """Post a non-blocking receive; requests match messages in posting order."""
+        if not 0 <= source < self.size:
+            raise ValueError(f"invalid source rank {source}")
+        request = self._request_type(self, source, tag)
+        self._pending_recvs.setdefault(source, deque()).append(request)
+        return request
 
     def sendrecv(self, obj: Any, peer: int, tag: int = 0, nbytes: Optional[int] = None) -> Any:
         """Symmetric exchange with ``peer`` (both sides must call this)."""
         self.send(obj, peer, tag, nbytes)
         return self.recv(peer, tag)
 
+    def _match_pending_recvs(self, source: int) -> None:
+        """Assign arrived messages from ``source`` to requests in posting order.
+
+        Both engines take arrivals in here, when the rank receives, so the
+        fault pipeline runs at the same program point (and under the same
+        receiver phase) on either.
+        """
+        pending = self._pending_recvs.get(source)
+        if not pending:
+            return
+        inbox: Optional[Deque[Tuple[Any, ...]]] = self._arrivals(source)
+        if self._fault:
+            while inbox:
+                self._arrive(source, *inbox.popleft())
+            inbox = self._inbox.get(source)
+        while pending and inbox:
+            pending.popleft()._complete(*inbox.popleft())
+
     # ------------------------------------------------------------------ fault-mode receive path
+    def _arrive(
+        self,
+        source: int,
+        seq: int,
+        tag: int,
+        crc: int,
+        env_bytes: int,
+        sender_phase: str,
+        payload: Any,
+    ) -> None:
+        """Take one envelope off the wire, applying the plan's message rules.
+
+        The clean envelope enters the recovery buffer first, so a recovery
+        pull always finds it.  The injector then decides its fate under the
+        phase it was sent in; each channel is decided at its receiver in
+        send order, so both engines replay one schedule.  Every arrival is
+        one overtaking event: held envelopes tick after the current one was
+        handled and before it may itself be penned.
+        """
+        env = Envelope(seq, tag, crc, payload)
+        self._unacked.setdefault(source, {})[seq] = (env, env_bytes)
+        action = (
+            self._injector.on_send(source, self.rank, sender_phase)
+            if source != self.rank
+            else None
+        )
+        if action is None:
+            self._accept(source, env)
+        else:
+            self._meter.count("faults_injected_per_pe", source)
+            if action.kind == "duplicate":
+                self._accept(source, env)
+                # the duplicate costs wire bytes but is not origin volume
+                self._meter.record_retransmit(
+                    source, self.rank, env_bytes, phase=sender_phase
+                )
+                self._accept(source, env)
+            elif action.kind == "corrupt":
+                # tamper the envelope's seal; the clean copy stays buffered
+                self._accept(source, Envelope(seq, tag, crc ^ action.mask, payload))
+            # drop and delay withhold the envelope: recovery pulls it
+        self._tick_delay(source)
+        if action is not None and action.kind == "delay":
+            self._delay_pens.setdefault(source, []).append(
+                [action.delay_messages, env]
+            )
+
+    def _tick_delay(self, source: int) -> None:
+        """Tick ``source``'s delay pen; accept envelopes fully overtaken."""
+        pens = self._delay_pens.get(source)
+        if not pens:
+            return
+        ripe: List[Envelope] = []
+        remaining: List[List[Any]] = []
+        for entry in pens:
+            entry[0] -= 1
+            if entry[0] <= 0:
+                ripe.append(entry[1])
+            else:
+                remaining.append(entry)
+        self._delay_pens[source] = remaining
+        for env in ripe:
+            self._accept(source, env)
+
     def _accept(self, source: int, env: Envelope) -> None:
         """Sequence one arrived envelope: discard stale, stash early, drain."""
         expected = self._expected.get(source, 0)
@@ -446,9 +572,10 @@ class MeteredComm(Communicator):
         """Deliver in-sequence envelopes; recover gaps and corruption.
 
         A *gap* (the expected message absent while a successor is stashed)
-        is proof of a drop — by the store-before-enqueue invariant the
-        sender's buffer holds the missing envelope, so it is pulled
-        immediately.  A CRC mismatch likewise triggers an immediate pull.
+        is proof of a drop: channels are FIFO, so the missing envelope
+        arrived first and sits withheld in the recovery buffer; it is
+        pulled immediately.  A CRC mismatch likewise triggers an immediate
+        pull.
         """
         meter = self._meter
         stash = self._ooo.setdefault(source, {})
@@ -474,12 +601,9 @@ class MeteredComm(Communicator):
     def _deliver(self, source: int, env: Envelope) -> None:
         """Hand one verified, in-sequence envelope to the inbox (and ack it)."""
         self._expected[source] = env.seq + 1
-        ch = self._recovery_channel(source)
-        with ch.lock:
-            # piggybacked ack: the sender's retransmit buffer frees the slot
-            ch.unacked.pop(env.seq, None)
+        # the ack: the recovery buffer frees the slot
+        self._unacked[source].pop(env.seq, None)
         self._inbox.setdefault(source, deque()).append((env.tag, env.payload))
-        self._pull_backoff.pop(source, None)
 
     def _pull(self, source: int, seq: int, lost: bool) -> None:
         """Pull retransmits of message ``seq`` until one verifies.
@@ -492,17 +616,9 @@ class MeteredComm(Communicator):
         """
         meter = self._meter
         injector = self._injector
-        ch = self._recovery_channel(source)
+        env, env_bytes = self._unacked[source][seq]
         budget = injector.plan.max_retransmits
-        attempts = 0
-        while attempts < budget:
-            attempts += 1
-            with ch.lock:
-                entry = ch.unacked.get(seq)
-            if entry is None:
-                # ack raced us (a late duplicate delivered it); nothing to do
-                return
-            env, env_bytes = entry
+        for _ in range(budget):
             meter.count("retries_per_pe", self.rank)
             # a retransmit repeats the envelope's wire cost without being
             # origin volume — accounted like forwarded traffic
@@ -533,37 +649,19 @@ class MeteredComm(Communicator):
         self._fail(exc)
         raise exc
 
-    def _maybe_backoff_pull(self, source: int) -> None:
-        """Drop detector of last resort: pull after an exponential backoff.
+    def _withheld(self, source: int) -> bool:
+        """Whether the next envelope due from ``source`` arrived but was withheld.
 
-        A dropped *final* message on a channel leaves no successor to prove
-        the gap, so an idle receiver arms a deadline; if the expected
-        sequence number is still sitting unacked in the sender's buffer when
-        it expires, the receiver pulls a retransmit.  Each miss doubles the
-        wait so a merely-slow sender is not flooded with pulls.
+        A drop or delay rule keeps an arrived envelope in the recovery
+        buffer only; when it was the channel's last message no successor
+        will ever reveal the gap.
         """
-        expected = self._expected.get(source, 0)
-        ch = self._recovery_channel(source)
-        with ch.lock:
-            pending = expected in ch.unacked
-        if not pending:
-            # nothing outstanding at this seq: sender never sent it (or the
-            # ack landed); disarm so a future gap restarts the clock
-            self._pull_backoff.pop(source, None)
-            return
-        now = time.monotonic()
-        armed = self._pull_backoff.get(source)
-        delay = self._injector.plan.retry_delay
-        if armed is None:
-            self._pull_backoff[source] = [now + delay, delay]
-            return
-        if now < armed[0]:
-            return
-        # deadline passed and the envelope is still unacked: treat as dropped
-        armed[1] *= 2.0
-        armed[0] = now + armed[1]
+        return self._expected.get(source, 0) in self._unacked.get(source, ())
+
+    def _pull_withheld(self, source: int) -> None:
+        """Detect the withheld envelope from ``source`` as lost and pull it."""
         self._meter.count("faults_detected_per_pe", self.rank)
-        self._pull(source, expected, lost=True)
+        self._pull(source, self._expected.get(source, 0), lost=True)
         self._drain(source)
 
     # ------------------------------------------------------------------ collectives
@@ -581,7 +679,7 @@ class MeteredComm(Communicator):
         if rec is not None:
             rec.begin("barrier")
         t0 = time.monotonic()
-        self._barrier_wait()
+        self._board_exchange(None)
         self._meter.record_barrier_wait(
             self.rank, self._phase, time.monotonic() - t0
         )
@@ -727,197 +825,64 @@ class MeteredComm(Communicator):
 
 
 class ThreadComm(MeteredComm):
-    """Communicator backed by the thread engine's shared state."""
+    """Communicator of one rank of the cooperative thread engine."""
 
     def __init__(self, rank: int, state: _SharedState):
         super().__init__(
             rank,
             state.num_pes,
-            fault=state.injector is not None,
-            config=state.config,
+            state.meter,
+            state.injector,
+            state.config,
             recorder=state.recorders[rank] if state.recorders else None,
         )
         self._state = state
 
-    # ------------------------------------------------------------------ engine hooks
-    @property
-    def _meter(self) -> TrafficMeter:
-        """The run's shared traffic meter (lives in the shared state)."""
-        return self._state.meter
-
-    @property
-    def _injector(self) -> Optional[FaultInjector]:
-        """The engine's fault injector, or ``None`` outside fault mode."""
-        return self._state.injector
-
     def _fail(self, exc: BaseException) -> None:
-        """Abort the run: record ``exc`` and wake every blocked rank."""
+        """Abort the run: every rank unwinds when it next runs."""
         self._state.fail(exc)
 
-    def _recovery_channel(self, source: int) -> _FaultChannel:
-        """The shared fault-channel state of ``source -> self.rank``."""
-        return self._state.channel(source, self.rank)
-
-    # ------------------------------------------------------------------ low-level sync
-    def _barrier_wait(self) -> None:
-        try:
-            self._state.barrier.wait(timeout=self.config.timeout)
-        except threading.BrokenBarrierError:
-            raise SpmdError(
-                f"rank {self.rank}: SPMD run aborted "
-                "(another rank failed or a collective deadlocked)"
-            ) from None
-
     def _board_exchange(self, contribution: Any) -> List[Any]:
-        """All ranks contribute one object and observe everyone's contribution."""
+        """One rendezvous: the last rank to arrive snapshots the board."""
         st = self._state
         st.board[self.rank] = contribution
-        self._barrier_wait()
-        snapshot = list(st.board)
-        self._barrier_wait()
-        return snapshot
+        st.arrived += 1
+        if st.arrived == self.size:
+            st.snapshot, st.board, st.arrived = st.board, [None] * self.size, 0
+            st.collectives += 1
+        else:
+            step = st.collectives
+            st.block(
+                self.rank,
+                lambda: st.collectives != step,
+                f"collective step {step}",
+            )
+        return list(st.snapshot)
 
-    # ------------------------------------------------------------------ point-to-point
-    def send(self, obj: Any, dest: int, tag: int = 0, nbytes: Optional[int] = None) -> None:
-        """Enqueue ``obj`` for ``dest`` and account its wire size.
+    def _transmit(self, dest: int, body: Tuple[Any, ...]) -> None:
+        """Queue the body on the ``(self, dest)`` channel."""
+        self._state.queues[(self.rank, dest)].append(body)
 
-        With a fault plan installed the message travels inside an
-        :class:`~repro.faults.wire.Envelope` (sequence number + payload
-        CRC32, charged on the wire) and the plan's message rules may strike
-        it; without one, this is the zero-overhead baseline path.
+    def _arrivals(self, source: int) -> Deque[Tuple[Any, ...]]:
+        """The ``(source, self)`` channel itself."""
+        return self._state.queues[(source, self.rank)]
+
+    def _await_message(self, request: _RecvRequest) -> None:
+        """Let other ranks run until ``request``'s source sends again.
+
+        In fault mode the scheduler may instead wake this rank to pull the
+        envelope its recovery buffer withholds, once no rank can run.
         """
-        if not 0 <= dest < self.size:
-            raise ValueError(f"invalid destination rank {dest}")
-        size = wire_size(obj) if nbytes is None else nbytes
-        rec = self._recorder
-        if rec is not None:
-            rec.comm("send", dest, size)
-        if not self._fault:
-            self._state.meter.record_send(self.rank, dest, size)
-            self._state.queues[(self.rank, dest)].put((tag, obj))
-            return
-        self._fault_send(obj, dest, tag, size)
-
-    def _fault_send(self, obj: Any, dest: int, tag: int, size: int) -> None:
-        """Fault-mode send: frame, buffer for retransmission, maybe inject.
-
-        The clean envelope enters the retransmit buffer *before* anything is
-        enqueued: any receiver-side evidence of a message (its own arrival,
-        a successor's arrival) therefore proves its buffer entry exists, so
-        recovery pulls never race the sender.
-        """
-        state = self._state
-        meter = state.meter
-        ch = state.channel(self.rank, dest)
-        env = Envelope(ch.next_seq, tag, payload_checksum(obj), obj)
-        ch.next_seq += 1
-        env_bytes = size + envelope_overhead(env.seq)
-        with ch.lock:
-            ch.unacked[env.seq] = (env, env_bytes)
-        meter.record_send(self.rank, dest, env_bytes)
-        q = state.queues[(self.rank, dest)]
-        action = (
-            state.injector.on_send(self.rank, dest, self._phase)
-            if dest != self.rank
-            else None
-        )
-        if action is None:
-            q.put(env)
-        elif action.kind == "drop":
-            # never enqueued; the receiver recovers from the buffer
-            meter.count("faults_injected_per_pe", self.rank)
-        elif action.kind == "duplicate":
-            meter.count("faults_injected_per_pe", self.rank)
-            q.put(env)
-            q.put(Envelope(env.seq, env.tag, env.crc, env.payload))
-            # the duplicate costs wire bytes but is not origin volume
-            meter.record_retransmit(self.rank, dest, env_bytes)
-        elif action.kind == "corrupt":
-            meter.count("faults_injected_per_pe", self.rank)
-            # tamper a *copy*: the retransmit buffer keeps the clean CRC
-            # (payloads move by shared reference, so the simulated bit-flip
-            # lives in the envelope's checksum field)
-            q.put(Envelope(env.seq, env.tag, env.crc ^ action.mask, env.payload))
-        elif action.kind == "delay":
-            meter.count("faults_injected_per_pe", self.rank)
-        else:  # pragma: no cover - injector only emits message kinds here
-            q.put(env)
-        # this send is one overtaking event: held messages tick AFTER the
-        # current message entered the queue (otherwise nothing could ever
-        # overtake a held message) and BEFORE the current one may be penned
-        # (a held message must not tick at its own send)
-        self._release_delayed(ch, q)
-        if action is not None and action.kind == "delay":
-            with ch.lock:
-                ch.delayed.append([action.delay_messages, env])
-
-    @staticmethod
-    def _release_delayed(ch: _FaultChannel, q: "queue.SimpleQueue") -> None:
-        """Tick the channel's delay pen; enqueue envelopes fully overtaken."""
-        if not ch.delayed:
-            return
-        ripe: List[Envelope] = []
-        with ch.lock:
-            remaining: List[List[Any]] = []
-            for entry in ch.delayed:
-                entry[0] -= 1
-                if entry[0] <= 0:
-                    ripe.append(entry[1])
-                else:
-                    remaining.append(entry)
-            ch.delayed = remaining
-        for env in ripe:
-            q.put(env)
-
-    # ------------------------------------------------------------------ non-blocking
-    def isend(
-        self, obj: Any, dest: int, tag: int = 0, nbytes: Optional[int] = None
-    ) -> Request:
-        """Non-blocking send; completes eagerly (the network buffers unboundedly)."""
-        # the simulated network buffers without bound, so the transfer
-        # "completes" at post time; bytes are accounted exactly like send()
-        self.send(obj, dest, tag, nbytes)
-        return _SendRequest()
-
-    def irecv(self, source: int, tag: int = 0) -> Request:
-        """Post a non-blocking receive; requests match messages in posting order."""
-        if not 0 <= source < self.size:
-            raise ValueError(f"invalid source rank {source}")
-        request = _RecvRequest(self, source, tag)
-        self._pending_recvs.setdefault(source, deque()).append(request)
-        return request
-
-    def _match_pending_recvs(self, source: int) -> None:
-        """Assign queued messages from ``source`` to requests in posting order."""
-        pending = self._pending_recvs.get(source)
-        if not pending:
-            return
-        if self._fault:
-            # fault mode: raw queue -> sequencing/verification -> inbox
-            self._pump(source)
-            inbox = self._inbox.get(source)
-            while pending and inbox:
-                got_tag, obj = inbox.popleft()
-                pending.popleft()._complete(got_tag, obj)
-            return
-        q = self._state.queues[(source, self.rank)]
-        while pending:
-            try:
-                got_tag, obj = q.get_nowait()
-            except queue.Empty:
-                return
-            pending.popleft()._complete(got_tag, obj)
-
-    # ------------------------------------------------------------------ fault-mode receive path
-    def _pump(self, source: int) -> None:
-        """Drain the raw queue from ``source`` through sequencing/verification."""
-        q = self._state.queues[(source, self.rank)]
-        while True:
-            try:
-                env = q.get_nowait()
-            except queue.Empty:
-                return
-            self._accept(source, env)
+        source = request.source
+        queue = self._state.queues[(source, self.rank)]
+        withheld = (lambda: self._withheld(source)) if self._fault else None
+        if self._state.block(
+            self.rank,
+            lambda: bool(queue),
+            f"a message from rank {source} (tag {request.tag})",
+            withheld,
+        ):
+            self._pull_withheld(source)
 
 
 def _binomial_tree_edges(root: int, p: int) -> List[Tuple[int, int]]:
@@ -937,16 +902,15 @@ def _binomial_tree_edges(root: int, p: int) -> List[Tuple[int, int]]:
 
 
 class ThreadEngine:
-    """A reusable simulated machine: thread-per-rank SPMD execution.
+    """A reusable simulated machine: cooperative thread-per-rank SPMD execution.
 
-    One engine owns the shared state of one simulated cluster (barrier,
-    board, per-pair message queues) and runs any number of SPMD programs on
-    it, one after the other.  After a clean run the state is **reused** —
-    the barrier and queues survive, only the meter and board are re-armed —
-    so a long-lived :class:`repro.session.Cluster` does not rebuild ``p²``
-    queues for every sort.  A failed run poisons the state (the barrier may
-    be broken, queues may hold stray messages), so the next run transparently
-    rebuilds it.
+    One engine owns the shared state of one simulated cluster (board,
+    per-pair message deques, scheduler) and runs any number of SPMD programs
+    on it, one after the other.  After a clean run the deques are
+    **reused** — only the meter, board and scheduler are re-armed — so a
+    long-lived :class:`repro.session.Cluster` does not rebuild ``p²``
+    channels for every sort.  A failed run or one that leaves a message
+    unreceived poisons the state, so the next run transparently rebuilds it.
 
     This class is also the **engine selection seam**: alternative backends
     implement the same surface (``__init__(num_pes, config=...,
@@ -980,8 +944,8 @@ class ThreadEngine:
         )
         self._state: Optional[_SharedState] = None
         # one machine runs one SPMD program at a time: concurrent run()
-        # calls on the same engine serialise here (sharing one barrier and
-        # one set of queues between two live programs would corrupt both)
+        # calls on the same engine serialise here (sharing one board and
+        # one set of channels between two live programs would corrupt both)
         self._run_lock = threading.Lock()
         #: completed :meth:`run` calls (successful or not)
         self.runs_completed = 0
@@ -993,12 +957,7 @@ class ThreadEngine:
             self._state.reset(meter)
             self.state_reuses += 1
             return self._state
-        return _SharedState(
-            num_pes=self.num_pes,
-            meter=meter,
-            config=self.config,
-            injector=self._injector,
-        )
+        return _SharedState(self.num_pes, meter, self.config, self._injector)
 
     def run(
         self,
@@ -1056,22 +1015,22 @@ class ThreadEngine:
         results: List[Any] = [None] * num_pes
 
         def runner(rank: int) -> None:
-            comm = ThreadComm(rank, state)
-            rank_args = tuple(args_per_rank[rank]) if args_per_rank is not None else ()
+            state.batons[rank].acquire()
             try:
-                results[rank] = fn(comm, *rank_args, *common_args)
+                if state.errors:
+                    return  # the run aborted before this rank's first turn
+                rank_args = tuple(args_per_rank[rank]) if args_per_rank is not None else ()
+                results[rank] = fn(ThreadComm(rank, state), *rank_args, *common_args)
             except SpmdError as exc:
                 # secondary failures triggered by another rank's abort are noise
-                with state.error_lock:
-                    if not state.errors:
-                        state.errors.append(exc)
-                state.error_event.set()
-                state.barrier.abort()
+                if not state.errors:
+                    state.errors.append(exc)
             except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
                 state.fail(exc)
             finally:
                 if recorders is not None:
                     recorders[rank].finish()
+                state.finish(rank)
 
         threads = [
             threading.Thread(target=runner, args=(rank,), name=f"pe-{rank}", daemon=True)
@@ -1079,6 +1038,8 @@ class ThreadEngine:
         ]
         for t in threads:
             t.start()
+        # rank 0 takes the first turn
+        state.batons[0].release()
         for t in threads:
             t.join()
 

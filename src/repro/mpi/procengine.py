@@ -16,11 +16,12 @@ or the CLI's ``--engine processes``) and implements the full
   shared :class:`~repro.mpi.engine.MeteredComm` base, recording *exactly*
   the same meter events);
 * **fault plans** — the PR 7 envelope/retransmit framing injects
-  identically on both backends.  The sender always ships clean sequenced
-  envelopes; the *receiver* (which forked its own copy of the engine's
-  deterministic :class:`~repro.faults.inject.FaultInjector`) simulates the
-  sender-side injection decision on arrival, so every injector channel is
-  advanced by exactly one process and the parent can merge the forked
+  identically on both backends: senders ship clean sequenced envelopes
+  stamped with their phase, and the shared receive path of
+  :class:`~repro.mpi.engine.MeteredComm` applies the plan on arrival.  Each
+  worker forked its own copy of the engine's deterministic
+  :class:`~repro.faults.inject.FaultInjector`, every injector channel is
+  advanced by exactly one process, and the parent merges the forked
   schedule states back losslessly after the run.
 
 Workers are forked per run: rank programs, closures and the engine's
@@ -47,19 +48,11 @@ from ..config import RunConfig
 from ..faults.errors import LostMessageError
 from ..faults.inject import FaultInjector
 from ..faults.plan import FaultPlan
-from ..faults.wire import Envelope, envelope_overhead
 from ..net.metrics import TrafficMeter, TrafficReport
 from ..obs.recorder import DEFAULT_CAPACITY, Recorder
 from ..obs.timeline import Timeline
 from . import shm
-from .comm import Request
-from .engine import (
-    MeteredComm,
-    SpmdError,
-    _FaultChannel,
-    _SendRequest,
-)
-from .serialization import payload_checksum, wire_size
+from .engine import MeteredComm, SpmdError, _RecvRequest
 
 __all__ = ["ProcComm", "ProcessEngine", "process_engine_available"]
 
@@ -83,91 +76,24 @@ def process_engine_available() -> Tuple[bool, str]:
     return _PROBE
 
 
-class _ProcRecvRequest(Request):
-    """Request handle of a :meth:`ProcComm.irecv`.
+class _ProcRecvRequest(_RecvRequest):
+    """An ``irecv`` of the processes engine: its deadlock clock starts at post time.
 
-    The pipe twin of the thread engine's ``_RecvRequest``: outstanding
-    receives from one source match incoming frames in *posting* order (the
-    MPI non-overtaking rule), the deadlock clock starts at post time, and
-    in fault mode every poll runs the backoff drop detector.
+    A rank that posts a receive and then computes for longer than the
+    timeout before waiting must still abort promptly if the peer is gone.
     """
 
-    __slots__ = ("_comm", "source", "tag", "_done", "_value", "_posted")
+    __slots__ = ("_posted",)
 
     def __init__(self, comm: "ProcComm", source: int, tag: int):
-        self._comm = comm
-        self.source = source
-        self.tag = tag
-        self._done = False
-        self._value: Any = None
+        super().__init__(comm, source, tag)
         self._posted = time.monotonic()
-
-    def _complete(self, got_tag: int, obj: Any) -> None:
-        if got_tag != self.tag:
-            raise SpmdError(
-                f"rank {self._comm.rank}: tag mismatch receiving from "
-                f"{self.source}: expected {self.tag}, got {got_tag} "
-                "(SPMD ordering violated)"
-            )
-        self._value = obj
-        self._done = True
-
-    def test(self) -> bool:
-        """Poll: drain the source pipe, then report completion or timeout."""
-        if self._done:
-            return True
-        comm = self._comm
-        comm._check_abort(f"a message from rank {self.source}")
-        comm._match_pending_recvs(self.source)
-        if self._done:
-            return True
-        if comm._fault:
-            comm._maybe_backoff_pull(self.source)
-            comm._match_pending_recvs(self.source)
-            if self._done:
-                return True
-        if not comm._fault and self.source in comm._dead:
-            # the peer exited and every frame it ever sent was consumed:
-            # this message can no longer arrive (in fault mode recovery may
-            # still deliver from the local buffer, so the timeout decides)
-            exc = SpmdError(
-                f"rank {comm.rank}: lost the connection to rank "
-                f"{self.source} while a receive was pending"
-            )
-            comm._fail(exc)
-            raise exc
-        if time.monotonic() - self._posted > comm.config.timeout:
-            message = (
-                f"rank {comm.rank}: timed out waiting for a message "
-                f"from rank {self.source} (tag {self.tag})"
-            )
-            exc: BaseException = (
-                LostMessageError(message) if comm._fault else SpmdError(message)
-            )
-            comm._fail(exc)
-            raise SpmdError(
-                f"rank {comm.rank}: recv timeout from rank {self.source}"
-            )
-        return False
-
-    def wait(self) -> Any:
-        """Block until the message arrives; returns the payload.
-
-        Sleeps in ``Connection.poll`` on the source's pipe (idle workers
-        sleep in the OS instead of spinning); ``test()`` still runs every
-        slice for abort/deadlock detection and fault recovery.
-        """
-        comm = self._comm
-        while not self.test():
-            if self.source != comm.rank and self.source not in comm._dead:
-                comm._service(self.source, 0.02)
-            else:  # self-receives and dead peers have nothing to poll
-                time.sleep(0.0005)
-        return self._value
 
 
 class ProcComm(MeteredComm):
     """Communicator of one rank process (pipes + shared-memory payloads)."""
+
+    _request_type = _ProcRecvRequest
 
     def __init__(
         self,
@@ -182,15 +108,11 @@ class ProcComm(MeteredComm):
         shm_threshold: int,
         recorder: Optional[Recorder] = None,
     ):
-        super().__init__(
-            rank, size, fault=injector is not None, config=config, recorder=recorder
-        )
+        super().__init__(rank, size, meter, injector, config, recorder=recorder)
         self._peer_conns = peer_conns
         self._error_event = error_event
         # when this rank first aborted the run (None: it has not)
         self._failed_at: Optional[float] = None
-        self._meter_obj = meter
-        self._injector_obj = injector
         self._shm_prefix = shm_prefix
         self._shm_threshold = shm_threshold
         self._shm_counter = 0
@@ -199,27 +121,15 @@ class ProcComm(MeteredComm):
         # control plane: per-source stash of collective steps, by sequence
         self._coll_seq = 0
         self._coll_stash: Dict[int, Dict[int, Any]] = {}
-        # fault-free p2p inbox (fault mode uses MeteredComm's verified inbox)
-        self._raw_inbox: Dict[int, Deque[Tuple[int, Any]]] = {}
+        # per source: point-to-point message bodies received, in send order
+        self._wire: Dict[int, Deque[Tuple[Any, ...]]] = {}
         # peers whose pipe reached EOF (they exited; all frames consumed)
         self._dead: set = set()
-        # fault mode: sender-side sequence numbers and receiver-side
-        # recovery buffers / delay pens (the receiver simulates injection)
-        self._send_seq: Dict[int, int] = {}
-        self._channels: Dict[int, _FaultChannel] = {}
-        self._delay_pens: Dict[int, List[List[Any]]] = {}
+        # fault mode, per source: [deadline, delay, seq] of the backoff
+        # timer armed on a withheld envelope
+        self._pull_backoff: Dict[int, List[Any]] = {}
 
     # ------------------------------------------------------------------ engine hooks
-    @property
-    def _meter(self) -> TrafficMeter:
-        """This worker's full-size meter (folded into the parent's afterwards)."""
-        return self._meter_obj
-
-    @property
-    def _injector(self) -> Optional[FaultInjector]:
-        """The fork-inherited copy of the engine's fault injector."""
-        return self._injector_obj
-
     def _fail(self, exc: BaseException) -> None:
         """Abort the whole run: flag the shared error event and let the
         exception propagate out of this worker.  The time is taken before
@@ -227,18 +137,6 @@ class ProcComm(MeteredComm):
         if self._failed_at is None:
             self._failed_at = time.monotonic()
         self._error_event.set()
-
-    def _recovery_channel(self, source: int) -> _FaultChannel:
-        """Receiver-local retransmit buffer of the ``source -> me`` channel.
-
-        Plays the role of the thread engine's shared sender-side buffer:
-        every arriving envelope is stored *before* the injection verdict is
-        simulated, so recovery pulls always find the clean copy locally.
-        """
-        ch = self._channels.get(source)
-        if ch is None:
-            ch = self._channels[source] = _FaultChannel()
-        return ch
 
     def _check_abort(self, what: str) -> None:
         """Raise :class:`SpmdError` if another rank aborted the run."""
@@ -248,10 +146,6 @@ class ProcComm(MeteredComm):
             )
 
     # ------------------------------------------------------------------ low-level sync
-    def _barrier_wait(self) -> None:
-        """Synchronise all ranks via a zero-payload board exchange."""
-        self._board_exchange(None)
-
     def _board_exchange(self, contribution: Any) -> List[Any]:
         """All ranks contribute one object and observe everyone's contribution.
 
@@ -329,7 +223,7 @@ class ProcComm(MeteredComm):
             # fails on the *receiving* side of some later operation
             self._dead.add(dest)
             return
-        self._meter_obj.count("transported_bytes_per_pe", self.rank, len(blob) + shm_bytes)
+        self._meter.count("transported_bytes_per_pe", self.rank, len(blob) + shm_bytes)
 
     def _service(self, src: int, timeout: float) -> bool:
         """Receive whatever ``src``'s pipe holds (waiting up to ``timeout``).
@@ -369,159 +263,84 @@ class ProcComm(MeteredComm):
             _, seq, payload = obj
             self._coll_stash.setdefault(src, {})[seq] = payload
         elif kind == "msg":
-            _, tag, payload = obj
-            self._raw_inbox.setdefault(src, deque()).append((tag, payload))
-        elif kind == "fmsg":
-            _, seq, tag, crc, env_bytes, sender_phase, payload = obj
-            self._arrive(src, seq, tag, crc, env_bytes, sender_phase, payload)
+            self._wire.setdefault(src, deque()).append(obj[1])
         else:  # pragma: no cover - wire corruption would be a repo bug
             raise SpmdError(
                 f"rank {self.rank}: unknown frame kind {kind!r} from rank {src}"
             )
 
     # ------------------------------------------------------------------ point-to-point
-    def send(self, obj: Any, dest: int, tag: int = 0, nbytes: Optional[int] = None) -> None:
-        """Ship ``obj`` to ``dest`` and account its simulated wire size.
-
-        With a fault plan installed the payload is framed in a sequenced,
-        CRC-sealed envelope exactly like the thread engine; self-sends
-        deliver locally without touching a pipe.
-        """
-        if not 0 <= dest < self.size:
-            raise ValueError(f"invalid destination rank {dest}")
-        size = wire_size(obj) if nbytes is None else nbytes
-        rec = self._recorder
-        if rec is not None:
-            rec.comm("send", dest, size)
-        if self._fault:
-            self._fault_send(obj, dest, tag, size)
-            return
-        self._meter_obj.record_send(self.rank, dest, size)
+    def _transmit(self, dest: int, body: Tuple[Any, ...]) -> None:
+        """Frame the body for ``dest``; self-sends skip the pipe."""
         if dest == self.rank:
-            self._raw_inbox.setdefault(dest, deque()).append((tag, obj))
-            return
-        self._send_frame(dest, ("msg", tag, obj))
+            self._wire.setdefault(dest, deque()).append(body)
+        else:
+            self._send_frame(dest, ("msg", body))
 
-    def _fault_send(self, obj: Any, dest: int, tag: int, size: int) -> None:
-        """Fault-mode send: frame a clean sequenced envelope and ship it.
-
-        Unlike the thread engine the sender never consults the injector —
-        the wire really has to carry the message, so the *receiver*
-        simulates the injection decision on arrival (:meth:`_arrive`) using
-        its own forked copy of the deterministic injector.  The decision
-        stream is identical because each injector channel is only ever
-        advanced at the receiving rank.
-        """
-        seq = self._send_seq.get(dest, 0)
-        self._send_seq[dest] = seq + 1
-        crc = payload_checksum(obj)
-        env_bytes = size + envelope_overhead(seq)
-        self._meter_obj.record_send(self.rank, dest, env_bytes)
-        if dest == self.rank:
-            self._arrive(self.rank, seq, tag, crc, env_bytes, self._phase, obj)
-            return
-        self._send_frame(dest, ("fmsg", seq, tag, crc, env_bytes, self._phase, obj))
-
-    def _arrive(
-        self,
-        source: int,
-        seq: int,
-        tag: int,
-        crc: int,
-        env_bytes: int,
-        sender_phase: str,
-        payload: Any,
-    ) -> None:
-        """Process one arrived envelope, simulating sender-side injection.
-
-        Mirrors ``ThreadComm._fault_send``'s order of operations exactly —
-        store the clean envelope in the recovery buffer first, apply the
-        injection verdict, tick the delay pen once per arrival, then pen a
-        newly delayed envelope — so the fault counters and the recovery
-        schedule replay bit-identically against the thread engine.
-        """
-        ch = self._recovery_channel(source)
-        env = Envelope(seq, tag, crc, payload)
-        with ch.lock:
-            ch.unacked[seq] = (env, env_bytes)
-        meter = self._meter_obj
-        action = None
-        if source != self.rank and self._injector_obj is not None:
-            action = self._injector_obj.on_send(source, self.rank, sender_phase)
-        if action is None:
-            self._accept(source, env)
-        elif action.kind == "drop":
-            # withheld; recovery pulls it from the local buffer
-            meter.count("faults_injected_per_pe", source)
-        elif action.kind == "duplicate":
-            meter.count("faults_injected_per_pe", source)
-            self._accept(source, env)
-            # the duplicate costs wire bytes but is not origin volume
-            meter.record_retransmit(source, self.rank, env_bytes)
-            self._accept(source, Envelope(seq, tag, crc, payload))
-        elif action.kind == "corrupt":
-            meter.count("faults_injected_per_pe", source)
-            # tamper the envelope's seal; the clean copy stays buffered
-            self._accept(source, Envelope(seq, tag, crc ^ action.mask, payload))
-        elif action.kind == "delay":
-            meter.count("faults_injected_per_pe", source)
-        else:  # pragma: no cover - injector only emits message kinds here
-            self._accept(source, env)
-        # this arrival is one overtaking event: held envelopes tick AFTER
-        # the current one was handled and BEFORE the current one may be
-        # penned (a held message must not tick at its own arrival)
-        self._tick_delay(source)
-        if action is not None and action.kind == "delay":
-            self._delay_pens.setdefault(source, []).append(
-                [action.delay_messages, env]
-            )
-
-    def _tick_delay(self, source: int) -> None:
-        """Tick ``source``'s delay pen; accept envelopes fully overtaken."""
-        pens = self._delay_pens.get(source)
-        if not pens:
-            return
-        ripe: List[Envelope] = []
-        remaining: List[List[Any]] = []
-        for entry in pens:
-            entry[0] -= 1
-            if entry[0] <= 0:
-                ripe.append(entry[1])
-            else:
-                remaining.append(entry)
-        self._delay_pens[source] = remaining
-        for env in ripe:
-            self._accept(source, env)
-
-    # ------------------------------------------------------------------ non-blocking
-    def isend(
-        self, obj: Any, dest: int, tag: int = 0, nbytes: Optional[int] = None
-    ) -> Request:
-        """Non-blocking send; completes eagerly (pipes buffer the frame)."""
-        self.send(obj, dest, tag, nbytes)
-        return _SendRequest()
-
-    def irecv(self, source: int, tag: int = 0) -> Request:
-        """Post a non-blocking receive; requests match frames in posting order."""
-        if not 0 <= source < self.size:
-            raise ValueError(f"invalid source rank {source}")
-        request = _ProcRecvRequest(self, source, tag)
-        self._pending_recvs.setdefault(source, deque()).append(request)
-        return request
-
-    def _match_pending_recvs(self, source: int) -> None:
-        """Assign arrived frames from ``source`` to requests in posting order."""
-        pending = self._pending_recvs.get(source)
-        if not pending:
-            return
+    def _arrivals(self, source: int) -> Optional[Deque[Tuple[Any, ...]]]:
+        """Dispatch whatever ``source``'s pipe holds; its received bodies."""
         if source != self.rank:
             self._service(source, 0)
-        inbox = (
-            self._inbox.get(source) if self._fault else self._raw_inbox.get(source)
-        )
-        while pending and inbox:
-            got_tag, obj = inbox.popleft()
-            pending.popleft()._complete(got_tag, obj)
+        return self._wire.get(source)
+
+    def _await_message(self, request: _ProcRecvRequest) -> None:
+        """Wait one slice on the source's pipe (abort/deadlock-clocked).
+
+        Sleeps in ``Connection.poll`` (idle workers sleep in the OS instead
+        of spinning); in fault mode each slice also runs the backoff drop
+        detector.
+        """
+        source = request.source
+        self._check_abort(f"a message from rank {source}")
+        if self._fault:
+            self._maybe_backoff_pull(source)
+            if request.test():
+                return
+        elif source in self._dead:
+            # the peer exited and every frame it ever sent was consumed:
+            # this message can no longer arrive (in fault mode recovery may
+            # still deliver from the local buffer, so the timeout decides)
+            exc = SpmdError(
+                f"rank {self.rank}: lost the connection to rank "
+                f"{source} while a receive was pending"
+            )
+            self._fail(exc)
+            raise exc
+        if time.monotonic() - request._posted > self.config.timeout:
+            message = (
+                f"rank {self.rank}: timed out waiting for a message "
+                f"from rank {source} (tag {request.tag})"
+            )
+            self._fail(LostMessageError(message) if self._fault else SpmdError(message))
+            raise SpmdError(f"rank {self.rank}: recv timeout from rank {source}")
+        if source != self.rank and source not in self._dead:
+            self._service(source, 0.02)
+        else:  # self-receives and dead peers have nothing to poll
+            time.sleep(0.0005)
+
+    def _maybe_backoff_pull(self, source: int) -> None:
+        """Drop detector of last resort: pull after an exponential backoff.
+
+        A withheld *final* message on a channel leaves no successor to
+        prove the gap, so an idle receiver arms a deadline on it; if the
+        envelope is still withheld when it expires, the receiver pulls a
+        retransmit.  Each miss doubles the wait.
+        """
+        if not self._withheld(source):
+            self._pull_backoff.pop(source, None)
+            return
+        now = time.monotonic()
+        expected = self._expected.get(source, 0)
+        armed = self._pull_backoff.get(source)
+        if armed is None or armed[2] != expected:
+            delay = self._injector.plan.retry_delay
+            self._pull_backoff[source] = [now + delay, delay, expected]
+            return
+        if now < armed[0]:
+            return
+        armed[1] *= 2.0
+        armed[0] = now + armed[1]
+        self._pull_withheld(source)
 
     # ------------------------------------------------------------------ lifecycle
     def _teardown(self) -> None:

@@ -100,7 +100,9 @@ class Cluster:
         are attributed separately), never sorted outputs, LCP arrays or
         origin wire bytes.
     timeout:
-        Deadlock-detection timeout per blocking operation, in seconds.
+        Deadlock-detection timeout per blocking operation, in seconds, of
+        the processes engine; the threads engine detects deadlock exactly
+        and ignores it.
     fault_plan:
         Optional :class:`repro.faults.FaultPlan` chaos schedule, installed
         into the engine: point-to-point messages travel in checksummed,

@@ -16,7 +16,9 @@ This module packages that contract as reusable pieces:
 * :func:`sort_fingerprint` — one conformance cell: run a sort on a given
   engine and reduce the result to the comparable fingerprint;
 * :func:`assert_engines_agree` — compare a fingerprint against the
-  reference engine's, with readable per-field failures.
+  reference engine's, with readable per-field failures;
+* :func:`failure_cause` — fail one rank on entry to a phase and return
+  what the engine reports as the run's cause.
 
 ``tests/test_engine_conformance.py`` drives the full matrix over the
 in-tree engines; a third-party backend conforms when the same suite passes
@@ -31,13 +33,15 @@ from typing import Any, Dict, Iterator, List, Tuple
 
 import pytest
 
-from repro.mpi.engine import ENGINES
+from repro.mpi.engine import ENGINES, MeteredComm, SpmdError
 from repro.mpi.procengine import process_engine_available
 from repro.session import Cluster, default_registry
 
 #: the paper's six algorithms; with the axes below, the conformance matrix
 PAPER_ALGORITHMS = ("ms", "ms-simple", "pdms", "pdms-golomb", "hquick", "fkmerge")
 TOPOLOGIES = ("direct", "hypercube", "grid")
+#: the phases MS's rank program enters, in order
+MS_PHASES = ("local-sort", "splitter-determination", "exchange", "merge")
 
 #: the engine every other backend is compared against
 REFERENCE_ENGINE = "threads"
@@ -160,3 +164,32 @@ def assert_engines_agree(
             f"engine conformance violated{f' ({label})' if label else ''}: "
             f"{field} differs from the {REFERENCE_ENGINE!r} reference"
         )
+
+
+class PhaseFailure(RuntimeError):
+    """The exception :func:`failure_cause` raises inside one rank program."""
+
+
+def failure_cause(engine: str, phase: str, rank: int = 1) -> BaseException:
+    """Sort with MS on ``engine`` while ``rank`` raises entering ``phase``.
+
+    The run must fail with :class:`SpmdError`; returns its ``__cause__``,
+    which an engine must report as the rank program's own exception — not
+    the "aborted" or "pipe closed" echo another rank raised in reaction.
+    """
+    original = MeteredComm.set_phase
+
+    def set_phase(comm: MeteredComm, name: str) -> None:
+        if comm.rank == rank and name == phase:
+            raise PhaseFailure(f"rank {rank} failed entering {phase!r}")
+        original(comm, name)
+
+    # patched on the class, so forked rank processes inherit it too
+    MeteredComm.set_phase = set_phase  # type: ignore[method-assign]
+    try:
+        with Cluster(num_pes=4, engine=engine) as cluster:
+            with pytest.raises(SpmdError) as excinfo:
+                cluster.sort(conformance_workload(), "ms")
+    finally:
+        MeteredComm.set_phase = original  # type: ignore[method-assign]
+    return excinfo.value.__cause__

@@ -1,5 +1,6 @@
 """Tests for the SPMD thread engine and its simulated communicator."""
 
+import sys
 import time
 
 import pytest
@@ -241,14 +242,60 @@ class TestAccounting:
 
 
 class TestRecvDeadlockClock:
-    """The recv deadlock timeout counts from *posting*, not the first poll.
+    """Deadlock detection: exact on threads, post-time clocked on processes.
 
-    A rank that posts an ``irecv`` and then computes for longer than the
-    timeout before ever polling used to restart the clock at its first
-    ``test()`` call, doubling the time to detect a dead peer.
+    The cooperative threads engine knows when no rank can run, so it raises
+    a deadlock at once, whatever the timeout.  The processes engine waits
+    for the timeout, and its clock counts from *posting*: a rank that posts
+    an ``irecv`` and then computes for longer than the timeout before ever
+    polling used to restart the clock at its first ``test()`` call,
+    doubling the time to detect a dead peer.
     """
 
-    def test_timeout_counts_from_post_not_first_poll(self):
+    WORK = 0.3  # seconds the blocked rank computes before it waits
+
+    def _deadlock(self, prog, monkeypatch):
+        """Run ``prog`` on threads under the default timeout; its error and time."""
+        monkeypatch.delenv("REPRO_SPMD_TIMEOUT", raising=False)
+        start = time.monotonic()
+        with pytest.raises(SpmdError) as excinfo:
+            run_spmd(2, prog, engine="threads")
+        return excinfo.value, time.monotonic() - start
+
+    def test_threads_detect_a_starved_receive_exactly(self, monkeypatch):
+        def prog(comm):
+            if comm.rank == 0:
+                req = comm.irecv(1, tag=3)
+                time.sleep(self.WORK)
+                req.wait()  # rank 1 has returned without sending
+
+        error, elapsed = self._deadlock(prog, monkeypatch)
+        # the default timeout is 600 s: only exact detection is this fast
+        assert elapsed < self.WORK + 1.0, f"deadlock detection took {elapsed:.2f}s"
+        assert isinstance(error.__cause__, SpmdError)
+        message = str(error.__cause__)
+        assert "rank 0 waits for a message from rank 1 (tag 3)" in message
+        assert "rank 1 has returned" in message
+
+    def test_threads_detect_a_collective_deadlock_exactly(self, monkeypatch):
+        def prog(comm):
+            if comm.rank == 0:
+                time.sleep(self.WORK)
+                comm.barrier()  # rank 1 has returned without joining
+
+        error, elapsed = self._deadlock(prog, monkeypatch)
+        assert elapsed < self.WORK + 1.0, f"deadlock detection took {elapsed:.2f}s"
+        message = str(error.__cause__)
+        assert "rank 0 waits for collective step 0" in message
+        assert "rank 1 has returned" in message
+
+    def test_processes_timeout_counts_from_post_not_first_poll(self):
+        from repro.mpi.procengine import process_engine_available
+
+        ok, reason = process_engine_available()
+        if not ok:
+            pytest.skip(reason)
+
         def prog(comm):
             if comm.rank == 0:
                 req = comm.irecv(1)
@@ -260,11 +307,10 @@ class TestRecvDeadlockClock:
                 time.sleep(0.2)
 
         start = time.monotonic()
-        # the thread engine reports the late peer as a recv timeout; the
-        # processes engine may detect the peer's death even earlier via the
+        # a recv timeout, or the peer's death seen even earlier via the
         # closed pipe — both must fire at the first poll, not a reset clock
         with pytest.raises(SpmdError, match="timed out|timeout|lost the connection"):
-            run_spmd(2, prog, timeout=0.5)
+            run_spmd(2, prog, timeout=0.5, engine="processes")
         elapsed = time.monotonic() - start
         # fixed clock: abort fires at the first poll (~0.7 s in).  The old
         # first-poll clock would not fire before ~1.2 s.
@@ -283,13 +329,45 @@ class TestRecvDeadlockClock:
         assert results[0] == b"payload"
 
 
+class TestCooperativeSchedule:
+    def test_interleaving_replays_under_a_short_switch_interval(self):
+        """More ranks than cores and a 1 µs switch interval: one schedule."""
+
+        def prog(comm, log):
+            right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+            total = 0
+            for step in range(5):
+                request = comm.irecv(left, tag=step)
+                comm.send(comm.rank * step, right, tag=step)
+                log.append((comm.rank, "sent", step))
+                total += request.wait()
+                log.append((comm.rank, "received", step))
+                total = comm.allreduce(total)
+            return total
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = []
+            for _ in range(2):
+                # only the baton holder runs, so the shared log records the
+                # schedule itself
+                log = []
+                results, report = run_spmd(16, prog, common_args=(log,), engine="threads")
+                runs.append((results, log, report.bytes_sent_per_pe))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == 16 * 5 * 2
+
+
 class TestEngineStateReuse:
     """Machine reuse vs. transparent rebuild of poisoned shared state.
 
-    A :class:`ThreadEngine` keeps its barrier/queues across clean runs
-    (``state_reuses`` counts those), but a failed run can leave the barrier
-    broken or messages stranded in a queue — the next run must rebuild the
-    state transparently, and the rebuild must NOT count as a reuse.
+    A :class:`ThreadEngine` keeps its message channels across clean runs
+    (``state_reuses`` counts those), but a failed run, or one that leaves a
+    message stranded in a channel, poisons them — the next run must rebuild
+    the state transparently, and the rebuild must NOT count as a reuse.
     """
 
     @staticmethod
@@ -316,7 +394,7 @@ class TestEngineStateReuse:
 
         with pytest.raises(SpmdError, match="boom"):
             eng.run(boom)
-        # the next run rebuilds (broken barrier), succeeds, and the rebuild
+        # the next run rebuilds (failed run), succeeds, and the rebuild
         # is not counted as a reuse
         results, _ = eng.run(lambda comm: comm.rank)
         assert results == [0, 1]

@@ -16,13 +16,16 @@ from __future__ import annotations
 import pytest
 
 from engine_conformance import (
+    MS_PHASES,
     PAPER_ALGORITHMS,
     REFERENCE_ENGINE,
     TOPOLOGIES,
+    PhaseFailure,
     all_engines,
     assert_engines_agree,
     engine_available,
     engine_params,
+    failure_cause,
     sort_fingerprint,
 )
 
@@ -55,6 +58,15 @@ class TestConformanceMatrix:
             fp, reference, label=f"{candidate_engine}/{algorithm}/{topology}"
         )
         assert fp["engine_tag"] == candidate_engine
+
+
+class TestRootCause:
+    @pytest.mark.parametrize("phase", MS_PHASES)
+    def test_failing_rank_is_the_reported_cause(self, candidate_engine, phase):
+        """The SpmdError chains the failing rank's own exception."""
+        cause = failure_cause(candidate_engine, phase)
+        assert isinstance(cause, PhaseFailure), repr(cause)
+        assert f"entering {phase!r}" in str(cause)
 
 
 class TestEngineAxis:

@@ -51,8 +51,14 @@ def _phased_exchange(comm):
 
 
 def _straggler(comm):
-    """Rank 0 sleeps inside phase ``merge``; everyone meets at a barrier."""
+    """Rank 0 sleeps inside phase ``merge`` while the others wait at a barrier.
+
+    The first barrier puts every rank in ``merge`` before the nap, so the
+    others provably wait through it on either engine (the cooperative
+    threads engine would otherwise start them only after rank 0's nap).
+    """
     comm.set_phase("merge")
+    comm.barrier()
     if comm.rank == 0:
         time.sleep(STRAGGLE)
     comm.barrier()
