@@ -18,7 +18,10 @@ which implements the :class:`repro.mpi.comm.Communicator` interface on top of
 The schedule depends on the program alone, never on thread timing, so a
 run is deterministic: the same program and fault plan reproduce every
 count of the :class:`~repro.net.metrics.TrafficMeter` report (barrier wait
-seconds, being wall-clock, aside).  A blocked rank can only be woken by
+seconds, being timed, aside).  Those waits and the trace timestamps are
+read on per-rank clocks that stand still while a rank waits for the baton
+(:meth:`_SharedState.now`), so they measure load imbalance, as on a
+machine with one CPU per rank.  A blocked rank can only be woken by
 another rank's action, so "no rank runnable" is exactly a deadlock: the
 engine raises it at once, naming every blocked rank and what it waits for,
 and never reads ``RunConfig.timeout`` (only the processes engine does).
@@ -39,6 +42,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..config import RunConfig
@@ -104,6 +108,10 @@ class _SharedState:
         self.queues: Dict[Tuple[int, int], Deque[Tuple[Any, ...]]] = {
             (s, d): deque() for s in range(num_pes) for d in range(num_pes)
         }
+        #: per ordered pair: the sender's clock at each queued message
+        self.stamps: Dict[Tuple[int, int], Deque[float]] = {
+            pair: deque() for pair in self.queues
+        }
         self.reset(meter)
 
     def reset(self, meter: TrafficMeter) -> None:
@@ -124,6 +132,14 @@ class _SharedState:
         self.batons = [threading.Lock() for _ in range(p)]
         for baton in self.batons:
             baton.acquire()
+        #: per rank: wall time it spent off the baton and not waiting (see
+        #: :meth:`now`); every rank starts at ``start``, when rank 0 runs
+        self.start = 0.0
+        self.offsets = [0.0] * p
+        #: latest arrival clock of the rendezvous in progress, and the
+        #: clock the last completed one released its ranks at
+        self.arrival_clock = 0.0
+        self.release_clock = 0.0
         self.waits: List[Optional[_Wait]] = [None] * p
         self.finished = [False] * p
         #: the blocked receiver chosen to pull a withheld envelope
@@ -137,7 +153,41 @@ class _SharedState:
         """Whether this state can be reused (no errors, no stray messages)."""
         return not self.errors and not any(self.queues.values())
 
+    # ------------------------------------------------------------------ clocks
+    def now(self, rank: int) -> float:
+        """``rank``'s clock: wall time less what it spent waiting for the baton.
+
+        Only one rank runs at a time, so wall time would charge each rank
+        for the others' turns.  A rank's clock instead stands still while it
+        is off the baton, and jumps forward only to where a parallel machine
+        would have released it (:meth:`catch_up`): the latest arrival at a
+        rendezvous, the sender's clock at a receive.  Barrier waits and
+        trace timestamps are read on this clock, so they measure load
+        imbalance, as if every rank had its own CPU.
+        """
+        return time.monotonic() - self.offsets[rank]
+
+    def catch_up(self, rank: int, clock: float) -> None:
+        """Move ``rank``'s clock forward to ``clock`` (never back)."""
+        self.offsets[rank] = min(self.offsets[rank], time.monotonic() - clock)
+
     # ------------------------------------------------------------------ scheduler
+    def yield_turn(self, rank: int, what: str) -> bool:
+        """Hand the baton to the next runnable rank and sleep until it returns.
+
+        Returns whether no other rank could run.  Raises :class:`SpmdError`
+        once the run has aborted (``what`` names what ``rank`` waited for).
+        """
+        nxt = self._pick(rank)
+        if nxt != rank:
+            left = time.monotonic()
+            self.batons[nxt].release()
+            self.batons[rank].acquire()
+            self.offsets[rank] += time.monotonic() - left
+        if self.errors:
+            raise SpmdError(f"rank {rank}: SPMD run aborted while waiting for {what}")
+        return nxt == rank
+
     def block(
         self,
         rank: int,
@@ -154,14 +204,7 @@ class _SharedState:
         self.waits[rank] = (ready, what, withheld)
         try:
             while not ready():
-                nxt = self._pick(rank)
-                if nxt != rank:
-                    self.batons[nxt].release()
-                    self.batons[rank].acquire()
-                if self.errors:
-                    raise SpmdError(
-                        f"rank {rank}: SPMD run aborted while waiting for {what}"
-                    )
+                self.yield_turn(rank, what)
                 if self.rescued == rank:
                     self.rescued = None
                     return True
@@ -261,15 +304,27 @@ class _RecvRequest(Request):
         self._done = True
 
     def test(self) -> bool:
-        """Poll: match what has arrived; never blocks."""
+        """Poll: match what has arrived; never blocks.
+
+        A poll that finds nothing lets the engine serve other ranks first
+        (:meth:`MeteredComm._poll_missed`), so a rank that spins on
+        ``test()`` does not starve the peer it waits for.  Raises
+        :class:`SpmdError` once the run has aborted.
+        """
         if not self._done:
-            self._comm._match_pending_recvs(self.source)
+            comm = self._comm
+            comm._match_pending_recvs(self.source)
+            if not self._done:
+                comm._poll_missed(self)
         return self._done
 
     def wait(self) -> Any:
         """Block until the message arrives; returns the payload."""
-        while not self.test():
-            self._comm._await_message(self)
+        comm = self._comm
+        while not self._done:
+            comm._match_pending_recvs(self.source)
+            if not self._done:
+                comm._await_message(self)
         return self._value
 
 
@@ -293,7 +348,12 @@ class MeteredComm(Communicator):
     * :meth:`_arrivals` — the bodies that have arrived from ``source``, in
       send order, as a deque the caller consumes;
     * :meth:`_await_message` — wait until more may have arrived for a
-      pending receive (or raise if it never can).
+      pending receive (or raise if it never can);
+    * :meth:`_poll_missed` — a ``test()`` found nothing: check for an
+      aborted run and let other ranks progress.
+
+    :meth:`_now`, the clock barrier waits are metered on, is wall time
+    unless an engine overrides it.
 
     The thread engine (:class:`ThreadComm`) and the multiprocessing engine
     (:class:`repro.mpi.procengine.ProcComm`) are the two in-tree
@@ -362,6 +422,14 @@ class MeteredComm(Communicator):
     def _await_message(self, request: _RecvRequest) -> None:
         """Wait until more may have arrived for ``request`` (engine hook)."""
         raise NotImplementedError
+
+    def _poll_missed(self, request: _RecvRequest) -> None:
+        """``request.test()`` found nothing (engine hook)."""
+        raise NotImplementedError
+
+    def _now(self) -> float:
+        """This rank's clock for metered waits, in seconds."""
+        return time.monotonic()
 
     # ------------------------------------------------------------------ accounting
     def set_phase(self, name: str) -> None:
@@ -678,11 +746,9 @@ class MeteredComm(Communicator):
         rec = self._recorder
         if rec is not None:
             rec.begin("barrier")
-        t0 = time.monotonic()
+        t0 = self._now()
         self._board_exchange(None)
-        self._meter.record_barrier_wait(
-            self.rank, self._phase, time.monotonic() - t0
-        )
+        self._meter.record_barrier_wait(self.rank, self._phase, self._now() - t0)
         if rec is not None:
             rec.end("barrier")
 
@@ -842,13 +908,22 @@ class ThreadComm(MeteredComm):
         """Abort the run: every rank unwinds when it next runs."""
         self._state.fail(exc)
 
+    def _now(self) -> float:
+        """This rank's clock (:meth:`_SharedState.now`)."""
+        return self._state.now(self.rank)
+
     def _board_exchange(self, contribution: Any) -> List[Any]:
-        """One rendezvous: the last rank to arrive snapshots the board."""
+        """One rendezvous: the last rank to arrive snapshots the board.
+
+        Every rank leaves it at the latest arrival's clock.
+        """
         st = self._state
         st.board[self.rank] = contribution
         st.arrived += 1
+        st.arrival_clock = max(st.arrival_clock, st.now(self.rank))
         if st.arrived == self.size:
             st.snapshot, st.board, st.arrived = st.board, [None] * self.size, 0
+            st.release_clock, st.arrival_clock = st.arrival_clock, 0.0
             st.collectives += 1
         else:
             step = st.collectives
@@ -857,15 +932,38 @@ class ThreadComm(MeteredComm):
                 lambda: st.collectives != step,
                 f"collective step {step}",
             )
+        st.catch_up(self.rank, st.release_clock)
         return list(st.snapshot)
 
     def _transmit(self, dest: int, body: Tuple[Any, ...]) -> None:
-        """Queue the body on the ``(self, dest)`` channel."""
-        self._state.queues[(self.rank, dest)].append(body)
+        """Queue the body on the ``(self, dest)`` channel, stamped with our clock."""
+        st = self._state
+        st.queues[(self.rank, dest)].append(body)
+        st.stamps[(self.rank, dest)].append(st.now(self.rank))
 
     def _arrivals(self, source: int) -> Deque[Tuple[Any, ...]]:
         """The ``(source, self)`` channel itself."""
         return self._state.queues[(source, self.rank)]
+
+    def _match_pending_recvs(self, source: int) -> None:
+        """Match as the base class does; taking a message catches up to its send."""
+        st = self._state
+        queue, stamps = st.queues[(source, self.rank)], st.stamps[(source, self.rank)]
+        super()._match_pending_recvs(source)
+        while len(stamps) > len(queue):
+            st.catch_up(self.rank, stamps.popleft())
+
+    def _poll_missed(self, request: _RecvRequest) -> None:
+        """Pass the baton on; recover a withheld envelope once nothing else can run.
+
+        The poller stays runnable, so the scheduler never picks it to pull
+        its withheld envelope: it pulls it itself when no other rank could
+        take a turn (the rule :meth:`_await_message` follows).
+        """
+        source = request.source
+        what = f"a message from rank {source} (tag {request.tag})"
+        if self._state.yield_turn(self.rank, what) and self._fault and self._withheld(source):
+            self._pull_withheld(source)
 
     def _await_message(self, request: _RecvRequest) -> None:
         """Let other ranks run until ``request``'s source sends again.
@@ -1007,7 +1105,10 @@ class ThreadEngine:
         num_pes = self.num_pes
         state = self._acquire_state(meter)
         state.recorders = (
-            [Recorder(rank, capacity=self.trace_capacity) for rank in range(num_pes)]
+            [
+                Recorder(rank, capacity=self.trace_capacity, clock=partial(state.now, rank))
+                for rank in range(num_pes)
+            ]
             if self.config.trace
             else None
         )
@@ -1016,6 +1117,7 @@ class ThreadEngine:
 
         def runner(rank: int) -> None:
             state.batons[rank].acquire()
+            state.offsets[rank] = time.monotonic() - state.start
             try:
                 if state.errors:
                     return  # the run aborted before this rank's first turn
@@ -1039,6 +1141,7 @@ class ThreadEngine:
         for t in threads:
             t.start()
         # rank 0 takes the first turn
+        state.start = time.monotonic()
         state.batons[0].release()
         for t in threads:
             t.join()

@@ -318,6 +318,16 @@ class ProcComm(MeteredComm):
         else:  # self-receives and dead peers have nothing to poll
             time.sleep(0.0005)
 
+    def _poll_missed(self, request: _ProcRecvRequest) -> None:
+        """A poll found nothing: raise if the run aborted; run the drop detector.
+
+        The polling rank is busy, not waiting in :meth:`_await_message`, so
+        in fault mode the backoff timer is checked here too.
+        """
+        self._check_abort(f"a message from rank {request.source}")
+        if self._fault:
+            self._maybe_backoff_pull(request.source)
+
     def _maybe_backoff_pull(self, source: int) -> None:
         """Drop detector of last resort: pull after an exponential backoff.
 

@@ -1,12 +1,14 @@
 """The per-rank event recorder: a bounded ring buffer of trace events.
 
 One :class:`Recorder` belongs to one rank of one SPMD run.  Every event is
-a plain tuple ``(kind, t, name, data)`` — ``t`` from :func:`time.monotonic`,
-which on Linux is the boot-relative ``CLOCK_MONOTONIC`` shared by every
-thread *and* every forked worker process, so per-rank streams from both
-execution engines align on a common clock (the timeline builder still
-re-bases to the earliest event; see
-:meth:`repro.obs.timeline.Timeline.from_exports`).
+a plain tuple ``(kind, t, name, data)`` — ``t`` from the recorder's clock,
+by default :func:`time.monotonic`, which on Linux is the boot-relative
+``CLOCK_MONOTONIC`` shared by every thread *and* every forked worker
+process, so per-rank streams from both execution engines align on a common
+clock (the timeline builder still re-bases to the earliest event; see
+:meth:`repro.obs.timeline.Timeline.from_exports`).  The cooperative threads
+engine passes each rank's own clock instead, which stands still while the
+rank waits for its turn (:meth:`repro.mpi.engine._SharedState.now`).
 
 Design constraints, in order:
 
@@ -17,8 +19,8 @@ Design constraints, in order:
 * **Bounded when on.**  The buffer is a ring of ``capacity`` events;
   overflow overwrites the oldest event and counts :attr:`dropped`, so a
   pathological run degrades its trace instead of its memory.
-* **Cheap appends.**  An event append is a method call, one
-  ``time.monotonic()``, and a list store — no locks (one recorder per
+* **Cheap appends.**  An event append is a method call, one clock
+  read, and a list store — no locks (one recorder per
   rank, written only by that rank) and no allocation beyond the tuple.
   ``benchmarks/test_obs_overhead.py`` pins the events/sec throughput.
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import resource
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "DEFAULT_CAPACITY",
@@ -70,9 +72,16 @@ class Recorder:
         The rank program returned; closes the final phase span.
     """
 
-    __slots__ = ("rank", "capacity", "dropped", "events_recorded", "_buf", "_next")
+    __slots__ = (
+        "rank", "capacity", "dropped", "events_recorded", "_buf", "_next", "_clock"
+    )
 
-    def __init__(self, rank: int, capacity: int = DEFAULT_CAPACITY):
+    def __init__(
+        self,
+        rank: int,
+        capacity: int = DEFAULT_CAPACITY,
+        clock: Callable[[], float] = time.monotonic,
+    ):
         if capacity <= 0:
             raise ValueError("recorder capacity must be positive")
         self.rank = rank
@@ -83,6 +92,8 @@ class Recorder:
         self.events_recorded = 0
         self._buf: List[Tuple[str, float, Optional[str], Any]] = []
         self._next = 0
+        #: the timestamp source: wall time, or an engine's per-rank clock
+        self._clock = clock
 
     # ------------------------------------------------------------------ hot path
     def _push(self, event: Tuple[str, float, Optional[str], Any]) -> None:
@@ -97,27 +108,27 @@ class Recorder:
 
     def phase(self, name: str) -> None:
         """Record a phase transition (samples RSS at the boundary)."""
-        self._push(("phase", time.monotonic(), name, _rss_bytes()))
+        self._push(("phase", self._clock(), name, _rss_bytes()))
 
     def begin(self, name: str) -> None:
         """Open a nested sub-span (e.g. ``"barrier"``) inside the current phase."""
-        self._push(("begin", time.monotonic(), name, None))
+        self._push(("begin", self._clock(), name, None))
 
     def end(self, name: str) -> None:
         """Close the innermost open sub-span named ``name``."""
-        self._push(("end", time.monotonic(), name, None))
+        self._push(("end", self._clock(), name, None))
 
     def comm(self, kind: str, peer: int, nbytes: int) -> None:
         """Record one point-to-point wire event (``kind`` e.g. ``"send"``)."""
-        self._push(("comm", time.monotonic(), kind, (peer, nbytes)))
+        self._push(("comm", self._clock(), kind, (peer, nbytes)))
 
     def instant(self, name: str, data: Any = None) -> None:
         """Record a point event (fault injections, retransmit pulls, markers)."""
-        self._push(("instant", time.monotonic(), name, data))
+        self._push(("instant", self._clock(), name, data))
 
     def finish(self) -> None:
         """Mark the end of the rank program (closes the final phase span)."""
-        self._push(("finish", time.monotonic(), None, _rss_bytes()))
+        self._push(("finish", self._clock(), None, _rss_bytes()))
 
     # ------------------------------------------------------------------ results
     def events(self) -> List[Tuple[str, float, Optional[str], Any]]:

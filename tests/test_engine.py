@@ -361,6 +361,59 @@ class TestCooperativeSchedule:
         assert len(runs[0][1]) == 16 * 5 * 2
 
 
+class TestPolling:
+    """A rank may spin on ``test()`` while its peer has yet to send."""
+
+    def test_poll_until_the_peer_sends(self, engine):
+        def prog(comm):
+            if comm.rank == 0:
+                req = comm.irecv(1, tag=5)
+                polls = 0
+                while not req.test():
+                    polls += 1
+                return req.wait(), polls
+            time.sleep(0.05)  # rank 0 polls first on either engine
+            comm.send(b"late", 0, tag=5)
+            return None
+
+        results, _ = run_spmd(2, prog)
+        payload, polls = results[0]
+        assert payload == b"late"
+        assert polls >= 1
+
+    def test_poll_recovers_a_dropped_last_message(self, engine):
+        from repro.faults import FaultPlan, FaultRule
+
+        def prog(comm):
+            if comm.rank == 0:
+                req = comm.irecv(1)
+                while not req.done:
+                    pass
+                return req.wait()
+            comm.send(b"dropped once", 0)
+            return None
+
+        plan = FaultPlan(seed=1, rules=(FaultRule(kind="drop", src=1, dst=0),))
+        results, report = run_spmd(2, prog, fault_plan=plan)
+        assert results[0] == b"dropped once"
+        assert report.faults_detected_per_pe[0] == 1
+        assert report.retries_per_pe[0] == 1
+
+    def test_poll_sees_an_aborted_run(self, engine):
+        def prog(comm):
+            if comm.rank == 0:
+                req = comm.irecv(1)
+                while not req.test():
+                    pass
+            else:
+                raise RuntimeError("rank 1 failed")
+
+        with pytest.raises(SpmdError) as excinfo:
+            run_spmd(2, prog)
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+        assert "rank 1 failed" in str(excinfo.value.__cause__)
+
+
 class TestEngineStateReuse:
     """Machine reuse vs. transparent rebuild of poisoned shared state.
 

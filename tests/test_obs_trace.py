@@ -51,16 +51,23 @@ def _phased_exchange(comm):
 
 
 def _straggler(comm):
-    """Rank 0 sleeps inside phase ``merge`` while the others wait at a barrier.
-
-    The first barrier puts every rank in ``merge`` before the nap, so the
-    others provably wait through it on either engine (the cooperative
-    threads engine would otherwise start them only after rank 0's nap).
-    """
+    """Rank 0 sleeps inside phase ``merge``; everyone meets at a barrier."""
     comm.set_phase("merge")
-    comm.barrier()
     if comm.rank == 0:
         time.sleep(STRAGGLE)
+    comm.barrier()
+    comm.set_phase("wrap-up")
+    return comm.rank
+
+
+def _late_sender(comm):
+    """Rank 0 sleeps inside phase ``merge``, then sends to rank 1; a barrier follows."""
+    comm.set_phase("merge")
+    if comm.rank == 0:
+        time.sleep(STRAGGLE)
+        comm.send(b"late", 1)
+    else:
+        comm.recv(0)
     comm.barrier()
     comm.set_phase("wrap-up")
     return comm.rank
@@ -168,6 +175,13 @@ class TestBarrierAttribution:
         _, report = run_spmd(2, _straggler, trace=True)
         # rank 0 arrives last, so its own barrier wait is tiny
         assert report.timeline.barrier_seconds(rank=0) < STRAGGLE * SLACK
+
+    def test_receive_absorbs_the_wait_for_its_sender(self, engine):
+        _, report = run_spmd(2, _late_sender, trace=True)
+        # rank 1's wait ends with the receive, so nobody waits at the barrier
+        assert sum(report.barrier_wait_seconds.values()) < STRAGGLE * SLACK
+        merge = report.timeline.phase_seconds(name="merge", rank=1, exclusive=True)
+        assert merge >= STRAGGLE * SLACK
 
 
 class TestClusterTrace:
