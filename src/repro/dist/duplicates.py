@@ -31,6 +31,8 @@ Layout: one round is array-native.  :func:`extend_prefix_hashes` extends
 the hashes over only the round's new columns of the packed byte buffer,
 :func:`mix_fingerprints` turns them into a ``uint64`` array, one stable
 ``argsort`` plus a ``searchsorted`` on the PE bases range-partitions it,
+one :func:`~repro.dist.golomb.coded_sizes` pass counts every destination's
+Golomb-coded bytes to pick each message's format,
 :class:`FingerprintBlock` and :class:`~repro.dist.golomb.GolombCodedSet` own
 ``uint64`` value arrays, home PEs count with ``np.unique``, :class:`BitVector`
 owns the verdicts as ``np.packbits`` bytes, and the saved permutation
@@ -40,7 +42,7 @@ scatters them back into the ``bool`` array the doubling loop consumes.
 from __future__ import annotations
 
 import zlib
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -48,7 +50,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..mpi.comm import Communicator
 from ..mpi.serialization import WireSized, varint_size
 from ..strings.packed import PackedStringArray
-from .golomb import GolombCodedSet, as_uint64
+from .golomb import GolombCodedSet, as_uint64, coded_sizes, golomb_parameter
 
 __all__ = [
     "extend_prefix_hashes",
@@ -233,20 +235,25 @@ def unique_fingerprint_mask(
         bases = np.array([-(-d * limit // p) for d in range(p)], dtype=np.uint64)
         order = np.argsort(fps, kind="stable")
         ordered = fps[order]
-        bounds = np.append(np.searchsorted(ordered, bases), fps.size).tolist()
+        bounds = np.append(np.searchsorted(ordered, bases), fps.size)
+        loads = np.diff(bounds).tolist()
+        values = ordered - np.repeat(bases, loads)
 
-        slice_span = limit // p + 1
-        messages = []
-        for dest in range(p):
-            values = ordered[bounds[dest] : bounds[dest + 1]] - bases[dest]
-            message: WireSized = FingerprintBlock(values, bits)
-            if golomb:
-                coded = GolombCodedSet(values, universe=slice_span)
-                if coded.wire_bytes() < message.wire_bytes():
-                    message = coded
-            messages.append(message)
+        edges = bounds.tolist()
+        blocks = [FingerprintBlock(values[lo:hi], bits) for lo, hi in zip(edges, edges[1:])]
+        messages: List[WireSized] = list(blocks)
+        sizes = [block.wire_bytes() for block in blocks]
+        if golomb:
+            # one pass sizes every destination's coded set; a message is
+            # coded where that is smaller than the plain block
+            slice_span = limit // p + 1
+            ms = [golomb_parameter(slice_span, n) for n in loads]
+            for dest, size in enumerate(coded_sizes(values, loads, ms)):
+                if size < sizes[dest]:
+                    messages[dest] = GolombCodedSet(blocks[dest].values, slice_span)
+                    sizes[dest] = size
 
-        received = comm.alltoall(messages)
+        received = comm.alltoall(messages, nbytes=sizes)
         # every copy of a value arrives here, so its global count is local
         _, inverse, counts = np.unique(
             np.concatenate([msg.values for msg in received]),

@@ -1,4 +1,4 @@
-"""Golomb coding of sorted integer sets (Section VI-B).
+"""Golomb-coded sorted integer sets, sized in closed form (Section VI-B).
 
 PDMS-Golomb communicates *sorted* sets of fingerprints.  A sorted set of
 ``n`` values from a universe of size ``u`` can be delta-encoded: the gaps
@@ -8,17 +8,19 @@ prefix-free code.  Every value then costs roughly ``log2(u/n) + 1.5`` bits
 instead of the fixed ``log2 u`` bits of a plain fingerprint array — the
 denser the set, the bigger the saving.
 
-The codec below is the classic Golomb construction: a gap ``d`` is written
-as the unary quotient ``d // M`` followed by the truncated-binary remainder
-``d % M``.  Repeated values (gap 0) are legal — exact duplicates of a
-fingerprint cost a single bit each.
+The code is the classic Golomb construction: a gap ``d = q·M + r`` is
+written as ``q`` one-bits and a zero (the unary quotient) followed by the
+truncated-binary remainder, ``b - 1`` bits if ``r < cutoff`` and ``b`` bits
+otherwise, with ``b = ceil(log2 M)`` and ``cutoff = 2**b - M``.  Repeated
+values (gap 0) are legal.
 
-Layout: values are one ``uint64`` array end to end, so universes up to
-``2**64`` are exact (no ``int64`` intermediate on values, gaps or codes).
-:func:`encode_sorted` is the one encoder: it lays every code word out in a
-bit array at once and packs it.  :func:`decode_sorted` reads bit by bit on
-Python ints and is kept as the scalar oracle the encoder is tested against
-(the simulated receive side reads :attr:`GolombCodedSet.values`).
+The simulated receiver reads :attr:`GolombCodedSet.values`, so the set never
+builds its bit stream: :func:`coded_sizes` counts it from the gaps as
+``Σq + n·b + #{r ≥ cutoff}`` bits (``Σq + n`` for ``M = 1``, where ``b``
+and ``cutoff`` are 0), for many sets in one pass.  Values are one
+``uint64`` array end to end, so universes up to ``2**64`` are exact.  The
+bit coder itself is a test oracle (``tests/oracles/golomb.py``) that pins
+every counted size to the encoded bytes.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from ..mpi.serialization import WireSized, varint_size
 __all__ = [
     "as_uint64",
     "golomb_parameter",
-    "encode_sorted",
-    "decode_sorted",
+    "coded_sizes",
     "GolombCodedSet",
 ]
 
@@ -66,120 +67,60 @@ def golomb_parameter(universe: int, n: int) -> int:
     return max(1, math.ceil(math.log(2) * universe / n))
 
 
-class _BitReader:
-    """MSB-first bit consumer over a bytes payload."""
-
-    def __init__(self, payload: bytes) -> None:
-        self._payload = payload
-        self._pos = 0
-
-    def read_bit(self) -> int:
-        """Consume and return the next bit."""
-        byte = self._payload[self._pos >> 3]
-        bit = (byte >> (7 - (self._pos & 7))) & 1
-        self._pos += 1
-        return bit
-
-    def read_bits(self, width: int) -> int:
-        """Consume ``width`` bits as one MSB-first integer."""
-        value = 0
-        for _ in range(width):
-            value = (value << 1) | self.read_bit()
-        return value
-
-    def read_unary(self) -> int:
-        """Consume a unary-coded value (count of one-bits before the zero)."""
-        q = 0
-        while self.read_bit():
-            q += 1
-        return q
-
-
-def _remainder_width(m: int) -> Tuple[int, int]:
+def remainder_width(m: int) -> Tuple[int, int]:
     """``(b, cutoff)`` of the truncated-binary remainder code for parameter ``m``."""
     b = (m - 1).bit_length()
     return b, (1 << b) - m
 
 
-def encode_sorted(values: Sequence[int], universe: int) -> Tuple[bytes, int]:
-    """Golomb-encode a sorted sequence of non-negative ints (or ``uint64`` array).
+def coded_sizes(values: np.ndarray, counts: Sequence[int], ms: Sequence[int]) -> List[int]:
+    """Wire bytes of consecutive Golomb-coded sets, counted in one pass.
 
-    Returns ``(payload, m)``; ``m`` is the parameter the decoder needs.
-    Unsorted or negative input raises ``ValueError``.  Values, gaps and
-    ``m`` are ``uint64``: universes up to ``2**64`` are exact.
+    Set ``k`` is the next ``counts[k]`` entries of the ``uint64`` array
+    ``values``, sorted, coded with parameter ``ms[k]`` and framed by the
+    varints of ``M`` and the count.  A gap ``d = q·M + r`` costs ``q + b``
+    bits, one more if ``r ≥ cutoff``: the per-gap lengths are summed per set
+    by one ``np.add.reduceat``.
     """
-    vals = as_uint64(values)
-    if vals.size > 1 and bool((vals[1:] < vals[:-1]).any()):
-        raise ValueError("encode_sorted requires a sorted sequence")
-    m = golomb_parameter(universe, vals.size)
-    b, cutoff = _remainder_width(m)
-    deltas = np.diff(vals, prepend=np.uint64(0))
-    q = deltas // np.uint64(m)
-    r = deltas - q * np.uint64(m)
-    # remainder code words left-aligned in b bits: a long word is r + cutoff
-    # in b bits, a short one is r in b - 1 bits (its last column is dropped)
-    long_code = r >= np.uint64(cutoff)
-    code = np.where(long_code, r + np.uint64(cutoff), r << np.uint64(1))
-    lengths = q.astype(np.int64) + (b + long_code)
-    pos = np.cumsum(lengths) - (b + long_code)  # the unary terminators
-    bits = np.ones(int(lengths.sum()), dtype=np.uint8)  # the unary runs
-    bits[pos] = 0
-    if b:  # m == 1 has no remainder bits
-        # only the low ceil(b / 8) bytes of a code word hold code bits
-        low = code.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - (b + 7) // 8 :]
-        columns = np.unpackbits(low, axis=1)
-        for column in range(columns.shape[1] - b, columns.shape[1] - 1):
-            pos += 1
-            bits[pos] = columns[:, column]
-        bits[pos[long_code] + 1] = columns[long_code, -1]
-    return np.packbits(bits).tobytes(), m
-
-
-def decode_sorted(payload: bytes, m: int, count: int) -> List[int]:
-    """Decode ``count`` values encoded by :func:`encode_sorted` with parameter ``m``."""
-    if m < 1:
-        raise ValueError("Golomb parameter must be >= 1")
-    reader = _BitReader(payload)
-    b, cutoff = _remainder_width(m)
-    out: List[int] = []
-    prev = 0
-    for _ in range(count):
-        q = reader.read_unary()
-        r = 0
-        if m > 1:
-            r = reader.read_bits(b - 1)
-            if r >= cutoff:
-                r = ((r << 1) | reader.read_bit()) - cutoff
-        prev += q * m + r
-        out.append(prev)
-    return out
+    codes = np.array([(m, *remainder_width(m)) for m in ms], dtype=np.uint64)
+    per_set = np.array(counts, dtype=np.int64)
+    filled = per_set > 0
+    firsts = (np.cumsum(per_set) - per_set)[filled]
+    gaps = np.diff(values, prepend=np.uint64(0))
+    gaps[firsts] = values[firsts]  # a set's first gap is from 0
+    m_each, b_each, cutoff_each = np.repeat(codes, per_set, axis=0).T
+    q = gaps // m_each
+    code_bits = q + b_each + (gaps - q * m_each >= cutoff_each)
+    bits = np.zeros(per_set.size, dtype=np.uint64)
+    bits[filled] = np.add.reduceat(code_bits, firsts)
+    return [
+        -(-nbits // 8) + varint_size(m) + varint_size(n)
+        for nbits, m, n in zip(bits.tolist(), ms, counts)
+    ]
 
 
 class GolombCodedSet(WireSized):
-    """A sorted integer set stored Golomb-coded, usable as a wire message.
+    """A sorted integer set sent Golomb-coded, usable as a wire message.
 
     The constructor accepts the values in any order and sorts them into
-    :attr:`values`, a ``uint64`` array; the wire size is the compressed
-    payload plus the two varint headers (parameter and element count) a
-    real implementation would frame the message with.
+    :attr:`values`, a ``uint64`` array; :attr:`m` is the code parameter.  The
+    wire size is the coded payload, counted by :func:`coded_sizes`, plus the
+    two varint headers (parameter and element count) a real implementation
+    would frame the message with.
     """
 
     def __init__(self, values: Sequence[int], universe: int):
-        self.universe = universe
         self.values = np.sort(as_uint64(values))
-        self.payload, self.m = encode_sorted(self.values, universe)
-
-    def decode(self) -> List[int]:
-        """Recover the sorted values from the Golomb-coded gap stream."""
-        return decode_sorted(self.payload, self.m, len(self.values))
+        self.m = golomb_parameter(universe, self.values.size)
 
     def wire_bytes(self) -> int:
         """Coded payload plus the varint-framed parameter ``M`` and count."""
-        return len(self.payload) + varint_size(self.m) + varint_size(len(self.values))
+        return coded_sizes(self.values, [len(self.values)], [self.m])[0]
 
     def content_crc(self) -> int:
-        """CRC32 of what travels: the framing (``M``, count) and the payload."""
-        return zlib.crc32(self.payload, zlib.crc32(b"G%d;%d;" % (self.m, len(self))))
+        """CRC32 of what the payload is a function of: ``M``, the count and the values."""
+        tag = zlib.crc32(b"G%d;%d;" % (self.m, len(self)))
+        return zlib.crc32(np.ascontiguousarray(self.values), tag)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -17,11 +17,13 @@ from repro.dist.duplicates import (
     mix_fingerprints,
     unique_fingerprint_mask,
 )
-from repro.dist.golomb import GolombCodedSet, decode_sorted, encode_sorted, golomb_parameter
+from repro.dist.golomb import GolombCodedSet, golomb_parameter
 from repro.faults import FaultPlan, FaultRule
 from repro.mpi import run_spmd
-from repro.mpi.serialization import payload_checksum
+from repro.mpi.serialization import payload_checksum, varint_size
 from repro.strings import PackedStringArray, dna_reads, duplicate_heavy, thue_morse
+
+from oracles.golomb import decode_sorted, encode_sorted
 
 
 # ``encode_sorted`` output recorded from the bit-at-a-time writer this encoder
@@ -297,7 +299,7 @@ class TestGolombCoding:
         gs = GolombCodedSet([9, 2, 5], universe=1 << 16)
         assert gs.values.dtype == np.uint64
         assert gs.values.tolist() == [2, 5, 9]
-        assert gs.decode() == [2, 5, 9]
+        assert gs.m == golomb_parameter(1 << 16, 3)
         assert len(gs) == 3
         assert list(gs) == [2, 5, 9]
 
@@ -308,7 +310,14 @@ class TestGolombCoding:
         as_array = np.array(values, dtype=np.uint64)
         assert encode_sorted(as_array, universe) == (bytes.fromhex(payload_hex), m)
         gs = GolombCodedSet(values, universe)
-        assert gs.decode() == gs.values.tolist() == values
+        assert gs.values.tolist() == values and gs.m == m
+        assert decode_sorted(bytes.fromhex(payload_hex), m, len(values)) == values
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SMALL))
+    def test_closed_form_size_is_the_golden_payload(self, name):
+        values, universe, payload_hex, m = GOLDEN_SMALL[name]
+        framing = varint_size(m) + varint_size(len(values))
+        assert GolombCodedSet(values, universe).wire_bytes() == len(payload_hex) // 2 + framing
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_BULK))
     def test_golden_bulk_payloads(self, name):
@@ -362,10 +371,15 @@ class TestMessageTypes:
         assert payload_checksum(build(7)) != payload_checksum(build(6))
 
     def test_content_crc_sees_a_flipped_bit_and_the_type(self):
-        blk = FingerprintBlock([3, 1], bits=32)
-        before = blk.content_crc()
-        blk.values[1] ^= np.uint64(1)
-        assert blk.content_crc() != before
+        for msg in (FingerprintBlock([3, 1], bits=32), GolombCodedSet([3, 1], universe=1 << 32)):
+            before = msg.content_crc()
+            msg.values[1] ^= np.uint64(1)
+            assert msg.content_crc() != before
+        same = [1, 5, 1 << 39]
+        block = FingerprintBlock(same, bits=40)
+        coded = GolombCodedSet(same, universe=1 << 40)
+        assert block.values.tolist() == coded.values.tolist()
+        assert block.content_crc() != coded.content_crc()
         empties = (
             FingerprintBlock([], bits=40),
             GolombCodedSet([], universe=1 << 40),

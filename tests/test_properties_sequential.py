@@ -11,8 +11,10 @@ Invariants covered:
 * the flat atomic merge is the scalar ``LoserTree``, bit for bit, on list and
   packed runs, and MS-simple/FKmerge still count what the parent counted;
 * LCP arrays and distinguishing prefixes satisfy their defining relations;
-* the Golomb coder round-trips arbitrary sorted integer sequences (the coder
-  lives in the dist package but is a pure sequential data structure).
+* the Golomb coder round-trips arbitrary sorted integer sequences, and a
+  coded set's closed-form wire size is exactly the coder's payload plus its
+  framing (the set lives in the dist package but is a pure sequential data
+  structure; the coder is a test oracle).
 """
 
 import hypothesis.strategies as st
@@ -21,7 +23,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro import Cluster, FKMergeSpec, MSSimpleSpec
-from repro.dist.golomb import decode_sorted, encode_sorted
+from repro.dist.golomb import GolombCodedSet, coded_sizes, golomb_parameter
+from repro.mpi.serialization import varint_size
 from repro.sequential import (
     CharStats,
     LoserTree,
@@ -36,6 +39,8 @@ from repro.sequential.lcp_losertree import lcp_multiway_merge_packed
 from repro.strings.generators import commoncrawl_like
 from repro.strings.lcp import distinguishing_prefixes, lcp, lcp_array
 from repro.strings.packed import PackedStringArray
+
+from oracles.golomb import decode_sorted, encode_sorted
 
 # byte strings over a tiny alphabet maximise shared prefixes and duplicates,
 # which is where the LCP machinery can go wrong
@@ -259,6 +264,36 @@ def test_golomb_roundtrip(case):
     values, universe = case
     payload, m = encode_sorted(values, universe=universe)
     assert decode_sorted(payload, m, len(values)) == values
+
+
+@st.composite
+def sorted_multiset_in_a_universe(draw):
+    """``(values, universe)``: a sorted multiset with repeats drawn from its
+    own members, over universes from a single value to the full 64 bits."""
+    universe = draw(st.sampled_from([1, 7, 2**16, 2**40, 2**64]))
+    values = draw(st.lists(st.integers(min_value=0, max_value=universe - 1), max_size=200))
+    repeats = draw(st.lists(st.sampled_from(values), max_size=50)) if values else []
+    return sorted(values + repeats), universe
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(sorted_multiset_in_a_universe(), min_size=1, max_size=4))
+def test_golomb_closed_form_size_is_the_encoded_payload(cases):
+    """Each coded set's counted size is the encoder's bytes plus the framing,
+    the decoder recovers the set's values, and one pass over the sets laid
+    end to end counts the same sizes."""
+    sizes = []
+    for values, universe in cases:
+        coded = GolombCodedSet(np.array(values, dtype=np.uint64), universe)
+        payload, m = encode_sorted(values, universe=universe)
+        assert coded.m == m
+        assert coded.wire_bytes() == len(payload) + varint_size(m) + varint_size(len(values))
+        assert decode_sorted(payload, m, len(values)) == coded.values.tolist()
+        sizes.append(coded.wire_bytes())
+    joined = np.array([v for values, _ in cases for v in values], dtype=np.uint64)
+    counts = [len(values) for values, _ in cases]
+    ms = [golomb_parameter(universe, len(values)) for values, universe in cases]
+    assert coded_sizes(joined, counts, ms) == sizes
 
 
 @settings(max_examples=50, deadline=None)

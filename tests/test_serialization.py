@@ -8,6 +8,8 @@ from repro.dist.duplicates import BitVector, FingerprintBlock
 from repro.dist.golomb import GolombCodedSet
 from repro.mpi.serialization import varint_size, wire_size
 
+from oracles.golomb import decode_sorted, encode_sorted
+
 
 class TestVarint:
     @pytest.mark.parametrize(
@@ -138,7 +140,9 @@ class TestFingerprintAndBitMessages:
         assert bv9[3] is False
 
     def test_golomb_set_wire_size_matches_payload(self):
-        gs = GolombCodedSet([3, 17, 90, 1000], universe=2**20)
-        assert gs.wire_bytes() >= len(gs.payload)
-        assert gs.decode() == [3, 17, 90, 1000]
+        values = [3, 17, 90, 1000]
+        gs = GolombCodedSet(values, universe=2**20)
+        payload, m = encode_sorted(values, universe=2**20)
+        assert gs.wire_bytes() == len(payload) + varint_size(m) + varint_size(len(values))
+        assert decode_sorted(payload, m, len(values)) == gs.values.tolist()
         assert wire_size(gs) == gs.wire_bytes()
