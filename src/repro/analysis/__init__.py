@@ -1,12 +1,14 @@
 """Static analysis of the repro package: SPMD, wire-format and toggle lint.
 
 An AST-driven analyzer (python :mod:`ast` only — no third-party parser)
-that checks the invariants the runtime can only surface as deadlock
-timeouts or silent byte drift:
+that checks the invariants the runtime cannot see, or surfaces only as
+silent byte drift:
 
-* :mod:`~repro.analysis.spmd` — comm-graph extraction plus the classic
-  SPMD bugs (divergent collective order under rank-dependent branches,
-  orphaned receives, root/op mismatches, self-addressed blocking posts);
+* :mod:`~repro.analysis.spmd` — the one SPMD bug the runtime cannot
+  see: root/op literals that disagree within a phase while every rank
+  makes the same calls.  Ranks in different collectives, deadlocks,
+  unmatched receives and blocking self-sends are named at runtime by
+  both engines (:class:`repro.mpi.engine.MeteredComm`);
 * :mod:`~repro.analysis.wire` — wire-format discipline (verify-before-
   decode on sealed blocks/frames, zero-copy hot path);
 * :mod:`~repro.analysis.toggles` — toggle hygiene: every ``REPRO_*``

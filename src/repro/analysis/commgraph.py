@@ -10,8 +10,7 @@ repro-internal calls through each module's imports, and extracts a
 * :func:`transitive_closure` — the set of functions reachable from an
   entry point through resolved repro-internal calls (cycle safe);
 * :func:`collective_sequence` — the spliced, call-site-ordered sequence
-  of collective methods an entry point issues (the SPMD pass compares
-  these across rank-dependent branches);
+  of collective methods an entry point issues;
 * :func:`detect_algorithms` — the statically visible
   ``AlgorithmRegistry`` entries (``AlgorithmEntry(...)`` constructions and
   ``register_algorithm(...)`` calls), mapping algorithm names to their

@@ -33,8 +33,7 @@ __all__ = [
 
 #: ``Communicator`` methods every rank must reach in the same order
 #: (``record_exchange_collective`` documents "must be called by all ranks at
-#: the same program point", which is exactly the property the SPMD pass
-#: checks, so it participates as a collective).
+#: the same program point", so it counts as a collective in the comm graph).
 COLLECTIVE_METHODS = frozenset(
     {
         "barrier",
@@ -66,9 +65,8 @@ class CommEvent:
 
     ``root``, ``op``, ``tag`` and ``peer`` hold the *unparsed source text*
     of the respective argument expression (or ``None`` where the method has
-    no such argument), so syntactic matching — e.g. a ``recv`` tag against
-    the ``send`` tags of the same call closure — is exact and needs no
-    evaluation.
+    no such argument), so comparing them — e.g. the ``root`` literals of
+    one phase — is exact and needs no evaluation.
     """
 
     method: str

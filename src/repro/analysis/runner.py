@@ -2,9 +2,11 @@
 
 :func:`run_lint` is the single entry point behind both the ``repro lint``
 CLI subcommand and the ``tests/test_comm_lint.py`` gate.  It parses the
-tree once, runs the SPMD, wire-format and toggle passes, folds findings
-through the suppression index, attaches the per-algorithm comm graphs,
-and returns a deterministic :class:`~repro.analysis.model.LintReport`.
+tree once, runs the SPMD pass (one rule, root/op mismatches: the other
+SPMD bugs are named at runtime by both engines), the wire-format and the
+toggle passes, folds findings through the suppression index, attaches the
+per-algorithm comm graphs, and returns a deterministic
+:class:`~repro.analysis.model.LintReport`.
 """
 
 from __future__ import annotations

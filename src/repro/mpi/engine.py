@@ -333,9 +333,12 @@ class MeteredComm(Communicator):
 
     Everything that must be **bit-identical across execution engines** lives
     here: the accounting hooks, the collective algebra (which edges each
-    collective charges to the meter), point-to-point framing and posting-order
-    matching, and the fault-mode receive pipeline (injection on arrival,
-    sequencing, CRC verification, gap detection, pull-based recovery).
+    collective charges to the meter), the SPMD checks (every rendezvous
+    compares the ranks' collective signatures, :meth:`_meet`; a blocking
+    send to one's own rank is refused), point-to-point framing and
+    posting-order matching, and the fault-mode receive pipeline (injection
+    on arrival, sequencing, CRC verification, gap detection, pull-based
+    recovery).
     Concrete engines subclass it and provide only the *transport*: how
     payloads physically move between ranks and how a rank waits.
 
@@ -343,7 +346,8 @@ class MeteredComm(Communicator):
 
     * :meth:`_fail` — abort the whole run with an exception;
     * :meth:`_board_exchange` — every rank contributes one object and
-      observes all of them (collectives and ``barrier`` are built on it);
+      observes all of them (every collective meets through it, in
+      :meth:`_meet`);
     * :meth:`_transmit` — carry one point-to-point message body to ``dest``;
     * :meth:`_arrivals` — the bodies that have arrived from ``source``, in
       send order, as a deque the caller consumes;
@@ -386,6 +390,10 @@ class MeteredComm(Communicator):
         #: path costs nothing when disarmed (pinned by BENCH_PR10)
         self._recorder = recorder
         self._pending_recvs: Dict[int, Deque[_RecvRequest]] = {}
+        #: rendezvous this rank has met (the step number of the next), and
+        #: the signature of the latest (``bcast(root=0)``; :meth:`_meet`)
+        self._steps = 0
+        self._call = ""
         #: whether a fault plan is installed (adds envelope framing + recovery)
         self._fault = injector is not None
         if self._fault:
@@ -481,7 +489,7 @@ class MeteredComm(Communicator):
         # agree on the bottleneck volume exactly like the blocking alltoall
         # does (a board exchange moves no accounted bytes), then let rank 0
         # record the one collective event the cost model sees
-        totals = self._board_exchange(int(nbytes))
+        totals = self._meet("record_exchange_collective", int(nbytes))
         if self.rank == 0:
             self._meter.record_collective(kind, max(totals), self.size, self._phase)
 
@@ -498,7 +506,20 @@ class MeteredComm(Communicator):
         CRC32, charged on the wire) stamped with the sender's phase, and the
         plan's message rules strike it on arrival (:meth:`_arrive`); without
         one, this is the zero-overhead baseline path.
+
+        A blocking send to one's own rank raises :class:`SpmdError`: MPI
+        may refuse to buffer a standard-mode send, so such a program is not
+        portable (an ``isend`` to oneself is legal).
         """
+        if dest == self.rank:
+            raise SpmdError(
+                f"rank {self.rank}: blocking send to its own rank (tag {tag}); "
+                "use isend"
+            )
+        self._post(obj, dest, tag, nbytes)
+
+    def _post(self, obj: Any, dest: int, tag: int, nbytes: Optional[int]) -> None:
+        """Hand ``obj`` to the transport for ``dest``; the body of every send."""
         if not 0 <= dest < self.size:
             raise ValueError(f"invalid destination rank {dest}")
         size = wire_size(obj) if nbytes is None else nbytes
@@ -521,7 +542,7 @@ class MeteredComm(Communicator):
         self, obj: Any, dest: int, tag: int = 0, nbytes: Optional[int] = None
     ) -> Request:
         """Non-blocking send; completes eagerly (the network buffers unboundedly)."""
-        self.send(obj, dest, tag, nbytes)
+        self._post(obj, dest, tag, nbytes)
         return _SendRequest()
 
     def recv(self, source: int, tag: int = 0) -> Any:
@@ -537,8 +558,11 @@ class MeteredComm(Communicator):
         return request
 
     def sendrecv(self, obj: Any, peer: int, tag: int = 0, nbytes: Optional[int] = None) -> Any:
-        """Symmetric exchange with ``peer`` (both sides must call this)."""
-        self.send(obj, peer, tag, nbytes)
+        """Symmetric exchange with ``peer`` (both sides must call this).
+
+        Legal with ``peer == rank``, as ``MPI_Sendrecv`` is.
+        """
+        self._post(obj, peer, tag, nbytes)
         return self.recv(peer, tag)
 
     def _match_pending_recvs(self, source: int) -> None:
@@ -733,6 +757,33 @@ class MeteredComm(Communicator):
         self._drain(source)
 
     # ------------------------------------------------------------------ collectives
+    def _meet(
+        self, call: str, contribution: Any, root: Optional[int] = None, op: Any = None
+    ) -> List[Any]:
+        """One rendezvous of collective ``call``: every rank's contribution.
+
+        Every collective meets here, so both engines check the SPMD contract
+        in one place: each rank's board slot carries its call's signature
+        (name, ``root``, reduction ``op``; a callable op by its
+        ``__qualname__``), and every rank compares the whole board.  Ranks
+        in different collectives raise :class:`SpmdError` naming each
+        rank's call.  Signatures ride on the board, which is not metered.
+        """
+        if root is not None and not 0 <= root < self.size:
+            raise ValueError(f"invalid root rank {root}")
+        args = [] if root is None else [f"root={root}"]
+        if op is not None:
+            args.append(f"op={op.__qualname__ if callable(op) else op}")
+        self._call = call = f"{call}({', '.join(args)})" if args else call
+        board = self._board_exchange((call, contribution))
+        step, self._steps = self._steps, self._steps + 1
+        if any(theirs != call for theirs, _ in board):
+            raise SpmdError(
+                f"collective step {step}: "
+                + ", ".join(f"rank {r} in {c}" for r, (c, _) in enumerate(board))
+            )
+        return [value for _, value in board]
+
     def barrier(self) -> None:
         """Synchronise all ranks (recorded as one zero-byte collective).
 
@@ -747,14 +798,14 @@ class MeteredComm(Communicator):
         if rec is not None:
             rec.begin("barrier")
         t0 = self._now()
-        self._board_exchange(None)
+        self._meet("barrier", None)
         self._meter.record_barrier_wait(self.rank, self._phase, self._now() - t0)
         if rec is not None:
             rec.end("barrier")
 
     def bcast(self, obj: Any, root: int = 0, nbytes: Optional[int] = None) -> Any:
         """Broadcast from ``root``; accounted as a binomial tree."""
-        snapshot = self._board_exchange(obj if self.rank == root else None)
+        snapshot = self._meet("bcast", obj if self.rank == root else None, root=root)
         value = snapshot[root]
         if self.rank == root:
             size = wire_size(value) if nbytes is None else nbytes
@@ -769,7 +820,7 @@ class MeteredComm(Communicator):
 
     def gather(self, obj: Any, root: int = 0, nbytes: Optional[int] = None) -> Optional[List[Any]]:
         """Gather at ``root`` (rank order); every other rank sends once."""
-        snapshot = self._board_exchange(obj)
+        snapshot = self._meet("gather", obj, root=root)
         size = wire_size(obj) if nbytes is None else nbytes
         if self.rank != root:
             self._meter.record_send(self.rank, root, size)
@@ -790,7 +841,7 @@ class MeteredComm(Communicator):
             contribution = list(objs)
         else:
             contribution = None
-        snapshot = self._board_exchange(contribution)
+        snapshot = self._meet("scatter", contribution, root=root)
         parts = snapshot[root]
         if self.rank == root:
             sizes = [wire_size(x) for x in parts]
@@ -803,7 +854,7 @@ class MeteredComm(Communicator):
 
     def allgather(self, obj: Any, nbytes: Optional[int] = None) -> List[Any]:
         """All ranks observe all contributions; ring/gossip accounting."""
-        snapshot = self._board_exchange(obj)
+        snapshot = self._meet("allgather", obj)
         size = wire_size(obj) if nbytes is None else nbytes
         # ring/gossip accounting: every PE forwards everything except its own
         # contribution once, hence sends (and receives) total - own bytes
@@ -842,11 +893,11 @@ class MeteredComm(Communicator):
             self._meter.record_send(self.rank, dst, sizes[dst])
         my_total = sum(sz for d, sz in enumerate(sizes) if d != self.rank)
 
-        snapshot = self._board_exchange(list(objs))
+        snapshot = self._meet("alltoall", list(objs))
         received = [snapshot[src][self.rank] for src in range(self.size)]
 
         # one rank records the collective event with the bottleneck volume
-        totals = self._board_exchange(my_total)
+        totals = self._meet("alltoall", my_total)
         if self.rank == 0:
             self._meter.record_collective(
                 "alltoall", max(totals, default=0), self.size, self._phase
@@ -855,7 +906,7 @@ class MeteredComm(Communicator):
 
     def reduce(self, value: Any, op: str = ReduceOp.SUM, root: int = 0) -> Any:
         """Reduce per-rank values at ``root``; ``None`` elsewhere."""
-        snapshot = self._board_exchange(value)
+        snapshot = self._meet("reduce", value, root=root, op=op)
         size = wire_size(value)
         if self.rank != root:
             # each rank contributes its *own* value's wire size (values may
@@ -874,7 +925,7 @@ class MeteredComm(Communicator):
 
     def allreduce(self, value: Any, op: str = ReduceOp.SUM) -> Any:
         """Reduce per-rank values; every rank receives the result."""
-        snapshot = self._board_exchange(value)
+        snapshot = self._meet("allreduce", value, op=op)
         size = wire_size(value)
         if self.size > 1:
             # ring accounting: each rank ships its *own* value's wire size
@@ -930,7 +981,7 @@ class ThreadComm(MeteredComm):
             st.block(
                 self.rank,
                 lambda: st.collectives != step,
-                f"collective step {step}",
+                f"collective step {step} ({self._call})",
             )
         st.catch_up(self.rank, st.release_clock)
         return list(st.snapshot)

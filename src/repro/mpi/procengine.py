@@ -119,7 +119,6 @@ class ProcComm(MeteredComm):
         # zero-copy segments opened on receive; closed at teardown
         self._segments: List[Any] = []
         # control plane: per-source stash of collective steps, by sequence
-        self._coll_seq = 0
         self._coll_stash: Dict[int, Dict[int, Any]] = {}
         # per source: point-to-point message bodies received, in send order
         self._wire: Dict[int, Deque[Tuple[Any, ...]]] = {}
@@ -150,14 +149,13 @@ class ProcComm(MeteredComm):
         """All ranks contribute one object and observe everyone's contribution.
 
         Gather-to-rank-0 then redistribute, with an explicit collective
-        sequence number per step: SPMD programs issue collectives in the
+        sequence number per step (the rendezvous met so far): SPMD programs issue collectives in the
         same order on every rank, so a mismatched sequence number is
         detected as a violation instead of silently crossing wires.  Each
         rank's own slot travels as ``None`` and is spliced back locally
         (its own contribution never needs to round-trip).
         """
-        seq = self._coll_seq
-        self._coll_seq += 1
+        seq = self._steps
         if self.size == 1:
             return [contribution]
         if self.rank == 0:

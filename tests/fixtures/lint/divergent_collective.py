@@ -2,7 +2,9 @@
 
 The root rank issues ``gather`` + ``bcast`` while every other rank only
 issues ``gather`` — the non-root ranks never enter the broadcast and the
-program deadlocks.  Expected finding: ``spmd-divergent-collective``.
+program deadlocks.  Both engines name it at runtime (the threads engine's
+deadlock report, the processes engine's lost rank), so the lint no longer
+looks for it: ``tests/test_engine_conformance.py`` runs this program.
 """
 
 

@@ -1,7 +1,8 @@
 """Seeded bug: a blocking receive whose tag no send ever posts.
 
 The even ranks send with tag 11 but the odd ranks wait on tag 12 — the
-receive can never be satisfied.  Expected finding: ``spmd-orphan-recv``.
+receive can never be satisfied.  Both engines raise a tag mismatch at
+runtime: ``tests/test_engine_conformance.py`` runs this program.
 """
 
 

@@ -1,8 +1,9 @@
 """Seeded bug: a blocking send whose peer arithmetic folds to the caller.
 
 ``rank + cube - cube`` is identically ``comm.rank``, so the blocking send
-addresses the sending rank itself and can never complete.  Expected
-finding: ``spmd-self-send``.
+addresses the sending rank itself.  Both engines refuse a blocking send to
+one's own rank at runtime: ``tests/test_engine_conformance.py`` runs this
+program.
 """
 
 

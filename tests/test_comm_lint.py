@@ -31,11 +31,10 @@ from repro.config import RunConfig
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
 
-#: every seeded fixture and the one rule class it must trip
+#: every seeded fixture and the one rule class it must trip (the runtime
+#: names the bugs of divergent_collective.py, orphan_recv.py and
+#: self_send.py on both engines: tests/test_engine_conformance.py)
 SEEDED = {
-    "divergent_collective.py": "spmd-divergent-collective",
-    "orphan_recv.py": "spmd-orphan-recv",
-    "self_send.py": "spmd-self-send",
     "collective_mismatch.py": "spmd-collective-mismatch",
     "unchecked_decode.py": "wire-unverified-decode",
     "unverified_frame.py": "wire-unverified-frame",
@@ -96,20 +95,22 @@ def test_clean_fixture_has_no_findings():
 def test_suppression_comment_silences_a_finding(tmp_path):
     bugged = tmp_path / "suppressed.py"
     bugged.write_text(
-        "def to_self(comm, payload):\n"
-        "    comm.send(payload, comm.rank)  # lint: spmd-ok(spmd-self-send)\n"
+        "def twin_roots(comm, counts):\n"
+        "    comm.gather(counts, root=0)\n"
+        "    return comm.bcast(counts, root=1)  # lint: spmd-ok(spmd-collective-mismatch)\n"
     )
     report = run_lint(root=None, extra_paths=[bugged])
     assert report.ok
-    assert [f.rule for f in report.suppressed] == ["spmd-self-send"]
+    assert [f.rule for f in report.suppressed] == ["spmd-collective-mismatch"]
 
 
 def test_wildcard_suppression(tmp_path):
     bugged = tmp_path / "suppressed.py"
     bugged.write_text(
-        "def to_self(comm, payload):\n"
+        "def twin_roots(comm, counts):\n"
+        "    comm.gather(counts, root=0)\n"
         "    # lint: spmd-ok(*)\n"
-        "    comm.send(payload, comm.rank)\n"
+        "    return comm.bcast(counts, root=1)\n"
     )
     report = run_lint(root=None, extra_paths=[bugged])
     assert report.ok and report.suppressed

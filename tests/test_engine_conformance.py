@@ -5,13 +5,20 @@ all six algorithms x three exchange topologies — and asserts each cell's finge
 config hash, origin/total/per-PE wire bytes, decoded local work) is
 bit-identical between the candidate engine and the ``threads`` reference.
 Cells for engines the platform cannot run are skipped with the platform's
-reason, never errored.
+reason, never errored.  ``TestSpmdAtRuntime`` requires every engine to
+name the SPMD bugs the lint no longer looks for: ranks in different
+collectives, an invalid root, a blocking self-send, and the three seeded
+fixtures under ``tests/fixtures/lint/``.
 
 Reference fingerprints are computed once per (algorithm, topology) cell and cached for the whole module, so adding a backend to the axis costs
 only that backend's runs.
 """
 
 from __future__ import annotations
+
+import importlib.util
+import re
+from pathlib import Path
 
 import pytest
 
@@ -28,14 +35,19 @@ from engine_conformance import (
     failure_cause,
     sort_fingerprint,
 )
+from repro.mpi.engine import SpmdError, run_spmd
+
+LINT_FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
 
 _reference_cache = {}
 
 
-def _reference(algorithm, topology):
-    key = (algorithm, topology)
+def _reference(algorithm, topology, num_pes=4):
+    key = (algorithm, topology, num_pes)
     if key not in _reference_cache:
-        _reference_cache[key] = sort_fingerprint(REFERENCE_ENGINE, algorithm, topology)
+        _reference_cache[key] = sort_fingerprint(
+            REFERENCE_ENGINE, algorithm, topology, num_pes=num_pes
+        )
     return _reference_cache[key]
 
 
@@ -58,6 +70,131 @@ class TestConformanceMatrix:
             fp, reference, label=f"{candidate_engine}/{algorithm}/{topology}"
         )
         assert fp["engine_tag"] == candidate_engine
+
+    @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
+    def test_three_pe_cell_matches_reference(self, candidate_engine, algorithm):
+        """A p = 3 direct cell: hQuick's fold and other non-power-of-two paths."""
+        reference = _reference(algorithm, "direct", num_pes=3)
+        fp = sort_fingerprint(candidate_engine, algorithm, "direct", num_pes=3)
+        assert_engines_agree(
+            fp, reference, label=f"{candidate_engine}/{algorithm}/direct/p=3"
+        )
+
+
+def _spmd_failure(engine, program, args_per_rank=None):
+    """Run ``program`` at p = 2 on ``engine``; the message it fails with."""
+    with pytest.raises(SpmdError) as excinfo:
+        run_spmd(2, program, args_per_rank=args_per_rank, engine=engine)
+    return str(excinfo.value.__cause__ or excinfo.value)
+
+
+def _max(values):
+    return max(values)
+
+
+#: one program per kind of collective mismatch, and the message naming it
+MISMATCHES = {
+    "call": (
+        lambda comm: comm.bcast("x", root=0) if comm.rank == 0 else comm.allgather(1),
+        "collective step 0: rank 0 in bcast(root=0), rank 1 in allgather",
+    ),
+    "root": (
+        lambda comm: comm.bcast(comm.rank, root=comm.rank),
+        "collective step 0: rank 0 in bcast(root=0), rank 1 in bcast(root=1)",
+    ),
+    "op": (
+        lambda comm: comm.allreduce(1, op="sum" if comm.rank == 0 else "max"),
+        "collective step 0: rank 0 in allreduce(op=sum), rank 1 in allreduce(op=max)",
+    ),
+    "callable-op": (
+        lambda comm: comm.allreduce(1, op=_max if comm.rank == 0 else "max"),
+        "collective step 0: rank 0 in allreduce(op=_max), rank 1 in allreduce(op=max)",
+    ),
+    "barrier": (
+        lambda comm: comm.allreduce(1) if comm.rank == 0 else comm.barrier(),
+        "collective step 0: rank 0 in allreduce(op=sum), rank 1 in barrier",
+    ),
+    "later-step": (
+        lambda comm: (comm.barrier(), comm.alltoall([0, 0]), comm.gather(1, root=0))
+        if comm.rank == 0
+        else (comm.barrier(), comm.alltoall([0, 0]), comm.reduce(1, root=0)),
+        "collective step 3: rank 0 in gather(root=0), rank 1 in reduce(root=0, op=sum)",
+    ),
+}
+
+
+def _fixture(name, function):
+    """The rank program ``function`` of the seeded lint fixture ``name``."""
+    spec = importlib.util.spec_from_file_location(name, LINT_FIXTURES / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return getattr(module, function)
+
+
+class TestSpmdAtRuntime:
+    """Both engines name the SPMD bugs the lint no longer looks for."""
+
+    @pytest.mark.parametrize("kind", sorted(MISMATCHES))
+    def test_a_collective_mismatch_names_each_rank(self, candidate_engine, kind):
+        program, expected = MISMATCHES[kind]
+        assert expected in _spmd_failure(candidate_engine, program)
+
+    @pytest.mark.parametrize("root", [5, -1])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda comm, root: comm.bcast(1, root=root),
+            lambda comm, root: comm.gather(1, root=root),
+            lambda comm, root: comm.scatter(None, root=root),
+            lambda comm, root: comm.reduce(1, root=root),
+        ],
+        ids=["bcast", "gather", "scatter", "reduce"],
+    )
+    def test_an_invalid_root_is_rejected(self, candidate_engine, call, root):
+        with pytest.raises(SpmdError) as excinfo:
+            run_spmd(2, call, common_args=(root,), engine=candidate_engine)
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, ValueError)
+        assert str(cause) == f"invalid root rank {root}"
+
+    def test_a_blocking_send_to_oneself_is_refused(self, candidate_engine):
+        message = _spmd_failure(candidate_engine, lambda comm: comm.send(1, comm.rank))
+        assert re.search(r"rank [01]: blocking send to its own rank", message)
+
+    def test_isend_and_sendrecv_to_oneself_stay_legal(self, candidate_engine):
+        def program(comm):
+            comm.isend("mine", comm.rank).wait()
+            return comm.recv(comm.rank), comm.sendrecv(comm.rank, comm.rank)
+
+        results, _ = run_spmd(2, program, engine=candidate_engine)
+        assert results == [("mine", 0), ("mine", 1)]
+
+    def test_divergent_collective_fixture(self, candidate_engine):
+        program = _fixture("divergent_collective", "divergent_reduce")
+        message = _spmd_failure(
+            candidate_engine, program, args_per_rank=[([b"a"],), ([b"b"],)]
+        )
+        # rank 1 returned before the bcast only rank 0 enters
+        expected = {
+            "threads": "rank 0 waits for collective step 2 (bcast(root=0)); "
+            "rank 1 has returned",
+            "processes": "rank 0: lost rank 1 before collective step 2",
+        }[candidate_engine]
+        assert expected in message
+
+    def test_orphan_recv_fixture(self, candidate_engine):
+        program = _fixture("orphan_recv", "mismatched_tags")
+        message = _spmd_failure(
+            candidate_engine, program, args_per_rank=[([b"a"],), ([b"b"],)]
+        )
+        assert (
+            "rank 1: tag mismatch receiving from 0: expected 12, got 11" in message
+        )
+
+    def test_self_send_fixture(self, candidate_engine):
+        program = _fixture("self_send", "fold_to_self")
+        message = _spmd_failure(candidate_engine, program, args_per_rank=[(b"a",), (b"b",)])
+        assert re.search(r"rank [01]: blocking send to its own rank \(tag 31\)", message)
 
 
 class TestRootCause:
