@@ -1,24 +1,18 @@
-"""Static analysis of the repro package: SPMD, wire-format and toggle lint.
+"""Static analysis of the repro package: the comm graphs and one SPMD rule.
 
 An AST-driven analyzer (python :mod:`ast` only — no third-party parser)
-that checks the invariants the runtime cannot see, or surfaces only as
-silent byte drift:
-
-* :mod:`~repro.analysis.spmd` — the one SPMD bug the runtime cannot
-  see: root/op literals that disagree within a phase while every rank
-  makes the same calls.  Ranks in different collectives, deadlocks,
-  unmatched receives and blocking self-sends are named at runtime by
-  both engines (:class:`repro.mpi.engine.MeteredComm`);
-* :mod:`~repro.analysis.wire` — wire-format discipline (verify-before-
-  decode on sealed blocks/frames, zero-copy hot path);
-* :mod:`~repro.analysis.toggles` — toggle hygiene: every ``REPRO_*``
-  setting is a :class:`repro.config.RunConfig` field, read only by
-  ``RunConfig.from_env``.
+that extracts every rank program's communication and checks the one SPMD
+invariant no run can see: root/op literals that disagree within a phase
+while every rank makes the same calls (:mod:`~repro.analysis.spmd`).
+Ranks in different collectives, deadlocks, unmatched receives and
+blocking self-sends are named at runtime by both engines
+(:class:`repro.mpi.engine.MeteredComm`); wire seals, the zero-copy hot
+path and the ``REPRO_*`` settings table are pinned by tests.
 
 Entry points: :func:`~repro.analysis.runner.run_lint` (library),
 ``repro lint`` (CLI), ``tests/test_comm_lint.py`` (gate).  See
-``docs/ANALYSIS.md`` for the pass taxonomy, the comm-graph JSON schema
-and the ``# lint: spmd-ok(<rule>)`` suppression syntax.
+``docs/ANALYSIS.md`` for the remaining rule, the former rules and the
+tests that now catch them, and the comm-graph JSON schema.
 """
 
 from .commgraph import (
@@ -29,7 +23,7 @@ from .commgraph import (
     parse_tree,
     transitive_closure,
 )
-from .model import CommEvent, Finding, FunctionSummary, LintReport, SuppressionIndex
+from .model import CommEvent, Finding, FunctionSummary, LintReport
 from .runner import (
     default_source_root,
     render_human,
@@ -49,7 +43,6 @@ __all__ = [
     "Finding",
     "FunctionSummary",
     "LintReport",
-    "SuppressionIndex",
     "default_source_root",
     "render_human",
     "render_json",

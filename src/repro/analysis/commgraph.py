@@ -25,13 +25,7 @@ import ast
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .model import (
-    COLLECTIVE_METHODS,
-    CommEvent,
-    FunctionSummary,
-    ModuleInfo,
-    SuppressionIndex,
-)
+from .model import COLLECTIVE_METHODS, CommEvent, FunctionSummary, ModuleInfo
 
 __all__ = [
     "PackageIndex",
@@ -100,7 +94,6 @@ class PackageIndex:
         self.nodes: Dict[str, ast.AST] = {}
         #: per-module name -> ``module:qualname`` resolution table
         self._resolvers: Dict[str, Dict[str, str]] = {}
-        self.suppressions = SuppressionIndex()
 
     # ------------------------------------------------------------------ parsing
     def add_package(self, root: Path, package: str) -> None:
@@ -117,9 +110,7 @@ class PackageIndex:
         """Parse one source file under the given dotted module name."""
         source = path.read_text(encoding="utf-8")
         tree = ast.parse(source, filename=str(path))
-        info = ModuleInfo(module=module, path=str(path), tree=tree, source=source)
-        self.modules[module] = info
-        self.suppressions.index_file(str(path), source)
+        self.modules[module] = ModuleInfo(module=module, path=str(path), tree=tree)
 
     # ------------------------------------------------------------------ indexing
     def build(self) -> None:

@@ -6,9 +6,8 @@ every function that takes a ``comm`` parameter (the SPMD rank-program
 convention established by :class:`repro.mpi.comm.Communicator`) into a
 :class:`FunctionSummary`: its communication call sites
 (:class:`CommEvent`), the repro-internal functions it calls, and enough
-location data to report findings.  The lint passes
-(:mod:`~repro.analysis.spmd`, :mod:`~repro.analysis.wire`,
-:mod:`~repro.analysis.toggles`) consume these summaries and emit
+location data to report findings.  The one lint pass
+(:mod:`~repro.analysis.spmd`) consumes these summaries and emits
 :class:`Finding` objects; :class:`LintReport` aggregates them with
 deterministic ordering so two runs over the same tree render identical
 human and JSON output.
@@ -16,19 +15,16 @@ human and JSON output.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "COLLECTIVE_METHODS",
-    "P2P_METHODS",
     "CommEvent",
     "FunctionSummary",
     "ModuleInfo",
     "Finding",
     "LintReport",
-    "SuppressionIndex",
 ]
 
 #: ``Communicator`` methods every rank must reach in the same order
@@ -47,10 +43,6 @@ COLLECTIVE_METHODS = frozenset(
         "record_exchange_collective",
     }
 )
-
-#: point-to-point ``Communicator`` methods (matched pairwise, never
-#: sequence-checked across ranks).
-P2P_METHODS = frozenset({"send", "recv", "sendrecv", "isend", "irecv"})
 
 #: rooted collectives whose ``root`` literals the mismatch rule compares.
 ROOTED_METHODS = frozenset({"bcast", "gather", "scatter", "reduce"})
@@ -83,11 +75,6 @@ class CommEvent:
     def is_collective(self) -> bool:
         """Whether every rank must issue this call in the same order."""
         return self.method in COLLECTIVE_METHODS
-
-    @property
-    def is_p2p(self) -> bool:
-        """Whether this is a point-to-point post (matched, not ordered)."""
-        return self.method in P2P_METHODS
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready form with deterministic key order (sorted at dump)."""
@@ -136,17 +123,11 @@ class FunctionSummary:
 
 @dataclass
 class ModuleInfo:
-    """One parsed source file: its dotted name, path, AST and source lines."""
+    """One parsed source file: its dotted name, path and AST."""
 
     module: str
     path: str
     tree: object
-    source: str
-
-    @property
-    def lines(self) -> List[str]:
-        """The source split into lines (1-indexed access via ``lines[n-1]``)."""
-        return self.source.splitlines()
 
 
 @dataclass(frozen=True)
@@ -176,80 +157,29 @@ class Finding:
         return out
 
 
-#: ``# lint: spmd-ok(<rule>)`` — the one suppression syntax all passes share
-_SUPPRESSION_RE = re.compile(r"#\s*lint:\s*spmd-ok\(\s*([A-Za-z0-9_*,\s-]+?)\s*\)")
-
-
-class SuppressionIndex:
-    """Per-file map of ``# lint: spmd-ok(<rule>)`` suppression comments.
-
-    A finding is suppressed when the comment appears on the finding's line
-    or on the line directly above it; ``spmd-ok(*)`` suppresses every rule
-    on that line.  Multiple rules may be listed comma-separated.
-    """
-
-    def __init__(self) -> None:
-        self._by_path: Dict[str, Dict[int, frozenset]] = {}
-
-    def index_file(self, path: str, source: str) -> None:
-        """Record the suppression comments of one source file."""
-        per_line: Dict[int, frozenset] = {}
-        for lineno, text in enumerate(source.splitlines(), start=1):
-            match = _SUPPRESSION_RE.search(text)
-            if match:
-                rules = frozenset(
-                    r.strip() for r in match.group(1).split(",") if r.strip()
-                )
-                per_line[lineno] = rules
-        if per_line:
-            self._by_path[path] = per_line
-
-    def is_suppressed(self, finding: Finding) -> bool:
-        """Whether a suppression comment covers this finding."""
-        per_line = self._by_path.get(finding.path)
-        if not per_line:
-            return False
-        for lineno in (finding.line, finding.line - 1):
-            rules = per_line.get(lineno)
-            if rules and ("*" in rules or finding.rule in rules):
-                return True
-        return False
-
-
 @dataclass
 class LintReport:
-    """Aggregated result of one analyzer run (all passes, all files)."""
+    """Aggregated result of one analyzer run (all files)."""
 
     findings: List[Finding] = field(default_factory=list)
-    suppressed: List[Finding] = field(default_factory=list)
     commgraphs: Dict[str, Dict[str, object]] = field(default_factory=dict)
     stats: Dict[str, int] = field(default_factory=dict)
 
-    def extend(self, findings: List[Finding], suppressions: SuppressionIndex) -> None:
-        """Fold a pass's findings in, routing suppressed ones aside."""
-        for finding in findings:
-            if suppressions.is_suppressed(finding):
-                self.suppressed.append(finding)
-            else:
-                self.findings.append(finding)
-
     def finalize(self) -> "LintReport":
-        """Sort everything into the canonical deterministic order."""
+        """Sort the findings into the canonical deterministic order."""
         self.findings.sort(key=Finding.sort_key)
-        self.suppressed.sort(key=Finding.sort_key)
         return self
 
     @property
     def ok(self) -> bool:
-        """Whether the tree is clean (no unsuppressed findings)."""
+        """Whether the tree is clean (no findings)."""
         return not self.findings
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready form: findings, suppressions, stats, comm graphs."""
+        """JSON-ready form: findings, stats, algorithm names."""
         return {
             "ok": self.ok,
             "findings": [f.to_dict() for f in self.findings],
-            "suppressed": [f.to_dict() for f in self.suppressed],
             "stats": dict(sorted(self.stats.items())),
             "algorithms": sorted(self.commgraphs),
         }

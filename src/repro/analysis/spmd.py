@@ -15,9 +15,6 @@ ops) fail the rendezvous signature check, a collective some rank never
 joins is a deadlock, an unmatched receive is a tag mismatch or a deadlock,
 and a blocking send to one's own rank raises ``SpmdError``
 (docs/ANALYSIS.md).
-
-Suppression: ``# lint: spmd-ok(<rule>)`` on the finding's line or the
-line above (see docs/ANALYSIS.md).
 """
 
 from __future__ import annotations

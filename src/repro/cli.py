@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint",
-        help="run the static analyzer (SPMD, wire-format and toggle lint)",
+        help="run the static analyzer (comm graphs and the SPMD root/op rule)",
     )
     p_lint.add_argument(
         "--json", dest="json_out", action="store_true",
@@ -458,13 +458,15 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
+def _cmd_lint(args, parser: argparse.ArgumentParser) -> int:
     """Run the static analyzer; exit 0 on a clean tree, 1 on findings."""
     from pathlib import Path
 
     from .analysis import render_human, render_json, run_lint, write_commgraphs
 
     root = Path(args.root) if args.root else None
+    if root is not None and not (root.is_dir() and any(root.rglob("*.py"))):
+        parser.error(f"--root {args.root}: not a directory with .py files")
     report = run_lint(root=root)
     if args.comm_graph:
         written = write_commgraphs(report, Path(args.comm_graph))
@@ -487,7 +489,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "generate":
         return _cmd_generate(args)
     if args.command == "lint":
-        return _cmd_lint(args)
+        return _cmd_lint(args, parser)
     if args.command == "trace":
         return _cmd_trace(args)
     if args.command == "metrics":

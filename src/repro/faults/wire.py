@@ -38,10 +38,6 @@ class Envelope:
     crc: int
     payload: Any
 
-    def header_bytes(self) -> int:
-        """Wire overhead of this envelope's framing (seq varint + CRC32)."""
-        return envelope_overhead(self.seq)
-
 
 def envelope_overhead(seq: int) -> int:
     """Extra wire bytes of framing a message as sequence number ``seq``."""

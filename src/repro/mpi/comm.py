@@ -236,9 +236,5 @@ class Communicator:
         """Whether this rank is ``root``."""
         return self.rank == root
 
-    def other_ranks(self) -> List[int]:
-        """Every rank except this one, in rank order."""
-        return [r for r in range(self.size) if r != self.rank]
-
 
 RankFunction = Callable[..., Any]

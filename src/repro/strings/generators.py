@@ -40,7 +40,6 @@ __all__ = [
     "suffix_instance",
     "duplicate_heavy",
     "thue_morse",
-    "GeneratorSpec",
     "make_generator",
 ]
 
@@ -400,22 +399,6 @@ def thue_morse(num_strings: int, length: int = 1024, seed: Optional[int] = None)
 # ---------------------------------------------------------------------------
 # Registry used by the benchmark harness / examples
 # ---------------------------------------------------------------------------
-
-class GeneratorSpec:
-    """A named, parameterised workload used by the benchmark harness."""
-
-    def __init__(self, name: str, factory, **params):
-        self.name = name
-        self.factory = factory
-        self.params = params
-
-    def generate(self, num_strings: int, seed: Optional[int] = None) -> List[bytes]:
-        """Instantiate the workload at ``num_strings`` strings."""
-        return self.factory(num_strings, seed=seed, **self.params)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"GeneratorSpec({self.name!r}, {self.params})"
-
 
 _REGISTRY = {
     "dn0": lambda n, seed=None: dn_instance(n, 0.0, length=64, seed=seed),

@@ -1,17 +1,22 @@
-"""Gate for the static analyzer: clean tree, caught fixtures, stable output.
+"""Gate for the static analyzer: clean tree, caught fixture, stable output.
 
 Three contracts pinned here:
 
-* ``src/repro`` is lint-clean — every SPMD, wire-format and toggle rule
-  reports zero findings on the shipped tree (no false positives on the
-  six algorithms across all engines' code paths);
-* each seeded fixture under ``tests/fixtures/lint/`` is caught by exactly
+* ``src/repro`` is lint-clean — the SPMD root/op rule reports zero
+  findings on the shipped tree (no false positives on the six algorithms
+  across all engines' code paths);
+* the seeded fixture under ``tests/fixtures/lint/`` is caught by exactly
   its bug class, and the clean fixture stays clean;
 * the report and the per-algorithm comm-graph artifacts are byte-stable
   across runs (deterministic ordering).
+
+The settings table is pinned here too, by source tests rather than lint
+rules: every ``RunConfig`` field has a ``Cluster`` keyword and a row in
+docs/API.md, and only ``repro/config.py`` reads the environment.
 """
 
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -36,11 +41,6 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
 #: self_send.py on both engines: tests/test_engine_conformance.py)
 SEEDED = {
     "collective_mismatch.py": "spmd-collective-mismatch",
-    "unchecked_decode.py": "wire-unverified-decode",
-    "unverified_frame.py": "wire-unverified-frame",
-    "hot_materialize.py": "wire-hot-materialize",
-    "rank_materialize.py": "wire-hot-materialize",
-    "unregistered_toggle.py": "toggle-unregistered",
 }
 
 THE_SIX = {"hquick", "ms", "ms-simple", "fkmerge", "pdms", "pdms-golomb"}
@@ -65,8 +65,6 @@ def test_src_scan_covers_the_whole_package():
     report = run_lint(SRC_ROOT)
     assert report.stats["modules"] > 50
     assert report.stats["rank_programs"] > 20
-    # RunConfig.from_env is the only reader, and it is exempt
-    assert report.stats["env_reads"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -90,30 +88,6 @@ def test_seeded_fixture_trips_only_its_class(name, rule):
 def test_clean_fixture_has_no_findings():
     report = lint_fixture("clean_program.py")
     assert report.ok, [f.to_dict() for f in report.findings]
-
-
-def test_suppression_comment_silences_a_finding(tmp_path):
-    bugged = tmp_path / "suppressed.py"
-    bugged.write_text(
-        "def twin_roots(comm, counts):\n"
-        "    comm.gather(counts, root=0)\n"
-        "    return comm.bcast(counts, root=1)  # lint: spmd-ok(spmd-collective-mismatch)\n"
-    )
-    report = run_lint(root=None, extra_paths=[bugged])
-    assert report.ok
-    assert [f.rule for f in report.suppressed] == ["spmd-collective-mismatch"]
-
-
-def test_wildcard_suppression(tmp_path):
-    bugged = tmp_path / "suppressed.py"
-    bugged.write_text(
-        "def twin_roots(comm, counts):\n"
-        "    comm.gather(counts, root=0)\n"
-        "    # lint: spmd-ok(*)\n"
-        "    return comm.bcast(counts, root=1)\n"
-    )
-    report = run_lint(root=None, extra_paths=[bugged])
-    assert report.ok and report.suppressed
 
 
 # ---------------------------------------------------------------------------
@@ -187,23 +161,16 @@ def test_every_setting_has_knob_and_docs_row():
         assert setting.name in knobs, f"{env}: no Cluster knob {setting.name!r}"
 
 
-def test_a_literal_read_outside_the_reader_is_caught(tmp_path):
-    source = tmp_path / "reader.py"
-    source.write_text(
-        "import os\n"
-        "\n"
-        "class RunConfig:\n"
-        "    @classmethod\n"
-        "    def from_env(cls):\n"
-        "        return os.environ.get('REPRO_FAST')\n"
-        "\n"
-        "def elsewhere():\n"
-        "    return os.getenv('REPRO_FAST')\n"
-    )
-    report = run_lint(root=None, extra_paths=[source])
-    assert [(f.rule, f.line) for f in report.findings] == [
-        ("toggle-unregistered", 9)
+def test_only_the_settings_table_reads_the_environment():
+    # every REPRO_* setting is a RunConfig field read by RunConfig.from_env,
+    # so no other module has a reason to touch the environment
+    readers = [
+        str(path.relative_to(SRC_ROOT))
+        for path in sorted(SRC_ROOT.rglob("*.py"))
+        if path != SRC_ROOT / "config.py"
+        and re.search(r"\b(environ|getenv)\b", path.read_text(encoding="utf-8"))
     ]
+    assert readers == [], f"environment read outside repro/config.py: {readers}"
 
 
 # ---------------------------------------------------------------------------

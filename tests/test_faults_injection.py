@@ -21,8 +21,9 @@ from repro.faults import (
     RankCrashError,
 )
 from repro.mpi.engine import SpmdError, ThreadEngine, run_spmd
+from repro.net import router
 from repro.net.router import RouteFrame, frame_wire_bytes
-from repro.session import Cluster, MSSpec
+from repro.session import Cluster, MSSimpleSpec, MSSpec, PDMSSpec
 from repro.strings.generators import random_strings
 from repro.strings.lcp import lcp_array
 from repro.strings.packed import PackedStringArray
@@ -333,6 +334,37 @@ class TestRouteFrameSeals:
             bad.verify()
         # unsealed frames verify trivially
         RouteFrame(0, 1, b"payload", 7).verify()
+
+    @pytest.mark.parametrize("spec", [MSSpec(), MSSimpleSpec(), PDMSSpec()],
+                             ids=["ms", "ms-simple", "pdms"])
+    @pytest.mark.parametrize("topology", ["hypercube", "grid"])
+    def test_relayed_frame_tamper_detected(self, monkeypatch, topology, spec):
+        # a forwarder flips the seal of every frame it relays; the payload
+        # (and so every block seal inside it) stays intact, so only the
+        # destination's frame.verify() can notice
+        split_outgoing = router._split_outgoing
+        relayed = []
+
+        def tampering(topology, transit, rank, p, k, peers):
+            outgoing, held = split_outgoing(topology, transit, rank, p, k, peers)
+            for batch in outgoing.values():
+                for frame in batch:
+                    if frame.origin != rank:
+                        frame.crc ^= 1
+                        relayed.append(frame)
+            return outgoing, held
+
+        monkeypatch.setattr(router, "_split_outgoing", tampering)
+        cluster = Cluster(num_pes=4, engine="threads", wire_checksums=True,
+                          exchange_topology=topology)
+        with pytest.raises(SpmdError) as raised:
+            cluster.sort(random_strings(150, 1, 12, seed=12), spec)
+        assert relayed
+        cause = raised.value
+        while cause is not None and not isinstance(cause, CorruptFrameError):
+            cause = cause.__cause__
+        assert cause is not None, "CorruptFrameError not in the cause chain"
+        assert "route frame" in str(cause)
 
 
 class TestClusterRetries:
