@@ -18,8 +18,7 @@ The subcommands cover the workflows a downstream user needs most often:
                     timeline as Chrome-trace/Perfetto JSON (plus a terminal
                     phase waterfall; see ``docs/OBSERVABILITY.md``);
 * ``metrics``     — run a traced sort and print its metrics snapshot in
-                    Prometheus text exposition or JSON;
-* ``lint``        — run the static analyzer over the source tree.
+                    Prometheus text exposition or JSON.
 
 The CLI is deliberately thin: it only parses arguments and delegates to the
 library (``repro.session``, ``repro.bench``), so everything it does is also
@@ -191,23 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--num-strings", "-n", type=int, default=10000)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--output", "-o", required=True)
-
-    p_lint = sub.add_parser(
-        "lint",
-        help="run the static analyzer (comm graphs and the SPMD root/op rule)",
-    )
-    p_lint.add_argument(
-        "--json", dest="json_out", action="store_true",
-        help="machine-readable report (deterministic key order)",
-    )
-    p_lint.add_argument(
-        "--root",
-        help="source tree to analyze (default: the installed repro package)",
-    )
-    p_lint.add_argument(
-        "--comm-graph", dest="comm_graph", metavar="DIR",
-        help="write one commgraph-<algorithm>.json artifact per algorithm",
-    )
 
     p_trace = sub.add_parser(
         "trace", help="run a traced sort and export the per-rank timeline"
@@ -458,24 +440,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_lint(args, parser: argparse.ArgumentParser) -> int:
-    """Run the static analyzer; exit 0 on a clean tree, 1 on findings."""
-    from pathlib import Path
-
-    from .analysis import render_human, render_json, run_lint, write_commgraphs
-
-    root = Path(args.root) if args.root else None
-    if root is not None and not (root.is_dir() and any(root.rglob("*.py"))):
-        parser.error(f"--root {args.root}: not a directory with .py files")
-    report = run_lint(root=root)
-    if args.comm_graph:
-        written = write_commgraphs(report, Path(args.comm_graph))
-        if not args.json_out:
-            print(f"wrote {len(written)} comm-graph artifact(s) to {args.comm_graph}")
-    print(render_json(report) if args.json_out else render_human(report))
-    return 0 if report.ok else 1
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point used by ``python -m repro`` and the console script."""
     parser = build_parser()
@@ -488,8 +452,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_experiment(args)
     if args.command == "generate":
         return _cmd_generate(args)
-    if args.command == "lint":
-        return _cmd_lint(args, parser)
     if args.command == "trace":
         return _cmd_trace(args)
     if args.command == "metrics":

@@ -39,7 +39,7 @@ __all__ = [
 class CollectiveEvent:
     """One collective operation as seen by the cost model."""
 
-    kind: str          # "bcast", "gather", "allgather", "alltoall", "reduce", "barrier", "p2p-round"
+    kind: str          # a collective's name, or "alltoall-hypercube" / "alltoall-grid"
     phase: str
     max_bytes_per_pe: int
     num_pes: int
@@ -322,7 +322,7 @@ class TrafficReport:
         for ev in self.collectives:
             if ev.kind == "bcast":
                 total += machine.broadcast(ev.max_bytes_per_pe, ev.num_pes)
-            elif ev.kind in ("reduce", "allreduce", "scan"):
+            elif ev.kind in ("reduce", "allreduce"):
                 total += machine.reduction(ev.max_bytes_per_pe, ev.num_pes)
             elif ev.kind in ("gather", "scatter"):
                 total += machine.gather(ev.max_bytes_per_pe, ev.num_pes)
@@ -336,8 +336,6 @@ class TrafficReport:
                 total += machine.alltoall_grid(ev.max_bytes_per_pe, ev.num_pes)
             elif ev.kind == "barrier":
                 total += machine.broadcast(0, ev.num_pes)
-            elif ev.kind == "p2p-round":
-                total += machine.p2p(ev.max_bytes_per_pe)
             else:  # unknown kinds are charged like a direct all-to-all
                 total += machine.alltoall_direct(ev.max_bytes_per_pe, ev.num_pes)
         return total

@@ -31,7 +31,7 @@ from engine_conformance import engine_params, set_engine
 try:
     from hypothesis import settings
 except ImportError:
-    # CI's lint and docs-lint jobs run single test files without hypothesis
+    # CI's docs-lint job runs single test files without hypothesis
     # installed; no property test is collected there, so no profile is needed.
     pass
 else:

@@ -3,8 +3,9 @@
 Any backend registered via :func:`repro.mpi.engine.register_engine` must be
 observationally indistinguishable from the reference thread engine: the
 same rank programs must produce **bit-identical** sorted outputs, LCP
-arrays, PDMS origin labels, origin wire bytes, per-PE byte vectors and
-config hashes — for every algorithm and exchange topology.
+arrays, PDMS origin labels, origin wire bytes, per-PE byte and message
+vectors, collective sequences and config hashes — for every algorithm and
+exchange topology.
 This module packages that contract as reusable pieces:
 
 * :func:`all_engines` / :func:`engine_params` — the engine axis for pytest
@@ -57,6 +58,8 @@ _IDENTICAL_FIELDS = (
     "bytes_sent_per_pe",
     "forwarded_bytes_per_pe",
     "chars_inspected_per_pe",
+    "messages_per_pe",
+    "collectives",
 )
 
 
@@ -132,7 +135,8 @@ def sort_fingerprint(
 
     The fingerprint holds everything the contract pins bit-identically
     (outputs, LCPs, origins, config hash, the origin/total/per-PE wire byte
-    vectors, decoded local work) plus the report's ``engine`` tag and real
+    vectors, decoded local work, per-PE message counts and the recorded
+    collective sequence) plus the report's ``engine`` tag and real
     ``transported_bytes`` (informational — transport cost is the one thing
     engines legitimately differ on).
     """
@@ -150,6 +154,10 @@ def sort_fingerprint(
         "bytes_sent_per_pe": list(report.bytes_sent_per_pe),
         "forwarded_bytes_per_pe": list(report.forwarded_bytes_per_pe),
         "chars_inspected_per_pe": list(report.chars_inspected_per_pe),
+        "messages_per_pe": list(report.messages_per_pe),
+        "collectives": [
+            (ev.kind, ev.phase, ev.max_bytes_per_pe) for ev in report.collectives
+        ],
         "engine_tag": report.engine,
         "transported_bytes": report.transported_bytes,
     }

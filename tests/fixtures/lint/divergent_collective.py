@@ -3,8 +3,8 @@
 The root rank issues ``gather`` + ``bcast`` while every other rank only
 issues ``gather`` — the non-root ranks never enter the broadcast and the
 program deadlocks.  Both engines name it at runtime (the threads engine's
-deadlock report, the processes engine's lost rank), so the lint no longer
-looks for it: ``tests/test_engine_conformance.py`` runs this program.
+deadlock report, the processes engine's lost rank):
+``tests/test_engine_conformance.py`` runs this program.
 """
 
 

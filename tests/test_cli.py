@@ -158,23 +158,3 @@ class TestExperimentCommand:
         code = main(["experiment", "suffix", "--metric", "imbalance"])
         assert code == 0
         assert "imbalance" in capsys.readouterr().out
-
-
-class TestLintCommand:
-    @pytest.mark.parametrize("kind", ["missing", "file", "no-python"])
-    def test_root_without_sources_is_a_usage_error(self, capsys, tmp_path, kind):
-        root = tmp_path / "nonexistent"
-        if kind == "file":
-            root.write_text("x = 1\n")
-        elif kind == "no-python":
-            root.mkdir()
-            (root / "notes.txt").write_text("nothing to analyze\n")
-        with pytest.raises(SystemExit) as raised:
-            main(["lint", "--root", str(root)])
-        assert raised.value.code == 2
-        assert str(root) in capsys.readouterr().err
-
-    def test_root_with_sources_is_analyzed(self, capsys, tmp_path):
-        (tmp_path / "prog.py").write_text("def idle(comm):\n    comm.barrier()\n")
-        assert main(["lint", "--root", str(tmp_path)]) == 0
-        assert "analyzed 1 modules" in capsys.readouterr().out

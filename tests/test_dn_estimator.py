@@ -28,6 +28,12 @@ class TestEstimateDnRatio:
         results, _ = _estimate(_blocks(data, 4))
         assert all(r.dn_ratio == results[0].dn_ratio for r in results)
 
+    def test_totals_are_global(self):
+        data = dn_instance(800, 0.5, length=60, seed=1)
+        results, _ = _estimate(_blocks(data, 4))
+        assert {r.num_strings for r in results} == {len(data)}
+        assert {r.num_chars for r in results} == {sum(len(s) for s in data)}
+
     def test_estimate_tracks_true_ratio_for_dn_instances(self):
         for target in (0.1, 0.9):
             data = dn_instance(1000, target, length=80, seed=2)

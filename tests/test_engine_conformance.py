@@ -2,13 +2,17 @@
 
 Drives ``tests/engine_conformance.py`` over the full contract surface —
 all six algorithms x three exchange topologies — and asserts each cell's fingerprint (sorted outputs, LCP arrays, PDMS origins,
-config hash, origin/total/per-PE wire bytes, decoded local work) is
+config hash, origin/total/per-PE wire bytes, decoded local work, per-PE
+message counts, the recorded collective sequence) is
 bit-identical between the candidate engine and the ``threads`` reference.
 Cells for engines the platform cannot run are skipped with the platform's
 reason, never errored.  ``TestSpmdAtRuntime`` requires every engine to
-name the SPMD bugs the lint no longer looks for: ranks in different
+name the SPMD bugs a run can see: ranks in different
 collectives, an invalid root, a blocking self-send, and the three seeded
 fixtures under ``tests/fixtures/lint/``.
+
+``TestCommGraph`` pins each algorithm's communication structure as the
+meter records it: the ``(kind, phase)`` sequence of ``report.collectives``.
 
 Reference fingerprints are computed once per (algorithm, topology) cell and cached for the whole module, so adding a backend to the axis costs
 only that backend's runs.
@@ -81,6 +85,57 @@ class TestConformanceMatrix:
         )
 
 
+SPLITTERS = [("gather", "splitter-determination"), ("bcast", "splitter-determination")]
+#: one doubling round: an allreduce of the strings still active, then the
+#: fingerprint all-to-all and the answers back
+DOUBLING_ROUND = [
+    ("allreduce", "prefix-doubling"),
+    ("alltoall", "prefix-doubling"),
+    ("alltoall", "prefix-doubling"),
+]
+#: the all-to-all kind the exchange records under each topology
+EXCHANGE_KIND = {
+    "direct": "alltoall",
+    "hypercube": "alltoall-hypercube",
+    "grid": "alltoall-grid",
+}
+
+
+def expected_collectives(algorithm, topology):
+    """The ``(kind, phase)`` sequence ``algorithm`` records at p = 4."""
+    sample_sort = SPLITTERS + [(EXCHANGE_KIND[topology], "exchange")]
+    if algorithm == "hquick":
+        return []  # pure point-to-point: fold, gossip and exchange rounds
+    if algorithm in ("pdms", "pdms-golomb"):
+        # two doubling rounds resolve the corpus; the third allreduce finds
+        # nothing active.  The two trailing statistics allreduces run
+        # outside any phase.
+        return (
+            DOUBLING_ROUND * 2
+            + [("allreduce", "prefix-doubling")]
+            + sample_sort
+            + [("allreduce", "unlabelled")] * 2
+        )
+    if algorithm == "auto":
+        # the D/N estimate: total strings and characters, then a sample
+        estimate = [("allreduce", "dn-estimation")] * 2 + [
+            ("gather", "dn-estimation"),
+            ("bcast", "dn-estimation"),
+        ]
+        return estimate + sample_sort
+    return sample_sort  # ms, ms-simple, fkmerge
+
+
+class TestCommGraph:
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS + ("auto",))
+    def test_recorded_collective_sequence(self, algorithm, topology):
+        recorded = _reference(algorithm, topology)["collectives"]
+        assert [(kind, phase) for kind, phase, _ in recorded] == expected_collectives(
+            algorithm, topology
+        )
+
+
 def _spmd_failure(engine, program, args_per_rank=None):
     """Run ``program`` at p = 2 on ``engine``; the message it fails with."""
     with pytest.raises(SpmdError) as excinfo:
@@ -124,7 +179,7 @@ MISMATCHES = {
 
 
 def _fixture(name, function):
-    """The rank program ``function`` of the seeded lint fixture ``name``."""
+    """The rank program ``function`` of the seeded fixture ``name``."""
     spec = importlib.util.spec_from_file_location(name, LINT_FIXTURES / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -132,7 +187,7 @@ def _fixture(name, function):
 
 
 class TestSpmdAtRuntime:
-    """Both engines name the SPMD bugs the lint no longer looks for."""
+    """Both engines name the SPMD bugs a run can see."""
 
     @pytest.mark.parametrize("kind", sorted(MISMATCHES))
     def test_a_collective_mismatch_names_each_rank(self, candidate_engine, kind):

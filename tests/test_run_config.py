@@ -4,16 +4,22 @@
 variables.  Pinned here: the accepted spellings, the precedence (environment,
 then ``Cluster`` / ``run_spmd`` keywords), and that a malformed variable fails
 when the cluster is built, naming the variable, instead of inside a rank or
-not at all.
+not at all.  Two source tests pin the table's reach: every field has a
+``Cluster`` keyword and a row in docs/API.md, and only ``repro/config.py``
+reads the environment.
 """
 
 import inspect
+import re
 from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
 
 import pytest
 
 from repro import Cluster, RunConfig
 from repro.mpi import run_spmd
+
+SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: one malformed value per variable
 MALFORMED = {
@@ -125,3 +131,24 @@ def test_override_ignores_none():
 def test_config_is_frozen():
     with pytest.raises(FrozenInstanceError):
         RunConfig().trace = True
+
+
+def test_every_setting_has_knob_and_docs_row():
+    docs = (SRC_ROOT.parent.parent / "docs" / "API.md").read_text()
+    knobs = set(inspect.signature(Cluster.__init__).parameters)
+    for setting in fields(RunConfig):
+        env = setting.metadata["env"]
+        assert env in docs, f"{env} missing from docs/API.md"
+        assert setting.name in knobs, f"{env}: no Cluster knob {setting.name!r}"
+
+
+def test_only_the_settings_table_reads_the_environment():
+    # every REPRO_* setting is a RunConfig field read by RunConfig.from_env,
+    # so no other module has a reason to touch the environment
+    readers = [
+        str(path.relative_to(SRC_ROOT))
+        for path in sorted(SRC_ROOT.rglob("*.py"))
+        if path != SRC_ROOT / "config.py"
+        and re.search(r"\b(environ|getenv)\b", path.read_text(encoding="utf-8"))
+    ]
+    assert readers == [], f"environment read outside repro/config.py: {readers}"
