@@ -45,7 +45,7 @@ from repro.dist.partition import (
 from repro.mpi.engine import run_spmd
 from repro.net.cost_model import DEFAULT_MACHINE
 from repro.net.topology import grid_dims, hypercube_dimension
-from repro.sequential.lcp_losertree import lcp_multiway_merge
+from repro.sequential.lcp_losertree import lcp_multiway_merge_packed
 from repro.strings.generators import dn_instance
 from repro.strings.packed import PackedStringArray, packed_lcp_array, packed_sort
 
@@ -79,7 +79,7 @@ def _exchange_and_merge(comm, arr, lcps, splitters, topology):
         comm, buckets, lcp_compression=True, topology=topology
     )
     with comm.phase("merge"):
-        out, out_lcps = lcp_multiway_merge(
+        out, out_lcps = lcp_multiway_merge_packed(
             [run for run, _ in received], [h for _, h in received]
         )
     return out, out_lcps
@@ -111,7 +111,7 @@ def test_multilevel_exchange_gate(sorted_blocks):
         results, report, _ = runs[topology]
         for rank in range(NUM_PES):
             assert results[rank][0] == direct_results[rank][0]
-            assert results[rank][1] == direct_results[rank][1]
+            assert results[rank][1].tolist() == direct_results[rank][1].tolist()
         assert report.origin_bytes_sent == direct_report.total_bytes_sent
         assert (
             report.chars_inspected_per_pe == direct_report.chars_inspected_per_pe

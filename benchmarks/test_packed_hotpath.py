@@ -48,11 +48,12 @@ import numpy as np
 import pytest
 
 from conftest import results_path, scaled
+from oracles.losertree import lcp_multiway_merge
 from repro.bench.harness import peak_rss_bytes
 from repro.dist.exchange import LcpCompressedBlock
 from repro.dist.partition import split_into_buckets, string_based_samples, select_splitters
 from repro.sequential import sort_strings_with_lcp
-from repro.sequential.lcp_losertree import lcp_multiway_merge, lcp_multiway_merge_packed
+from repro.sequential.lcp_losertree import lcp_multiway_merge_packed
 from repro.mpi.serialization import varint_size
 from repro.sequential.msd_radix import msd_radix_sort
 from repro.strings.generators import commoncrawl_like

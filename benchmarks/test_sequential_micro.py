@@ -11,16 +11,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sequential import (
-    CharStats,
-    lcp_multiway_merge,
-    multiway_merge,
-    sort_strings_with_lcp,
-)
+from repro.sequential import CharStats, multiway_merge, sort_strings_with_lcp
 from repro.strings.generators import commoncrawl_like, dn_instance, random_strings
 from repro.strings.lcp import lcp_array
 
 from conftest import scaled
+from oracles.losertree import lcp_multiway_merge
 
 N = scaled(3000)
 

@@ -73,8 +73,8 @@ class CellResult:
     wall_time: float
     imbalance: float
     #: stable key of the exact configuration that produced this cell
-    #: (:meth:`repro.session.SortSpec.config_hash`); the resume key of the
-    #: checkpointing roadmap item
+    #: (:meth:`repro.session.SortSpec.config_hash`); part of the cell's
+    #: checkpoint key when a sweep resumes (:meth:`ExperimentRunner.sweep`)
     config_hash: str = ""
     extra: Dict[str, object] = field(default_factory=dict)
 
@@ -123,10 +123,6 @@ class ExperimentResult:
                 seen.append(c.algorithm)
         return seen
 
-    def pe_counts(self) -> List[int]:
-        """Sorted distinct PE counts appearing in the cells."""
-        return sorted({c.num_pes for c in self.cells})
-
     def input_names(self) -> List[str]:
         """Input names in first-seen order (one rendered table per input)."""
         seen: List[str] = []
@@ -134,14 +130,6 @@ class ExperimentResult:
             if c.input_name not in seen:
                 seen.append(c.input_name)
         return seen
-
-    def by_config(self, config_hash: str) -> List[CellResult]:
-        """Cells produced by the configuration with this stable hash.
-
-        The lookup key for incremental sweeps: a resumed run recomputes only
-        the ``(config_hash, num_pes, input_name)`` combinations missing here.
-        """
-        return [c for c in self.cells if c.config_hash == config_hash]
 
     # -- rendering -------------------------------------------------------------------
     def to_json(self) -> str:

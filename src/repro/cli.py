@@ -79,6 +79,14 @@ _EXPERIMENTS = {
 }
 
 
+def _count(raw: str) -> int:
+    """A non-negative integer flag value (argparse ``type``)."""
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_sort_options(parser: argparse.ArgumentParser) -> None:
     """Attach the shared sort flags (``sort`` / ``trace run`` / ``metrics``).
 
@@ -92,7 +100,7 @@ def _add_sort_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--num-pes", "-p", type=int, default=8)
     parser.add_argument("--input", "-i", help="file with one string per line (default: generate)")
     parser.add_argument("--workload", "-w", choices=sorted(_GENERATORS), default="dn50")
-    parser.add_argument("--num-strings", "-n", type=int, default=5000)
+    parser.add_argument("--num-strings", "-n", type=_count, default=5000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--check", action="store_true", help="verify the output contracts")
     parser.add_argument(
@@ -142,7 +150,7 @@ def _add_sort_options(parser: argparse.ArgumentParser) -> None:
         "the injected/detected/retried counters",
     )
     parser.add_argument(
-        "--max-retries", type=int, default=0,
+        "--max-retries", type=_count, default=0,
         help="re-run the sort up to this many times if a fault (e.g. an "
         "injected rank crash) aborts it (default: 0, fail fast)",
     )
@@ -187,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="write a synthetic workload to a file")
     p_gen.add_argument("workload", choices=sorted(_GENERATORS))
-    p_gen.add_argument("--num-strings", "-n", type=int, default=10000)
+    p_gen.add_argument("--num-strings", "-n", type=_count, default=10000)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--output", "-o", required=True)
 
@@ -266,25 +274,30 @@ def _load_fault_plan(raw: Optional[str]):
     return FaultPlan.from_json(raw)
 
 
-def _run_sort(args, trace: Optional[bool]):
+def _run_sort(parser: argparse.ArgumentParser, args, trace: Optional[bool]):
     """Build the cluster from the shared flags and run one sort.
 
     Returns ``(data, spec, plan, cluster, result)`` so each subcommand can
-    render its own view of the same run.
+    render its own view of the same run.  A flag value the spec, the fault
+    plan or the cluster rejects exits 2 with a one-line error; an error of
+    the sort itself propagates.
     """
     data = _load_or_generate(args)
-    spec = _spec_from_args(args)
-    plan = _load_fault_plan(args.fault_plan)
-    # an unset flag is None: the run configuration the environment asks for
-    # (or the default) stays in charge
-    cluster = Cluster(
-        num_pes=args.num_pes,
-        engine=args.engine,
-        exchange_topology=args.exchange_topology,
-        timeout=args.timeout,
-        fault_plan=plan,
-        trace=trace,
-    )
+    try:
+        spec = _spec_from_args(args)
+        plan = _load_fault_plan(args.fault_plan)
+        # an unset flag is None: the run configuration the environment asks
+        # for (or the default) stays in charge
+        cluster = Cluster(
+            num_pes=args.num_pes,
+            engine=args.engine,
+            exchange_topology=args.exchange_topology,
+            timeout=args.timeout,
+            fault_plan=plan,
+            trace=trace,
+        )
+    except (OSError, TypeError, ValueError) as exc:
+        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
     with cluster:
         result = cluster.sort(
             data, spec, check=args.check, max_retries=args.max_retries
@@ -292,9 +305,9 @@ def _run_sort(args, trace: Optional[bool]):
     return data, spec, plan, cluster, result
 
 
-def _cmd_sort(args) -> int:
+def _cmd_sort(parser: argparse.ArgumentParser, args) -> int:
     data, spec, plan, cluster, result = _run_sort(
-        args, trace=True if args.trace else None
+        parser, args, trace=True if args.trace else None
     )
     report = result.report
     print(f"algorithm          : {result.algorithm}")
@@ -338,11 +351,11 @@ def _cmd_sort(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(parser: argparse.ArgumentParser, args) -> int:
     """``repro trace run``: traced sort → Chrome-trace JSON (+ waterfall)."""
     from .obs import render_waterfall, write_chrome_trace
 
-    _data, spec, _plan, cluster, result = _run_sort(args, trace=True)
+    _data, spec, _plan, cluster, result = _run_sort(parser, args, trace=True)
     report = result.report
     timeline = report.timeline
     if timeline is None:  # pragma: no cover - tracing was explicitly armed
@@ -374,9 +387,9 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_metrics(args) -> int:
+def _cmd_metrics(parser: argparse.ArgumentParser, args) -> int:
     """``repro metrics``: traced sort → Prometheus text / JSON snapshot."""
-    _data, _spec, _plan, _cluster, result = _run_sort(args, trace=True)
+    _data, _spec, _plan, _cluster, result = _run_sort(parser, args, trace=True)
     metrics = result.report.metrics
     if metrics is None:  # pragma: no cover - tracing was explicitly armed
         print("error: the run produced no metrics snapshot", file=sys.stderr)
@@ -445,7 +458,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "sort":
-        return _cmd_sort(args)
+        return _cmd_sort(parser, args)
     if args.command == "algorithms":
         return _cmd_algorithms(args)
     if args.command == "experiment":
@@ -453,9 +466,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "generate":
         return _cmd_generate(args)
     if args.command == "trace":
-        return _cmd_trace(args)
+        return _cmd_trace(parser, args)
     if args.command == "metrics":
-        return _cmd_metrics(args)
+        return _cmd_metrics(parser, args)
     parser.error(f"unknown command {args.command!r}")
     return 2
 

@@ -41,7 +41,6 @@ scatters them back into the ``bool`` array the doubling loop consumes.
 
 from __future__ import annotations
 
-import zlib
 from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -156,11 +155,6 @@ class FingerprintBlock(WireSized):
         """Uncompressed fingerprint cost: a varint count plus ``bits`` each."""
         return varint_size(len(self.values)) + len(self.values) * ((self.bits + 7) // 8)
 
-    def content_crc(self) -> int:
-        """CRC32 of the width, the count and the value array."""
-        tag = zlib.crc32(b"F%d;%d;" % (self.bits, len(self)))
-        return zlib.crc32(np.ascontiguousarray(self.values), tag)
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -184,10 +178,6 @@ class BitVector(WireSized):
     def wire_bytes(self) -> int:
         """One bit per verdict flag, plus a varint count."""
         return varint_size(self.count) + self.packed.size
-
-    def content_crc(self) -> int:
-        """CRC32 of the count and the packed bits."""
-        return zlib.crc32(self.packed, zlib.crc32(b"V%d;" % self.count))
 
     def __len__(self) -> int:
         return self.count
@@ -241,7 +231,7 @@ def unique_fingerprint_mask(
 
         edges = bounds.tolist()
         blocks = [FingerprintBlock(values[lo:hi], bits) for lo, hi in zip(edges, edges[1:])]
-        messages: List[WireSized] = list(blocks)
+        messages: List[object] = list(blocks)
         sizes = [block.wire_bytes() for block in blocks]
         if golomb:
             # one pass sizes every destination's coded set; a message is

@@ -26,12 +26,11 @@ every counted size to the encoded bytes.
 from __future__ import annotations
 
 import math
-import zlib
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from ..mpi.serialization import WireSized, varint_size
+from ..mpi.serialization import varint_size
 
 __all__ = [
     "as_uint64",
@@ -99,28 +98,20 @@ def coded_sizes(values: np.ndarray, counts: Sequence[int], ms: Sequence[int]) ->
     ]
 
 
-class GolombCodedSet(WireSized):
-    """A sorted integer set sent Golomb-coded, usable as a wire message.
+class GolombCodedSet:
+    """A sorted integer set sent Golomb-coded.
 
     The constructor accepts the values in any order and sorts them into
     :attr:`values`, a ``uint64`` array; :attr:`m` is the code parameter.  The
     wire size is the coded payload, counted by :func:`coded_sizes`, plus the
     two varint headers (parameter and element count) a real implementation
-    would frame the message with.
+    would frame the message with; the sender passes it to ``alltoall`` as
+    ``nbytes``.
     """
 
     def __init__(self, values: Sequence[int], universe: int):
         self.values = np.sort(as_uint64(values))
         self.m = golomb_parameter(universe, self.values.size)
-
-    def wire_bytes(self) -> int:
-        """Coded payload plus the varint-framed parameter ``M`` and count."""
-        return coded_sizes(self.values, [len(self.values)], [self.m])[0]
-
-    def content_crc(self) -> int:
-        """CRC32 of what the payload is a function of: ``M``, the count and the values."""
-        tag = zlib.crc32(b"G%d;%d;" % (self.m, len(self)))
-        return zlib.crc32(np.ascontiguousarray(self.values), tag)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -28,10 +28,7 @@ __all__ = [
     "string_based_samples",
     "character_based_samples",
     "select_splitters",
-    "bucket_boundaries",
     "split_into_buckets",
-    "bucket_sizes_upper_bound_strings",
-    "bucket_sizes_upper_bound_chars",
 ]
 
 
@@ -93,23 +90,6 @@ def select_splitters(sorted_sample: Sequence[bytes], parts: int) -> List[bytes]:
     ]
 
 
-def bucket_boundaries(
-    sorted_strings: Sequence[bytes], splitters: Sequence[bytes]
-) -> List[int]:
-    """Cumulative bucket boundaries of a sorted local array.
-
-    Bucket ``j`` holds the strings in ``(f_{j-1}, f_j]`` — ties with a
-    splitter go to the *lower* bucket, which is what makes exact duplicates
-    land on a single PE.  The return value has ``len(splitters) + 2``
-    entries, starting at 0 and ending at ``len(sorted_strings)``.  The
-    boundaries come from the ``np.searchsorted`` kernel
-    :func:`repro.strings.packed.packed_bucket_boundaries`.
-    """
-    return packed_bucket_boundaries(
-        PackedStringArray.from_strings(sorted_strings), splitters
-    )
-
-
 def split_into_buckets(
     sorted_strings: Sequence[bytes],
     lcps: Sequence[int],
@@ -139,25 +119,3 @@ def split_into_buckets(
             bucket_lcps[0] = 0
         buckets.append((arr[lo:hi], bucket_lcps))
     return buckets
-
-
-def bucket_sizes_upper_bound_strings(n: int, p: int, v: int) -> float:
-    """Theorem 2: with ``v`` regular samples per PE, every bucket receives at
-    most ``n/p + n/v`` strings (up to rounding of the sample positions)."""
-    if p <= 0 or v <= 0:
-        raise ValueError("p and v must be positive")
-    return n / p + n / v
-
-
-def bucket_sizes_upper_bound_chars(
-    total_chars: int, p: int, v: int, max_len: int
-) -> float:
-    """Theorem 3: with ``v`` character-based samples per PE, every bucket
-    receives at most ``N/p + N/v + p·l_hat`` characters, where ``l_hat`` is
-    the longest string (each sample position is quantised to a string
-    boundary, costing up to one string length per contributing PE)."""
-    if p <= 0 or v <= 0:
-        raise ValueError("p and v must be positive")
-    if max_len < 0:
-        raise ValueError("max_len must be non-negative")
-    return total_chars / p + total_chars / v + p * max_len

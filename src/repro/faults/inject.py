@@ -57,10 +57,9 @@ class FaultInjector:
     """Replays a :class:`FaultPlan` as deterministic per-event decisions.
 
     Thread-safe: rank threads consult it concurrently; one lock serialises
-    the tiny decision bookkeeping.  ``injected_counts`` and
-    :attr:`total_injected` expose exactly how many faults fired per kind,
-    which the chaos suite reconciles against the
-    :class:`~repro.net.metrics.TrafficReport` counters.
+    the tiny decision bookkeeping.  Every applied fault burns one hit of
+    its rule's per-channel budget, so the hit ledger counts exactly the
+    faults fired.
     """
 
     def __init__(self, plan: FaultPlan):
@@ -74,7 +73,6 @@ class FaultInjector:
         self._counts: Dict[Tuple[int, ...], int] = {}
         self._streams: Dict[Tuple[int, ...], random.Random] = {}
         self._hits: Dict[Tuple[int, ...], int] = {}
-        self._injected: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ bookkeeping
     def _stream(self, idx: int, key: Tuple[int, ...]) -> random.Random:
@@ -115,7 +113,6 @@ class FaultInjector:
         """Burn one hit of the winning rule's per-channel budget."""
         count_key = (idx,) + key
         self._hits[count_key] = self._hits.get(count_key, 0) + 1
-        self._injected[rule.kind] = self._injected.get(rule.kind, 0) + 1
 
     def _action(self, idx: int, rule: FaultRule, key: Tuple[int, ...]) -> FaultAction:
         mask = 0
@@ -210,9 +207,6 @@ class FaultInjector:
         and every channel is advanced by exactly one worker, so the merge
         rule is simple and exact: a channel whose exported event count is
         ahead of ours replaces our copy wholesale (count, hits, rng state).
-        The per-kind injected totals are rebuilt from the merged hit
-        ledger — valid because :meth:`_commit` is the only mutation point
-        and burns exactly one hit per injection.
         """
         with self._lock:
             for key, count in state["counts"].items():
@@ -229,20 +223,3 @@ class FaultInjector:
                         stream = random.Random()
                         self._streams[key] = stream
                     stream.setstate(stream_state)
-            injected: Dict[str, int] = {}
-            for count_key, hits in self._hits.items():
-                kind = self.plan.rules[count_key[0]].kind
-                injected[kind] = injected.get(kind, 0) + hits
-            self._injected = injected
-
-    # ------------------------------------------------------------------ observability
-    def injected_counts(self) -> Dict[str, int]:
-        """Faults fired so far, per kind (a snapshot copy)."""
-        with self._lock:
-            return dict(self._injected)
-
-    @property
-    def total_injected(self) -> int:
-        """Total faults fired so far across all kinds."""
-        with self._lock:
-            return sum(self._injected.values())

@@ -114,15 +114,17 @@ class Communicator:
         finally:
             self.set_phase(previous)
 
-    def set_phase(self, name: str) -> None:  # pragma: no cover - trivial default
-        """Set the current accounting phase (optional for backends)."""
+    def set_phase(self, name: str) -> None:
+        """Set the current accounting phase."""
+        raise NotImplementedError
 
-    def get_phase(self) -> str:  # pragma: no cover - trivial default
+    def get_phase(self) -> str:
         """The current accounting phase label."""
-        return "unlabelled"
+        raise NotImplementedError
 
     def record_local_work(self, chars: int, items: int = 0) -> None:
         """Report local character/string work for the modelled running time."""
+        raise NotImplementedError
 
     def record_exchange_collective(self, nbytes: int, kind: str) -> None:
         """Record a routed exchange as its one collective cost-model event.
@@ -135,6 +137,7 @@ class Communicator:
         direct :meth:`alltoall` records its own.  Must be called by all
         ranks at the same program point (it may synchronise internally).
         """
+        raise NotImplementedError
 
     def record_route(self, route: str, nbytes: int, forwarded: int) -> None:
         """Attribute one routed-delivery batch this rank sent.
@@ -142,9 +145,9 @@ class Communicator:
         ``nbytes`` is the batch's full wire size (the send itself is
         recorded separately — this is attribution, not double counting) and
         ``forwarded`` the routing-overhead part: relayed payloads plus
-        frame headers.  ``route`` labels the routing phase.  Backends
-        without a meter may ignore the call.
+        frame headers.  ``route`` labels the routing phase.
         """
+        raise NotImplementedError
 
     # ------------------------------------------------------------------ point-to-point
     def send(self, obj: Any, dest: int, tag: int = 0, nbytes: Optional[int] = None) -> None:

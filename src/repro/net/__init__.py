@@ -4,10 +4,7 @@ from .cost_model import MachineModel, DEFAULT_MACHINE
 from .metrics import CollectiveEvent, TrafficMeter, TrafficReport
 from .topology import (
     hypercube_dimension,
-    hypercube_size,
     partner,
-    subcube_members,
-    subcube_root,
     in_upper_half,
 )
 
@@ -18,9 +15,6 @@ __all__ = [
     "TrafficMeter",
     "TrafficReport",
     "hypercube_dimension",
-    "hypercube_size",
     "partner",
-    "subcube_members",
-    "subcube_root",
     "in_upper_half",
 ]

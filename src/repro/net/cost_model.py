@@ -82,11 +82,6 @@ class MachineModel:
             item_time=self.item_time * scale,
         )
 
-    # ------------------------------------------------------------------ point to point
-    def p2p(self, nbytes: int) -> float:
-        """Cost of one point-to-point message of ``nbytes`` bytes."""
-        return self.alpha + self.beta * nbytes
-
     # ------------------------------------------------------------------ collectives
     def broadcast(self, nbytes: int, p: int) -> float:
         """Broadcast of ``nbytes`` from one PE to all ``p`` PEs."""

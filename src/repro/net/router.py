@@ -14,7 +14,7 @@ measured instead of assumed.
 Three strategies implement one :class:`ExchangeTopology` interface:
 
 =========== ================================================================
-direct       today's behaviour: one message per (src, dst) pair, 1 hop
+direct       one message per (src, dst) pair, 1 hop: the plain ``alltoall``
 hypercube    ``d = log2 p`` rounds; round ``k`` exchanges combined payloads
              with the neighbour across dimension ``k`` (store and forward);
              non-power-of-two ``p`` falls back to direct delivery
@@ -33,9 +33,10 @@ volume — the paper's communication-volume metric — is bit-identical across
 topologies while the measured total exposes the routing inflation.
 
 The route taken by every frame is fully determined by
-:meth:`ExchangeTopology.next_hop`; :meth:`ExchangeTopology.path` *simulates*
-exactly those hops, so the path algebra the property tests verify is by
-construction the algebra the routed exchange executes.
+:meth:`ExchangeTopology.next_hop`; the tests' path oracle
+(``tests/oracles/routing.py``) *simulates* exactly those hops, so the path
+algebra they verify is by construction the algebra the routed exchange
+executes.
 """
 
 from __future__ import annotations
@@ -179,71 +180,19 @@ class ExchangeTopology:
         """
         raise NotImplementedError
 
-    def max_hops(self, p: int) -> int:
-        """Upper bound on the path length (edges) between any two PEs."""
-        raise NotImplementedError
-
     def collective_kind(self, p: int) -> str:
         """The cost-model event kind a routed exchange on ``p`` PEs records."""
         raise NotImplementedError
 
-    def path(self, src: int, dst: int, p: int) -> List[int]:
-        """The rank sequence a frame travels, ``[src, ..., dst]`` inclusive.
-
-        Derived by simulating :meth:`next_hop` round by round — the path
-        algebra *is* the delivery algebra, not a parallel reimplementation.
-        """
-        if not (0 <= src < p and 0 <= dst < p):
-            raise ValueError(f"ranks must be in [0, {p}), got {src} -> {dst}")
-        pos, hops = src, [src]
-        for k in range(self.num_rounds(p)):
-            if pos == dst:
-                break
-            nxt = self.next_hop(pos, dst, p, k)
-            if nxt is not None:
-                if nxt not in self.round_peers(pos, p, k):
-                    raise RuntimeError(
-                        f"{self.name}: next hop {nxt} of {pos}->{dst} is not "
-                        f"a round-{k} peer of {pos}"
-                    )
-                hops.append(nxt)
-                pos = nxt
-        if pos != dst:
-            raise RuntimeError(
-                f"{self.name}: {src}->{dst} undelivered after "
-                f"{self.num_rounds(p)} rounds on {p} PEs"
-            )
-        return hops
-
 
 class DirectTopology(ExchangeTopology):
-    """Direct delivery: every frame travels its single (src, dst) edge."""
+    """Direct delivery: every frame travels its single (src, dst) edge.
+
+    The exchange runs it as the plain :meth:`Communicator.alltoall`
+    (:attr:`is_direct`), so it never routes and implements no round.
+    """
 
     name = "direct"
-
-    def num_rounds(self, p: int) -> int:
-        """One round delivers everything."""
-        return 1 if p > 1 else 0
-
-    def round_label(self, p: int, k: int) -> str:
-        """A single ``"direct"`` accounting label."""
-        return "direct"
-
-    def round_peers(self, rank: int, p: int, k: int) -> List[int]:
-        """Every other PE."""
-        return [r for r in range(p) if r != rank]
-
-    def next_hop(self, rank: int, dest: int, p: int, k: int) -> Optional[int]:
-        """The destination itself (frames at home never move)."""
-        return dest if dest != rank else None
-
-    def max_hops(self, p: int) -> int:
-        """One hop."""
-        return 1
-
-    def collective_kind(self, p: int) -> str:
-        """Direct all-to-all: ``O(alpha p + beta h)``."""
-        return "alltoall"
 
 
 class HypercubeTopology(ExchangeTopology):
@@ -285,10 +234,6 @@ class HypercubeTopology(ExchangeTopology):
         if not is_power_of_two(p):
             return dest
         return partner(rank, k) if ((rank ^ dest) >> k) & 1 else None
-
-    def max_hops(self, p: int) -> int:
-        """``d`` hops (Hamming distance bound), 1 in the fallback."""
-        return hypercube_dimension(p) if is_power_of_two(p) and p > 1 else 1
 
     def collective_kind(self, p: int) -> str:
         """``alltoall-hypercube`` (``alltoall`` when the fallback routes)."""
@@ -334,11 +279,6 @@ class GridTopology(ExchangeTopology):
         if k == 0:
             return row * cols + dest_col if col != dest_col else None
         return dest if col == dest_col else None
-
-    def max_hops(self, p: int) -> int:
-        """Two hops (one when a grid dimension is trivial)."""
-        rows, cols = grid_dims(p)
-        return (1 if rows > 1 else 0) + (1 if cols > 1 else 0) if p > 1 else 0
 
     def collective_kind(self, p: int) -> str:
         """``alltoall-grid``: ``O(alpha (r + c) + beta h)`` per phase."""

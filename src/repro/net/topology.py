@@ -10,14 +10,11 @@ running communicator.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 __all__ = [
     "hypercube_dimension",
-    "hypercube_size",
     "partner",
-    "subcube_members",
-    "subcube_root",
     "in_upper_half",
     "is_power_of_two",
     "grid_dims",
@@ -34,11 +31,6 @@ def hypercube_dimension(num_pes: int) -> int:
     return d
 
 
-def hypercube_size(num_pes: int) -> int:
-    """``2^d`` — number of PEs that participate in hQuick."""
-    return 1 << hypercube_dimension(num_pes)
-
-
 def partner(rank: int, dim: int) -> int:
     """Rank of the neighbour across hypercube dimension ``dim``."""
     return rank ^ (1 << dim)
@@ -47,21 +39,6 @@ def partner(rank: int, dim: int) -> int:
 def in_upper_half(rank: int, dim: int) -> bool:
     """True if ``rank`` lies in the upper half of dimension ``dim``."""
     return bool(rank & (1 << dim))
-
-
-def subcube_members(rank: int, dim: int) -> List[int]:
-    """All ranks in the ``dim``-dimensional subcube containing ``rank``.
-
-    The subcube is defined by fixing the high bits of ``rank`` above ``dim``
-    and letting the low ``dim`` bits vary.
-    """
-    base = rank & ~((1 << dim) - 1)
-    return [base | low for low in range(1 << dim)]
-
-
-def subcube_root(rank: int, dim: int) -> int:
-    """Smallest rank of the ``dim``-dimensional subcube containing ``rank``."""
-    return rank & ~((1 << dim) - 1)
 
 
 def is_power_of_two(num_pes: int) -> bool:

@@ -4,8 +4,7 @@ from .stats import CharStats
 from .lcp_insertion import lcp_insertion_sort, compare_from
 from .multikey_quicksort import multikey_quicksort
 from .msd_radix import msd_radix_sort
-from .losertree import LoserTree, multiway_merge
-from .lcp_losertree import LcpLoserTree, lcp_multiway_merge
+from .losertree import multiway_merge
 from .lcp_mergesort import lcp_merge, lcp_mergesort
 from .api import SEQUENTIAL_SORTERS, sort_strings, sort_strings_with_lcp
 
@@ -15,10 +14,7 @@ __all__ = [
     "compare_from",
     "multikey_quicksort",
     "msd_radix_sort",
-    "LoserTree",
     "multiway_merge",
-    "LcpLoserTree",
-    "lcp_multiway_merge",
     "lcp_merge",
     "lcp_mergesort",
     "SEQUENTIAL_SORTERS",

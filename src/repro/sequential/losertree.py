@@ -12,8 +12,9 @@ This atomic variant compares whole strings (it is what Fischer & Kurpicz's
 prefixes over and over — which is exactly the inefficiency the LCP-aware tree
 in :mod:`repro.sequential.lcp_losertree` removes.  The implementation counts
 inspected characters so benchmarks can demonstrate the difference:
-:func:`multiway_merge` as one flat loop (what MS-simple and FKmerge run),
-:class:`LoserTree` one ``pop()`` at a time as the scalar oracle of it.
+:func:`multiway_merge` plays it as one flat loop (what MS-simple and
+FKmerge run); the scalar ``LoserTree`` it is held to, one ``pop()`` at a
+time, is a test oracle (``tests/oracles/losertree.py``).
 """
 
 from __future__ import annotations
@@ -22,117 +23,7 @@ from typing import List, Optional, Sequence
 
 from .stats import CharStats
 
-__all__ = ["LoserTree", "multiway_merge"]
-
-
-def _compare_count(a: bytes, b: bytes, stats: Optional[CharStats]) -> int:
-    """Three-way compare of two strings, counting inspected characters."""
-    if stats is not None:
-        limit = min(len(a), len(b))
-        i = 0
-        while i < limit and a[i] == b[i]:
-            i += 1
-        stats.add_comparison(i + (1 if i < limit else 0))
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
-
-
-class LoserTree:
-    """K-way tournament tree over sorted runs of byte strings.
-
-    Runs are given as lists; exhausted runs are represented by ``None``
-    sentinels that compare larger than every string.  ``K`` is padded to the
-    next power of two with permanently exhausted runs.
-    """
-
-    def __init__(self, runs: Sequence[Sequence[bytes]], stats: Optional[CharStats] = None):
-        self.stats = stats
-        k = max(1, len(runs))
-        size = 1
-        while size < k:
-            size *= 2
-        self._k = size
-        self._runs: List[Sequence[bytes]] = [list(r) for r in runs] + [
-            [] for _ in range(size - len(runs))
-        ]
-        self._pos = [0] * size
-        # current[i] is the front string of run i or None when exhausted
-        self._current: List[Optional[bytes]] = [
-            self._runs[i][0] if self._runs[i] else None for i in range(size)
-        ]
-        # losers[1..size-1] store run indices; losers[0] stores the overall winner
-        self._losers = [0] * size
-        self._init_tree()
-
-    # -- internal ----------------------------------------------------------------
-    def _less(self, i: int, j: int) -> bool:
-        """Is the current element of run ``i`` smaller than that of run ``j``?
-
-        Ties are broken by run index, which keeps the merge stable.
-        """
-        a, b = self._current[i], self._current[j]
-        if a is None:
-            return False
-        if b is None:
-            return True
-        c = _compare_count(a, b, self.stats)
-        if c != 0:
-            return c < 0
-        return i < j
-
-    def _init_tree(self) -> None:
-        size = self._k
-        # winner[x] for the sub-tournament rooted at internal node x
-        winners = [0] * (2 * size)
-        for i in range(size):
-            winners[size + i] = i
-        for x in range(size - 1, 0, -1):
-            left, right = winners[2 * x], winners[2 * x + 1]
-            if self._less(left, right):
-                winners[x] = left
-                self._losers[x] = right
-            else:
-                winners[x] = right
-                self._losers[x] = left
-        self._losers[0] = winners[1]
-
-    # -- public API -----------------------------------------------------------------
-    def empty(self) -> bool:
-        """True when every run is exhausted."""
-        return self._current[self._losers[0]] is None
-
-    def peek(self) -> Optional[bytes]:
-        """Smallest remaining string without removing it (None when empty)."""
-        return self._current[self._losers[0]]
-
-    def pop(self) -> bytes:
-        """Remove and return the smallest remaining string."""
-        winner = self._losers[0]
-        value = self._current[winner]
-        if value is None:
-            raise IndexError("pop from an empty LoserTree")
-
-        # advance the winning run
-        self._pos[winner] += 1
-        run = self._runs[winner]
-        self._current[winner] = (
-            run[self._pos[winner]] if self._pos[winner] < len(run) else None
-        )
-
-        # replay the path from the winner's leaf to the root
-        node = (self._k + winner) // 2
-        cand = winner
-        while node >= 1:
-            other = self._losers[node]
-            if self._less(other, cand):
-                self._losers[node] = cand
-                cand = other
-            node //= 2
-        self._losers[0] = cand
-        return value
+__all__ = ["multiway_merge"]
 
 
 def multiway_merge(
@@ -140,7 +31,7 @@ def multiway_merge(
 ) -> List[bytes]:
     """Merge sorted runs into one sorted list with the atomic loser tree.
 
-    Plays the tournament of :class:`LoserTree` (same matches and tie-breaks:
+    Plays the tournament of the scalar ``LoserTree`` (same matches and tie-breaks:
     strings and ``stats`` are bit-identical) as one flat loop: the runs back
     to back in ``flat``, run ``r`` at ``pos[r]`` of ``end[r]``, its string in
     ``cur[r]`` (``None``: exhausted, loses to every string).  A leaf-to-root

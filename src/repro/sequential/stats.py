@@ -39,9 +39,3 @@ class CharStats:
         self.chars_inspected += other.chars_inspected
         self.string_comparisons += other.string_comparisons
         self.bucket_passes += other.bucket_passes
-
-    def reset(self) -> None:
-        """Zero all counters (for reuse across phases)."""
-        self.chars_inspected = 0
-        self.string_comparisons = 0
-        self.bucket_passes = 0

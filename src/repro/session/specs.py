@@ -31,7 +31,7 @@ from __future__ import annotations
 import difflib
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Any, ClassVar, Dict, Mapping, Optional
 
 __all__ = [
@@ -168,17 +168,13 @@ class SortSpec:
         Computed as SHA-256 over the canonical (sorted-key, compact) JSON
         form of :meth:`to_dict`, so it is identical across processes and
         insensitive to field order — the key the benchmark harness uses for
-        its cells and the checkpointing roadmap item will use for resume
-        files.
+        its cells and their checkpoint files (``ExperimentRunner`` with a
+        ``cache_dir``, resumed by ``sweep(..., resume=True)``).
         """
         payload = json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":")
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-    def replace(self, **changes: Any) -> "SortSpec":
-        """A copy of the spec with ``changes`` applied (validated again)."""
-        return replace(self, **changes)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,7 @@ from .stringset import StringSet
 from .lcp import (
     lcp,
     lcp_array,
-    lcp_array_of_sorted,
     verify_lcp_array,
-    distinguishing_prefixes,
     distinguishing_prefix_size,
     dn_ratio,
     merge_lcp_statistics,
@@ -27,16 +25,12 @@ from .generators import (
     commoncrawl_like,
     dna_reads,
     suffix_instance,
-    duplicate_heavy,
-    thue_morse,
-    make_generator,
 )
 from .checker import (
     SortCheckError,
     CheckReport,
     check_locally_sorted,
     check_is_permutation,
-    check_sequential_sort,
     check_distributed_sort,
     check_prefix_permutation,
 )
@@ -51,9 +45,7 @@ __all__ = [
     "validate_strings",
     "lcp",
     "lcp_array",
-    "lcp_array_of_sorted",
     "verify_lcp_array",
-    "distinguishing_prefixes",
     "distinguishing_prefix_size",
     "dn_ratio",
     "merge_lcp_statistics",
@@ -64,14 +56,10 @@ __all__ = [
     "commoncrawl_like",
     "dna_reads",
     "suffix_instance",
-    "duplicate_heavy",
-    "thue_morse",
-    "make_generator",
     "SortCheckError",
     "CheckReport",
     "check_locally_sorted",
     "check_is_permutation",
-    "check_sequential_sort",
     "check_distributed_sort",
     "check_prefix_permutation",
 ]

@@ -24,7 +24,6 @@ __all__ = [
     "CheckReport",
     "check_locally_sorted",
     "check_is_permutation",
-    "check_sequential_sort",
     "check_distributed_sort",
     "check_prefix_permutation",
 ]
@@ -73,19 +72,6 @@ def check_is_permutation(
             f"{what} is not a permutation of the input; "
             f"missing e.g. {missing}, unexpected e.g. {extra}"
         )
-
-
-def check_sequential_sort(
-    inputs: Sequence[bytes],
-    outputs: Sequence[bytes],
-    lcps: Sequence[int] | None = None,
-) -> CheckReport:
-    """Full check for a sequential sorter: permutation + order (+ LCP array)."""
-    check_is_permutation(inputs, outputs)
-    check_locally_sorted(outputs)
-    if lcps is not None and not verify_lcp_array(outputs, lcps):
-        raise SortCheckError("LCP array does not match the sorted output")
-    return CheckReport(num_strings=len(inputs))
 
 
 def check_distributed_sort(

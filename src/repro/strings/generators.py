@@ -38,9 +38,6 @@ __all__ = [
     "commoncrawl_like",
     "dna_reads",
     "suffix_instance",
-    "duplicate_heavy",
-    "thue_morse",
-    "make_generator",
 ]
 
 # Printable alphabet used by the D/N instances, in ascending byte order so
@@ -362,62 +359,3 @@ def suffix_instance(
     if max_suffix_len is None:
         return [text[i:] for i in range(text_len)]
     return [text[i : i + max_suffix_len] for i in range(text_len)]
-
-
-def duplicate_heavy(
-    num_strings: int,
-    num_distinct: int = 50,
-    length: int = 20,
-    seed: Optional[int] = None,
-) -> List[bytes]:
-    """Input with many exactly repeated strings.
-
-    The paper notes that FKmerge crashes on inputs with many repeated strings
-    (Section VII-D); this generator is used to test that our implementations
-    handle heavy duplication (ties in splitters, zero-length LCP remainders).
-    """
-    rng = np.random.default_rng(seed)
-    distinct = random_strings(num_distinct, length, length, seed=seed)
-    picks = rng.integers(0, num_distinct, size=num_strings)
-    return [distinct[int(i)] for i in picks]
-
-
-def thue_morse(num_strings: int, length: int = 1024, seed: Optional[int] = None) -> List[bytes]:
-    """Windows of the Thue–Morse word over ``{a, b}`` at random offsets: the
-    adversary of polynomial hashing modulo ``2^64`` (an aligned block of 2048
-    characters and its complement collide for every odd base), with long
-    shared prefixes and verbatim repeats."""
-    rng = np.random.default_rng(seed)
-    word = np.zeros(1, dtype=np.uint8)
-    while word.size < 4 * length + num_strings:
-        word = np.concatenate([word, word ^ 1])
-    text = (word + ord("a")).tobytes()
-    starts = rng.integers(0, word.size - length + 1, size=num_strings)
-    return [text[s : s + length] for s in starts.tolist()]
-
-
-# ---------------------------------------------------------------------------
-# Registry used by the benchmark harness / examples
-# ---------------------------------------------------------------------------
-
-_REGISTRY = {
-    "dn0": lambda n, seed=None: dn_instance(n, 0.0, length=64, seed=seed),
-    "dn25": lambda n, seed=None: dn_instance(n, 0.25, length=64, seed=seed),
-    "dn50": lambda n, seed=None: dn_instance(n, 0.5, length=64, seed=seed),
-    "dn75": lambda n, seed=None: dn_instance(n, 0.75, length=64, seed=seed),
-    "dn100": lambda n, seed=None: dn_instance(n, 1.0, length=64, seed=seed),
-    "commoncrawl": lambda n, seed=None: commoncrawl_like(n, seed=seed),
-    "dnareads": lambda n, seed=None: dna_reads(n, seed=seed),
-    "random": lambda n, seed=None: random_strings(n, seed=seed),
-    "duplicates": lambda n, seed=None: duplicate_heavy(n, seed=seed),
-}
-
-
-def make_generator(name: str):
-    """Look up a named generator (used by examples and the bench harness)."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown generator {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None

@@ -31,15 +31,12 @@ from .packed import (
     PackedStringArray,
     packed_lcp_array,
     packed_sort,
-    sort_with_order,
 )
 
 __all__ = [
     "lcp",
     "lcp_array",
-    "lcp_array_of_sorted",
     "verify_lcp_array",
-    "distinguishing_prefixes",
     "distinguishing_prefix_size",
     "dn_ratio",
     "merge_lcp_statistics",
@@ -78,20 +75,6 @@ def lcp_array(strings: Sequence[bytes]) -> List[int]:
     return packed_lcp_array(PackedStringArray.from_strings(strings)).tolist()
 
 
-def lcp_array_of_sorted(strings: Sequence[bytes]) -> List[int]:
-    """LCP array of a sorted sequence; raises if the input is not sorted.
-
-    Useful in tests and checkers where silently accepting unsorted input
-    would hide bugs.
-    """
-    for i in range(1, len(strings)):
-        if strings[i - 1] > strings[i]:
-            raise ValueError(
-                f"input not sorted at position {i}: {strings[i-1]!r} > {strings[i]!r}"
-            )
-    return lcp_array(strings)
-
-
 def verify_lcp_array(strings: Sequence[bytes], lcps: Sequence[int]) -> bool:
     """Check that ``lcps`` is the correct LCP array for ``strings``."""
     if len(strings) != len(lcps):
@@ -102,24 +85,6 @@ def verify_lcp_array(strings: Sequence[bytes], lcps: Sequence[int]) -> bool:
         if lcps[i] != lcp(strings[i - 1], strings[i]):
             return False
     return True
-
-
-def distinguishing_prefixes(strings: Sequence[bytes]) -> List[int]:
-    """``DIST(s)`` for every string of the input, in input order.
-
-    The input need not be sorted; internally the strings are sorted (keeping
-    track of their original positions) and the neighbour rule
-    ``DIST = max(h_i, h_{i+1}) + 1`` is applied, clipped to the string length.
-
-    Exact duplicates have ``DIST`` equal to their full length (they can never
-    be distinguished by a proper prefix; inspecting the terminating 0 — i.e.
-    the entire string — is required, matching the paper's convention that the
-    0 terminator is part of the string).
-    """
-    sorted_arr, order = sort_with_order(PackedStringArray.from_strings(strings))
-    out = np.empty(len(sorted_arr), dtype=np.int64)
-    out[order] = _dist_of_sorted_packed(sorted_arr)
-    return out.tolist()
 
 
 def _dist_of_sorted_packed(sorted_arr: PackedStringArray) -> np.ndarray:

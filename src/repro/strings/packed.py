@@ -184,24 +184,6 @@ class PackedStringArray:
             self._has_zero = bool((region == 0).any())
         return self._has_zero
 
-    def is_sorted(self) -> bool:
-        """``True`` iff the strings are in non-decreasing lexicographic order."""
-        n = len(self)
-        if n < 2:
-            return True
-        h = packed_lcp_array(self)[1:]
-        left_len, right_len = self.lengths[:-1], self.lengths[1:]
-        # pair i is ordered iff the LCP exhausts the left string, or the
-        # first differing character increases
-        exhausted = h == left_len
-        diverging = ~exhausted & (h < right_len)
-        if not (exhausted | diverging).all():
-            return False  # left string extends past the right one at the LCP
-        idx = np.nonzero(diverging)[0]
-        lc = self.buffer[self.offsets[:-1][idx] + h[idx]]
-        rc = self.buffer[self.offsets[1:][idx] + h[idx]]
-        return bool((lc < rc).all())
-
 
 def validate_strings(
     strings: Iterable[object],
@@ -413,9 +395,10 @@ def packed_bucket_boundaries(
 ) -> List[int]:
     """Cumulative bucket boundaries of a *sorted* packed run.
 
-    Identical to :func:`repro.dist.partition.bucket_boundaries` (ties with a
-    splitter go to the lower bucket).  With many splitters the boundaries
-    come out of one ``np.searchsorted`` over a fixed-width key view —
+    Bucket ``j`` holds ``(f_{j-1}, f_j]``: ties with a splitter go to the
+    lower bucket, which lands exact duplicates on one PE.  With many
+    splitters the boundaries come out of one ``np.searchsorted`` over a
+    fixed-width key view —
     truncating every string to ``max splitter length + 1`` bytes is exact: a
     string beats a splitter either within the splitter's length or by being
     longer, and one extra column preserves the "longer" case.  With only a

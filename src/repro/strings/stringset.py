@@ -7,16 +7,14 @@ the alphabet.  A PE holds its strings as one character array plus an array
 of pointers, so that entire strings can be moved in constant time.
 
 :class:`StringSet` wraps one :class:`~repro.strings.packed.PackedStringArray`
-— exactly that layout — and reads the aggregate statistics from Table I of
-the paper (``n``, ``N``, ``sigma``, ``l_hat`` ...) off it, which the
-partitioning code and the benchmark harness need repeatedly.
+— exactly that layout — and keeps its total length ``N`` and a sorted copy
+at hand, which the input statistics of the benchmark harness (``D/N``, mean
+LCP) read repeatedly.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
-
-import numpy as np
 
 from .packed import PackedStringArray, packed_sort, validate_strings
 
@@ -27,7 +25,7 @@ __all__ = [
 
 
 class StringSet:
-    """A string array, held packed, with the Table-I statistics read off it.
+    """A string array, held packed, with ``N`` and its sorted copy at hand.
 
     Parameters
     ----------
@@ -68,33 +66,9 @@ class StringSet:
 
     # -- statistics from Table I --------------------------------------------------
     @property
-    def num_strings(self) -> int:
-        """``n`` — number of strings."""
-        return len(self.strings)
-
-    @property
     def num_chars(self) -> int:
         """``N`` — total number of characters."""
         return self.strings.num_chars
-
-    @property
-    def max_len(self) -> int:
-        """``l_hat`` — length of the longest string."""
-        return self.strings.max_len
-
-    @property
-    def alphabet_size(self) -> int:
-        """``sigma`` — number of distinct characters present in the input."""
-        arr = self.strings
-        chars = arr.buffer[int(arr.offsets[0]) : int(arr.offsets[-1])]
-        return int(np.count_nonzero(np.bincount(chars, minlength=256)))
-
-    @property
-    def average_length(self) -> float:
-        """Average string length ``N / n`` (0 for an empty set)."""
-        if not len(self):
-            return 0.0
-        return self.num_chars / len(self)
 
     # -- sorted representation ------------------------------------------------------
     def sorted_packed(self) -> PackedStringArray:

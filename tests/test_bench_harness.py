@@ -48,7 +48,7 @@ class TestExperimentRunner:
         )
         assert len(res.cells) == 4
         assert res.algorithms() == ["ms", "hquick"]
-        assert res.pe_counts() == [2, 3]
+        assert sorted({c.num_pes for c in res.cells}) == [2, 3]
 
     def test_custom_machine_model_changes_modeled_time(self):
         data = random_strings(200, 1, 10, seed=2)
@@ -89,7 +89,7 @@ class TestSpecDrivenSweeps:
         hashes = [c.config_hash for c in res.cells]
         assert len(set(hashes)) == 3
         for spec, h in zip(specs, hashes):
-            assert res.by_config(h)[0].extra["spec"] == spec.to_dict()
+            assert res.filter(config_hash=h)[0].extra["spec"] == spec.to_dict()
 
     def test_runner_reuses_clusters_per_pe_count(self):
         runner = ExperimentRunner()

@@ -8,7 +8,6 @@ from repro.strings.checker import (
     check_is_permutation,
     check_locally_sorted,
     check_prefix_permutation,
-    check_sequential_sort,
 )
 
 
@@ -41,18 +40,20 @@ class TestPermutation:
 
 
 class TestSequentialCheck:
+    """A sequential sort is checked as a distributed sort on one PE."""
+
     def test_full_check_passes(self):
         inputs = [b"b", b"a", b"ab"]
         outputs = [b"a", b"ab", b"b"]
-        report = check_sequential_sort(inputs, outputs, [0, 1, 0])
+        report = check_distributed_sort([inputs], [outputs], [[0, 1, 0]])
         assert report.num_strings == 3
 
     def test_rejects_wrong_lcp(self):
-        with pytest.raises(SortCheckError):
-            check_sequential_sort([b"a", b"ab"], [b"a", b"ab"], [0, 0])
+        with pytest.raises(SortCheckError, match="LCP array mismatch"):
+            check_distributed_sort([[b"a", b"ab"]], [[b"a", b"ab"]], [[0, 0]])
 
     def test_lcp_optional(self):
-        check_sequential_sort([b"a"], [b"a"])
+        assert check_distributed_sort([[b"a"]], [[b"a"]]).num_strings == 1
 
 
 class TestDistributedCheck:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface (python -m repro)."""
 
 import json
+import re
 
 import pytest
 
@@ -94,13 +95,19 @@ class TestSortSpecFlags:
         assert "algorithm          : ms" in capsys.readouterr().out
 
     def test_bad_spec_key_fails_with_suggestion(self, capsys):
-        with pytest.raises(ValueError, match="sampling"):
-            main(["sort", "-n", "50", "--spec", '{"algorithm": "ms", "sampilng": "x"}'])
+        _assert_usage_error(
+            capsys,
+            ["sort", "-n", "50", "--spec", '{"algorithm": "ms", "sampilng": "x"}'],
+            "sampling",
+        )
 
     def test_sampling_flag_is_validated_like_a_spec_key(self, capsys):
         # hquick samples no splitters: the flag is refused, not dropped
-        with pytest.raises(ValueError, match="unknown key.*sampling.*hquick"):
-            main(["sort", "-a", "hquick", "-n", "50", "--sampling", "character"])
+        _assert_usage_error(
+            capsys,
+            ["sort", "-a", "hquick", "-n", "50", "--sampling", "character"],
+            "unknown key.*sampling.*hquick",
+        )
         assert main(["sort", "-a", "hquick", "-n", "50", "-p", "2"]) == 0
 
     def test_sampling_flag_reaches_the_spec(self, capsys):
@@ -112,6 +119,58 @@ class TestSortSpecFlags:
 
         expected = MSSpec(sampling="character").config_hash()
         assert f"config hash        : {expected}" in capsys.readouterr().out
+
+
+def _assert_usage_error(capsys, argv, match):
+    """``argv`` exits 2 with an error matching ``match`` on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert re.search(match, err), err
+    return err
+
+
+class TestInvalidFlagValues:
+    """A flag value nothing can run exits 2 with an error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, match",
+        [
+            (["sort", "-p", "0"], "num_pes must be positive"),
+            (["sort", "--timeout", "-5"], "timeout .*REPRO_SPMD_TIMEOUT"),
+            (["sort", "-n", "20", "--fault-plan", '{"rules": [{"kind": "bogus"}]}'],
+             "unknown fault kind"),
+            (["sort", "-n", "20", "--spec", "{not json"], "Expecting property name"),
+            (["sort", "-n", "20", "--spec", "@no-such-spec.json"], "No such file"),
+            (["trace", "run", "-n", "20", "-p", "0", "-o", "unused.json"],
+             "num_pes must be positive"),
+            (["metrics", "-n", "20", "--timeout", "-5"], "timeout .*REPRO_SPMD_TIMEOUT"),
+        ],
+    )
+    def test_rejected_while_building_the_run(self, capsys, argv, match):
+        err = _assert_usage_error(capsys, argv, match)
+        assert len(err.strip().splitlines()) == 1, err
+
+    @pytest.mark.parametrize(
+        "argv, match",
+        [
+            (["sort", "--max-retries", "-1"], "--max-retries: must be >= 0, got -1"),
+            (["generate", "dn50", "-n", "-3", "-o", "unused.txt"],
+             "--num-strings/-n: must be >= 0, got -3"),
+            (["sort", "-n", "-3"], "--num-strings/-n: must be >= 0, got -3"),
+            (["metrics", "--max-retries", "-1"], "--max-retries: must be >= 0, got -1"),
+        ],
+    )
+    def test_negative_counts_rejected_at_parse_time(self, capsys, argv, match):
+        _assert_usage_error(capsys, argv, match)
+
+    def test_an_error_of_the_sort_itself_propagates(self):
+        from repro.mpi.engine import SpmdError
+
+        plan = '{"rules": [{"kind": "crash", "rank": 1}]}'
+        with pytest.raises(SpmdError, match="rank 1 crashed"):
+            main(["sort", "-n", "40", "-p", "2", "--fault-plan", plan])
 
 
 class TestAlgorithmsCommand:

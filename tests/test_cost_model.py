@@ -7,17 +7,6 @@ import pytest
 from repro.net.cost_model import DEFAULT_MACHINE, MachineModel
 
 
-class TestPointToPoint:
-    def test_alpha_beta_formula(self):
-        m = MachineModel(alpha=1e-6, beta=1e-9)
-        assert m.p2p(0) == pytest.approx(1e-6)
-        assert m.p2p(1000) == pytest.approx(1e-6 + 1e-6)
-
-    def test_latency_dominates_small_messages(self):
-        m = DEFAULT_MACHINE
-        assert m.p2p(1) == pytest.approx(m.alpha, rel=1e-3)
-
-
 class TestCollectives:
     def test_single_pe_collectives_are_free(self):
         m = DEFAULT_MACHINE

@@ -12,11 +12,10 @@ import pytest
 from engine_conformance import PAPER_ALGORITHMS
 from repro.session import Cluster, PDMSSpec, default_registry
 from repro.strings.checker import check_distributed_sort, check_prefix_permutation
-from repro.strings.generators import (
-    dn_instance,
-    duplicate_heavy,
-    skewed_dn_instance,
-)
+from repro.strings.generators import dn_instance, skewed_dn_instance
+
+from inputs import duplicate_heavy
+
 
 FULL_STRING_ALGORITHMS = ("ms", "ms-simple", "hquick", "fkmerge")
 PREFIX_ALGORITHMS = ("pdms", "pdms-golomb")

@@ -32,12 +32,14 @@ from repro.strings.generators import (
     commoncrawl_like,
     dn_instance,
     dna_reads,
-    duplicate_heavy,
     random_strings,
     suffix_instance,
 )
 from repro.strings.lcp import lcp_array
 from repro.strings.packed import PackedStringArray
+
+from inputs import duplicate_heavy
+
 
 @pytest.fixture(scope="module", params=engine_params(), autouse=True)
 def spmd_engine(request):

@@ -5,8 +5,10 @@ import pytest
 from repro.dist.dn_estimator import DnEstimate, estimate_dn_ratio, recommend_algorithm
 from repro.mpi import run_spmd
 from repro.session import AutoSpec, Cluster
-from repro.strings.generators import dn_instance, duplicate_heavy, random_strings, suffix_instance
+from repro.strings.generators import dn_instance, random_strings, suffix_instance
 from repro.strings.lcp import dn_ratio
+
+from inputs import duplicate_heavy
 
 
 def _estimate(blocks, sample_per_pe=64, seed=0):

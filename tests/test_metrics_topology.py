@@ -5,16 +5,11 @@ import threading
 
 import pytest
 
+from repro.dist.hquick import _subcube_allgather
+from repro.mpi.engine import run_spmd
 from repro.net.cost_model import MachineModel
 from repro.net.metrics import TrafficMeter
-from repro.net.topology import (
-    hypercube_dimension,
-    hypercube_size,
-    in_upper_half,
-    partner,
-    subcube_members,
-    subcube_root,
-)
+from repro.net.topology import hypercube_dimension, in_upper_half, partner
 
 
 class TestTrafficMeter:
@@ -136,8 +131,9 @@ class TestTopology:
             hypercube_dimension(0)
 
     def test_size_is_power_of_two_leq_p(self):
+        # hQuick's participating cube: 2^d of the p PEs
         for p in range(1, 70):
-            s = hypercube_size(p)
+            s = 1 << hypercube_dimension(p)
             assert s <= p < 2 * s
             assert s & (s - 1) == 0
 
@@ -153,17 +149,21 @@ class TestTopology:
         assert in_upper_half(5, 0)
 
     def test_subcube_members(self):
-        assert subcube_members(5, 0) == [5]
-        assert subcube_members(5, 1) == [4, 5]
-        assert subcube_members(5, 2) == [4, 5, 6, 7]
-        assert subcube_members(5, 3) == list(range(8))
+        """hQuick's gossip over the low ``dims`` dimensions reaches exactly
+        the ``2^dims`` ranks that share the caller's higher bits."""
 
-    def test_subcube_root(self):
-        assert subcube_root(7, 2) == 4
-        assert subcube_root(7, 0) == 7
-        assert subcube_root(9, 3) == 8
+        def prog(comm):
+            return [sorted(_subcube_allgather(comm, dims, [comm.rank])) for dims in range(4)]
+
+        results, _ = run_spmd(8, prog)
+        assert results[5] == [[5], [4, 5], [4, 5, 6, 7], list(range(8))]
+        for rank, gathered in enumerate(results):
+            for dims, members in enumerate(gathered):
+                base = rank & ~((1 << dims) - 1)
+                assert members == list(range(base, base + (1 << dims)))
 
     def test_partner_stays_in_subcube(self):
+        # the partner across dimension dim shares every bit above it
         for rank in range(8):
             for dim in range(3):
-                assert partner(rank, dim) in subcube_members(rank, dim + 1)
+                assert partner(rank, dim) >> (dim + 1) == rank >> (dim + 1)

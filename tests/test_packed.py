@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dist.exchange import LcpCompressedBlock, StringBlock
-from repro.dist.partition import bucket_boundaries, split_into_buckets
+from repro.dist.partition import split_into_buckets
 from repro.mpi.serialization import (
     block_checksum,
     varint_size,
@@ -157,7 +157,6 @@ class TestRoundTrip:
         assert packed_sort(arr).to_list() == sorted(xs)
         order = sort_with_order(arr)[1]
         assert [xs[i] for i in order] == sorted(xs)
-        assert packed_sort(arr).is_sorted()
 
     @given(string_lists(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -428,7 +427,6 @@ class TestPackedPartition:
         splitters = sorted(data.draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k)))
         arr = PackedStringArray.from_strings(srt)
         assert packed_bucket_boundaries(arr, splitters) == bisect_boundaries(srt, splitters)
-        assert bucket_boundaries(arr, splitters) == bisect_boundaries(srt, splitters)
 
     def test_nul_bytes_fall_back_correctly(self):
         srt = sorted([b"\x00", b"\x00a", b"a\x00b", b"a", b"ab", b"b"])

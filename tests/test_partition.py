@@ -5,9 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dist.api import distribute_strings
 from repro.dist.partition import (
-    bucket_boundaries,
-    bucket_sizes_upper_bound_chars,
-    bucket_sizes_upper_bound_strings,
     character_based_samples,
     select_splitters,
     split_into_buckets,
@@ -15,9 +12,14 @@ from repro.dist.partition import (
 )
 from repro.strings.generators import dn_instance, random_strings, skewed_dn_instance
 from repro.strings.lcp import lcp_array
-from repro.strings.packed import PackedStringArray
+from repro.strings.packed import PackedStringArray, packed_bucket_boundaries
 
 from oracles import partition as oracle
+
+
+def bucket_boundaries(sorted_strings, splitters):
+    """The splitter partition of a list, through the packed kernel."""
+    return packed_bucket_boundaries(PackedStringArray.from_strings(sorted_strings), splitters)
 
 
 class TestStringBasedSamples:
@@ -141,7 +143,7 @@ class TestTheoremBounds:
         )
         splitters = select_splitters(sample, p)
         n = sum(len(b) for b in blocks)
-        bound = bucket_sizes_upper_bound_strings(n, p, v)
+        bound = n / p + n / v
         for j in range(p):
             bucket_size = 0
             for blk in blocks:
@@ -161,19 +163,14 @@ class TestTheoremBounds:
         splitters = select_splitters(sample, p)
         total_chars = sum(len(s) for blk in blocks for s in blk)
         max_len = max(len(s) for blk in blocks for s in blk)
-        bound = bucket_sizes_upper_bound_chars(total_chars, p, v, max_len)
+        # N/p + N/v + p·l_hat: each sample position is quantised to a string
+        bound = total_chars / p + total_chars / v + p * max_len
         for j in range(p):
             bucket_chars = 0
             for blk in blocks:
                 bounds = bucket_boundaries(blk, splitters)
                 bucket_chars += sum(len(s) for s in blk[bounds[j] : bounds[j + 1]])
             assert bucket_chars <= bound + p * max_len  # rounding slack
-
-    def test_bound_helpers_validate_arguments(self):
-        with pytest.raises(ValueError):
-            bucket_sizes_upper_bound_strings(10, 0, 1)
-        with pytest.raises(ValueError):
-            bucket_sizes_upper_bound_chars(10, 1, 0, 5)
 
 
 # ---------------------------------------------------------------------------

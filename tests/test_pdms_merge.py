@@ -24,8 +24,10 @@ from repro.dist.prefix_doubling import approximate_dist_prefixes
 from repro.dist.splitters import determine_splitters
 from repro.mpi import run_spmd
 from repro.session import Cluster, PDMSGolombSpec, PDMSSpec
-from repro.strings.generators import dna_reads, duplicate_heavy
+from repro.strings.generators import dna_reads
 from repro.strings.lcp import lcp_array
+
+from inputs import duplicate_heavy
 
 
 def reference_pdms(comm, strings, spec, golomb):

@@ -6,14 +6,10 @@ import pytest
 
 from repro.dist.prefix_doubling import approximate_dist_prefixes
 from repro.mpi import run_spmd
-from repro.strings.generators import (
-    dn_instance,
-    dna_reads,
-    duplicate_heavy,
-    random_strings,
-    suffix_instance,
-)
-from repro.strings.lcp import distinguishing_prefixes
+from repro.strings.generators import dn_instance, dna_reads, random_strings, suffix_instance
+
+from inputs import duplicate_heavy
+from oracles.lcp import distinguishing_prefixes
 
 
 def _run(blocks, **kwargs):

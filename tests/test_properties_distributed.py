@@ -10,13 +10,10 @@ ranks, more PEs than strings.
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
-from repro.dist.partition import (
-    bucket_boundaries,
-    select_splitters,
-    string_based_samples,
-)
+from repro.dist.partition import select_splitters, string_based_samples
 from repro.session import Cluster, FKMergeSpec, HQuickSpec, MSSimpleSpec, MSSpec, PDMSSpec
 from repro.strings.checker import check_distributed_sort, check_prefix_permutation
+from repro.strings.packed import PackedStringArray, packed_bucket_boundaries
 
 # small alphabet -> many shared prefixes and exact duplicates
 tiny_strings = st.binary(max_size=8).map(lambda b: bytes(97 + (c % 2) for c in b))
@@ -78,7 +75,7 @@ def test_sampling_and_bucketing_invariants(strings, v, parts):
     samples = string_based_samples(local, v)
     assert len(samples) == (v if local else 0)
     splitters = select_splitters(sorted(samples), parts)
-    bounds = bucket_boundaries(local, splitters)
+    bounds = packed_bucket_boundaries(PackedStringArray.from_strings(local), splitters)
     assert bounds[0] == 0 and bounds[-1] == len(local)
     assert all(a <= b for a, b in zip(bounds, bounds[1:]))
     # membership: every string of bucket j obeys the splitter fences

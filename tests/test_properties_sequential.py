@@ -27,20 +27,20 @@ from repro.dist.golomb import GolombCodedSet, coded_sizes, golomb_parameter
 from repro.mpi.serialization import varint_size
 from repro.sequential import (
     CharStats,
-    LoserTree,
     lcp_insertion_sort,
     lcp_merge,
-    lcp_multiway_merge,
     msd_radix_sort,
     multikey_quicksort,
     multiway_merge,
 )
 from repro.sequential.lcp_losertree import lcp_multiway_merge_packed
 from repro.strings.generators import commoncrawl_like
-from repro.strings.lcp import distinguishing_prefixes, lcp, lcp_array
+from repro.strings.lcp import distinguishing_prefix_size, lcp, lcp_array
 from repro.strings.packed import PackedStringArray
 
 from oracles.golomb import decode_sorted, encode_sorted
+from oracles.lcp import distinguishing_prefixes
+from oracles.losertree import LoserTree, lcp_multiway_merge
 
 # byte strings over a tiny alphabet maximise shared prefixes and duplicates,
 # which is where the LCP machinery can go wrong
@@ -240,6 +240,7 @@ def test_lcp_definition(a, b):
 @given(st.lists(small_alphabet_text, min_size=1, max_size=30))
 def test_distinguishing_prefix_definition(strings):
     dist = distinguishing_prefixes(strings)
+    assert distinguishing_prefix_size(strings) == sum(dist)
     for i, s in enumerate(strings):
         assert 0 <= dist[i] <= len(s)
         others = strings[:i] + strings[i + 1 :]
@@ -287,9 +288,10 @@ def test_golomb_closed_form_size_is_the_encoded_payload(cases):
         coded = GolombCodedSet(np.array(values, dtype=np.uint64), universe)
         payload, m = encode_sorted(values, universe=universe)
         assert coded.m == m
-        assert coded.wire_bytes() == len(payload) + varint_size(m) + varint_size(len(values))
+        size = len(payload) + varint_size(m) + varint_size(len(values))
+        assert coded_sizes(coded.values, [len(values)], [coded.m]) == [size]
         assert decode_sorted(payload, m, len(values)) == coded.values.tolist()
-        sizes.append(coded.wire_bytes())
+        sizes.append(size)
     joined = np.array([v for values, _ in cases for v in values], dtype=np.uint64)
     counts = [len(values) for values, _ in cases]
     ms = [golomb_parameter(universe, len(values)) for values, universe in cases]

@@ -4,10 +4,10 @@ Three layers are covered:
 
 * **path algebra** (pure, property-based): for every ``(src, dst, topology,
   p)`` the path starts at ``src``, ends at ``dst``, uses only round-peer
-  edges (checked inside :meth:`ExchangeTopology.path` itself), and its hop
-  count matches the topology's promise — Hamming distance bounded by ``d``
-  for a power-of-two hypercube, at most 2 for the grid, exactly 1 for
-  direct delivery and the non-power-of-two hypercube fallback;
+  edges (checked inside the ``oracles.routing.path`` simulation), and its
+  hop count matches the topology's promise — Hamming distance bounded by
+  ``d`` for a power-of-two hypercube, at most 2 for the grid, exactly 1
+  for the non-power-of-two hypercube fallback;
 * **routed delivery on the simulated machine**: every payload arrives at
   exactly one destination exactly once, with origin bytes equal to direct
   delivery's total, forwarded bytes covering the inflation, and per-PE
@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.config import RunConfig
+from repro.dist.exchange import exchange_buckets
 from repro.mpi.engine import run_spmd
 from repro.mpi.serialization import wire_size
 from repro.net.cost_model import MachineModel
@@ -35,6 +36,11 @@ from repro.net.router import (
     routed_exchange,
 )
 from repro.net.topology import grid_dims, hypercube_dimension, is_power_of_two
+
+from oracles.routing import max_hops, path
+
+#: the topologies that route (direct delivery is the plain alltoall)
+ROUTED = tuple(name for name in TOPOLOGY_NAMES if not TOPOLOGIES[name].is_direct)
 
 # ---------------------------------------------------------------------------
 # path algebra (pure property tests)
@@ -48,34 +54,34 @@ def _popcount(x: int) -> int:
 @settings(max_examples=200, deadline=None)
 @given(
     p=st.integers(min_value=1, max_value=33),
-    name=st.sampled_from(sorted(TOPOLOGY_NAMES)),
+    name=st.sampled_from(ROUTED),
     data=st.data(),
 )
 def test_every_pair_routes_to_exactly_one_delivery(p, name, data):
-    """path(src, dst) is well formed for every pair on every topology."""
+    """path(src, dst) is well formed for every pair on every routed topology."""
     topology = TOPOLOGIES[name]
     src = data.draw(st.integers(min_value=0, max_value=p - 1))
     dst = data.draw(st.integers(min_value=0, max_value=p - 1))
-    path = topology.path(src, dst, p)
-    assert path[0] == src and path[-1] == dst
-    assert len(path) - 1 <= topology.max_hops(p)
+    hops = path(topology, src, dst, p)
+    assert hops[0] == src and hops[-1] == dst
+    assert len(hops) - 1 <= max_hops(name, p)
     # no rank is visited twice (store-and-forward never cycles)
-    assert len(set(path)) == len(path)
+    assert len(set(hops)) == len(hops)
     if src == dst:
-        assert path == [src]
+        assert hops == [src]
 
 
 @pytest.mark.parametrize("p", [2, 4, 8, 16, 32])
 def test_hypercube_hop_counts_are_hamming_distances(p):
     d = hypercube_dimension(p)
     topology = TOPOLOGIES["hypercube"]
-    assert topology.max_hops(p) == d
+    assert max_hops("hypercube", p) == d
     for src in range(p):
         for dst in range(p):
-            path = topology.path(src, dst, p)
-            assert len(path) - 1 == _popcount(src ^ dst)
+            hops = path(topology, src, dst, p)
+            assert len(hops) - 1 == _popcount(src ^ dst)
             # every hop flips exactly one bit, in ascending dimension order
-            for a, b in zip(path, path[1:]):
+            for a, b in zip(hops, hops[1:]):
                 assert _popcount(a ^ b) == 1
 
 
@@ -85,12 +91,12 @@ def test_hypercube_falls_back_to_direct_off_powers_of_two(p):
     topology = TOPOLOGIES["hypercube"]
     assert not is_power_of_two(p)
     assert topology.num_rounds(p) == 1
-    assert topology.max_hops(p) == 1
+    assert max_hops("hypercube", p) == 1
     assert topology.collective_kind(p) == "alltoall"
     for src in range(p):
         for dst in range(p):
-            path = topology.path(src, dst, p)
-            assert path == ([src] if src == dst else [src, dst])
+            hops = path(topology, src, dst, p)
+            assert hops == ([src] if src == dst else [src, dst])
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 6, 8, 9, 12, 16, 25, 30])
@@ -100,13 +106,13 @@ def test_grid_hop_counts_row_then_column(p):
     topology = TOPOLOGIES["grid"]
     for src in range(p):
         for dst in range(p):
-            path = topology.path(src, dst, p)
-            assert len(path) - 1 <= 2
+            hops = path(topology, src, dst, p)
+            assert len(hops) - 1 <= max_hops("grid", p) <= 2
             if src != dst:
                 expected = 1 if (src % cols == dst % cols or src // cols == dst // cols) else 2
-                assert len(path) - 1 == expected
-            if len(path) == 3:
-                mid = path[1]
+                assert len(hops) - 1 == expected
+            if len(hops) == 3:
+                mid = hops[1]
                 # row phase first (stay in src's row), then the column hop
                 assert mid // cols == src // cols
                 assert mid % cols == dst % cols
@@ -119,7 +125,7 @@ def test_grid_degenerates_to_direct_for_prime_p(p):
     topology = TOPOLOGIES["grid"]
     for src in range(p):
         for dst in range(p):
-            assert len(topology.path(src, dst, p)) - 1 == (0 if src == dst else 1)
+            assert len(path(topology, src, dst, p)) - 1 == (0 if src == dst else 1)
     # the column phase has no peers anywhere: no deadlock, no messages
     for rank in range(p):
         assert topology.round_peers(rank, p, 1) == []
@@ -128,7 +134,7 @@ def test_grid_degenerates_to_direct_for_prime_p(p):
 @settings(max_examples=60, deadline=None)
 @given(
     p=st.integers(min_value=2, max_value=17),
-    name=st.sampled_from(sorted(TOPOLOGY_NAMES)),
+    name=st.sampled_from(ROUTED),
     k_rank=st.data(),
 )
 def test_round_peer_relation_is_symmetric(p, name, k_rank):
@@ -153,7 +159,7 @@ def _exchange_program(comm, name):
     return received
 
 
-@pytest.mark.parametrize("name", sorted(TOPOLOGY_NAMES))
+@pytest.mark.parametrize("name", ROUTED)
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 6, 8])
 def test_routed_exchange_delivers_every_payload_once(name, p):
     results, report = run_spmd(p, _exchange_program, common_args=(name,))
@@ -173,12 +179,29 @@ def test_routed_exchange_delivers_every_payload_once(name, p):
     assert sum(report.route_bytes.values()) == report.total_bytes_sent
 
 
+def _bucket_program(comm, name):
+    buckets = [([f"from {comm.rank} to {dst}".encode()], [0]) for dst in range(comm.size)]
+    return [list(strings) for strings, _ in exchange_buckets(comm, buckets, topology=name)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 6, 8])
+def test_direct_exchange_delivers_every_payload_once(p):
+    """Direct delivery is the plain all-to-all: ``p - 1`` startups per PE,
+    nothing forwarded, and the origin volume a routed exchange also has."""
+    results, report = run_spmd(p, _bucket_program, common_args=("direct",))
+    for rank, received in enumerate(results):
+        assert received == [[f"from {src} to {rank}".encode()] for src in range(p)]
+    assert report.messages_per_pe == [p - 1] * p
+    assert report.forwarded_bytes == 0 and sum(report.route_bytes.values()) == 0
+    assert report.origin_bytes_sent == report.total_bytes_sent
+    _, routed = run_spmd(p, _bucket_program, common_args=("hypercube",))
+    assert routed.origin_bytes_sent == report.origin_bytes_sent
+
+
 def test_hypercube_startup_count_is_log_p():
     p = 8
     _, report = run_spmd(p, _exchange_program, common_args=("hypercube",))
     assert report.messages_per_pe == [hypercube_dimension(p)] * p
-    _, direct = run_spmd(p, _exchange_program, common_args=("direct",))
-    assert direct.messages_per_pe == [p - 1] * p
 
 
 def test_grid_startup_count_is_rows_plus_cols():

@@ -154,9 +154,9 @@ class TestValidation:
 
     def test_replace_returns_validated_copy(self):
         spec = PDMSSpec()
-        other = spec.replace(epsilon=2.0)
+        other = dataclasses.replace(spec, epsilon=2.0)
         assert other.epsilon == 2.0 and spec.epsilon == 1.0
         assert other.config_hash() != spec.config_hash()
         with pytest.raises(ValueError):
-            spec.replace(epsilon=-1.0)
+            dataclasses.replace(spec, epsilon=-1.0)
 
