@@ -129,9 +129,9 @@ def _local_sort(
     """Step 1: sort this rank's block into a packed run and ``int64`` LCPs.
 
     ``msd_radix`` sorts the packed block (zero-copy when it already is one)
-    with the vectorized fixed-width-key sorter.  The other sorters, and
-    ``msd_radix``'s long-string fallback, run over ``list[bytes]``; their
-    output is packed once here.
+    with the vectorized sorter, the argsort or the word radix kernel, and
+    gets a packed run back.  The other sorters run over ``list[bytes]``;
+    their output is packed once here.
     """
     if sorter == "msd_radix":
         strings = PackedStringArray.from_strings(strings)

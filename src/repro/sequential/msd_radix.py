@@ -44,17 +44,15 @@ def msd_radix_sort(
     LCP insertion sort as base cases).  The produced LCP array comes at no
     extra asymptotic cost, exactly as described in the paper.
 
-    A :class:`repro.strings.packed.PackedStringArray` input dispatches to
-    the vectorized
-    :func:`repro.sequential.vector_sort.vector_sort_with_lcp` (returning a
-    packed array + ``int64`` LCP array with bit-identical contents); its
-    long-string fallback — and every ``list`` input — runs the scalar
-    recursion below.
+    A :class:`repro.strings.packed.PackedStringArray` input (at depth 0)
+    is sorted by the vectorized
+    :func:`repro.sequential.vector_sort.vector_sort_with_lcp` for every
+    block, and comes back packed with an ``int64`` LCP array of
+    bit-identical contents; a ``list`` input runs the scalar recursion
+    below.
     """
     if depth == 0 and isinstance(strings, PackedStringArray):
-        vectorized = vector_sort_with_lcp(strings, stats)
-        if vectorized is not None:
-            return vectorized
+        return vector_sort_with_lcp(strings, stats)
     out: List[bytes] = []
     lcps: List[int] = []
     _radix(list(strings), depth, out, lcps, stats, radix_threshold, insertion_threshold)

@@ -1,31 +1,35 @@
-"""Vectorized local sorter: ``np.argsort`` over fixed-width key columns.
+"""Vectorized local sorter: two numpy kernels, picked per block.
 
-The distributed algorithms spend Step 1 sorting each PE's block.  When the
-block arrives as a :class:`repro.strings.packed.PackedStringArray` (as every
-rank program's block does), the whole sort can run inside numpy instead of
-the per-string :mod:`repro.sequential.msd_radix` recursion:
+The distributed algorithms spend Step 1 sorting each PE's block, which
+arrives as a :class:`repro.strings.packed.PackedStringArray`.  Two kernels
+sort it without per-string Python work, and both return the sorted packed
+array plus its ``int64`` LCP array:
 
-* NUL-free blocks sort through one stable ``np.argsort`` over a padded
-  ``|S{width}`` key view (NUL padding compares below every real character,
-  so the padded order *is* ``bytes`` order) whose reordered rows are the
-  sorted buffer (:func:`repro.strings.packed.sort_with_order`), unless
-  that key matrix would hold more than 4 bytes per character: such a
-  skewed block is ordered by ``sorted()`` and gathered per character;
-* blocks containing NUL bytes sort through a stable ``np.lexsort`` over
-  big-endian ``uint64`` key columns with the string length as the final
-  tie-break — equal padded keys mean the shorter string is a prefix of the
-  longer (the longer one's tail is all NULs up to the key width), so
-  shorter-first is exactly ``bytes`` order;
-* blocks past the guard rails (a string over 4096 bytes, over 256 in a
-  NUL-bearing block, a key matrix over 128 MiB) fall back to the scalar
-  sorter (:func:`vector_sort_with_lcp` returns ``None`` and
-  :func:`repro.sequential.msd_radix.msd_radix_sort` runs its recursion).
+* the **argsort** kernel (:func:`repro.strings.packed.sort_with_order`,
+  then :func:`repro.strings.packed.packed_lcp_array`): one ``np.argsort``
+  over a NUL-padded ``|S{max_len}`` key view, whose reordered rows are the
+  sorted buffer.  Each of its ~``n log n`` comparisons re-reads the prefix
+  the two strings share;
+* the **word radix** kernel (:func:`_word_radix`): MSD radix sort, the
+  paper's local sorter (Sec. II-A), on big-endian ``uint64`` words.  Pass
+  ``k`` reads word ``k`` only of the strings still tied with a neighbour,
+  sorts them within their tied groups, and reads each LCP off the first
+  differing byte of the two words that split a group.  So it reads every
+  string at most one word past its distinguishing prefix.  It has no width
+  limit and is NUL-safe: a string that ends inside a word sorts before the
+  strings whose word ties with its NUL padding.
 
-The output pair — sorted packed array plus its ``int64`` LCP array — is
-bit-identical to the scalar sorter's: the sorted sequence of a multiset is
-unique and the LCP array is a pure function of it
-(:func:`repro.strings.packed.packed_lcp_array` is pinned to the scalar
-loop by ``tests/test_packed.py``).
+:func:`_takes_radix` picks the kernel by a pure function of the block, read
+in one vectorised pass.  The radix takes every block past the argsort's
+guard rails (a NUL byte, a string over 4096 bytes, a key matrix over
+128 MiB), and blocks of at least 1024 strings whose first words are all
+equal, i.e. whose common prefix is 8 bytes or more.  Smaller blocks, and
+blocks whose strings part in their first word, stay on the argsort, which
+is faster there.
+
+Either kernel's output is bit-identical to the scalar sorter's
+(:func:`repro.sequential.msd_radix.msd_radix_sort` on a list): the sorted
+sequence of a multiset is unique and the LCP array is a pure function of it.
 """
 
 from __future__ import annotations
@@ -36,64 +40,141 @@ import numpy as np
 
 from ..strings.packed import (
     PackedStringArray,
-    _LITTLE_ENDIAN,
     _fixed_width_ok,
-    _MAX_FIXED_BYTES,
-    fixed_width_keys,
+    byte_windows,
     packed_lcp_array,
+    reorder,
     sort_with_order,
-    take,
 )
 from .stats import CharStats
 
 __all__ = ["vector_sort_with_lcp"]
 
-# NUL-bearing blocks build one uint64 column per 8 key bytes; beyond this
-# width the column pile costs more passes than the scalar sorter.
-_MAX_LEXSORT_WIDTH = 256
+# smaller blocks sort faster on the argsort, shared prefix or not
+_RADIX_MIN_STRINGS = 1024
 
-
-def _column_lexsort(arr: PackedStringArray, width: int) -> np.ndarray:
-    """Stable argsort of a packed array via ``np.lexsort`` over key columns.
-
-    Safe with embedded NUL bytes: keys are compared as big-endian ``uint64``
-    chunks of the NUL-padded fixed-width view, with the string length as the
-    last (least-significant) key resolving padded ties shorter-first.
-    """
-    n = len(arr)
-    words = (width + 7) // 8
-    raw = fixed_width_keys(arr, words * 8).view(np.uint8).reshape(n, words * 8)
-    cols = raw.view(np.uint64)
-    if _LITTLE_ENDIAN:
-        cols = cols.byteswap()  # big-endian words compare like their bytes
-    keys = [arr.lengths] + [cols[:, j] for j in range(words - 1, -1, -1)]
-    return np.lexsort(keys).astype(np.int64)
+# _HEAD[c]: the mask of a big-endian word's first c bytes
+_HEAD = np.array([((1 << 8 * c) - 1) << 8 * (8 - c) for c in range(9)], dtype=np.uint64)
+# a word XOR below 256**i leaves its first 8 - i bytes equal
+_BYTE_STEPS = np.array([1 << 8 * i for i in range(8)], dtype=np.uint64)
 
 
 def vector_sort_with_lcp(
     arr: PackedStringArray, stats: Optional[CharStats] = None
-) -> Optional[Tuple[PackedStringArray, np.ndarray]]:
-    """Sort a packed block; returns ``(sorted, lcp_array)`` or ``None``.
+) -> Tuple[PackedStringArray, np.ndarray]:
+    """Sort a packed block; returns ``(sorted, lcp_array)``.
 
-    ``None`` signals the long-string fallback: the block's key matrix would
-    blow the fixed-width guard rails, so the caller should run the scalar
-    sorter instead.  Otherwise the result is bit-identical to
+    The result is bit-identical to
     :func:`repro.sequential.msd_radix.msd_radix_sort` on the same strings
-    (sorted order and LCP array are both content-determined).
+    as a list (sorted order and LCP array are both content-determined),
+    whichever kernel :func:`_takes_radix` picks.  ``stats`` is charged
+    every character once and one bucket pass, whatever the kernel.
     """
-    n, width = len(arr), arr.max_len
-    if width == 0:
+    n = len(arr)
+    if arr.max_len == 0:
         # no strings or all empty: already sorted, all LCPs 0, nothing inspected
         return arr, np.zeros(n, dtype=np.int64)
-    if _fixed_width_ok(arr, width):
-        srt, _ = sort_with_order(arr)
-    elif width <= _MAX_LEXSORT_WIDTH and n * width <= _MAX_FIXED_BYTES:
-        srt = take(arr, _column_lexsort(arr, width))
+    if _takes_radix(arr):
+        srt, lcps = _word_radix(arr)
     else:
-        return None
-    out_lcps = packed_lcp_array(srt)
+        srt = sort_with_order(arr)[0]
+        lcps = packed_lcp_array(srt)
     if stats is not None:
-        # every character enters the key material exactly once
         stats.add_chars(arr.num_chars)
         stats.bucket_passes += 1
-    return srt, out_lcps
+    return srt, lcps
+
+
+def _takes_radix(arr: PackedStringArray) -> bool:
+    """Whether the word radix sorts ``arr``: every block past the argsort's
+    guard rails, and blocks of at least 1024 strings that all share their
+    first word."""
+    if not _fixed_width_ok(arr, arr.max_len):
+        return True
+    if len(arr) < _RADIX_MIN_STRINGS:
+        return False
+    first = _words(arr.buffer, arr.offsets[:-1], arr.lengths)
+    return bool((first == first[0]).all())
+
+
+def _words(buf: np.ndarray, pos: np.ndarray, rem: np.ndarray) -> np.ndarray:
+    """The big-endian ``uint64`` word of ``buf`` at each position of ``pos``,
+    NUL past the ``rem >= 0`` bytes its string has left there.
+
+    The words are gathered from :func:`repro.strings.packed.byte_windows`,
+    so nothing is copied but the words.  A word that would run past the
+    buffer's end is read where it still fits and shifted into place; the
+    bytes it lacks lie past its string's end.
+    """
+    if buf.size < 8:
+        buf = np.concatenate([buf, np.zeros(8 - buf.size, dtype=np.uint8)])
+    last = buf.size - 8
+    if int(pos.max()) <= last:
+        w = byte_windows(buf, 8, ">u8")[pos].astype(np.uint64)
+    else:
+        at = np.minimum(pos, last)
+        w = byte_windows(buf, 8, ">u8")[at].astype(np.uint64)
+        w <<= ((pos - at) * 8).astype(np.uint64)  # 64 only where rem == 0
+    if int(rem.min()) < 8:
+        w &= _HEAD[np.minimum(rem, 8)]
+    return w
+
+
+def _word_radix(arr: PackedStringArray) -> Tuple[PackedStringArray, np.ndarray]:
+    """MSD radix sort of ``arr`` on big-endian ``uint64`` words; returns
+    ``(sorted, lcp_array)``.
+
+    ``order`` holds the strings in sorted order so far and ``act`` the
+    slots of ``order`` still tied with a neighbour on every word read, in
+    groups of equal prefix (``grp``, ascending; ``None`` for one group).
+    Each pass reads the next word of the tied strings and sorts them by
+    ``(group, word, bytes left)``: one sort by word, then numpy's stable
+    sort by group id (a radix sort while the id fits 16 bits) when there is
+    more than one group.  The pairs of a group that the pass splits get
+    their LCP from the first differing byte of their words, clipped to
+    where either string ends; pairs that still tie, on a word both strings
+    fill, form the next pass's groups, numbered by one ``cumsum``.
+    """
+    n = len(arr)
+    buf, starts, lens = arr.buffer, arr.offsets[:-1], arr.lengths
+    nul = arr.has_zero_byte()
+    order = np.arange(n, dtype=np.int64)
+    lcps = np.zeros(n, dtype=np.int64)
+    act = order.copy()
+    ids, pos, rem = order.copy(), starts.copy(), lens.copy()  # of the slots in act
+    grp: Optional[np.ndarray] = None
+    depth = 0  # where the word read by this pass starts in each string
+    while act.size > 1:
+        w = _words(buf, pos, rem)
+        if int(rem.min()) >= 8 and (w == w[0]).all():
+            depth += 8  # every group ties again: nothing to sort or split
+            pos += 8
+            rem -= 8
+            continue
+        end = np.minimum(rem, 8)  # how many of the word's bytes are the string's
+        # on tied words the string that ends first sorts first; without NUL
+        # bytes the words tie only where the strings end alike
+        perm = np.lexsort((end, w)) if nul else np.argsort(w)
+        if grp is not None:
+            perm = perm[np.argsort(grp[perm], kind="stable")]
+        ids, w, end = ids[perm], w[perm], end[perm]
+        order[act] = ids
+        inner = np.ones(len(act) - 1, dtype=bool) if grp is None else grp[1:] == grp[:-1]
+        x = w[1:] ^ w[:-1]
+        equal = 8 - np.searchsorted(_BYTE_STEPS, x, side="right")
+        h = depth + np.minimum(equal, np.minimum(end[1:], end[:-1]))
+        lcps[act[1:][inner]] = h[inner]
+        tie = inner & (x == 0) & (end[1:] == 8) & (end[:-1] == 8)
+        keep = np.zeros(len(act), dtype=bool)
+        keep[1:] = tie
+        keep[:-1] |= tie
+        # a kept slot opens a new group unless it ties with the slot before
+        opens = np.ones(len(act), dtype=bool)
+        opens[1:] = ~tie
+        gid = np.cumsum(opens[keep]) - 1
+        act, ids = act[keep], ids[keep]
+        depth += 8
+        pos, rem = starts[ids] + depth, lens[ids] - depth
+        groups = int(gid[-1]) + 1 if gid.size else 0
+        grp = gid.astype(np.min_scalar_type(groups - 1)) if groups > 1 else None
+    return reorder(arr, order), lcps

@@ -19,7 +19,8 @@ distributed exchange path is built from:
 * :func:`packed_bucket_boundaries` — splitter partition of a sorted run via
   ``np.searchsorted`` over a fixed-width key view;
 * :func:`sort_with_order` / :func:`packed_sort` — whole-array sorting through
-  numpy's fixed-width byte dtype where safe;
+  numpy's fixed-width byte dtype where safe, and :func:`reorder`, which
+  emits a given order the same way;
 * :func:`truncate` — vectorized per-string prefix truncation (PDMS builds
   its approximate distinguishing prefixes with this).
 
@@ -43,12 +44,14 @@ import numpy as np
 
 __all__ = [
     "PackedStringArray",
+    "byte_windows",
     "concat_runs",
     "packed_lcp_array",
     "clip_lcps",
     "fixed_width_keys",
     "packed_bucket_boundaries",
     "packed_sort",
+    "reorder",
     "sort_with_order",
     "string_lengths",
     "take",
@@ -57,8 +60,8 @@ __all__ = [
 ]
 
 # Guard rails for the fixed-width (padded ``|S``) fast paths: beyond these the
-# padded matrix would cost more memory traffic than the O(log n) scalar
-# fallback saves.
+# padded matrix would cost more memory traffic than it saves (the local sort
+# then takes the word radix, the partition bisects).
 _MAX_FIXED_WIDTH = 4096
 _MAX_FIXED_BYTES = 1 << 27  # 128 MiB of padded key material
 
@@ -367,19 +370,50 @@ def fixed_width_keys(arr: PackedStringArray, width: int) -> np.ndarray:
     on the truncated strings (padding NULs compare below every character)."""
     if width <= 0:
         raise ValueError("width must be positive")
-    off = arr.offsets
-    base = int(off[0])
-    padded = np.concatenate(
-        [arr.buffer[base : int(off[-1])], np.zeros(width, dtype=np.uint8)]
-    )
-    windows = np.lib.stride_tricks.sliding_window_view(padded, width)
-    mat = windows[off[:-1] - base]  # (n, width): a fresh row-contiguous copy
-    if len(arr) and int(arr.lengths.min()) < width:
+    return _key_rows(arr, width).reshape(-1).view(f"S{width}")
+
+
+def _key_rows(
+    arr: PackedStringArray, width: int, order: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``(n, width)`` ``uint8`` matrix whose row ``i`` is string ``order[i]``
+    (string ``i`` without ``order``) truncated to ``width`` bytes and
+    NUL-padded.
+
+    The rows are gathered from :func:`byte_windows`, so the buffer is not
+    copied; the few windows that would run past its end are read from a
+    padded copy of its last bytes.
+    """
+    buf, starts, lens = arr.buffer, arr.offsets[:-1], arr.lengths
+    if order is not None:
+        starts, lens = starts[order], lens[order]
+    n, last = len(starts), buf.size - width
+    late = np.nonzero(starts > last)[0]
+    if last >= 0:
+        at = np.minimum(starts, last) if late.size else starts
+        mat = byte_windows(buf, width, f"V{width}")[at].view(np.uint8).reshape(n, width)
+    else:
+        mat = np.empty((n, width), dtype=np.uint8)
+    if late.size:
+        lo = int(starts[late].min())
+        tail = np.zeros(buf.size - lo + width, dtype=np.uint8)
+        tail[: buf.size - lo] = buf[lo:]
+        mat[late] = np.lib.stride_tricks.sliding_window_view(tail, width)[starts[late] - lo]
+    if n and int(lens.min()) < width:
         # NUL-pad past each string's end (the window read runs into the
         # following strings' bytes, which would corrupt the ordering)
-        ends = np.minimum(arr.lengths, width).astype(np.int32)
+        ends = np.minimum(lens, width).astype(np.int32)
         mat *= np.arange(width, dtype=np.int32) < ends[:, None]
-    return mat.reshape(-1).view(f"S{width}")
+    return mat
+
+
+def byte_windows(buf: np.ndarray, width: int, dtype: str) -> np.ndarray:
+    """A ``width``-byte item of ``dtype`` at every byte offset of ``buf``
+    (``buf.size - width + 1`` items): a strided view, nothing copied.
+    Gathering items from it copies ``width`` bytes per item."""
+    return np.ndarray(
+        (buf.size - width + 1,), dtype=dtype, buffer=np.ascontiguousarray(buf), strides=(1,)
+    )
 
 
 def _fixed_width_ok(arr: PackedStringArray, width: int) -> bool:
@@ -445,30 +479,54 @@ def take(arr: PackedStringArray, order: np.ndarray) -> PackedStringArray:
     return PackedStringArray(arr.buffer[idx], off)
 
 
+def _rows_pay(arr: PackedStringArray) -> bool:
+    """Whether a sorted copy of ``arr`` is emitted as key-matrix rows: a
+    NUL-free block of two or more strings whose matrix holds at most 4
+    cells per character (one long string among many short ones would make
+    it mostly padding)."""
+    n, width = len(arr), arr.max_len
+    return n > 1 and n * width <= 4 * arr.num_chars and _fixed_width_ok(arr, width)
+
+
+def _packed_rows(rows: np.ndarray, lens: np.ndarray) -> PackedStringArray:
+    """The strings of key-matrix ``rows`` (NUL-free, of lengths ``lens``)
+    back to back: with no NUL in any string, the non-zero bytes of the rows
+    are exactly the strings' bytes."""
+    off = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=off[1:])
+    padded = int(off[-1]) != rows.size
+    return PackedStringArray(rows[rows != 0] if padded else rows.reshape(-1), off)
+
+
 def sort_with_order(arr: PackedStringArray) -> Tuple[PackedStringArray, np.ndarray]:
     """Lexicographically sorted copy of ``arr`` and the stable order behind it.
 
-    A NUL-free block emits the rows of the key matrix it has just sorted:
-    with no NUL in any string, the non-zero bytes of ``mat[order]`` are
-    exactly the sorted strings' bytes.  The matrix and its gather are
-    ``O(n * width)`` where :func:`take` is ``O(num_chars)``: measured, the
-    rows are faster up to 2-6 matrix cells per character and smaller up to 8,
-    so the key sort runs up to 4.  Beyond that (one long string among many
-    short ones) no matrix is built: ``sorted()`` orders the block.
+    A NUL-free block emits the rows of the key matrix it has just sorted.
+    The matrix and its gather are ``O(n * width)`` where :func:`take` is
+    ``O(num_chars)``: measured, the rows are faster up to 2-6 matrix cells
+    per character and smaller up to 8, so the key sort runs up to 4.
+    Beyond that (one long string among many short ones) no matrix is
+    built: ``sorted()`` orders the block.
     """
-    n, width = len(arr), arr.max_len
-    if n > 1 and n * width <= 4 * arr.num_chars and _fixed_width_ok(arr, width):
+    if _rows_pay(arr):
+        n, width = len(arr), arr.max_len
         keys = fixed_width_keys(arr, width)
         order = np.argsort(keys, kind="stable")
         rows = keys.view(np.uint8).reshape(n, width)[order]
-        off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(arr.lengths[order], out=off[1:])
-        padded = arr.num_chars != n * width
-        return PackedStringArray(rows[rows != 0] if padded else rows.reshape(-1), off), order
+        return _packed_rows(rows, arr.lengths[order]), order
     # NUL bytes, skewed or oversized keys, or nothing to sort
     data = arr.to_list()
-    order = np.asarray(sorted(range(n), key=data.__getitem__), dtype=np.int64)
+    order = np.asarray(sorted(range(len(arr)), key=data.__getitem__), dtype=np.int64)
     return take(arr, order), order
+
+
+def reorder(arr: PackedStringArray, order: np.ndarray) -> PackedStringArray:
+    """``take(arr, order)`` by :func:`sort_with_order`'s cell rule: the
+    strings gathered as key-matrix rows in ``order`` where that sort would
+    emit rows, by :func:`take` elsewhere."""
+    if _rows_pay(arr):
+        return _packed_rows(_key_rows(arr, arr.max_len, order), arr.lengths[order])
+    return take(arr, order)
 
 
 def packed_sort(arr: PackedStringArray) -> PackedStringArray:

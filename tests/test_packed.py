@@ -471,11 +471,19 @@ class TestPackedPartition:
 
 @st.composite
 def sort_blocks(draw):
-    """A block as the local sort meets it: ragged (with the >255-char tail),
-    uniform-length, all-empty, single-string or with trailing NULs (the
-    lexsort branch) — always a window into a larger array."""
-    shape = draw(st.sampled_from(["ragged", "uniform", "empty", "single", "nul"]))
+    """A block as the local sort meets it, always a window into a larger
+    array: ragged (with the >255-char tail), uniform-length, all-empty,
+    single-string, with trailing NULs, sharing a prefix of 8 bytes or more
+    (at least 1024 strings, some ending on a word boundary), with strings
+    over 4096 bytes, NUL-bearing with strings over 256 bytes, or
+    duplicate-heavy."""
+    shape = draw(
+        st.sampled_from(
+            ["ragged", "uniform", "empty", "single", "nul", "shared", "long", "nul_long", "dups"]
+        )
+    )
     xs = draw(string_lists(min_size=1))
+    rng = random.Random(draw(st.integers(0, 2**32)))
     if shape == "uniform":
         width = draw(st.integers(1, 9))
         xs = [s.ljust(width, b"a")[:width] for s in xs]
@@ -485,29 +493,69 @@ def sort_blocks(draw):
         xs = xs[:1]
     elif shape == "nul":
         xs = [s + b"\x00" * (len(s) % 3) for s in xs] + [b"\x00"]
+    elif shape == "shared":
+        prefix = draw(st.sampled_from([b"prefix:8", b"prefix:16-bytes:", b"prefix:11ab"]))
+        tails = xs + [b"\x00" * 8] * draw(st.booleans())  # a NUL block too
+        tail_lens = [0, 1, 7, 8, 9, 16, 24]  # with the prefixes, ends on and off a word
+        xs = [
+            prefix + rng.choice(tails)[: rng.choice(tail_lens)]
+            for _ in range(rng.randrange(1024, 1300))
+        ]
+    elif shape == "long":
+        long = bytes(xs[0][:1] or b"x") * 4097
+        xs = xs + [long + s for s in xs[:3]] + [long[:-1], long]
+    elif shape == "nul_long":
+        long = b"a\x00" * 150
+        xs = xs + [long + s for s in xs[:3]] + [long[:-1], long + b"\x00"]
+    elif shape == "dups":
+        xs = [rng.choice(xs[:3]) for _ in range(rng.choice([3 * len(xs), 1100]))]
     lead = draw(st.lists(st.binary(max_size=4), max_size=2))
     view = PackedStringArray.from_strings(lead + xs + lead)[len(lead) : len(lead) + len(xs)]
     return xs, view
 
 
+def past_guard_rails(view):
+    """A block the ``|S`` argsort cannot sort: a NUL byte, a string over
+    4096 bytes, or a key matrix over 128 MiB."""
+    width = view.max_len
+    return view.has_zero_byte() or width > 4096 or len(view) * width > 1 << 27
+
+
 class TestLocalSort:
-    @given(sort_blocks())
-    @settings(max_examples=300, deadline=None)
-    def test_vector_sort_matches_sorted_and_scalar_lcps(self, block):
-        xs, view = block
-        stats = CharStats()
-        res = vector_sort_with_lcp(view, stats)
-        if res is None:  # only NUL-bearing blocks wider than the lexsort limit
-            assert view.has_zero_byte() and view.max_len > 256
-            return
-        srt, lcps = res
-        assert srt.to_list() == sorted(xs)
-        assert lcps.dtype == np.int64 and lcps.tolist() == scalar_lcp_array(sorted(xs))
-        if view.num_chars:  # an all-empty block comes back as it is
-            assert srt.buffer.size == view.num_chars and srt.offsets[0] == 0
-        assert stats == CharStats(
-            chars_inspected=view.num_chars, bucket_passes=int(view.num_chars > 0)
-        )
+    def test_vector_sort_matches_sorted_and_scalar_lcps(self, monkeypatch):
+        """Both kernels against ``sorted()`` and the scalar LCP loop; the
+        corpus reaches both, and every guard-rail block the word radix."""
+        import repro.sequential.vector_sort as vs
+
+        calls = []
+        for name in ("_word_radix", "sort_with_order"):
+            kernel = getattr(vs, name)
+            monkeypatch.setattr(
+                vs, name, lambda arr, name=name, kernel=kernel: calls.append(name) or kernel(arr)
+            )
+        reached = set()
+
+        @given(sort_blocks())
+        @settings(max_examples=300, deadline=None)
+        def check(block):
+            xs, view = block
+            calls.clear()
+            stats = CharStats()
+            srt, lcps = vector_sort_with_lcp(view, stats)
+            assert srt.to_list() == sorted(xs)
+            assert lcps.dtype == np.int64 and lcps.tolist() == scalar_lcp_array(sorted(xs))
+            if view.num_chars:  # an all-empty block comes back as it is
+                assert srt.buffer.size == view.num_chars and srt.offsets[0] == 0
+                assert len(calls) == 1
+                if past_guard_rails(view):
+                    assert calls == ["_word_radix"]
+            assert stats == CharStats(
+                chars_inspected=view.num_chars, bucket_passes=int(view.num_chars > 0)
+            )
+            reached.update(calls)
+
+        check()
+        assert reached == {"_word_radix", "sort_with_order"}
 
     @given(sort_blocks())
     @settings(max_examples=150, deadline=None)
@@ -552,4 +600,36 @@ class TestLocalSort:
         assert gathers == [len(xs)]
         assert srt.to_list() == sorted(xs)
         assert lcps.tolist() == packed_lcp_array(PackedStringArray.from_strings(sorted(xs))).tolist()
+        assert peak <= 41e6 * 1.1
+
+    def test_shared_prefix_skewed_block_gathers_per_character(self, monkeypatch):
+        """The word radix's twin of the test above: the same block behind a
+        common 8-byte prefix sorts on the radix, which builds no key matrix
+        either and emits through one ``take``."""
+        import repro.sequential.vector_sort as vs
+        import repro.strings.packed as packed_mod
+
+        rng = random.Random(5)
+        xs = [
+            b"prefix:8" + bytes(rng.choices(range(97, 123), k=rng.randrange(5, 36)))
+            for _ in range(20000)
+        ]
+        xs.append(b"prefix:8" + b"z" * 992)
+        arr = PackedStringArray.from_strings(xs)
+        gathers = []
+        monkeypatch.setattr(
+            packed_mod, "take", lambda a, order: gathers.append(len(order)) or take(a, order)
+        )
+        for name in ("fixed_width_keys", "_key_rows"):  # calling either fails
+            monkeypatch.setattr(packed_mod, name, None)
+        monkeypatch.setattr(vs, "sort_with_order", None)
+        tracemalloc.start()
+        try:
+            srt, lcps = vector_sort_with_lcp(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gathers == [len(xs)]
+        assert srt.to_list() == sorted(xs)
+        assert lcps.tolist() == scalar_lcp_array(sorted(xs))
         assert peak <= 41e6 * 1.1

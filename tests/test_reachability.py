@@ -293,7 +293,8 @@ def run_sealed(tmp: Path) -> None:
 
 def run_local_sorters(tmp: Path) -> None:
     """Every local sorter of the spec, on strings with NUL bytes and on a
-    string longer than 4 KiB (the lexsort and the scalar fallback)."""
+    string longer than 4 KiB (blocks past the argsort's guard rails, which
+    the word radix sorts)."""
     from repro import Cluster, MSSpec
     from repro.sequential import SEQUENTIAL_SORTERS, sort_strings
 
