@@ -22,7 +22,7 @@ if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro import Cluster, MSSpec, PDMSGolombSpec, SortSpec
-from repro.dist.api import RankOutput, ms_sort
+from repro.dist.api import merge_sort
 from repro.session import default_registry
 from repro.strings import dn_instance
 
@@ -55,8 +55,9 @@ def main() -> None:
         algorithm = "ms-stamped"
 
     def stamped_runner(comm, local, spec):
-        out, lcps = ms_sort(comm, local, spec)
-        return RankOutput(out, lcps, extra={"stamped": True})
+        output = merge_sort(comm, local, spec)  # the merge-sort rank program
+        output.extra["stamped"] = True
+        return output
 
     registry = default_registry().copy()
     registry.register("ms-stamped", stamped_runner, StampedSpec)

@@ -37,7 +37,7 @@ Architecture
   (``hquick``), Golomb-coded fingerprint duplicate detection
   (``golomb``/``duplicates``), the DIST-prefix approximation
   (``prefix_doubling``), D/N estimation (``dn_estimator``) and the
-  per-algorithm rank programs that read their knobs off the spec (``api``);
+  merge-sort rank program whose spec switches its stages (``api``);
 * :mod:`repro.session` — the public API: :class:`Cluster` sessions over a
   reusable simulated machine, the typed :class:`SortSpec` configuration
   hierarchy, the pluggable algorithm registry and streaming batch ingest;
@@ -60,10 +60,8 @@ try:
     from .dist import (
         SortResult,
         distribute_strings,
-        ms_sort,
-        pdms_sort,
+        merge_sort,
         hquick_sort,
-        fkmerge_sort,
     )
     from .mpi import Communicator, run_spmd
     from .net import MachineModel, DEFAULT_MACHINE
@@ -104,10 +102,8 @@ __all__ = [
     "register_algorithm",
     "SortResult",
     "distribute_strings",
-    "ms_sort",
-    "pdms_sort",
+    "merge_sort",
     "hquick_sort",
-    "fkmerge_sort",
     "Communicator",
     "run_spmd",
     "MachineModel",

@@ -14,8 +14,8 @@ Layering (each module usable and testable on its own):
 * :mod:`~repro.dist.prefix_doubling` — the DIST-prefix approximation;
 * :mod:`~repro.dist.dn_estimator` — sampling-based D/N estimation for the
   ``auto`` algorithm;
-* :mod:`~repro.dist.api` — the per-algorithm SPMD rank programs, which read
-  their knobs off a :class:`~repro.session.SortSpec`, and the
+* :mod:`~repro.dist.api` — the merge-sort SPMD rank program, which reads
+  its knobs and stage switches off a :class:`~repro.session.SortSpec`, and the
   :class:`SortResult`/:class:`RankOutput` result shapes (callers sort
   through :class:`repro.session.Cluster`).
 """
@@ -24,10 +24,8 @@ from .api import (
     RankOutput,
     SortResult,
     distribute_strings,
-    fkmerge_sort,
     hquick_sort,
-    ms_sort,
-    pdms_sort,
+    merge_sort,
 )
 from .dn_estimator import DnEstimate, estimate_dn_ratio, recommend_algorithm
 from .exchange import exchange_buckets
@@ -38,10 +36,8 @@ __all__ = [
     "RankOutput",
     "SortResult",
     "distribute_strings",
-    "fkmerge_sort",
     "hquick_sort",
-    "ms_sort",
-    "pdms_sort",
+    "merge_sort",
     "DnEstimate",
     "estimate_dn_ratio",
     "recommend_algorithm",

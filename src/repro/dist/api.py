@@ -5,9 +5,10 @@ The public API lives in :mod:`repro.session`: a
 :class:`~repro.session.SortSpec` configurations through the pluggable
 algorithm registry.  This module keeps
 
-* the per-algorithm rank programs (:func:`ms_sort`, :func:`pdms_sort`,
-  :func:`fkmerge_sort`, plus :func:`repro.dist.hquick.hquick_sort`), which
-  read their knobs off the spec and are usable directly with
+* the rank programs: :func:`merge_sort`, one program for all five merge
+  sorts, whose spec class switches its stages on and off (the algorithms
+  below are presets of it), and :func:`repro.dist.hquick.hquick_sort`.
+  They read their knobs off the spec and are usable directly with
   :func:`repro.mpi.run_spmd` when a caller wants to embed a sorter inside a
   larger SPMD computation;
 * :class:`RankOutput`, what a rank program registered with the session
@@ -18,7 +19,8 @@ Algorithms (Sections IV-VI):
 
 ========== =================================================================
 hquick      hypercube quicksort, strings as atoms (baseline)
-fkmerge     Fischer-Kurpicz merge sort: centralised splitters, atomic merge
+fkmerge     Fischer-Kurpicz merge sort: MS-simple with central string
+            sampling, returning no LCP array
 ms-simple   distributed merge sort without the LCP optimisations
 ms          merge sort with LCP compression and LCP-aware multiway merging
 pdms        prefix-doubling merge sort: only DIST prefixes are communicated
@@ -62,9 +64,7 @@ __all__ = [
     "SortResult",
     "RankOutput",
     "distribute_strings",
-    "ms_sort",
-    "pdms_sort",
-    "fkmerge_sort",
+    "merge_sort",
     "hquick_sort",
 ]
 
@@ -142,21 +142,35 @@ def _local_sort(
     return PackedStringArray.from_strings(out), np.asarray(lcps, dtype=np.int64)
 
 
-def ms_sort(
-    comm: Communicator, strings: Sequence[bytes], spec: Any, lcp: bool = True
-) -> Tuple[PackedStringArray, np.ndarray]:
-    """Distributed merge sort (Section V); returns ``(sorted, lcp_array)``.
+def merge_sort(comm: Communicator, strings: Sequence[bytes], spec: Any) -> RankOutput:
+    """The merge sorts of Sections V-VI; the spec's class is the preset.
 
-    This rank's sorted strings come back as one packed run with its
-    ``int64`` LCP array.
-
-    ``spec`` is an :class:`~repro.session.MSSpec`-shaped configuration: its
-    ``local_sorter``, ``sampling``, ``sample_sort``, ``oversampling`` and
-    ``exchange_topology`` are read.  ``lcp`` switches the LCP machinery —
-    front coding on the wire (Step 3) and the LCP loser-tree merge
-    (Step 4) — on for MS and off for MS-simple.
+    Local sort, splitters, partition, one all-to-all, a multiway merge, with
+    the knobs read off ``spec`` and the stages picked by its class-level
+    switches: ``prefix_doubling`` sends only approximate distinguishing
+    prefixes (``golomb``: Golomb-coded fingerprints) and returns their
+    ``(source PE, local rank)`` origins and protocol statistics; ``lcp``
+    front-codes the buckets and merges with the LCP loser tree (prefix
+    doubling: one stable sort; neither: the atomic loser tree);
+    ``returns_lcps`` returns the output's ``int64`` LCP array.
     """
     local_sorted, lcps = _local_sort(comm, strings, spec.local_sorter)
+    doubling = starts = origins = None
+    if spec.prefix_doubling:
+        doubling = approximate_dist_prefixes(
+            comm,
+            local_sorted,
+            initial_length=spec.initial_length,
+            epsilon=spec.epsilon,
+            golomb=spec.golomb,
+        )
+        # prefixes of a sorted array are sorted (every prefix extends past the
+        # LCP with its neighbours, by the DIST guarantee), and their LCP array
+        # is the local one clipped to the prefix lengths; character sampling
+        # then weighs each string by its prefix length, the mass that travels
+        local_sorted = truncate(local_sorted, doubling.lengths)
+        lcps = clip_lcps(local_sorted, lcps)
+
     splitters = determine_splitters(
         comm,
         local_sorted,
@@ -165,136 +179,53 @@ def ms_sort(
         oversampling=spec.oversampling,
     )
     buckets = split_into_buckets(local_sorted, lcps, splitters)
+    if doubling is not None:
+        # Each bucket is a contiguous run of the locally sorted array, so
+        # only its start offset needs to travel; the receiver learns the
+        # source PE from the message slot and counts the positions.
+        starts = np.cumsum([0] + [len(bucket) for bucket, _ in buckets[:-1]]).tolist()
     received = exchange_buckets(
         comm,
         buckets,
-        lcp_compression=lcp,
-        ship_lcps=lcp,
+        lcp_compression=spec.lcp,
+        payloads=starts,
+        ship_lcps=spec.lcp,
         topology=spec.exchange_topology,
     )
+
     with comm.phase("merge"):
         stats = CharStats()
-        runs = [run for run, _ in received]
-        if lcp:
+        runs = [message[0] for message in received]
+        merged_lcps = None
+        if doubling is not None:
+            # one stable sort over the runs back to back in source order: ties
+            # keep the lower source PE first, as a k-way merge would, and the
+            # order says which run and position every output came from
+            concatenated, bounds = concat_runs(runs)
+            merged, order = sort_with_order(concatenated)
+            src = np.searchsorted(bounds[1:], order, side="right")
+            firsts = np.array([first for _, _, first in received], dtype=np.int64)
+            origins = np.stack([src, order - bounds[src] + firsts[src]], axis=1)
+            stats.add_chars(merged.num_chars)
+        elif spec.lcp:
             # batched loser-tree emit into one packed output buffer
             merged, merged_lcps = lcp_multiway_merge_packed(
                 runs, [h for _, h in received], stats
             )
         else:
             merged = PackedStringArray.from_strings(multiway_merge(runs, stats))
+        if merged_lcps is None and spec.returns_lcps:
             merged_lcps = packed_lcp_array(merged)
         comm.record_local_work(stats.chars_inspected, len(merged))
-    return merged, merged_lcps
 
-
-def fkmerge_sort(
-    comm: Communicator, strings: Sequence[bytes], spec: Any
-) -> Tuple[PackedStringArray, None]:
-    """The FKmerge baseline: centralised sample sort, atomic multiway merge.
-
-    Returns this rank's sorted strings as one packed run, and no LCP array.
-
-    No LCP machinery anywhere — full strings travel and the merge rescans
-    common prefixes — and the splitters are sorted on PE 0 (the scalability
-    bottleneck Section VII-D measures).  Unlike the original implementation,
-    repeated strings are handled (documented deviation from the paper).
-    ``spec`` is a :class:`~repro.session.FKMergeSpec`-shaped configuration:
-    its ``local_sorter``, ``oversampling`` and ``exchange_topology`` are read.
-    """
-    local_sorted, lcps = _local_sort(comm, strings, spec.local_sorter)
-    splitters = determine_splitters(
-        comm,
-        local_sorted,
-        scheme="string",
-        sample_sort="central",
-        oversampling=spec.oversampling,
-    )
-    buckets = split_into_buckets(local_sorted, lcps, splitters)
-    # the baseline has no LCP machinery on the wire: strings travel verbatim
-    received = exchange_buckets(
-        comm,
-        buckets,
-        lcp_compression=False,
-        ship_lcps=False,
-        topology=spec.exchange_topology,
-    )
-    with comm.phase("merge"):
-        stats = CharStats()
-        merged = PackedStringArray.from_strings(
-            multiway_merge([run for run, _ in received], stats)
-        )
-        comm.record_local_work(stats.chars_inspected, len(merged))
-    return merged, None
-
-
-def pdms_sort(
-    comm: Communicator, strings: Sequence[bytes], spec: Any, golomb: bool = False
-) -> Tuple[PackedStringArray, np.ndarray, np.ndarray, Dict[str, Any]]:
-    """Prefix-doubling merge sort (Section VI).
-
-    Returns ``(prefixes, lcp_array, origins, extra)``: the globally sorted
-    approximate distinguishing prefixes held by this rank as one packed
-    run, their ``int64`` LCP array, the ``(n, 2)`` ``int64`` array of
-    per-prefix ``(source PE, position in that PE's locally sorted array)``
-    origin labels, and a dict of protocol statistics.  ``spec`` is a
-    :class:`~repro.session.PDMSSpec`-shaped configuration: the sampling
-    knobs of :func:`ms_sort` plus ``epsilon`` and ``initial_length`` are
-    read.  ``golomb`` Golomb-codes the fingerprint messages (PDMS-Golomb).
-    """
-    local_sorted, lcps = _local_sort(comm, strings, spec.local_sorter)
-    doubling = approximate_dist_prefixes(
-        comm,
-        local_sorted,
-        initial_length=spec.initial_length,
-        epsilon=spec.epsilon,
-        golomb=golomb,
-    )
-    # prefixes of a sorted array are sorted (every prefix extends past the
-    # LCP with its neighbours, by the DIST guarantee), and their LCP array
-    # is the local one clipped to the prefix lengths
-    prefixes = truncate(local_sorted, doubling.lengths)
-    prefix_lcps = clip_lcps(prefixes, lcps)
-
-    splitters = determine_splitters(
-        comm,
-        prefixes,
-        scheme=spec.sampling,
-        sample_sort=spec.sample_sort,
-        oversampling=spec.oversampling,
-        weights=doubling.lengths if spec.sampling == "character" else None,
-    )
-    buckets = split_into_buckets(prefixes, prefix_lcps, splitters)
-    # origin labels are (source PE, position in that PE's locally sorted
-    # array).  Each bucket is a contiguous run of that array, so only its
-    # start offset needs to travel; the receiver learns the source PE from
-    # the message slot and reconstructs the positions by counting.
-    starts = np.cumsum([0] + [len(bucket) for bucket, _ in buckets[:-1]]).tolist()
-    received = exchange_buckets(
-        comm,
-        buckets,
-        lcp_compression=True,
-        payloads=starts,
-        topology=spec.exchange_topology,
-    )
-
-    with comm.phase("merge"):
-        # one stable sort over the runs back to back in source order: ties
-        # keep the lower source PE first, as a k-way merge would, and the
-        # order says which run and position every output came from
-        runs, bounds = concat_runs([run for run, _, _ in received])
-        merged, order = sort_with_order(runs)
-        src = np.searchsorted(bounds[1:], order, side="right")
-        firsts = np.array([first for _, _, first in received], dtype=np.int64)
-        origins = np.stack([src, order - bounds[src] + firsts[src]], axis=1)
-        merged_lcps = packed_lcp_array(merged)
-        comm.record_local_work(merged.num_chars, len(merged))
-
-    extra = {
-        "doubling_rounds": doubling.rounds,
-        "approx_dist_total": comm.allreduce(sum(doubling.lengths)),
-        "fingerprints_sent": comm.allreduce(doubling.fingerprints_sent),
-    }
-    return merged, merged_lcps, origins, extra
+    output = RankOutput(merged, merged_lcps, origins)
+    if doubling is not None:
+        output.extra = {
+            "doubling_rounds": doubling.rounds,
+            "approx_dist_total": comm.allreduce(sum(doubling.lengths)),
+            "fingerprints_sent": comm.allreduce(doubling.fingerprints_sent),
+        }
+    return output
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from ..mpi.serialization import (
     wire_size,
 )
 from ..net.router import ExchangeTopology, resolve_topology, routed_exchange
-from ..strings.packed import PackedStringArray, clip_lcps, packed_lcp_array
+from ..strings.packed import PackedStringArray, clip_lcps
 
 __all__ = [
     "StringBlock",
@@ -86,16 +86,14 @@ class StringBlock(WireSized):
                 "its seal (frame corrupted in transit)"
             )
 
-    def decode_run(self) -> Tuple[PackedStringArray, np.ndarray]:
-        """The sent run and its ``int64`` LCP array (recomputed when not shipped).
+    def decode_run(self) -> Tuple[PackedStringArray, Optional[np.ndarray]]:
+        """The sent run and its shipped ``int64`` LCP array (``None`` if none).
 
         The run is handed over without materialising ``list[bytes]``: the
         downstream merge consumes it directly.
         """
         self._verify_seal()
-        if self.lcps is not None:
-            return self.strings, self.lcps
-        return self.strings, packed_lcp_array(self.strings)
+        return self.strings, self.lcps
 
     def wire_bytes(self) -> int:
         """Varint count + per-string (varint length, payload) [+ varint LCPs].
@@ -204,11 +202,10 @@ def exchange_buckets(
     prefixes.
 
     Without ``lcp_compression`` the caller's LCP arrays ride along as varints
-    (``ship_lcps=True``, the default) instead of being silently dropped and
-    recomputed O(N) at the receiver.  Baselines that genuinely have no LCP
+    (``ship_lcps=True``, the default).  Baselines that genuinely have no LCP
     machinery on the wire (FKmerge, MS-simple) pass ``ship_lcps=False`` to
     keep their message format — and their measured traffic — faithful to the
-    paper; their receivers then recompute the LCP arrays locally.
+    paper, and receive ``None`` in place of LCP arrays (their merge reads none).
 
     ``topology`` selects the delivery strategy (Section II): ``"direct"``
     (one message per destination — the default), ``"hypercube"`` or

@@ -28,17 +28,11 @@ experimental algorithms stay scoped instead of mutating process state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, Iterator, List, Optional, Type
 
 from ..mpi.comm import Communicator
-from ..dist.api import (
-    RankOutput,
-    fkmerge_sort,
-    hquick_sort,
-    ms_sort,
-    pdms_sort,
-)
+from ..dist.api import RankOutput, hquick_sort, merge_sort
 from ..dist.dn_estimator import estimate_dn_ratio, recommend_algorithm
 from .specs import (
     AutoSpec,
@@ -147,7 +141,7 @@ class AlgorithmRegistry:
 
 
 # ---------------------------------------------------------------------------
-# built-in runners (the rank programs in dist.api, wrapped as RankOutput)
+# built-in runners: the merge sorts are presets of one rank program
 # ---------------------------------------------------------------------------
 
 def _run_hquick(comm: Communicator, local, spec: HQuickSpec) -> RankOutput:
@@ -156,35 +150,14 @@ def _run_hquick(comm: Communicator, local, spec: HQuickSpec) -> RankOutput:
     )
 
 
-def _run_fkmerge(comm: Communicator, local, spec: FKMergeSpec) -> RankOutput:
-    return RankOutput(*fkmerge_sort(comm, local, spec))
-
-
-def _run_ms(comm: Communicator, local, spec: MSSpec) -> RankOutput:
-    return RankOutput(*ms_sort(comm, local, spec, lcp=True))
-
-
-def _run_ms_simple(comm: Communicator, local, spec: MSSimpleSpec) -> RankOutput:
-    return RankOutput(*ms_sort(comm, local, spec, lcp=False))
-
-
-def _run_pdms(comm: Communicator, local, spec: PDMSSpec) -> RankOutput:
-    return RankOutput(*pdms_sort(comm, local, spec, golomb=False))
-
-
-def _run_pdms_golomb(comm: Communicator, local, spec: PDMSGolombSpec) -> RankOutput:
-    return RankOutput(*pdms_sort(comm, local, spec, golomb=True))
-
-
 def _run_auto(comm: Communicator, local, spec: AutoSpec) -> RankOutput:
     # the D/N estimate is a collective, so every rank agrees on the choice;
     # the per-cluster extras merge still asserts that agreement explicitly
     estimate = estimate_dn_ratio(comm, local, seed=spec.seed)
     chosen = recommend_algorithm(estimate)
-    if chosen == "ms":
-        output = _run_ms(comm, local, spec)
-    else:
-        output = _run_pdms_golomb(comm, local, spec)
+    spec_cls = MSSpec if chosen == "ms" else PDMSGolombSpec
+    chosen_spec = spec_cls(**{f.name: getattr(spec, f.name) for f in fields(spec_cls)})
+    output = merge_sort(comm, local, chosen_spec)
     output.extra["chosen_algorithm"] = chosen
     output.extra["estimated_dn"] = estimate.dn_ratio
     return output
@@ -192,11 +165,11 @@ def _run_auto(comm: Communicator, local, spec: AutoSpec) -> RankOutput:
 
 _BUILTINS = [
     AlgorithmEntry("hquick", _run_hquick, HQuickSpec),
-    AlgorithmEntry("fkmerge", _run_fkmerge, FKMergeSpec),
-    AlgorithmEntry("ms-simple", _run_ms_simple, MSSimpleSpec),
-    AlgorithmEntry("ms", _run_ms, MSSpec),
-    AlgorithmEntry("pdms", _run_pdms, PDMSSpec),
-    AlgorithmEntry("pdms-golomb", _run_pdms_golomb, PDMSGolombSpec),
+    AlgorithmEntry("fkmerge", merge_sort, FKMergeSpec),
+    AlgorithmEntry("ms-simple", merge_sort, MSSimpleSpec),
+    AlgorithmEntry("ms", merge_sort, MSSpec),
+    AlgorithmEntry("pdms", merge_sort, PDMSSpec),
+    AlgorithmEntry("pdms-golomb", merge_sort, PDMSGolombSpec),
     AlgorithmEntry("auto", _run_auto, AutoSpec),
 ]
 

@@ -185,14 +185,18 @@ class HQuickSpec(SortSpec):
 
 
 @dataclass(frozen=True)
-class FKMergeSpec(SortSpec):
-    """FKmerge baseline: centralised splitters, atomic multiway merge.
+class _MergeSortSpec(SortSpec):
+    """Common base of the merge sorts, all run by :func:`repro.dist.api.merge_sort`.
 
-    ``oversampling`` is the per-PE sample multiplier of the centralised
-    splitter determination (``None`` = the implementation default).
+    ``oversampling`` is the per-PE sample multiplier of the splitter
+    determination (``None`` = the implementation default).  The stage
+    switches are class-level, so ``to_dict`` and the hash never see them.
     """
 
-    algorithm: ClassVar[str] = "fkmerge"
+    lcp: ClassVar[bool] = False
+    prefix_doubling: ClassVar[bool] = False
+    golomb: ClassVar[bool] = False
+    returns_lcps: ClassVar[bool] = True
 
     oversampling: Optional[int] = None
 
@@ -206,15 +210,24 @@ class FKMergeSpec(SortSpec):
 
 
 @dataclass(frozen=True)
-class SampledSpec(FKMergeSpec):
+class FKMergeSpec(_MergeSortSpec):
+    """FKmerge baseline (Sections II-C and VII): MS-simple with central
+    string sampling pinned and no LCP array returned."""
+
+    algorithm: ClassVar[str] = "fkmerge"
+    returns_lcps: ClassVar[bool] = False
+    sampling: ClassVar[str] = "string"
+    sample_sort: ClassVar[str] = "central"
+
+
+@dataclass(frozen=True)
+class SampledSpec(_MergeSortSpec):
     """Shared knobs of the sampling-based merge sorts (MS / PDMS families).
 
     ``sampling`` selects string- or character-based regular sampling
     (Theorems 2/3); ``sample_sort`` sorts the sample centrally on PE 0 or
     with a distributed hypercube quicksort.
     """
-
-    algorithm: ClassVar[str] = ""
 
     sampling: str = "string"
     sample_sort: str = "central"
@@ -238,6 +251,7 @@ class MSSpec(SampledSpec):
     """Distributed merge sort with the LCP machinery on (Section V)."""
 
     algorithm: ClassVar[str] = "ms"
+    lcp: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)
@@ -257,6 +271,8 @@ class PDMSSpec(SampledSpec):
     """
 
     algorithm: ClassVar[str] = "pdms"
+    lcp: ClassVar[bool] = True
+    prefix_doubling: ClassVar[bool] = True
 
     epsilon: float = 1.0
     initial_length: int = 16
@@ -277,6 +293,7 @@ class PDMSGolombSpec(PDMSSpec):
     """PDMS with Golomb-coded fingerprint messages (Section VI-B)."""
 
     algorithm: ClassVar[str] = "pdms-golomb"
+    golomb: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,7 @@ REQUIRED: Dict[str, List[str]] = {
         "SortResult",
         "RankOutput",
         "distribute_strings",
-        "ms_sort",
-        "pdms_sort",
-        "fkmerge_sort",
+        "merge_sort",
     ],
     "repro/session/cluster.py": ["Cluster", "Cluster.sort", "Cluster.sort_batches"],
     "repro/config.py": ["RunConfig", "RunConfig.from_env", "RunConfig.override"],

@@ -13,7 +13,7 @@ engines the platform cannot run are skipped with the platform's reason.
 import pytest
 
 from engine_conformance import PAPER_ALGORITHMS, engine_params, set_engine
-from repro.dist import ms_sort
+from repro.dist import merge_sort
 from repro.dist.api import _local_sort
 from repro.mpi import run_spmd
 from repro.sequential import SEQUENTIAL_SORTERS
@@ -168,10 +168,10 @@ class TestMS:
         blocks = [[], random_strings(200, 1, 8, seed=18), [], [b"zz", b"aa"]]
 
         def prog(comm, local):
-            return ms_sort(comm, local, MSSpec())
+            return merge_sort(comm, local, MSSpec())
 
         results, _ = run_spmd(4, prog, args_per_rank=[(b,) for b in blocks])
-        outputs = [r[0] for r in results]
+        outputs = [r.strings for r in results]
         check_distributed_sort(blocks, outputs)
 
     def test_tiny_inputs_fewer_strings_than_pes(self):

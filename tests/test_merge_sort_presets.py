@@ -1,0 +1,39 @@
+"""The merge sorts are presets of one rank program, ``merge_sort``.
+
+FKmerge, the baseline of Sections II-C and VII, is MS-simple with central
+string sampling and no LCP output.  Those sampling settings are MS-simple's
+defaults, so the two must agree on everything but the LCP arrays.
+"""
+
+import pytest
+
+from repro.dist.api import merge_sort
+from repro.session import Cluster, FKMergeSpec, MSSimpleSpec, SortSpec, default_registry
+from repro.strings.generators import dn_instance
+
+MERGE_SORTS = ("fkmerge", "ms-simple", "ms", "pdms", "pdms-golomb")
+
+
+@pytest.mark.parametrize("topology", ["direct", "hypercube", "grid"])
+@pytest.mark.parametrize("p", [3, 4, 8])
+def test_fkmerge_is_ms_simple_without_lcps(p, topology):
+    data = dn_instance(3000, 0.3, length=30, seed=1)
+    cluster = Cluster(p, exchange_topology=topology)
+    fk = cluster.sort(data, FKMergeSpec())
+    simple = cluster.sort(data, MSSimpleSpec())
+    assert fk.outputs_per_pe == simple.outputs_per_pe
+    assert fk.report.counts == simple.report.counts
+    assert fk.report.collectives == simple.report.collectives
+    assert fk.modeled_time() == simple.modeled_time()
+    assert all(lcps is None for lcps in fk.lcps_per_pe)
+    assert all(lcps is not None for lcps in simple.lcps_per_pe)
+
+
+@pytest.mark.parametrize("name", MERGE_SORTS)
+def test_every_merge_sort_runs_the_one_rank_program(name):
+    assert default_registry().get(name).runner is merge_sort
+
+
+def test_fkmerge_sampling_is_pinned():
+    with pytest.raises(ValueError):
+        SortSpec.from_dict({"algorithm": "fkmerge", "sampling": "character"})

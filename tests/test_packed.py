@@ -245,9 +245,10 @@ class TestFrontCoding:
         for strings in (arr, srt):
             run, lcps = LcpCompressedBlock.encode(strings, h).decode_run()
             assert run.to_list() == srt and lcps.tolist() == clipped
-            for shipped, want in ((None, h), (h, h)):
-                run, lcps = StringBlock(strings, shipped).decode_run()
-                assert run.to_list() == srt and lcps.tolist() == want
+            run, lcps = StringBlock(strings).decode_run()
+            assert run.to_list() == srt and lcps is None
+            run, lcps = StringBlock(strings, h).decode_run()
+            assert run.to_list() == srt and lcps.tolist() == h
 
     def test_corrupt_packed_block_detected(self):
         suffixes = PackedStringArray.from_strings([b"ab", b"c"])

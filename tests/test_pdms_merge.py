@@ -1,11 +1,12 @@
 """PDMS's packed tail against the list-and-heap tail it replaced.
 
-``pdms_sort`` keeps its locally sorted run packed, derives the prefix LCP
-array by clipping the local LCPs, and merges the received prefix runs with
-one stable key sort whose order yields the origin labels.  The reference
-here is the original tail, rebuilt test-locally from the same library
-steps: list prefixes and ``lcp_array``, a ``heapq.merge`` over
-``(prefix, (source PE, first + i))`` and ``lcp_array`` of the output.
+``merge_sort`` with prefix doubling (PDMS) keeps its locally sorted run
+packed, derives the prefix LCP array by clipping the local LCPs, and merges
+the received prefix runs with one stable key sort whose order yields the
+origin labels.  The reference here is the original tail, rebuilt
+test-locally from the same library steps: list prefixes and ``lcp_array``,
+a ``heapq.merge`` over ``(prefix, (source PE, first + i))`` and
+``lcp_array`` of the output.
 Outputs, LCP arrays, origins, extras, wire bytes and characters inspected
 must agree exactly — duplicates spanning PEs pin the tie order.
 """

@@ -232,7 +232,7 @@ def run_api(tmp: Path) -> None:
     """The promised surface (``entry_points.REQUIRED``) called directly."""
     from repro import Cluster, MSSpec, SortSpec, distribute_strings, run_spmd
     from repro.config import RunConfig
-    from repro.dist.api import RankOutput, ms_sort
+    from repro.dist.api import merge_sort
     from repro.mpi.engine import ENGINES, ThreadEngine, get_engine, register_engine
     from repro.session import default_registry, register_algorithm
 
@@ -241,8 +241,9 @@ def run_api(tmp: Path) -> None:
     assert spec.config_hash() == MSSpec(sampling="character").config_hash()
 
     def stamped(comm, local, spec):
-        out, lcps = ms_sort(comm, local, spec)
-        return RankOutput(out, lcps, extra={"stamped": True})
+        output = merge_sort(comm, local, spec)
+        output.extra["stamped"] = True
+        return output
 
     registry = default_registry().copy()
     register_algorithm("ms-stamped", stamped, MSSpec, registry=registry)
@@ -260,7 +261,7 @@ def run_api(tmp: Path) -> None:
     )
     merged.metrics.series("repro_bytes_sent_total")
     blocks = distribute_strings(_small(), 2)
-    run_spmd(2, lambda comm, local: ms_sort(comm, local, MSSpec()), [(b,) for b in blocks])
+    run_spmd(2, lambda comm, local: merge_sort(comm, local, MSSpec()), [(b,) for b in blocks])
 
 
 def run_algorithms(tmp: Path) -> None:

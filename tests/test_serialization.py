@@ -78,11 +78,11 @@ class TestStringBlock:
         without = StringBlock([b"abc", b"abd"])
         assert with_lcps.wire_bytes() == without.wire_bytes() + 2
 
-    def test_decode_recomputes_lcps(self):
+    def test_decode_without_shipped_lcps_gives_none(self):
         blk = StringBlock([b"abc", b"abd"])
         strings, lcps = blk.decode_run()
         assert strings.to_list() == [b"abc", b"abd"]
-        assert lcps.tolist() == [0, 2]
+        assert lcps is None
 
     def test_decode_keeps_shipped_lcps(self):
         blk = StringBlock([b"abc", b"abd"], [0, 2])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.config import RunConfig
-from repro.dist.api import RankOutput, distribute_strings, ms_sort
+from repro.dist.api import RankOutput, distribute_strings, merge_sort
 from repro.mpi.engine import (
     ENGINES,
     SpmdError,
@@ -345,8 +345,9 @@ class TestRegistryExtension:
             algorithm = "ms-verified"
 
         def runner(comm, local, spec):
-            out, lcps = ms_sort(comm, local, spec)
-            return RankOutput(out, lcps, extra={"custom": True})
+            output = merge_sort(comm, local, spec)
+            output.extra["custom"] = True
+            return output
 
         reg = default_registry().copy()
         reg.register("ms-verified", runner, VerifiedMSSpec)
@@ -362,8 +363,8 @@ class TestRegistryExtension:
     @pytest.mark.parametrize("engine", ["threads", "processes"])
     def test_list_and_packed_runners_give_equal_results(self, engine):
         """A runner may hand ``RankOutput`` lists (the registry example's
-        shape before rank programs returned packed runs) or the packed pair
-        ``ms_sort`` returns: both give the same result."""
+        shape before rank programs returned packed runs) or the packed run
+        ``merge_sort`` returns: both give the same result."""
 
         @dataclass(frozen=True)
         class ListMSSpec(MSSpec):
@@ -374,12 +375,14 @@ class TestRegistryExtension:
             algorithm = "ms-packed"
 
         def list_runner(comm, local, spec):
-            out, lcps = ms_sort(comm, local, spec)
-            return RankOutput(out.to_list(), lcps.tolist(), extra={"stamped": True})
+            out = merge_sort(comm, local, spec)
+            return RankOutput(
+                out.strings.to_list(), out.lcps.tolist(), extra={"stamped": True}
+            )
 
         def packed_runner(comm, local, spec):
-            out, lcps = ms_sort(comm, local, spec)
-            return RankOutput(out, lcps, extra={"stamped": True})
+            out = merge_sort(comm, local, spec)
+            return RankOutput(out.strings, out.lcps, extra={"stamped": True})
 
         reg = default_registry().copy()
         reg.register("ms-lists", list_runner, ListMSSpec)

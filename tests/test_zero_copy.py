@@ -11,8 +11,8 @@ atomic merge of MS-simple and FKmerge, which iterates its runs as
 output checkers') are outside the rank programs and are not recorded.
 
 Two seeded bugs show that the gate names the function at fault: a
-``decode_run`` that re-packs its run through ``to_list()`` and an
-``ms_sort`` that returns its merged run as a list.
+``decode_run`` that re-packs its run through ``to_list()`` and a runner
+around ``merge_sort`` that returns its merged run as a list.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from typing import Set
 import pytest
 
 from engine_conformance import PAPER_ALGORITHMS, TOPOLOGIES, conformance_workload
+from repro.dist.api import RankOutput, merge_sort
 from repro.dist.exchange import LcpCompressedBlock
-from repro.session import Cluster, default_registry
-from repro.session import registry as registry_module
+from repro.session import Cluster, MSSpec, default_registry
 from repro.strings.packed import PackedStringArray
 
 ALGORITHMS = PAPER_ALGORITHMS + ("auto",)
@@ -35,7 +35,9 @@ NUM_PES = (3, 4)
 ALLOWED = {"multiway_merge"}
 
 
-def materialising_callers(monkeypatch, algorithm: str, topology: str) -> Set[str]:
+def materialising_callers(
+    monkeypatch, algorithm: str, topology: str, registry=None
+) -> Set[str]:
     """Names of the functions that call ``to_list`` on a rank's thread."""
     callers: Set[str] = set()
     to_list = PackedStringArray.to_list
@@ -55,13 +57,15 @@ def materialising_callers(monkeypatch, algorithm: str, topology: str) -> Set[str
     monkeypatch.setattr(PackedStringArray, "to_list", recording)
     spec = default_registry().spec_class(algorithm)(seed=3)
     for p in NUM_PES:
-        with Cluster(num_pes=p, engine="threads", exchange_topology=topology) as cluster:
+        with Cluster(
+            num_pes=p, engine="threads", exchange_topology=topology, registry=registry
+        ) as cluster:
             cluster.sort(conformance_workload(), spec, check=True)
     return callers
 
 
-def assert_zero_copy(monkeypatch, algorithm: str, topology: str) -> None:
-    extra = materialising_callers(monkeypatch, algorithm, topology) - ALLOWED
+def assert_zero_copy(monkeypatch, algorithm: str, topology: str, registry=None) -> None:
+    extra = materialising_callers(monkeypatch, algorithm, topology, registry) - ALLOWED
     assert not extra, (
         f"{algorithm} over {topology}: to_list() called on a rank by {sorted(extra)}"
     )
@@ -91,12 +95,11 @@ def test_a_materialising_decode_is_named(monkeypatch):
 
 
 def test_a_rank_program_returning_a_list_is_named(monkeypatch):
-    rank_program = registry_module.ms_sort
+    def listing_merge_sort(comm, strings, spec):
+        output = merge_sort(comm, strings, spec)
+        return RankOutput(output.strings.to_list(), output.lcps)
 
-    def ms_sort(comm, strings, spec, lcp=True):
-        merged, merged_lcps = rank_program(comm, strings, spec, lcp)
-        return merged.to_list(), merged_lcps
-
-    monkeypatch.setattr(registry_module, "ms_sort", ms_sort)
-    with pytest.raises(AssertionError, match=r"\['ms_sort'\]"):
-        assert_zero_copy(monkeypatch, "ms", "direct")
+    registry = default_registry().copy()
+    registry.register("ms", listing_merge_sort, MSSpec, overwrite=True)
+    with pytest.raises(AssertionError, match=r"\['listing_merge_sort'\]"):
+        assert_zero_copy(monkeypatch, "ms", "direct", registry)
