@@ -29,6 +29,16 @@ nodes built once per call (the path table), seating and replays walk those
 tuples, and the character comparison of an LCP tie is written inline at its
 one site in the loop.  The scalar ``LcpLoserTree`` it is held to, one
 ``pop()`` at a time, is a test oracle (``tests/oracles/losertree.py``).
+
+Runs of 1024 strings or more that all share a word-long prefix skip the
+tree.  Their own LCP arrays prove how deep a prefix each run shares, a
+comparison of the run heads how deep all of them share, and the local
+sort's MSD word radix (:mod:`repro.sequential.vector_sort`, Section II-A)
+sorts the runs back to back from that depth on, reading only the words
+past it.  Strings and LCPs are the tree's (the sorted order of a
+multiset and its LCP array are content-determined); the ``CharStats``
+are the scalar tree's, bit for bit, on the tree path only, where the run
+heads were compared too if the runs' LCPs proved a word.
 """
 
 from __future__ import annotations
@@ -39,8 +49,12 @@ import numpy as np
 
 from ..strings.packed import PackedStringArray, concat_runs
 from .stats import CharStats
+from .vector_sort import _RADIX_MIN_STRINGS, _word_radix
 
 __all__ = ["lcp_multiway_merge_packed"]
+
+# the local sort's rule: the radix pays once every string shares a word
+_RADIX_MIN_DEPTH = 8
 
 
 def lcp_multiway_merge_packed(
@@ -73,6 +87,11 @@ def lcp_multiway_merge_packed(
       of the runs' bytes, and offsets and LCPs one gather per output.
 
     At most one non-empty run: it comes back as is, with a copy of its LCPs.
+    Runs of :data:`~repro.sequential.vector_sort._RADIX_MIN_STRINGS` strings
+    or more that share :data:`_RADIX_MIN_DEPTH` bytes or more
+    (:func:`_shared_depth`) are sorted back to back by the word radix from
+    the shared depth on; ``stats`` is charged the head comparisons and the
+    bytes of every word the radix reads.
     """
     if len(lcps) != len(runs) or any(len(h) != len(r) for r, h in zip(runs, lcps)):
         raise ValueError("need one LCP array per run and one LCP per string")
@@ -83,6 +102,15 @@ def lcp_multiway_merge_packed(
         out_lcps = np.array(lcps[live[0]], dtype=np.int64)
         out_lcps[0] = 0
         return runs[live[0]], out_lcps
+
+    comparisons = chars = 0
+    if sum(len(runs[r]) for r in live) >= _RADIX_MIN_STRINGS:
+        depth, chars, comparisons = _shared_depth(runs, lcps, live)
+        if depth >= _RADIX_MIN_DEPTH:
+            merged, out_lcps, read = _word_radix(concat_runs(runs)[0], depth)
+            if stats is not None:
+                stats.merge(CharStats(chars + read, comparisons))
+            return merged, out_lcps
 
     # the runs back to back: run r is strings bounds[r]:bounds[r+1]
     cat, cat_bounds = concat_runs(runs)
@@ -111,7 +139,6 @@ def lcp_multiway_merge_packed(
     # exhausted); read only on the path replayed next, where it is current
     ref = [0 if len(run) else -1 for run in runs] + [-1] * (k - len(runs))
     loser = [0] * k
-    comparisons = chars = 0
 
     seg_start: List[int] = []
     seg_stop: List[int] = []
@@ -206,3 +233,33 @@ def lcp_multiway_merge_packed(
     np.cumsum(lengths[order], out=out_off[1:])
     out = b"".join([data[off[a] : off[b]] for a, b in zip(seg_start, seg_stop)])
     return PackedStringArray(np.frombuffer(out, dtype=np.uint8), out_off), out_lcps
+
+
+def _shared_depth(
+    runs: Sequence[PackedStringArray], lcps: Sequence[np.ndarray], live: List[int]
+) -> Tuple[int, int, int]:
+    """How long a prefix every string of the ``live`` runs shares, at most;
+    returns ``(depth, chars, comparisons)``, the last two what finding it read.
+
+    Each run's LCP array proves the prefix its strings share, the minimum
+    of its entries past the ignored first one (a one-string run: the
+    string's length).  Below :data:`_RADIX_MIN_DEPTH` that is the answer,
+    read for free.  Otherwise the first run head is compared with each
+    other head up to the depth proven so far, as the tree compares: a
+    comparison that finds a differing character reads it too.
+    """
+    depth = min(
+        int(lcps[r][1:].min(initial=runs[r].offsets[1] - runs[r].offsets[0])) for r in live
+    )
+    if depth < _RADIX_MIN_DEPTH:
+        return depth, 0, 0
+    chars = 0
+    heads = [runs[r].buffer[int(runs[r].offsets[0]) :][:depth] for r in live]
+    for head in heads[1:]:
+        differ = np.flatnonzero(heads[0][:depth] != head[:depth])
+        if differ.size:
+            depth = int(differ[0])
+            chars += depth + 1
+        else:
+            chars += depth
+    return depth, chars, len(heads) - 1

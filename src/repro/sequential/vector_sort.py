@@ -17,7 +17,12 @@ array plus its ``int64`` LCP array:
   differing byte of the two words that split a group.  So it reads every
   string at most one word past its distinguishing prefix.  It has no width
   limit and is NUL-safe: a string that ends inside a word sorts before the
-  strings whose word ties with its NUL padding.
+  strings whose word ties with its NUL padding.  It starts at a given
+  depth that every string shares and returns the string bytes of the words
+  it read, for its second caller: the MS merge
+  (:func:`repro.sequential.lcp_losertree.lcp_multiway_merge_packed`) sorts
+  runs that share a word-long prefix with it, from the depth their LCP
+  arrays prove, and charges those bytes.  The local sort starts it at 0.
 
 :func:`_takes_radix` picks the kernel by a pure function of the block, read
 in one vectorised pass.  The radix takes every block past the argsort's
@@ -75,7 +80,7 @@ def vector_sort_with_lcp(
         # no strings or all empty: already sorted, all LCPs 0, nothing inspected
         return arr, np.zeros(n, dtype=np.int64)
     if _takes_radix(arr):
-        srt, lcps = _word_radix(arr)
+        srt, lcps, _ = _word_radix(arr)
     else:
         srt = sort_with_order(arr)[0]
         lcps = packed_lcp_array(srt)
@@ -120,9 +125,13 @@ def _words(buf: np.ndarray, pos: np.ndarray, rem: np.ndarray) -> np.ndarray:
     return w
 
 
-def _word_radix(arr: PackedStringArray) -> Tuple[PackedStringArray, np.ndarray]:
-    """MSD radix sort of ``arr`` on big-endian ``uint64`` words; returns
-    ``(sorted, lcp_array)``.
+def _word_radix(
+    arr: PackedStringArray, depth: int = 0
+) -> Tuple[PackedStringArray, np.ndarray, int]:
+    """MSD radix sort of ``arr`` on big-endian ``uint64`` words, from byte
+    ``depth`` on, which every string must share; returns ``(sorted,
+    lcp_array, bytes_read)``, ``bytes_read`` the string bytes of every word
+    gathered.
 
     ``order`` holds the strings in sorted order so far and ``act`` the
     slots of ``order`` still tied with a neighbour on every word read, in
@@ -141,17 +150,20 @@ def _word_radix(arr: PackedStringArray) -> Tuple[PackedStringArray, np.ndarray]:
     order = np.arange(n, dtype=np.int64)
     lcps = np.zeros(n, dtype=np.int64)
     act = order.copy()
-    ids, pos, rem = order.copy(), starts.copy(), lens.copy()  # of the slots in act
+    ids, pos, rem = order.copy(), starts + depth, lens - depth  # of the slots in act
     grp: Optional[np.ndarray] = None
-    depth = 0  # where the word read by this pass starts in each string
+    read = 0
+    # depth: where the word read by this pass starts in each string
     while act.size > 1:
         w = _words(buf, pos, rem)
         if int(rem.min()) >= 8 and (w == w[0]).all():
+            read += 8 * act.size
             depth += 8  # every group ties again: nothing to sort or split
             pos += 8
             rem -= 8
             continue
         end = np.minimum(rem, 8)  # how many of the word's bytes are the string's
+        read += int(end.sum())
         # on tied words the string that ends first sorts first; without NUL
         # bytes the words tie only where the strings end alike
         perm = np.lexsort((end, w)) if nul else np.argsort(w)
@@ -177,4 +189,4 @@ def _word_radix(arr: PackedStringArray) -> Tuple[PackedStringArray, np.ndarray]:
         pos, rem = starts[ids] + depth, lens[ids] - depth
         groups = int(gid[-1]) + 1 if gid.size else 0
         grp = gid.astype(np.min_scalar_type(groups - 1)) if groups > 1 else None
-    return reorder(arr, order), lcps
+    return reorder(arr, order), lcps, read

@@ -1,8 +1,10 @@
-"""Adversarial test inputs: heavy duplication and the Thue–Morse word.
+"""Adversarial test inputs: heavy duplication, the Thue–Morse word and
+blocks behind one shared prefix.
 
-Neither is a workload of the paper's evaluation; the tests feed them to the
+None is a workload of the paper's evaluation; the tests feed them to the
 sorters, the duplicate detection and the splitter machinery to exercise
-ties, zero-length LCP remainders and hash collisions.
+ties, zero-length LCP remainders and hash collisions, and to the merge's
+word radix, which takes runs that share a prefix of a word or more.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from repro.strings.generators import random_strings
 
-__all__ = ["duplicate_heavy", "thue_morse"]
+__all__ = ["duplicate_heavy", "shared_prefix", "thue_morse"]
 
 
 def duplicate_heavy(
@@ -46,3 +48,17 @@ def thue_morse(num_strings: int, length: int = 1024, seed: Optional[int] = None)
     text = (word + ord("a")).tobytes()
     starts = rng.integers(0, word.size - length + 1, size=num_strings)
     return [text[s : s + length] for s in starts.tolist()]
+
+
+def shared_prefix(
+    num_strings: int, prefix: bytes = b"shared/prefix/16", seed: Optional[int] = None
+) -> List[bytes]:
+    """``prefix`` followed by a random tail of 0 to 12 letters of ``{a, b,
+    c}``: every string shares the prefix, tails end on and off word
+    boundaries, and short tails repeat verbatim."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(0, 13, size=num_strings)
+    letters = rng.integers(ord("a"), ord("d"), size=int(lengths.sum()), dtype=np.uint8)
+    ends = np.cumsum(lengths).tolist()
+    text = letters.tobytes()
+    return [prefix + text[e - n : e] for e, n in zip(ends, lengths.tolist())]

@@ -190,6 +190,53 @@ class TestLcpEfficiency:
         assert merged == sorted(strings)
         assert lcp_stats.chars_inspected * 10 < atomic_stats.chars_inspected
 
+    def test_packed_merge_saves_character_work_on_long_prefixes(self):
+        # the packed twin, on enough strings for the word radix: it starts
+        # past the 500 shared characters, which it reads only to compare
+        # the run heads
+        common = b"c" * 500
+        strings = [common + bytes([97 + i % 26, 97 + (i // 26) % 26]) for i in range(1100)]
+        runs = _runs_from(strings, 8)
+
+        atomic_stats = CharStats()
+        multiway_merge(runs, atomic_stats)
+        packed_stats = CharStats()
+        merged, _ = lcp_multiway_merge_packed(
+            [PackedStringArray.from_strings(r) for r in runs],
+            [np.array(lcp_array(r), dtype=np.int64) for r in runs],
+            packed_stats,
+        )
+
+        assert merged.to_list() == sorted(strings)
+        assert packed_stats.chars_inspected * 10 < atomic_stats.chars_inspected
+
+
+class TestPackedMergeRadix:
+    def test_charges_the_head_comparisons_and_the_words_read(self):
+        # three runs of 400 strings: a 10-byte prefix, byte 10 the run's own
+        # letter, 15 filler bytes, and a last byte that counts.  Every run's
+        # LCPs prove 26 shared bytes; the first head parts from the second
+        # at byte 10 (11 characters read) and agrees with the third on the
+        # 10 left.  The radix starts at byte 10 with 17 bytes left in every
+        # string and reads one word of each (which groups the letters), a
+        # second, equal in all (skipped, but read), and the last byte,
+        # which splits every tie.
+        prefix = b"0123456789"
+        runs = [
+            sorted(prefix + letter + b"x" * 8 + b"y" * 7 + bytes([i % 256]) for i in range(400))
+            for letter in (b"a", b"b", b"a")
+        ]
+        stats = CharStats()
+        merged, lcps = lcp_multiway_merge_packed(
+            [PackedStringArray.from_strings(r) for r in runs],
+            [np.array(lcp_array(r), dtype=np.int64) for r in runs],
+            stats,
+        )
+        expected = sorted(s for r in runs for s in r)
+        assert merged.to_list() == expected
+        assert lcps.tolist() == lcp_array(expected)
+        assert stats == CharStats(chars_inspected=11 + 10 + 17 * 1200, string_comparisons=2)
+
 
 class TestBinaryLcpMerge:
     def test_binary_merge_reference(self):

@@ -8,6 +8,9 @@ Invariants covered:
   input into runs;
 * the packed merge is the scalar LCP loser tree, bit for bit: strings, LCPs
   and the character/comparison counters, on adversarial run shapes;
+* on runs of 1024 strings or more behind a shared prefix, where the packed
+  merge may take the word radix, its strings and LCPs are still the scalar
+  tree's and ``sorted()``'s;
 * the flat atomic merge is the scalar ``LoserTree``, bit for bit, on list and
   packed runs, and MS-simple/FKmerge still count what the parent counted;
 * LCP arrays and distinguishing prefixes satisfy their defining relations;
@@ -16,6 +19,8 @@ Invariants covered:
   framing (the set lives in the dist package but is a pure sequential data
   structure; the coder is a test oracle).
 """
+
+import random
 
 import hypothesis.strategies as st
 import numpy as np
@@ -33,6 +38,7 @@ from repro.sequential import (
     multikey_quicksort,
     multiway_merge,
 )
+import repro.sequential.lcp_losertree as losertree
 from repro.sequential.lcp_losertree import lcp_multiway_merge_packed
 from repro.strings.generators import commoncrawl_like
 from repro.strings.lcp import distinguishing_prefix_size, lcp, lcp_array
@@ -137,6 +143,100 @@ def test_packed_merge_is_the_scalar_lcp_losertree(runs, lead, junk, data):
     lcps[bad] = np.append(lcps[bad], 0)
     with pytest.raises(ValueError):
         lcp_multiway_merge_packed(packed, lcps)
+
+
+@st.composite
+def shared_prefix_runs(draw):
+    """Sorted runs of 1024 strings or more behind an 8-, 11- or 16-byte
+    prefix, and the runs' LCP arrays; runs are empty, hold one string or
+    share the rest.  Tails of up to ``width`` bytes of ``{NUL, a, b}`` end on
+    and off word boundaries, repeat across runs, and may be empty (a string
+    the prefix long).  At least two runs share the strings.  A stray string
+    may break the prefix: one of its own prefixes, or a string parting from
+    it at byte ``cut``, in a shared run or a run of its own, so some draws
+    share less than a word and merge on the tree."""
+    size = draw(st.sampled_from([8, 11, 16]))
+    prefix = draw(st.binary(min_size=size, max_size=size))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    width = draw(st.integers(min_value=0, max_value=20))
+    pool = [prefix] + [
+        prefix + bytes(rng.choice(b"\x00ab") for _ in range(rng.randint(0, width)))
+        for _ in range(draw(st.integers(min_value=1023, max_value=1200)))
+    ]
+    kinds = draw(st.lists(st.sampled_from(["empty", "one", "shared"]), max_size=7))
+    for _ in range(2):
+        kinds.insert(draw(st.integers(min_value=0, max_value=len(kinds))), "shared")
+    runs = [[] for _ in kinds]
+    shared = [r for r, kind in enumerate(kinds) if kind == "shared"]
+    for r, kind in enumerate(kinds):
+        if kind == "one":
+            runs[r].append(pool.pop(rng.randrange(len(pool))))
+    for s in pool:
+        runs[rng.choice(shared)].append(s)
+    stray = draw(
+        st.one_of(
+            st.none(),
+            st.tuples(
+                st.sampled_from(["prefix", "part", "alone"]),
+                st.integers(min_value=0, max_value=len(prefix) - 1),
+            ),
+        )
+    )
+    if stray is not None:
+        kind, cut = stray
+        if kind == "prefix":
+            runs[rng.choice(shared)].append(prefix[:cut])
+        else:
+            parted = prefix[:cut] + bytes([prefix[cut] ^ 0x80]) + prefix[cut + 1 :]
+            if kind == "part":
+                runs[rng.choice(shared)].append(parted)
+            else:
+                runs.append([parted])
+    runs = [sorted(r) for r in runs]
+    return runs, [np.array(lcp_array(r), dtype=np.int64) for r in runs]
+
+
+def test_packed_merge_radix_is_the_scalar_lcp_losertree(monkeypatch):
+    kernels = set()
+    radix = losertree._word_radix
+    took_radix = []
+
+    def counting(arr, depth):
+        took_radix.append(depth)
+        return radix(arr, depth)
+
+    monkeypatch.setattr(losertree, "_word_radix", counting)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        case=shared_prefix_runs(),
+        lead=st.lists(merge_text, max_size=2),
+        junk=st.integers(min_value=0, max_value=40),
+    )
+    def check(case, lead, junk):
+        runs, lcps = case
+        # windows into larger arrays, the ignored first LCP entry junk
+        packed = [
+            PackedStringArray.from_strings(lead + r + lead)[len(lead) : len(lead) + len(r)]
+            for r in runs
+        ]
+        for h in lcps:
+            h[:1] = junk
+        before = [(p.buffer.copy(), p.offsets.copy(), h.copy()) for p, h in zip(packed, lcps)]
+
+        took_radix.clear()
+        got, got_lcps = lcp_multiway_merge_packed(packed, lcps, CharStats())
+        want, want_lcps = lcp_multiway_merge(runs, [h.tolist() for h in lcps])
+
+        assert got.to_list() == want == sorted(s for r in runs for s in r)
+        assert got_lcps.dtype == np.int64 and got_lcps.tolist() == want_lcps
+        for (buf, off, h0), p, h in zip(before, packed, lcps):
+            assert (p.buffer == buf).all() and (p.offsets == off).all() and (h == h0).all()
+        if sum(len(r) > 0 for r in runs) > 1:
+            kernels.add("radix" if took_radix else "tree")
+
+    check()
+    assert kernels == {"radix", "tree"}
 
 
 @settings(max_examples=100, deadline=None)

@@ -37,6 +37,7 @@ import pytest
 
 from engine_conformance import TOPOLOGIES, conformance_workload, set_engine
 from entry_points import REQUIRED
+from inputs import shared_prefix
 from repro.mpi.procengine import process_engine_available
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -268,7 +269,9 @@ def run_algorithms(tmp: Path) -> None:
     """Every registered algorithm on every topology, threads at p in {1, 3, 4}.
 
     Each result is checked and read the way users read it: bytes per
-    string and modelled time.
+    string and modelled time.  MS also sorts a block behind one shared
+    prefix whose ranks each merge over 1024 strings (the merge's word
+    radix).
     """
     from repro.session import Cluster, default_registry
 
@@ -280,6 +283,7 @@ def run_algorithms(tmp: Path) -> None:
                 result = cluster.sort(data, name, check=True)
                 result.bytes_per_string()
                 result.modeled_time()
+    Cluster(2, engine="threads").sort(shared_prefix(3000, seed=1), "ms", check=True)
 
 
 def run_sealed(tmp: Path) -> None:

@@ -9,6 +9,8 @@ allowed caller is :func:`repro.sequential.losertree.multiway_merge`, the
 atomic merge of MS-simple and FKmerge, which iterates its runs as
 ``bytes``.  List views built on the main thread (a ``SortResult``'s, the
 output checkers') are outside the rank programs and are not recorded.
+MS is also held to the gate on a block behind one shared prefix, whose
+ranks each merge over 1024 strings and so take the merge's word radix.
 
 Two seeded bugs show that the gate names the function at fault: a
 ``decode_run`` that re-packs its run through ``to_list()`` and a runner
@@ -24,6 +26,7 @@ from typing import Set
 import pytest
 
 from engine_conformance import PAPER_ALGORITHMS, TOPOLOGIES, conformance_workload
+from inputs import shared_prefix
 from repro.dist.api import RankOutput, merge_sort
 from repro.dist.exchange import LcpCompressedBlock
 from repro.session import Cluster, MSSpec, default_registry
@@ -36,9 +39,10 @@ ALLOWED = {"multiway_merge"}
 
 
 def materialising_callers(
-    monkeypatch, algorithm: str, topology: str, registry=None
+    monkeypatch, algorithm: str, topology: str, registry=None, strings=None
 ) -> Set[str]:
-    """Names of the functions that call ``to_list`` on a rank's thread."""
+    """Names of the functions that call ``to_list`` on a rank's thread
+    while ``strings`` (default: the conformance corpus) are sorted."""
     callers: Set[str] = set()
     to_list = PackedStringArray.to_list
 
@@ -60,7 +64,9 @@ def materialising_callers(
         with Cluster(
             num_pes=p, engine="threads", exchange_topology=topology, registry=registry
         ) as cluster:
-            cluster.sort(conformance_workload(), spec, check=True)
+            cluster.sort(
+                conformance_workload() if strings is None else strings, spec, check=True
+            )
     return callers
 
 
@@ -75,6 +81,26 @@ def assert_zero_copy(monkeypatch, algorithm: str, topology: str, registry=None) 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_ranks_materialise_only_in_the_atomic_merge(monkeypatch, algorithm, topology):
     assert_zero_copy(monkeypatch, algorithm, topology)
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_the_merge_radix_stays_zero_copy(monkeypatch, topology):
+    import repro.sequential.lcp_losertree as losertree
+
+    merged = []
+    radix = losertree._word_radix
+
+    def counting(arr, depth):
+        merged.append(len(arr))
+        return radix(arr, depth)
+
+    monkeypatch.setattr(losertree, "_word_radix", counting)
+    extra = materialising_callers(
+        monkeypatch, "ms", topology, strings=shared_prefix(6000, seed=7)
+    )
+    assert not extra, f"ms over {topology}: to_list() called on a rank by {sorted(extra)}"
+    # every rank of p = 3 and p = 4 merged on the radix
+    assert len(merged) == sum(NUM_PES) and min(merged) >= 1024
 
 
 def test_the_atomic_merge_is_seen(monkeypatch):
