@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import resource
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -30,6 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..dist.api import SortResult
 from ..net.cost_model import DEFAULT_MACHINE, MachineModel
+from ..obs.recorder import peak_rss_bytes
 from ..session import Cluster, SortSpec, default_registry
 from ..strings.lcp import dn_ratio, merge_lcp_statistics
 from ..strings.stringset import StringSet
@@ -41,18 +41,6 @@ __all__ = [
     "format_table",
     "peak_rss_bytes",
 ]
-
-
-def peak_rss_bytes() -> int:
-    """Peak resident set size of this process so far, in bytes.
-
-    ``ru_maxrss`` is kilobytes on Linux (bytes on macOS, where the value is
-    simply 1024x too large — a stable unit within any one trajectory file,
-    which is all the benchmark comparisons need).  A high-water mark, not a
-    per-cell delta: the kernel never lowers it, so successive cells report
-    monotonically non-decreasing values.
-    """
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
 @dataclass

@@ -157,7 +157,8 @@ def _add_sort_options(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``python -m repro`` argument parser (``sort`` / ``experiment``)."""
+    """The ``python -m repro`` argument parser: ``sort``, ``algorithms``,
+    ``experiment``, ``generate``, ``trace run`` and ``metrics``."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Communication-Efficient String Sorting' (IPDPS 2020)",
@@ -364,12 +365,7 @@ def _cmd_trace(parser: argparse.ArgumentParser, args) -> int:
     write_chrome_trace(
         timeline,
         args.output,
-        meta={
-            "algorithm": result.algorithm,
-            "config_hash": spec.config_hash(),
-            "engine": cluster.config.engine,
-            "num_strings": result.num_strings,
-        },
+        meta={"config_hash": spec.config_hash()},
     )
     print(f"algorithm          : {result.algorithm}")
     print(f"engine             : {cluster.config.engine}")

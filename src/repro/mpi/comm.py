@@ -87,9 +87,10 @@ class ReduceOp:
 class Communicator:
     """Abstract SPMD communicator; see the module docstring for the contract.
 
-    Subclasses must implement the ``_impl``-suffixed primitives; the public
-    methods add argument validation and traffic accounting hooks shared by
-    all backends.
+    The public methods are the surface.  The stubs here (``raise
+    NotImplementedError``) are implemented by
+    :class:`repro.mpi.engine.MeteredComm`, which adds the argument
+    validation and traffic accounting shared by all backends.
     """
 
     # subclasses set these in __init__

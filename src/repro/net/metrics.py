@@ -8,7 +8,7 @@ attribution (:mod:`repro.net.router`: forwarded bytes per PE and bytes per
 route phase), fault and recovery counts, barrier waits — in one
 ``(counter, label)`` table.  Each counter is declared once, as a
 :class:`Counter` attribute of the report carrying its label kind and the
-Prometheus family :func:`repro.obs.derive.run_metrics` exports it under.
+Prometheus family :attr:`TrafficReport.metrics` exports it under.
 Next to the table the report logs collective operations (kind, per-PE
 bottleneck bytes) for the alpha-beta formulas of
 :class:`repro.net.cost_model.MachineModel`.
@@ -96,13 +96,11 @@ class TrafficReport:
     #: meter was driven outside an engine; "mixed" after folding reports
     #: from different engines)
     engine: str = ""
-    #: observability attachments (:class:`repro.obs.timeline.Timeline` /
-    #: :class:`repro.obs.registry.MetricsSnapshot`), populated only when the
-    #: run traced (``Cluster(trace=True)`` / ``REPRO_TRACE``); ``None``
-    #: otherwise so the accounting path never depends on :mod:`repro.obs`.
-    #: Both obey the fold contract via their own ``merged`` methods.
+    #: the observability attachment (:class:`repro.obs.timeline.Timeline`),
+    #: populated only when the run traced (``Cluster(trace=True)`` /
+    #: ``REPRO_TRACE``); ``None`` otherwise so the accounting path never
+    #: depends on :mod:`repro.obs`.  It folds through ``Timeline.merged``.
     timeline: Optional[Any] = None
-    metrics: Optional[Any] = None
 
     bytes_sent_per_pe = Counter("pe", "repro_bytes_sent_total", "Wire bytes sent, per PE.")
     bytes_received_per_pe = Counter(
@@ -202,11 +200,11 @@ class TrafficReport:
 
         The one definition of the report-merge contract: counts add per
         ``(counter, label)`` (exact sums) and collective events concatenate
-        (so the cost model charges every run's collectives).  Observability
-        attachments fold through their own ``merged``: timelines
-        concatenate end-to-end, metric snapshots add counters/histograms and
-        keep the later gauges.  ``other`` is never mutated — a first fold
-        aliases its attachments, later folds build fresh merged objects.
+        (so the cost model charges every run's collectives).  Timelines
+        fold through ``Timeline.merged`` (concatenated end-to-end), and
+        :attr:`metrics` renders from the folded counts and timeline.
+        ``other`` is never mutated — a first fold aliases its timeline,
+        later folds build a fresh merged one.
         """
         if other.num_pes != self.num_pes:
             raise ValueError(
@@ -222,12 +220,6 @@ class TrafficReport:
                 if self.timeline is None
                 else self.timeline.merged(other.timeline)
             )
-        if other.metrics is not None:
-            self.metrics = (
-                other.metrics
-                if self.metrics is None
-                else self.metrics.merged(other.metrics)
-            )
         # engine provenance: first tagged report wins; folding reports
         # produced by different engines yields the explicit marker "mixed"
         if other.engine:
@@ -242,6 +234,20 @@ class TrafficReport:
         out.fold(self)
         out.fold(other)
         return out
+
+    @property
+    def metrics(self) -> Optional[Any]:
+        """The :class:`repro.obs.registry.MetricsSnapshot` of a traced report.
+
+        Rendered on each read by :func:`repro.obs.derive.run_metrics` from
+        :meth:`series` and :attr:`timeline` (``None`` when untraced), so a
+        folded report renders from its folded counts and timeline.
+        """
+        if self.timeline is None:
+            return None
+        from ..obs.derive import run_metrics
+
+        return run_metrics(self)
 
     # -- aggregate helpers ---------------------------------------------------------
     @property

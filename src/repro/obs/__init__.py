@@ -10,16 +10,17 @@ instruments where bytes go.  Four layers, each usable on its own:
 * :mod:`repro.obs.timeline` — per-rank :class:`Span` reconstruction from
   the raw event streams, rank-offset alignment, exclusive phase seconds
   (barrier wait subtracted), and batch-wise merging.
-* :mod:`repro.obs.registry` — a typed metrics registry (counters, gauges,
-  histograms with labeled series), immutable snapshots with a merge
-  fold, Prometheus text exposition and JSON export.
+* :mod:`repro.obs.registry` — labeled metric families (counters, gauges,
+  histograms) in a :class:`MetricsSnapshot`, with Prometheus text
+  exposition and JSON export.
 * :mod:`repro.obs.exporters` — Chrome-trace/Perfetto JSON, a schema
   validator for CI, and a terminal phase-waterfall renderer.
 
-:mod:`repro.obs.derive` bridges the layers: it turns a finished
-:class:`~repro.net.metrics.TrafficReport` plus a :class:`Timeline` into a
-labeled :class:`MetricsSnapshot` (strings/sec and peak RSS per stage,
-fault counters as series).
+:mod:`repro.obs.derive` bridges the layers: it renders a finished, traced
+:class:`~repro.net.metrics.TrafficReport` (its counters and its
+:class:`Timeline`) into a labeled :class:`MetricsSnapshot` (strings/sec and
+peak RSS per stage, fault counters as series); ``TrafficReport.metrics``
+calls it on each read.
 
 Tracing is enabled by ``Cluster(trace=True)``, the ``REPRO_TRACE``
 environment variable (:class:`repro.config.RunConfig`), or the CLI's
@@ -35,7 +36,7 @@ from .exporters import (
     write_chrome_trace,
 )
 from .recorder import DEFAULT_CAPACITY, Recorder
-from .registry import MetricsRegistry, MetricsSnapshot
+from .registry import MetricsSnapshot
 from .timeline import Instant, Span, Timeline
 
 __all__ = [
@@ -44,7 +45,6 @@ __all__ = [
     "Span",
     "Instant",
     "Timeline",
-    "MetricsRegistry",
     "MetricsSnapshot",
     "run_metrics",
     "chrome_trace",

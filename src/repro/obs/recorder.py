@@ -38,6 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 __all__ = [
     "DEFAULT_CAPACITY",
     "Recorder",
+    "peak_rss_bytes",
 ]
 
 #: default ring capacity, per rank; at ~100 ns and ~100 bytes per event
@@ -45,8 +46,12 @@ __all__ = [
 DEFAULT_CAPACITY = 65536
 
 
-def _rss_bytes() -> int:
-    """This process's peak resident set size in bytes (``ru_maxrss`` is KiB on Linux)."""
+def peak_rss_bytes() -> int:
+    """Peak resident set size of this process so far, in bytes.
+
+    ``ru_maxrss`` is KiB on Linux (bytes on macOS, 1024x too large there but
+    stable within one trajectory file); a high-water mark that never falls.
+    """
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
@@ -108,7 +113,7 @@ class Recorder:
 
     def phase(self, name: str) -> None:
         """Record a phase transition (samples RSS at the boundary)."""
-        self._push(("phase", self._clock(), name, _rss_bytes()))
+        self._push(("phase", self._clock(), name, peak_rss_bytes()))
 
     def begin(self, name: str) -> None:
         """Open a nested sub-span (e.g. ``"barrier"``) inside the current phase."""
@@ -128,7 +133,7 @@ class Recorder:
 
     def finish(self) -> None:
         """Mark the end of the rank program (closes the final phase span)."""
-        self._push(("finish", self._clock(), None, _rss_bytes()))
+        self._push(("finish", self._clock(), None, peak_rss_bytes()))
 
     # ------------------------------------------------------------------ results
     def events(self) -> List[Tuple[str, float, Optional[str], Any]]:

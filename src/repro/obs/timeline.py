@@ -212,6 +212,8 @@ class Timeline:
         where ``self`` ends (batches/retry attempts render sequentially,
         never interleaved with a different run), every span and instant of
         both inputs appears exactly once, and dropped-event counts add.
+        ``meta`` is ``self``'s with ``other``'s keys filled in, and its
+        ``merged_runs`` and ``num_strings`` add.
         """
         if other.num_pes != self.num_pes:
             raise ValueError(
@@ -224,6 +226,9 @@ class Timeline:
             meta.setdefault(key, value)
         runs = self.meta.get("merged_runs", 1) + other.meta.get("merged_runs", 1)
         meta["merged_runs"] = runs
+        if "num_strings" in meta:
+            strings = self.meta.get("num_strings", 0) + other.meta.get("num_strings", 0)
+            meta["num_strings"] = strings
         return Timeline(
             num_pes=self.num_pes,
             spans=self.spans + shifted.spans,

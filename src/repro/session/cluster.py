@@ -27,7 +27,6 @@ from ..config import RunConfig
 from ..dist.api import RankOutput, SortResult, distribute_strings
 from ..faults.plan import FaultPlan
 from ..net.metrics import TrafficMeter, TrafficReport
-from ..obs.derive import run_metrics
 from ..mpi.comm import Communicator
 from ..mpi.engine import SpmdError, get_engine
 from ..net.cost_model import DEFAULT_MACHINE, MachineModel
@@ -119,11 +118,13 @@ class Cluster:
         accounted wire volume.
     trace:
         Per-rank timeline recording (:mod:`repro.obs`): the result's report
-        carries ``timeline`` (aligned per-rank phase/barrier spans) and
-        ``metrics`` (a labeled :class:`~repro.obs.registry.MetricsSnapshot`)
-        attachments.  Tracing never changes sorted outputs or byte
-        accounting; overhead is bounded (<5 %, pinned by
-        ``BENCH_PR10.json``) and zero when off.
+        carries a ``timeline`` (aligned per-rank phase/barrier spans, with
+        the run's labels and input size in its ``meta``), and its
+        ``metrics`` property renders the labeled
+        :class:`~repro.obs.registry.MetricsSnapshot` from the report's
+        counters and that timeline on each read.  Tracing never changes
+        sorted outputs or byte accounting; overhead is bounded (<5 %,
+        pinned by ``BENCH_PR10.json``) and zero when off.
     registry:
         The :class:`~repro.session.AlgorithmRegistry` resolving algorithm
         names; defaults to the process-wide registry.
@@ -287,24 +288,21 @@ class Cluster:
                 failed.add("job_retries", None, 1)
         report.fold(failed)
 
+        num_strings = sum(len(b) for b in blocks)
         if report.timeline is not None:
-            # derive the labeled metrics snapshot while the run's context
-            # (algorithm, engine, topology, input size) is still at hand
-            report.metrics = run_metrics(
-                report,
-                report.timeline,
-                labels={
-                    "algorithm": entry.name,
-                    "engine": self.config.engine,
-                    "topology": self._topology_label(spec),
-                },
-                num_strings=sum(len(b) for b in blocks),
+            # the run's labels and input size, which report.metrics reads
+            # (the configured engine name, so a registered alias keeps its label)
+            report.timeline.meta.update(
+                algorithm=entry.name,
+                engine=self.config.engine,
+                topology=self._topology_label(spec),
+                num_strings=num_strings,
             )
 
         result = SortResult(
             algorithm=entry.name,
             num_pes=self.num_pes,
-            num_strings=sum(len(b) for b in blocks),
+            num_strings=num_strings,
             num_chars=sum(int(string_lengths(b).sum()) for b in blocks),
             inputs_per_pe=blocks,
             rank_outputs=results,

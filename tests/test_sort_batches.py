@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.metrics import TrafficMeter, TrafficReport
+from repro.net.metrics import COUNTERS, TrafficMeter, TrafficReport
 from repro.session import BatchStream, Cluster, MSSpec, PDMSGolombSpec
 from repro.strings.generators import dn_instance, random_strings
 
@@ -159,8 +159,8 @@ class TestReportFold:
         """Traced batch reports merge their observability attachments.
 
         Timelines concatenate (every span exactly once, dropped counts
-        add); metrics snapshots fold additively for counters and
-        histograms with later-wins gauges; the inputs stay unmutated.
+        add); the merged report's metrics render counter series that are
+        the batches' sums; the inputs stay unmutated.
         The same ``TrafficReport.fold`` path also runs on fault-retry
         folds, so this pins the no-lost/no-double-counted-span contract
         for retries too.
@@ -239,3 +239,98 @@ class TestReportFold:
         report = TrafficMeter(2).report()
         with pytest.raises(AttributeError, match="read-only"):
             report.phase_bytes = {"merge": 1}
+
+
+def _family_total(snap, name):
+    return sum(value for _, value in snap.series(name))
+
+
+def _assert_counters_reconcile(report):
+    """Every counter family of ``report.metrics`` sums to the report's total."""
+    snap = report.metrics
+    for counter in COUNTERS:
+        assert counter.family in snap.names(), counter.family
+        assert _family_total(snap, counter.family) == pytest.approx(
+            report.total(counter.name)
+        ), counter.name
+
+
+class TestMetricsFold:
+    """A folded report renders its families from its folded counts and timeline."""
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        """The two traced batches' reports and the stream's merged report."""
+        chunks = [
+            dn_instance(num_strings=300, dn=0.5, length=20, seed=s) for s in (8, 9)
+        ]
+        stream = Cluster(num_pes=2, trace=True).sort_batches(chunks, MSSpec())
+        results = list(stream)
+        assert len(results) == 2
+        return results, stream.merged_report
+
+    def test_counter_families_sum_to_the_merged_totals(self, stream):
+        _results, merged = stream
+        _assert_counters_reconcile(merged)
+
+    def test_histogram_counts_add(self, stream):
+        results, merged_report = stream
+        batches = [r.report.metrics for r in results]
+        merged = merged_report.metrics
+        hist = "repro_span_duration_seconds"
+        stages = {labels["stage"] for snap in batches for labels, _ in snap.series(hist)}
+        assert {"local-sort", "merge"} <= stages
+        for stage in stages:
+            parts = [snap.value(hist, stage=stage) for snap in batches]
+            folded = merged.value(hist, stage=stage)
+            assert folded["count"] == sum(p["count"] for p in parts)
+            for le, count in folded["buckets"].items():
+                assert count == sum(p["buckets"][le] for p in parts), (stage, le)
+            assert folded["sum"] == pytest.approx(sum(p["sum"] for p in parts))
+
+    def test_throughput_is_the_streams(self, stream):
+        results, merged_report = stream
+        merged = merged_report.metrics
+        strings = sum(r.num_strings for r in results)
+        assert merged_report.timeline.meta["num_strings"] == strings
+        for stage in ("local-sort", "merge"):
+            seconds = sum(r.report.timeline.phase_seconds(name=stage) for r in results)
+            assert merged.value(
+                "repro_stage_strings_per_second", stage=stage
+            ) == pytest.approx(strings / seconds), stage
+
+    def test_peak_rss_is_the_batches_max(self, stream):
+        results, merged_report = stream
+        family = "repro_stage_peak_rss_bytes"
+        peaks = merged_report.metrics.series(family)
+        assert peaks
+        for labels, peak in peaks:
+            stage = labels["stage"]
+            assert peak == max(
+                r.report.metrics.value(family, stage=stage) or 0.0 for r in results
+            ), stage
+
+    def test_mixed_traced_and_untraced_fold_reconciles(self):
+        traced = Cluster(num_pes=2, trace=True).sort(
+            random_strings(80, 1, 8, seed=10), MSSpec()
+        )
+        plain = Cluster(num_pes=2).sort(random_strings(80, 1, 8, seed=11), MSSpec())
+        for merged in (
+            _merge([plain.report, traced.report]),
+            _merge([traced.report, plain.report]),
+        ):
+            assert merged.total_bytes_sent > traced.report.total_bytes_sent
+            _assert_counters_reconcile(merged)
+
+    def test_a_fold_renders_under_the_first_runs_labels(self):
+        data = random_strings(80, 1, 8, seed=12)
+        cluster = Cluster(num_pes=2, trace=True)
+        first = cluster.sort(data, MSSpec()).report
+        second = cluster.sort(data, PDMSGolombSpec()).report
+        snap = first.merged(second).metrics
+        algorithms = {
+            labels["algorithm"]
+            for name in snap.names()
+            for labels, _ in snap.series(name)
+        }
+        assert algorithms == {"ms"}
