@@ -1,6 +1,6 @@
 """Simulated MPI: communicator interface, wire-size accounting, SPMD engines."""
 
-from .comm import Communicator, ReduceOp, Request, waitall
+from .comm import Communicator, ReduceOp
 from .engine import (
     SpmdError,
     ThreadComm,
@@ -19,8 +19,6 @@ register_engine("processes", ProcessEngine)
 __all__ = [
     "Communicator",
     "ReduceOp",
-    "Request",
-    "waitall",
     "ThreadComm",
     "ThreadEngine",
     "ProcessEngine",

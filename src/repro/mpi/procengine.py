@@ -4,8 +4,8 @@ This is the first engine that escapes the GIL: the same rank programs the
 thread engine runs are forked into real processes, so local sorting and
 merging genuinely run in parallel.  It registers under the name
 ``"processes"`` (``Cluster(engine="processes")``, ``REPRO_ENGINE=processes``
-or the CLI's ``--engine processes``) and implements the full
-:class:`~repro.mpi.comm.Communicator` protocol:
+or the CLI's ``--engine processes``) and subclasses
+:class:`~repro.mpi.comm.Communicator` with this transport:
 
 * **data plane** — a full mesh of duplex pipes carries small control
   frames; bulk payloads (packed buckets, LCP arrays) ship as zero-copy
@@ -13,12 +13,12 @@ or the CLI's ``--engine processes``) and implements the full
 * **collectives** — built on a gather-to-rank-0 board exchange with
   explicit collective sequence numbers, reproducing the thread engine's
   write/barrier/read semantics (and, because all accounting lives in the
-  shared :class:`~repro.mpi.engine.MeteredComm` base, recording *exactly*
+  shared :class:`~repro.mpi.comm.Communicator` base, recording *exactly*
   the same meter events);
 * **fault plans** — the PR 7 envelope/retransmit framing injects
   identically on both backends: senders ship clean sequenced envelopes
   stamped with their phase, and the shared receive path of
-  :class:`~repro.mpi.engine.MeteredComm` applies the plan on arrival.  Each
+  :class:`~repro.mpi.comm.Communicator` applies the plan on arrival.  Each
   worker forked its own copy of the engine's deterministic
   :class:`~repro.faults.inject.FaultInjector`, every injector channel is
   advanced by exactly one process, and the parent merges the forked
@@ -52,7 +52,7 @@ from ..net.metrics import TrafficMeter, TrafficReport
 from ..obs.recorder import DEFAULT_CAPACITY, Recorder
 from ..obs.timeline import Timeline
 from . import shm
-from .engine import MeteredComm, SpmdError, _RecvRequest
+from .comm import Communicator, SpmdError
 
 __all__ = ["ProcComm", "ProcessEngine", "process_engine_available"]
 
@@ -76,24 +76,8 @@ def process_engine_available() -> Tuple[bool, str]:
     return _PROBE
 
 
-class _ProcRecvRequest(_RecvRequest):
-    """An ``irecv`` of the processes engine: its deadlock clock starts at post time.
-
-    A rank that posts a receive and then computes for longer than the
-    timeout before waiting must still abort promptly if the peer is gone.
-    """
-
-    __slots__ = ("_posted",)
-
-    def __init__(self, comm: "ProcComm", source: int, tag: int):
-        super().__init__(comm, source, tag)
-        self._posted = time.monotonic()
-
-
-class ProcComm(MeteredComm):
+class ProcComm(Communicator):
     """Communicator of one rank process (pipes + shared-memory payloads)."""
-
-    _request_type = _ProcRecvRequest
 
     def __init__(
         self,
@@ -127,6 +111,8 @@ class ProcComm(MeteredComm):
         # fault mode, per source: [deadline, delay, seq] of the backoff
         # timer armed on a withheld envelope
         self._pull_backoff: Dict[int, List[Any]] = {}
+        # when the pending recv was called: its deadlock clock starts there
+        self._recv_called = 0.0
 
     # ------------------------------------------------------------------ engine hooks
     def _fail(self, exc: BaseException) -> None:
@@ -246,8 +232,8 @@ class ProcComm(MeteredComm):
             # moment its last frame is buffered (and EOF makes poll() report
             # readable), so every buffered frame has been consumed by now.
             # The channel is marked dead; whoever still NEEDS a frame from
-            # this peer decides that it is a failure (_await_coll, the
-            # pending-receive poll) — whoever already has its data carries on.
+            # this peer decides that it is a failure (_await_coll, a blocked
+            # recv) — whoever already has its data carries on.
             self._dead.add(src)
         return got
 
@@ -281,18 +267,22 @@ class ProcComm(MeteredComm):
             self._service(source, 0)
         return self._wire.get(source)
 
-    def _await_message(self, request: _ProcRecvRequest) -> None:
+    def recv(self, source: int, tag: int = 0) -> Any:
+        """Receive as the base class does; the deadlock clock starts now."""
+        self._recv_called = time.monotonic()
+        return super().recv(source, tag)
+
+    def _await_message(self, source: int, tag: int) -> None:
         """Wait one slice on the source's pipe (abort/deadlock-clocked).
 
         Sleeps in ``Connection.poll`` (idle workers sleep in the OS instead
         of spinning); in fault mode each slice also runs the backoff drop
         detector.
         """
-        source = request.source
         self._check_abort(f"a message from rank {source}")
         if self._fault:
             self._maybe_backoff_pull(source)
-            if request.test():
+            if self._inbox.get(source):
                 return
         elif source in self._dead:
             # the peer exited and every frame it ever sent was consumed:
@@ -304,10 +294,10 @@ class ProcComm(MeteredComm):
             )
             self._fail(exc)
             raise exc
-        if time.monotonic() - request._posted > self.config.timeout:
+        if time.monotonic() - self._recv_called > self.config.timeout:
             message = (
                 f"rank {self.rank}: timed out waiting for a message "
-                f"from rank {source} (tag {request.tag})"
+                f"from rank {source} (tag {tag})"
             )
             self._fail(LostMessageError(message) if self._fault else SpmdError(message))
             raise SpmdError(f"rank {self.rank}: recv timeout from rank {source}")
@@ -315,16 +305,6 @@ class ProcComm(MeteredComm):
             self._service(source, 0.02)
         else:  # self-receives and dead peers have nothing to poll
             time.sleep(0.0005)
-
-    def _poll_missed(self, request: _ProcRecvRequest) -> None:
-        """A poll found nothing: raise if the run aborted; run the drop detector.
-
-        The polling rank is busy, not waiting in :meth:`_await_message`, so
-        in fault mode the backoff timer is checked here too.
-        """
-        self._check_abort(f"a message from rank {request.source}")
-        if self._fault:
-            self._maybe_backoff_pull(request.source)
 
     def _maybe_backoff_pull(self, source: int) -> None:
         """Drop detector of last resort: pull after an exponential backoff.

@@ -328,9 +328,9 @@ class TrafficReport:
         for ev in self.collectives:
             if ev.kind == "bcast":
                 total += machine.broadcast(ev.max_bytes_per_pe, ev.num_pes)
-            elif ev.kind in ("reduce", "allreduce"):
+            elif ev.kind == "allreduce":
                 total += machine.reduction(ev.max_bytes_per_pe, ev.num_pes)
-            elif ev.kind in ("gather", "scatter"):
+            elif ev.kind == "gather":
                 total += machine.gather(ev.max_bytes_per_pe, ev.num_pes)
             elif ev.kind == "allgather":
                 total += machine.allgather(ev.max_bytes_per_pe, ev.num_pes)

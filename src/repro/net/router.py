@@ -344,19 +344,19 @@ def _split_outgoing(
     return outgoing, held
 
 
-def _post_round_sends(comm, topology, outgoing, p: int, k: int) -> List[Any]:
+def _send_round(comm, topology, outgoing, p: int, k: int) -> None:
     """Send one (possibly empty) batch per peer; attribute forwarded bytes."""
     label = topology.round_label(p, k)
-    requests = []
+    # sends are eager and the peers never include the sender, so every
+    # batch is on its way before the round's receives start
     for peer, batch in outgoing.items():
         wire = batch_wire_bytes(batch)
         own = sum(f.nbytes for f in batch if f.origin == comm.rank)
-        requests.append(comm.isend(batch, peer, tag=_TAG_ROUTED + k, nbytes=wire))
+        comm.send(batch, peer, tag=_TAG_ROUTED + k, nbytes=wire)
         # headers and relayed payloads are routing overhead, not origin
         # volume: attributing them separately is what keeps the paper's
         # bytes-per-string metric comparable across delivery strategies
         comm.record_route(label, wire, wire - own)
-    return requests
 
 
 def _prepare_frames(
@@ -413,7 +413,7 @@ def routed_exchange(
     for k in range(topology.num_rounds(p)):
         peers = topology.round_peers(rank, p, k)
         outgoing, transit = _split_outgoing(topology, transit, rank, p, k, peers)
-        requests = _post_round_sends(comm, topology, outgoing, p, k)
+        _send_round(comm, topology, outgoing, p, k)
         for peer in peers:
             for frame in comm.recv(peer, tag=_TAG_ROUTED + k):
                 if frame.dest == rank:
@@ -421,7 +421,6 @@ def routed_exchange(
                     received[frame.origin] = frame.payload
                 else:
                     transit.append(frame)
-        comm.waitall(requests)
     if transit:  # pragma: no cover - topology contract violation
         raise RuntimeError(
             f"{topology.name}: {len(transit)} frame(s) undelivered at rank {rank}"

@@ -39,13 +39,14 @@ def run_metrics(report: Any) -> MetricsSnapshot:
     the run traced, gives the time-derived series, and the timeline's
     ``meta`` gives the run labels and ``num_strings``, the input size of
     the per-stage strings/sec gauges.  The report's engine provenance
-    fills ``engine`` when the meta has none.  Counter values are floats
-    and samples are sorted by their label set.
+    fills ``engine`` when the meta has none, and overrides it when it
+    reads ``"mixed"`` (a fold of runs on different engines).  Counter
+    values are floats and samples are sorted by their label set.
     """
     timeline = report.timeline
     meta = timeline.meta if timeline is not None else {}
     common = {k: meta[k] for k in _RUN_LABELS if k in meta}
-    if "engine" not in common and report.engine:
+    if report.engine == "mixed" or ("engine" not in common and report.engine):
         common["engine"] = report.engine
     families: Dict[str, Dict[str, Any]] = {}
 

@@ -34,7 +34,8 @@ from typing import Any, Dict, Iterator, List, Tuple
 
 import pytest
 
-from repro.mpi.engine import ENGINES, MeteredComm, SpmdError
+from repro.mpi.comm import Communicator
+from repro.mpi.engine import ENGINES, SpmdError
 from repro.mpi.procengine import process_engine_available
 from repro.session import Cluster, default_registry
 
@@ -185,19 +186,19 @@ def failure_cause(engine: str, phase: str, rank: int = 1) -> BaseException:
     which an engine must report as the rank program's own exception — not
     the "aborted" or "pipe closed" echo another rank raised in reaction.
     """
-    original = MeteredComm.set_phase
+    original = Communicator.set_phase
 
-    def set_phase(comm: MeteredComm, name: str) -> None:
+    def set_phase(comm: Communicator, name: str) -> None:
         if comm.rank == rank and name == phase:
             raise PhaseFailure(f"rank {rank} failed entering {phase!r}")
         original(comm, name)
 
     # patched on the class, so forked rank processes inherit it too
-    MeteredComm.set_phase = set_phase  # type: ignore[method-assign]
+    Communicator.set_phase = set_phase  # type: ignore[method-assign]
     try:
         with Cluster(num_pes=4, engine=engine) as cluster:
             with pytest.raises(SpmdError) as excinfo:
                 cluster.sort(conformance_workload(), "ms")
     finally:
-        MeteredComm.set_phase = original  # type: ignore[method-assign]
+        Communicator.set_phase = original  # type: ignore[method-assign]
     return excinfo.value.__cause__

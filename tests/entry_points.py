@@ -45,7 +45,7 @@ REQUIRED: Dict[str, List[str]] = {
         "get_engine",
         "register_engine",
     ],
-    "repro/mpi/comm.py": ["Communicator", "Request", "waitall"],
+    "repro/mpi/comm.py": ["Communicator"],
     "repro/strings/stringset.py": ["StringSet"],
     "repro/strings/packed.py": ["PackedStringArray"],
     "repro/net/metrics.py": [

@@ -1,15 +1,14 @@
-"""Engine-independent properties of the ``Communicator`` protocol.
+"""Engine-independent properties of the ``Communicator`` channels.
 
 Every backend registered with the engine registry must honour the same
-point-to-point matching contract: messages between one (sender, receiver,
-tag) channel are matched to receives **in posting order** — the i-th
-``irecv`` posted for a channel completes with the i-th ``isend`` of that
-channel, regardless of engine, payload shape, or how the completion waits
-interleave.  The property is driven by hypothesis over random per-channel
-message sequences and exercised on every available engine via the shared
-``engine_params`` axis from :mod:`engine_conformance`.  The request
-handles themselves (``isend``/``irecv``, ``waitall``, self-sends,
-a blocking ``recv`` behind an open ``irecv``) are pinned on every engine too.
+point-to-point contract: messages on one (sender, receiver) channel are
+received **in send order** — the i-th blocking ``recv`` on a channel
+returns the i-th ``send`` of that channel, regardless of engine or payload
+shape — and a ``recv`` whose tag is not the next message's is a typed
+error, never a silent misdelivery.  The properties are driven by
+hypothesis over random per-channel message sequences and exercised on
+every available engine via the shared ``engine_params`` axis from
+:mod:`engine_conformance`.
 """
 
 import pytest
@@ -17,8 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from engine_conformance import engine_params, set_engine
-from repro.mpi import run_spmd
-from repro.mpi.comm import waitall
+from repro.mpi import SpmdError, run_spmd
 
 # payloads that survive any transport: bytes of varying size so both the
 # in-band pipe path and (on large examples) the shm path get exercised
@@ -48,32 +46,27 @@ def comm_engine(request):
 
 
 def _ring_program(messages):
-    """Each rank isends ``messages`` to its successor, irecvs in order."""
+    """Each rank sends ``messages`` to its successor, then receives as many."""
 
     def prog(comm):
         dest = (comm.rank + 1) % comm.size
         source = (comm.rank - 1) % comm.size
-        sends = [
-            comm.isend((i, body), dest=dest, tag=7)
-            for i, body in enumerate(messages)
-        ]
-        recvs = [comm.irecv(source=source, tag=7) for _ in messages]
-        received = [r.wait() for r in recvs]
-        for s in sends:
-            s.wait()
-        return received
+        for i, body in enumerate(messages):
+            comm.send((i, body), dest=dest, tag=7)
+        return [comm.recv(source=source, tag=7) for _ in messages]
 
     return prog
 
 
 @settings(**_SETTINGS)
 @given(messages=payloads, p=st.integers(min_value=2, max_value=3))
-def test_isend_irecv_match_in_posting_order(messages, p):
-    """The i-th posted irecv on a channel yields the i-th isend's payload."""
-    results, _ = run_spmd(p, _ring_program(messages))
+def test_send_recv_channel_is_fifo(messages, p):
+    """The i-th recv on a channel yields the i-th send's payload."""
+    results, report = run_spmd(p, _ring_program(messages))
     expected = list(enumerate(messages))
     for received in results:
         assert received == expected
+    assert all(b > 0 for b in report.bytes_sent_per_pe)
 
 
 @settings(**_SETTINGS)
@@ -82,14 +75,13 @@ def test_isend_irecv_match_in_posting_order(messages, p):
     second=st.binary(min_size=0, max_size=32),
 )
 def test_tag_order_is_enforced_identically(first, second):
-    """Receiving tags out of posting order is a typed error on any engine.
+    """Receiving tags out of send order is a typed error on any engine.
 
     The SPMD contract deliberately rejects cross-tag reordering on one
     (sender, receiver) link — a tag mismatch means the program's send and
     receive schedules disagree, and every backend must surface it as the
     same typed :class:`SpmdError`, never as silent misdelivery.
     """
-    from repro.mpi import SpmdError
 
     def prog(comm):
         peer = 1 - comm.rank
@@ -97,7 +89,7 @@ def test_tag_order_is_enforced_identically(first, second):
             comm.send(first, dest=peer, tag=1)
             comm.send(second, dest=peer, tag=2)
             return None
-        b = comm.recv(source=peer, tag=2)  # posted out of order: must fail
+        b = comm.recv(source=peer, tag=2)  # received out of order: must fail
         a = comm.recv(source=peer, tag=1)
         return (a, b)
 
@@ -105,103 +97,59 @@ def test_tag_order_is_enforced_identically(first, second):
         run_spmd(2, prog)
 
 
-def test_out_of_order_waits_preserve_matching():
-    """Waiting on later receives first must not steal earlier messages."""
+@settings(**_SETTINGS)
+@given(
+    data=st.data(),
+    p=st.integers(min_value=3, max_value=4),
+    count=st.integers(min_value=1, max_value=4),
+)
+def test_receives_across_channels_in_any_order(data, p, count):
+    """Draining the channels in any order never steals another's message.
 
-    def prog(comm):
-        if comm.size == 1:
-            return []
-        dest = (comm.rank + 1) % comm.size
-        source = (comm.rank - 1) % comm.size
-        sends = [comm.isend(i, dest=dest, tag=3) for i in range(4)]
-        recvs = [comm.irecv(source=source, tag=3) for _ in range(4)]
-        # complete in reverse posting order
-        received = [None] * 4
-        for i in reversed(range(4)):
-            received[i] = recvs[i].wait()
-        for s in sends:
-            s.wait()
-        return received
-
-    results, _ = run_spmd(3, prog)
-    for received in results:
-        assert received == [0, 1, 2, 3]
-
-
-# ---------------------------------------------------------------------------
-# request handles: isend/irecv, waitall
-# ---------------------------------------------------------------------------
-
-
-def test_isend_irecv_roundtrip():
-    def program(comm):
-        peer = (comm.rank + 1) % comm.size
-        source = (comm.rank - 1) % comm.size
-        send = comm.isend(f"hello from {comm.rank}", peer)
-        recv = comm.irecv(source)
-        assert send.wait() is None
-        assert send.test()
-        got = recv.wait()
-        assert recv.done
-        return got
-
-    results, report = run_spmd(4, program)
-    assert results == [f"hello from {(r - 1) % 4}" for r in range(4)]
-    assert all(b > 0 for b in report.bytes_sent_per_pe)
-
-
-def test_irecv_matches_in_posting_order():
-    """Driving the *second* request first must not steal the first message."""
+    Every rank but 0 sends ``count`` messages to rank 0, which drains the
+    channels in a drawn order of sources; each channel still yields its
+    own messages, in send order.
+    """
+    order = data.draw(st.permutations(range(1, p)))
 
     def program(comm):
-        if comm.rank == 0:
-            comm.isend("first", 1, tag=7).wait()
-            comm.isend("second", 1, tag=7).wait()
+        if comm.rank != 0:
+            for i in range(count):
+                comm.send((comm.rank, i), 0, tag=3)
             return None
-        if comm.rank == 1:
-            a = comm.irecv(0, tag=7)
-            b = comm.irecv(0, tag=7)
-            got_b = b.wait()  # out-of-order drive
-            got_a = a.wait()
-            return (got_a, got_b)
-        return None
+        return {src: [comm.recv(src, tag=3) for _ in range(count)] for src in order}
 
-    results, _ = run_spmd(2, program)
-    assert results[1] == ("first", "second")
+    results, _ = run_spmd(p, program)
+    assert results[0] == {
+        src: [(src, i) for i in range(count)] for src in range(1, p)
+    }
 
 
-def test_waitall_orders_payloads():
+def test_interleaved_receives_keep_each_channel_apart():
+    """Alternating between two senders' channels pairs each recv with its own."""
+
     def program(comm):
-        if comm.rank == 0:
-            requests = [comm.irecv(src) for src in range(1, comm.size)]
-            # waitall returns payloads in request order
-            return waitall(requests)
-        comm.isend(f"r{comm.rank}", 0).wait()
-        return None
+        if comm.rank != 0:
+            for i in range(3):
+                comm.send(f"r{comm.rank}-{i}", 0, tag=1)
+            return None
+        return [comm.recv(src, tag=1) for i in range(3) for src in (2, 1)]
 
     results, _ = run_spmd(3, program)
-    assert results[0] == ["r1", "r2"]
+    assert results[0] == ["r2-0", "r1-0", "r2-1", "r1-1", "r2-2", "r1-2"]
 
 
-def test_isend_to_self_is_free_and_delivered():
+@settings(**_SETTINGS)
+@given(messages=payloads)
+def test_sendrecv_pairs_exchange_in_order(messages):
+    """Paired ``sendrecv`` calls swap each payload with the partner's."""
+
     def program(comm):
-        comm.isend("mine", comm.rank).wait()
-        return comm.irecv(comm.rank).wait()
-
-    results, report = run_spmd(2, program)
-    assert results == ["mine", "mine"]
-    assert report.total_bytes_sent == 0  # self-messages cost nothing
-
-
-def test_blocking_recv_interoperates_with_irecv():
-    def program(comm):
-        if comm.rank == 0:
-            comm.send("a", 1, tag=1)
-            comm.send("b", 1, tag=1)
-            return None
-        first = comm.irecv(0, tag=1)
-        second = comm.recv(0, tag=1)  # blocking recv behind an open irecv
-        return (first.wait(), second)
+        peer = comm.rank ^ 1
+        return [
+            comm.sendrecv((comm.rank, body), peer, tag=5) for body in messages
+        ]
 
     results, _ = run_spmd(2, program)
-    assert results[1] == ("a", "b")
+    assert results[0] == [(1, body) for body in messages]
+    assert results[1] == [(0, body) for body in messages]

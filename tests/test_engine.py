@@ -1,5 +1,6 @@
 """Tests for the SPMD thread engine and its simulated communicator."""
 
+import re
 import sys
 import time
 
@@ -132,22 +133,6 @@ class TestCollectives:
         assert results[1] == [0, 1, 4, 9]
         assert results[0] is None and results[2] is None
 
-    def test_scatter(self):
-        def prog(comm):
-            data = [f"part{i}" for i in range(comm.size)] if comm.rank == 0 else None
-            return comm.scatter(data, root=0)
-
-        results, _ = run_spmd(4, prog)
-        assert results == ["part0", "part1", "part2", "part3"]
-
-    def test_scatter_requires_one_object_per_rank(self):
-        def prog(comm):
-            data = [1] if comm.rank == 0 else None
-            return comm.scatter(data, root=0)
-
-        with pytest.raises(SpmdError):
-            run_spmd(3, prog)
-
     def test_allgather(self):
         results, _ = run_spmd(5, lambda comm: comm.allgather(comm.rank))
         assert all(r == [0, 1, 2, 3, 4] for r in results)
@@ -167,18 +152,15 @@ class TestCollectives:
         with pytest.raises(SpmdError):
             run_spmd(3, prog)
 
-    def test_reduce_and_allreduce(self):
+    def test_allreduce_ops(self):
         def prog(comm):
             total = comm.allreduce(comm.rank + 1, ReduceOp.SUM)
             largest = comm.allreduce(comm.rank, ReduceOp.MAX)
             smallest = comm.allreduce(comm.rank, ReduceOp.MIN)
-            rooted = comm.reduce(comm.rank + 1, ReduceOp.SUM, root=2)
-            return (total, largest, smallest, rooted)
+            return (total, largest, smallest)
 
         results, _ = run_spmd(4, prog)
-        assert all(r[0] == 10 and r[1] == 3 and r[2] == 0 for r in results)
-        assert results[2][3] == 10
-        assert results[0][3] is None
+        assert all(r == (10, 3, 0) for r in results)
 
     def test_reduce_with_custom_callable(self):
         def prog(comm):
@@ -242,14 +224,12 @@ class TestAccounting:
 
 
 class TestRecvDeadlockClock:
-    """Deadlock detection: exact on threads, post-time clocked on processes.
+    """Deadlock detection: exact on threads, recv-call clocked on processes.
 
     The cooperative threads engine knows when no rank can run, so it raises
     a deadlock at once, whatever the timeout.  The processes engine waits
-    for the timeout, and its clock counts from *posting*: a rank that posts
-    an ``irecv`` and then computes for longer than the timeout before ever
-    polling used to restart the clock at its first ``test()`` call,
-    doubling the time to detect a dead peer.
+    for the timeout, and its clock counts from the ``recv`` call: what a
+    rank computed before it receives is not waiting.
     """
 
     WORK = 0.3  # seconds the blocked rank computes before it waits
@@ -265,9 +245,8 @@ class TestRecvDeadlockClock:
     def test_threads_detect_a_starved_receive_exactly(self, monkeypatch):
         def prog(comm):
             if comm.rank == 0:
-                req = comm.irecv(1, tag=3)
                 time.sleep(self.WORK)
-                req.wait()  # rank 1 has returned without sending
+                comm.recv(1, tag=3)  # rank 1 has returned without sending
 
         error, elapsed = self._deadlock(prog, monkeypatch)
         # the default timeout is 600 s: only exact detection is this fast
@@ -289,39 +268,74 @@ class TestRecvDeadlockClock:
         assert "rank 0 waits for collective step 0" in message
         assert "rank 1 has returned" in message
 
-    def test_processes_timeout_counts_from_post_not_first_poll(self):
+    @staticmethod
+    def _require_processes():
         from repro.mpi.procengine import process_engine_available
 
         ok, reason = process_engine_available()
         if not ok:
             pytest.skip(reason)
 
+    def test_processes_timeout_counts_from_the_recv_call(self):
+        self._require_processes()
+
         def prog(comm):
             if comm.rank == 0:
-                req = comm.irecv(1)
-                # compute past the whole timeout before the first poll; the
-                # deadlock clock must already have been running since irecv
-                time.sleep(0.7)
-                req.wait()  # raises: rank 1 never sends
-            else:
-                time.sleep(0.2)
+                # compute past the whole timeout, then wait well within it:
+                # a clock started before the recv call would fire at once
+                time.sleep(1.2)
+                return comm.recv(1)
+            time.sleep(1.5)
+            comm.send(b"late", 0)
+            return None
+
+        results, _ = run_spmd(2, prog, timeout=1.0, engine="processes")
+        assert results[0] == b"late"
+
+    def test_processes_recv_times_out_counted_from_the_call(self):
+        self._require_processes()
+        timeout = 0.5
+
+        def prog(comm):
+            if comm.rank == 1:
+                time.sleep(2.0)  # alive but never sends
+                return
+            # compute past the whole timeout: a clock started before the
+            # recv call would fire at once
+            time.sleep(0.7)
+            called = time.monotonic()
+            try:
+                comm.recv(1)
+            except SpmdError as exc:
+                waited = time.monotonic() - called
+                raise SpmdError(f"{exc}; waited {waited:.3f}s") from exc
+
+        with pytest.raises(SpmdError) as excinfo:
+            run_spmd(2, prog, timeout=timeout, engine="processes")
+        message = str(excinfo.value.__cause__)
+        assert re.search(r"recv timeout|timed out", message), message
+        waited = float(re.search(r"waited ([\d.]+)s", message).group(1))
+        # rank 1 exits 1.3 s into the recv: only the timeout ends it sooner
+        assert timeout <= waited < timeout + 0.5, message
+
+    def test_processes_recv_sees_a_peer_that_returned(self):
+        self._require_processes()
+
+        def prog(comm):
+            if comm.rank == 0:
+                comm.recv(1)  # rank 1 returns without sending
 
         start = time.monotonic()
-        # a recv timeout, or the peer's death seen even earlier via the
-        # closed pipe — both must fire at the first poll, not a reset clock
-        with pytest.raises(SpmdError, match="timed out|timeout|lost the connection"):
-            run_spmd(2, prog, timeout=0.5, engine="processes")
+        with pytest.raises(SpmdError, match="lost the connection to rank 1"):
+            run_spmd(2, prog, timeout=30.0, engine="processes")
         elapsed = time.monotonic() - start
-        # fixed clock: abort fires at the first poll (~0.7 s in).  The old
-        # first-poll clock would not fire before ~1.2 s.
-        assert elapsed < 1.1, f"deadlock detection took {elapsed:.2f}s"
+        assert elapsed < 5.0, f"a dead peer took {elapsed:.2f}s to notice"
 
-    def test_posted_then_polled_within_timeout_still_completes(self):
+    def test_a_late_send_within_timeout_still_completes(self, engine):
         def prog(comm):
             if comm.rank == 0:
-                req = comm.irecv(1)
-                time.sleep(0.1)
-                return req.wait()
+                return comm.recv(1)
+            time.sleep(0.1)
             comm.send(b"payload", 0)
             return None
 
@@ -337,10 +351,9 @@ class TestCooperativeSchedule:
             right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
             total = 0
             for step in range(5):
-                request = comm.irecv(left, tag=step)
                 comm.send(comm.rank * step, right, tag=step)
                 log.append((comm.rank, "sent", step))
-                total += request.wait()
+                total += comm.recv(left, tag=step)
                 log.append((comm.rank, "received", step))
                 total = comm.allreduce(total)
             return total
@@ -361,35 +374,15 @@ class TestCooperativeSchedule:
         assert len(runs[0][1]) == 16 * 5 * 2
 
 
-class TestPolling:
-    """A rank may spin on ``test()`` while its peer has yet to send."""
-
-    def test_poll_until_the_peer_sends(self, engine):
-        def prog(comm):
-            if comm.rank == 0:
-                req = comm.irecv(1, tag=5)
-                polls = 0
-                while not req.test():
-                    polls += 1
-                return req.wait(), polls
-            time.sleep(0.05)  # rank 0 polls first on either engine
-            comm.send(b"late", 0, tag=5)
-            return None
-
-        results, _ = run_spmd(2, prog)
-        payload, polls = results[0]
-        assert payload == b"late"
-        assert polls >= 1
-
-    def test_poll_recovers_a_dropped_last_message(self, engine):
+class TestBlockingRecv:
+    def test_recv_recovers_a_dropped_final_message(self, engine):
+        """No successor reveals the gap: the threads scheduler or the
+        processes backoff timer pulls the withheld envelope."""
         from repro.faults import FaultPlan, FaultRule
 
         def prog(comm):
             if comm.rank == 0:
-                req = comm.irecv(1)
-                while not req.done:
-                    pass
-                return req.wait()
+                return comm.recv(1)
             comm.send(b"dropped once", 0)
             return None
 
@@ -399,12 +392,88 @@ class TestPolling:
         assert report.faults_detected_per_pe[0] == 1
         assert report.retries_per_pe[0] == 1
 
-    def test_poll_sees_an_aborted_run(self, engine):
+    def test_a_retransmit_is_stamped_after_the_send_it_repeats(self, engine):
+        """The receiver's clock catches up to a withheld envelope's send
+        before it waits, so the pull it makes later is stamped after it."""
+        from repro.faults import FaultPlan, FaultRule
+
         def prog(comm):
             if comm.rank == 0:
-                req = comm.irecv(1)
-                while not req.test():
-                    pass
+                return comm.recv(1)
+            time.sleep(0.1)  # rank 0 has been waiting since its recv call
+            comm.send(b"dropped once", 0)
+            return None
+
+        plan = FaultPlan(seed=1, rules=(FaultRule(kind="drop", src=1, dst=0),))
+        _, report = run_spmd(2, prog, fault_plan=plan, trace=True)
+        instants = report.timeline.instants
+        (sent,) = [i.ts for i in instants if i.rank == 1 and i.name == "send"]
+        (pulled,) = [i.ts for i in instants if i.rank == 0 and i.name == "retransmit"]
+        assert pulled >= sent
+
+    def test_recv_waits_until_the_peer_sends(self, engine):
+        def prog(comm):
+            if comm.rank == 0:
+                return comm.recv(1, tag=5)
+            time.sleep(0.05)  # rank 0 reaches its recv first on either engine
+            comm.send(b"late", 0, tag=5)
+            return None
+
+        results, _ = run_spmd(2, prog)
+        assert results[0] == b"late"
+
+    def test_recv_takes_a_message_whose_sender_has_returned(self, engine):
+        def prog(comm):
+            if comm.rank == 1:
+                comm.send(b"parting", 0)
+                return None
+            time.sleep(0.05)  # rank 1 has returned before this recv
+            return comm.recv(1)
+
+        results, _ = run_spmd(2, prog)
+        assert results[0] == b"parting"
+
+    def test_recv_discards_a_duplicated_final_message(self, engine):
+        from repro.faults import FaultPlan, FaultRule
+
+        def prog(comm):
+            if comm.rank == 0:
+                return comm.recv(1)
+            comm.send(b"twice", 0)
+            return None
+
+        plan = FaultPlan(seed=1, rules=(FaultRule(kind="duplicate", src=1, dst=0),))
+        results, report = run_spmd(2, prog, fault_plan=plan)
+        assert results[0] == b"twice"
+        assert report.faults_injected_per_pe[1] == 1
+        assert report.faults_detected_per_pe[0] == 1
+        assert report.retries_per_pe[0] == 0
+
+    def test_recv_releases_a_delayed_final_message(self, engine):
+        """Nothing ever overtakes the held message, so the idle receiver's
+        recovery pull releases it."""
+        from repro.faults import FaultPlan, FaultRule
+
+        def prog(comm):
+            if comm.rank == 0:
+                return comm.recv(1)
+            comm.send(b"held", 0)
+            return None
+
+        plan = FaultPlan(
+            seed=1,
+            rules=(FaultRule(kind="delay", src=1, dst=0, delay_messages=5),),
+            retry_delay=0.01,
+        )
+        results, report = run_spmd(2, prog, fault_plan=plan)
+        assert results[0] == b"held"
+        assert report.faults_injected_per_pe[1] == 1
+        assert report.retries_per_pe[0] >= 1
+
+    def test_recv_sees_an_aborted_run(self, engine):
+        def prog(comm):
+            if comm.rank == 0:
+                comm.recv(1)
             else:
                 raise RuntimeError("rank 1 failed")
 

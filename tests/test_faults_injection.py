@@ -211,20 +211,21 @@ class TestDefaultTimeout:
 
 
 class TestCollectiveAccounting:
-    def test_reduce_uses_each_ranks_own_size(self):
+    def test_gather_uses_each_ranks_own_size(self):
         def prog(comm):
             # rank r contributes a payload of r+1 bytes
-            return comm.reduce(b"x" * (comm.rank + 1), op="max", root=0)
+            return comm.gather(b"x" * (comm.rank + 1), root=0)
 
-        _, report = run_spmd(3, prog, timeout=5.0)
+        results, report = run_spmd(3, prog, timeout=5.0)
         from repro.mpi.serialization import wire_size
 
+        assert results[0] == [b"x", b"xx", b"xxx"]
         expected = sum(wire_size(b"x" * (r + 1)) for r in (1, 2))
         assert report.total_bytes_sent == expected
         # the collective event carries the bottleneck (largest) value
-        reduce_events = [e for e in report.collectives if e.kind == "reduce"]
-        assert len(reduce_events) == 1
-        assert reduce_events[0].max_bytes_per_pe == wire_size(b"xxx")
+        events = [e for e in report.collectives if e.kind == "gather"]
+        assert len(events) == 1
+        assert events[0].max_bytes_per_pe == wire_size(b"xxx")
 
     def test_allreduce_ring_uses_own_sizes_and_bottleneck_event(self):
         def prog(comm):

@@ -334,3 +334,41 @@ class TestMetricsFold:
             for labels, _ in snap.series(name)
         }
         assert algorithms == {"ms"}
+
+    @staticmethod
+    def _traced_report(engine, seed):
+        """A traced MS report at p = 2 on ``engine`` (skipped if it cannot run)."""
+        if engine == "processes":
+            from repro.mpi.procengine import process_engine_available
+
+            ok, reason = process_engine_available()
+            if not ok:
+                pytest.skip(reason)
+        data = random_strings(80, 1, 8, seed=seed)
+        with Cluster(num_pes=2, engine=engine, trace=True) as cluster:
+            return cluster.sort(data, MSSpec()).report
+
+    @staticmethod
+    def _engine_labels(report):
+        snap = report.metrics
+        return {
+            labels["engine"]
+            for name in snap.names()
+            for labels, _ in snap.series(name)
+        }
+
+    def test_a_fold_across_engines_is_labelled_mixed(self):
+        threads = self._traced_report("threads", 13)
+        processes = self._traced_report("processes", 13)
+        assert self._engine_labels(threads.merged(threads)) == {"threads"}
+        for merged in (threads.merged(processes), processes.merged(threads)):
+            assert merged.engine == "mixed"
+            assert self._engine_labels(merged) == {"mixed"}
+
+    @pytest.mark.parametrize("engine", ["threads", "processes"])
+    def test_a_fold_of_one_engine_keeps_its_label(self, engine):
+        first = self._traced_report(engine, 14)
+        second = self._traced_report(engine, 15)
+        merged = first.merged(second)
+        assert merged.engine == engine
+        assert self._engine_labels(merged) == {engine}
