@@ -48,6 +48,7 @@ import numpy as np
 import pytest
 
 from conftest import results_path, scaled
+from oracles.lcp import lcp
 from oracles.losertree import lcp_multiway_merge
 from repro.bench.harness import peak_rss_bytes
 from repro.dist.exchange import LcpCompressedBlock
@@ -57,7 +58,6 @@ from repro.sequential.lcp_losertree import lcp_multiway_merge_packed
 from repro.mpi.serialization import varint_size
 from repro.sequential.msd_radix import msd_radix_sort
 from repro.strings.generators import commoncrawl_like
-from repro.strings.lcp import lcp
 from repro.strings.packed import PackedStringArray, packed_lcp_array
 
 # the ROADMAP's target scale: one PE's share of a large exchange

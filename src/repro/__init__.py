@@ -23,7 +23,7 @@ Architecture
 
 * :mod:`repro.strings` — string containers, LCP/DIST machinery, workload
   generators (D/N family, COMMONCRAWL/DNAREADS-like corpora, suffix and
-  skewed instances) and output checkers;
+  skewed instances) and the output check;
 * :mod:`repro.sequential` — the per-PE sorters and mergers (MSD radix sort,
   multikey quicksort, LCP insertion sort, LCP-aware loser trees);
 * :mod:`repro.net` — the alpha-beta machine model, hypercube topology

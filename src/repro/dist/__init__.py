@@ -8,6 +8,8 @@ Layering (each module usable and testable on its own):
   protocol on top of them;
 * :mod:`~repro.dist.exchange` — the all-to-all bucket exchange with
   optional LCP front coding;
+* :mod:`~repro.dist.local_sort` — Step 1 of both rank programs, the local
+  sort into a packed run;
 * :mod:`~repro.dist.hquick` — hypercube quicksort, the atomic baseline;
 * :mod:`~repro.dist.golomb` / :mod:`~repro.dist.duplicates` — Golomb-coded
   sorted sets and distributed fingerprint duplicate detection;

@@ -39,7 +39,6 @@ import numpy as np
 from ..mpi.comm import Communicator
 from ..net.cost_model import DEFAULT_MACHINE, MachineModel
 from ..net.metrics import TrafficReport
-from ..sequential import sort_strings_with_lcp
 from ..sequential.lcp_losertree import lcp_multiway_merge_packed
 from ..sequential.losertree import multiway_merge
 from ..sequential.stats import CharStats
@@ -56,6 +55,7 @@ from ..strings.packed import (
 from ..strings.stringset import StringSet
 from .exchange import exchange_buckets
 from .hquick import hquick_sort
+from .local_sort import local_sort
 from .partition import split_into_buckets
 from .prefix_doubling import approximate_dist_prefixes
 from .splitters import determine_splitters
@@ -123,25 +123,6 @@ def distribute_strings(
 # rank programs
 # ---------------------------------------------------------------------------
 
-def _local_sort(
-    comm: Communicator, strings: Sequence[bytes], sorter: str
-) -> Tuple[PackedStringArray, np.ndarray]:
-    """Step 1: sort this rank's block into a packed run and ``int64`` LCPs.
-
-    ``msd_radix`` sorts the packed block (zero-copy when it already is one)
-    with the vectorized sorter, the argsort or the word radix kernel, and
-    gets a packed run back.  The other sorters run over ``list[bytes]``;
-    their output is packed once here.
-    """
-    if sorter == "msd_radix":
-        strings = PackedStringArray.from_strings(strings)
-    with comm.phase("local-sort"):
-        stats = CharStats()
-        out, lcps = sort_strings_with_lcp(strings, sorter, stats)
-        comm.record_local_work(stats.chars_inspected, len(out))
-    return PackedStringArray.from_strings(out), np.asarray(lcps, dtype=np.int64)
-
-
 def merge_sort(comm: Communicator, strings: Sequence[bytes], spec: Any) -> RankOutput:
     """The merge sorts of Sections V-VI; the spec's class is the preset.
 
@@ -149,12 +130,13 @@ def merge_sort(comm: Communicator, strings: Sequence[bytes], spec: Any) -> RankO
     the knobs read off ``spec`` and the stages picked by its class-level
     switches: ``prefix_doubling`` sends only approximate distinguishing
     prefixes (``golomb``: Golomb-coded fingerprints) and returns their
-    ``(source PE, local rank)`` origins and protocol statistics; ``lcp``
-    front-codes the buckets and merges with the LCP loser tree (prefix
-    doubling: one stable sort; neither: the atomic loser tree);
-    ``returns_lcps`` returns the output's ``int64`` LCP array.
+    origins, ``(source PE, position in that PE's sorted block)``, and
+    protocol statistics; ``lcp`` front-codes the buckets and merges with
+    the LCP loser tree (prefix doubling: one stable sort; neither: the
+    atomic loser tree); ``returns_lcps`` returns the output's ``int64`` LCP
+    array.
     """
-    local_sorted, lcps = _local_sort(comm, strings, spec.local_sorter)
+    local_sorted, lcps = local_sort(comm, strings, spec.local_sorter)
     doubling = starts = origins = None
     if spec.prefix_doubling:
         doubling = approximate_dist_prefixes(
@@ -239,8 +221,9 @@ class RankOutput:
     Custom rank programs registered via
     :func:`repro.session.register_algorithm` return one of these: the
     rank's sorted strings, optionally their LCP array, the PDMS-style
-    origin labels, and a dict of protocol statistics (``extra`` values must
-    agree across ranks — the result assembly asserts it).
+    origin of each output — the source PE and the position in that PE's
+    sorted input block — and a dict of protocol statistics (``extra``
+    values must agree across ranks — the result assembly asserts it).
 
     The strings may be a packed run or a ``list[bytes]``, the LCPs and
     origins arrays or lists; they are held packed — a
@@ -297,8 +280,9 @@ class SortResult:
 
     @cached_property
     def origins_per_pe(self) -> Optional[List[List[Tuple[int, int]]]]:
-        """Each PE's ``(source PE, position)`` origin labels; ``None`` unless
-        some rank reported origins."""
+        """Each PE's origin labels: ``(source PE, position in that PE's
+        sorted input block)`` per output; ``None`` unless some rank reported
+        origins."""
         if all(r.origins is None for r in self.rank_outputs):
             return None
         return [

@@ -17,12 +17,14 @@ their input into the cube first and end up empty.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..mpi.comm import Communicator
 from ..net.topology import hypercube_dimension, in_upper_half, partner
-from ..sequential import sort_strings_with_lcp
-from ..sequential.stats import CharStats
+from ..strings.packed import PackedStringArray
+from .local_sort import local_sort
 
 __all__ = ["hquick_sort", "_local_median", "_weighted_median", "_subcube_allgather"]
 
@@ -84,11 +86,13 @@ def hquick_sort(
     strings: Sequence[bytes],
     seed: int = 0,
     local_sorter: str = "msd_radix",
-) -> Tuple[List[bytes], List[int]]:
+) -> Tuple[PackedStringArray, np.ndarray]:
     """Sort the distributed string array with hypercube quicksort.
 
-    Returns this rank's ``(sorted_strings, lcp_array)``.  ``seed`` only
-    influences the random median sample (pivot quality), never the result.
+    Returns this rank's packed sorted run and its ``int64`` LCP array: the
+    pivot rounds partition ``bytes`` lists, and the final local sort packs
+    what is left once.  ``seed`` only influences the random median sample
+    (pivot quality), never the result.
     """
     p, rank = comm.size, comm.rank
     d = hypercube_dimension(p)
@@ -131,8 +135,4 @@ def hquick_sort(
                 )
                 local = keep + received
 
-    with comm.phase("hquick-local-sort"):
-        stats = CharStats()
-        out, lcps = sort_strings_with_lcp(local, local_sorter, stats)
-        comm.record_local_work(stats.chars_inspected, len(out))
-    return out, lcps
+    return local_sort(comm, local, local_sorter, phase="hquick-local-sort")

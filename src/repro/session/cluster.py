@@ -30,7 +30,7 @@ from ..net.metrics import TrafficMeter, TrafficReport
 from ..mpi.comm import Communicator
 from ..mpi.engine import SpmdError, get_engine
 from ..net.cost_model import DEFAULT_MACHINE, MachineModel
-from ..strings.checker import check_distributed_sort, check_prefix_permutation
+from ..strings.checker import check_sort
 from ..strings.packed import string_lengths, validate_strings
 from .registry import AlgorithmRegistry, default_registry
 from .specs import SortSpec
@@ -243,8 +243,9 @@ class Cluster:
             A :class:`SortSpec` (or an algorithm name, meaning that
             algorithm's default spec).  Defaults to ``MSSpec()``.
         check:
-            Verify the output contract (full-sort or the PDMS
-            prefix-permutation contract).
+            Hold the result to its output contract with
+            :func:`~repro.strings.checker.check_sort`: ``sorted()`` of all
+            inputs is the oracle, and PDMS's origins are followed.
         pre_distributed:
             ``data`` is already one block per PE; ``spec.distribute_by`` is
             ignored.
@@ -312,13 +313,7 @@ class Cluster:
         )
 
         if check:
-            outputs = result.outputs_per_pe
-            if result.origins_per_pe is not None:
-                check_prefix_permutation(blocks, outputs)
-            else:
-                lcps = result.lcps_per_pe
-                all_lcps = lcps if all(h is not None for h in lcps) else None
-                check_distributed_sort(blocks, outputs, all_lcps)
+            check_sort(blocks, results)
         return result
 
     def sort_batches(

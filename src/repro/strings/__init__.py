@@ -10,9 +10,7 @@ from .packed import (
 )
 from .stringset import StringSet
 from .lcp import (
-    lcp,
     lcp_array,
-    verify_lcp_array,
     distinguishing_prefix_size,
     dn_ratio,
     merge_lcp_statistics,
@@ -26,14 +24,7 @@ from .generators import (
     dna_reads,
     suffix_instance,
 )
-from .checker import (
-    SortCheckError,
-    CheckReport,
-    check_locally_sorted,
-    check_is_permutation,
-    check_distributed_sort,
-    check_prefix_permutation,
-)
+from .checker import SortCheckError, check_sort
 
 __all__ = [
     "PackedStringArray",
@@ -43,9 +34,7 @@ __all__ = [
     "truncate",
     "StringSet",
     "validate_strings",
-    "lcp",
     "lcp_array",
-    "verify_lcp_array",
     "distinguishing_prefix_size",
     "dn_ratio",
     "merge_lcp_statistics",
@@ -57,9 +46,5 @@ __all__ = [
     "dna_reads",
     "suffix_instance",
     "SortCheckError",
-    "CheckReport",
-    "check_locally_sorted",
-    "check_is_permutation",
-    "check_distributed_sort",
-    "check_prefix_permutation",
+    "check_sort",
 ]

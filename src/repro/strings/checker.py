@@ -1,178 +1,148 @@
-"""Output checkers for sequential and distributed string sorting.
+"""The output check of ``Cluster.sort(check=True)``: every PE's result
+against ``sorted()`` of all inputs.
 
-The distributed algorithms promise (Section V): after sorting, the strings on
-PE ``i`` are locally sorted, larger than every string on PE ``i-1`` and
-smaller than every string on PE ``i+1``; additionally the LCP array is
-produced.  PDMS only guarantees the permutation *of distinguishing prefixes*
-(Section VI), so it gets a dedicated checker that only compares prefixes.
+:func:`check_sort` holds a sort's per-PE results to the paper's contracts:
 
-Checkers raise :class:`SortCheckError` with a human-readable explanation on
-failure (so benchmark/CI logs immediately say *what* went wrong) and return a
-:class:`CheckReport` on success.
+* **Full sorts** (Section V): the PEs' runs back to back must equal
+  ``sorted()`` of all inputs — one comparison that checks local order, the
+  PE boundaries and the permutation together — and every LCP array a PE
+  returns must be the LCP array of its run.
+* **PDMS** (Section VI) returns approximate distinguishing prefixes, each
+  labelled with its origin: the source PE and the position in that PE's
+  sorted input block.  The origins must name every position of every sorted
+  block exactly once, each output must be a prefix of its origin's string
+  at least as long as that string's ``DIST``, and the origin strings in
+  output order must equal ``sorted()`` of all inputs.
+
+``sorted()`` shares no code with the kernels under test, so it is an
+independent oracle.  A failed check raises :class:`SortCheckError` naming the
+PE and the position where it failed.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Any, Callable, Optional, Sequence
 
-from .lcp import verify_lcp_array
+import numpy as np
 
-__all__ = [
-    "SortCheckError",
-    "CheckReport",
-    "check_locally_sorted",
-    "check_is_permutation",
-    "check_distributed_sort",
-    "check_prefix_permutation",
-]
+from .lcp import _dist_of_sorted_packed
+from .packed import PackedStringArray, concat_runs, packed_lcp_array, take, truncate
+
+__all__ = ["SortCheckError", "check_sort"]
 
 
 class SortCheckError(AssertionError):
-    """Raised when a sorting-output check fails."""
+    """Raised when a sort's output breaks its contract."""
 
 
-@dataclass
-class CheckReport:
-    """Summary of a successful check (useful for logging in benchmarks)."""
+def _first_difference(a: PackedStringArray, b: PackedStringArray) -> Optional[int]:
+    """Index of the first string where two arrays differ (``None``: equal).
 
-    num_strings: int
-    num_pes: int = 1
-    notes: List[str] = field(default_factory=list)
-
-    def __bool__(self) -> bool:  # a report always signals success
-        return True
-
-
-def check_locally_sorted(strings: Sequence[bytes], what: str = "output") -> None:
-    """Raise unless ``strings`` is in non-decreasing lexicographic order."""
-    for i in range(1, len(strings)):
-        if strings[i - 1] > strings[i]:
-            raise SortCheckError(
-                f"{what} not sorted at position {i}: "
-                f"{strings[i-1]!r} > {strings[i]!r}"
-            )
+    Both arrays start at offset 0.  Up to the first length mismatch the
+    strings sit at the same offsets, so one byte comparison finds the first
+    differing string before it.
+    """
+    n = min(len(a), len(b))
+    bad_length = np.flatnonzero(a.lengths[:n] != b.lengths[:n])
+    stop = int(bad_length[0]) if len(bad_length) else n
+    end = int(a.offsets[stop])
+    bad_byte = np.flatnonzero(a.buffer[:end] != b.buffer[:end])
+    if len(bad_byte):
+        return int(np.searchsorted(a.offsets, bad_byte[0], side="right")) - 1
+    return stop if stop < max(len(a), len(b)) else None
 
 
-def check_is_permutation(
-    inputs: Sequence[bytes], outputs: Sequence[bytes], what: str = "output"
+def check_sort(
+    inputs_per_pe: Sequence[Sequence[bytes]], rank_outputs: Sequence[Any]
 ) -> None:
-    """Raise unless ``outputs`` is a multiset permutation of ``inputs``."""
-    if len(inputs) != len(outputs):
-        raise SortCheckError(
-            f"{what}: expected {len(inputs)} strings, got {len(outputs)}"
-        )
-    cin = Counter(inputs)
-    cout = Counter(outputs)
-    if cin != cout:
-        missing = list((cin - cout).keys())[:3]
-        extra = list((cout - cin).keys())[:3]
-        raise SortCheckError(
-            f"{what} is not a permutation of the input; "
-            f"missing e.g. {missing}, unexpected e.g. {extra}"
-        )
+    """Raise :class:`SortCheckError` unless ``rank_outputs`` sort ``inputs_per_pe``.
 
-
-def check_distributed_sort(
-    inputs_per_pe: Sequence[Sequence[bytes]],
-    outputs_per_pe: Sequence[Sequence[bytes]],
-    lcps_per_pe: Sequence[Sequence[int]] | None = None,
-) -> CheckReport:
-    """Check the global output of MS/MS-simple/hQuick/FKmerge style sorters.
-
-    Verifies, per the contract of Section V:
-
-    1. each PE's output is locally sorted,
-    2. PE boundaries are respected (last string of PE ``i`` <= first of PE
-       ``i+1``), skipping empty PEs,
-    3. the concatenated output is a permutation of the concatenated input,
-    4. optionally, each PE's LCP array matches its local output.
+    ``rank_outputs[r]`` is PE ``r``'s result: a packed run ``strings``, its
+    ``int64`` ``lcps`` or ``None``, and PDMS's ``(n, 2)`` ``origins`` or
+    ``None``.  Results with origins on any PE are held to the PDMS contract.
     """
-    p = len(outputs_per_pe)
-    notes: List[str] = []
-    for r, out in enumerate(outputs_per_pe):
-        check_locally_sorted(out, what=f"PE {r} output")
+    expected = PackedStringArray.from_strings(
+        sorted([s for block in inputs_per_pe for s in block])
+    )
+    outputs, bounds = concat_runs([out.strings for out in rank_outputs])
 
-    last_nonempty: bytes | None = None
-    for r, out in enumerate(outputs_per_pe):
-        if not out:
-            notes.append(f"PE {r} received no strings")
-            continue
-        if last_nonempty is not None and last_nonempty > out[0]:
+    def where(k: int) -> str:
+        r = min(int(np.searchsorted(bounds, k, side="right")) - 1, len(rank_outputs) - 1)
+        return f"PE {r} position {k - int(bounds[r])}"
+
+    if any(out.origins is not None for out in rank_outputs):
+        full = _origin_strings(inputs_per_pe, rank_outputs, where)
+        k = _first_difference(full, expected)
+        if k is not None:
             raise SortCheckError(
-                f"PE boundary violated before PE {r}: "
-                f"{last_nonempty!r} > {out[0]!r}"
+                f"{where(k)}: origin string {full[k]!r} where sorted() has {expected[k]!r}"
             )
-        last_nonempty = out[-1]
-
-    flat_in = [s for part in inputs_per_pe for s in part]
-    flat_out = [s for part in outputs_per_pe for s in part]
-    check_is_permutation(flat_in, flat_out, what="global output")
-
-    if lcps_per_pe is not None:
-        for r, (out, h) in enumerate(zip(outputs_per_pe, lcps_per_pe)):
-            if not verify_lcp_array(out, h):
-                raise SortCheckError(f"PE {r}: LCP array mismatch")
-
-    return CheckReport(num_strings=len(flat_in), num_pes=p, notes=notes)
-
-
-def check_prefix_permutation(
-    inputs_per_pe: Sequence[Sequence[bytes]],
-    output_prefixes_per_pe: Sequence[Sequence[bytes]],
-) -> CheckReport:
-    """Checker for PDMS, which permutes (approximate) distinguishing prefixes.
-
-    PDMS does not move whole strings; each output entry is a prefix of some
-    input string.  The checked conditions are:
-
-    1. each PE's output prefixes are locally sorted,
-    2. PE boundaries are respected under prefix comparison,
-    3. the global multiset sizes agree and every output prefix is a prefix
-       of a distinct (greedily multiset-matched) input string.
-
-    Together they say the matched full strings are globally sorted *when
-    compared only up to the transmitted prefix lengths* — exactly the
-    guarantee PDMS gives — so the full strings' order needs no separate
-    check.  Whether a prefix reaches its string's distinguishing prefix is
-    not checked.
-    """
-    p = len(output_prefixes_per_pe)
-    flat_in = [s for part in inputs_per_pe for s in part]
-    flat_out = [s for part in output_prefixes_per_pe for s in part]
-    if len(flat_in) != len(flat_out):
-        raise SortCheckError(
-            f"expected {len(flat_in)} output prefixes, got {len(flat_out)}"
-        )
-
-    for r, out in enumerate(output_prefixes_per_pe):
-        check_locally_sorted(out, what=f"PE {r} prefix output")
-
-    last: bytes | None = None
-    for r, out in enumerate(output_prefixes_per_pe):
-        if not out:
-            continue
-        if last is not None and last > out[0]:
-            raise SortCheckError(f"PE prefix boundary violated before PE {r}")
-        last = out[-1]
-
-    # every output prefix must be matchable to a distinct input string of
-    # which it is a prefix; greedy matching over sorted inputs suffices
-    # because prefixes sort adjacent to their extensions.
-    remaining = Counter(flat_in)
-    for pref in flat_out:
-        # exact input string equal to the prefix is the cheapest match
-        if remaining.get(pref, 0) > 0:
-            remaining[pref] -= 1
-            continue
-        for cand in list(remaining):
-            if remaining[cand] > 0 and cand.startswith(pref):
-                remaining[cand] -= 1
-                break
-        else:
+        short = np.flatnonzero(outputs.lengths < _dist_of_sorted_packed(expected))
+        if len(short):
+            k = int(short[0])
             raise SortCheckError(
-                f"output prefix {pref!r} does not match any remaining input string"
+                f"{where(k)}: prefix {outputs[k]!r} is shorter than the DIST of {full[k]!r}"
+            )
+        # an output longer than its origin string is longer than the truncation
+        k = _first_difference(outputs, truncate(full, outputs.lengths))
+        if k is not None:
+            raise SortCheckError(
+                f"{where(k)}: {outputs[k]!r} is no prefix of its origin's {full[k]!r}"
+            )
+        return
+
+    k = _first_difference(outputs, expected)
+    if k is not None:
+        got = outputs[k] if k < len(outputs) else "the end of the output"
+        want = expected[k] if k < len(expected) else "the end of the input"
+        raise SortCheckError(f"{where(k)}: output {got!r} where sorted() has {want!r}")
+    for r, out in enumerate(rank_outputs):
+        if out.lcps is None:
+            continue
+        if len(out.lcps) != len(out.strings):
+            raise SortCheckError(
+                f"PE {r}: {len(out.lcps)} LCPs for {len(out.strings)} strings"
+            )
+        bad = np.flatnonzero(out.lcps != packed_lcp_array(out.strings))
+        if len(bad):
+            raise SortCheckError(
+                f"PE {r} position {int(bad[0])}: LCP {int(out.lcps[bad[0]])} is wrong"
             )
 
-    return CheckReport(num_strings=len(flat_in), num_pes=p)
+
+def _origin_strings(
+    inputs_per_pe: Sequence[Sequence[bytes]],
+    rank_outputs: Sequence[Any],
+    where: Callable[[int], str],
+) -> PackedStringArray:
+    """The strings PDMS's origins name, in output order, once the origins
+    are checked to name every position of every sorted input block once."""
+    for r, out in enumerate(rank_outputs):
+        named = 0 if out.origins is None else len(out.origins)
+        if named != len(out.strings):
+            raise SortCheckError(f"PE {r}: {named} origins for {len(out.strings)} prefixes")
+    origins = np.concatenate([out.origins for out in rank_outputs if out.origins is not None])
+    sizes = np.array([len(block) for block in inputs_per_pe], dtype=np.int64)
+    src, pos = origins[:, 0], origins[:, 1]
+    valid = (src >= 0) & (src < len(sizes)) & (pos >= 0)
+    valid &= pos < sizes[np.clip(src, 0, len(sizes) - 1)]
+    if not valid.all():
+        k = int(np.argmin(valid))
+        raise SortCheckError(f"{where(k)}: origin {tuple(origins[k].tolist())} names no input")
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    flat = starts[src] + pos
+    repeated = np.ones(len(flat), dtype=bool)
+    repeated[np.unique(flat, return_index=True)[1]] = False
+    if repeated.any():
+        k = int(np.argmax(repeated))
+        raise SortCheckError(f"{where(k)}: origin {tuple(origins[k].tolist())} is named twice")
+    if len(flat) != int(sizes.sum()):
+        missing = int(np.argmin(np.isin(np.arange(int(sizes.sum())), flat)))
+        r = int(np.searchsorted(starts, missing, side="right")) - 1
+        raise SortCheckError(
+            f"PE {r}'s sorted block position {missing - int(starts[r])} is named by no origin"
+        )
+    blocks = PackedStringArray.from_strings(
+        [s for block in inputs_per_pe for s in sorted(block)]
+    )
+    return take(blocks, flat)

@@ -34,57 +34,23 @@ from .packed import (
 )
 
 __all__ = [
-    "lcp",
     "lcp_array",
-    "verify_lcp_array",
     "distinguishing_prefix_size",
     "dn_ratio",
     "merge_lcp_statistics",
 ]
 
 
-def lcp(a: bytes, b: bytes) -> int:
-    """Length of the longest common prefix of ``a`` and ``b``.
-
-    A simple character loop; used on the hot path of the sequential sorters,
-    so it fast-paths the fully-equal-prefix case with slicing comparisons.
-    """
-    n = min(len(a), len(b))
-    if a[:n] == b[:n]:
-        return n
-    lo, hi = 0, n
-    # binary search over the first mismatch: a[:mid] == b[:mid] is monotone
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a[:mid] == b[:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 def lcp_array(strings: Sequence[bytes]) -> List[int]:
     """LCP array of a string sequence in its *given* order.
 
-    ``out[0] == 0`` and ``out[i] == lcp(strings[i-1], strings[i])``.  The input
+    ``out[0] == 0`` and ``out[i] == LCP(strings[i-1], strings[i])``.  The input
     does not need to be sorted (the distributed exchange step works with LCP
     arrays of arbitrarily ordered received sequences), but the common case is
     a sorted sequence.  The input is packed (a packed array as it is) and
     handed to the vectorized :func:`repro.strings.packed.packed_lcp_array`.
     """
     return packed_lcp_array(PackedStringArray.from_strings(strings)).tolist()
-
-
-def verify_lcp_array(strings: Sequence[bytes], lcps: Sequence[int]) -> bool:
-    """Check that ``lcps`` is the correct LCP array for ``strings``."""
-    if len(strings) != len(lcps):
-        return False
-    if strings and lcps and lcps[0] != 0:
-        return False
-    for i in range(1, len(strings)):
-        if lcps[i] != lcp(strings[i - 1], strings[i]):
-            return False
-    return True
 
 
 def _dist_of_sorted_packed(sorted_arr: PackedStringArray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Distinguishing prefixes by their definition, one string at a time.
+"""The scalar LCP, and distinguishing prefixes by their definition, one
+string at a time.
 
 ``DIST(s) = max LCP(s, t) + 1`` over the other strings ``t``, capped at
 ``|s|``; in sorted order the ``t`` with the largest LCP is a neighbour.
@@ -10,9 +11,24 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.strings.lcp import lcp
+__all__ = ["lcp", "distinguishing_prefixes"]
 
-__all__ = ["distinguishing_prefixes"]
+
+def lcp(a: bytes, b: bytes) -> int:
+    """Length of the longest common prefix of ``a`` and ``b``: a binary
+    search for the first mismatch over slice comparisons."""
+    n = min(len(a), len(b))
+    if a[:n] == b[:n]:
+        return n
+    lo, hi = 0, n
+    # a[:mid] == b[:mid] is monotone in mid
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[:mid] == b[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def distinguishing_prefixes(strings: Sequence[bytes]) -> List[int]:

@@ -4,14 +4,14 @@ All full-string algorithms must produce byte-identical global outputs (the
 sorted input), and the two PDMS variants must produce byte-identical prefix
 permutations, on the paper's three stress regimes: tunable D/N, skewed
 lengths, and heavy duplication.  Everything is verified through
-``repro.strings.checker`` *and* against ``sorted()`` ground truth.
+``repro.strings.checker.check_sort`` *and* against ``sorted()`` ground truth.
 """
 
 import pytest
 
 from engine_conformance import PAPER_ALGORITHMS
 from repro.session import Cluster, PDMSSpec, default_registry
-from repro.strings.checker import check_distributed_sort, check_prefix_permutation
+from repro.strings.checker import check_sort
 from repro.strings.generators import dn_instance, skewed_dn_instance
 
 from inputs import duplicate_heavy
@@ -40,7 +40,7 @@ def test_full_string_algorithms_agree(name):
     with Cluster(4) as cluster:
         for algorithm in FULL_STRING_ALGORITHMS:
             res = cluster.sort(data, default_registry().spec_class(algorithm)(seed=7))
-            check_distributed_sort(res.inputs_per_pe, res.outputs_per_pe)
+            check_sort(res.inputs_per_pe, res.rank_outputs)
             flat_outputs[algorithm] = res.sorted_strings
     for algorithm, flat in flat_outputs.items():
         assert flat == truth, f"{algorithm} disagrees with ground truth on {name}"
@@ -54,7 +54,7 @@ def test_prefix_algorithms_agree(name):
     with Cluster(4) as cluster:
         for algorithm in PREFIX_ALGORITHMS:
             res = cluster.sort(data, default_registry().spec_class(algorithm)(seed=7))
-            check_prefix_permutation(res.inputs_per_pe, res.outputs_per_pe)
+            check_sort(res.inputs_per_pe, res.rank_outputs)
             outputs[algorithm] = res.sorted_strings
     # Golomb coding changes the wire format only, never the detection
     # outcome, so the two variants emit identical prefix streams

@@ -14,7 +14,7 @@ import pytest
 
 from engine_conformance import PAPER_ALGORITHMS, engine_params, set_engine
 from repro.dist import merge_sort
-from repro.dist.api import _local_sort
+from repro.dist.local_sort import local_sort
 from repro.mpi import run_spmd
 from repro.sequential import SEQUENTIAL_SORTERS
 from repro.session import (
@@ -27,7 +27,7 @@ from repro.session import (
     PDMSGolombSpec,
     PDMSSpec,
 )
-from repro.strings.checker import check_distributed_sort
+from repro.strings.checker import check_sort
 from repro.strings.generators import (
     commoncrawl_like,
     dn_instance,
@@ -171,8 +171,7 @@ class TestMS:
             return merge_sort(comm, local, MSSpec())
 
         results, _ = run_spmd(4, prog, args_per_rank=[(b,) for b in blocks])
-        outputs = [r.strings for r in results]
-        check_distributed_sort(blocks, outputs)
+        check_sort(blocks, results)
 
     def test_tiny_inputs_fewer_strings_than_pes(self):
         data = [b"b", b"a"]
@@ -202,7 +201,7 @@ class TestLocalSort:
         given = PackedStringArray.from_strings(data) if packed_input else data
 
         def prog(comm):
-            run, lcps = _local_sort(comm, given, sorter)
+            run, lcps = local_sort(comm, given, sorter)
             assert isinstance(run, PackedStringArray)
             assert lcps.dtype.name == "int64"
             return run.to_list(), lcps.tolist()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.dist.hquick import _local_median, _subcube_allgather, _weighted_median, hquick_sort
 from repro.mpi import run_spmd
+from repro.session import Cluster
 from repro.strings.generators import random_strings
 
 
@@ -75,7 +76,14 @@ class TestHQuickEndToEnd:
             return hquick_sort(comm, [])
 
         results, _ = run_spmd(4, prog)
-        assert all(r == ([], []) for r in results)
+        assert all(len(run) == 0 and len(lcps) == 0 for run, lcps in results)
+
+    def test_a_long_shared_prefix_sorts_on_the_packed_kernel(self):
+        # the scalar msd_radix recursion took one frame per shared byte and
+        # overflowed the stack at a 1000-byte common prefix
+        data = [b"x" * 1000 + bytes([97 + i % 26]) * (i % 9) for i in range(300)]
+        res = Cluster(4).sort(data, "hquick", check=True)
+        assert res.sorted_strings == sorted(data)
 
     def test_identical_strings_everywhere(self):
         def prog(comm):

@@ -5,13 +5,11 @@ import pytest
 from repro.strings.lcp import (
     distinguishing_prefix_size,
     dn_ratio,
-    lcp,
     lcp_array,
     merge_lcp_statistics,
-    verify_lcp_array,
 )
 
-from oracles.lcp import distinguishing_prefixes
+from oracles.lcp import distinguishing_prefixes, lcp
 
 
 class TestLcp:
@@ -53,25 +51,6 @@ class TestLcpArray:
     def test_lcp_array_of_sorted_accepts_duplicates(self):
         # a repeat shares its whole length with its predecessor, "" included
         assert lcp_array([b"", b"", b"a", b"a", b"ab", b"ab"]) == [0, 0, 0, 1, 1, 2]
-
-
-class TestVerifyLcpArray:
-    def test_accepts_correct(self):
-        s = [b"algae", b"alpha", b"alps"]
-        assert verify_lcp_array(s, [0, 2, 3])
-
-    def test_rejects_wrong_value(self):
-        s = [b"algae", b"alpha", b"alps"]
-        assert not verify_lcp_array(s, [0, 2, 2])
-
-    def test_rejects_wrong_length(self):
-        assert not verify_lcp_array([b"a"], [0, 0])
-
-    def test_rejects_nonzero_first_entry(self):
-        assert not verify_lcp_array([b"a", b"ab"], [1, 1])
-
-    def test_empty(self):
-        assert verify_lcp_array([], [])
 
 
 class TestDistinguishingPrefixes:

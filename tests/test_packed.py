@@ -27,7 +27,7 @@ from repro.mpi.serialization import (
 )
 from repro.sequential import CharStats
 from repro.sequential.vector_sort import vector_sort_with_lcp
-from repro.strings.lcp import lcp, lcp_array
+from repro.strings.lcp import lcp_array
 from repro.strings.packed import (
     PackedStringArray,
     clip_lcps,
@@ -42,6 +42,7 @@ from repro.strings.packed import (
 )
 
 from oracles.front_coding import _front_decode_scalar, front_code, front_decode
+from oracles.lcp import lcp
 from oracles.partition import bucket_boundaries as bisect_boundaries
 
 #: pickle framing of a packed array beyond its payload: two numpy headers

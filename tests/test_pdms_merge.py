@@ -18,8 +18,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dist.api import _local_sort
 from repro.dist.exchange import exchange_buckets
+from repro.dist.local_sort import local_sort
 from repro.dist.partition import split_into_buckets
 from repro.dist.prefix_doubling import approximate_dist_prefixes
 from repro.dist.splitters import determine_splitters
@@ -33,7 +33,7 @@ from inputs import duplicate_heavy
 
 def reference_pdms(comm, strings, spec, golomb):
     """The list-based PDMS rank program, merge by ``heapq``."""
-    local_sorted, _ = _local_sort(comm, strings, spec.local_sorter)
+    local_sorted, _ = local_sort(comm, strings, spec.local_sorter)
     local_sorted = list(local_sorted)
     doubling = approximate_dist_prefixes(
         comm, local_sorted, initial_length=spec.initial_length,

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.dist.partition import select_splitters, string_based_samples
 from repro.session import Cluster, FKMergeSpec, HQuickSpec, MSSimpleSpec, MSSpec, PDMSSpec
-from repro.strings.checker import check_distributed_sort, check_prefix_permutation
+from repro.strings.checker import check_sort
 from repro.strings.packed import PackedStringArray, packed_bucket_boundaries
 
 # small alphabet -> many shared prefixes and exact duplicates
@@ -30,7 +30,7 @@ _SETTINGS = dict(
 @given(strings=string_lists, p=st.integers(min_value=1, max_value=5))
 def test_ms_sorts_arbitrary_inputs(strings, p):
     res = Cluster(p).sort(strings, MSSpec())
-    check_distributed_sort(res.inputs_per_pe, res.outputs_per_pe, res.lcps_per_pe)
+    check_sort(res.inputs_per_pe, res.rank_outputs)
     assert res.sorted_strings == sorted(strings)
 
 
@@ -45,7 +45,7 @@ def test_ms_simple_sorts_arbitrary_inputs(strings, p):
 @given(strings=string_lists, p=st.integers(min_value=1, max_value=4))
 def test_hquick_sorts_arbitrary_inputs(strings, p):
     res = Cluster(p).sort(strings, HQuickSpec())
-    check_distributed_sort(res.inputs_per_pe, res.outputs_per_pe)
+    check_sort(res.inputs_per_pe, res.rank_outputs)
     assert res.sorted_strings == sorted(strings)
 
 
@@ -60,7 +60,7 @@ def test_fkmerge_sorts_arbitrary_inputs(strings, p):
 @given(strings=string_lists, p=st.integers(min_value=1, max_value=4))
 def test_pdms_prefix_contract_on_arbitrary_inputs(strings, p):
     res = Cluster(p).sort(strings, PDMSSpec())
-    check_prefix_permutation(res.inputs_per_pe, res.outputs_per_pe)
+    check_sort(res.inputs_per_pe, res.rank_outputs)
 
 
 @settings(max_examples=60, deadline=None)

@@ -41,11 +41,11 @@ from repro.sequential import (
 import repro.sequential.lcp_losertree as losertree
 from repro.sequential.lcp_losertree import lcp_multiway_merge_packed
 from repro.strings.generators import commoncrawl_like
-from repro.strings.lcp import distinguishing_prefix_size, lcp, lcp_array
+from repro.strings.lcp import distinguishing_prefix_size, lcp_array
 from repro.strings.packed import PackedStringArray
 
 from oracles.golomb import decode_sorted, encode_sorted
-from oracles.lcp import distinguishing_prefixes
+from oracles.lcp import distinguishing_prefixes, lcp
 from oracles.losertree import LoserTree, lcp_multiway_merge
 
 # byte strings over a tiny alphabet maximise shared prefixes and duplicates,

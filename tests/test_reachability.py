@@ -269,7 +269,7 @@ def run_algorithms(tmp: Path) -> None:
     """Every registered algorithm on every topology, threads at p in {1, 3, 4}.
 
     Each result is checked and read the way users read it: bytes per
-    string and modelled time.  MS also sorts a block behind one shared
+    string, modelled time and the LCP arrays.  MS also sorts a block behind one shared
     prefix whose ranks each merge over 1024 strings (the merge's word
     radix).
     """
@@ -283,6 +283,7 @@ def run_algorithms(tmp: Path) -> None:
                 result = cluster.sort(data, name, check=True)
                 result.bytes_per_string()
                 result.modeled_time()
+                result.lcps_per_pe
     Cluster(2, engine="threads").sort(shared_prefix(3000, seed=1), "ms", check=True)
 
 
@@ -517,10 +518,11 @@ def run_perfbench_names(tmp: Path) -> None:
 
 def run_invalid(tmp: Path) -> None:
     """Error paths: an unknown spec key, bad ``REPRO_*`` and flag values,
-    a deadlocking ``run_spmd`` program."""
+    a deadlocking ``run_spmd`` program, an output the check rejects."""
     from repro import Cluster, SortSpec, run_spmd
     from repro.cli import main
     from repro.mpi.engine import SpmdError
+    from repro.strings import SortCheckError, check_sort
 
     with pytest.raises(ValueError, match="sampling"):
         SortSpec.from_dict({"algorithm": "ms", "sampilng": "string"})
@@ -544,6 +546,11 @@ def run_invalid(tmp: Path) -> None:
 
     with pytest.raises(SpmdError, match="deadlock"):
         run_spmd(2, deadlock, engine="threads")
+
+    result = Cluster(2).sort(_small(), "ms")
+    result.rank_outputs.reverse()
+    with pytest.raises(SortCheckError, match="PE 0 position 0"):
+        check_sort(result.inputs_per_pe, result.rank_outputs)
 
 
 #: name -> entry, each run once with a scratch directory of its own

@@ -121,8 +121,8 @@ EXPECTED = {
         "dna/p4": "43665b6f10becf7088bd5f299115f7ebf599e8371edc369349a8dc4c98c8b4e6",
     },
     "ms[sample_sort=hquick]": {
-        "dn/p4": "4282d5e66a3bd585c8ef328ebd29d98180a49be7466b6245d8db402fb4560c17",
-        "dna/p4": "4abe5175e740bdb84241551bcaa1df750baa38343315347c07efb2a29b66df72",
+        "dn/p4": "542ebb9e742dfe7580949898e71bb151f0b00e3507559cd1f45f71c3cf7aefc2",
+        "dna/p4": "511e5cb6d200c14258b27f0b7ce6cd1c58907bc62982fb37701081d0665e3e9e",
     },
     "ms[oversampling=3]": {
         "dn/p4": "24ed94b1f6bda5b6c0799f1ddea3cb00c5160a7e54a354d7521e12ed86bed8d2",
@@ -147,8 +147,8 @@ EXPECTED = {
         "dna/p4": "0f1bcef2d13eb7292efb125e45584c0d33dda66adb84cfbafbe5a46223a59483",
     },
     "ms-simple[sample_sort=hquick]": {
-        "dn/p4": "b76f7a20c83cba724f40cbe5bbb46c143f41d5fac495c225b9b869922e9da700",
-        "dna/p4": "e0f88125e2cf64531d968cf55d8aee06a75969d5486561305decee718e56f038",
+        "dn/p4": "a52b0e1a3eb3542771593b758e448ff012a386e1c4b1dccd50bc387db47371c0",
+        "dna/p4": "a8c1bcd1a45f3442802dfbf140732acb93da38c3c4e27ef2d7b6b4f473bb1cfb",
     },
     "ms-simple[oversampling=3]": {
         "dn/p4": "f33e39a12bc4641f0235b73ada1bb4e40602bd94995e112bee90fa83222e0af3",
@@ -173,8 +173,8 @@ EXPECTED = {
         "dna/p4": "0def625ca25b58d20adfeb249735726be4f8c490da770759e2b0b2f257249ef4",
     },
     "pdms[sample_sort=hquick]": {
-        "dn/p4": "39c5272c31db471b72c98f9314aa85102c30af6497cbfeab1d4b9e8b820414fc",
-        "dna/p4": "637dd81b21fa89b85862c7a410027e19b93e304f11a68ffb591886bfea862a8b",
+        "dn/p4": "468b5fb2fb8506dec4265f36c23e9e05598a81a649526e79090597118c47a0bd",
+        "dna/p4": "d959b8e05eca4c8d825329d5f22c8e19345f19519057c098b8e1ab4a84e602bf",
     },
     "pdms[oversampling=3]": {
         "dn/p4": "efec47ec282f0b2b2ed02dd843724fddf3c2b399bb884317a6761f2c97de6d8f",
@@ -203,8 +203,8 @@ EXPECTED = {
         "dna/p4": "0def625ca25b58d20adfeb249735726be4f8c490da770759e2b0b2f257249ef4",
     },
     "pdms-golomb[sample_sort=hquick]": {
-        "dn/p4": "fc7213d6f31f2d234fa0e87c2fe4bc41156a0f1f7135c6c0db3a8891bc1e47bd",
-        "dna/p4": "637dd81b21fa89b85862c7a410027e19b93e304f11a68ffb591886bfea862a8b",
+        "dn/p4": "8151029c570833efcbe337dc0abffdd49b3e4f027025aef724a48f64adae5d2a",
+        "dna/p4": "d959b8e05eca4c8d825329d5f22c8e19345f19519057c098b8e1ab4a84e602bf",
     },
     "pdms-golomb[oversampling=3]": {
         "dn/p4": "b5c30eb0deeb030c441b02690c4875d444d2b49a8ce3b2d2db6b359faad1a554",
@@ -223,18 +223,18 @@ EXPECTED = {
         "dna/p4": "64e6dd8ea96f3f728bdd385763d366d2a1bfc5c5ed87569ad8427e3742f5d194",
     },
     "hquick": {
-        "dn/p1": "3bf51c9b49205ed640099a3806d9030363c99d4058d287435a1200f660e34100",
-        "dna/p1": "07401902314b340968dd63e06d1fa23683952853e1d581164d2bb75c5570a5f0",
-        "dn/p4": "d28ef29fee6dc13eb4437cf988162383f63d2c1a07b2d583bc8c0dab4c32dbaa",
-        "dna/p4": "1de0bfc88b3537e0286dbbb871eb908b0eb0fe7d73740e16ebe55b3a4dd4282e",
+        "dn/p1": "de55b2414eb3095c082307169b482e69af2cbc16a3cbfa39290665a821836694",
+        "dna/p1": "8325cec2f0f6ffd36baec74478a422216bd319ac6523ced8cfb61a6ad9640de5",
+        "dn/p4": "33f5527b09a7cdd0d5bd1b8176758e381e4585dc898f4fc1c5964e4dd7368dc9",
+        "dna/p4": "2293a6ade33a0160d36371078a2ae212314dc636bbf2b529f94a1c42ffee86c1",
     },
     "hquick[local_sorter=multikey_quicksort]": {
         "dn/p4": "d28ef29fee6dc13eb4437cf988162383f63d2c1a07b2d583bc8c0dab4c32dbaa",
         "dna/p4": "1de0bfc88b3537e0286dbbb871eb908b0eb0fe7d73740e16ebe55b3a4dd4282e",
     },
     "hquick[exchange_topology=hypercube]": {
-        "dn/p4": "d28ef29fee6dc13eb4437cf988162383f63d2c1a07b2d583bc8c0dab4c32dbaa",
-        "dna/p4": "1de0bfc88b3537e0286dbbb871eb908b0eb0fe7d73740e16ebe55b3a4dd4282e",
+        "dn/p4": "33f5527b09a7cdd0d5bd1b8176758e381e4585dc898f4fc1c5964e4dd7368dc9",
+        "dna/p4": "2293a6ade33a0160d36371078a2ae212314dc636bbf2b529f94a1c42ffee86c1",
     },
     "fkmerge": {
         "dn/p1": "ae2797a589688170eefe229750002d1c0dee753f1c98ea6b879623123528fffe",
@@ -265,8 +265,8 @@ EXPECTED = {
         "dna/p4": "0786b74b33c3a7e62d7f9b0a26a0c5d710451f96520d76fae83780fadfe4f2e2",
     },
     "auto[sample_sort=hquick]": {
-        "dn/p4": "f30ddb51214053938a1ca9482319b04766e62584d1f8debdf805c17fc98f7a4e",
-        "dna/p4": "48e96711584cac3f77f7113a908e332fd97f158de8191a880c2ae59a955a33d0",
+        "dn/p4": "773d05a4949f1cbdcdf723c79bee97ab639e3c587b4f0aa2081da276b92ae9d8",
+        "dna/p4": "93aec58f37bbd72bf3b4f9a11863749b94a6c2e6ef4ea9d23cc0afabbc9dba3f",
     },
     "auto[oversampling=3]": {
         "dn/p4": "c76bd3aa3f6d21dd9dbb44045e18550acd3a931cbf8ed557c5e301f654154692",
@@ -289,25 +289,27 @@ EXPECTED = {
 #: cases whose wire bytes follow the fingerprint hash -> ``{"<input>/p<p>":
 #: digest without wire bytes}``, recorded with the blake2b fingerprints the
 #: double Karp–Rabin hash replaced: outputs, LCP arrays, origins, ``extra``
-#: (doubling rounds and lengths) and characters inspected must not move
+#: (doubling rounds and lengths) and characters inspected must not move;
+#: the ``[sample_sort=hquick]`` entries were re-pinned when hQuick's local sort
+#: moved to the packed kernel, which moves characters inspected only
 BYTES_FREE = {
     "pdms": {"dn/p4": "49c6c8b2efba349d", "dna/p4": "3698c4c42f8e925b"},
     "pdms[sampling=character]": {"dn/p4": "046aa3fe08e2a854", "dna/p4": "d02106674126aab6"},
-    "pdms[sample_sort=hquick]": {"dn/p4": "1bdc8a4e1abaaddc", "dna/p4": "e4d166222541ba60"},
+    "pdms[sample_sort=hquick]": {"dn/p4": "7a2939f3c9e59931", "dna/p4": "a40e886732a5bf3f"},
     "pdms[oversampling=3]": {"dn/p4": "87e07b198bab561f", "dna/p4": "d8ffebb73afc0cb9"},
     "pdms[local_sorter=multikey_quicksort]": {"dn/p4": "3ddb26fab7f09551", "dna/p4": "41f0c647e46b2b9e"},
     "pdms[epsilon=0.5,initial_length=2]": {"dn/p4": "9caf748127d87613", "dna/p4": "28e3881ebeea8aae"},
     "pdms[exchange_topology=hypercube]": {"dn/p4": "49c6c8b2efba349d", "dna/p4": "3698c4c42f8e925b"},
     "pdms-golomb": {"dn/p4": "49c6c8b2efba349d", "dna/p4": "3698c4c42f8e925b"},
     "pdms-golomb[sampling=character]": {"dn/p4": "046aa3fe08e2a854", "dna/p4": "d02106674126aab6"},
-    "pdms-golomb[sample_sort=hquick]": {"dn/p4": "1bdc8a4e1abaaddc", "dna/p4": "e4d166222541ba60"},
+    "pdms-golomb[sample_sort=hquick]": {"dn/p4": "7a2939f3c9e59931", "dna/p4": "a40e886732a5bf3f"},
     "pdms-golomb[oversampling=3]": {"dn/p4": "87e07b198bab561f", "dna/p4": "d8ffebb73afc0cb9"},
     "pdms-golomb[local_sorter=multikey_quicksort]": {"dn/p4": "3ddb26fab7f09551", "dna/p4": "41f0c647e46b2b9e"},
     "pdms-golomb[epsilon=0.5,initial_length=2]": {"dn/p4": "9caf748127d87613", "dna/p4": "28e3881ebeea8aae"},
     "pdms-golomb[exchange_topology=hypercube]": {"dn/p4": "49c6c8b2efba349d", "dna/p4": "3698c4c42f8e925b"},
     "auto": {"dna/p4": "756c044ae28bc756"},
     "auto[sampling=character]": {"dna/p4": "a9f85ad89f43f96b"},
-    "auto[sample_sort=hquick]": {"dna/p4": "8886a3ac6e1c5e30"},
+    "auto[sample_sort=hquick]": {"dna/p4": "887951c851a2bb70"},
     "auto[oversampling=3]": {"dna/p4": "1217194e5d39e5ac"},
     "auto[local_sorter=multikey_quicksort]": {"dna/p4": "e0a3079b6b459b82"},
     "auto[epsilon=0.5,initial_length=2]": {"dna/p4": "410a78fb08be506d"},
