@@ -70,52 +70,57 @@ def _radix(
     radix_threshold: int,
     insertion_threshold: int,
 ) -> None:
-    n = len(strings)
-    if n == 0:
-        return
-    start0 = len(out)
-    if n == 1:
-        out.append(strings[0])
-        lcps.append(depth)
-        return
-    if n < radix_threshold:
-        sub, sub_lcps = multikey_quicksort(
-            strings, depth, stats, insertion_threshold=insertion_threshold
-        )
-        sub_lcps[0] = depth
-        out.extend(sub)
-        lcps.extend(sub_lcps)
-        return
+    """Append the sorted ``strings`` (sharing ``depth`` characters) and their LCPs.
 
-    if stats is not None:
-        stats.bucket_passes += 1
-        stats.add_chars(sum(1 for s in strings if depth < len(s)))
+    An explicit work stack stands in for the recursion, so a long shared
+    prefix costs stack items, not Python frames.  Each item carries the LCP
+    its first output string gets: the first bucket of a pass inherits its
+    pass's, every later one differs from its predecessor at the pass's
+    ``depth``.
+    """
+    work: List[Tuple[List[bytes], int, int]] = [(strings, depth, depth)]
+    while work:
+        strings, depth, boundary = work.pop()
+        n = len(strings)
+        if n == 0:
+            continue
+        if n == 1:
+            out.append(strings[0])
+            lcps.append(boundary)
+            continue
+        if n < radix_threshold:
+            sub, sub_lcps = multikey_quicksort(
+                strings, depth, stats, insertion_threshold=insertion_threshold
+            )
+            sub_lcps[0] = boundary
+            out.extend(sub)
+            lcps.extend(sub_lcps)
+            continue
 
-    # bucket by the character at ``depth``; ``finished`` collects strings that
-    # end here (their implicit 0 terminator sorts before every real character)
-    finished: List[bytes] = []
-    buckets: Dict[int, List[bytes]] = {}
-    for s in strings:
-        if depth >= len(s):
-            finished.append(s)
-        else:
-            buckets.setdefault(s[depth], []).append(s)
+        if stats is not None:
+            stats.bucket_passes += 1
+            stats.add_chars(sum(1 for s in strings if depth < len(s)))
 
-    wrote_any = False
-    if finished:
-        # all strings in this bucket are equal (same prefix, same length)
-        out.extend(finished)
-        lcps.extend([depth] * len(finished))
-        wrote_any = True
+        # bucket by the character at ``depth``; ``finished`` collects strings
+        # that end here (their implicit 0 terminator sorts before every real
+        # character)
+        finished: List[bytes] = []
+        buckets: Dict[int, List[bytes]] = {}
+        for s in strings:
+            if depth >= len(s):
+                finished.append(s)
+            else:
+                buckets.setdefault(s[depth], []).append(s)
 
-    for ch in sorted(buckets):
-        start = len(out)
-        _radix(
-            buckets[ch], depth + 1, out, lcps, stats, radix_threshold, insertion_threshold
-        )
-        if wrote_any:
-            # boundary with the previous bucket: differs at position ``depth``
-            lcps[start] = depth
-        wrote_any = True
+        if finished:
+            # all strings in this bucket are equal (same prefix, same length)
+            out.extend(finished)
+            lcps.append(boundary)
+            lcps.extend([depth] * (len(finished) - 1))
+            boundary = depth
 
-    lcps[start0] = depth
+        # pushed last to first, so the first bucket is taken next; it alone
+        # starts where the pass does
+        chars = sorted(buckets)
+        for ch in reversed(chars):
+            work.append((buckets[ch], depth + 1, boundary if ch == chars[0] else depth))

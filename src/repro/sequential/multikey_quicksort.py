@@ -80,66 +80,65 @@ def _mkqs(
     stats: Optional[CharStats],
     insertion_threshold: int,
 ) -> None:
-    """Recursive worker appending the sorted strings/LCPs of one subproblem.
+    """Append the sorted ``strings`` (sharing ``depth`` characters) and their LCPs.
 
-    The first appended LCP entry of each subproblem is ``depth``; the caller
-    (or a previous sibling group) is responsible for the true boundary value,
-    which for sibling groups is exactly ``depth`` anyway.
+    An explicit work stack stands in for the recursion, so a long shared
+    prefix (one ``=`` group per shared character) costs stack items, not
+    Python frames.  Each item carries the LCP its first output string gets:
+    the first non-empty group of a partition inherits its partition's, every
+    later one differs from its predecessor at the partition's ``depth``.
+    An ``ended`` item holds strings that all end at ``depth``: they are equal.
     """
-    n = len(strings)
-    if n == 0:
-        return
-    start0 = len(out)
-    if n == 1:
-        out.append(strings[0])
-        lcps.append(depth)
-        return
-    if n <= insertion_threshold:
-        sub, sub_lcps = lcp_insertion_sort(strings, depth, stats)
-        sub_lcps[0] = depth
-        out.extend(sub)
-        lcps.extend(sub_lcps)
-        return
+    work: List[Tuple[List[bytes], int, int, bool]] = [(strings, depth, depth, False)]
+    while work:
+        strings, depth, boundary, ended = work.pop()
+        n = len(strings)
+        if n == 0:
+            continue
+        if n == 1 or ended:
+            out.extend(strings)
+            lcps.append(boundary)
+            lcps.extend([depth] * (n - 1))
+            continue
+        if n <= insertion_threshold:
+            sub, sub_lcps = lcp_insertion_sort(strings, depth, stats)
+            sub_lcps[0] = boundary
+            out.extend(sub)
+            lcps.extend(sub_lcps)
+            continue
 
-    if stats is not None:
-        stats.bucket_passes += 1
-
-    pivot = _median_of_three(strings, depth)
-    lt: List[bytes] = []
-    eq: List[bytes] = []
-    gt: List[bytes] = []
-    for s in strings:
-        c = _char_at(s, depth)
         if stats is not None:
-            stats.add_chars(1 if c != _END else 0)
-        if c < pivot:
-            lt.append(s)
-        elif c == pivot:
-            eq.append(s)
-        else:
-            gt.append(s)
+            stats.bucket_passes += 1
 
-    _mkqs(lt, depth, out, lcps, stats, insertion_threshold)
+        pivot = _median_of_three(strings, depth)
+        lt: List[bytes] = []
+        eq: List[bytes] = []
+        gt: List[bytes] = []
+        for s in strings:
+            c = _char_at(s, depth)
+            if stats is not None:
+                stats.add_chars(1 if c != _END else 0)
+            if c < pivot:
+                lt.append(s)
+            elif c == pivot:
+                eq.append(s)
+            else:
+                gt.append(s)
 
-    if eq:
-        if pivot == _END:
-            # all strings in eq end at ``depth`` and are therefore equal
-            out.extend(eq)
-            lcps.extend([depth] * len(eq))
-        else:
-            _mkqs(eq, depth + 1, out, lcps, stats, insertion_threshold)
-        # fix the boundary between the lt block and the eq block: both share
-        # exactly ``depth`` characters (they differ at position ``depth``)
-        if lt:
-            lcps[len(lcps) - len(eq)] = depth
-
-    if gt:
-        start = len(out)
-        _mkqs(gt, depth, out, lcps, stats, insertion_threshold)
-        if lt or eq:
-            lcps[start] = depth
-
-    # Normalise the convention: the first LCP entry of every subproblem is
-    # exactly ``depth``; the caller overwrites it when it knows better (it is
-    # a boundary between sibling groups) and relies on it otherwise.
-    lcps[start0] = depth
+        # the ``=`` group goes one character deeper unless its pivot is the
+        # end of the strings, which makes them equal
+        at_end = pivot == _END
+        groups = [
+            item
+            for item in (
+                (lt, depth, False),
+                (eq, depth if at_end else depth + 1, at_end),
+                (gt, depth, False),
+            )
+            if item[0]
+        ]
+        # pushed last to first, so the first group is taken next; it alone
+        # starts where the partition does
+        for i in reversed(range(len(groups))):
+            group, group_depth, group_ended = groups[i]
+            work.append((group, group_depth, depth if i else boundary, group_ended))

@@ -1,16 +1,21 @@
-"""Shared fixtures of the test suite: the engine axis and leak policing.
+"""Shared fixtures of the test suite: the engine axis, the traced corpus and leak policing.
 
-Three things live here:
+Four things live here:
 
 * the ``engine`` fixture — parametrizes a test over every registered
   execution backend (``threads``, ``processes``, plus any third-party
-  registration), scoping ``REPRO_ENGINE`` so the whole call tree under test
-  runs on that backend, and skipping cells gracefully where the platform
-  cannot run one (see ``tests/engine_conformance.py``);
+  registration; not the conformance suite's test-only engines), scoping
+  ``REPRO_ENGINE`` so the whole call tree under test runs on that backend,
+  and skipping cells gracefully where the platform cannot run one (see
+  ``tests/engine_conformance.py``);
 * the ``tier1`` hypothesis profile — ``derandomize=True`` makes every
   property test draw the same examples on every run, so a failure under
   ``-x`` stops on the same example every time (and ``deadline=None`` keeps a
   loaded host from turning a slow example into a flake);
+* the ``corpus_trace`` fixture — the conformance corpus sorted once per
+  session with every rank thread traced, shared by
+  ``tests/test_rank_branches.py`` (the lines of the rank programs) and
+  ``tests/test_module_state.py`` (writes to module state);
 * an autouse leak check — every test must leave the process clean: no live
   multiprocessing children and no orphaned ``reproshm-*`` shared-memory
   segments.  This holds ``ProcessEngine.run``/``shutdown`` to their
@@ -26,7 +31,13 @@ import time
 
 import pytest
 
-from engine_conformance import engine_params, set_engine
+from engine_conformance import (
+    RANK_PROGRAM_PACKAGES,
+    SRC,
+    engine_params,
+    set_engine,
+    trace_runs,
+)
 
 try:
     from hypothesis import settings
@@ -42,11 +53,24 @@ _SHM_DIR = "/dev/shm"
 _SHM_PREFIX = "reproshm-"
 
 
-@pytest.fixture(params=engine_params())
+@pytest.fixture(params=engine_params(test_engines=False))
 def engine(request):
     """Run the test once per registered engine (``REPRO_ENGINE`` scoped)."""
     with set_engine(request.param):
         yield request.param
+
+
+@pytest.fixture(scope="session")
+def corpus_trace():
+    """:func:`engine_conformance.trace_runs` over the whole corpus, watching
+    every file of the rank-program packages."""
+    return trace_runs(
+        watched=[
+            str(path)
+            for package in RANK_PROGRAM_PACKAGES
+            for path in sorted((SRC / package).glob("*.py"))
+        ]
+    )
 
 
 def _stray_segments():

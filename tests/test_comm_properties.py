@@ -35,7 +35,7 @@ _SETTINGS = dict(
 
 @pytest.fixture(scope="module", params=engine_params(), autouse=True)
 def comm_engine(request):
-    """Run every property of this module on each registered engine.
+    """Run every property of this module on each engine of the conformance axis.
 
     Module-scoped so the hypothesis tests can share it (function-scoped
     parametrized fixtures would trip hypothesis health checks); engines

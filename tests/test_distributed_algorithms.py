@@ -4,10 +4,12 @@ Each algorithm is exercised through ``Cluster.sort`` (which also runs the
 full contract checker) on inputs chosen to hit its specific mechanisms, plus
 direct SPMD-level tests of properties a cluster sort does not expose.
 
-The whole module runs once per registered execution engine (the
+The whole module runs once per engine of the conformance axis (the
 module-scoped ``spmd_engine`` fixture below scopes ``REPRO_ENGINE``), so
-every algorithm property proved here is proved on real OS processes too;
-engines the platform cannot run are skipped with the platform's reason.
+every algorithm property proved here is proved on real OS processes, with
+every payload pickled and with the ranks scheduled in a permuted order
+too; engines the platform cannot run are skipped with the platform's
+reason.
 """
 
 import pytest
@@ -43,7 +45,7 @@ from inputs import duplicate_heavy
 
 @pytest.fixture(scope="module", params=engine_params(), autouse=True)
 def spmd_engine(request):
-    """Run every test of this module on each registered execution engine."""
+    """Run every test of this module on each engine of the conformance axis."""
     with set_engine(request.param):
         yield request.param
 

@@ -14,6 +14,11 @@ fixtures under ``tests/fixtures/lint/``.
 ``TestCommGraph`` pins each algorithm's communication structure as the
 meter records it: the ``(kind, phase)`` sequence of ``report.collectives``.
 
+``TestSeededMutations`` holds the two test-only engines to what they are
+for: each catches a seeded bug that the threads engine runs the same way
+every time and so cannot see (an aliased buffer, an order-dependent
+result).  ``TestEngineAxis`` checks that neither is a run option.
+
 Reference fingerprints are computed once per (algorithm, topology) cell and cached for the whole module, so adding a backend to the axis costs
 only that backend's runs.
 """
@@ -21,7 +26,10 @@ only that backend's runs.
 from __future__ import annotations
 
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,14 +40,17 @@ from engine_conformance import (
     REFERENCE_ENGINE,
     TOPOLOGIES,
     PhaseFailure,
+    TEST_ENGINES,
     all_engines,
     assert_engines_agree,
     engine_available,
     engine_params,
     failure_cause,
+    registered,
     sort_fingerprint,
 )
-from repro.mpi.engine import SpmdError, run_spmd
+from repro.config import RunConfig
+from repro.mpi.engine import ENGINES, SpmdError, run_spmd
 
 LINT_FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
 
@@ -57,8 +68,9 @@ def _reference(algorithm, topology, num_pes=4):
 
 @pytest.fixture(params=engine_params())
 def candidate_engine(request):
-    """Every registered engine, including the reference (self-conformance)."""
-    return request.param
+    """Every engine of the axis, including the reference (self-conformance)."""
+    with registered(request.param):
+        yield request.param
 
 
 class TestConformanceMatrix:
@@ -228,12 +240,14 @@ class TestSpmdAtRuntime:
         message = _spmd_failure(
             candidate_engine, program, args_per_rank=[([b"a"],), ([b"b"],)]
         )
-        # rank 1 returned before the bcast only rank 0 enters
-        expected = {
-            "threads": "rank 0 waits for collective step 2 (bcast(root=0)); "
-            "rank 1 has returned",
-            "processes": "rank 0: lost rank 1 before collective step 2",
-        }[candidate_engine]
+        # rank 1 returned before the bcast only rank 0 enters; the test-only
+        # engines schedule on threads and report what the threads engine does
+        expected = (
+            "rank 0: lost rank 1 before collective step 2"
+            if candidate_engine == "processes"
+            else "rank 0 waits for collective step 2 (bcast(root=0)); "
+            "rank 1 has returned"
+        )
         assert expected in message
 
     def test_orphan_recv_fixture(self, candidate_engine):
@@ -260,9 +274,111 @@ class TestRootCause:
         assert f"entering {phase!r}" in str(cause)
 
 
+def _aliasing_program(transport):
+    """A seeded aliasing bug: rank 1 writes into the buffer it received
+    from rank 0, and rank 0 reads its own buffer afterwards."""
+
+    def program(comm):
+        buffer = bytearray(b"clean")
+        if transport == "bcast":
+            received = comm.bcast(buffer, root=0)
+        elif comm.rank == 0:
+            comm.send(buffer, 1)
+        else:
+            received = comm.recv(0)
+        if comm.rank == 1:
+            received[:] = b"dirty"
+        comm.barrier()
+        return bytes(buffer)
+
+    return program
+
+
+def _order_dependent_program():
+    """A seeded order dependence: every rank returns the order in which
+    the ranks ran after each of eight barriers."""
+    turns = []
+
+    def program(comm):
+        for _ in range(8):
+            comm.barrier()
+            turns.append(comm.rank)
+        comm.barrier()
+        return list(turns)
+
+    return program
+
+
+def _results(engine, program, num_pes):
+    with registered(engine):
+        return run_spmd(num_pes, program, engine=engine)[0]
+
+
+class TestSeededMutations:
+    @pytest.mark.parametrize("transport", ["send", "bcast"])
+    def test_pickle_engine_catches_a_write_into_a_received_buffer(self, transport):
+        runs = [
+            _results(engine, _aliasing_program(transport), 2)
+            for engine in (REFERENCE_ENGINE, REFERENCE_ENGINE, "pickle")
+        ]
+        # threads hands rank 1 rank 0's very buffer, the same way every run
+        assert runs[0] == runs[1] == [b"dirty", b"clean"]
+        assert runs[2] == [b"clean", b"clean"]
+
+    def test_permuted_baton_engine_catches_an_order_dependent_result(self):
+        runs = [
+            _results(engine, _order_dependent_program(), 4)
+            for engine in (REFERENCE_ENGINE, REFERENCE_ENGINE, "permuted-baton")
+        ]
+        assert runs[0] == runs[1]
+        assert runs[2] != runs[0]
+        # every rank still ran once between each pair of barriers
+        assert sorted(runs[2][0]) == sorted(runs[0][0])
+
+
 class TestEngineAxis:
     def test_reference_engine_is_registered(self):
         assert REFERENCE_ENGINE in all_engines()
+
+    def test_test_engines_join_the_axis_only(self):
+        assert set(TEST_ENGINES) <= set(all_engines())
+        assert set(TEST_ENGINES).isdisjoint(all_engines(test_engines=False))
+        assert set(ENGINES) == {"threads", "processes"}
+        for name in TEST_ENGINES:
+            with pytest.raises(ValueError, match="must be a registered engine"):
+                RunConfig(engine=name)
+            with registered(name):
+                assert RunConfig(engine=name).engine == name
+            assert name not in ENGINES
+
+    def test_test_engines_are_not_run_options(self):
+        """A fresh interpreter: ``import repro`` registers the run options
+        only, and neither ``RunConfig`` nor the CLI takes a test engine."""
+        code = (
+            "import repro\n"
+            "from repro.config import RunConfig\n"
+            "from repro.mpi.engine import ENGINES\n"
+            "assert set(ENGINES) == {'threads', 'processes'}, sorted(ENGINES)\n"
+            "for name in ('pickle', 'permuted-baton'):\n"
+            "    try:\n"
+            "        RunConfig(engine=name)\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    raise AssertionError(name)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("REPRO_ENGINE", None)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        for name in TEST_ENGINES:
+            cli = subprocess.run(
+                [sys.executable, "-m", "repro", "sort", "-n", "8", "--engine", name],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert cli.returncode == 2
+            assert f"one of ['processes', 'threads'], got {name!r}" in cli.stderr
 
     def test_processes_engine_is_registered(self):
         assert "processes" in all_engines()

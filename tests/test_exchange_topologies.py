@@ -31,7 +31,7 @@ ROUTED = ("hypercube", "grid")
 
 @pytest.fixture(scope="module", params=engine_params(), autouse=True)
 def spmd_engine(request):
-    """Run every test of this module on each registered execution engine.
+    """Run every test of this module on each engine of the conformance axis.
 
     Module-scoped so the hypothesis tests can share it (function-scoped
     parametrized fixtures would reset per example and trip health checks);

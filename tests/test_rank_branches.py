@@ -3,30 +3,23 @@
 The runtime names a mismatched collective only on a path that executes.
 This gate finds every ``if`` whose condition reads ``comm.rank``, a rank
 alias (``rank = comm.rank``) or ``comm.is_root()`` inside the rank programs
-of ``src/repro/dist`` and ``src/repro/net``, then sorts the conformance
-corpus with the six paper algorithms plus ``auto`` at p in {3, 4} over
-every exchange topology on the threads engine, tracing lines, and asserts
-that each such branch took its true arm and its false arm.  p = 3 is
-needed: at p = 4 hQuick's non-power-of-two fold never runs.
+of ``src/repro/dist`` and ``src/repro/net``, then reads the session's
+``corpus_trace`` (``tests/conftest.py``: the conformance corpus sorted with
+the six paper algorithms plus ``auto`` at p in {3, 4} over every exchange
+topology on the threads engine, tracing the lines of the rank threads) and
+asserts that each such branch took its true arm and its false arm.  p = 3
+is needed: at p = 4 hQuick's non-power-of-two fold never runs.
 """
 
 from __future__ import annotations
 
 import ast
-import sys
-import threading
 from pathlib import Path
-from typing import Dict, List, Set, Tuple
+from typing import List, Set
 
 import pytest
 
-from engine_conformance import PAPER_ALGORITHMS, TOPOLOGIES, conformance_workload
-from repro.session import Cluster, default_registry
-
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-PACKAGES = ("dist", "net")
-ALGORITHMS = PAPER_ALGORITHMS + ("auto",)
-NUM_PES = (3, 4)
+from engine_conformance import RANK_PROGRAM_PACKAGES, SRC
 
 
 class Branch:
@@ -80,7 +73,7 @@ def _is_comm_rank(expr: ast.expr) -> bool:
 def find_rank_branches() -> List[Branch]:
     """Every ``if`` on the rank inside a function taking ``comm``."""
     branches: List[Branch] = []
-    for package in PACKAGES:
+    for package in RANK_PROGRAM_PACKAGES:
         for path in sorted((SRC / package).glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             for fn in ast.walk(tree):
@@ -114,63 +107,16 @@ def find_rank_branches() -> List[Branch]:
 BRANCHES = find_rank_branches()
 
 
-def trace_arms(branches: List[Branch]) -> Tuple[Set[Tuple[str, int]], Set[Branch]]:
-    """Sort the corpus over the whole grid while tracing the branches' files.
-
-    Returns the executed ``(path, line)`` pairs and the branches whose
-    empty false arm ran (the line after the test was not the body).
-    """
-    by_path: Dict[str, List[Branch]] = {}
-    for branch in branches:
-        by_path.setdefault(branch.path, []).append(branch)
-    executed: Set[Tuple[str, int]] = set()
-    fell_through: Set[Branch] = set()
-
-    def local_tracer(path: str):
-        watched = [b for b in by_path[path] if b.false_line is None]
-        last = [0]
-
-        def tracer(frame, event, arg):
-            line = frame.f_lineno
-            if event in ("line", "return"):
-                for branch in watched:
-                    if (
-                        last[0] in branch.test_lines
-                        and line not in branch.test_lines
-                        and (event == "return" or line != branch.true_line)
-                    ):
-                        fell_through.add(branch)
-                if event == "line":
-                    executed.add((path, line))
-                    last[0] = line
-            return tracer
-
-        return tracer
-
-    def global_tracer(frame, event, arg):
-        path = frame.f_code.co_filename
-        return local_tracer(path) if path in by_path else None
-
-    corpus = conformance_workload()
-    registry = default_registry()
-    threading.settrace(global_tracer)
-    sys.settrace(global_tracer)
-    try:
-        for p in NUM_PES:
-            for topology in TOPOLOGIES:
-                with Cluster(num_pes=p, engine="threads", exchange_topology=topology) as cluster:
-                    for algorithm in ALGORITHMS:
-                        spec = registry.spec_class(algorithm)(seed=3)
-                        cluster.sort(corpus, spec, check=True)
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)  # type: ignore[arg-type]
-    return executed, fell_through
-
-
-@pytest.fixture(scope="module")
-def traced():
-    return trace_arms(BRANCHES)
+def fell_through(branch: Branch, steps) -> bool:
+    """Whether a frame went from ``branch``'s test past its (empty) false arm:
+    on to a line other than the body's, or out of the function."""
+    return any(
+        path == branch.path
+        and line in branch.test_lines
+        and after not in branch.test_lines
+        and after != branch.true_line
+        for path, line, after in steps
+    )
 
 
 def test_the_finder_sees_the_known_branches():
@@ -187,11 +133,11 @@ def test_the_finder_sees_the_known_branches():
 
 
 @pytest.mark.parametrize("branch", BRANCHES, ids=repr)
-def test_both_arms_run(traced, branch):
-    executed, fell_through = traced
+def test_both_arms_run(corpus_trace, branch):
+    executed = corpus_trace.lines
     assert (branch.path, branch.true_line) in executed, f"{branch}: true arm never ran"
     if branch.false_line is None:
-        assert branch in fell_through, f"{branch}: false arm never ran"
+        assert fell_through(branch, corpus_trace.steps), f"{branch}: false arm never ran"
     else:
         assert (branch.path, branch.false_line) in executed, (
             f"{branch}: false arm never ran"

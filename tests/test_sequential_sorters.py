@@ -2,11 +2,15 @@
 
 Every sorter must produce exactly the same output as Python's built-in sort
 plus the correct LCP array, on a range of adversarial inputs (duplicates,
-shared prefixes, empty strings, prefix-of-other-string cases).
+shared prefixes, empty strings, prefix-of-other-string cases), including
+prefixes shared over more characters than Python allows frames.  The MSD
+radix and Multikey Quicksort character counters are pinned on this
+module's corpus.
 """
 
 import pytest
 
+from repro import Cluster, HQuickSpec, MSSpec, PDMSSpec
 from repro.sequential import (
     CharStats,
     SEQUENTIAL_SORTERS,
@@ -21,6 +25,7 @@ from repro.strings.generators import commoncrawl_like, dn_instance, random_strin
 from repro.strings.lcp import lcp_array
 
 from inputs import duplicate_heavy
+from oracles.lcp import lcp
 
 
 ALL_SORTERS = sorted(SEQUENTIAL_SORTERS)
@@ -101,6 +106,151 @@ class TestGeneratedInputs:
         out, lcps = sort_strings_with_lcp(data, sorter)
         assert out == expected
         assert lcps == expected_lcps
+
+
+#: 300 strings behind a 1000-byte shared prefix, and a chain of 1500
+#: strings, each a prefix of the one before: both share more characters
+#: than the interpreter's recursion limit allows frames
+DEEP_CASES = {
+    "shared_prefix_1000": [
+        b"x" * 1000 + bytes([97 + i % 26]) * (i % 9) for i in range(300)
+    ],
+    "prefix_chain_1500": [b"a" * k for k in range(1500, 0, -1)],
+}
+
+
+class TestDeepSharedPrefixes:
+    @pytest.mark.parametrize("sorter", ALL_SORTERS)
+    @pytest.mark.parametrize("case", sorted(DEEP_CASES))
+    def test_sorts_without_recursing_per_character(self, sorter, case):
+        data = DEEP_CASES[case]
+        out, lcps = sort_strings_with_lcp(list(data), sorter)
+        assert out == sorted(data)
+        assert lcps == [0] + [lcp(a, b) for a, b in zip(out, out[1:])]
+
+    @pytest.mark.parametrize("local_sorter", ALL_SORTERS)
+    @pytest.mark.parametrize("spec_class", [MSSpec, HQuickSpec, PDMSSpec])
+    def test_every_local_sorter_runs_in_a_cluster(self, spec_class, local_sorter):
+        data = DEEP_CASES["shared_prefix_1000"]
+        Cluster(4).sort(data, spec_class(local_sorter=local_sorter), check=True)
+
+
+def _pinned_corpus():
+    corpus = dict(FIXED_CASES)
+    for seed in (0, 1, 2):
+        corpus[f"random_{seed}"] = random_strings(400, 0, 25, alphabet_size=4, seed=seed)
+    corpus["duplicate_heavy"] = duplicate_heavy(600, num_distinct=15, seed=3)
+    corpus["dn_instance"] = dn_instance(300, 0.6, length=50, seed=4)
+    corpus["web"] = commoncrawl_like(500, seed=5)
+    corpus["suffixes"] = suffix_instance(text_len=300, alphabet_size=3, seed=6)
+    return corpus
+
+
+PINNED_RUNS = {
+    "msd_radix": lambda data, stats: msd_radix_sort(data, 0, stats),
+    "msd_radix/radix_threshold=2": lambda data, stats: msd_radix_sort(
+        data, 0, stats, radix_threshold=2
+    ),
+    "multikey_quicksort": lambda data, stats: multikey_quicksort(data, 0, stats),
+    "multikey_quicksort/insertion_threshold=1": lambda data, stats: multikey_quicksort(
+        data, 0, stats, insertion_threshold=1
+    ),
+}
+
+#: ``(chars_inspected, bucket_passes)`` per run and case, as the recursive
+#: sorters counted them before their work stacks replaced the recursion
+PINNED_CHAR_STATS = {
+    'msd_radix': {
+        'all_identical': (200, 6),
+        'binary_alphabet': (454, 4),
+        'dn_instance': (11040, 44),
+        'duplicate_heavy': (12112, 300),
+        'empty': (0, 0),
+        'empty_strings': (0, 0),
+        'long_common_prefix': (5249, 201),
+        'paper_figure2': (41, 0),
+        'prefix_chain': (10, 0),
+        'random_0': (2521, 17),
+        'random_1': (2508, 14),
+        'random_2': (2525, 18),
+        'reverse_prefix_chain': (10, 0),
+        'single': (0, 0),
+        'single_chars': (343, 1),
+        'suffixes': (2449, 19),
+        'two_equal': (4, 0),
+        'web': (10007, 95),
+    },
+    'msd_radix/radix_threshold=2': {
+        'all_identical': (200, 6),
+        'binary_alphabet': (384, 63),
+        'dn_instance': (9300, 35),
+        'duplicate_heavy': (12000, 297),
+        'empty': (0, 0),
+        'empty_strings': (1, 1),
+        'long_common_prefix': (5226, 201),
+        'paper_figure2': (46, 12),
+        'prefix_chain': (15, 5),
+        'random_0': (1769, 230),
+        'random_1': (1825, 240),
+        'random_2': (1808, 243),
+        'reverse_prefix_chain': (15, 5),
+        'single': (0, 0),
+        'single_chars': (37, 1),
+        'suffixes': (1970, 332),
+        'two_equal': (8, 5),
+        'web': (10348, 1545),
+    },
+    'multikey_quicksort': {
+        'all_identical': (200, 6),
+        'binary_alphabet': (454, 4),
+        'dn_instance': (11444, 48),
+        'duplicate_heavy': (13370, 311),
+        'empty': (0, 0),
+        'empty_strings': (0, 0),
+        'long_common_prefix': (5249, 201),
+        'paper_figure2': (41, 0),
+        'prefix_chain': (10, 0),
+        'random_0': (2987, 20),
+        'random_1': (2888, 17),
+        'random_2': (2923, 21),
+        'reverse_prefix_chain': (10, 0),
+        'single': (0, 0),
+        'single_chars': (343, 1),
+        'suffixes': (2751, 21),
+        'two_equal': (4, 0),
+        'web': (11544, 106),
+    },
+    'multikey_quicksort/insertion_threshold=1': {
+        'all_identical': (200, 6),
+        'binary_alphabet': (544, 94),
+        'dn_instance': (10939, 202),
+        'duplicate_heavy': (13370, 311),
+        'empty': (0, 0),
+        'empty_strings': (1, 1),
+        'long_common_prefix': (5293, 215),
+        'paper_figure2': (61, 15),
+        'prefix_chain': (15, 5),
+        'random_0': (3195, 376),
+        'random_1': (3132, 383),
+        'random_2': (3172, 387),
+        'reverse_prefix_chain': (15, 5),
+        'single': (0, 0),
+        'single_chars': (149, 21),
+        'suffixes': (3103, 445),
+        'two_equal': (8, 5),
+        'web': (12689, 1704),
+    },
+}
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_RUNS))
+def test_char_stats_are_pinned(run):
+    got = {}
+    for name, data in _pinned_corpus().items():
+        stats = CharStats()
+        PINNED_RUNS[run](list(data), stats)
+        got[name] = (stats.chars_inspected, stats.bucket_passes)
+    assert got == PINNED_CHAR_STATS[run]
 
 
 class TestInputPreservation:
