@@ -40,8 +40,8 @@ from ..mpi.comm import Communicator
 from ..net.cost_model import DEFAULT_MACHINE, MachineModel
 from ..net.metrics import TrafficReport
 from ..sequential.lcp_losertree import lcp_multiway_merge_packed
-from ..sequential.losertree import multiway_merge
 from ..sequential.stats import CharStats
+from ..sequential.vector_sort import _word_radix
 from ..strings.packed import (
     PackedStringArray,
     clip_lcps,
@@ -133,8 +133,8 @@ def merge_sort(comm: Communicator, strings: Sequence[bytes], spec: Any) -> RankO
     origins, ``(source PE, position in that PE's sorted block)``, and
     protocol statistics; ``lcp`` front-codes the buckets and merges with
     the LCP loser tree (prefix doubling: one stable sort; neither: the
-    atomic loser tree); ``returns_lcps`` returns the output's ``int64`` LCP
-    array.
+    local sort's word radix over the runs back to back); ``returns_lcps``
+    returns the output's ``int64`` LCP array.
     """
     local_sorted, lcps = local_sort(comm, strings, spec.local_sorter)
     doubling = starts = origins = None
@@ -178,7 +178,6 @@ def merge_sort(comm: Communicator, strings: Sequence[bytes], spec: Any) -> RankO
     with comm.phase("merge"):
         stats = CharStats()
         runs = [message[0] for message in received]
-        merged_lcps = None
         if doubling is not None:
             # one stable sort over the runs back to back in source order: ties
             # keep the lower source PE first, as a k-way merge would, and the
@@ -189,18 +188,19 @@ def merge_sort(comm: Communicator, strings: Sequence[bytes], spec: Any) -> RankO
             firsts = np.array([first for _, _, first in received], dtype=np.int64)
             origins = np.stack([src, order - bounds[src] + firsts[src]], axis=1)
             stats.add_chars(merged.num_chars)
+            merged_lcps = packed_lcp_array(merged)
         elif spec.lcp:
             # batched loser-tree emit into one packed output buffer
             merged, merged_lcps = lcp_multiway_merge_packed(
                 runs, [h for _, h in received], stats
             )
         else:
-            merged = PackedStringArray.from_strings(multiway_merge(runs, stats))
-        if merged_lcps is None and spec.returns_lcps:
-            merged_lcps = packed_lcp_array(merged)
+            # the local sort's word radix, charged the bytes it reads
+            merged, merged_lcps, read = _word_radix(concat_runs(runs)[0])
+            stats.add_chars(read)
         comm.record_local_work(stats.chars_inspected, len(merged))
 
-    output = RankOutput(merged, merged_lcps, origins)
+    output = RankOutput(merged, merged_lcps if spec.returns_lcps else None, origins)
     if doubling is not None:
         output.extra = {
             "doubling_rounds": doubling.rounds,

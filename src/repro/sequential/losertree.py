@@ -12,9 +12,9 @@ This atomic variant compares whole strings (it is what Fischer & Kurpicz's
 prefixes over and over — which is exactly the inefficiency the LCP-aware tree
 in :mod:`repro.sequential.lcp_losertree` removes.  The implementation counts
 inspected characters so benchmarks can demonstrate the difference:
-:func:`multiway_merge` plays it as one flat loop (what MS-simple and
-FKmerge run); the scalar ``LoserTree`` it is held to, one ``pop()`` at a
-time, is a test oracle (``tests/oracles/losertree.py``).
+:func:`multiway_merge` plays it as one flat loop, the oracle of the word
+radix merge that MS-simple and FKmerge run; the scalar ``LoserTree`` it is
+held to, one ``pop()`` at a time, is one too (``tests/oracles/losertree.py``).
 """
 
 from __future__ import annotations

@@ -19,10 +19,10 @@ array plus its ``int64`` LCP array:
   limit and is NUL-safe: a string that ends inside a word sorts before the
   strings whose word ties with its NUL padding.  It starts at a given
   depth that every string shares and returns the string bytes of the words
-  it read, for its second caller: the MS merge
-  (:func:`repro.sequential.lcp_losertree.lcp_multiway_merge_packed`) sorts
-  runs that share a word-long prefix with it, from the depth their LCP
-  arrays prove, and charges those bytes.  The local sort starts it at 0.
+  it read, which both merges charge.  MS's merge
+  (:func:`repro.sequential.lcp_losertree.lcp_multiway_merge_packed`) starts
+  it at the prefix its runs' LCP arrays prove; MS-simple's and FKmerge's
+  (:func:`repro.dist.api.merge_sort`) and the local sort start it at 0.
 
 :func:`_takes_radix` picks the kernel by a pure function of the block, read
 in one vectorised pass.  The radix takes every block past the argsort's

@@ -4,13 +4,13 @@ Rank programs exchange, merge and return :class:`PackedStringArray` runs,
 and ``to_list()`` copies a run's whole arena into python objects.  This
 gate records which function calls ``to_list`` on a rank's thread while the
 six paper algorithms plus ``auto`` sort the conformance corpus at p in
-{3, 4} over every exchange topology on the threads engine.  The one
-allowed caller is :func:`repro.sequential.losertree.multiway_merge`, the
-atomic merge of MS-simple and FKmerge, which iterates its runs as
-``bytes``.  List views built on the main thread (a ``SortResult``'s, the
-output checkers') are outside the rank programs and are not recorded.
-MS is also held to the gate on a block behind one shared prefix, whose
-ranks each merge over 1024 strings and so take the merge's word radix.
+{3, 4} over every exchange topology on the threads engine.  No caller is
+allowed: MS-simple and FKmerge merge their packed runs with the local
+sort's word radix.  List views built on the main thread (a
+``SortResult``'s, the output checkers') are outside the rank programs and
+are not recorded.  MS is also held to the gate on a block behind one
+shared prefix, whose ranks each merge over 1024 strings and so take the
+merge's word radix.
 
 Two seeded bugs show that the gate names the function at fault: a
 ``decode_run`` that re-packs its run through ``to_list()`` and a runner
@@ -29,13 +29,11 @@ from engine_conformance import PAPER_ALGORITHMS, TOPOLOGIES, conformance_workloa
 from inputs import shared_prefix
 from repro.dist.api import RankOutput, merge_sort
 from repro.dist.exchange import LcpCompressedBlock
-from repro.session import Cluster, MSSpec, default_registry
+from repro.session import Cluster, MSSimpleSpec, MSSpec, default_registry
 from repro.strings.packed import PackedStringArray
 
 ALGORITHMS = PAPER_ALGORITHMS + ("auto",)
 NUM_PES = (3, 4)
-#: the only function a rank may call ``to_list`` from
-ALLOWED = {"multiway_merge"}
 
 
 def materialising_callers(
@@ -71,7 +69,7 @@ def materialising_callers(
 
 
 def assert_zero_copy(monkeypatch, algorithm: str, topology: str, registry=None) -> None:
-    extra = materialising_callers(monkeypatch, algorithm, topology, registry) - ALLOWED
+    extra = materialising_callers(monkeypatch, algorithm, topology, registry)
     assert not extra, (
         f"{algorithm} over {topology}: to_list() called on a rank by {sorted(extra)}"
     )
@@ -79,7 +77,7 @@ def assert_zero_copy(monkeypatch, algorithm: str, topology: str, registry=None) 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_ranks_materialise_only_in_the_atomic_merge(monkeypatch, algorithm, topology):
+def test_ranks_never_materialise(monkeypatch, algorithm, topology):
     assert_zero_copy(monkeypatch, algorithm, topology)
 
 
@@ -103,9 +101,19 @@ def test_the_merge_radix_stays_zero_copy(monkeypatch, topology):
     assert len(merged) == sum(NUM_PES) and min(merged) >= 1024
 
 
-def test_the_atomic_merge_is_seen(monkeypatch):
-    # the recorder works: MS-simple's merge is the one allowed caller
-    assert materialising_callers(monkeypatch, "ms-simple", "direct") == ALLOWED
+def listing_merge_sort(comm, strings, spec):
+    """``merge_sort`` returning its merged run as a list: a seeded caller."""
+    output = merge_sort(comm, strings, spec)
+    return RankOutput(output.strings.to_list(), output.lcps)
+
+
+def test_the_recorder_sees_a_caller(monkeypatch):
+    # the recorder works: with no caller left in the rank programs, it
+    # names a seeded one
+    registry = default_registry().copy()
+    registry.register("ms-simple", listing_merge_sort, MSSimpleSpec, overwrite=True)
+    callers = materialising_callers(monkeypatch, "ms-simple", "direct", registry)
+    assert callers == {"listing_merge_sort"}
 
 
 def test_a_materialising_decode_is_named(monkeypatch):
@@ -121,10 +129,6 @@ def test_a_materialising_decode_is_named(monkeypatch):
 
 
 def test_a_rank_program_returning_a_list_is_named(monkeypatch):
-    def listing_merge_sort(comm, strings, spec):
-        output = merge_sort(comm, strings, spec)
-        return RankOutput(output.strings.to_list(), output.lcps)
-
     registry = default_registry().copy()
     registry.register("ms", listing_merge_sort, MSSpec, overwrite=True)
     with pytest.raises(AssertionError, match=r"\['listing_merge_sort'\]"):
