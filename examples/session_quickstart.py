@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Tour of the session API: Cluster, SortSpec, registry, batch ingest.
+"""Tour of the session API: Cluster, SortSpec, custom algorithms, batch ingest.
 
 Builds one reusable cluster, runs typed specs on it (including a
-third-party algorithm registered on a scoped registry), and streams a
-chunked corpus through ``sort_batches`` with cumulative accounting.
+third-party algorithm: a spec subclass that overrides ``run``), and streams
+a chunked corpus through ``sort_batches`` with cumulative accounting.
 
 Run with::
 
@@ -22,8 +22,6 @@ if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro import Cluster, MSSpec, PDMSGolombSpec, SortSpec
-from repro.dist.api import merge_sort
-from repro.session import default_registry
 from repro.strings import dn_instance
 
 
@@ -47,23 +45,19 @@ def main() -> None:
     assert clone == spec and clone.config_hash() == spec.config_hash()
     print(f"round-tripped spec: {clone.to_dict()}")
 
-    # -- register a custom algorithm on a scoped registry ------------------
+    # -- a custom algorithm is a spec subclass that overrides run ----------
     @dataclass(frozen=True)
     class StampedSpec(MSSpec):
         """MS with a per-run protocol stamp in the extras."""
 
         algorithm = "ms-stamped"
 
-    def stamped_runner(comm, local, spec):
-        output = merge_sort(comm, local, spec)  # the merge-sort rank program
-        output.extra["stamped"] = True
-        return output
+        def run(self, comm, local):
+            output = super().run(comm, local)  # the merge-sort rank program
+            output.extra["stamped"] = True
+            return output
 
-    registry = default_registry().copy()
-    registry.register("ms-stamped", stamped_runner, StampedSpec)
-    custom = Cluster(num_pes=4, registry=registry).sort(
-        data[:500], StampedSpec(), check=True
-    )
+    custom = Cluster(num_pes=4).sort(data[:500], StampedSpec(), check=True)
     print(f"custom algorithm {custom.algorithm!r} extras: {custom.extra}")
 
     # -- streaming batch ingest --------------------------------------------

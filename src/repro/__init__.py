@@ -40,9 +40,9 @@ Architecture
   merge-sort rank program whose spec switches its stages (``api``);
 * :mod:`repro.session` — the public API: :class:`Cluster` sessions over a
   reusable simulated machine, the typed :class:`SortSpec` configuration
-  hierarchy, the pluggable algorithm registry and streaming batch ingest;
-  each cluster's execution settings are one frozen :class:`RunConfig`
-  (:mod:`repro.config`);
+  hierarchy whose classes run their own rank programs, and streaming batch
+  ingest; each cluster's execution settings are one frozen
+  :class:`RunConfig` (:mod:`repro.config`);
 * :mod:`repro.bench` — the experiment harness reproducing the paper's
   figures (spec-driven sweeps keyed by ``config_hash``), driven by
   ``benchmarks/`` and the CLI (``python -m repro``).
@@ -67,7 +67,6 @@ try:
     from .net import MachineModel, DEFAULT_MACHINE
     from .sequential import sort_strings, sort_strings_with_lcp
     from .session import (
-        AlgorithmRegistry,
         AutoSpec,
         Cluster,
         FKMergeSpec,
@@ -77,7 +76,6 @@ try:
         PDMSGolombSpec,
         PDMSSpec,
         SortSpec,
-        register_algorithm,
     )
     from .strings import StringSet
 except ModuleNotFoundError as exc:  # pragma: no cover - import-time guard
@@ -98,8 +96,6 @@ __all__ = [
     "PDMSSpec",
     "PDMSGolombSpec",
     "AutoSpec",
-    "AlgorithmRegistry",
-    "register_algorithm",
     "SortResult",
     "distribute_strings",
     "merge_sort",

@@ -19,18 +19,15 @@ paper's plots, and can be dumped as JSON for archival in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import re
 import time
-from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, List, Sequence, Union
 
 from ..dist.api import SortResult
 from ..net.cost_model import DEFAULT_MACHINE, MachineModel
 from ..obs.recorder import peak_rss_bytes
-from ..session import Cluster, SortSpec, default_registry
+from ..session import Cluster, SortSpec, spec_class
 from ..strings.lcp import dn_ratio, merge_lcp_statistics
 from ..strings.stringset import StringSet
 
@@ -61,26 +58,13 @@ class CellResult:
     wall_time: float
     imbalance: float
     #: stable key of the exact configuration that produced this cell
-    #: (:meth:`repro.session.SortSpec.config_hash`); part of the cell's
-    #: checkpoint key when a sweep resumes (:meth:`ExperimentRunner.sweep`)
+    #: (:meth:`repro.session.SortSpec.config_hash`)
     config_hash: str = ""
     extra: Dict[str, object] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, object]:
         """The cell as a flat JSON-ready dict (dataclass fields + extra)."""
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CellResult":
-        """Rebuild a cell from :meth:`as_dict` output (checkpoint loading).
-
-        Unknown keys are ignored so old checkpoint files survive new
-        fields; missing keys fall back to the field defaults where one
-        exists and raise otherwise (a corrupt checkpoint should fail
-        loudly, not resume silently wrong).
-        """
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
 
 
 @dataclass
@@ -198,18 +182,6 @@ class ExperimentRunner:
     :class:`repro.session.Cluster` per PE count is built lazily and reused
     across all cells of that size, so a whole sweep shares its simulated
     machines.
-
-    With ``cache_dir`` set, every finished cell is **checkpointed** as one
-    JSON file keyed by ``(experiment, config_hash, num_pes, input_name)``
-    plus a digest of the runner's own context (its input-generation
-    ``seed`` and ``machine`` model); a later run with ``resume=True``
-    (:meth:`run_cell` / :meth:`sweep`) loads those cells instead of
-    recomputing them, so a large sweep that died halfway — or grew new
-    configurations — only pays for the missing cells.  The spec's
-    ``config_hash`` covers every algorithm knob and the context digest
-    covers what the harness itself feeds the run, so a changed
-    configuration, input seed or machine model never aliases a stale
-    checkpoint.
     """
 
     def __init__(
@@ -217,65 +189,11 @@ class ExperimentRunner:
         machine: MachineModel = DEFAULT_MACHINE,
         check: bool = False,
         seed: int = 0,
-        cache_dir: Union[str, Path, None] = None,
     ):
         self.machine = machine
         self.check = check
         self.seed = seed
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        #: cells served from the checkpoint cache instead of being recomputed
-        self.cells_resumed = 0
         self._clusters: Dict[int, Cluster] = {}
-
-    # ------------------------------------------------------------------ checkpoints
-    def _cell_cache_path(
-        self, experiment: str, config_hash: str, num_pes: int, input_name: str
-    ) -> Optional[Path]:
-        """The checkpoint file of one cell (None without a cache dir).
-
-        The sanitized ``experiment--input_name`` prefix is readability only;
-        the identity lives in the digest, which covers the *exact*
-        (experiment, input_name) pair — sanitizing/joining cannot alias two
-        distinct keys — together with everything that shapes a cell without
-        appearing in the spec's ``config_hash``: the runner context
-        (input-generation ``seed``, ``machine`` model) and the
-        :class:`~repro.config.RunConfig` of the cluster that sorts the cell.
-        The whole config is hashed — a spec that pins its own
-        ``exchange_topology`` is invalidated with the cluster's too — which
-        errs towards recomputing, never towards serving a cell measured
-        under different settings.
-        """
-        if self.cache_dir is None:
-            return None
-        identity = json.dumps(
-            {
-                "experiment": experiment,
-                "input_name": input_name,
-                "seed": self.seed,
-                "machine": asdict(self.machine),
-                "context": asdict(self.cluster_for(num_pes).config),
-            },
-            sort_keys=True,
-        )
-        digest = hashlib.sha256(identity.encode("utf-8")).hexdigest()[:10]
-        safe = re.sub(r"[^A-Za-z0-9._-]+", "_", f"{experiment}--{input_name}")
-        return self.cache_dir / f"{safe}--{config_hash}--p{num_pes}--{digest}.json"
-
-    def _load_cached_cell(self, path: Optional[Path]) -> Optional[CellResult]:
-        """A checkpointed cell, or None when absent/unreadable (recompute)."""
-        if path is None or not path.is_file():
-            return None
-        try:
-            return CellResult.from_dict(json.loads(path.read_text()))
-        except (ValueError, TypeError, json.JSONDecodeError):
-            return None  # corrupt checkpoint: recompute and overwrite
-
-    def _store_cached_cell(self, path: Optional[Path], cell: CellResult) -> None:
-        """Persist one finished cell (no-op without a cache dir)."""
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(cell.as_dict(), indent=2) + "\n")
 
     def cluster_for(self, num_pes: int) -> Cluster:
         """The reusable cluster simulating ``num_pes`` PEs (built lazily)."""
@@ -286,7 +204,7 @@ class ExperimentRunner:
     def _resolve_spec(self, algorithm: Union[str, SortSpec]) -> SortSpec:
         if isinstance(algorithm, SortSpec):
             return algorithm
-        return default_registry().spec_class(algorithm)(seed=self.seed)
+        return spec_class(algorithm)(seed=self.seed)
 
     def run_cell(
         self,
@@ -295,25 +213,13 @@ class ExperimentRunner:
         num_pes: int,
         input_name: str,
         blocks: Sequence[Sequence[bytes]],
-        resume: bool = False,
     ) -> CellResult:
         """Run one configuration on one pre-distributed input.
 
         ``algorithm`` is a :class:`~repro.session.SortSpec` or an algorithm
         name (that algorithm's default spec with the runner's ``seed``).
-        With ``resume=True`` and a configured ``cache_dir``, a cell already
-        checkpointed under the same ``(experiment, config_hash, num_pes,
-        input_name)`` key is loaded and returned without running the sort.
         """
         spec = self._resolve_spec(algorithm)
-        cache_path = self._cell_cache_path(
-            experiment, spec.config_hash(), num_pes, input_name
-        )
-        if resume:
-            cached = self._load_cached_cell(cache_path)
-            if cached is not None:
-                self.cells_resumed += 1
-                return cached
         cluster = self.cluster_for(num_pes)  # built outside the timed window
         t0 = time.perf_counter()
         result = cluster.sort(
@@ -359,7 +265,6 @@ class ExperimentRunner:
             # traced runs (trace=True) carry their whole metrics snapshot —
             # per-stage seconds, strings/sec and peak RSS included
             cell.extra["metrics"] = report.metrics.to_json()
-        self._store_cached_cell(cache_path, cell)
         return cell
 
     def sweep(
@@ -371,7 +276,6 @@ class ExperimentRunner:
         input_factory: Callable[[int, int], Sequence[Sequence[bytes]]],
         input_name: str = "input",
         input_stats: bool = False,
-        resume: bool = False,
     ) -> ExperimentResult:
         """Run ``specs x pe_counts``; the input may depend on ``num_pes``.
 
@@ -379,32 +283,10 @@ class ExperimentRunner:
         and/or algorithm names.  ``input_factory(num_pes, seed)`` returns the
         per-PE blocks (so weak scaling can grow the input with the machine
         while strong scaling returns slices of a fixed corpus).
-
-        With ``resume=True`` (and a runner ``cache_dir``) already
-        checkpointed cells are loaded instead of recomputed, so an
-        interrupted or extended sweep resumes incrementally; when *every*
-        cell of a PE count is cached, its input is not even generated.
         """
         out = ExperimentResult(name=experiment, description=description)
         specs = [self._resolve_spec(a) for a in algorithms]
         for p in pe_counts:
-            # probe the checkpoint cache once per cell; the probed cells are
-            # reused below, never re-read
-            cached = [
-                self._load_cached_cell(
-                    self._cell_cache_path(experiment, s.config_hash(), p, input_name)
-                )
-                if resume
-                else None
-                for s in specs
-            ]
-            if resume and not input_stats and all(c is not None for c in cached):
-                # every cell of this PE count is checkpointed: skip even the
-                # input generation
-                self.cells_resumed += len(cached)
-                for cell in cached:
-                    out.add(cell)
-                continue
             blocks = input_factory(p, self.seed)
             stats_extra: Dict[str, object] = {}
             if input_stats:
@@ -416,11 +298,8 @@ class ExperimentRunner:
                 mean_lcp, lcp_frac = merge_lcp_statistics(corpus)
                 stats_extra["mean_lcp"] = round(mean_lcp, 2)
                 stats_extra["lcp_fraction"] = round(lcp_frac, 4)
-            for spec, cell in zip(specs, cached):
-                if cell is not None:
-                    self.cells_resumed += 1
-                else:
-                    cell = self.run_cell(experiment, spec, p, input_name, blocks)
+            for spec in specs:
+                cell = self.run_cell(experiment, spec, p, input_name, blocks)
                 cell.extra.update(stats_extra)
                 out.add(cell)
         return out

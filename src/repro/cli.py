@@ -3,12 +3,12 @@
 The subcommands cover the workflows a downstream user needs most often:
 
 * ``sort``        — sort a file of newline-separated strings (or a generated
-                    workload) with any registered algorithm and report the
+                    workload) with any of the algorithms and report the
                     communication metrics; configurations are typed
                     :class:`repro.session.SortSpec` objects, either built
                     from the flags or loaded verbatim with ``--spec``
                     (JSON, via :meth:`SortSpec.from_dict`);
-* ``algorithms``  — list the algorithm registry: every entry's spec class,
+* ``algorithms``  — list the algorithms: every algorithm's spec class,
                     knobs, defaults and default config hash;
 * ``experiment``  — run one of the canned figure reproductions and print its
                     tables (optionally dump JSON);
@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence
 from .bench import experiments as canned
 from .bench.harness import ExperimentRunner
 from .net.cost_model import DEFAULT_MACHINE
-from .session import Cluster, SortSpec, default_registry
+from .session import SPECS, Cluster, SortSpec
 from .strings import generators
 from .strings.lcp import dn_ratio
 
@@ -95,7 +95,7 @@ def _add_sort_options(parser: argparse.ArgumentParser) -> None:
     declares its own.
     """
     parser.add_argument(
-        "--algorithm", "-a", choices=default_registry().names(), default="ms"
+        "--algorithm", "-a", choices=sorted(SPECS), default="ms"
     )
     parser.add_argument("--num-pes", "-p", type=int, default=8)
     parser.add_argument("--input", "-i", help="file with one string per line (default: generate)")
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_alg = sub.add_parser(
-        "algorithms", help="list the algorithm registry and the spec knobs"
+        "algorithms", help="list the algorithms and their spec knobs"
     )
     p_alg.add_argument(
         "--json", dest="json_out", action="store_true",
@@ -404,19 +404,16 @@ def _cmd_metrics(parser: argparse.ArgumentParser, args) -> int:
 
 
 def _cmd_algorithms(args) -> int:
-    registry = default_registry()
+    specs = [SPECS[name]() for name in sorted(SPECS)]
     if args.json_out:
-        payload = [entry.spec_cls().to_dict() for entry in registry]
-        print(json.dumps(payload, indent=2))
+        print(json.dumps([spec.to_dict() for spec in specs], indent=2))
         return 0
-    for entry in registry:
-        default_spec = entry.spec_cls()
+    for spec in specs:
         knobs = ", ".join(
-            f"{f.name}={getattr(default_spec, f.name)!r}"
-            for f in dataclass_fields(entry.spec_cls)
+            f"{f.name}={getattr(spec, f.name)!r}" for f in dataclass_fields(spec)
         )
-        print(f"{entry.name:<12} spec={entry.spec_cls.__name__:<16} "
-              f"config={default_spec.config_hash()}")
+        print(f"{spec.algorithm:<12} spec={type(spec).__name__:<16} "
+              f"config={spec.config_hash()}")
         print(f"             {knobs}")
     return 0
 

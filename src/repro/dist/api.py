@@ -2,8 +2,8 @@
 
 The public API lives in :mod:`repro.session`: a
 :class:`~repro.session.Cluster` running typed
-:class:`~repro.session.SortSpec` configurations through the pluggable
-algorithm registry.  This module keeps
+:class:`~repro.session.SortSpec` configurations, each of which runs its
+rank program through :meth:`~repro.session.SortSpec.run`.  This module keeps
 
 * the rank programs: :func:`merge_sort`, one program for all five merge
   sorts, whose spec class switches its stages on and off (the algorithms
@@ -11,8 +11,8 @@ algorithm registry.  This module keeps
   They read their knobs off the spec and are usable directly with
   :func:`repro.mpi.run_spmd` when a caller wants to embed a sorter inside a
   larger SPMD computation;
-* :class:`RankOutput`, what a rank program registered with the session
-  returns, and :class:`SortResult`, what :meth:`Cluster.sort` returns;
+* :class:`RankOutput`, what a spec's ``run`` returns, and
+  :class:`SortResult`, what :meth:`Cluster.sort` returns;
 * :func:`distribute_strings`, the input distribution.
 
 Algorithms (Sections IV-VI):
@@ -218,12 +218,12 @@ def merge_sort(comm: Communicator, strings: Sequence[bytes], spec: Any) -> RankO
 class RankOutput:
     """Uniform per-rank result shape across all algorithms.
 
-    Custom rank programs registered via
-    :func:`repro.session.register_algorithm` return one of these: the
-    rank's sorted strings, optionally their LCP array, the PDMS-style
-    origin of each output — the source PE and the position in that PE's
-    sorted input block — and a dict of protocol statistics (``extra``
-    values must agree across ranks — the result assembly asserts it).
+    Every :meth:`repro.session.SortSpec.run`, a custom one included,
+    returns one of these: the rank's sorted strings, optionally their LCP
+    array, the PDMS-style origin of each output — the source PE and the
+    position in that PE's sorted input block — and a dict of protocol
+    statistics (``extra`` values must agree across ranks — the result
+    assembly asserts it).
 
     The strings may be a packed run or a ``list[bytes]``, the LCPs and
     origins arrays or lists; they are held packed — a

@@ -8,10 +8,9 @@ redesign:
   exchange topology, ...), resolved once per cluster;
 * the :class:`SortSpec` hierarchy — one frozen, validated, serializable
   configuration dataclass per algorithm (``to_dict`` / ``from_dict`` /
-  stable ``config_hash()``), read directly by the rank programs;
-* :class:`AlgorithmRegistry` / :func:`register_algorithm` — the pluggable
-  name -> (rank runner, spec class) mapping through which third-party SPMD
-  rank programs join ``Cluster.sort`` without editing ``repro.dist.api``;
+  stable ``config_hash()``) that runs its own rank program
+  (:meth:`SortSpec.run`); :data:`SPECS` maps each algorithm name to its
+  class, and a third-party algorithm is a subclass that overrides ``run``;
 * :class:`BatchStream` — streaming batch ingest
   (:meth:`Cluster.sort_batches`) with a cumulative merged traffic report.
 
@@ -20,13 +19,8 @@ redesign:
 """
 
 from .cluster import Cluster
-from .registry import (
-    AlgorithmEntry,
-    AlgorithmRegistry,
-    default_registry,
-    register_algorithm,
-)
 from .specs import (
+    SPECS,
     AutoSpec,
     FKMergeSpec,
     HQuickSpec,
@@ -36,16 +30,15 @@ from .specs import (
     PDMSSpec,
     SampledSpec,
     SortSpec,
+    spec_class,
 )
 from .stream import BatchStream
 
 __all__ = [
     "Cluster",
     "BatchStream",
-    "AlgorithmEntry",
-    "AlgorithmRegistry",
-    "default_registry",
-    "register_algorithm",
+    "SPECS",
+    "spec_class",
     "SortSpec",
     "HQuickSpec",
     "FKMergeSpec",

@@ -5,8 +5,8 @@ A :class:`Cluster` owns one execution engine (by default the thread-per-rank
 across sorts) together with its :class:`~repro.config.RunConfig`, resolved
 once at construction and carried to every rank as ``comm.config``.  Sorting
 goes through typed
-:class:`repro.session.SortSpec` configurations resolved against a pluggable
-:class:`repro.session.AlgorithmRegistry`::
+:class:`repro.session.SortSpec` configurations, each of which runs its own
+rank program (:meth:`~repro.session.SortSpec.run`)::
 
     from repro.session import Cluster, MSSpec
 
@@ -27,13 +27,11 @@ from ..config import RunConfig
 from ..dist.api import RankOutput, SortResult, distribute_strings
 from ..faults.plan import FaultPlan
 from ..net.metrics import TrafficMeter, TrafficReport
-from ..mpi.comm import Communicator
 from ..mpi.engine import SpmdError, get_engine
 from ..net.cost_model import DEFAULT_MACHINE, MachineModel
 from ..strings.checker import check_sort
 from ..strings.packed import string_lengths, validate_strings
-from .registry import AlgorithmRegistry, default_registry
-from .specs import SortSpec
+from .specs import MSSpec, SortSpec, spec_class
 from .stream import BatchStream
 
 __all__ = ["Cluster"]
@@ -125,9 +123,6 @@ class Cluster:
         counters and that timeline on each read.  Tracing never changes
         sorted outputs or byte accounting; overhead is bounded (<5 %,
         pinned by ``BENCH_PR10.json``) and zero when off.
-    registry:
-        The :class:`~repro.session.AlgorithmRegistry` resolving algorithm
-        names; defaults to the process-wide registry.
     """
 
     def __init__(
@@ -141,7 +136,6 @@ class Cluster:
         fault_plan: Optional[FaultPlan] = None,
         wire_checksums: Optional[bool] = None,
         trace: Optional[bool] = None,
-        registry: Optional[AlgorithmRegistry] = None,
     ):
         if num_pes <= 0:
             raise ValueError("num_pes must be positive")
@@ -156,7 +150,6 @@ class Cluster:
             trace=trace,
         )
         self.fault_plan = fault_plan
-        self.registry = registry if registry is not None else default_registry()
         self._engine = get_engine(self.config.engine)(
             num_pes, config=self.config, fault_plan=fault_plan
         )
@@ -192,15 +185,19 @@ class Cluster:
 
     def _resolve_spec(self, spec: Union[SortSpec, str, None]) -> SortSpec:
         if spec is None:
-            return self.registry.spec_class("ms")()
+            return MSSpec()
         if isinstance(spec, str):
-            return self.registry.spec_class(spec)()
+            return spec_class(spec)()
         if not isinstance(spec, SortSpec):
             raise TypeError(
                 f"spec must be a SortSpec, algorithm name or None, got {spec!r}"
             )
-        # surface unregistered spec classes before the SPMD run starts
-        self.registry.get(type(spec).algorithm)
+        # surface a spec class with no rank program before the SPMD run starts
+        if not spec.algorithm or type(spec).run is SortSpec.run:
+            raise TypeError(
+                f"{type(spec).__name__} is no algorithm: a spec class names its "
+                "algorithm and overrides SortSpec.run"
+            )
         return spec
 
     def _distribute(
@@ -261,11 +258,7 @@ class Cluster:
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         spec = self._resolve_spec(spec)
-        entry = self.registry.get(type(spec).algorithm)
         blocks = self._distribute(data, spec, pre_distributed)
-
-        def rank_program(comm: Communicator, local) -> RankOutput:
-            return entry.runner(comm, local, spec)
 
         # what failed attempts leave in the job's report: their fault
         # counts (so the chaos suite can reconcile them against the plan)
@@ -276,7 +269,7 @@ class Cluster:
             meter = TrafficMeter(self.num_pes)
             try:
                 results, report = self._engine.run(
-                    rank_program,
+                    spec.run,
                     args_per_rank=[(b,) for b in blocks],
                     meter=meter,
                 )
@@ -294,14 +287,14 @@ class Cluster:
             # the run's labels and input size, which report.metrics reads
             # (the configured engine name, so a registered alias keeps its label)
             report.timeline.meta.update(
-                algorithm=entry.name,
+                algorithm=spec.algorithm,
                 engine=self.config.engine,
                 topology=self._topology_label(spec),
                 num_strings=num_strings,
             )
 
         result = SortResult(
-            algorithm=entry.name,
+            algorithm=spec.algorithm,
             num_pes=self.num_pes,
             num_strings=num_strings,
             num_chars=sum(int(string_lengths(b).sum()) for b in blocks),

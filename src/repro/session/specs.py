@@ -4,10 +4,9 @@ One dataclass per algorithm holds that algorithm's knobs, and the rank
 programs in :mod:`repro.dist.api` read them straight off the spec.  A spec is
 validated at construction time, hashable, immutable, and travels losslessly
 through ``to_dict`` / :meth:`SortSpec.from_dict`.  The stable
-:meth:`SortSpec.config_hash` keys benchmark cells and (per the roadmap)
-future checkpoint files, so it must not depend on process state — it is a
-SHA-256 over the canonical JSON form, identical across processes, Python
-versions and field declaration order.
+:meth:`SortSpec.config_hash` keys benchmark cells, so it must not depend on
+process state — it is a SHA-256 over the canonical JSON form, identical
+across processes, Python versions and field declaration order.
 
 The hierarchy mirrors the paper's algorithm families:
 
@@ -21,9 +20,9 @@ The hierarchy mirrors the paper's algorithm families:
 :class:`AutoSpec`        run-time D/N estimate picks ms vs pdms-golomb
 =================== =======================================================
 
-Algorithm lookup goes through the :class:`repro.session.registry` so
-third-party specs registered via :func:`repro.session.register_algorithm`
-deserialize exactly like the built-ins.
+The spec class is the algorithm: :meth:`SortSpec.run` is its SPMD rank
+program, and :data:`SPECS` maps each algorithm name to its class.  A
+third-party algorithm is a subclass that overrides :meth:`SortSpec.run`.
 """
 
 from __future__ import annotations
@@ -32,9 +31,16 @@ import difflib
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import Any, ClassVar, Dict, Mapping, Optional
+from typing import Any, ClassVar, Dict, Mapping, Optional, Sequence, Type
+
+from ..dist.api import RankOutput, merge_sort
+from ..dist.dn_estimator import estimate_dn_ratio, recommend_algorithm
+from ..dist.hquick import hquick_sort
+from ..mpi.comm import Communicator
 
 __all__ = [
+    "SPECS",
+    "spec_class",
     "SortSpec",
     "HQuickSpec",
     "FKMergeSpec",
@@ -89,7 +95,7 @@ class SortSpec:
         wire bytes.
     """
 
-    #: the registry name of the algorithm this spec configures
+    #: the name of the algorithm this spec configures and runs
     algorithm: ClassVar[str] = ""
 
     local_sorter: str = "msd_radix"
@@ -125,6 +131,16 @@ class SortSpec:
                 f"use one of {list(TOPOLOGY_NAMES)} or None to inherit"
             )
 
+    def run(self, comm: Communicator, local: Sequence) -> RankOutput:
+        """This algorithm's SPMD rank program: sort ``local`` on ``comm``.
+
+        :meth:`repro.session.Cluster.sort` hands it to the engine, so every
+        rank calls it with its own block.  Each algorithm class overrides
+        it; a third-party algorithm is a subclass that does the same and
+        returns a :class:`repro.dist.api.RankOutput`.
+        """
+        raise NotImplementedError
+
     # ------------------------------------------------------------- serialization
     def to_dict(self) -> Dict[str, Any]:
         """The spec as a flat JSON-ready dict (``algorithm`` + all fields)."""
@@ -132,26 +148,29 @@ class SortSpec:
         out.update(asdict(self))
         return out
 
-    @staticmethod
-    def from_dict(data: Mapping[str, Any], registry=None) -> "SortSpec":
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "SortSpec":
         """Rebuild a spec from :meth:`to_dict` output (inverse, key-order free).
 
-        ``data`` must carry an ``"algorithm"`` key naming a registered
-        algorithm; the remaining keys must be fields of that algorithm's
-        spec class.  Unknown algorithm names and unknown keys raise
-        :class:`ValueError` with a nearest-match suggestion.  ``registry``
-        defaults to the process-wide default
-        :class:`repro.session.AlgorithmRegistry`.
+        ``data`` must carry an ``"algorithm"`` key.  ``SortSpec.from_dict``
+        looks its class up in :data:`SPECS`; a subclass rebuilds itself and
+        refuses a dict that names another algorithm.  The remaining keys
+        must be fields of that class.  Unknown algorithm names and unknown
+        keys raise :class:`ValueError` with a nearest-match suggestion.
         """
-        from .registry import default_registry
-
-        registry = registry if registry is not None else default_registry()
         payload = dict(data)
         try:
             name = payload.pop("algorithm")
         except KeyError:
             raise ValueError("spec dict is missing the 'algorithm' key") from None
-        spec_cls = registry.spec_class(name)
+        if cls is SortSpec:
+            spec_cls = spec_class(name)
+        elif name == cls.algorithm:
+            spec_cls = cls
+        else:
+            raise ValueError(
+                f"{cls.__name__} configures {cls.algorithm!r}, not {name!r}"
+            )
         known = {f.name for f in fields(spec_cls)}
         unknown = set(payload) - known
         if unknown:
@@ -168,8 +187,7 @@ class SortSpec:
         Computed as SHA-256 over the canonical (sorted-key, compact) JSON
         form of :meth:`to_dict`, so it is identical across processes and
         insensitive to field order — the key the benchmark harness uses for
-        its cells and their checkpoint files (``ExperimentRunner`` with a
-        ``cache_dir``, resumed by ``sweep(..., resume=True)``).
+        its cells.
         """
         payload = json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":")
@@ -182,6 +200,12 @@ class HQuickSpec(SortSpec):
     """Hypercube quicksort (Section IV): strings as atoms, no extra knobs."""
 
     algorithm: ClassVar[str] = "hquick"
+
+    def run(self, comm: Communicator, local: Sequence) -> RankOutput:
+        """Hypercube quicksort (:func:`repro.dist.hquick.hquick_sort`)."""
+        return RankOutput(
+            *hquick_sort(comm, local, seed=self.seed, local_sorter=self.local_sorter)
+        )
 
 
 @dataclass(frozen=True)
@@ -207,6 +231,10 @@ class _MergeSortSpec(SortSpec):
             raise ValueError(
                 f"oversampling must be >= 1 or None, got {self.oversampling!r}"
             )
+
+    def run(self, comm: Communicator, local: Sequence) -> RankOutput:
+        """The one merge-sort rank program, with this class's stages."""
+        return merge_sort(comm, local, self)
 
 
 @dataclass(frozen=True)
@@ -305,3 +333,42 @@ class AutoSpec(PDMSSpec):
     """
 
     algorithm: ClassVar[str] = "auto"
+
+    def run(self, comm: Communicator, local: Sequence) -> RankOutput:
+        """Estimate D/N, then run the chosen algorithm with this spec's knobs."""
+        # the D/N estimate is a collective, so every rank agrees on the choice;
+        # Cluster.sort's extras merge still asserts that agreement explicitly
+        estimate = estimate_dn_ratio(comm, local, seed=self.seed)
+        chosen = recommend_algorithm(estimate)
+        spec_cls = SPECS[chosen]
+        chosen_spec = spec_cls(**{f.name: getattr(self, f.name) for f in fields(spec_cls)})
+        output = merge_sort(comm, local, chosen_spec)
+        output.extra["chosen_algorithm"] = chosen
+        output.extra["estimated_dn"] = estimate.dn_ratio
+        return output
+
+
+#: algorithm name -> the spec class that configures and runs it
+SPECS: Dict[str, Type[SortSpec]] = {
+    spec_cls.algorithm: spec_cls
+    for spec_cls in (
+        HQuickSpec,
+        FKMergeSpec,
+        MSSimpleSpec,
+        MSSpec,
+        PDMSSpec,
+        PDMSGolombSpec,
+        AutoSpec,
+    )
+}
+
+
+def spec_class(name: str) -> Type[SortSpec]:
+    """The spec class of algorithm ``name`` (ValueError with a suggestion)."""
+    try:
+        return SPECS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown algorithm {name!r}{_suggest(name, SPECS)}; "
+            f"available: {sorted(SPECS)}"
+        ) from None

@@ -54,7 +54,7 @@ import pytest
 from repro.mpi.comm import Communicator
 from repro.mpi.engine import ENGINES, SpmdError, ThreadEngine, _SharedState
 from repro.mpi.procengine import process_engine_available
-from repro.session import Cluster, default_registry
+from repro.session import Cluster, spec_class
 
 #: the paper's six algorithms; with the axes below, the conformance matrix
 PAPER_ALGORITHMS = ("ms", "ms-simple", "pdms", "pdms-golomb", "hquick", "fkmerge")
@@ -272,7 +272,7 @@ def sort_fingerprint(
     ``transported_bytes`` (informational — transport cost is the one thing
     engines legitimately differ on).
     """
-    spec = default_registry().spec_class(algorithm)(seed=3)
+    spec = spec_class(algorithm)(seed=3)
     with registered(engine), Cluster(
         num_pes=num_pes, engine=engine, exchange_topology=topology
     ) as cluster:
@@ -441,7 +441,6 @@ def trace_runs(
         return tracer
 
     corpus = conformance_workload()
-    registry = default_registry()
     before = _repro_namespaces()
     threading.settrace(tracer_for)
     try:
@@ -451,7 +450,7 @@ def trace_runs(
                     num_pes=p, engine="threads", exchange_topology=topology
                 ) as cluster:
                     for algorithm in algorithms:
-                        spec = registry.spec_class(algorithm)(seed=3)
+                        spec = spec_class(algorithm)(seed=3)
                         cluster.sort(corpus, spec, check=True)
     finally:
         threading.settrace(None)  # type: ignore[arg-type]

@@ -24,12 +24,10 @@ REQUIRED: Dict[str, List[str]] = {
         "SortSpec.to_dict",
         "SortSpec.from_dict",
         "SortSpec.config_hash",
-    ],
-    "repro/session/registry.py": [
-        "AlgorithmRegistry",
-        "AlgorithmEntry",
-        "register_algorithm",
-        "default_registry",
+        "SortSpec.run",
+        "HQuickSpec.run",
+        "_MergeSortSpec.run",
+        "AutoSpec.run",
     ],
     "repro/session/stream.py": ["BatchStream"],
     "repro/dist/exchange.py": [

@@ -9,7 +9,7 @@ from repro.bench.experiments import (
     suffix_instance_experiment,
     weak_scaling_dn,
 )
-from repro.bench.harness import CellResult, ExperimentResult, ExperimentRunner, format_table
+from repro.bench.harness import ExperimentResult, ExperimentRunner, format_table
 from repro.net.cost_model import MachineModel
 from repro.strings.generators import random_strings
 
@@ -106,176 +106,6 @@ class TestSpecDrivenSweeps:
         data = random_strings(100, 1, 8, seed=13)
         cell = runner.run_cell("unit", "ms", 2, "rand", [data[:50], data[50:]])
         assert cell.config_hash == MSSpec(seed=5).config_hash()
-
-
-class TestCheckpointedCells:
-    """Checkpoint/resume: cells persist as JSON keyed by config_hash."""
-
-    def _factory(self, p, seed):
-        data = random_strings(40 * p, 1, 8, seed=seed)
-        return [data[r * 40 : (r + 1) * 40] for r in range(p)]
-
-    def test_cell_round_trips_through_from_dict(self):
-        runner = ExperimentRunner()
-        data = random_strings(120, 1, 8, seed=21)
-        cell = runner.run_cell("unit", "ms", 2, "rand", [data[:60], data[60:]])
-        clone = CellResult.from_dict(json.loads(json.dumps(cell.as_dict())))
-        assert clone == cell
-        # unknown keys from future formats are ignored, not fatal
-        extended = dict(cell.as_dict(), future_field=123)
-        assert CellResult.from_dict(extended) == cell
-
-    def test_run_cell_resume_skips_recomputation(self, tmp_path, monkeypatch):
-        from repro.session import Cluster, MSSpec
-
-        runner = ExperimentRunner(cache_dir=tmp_path)
-        data = random_strings(160, 1, 8, seed=22)
-        blocks = [data[:80], data[80:]]
-        first = runner.run_cell("unit", MSSpec(), 2, "rand", blocks)
-        assert list(tmp_path.glob("*.json")), "cell checkpoint not written"
-
-        def boom(*args, **kwargs):  # resumed cells must never sort again
-            raise AssertionError("resume recomputed a cached cell")
-
-        monkeypatch.setattr(Cluster, "sort", boom)
-        resumed = ExperimentRunner(cache_dir=tmp_path)
-        cell = resumed.run_cell("unit", MSSpec(), 2, "rand", blocks, resume=True)
-        assert cell == first
-        assert resumed.cells_resumed == 1
-
-    def test_resume_keys_on_config_hash_pe_and_input(self, tmp_path):
-        from repro.session import MSSpec
-
-        runner = ExperimentRunner(cache_dir=tmp_path)
-        data = random_strings(160, 1, 8, seed=23)
-        blocks = [data[:80], data[80:]]
-        runner.run_cell("unit", MSSpec(), 2, "rand", blocks)
-        # a different spec, PE count or input name misses the cache
-        assert runner.run_cell(
-            "unit", MSSpec(sampling="character"), 2, "rand", blocks, resume=True
-        ).config_hash != MSSpec().config_hash()
-        runner.run_cell("unit", MSSpec(), 2, "other", blocks, resume=True)
-        assert runner.cells_resumed == 0
-
-    def test_sweep_resume_is_incremental(self, tmp_path):
-        from repro.session import MSSpec, PDMSSpec
-
-        runner = ExperimentRunner(cache_dir=tmp_path)
-        specs = [MSSpec(), PDMSSpec(epsilon=0.5)]
-        first = runner.sweep("sweep", "d", specs, [2, 3], self._factory)
-        assert runner.cells_resumed == 0
-
-        resumed = ExperimentRunner(cache_dir=tmp_path)
-        second = resumed.sweep(
-            "sweep", "d", specs, [2, 3], self._factory, resume=True
-        )
-        assert resumed.cells_resumed == len(first.cells) == 4
-        assert [c.as_dict() for c in second.cells] == [
-            c.as_dict() for c in first.cells
-        ]
-        # growing the sweep only pays for the new cells
-        grown = ExperimentRunner(cache_dir=tmp_path)
-        res = grown.sweep(
-            "sweep", "d", specs + ["hquick"], [2, 3], self._factory, resume=True
-        )
-        assert grown.cells_resumed == 4
-        assert len(res.cells) == 6
-
-    def test_resume_keys_on_runner_context(self, tmp_path):
-        """Regression: a different input-generation seed (or machine model)
-        must miss the cache — the runner seed shapes the input but is not
-        part of the spec's config_hash."""
-        from repro.session import MSSpec
-
-        first = ExperimentRunner(cache_dir=tmp_path, seed=0)
-        a = first.sweep("demo", "d", [MSSpec()], [2], self._factory)
-
-        other_seed = ExperimentRunner(cache_dir=tmp_path, seed=999)
-        b = other_seed.sweep("demo", "d", [MSSpec()], [2], self._factory, resume=True)
-        assert other_seed.cells_resumed == 0
-        assert b.cells[0].total_bytes_sent != a.cells[0].total_bytes_sent or (
-            b.cells[0].extra != a.cells[0].extra
-        )
-
-        slow = ExperimentRunner(
-            cache_dir=tmp_path, seed=0, machine=MachineModel(alpha=1.0, beta=1.0)
-        )
-        slow.sweep("demo", "d", [MSSpec()], [2], self._factory, resume=True)
-        assert slow.cells_resumed == 0
-        # the original context still resumes
-        again = ExperimentRunner(cache_dir=tmp_path, seed=0)
-        again.sweep("demo", "d", [MSSpec()], [2], self._factory, resume=True)
-        assert again.cells_resumed == 1
-
-    def test_resume_keys_on_effective_execution_toggles(self, tmp_path, monkeypatch):
-        """Regression: cells measured under an inherited routed topology (or
-        any other run-config setting) must not resume as direct-delivery
-        data."""
-        from repro.session import MSSpec
-
-        monkeypatch.setenv("REPRO_EXCHANGE_TOPOLOGY", "hypercube")
-        routed = ExperimentRunner(cache_dir=tmp_path)
-        res = routed.sweep("demo", "d", [MSSpec()], [2], self._factory)
-        assert res.cells[0].extra["forwarded_bytes"] > 0
-
-        monkeypatch.delenv("REPRO_EXCHANGE_TOPOLOGY")
-        direct = ExperimentRunner(cache_dir=tmp_path)
-        res2 = direct.sweep("demo", "d", [MSSpec()], [2], self._factory, resume=True)
-        assert direct.cells_resumed == 0
-        assert "forwarded_bytes" not in res2.cells[0].extra
-
-        # under the same setting the routed cell resumes
-        monkeypatch.setenv("REPRO_EXCHANGE_TOPOLOGY", "hypercube")
-        again = ExperimentRunner(cache_dir=tmp_path)
-        again.sweep("demo", "d", [MSSpec()], [2], self._factory, resume=True)
-        assert again.cells_resumed == 1
-
-    def test_resume_keys_on_wire_checksums(self, tmp_path, monkeypatch):
-        """Regression: a cell measured with sealed blocks (4 more wire bytes
-        per block) must not be served to an unsealed run."""
-        from repro.session import MSSpec
-
-        monkeypatch.setenv("REPRO_WIRE_CHECKSUMS", "1")
-        sealed = ExperimentRunner(cache_dir=tmp_path)
-        (cell,) = sealed.sweep("demo", "d", [MSSpec()], [2], self._factory).cells
-
-        monkeypatch.delenv("REPRO_WIRE_CHECKSUMS")
-        plain = ExperimentRunner(cache_dir=tmp_path)
-        (fresh,) = plain.sweep(
-            "demo", "d", [MSSpec()], [2], self._factory, resume=True
-        ).cells
-        assert plain.cells_resumed == 0
-        assert fresh.total_bytes_sent < cell.total_bytes_sent
-
-    def test_cache_key_never_aliases_experiment_and_input_name(self, tmp_path):
-        """Regression: the '--' separator and the filename sanitizer must not
-        let distinct (experiment, input_name) pairs share a checkpoint."""
-        runner = ExperimentRunner(cache_dir=tmp_path)
-        pairs = [("a", "b--c"), ("a--b", "c"), ("w", "web 1"), ("w", "web/1")]
-        paths = {runner._cell_cache_path(e, "deadbeef", 2, i) for e, i in pairs}
-        assert len(paths) == len(pairs)
-
-    def test_corrupt_checkpoint_recomputes(self, tmp_path):
-        from repro.session import MSSpec
-
-        runner = ExperimentRunner(cache_dir=tmp_path)
-        data = random_strings(120, 1, 8, seed=24)
-        blocks = [data[:60], data[60:]]
-        runner.run_cell("unit", MSSpec(), 2, "rand", blocks)
-        (path,) = tmp_path.glob("*.json")
-        path.write_text("{not json")
-        again = ExperimentRunner(cache_dir=tmp_path)
-        cell = again.run_cell("unit", MSSpec(), 2, "rand", blocks, resume=True)
-        assert again.cells_resumed == 0
-        assert cell.num_strings == 120
-        # the overwritten checkpoint is valid again
-        assert CellResult.from_dict(json.loads(path.read_text())) == cell
-
-    def test_no_cache_dir_means_no_files(self, tmp_path):
-        runner = ExperimentRunner()
-        data = random_strings(100, 1, 8, seed=25)
-        runner.run_cell("unit", "ms", 2, "rand", [data[:50], data[50:]])
-        assert runner._cell_cache_path("unit", "abc", 2, "rand") is None
 
 
 class TestExperimentResult:

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from engine_conformance import PAPER_ALGORITHMS
-from repro.session import Cluster, MSSpec, PDMSGolombSpec, PDMSSpec, default_registry
+from repro.session import Cluster, MSSpec, PDMSGolombSpec, PDMSSpec, spec_class
 from repro.strings.generators import commoncrawl_like, dna_reads
 
 _DATA = commoncrawl_like(500, seed=201)
@@ -19,7 +19,7 @@ _DATA = commoncrawl_like(500, seed=201)
 
 @pytest.mark.parametrize("algorithm", sorted(PAPER_ALGORITHMS) + ["auto"])
 def test_metrics_finite_and_positive(algorithm):
-    res = Cluster(4).sort(_DATA, default_registry().spec_class(algorithm)(seed=1))
+    res = Cluster(4).sort(_DATA, spec_class(algorithm)(seed=1))
     bps = res.bytes_per_string()
     assert math.isfinite(bps) and bps > 0
     time = res.modeled_time()
@@ -29,7 +29,7 @@ def test_metrics_finite_and_positive(algorithm):
 
 @pytest.mark.parametrize("algorithm", sorted(PAPER_ALGORITHMS))
 def test_phase_bytes_sum_to_total(algorithm):
-    res = Cluster(4).sort(_DATA, default_registry().spec_class(algorithm)(seed=2))
+    res = Cluster(4).sort(_DATA, spec_class(algorithm)(seed=2))
     assert sum(res.report.phase_bytes.values()) == res.report.total_bytes_sent
 
 

@@ -10,7 +10,7 @@ lengths, and heavy duplication.  Everything is verified through
 import pytest
 
 from engine_conformance import PAPER_ALGORITHMS
-from repro.session import Cluster, PDMSSpec, default_registry
+from repro.session import SPECS, Cluster, PDMSSpec, spec_class
 from repro.strings.checker import check_sort
 from repro.strings.generators import dn_instance, skewed_dn_instance
 
@@ -27,9 +27,9 @@ INSTANCES = {
 }
 
 
-def test_registry_covers_all_paper_algorithms():
+def test_specs_cover_all_paper_algorithms():
     assert set(PAPER_ALGORITHMS) == set(FULL_STRING_ALGORITHMS) | set(PREFIX_ALGORITHMS)
-    assert set(default_registry().names()) == set(PAPER_ALGORITHMS) | {"auto"}
+    assert set(SPECS) == set(PAPER_ALGORITHMS) | {"auto"}
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -39,7 +39,7 @@ def test_full_string_algorithms_agree(name):
     flat_outputs = {}
     with Cluster(4) as cluster:
         for algorithm in FULL_STRING_ALGORITHMS:
-            res = cluster.sort(data, default_registry().spec_class(algorithm)(seed=7))
+            res = cluster.sort(data, spec_class(algorithm)(seed=7))
             check_sort(res.inputs_per_pe, res.rank_outputs)
             flat_outputs[algorithm] = res.sorted_strings
     for algorithm, flat in flat_outputs.items():
@@ -53,7 +53,7 @@ def test_prefix_algorithms_agree(name):
     outputs = {}
     with Cluster(4) as cluster:
         for algorithm in PREFIX_ALGORITHMS:
-            res = cluster.sort(data, default_registry().spec_class(algorithm)(seed=7))
+            res = cluster.sort(data, spec_class(algorithm)(seed=7))
             check_sort(res.inputs_per_pe, res.rank_outputs)
             outputs[algorithm] = res.sorted_strings
     # Golomb coding changes the wire format only, never the detection
@@ -92,6 +92,6 @@ def test_agreement_across_pe_counts(p):
     truth = sorted(data)
     with Cluster(p) as cluster:
         for algorithm in FULL_STRING_ALGORITHMS:
-            spec = default_registry().spec_class(algorithm)(seed=p)
+            spec = spec_class(algorithm)(seed=p)
             res = cluster.sort(data, spec, check=True)
             assert res.sorted_strings == truth

@@ -21,13 +21,13 @@ from repro.mpi import run_spmd
 from repro.sequential import SEQUENTIAL_SORTERS
 from repro.session import (
     Cluster,
-    default_registry,
     FKMergeSpec,
     HQuickSpec,
     MSSimpleSpec,
     MSSpec,
     PDMSGolombSpec,
     PDMSSpec,
+    spec_class,
 )
 from repro.strings.checker import check_sort
 from repro.strings.generators import (
@@ -218,10 +218,10 @@ class TestLocalSort:
     def test_every_algorithm_takes_every_sorter(self, algorithm, sorter):
         """A list-sorted run, packed once, sorts and travels like msd_radix's."""
         data = self.BLOCKS["dn"]() + self.BLOCKS["fallback"]()
-        spec_class = default_registry().spec_class(algorithm)
+        spec_cls = spec_class(algorithm)
         with Cluster(4) as cluster:
-            got = cluster.sort(data, spec_class(local_sorter=sorter), check=True)
-            want = cluster.sort(data, spec_class())
+            got = cluster.sort(data, spec_cls(local_sorter=sorter), check=True)
+            want = cluster.sort(data, spec_cls())
         assert got.outputs_per_pe == want.outputs_per_pe
         assert got.lcps_per_pe == want.lcps_per_pe
         assert got.origins_per_pe == want.origins_per_pe

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from engine_conformance import PAPER_ALGORITHMS, engine_params, set_engine
-from repro.session import Cluster, MSSpec, default_registry
+from repro.session import Cluster, MSSpec, spec_class
 from repro.strings.generators import dn_instance
 
 from oracles.routing import max_hops
@@ -55,7 +55,7 @@ _SETTINGS = dict(
 
 
 def _sort(strings, algorithm, p, topology, seed=3):
-    spec = default_registry().spec_class(algorithm)(seed=seed)
+    spec = spec_class(algorithm)(seed=seed)
     cluster = Cluster(num_pes=p, exchange_topology=topology)
     return cluster.sort(strings, spec)
 
@@ -117,7 +117,7 @@ def test_spec_field_overrides_cluster_setting():
     """A spec's explicit exchange_topology wins over the cluster default."""
     corpus = dn_instance(num_strings=120, dn=0.5, length=20, seed=3)
     cluster = Cluster(num_pes=4, exchange_topology="hypercube")
-    spec = default_registry().spec_class("ms")(exchange_topology="direct")
+    spec = spec_class("ms")(exchange_topology="direct")
     res = cluster.sort(corpus, spec)
     assert res.report.forwarded_bytes == 0
     inherited = cluster.sort(corpus, "ms")

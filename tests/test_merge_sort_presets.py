@@ -7,8 +7,8 @@ defaults, so the two must agree on everything but the LCP arrays.
 
 import pytest
 
-from repro.dist.api import merge_sort
-from repro.session import Cluster, FKMergeSpec, MSSimpleSpec, SortSpec, default_registry
+import repro.session.specs as specs
+from repro.session import Cluster, FKMergeSpec, MSSimpleSpec, SortSpec, spec_class
 from repro.strings.generators import dn_instance
 
 MERGE_SORTS = ("fkmerge", "ms-simple", "ms", "pdms", "pdms-golomb")
@@ -30,8 +30,19 @@ def test_fkmerge_is_ms_simple_without_lcps(p, topology):
 
 
 @pytest.mark.parametrize("name", MERGE_SORTS)
-def test_every_merge_sort_runs_the_one_rank_program(name):
-    assert default_registry().get(name).runner is merge_sort
+def test_every_merge_sort_runs_the_one_rank_program(name, monkeypatch):
+    spec = spec_class(name)()
+    merge_sort = specs.merge_sort
+    called = []
+
+    def recording(comm, strings, spec):
+        called.append(type(spec))
+        return merge_sort(comm, strings, spec)
+
+    monkeypatch.setattr(specs, "merge_sort", recording)
+    # threads: the ranks append to this process's list
+    Cluster(3, engine="threads").sort(dn_instance(300, 0.3, length=20, seed=2), spec, check=True)
+    assert called == [type(spec)] * 3
 
 
 def test_fkmerge_sampling_is_pinned():

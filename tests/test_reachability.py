@@ -1,7 +1,7 @@
 """Every function defined in ``src/repro`` is called by a run of the corpus.
 
 The entry corpus below runs the public surface the way its users do: the
-registry's algorithms over every topology on both engines, each fault kind,
+algorithms of ``SPECS`` over every topology on both engines, each fault kind,
 the CLI subcommands, the canned experiments, the examples, the names
 perfbench resolves, awkward inputs and invalid ones.  It runs once, under
 ``sys.setprofile`` and ``threading.setprofile``, and the profile hook
@@ -235,25 +235,27 @@ def run_api(tmp: Path) -> None:
     from repro.config import RunConfig
     from repro.dist.api import merge_sort
     from repro.mpi.engine import ENGINES, ThreadEngine, get_engine, register_engine
-    from repro.session import default_registry, register_algorithm
 
     config = RunConfig.from_env({"REPRO_TRACE": "1"}).override(timeout=30.0)
     spec = SortSpec.from_dict(MSSpec(sampling="character").to_dict())
     assert spec.config_hash() == MSSpec(sampling="character").config_hash()
 
-    def stamped(comm, local, spec):
-        output = merge_sort(comm, local, spec)
-        output.extra["stamped"] = True
-        return output
+    @dataclass(frozen=True)
+    class StampedSpec(MSSpec):
+        algorithm = "ms-stamped"
 
-    registry = default_registry().copy()
-    register_algorithm("ms-stamped", stamped, MSSpec, registry=registry)
+        def run(self, comm, local):
+            output = super().run(comm, local)
+            output.extra["stamped"] = True
+            return output
+
     register_engine("threads-again", ThreadEngine)
     try:
         assert get_engine("threads-again") is ThreadEngine
     finally:
         del ENGINES["threads-again"]
-    cluster = Cluster(3, registry=registry, trace=config.trace)
+    cluster = Cluster(3, trace=config.trace)
+    assert cluster.sort(_small(), StampedSpec(), check=True).extra == {"stamped": True}
     first = cluster.sort(_small(), spec, check=True)
     second = cluster.sort(_small(4), MSSpec(), check=True)
     merged = first.report.merged(second.report)
@@ -266,20 +268,20 @@ def run_api(tmp: Path) -> None:
 
 
 def run_algorithms(tmp: Path) -> None:
-    """Every registered algorithm on every topology, threads at p in {1, 3, 4}.
+    """Every algorithm on every topology, threads at p in {1, 3, 4}.
 
     Each result is checked and read the way users read it: bytes per
     string, modelled time and the LCP arrays.  MS also sorts a block behind one shared
     prefix whose ranks each merge over 1024 strings (the merge's word
     radix).
     """
-    from repro.session import Cluster, default_registry
+    from repro.session import SPECS, Cluster
 
     data = conformance_workload()
     for num_pes in (1, 3, 4):
         for topology in TOPOLOGIES:
             cluster = Cluster(num_pes, exchange_topology=topology, engine="threads")
-            for name in default_registry().names():
+            for name in sorted(SPECS):
                 result = cluster.sort(data, name, check=True)
                 result.bytes_per_string()
                 result.modeled_time()
@@ -289,11 +291,11 @@ def run_algorithms(tmp: Path) -> None:
 
 def run_sealed(tmp: Path) -> None:
     """Every algorithm with wire seals, direct and routed."""
-    from repro.session import Cluster, default_registry
+    from repro.session import SPECS, Cluster
 
     for topology in TOPOLOGIES:
         cluster = Cluster(4, exchange_topology=topology, wire_checksums=True)
-        for name in default_registry().names():
+        for name in sorted(SPECS):
             cluster.sort(_small(), name, check=True)
 
 
@@ -316,13 +318,13 @@ def run_local_sorters(tmp: Path) -> None:
 def run_processes(tmp: Path) -> None:
     """Every algorithm on the processes engine, every topology; a batch
     stream; and buckets large enough to travel through shared memory."""
-    from repro.session import Cluster, default_registry
+    from repro.session import SPECS, Cluster
     from repro.strings import dn_instance
 
     data = _small()
     for topology in TOPOLOGIES:
         with Cluster(4, exchange_topology=topology, engine="processes") as cluster:
-            for name in default_registry().names():
+            for name in sorted(SPECS):
                 cluster.sort(data, name, check=True)
     with Cluster(2, engine="processes", trace=True) as cluster:
         batches = [data[i : i + 20] for i in range(0, len(data), 20)]
@@ -439,10 +441,8 @@ def run_cli(tmp: Path) -> None:
 
 
 def run_experiments(tmp: Path) -> None:
-    """The canned experiments at tiny sizes, and a sweep that resumes from
-    its checkpoints."""
+    """The canned experiments at tiny sizes."""
     from repro.bench import ExperimentRunner, experiments
-    from repro.strings import dn_instance_for_pes
 
     runner = ExperimentRunner(seed=1, check=True)
     results = experiments.weak_scaling_dn(
@@ -456,14 +456,6 @@ def run_experiments(tmp: Path) -> None:
     for result in results:
         result.render("bytes_per_string")
         json.loads(result.to_json())
-    for _ in range(2):
-        resumed = ExperimentRunner(seed=1, cache_dir=tmp / "cells")
-        resumed.sweep(
-            "resume", "a checkpointed sweep", ["ms"], [2],
-            lambda p, seed: dn_instance_for_pes(p, 20, 0.5, length=20, seed=seed),
-            resume=True,
-        )
-    assert resumed.cells_resumed == 1
 
 
 def _capped(generate: Callable, cap: int) -> Callable:

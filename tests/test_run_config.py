@@ -41,7 +41,7 @@ def test_cluster_keywords_are_the_fields():
     keywords = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
     settings = {f.name for f in fields(RunConfig)}
     # every other keyword, a retired setting included, is a TypeError
-    assert keywords == settings | {"machine", "fault_plan", "registry"}
+    assert keywords == settings | {"machine", "fault_plan"}
 
 
 def test_retired_packed_setting_is_rejected():

@@ -1,7 +1,7 @@
 """Cluster sessions and the input distribution they sort.
 
-Sorting, machine reuse, the run configuration, the engine seam and the
-registry.
+Sorting, machine reuse, the run configuration, the engine seam and
+custom algorithms: spec subclasses that override ``run``.
 """
 
 import threading
@@ -20,13 +20,14 @@ from repro.mpi.engine import (
     register_engine,
 )
 from repro.session import (
-    AlgorithmRegistry,
+    SPECS,
     Cluster,
     HQuickSpec,
     MSSpec,
     PDMSGolombSpec,
-    default_registry,
-    register_algorithm,
+    SampledSpec,
+    SortSpec,
+    spec_class,
 )
 from repro.strings.generators import dn_instance, random_strings
 from repro.strings.packed import PackedStringArray
@@ -103,10 +104,10 @@ class TestClusterSort:
         res = Cluster(num_pes=8).sort([b"b", b"a", b"c"], MSSpec(), check=True)
         assert res.sorted_strings == [b"a", b"b", b"c"]
 
-    def test_single_pe_every_registered_algorithm(self):
+    def test_single_pe_every_algorithm(self):
         data = random_strings(150, 0, 10, seed=4)
         with Cluster(num_pes=1) as cluster:
-            for name in default_registry().names():
+            for name in sorted(SPECS):
                 res = cluster.sort(data, name, check=True)
                 assert res.num_strings == 150
 
@@ -154,21 +155,16 @@ class TestMachineReuse:
         assert cluster.engine.state_reuses >= 3
 
     def test_failed_run_rebuilds_the_machine(self):
-        cluster = Cluster(num_pes=2)
-
-        reg = default_registry().copy()
-
-        def exploding(comm, local, spec):
-            raise RuntimeError("boom")
-
         @dataclass(frozen=True)
         class BoomSpec(MSSpec):
             algorithm = "boom"
 
-        reg.register("boom", exploding, BoomSpec)
-        bad = Cluster(num_pes=2, registry=reg)
+            def run(self, comm, local):
+                raise RuntimeError("boom")
+
+        bad = Cluster(num_pes=2)
         with pytest.raises(SpmdError):
-            bad.sort([b"a", b"b"], "boom")
+            bad.sort([b"a", b"b"], BoomSpec())
         # the poisoned state must not be reused
         ok = bad.sort([b"b", b"a"], "ms", check=True)
         assert ok.sorted_strings == [b"a", b"b"]
@@ -240,16 +236,17 @@ class TestRunConfig:
             Cluster(num_pes=2, timeout=0)
 
 
-def _paused_ms(first: threading.Event, then: threading.Event):
-    """An ``ms`` runner that sets ``first``, then sorts once ``then`` is set."""
-    ms = default_registry().get("ms").runner
+def _paused_ms(first: threading.Event, then: threading.Event) -> MSSpec:
+    """An ``ms`` spec that sets ``first``, then sorts once ``then`` is set."""
 
-    def runner(comm, local, spec):
-        first.set()
-        assert then.wait(30), "the other cluster never reached its cue"
-        return ms(comm, local, spec)
+    @dataclass(frozen=True)
+    class PausedMSSpec(MSSpec):
+        def run(self, comm, local):
+            first.set()
+            assert then.wait(30), "the other cluster never reached its cue"
+            return super().run(comm, local)
 
-    return runner
+    return PausedMSSpec()
 
 
 @pytest.mark.parametrize(
@@ -281,24 +278,23 @@ def test_concurrent_clusters_keep_their_own_settings(setting, mine, theirs):
 
     a_started, b_in_flight = threading.Event(), threading.Event()
     a_done = threading.Event()
-    reg_a, reg_b = default_registry().copy(), default_registry().copy()
-    reg_a.register("ms", _paused_ms(a_started, b_in_flight), MSSpec, overwrite=True)
-    reg_b.register("ms", _paused_ms(b_in_flight, a_done), MSSpec, overwrite=True)
-    a = Cluster(2, engine="threads", registry=reg_a, **{setting: mine})
-    b = Cluster(2, engine="threads", registry=reg_b, **{setting: theirs})
+    spec_a = _paused_ms(a_started, b_in_flight)
+    spec_b = _paused_ms(b_in_flight, a_done)
+    a = Cluster(2, engine="threads", **{setting: mine})
+    b = Cluster(2, engine="threads", **{setting: theirs})
     results = {}
 
-    def sort(name, cluster):
+    def sort(name, cluster, spec):
         try:
-            results[name] = cluster.sort(data, "ms")
+            results[name] = cluster.sort(data, spec)
         finally:
             if name == "a":
                 a_done.set()
 
-    thread_a = threading.Thread(target=sort, args=("a", a))
+    thread_a = threading.Thread(target=sort, args=("a", a, spec_a))
     thread_a.start()
     assert a_started.wait(30)
-    thread_b = threading.Thread(target=sort, args=("b", b))
+    thread_b = threading.Thread(target=sort, args=("b", b, spec_b))
     thread_b.start()
     thread_a.join(60)
     thread_b.join(60)
@@ -338,31 +334,37 @@ class TestEngineSeam:
             ENGINES.pop("counting", None)
 
 
-class TestRegistryExtension:
-    def test_register_and_sort_custom_algorithm(self):
+@dataclass(frozen=True)
+class NoRunSpec(SortSpec):
+    """A spec class that names an algorithm but has no rank program."""
+
+    algorithm = "no-run"
+
+
+class TestCustomAlgorithms:
+    def test_a_subclass_that_overrides_run_sorts(self):
         @dataclass(frozen=True)
         class VerifiedMSSpec(MSSpec):
             algorithm = "ms-verified"
 
-        def runner(comm, local, spec):
-            output = merge_sort(comm, local, spec)
-            output.extra["custom"] = True
-            return output
+            def run(self, comm, local):
+                output = merge_sort(comm, local, self)
+                output.extra["custom"] = True
+                return output
 
-        reg = default_registry().copy()
-        reg.register("ms-verified", runner, VerifiedMSSpec)
-        assert "ms-verified" in reg and "ms-verified" not in default_registry()
+        # no process-global table learns the subclass
+        assert "ms-verified" not in SPECS
 
         data = random_strings(150, 1, 10, seed=9)
-        cluster = Cluster(num_pes=3, registry=reg)
+        cluster = Cluster(num_pes=3)
         res = cluster.sort(data, VerifiedMSSpec(), check=True)
         assert res.algorithm == "ms-verified"
         assert res.extra["custom"] is True
         assert res.sorted_strings == sorted(data)
 
     @pytest.mark.parametrize("engine", ["threads", "processes"])
-    def test_list_and_packed_runners_give_equal_results(self, engine):
-        """A runner may hand ``RankOutput`` lists (the registry example's
+    def test_list_and_packed_runs_give_equal_results(self, engine):
+        """A ``run`` may hand ``RankOutput`` lists (the custom-algorithm
         shape before rank programs returned packed runs) or the packed run
         ``merge_sort`` returns: both give the same result."""
 
@@ -370,25 +372,22 @@ class TestRegistryExtension:
         class ListMSSpec(MSSpec):
             algorithm = "ms-lists"
 
+            def run(self, comm, local):
+                out = merge_sort(comm, local, self)
+                return RankOutput(
+                    out.strings.to_list(), out.lcps.tolist(), extra={"stamped": True}
+                )
+
         @dataclass(frozen=True)
         class PackedMSSpec(MSSpec):
             algorithm = "ms-packed"
 
-        def list_runner(comm, local, spec):
-            out = merge_sort(comm, local, spec)
-            return RankOutput(
-                out.strings.to_list(), out.lcps.tolist(), extra={"stamped": True}
-            )
+            def run(self, comm, local):
+                out = merge_sort(comm, local, self)
+                return RankOutput(out.strings, out.lcps, extra={"stamped": True})
 
-        def packed_runner(comm, local, spec):
-            out = merge_sort(comm, local, spec)
-            return RankOutput(out.strings, out.lcps, extra={"stamped": True})
-
-        reg = default_registry().copy()
-        reg.register("ms-lists", list_runner, ListMSSpec)
-        reg.register("ms-packed", packed_runner, PackedMSSpec)
         data = dn_instance(300, 0.5, length=20, seed=12)
-        with Cluster(num_pes=3, engine=engine, registry=reg) as cluster:
+        with Cluster(num_pes=3, engine=engine) as cluster:
             listed = cluster.sort(data, ListMSSpec(), check=True)
             packed = cluster.sort(data, PackedMSSpec(), check=True)
         for res in (listed, packed):
@@ -403,27 +402,50 @@ class TestRegistryExtension:
         assert packed.extra == listed.extra == {"stamped": True}
         assert packed.report.total_bytes_sent == listed.report.total_bytes_sent
 
-    def test_register_refuses_silent_shadowing(self):
-        reg = default_registry().copy()
-        with pytest.raises(ValueError, match="already registered"):
-            reg.register("ms", lambda c, l, s: None, MSSpec)
-        reg.register("ms", lambda c, l, s: None, MSSpec, overwrite=True)
+    def test_a_subclass_never_shadows_a_built_in_name(self):
+        @dataclass(frozen=True)
+        class OtherMSSpec(MSSpec):
+            def run(self, comm, local):
+                raise AssertionError("a subclass must not replace 'ms'")
 
-    def test_register_validates_inputs(self):
-        reg = AlgorithmRegistry()
-        with pytest.raises(TypeError, match="callable"):
-            reg.register("x", "not-callable", MSSpec)
-        with pytest.raises(TypeError, match="SortSpec"):
-            reg.register("x", lambda c, l, s: None, dict)
+        assert OtherMSSpec.algorithm == "ms"
+        assert spec_class("ms") is MSSpec
+        data = random_strings(60, 1, 6, seed=13)
+        assert Cluster(num_pes=2).sort(data, "ms", check=True).sorted_strings == sorted(data)
 
-    def test_register_algorithm_scoped_registry_helper(self):
-        reg = AlgorithmRegistry()
-        entry = register_algorithm(
-            "only-here", lambda c, l, s: RankOutput([]), HQuickSpec, registry=reg
-        )
-        assert entry.name == "only-here"
-        assert "only-here" in reg
-        assert "only-here" not in default_registry()
+    @pytest.mark.parametrize(
+        "spec, error",
+        [
+            (SortSpec(), "overrides SortSpec.run"),
+            (NoRunSpec(), "overrides SortSpec.run"),
+            (SampledSpec(), "names its algorithm"),
+            ({"algorithm": "ms"}, "must be a SortSpec"),
+        ],
+        ids=["base", "no-run", "unnamed", "dict"],
+    )
+    def test_a_spec_without_a_rank_program_fails_before_any_rank_starts(
+        self, spec, error
+    ):
+        cluster = Cluster(num_pes=2)
+        cluster.sort([b"b", b"a"], MSSpec())
+        with pytest.raises(TypeError, match=error):
+            cluster.sort([b"b", b"a"], spec)
+        assert cluster.engine.runs_completed == 1
+
+    def test_a_custom_algorithm_stays_scoped_to_its_class(self):
+        @dataclass(frozen=True)
+        class OnlyHereSpec(HQuickSpec):
+            algorithm = "only-here"
+
+            def run(self, comm, local):
+                return RankOutput([])
+
+        res = Cluster(num_pes=2).sort([], OnlyHereSpec())
+        assert res.algorithm == "only-here"
+        assert OnlyHereSpec.from_dict(OnlyHereSpec().to_dict()) == OnlyHereSpec()
+        assert "only-here" not in SPECS
+        with pytest.raises(ValueError, match="unknown algorithm 'only-here'"):
+            SortSpec.from_dict({"algorithm": "only-here"})
 
 
 class TestExtrasAggregation:
@@ -438,15 +460,11 @@ class TestExtrasAggregation:
         class RankStampSpec(MSSpec):
             algorithm = "rank-stamp"
 
-        def runner(comm, local, spec):
-            return RankOutput(sorted(local), extra={"stamp": comm.rank})
+            def run(self, comm, local):
+                return RankOutput(sorted(local), extra={"stamp": comm.rank})
 
-        reg = default_registry().copy()
-        reg.register("rank-stamp", runner, RankStampSpec)
         with pytest.raises(SpmdError, match="disagree"):
-            Cluster(num_pes=2, registry=reg).sort(
-                [b"a", b"b"], RankStampSpec()
-            )
+            Cluster(num_pes=2).sort([b"a", b"b"], RankStampSpec())
 
     def test_auto_aggregates_on_a_high_dn_input(self):
         data = dn_instance(num_strings=200, dn=0.9, length=30, seed=11)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from repro.session import (
+    SPECS,
     AutoSpec,
     FKMergeSpec,
     HQuickSpec,
@@ -16,7 +17,7 @@ from repro.session import (
     PDMSGolombSpec,
     PDMSSpec,
     SortSpec,
-    default_registry,
+    spec_class,
 )
 
 ALL_SPEC_CLASSES = [
@@ -57,9 +58,9 @@ class TestRoundTrip:
         payload = json.dumps(PDMSGolombSpec(epsilon=0.25).to_dict())
         assert SortSpec.from_dict(json.loads(payload)) == PDMSGolombSpec(epsilon=0.25)
 
-    def test_registry_agrees_with_algorithm_attribute(self):
+    def test_specs_table_agrees_with_algorithm_attribute(self):
         for spec_cls in ALL_SPEC_CLASSES:
-            assert default_registry().spec_class(spec_cls.algorithm) is spec_cls
+            assert spec_class(spec_cls.algorithm) is spec_cls
 
 
 class TestConfigHash:
@@ -104,7 +105,7 @@ class TestConfigHash:
         assert MSSpec().config_hash() != MSSpec(sampling="character").config_hash()
 
     def test_exchange_topology_participates_in_hash(self):
-        """Routed-delivery cells must never alias direct-delivery checkpoints."""
+        """Routed-delivery cells must never alias direct-delivery cells."""
         inherit = MSSpec()
         assert (
             inherit.config_hash()
@@ -116,6 +117,33 @@ class TestConfigHash:
         )
         roundtrip = MSSpec.from_dict(MSSpec(exchange_topology="grid").to_dict())
         assert roundtrip.exchange_topology == "grid"
+
+
+@dataclasses.dataclass(frozen=True)
+class MineSpec(MSSpec):
+    """A subclass that keeps its parent's algorithm name."""
+
+
+class TestFromDict:
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_sort_spec_looks_the_name_up_in_specs(self, name):
+        assert type(SortSpec.from_dict({"algorithm": name})) is SPECS[name]
+
+    def test_a_subclass_rebuilds_itself(self):
+        spec = MineSpec(sampling="character", seed=5)
+        clone = MineSpec.from_dict(spec.to_dict())
+        assert type(clone) is MineSpec
+        assert clone == spec
+
+    def test_a_subclass_refuses_another_algorithm(self):
+        with pytest.raises(ValueError, match="MSSpec configures 'ms', not 'pdms'"):
+            MSSpec.from_dict(PDMSSpec().to_dict())
+        with pytest.raises(ValueError, match="not 'ms-simple'"):
+            MineSpec.from_dict(MSSimpleSpec().to_dict())
+
+    def test_an_unknown_name_gets_the_nearest_match(self):
+        with pytest.raises(ValueError, match="did you mean 'ms-simple'"):
+            SortSpec.from_dict({"algorithm": "ms-simpel"})
 
 
 class TestValidation:

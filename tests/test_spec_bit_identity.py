@@ -33,7 +33,7 @@ import pytest
 from engine_conformance import PAPER_ALGORITHMS
 from repro import Cluster, RunConfig
 from repro.faults import CHECKSUM_WIRE_BYTES
-from repro.session import default_registry
+from repro.session import spec_class
 from repro.strings import dn_instance, dna_reads
 
 _INPUTS = {
@@ -55,7 +55,7 @@ def _cases():
     """``(case id, algorithm, knobs, PE counts)`` of every pinned case."""
     for name in PAPER_ALGORITHMS + ("auto",):
         yield name, name, {}, (1, 4)
-        known = {f.name for f in fields(default_registry().spec_class(name))}
+        known = {f.name for f in fields(spec_class(name))}
         for label, knobs in _KNOBS.items():
             if set(knobs) <= known:
                 yield f"{name}[{label}]", name, knobs, (4,)
@@ -92,7 +92,7 @@ def result_digest(result, wire_bytes: bool = True) -> str:
 def case_digests(algorithm, knobs, pes, engine):
     """``{"<input>/p<p>": digest}`` of one case on ``engine``, and the same
     for the digests without wire bytes."""
-    spec = default_registry().spec_class(algorithm)(**knobs)
+    spec = spec_class(algorithm)(**knobs)
     digests, bytes_free = {}, {}
     for p in pes:
         with Cluster(
@@ -348,7 +348,7 @@ _CONFIG_AXIS = {
 def _observables(algorithm, engine, leg=None):
     """What no run setting may change: outputs, LCPs, origins, origin bytes."""
     settings = {**_DEFAULT_RUN, **_CONFIG_AXIS.get(leg, {})}
-    spec = default_registry().spec_class(algorithm)(seed=3)
+    spec = spec_class(algorithm)(seed=3)
     with Cluster(4, engine=engine, **settings) as cluster:
         result = cluster.sort(_INPUTS["dn"](), spec)
     return (

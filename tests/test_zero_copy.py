@@ -13,14 +13,15 @@ shared prefix, whose ranks each merge over 1024 strings and so take the
 merge's word radix.
 
 Two seeded bugs show that the gate names the function at fault: a
-``decode_run`` that re-packs its run through ``to_list()`` and a runner
-around ``merge_sort`` that returns its merged run as a list.
+``decode_run`` that re-packs its run through ``to_list()`` and a spec
+whose ``run`` wraps ``merge_sort`` and returns its merged run as a list.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
+from dataclasses import dataclass
 from typing import Set
 
 import pytest
@@ -29,7 +30,7 @@ from engine_conformance import PAPER_ALGORITHMS, TOPOLOGIES, conformance_workloa
 from inputs import shared_prefix
 from repro.dist.api import RankOutput, merge_sort
 from repro.dist.exchange import LcpCompressedBlock
-from repro.session import Cluster, MSSimpleSpec, MSSpec, default_registry
+from repro.session import Cluster, MSSimpleSpec, MSSpec, spec_class
 from repro.strings.packed import PackedStringArray
 
 ALGORITHMS = PAPER_ALGORITHMS + ("auto",)
@@ -37,10 +38,11 @@ NUM_PES = (3, 4)
 
 
 def materialising_callers(
-    monkeypatch, algorithm: str, topology: str, registry=None, strings=None
+    monkeypatch, algorithm: str, topology: str, spec_cls=None, strings=None
 ) -> Set[str]:
     """Names of the functions that call ``to_list`` on a rank's thread
-    while ``strings`` (default: the conformance corpus) are sorted."""
+    while ``strings`` (default: the conformance corpus) are sorted by
+    ``spec_cls`` (default: ``algorithm``'s spec class)."""
     callers: Set[str] = set()
     to_list = PackedStringArray.to_list
 
@@ -57,19 +59,17 @@ def materialising_callers(
         return to_list(self)
 
     monkeypatch.setattr(PackedStringArray, "to_list", recording)
-    spec = default_registry().spec_class(algorithm)(seed=3)
+    spec = (spec_cls or spec_class(algorithm))(seed=3)
     for p in NUM_PES:
-        with Cluster(
-            num_pes=p, engine="threads", exchange_topology=topology, registry=registry
-        ) as cluster:
+        with Cluster(num_pes=p, engine="threads", exchange_topology=topology) as cluster:
             cluster.sort(
                 conformance_workload() if strings is None else strings, spec, check=True
             )
     return callers
 
 
-def assert_zero_copy(monkeypatch, algorithm: str, topology: str, registry=None) -> None:
-    extra = materialising_callers(monkeypatch, algorithm, topology, registry)
+def assert_zero_copy(monkeypatch, algorithm: str, topology: str, spec_cls=None) -> None:
+    extra = materialising_callers(monkeypatch, algorithm, topology, spec_cls)
     assert not extra, (
         f"{algorithm} over {topology}: to_list() called on a rank by {sorted(extra)}"
     )
@@ -107,12 +107,28 @@ def listing_merge_sort(comm, strings, spec):
     return RankOutput(output.strings.to_list(), output.lcps)
 
 
+@dataclass(frozen=True)
+class ListingMSSimpleSpec(MSSimpleSpec):
+    """MS-simple whose rank program is the seeded caller."""
+
+    def run(self, comm, local):
+        return listing_merge_sort(comm, local, self)
+
+
+@dataclass(frozen=True)
+class ListingMSSpec(MSSpec):
+    """MS whose rank program is the seeded caller."""
+
+    def run(self, comm, local):
+        return listing_merge_sort(comm, local, self)
+
+
 def test_the_recorder_sees_a_caller(monkeypatch):
     # the recorder works: with no caller left in the rank programs, it
     # names a seeded one
-    registry = default_registry().copy()
-    registry.register("ms-simple", listing_merge_sort, MSSimpleSpec, overwrite=True)
-    callers = materialising_callers(monkeypatch, "ms-simple", "direct", registry)
+    callers = materialising_callers(
+        monkeypatch, "ms-simple", "direct", ListingMSSimpleSpec
+    )
     assert callers == {"listing_merge_sort"}
 
 
@@ -129,7 +145,5 @@ def test_a_materialising_decode_is_named(monkeypatch):
 
 
 def test_a_rank_program_returning_a_list_is_named(monkeypatch):
-    registry = default_registry().copy()
-    registry.register("ms", listing_merge_sort, MSSpec, overwrite=True)
     with pytest.raises(AssertionError, match=r"\['listing_merge_sort'\]"):
-        assert_zero_copy(monkeypatch, "ms", "direct", registry)
+        assert_zero_copy(monkeypatch, "ms", "direct", ListingMSSpec)
