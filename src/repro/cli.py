@@ -36,6 +36,7 @@ from typing import List, Optional, Sequence
 from .bench import experiments as canned
 from .bench.harness import ExperimentRunner
 from .net.cost_model import DEFAULT_MACHINE
+from .net.router import TOPOLOGY_NAMES
 from .session import SPECS, Cluster, SortSpec
 from .strings import generators
 from .strings.lcp import dn_ratio
@@ -121,11 +122,10 @@ def _add_sort_options(parser: argparse.ArgumentParser) -> None:
         "--distribute-by/--seed",
     )
     parser.add_argument(
-        "--exchange-topology", choices=("direct", "hypercube", "grid"),
-        default=None,
+        "--exchange-topology", choices=TOPOLOGY_NAMES, default=None,
         help="bucket all-to-all delivery strategy: direct (default), or "
-        "multi-level routed delivery (hypercube: log2(p) rounds, grid: "
-        "row+column phases); outputs and origin wire bytes are identical, "
+        "multi-level routed delivery (hypercube: log2(p) store-and-forward "
+        "rounds); outputs and origin wire bytes are identical, "
         "forwarded routing bytes are reported separately",
     )
     parser.add_argument(

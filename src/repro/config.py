@@ -40,8 +40,8 @@ class RunConfig:
     Attributes
     ----------
     exchange_topology:
-        Delivery strategy of the bucket all-to-all: ``"direct"``,
-        ``"hypercube"`` or ``"grid"`` (:mod:`repro.net.router`).
+        Delivery strategy of the bucket all-to-all: ``"direct"`` or
+        ``"hypercube"`` (:mod:`repro.net.router`).
     wire_checksums:
         Seal every exchange block and route frame with a CRC32.
     timeout:

@@ -42,7 +42,7 @@ from ..mpi.serialization import (
     varint_total,
     wire_size,
 )
-from ..net.router import ExchangeTopology, resolve_topology, routed_exchange
+from ..net.router import TOPOLOGY_NAMES, routed_exchange
 from ..strings.packed import PackedStringArray, clip_lcps
 
 __all__ = [
@@ -189,7 +189,7 @@ def exchange_buckets(
     lcp_compression: bool = False,
     payloads: Optional[Sequence[Any]] = None,
     ship_lcps: bool = True,
-    topology: Union[str, ExchangeTopology, None] = None,
+    topology: Optional[str] = None,
 ):
     """Deliver bucket ``j`` to PE ``j``; return the received runs.
 
@@ -208,8 +208,8 @@ def exchange_buckets(
     paper, and receive ``None`` in place of LCP arrays (their merge reads none).
 
     ``topology`` selects the delivery strategy (Section II): ``"direct"``
-    (one message per destination — the default), ``"hypercube"`` or
-    ``"grid"`` (multi-level store-and-forward routing through
+    (one message per destination — the default), ``"hypercube"``
+    (multi-level store-and-forward routing through
     :mod:`repro.net.router`), or ``None`` for the run's setting
     (``comm.config.exchange_topology``).  Routing changes startup counts and the
     measured total volume (forwarded bytes are attributed separately) but
@@ -221,7 +221,13 @@ def exchange_buckets(
         )
     if payloads is not None and len(payloads) != comm.size:
         raise ValueError("payloads must have one entry per PE")
-    topo = resolve_topology(topology, comm)
+    if topology is None:
+        topology = comm.config.exchange_topology
+    if topology not in TOPOLOGY_NAMES:
+        raise ValueError(
+            f"unknown exchange topology {topology!r}; "
+            f"available: {list(TOPOLOGY_NAMES)}"
+        )
     seal = comm.config.wire_checksums
 
     with comm.phase("exchange"):
@@ -239,11 +245,11 @@ def exchange_buckets(
             messages: List[Any] = list(blocks)
         else:
             messages = [(blk, pay) for blk, pay in zip(blocks, payloads)]
-        if topo.is_direct:
+        if topology == "direct":
             received = comm.alltoall(messages)
         else:
             sizes = [wire_size(m) for m in messages]
-            received = routed_exchange(comm, topo, messages, sizes)
+            received = routed_exchange(comm, messages, sizes)
 
         out = []
         decoded_chars = 0

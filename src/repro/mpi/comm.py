@@ -237,8 +237,8 @@ class Communicator:
         overhead separately, see :meth:`record_route`); the ranks agree on
         the bottleneck volume exactly like :meth:`alltoall` does (a board
         exchange moves no accounted bytes), and rank 0 records a single
-        event of ``kind`` (``"alltoall-hypercube"``, ``"alltoall-grid"``,
-        ...).  Must be called by all ranks at the same program point.
+        event of ``kind`` (``"alltoall-hypercube"``, or ``"alltoall"`` for
+        the fallback).  Must be called by all ranks at the same program point.
         """
         totals = self._meet("record_exchange_collective", int(nbytes))
         if self.rank == 0:

@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .topology import grid_dims
-
 __all__ = ["MachineModel", "DEFAULT_MACHINE"]
 
 
@@ -128,24 +126,6 @@ class MachineModel:
             return 0.0
         lg = math.log2(p)
         return self.alpha * lg + self.beta * max_bytes_per_pe * lg
-
-    def alltoall_grid(self, max_bytes_per_pe: int, p: int) -> float:
-        """Personalised all-to-all routed over the two-level ``r x c`` grid.
-
-        Each existing phase (rows with ``c > 1``, columns with ``r > 1``) is
-        a direct all-to-all within its group, so latency drops from
-        ``alpha p`` to ``alpha ((r - 1) + (c - 1))`` — minimised near
-        ``2 sqrt(p)`` — while every item travels once per phase, inflating
-        the bandwidth term accordingly.  The measured inflation of the
-        routed implementation (:mod:`repro.net.router`) is validated
-        against this formula by ``benchmarks/test_multilevel_exchange.py``.
-        """
-        if p <= 1:
-            return 0.0
-        rows, cols = grid_dims(p)
-        phases = (1 if rows > 1 else 0) + (1 if cols > 1 else 0)
-        volume = max_bytes_per_pe * phases
-        return self.alpha * ((rows - 1) + (cols - 1)) + self.beta * volume
 
     # ------------------------------------------------------------------ local work
     def local_work(self, chars: int, items: int = 0) -> float:

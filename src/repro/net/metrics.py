@@ -39,7 +39,7 @@ __all__ = [
 class CollectiveEvent:
     """One collective operation as seen by the cost model."""
 
-    kind: str          # a collective's name, or "alltoall-hypercube" / "alltoall-grid"
+    kind: str          # a collective's name, or "alltoall-hypercube"
     phase: str
     max_bytes_per_pe: int
     num_pes: int
@@ -118,7 +118,7 @@ class TrafficReport:
     )
     # routed multi-level delivery: bytes each PE sent on behalf of *other*
     # origins (relay payloads + frame headers), and bytes per route phase
-    # (e.g. "hypercube-dim0", "grid-rows"); both zero under direct delivery
+    # (e.g. "hypercube-dim0"); both zero under direct delivery
     forwarded_bytes_per_pe = Counter(
         "pe", "repro_forwarded_bytes_total", "Routing-overhead bytes relayed, per PE."
     )
@@ -338,8 +338,6 @@ class TrafficReport:
                 total += machine.alltoall_direct(ev.max_bytes_per_pe, ev.num_pes)
             elif ev.kind == "alltoall-hypercube":
                 total += machine.alltoall_hypercube(ev.max_bytes_per_pe, ev.num_pes)
-            elif ev.kind == "alltoall-grid":
-                total += machine.alltoall_grid(ev.max_bytes_per_pe, ev.num_pes)
             elif ev.kind == "barrier":
                 total += machine.broadcast(0, ev.num_pes)
             else:  # unknown kinds are charged like a direct all-to-all
@@ -440,7 +438,7 @@ class TrafficMeter:
         normal send by the communicator — this call only *attributes*, it
         never double-counts), ``forwarded`` the part that is routing
         overhead: relayed payloads plus frame headers.  ``route`` labels the
-        routing phase (e.g. ``"hypercube-dim1"``, ``"grid-rows"``).
+        routing phase (e.g. ``"hypercube-dim1"``, ``"hypercube-fallback"``).
         """
         with self._lock:
             self._report.add("forwarded_bytes_per_pe", rank, forwarded)

@@ -1,23 +1,19 @@
-"""Hypercube and grid topology helpers (Sections II and IV).
+"""Hypercube topology helpers (Sections II and IV).
 
 ``hQuick`` logically arranges ``2^d`` PEs (with ``d = floor(log2 p)``) as a
 ``d``-dimensional hypercube and works on shrinking subcubes; the routed
 multi-level all-to-all of :mod:`repro.net.router` reuses the same rank
-arithmetic and adds a two-level ``r x c`` grid factorisation.  The helpers
-here are pure functions on rank numbers so they can be unit-tested without a
-running communicator.
+arithmetic.  The helpers here are pure functions on rank numbers so they can
+be unit-tested without a running communicator.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 __all__ = [
     "hypercube_dimension",
     "partner",
     "in_upper_half",
     "is_power_of_two",
-    "grid_dims",
 ]
 
 
@@ -44,20 +40,3 @@ def in_upper_half(rank: int, dim: int) -> bool:
 def is_power_of_two(num_pes: int) -> bool:
     """Whether ``num_pes`` is an exact power of two (hypercube routing needs it)."""
     return num_pes > 0 and num_pes & (num_pes - 1) == 0
-
-
-def grid_dims(num_pes: int) -> Tuple[int, int]:
-    """The ``(rows, cols)`` factorisation used by the two-level grid all-to-all.
-
-    ``rows`` is the largest divisor of ``num_pes`` not exceeding
-    ``sqrt(num_pes)``, so the grid is as square as the factorisation allows
-    and ``rows <= cols`` always holds.  Prime ``num_pes`` degenerates to a
-    ``1 x p`` grid, whose row phase *is* direct delivery (the documented
-    fallback of :class:`repro.net.router.GridTopology`).
-    """
-    if num_pes <= 0:
-        raise ValueError("num_pes must be positive")
-    rows = int(num_pes ** 0.5)
-    while rows > 1 and num_pes % rows:
-        rows -= 1
-    return rows, num_pes // rows

@@ -91,8 +91,8 @@ class Cluster:
         backends plug in via :func:`repro.mpi.engine.register_engine`; see
         ``docs/ENGINES.md`` for the backend contract.
     exchange_topology:
-        Delivery strategy of the bucket all-to-all: ``"direct"``,
-        ``"hypercube"`` or ``"grid"`` (:mod:`repro.net.router`).  Routing
+        Delivery strategy of the bucket all-to-all: ``"direct"`` or
+        ``"hypercube"`` (:mod:`repro.net.router`).  Routing
         changes startup counts and measured total volume (forwarded bytes
         are attributed separately), never sorted outputs, LCP arrays or
         origin wire bytes.

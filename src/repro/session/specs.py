@@ -86,8 +86,8 @@ class SortSpec:
         the sorted output.
     exchange_topology:
         Delivery strategy of the bucket all-to-all (Section II):
-        ``"direct"`` (one message per destination), ``"hypercube"`` or
-        ``"grid"`` (multi-level store-and-forward routing through
+        ``"direct"`` (one message per destination), ``"hypercube"``
+        (multi-level store-and-forward routing through
         :mod:`repro.net.router`), or ``None`` (default) to inherit the
         cluster's setting (``Cluster(exchange_topology=...)`` /
         ``REPRO_EXCHANGE_TOPOLOGY``).  Changes startup counts and

@@ -17,10 +17,12 @@ Four things live here:
   ``tests/test_rank_branches.py`` (the lines of the rank programs) and
   ``tests/test_module_state.py`` (writes to module state);
 * an autouse leak check — every test must leave the process clean: no live
-  multiprocessing children and no orphaned ``reproshm-*`` shared-memory
-  segments.  This holds ``ProcessEngine.run``/``shutdown`` to their
-  teardown contract (workers joined, segments unlinked) at the granularity
-  of every single test.
+  multiprocessing children and no orphaned ``reproshm-<pid>-*`` shared-memory
+  segments of this process or a process it forked.  This holds
+  ``ProcessEngine.run``/``shutdown`` to their teardown contract (workers
+  joined, segments unlinked) at the granularity of every single test, and
+  leaves alone the segments of any other process on the host (a second
+  checkout's processes-engine run, say).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from engine_conformance import (
     set_engine,
     trace_runs,
 )
+from shm_segments import SHM_DIR, ForkLog
 
 try:
     from hypothesis import settings
@@ -48,10 +51,6 @@ except ImportError:
 else:
     settings.register_profile("tier1", derandomize=True, deadline=None)
     settings.load_profile("tier1")
-
-_SHM_DIR = "/dev/shm"
-_SHM_PREFIX = "reproshm-"
-
 
 @pytest.fixture(params=engine_params(test_engines=False))
 def engine(request):
@@ -73,16 +72,16 @@ def corpus_trace():
     )
 
 
-def _stray_segments():
-    try:
-        entries = os.listdir(_SHM_DIR)
-    except OSError:
-        return []
-    return sorted(e for e in entries if e.startswith(_SHM_PREFIX))
+@pytest.fixture(scope="session")
+def fork_log():
+    """The pids forked below this pytest process, from the first test on."""
+    log = ForkLog()
+    yield log
+    log.close()
 
 
 @pytest.fixture(autouse=True)
-def no_engine_leaks():
+def no_engine_leaks(fork_log):
     """Fail any test that leaves live worker processes or shm segments.
 
     Children are given a short grace period: a passing test's workers are
@@ -96,12 +95,12 @@ def no_engine_leaks():
         time.sleep(0.02)
         children = multiprocessing.active_children()
     leaked_procs = [p.name for p in children]
-    leaked_segments = _stray_segments()
+    leaked_segments = fork_log.own_segments()
     if leaked_segments:
         # sweep so one offender does not cascade into later tests
         for fname in leaked_segments:
             try:
-                os.unlink(os.path.join(_SHM_DIR, fname))
+                os.unlink(os.path.join(SHM_DIR, fname))
             except OSError:
                 pass
     assert not leaked_procs, (

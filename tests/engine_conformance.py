@@ -58,7 +58,7 @@ from repro.session import Cluster, spec_class
 
 #: the paper's six algorithms; with the axes below, the conformance matrix
 PAPER_ALGORITHMS = ("ms", "ms-simple", "pdms", "pdms-golomb", "hquick", "fkmerge")
-TOPOLOGIES = ("direct", "hypercube", "grid")
+TOPOLOGIES = ("direct", "hypercube")
 #: the phases MS's rank program enters, in order
 MS_PHASES = ("local-sort", "splitter-determination", "exchange", "merge")
 #: the traced corpus (:func:`trace_runs`): the six algorithms plus ``auto``

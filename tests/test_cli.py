@@ -165,6 +165,13 @@ class TestInvalidFlagValues:
     def test_negative_counts_rejected_at_parse_time(self, capsys, argv, match):
         _assert_usage_error(capsys, argv, match)
 
+    def test_the_retired_grid_topology_is_an_invalid_choice(self, capsys):
+        _assert_usage_error(
+            capsys,
+            ["sort", "-n", "20", "--exchange-topology", "grid"],
+            r"invalid choice: 'grid' \(choose from '?direct'?, '?hypercube'?\)",
+        )
+
     def test_an_error_of_the_sort_itself_propagates(self):
         from repro.mpi.engine import SpmdError
 

@@ -1,7 +1,8 @@
 """The cross-engine conformance matrix: every backend vs the thread engine.
 
 Drives ``tests/engine_conformance.py`` over the full contract surface —
-all six algorithms x three exchange topologies — and asserts each cell's fingerprint (sorted outputs, LCP arrays, PDMS origins,
+all six algorithms x both exchange topologies, at p = 4 and p = 3 — and
+asserts each cell's fingerprint (sorted outputs, LCP arrays, PDMS origins,
 config hash, origin/total/per-PE wire bytes, decoded local work, per-PE
 message counts, the recorded collective sequence) is
 bit-identical between the candidate engine and the ``threads`` reference.
@@ -87,13 +88,15 @@ class TestConformanceMatrix:
         )
         assert fp["engine_tag"] == candidate_engine
 
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
     @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
-    def test_three_pe_cell_matches_reference(self, candidate_engine, algorithm):
-        """A p = 3 direct cell: hQuick's fold and other non-power-of-two paths."""
-        reference = _reference(algorithm, "direct", num_pes=3)
-        fp = sort_fingerprint(candidate_engine, algorithm, "direct", num_pes=3)
+    def test_three_pe_cell_matches_reference(self, candidate_engine, algorithm, topology):
+        """A p = 3 cell: hQuick's fold, the hypercube's direct-round fallback
+        and the other non-power-of-two paths."""
+        reference = _reference(algorithm, topology, num_pes=3)
+        fp = sort_fingerprint(candidate_engine, algorithm, topology, num_pes=3)
         assert_engines_agree(
-            fp, reference, label=f"{candidate_engine}/{algorithm}/direct/p=3"
+            fp, reference, label=f"{candidate_engine}/{algorithm}/{topology}/p=3"
         )
 
 
@@ -105,17 +108,18 @@ DOUBLING_ROUND = [
     ("alltoall", "prefix-doubling"),
     ("alltoall", "prefix-doubling"),
 ]
-#: the all-to-all kind the exchange records under each topology
+#: the all-to-all kind the exchange records under each topology at p = 4;
+#: off a power of two the hypercube falls back to a plain ``alltoall``
 EXCHANGE_KIND = {
     "direct": "alltoall",
     "hypercube": "alltoall-hypercube",
-    "grid": "alltoall-grid",
 }
 
 
-def expected_collectives(algorithm, topology):
-    """The ``(kind, phase)`` sequence ``algorithm`` records at p = 4."""
-    sample_sort = SPLITTERS + [(EXCHANGE_KIND[topology], "exchange")]
+def expected_collectives(algorithm, topology, num_pes=4):
+    """The ``(kind, phase)`` sequence ``algorithm`` records at p = 3 or 4."""
+    kind = EXCHANGE_KIND[topology] if num_pes == 4 else "alltoall"
+    sample_sort = SPLITTERS + [(kind, "exchange")]
     if algorithm == "hquick":
         return []  # pure point-to-point: fold, gossip and exchange rounds
     if algorithm in ("pdms", "pdms-golomb"):
@@ -145,6 +149,15 @@ class TestCommGraph:
         recorded = _reference(algorithm, topology)["collectives"]
         assert [(kind, phase) for kind, phase, _ in recorded] == expected_collectives(
             algorithm, topology
+        )
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS + ("auto",))
+    def test_three_pe_collective_sequence(self, algorithm, topology):
+        """Off a power of two both deliveries record the same plain alltoall."""
+        recorded = _reference(algorithm, topology, num_pes=3)["collectives"]
+        assert [(kind, phase) for kind, phase, _ in recorded] == expected_collectives(
+            algorithm, topology, num_pes=3
         )
 
 

@@ -1,7 +1,7 @@
 """Determinism contract of the exchange topology knob, across all algorithms.
 
-The delivery strategy of the bucket all-to-all (``direct`` / ``hypercube`` /
-``grid``, see :mod:`repro.net.router`) changes *how* buckets travel — the
+The delivery strategy of the bucket all-to-all (``direct`` / ``hypercube``,
+see :mod:`repro.net.router`) changes *how* buckets travel — the
 startup counts, the measured total volume, the per-route attribution —
 never *what* is computed.  This suite pins, for every algorithm, on
 adversarial inputs (tiny alphabets, duplicates, empty strings, empty ranks,
@@ -12,7 +12,7 @@ non-power-of-two machines):
   the paper's communication-volume metric — each bucket leaves its origin
   exactly once no matter how it is routed;
 * identical decoded local work (the receivers decode the very same blocks);
-* forwarded bytes only ever appear under a multi-level topology, and the
+* forwarded bytes only ever appear under routed delivery, and the
   measured total never exceeds the ``max_hops`` inflation bound.
 """
 
@@ -26,7 +26,8 @@ from repro.strings.generators import dn_instance
 
 from oracles.routing import max_hops
 
-ROUTED = ("hypercube", "grid")
+#: the routed deliveries (direct delivery is the plain alltoall)
+ROUTED = ("hypercube",)
 
 
 @pytest.fixture(scope="module", params=engine_params(), autouse=True)
@@ -75,8 +76,8 @@ def _assert_equivalent(strings, algorithm, p, topology, seed=3):
         routed.report.chars_inspected_per_pe
         == direct.report.chars_inspected_per_pe
     )
-    # routing inflation stays within the hop bound the topologies promise
-    hops = max(1, max_hops(topology, p))
+    # routing inflation stays within the hop bound the hypercube promises
+    hops = max(1, max_hops(p))
     exchange_bytes = direct.report.phase_bytes.get("exchange", 0)
     inflation = routed.report.forwarded_bytes
     # forwarded = relayed payloads (< (hops - 1) x exchange volume)
@@ -96,18 +97,20 @@ def test_routed_topologies_are_deterministic(strings, algorithm, p, topology):
     _assert_equivalent(strings, algorithm, p, topology)
 
 
+@pytest.mark.parametrize("p", [4, 6])
 @pytest.mark.parametrize("topology", ROUTED)
 @pytest.mark.parametrize("algorithm", sorted(PAPER_ALGORITHMS))
-def test_routed_topologies_fixed_corpus(algorithm, topology):
-    """Non-random twin of the hypothesis test on a skew-heavy instance."""
+def test_routed_topologies_fixed_corpus(algorithm, topology, p):
+    """Non-random twin of the hypothesis test on a skew-heavy instance,
+    on a 2-cube and in the hypercube's fallback round at p = 6."""
     corpus = dn_instance(num_strings=300, dn=0.8, length=32, seed=17)
     corpus += [b"", b"a" * 31, corpus[0], corpus[0]]  # empties + duplicates
-    _assert_equivalent(corpus, algorithm, 4, topology, seed=9)
+    _assert_equivalent(corpus, algorithm, p, topology, seed=9)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 8])
 def test_non_power_of_two_machines(p):
-    """Fallback routing (hypercube off 2^d, grid off squares) stays identical."""
+    """Fallback routing (hypercube off 2^d) stays identical."""
     corpus = dn_instance(num_strings=150, dn=0.5, length=20, seed=5)
     for topology in ROUTED:
         _assert_equivalent(corpus, "ms", p, topology, seed=2)
@@ -128,7 +131,7 @@ def test_spec_exchange_topology_reaches_the_rank_program():
     """The spec's exchange_topology is read like every other knob."""
     corpus = dn_instance(num_strings=100, dn=0.5, length=20, seed=4)
     with Cluster(4) as cluster:
-        routed = cluster.sort(corpus, MSSpec(exchange_topology="grid"))
+        routed = cluster.sort(corpus, MSSpec(exchange_topology="hypercube"))
         direct = cluster.sort(corpus, MSSpec(exchange_topology="direct"))
     assert routed.sorted_strings == direct.sorted_strings
     assert routed.report.forwarded_bytes > 0

@@ -1,7 +1,8 @@
 """The chaos matrix: seeded fault plans across algorithms and topologies.
 
 The acceptance contract of the fault subsystem: under seeded drop / corrupt
-/ straggle plans, every algorithm x topology combination either completes
+/ straggle plans, every algorithm x delivery combination (direct, the
+hypercube, and its fallback off a power of two) either completes
 with **bit-identical** outputs, LCP arrays and origin wire bytes (after
 transparent recovery), or raises a typed fault error — never a
 hang past the configured timeout, never silently wrong output.  Each cell
@@ -34,8 +35,15 @@ from repro.session import Cluster
 
 from oracles.faults import injected_counts
 
-TOPOLOGIES = ("direct", "hypercube", "grid")
 NUM_PES = 4
+#: the chaos matrix's delivery axis: (exchange topology, PEs).  The
+#: hypercube runs on a 2-cube and, at p = 3, in its one-round fallback,
+#: whose all-peer batches are point-to-point messages too
+ROUTES = {
+    "direct": ("direct", NUM_PES),
+    "hypercube": ("hypercube", NUM_PES),
+    "hypercube-fallback": ("hypercube", 3),
+}
 TIMEOUT = 30.0
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -65,9 +73,10 @@ def _plan(kind: str) -> FaultPlan:
     )
 
 
-def _sort(algorithm, topology, plan=None, max_retries=0, sealed=False):
+def _sort(algorithm, topology, plan=None, max_retries=0, sealed=False,
+          num_pes=NUM_PES):
     cluster = Cluster(
-        num_pes=NUM_PES,
+        num_pes=num_pes,
         exchange_topology=topology,
         wire_checksums=sealed,
         timeout=TIMEOUT,
@@ -89,14 +98,17 @@ def _counts(report):
 
 
 @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
-@pytest.mark.parametrize("topology", TOPOLOGIES)
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("sealed", (False, True), ids=("unsealed", "sealed"))
 @pytest.mark.parametrize("fault_kind", ("drop", "corrupt", "straggle"))
-def test_chaos_recovery_is_bit_identical(algorithm, topology, sealed, fault_kind):
+def test_chaos_recovery_is_bit_identical(algorithm, route, sealed, fault_kind):
     """Seeded chaos either recovers bit-identically or raises typed errors."""
-    _, baseline = _sort(algorithm, topology, plan=FaultPlan(), sealed=sealed)
+    topology, num_pes = ROUTES[route]
+    _, baseline = _sort(algorithm, topology, plan=FaultPlan(), sealed=sealed,
+                        num_pes=num_pes)
     plan = _plan(fault_kind)
-    cluster, chaotic = _sort(algorithm, topology, plan=plan, sealed=sealed)
+    cluster, chaotic = _sort(algorithm, topology, plan=plan, sealed=sealed,
+                             num_pes=num_pes)
 
     # bit-identical recovery: outputs, LCPs and origin wire volume
     assert chaotic.outputs_per_pe == baseline.outputs_per_pe
@@ -121,7 +133,8 @@ def test_chaos_recovery_is_bit_identical(algorithm, topology, sealed, fault_kind
 
     if cluster.engine.name == "threads":
         # a deterministic schedule: a second run reproduces every count
-        _, again = _sort(algorithm, topology, plan=plan, sealed=sealed)
+        _, again = _sort(algorithm, topology, plan=plan, sealed=sealed,
+                         num_pes=num_pes)
         assert _counts(again.report) == _counts(report)
         assert again.report.collectives == report.collectives
 

@@ -139,6 +139,69 @@ def unreached(
     ]
 
 
+def _declared(path: Path) -> Dict[str, str]:
+    """Qualname -> ``class``, ``stub`` or ``def`` for each class and function."""
+    kinds: Dict[str, str] = {}
+
+    def walk(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                kinds[f"{prefix}{child.name}"] = "class"
+                walk(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                kinds[f"{prefix}{child.name}"] = "stub" if _is_stub(child) else "def"
+                walk(child, f"{prefix}{child.name}.<locals>.")
+            else:
+                walk(child, prefix)
+
+    walk(ast.parse(path.read_text()), "")
+    return kinds
+
+
+def promise_gaps(
+    required: Dict[str, List[str]], reached: Set[Key], root: Path = SRC
+) -> List[str]:
+    """``module: problem`` for each ``required`` name the corpus does not hold.
+
+    A function or method must be called.  A class with methods of its own
+    must have one called (a dataclass's generated ones do not count).  A
+    ``raise NotImplementedError`` stub must have its overrides listed beside
+    it (``Other.method``), and each of them called.  A name the module does
+    not define is a gap too.
+    """
+    defs = definitions(root)
+    gaps: List[str] = []
+    for rel, names in required.items():
+        path = root.parent / rel
+        if not path.is_file():
+            gaps.append(f"{rel}: no such module")
+            continue
+        kinds = _declared(path)
+        here = [d for d in defs if d.path == path]
+        called = {d.qualname for d in here if d.key in reached}
+        for name in names:
+            kind = kinds.get(name)
+            if kind is None:
+                gaps.append(f"{rel}: {name} is not defined")
+            elif kind == "def" and name not in called:
+                gaps.append(f"{rel}: {name} never called")
+            elif kind == "stub":
+                method = name.rsplit(".", 1)[-1]
+                overrides = [
+                    n for n in names
+                    if n != name and n.endswith(f".{method}") and kinds.get(n) == "def"
+                ]
+                if not overrides:
+                    gaps.append(f"{rel}: stub {name} has no listed override")
+                elif not set(overrides) <= called:
+                    gaps.append(f"{rel}: stub {name} has an override never called")
+            elif kind == "class":
+                owned = {d.qualname for d in here if d.qualname.startswith(f"{name}.")}
+                if owned and not owned & called:
+                    gaps.append(f"{rel}: no method of {name} called")
+    return gaps
+
+
 # ---------------------------------------------------------------------------
 # the recorder
 
@@ -420,7 +483,7 @@ def run_cli(tmp: Path) -> None:
     (tmp / "spec.json").write_text(json.dumps({"algorithm": "pdms-golomb"}))
     (tmp / "plan.json").write_text(_fault_plan("drop").to_json())
     _cli("sort", "-i", str(data), "-p", "3", "--check", "-o", str(out), "--trace",
-         "--spec", f"@{tmp / 'spec.json'}", "--exchange-topology", "grid")
+         "--spec", f"@{tmp / 'spec.json'}", "--exchange-topology", "hypercube")
     for algorithm in ("hquick", "ms"):
         _cli("sort", "-a", algorithm, "-w", "random", "-n", "60", "-p", "4",
              "--fault-plan", f"@{tmp / 'plan.json'}", "--exchange-topology", "hypercube")
@@ -618,19 +681,9 @@ def test_every_src_function_is_reached(recorder):
 
 
 def test_the_promised_api_is_called(recorder):
-    """Each ``REQUIRED`` function and method is called, and each class has
-    a method called (a dataclass's generated ones do not count)."""
-    reached, everything = recorder.reached(), definitions()
-    for rel, names in REQUIRED.items():
-        defs = [d for d in everything if d.path == SRC.parent / rel]
-        for name in names:
-            called = [d for d in defs if d.key in reached]
-            if any(d.qualname == name for d in defs):
-                assert any(d.qualname == name for d in called), f"{rel}: {name} never called"
-            else:
-                owned = [d for d in defs if d.qualname.startswith(f"{name}.")]
-                if owned:
-                    assert set(owned) & set(called), f"{rel}: no method of {name} called"
+    """Each ``REQUIRED`` name is defined and called (see :func:`promise_gaps`)."""
+    gaps = promise_gaps(REQUIRED, recorder.reached())
+    assert not gaps, "\n".join(gaps)
 
 
 def test_every_dunder_all_entry_resolves():
@@ -685,3 +738,56 @@ def test_a_seeded_uncalled_function_is_named(tmp_path):
     ]
     called = {(str(module), 6)}
     assert unreached(defs, called, root) == ["strings/lcp.py:1 lcp_of_nothing  unreachable"]
+
+
+PROMISED = """\
+class Base:
+    def run(self):
+        \"\"\"A stub.\"\"\"
+        raise NotImplementedError
+
+
+class Real(Base):
+    def run(self):
+        \"\"\"The override.\"\"\"
+        return 1
+
+
+class Lone:
+    def go(self):
+        \"\"\"Its one method.\"\"\"
+        return 2
+
+
+def helper():
+    \"\"\"A function.\"\"\"
+    return 3
+"""
+
+
+def test_a_seeded_broken_promise_is_named(tmp_path):
+    """An undefined ``REQUIRED`` name, an uncalled function, method or
+    class, and a stub without a called override are each named."""
+    module = tmp_path / "repro" / "session" / "specs.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(PROMISED)
+    root = tmp_path / "repro"
+    keys = {d.qualname: d.key for d in definitions(root)}
+    rel = "repro/session/specs.py"
+    required = {rel: ["Base.run", "Real.run", "Lone", "helper", "merge_sort_twice"]}
+    assert promise_gaps(required, {keys["helper"]}, root) == [
+        f"{rel}: stub Base.run has an override never called",
+        f"{rel}: Real.run never called",
+        f"{rel}: no method of Lone called",
+        f"{rel}: merge_sort_twice is not defined",
+    ]
+    reached = {keys["helper"], keys["Real.run"], keys["Lone.go"]}
+    assert promise_gaps(required, reached, root) == [
+        f"{rel}: merge_sort_twice is not defined"
+    ]
+    assert promise_gaps({rel: ["Base.run"]}, reached, root) == [
+        f"{rel}: stub Base.run has no listed override"
+    ]
+    assert promise_gaps({"repro/gone.py": ["helper"]}, reached, root) == [
+        "repro/gone.py: no such module"
+    ]

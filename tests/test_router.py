@@ -2,45 +2,35 @@
 
 Three layers are covered:
 
-* **path algebra** (pure, property-based): for every ``(src, dst, topology,
-  p)`` the path starts at ``src``, ends at ``dst``, uses only round-peer
-  edges (checked inside the ``oracles.routing.path`` simulation), and its
-  hop count matches the topology's promise — Hamming distance bounded by
-  ``d`` for a power-of-two hypercube, at most 2 for the grid, exactly 1
-  for the non-power-of-two hypercube fallback;
+* **path algebra** (pure, property-based): for every ``(src, dst, p)`` the
+  path starts at ``src``, ends at ``dst``, uses only round-peer edges
+  (checked inside the ``oracles.routing.path`` simulation), and its hop
+  count matches the hypercube's promise — the Hamming distance, bounded by
+  ``d`` for a power-of-two ``p``, exactly 1 for the non-power-of-two
+  fallback;
 * **routed delivery on the simulated machine**: every payload arrives at
   exactly one destination exactly once, with origin bytes equal to direct
   delivery's total, forwarded bytes covering the inflation, and per-PE
-  startup counts reduced from ``p - 1`` to the topology's round structure;
+  startup counts reduced from ``p - 1`` to ``log2 p``;
 * **cost-model consistency**: the measured routed volume stays within the
-  inflation the closed-form ``alltoall_hypercube`` / ``alltoall_grid``
-  formulas assume, and the recorded collective kinds drive those formulas.
+  inflation the closed-form ``alltoall_hypercube`` formula assumes, and the
+  recorded collective kind drives that formula.
 """
-
-from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.config import RunConfig
 from repro.dist.exchange import exchange_buckets
-from repro.mpi.engine import run_spmd
+from repro.faults import CHECKSUM_WIRE_BYTES
+from repro.mpi.engine import SpmdError, run_spmd
 from repro.mpi.serialization import wire_size
+from repro.net import router
 from repro.net.cost_model import MachineModel
-from repro.net.router import (
-    TOPOLOGIES,
-    TOPOLOGY_NAMES,
-    batch_wire_bytes,
-    resolve_topology,
-    routed_exchange,
-)
-from repro.net.topology import grid_dims, hypercube_dimension, is_power_of_two
+from repro.net.router import TOPOLOGY_NAMES, batch_wire_bytes, routed_exchange
+from repro.net.topology import hypercube_dimension, is_power_of_two
 
 from oracles.routing import max_hops, path
-
-#: the topologies that route (direct delivery is the plain alltoall)
-ROUTED = tuple(name for name in TOPOLOGY_NAMES if not TOPOLOGIES[name].is_direct)
 
 # ---------------------------------------------------------------------------
 # path algebra (pure property tests)
@@ -52,19 +42,14 @@ def _popcount(x: int) -> int:
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    p=st.integers(min_value=1, max_value=33),
-    name=st.sampled_from(ROUTED),
-    data=st.data(),
-)
-def test_every_pair_routes_to_exactly_one_delivery(p, name, data):
-    """path(src, dst) is well formed for every pair on every routed topology."""
-    topology = TOPOLOGIES[name]
+@given(p=st.integers(min_value=1, max_value=33), data=st.data())
+def test_every_pair_routes_to_exactly_one_delivery(p, data):
+    """path(src, dst) is well formed for every pair, on or off a hypercube."""
     src = data.draw(st.integers(min_value=0, max_value=p - 1))
     dst = data.draw(st.integers(min_value=0, max_value=p - 1))
-    hops = path(topology, src, dst, p)
+    hops = path(src, dst, p)
     assert hops[0] == src and hops[-1] == dst
-    assert len(hops) - 1 <= max_hops(name, p)
+    assert len(hops) - 1 <= max_hops(p)
     # no rank is visited twice (store-and-forward never cycles)
     assert len(set(hops)) == len(hops)
     if src == dst:
@@ -74,11 +59,10 @@ def test_every_pair_routes_to_exactly_one_delivery(p, name, data):
 @pytest.mark.parametrize("p", [2, 4, 8, 16, 32])
 def test_hypercube_hop_counts_are_hamming_distances(p):
     d = hypercube_dimension(p)
-    topology = TOPOLOGIES["hypercube"]
-    assert max_hops("hypercube", p) == d
+    assert router.num_rounds(p) == max_hops(p) == d
     for src in range(p):
         for dst in range(p):
-            hops = path(topology, src, dst, p)
+            hops = path(src, dst, p)
             assert len(hops) - 1 == _popcount(src ^ dst)
             # every hop flips exactly one bit, in ascending dimension order
             for a, b in zip(hops, hops[1:]):
@@ -88,62 +72,24 @@ def test_hypercube_hop_counts_are_hamming_distances(p):
 @pytest.mark.parametrize("p", [3, 5, 6, 7, 12, 24])
 def test_hypercube_falls_back_to_direct_off_powers_of_two(p):
     """Non-power-of-two p has no hypercube: one direct round, 1-hop paths."""
-    topology = TOPOLOGIES["hypercube"]
     assert not is_power_of_two(p)
-    assert topology.num_rounds(p) == 1
-    assert max_hops("hypercube", p) == 1
-    assert topology.collective_kind(p) == "alltoall"
+    assert router.num_rounds(p) == 1
+    assert max_hops(p) == 1
     for src in range(p):
+        assert router.round_peers(src, p, 0) == [r for r in range(p) if r != src]
         for dst in range(p):
-            hops = path(topology, src, dst, p)
+            hops = path(src, dst, p)
             assert hops == ([src] if src == dst else [src, dst])
 
 
-@pytest.mark.parametrize("p", [2, 3, 4, 6, 8, 9, 12, 16, 25, 30])
-def test_grid_hop_counts_row_then_column(p):
-    rows, cols = grid_dims(p)
-    assert rows * cols == p and rows <= cols
-    topology = TOPOLOGIES["grid"]
-    for src in range(p):
-        for dst in range(p):
-            hops = path(topology, src, dst, p)
-            assert len(hops) - 1 <= max_hops("grid", p) <= 2
-            if src != dst:
-                expected = 1 if (src % cols == dst % cols or src // cols == dst // cols) else 2
-                assert len(hops) - 1 == expected
-            if len(hops) == 3:
-                mid = hops[1]
-                # row phase first (stay in src's row), then the column hop
-                assert mid // cols == src // cols
-                assert mid % cols == dst % cols
-
-
-@pytest.mark.parametrize("p", [3, 5, 7, 13])
-def test_grid_degenerates_to_direct_for_prime_p(p):
-    rows, cols = grid_dims(p)
-    assert (rows, cols) == (1, p)
-    topology = TOPOLOGIES["grid"]
-    for src in range(p):
-        for dst in range(p):
-            assert len(path(topology, src, dst, p)) - 1 == (0 if src == dst else 1)
-    # the column phase has no peers anywhere: no deadlock, no messages
-    for rank in range(p):
-        assert topology.round_peers(rank, p, 1) == []
-
-
 @settings(max_examples=60, deadline=None)
-@given(
-    p=st.integers(min_value=2, max_value=17),
-    name=st.sampled_from(ROUTED),
-    k_rank=st.data(),
-)
-def test_round_peer_relation_is_symmetric(p, name, k_rank):
+@given(p=st.integers(min_value=2, max_value=17))
+def test_round_peer_relation_is_symmetric(p):
     """Asymmetric peer sets would deadlock the per-round batch exchange."""
-    topology = TOPOLOGIES[name]
-    for k in range(topology.num_rounds(p)):
+    for k in range(router.num_rounds(p)):
         for rank in range(p):
-            for peer in topology.round_peers(rank, p, k):
-                assert rank in topology.round_peers(peer, p, k)
+            for peer in router.round_peers(rank, p, k):
+                assert rank in router.round_peers(peer, p, k)
                 assert peer != rank
 
 
@@ -152,17 +98,16 @@ def test_round_peer_relation_is_symmetric(p, name, k_rank):
 # ---------------------------------------------------------------------------
 
 
-def _exchange_program(comm, name):
+def _exchange_program(comm):
     messages = [f"from {comm.rank} to {dst}" for dst in range(comm.size)]
     sizes = [wire_size(m) for m in messages]
-    received = routed_exchange(comm, TOPOLOGIES[name], messages, sizes)
+    received = routed_exchange(comm, messages, sizes)
     return received
 
 
-@pytest.mark.parametrize("name", ROUTED)
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 6, 8])
-def test_routed_exchange_delivers_every_payload_once(name, p):
-    results, report = run_spmd(p, _exchange_program, common_args=(name,))
+def test_routed_exchange_delivers_every_payload_once(p):
+    results, report = run_spmd(p, _exchange_program)
     for rank, received in enumerate(results):
         assert received == [f"from {src} to {rank}" for src in range(p)]
     # each payload leaves its origin exactly once: origin volume matches
@@ -177,6 +122,24 @@ def test_routed_exchange_delivers_every_payload_once(name, p):
     assert report.forwarded_bytes == report.total_bytes_sent - direct_total
     # every byte this program moved went through a routed batch
     assert sum(report.route_bytes.values()) == report.total_bytes_sent
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 6, 8])
+def test_sealed_frames_cost_one_seal_per_hop(monkeypatch, p):
+    """A sealed frame carries ``varint(seq)`` + a CRC32 on every hop it
+    takes; the payloads and the origin volume stay the unsealed ones."""
+    plain_results, plain = run_spmd(p, _exchange_program)
+    monkeypatch.setenv("REPRO_WIRE_CHECKSUMS", "1")
+    results, sealed = run_spmd(p, _exchange_program)
+    assert results == plain_results
+    assert sealed.origin_bytes_sent == plain.origin_bytes_sent
+    frame_hops = sum(
+        len(path(src, dst, p)) - 1 for src in range(p) for dst in range(p)
+    )
+    # fewer than 128 frames leave each PE, so every seq varint is one byte
+    seal_bytes = frame_hops * (1 + CHECKSUM_WIRE_BYTES)
+    assert sealed.total_bytes_sent == plain.total_bytes_sent + seal_bytes
+    assert sealed.forwarded_bytes == plain.forwarded_bytes + seal_bytes
 
 
 def _bucket_program(comm, name):
@@ -200,22 +163,28 @@ def test_direct_exchange_delivers_every_payload_once(p):
 
 def test_hypercube_startup_count_is_log_p():
     p = 8
-    _, report = run_spmd(p, _exchange_program, common_args=("hypercube",))
+    _, report = run_spmd(p, _exchange_program)
     assert report.messages_per_pe == [hypercube_dimension(p)] * p
-
-
-def test_grid_startup_count_is_rows_plus_cols():
-    p = 8
-    rows, cols = grid_dims(p)
-    _, report = run_spmd(p, _exchange_program, common_args=("grid",))
-    assert report.messages_per_pe == [(rows - 1) + (cols - 1)] * p
 
 
 def test_route_bytes_cover_all_routed_traffic():
     p = 8
-    _, report = run_spmd(p, _exchange_program, common_args=("hypercube",))
+    _, report = run_spmd(p, _exchange_program)
     assert set(report.route_bytes) == {f"hypercube-dim{k}" for k in range(3)}
     assert sum(report.route_bytes.values()) == report.total_bytes_sent
+    (event,) = report.collectives
+    assert event.kind == "alltoall-hypercube"
+
+
+@pytest.mark.parametrize("p", [3, 5, 6])
+def test_fallback_routes_in_one_labelled_direct_round(p):
+    """Off a power of two: p - 1 startups, one label, a plain alltoall event."""
+    _, report = run_spmd(p, _exchange_program)
+    assert report.messages_per_pe == [p - 1] * p
+    assert set(report.route_bytes) == {"hypercube-fallback"}
+    assert report.forwarded_bytes == report.total_bytes_sent - report.origin_bytes_sent
+    (event,) = report.collectives
+    assert event.kind == "alltoall"
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +192,11 @@ def test_route_bytes_cover_all_routed_traffic():
 # ---------------------------------------------------------------------------
 
 
-def _payload_program(comm, name, payload_bytes):
+def _payload_program(comm, payload_bytes):
     # uniform, headers-dwarfing payloads so the inflation ratio is crisp
     messages = [b"x" * payload_bytes for _ in range(comm.size)]
     sizes = [payload_bytes] * comm.size
-    routed_exchange(comm, TOPOLOGIES[name], messages, sizes)
+    routed_exchange(comm, messages, sizes)
     return None
 
 
@@ -235,7 +204,7 @@ def _payload_program(comm, name, payload_bytes):
 def test_measured_hypercube_volume_within_modelled_inflation(p):
     """The log2(p) factor of alltoall_hypercube is an upper envelope."""
     payload = 2000
-    _, report = run_spmd(p, _payload_program, common_args=("hypercube", payload))
+    _, report = run_spmd(p, _payload_program, common_args=(payload,))
     d = hypercube_dimension(p)
     h = payload * (p - 1)  # per-PE origin bottleneck
     assert max(report.bytes_sent_per_pe) <= h * d
@@ -257,58 +226,34 @@ def test_measured_hypercube_volume_within_modelled_inflation(p):
     assert latency.alltoall_direct(h, p) == pytest.approx(p)
 
 
-@pytest.mark.parametrize("p", [4, 6, 8, 9, 12])
-def test_measured_grid_volume_within_modelled_inflation(p):
-    payload = 2000
-    _, report = run_spmd(p, _payload_program, common_args=("grid", payload))
-    rows, cols = grid_dims(p)
-    phases = (1 if rows > 1 else 0) + (1 if cols > 1 else 0)
-    h = payload * (p - 1)
-    assert max(report.bytes_sent_per_pe) <= h * phases
-    machine = MachineModel(alpha=0.0, beta=1.0)
-    (event,) = [e for e in report.collectives if e.kind == "alltoall-grid"]
-    assert event.max_bytes_per_pe == h
-    assert machine.alltoall_grid(event.max_bytes_per_pe, p) >= max(
-        report.bytes_sent_per_pe
-    )
-    latency = MachineModel(alpha=1.0, beta=0.0)
-    assert latency.alltoall_grid(h, p) == pytest.approx((rows - 1) + (cols - 1))
-
-
-def test_modeled_comm_time_dispatches_grid_kind():
-    from repro.net.metrics import TrafficMeter
-
-    meter = TrafficMeter(6)
-    meter.record_collective("alltoall-grid", 1000, 6)
-    machine = MachineModel(alpha=1.0, beta=1.0)
-    assert meter.report().modeled_comm_time(machine) == pytest.approx(
-        machine.alltoall_grid(1000, 6)
-    )
-
-
 # ---------------------------------------------------------------------------
-# resolution
+# the topology argument of exchange_buckets
 # ---------------------------------------------------------------------------
 
 
-def _comm_with(topology):
-    return SimpleNamespace(config=RunConfig(exchange_topology=topology))
+@pytest.mark.parametrize("name", ["torus", "grid"])
+def test_exchange_buckets_rejects_an_unknown_topology(name):
+    with pytest.raises(SpmdError) as raised:
+        run_spmd(2, _bucket_program, common_args=(name,))
+    cause = raised.value.__cause__
+    assert isinstance(cause, ValueError)
+    assert "unknown exchange topology" in str(cause)
+    assert str(list(TOPOLOGY_NAMES)) in str(cause)
 
 
-def test_resolve_topology_spellings():
-    comm = _comm_with("direct")
-    assert resolve_topology("grid", comm) is TOPOLOGIES["grid"]
-    assert resolve_topology(TOPOLOGIES["hypercube"], comm) is TOPOLOGIES["hypercube"]
-    assert resolve_topology(None, comm).name == "direct"
-    with pytest.raises(ValueError, match="unknown exchange topology"):
-        resolve_topology("torus", comm)
+def _default_program(comm, explicit):
+    buckets = [([b"x"], [0]) for _ in range(comm.size)]
+    exchange_buckets(comm, buckets, topology=explicit)
 
 
 @pytest.mark.parametrize("name", TOPOLOGY_NAMES)
-def test_none_resolves_to_the_runs_topology(name):
-    assert resolve_topology(None, _comm_with(name)) is TOPOLOGIES[name]
+def test_none_takes_the_runs_topology(monkeypatch, name):
+    monkeypatch.setenv("REPRO_EXCHANGE_TOPOLOGY", name)
+    _, report = run_spmd(4, _default_program, common_args=(None,))
+    assert bool(report.route_bytes) == (name == "hypercube")
     # an explicit argument (a spec's own topology) beats the run's
-    assert resolve_topology("direct", _comm_with(name)).is_direct
+    _, report = run_spmd(4, _default_program, common_args=("direct",))
+    assert not report.route_bytes
 
 
 def test_batch_framing_overhead_is_explicit():

@@ -54,13 +54,17 @@ def test_retired_packed_setting_is_rejected():
 
 @pytest.mark.parametrize(
     "variable, value",
-    # a number that is not 0/1 is not a boolean either
-    sorted(MALFORMED.items()) + [("REPRO_WIRE_CHECKSUMS", "2")],
+    # a number that is not 0/1 is not a boolean either, and the retired
+    # grid route is no topology
+    sorted(MALFORMED.items())
+    + [("REPRO_WIRE_CHECKSUMS", "2"), ("REPRO_EXCHANGE_TOPOLOGY", "grid")],
 )
 def test_malformed_variable_fails_fast(monkeypatch, variable, value):
     monkeypatch.setenv(variable, value)
-    with pytest.raises(ValueError, match=variable):
+    with pytest.raises(ValueError, match=variable) as raised:
         Cluster(num_pes=2)
+    if variable == "REPRO_EXCHANGE_TOPOLOGY":
+        assert "['direct', 'hypercube']" in str(raised.value)
     with pytest.raises(ValueError, match=variable):
         run_spmd(2, lambda comm: comm.rank)
 
@@ -96,7 +100,7 @@ def test_unset_or_empty_means_the_default():
 def test_every_value_is_read():
     config = RunConfig.from_env(
         {
-            "REPRO_EXCHANGE_TOPOLOGY": "grid",
+            "REPRO_EXCHANGE_TOPOLOGY": "hypercube",
             "REPRO_WIRE_CHECKSUMS": "1",
             "REPRO_SPMD_TIMEOUT": "42.5",
             "REPRO_ENGINE": "processes",
@@ -104,7 +108,7 @@ def test_every_value_is_read():
         }
     )
     assert config == RunConfig(
-        exchange_topology="grid",
+        exchange_topology="hypercube",
         wire_checksums=True,
         timeout=42.5,
         engine="processes",
@@ -113,10 +117,10 @@ def test_every_value_is_read():
 
 
 def test_keywords_beat_the_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_EXCHANGE_TOPOLOGY", "grid")
+    monkeypatch.setenv("REPRO_EXCHANGE_TOPOLOGY", "hypercube")
     monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "42.5")
-    cluster = Cluster(num_pes=2, exchange_topology="hypercube")
-    assert cluster.config.exchange_topology == "hypercube"
+    cluster = Cluster(num_pes=2, exchange_topology="direct")
+    assert cluster.config.exchange_topology == "direct"
     assert cluster.config.timeout == 42.5
     results, _ = run_spmd(2, lambda comm: comm.config.timeout, timeout=7.0)
     assert results == [7.0, 7.0]

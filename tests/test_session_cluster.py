@@ -216,22 +216,26 @@ class TestMachineModel:
 class TestRunConfig:
     def test_none_inherits_the_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_WIRE_CHECKSUMS", "1")
-        cluster = Cluster(num_pes=2, exchange_topology="grid")
-        assert cluster.config == RunConfig.from_env().override(exchange_topology="grid")
+        cluster = Cluster(num_pes=2, exchange_topology="hypercube")
+        assert cluster.config == RunConfig.from_env().override(
+            exchange_topology="hypercube"
+        )
         assert cluster.config.wire_checksums
-        assert cluster.config.exchange_topology == "grid"
+        assert cluster.config.exchange_topology == "hypercube"
         assert cluster.engine.config is cluster.config
         data = random_strings(60, 1, 6, seed=7)
         assert cluster.sort(data, MSSpec(), check=True).sorted_strings == sorted(data)
 
     def test_every_rank_sees_the_clusters_config(self):
-        cluster = Cluster(num_pes=3, exchange_topology="grid", wire_checksums=True)
+        cluster = Cluster(num_pes=3, exchange_topology="hypercube", wire_checksums=True)
         results, _ = cluster.engine.run(lambda comm: comm.config)
         assert results == [cluster.config] * 3
 
-    def test_invalid_keyword_is_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="REPRO_EXCHANGE_TOPOLOGY"):
-            Cluster(num_pes=2, exchange_topology="torus")
+    @pytest.mark.parametrize("topology", ["torus", "grid"])
+    def test_invalid_keyword_is_rejected_at_construction(self, topology):
+        with pytest.raises(ValueError, match="REPRO_EXCHANGE_TOPOLOGY") as raised:
+            Cluster(num_pes=2, exchange_topology=topology)
+        assert "['direct', 'hypercube']" in str(raised.value)
         with pytest.raises(ValueError, match="positive"):
             Cluster(num_pes=2, timeout=0)
 

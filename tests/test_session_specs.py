@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -113,10 +114,10 @@ class TestConfigHash:
         )
         assert (
             MSSpec(exchange_topology="hypercube").config_hash()
-            != MSSpec(exchange_topology="grid").config_hash()
+            != MSSpec(exchange_topology="direct").config_hash()
         )
-        roundtrip = MSSpec.from_dict(MSSpec(exchange_topology="grid").to_dict())
-        assert roundtrip.exchange_topology == "grid"
+        roundtrip = MSSpec.from_dict(MSSpec(exchange_topology="hypercube").to_dict())
+        assert roundtrip.exchange_topology == "hypercube"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,6 +175,8 @@ class TestValidation:
             FKMergeSpec(oversampling=0)
         with pytest.raises(ValueError, match="exchange_topology"):
             MSSpec(exchange_topology="hypercubes")
+        with pytest.raises(ValueError, match=re.escape("['direct', 'hypercube']")):
+            MSSpec(exchange_topology="grid")
 
     def test_specs_are_frozen(self):
         spec = MSSpec()

@@ -15,10 +15,11 @@ direct delivery and unsealed blocks, so no ``REPRO_*`` variable can move a
 digest.
 
 A second axis runs the six algorithms under the run configurations that
-used to be separate CI legs — hypercube and grid routing — and under sealed
-blocks and traced ranks, and holds outputs, LCP arrays, origins and origin
-wire bytes to the default configuration's.  Sealing alone moves the origin
-bytes, by one CRC32 per sealed exchange block.
+used to be separate CI legs — hypercube routing — and under sealed
+blocks, sealed routing and traced ranks, and holds outputs, LCP arrays,
+origins and origin wire bytes to the default configuration's.  Sealing
+alone moves the origin bytes, by one CRC32 per sealed exchange block; the
+route frames' own seals do not.
 """
 
 from __future__ import annotations
@@ -338,9 +339,10 @@ _DEFAULT_RUN = {f.name: f.default for f in fields(RunConfig) if f.name != "engin
 #: boolean settings
 _CONFIG_AXIS = {
     "hypercube": {"exchange_topology": "hypercube"},
-    "grid": {"exchange_topology": "grid"},
     "sealed": {"wire_checksums": True},
     "traced": {"trace": True},
+    # route frames then carry seals of their own, on top of the blocks'
+    "sealed-hypercube": {"exchange_topology": "hypercube", "wire_checksums": True},
 }
 
 
@@ -370,5 +372,9 @@ def test_run_config_leaves_results_unchanged(engine, algorithm, leg):
         # one CRC32 per sealed block; hypercube quicksort ships no blocks
         assert seal_bytes % CHECKSUM_WIRE_BYTES == 0
         assert (seal_bytes > 0) == (algorithm != "hquick")
+    elif leg == "sealed-hypercube":
+        # a route frame's seal is routing overhead: only the blocks' seals
+        # are origin volume, exactly as under direct delivery
+        assert origin_bytes == _observables(algorithm, engine, "sealed")[-1]
     else:
         assert seal_bytes == 0
