@@ -202,6 +202,7 @@ def merge_sort(comm: Communicator, strings: Sequence[bytes], spec: Any) -> RankO
 
     output = RankOutput(merged, merged_lcps if spec.returns_lcps else None, origins)
     if doubling is not None:
+        # ``fingerprints_sent`` counts candidates hashed, not values sent
         output.extra = {
             "doubling_rounds": doubling.rounds,
             "approx_dist_total": comm.allreduce(sum(doubling.lengths)),

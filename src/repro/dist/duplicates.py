@@ -16,11 +16,14 @@ every base.  The width is always the global ``c``: a pad clipped to one
 rank's longest string would hash one prefix two ways, a false *unique*.
 
 :func:`unique_fingerprint_mask` answers the question with the classic
-two-phase exchange: fingerprints are range-partitioned to home PEs (so every
-home PE sees all copies of a value), counted there, and a bit vector of
-verdicts travels back.  With ``golomb=True`` each fingerprint message is sent
-as a Golomb-coded sorted set whenever that is smaller than the plain
-fixed-width array — the PDMS-Golomb optimisation of Section VI-B.
+two-phase exchange: each PE sends each distinct value once, range-partitioned
+to its home PE, which counts how many PEs hold it, and a bit vector of
+verdicts travels back.  A value is globally unique exactly when one PE holds
+it, once, so each PE ANDs the reply with "my local count is 1": repeated
+prefixes cross the network once per PE.  With ``golomb=True`` each
+fingerprint message is sent as a Golomb-coded sorted set whenever that is
+smaller than the plain fixed-width array — the PDMS-Golomb optimisation of
+Section VI-B.
 
 A false *duplicate* verdict (fingerprint collision) merely makes the caller
 keep a string active for another doubling round — an overestimate, which the
@@ -30,13 +33,15 @@ impossible: equal prefixes always hash equally.
 Layout: one round is array-native.  :func:`extend_prefix_hashes` extends
 the hashes over only the round's new columns of the packed byte buffer,
 :func:`mix_fingerprints` turns them into a ``uint64`` array, one stable
-``argsort`` plus a ``searchsorted`` on the PE bases range-partitions it,
+``argsort`` collapses equal values and, with a ``searchsorted`` on the PE
+bases, range-partitions the distinct ones,
 one :func:`~repro.dist.golomb.coded_sizes` pass counts every destination's
 Golomb-coded bytes to pick each message's format,
 :class:`FingerprintBlock` and :class:`~repro.dist.golomb.GolombCodedSet` own
 ``uint64`` value arrays, home PEs count with ``np.unique``, :class:`BitVector`
-owns the verdicts as ``np.packbits`` bytes, and the saved permutation
-scatters them back into the ``bool`` array the doubling loop consumes.
+owns the verdicts as ``np.packbits`` bytes, and the saved permutation and
+group index scatter them back into the ``bool`` array the doubling loop
+consumes.
 """
 
 from __future__ import annotations
@@ -218,16 +223,23 @@ def unique_fingerprint_mask(
     p = comm.size
 
     with comm.phase(phase if phase is not None else "duplicate-detection"):
+        # collapse equal values: ``group`` maps each sorted position to its
+        # distinct value, of which this PE sends one copy
+        order = np.argsort(fps, kind="stable")
+        ordered = fps[order]
+        first = np.ones(fps.size, dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        group = np.cumsum(first) - 1
+        distinct = ordered[first]
+        single = np.bincount(group) == 1
         # range-partition values to home PEs; home PE d owns the slice
         # [ceil(d*limit/p), ceil((d+1)*limit/p)).  Values are sent relative
         # to the slice base, which keeps Golomb deltas small; equality is
-        # preserved because all copies of a value share a home (and base).
+        # preserved because each PE's copy of a value shares a home (and base).
         bases = np.array([-(-d * limit // p) for d in range(p)], dtype=np.uint64)
-        order = np.argsort(fps, kind="stable")
-        ordered = fps[order]
-        bounds = np.append(np.searchsorted(ordered, bases), fps.size)
+        bounds = np.append(np.searchsorted(distinct, bases), distinct.size)
         loads = np.diff(bounds).tolist()
-        values = ordered - np.repeat(bases, loads)
+        values = distinct - np.repeat(bases, loads)
 
         edges = bounds.tolist()
         blocks = [FingerprintBlock(values[lo:hi], bits) for lo, hi in zip(edges, edges[1:])]
@@ -244,7 +256,7 @@ def unique_fingerprint_mask(
                     sizes[dest] = size
 
         received = comm.alltoall(messages, nbytes=sizes)
-        # every copy of a value arrives here, so its global count is local
+        # each PE holding a value sends it once, so the count is of PEs
         _, inverse, counts = np.unique(
             np.concatenate([msg.values for msg in received]),
             return_inverse=True,
@@ -254,8 +266,10 @@ def unique_fingerprint_mask(
         replies = [BitVector(flags) for flags in np.split(counts[inverse] == 1, cuts)]
         verdicts_home = comm.alltoall(replies)
 
-        # the messages were cut from ``ordered`` in PE order, so the replies
-        # concatenate to verdicts in sorted order; undo the permutation
+        # the messages were cut from ``distinct`` in PE order, so the replies
+        # concatenate to its verdicts; a value is unique where one PE holds
+        # one copy, and the group index and permutation carry that back
+        unique = np.concatenate([reply.flags for reply in verdicts_home]) & single
         out = np.empty(fps.size, dtype=bool)
-        out[order] = np.concatenate([reply.flags for reply in verdicts_home])
+        out[order] = unique[group]
     return out

@@ -52,6 +52,8 @@ class PrefixDoublingResult:
     lengths: List[int]
     rounds: int
     round_active_counts: List[int] = field(default_factory=list)
+    # candidates hashed (active strings, summed over rounds); each PE puts
+    # only its distinct values on the wire, so fewer are sent
     fingerprints_sent: int = 0
 
 

@@ -382,8 +382,8 @@ def _grid_input(p, bits):
     return per_pe
 
 
-# bytes of the "duplicate-detection" phase on ``_grid_input``, recorded from
-# the per-value list implementation: (p, bits, golomb) -> bytes (self-sends
+# bytes of the "duplicate-detection" phase on ``_grid_input``, each PE
+# sending each distinct value once: (p, bits, golomb) -> bytes (self-sends
 # are free, so p = 1 moves nothing)
 GRID_PHASE_BYTES = {
     (1, 8, False): 0,
@@ -392,18 +392,18 @@ GRID_PHASE_BYTES = {
     (1, 40, True): 0,
     (1, 64, False): 0,
     (1, 64, True): 0,
-    (3, 8, False): 230,
-    (3, 8, True): 105,
-    (3, 40, False): 737,
-    (3, 40, True): 661,
-    (3, 64, False): 1484,
-    (3, 64, True): 1395,
-    (4, 8, False): 402,
-    (4, 8, True): 191,
-    (4, 40, False): 1873,
-    (4, 40, True): 1658,
-    (4, 64, False): 2141,
-    (4, 64, True): 2042,
+    (3, 8, False): 140,
+    (3, 8, True): 77,
+    (3, 40, False): 490,
+    (3, 40, True): 455,
+    (3, 64, False): 957,
+    (3, 64, True): 922,
+    (4, 8, False): 243,
+    (4, 8, True): 140,
+    (4, 40, False): 1166,
+    (4, 40, True): 1071,
+    (4, 64, False): 1417,
+    (4, 64, True): 1389,
 }
 
 
@@ -515,6 +515,30 @@ class TestFindUniqueFingerprints:
         _, plain_report = _run_detection(per_pe, golomb=False, bits=32)
         _, golomb_report = _run_detection(per_pe, golomb=True, bits=32)
         assert golomb_report.total_bytes_sent < plain_report.total_bytes_sent
+
+    @pytest.mark.parametrize("golomb", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 50])
+    def test_one_copy_per_value_crosses_the_network(self, k, golomb):
+        # PE 0's k copies of 3 cost what one copy does; PE 2's single copy
+        # still reads duplicate, and PE 1's 12 stays unique
+        per_pe = [[3] * k + [9], [12], [3]]
+        results, report = _run_detection(per_pe, golomb=golomb, bits=4)
+        assert results == [[False] * k + [True], [True], [False]]
+        _, single = _run_detection([[3, 9], [12], [3]], golomb=golomb, bits=4)
+        assert report.phase_bytes["duplicate-detection"] == single.phase_bytes[
+            "duplicate-detection"
+        ]
+
+    @given(st.sampled_from([1, 3, 4]), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_narrow_fingerprints_match_counter_oracle(self, p, golomb, data):
+        # 4-bit values: collisions within and across PEs are the rule
+        per_pe = [data.draw(st.lists(st.integers(0, 15), max_size=12)) for _ in range(p)]
+        if p > 1 and data.draw(st.booleans()):
+            per_pe[data.draw(st.integers(0, p - 1))] = []
+        results, _ = _run_detection(per_pe, golomb=golomb, bits=4)
+        counts = Counter(v for fps in per_pe for v in fps)
+        assert results == [[counts[v] == 1 for v in fps] for fps in per_pe]
 
     def test_verdicts_come_back_in_input_order(self):
         # fingerprints deliberately unsorted per destination

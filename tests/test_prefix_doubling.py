@@ -3,12 +3,15 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.dist import prefix_doubling
 from repro.dist.prefix_doubling import approximate_dist_prefixes
 from repro.mpi import run_spmd
 from repro.strings.generators import dn_instance, dna_reads, random_strings, suffix_instance
 
 from inputs import duplicate_heavy
+from oracles.duplicates import allgather_unique_mask
 from oracles.lcp import distinguishing_prefixes
 
 
@@ -157,15 +160,33 @@ class TestProtocolBehaviour:
         assert results[0].rounds == 64
         assert results[0].lengths == [100, 100, 1]
 
+    @given(st.sampled_from([1, 3, 4]), st.booleans(), st.integers(1, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_narrow_fingerprints_match_the_unfiltered_oracle(self, p, golomb, initial, data):
+        # 4-bit fingerprints of shared prefixes: one copy per PE on the wire
+        # must retire exactly the strings an allgather of every copy does
+        words = st.lists(st.sampled_from(b"AC"), max_size=10).map(bytes)
+        blocks = [data.draw(st.lists(words, max_size=8)) for _ in range(p)]
+        kwargs = dict(initial_length=initial, golomb=golomb, bits=4)
+        results, _ = _run(blocks, **kwargs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(prefix_doubling, "unique_fingerprint_mask", allgather_unique_mask)
+            expected, _ = _run(blocks, **kwargs)
+        assert [(r.lengths, r.rounds, r.round_active_counts) for r in results] == [
+            (r.lengths, r.rounds, r.round_active_counts) for r in expected
+        ]
+
 
 class TestPinnedRun:
     """One run recorded from the per-string list implementation: the array
     bookkeeping must leave every observable of the protocol bit-equal.  Only
     the byte totals depend on the fingerprint hash (its values set how many
-    fingerprints each home PE gets and how well they Golomb-code)."""
+    fingerprints each home PE gets and how well they Golomb-code), and they
+    were re-recorded when each PE began sending each value once;
+    ``fingerprints_sent`` still counts the strings hashed."""
 
     @pytest.mark.parametrize(
-        "golomb, total_bytes_sent", [(False, 5270), (True, 4869)], ids=["pdms", "pdms-golomb"]
+        "golomb, total_bytes_sent", [(False, 3675), (True, 3489)], ids=["pdms", "pdms-golomb"]
     )
     def test_dna_reads_p4(self, engine, golomb, total_bytes_sent):
         results, report = _run(_blocks(dna_reads(600, seed=17), 4), golomb=golomb)

@@ -111,7 +111,9 @@ def case_digests(algorithm, knobs, pes, engine):
 
 #: case id -> ``{"<input>/p<p>": result digest}``; the ``ms-simple`` and
 #: ``fkmerge`` digests were re-recorded when their merge moved onto the word
-#: radix, which moved only the characters inspected per PE
+#: radix, which moved only the characters inspected per PE, and the ``pdms``,
+#: ``pdms-golomb`` and ``auto`` ones when duplicate detection began sending
+#: each fingerprint value once per PE, which moved only the total bytes sent
 EXPECTED = {
     "ms": {
         "dn/p1": "827dd32b31ee1ae078fa996d4a58ce6917ff70ab76c88228c540c920cc9d9dce",
@@ -168,62 +170,62 @@ EXPECTED = {
     "pdms": {
         "dn/p1": "c2939a7664cfa844eb60881a5e4fdea5925661ccf7c75f913497a0d3976c4c48",
         "dna/p1": "8f174dee2eaf8236491f55bf7ebe304b990658e164b5dcb476f5cd9ddd97a131",
-        "dn/p4": "eb91c89b40c82992810a41c81cfba3bf8e13f2c51b04a8b087ad53e1cb261484",
-        "dna/p4": "6781322de3133051e91f50af6872ab10d8a37d9ceafa5b0385ab0475c3fc3450",
+        "dn/p4": "84425c0c4f175b49e850c17def1ef0f1e46f6cf905930fc4bcd4e77c30114b43",
+        "dna/p4": "4b4827aef5bba4f5fd2b23882f1faa49a4d02cc9346b4a565166290d56f77a3c",
     },
     "pdms[sampling=character]": {
-        "dn/p4": "7f594404b4cca45dfe82b7f3052e9cafd656523dae6d7602a690d36443fc432d",
-        "dna/p4": "0def625ca25b58d20adfeb249735726be4f8c490da770759e2b0b2f257249ef4",
+        "dn/p4": "ef9d04249a942f57007f8ecbfc2200320a56e261e9568349c4da006e5073398d",
+        "dna/p4": "ffbc393cc3dfb45215353ec1d7a84f97010bba41500da60720f7f0331d5d0e56",
     },
     "pdms[sample_sort=hquick]": {
-        "dn/p4": "468b5fb2fb8506dec4265f36c23e9e05598a81a649526e79090597118c47a0bd",
-        "dna/p4": "d959b8e05eca4c8d825329d5f22c8e19345f19519057c098b8e1ab4a84e602bf",
+        "dn/p4": "4aefe71ea04b86b2e46b74d1d487db18656cc17d9e37bfe59163bdddd9904b5b",
+        "dna/p4": "fa71b7e9f2a906a1ea1e0c0c028c70a8b1b448f74c0fd0255c9d35cdd161620b",
     },
     "pdms[oversampling=3]": {
-        "dn/p4": "efec47ec282f0b2b2ed02dd843724fddf3c2b399bb884317a6761f2c97de6d8f",
-        "dna/p4": "74b2f91e376c1e9376cd4a6f94f7d6ddf0824c5fbe6e6c337e07bb6849ace42f",
+        "dn/p4": "d187ab6949be9def47030bbcca3f0b128891b2b79153dfeaa436dce8dfd34dd9",
+        "dna/p4": "db137818ba7be09ea6358bb280a275279e2d43adf3c6f74bb03436545adac679",
     },
     "pdms[local_sorter=multikey_quicksort]": {
-        "dn/p4": "3fc1caf8155535f7106a4be58291b1d5f3b473274c3bf30e812307c637b97f10",
-        "dna/p4": "51cc0c08cb995ea38e6d8e390aa59631f3fe2e7bd0267152b47a8f9b26f76002",
+        "dn/p4": "5069f162e610c689bf20b08ee1abe1623ef6a37d108d59757cb965dcaf06e504",
+        "dna/p4": "f826f675a50ff17e1ad2b8586821bb6d9969b9b83965bb8956549225ce03eb70",
     },
     "pdms[epsilon=0.5,initial_length=2]": {
-        "dn/p4": "348393e8f8f045e98b7b842ee10f3336ed224887822da895430cdacafe25ca00",
-        "dna/p4": "41e7f68971575f098e52694c8d2afa7ae51f3ab301fcfcd12f5bb922273d673b",
+        "dn/p4": "6d2bacff95d08a1af95661b96ad0adcc2dc00b9cb15aa905f1162f222c74a953",
+        "dna/p4": "ffb30671226efe9aa31f554348187d6cae4346fff5ee04f86b505923c6e3303b",
     },
     "pdms[exchange_topology=hypercube]": {
-        "dn/p4": "dfe042d424068f44bf84ef370aa60590dd050982c997759feca383fa51104c32",
-        "dna/p4": "64e6dd8ea96f3f728bdd385763d366d2a1bfc5c5ed87569ad8427e3742f5d194",
+        "dn/p4": "906f2e5664aebf05dce7ced911cb1e8dc0463743dd9b4bd228c75770f4ea5ddb",
+        "dna/p4": "4f8df2cbb15a76adbcd5e536723cc2f2ed3c9ef3494d53e62e27f1501e8f6059",
     },
     "pdms-golomb": {
         "dn/p1": "c2939a7664cfa844eb60881a5e4fdea5925661ccf7c75f913497a0d3976c4c48",
         "dna/p1": "8f174dee2eaf8236491f55bf7ebe304b990658e164b5dcb476f5cd9ddd97a131",
-        "dn/p4": "7a8b0ec929757998a45cc0dd42a0552b518b07777127853c16602a59f20d8a4a",
-        "dna/p4": "6781322de3133051e91f50af6872ab10d8a37d9ceafa5b0385ab0475c3fc3450",
+        "dn/p4": "84425c0c4f175b49e850c17def1ef0f1e46f6cf905930fc4bcd4e77c30114b43",
+        "dna/p4": "4b4827aef5bba4f5fd2b23882f1faa49a4d02cc9346b4a565166290d56f77a3c",
     },
     "pdms-golomb[sampling=character]": {
-        "dn/p4": "bca86b9175bea1e6c4ee38e9ba246f95510b0fef9e8a926aeea2ec554bf182d9",
-        "dna/p4": "0def625ca25b58d20adfeb249735726be4f8c490da770759e2b0b2f257249ef4",
+        "dn/p4": "ef9d04249a942f57007f8ecbfc2200320a56e261e9568349c4da006e5073398d",
+        "dna/p4": "ffbc393cc3dfb45215353ec1d7a84f97010bba41500da60720f7f0331d5d0e56",
     },
     "pdms-golomb[sample_sort=hquick]": {
-        "dn/p4": "8151029c570833efcbe337dc0abffdd49b3e4f027025aef724a48f64adae5d2a",
-        "dna/p4": "d959b8e05eca4c8d825329d5f22c8e19345f19519057c098b8e1ab4a84e602bf",
+        "dn/p4": "4aefe71ea04b86b2e46b74d1d487db18656cc17d9e37bfe59163bdddd9904b5b",
+        "dna/p4": "fa71b7e9f2a906a1ea1e0c0c028c70a8b1b448f74c0fd0255c9d35cdd161620b",
     },
     "pdms-golomb[oversampling=3]": {
-        "dn/p4": "b5c30eb0deeb030c441b02690c4875d444d2b49a8ce3b2d2db6b359faad1a554",
-        "dna/p4": "74b2f91e376c1e9376cd4a6f94f7d6ddf0824c5fbe6e6c337e07bb6849ace42f",
+        "dn/p4": "d187ab6949be9def47030bbcca3f0b128891b2b79153dfeaa436dce8dfd34dd9",
+        "dna/p4": "db137818ba7be09ea6358bb280a275279e2d43adf3c6f74bb03436545adac679",
     },
     "pdms-golomb[local_sorter=multikey_quicksort]": {
-        "dn/p4": "120d433f513087eb7de297c5d9a5e57c2fbdbfe7627f0fd02c15ff6ac6d79307",
-        "dna/p4": "51cc0c08cb995ea38e6d8e390aa59631f3fe2e7bd0267152b47a8f9b26f76002",
+        "dn/p4": "5069f162e610c689bf20b08ee1abe1623ef6a37d108d59757cb965dcaf06e504",
+        "dna/p4": "f826f675a50ff17e1ad2b8586821bb6d9969b9b83965bb8956549225ce03eb70",
     },
     "pdms-golomb[epsilon=0.5,initial_length=2]": {
-        "dn/p4": "558b2af24f6ab315e2c7e2504cc3fdf039845e7ddaa767ef8717df2875c69cff",
-        "dna/p4": "2221d2131f05b91b21971e4ed29868186cbc0e19f38adbceb5ac5d471092bd0c",
+        "dn/p4": "6d2bacff95d08a1af95661b96ad0adcc2dc00b9cb15aa905f1162f222c74a953",
+        "dna/p4": "ffb30671226efe9aa31f554348187d6cae4346fff5ee04f86b505923c6e3303b",
     },
     "pdms-golomb[exchange_topology=hypercube]": {
-        "dn/p4": "7ef299dc8ec394f3a28ff7b006bfd132127e8d9bce490d246a543cd1be679e87",
-        "dna/p4": "64e6dd8ea96f3f728bdd385763d366d2a1bfc5c5ed87569ad8427e3742f5d194",
+        "dn/p4": "906f2e5664aebf05dce7ced911cb1e8dc0463743dd9b4bd228c75770f4ea5ddb",
+        "dna/p4": "4f8df2cbb15a76adbcd5e536723cc2f2ed3c9ef3494d53e62e27f1501e8f6059",
     },
     "hquick": {
         "dn/p1": "de55b2414eb3095c082307169b482e69af2cbc16a3cbfa39290665a821836694",
@@ -261,31 +263,31 @@ EXPECTED = {
         "dn/p1": "f52a5033718253fbf28bdca6cb0721245edc43d632ef86b8dd3df4fdd02e5254",
         "dna/p1": "084f8644a0271fa393a868a3d7f56fe575796c4727ad834f392399beaf8f1d25",
         "dn/p4": "06ca08452dcb1e226f829994cc0297a99866332f23be642c5d0d8d25c58e1d76",
-        "dna/p4": "ea662d8528dd21f49d9462b676dd0c227741f59c9b0f03ef6c968adf87fca491",
+        "dna/p4": "c474d782fc33792cd8a9efc2bca2645c07b376080cff9726ca2d1f4411692709",
     },
     "auto[sampling=character]": {
         "dn/p4": "2c02a95658069b63600ec8802177eb0489697ee48b7f88edcb565643ef5ac6d8",
-        "dna/p4": "0786b74b33c3a7e62d7f9b0a26a0c5d710451f96520d76fae83780fadfe4f2e2",
+        "dna/p4": "2ff23f452446f3030885c3b8f9b845b556ef2b31e0fa83d7d9c45d077353fa31",
     },
     "auto[sample_sort=hquick]": {
         "dn/p4": "773d05a4949f1cbdcdf723c79bee97ab639e3c587b4f0aa2081da276b92ae9d8",
-        "dna/p4": "93aec58f37bbd72bf3b4f9a11863749b94a6c2e6ef4ea9d23cc0afabbc9dba3f",
+        "dna/p4": "712f863a8197bff2600771129169c7f728fba26121b32377832d3a8485e6bc22",
     },
     "auto[oversampling=3]": {
         "dn/p4": "c76bd3aa3f6d21dd9dbb44045e18550acd3a931cbf8ed557c5e301f654154692",
-        "dna/p4": "d8180aa545b34dfe2c88645e54458f96d4c7a1cc3e4e9597141e07eb2604f57e",
+        "dna/p4": "154de22ad2ec2b6a8e04e1323e08491f764982b3ae81d5f36b86346792ea8a51",
     },
     "auto[local_sorter=multikey_quicksort]": {
         "dn/p4": "394359b629448b318133bda18c2f9a3c1730a1c40dade0a0ec087fd52066af98",
-        "dna/p4": "54418a874c3817af700134ad2c6faf6b64596adb2de392ed4d0971e4099224b4",
+        "dna/p4": "ceb266cea1c5a782e606ae0f684b57107f6b34413ea19b1ac5118c043934861f",
     },
     "auto[epsilon=0.5,initial_length=2]": {
         "dn/p4": "06ca08452dcb1e226f829994cc0297a99866332f23be642c5d0d8d25c58e1d76",
-        "dna/p4": "e0f46f87b99010b6e7bb7a45a124b5cc3d344c954e61c63df3b9c6e445b63311",
+        "dna/p4": "53d5253d43608667b4473bb7710034e28d35bd02cac84e23eeb5bc8d5806e125",
     },
     "auto[exchange_topology=hypercube]": {
         "dn/p4": "97aa9721eaaedbfb3c8d48aa201ef334e20f2d69d273897671c1782d69a8972f",
-        "dna/p4": "3f4fcc5ff9b47e4f4f155f0a4177ccaa81678b04cfabcaada75b8bf336372be8",
+        "dna/p4": "bed16f32faee9ad92f494ab1baabf35eedc8791f1748ca8dffeedc71c4965410",
     },
 }
 
