@@ -14,10 +14,10 @@ sat descheduled behind other tenants of a shared host (on 2 vCPUs, wall
 samples of the same ~0.1 s sort spread by +-30%, enough to trip a 5% gate
 at no real overhead).  Each pair starts from a collected heap and the
 pairs alternate which arm runs first, so neither arm systematically pays
-for the other's garbage.  Like the checksum-seal gate
-(``test_fault_overhead.py``), the test takes the *minimum* observed
-overhead across attempts before asserting it is **< 5%**.  Identity is asserted alongside: traced and untraced sorts
-produce the same output and the same wire-byte accounting.
+for the other's garbage.  The test takes the *minimum* observed overhead
+across attempts before asserting it is **< 5%**.  Identity is asserted
+alongside: traced and untraced sorts produce the same output and the same
+wire-byte accounting.
 
 The JSON additionally records trajectory data (not gated): the wall-clock
 times of the gated pair, per-stage
@@ -123,7 +123,7 @@ def test_trace_overhead_under_gate(corpus):
     # ring overflow: a tiny buffer drops oldest events, never grows or fails
     small = Recorder(rank=0, capacity=256)
     for i in range(1024):
-        small.instant("x")
+        small.comm("send", peer=1, nbytes=i)
     assert small.dropped == 1024 - 256
     assert len(small.events()) == 256
 

@@ -142,18 +142,6 @@ def _add_sort_options(parser: argparse.ArgumentParser) -> None:
         "and ignores it (default: the REPRO_SPMD_TIMEOUT environment "
         "variable, or 600)",
     )
-    parser.add_argument(
-        "--fault-plan",
-        help="fault-injection plan as JSON (inline, or @path to a file); "
-        "installs a seeded chaos schedule (drops, duplicates, delays, "
-        "corruption, crashes, stragglers — see docs/FAULTS.md) and prints "
-        "the injected/detected/retried counters",
-    )
-    parser.add_argument(
-        "--max-retries", type=_count, default=0,
-        help="re-run the sort up to this many times if a fault (e.g. an "
-        "injected rank crash) aborts it (default: 0, fail fast)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,30 +251,17 @@ def _spec_from_args(args) -> SortSpec:
     return SortSpec.from_dict(knobs)
 
 
-def _load_fault_plan(raw: Optional[str]):
-    """Parse ``--fault-plan`` (inline JSON or ``@path``) into a FaultPlan."""
-    if not raw:
-        return None
-    from .faults import FaultPlan
-
-    if raw.startswith("@"):
-        with open(raw[1:], "r") as fh:
-            raw = fh.read()
-    return FaultPlan.from_json(raw)
-
-
 def _run_sort(parser: argparse.ArgumentParser, args, trace: Optional[bool]):
     """Build the cluster from the shared flags and run one sort.
 
-    Returns ``(data, spec, plan, cluster, result)`` so each subcommand can
-    render its own view of the same run.  A flag value the spec, the fault
-    plan or the cluster rejects exits 2 with a one-line error; an error of
-    the sort itself propagates.
+    Returns ``(data, spec, cluster, result)`` so each subcommand can
+    render its own view of the same run.  A flag value the spec or the
+    cluster rejects exits 2 with a one-line error; an error of the sort
+    itself propagates.
     """
     data = _load_or_generate(args)
     try:
         spec = _spec_from_args(args)
-        plan = _load_fault_plan(args.fault_plan)
         # an unset flag is None: the run configuration the environment asks
         # for (or the default) stays in charge
         cluster = Cluster(
@@ -294,20 +269,17 @@ def _run_sort(parser: argparse.ArgumentParser, args, trace: Optional[bool]):
             engine=args.engine,
             exchange_topology=args.exchange_topology,
             timeout=args.timeout,
-            fault_plan=plan,
             trace=trace,
         )
     except (OSError, TypeError, ValueError) as exc:
         parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
     with cluster:
-        result = cluster.sort(
-            data, spec, check=args.check, max_retries=args.max_retries
-        )
-    return data, spec, plan, cluster, result
+        result = cluster.sort(data, spec, check=args.check)
+    return data, spec, cluster, result
 
 
 def _cmd_sort(parser: argparse.ArgumentParser, args) -> int:
-    data, spec, plan, cluster, result = _run_sort(
+    data, spec, cluster, result = _run_sort(
         parser, args, trace=True if args.trace else None
     )
     report = result.report
@@ -327,13 +299,6 @@ def _cmd_sort(parser: argparse.ArgumentParser, args) -> int:
         print(f"origin bytes       : {report.origin_bytes_sent}")
         print(f"forwarded bytes    : {report.forwarded_bytes} "
               f"(multi-level routing, {topology})")
-    if plan is not None:
-        print(f"faults             : {report.faults_injected} injected, "
-              f"{report.faults_detected} detected, {report.retries} retried")
-        if report.retransmitted_bytes > 0:
-            print(f"retransmit bytes   : {report.retransmitted_bytes}")
-        if report.job_retries > 0:
-            print(f"job retries        : {report.job_retries}")
     print(f"bytes per string   : {result.bytes_per_string():.2f}")
     print(f"modelled time      : {result.modeled_time(DEFAULT_MACHINE):.3e} s")
     print(f"bytes by phase     : {dict(report.phase_bytes)}")
@@ -356,7 +321,7 @@ def _cmd_trace(parser: argparse.ArgumentParser, args) -> int:
     """``repro trace run``: traced sort → Chrome-trace JSON (+ waterfall)."""
     from .obs import render_waterfall, write_chrome_trace
 
-    _data, spec, _plan, cluster, result = _run_sort(parser, args, trace=True)
+    _data, spec, cluster, result = _run_sort(parser, args, trace=True)
     report = result.report
     timeline = report.timeline
     if timeline is None:  # pragma: no cover - tracing was explicitly armed
@@ -385,7 +350,7 @@ def _cmd_trace(parser: argparse.ArgumentParser, args) -> int:
 
 def _cmd_metrics(parser: argparse.ArgumentParser, args) -> int:
     """``repro metrics``: traced sort → Prometheus text / JSON snapshot."""
-    _data, _spec, _plan, _cluster, result = _run_sort(parser, args, trace=True)
+    _data, _spec, _cluster, result = _run_sort(parser, args, trace=True)
     metrics = result.report.metrics
     if metrics is None:  # pragma: no cover - tracing was explicitly armed
         print("error: the run produced no metrics snapshot", file=sys.stderr)

@@ -1,6 +1,6 @@
 """The run configuration: how a cluster executes its sorts.
 
-A :class:`RunConfig` holds the five execution settings of one
+A :class:`RunConfig` holds the four execution settings of one
 :class:`repro.session.Cluster` (or one :func:`repro.mpi.run_spmd` call).  It
 is resolved once, when the cluster is built: the ``REPRO_*`` environment
 first (:meth:`RunConfig.from_env`, the only place the package reads those
@@ -11,10 +11,9 @@ sort at the same time in one process.  A spec's own ``exchange_topology``
 still overrides the cluster's for that sort.
 
 None of the settings changes sorted outputs, LCP arrays or origin wire
-bytes: ``exchange_topology`` adds forwarded routing bytes,
-``wire_checksums`` adds 4 seal bytes per block, and ``timeout``, ``engine``
-and ``trace`` govern the engine.  ``docs/API.md`` lists each field with its
-variable, keyword, CLI flag and accepted values.
+bytes: ``exchange_topology`` adds forwarded routing bytes, and ``timeout``,
+``engine`` and ``trace`` govern the engine.  ``docs/API.md`` lists each
+field with its variable, keyword, CLI flag and accepted values.
 """
 
 from __future__ import annotations
@@ -42,8 +41,6 @@ class RunConfig:
     exchange_topology:
         Delivery strategy of the bucket all-to-all: ``"direct"`` or
         ``"hypercube"`` (:mod:`repro.net.router`).
-    wire_checksums:
-        Seal every exchange block and route frame with a CRC32.
     timeout:
         Deadlock-detection timeout per blocking operation, in seconds, of
         the processes engine; the threads engine detects deadlock exactly
@@ -55,7 +52,6 @@ class RunConfig:
     """
 
     exchange_topology: str = _setting("direct", "REPRO_EXCHANGE_TOPOLOGY")
-    wire_checksums: bool = _setting(False, "REPRO_WIRE_CHECKSUMS")
     timeout: float = _setting(600.0, "REPRO_SPMD_TIMEOUT")
     engine: str = _setting("threads", "REPRO_ENGINE")
     trace: bool = _setting(False, "REPRO_TRACE")

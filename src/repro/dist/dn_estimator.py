@@ -52,9 +52,12 @@ def estimate_dn_ratio(
 ) -> DnEstimate:
     """Estimate the global D/N ratio from per-PE random samples.
 
-    Communication: one gather of the (small) samples to PE 0 plus a
-    broadcast of three scalars — far below the cost of even one exchange
-    round of any sorting algorithm.
+    Communication: two allreduces of counts, one gather of the samples to
+    PE 0 and a broadcast of the estimate.  That is not cheap next to the
+    sort it picks: on ``dn_instance(8000, 0.0, length=100)`` at p = 16
+    (threads engine, seeds 51 and 52) the ``dn-estimation`` phase sends
+    12.16 B per string, and ``auto`` sends 32.69 B per string against the
+    20.53–20.54 of the PDMS-Golomb run it picks (+59 %).
     """
     if sample_per_pe <= 0:
         raise ValueError("sample_per_pe must be positive")

@@ -21,8 +21,8 @@ the run's lengths and clipped LCPs, and the receiver takes the sent run.
 Both classes hold one packed run: a
 :class:`repro.strings.packed.PackedStringArray` plus an ``int64`` LCP array.
 A ``list[bytes]`` bucket is packed once at construction; a packed bucket
-(what the rank programs cut) is held zero-copy.  Wire accounting, sealing
-and decoding run as vectorized numpy kernels over the contiguous buffer.
+(what the rank programs cut) is held zero-copy.  Wire accounting and
+decoding run as vectorized numpy kernels over the contiguous buffer.
 """
 
 from __future__ import annotations
@@ -31,12 +31,9 @@ from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..faults.errors import CorruptFrameError
 from ..mpi.comm import Communicator
 from ..mpi.serialization import (
-    CHECKSUM_WIRE_BYTES,
     WireSized,
-    block_checksum,
     packed_wire_bytes,
     varint_size,
     varint_total,
@@ -56,35 +53,13 @@ Lcps = Union[Sequence[int], np.ndarray, None]
 
 
 class StringBlock(WireSized):
-    """One bucket sent verbatim, optionally together with its LCP array.
+    """One bucket sent verbatim, optionally together with its LCP array."""
 
-    With ``seal`` (the exchange passes ``comm.config.wire_checksums``) the
-    block is *sealed* at construction: a CRC32 of its content travels with
-    it (4 extra wire bytes) and :meth:`decode_run` verifies the seal,
-    raising :class:`~repro.faults.errors.CorruptFrameError` on mismatch.
-    """
-
-    def __init__(self, strings: Strings, lcps: Lcps = None, seal: bool = False):
+    def __init__(self, strings: Strings, lcps: Lcps = None):
         if lcps is not None and len(strings) != len(lcps):
             raise ValueError("strings and lcps must have equal length")
         self.strings = PackedStringArray.from_strings(strings)
         self.lcps = None if lcps is None else np.asarray(lcps, dtype=np.int64)
-        self._crc: Optional[int] = self._compute_crc() if seal else None
-
-    def _compute_crc(self) -> int:
-        """CRC32 of the block's content, recomputed from scratch (bulk)."""
-        return block_checksum(self.strings, self.lcps)
-
-    def content_crc(self) -> int:
-        """The checksum the envelope layer folds in (the seal, or fresh)."""
-        return self._crc if self._crc is not None else self._compute_crc()
-
-    def _verify_seal(self) -> None:
-        if self._crc is not None and self._compute_crc() != self._crc:
-            raise CorruptFrameError(
-                "StringBlock checksum mismatch: block content does not match "
-                "its seal (frame corrupted in transit)"
-            )
 
     def decode_run(self) -> Tuple[PackedStringArray, Optional[np.ndarray]]:
         """The sent run and its shipped ``int64`` LCP array (``None`` if none).
@@ -92,16 +67,11 @@ class StringBlock(WireSized):
         The run is handed over without materialising ``list[bytes]``: the
         downstream merge consumes it directly.
         """
-        self._verify_seal()
         return self.strings, self.lcps
 
     def wire_bytes(self) -> int:
-        """Varint count + per-string (varint length, payload) [+ varint LCPs].
-
-        A sealed block additionally carries its 4-byte CRC32 on the wire.
-        """
-        seal = CHECKSUM_WIRE_BYTES if self._crc is not None else 0
-        return packed_wire_bytes(self.strings, self.lcps) + seal
+        """Varint count + per-string (varint length, payload) [+ varint LCPs]."""
+        return packed_wire_bytes(self.strings, self.lcps)
 
 
 class LcpCompressedBlock(WireSized):
@@ -111,39 +81,16 @@ class LcpCompressedBlock(WireSized):
     LCP array — nothing else.  The front-coded form is a pure function of
     the two, so the block never builds it: :attr:`chars_sent` and
     :meth:`wire_bytes` count it from the length and LCP arrays, and the
-    receiver takes the run zero-copy.  Like :class:`StringBlock`, the block
-    is sealed with a content CRC32 when built with ``seal``, verified at
-    decode time (4 extra wire bytes;
-    :class:`~repro.faults.errors.CorruptFrameError` on mismatch).  The seal
-    covers the run's characters, its lengths and its clipped LCPs: all that
-    the suffix form is computed from.
+    receiver takes the run zero-copy.
     """
 
-    def __init__(self, run: PackedStringArray, lcps: np.ndarray, seal: bool = False):
+    def __init__(self, run: PackedStringArray, lcps: np.ndarray):
         self._run = run
         self._lcps = lcps
-        self._crc: Optional[int] = self._compute_crc() if seal else None
-
-    def _compute_crc(self) -> int:
-        """CRC32 of the run and its clipped LCPs (bulk)."""
-        return block_checksum(self._run, self._lcps)
-
-    def content_crc(self) -> int:
-        """The checksum the envelope layer folds in (the seal, or fresh)."""
-        return self._crc if self._crc is not None else self._compute_crc()
-
-    def _verify_seal(self) -> None:
-        if self._crc is not None and self._compute_crc() != self._crc:
-            raise CorruptFrameError(
-                "LcpCompressedBlock checksum mismatch: block content does "
-                "not match its seal (frame corrupted in transit)"
-            )
 
     @classmethod
-    def encode(
-        cls, strings: Strings, lcps: Lcps, seal: bool = False
-    ) -> "LcpCompressedBlock":
-        """Front-code a sorted run with its LCP array (sealed with ``seal``).
+    def encode(cls, strings: Strings, lcps: Lcps) -> "LcpCompressedBlock":
+        """Front-code a sorted run with its LCP array.
 
         The first string always travels in full; LCP values are clipped
         defensively (an LCP can never exceed either neighbour) by
@@ -153,7 +100,7 @@ class LcpCompressedBlock(WireSized):
         the arrays.
         """
         run = PackedStringArray.from_strings(strings)
-        return cls(run, clip_lcps(run, lcps), seal)
+        return cls(run, clip_lcps(run, lcps))
 
     def __len__(self) -> int:
         return len(self._run)
@@ -165,21 +112,15 @@ class LcpCompressedBlock(WireSized):
 
     def decode_run(self) -> Tuple[PackedStringArray, np.ndarray]:
         """The sent run (delivered zero-copy) and its ``int64`` LCP array."""
-        self._verify_seal()
         return self._run, self._lcps
 
     def wire_bytes(self) -> int:
-        """Varint count + per-string (varint LCP, varint suffix length, suffix).
-
-        A sealed block additionally carries its 4-byte CRC32 on the wire.
-        """
-        seal = CHECKSUM_WIRE_BYTES if self._crc is not None else 0
+        """Varint count + per-string (varint LCP, varint suffix length, suffix)."""
         return (
             varint_size(len(self._run))
             + varint_total(self._lcps)
             + varint_total(self._run.lengths - self._lcps)
             + self.chars_sent
-            + seal
         )
 
 
@@ -228,17 +169,16 @@ def exchange_buckets(
             f"unknown exchange topology {topology!r}; "
             f"available: {list(TOPOLOGY_NAMES)}"
         )
-    seal = comm.config.wire_checksums
 
     with comm.phase("exchange"):
         if lcp_compression:
             blocks: List[WireSized] = [
-                LcpCompressedBlock.encode(strings, lcps, seal)
+                LcpCompressedBlock.encode(strings, lcps)
                 for strings, lcps in buckets
             ]
         else:
             blocks = [
-                StringBlock(strings, lcps if ship_lcps else None, seal)
+                StringBlock(strings, lcps if ship_lcps else None)
                 for strings, lcps in buckets
             ]
         if payloads is None:

@@ -24,22 +24,13 @@ hooks (see the class docstring).
 from __future__ import annotations
 
 import time
-from collections import deque
 from contextlib import contextmanager
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, List, Optional, Sequence, Tuple
 
 from ..config import RunConfig
-from ..faults.errors import (
-    CorruptFrameError,
-    FaultError,
-    LostMessageError,
-    RankCrashError,
-)
-from ..faults.inject import FaultInjector
-from ..faults.wire import Envelope, envelope_overhead
 from ..net.metrics import TrafficMeter
 from ..obs.recorder import Recorder
-from .serialization import payload_checksum, wire_size
+from .serialization import wire_size
 
 __all__ = ["Communicator", "ReduceOp", "SpmdError"]
 
@@ -80,15 +71,12 @@ class Communicator:
     here: the accounting hooks, the collective algebra (which edges each
     collective charges to the meter), the SPMD checks (every rendezvous
     compares the ranks' collective signatures, :meth:`_meet`; a blocking
-    send to one's own rank is refused), point-to-point framing and
-    matching, and the fault-mode receive pipeline (injection on arrival,
-    sequencing, CRC verification, gap detection, pull-based recovery).
+    send to one's own rank is refused) and point-to-point matching.
     Concrete engines subclass it and provide only the *transport*: how
     payloads physically move between ranks and how a rank waits.
 
     Subclasses implement the hook surface:
 
-    * :meth:`_fail` — abort the whole run with an exception;
     * :meth:`_board_exchange` — every rank contributes one object and
       observes all of them (every collective meets through it, in
       :meth:`_meet`);
@@ -113,18 +101,16 @@ class Communicator:
         rank: int,
         size: int,
         meter: TrafficMeter,
-        injector: Optional[FaultInjector],
         config: RunConfig,
         recorder: Optional[Recorder] = None,
     ):
         self.rank = rank
         self.size = size
-        #: the run configuration the rank programs read (exchange mode,
-        #: topology, seals); the engine supplies it
+        #: the run configuration the rank programs read (the exchange
+        #: topology); the engine supplies it
         self.config = config
-        #: the meter this rank records into, and the installed fault injector
+        #: the meter this rank records into
         self._meter = meter
-        self._injector = injector
         self._phase = "unlabelled"
         #: this rank's trace recorder, or ``None`` with tracing off — every
         #: instrumentation site is a single ``is None`` test, so the traced
@@ -134,30 +120,11 @@ class Communicator:
         #: the signature of the latest (``bcast(root=0)``; :meth:`_meet`)
         self._steps = 0
         self._call = ""
-        #: whether a fault plan is installed (adds envelope framing + recovery)
-        self._fault = injector is not None
-        if self._fault:
-            # sender side: next sequence number per destination
-            self._send_seq: Dict[int, int] = {}
-            # receiver side, per source: verified (tag, payload) pairs not
-            # yet received, next sequence number to deliver, early arrivals,
-            # the recovery buffer (seq -> (clean envelope, wire bytes incl.
-            # framing)) and the delay pen ([arrivals still to overtake,
-            # held envelope])
-            self._inbox: Dict[int, Deque[Tuple[Any, ...]]] = {}
-            self._expected: Dict[int, int] = {}
-            self._ooo: Dict[int, Dict[int, Envelope]] = {}
-            self._unacked: Dict[int, Dict[int, Tuple[Envelope, int]]] = {}
-            self._delay_pens: Dict[int, List[List[Any]]] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} rank={self.rank} size={self.size}>"
 
     # ------------------------------------------------------------------ engine hooks
-    def _fail(self, exc: BaseException) -> None:
-        """Record ``exc`` and abort the whole run (engine hook)."""
-        raise NotImplementedError
-
     def _board_exchange(self, contribution: Any) -> List[Any]:
         """All ranks contribute one object; everyone observes all of them."""
         raise NotImplementedError
@@ -190,40 +157,12 @@ class Communicator:
             self.set_phase(previous)
 
     def set_phase(self, name: str) -> None:
-        """Label this rank's subsequent traffic with ``name``.
-
-        With a fault plan installed this is also the rank-lifecycle hook:
-        ``crash`` rules raise :class:`~repro.faults.errors.RankCrashError`
-        here and ``straggle`` rules put the rank to sleep.
-        """
+        """Label this rank's subsequent traffic with ``name``."""
         self._phase = name
-        meter = self._meter
-        meter.set_phase(self.rank, name)
+        self._meter.set_phase(self.rank, name)
         rec = self._recorder
         if rec is not None:
             rec.phase(name)
-        injector = self._injector
-        if injector is not None:
-            action = injector.on_phase(self.rank, name)
-            if action is not None:
-                if action.kind == "crash":
-                    meter.count("faults_injected_per_pe", self.rank)
-                    # a crash is trivially "detected": the run aborts loudly
-                    meter.count("faults_detected_per_pe", self.rank)
-                    if rec is not None:
-                        rec.instant("fault-crash", {"phase": name})
-                    raise RankCrashError(
-                        f"rank {self.rank} crashed entering phase {name!r} "
-                        "(fault plan)"
-                    )
-                if action.kind == "straggle":
-                    meter.count("faults_injected_per_pe", self.rank)
-                    if rec is not None:
-                        rec.instant(
-                            "fault-straggle",
-                            {"phase": name, "seconds": action.seconds},
-                        )
-                    time.sleep(action.seconds)
 
     def record_local_work(self, chars: int, items: int = 0) -> None:
         """Report local character/string work for the modelled running time."""
@@ -262,12 +201,6 @@ class Communicator:
         an already-accounted composite).  Sends are eager: the network
         buffers without bound, so a send never waits for its receive.
 
-        With a fault plan installed the message travels inside an
-        :class:`~repro.faults.wire.Envelope` (sequence number + payload
-        CRC32, charged on the wire) stamped with the sender's phase, and the
-        plan's message rules strike it on arrival (:meth:`_arrive`); without
-        one, this is the zero-overhead baseline path.
-
         A blocking send to one's own rank raises :class:`SpmdError`: MPI
         may refuse to buffer a standard-mode send, so such a program is not
         portable (a ``sendrecv`` with oneself is legal).
@@ -287,35 +220,20 @@ class Communicator:
         rec = self._recorder
         if rec is not None:
             rec.comm("send", dest, size)
-        if not self._fault:
-            self._meter.record_send(self.rank, dest, size)
-            self._transmit(dest, (tag, obj))
-            return
-        seq = self._send_seq.get(dest, 0)
-        self._send_seq[dest] = seq + 1
-        env_bytes = size + envelope_overhead(seq)
-        self._meter.record_send(self.rank, dest, env_bytes)
-        self._transmit(
-            dest, (seq, tag, payload_checksum(obj), env_bytes, self._phase, obj)
-        )
+        self._meter.record_send(self.rank, dest, size)
+        self._transmit(dest, (tag, obj))
 
     def recv(self, source: int, tag: int = 0) -> Any:
         """Receive the next message from ``source``; it must carry ``tag``.
 
-        Arrivals are taken here, when the rank receives, so the fault
-        pipeline runs at the same program point (and under the same
-        receiver phase) on either engine.  Messages on one channel arrive
-        in send order; a next message with another tag raises
-        :class:`SpmdError`, since the two ranks' schedules disagree.
+        Messages on one channel arrive in send order; a next message with
+        another tag raises :class:`SpmdError`, since the two ranks'
+        schedules disagree.
         """
         if not 0 <= source < self.size:
             raise ValueError(f"invalid source rank {source}")
         while True:
             inbox = self._arrivals(source)
-            if self._fault:
-                while inbox:
-                    self._arrive(source, *inbox.popleft())
-                inbox = self._inbox.get(source)
             if inbox:
                 got_tag, obj = inbox.popleft()
                 if got_tag != tag:
@@ -334,179 +252,6 @@ class Communicator:
         """
         self._post(obj, peer, tag, nbytes)
         return self.recv(peer, tag)
-
-    # ------------------------------------------------------------------ fault-mode receive path
-    def _arrive(
-        self,
-        source: int,
-        seq: int,
-        tag: int,
-        crc: int,
-        env_bytes: int,
-        sender_phase: str,
-        payload: Any,
-    ) -> None:
-        """Take one envelope off the wire, applying the plan's message rules.
-
-        The clean envelope enters the recovery buffer first, so a recovery
-        pull always finds it.  The injector then decides its fate under the
-        phase it was sent in; each channel is decided at its receiver in
-        send order, so both engines replay one schedule.  Every arrival is
-        one overtaking event: held envelopes tick after the current one was
-        handled and before it may itself be penned.
-        """
-        env = Envelope(seq, tag, crc, payload)
-        self._unacked.setdefault(source, {})[seq] = (env, env_bytes)
-        action = (
-            self._injector.on_send(source, self.rank, sender_phase)
-            if source != self.rank
-            else None
-        )
-        if action is None:
-            self._accept(source, env)
-        else:
-            self._meter.count("faults_injected_per_pe", source)
-            if action.kind == "duplicate":
-                self._accept(source, env)
-                # the duplicate costs wire bytes but is not origin volume
-                self._meter.record_retransmit(
-                    source, self.rank, env_bytes, phase=sender_phase
-                )
-                self._accept(source, env)
-            elif action.kind == "corrupt":
-                # tamper the envelope's seal; the clean copy stays buffered
-                self._accept(source, Envelope(seq, tag, crc ^ action.mask, payload))
-            # drop and delay withhold the envelope: recovery pulls it
-        self._tick_delay(source)
-        if action is not None and action.kind == "delay":
-            self._delay_pens.setdefault(source, []).append(
-                [action.delay_messages, env]
-            )
-
-    def _tick_delay(self, source: int) -> None:
-        """Tick ``source``'s delay pen; accept envelopes fully overtaken."""
-        pens = self._delay_pens.get(source)
-        if not pens:
-            return
-        ripe: List[Envelope] = []
-        remaining: List[List[Any]] = []
-        for entry in pens:
-            entry[0] -= 1
-            if entry[0] <= 0:
-                ripe.append(entry[1])
-            else:
-                remaining.append(entry)
-        self._delay_pens[source] = remaining
-        for env in ripe:
-            self._accept(source, env)
-
-    def _accept(self, source: int, env: Envelope) -> None:
-        """Sequence one arrived envelope: discard stale, stash early, drain."""
-        expected = self._expected.get(source, 0)
-        if env.seq < expected:
-            # duplicate of an already-delivered message: detected and dropped
-            self._meter.count("faults_detected_per_pe", self.rank)
-            return
-        # stash (in-sequence or early) and let _drain deliver/recover; an
-        # early arrival with a missing predecessor is the gap _drain spots
-        self._ooo.setdefault(source, {})[env.seq] = env
-        self._drain(source)
-
-    def _drain(self, source: int) -> None:
-        """Deliver in-sequence envelopes; recover gaps and corruption.
-
-        A *gap* (the expected message absent while a successor is stashed)
-        is proof of a drop: channels are FIFO, so the missing envelope
-        arrived first and sits withheld in the recovery buffer; it is
-        pulled immediately.  A CRC mismatch likewise triggers an immediate
-        pull.
-        """
-        meter = self._meter
-        stash = self._ooo.setdefault(source, {})
-        while True:
-            expected = self._expected.get(source, 0)
-            env = stash.pop(expected, None)
-            if env is not None:
-                if payload_checksum(env.payload) == env.crc:
-                    self._deliver(source, env)
-                    continue
-                # corruption detected: the clean copy sits in the buffer
-                meter.count("faults_detected_per_pe", self.rank)
-                self._pull(source, expected, lost=False)
-                continue
-            if stash:
-                # a successor arrived but the expected message did not:
-                # evidence of a drop — pull a retransmit right away
-                meter.count("faults_detected_per_pe", self.rank)
-                self._pull(source, expected, lost=True)
-                continue
-            return
-
-    def _deliver(self, source: int, env: Envelope) -> None:
-        """Hand one verified, in-sequence envelope to the inbox (and ack it)."""
-        self._expected[source] = env.seq + 1
-        # the ack: the recovery buffer frees the slot
-        self._unacked[source].pop(env.seq, None)
-        self._inbox.setdefault(source, deque()).append((env.tag, env.payload))
-
-    def _pull(self, source: int, seq: int, lost: bool) -> None:
-        """Pull retransmits of message ``seq`` until one verifies.
-
-        Bounded by the plan's ``max_retransmits`` budget; exhausting it
-        raises the typed error (:class:`LostMessageError` for drops,
-        :class:`CorruptFrameError` for corruption) through :meth:`_fail`
-        so every rank aborts promptly.  Only ``corrupt`` rules may strike a
-        retransmit, so the loop terminates for every other fault kind.
-        """
-        meter = self._meter
-        injector = self._injector
-        env, env_bytes = self._unacked[source][seq]
-        budget = injector.plan.max_retransmits
-        for _ in range(budget):
-            meter.count("retries_per_pe", self.rank)
-            # a retransmit repeats the envelope's wire cost without being
-            # origin volume — accounted like forwarded traffic
-            meter.record_retransmit(source, self.rank, env_bytes, phase=self._phase)
-            rec = self._recorder
-            if rec is not None:
-                rec.instant(
-                    "retransmit",
-                    {"source": source, "seq": seq, "bytes": env_bytes},
-                )
-            action = injector.on_retransmit(source, self.rank, self._phase)
-            if action is not None and action.kind == "corrupt":
-                # the retransmit was struck too (one more injected fault on
-                # the sender's wire); detected, try again
-                meter.count("faults_injected_per_pe", source)
-                meter.count("faults_detected_per_pe", self.rank)
-                continue
-            self._deliver(source, env)
-            return
-        kind = "lost" if lost else "corrupt"
-        message = (
-            f"rank {self.rank}: message seq {seq} from rank {source} still "
-            f"{kind} after {budget} retransmits (fault-plan budget exhausted)"
-        )
-        exc: FaultError = (
-            LostMessageError(message) if lost else CorruptFrameError(message)
-        )
-        self._fail(exc)
-        raise exc
-
-    def _withheld(self, source: int) -> bool:
-        """Whether the next envelope due from ``source`` arrived but was withheld.
-
-        A drop or delay rule keeps an arrived envelope in the recovery
-        buffer only; when it was the channel's last message no successor
-        will ever reveal the gap.
-        """
-        return self._expected.get(source, 0) in self._unacked.get(source, ())
-
-    def _pull_withheld(self, source: int) -> None:
-        """Detect the withheld envelope from ``source`` as lost and pull it."""
-        self._meter.count("faults_detected_per_pe", self.rank)
-        self._pull(source, self._expected.get(source, 0), lost=True)
-        self._drain(source)
 
     # ------------------------------------------------------------------ collectives
     def _meet(

@@ -14,9 +14,9 @@ which subclasses :class:`repro.mpi.comm.Communicator` on top of
 * per-ordered-pair deques for point-to-point traffic.
 
 The schedule depends on the program alone, never on thread timing, so a
-run is deterministic: the same program and fault plan reproduce every
-count of the :class:`~repro.net.metrics.TrafficMeter` report (barrier wait
-seconds, being timed, aside).  Those waits and the trace timestamps are
+run is deterministic: the same program reproduces every count of the
+:class:`~repro.net.metrics.TrafficMeter` report (barrier wait seconds,
+being timed, aside).  Those waits and the trace timestamps are
 read on per-rank clocks that stand still while a rank waits for the baton
 (:meth:`_SharedState.now`), so they measure load imbalance, as on a
 machine with one CPU per rank.  A blocked rank can only be woken by
@@ -44,9 +44,6 @@ from functools import partial
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..config import RunConfig
-from ..faults.errors import LostMessageError
-from ..faults.inject import FaultInjector
-from ..faults.plan import FaultPlan
 from ..net.metrics import TrafficMeter, TrafficReport
 from ..obs.recorder import DEFAULT_CAPACITY, Recorder
 from ..obs.timeline import Timeline
@@ -63,9 +60,8 @@ __all__ = [
 ]
 
 
-#: what a blocked rank waits for: (wake condition, description, withheld
-#: check — ``None`` unless it is a fault-mode receive that recovery may serve)
-_Wait = Tuple[Callable[[], bool], str, Optional[Callable[[], bool]]]
+#: what a blocked rank waits for: (wake condition, description)
+_Wait = Tuple[Callable[[], bool], str]
 
 
 class _SharedState:
@@ -80,16 +76,9 @@ class _SharedState:
     the program alone.
     """
 
-    def __init__(
-        self,
-        num_pes: int,
-        meter: TrafficMeter,
-        config: RunConfig,
-        injector: Optional[FaultInjector],
-    ):
+    def __init__(self, num_pes: int, meter: TrafficMeter, config: RunConfig):
         self.num_pes = num_pes
         self.config = config
-        self.injector = injector
         #: per ordered pair ``(src, dst)``: messages sent and not yet taken
         self.queues: Dict[Tuple[int, int], Deque[Tuple[Any, ...]]] = {
             (s, d): deque() for s in range(num_pes) for d in range(num_pes)
@@ -128,8 +117,6 @@ class _SharedState:
         self.release_clock = 0.0
         self.waits: List[Optional[_Wait]] = [None] * p
         self.finished = [False] * p
-        #: the blocked receiver chosen to pull a withheld envelope
-        self.rescued: Optional[int] = None
 
     def fail(self, exc: BaseException) -> None:
         """Record ``exc``: the run aborts, every rank unwinds when it next runs."""
@@ -158,21 +145,13 @@ class _SharedState:
         self.offsets[rank] = min(self.offsets[rank], time.monotonic() - clock)
 
     # ------------------------------------------------------------------ scheduler
-    def block(
-        self,
-        rank: int,
-        ready: Callable[[], bool],
-        what: str,
-        withheld: Optional[Callable[[], bool]] = None,
-    ) -> bool:
+    def block(self, rank: int, ready: Callable[[], bool], what: str) -> None:
         """Hand the baton on to the next runnable rank until ``ready()`` holds.
 
-        Returns ``True`` instead when no rank could run and ``rank`` was
-        chosen to pull the envelope ``withheld()`` reports in its recovery
-        buffer.  Raises :class:`SpmdError` once the run has aborted
-        (``what`` names what ``rank`` waited for).
+        Raises :class:`SpmdError` once the run has aborted (``what`` names
+        what ``rank`` waited for).
         """
-        self.waits[rank] = (ready, what, withheld)
+        self.waits[rank] = (ready, what)
         try:
             while not ready():
                 nxt = self._pick(rank)
@@ -185,10 +164,6 @@ class _SharedState:
                     raise SpmdError(
                         f"rank {rank}: SPMD run aborted while waiting for {what}"
                     )
-                if self.rescued == rank:
-                    self.rescued = None
-                    return True
-            return False
         finally:
             self.waits[rank] = None
 
@@ -202,37 +177,24 @@ class _SharedState:
         """The rank to run after ``rank`` (some rank has not returned).
 
         The first runnable rank in cyclic order after ``rank`` (``rank``
-        itself last).  With none runnable, a blocked fault-mode receiver
-        whose recovery buffer withholds the envelope it waits for is chosen
-        to pull it; failing that the run is deadlocked, which is recorded
-        as the run's error (every rank then runs, to unwind).
+        itself last).  With none runnable the run is deadlocked, which is
+        recorded as the run's error (every rank then runs, to unwind).
         """
         order = [(rank + i) % self.num_pes for i in range(1, self.num_pes + 1)]
         for r in order:
             wait = self.waits[r]
             if not self.finished[r] and (wait is None or self.errors or wait[0]()):
                 return r
-        for r in order:
-            wait = self.waits[r]
-            withheld = wait[2] if wait is not None else None
-            if withheld is not None and withheld():
-                self.rescued = r
-                return r
         self.fail(self._deadlock())
         return next(r for r in order if not self.finished[r])
 
-    def _deadlock(self) -> BaseException:
+    def _deadlock(self) -> SpmdError:
         """The error naming every rank's state when none can run."""
         states = [
             f"rank {r} has returned" if wait is None else f"rank {r} waits for {wait[1]}"
             for r, wait in enumerate(self.waits)
         ]
-        message = "deadlock, no rank can run: " + "; ".join(states)
-        # in fault mode a starved receive is the typed failure class the
-        # chaos suite asserts on; the engine wraps it in SpmdError
-        if any(wait is not None and wait[2] is not None for wait in self.waits):
-            return LostMessageError(message)
-        return SpmdError(message)
+        return SpmdError("deadlock, no rank can run: " + "; ".join(states))
 
 
 class ThreadComm(Communicator):
@@ -243,15 +205,10 @@ class ThreadComm(Communicator):
             rank,
             state.num_pes,
             state.meter,
-            state.injector,
             state.config,
             recorder=state.recorders[rank] if state.recorders else None,
         )
         self._state = state
-
-    def _fail(self, exc: BaseException) -> None:
-        """Abort the run: every rank unwinds when it next runs."""
-        self._state.fail(exc)
 
     def _now(self) -> float:
         """This rank's clock (:meth:`_SharedState.now`)."""
@@ -293,34 +250,18 @@ class ThreadComm(Communicator):
     def recv(self, source: int, tag: int = 0) -> Any:
         """Receive as the base class does; taking a message catches up to its send."""
         obj = super().recv(source, tag)
-        self._catch_up(source)
+        st = self._state
+        st.catch_up(self.rank, st.stamps[(source, self.rank)].popleft())
         return obj
 
-    def _catch_up(self, source: int) -> None:
-        """Advance our clock to the send stamps of what we took from ``source``."""
-        st = self._state
-        queue, stamps = st.queues[(source, self.rank)], st.stamps[(source, self.rank)]
-        while len(stamps) > len(queue):
-            st.catch_up(self.rank, stamps.popleft())
-
     def _await_message(self, source: int, tag: int) -> None:
-        """Let other ranks run until ``source`` sends again.
-
-        Envelopes taken but withheld by the fault pipeline were still sent,
-        so the clock catches up to them before it stands still.  In fault
-        mode the scheduler may instead wake this rank to pull the envelope
-        its recovery buffer withholds, once no rank can run.
-        """
-        self._catch_up(source)
+        """Let other ranks run until ``source`` sends again."""
         queue = self._state.queues[(source, self.rank)]
-        withheld = (lambda: self._withheld(source)) if self._fault else None
-        if self._state.block(
+        self._state.block(
             self.rank,
             lambda: bool(queue),
             f"a message from rank {source} (tag {tag})",
-            withheld,
-        ):
-            self._pull_withheld(source)
+        )
 
 
 class ThreadEngine:
@@ -335,8 +276,8 @@ class ThreadEngine:
     unreceived poisons the state, so the next run transparently rebuilds it.
 
     This class is also the **engine selection seam**: alternative backends
-    implement the same surface (``__init__(num_pes, config=...,
-    fault_plan=...)`` + :meth:`run`) and register under a name via
+    implement the same surface (``__init__(num_pes, config=...)`` +
+    :meth:`run`) and register under a name via
     :func:`register_engine`.  ``config=None`` means
     :meth:`RunConfig.from_env`.
     """
@@ -348,7 +289,6 @@ class ThreadEngine:
         self,
         num_pes: int,
         config: Optional[RunConfig] = None,
-        fault_plan: Optional[FaultPlan] = None,
         trace_capacity: int = DEFAULT_CAPACITY,
     ):
         if num_pes <= 0:
@@ -357,13 +297,6 @@ class ThreadEngine:
         #: the run configuration every rank sees as ``comm.config``
         self.config = RunConfig.from_env() if config is None else config
         self.trace_capacity = trace_capacity
-        #: the installed chaos schedule, or None for the zero-overhead path
-        self.fault_plan = fault_plan
-        # the injector outlives individual runs so single-shot rules (e.g.
-        # crash-once) stay consumed across a session-level retry
-        self._injector: Optional[FaultInjector] = (
-            FaultInjector(fault_plan) if fault_plan is not None else None
-        )
         self._state: Optional[_SharedState] = None
         # one machine runs one SPMD program at a time: concurrent run()
         # calls on the same engine serialise here (sharing one board and
@@ -379,7 +312,7 @@ class ThreadEngine:
             self._state.reset(meter)
             self.state_reuses += 1
             return self._state
-        return _SharedState(self.num_pes, meter, self.config, self._injector)
+        return _SharedState(self.num_pes, meter, self.config)
 
     def run(
         self,
@@ -499,18 +432,17 @@ class ThreadEngine:
         self._state = None
 
 
-#: engine name -> factory (``factory(num_pes, config=..., fault_plan=...)``)
+#: engine name -> factory (``factory(num_pes, config=...)``)
 ENGINES: Dict[str, Callable[..., ThreadEngine]] = {"threads": ThreadEngine}
 
 
 def register_engine(name: str, factory: Callable[..., Any]) -> None:
     """Register an execution backend under ``name`` (e.g. a future ``"mpi"``).
 
-    ``factory(num_pes, config=..., fault_plan=...)`` must return an object
-    with the :class:`ThreadEngine` surface (a ``run`` method with the same
-    signature) whose communicators expose ``config`` (a
-    :class:`~repro.config.RunConfig`).  ``fault_plan`` is a
-    :class:`repro.faults.FaultPlan` or ``None``.
+    ``factory(num_pes, config=...)`` must return an object with the
+    :class:`ThreadEngine` surface (a ``run`` method with the same signature)
+    whose communicators expose ``config`` (a
+    :class:`~repro.config.RunConfig`).
     """
     if not name:
         raise ValueError("engine name must be a non-empty string")
@@ -537,7 +469,6 @@ def run_spmd(
     common_args: Tuple = (),
     meter: Optional[TrafficMeter] = None,
     timeout: Optional[float] = None,
-    fault_plan: Optional[FaultPlan] = None,
     engine: Optional[str] = None,
     trace: Optional[bool] = None,
 ) -> Tuple[List[Any], TrafficReport]:
@@ -547,16 +478,12 @@ def run_spmd(
     long-lived callers — e.g. :class:`repro.session.Cluster` — hold on to
     for machine reuse); see :meth:`ThreadEngine.run` for the parameters.
     The run configuration is :meth:`RunConfig.from_env` with every
-    non-``None`` ``timeout``, ``engine`` and ``trace`` applied;
-    ``fault_plan`` installs a :class:`repro.faults.FaultPlan` chaos
-    schedule.
+    non-``None`` ``timeout``, ``engine`` and ``trace`` applied.
     """
     config = RunConfig.from_env().override(
         timeout=timeout, engine=engine, trace=trace
     )
-    backend = get_engine(config.engine)(
-        num_pes, config=config, fault_plan=fault_plan
-    )
+    backend = get_engine(config.engine)(num_pes, config=config)
     try:
         return backend.run(
             fn, args_per_rank=args_per_rank, common_args=common_args, meter=meter

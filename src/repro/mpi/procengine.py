@@ -14,23 +14,14 @@ or the CLI's ``--engine processes``) and subclasses
   explicit collective sequence numbers, reproducing the thread engine's
   write/barrier/read semantics (and, because all accounting lives in the
   shared :class:`~repro.mpi.comm.Communicator` base, recording *exactly*
-  the same meter events);
-* **fault plans** — the PR 7 envelope/retransmit framing injects
-  identically on both backends: senders ship clean sequenced envelopes
-  stamped with their phase, and the shared receive path of
-  :class:`~repro.mpi.comm.Communicator` applies the plan on arrival.  Each
-  worker forked its own copy of the engine's deterministic
-  :class:`~repro.faults.inject.FaultInjector`, every injector channel is
-  advanced by exactly one process, and the parent merges the forked
-  schedule states back losslessly after the run.
+  the same meter events).
 
 Workers are forked per run: rank programs, closures and the engine's
 :class:`~repro.config.RunConfig` are inherited, never pickled.  The parent
 folds each worker's full-size traffic meter into the caller's meter,
-merges injector state, joins the children and sweeps any shared-memory
-debris — :meth:`ProcessEngine.shutdown` is idempotent and the
-leak-check fixture in ``tests/conftest.py`` holds the engine to that
-contract.
+joins the children and sweeps any shared-memory debris —
+:meth:`ProcessEngine.shutdown` is idempotent and the leak-check fixture in
+``tests/conftest.py`` holds the engine to that contract.
 """
 
 from __future__ import annotations
@@ -45,9 +36,6 @@ from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..config import RunConfig
-from ..faults.errors import LostMessageError
-from ..faults.inject import FaultInjector
-from ..faults.plan import FaultPlan
 from ..net.metrics import TrafficMeter, TrafficReport
 from ..obs.recorder import DEFAULT_CAPACITY, Recorder
 from ..obs.timeline import Timeline
@@ -62,10 +50,10 @@ _PROBE: Optional[Tuple[bool, str]] = None
 def process_engine_available() -> Tuple[bool, str]:
     """Whether this platform can run the processes engine: ``(ok, reason)``.
 
-    Requires the ``fork`` start method (rank programs are closures and the
-    injector must be inherited, not pickled) and working POSIX shared
-    memory.  The conformance fixtures consult this to skip ``processes``
-    test cells gracefully on platforms that lack either.
+    Requires the ``fork`` start method (rank programs are closures, so
+    they must be inherited, not pickled) and working POSIX shared memory.
+    The conformance fixtures consult this to skip ``processes`` test cells
+    gracefully on platforms that lack either.
     """
     global _PROBE
     if _PROBE is None:
@@ -86,13 +74,12 @@ class ProcComm(Communicator):
         peer_conns: Dict[int, Any],
         error_event: Any,
         meter: TrafficMeter,
-        injector: Optional[FaultInjector],
         config: RunConfig,
         shm_prefix: str,
         shm_threshold: int,
         recorder: Optional[Recorder] = None,
     ):
-        super().__init__(rank, size, meter, injector, config, recorder=recorder)
+        super().__init__(rank, size, meter, config, recorder=recorder)
         self._peer_conns = peer_conns
         self._error_event = error_event
         # when this rank first aborted the run (None: it has not)
@@ -108,13 +95,10 @@ class ProcComm(Communicator):
         self._wire: Dict[int, Deque[Tuple[Any, ...]]] = {}
         # peers whose pipe reached EOF (they exited; all frames consumed)
         self._dead: set = set()
-        # fault mode, per source: [deadline, delay, seq] of the backoff
-        # timer armed on a withheld envelope
-        self._pull_backoff: Dict[int, List[Any]] = {}
         # when the pending recv was called: its deadlock clock starts there
         self._recv_called = 0.0
 
-    # ------------------------------------------------------------------ engine hooks
+    # ------------------------------------------------------------------ aborts
     def _fail(self, exc: BaseException) -> None:
         """Abort the whole run: flag the shared error event and let the
         exception propagate out of this worker.  The time is taken before
@@ -214,7 +198,7 @@ class ProcComm(Communicator):
 
         Returns whether at least one frame was processed.  Frames are
         dispatched by kind: collective steps to the sequence stash,
-        point-to-point payloads to the (verified, in fault mode) inbox.
+        point-to-point payloads to the inbox.
         """
         if src in self._dead:
             return False
@@ -276,18 +260,12 @@ class ProcComm(Communicator):
         """Wait one slice on the source's pipe (abort/deadlock-clocked).
 
         Sleeps in ``Connection.poll`` (idle workers sleep in the OS instead
-        of spinning); in fault mode each slice also runs the backoff drop
-        detector.
+        of spinning).
         """
         self._check_abort(f"a message from rank {source}")
-        if self._fault:
-            self._maybe_backoff_pull(source)
-            if self._inbox.get(source):
-                return
-        elif source in self._dead:
+        if source in self._dead:
             # the peer exited and every frame it ever sent was consumed:
-            # this message can no longer arrive (in fault mode recovery may
-            # still deliver from the local buffer, so the timeout decides)
+            # this message can no longer arrive
             exc = SpmdError(
                 f"rank {self.rank}: lost the connection to rank "
                 f"{source} while a receive was pending"
@@ -295,40 +273,15 @@ class ProcComm(Communicator):
             self._fail(exc)
             raise exc
         if time.monotonic() - self._recv_called > self.config.timeout:
-            message = (
+            self._fail(SpmdError(
                 f"rank {self.rank}: timed out waiting for a message "
                 f"from rank {source} (tag {tag})"
-            )
-            self._fail(LostMessageError(message) if self._fault else SpmdError(message))
+            ))
             raise SpmdError(f"rank {self.rank}: recv timeout from rank {source}")
-        if source != self.rank and source not in self._dead:
+        if source != self.rank:
             self._service(source, 0.02)
-        else:  # self-receives and dead peers have nothing to poll
+        else:  # a self-receive has nothing to poll
             time.sleep(0.0005)
-
-    def _maybe_backoff_pull(self, source: int) -> None:
-        """Drop detector of last resort: pull after an exponential backoff.
-
-        A withheld *final* message on a channel leaves no successor to
-        prove the gap, so an idle receiver arms a deadline on it; if the
-        envelope is still withheld when it expires, the receiver pulls a
-        retransmit.  Each miss doubles the wait.
-        """
-        if not self._withheld(source):
-            self._pull_backoff.pop(source, None)
-            return
-        now = time.monotonic()
-        expected = self._expected.get(source, 0)
-        armed = self._pull_backoff.get(source)
-        if armed is None or armed[2] != expected:
-            delay = self._injector.plan.retry_delay
-            self._pull_backoff[source] = [now + delay, delay, expected]
-            return
-        if now < armed[0]:
-            return
-        armed[1] *= 2.0
-        armed[0] = now + armed[1]
-        self._pull_withheld(source)
 
     # ------------------------------------------------------------------ lifecycle
     def _teardown(self) -> None:
@@ -360,7 +313,6 @@ def _worker_main(
     fn: Callable[..., Any],
     args_per_rank: Optional[Sequence[Tuple]],
     common_args: Tuple,
-    injector: Optional[FaultInjector],
     config: RunConfig,
     shm_prefix: str,
     shm_threshold: int,
@@ -370,7 +322,7 @@ def _worker_main(
 
     Runs ``fn(comm, *rank_args, *common_args)`` against a fresh
     :class:`ProcComm`, then reports ``(status, result_or_exc, report,
-    injector_state, trace_export, failed_at)`` to the parent over its
+    trace_export, failed_at)`` to the parent over its
     private pipe; ``failed_at`` is the ``time.monotonic()`` reading at which
     the rank program raised (``None`` on success), by which the parent tells
     the first failure from the ones it caused.
@@ -402,7 +354,6 @@ def _worker_main(
         peers,
         error_event,
         meter,
-        injector,
         config,
         shm_prefix,
         shm_threshold,
@@ -422,13 +373,12 @@ def _worker_main(
         payload = exc
         error_event.set()
     report = meter.report()
-    state = injector.export_state() if injector is not None else None
     if recorder is not None:
         recorder.finish()
     trace_export = recorder.export() if recorder is not None else None
     out = child_ends[rank]
     try:
-        out.send((status, payload, report, state, trace_export, failed_at))
+        out.send((status, payload, report, trace_export, failed_at))
     except Exception:
         try:
             fallback = SpmdError(
@@ -436,7 +386,7 @@ def _worker_main(
                 f"{type(payload).__name__} could not be pickled"
             )
             out.send(
-                ("failed", fallback, report, state, trace_export,
+                ("failed", fallback, report, trace_export,
                  failed_at or time.monotonic())
             )
         except Exception:  # pragma: no cover - parent sees EOF instead
@@ -452,11 +402,11 @@ class ProcessEngine:
     """A real-parallel machine: one forked OS process per simulated PE.
 
     The multiprocessing counterpart of :class:`~repro.mpi.engine.ThreadEngine`
-    with the same engine surface (``run``, ``shutdown``, ``_injector``,
-    ``runs_completed``) registered as ``"processes"``.  Workers are forked
-    per run — fork (required; see :func:`process_engine_available`) lets
-    rank programs be arbitrary closures and carries the engine's run
-    configuration and fault injector into the workers without pickling.
+    with the same engine surface (``run``, ``shutdown``, ``runs_completed``)
+    registered as ``"processes"``.  Workers are forked per run — fork
+    (required; see :func:`process_engine_available`) lets rank programs be
+    arbitrary closures and carries the engine's run configuration into the
+    workers without pickling.
     Conformance with the thread engine — bit-identical outputs, LCPs,
     origin wire bytes and config hashes — is pinned by
     ``tests/test_engine_conformance.py``.
@@ -469,7 +419,6 @@ class ProcessEngine:
         self,
         num_pes: int,
         config: Optional[RunConfig] = None,
-        fault_plan: Optional[FaultPlan] = None,
         shm_threshold: Optional[int] = None,
         trace_capacity: int = DEFAULT_CAPACITY,
     ):
@@ -482,14 +431,6 @@ class ProcessEngine:
         #: the run configuration every rank sees as ``comm.config``
         self.config = RunConfig.from_env() if config is None else config
         self.trace_capacity = trace_capacity
-        #: the installed chaos schedule, or None for the zero-overhead path
-        self.fault_plan = fault_plan
-        # like the thread engine, the injector outlives individual runs so
-        # single-shot rules stay consumed across a session-level retry; the
-        # workers fork copies and the parent merges their state back
-        self._injector: Optional[FaultInjector] = (
-            FaultInjector(fault_plan) if fault_plan is not None else None
-        )
         self._ctx = mp.get_context("fork")
         self._shm_threshold = (
             shm.SHM_THRESHOLD if shm_threshold is None else shm_threshold
@@ -501,8 +442,8 @@ class ProcessEngine:
         self._run_lock = threading.Lock()
         #: completed :meth:`run` calls (successful or not)
         self.runs_completed = 0
-        #: runs that reused the engine's persistent state (the injector and
-        #: the shared-memory namespace survive across runs; workers do not)
+        #: runs that reused the engine's persistent state (the shared-memory
+        #: namespace survives across runs; workers do not)
         self.state_reuses = 0
 
     def run(
@@ -518,8 +459,7 @@ class ProcessEngine:
         report)`` with ``results[r]`` the return value of rank ``r``, or
         raises :class:`SpmdError` chaining the primary failure.  The
         caller's ``meter`` additionally receives the per-worker counters
-        (exact element-wise merge) even when the run fails, so session-level
-        retry accounting sees fault counters of failed attempts.
+        (exact element-wise merge), even when the run fails.
         """
         num_pes = self.num_pes
         if args_per_rank is not None and len(args_per_rank) != num_pes:
@@ -560,9 +500,8 @@ class ProcessEngine:
                 target=_worker_main,
                 args=(
                     rank, num_pes, pair_conns, child_ends, error_event,
-                    fn, args_per_rank, common_args, self._injector,
-                    self.config, prefix, self._shm_threshold,
-                    self.trace_capacity,
+                    fn, args_per_rank, common_args, self.config, prefix,
+                    self._shm_threshold, self.trace_capacity,
                 ),
                 name=f"repro-pe-{rank}",
                 daemon=True,
@@ -593,9 +532,7 @@ class ProcessEngine:
             for conn in ready:
                 rank = pending.pop(conn)
                 try:
-                    status, payload, report, state, trace_export, failed_at = (
-                        conn.recv()
-                    )
+                    status, payload, report, trace_export, failed_at = conn.recv()
                 except (EOFError, OSError):
                     error_event.set()
                     failures.append(
@@ -607,8 +544,6 @@ class ProcessEngine:
                     continue
                 if report is not None:
                     meter.fold(report)
-                if state is not None and self._injector is not None:
-                    self._injector.merge_state(state)
                 if trace_export is not None:
                     trace_exports[rank] = trace_export
                 if status == "done":

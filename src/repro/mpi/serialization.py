@@ -26,8 +26,6 @@ The rules implemented here:
 
 from __future__ import annotations
 
-import struct
-import zlib
 from typing import Any, Sequence
 
 import numpy as np
@@ -41,13 +39,7 @@ __all__ = [
     "packed_wire_bytes",
     "wire_size",
     "WireSized",
-    "CHECKSUM_WIRE_BYTES",
-    "payload_checksum",
-    "block_checksum",
 ]
-
-#: wire cost of one CRC32 seal (a fixed-width 4-byte trailer)
-CHECKSUM_WIRE_BYTES = 4
 
 
 class WireSized:
@@ -154,92 +146,4 @@ def wire_size(obj: Any) -> int:
     raise TypeError(
         f"cannot compute a wire size for objects of type {type(obj).__name__}; "
         "give the message class a wire_bytes() method"
-    )
-
-
-def payload_checksum(obj: Any) -> int:
-    """Structural CRC32 of a message payload (content, not object identity).
-
-    The companion of :func:`wire_size` for integrity checking: two payloads
-    that would serialise to the same bytes on a real wire checksum equally,
-    and any mutation of the *content* — string bytes, lengths, LCP values,
-    counts, nesting — changes the result.  Message classes participate by
-    exposing a ``content_crc()`` method (the framed blocks of
-    :mod:`repro.dist.exchange` and :class:`repro.net.router.RouteFrame` do),
-    exactly as ``wire_bytes()`` hooks them into :func:`wire_size`.
-
-    The simulated machine moves objects by reference, so this is how the
-    fault layer (:mod:`repro.faults`) detects injected bit-flips without a
-    real serialisation round-trip; the 4-byte seal it guards is accounted as
-    :data:`CHECKSUM_WIRE_BYTES`.
-    """
-    return _checksum(obj, 0)
-
-
-def block_checksum(strings: PackedStringArray, lcps: Any = None) -> int:
-    """Bulk CRC32 seal of a packed string block plus optional LCPs.
-
-    The sealing twin of :func:`payload_checksum` for the exchange-block hot
-    path: where the generic walker folds one element at a time, this folds
-    the whole block in a handful of C-speed operations — the contiguous
-    character payload plus the ``int64`` length and LCP arrays.  That is
-    what keeps the sealed exchange path inside the perf-smoke overhead gate
-    (< 5% over unsealed).  The LCPs fold as an ``int64`` array whether
-    given as a list or an ``ndarray``.  Any content mutation — string
-    bytes, a length, an LCP, the count, the order — changes the result.
-    """
-    crc = _checksum(strings, 0)
-    if lcps is None:
-        return zlib.crc32(b"N", crc)
-    arr = np.asarray(lcps, dtype=np.int64)
-    crc = zlib.crc32(b"A" + str(arr.dtype).encode("ascii") + b";", crc)
-    return zlib.crc32(np.ascontiguousarray(arr), crc)
-
-
-def _checksum(obj: Any, crc: int) -> int:
-    """Fold ``obj``'s content into the running CRC32 ``crc`` (type-tagged)."""
-    if obj is None:
-        return zlib.crc32(b"N", crc)
-    content = getattr(obj, "content_crc", None)
-    if callable(content):
-        return zlib.crc32(b"C" + int(content()).to_bytes(4, "little"), crc)
-    if isinstance(obj, bool):
-        return zlib.crc32(b"T" if obj else b"F", crc)
-    if isinstance(obj, (bytes, bytearray)):
-        crc = zlib.crc32(b"B" + len(obj).to_bytes(8, "little"), crc)
-        return zlib.crc32(obj, crc)
-    if isinstance(obj, memoryview):
-        crc = zlib.crc32(b"B" + len(obj).to_bytes(8, "little"), crc)
-        return zlib.crc32(bytes(obj), crc)
-    if isinstance(obj, PackedStringArray):
-        base, end = int(obj.offsets[0]), int(obj.offsets[-1])
-        crc = zlib.crc32(b"P" + len(obj).to_bytes(8, "little"), crc)
-        crc = zlib.crc32(np.ascontiguousarray(obj.buffer[base:end]), crc)
-        return zlib.crc32(np.ascontiguousarray(obj.lengths), crc)
-    if isinstance(obj, str):
-        raw = obj.encode("utf-8")
-        crc = zlib.crc32(b"S" + len(raw).to_bytes(8, "little"), crc)
-        return zlib.crc32(raw, crc)
-    if isinstance(obj, (int, np.integer)):
-        raw = str(int(obj)).encode("ascii")
-        return zlib.crc32(b"I" + raw + b";", crc)
-    if isinstance(obj, (float, np.floating)):
-        return zlib.crc32(b"D" + struct.pack("<d", float(obj)), crc)
-    if isinstance(obj, np.ndarray):
-        crc = zlib.crc32(b"A" + str(obj.dtype).encode("ascii") + b";", crc)
-        return zlib.crc32(np.ascontiguousarray(obj), crc)
-    if isinstance(obj, (list, tuple)):
-        crc = zlib.crc32(b"L" + len(obj).to_bytes(8, "little"), crc)
-        for x in obj:
-            crc = _checksum(x, crc)
-        return crc
-    if isinstance(obj, dict):
-        crc = zlib.crc32(b"M" + len(obj).to_bytes(8, "little"), crc)
-        for k, v in obj.items():
-            crc = _checksum(k, crc)
-            crc = _checksum(v, crc)
-        return crc
-    raise TypeError(
-        f"cannot checksum objects of type {type(obj).__name__}; "
-        "give the message class a content_crc() method"
     )

@@ -5,7 +5,7 @@ one :class:`TrafficReport`.  The report keeps every count — bytes sent and
 received (exact wire sizes, see :mod:`repro.mpi.serialization`), messages,
 characters inspected by the local sorting/merging steps, routed-delivery
 attribution (:mod:`repro.net.router`: forwarded bytes per PE and bytes per
-route phase), fault and recovery counts, barrier waits — in one
+route phase), barrier waits — in one
 ``(counter, label)`` table.  Each counter is declared once, as a
 :class:`Counter` attribute of the report carrying its label kind and the
 Prometheus family :attr:`TrafficReport.metrics` exports it under.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .cost_model import DEFAULT_MACHINE, MachineModel
 
@@ -49,8 +49,8 @@ class Counter:
     """One counter of :class:`TrafficReport` and the read-only view of it.
 
     ``label`` names what the counter is keyed by: ``"pe"`` (a rank, read
-    back as a per-PE list), ``"stage"`` or ``"route"`` (a phase name, read
-    back as a dict), or ``""`` (one unlabelled total).  ``family`` and
+    back as a per-PE list), or ``"stage"`` or ``"route"`` (a phase name,
+    read back as a dict).  ``family`` and
     ``help`` are the Prometheus family the metrics snapshot exports it as.
     """
 
@@ -70,9 +70,7 @@ class Counter:
         counts = report.counts
         if self.label == "pe":
             return [counts.get((self.name, pe), 0) for pe in range(report.num_pes)]
-        if self.label:
-            return {key: v for (name, key), v in counts.items() if name == self.name}
-        return counts.get((self.name, None), 0)
+        return {key: v for (name, key), v in counts.items() if name == self.name}
 
     def __set__(self, report: "TrafficReport", value: Any) -> None:
         raise AttributeError(
@@ -85,7 +83,7 @@ class TrafficReport:
     """Aggregated view of a finished run (returned by :meth:`TrafficMeter.report`).
 
     ``counts`` maps ``(counter, label)`` to a value, the label being a rank,
-    a phase, a route or ``None``; the :class:`Counter` attributes below read
+    a phase or a route; the :class:`Counter` attributes below read
     it back under their historical names.
     """
 
@@ -125,22 +123,6 @@ class TrafficReport:
     route_bytes = Counter(
         "route", "repro_route_bytes_total", "Routed-delivery wire bytes, per route phase."
     )
-    # fault-mode counters (repro.faults): per-PE injected faults (charged to
-    # the struck rank), detected faults and recovery retries (charged to the
-    # detecting receiver), and retransmitted wire bytes (recovery traffic,
-    # excluded from origin volume); all zero outside fault mode
-    faults_injected_per_pe = Counter(
-        "pe", "repro_faults_injected_total", "Faults injected by the active plan, per PE."
-    )
-    faults_detected_per_pe = Counter(
-        "pe", "repro_faults_detected_total", "Fault events detected (CRC, gaps), per PE."
-    )
-    retries_per_pe = Counter(
-        "pe", "repro_fault_retries_total", "Retransmit pulls initiated, per PE."
-    )
-    retransmitted_bytes_per_pe = Counter(
-        "pe", "repro_retransmitted_bytes_total", "Recovery traffic wire bytes, per PE."
-    )
     # seconds ranks spent blocked in barrier(), per surrounding phase — its
     # own account so stragglers never inflate merge/exchange timings
     barrier_wait_seconds = Counter(
@@ -155,13 +137,10 @@ class TrafficReport:
         "pe", "repro_transported_bytes_total",
         "Bytes the engine's data plane moved, per PE.",
     )
-    # whole-job re-runs a session performed after failed attempts
-    # (``Cluster.sort(..., max_retries=N)``)
-    job_retries = Counter("", "repro_job_retries_total", "Whole-job re-runs after failures.")
 
     # -- the table -----------------------------------------------------------------
     def add(self, name: str, label: Any, value: float) -> None:
-        """Add ``value`` to counter ``name`` at ``label`` (rank, phase, route or None)."""
+        """Add ``value`` to counter ``name`` at ``label`` (rank, phase or route)."""
         if name not in _NAMES:
             raise KeyError(f"unknown counter {name!r}")
         key = (name, label)
@@ -171,29 +150,19 @@ class TrafficReport:
         """Counter ``name`` summed over its labels."""
         return sum(v for (n, _), v in self.counts.items() if n == name)
 
-    def subset(self, names: Iterable[str]) -> "TrafficReport":
-        """A report of the same machine holding only the counters ``names``."""
-        keep = set(names)
-        return TrafficReport(
-            self.num_pes,
-            counts={k: v for k, v in self.counts.items() if k[0] in keep},
-        )
-
     def series(self) -> Iterator[Tuple[Counter, List[Tuple[Any, float]]]]:
         """Every counter with its ``(label, value)`` samples, in table order.
 
         Per-PE counters list every rank (zeros included), stage and route
-        counters their labels sorted, unlabelled counters one ``(None,
-        value)`` pair — the input of :func:`repro.obs.derive.run_metrics`.
+        counters their labels sorted — the input of
+        :func:`repro.obs.derive.run_metrics`.
         """
         for counter in COUNTERS:
             values = getattr(self, counter.name)
             if counter.label == "pe":
                 yield counter, list(enumerate(values))
-            elif counter.label:
-                yield counter, sorted(values.items())
             else:
-                yield counter, [(None, values)]
+                yield counter, sorted(values.items())
 
     def fold(self, other: "TrafficReport") -> None:
         """Add ``other`` into this report **in place**.
@@ -271,40 +240,9 @@ class TrafficReport:
         Every bucket leaves its origin exactly once regardless of delivery
         strategy, so this equals ``total_bytes_sent`` under direct delivery
         and is **bit-identical across exchange topologies** (pinned by
-        ``tests/test_exchange_topologies.py``).  Recovery traffic
-        (retransmits, injected duplicates) is likewise excluded: a recovered
-        chaos run reports the same origin volume as its fault-free baseline.
+        ``tests/test_exchange_topologies.py``).
         """
-        return (
-            self.total_bytes_sent - self.forwarded_bytes - self.retransmitted_bytes
-        )
-
-    @property
-    def faults_injected(self) -> int:
-        """Faults injected by the active fault plan, summed over all PEs."""
-        return self.total("faults_injected_per_pe")
-
-    @property
-    def faults_detected(self) -> int:
-        """Detected fault events (CRC mismatches, sequence gaps, duplicates,
-        crashes), summed over all PEs."""
-        return self.total("faults_detected_per_pe")
-
-    @property
-    def retries(self) -> int:
-        """Recovery attempts: per-message retransmit pulls summed over all
-        PEs, plus whole-job re-runs (:attr:`job_retries`)."""
-        return self.total("retries_per_pe") + self.job_retries
-
-    @property
-    def retransmitted_bytes(self) -> int:
-        """Wire bytes of recovery traffic (retransmits and duplicates).
-
-        Counted inside :attr:`total_bytes_sent` but excluded from
-        :attr:`origin_bytes_sent` — a retransmitted bucket still left its
-        origin exactly once.
-        """
-        return self.total("retransmitted_bytes_per_pe")
+        return self.total_bytes_sent - self.forwarded_bytes
 
     @property
     def transported_bytes(self) -> int:
@@ -401,16 +339,13 @@ class TrafficMeter:
         if src == dst:
             return
         with self._lock:
-            self._send(src, dst, nbytes, phase)
-
-    def _send(self, src: int, dst: int, nbytes: int, phase: Optional[str]) -> None:
-        report = self._report
-        report.add("bytes_sent_per_pe", src, nbytes)
-        report.add("bytes_received_per_pe", dst, nbytes)
-        report.add("messages_per_pe", src, 1)
-        if phase is None:
-            phase = self._phases.get(src, "unlabelled")
-        report.add("phase_bytes", phase, nbytes)
+            report = self._report
+            report.add("bytes_sent_per_pe", src, nbytes)
+            report.add("bytes_received_per_pe", dst, nbytes)
+            report.add("messages_per_pe", src, 1)
+            if phase is None:
+                phase = self._phases.get(src, "unlabelled")
+            report.add("phase_bytes", phase, nbytes)
 
     def record_local_work(self, rank: int, chars: int, items: int = 0) -> None:
         """Charge ``rank`` with ``chars`` inspected characters / ``items`` strings."""
@@ -447,31 +382,12 @@ class TrafficMeter:
     def count(self, name: str, rank: int, value: int = 1) -> None:
         """Add ``value`` to the per-PE counter ``name`` of ``rank``.
 
-        For the counters with nothing to derive: faults injected (charged
-        to the struck rank), faults detected and retransmit pulls (charged
-        to the detecting rank), and the bytes the engine's data plane
-        physically moved (pipes + shared memory; the thread engine moves
-        references and never counts them).
+        For the counters with nothing to derive: the bytes the engine's
+        data plane physically moved (pipes + shared memory; the thread
+        engine moves references and never counts them).
         """
         with self._lock:
             self._report.add(name, rank, value)
-
-    def record_retransmit(
-        self, src: int, dst: int, nbytes: int, phase: Optional[str] = None
-    ) -> None:
-        """Record recovery traffic of ``nbytes`` from ``src`` to ``dst``.
-
-        Like :meth:`record_send` — the bytes enter the per-PE sent/received
-        totals, message counts and phase attribution — but additionally
-        tallied as retransmitted, which :attr:`TrafficReport.origin_bytes_sent`
-        subtracts: recovery traffic must never inflate the paper's
-        communication-volume metric.
-        """
-        if src == dst:
-            return
-        with self._lock:
-            self._send(src, dst, nbytes, phase)
-            self._report.add("retransmitted_bytes_per_pe", src, nbytes)
 
     def record_collective(
         self,

@@ -42,8 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..faults.errors import CorruptFrameError
-from ..mpi.serialization import CHECKSUM_WIRE_BYTES, payload_checksum, varint_size
+from ..mpi.serialization import varint_size
 from .topology import hypercube_dimension, is_power_of_two, partner
 
 __all__ = [
@@ -70,59 +69,22 @@ class RouteFrame:
     The payload moves by reference inside the simulated machine (exactly as
     the direct exchange moves blocks); ``nbytes`` is its exact wire size so
     every hop charges what a real store-and-forward implementation would.
-
-    When the run seals its wire formats (``comm.config.wire_checksums``)
-    the origin PE *seals* the frame — a
-    per-origin sequence number plus a CRC32 of the payload — and the
-    destination PE verifies the seal on delivery (forwarders pass sealed
-    frames through untouched, exactly like a real store-and-forward router
-    would): end-to-end integrity over multi-hop paths, charged as
-    ``varint(seq) + 4`` extra wire bytes per sealed frame.
     """
 
     origin: int
     dest: int
     payload: Any
     nbytes: int
-    #: per-origin frame sequence number (only meaningful when sealed)
-    seq: int = 0
-    #: CRC32 of the payload, or ``None`` for an unsealed frame
-    crc: Optional[int] = None
-
-    def content_crc(self) -> int:
-        """The checksum the envelope layer folds in (the seal, or fresh)."""
-        return self.crc if self.crc is not None else payload_checksum(self.payload)
-
-    def verify(self) -> None:
-        """Check the seal at the destination; no-op for unsealed frames.
-
-        Raises
-        ------
-        CorruptFrameError
-            When the payload's CRC32 no longer matches the origin's seal.
-        """
-        if self.crc is not None and payload_checksum(self.payload) != self.crc:
-            raise CorruptFrameError(
-                f"route frame {self.origin}->{self.dest} seq {self.seq}: "
-                "payload CRC32 does not match the origin's seal "
-                "(frame corrupted in transit)"
-            )
 
 
 def frame_wire_bytes(frame: RouteFrame) -> int:
-    """Wire size of one frame: varint origin + dest + payload size + payload.
-
-    A sealed frame additionally carries ``varint(seq)`` + its 4-byte CRC32.
-    """
-    total = (
+    """Wire size of one frame: varint origin + dest + payload size + payload."""
+    return (
         varint_size(frame.origin)
         + varint_size(frame.dest)
         + varint_size(frame.nbytes)
         + frame.nbytes
     )
-    if frame.crc is not None:
-        total += varint_size(frame.seq) + CHECKSUM_WIRE_BYTES
-    return total
 
 
 def batch_wire_bytes(frames: Sequence[RouteFrame]) -> int:
@@ -214,30 +176,18 @@ def _send_round(comm, outgoing, p: int, k: int) -> None:
 
 
 def _prepare_frames(
-    comm, messages: Sequence[Any], sizes: Sequence[int], seal: bool
+    comm, messages: Sequence[Any], sizes: Sequence[int]
 ) -> Tuple[List[Tuple[int, Any]], List[RouteFrame], int]:
-    """Split per-destination messages into (already home, in transit, origin bytes).
-
-    With ``seal`` every frame in transit carries a sequence number and the
-    CRC32 of its payload.
-    """
+    """Split per-destination messages into (already home, in transit, origin bytes)."""
     ready: List[Tuple[int, Any]] = []
     transit: List[RouteFrame] = []
     origin_total = 0
-    seq = 0
     for dst, message in enumerate(messages):
         if dst == comm.rank:
             ready.append((comm.rank, message))
         else:
-            frame = RouteFrame(comm.rank, dst, message, sizes[dst])
+            transit.append(RouteFrame(comm.rank, dst, message, sizes[dst]))
             origin_total += sizes[dst]
-            if seal:
-                frame.seq = seq
-                frame.crc = payload_checksum(message)
-                seq += 1
-                # the seal rides from origin to destination: origin volume
-                origin_total += varint_size(frame.seq) + CHECKSUM_WIRE_BYTES
-            transit.append(frame)
     return ready, transit, origin_total
 
 
@@ -254,9 +204,7 @@ def routed_exchange(comm, messages: Sequence[Any], sizes: Sequence[int]) -> List
     """
     p, rank = comm.size, comm.rank
     received: List[Any] = [None] * p
-    ready, transit, origin_total = _prepare_frames(
-        comm, messages, sizes, comm.config.wire_checksums
-    )
+    ready, transit, origin_total = _prepare_frames(comm, messages, sizes)
     for src, payload in ready:
         received[src] = payload
     for k in range(num_rounds(p)):
@@ -266,7 +214,6 @@ def routed_exchange(comm, messages: Sequence[Any], sizes: Sequence[int]) -> List
         for peer in peers:
             for frame in comm.recv(peer, tag=_TAG_ROUTED + k):
                 if frame.dest == rank:
-                    frame.verify()  # end-to-end seal check at the destination
                     received[frame.origin] = frame.payload
                 else:
                     transit.append(frame)

@@ -5,7 +5,7 @@ instruments where bytes go.  Four layers, each usable on its own:
 
 * :mod:`repro.obs.recorder` — a per-rank ring-buffer :class:`Recorder` of
   monotonic-timestamped events (phase changes, barrier begin/end, comm
-  events, fault/retransmit instants).  The hot-path contract is *zero cost
+  events).  The hot-path contract is *zero cost
   when off*: every instrumentation site is a ``recorder is None`` check.
 * :mod:`repro.obs.timeline` — per-rank :class:`Span` reconstruction from
   the raw event streams, rank-offset alignment, exclusive phase seconds
@@ -19,7 +19,7 @@ instruments where bytes go.  Four layers, each usable on its own:
 :mod:`repro.obs.derive` bridges the layers: it renders a finished, traced
 :class:`~repro.net.metrics.TrafficReport` (its counters and its
 :class:`Timeline`) into a labeled :class:`MetricsSnapshot` (strings/sec and
-peak RSS per stage, fault counters as series); ``TrafficReport.metrics``
+peak RSS per stage, the report's counters as series); ``TrafficReport.metrics``
 calls it on each read.
 
 Tracing is enabled by ``Cluster(trace=True)``, the ``REPRO_TRACE``

@@ -63,7 +63,7 @@ def run_metrics(report: Any) -> MetricsSnapshot:
 
     for counter, samples in report.series():
         family(counter.family, "counter", counter.help, (
-            ({counter.label: key} if counter.label else {}, 0.0 + value)
+            ({counter.label: key}, 0.0 + value)
             for key, value in samples
         ))
     if timeline is not None:

@@ -7,7 +7,7 @@ Format") maps the repo's model onto trace concepts as:
 * one *thread* per rank (``tid`` = rank, named ``"rank N"``);
 * phase and barrier spans as complete events (``"ph": "X"``, microsecond
   ``ts``/``dur``);
-* comm/fault instants as thread-scoped instant events (``"ph": "i"``).
+* comm instants as thread-scoped instant events (``"ph": "i"``).
 
 :func:`validate_chrome_trace` is the schema check CI runs against every
 archived ``trace.json``; :func:`render_waterfall` is the quick-look

@@ -70,9 +70,6 @@ class Recorder:
         exchange timings).
     ``("comm", t, kind, (peer, nbytes))``
         One point-to-point wire event (``kind`` is ``"send"``).
-    ``("instant", t, name, data)``
-        A point event: fault injections (``"fault-crash"``,
-        ``"fault-straggle"``) and recovery pulls (``"retransmit"``).
     ``("finish", t, None, rss_bytes)``
         The rank program returned; closes the final phase span.
     """
@@ -126,10 +123,6 @@ class Recorder:
     def comm(self, kind: str, peer: int, nbytes: int) -> None:
         """Record one point-to-point wire event (``kind`` e.g. ``"send"``)."""
         self._push(("comm", self._clock(), kind, (peer, nbytes)))
-
-    def instant(self, name: str, data: Any = None) -> None:
-        """Record a point event (fault injections, retransmit pulls, markers)."""
-        self._push(("instant", self._clock(), name, data))
 
     def finish(self) -> None:
         """Mark the end of the rank program (closes the final phase span)."""

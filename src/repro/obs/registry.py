@@ -3,8 +3,8 @@
 Three metric kinds, all with labeled series (a metric is a *family*; each
 distinct label combination is one series):
 
-* **counter** — monotonically increasing totals (bytes sent, faults
-  injected);
+* **counter** — monotonically increasing totals (bytes sent, characters
+  inspected);
 * **gauge** — point-in-time readings (strings/sec, peak RSS);
 * **histogram** — bucketed distributions (span durations).
 

@@ -3,7 +3,7 @@
 A :class:`Timeline` is the structured view of one run's recorders: per-rank
 phase :class:`Span`\\ s (``local-sort``, ``splitter-determination``,
 ``exchange``, ``merge``, ...), nested barrier-wait sub-spans, and point
-:class:`Instant`\\ s (comm events, fault injections, retransmit pulls).
+:class:`Instant`\\ s (comm events).
 All timestamps are **rank-offset aligned**: the earliest event over all
 ranks becomes ``t = 0`` (the raw monotonic origin is kept in
 :attr:`Timeline.origin`), so timelines from the thread engine and from
@@ -54,7 +54,7 @@ class Span:
 
 @dataclass
 class Instant:
-    """One point event on a rank's timeline (comm event, fault marker)."""
+    """One point event on a rank's timeline (a comm event)."""
 
     rank: int
     name: str
@@ -289,9 +289,6 @@ def _build_rank(
             timeline.instants.append(
                 Instant(rank, name or "send", "comm", t, {"peer": peer, "bytes": nbytes})
             )
-        elif kind == "instant":
-            args = data if isinstance(data, dict) else ({} if data is None else {"data": data})
-            timeline.instants.append(Instant(rank, name or "mark", "mark", t, dict(args)))
-    # a rank whose finish marker was lost (ring overflow, crash) still
+    # a rank whose finish marker was lost (ring overflow) still
     # contributes its final phase, closed at its last observed event
     close_phase(last_t, None)

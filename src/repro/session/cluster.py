@@ -25,8 +25,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..config import RunConfig
 from ..dist.api import RankOutput, SortResult, distribute_strings
-from ..faults.plan import FaultPlan
-from ..net.metrics import TrafficMeter, TrafficReport
 from ..mpi.engine import SpmdError, get_engine
 from ..net.cost_model import DEFAULT_MACHINE, MachineModel
 from ..strings.checker import check_sort
@@ -35,9 +33,6 @@ from .specs import MSSpec, SortSpec, spec_class
 from .stream import BatchStream
 
 __all__ = ["Cluster"]
-
-#: the counters a failed attempt carries into the job's report
-_FAULT_COUNTERS = ("faults_injected_per_pe", "faults_detected_per_pe", "retries_per_pe")
 
 
 def _merge_rank_extras(results: List[RankOutput]) -> Dict[str, Any]:
@@ -67,8 +62,8 @@ def _merge_rank_extras(results: List[RankOutput]) -> Dict[str, Any]:
 class Cluster:
     """A reusable simulated machine plus its run configuration.
 
-    ``engine``, ``exchange_topology``, ``timeout``, ``wire_checksums`` and
-    ``trace`` are the fields of
+    ``engine``, ``exchange_topology``, ``timeout`` and ``trace`` are the
+    fields of
     :class:`~repro.config.RunConfig`: :attr:`config` is the ``REPRO_*``
     environment (:meth:`~repro.config.RunConfig.from_env`) with every
     keyword that is not ``None`` applied, and every sort on this cluster
@@ -100,20 +95,6 @@ class Cluster:
         Deadlock-detection timeout per blocking operation, in seconds, of
         the processes engine; the threads engine detects deadlock exactly
         and ignores it.
-    fault_plan:
-        Optional :class:`repro.faults.FaultPlan` chaos schedule, installed
-        into the engine: point-to-point messages travel in checksummed,
-        sequence-numbered envelopes and the plan's seeded rules inject
-        drops, duplicates, delays, corruption, crashes and stragglers (see
-        ``docs/FAULTS.md``).  ``None`` (default) keeps the zero-overhead
-        wire format.
-    wire_checksums:
-        CRC32 seals on the exchange's wire formats
-        (:class:`~repro.dist.exchange.StringBlock` /
-        :class:`~repro.dist.exchange.LcpCompressedBlock` /
-        :class:`~repro.net.router.RouteFrame`).  Seals add 4 bytes per
-        block (plus a varint sequence number per routed frame) to the
-        accounted wire volume.
     trace:
         Per-rank timeline recording (:mod:`repro.obs`): the result's report
         carries a ``timeline`` (aligned per-rank phase/barrier spans, with
@@ -133,8 +114,6 @@ class Cluster:
         engine: Optional[str] = None,
         exchange_topology: Optional[str] = None,
         timeout: Optional[float] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        wire_checksums: Optional[bool] = None,
         trace: Optional[bool] = None,
     ):
         if num_pes <= 0:
@@ -146,13 +125,9 @@ class Cluster:
             engine=engine,
             exchange_topology=exchange_topology,
             timeout=timeout,
-            wire_checksums=wire_checksums,
             trace=trace,
         )
-        self.fault_plan = fault_plan
-        self._engine = get_engine(self.config.engine)(
-            num_pes, config=self.config, fault_plan=fault_plan
-        )
+        self._engine = get_engine(self.config.engine)(num_pes, config=self.config)
 
     # ------------------------------------------------------------------ internals
     @property
@@ -225,7 +200,6 @@ class Cluster:
         *,
         check: bool = False,
         pre_distributed: bool = False,
-        max_retries: int = 0,
     ) -> SortResult:
         """Sort ``data`` on this cluster; returns a :class:`SortResult`.
 
@@ -246,41 +220,16 @@ class Cluster:
         pre_distributed:
             ``data`` is already one block per PE; ``spec.distribute_by`` is
             ignored.
-        max_retries:
-            Re-run a failed SPMD job up to this many times (default 0: fail
-            fast).  The engine rebuilds its poisoned shared state
-            transparently between attempts, so a rank crash injected by a
-            single-shot fault rule is recovered by the next attempt.  The
-            returned report is the *successful* attempt's traffic plus the
-            failed attempts' fault counters (``job_retries`` records how
-            many attempts failed).
+
+        A failed run raises :class:`~repro.mpi.engine.SpmdError` chaining
+        the failing rank's own exception; the engine rebuilds its shared
+        state on the next sort.
         """
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         spec = self._resolve_spec(spec)
         blocks = self._distribute(data, spec, pre_distributed)
-
-        # what failed attempts leave in the job's report: their fault
-        # counts (so the chaos suite can reconcile them against the plan)
-        # and one job retry each, never their bytes (the retry reruns the
-        # job from scratch, so their traffic would be charged twice)
-        failed = TrafficReport(self.num_pes)
-        while True:
-            meter = TrafficMeter(self.num_pes)
-            try:
-                results, report = self._engine.run(
-                    spec.run,
-                    args_per_rank=[(b,) for b in blocks],
-                    meter=meter,
-                )
-                break
-            except SpmdError:
-                if failed.job_retries >= max_retries:
-                    raise
-                # the engine's next run transparently rebuilds the poisoned state
-                failed.fold(meter.report().subset(_FAULT_COUNTERS))
-                failed.add("job_retries", None, 1)
-        report.fold(failed)
+        results, report = self._engine.run(
+            spec.run, args_per_rank=[(b,) for b in blocks]
+        )
 
         num_strings = sum(len(b) for b in blocks)
         if report.timeline is not None:
@@ -315,7 +264,6 @@ class Cluster:
         spec: Union[SortSpec, str, None] = None,
         *,
         check: bool = False,
-        max_retries: int = 0,
     ) -> BatchStream:
         """Sort an iterable of chunks one at a time (streaming ingest).
 
@@ -329,11 +277,10 @@ class Cluster:
         to drain it; its ``merged_report`` always covers exactly the batches
         sorted so far (totals equal to the sum of the per-batch reports).
 
-        ``max_retries`` is forwarded to each batch's :meth:`sort`; completed
-        batches are checkpointed by the stream, so a batch that fails even
-        after its retries can be re-attempted by calling ``next()`` again —
-        the stream resumes at the failed chunk, never re-sorting (or
-        skipping) earlier ones.
+        Completed batches are checkpointed by the stream, so a batch whose
+        sort fails can be re-attempted by calling ``next()`` again — the
+        stream resumes at the failed chunk, never re-sorting (or skipping)
+        earlier ones.
         """
         spec = self._resolve_spec(spec)
-        return BatchStream(self, batches, spec, check=check, max_retries=max_retries)
+        return BatchStream(self, batches, spec, check=check)

@@ -30,11 +30,11 @@ _NO_CHUNK = object()
 class BatchStream:
     """Lazy iterator of per-batch sort results with a running merged report.
 
-    Completed batches are checkpointed: if a batch's sort raises (e.g. a
-    fault-plan crash that survived its ``max_retries``), the pulled chunk is
-    retained and the *next* ``next()`` call re-sorts that same chunk instead
-    of pulling a fresh one — a mid-stream crash never skips or re-sorts
-    data, it resumes exactly at the failed batch.
+    Completed batches are checkpointed: if a batch's sort raises (a rank
+    program failed), the pulled chunk is retained and the *next* ``next()``
+    call re-sorts that same chunk instead of pulling a fresh one — a
+    mid-stream failure never skips or re-sorts data, it resumes exactly at
+    the failed batch.
 
     Attributes
     ----------
@@ -53,13 +53,11 @@ class BatchStream:
         spec: SortSpec,
         *,
         check: bool = False,
-        max_retries: int = 0,
     ):
         self._cluster = cluster
         self._source: Iterator[Sequence] = iter(batches)
         self.spec = spec
         self._check = check
-        self._max_retries = max_retries
         # the checkpoint: a chunk whose sort failed, awaiting resumption
         self._pending: object = _NO_CHUNK
         self.batches_done = 0
@@ -81,10 +79,7 @@ class BatchStream:
         if self._pending is _NO_CHUNK:
             # StopIteration propagates: stream drained
             self._pending = next(self._source)
-        result = self._cluster.sort(
-            self._pending, self.spec, check=self._check,
-            max_retries=self._max_retries,
-        )
+        result = self._cluster.sort(self._pending, self.spec, check=self._check)
         self._pending = _NO_CHUNK
         self.batches_done += 1
         self.num_strings += result.num_strings

@@ -20,11 +20,13 @@ This module packages that contract as reusable pieces:
   whole call tree (``Cluster``, ``run_spmd``) runs on the chosen
   backend;
 * :func:`sort_fingerprint` — one conformance cell: run a sort on a given
-  engine and reduce the result to the comparable fingerprint;
+  engine and reduce the result to the comparable fingerprint
+  (:func:`result_fingerprint`);
 * :func:`assert_engines_agree` — compare a fingerprint against the
   reference engine's, with readable per-field failures;
-* :func:`failure_cause` — fail one rank on entry to a phase and return
-  what the engine reports as the run's cause;
+* :func:`at_phase` — make one rank raise, or sleep, on entry to a phase;
+  :func:`failure_cause` returns what an engine reports as the cause of
+  such a failure;
 * :func:`trace_runs` — sort cells of the corpus with every rank thread
   traced: the lines it ran in chosen files, and every write to ``repro``
   module state.
@@ -42,6 +44,7 @@ import pickle
 import random
 import sys
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -61,6 +64,24 @@ PAPER_ALGORITHMS = ("ms", "ms-simple", "pdms", "pdms-golomb", "hquick", "fkmerge
 TOPOLOGIES = ("direct", "hypercube")
 #: the phases MS's rank program enters, in order
 MS_PHASES = ("local-sort", "splitter-determination", "exchange", "merge")
+#: the phases each algorithm's rank program enters, in order (``auto``
+#: estimates D/N first and picks MS on the conformance corpus)
+ALGORITHM_PHASES = {
+    "ms": MS_PHASES,
+    "ms-simple": MS_PHASES,
+    "fkmerge": MS_PHASES,
+    "pdms": MS_PHASES[:1] + ("prefix-doubling",) + MS_PHASES[1:],
+    "pdms-golomb": MS_PHASES[:1] + ("prefix-doubling",) + MS_PHASES[1:],
+    "hquick": ("hquick-fold", "hquick-partition", "hquick-local-sort"),
+    "auto": ("dn-estimation",) + MS_PHASES,
+}
+#: the delivery routes, as ``(exchange topology, PEs)``: at p = 3 the
+#: hypercube falls back to one direct round
+ROUTES = {
+    "direct": ("direct", 4),
+    "hypercube": ("hypercube", 4),
+    "hypercube-fallback": ("hypercube", 3),
+}
 #: the traced corpus (:func:`trace_runs`): the six algorithms plus ``auto``
 #: over every topology at p = 3 and 4 (p = 3 runs hQuick's fold)
 CORPUS_ALGORITHMS = PAPER_ALGORITHMS + ("auto",)
@@ -142,8 +163,7 @@ class PickleEngine(ThreadEngine):
 def _permuted_pick(state: _SharedState, rng: random.Random, rank: int) -> int:
     """The first runnable rank of a fresh random permutation of the ranks.
 
-    With no rank runnable the threads engine's own pick decides: a withheld
-    envelope's rescue, or the deadlock.
+    With no rank runnable the threads engine's own pick reports the deadlock.
     """
     for r in rng.sample(range(state.num_pes), state.num_pes):
         wait = state.waits[r]
@@ -277,6 +297,12 @@ def sort_fingerprint(
         num_pes=num_pes, engine=engine, exchange_topology=topology
     ) as cluster:
         result = cluster.sort(conformance_workload(seed), spec, check=True)
+    return result_fingerprint(result, spec)
+
+
+def result_fingerprint(result: Any, spec: Any) -> Dict[str, Any]:
+    """The fingerprint (see :func:`sort_fingerprint`) of ``result``, a sort
+    by ``spec``."""
     report = result.report
     return {
         "outputs_per_pe": result.outputs_per_pe,
@@ -309,31 +335,59 @@ def assert_engines_agree(
 
 
 class PhaseFailure(RuntimeError):
-    """The exception :func:`failure_cause` raises inside one rank program."""
+    """The exception :func:`at_phase` raises inside one rank program."""
 
 
-def failure_cause(engine: str, phase: str, rank: int = 1) -> BaseException:
-    """Sort with MS on ``engine`` while ``rank`` raises entering ``phase``.
+@contextmanager
+def at_phase(
+    phase: str, rank: int = 1, seconds: Optional[float] = None
+) -> Iterator[List[str]]:
+    """For the scope, ``rank`` raises :class:`PhaseFailure` entering ``phase``.
+
+    With ``seconds`` it sleeps that long there instead and carries on: a
+    rank held back, which an engine must not take for a deadlock.  The hook
+    is patched on the :class:`Communicator` class, so forked rank processes
+    inherit it too.  Yields the list of phases the hook struck in this
+    process (rank processes strike their own copy of it).
+    """
+    original = Communicator.set_phase
+    struck: List[str] = []
+
+    def set_phase(comm: Communicator, name: str) -> None:
+        if comm.rank == rank and name == phase:
+            struck.append(name)
+            if seconds is None:
+                raise PhaseFailure(f"rank {rank} failed entering {phase!r}")
+            time.sleep(seconds)
+        original(comm, name)
+
+    Communicator.set_phase = set_phase  # type: ignore[method-assign]
+    try:
+        yield struck
+    finally:
+        Communicator.set_phase = original  # type: ignore[method-assign]
+
+
+def failure_cause(
+    engine: str,
+    phase: str,
+    rank: int = 1,
+    algorithm: str = "ms",
+    topology: str = "direct",
+    num_pes: int = 4,
+) -> BaseException:
+    """Sort with ``algorithm`` on ``engine`` while ``rank`` raises entering
+    ``phase``.
 
     The run must fail with :class:`SpmdError`; returns its ``__cause__``,
     which an engine must report as the rank program's own exception — not
     the "aborted" or "pipe closed" echo another rank raised in reaction.
     """
-    original = Communicator.set_phase
-
-    def set_phase(comm: Communicator, name: str) -> None:
-        if comm.rank == rank and name == phase:
-            raise PhaseFailure(f"rank {rank} failed entering {phase!r}")
-        original(comm, name)
-
-    # patched on the class, so forked rank processes inherit it too
-    Communicator.set_phase = set_phase  # type: ignore[method-assign]
-    try:
-        with registered(engine), Cluster(num_pes=4, engine=engine) as cluster:
-            with pytest.raises(SpmdError) as excinfo:
-                cluster.sort(conformance_workload(), "ms")
-    finally:
-        Communicator.set_phase = original  # type: ignore[method-assign]
+    with registered(engine), Cluster(
+        num_pes=num_pes, engine=engine, exchange_topology=topology
+    ) as cluster:
+        with at_phase(phase, rank), pytest.raises(SpmdError) as excinfo:
+            cluster.sort(conformance_workload(), algorithm)
     return excinfo.value.__cause__
 
 

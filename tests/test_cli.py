@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+from engine_conformance import PhaseFailure, at_phase
 from repro.cli import build_parser, main
+from repro.mpi.engine import SpmdError
 
 
 class TestParser:
@@ -31,6 +33,9 @@ class TestParser:
 
 
 class TestSortCommand:
+    def test_timeout_flag(self):
+        assert main(["sort", "-a", "ms", "-p", "2", "-n", "50", "--timeout", "30"]) == 0
+
     def test_sort_generated_workload(self, capsys, tmp_path):
         out_file = tmp_path / "sorted.txt"
         code = main(
@@ -139,8 +144,6 @@ class TestInvalidFlagValues:
         [
             (["sort", "-p", "0"], "num_pes must be positive"),
             (["sort", "--timeout", "-5"], "timeout .*REPRO_SPMD_TIMEOUT"),
-            (["sort", "-n", "20", "--fault-plan", '{"rules": [{"kind": "bogus"}]}'],
-             "unknown fault kind"),
             (["sort", "-n", "20", "--spec", "{not json"], "Expecting property name"),
             (["sort", "-n", "20", "--spec", "@no-such-spec.json"], "No such file"),
             (["trace", "run", "-n", "20", "-p", "0", "-o", "unused.json"],
@@ -155,11 +158,9 @@ class TestInvalidFlagValues:
     @pytest.mark.parametrize(
         "argv, match",
         [
-            (["sort", "--max-retries", "-1"], "--max-retries: must be >= 0, got -1"),
             (["generate", "dn50", "-n", "-3", "-o", "unused.txt"],
              "--num-strings/-n: must be >= 0, got -3"),
             (["sort", "-n", "-3"], "--num-strings/-n: must be >= 0, got -3"),
-            (["metrics", "--max-retries", "-1"], "--max-retries: must be >= 0, got -1"),
         ],
     )
     def test_negative_counts_rejected_at_parse_time(self, capsys, argv, match):
@@ -173,11 +174,9 @@ class TestInvalidFlagValues:
         )
 
     def test_an_error_of_the_sort_itself_propagates(self):
-        from repro.mpi.engine import SpmdError
-
-        plan = '{"rules": [{"kind": "crash", "rank": 1}]}'
-        with pytest.raises(SpmdError, match="rank 1 crashed"):
-            main(["sort", "-n", "40", "-p", "2", "--fault-plan", plan])
+        with at_phase("merge"), pytest.raises(SpmdError) as excinfo:
+            main(["sort", "-n", "40", "-p", "2"])
+        assert isinstance(excinfo.value.__cause__, PhaseFailure)
 
 
 class TestAlgorithmsCommand:

@@ -6,8 +6,12 @@ import time
 
 import pytest
 
+from repro.config import RunConfig
 from repro.mpi import ReduceOp, SpmdError, run_spmd
+from repro.mpi.engine import ThreadEngine
+from repro.mpi.serialization import wire_size
 from repro.net.metrics import TrafficMeter
+from repro.session import Cluster
 
 
 class TestRunSpmd:
@@ -375,42 +379,6 @@ class TestCooperativeSchedule:
 
 
 class TestBlockingRecv:
-    def test_recv_recovers_a_dropped_final_message(self, engine):
-        """No successor reveals the gap: the threads scheduler or the
-        processes backoff timer pulls the withheld envelope."""
-        from repro.faults import FaultPlan, FaultRule
-
-        def prog(comm):
-            if comm.rank == 0:
-                return comm.recv(1)
-            comm.send(b"dropped once", 0)
-            return None
-
-        plan = FaultPlan(seed=1, rules=(FaultRule(kind="drop", src=1, dst=0),))
-        results, report = run_spmd(2, prog, fault_plan=plan)
-        assert results[0] == b"dropped once"
-        assert report.faults_detected_per_pe[0] == 1
-        assert report.retries_per_pe[0] == 1
-
-    def test_a_retransmit_is_stamped_after_the_send_it_repeats(self, engine):
-        """The receiver's clock catches up to a withheld envelope's send
-        before it waits, so the pull it makes later is stamped after it."""
-        from repro.faults import FaultPlan, FaultRule
-
-        def prog(comm):
-            if comm.rank == 0:
-                return comm.recv(1)
-            time.sleep(0.1)  # rank 0 has been waiting since its recv call
-            comm.send(b"dropped once", 0)
-            return None
-
-        plan = FaultPlan(seed=1, rules=(FaultRule(kind="drop", src=1, dst=0),))
-        _, report = run_spmd(2, prog, fault_plan=plan, trace=True)
-        instants = report.timeline.instants
-        (sent,) = [i.ts for i in instants if i.rank == 1 and i.name == "send"]
-        (pulled,) = [i.ts for i in instants if i.rank == 0 and i.name == "retransmit"]
-        assert pulled >= sent
-
     def test_recv_waits_until_the_peer_sends(self, engine):
         def prog(comm):
             if comm.rank == 0:
@@ -432,43 +400,6 @@ class TestBlockingRecv:
 
         results, _ = run_spmd(2, prog)
         assert results[0] == b"parting"
-
-    def test_recv_discards_a_duplicated_final_message(self, engine):
-        from repro.faults import FaultPlan, FaultRule
-
-        def prog(comm):
-            if comm.rank == 0:
-                return comm.recv(1)
-            comm.send(b"twice", 0)
-            return None
-
-        plan = FaultPlan(seed=1, rules=(FaultRule(kind="duplicate", src=1, dst=0),))
-        results, report = run_spmd(2, prog, fault_plan=plan)
-        assert results[0] == b"twice"
-        assert report.faults_injected_per_pe[1] == 1
-        assert report.faults_detected_per_pe[0] == 1
-        assert report.retries_per_pe[0] == 0
-
-    def test_recv_releases_a_delayed_final_message(self, engine):
-        """Nothing ever overtakes the held message, so the idle receiver's
-        recovery pull releases it."""
-        from repro.faults import FaultPlan, FaultRule
-
-        def prog(comm):
-            if comm.rank == 0:
-                return comm.recv(1)
-            comm.send(b"held", 0)
-            return None
-
-        plan = FaultPlan(
-            seed=1,
-            rules=(FaultRule(kind="delay", src=1, dst=0, delay_messages=5),),
-            retry_delay=0.01,
-        )
-        results, report = run_spmd(2, prog, fault_plan=plan)
-        assert results[0] == b"held"
-        assert report.faults_injected_per_pe[1] == 1
-        assert report.retries_per_pe[0] >= 1
 
     def test_recv_sees_an_aborted_run(self, engine):
         def prog(comm):
@@ -494,9 +425,6 @@ class TestEngineStateReuse:
 
     @staticmethod
     def _engine(num_pes=2, timeout=5.0):
-        from repro.config import RunConfig
-        from repro.mpi.engine import ThreadEngine
-
         return ThreadEngine(num_pes, config=RunConfig(timeout=timeout))
 
     def test_clean_runs_reuse_state(self):
@@ -555,3 +483,54 @@ class TestEngineStateReuse:
         # per-run meters: the failed attempt's bytes must not leak in
         _, clean_report = self._engine().run(flaky, common_args=(False,))
         assert report.total_bytes_sent == clean_report.total_bytes_sent
+
+
+class TestDefaultTimeout:
+    def test_env_override(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "42.5")
+        assert RunConfig.from_env().timeout == 42.5
+        assert ThreadEngine(2).config.timeout == 42.5
+        assert Cluster(num_pes=2).config.timeout == 42.5
+
+    def test_default_without_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SPMD_TIMEOUT", raising=False)
+        assert RunConfig.from_env().timeout == 600.0
+
+    def test_invalid_env_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "soon")
+        with pytest.raises(ValueError, match="REPRO_SPMD_TIMEOUT"):
+            RunConfig.from_env()
+        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "-3")
+        with pytest.raises(ValueError, match="positive"):
+            RunConfig.from_env()
+
+    def test_explicit_timeout_beats_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "42.5")
+        assert Cluster(num_pes=2, timeout=7.0).engine.config.timeout == 7.0
+
+
+class TestCollectiveAccounting:
+    def test_gather_uses_each_ranks_own_size(self):
+        def prog(comm):
+            # rank r contributes a payload of r+1 bytes
+            return comm.gather(b"x" * (comm.rank + 1), root=0)
+
+        results, report = run_spmd(3, prog, timeout=5.0)
+        assert results[0] == [b"x", b"xx", b"xxx"]
+        expected = sum(wire_size(b"x" * (r + 1)) for r in (1, 2))
+        assert report.total_bytes_sent == expected
+        # the collective event carries the bottleneck (largest) value
+        events = [e for e in report.collectives if e.kind == "gather"]
+        assert len(events) == 1
+        assert events[0].max_bytes_per_pe == wire_size(b"xxx")
+
+    def test_allreduce_ring_uses_own_sizes_and_bottleneck_event(self):
+        def prog(comm):
+            return comm.allreduce(b"y" * (comm.rank + 1), op="max")
+
+        _, report = run_spmd(3, prog, timeout=5.0)
+        expected = sum(wire_size(b"y" * (r + 1)) for r in range(3))
+        assert report.total_bytes_sent == expected
+        events = [e for e in report.collectives if e.kind == "allreduce"]
+        assert len(events) == 1
+        assert events[0].max_bytes_per_pe == wire_size(b"yyy")

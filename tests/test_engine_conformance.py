@@ -15,10 +15,22 @@ fixtures under ``tests/fixtures/lint/``.
 ``TestCommGraph`` pins each algorithm's communication structure as the
 meter records it: the ``(kind, phase)`` sequence of ``report.collectives``.
 
+``TestRootCause`` fails one rank entering each phase and requires every
+engine to report that rank's own exception as the cause;
+``TestHeldBackRank`` holds one rank back there instead and requires every
+engine to finish the sort with the reference fingerprint, not to take the
+wait for a deadlock.  Both run MS over direct delivery;
+``TestPhasesOfEveryAlgorithm`` holds every phase of every algorithm to the
+same two contracts over each delivery route (``TestPhaseTable`` pins the
+phases it strikes), and ``TestRunAfterAFailedRun`` sorts again on the
+cluster a failed run left behind.
+
 ``TestSeededMutations`` holds the two test-only engines to what they are
 for: each catches a seeded bug that the threads engine runs the same way
 every time and so cannot see (an aliased buffer, an order-dependent
-result).  ``TestEngineAxis`` checks that neither is a run option.
+result).  It also shows that the root-cause check fails on an engine that
+swallows a rank's exception.  ``TestEngineAxis`` checks that neither
+test-only engine is a run option.
 
 Reference fingerprints are computed once per (algorithm, topology) cell and cached for the whole module, so adding a backend to the axis costs
 only that backend's runs.
@@ -31,27 +43,37 @@ import os
 import re
 import subprocess
 import sys
+import time
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from engine_conformance import (
+    ALGORITHM_PHASES,
+    CORPUS_ALGORITHMS,
     MS_PHASES,
     PAPER_ALGORITHMS,
     REFERENCE_ENGINE,
+    ROUTES,
     TOPOLOGIES,
     PhaseFailure,
     TEST_ENGINES,
     all_engines,
     assert_engines_agree,
+    at_phase,
     engine_available,
     engine_params,
+    conformance_workload,
     failure_cause,
     registered,
+    result_fingerprint,
     sort_fingerprint,
 )
 from repro.config import RunConfig
-from repro.mpi.engine import ENGINES, SpmdError, run_spmd
+from repro.mpi.comm import Communicator
+from repro.mpi.engine import ENGINES, SpmdError, ThreadEngine, run_spmd
+from repro.session import Cluster, spec_class
 
 LINT_FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
 
@@ -287,6 +309,124 @@ class TestRootCause:
         assert f"entering {phase!r}" in str(cause)
 
 
+class TestHeldBackRank:
+    #: seconds rank 1 sleeps entering its phase, and the processes engine's
+    #: per-operation timeout the wait must stay within
+    HOLD = 0.2
+    TIMEOUT = "5"
+
+    @pytest.mark.parametrize("phase", MS_PHASES)
+    def test_a_held_back_rank_is_no_deadlock(self, candidate_engine, phase, monkeypatch):
+        """The other ranks wait for the held rank and the sort completes
+        with the reference fingerprint on every engine."""
+        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", self.TIMEOUT)
+        start = time.monotonic()
+        with at_phase(phase, seconds=self.HOLD):
+            held = sort_fingerprint(candidate_engine, "ms")
+        assert time.monotonic() - start >= self.HOLD
+        assert_engines_agree(held, _reference("ms", "direct"), f"rank 1 held in {phase}")
+
+
+def _phase_cells():
+    """``(engine, route, algorithm, phase)`` for every phase of every
+    algorithm: over each route on the reference engine, over direct
+    delivery on the processes engine.  MS over direct delivery is left to
+    :class:`TestRootCause` and :class:`TestHeldBackRank`, which run it on
+    every engine."""
+    cells = []
+    for engine, routes in ((REFERENCE_ENGINE, tuple(ROUTES)), ("processes", ("direct",))):
+        ok, reason = engine_available(engine)
+        marks = () if ok else (pytest.mark.skip(reason=reason),)
+        for route in routes:
+            for algorithm in CORPUS_ALGORITHMS:
+                if algorithm == "ms" and route == "direct":
+                    continue
+                for phase in ALGORITHM_PHASES[algorithm]:
+                    cells.append(
+                        pytest.param(
+                            engine, route, algorithm, phase, marks=marks,
+                            id=f"{engine}-{route}-{algorithm}-{phase}",
+                        )
+                    )
+    return cells
+
+
+class TestPhaseTable:
+    @pytest.mark.parametrize("algorithm", CORPUS_ALGORITHMS)
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_the_table_lists_every_phase_a_rank_enters(self, monkeypatch, algorithm, route):
+        """``ALGORITHM_PHASES`` is what rank 1 enters, in order, so the
+        phase matrices below strike every phase and none that never runs."""
+        entered = []
+        original = Communicator.set_phase
+
+        def recording(comm, name):
+            if comm.rank == 1 and name != "unlabelled" and name not in entered:
+                entered.append(name)
+            original(comm, name)
+
+        monkeypatch.setattr(Communicator, "set_phase", recording)
+        topology, num_pes = ROUTES[route]
+        Cluster(num_pes=num_pes, exchange_topology=topology).sort(
+            conformance_workload(), algorithm
+        )
+        assert tuple(entered) == ALGORITHM_PHASES[algorithm]
+
+
+class TestPhasesOfEveryAlgorithm:
+    """The root-cause and held-back contracts on every phase of every
+    algorithm: each phase leaves the other ranks waiting in a different
+    collective or point-to-point pattern, and over the hypercube routes a
+    failed or held rank is also a relay the others' messages pass through."""
+
+    HOLD = 0.05
+    TIMEOUT = "5"
+
+    @pytest.mark.parametrize("engine,route,algorithm,phase", _phase_cells())
+    def test_failing_rank_is_the_reported_cause(self, engine, route, algorithm, phase):
+        topology, num_pes = ROUTES[route]
+        cause = failure_cause(
+            engine, phase, algorithm=algorithm, topology=topology, num_pes=num_pes
+        )
+        assert isinstance(cause, PhaseFailure), repr(cause)
+        assert f"entering {phase!r}" in str(cause)
+
+    @pytest.mark.parametrize("engine,route,algorithm,phase", _phase_cells())
+    def test_a_held_back_rank_is_no_deadlock(
+        self, engine, route, algorithm, phase, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", self.TIMEOUT)
+        topology, num_pes = ROUTES[route]
+        with at_phase(phase, seconds=self.HOLD) as struck:
+            held = sort_fingerprint(engine, algorithm, topology, num_pes=num_pes)
+        if engine == REFERENCE_ENGINE:
+            # rank threads strike this process's hook; rank processes their own
+            assert struck, f"rank 1 never entered {phase!r}"
+        assert_engines_agree(
+            held,
+            _reference(algorithm, topology, num_pes),
+            f"{engine}/{route}/{algorithm}: rank 1 held in {phase}",
+        )
+
+
+class TestRunAfterAFailedRun:
+    @pytest.mark.parametrize("engine", engine_params(test_engines=False))
+    @pytest.mark.parametrize("algorithm", CORPUS_ALGORITHMS)
+    def test_the_cluster_sorts_again_after_a_failed_run(self, engine, algorithm):
+        """A rank fails in the last phase, once the run has built the most
+        state; the same cluster's next sort matches the reference."""
+        spec = spec_class(algorithm)(seed=3)
+        with Cluster(num_pes=4, engine=engine) as cluster:
+            with at_phase(ALGORITHM_PHASES[algorithm][-1]), pytest.raises(SpmdError):
+                cluster.sort(conformance_workload(), spec)
+            result = cluster.sort(conformance_workload(), spec, check=True)
+        assert_engines_agree(
+            result_fingerprint(result, spec),
+            _reference(algorithm, "direct"),
+            f"{engine}/{algorithm}: the run after a failed one",
+        )
+
+
 def _aliasing_program(transport):
     """A seeded aliasing bug: rank 1 writes into the buffer it received
     from rank 0, and rank 0 reads its own buffer afterwards."""
@@ -327,6 +467,26 @@ def _results(engine, program, num_pes):
         return run_spmd(num_pes, program, engine=engine)[0]
 
 
+def _swallowing_rank(fn, comm, *args):
+    """Run ``fn``; a rank that raises returns ``None`` instead."""
+    try:
+        return fn(comm, *args)
+    except Exception:
+        return None
+
+
+class SwallowingEngine(ThreadEngine):
+    """A seeded engine bug: a rank's exception is dropped, the rank returns."""
+
+    name = "swallowing"
+
+    def run(self, fn, args_per_rank=None, common_args=(), meter=None):
+        """:meth:`ThreadEngine.run` with ``fn`` wrapped by :func:`_swallowing_rank`."""
+        return super().run(
+            partial(_swallowing_rank, fn), args_per_rank, common_args, meter
+        )
+
+
 class TestSeededMutations:
     @pytest.mark.parametrize("transport", ["send", "bcast"])
     def test_pickle_engine_catches_a_write_into_a_received_buffer(self, transport):
@@ -347,6 +507,14 @@ class TestSeededMutations:
         assert runs[2] != runs[0]
         # every rank still ran once between each pair of barriers
         assert sorted(runs[2][0]) == sorted(runs[0][0])
+
+    def test_root_cause_check_catches_a_swallowed_exception(self, monkeypatch):
+        """Rank 1's failure vanishes, so the others wait for it at the
+        splitter collective and the engine can only report that deadlock."""
+        monkeypatch.setitem(ENGINES, SwallowingEngine.name, SwallowingEngine)
+        cause = failure_cause(SwallowingEngine.name, "local-sort")
+        assert not isinstance(cause, PhaseFailure)
+        assert "deadlock" in str(cause) and "rank 1 has returned" in str(cause)
 
 
 class TestEngineAxis:

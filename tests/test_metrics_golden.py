@@ -6,7 +6,9 @@ RSS reading enters it.  ``report.metrics`` must render it to exactly the
 Prometheus text and JSON below.  Both literals were captured from the
 metrics path that stored a snapshot built through a mutable registry
 (labels and input size passed in, not read from ``timeline.meta``), so
-they pin that rendering on demand changed no byte.
+they pin that rendering on demand changed no byte.  The fault and retry
+families left both literals with the counters that rendered them; every
+other line is as captured.
 """
 
 import json
@@ -17,7 +19,7 @@ from repro.obs.timeline import Timeline
 MIB = 1 << 20
 
 #: the two ranks' recorder exports: phases with boundary RSS samples, a
-#: barrier sub-span, comm and mark instants, and three dropped events
+#: barrier sub-span, comm instants, and three dropped events
 EXPORTS = [
     {"rank": 0, "dropped": 0, "events": [
         ("phase", 100.0, "local-sort", 1 * MIB),
@@ -26,7 +28,6 @@ EXPORTS = [
         ("begin", 100.625, "barrier", None),
         ("end", 100.75, "barrier", None),
         ("phase", 101.0, "merge", 2 * MIB),
-        ("instant", 101.25, "retransmit", {"peer": 1}),
         ("finish", 101.5, None, 3 * MIB),
     ]},
     {"rank": 1, "dropped": 3, "events": [
@@ -50,7 +51,6 @@ def golden_report():
     meter.record_barrier_wait(0, "exchange", 0.125)
     report = meter.report()
     report.add("route_bytes", "hypercube-dim0", 16)
-    report.add("job_retries", None, 1)
     report.timeline = Timeline.from_exports(EXPORTS, num_pes=2)
     # what Cluster.sort stamps on a traced run
     report.timeline.meta.update(
@@ -89,18 +89,6 @@ repro_bytes_sent_total{algorithm="ms",engine="threads",pe="1",topology="direct"}
 # TYPE repro_chars_inspected_total counter
 repro_chars_inspected_total{algorithm="ms",engine="threads",pe="0",topology="direct"} 120
 repro_chars_inspected_total{algorithm="ms",engine="threads",pe="1",topology="direct"} 96
-# HELP repro_fault_retries_total Retransmit pulls initiated, per PE.
-# TYPE repro_fault_retries_total counter
-repro_fault_retries_total{algorithm="ms",engine="threads",pe="0",topology="direct"} 0
-repro_fault_retries_total{algorithm="ms",engine="threads",pe="1",topology="direct"} 0
-# HELP repro_faults_detected_total Fault events detected (CRC, gaps), per PE.
-# TYPE repro_faults_detected_total counter
-repro_faults_detected_total{algorithm="ms",engine="threads",pe="0",topology="direct"} 0
-repro_faults_detected_total{algorithm="ms",engine="threads",pe="1",topology="direct"} 0
-# HELP repro_faults_injected_total Faults injected by the active plan, per PE.
-# TYPE repro_faults_injected_total counter
-repro_faults_injected_total{algorithm="ms",engine="threads",pe="0",topology="direct"} 0
-repro_faults_injected_total{algorithm="ms",engine="threads",pe="1",topology="direct"} 0
 # HELP repro_forwarded_bytes_total Routing-overhead bytes relayed, per PE.
 # TYPE repro_forwarded_bytes_total counter
 repro_forwarded_bytes_total{algorithm="ms",engine="threads",pe="0",topology="direct"} 0
@@ -109,17 +97,10 @@ repro_forwarded_bytes_total{algorithm="ms",engine="threads",pe="1",topology="dir
 # TYPE repro_items_processed_total counter
 repro_items_processed_total{algorithm="ms",engine="threads",pe="0",topology="direct"} 10
 repro_items_processed_total{algorithm="ms",engine="threads",pe="1",topology="direct"} 8
-# HELP repro_job_retries_total Whole-job re-runs after failures.
-# TYPE repro_job_retries_total counter
-repro_job_retries_total{algorithm="ms",engine="threads",topology="direct"} 1
 # HELP repro_messages_total Point-to-point messages sent, per PE.
 # TYPE repro_messages_total counter
 repro_messages_total{algorithm="ms",engine="threads",pe="0",topology="direct"} 2
 repro_messages_total{algorithm="ms",engine="threads",pe="1",topology="direct"} 1
-# HELP repro_retransmitted_bytes_total Recovery traffic wire bytes, per PE.
-# TYPE repro_retransmitted_bytes_total counter
-repro_retransmitted_bytes_total{algorithm="ms",engine="threads",pe="0",topology="direct"} 0
-repro_retransmitted_bytes_total{algorithm="ms",engine="threads",pe="1",topology="direct"} 0
 # HELP repro_route_bytes_total Routed-delivery wire bytes, per route phase.
 # TYPE repro_route_bytes_total counter
 repro_route_bytes_total{algorithm="ms",engine="threads",route="hypercube-dim0",topology="direct"} 16
@@ -205,18 +186,6 @@ GOLDEN_JSON = """\
   {"labels": {"algorithm": "ms", "engine": "threads", "pe": "0", "topology": "direct"}, "value": 120.0},
   {"labels": {"algorithm": "ms", "engine": "threads", "pe": "1", "topology": "direct"}, "value": 96.0}
  ]},
- "repro_fault_retries_total": {"kind": "counter", "help": "Retransmit pulls initiated, per PE.", "samples": [
-  {"labels": {"algorithm": "ms", "engine": "threads", "pe": "0", "topology": "direct"}, "value": 0.0},
-  {"labels": {"algorithm": "ms", "engine": "threads", "pe": "1", "topology": "direct"}, "value": 0.0}
- ]},
- "repro_faults_detected_total": {"kind": "counter", "help": "Fault events detected (CRC, gaps), per PE.", "samples": [
-  {"labels": {"algorithm": "ms", "engine": "threads", "pe": "0", "topology": "direct"}, "value": 0.0},
-  {"labels": {"algorithm": "ms", "engine": "threads", "pe": "1", "topology": "direct"}, "value": 0.0}
- ]},
- "repro_faults_injected_total": {"kind": "counter", "help": "Faults injected by the active plan, per PE.", "samples": [
-  {"labels": {"algorithm": "ms", "engine": "threads", "pe": "0", "topology": "direct"}, "value": 0.0},
-  {"labels": {"algorithm": "ms", "engine": "threads", "pe": "1", "topology": "direct"}, "value": 0.0}
- ]},
  "repro_forwarded_bytes_total": {"kind": "counter", "help": "Routing-overhead bytes relayed, per PE.", "samples": [
   {"labels": {"algorithm": "ms", "engine": "threads", "pe": "0", "topology": "direct"}, "value": 0.0},
   {"labels": {"algorithm": "ms", "engine": "threads", "pe": "1", "topology": "direct"}, "value": 0.0}
@@ -225,16 +194,9 @@ GOLDEN_JSON = """\
   {"labels": {"algorithm": "ms", "engine": "threads", "pe": "0", "topology": "direct"}, "value": 10.0},
   {"labels": {"algorithm": "ms", "engine": "threads", "pe": "1", "topology": "direct"}, "value": 8.0}
  ]},
- "repro_job_retries_total": {"kind": "counter", "help": "Whole-job re-runs after failures.", "samples": [
-  {"labels": {"algorithm": "ms", "engine": "threads", "topology": "direct"}, "value": 1.0}
- ]},
  "repro_messages_total": {"kind": "counter", "help": "Point-to-point messages sent, per PE.", "samples": [
   {"labels": {"algorithm": "ms", "engine": "threads", "pe": "0", "topology": "direct"}, "value": 2.0},
   {"labels": {"algorithm": "ms", "engine": "threads", "pe": "1", "topology": "direct"}, "value": 1.0}
- ]},
- "repro_retransmitted_bytes_total": {"kind": "counter", "help": "Recovery traffic wire bytes, per PE.", "samples": [
-  {"labels": {"algorithm": "ms", "engine": "threads", "pe": "0", "topology": "direct"}, "value": 0.0},
-  {"labels": {"algorithm": "ms", "engine": "threads", "pe": "1", "topology": "direct"}, "value": 0.0}
  ]},
  "repro_route_bytes_total": {"kind": "counter", "help": "Routed-delivery wire bytes, per route phase.", "samples": [
   {"labels": {"algorithm": "ms", "engine": "threads", "route": "hypercube-dim0", "topology": "direct"}, "value": 16.0}

@@ -83,13 +83,13 @@ class TestTrafficMeter:
 
     def test_count_charges_one_named_counter(self):
         meter = TrafficMeter(2)
-        meter.count("faults_injected_per_pe", 1)
+        meter.count("transported_bytes_per_pe", 1)
         meter.count("transported_bytes_per_pe", 0, 64)
         rep = meter.report()
-        assert rep.faults_injected_per_pe == [0, 1]
-        assert rep.transported_bytes == 64
+        assert rep.transported_bytes_per_pe == [64, 1]
+        assert rep.transported_bytes == 65
         with pytest.raises(KeyError, match="unknown counter"):
-            meter.count("faults_injectd_per_pe", 0)
+            meter.count("transported_byte_per_pe", 0)
 
     def test_concurrent_recording_loses_no_update(self):
         meter = TrafficMeter(4)
@@ -99,7 +99,7 @@ class TestTrafficMeter:
             meter.set_phase(r, "exchange")
             for _ in range(sends):
                 meter.record_send(r, (r + 1) % 4, 3)
-                meter.count("retries_per_pe", r)
+                meter.count("transported_bytes_per_pe", r)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -115,7 +115,7 @@ class TestTrafficMeter:
         rep = meter.report()
         assert rep.bytes_sent_per_pe == [2 * 3 * sends] * 4
         assert rep.phase_bytes == {"exchange": 8 * 3 * sends}
-        assert rep.retries_per_pe == [2 * sends] * 4
+        assert rep.transported_bytes_per_pe == [2 * sends] * 4
 
 
 class TestTopology:

@@ -20,8 +20,8 @@ import time
 
 import pytest
 
-from repro.faults import FaultPlan, FaultRule
-from repro.mpi import run_spmd
+from engine_conformance import MS_PHASES, at_phase
+from repro.mpi import SpmdError, run_spmd
 from repro.net.metrics import COUNTERS
 from repro.obs import (
     Recorder,
@@ -77,7 +77,7 @@ class TestRecorder:
     def test_ring_buffer_drops_oldest(self):
         rec = Recorder(rank=0, capacity=4)
         for i in range(10):
-            rec.instant(f"ev{i}")
+            rec.comm(f"ev{i}", peer=1, nbytes=i)
         assert rec.dropped == 6
         assert rec.events_recorded == 10
         names = [e[2] for e in rec.events()]
@@ -220,23 +220,20 @@ class TestClusterTrace:
             observed.report.total_bytes_sent == baseline.report.total_bytes_sent
         )
 
-    def test_every_counter_family_reconciles_after_a_retried_crash(self, engine):
-        """Each report-derived family sums to its report total, and a
-        failed attempt leaves its fault counts but not its bytes."""
+    def test_every_counter_family_reconciles_after_a_failed_sort(self, engine):
+        """A sort that fails when rank 1 raises entering ``merge`` leaves
+        the cluster whole: on its next traced sort each report-derived
+        family sums to its report total, every rank's lanes close, and the
+        bytes are one clean run's."""
         import random
 
         rng = random.Random(13)
         data = [bytes(rng.choices(b"abcd", k=14)) for _ in range(400)]
-        crash = FaultRule(kind="crash", rank=1, phase="merge", max_hits=1)
-        with Cluster(
-            num_pes=4, timeout=30.0, trace=True,
-            fault_plan=FaultPlan(seed=4, rules=(crash,)),
-        ) as cluster:
-            report = cluster.sort(data, MSSpec(), check=True, max_retries=1).report
-        # the same envelopes on the wire, no fault fired
-        with Cluster(
-            num_pes=4, timeout=30.0, fault_plan=FaultPlan(seed=4)
-        ) as clean:
+        with Cluster(num_pes=4, timeout=30.0, trace=True) as cluster:
+            with at_phase("merge"), pytest.raises(SpmdError):
+                cluster.sort(data, MSSpec())
+            report = cluster.sort(data, MSSpec(), check=True).report
+        with Cluster(num_pes=4, timeout=30.0) as clean:
             baseline = clean.sort(data, MSSpec()).report
 
         snap = report.metrics
@@ -251,13 +248,13 @@ class TestClusterTrace:
         assert family_total("repro_stage_bytes_total") == family_total(
             "repro_bytes_sent_total"
         )
-        # the crashed attempt's fault counts are kept ...
-        assert report.job_retries == 1
-        assert family_total("repro_job_retries_total") == 1
-        assert report.faults_injected == 1
-        assert family_total("repro_faults_injected_total") == 1
-        assert report.faults_detected >= 1
-        # ... and its traffic is not: the bytes are one clean run's
+        # every rank's lanes close: each rank's phase spans cover MS's phases
+        tl = report.timeline
+        for rank in range(4):
+            names = {s.name for s in tl.iter_spans(cat="phase", rank=rank)}
+            assert set(MS_PHASES) <= names, (rank, names)
+        assert tl.dropped_events == 0
+        # the failed sort's traffic is not carried: the bytes are one clean run's
         assert report.bytes_sent_per_pe == baseline.bytes_sent_per_pe
         assert report.phase_bytes == baseline.phase_bytes
         assert report.chars_inspected_per_pe == baseline.chars_inspected_per_pe

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from repro.dist.exchange import LcpCompressedBlock, StringBlock
 from repro.dist.partition import split_into_buckets
 from repro.mpi.serialization import (
-    block_checksum,
     varint_size,
     varint_sizes,
     varint_total,
@@ -147,7 +146,6 @@ class TestRoundTrip:
         blob = pickle.dumps(view, protocol=5)
         back = pickle.loads(blob)
         assert back.to_list() == view.to_list()
-        assert block_checksum(back) == block_checksum(view)
         assert len(blob) <= view.num_chars + 8 * (len(view) + 1) + _PICKLE_OVERHEAD
         assert len(blob) < arr.num_chars  # not the shared buffer
 

@@ -1,8 +1,8 @@
 """Every function defined in ``src/repro`` is called by a run of the corpus.
 
 The entry corpus below runs the public surface the way its users do: the
-algorithms of ``SPECS`` over every topology on both engines, each fault kind,
-the CLI subcommands, the canned experiments, the examples, the names
+algorithms of ``SPECS`` over every topology on both engines, the CLI
+subcommands, the canned experiments, the examples, the names
 perfbench resolves, awkward inputs and invalid ones.  It runs once, under
 ``sys.setprofile`` and ``threading.setprofile``, and the profile hook
 records the code object of every call.  Forked ranks of the processes
@@ -352,16 +352,6 @@ def run_algorithms(tmp: Path) -> None:
     Cluster(2, engine="threads").sort(shared_prefix(3000, seed=1), "ms", check=True)
 
 
-def run_sealed(tmp: Path) -> None:
-    """Every algorithm with wire seals, direct and routed."""
-    from repro.session import SPECS, Cluster
-
-    for topology in TOPOLOGIES:
-        cluster = Cluster(4, exchange_topology=topology, wire_checksums=True)
-        for name in sorted(SPECS):
-            cluster.sort(_small(), name, check=True)
-
-
 def run_local_sorters(tmp: Path) -> None:
     """Every local sorter of the spec, on strings with NUL bytes and on a
     string longer than 4 KiB (blocks past the argsort's guard rails, which
@@ -395,33 +385,6 @@ def run_processes(tmp: Path) -> None:
         cluster.sort(dn_instance(2000, 0.5, length=40, seed=1), "ms", check=True)
 
 
-def _fault_plan(kind: str, **plan):
-    from repro.faults import FaultPlan, FaultRule
-
-    if kind == "crash":
-        rules = (FaultRule(kind="crash", rank=1, after=1),)
-    elif kind == "straggle":
-        rules = (FaultRule(kind="straggle", rank=1, seconds=0.001, max_hits=2),)
-    else:
-        rules = (FaultRule(kind=kind, src=0, max_hits=2), FaultRule(kind=kind, dst=2))
-    return FaultPlan(rules=rules, **plan)
-
-
-def run_faults(tmp: Path) -> None:
-    """Each fault kind on hQuick, the only point-to-point algorithm."""
-    from repro import Cluster
-    from repro.faults import FAULT_KINDS
-
-    for engine in ENGINES:
-        for kind in FAULT_KINDS:
-            plan = _fault_plan(kind)
-            with Cluster(
-                4, engine=engine, fault_plan=plan, wire_checksums=plan.wants_checksums,
-                trace=True, timeout=30,
-            ) as cluster:
-                cluster.sort(_small(), "hquick", check=True, max_retries=2)
-
-
 def _every_call(comm) -> int:
     """A rank program making every ``Communicator`` call (even ``size``)."""
     from repro.mpi import ReduceOp
@@ -446,24 +409,13 @@ def _every_call(comm) -> int:
 
 
 def run_communicator(tmp: Path) -> None:
-    """``run_spmd`` with every ``Communicator`` call, on both engines, traced
-    and under a plan that drops messages; and a plan whose retransmit
-    budget runs out, which aborts the run."""
+    """``run_spmd`` with every ``Communicator`` call, on both engines, traced."""
     from repro import run_spmd
-    from repro.mpi.engine import SpmdError
 
     for engine in ENGINES:
-        for plan in (None, _fault_plan("drop")):
-            results, report = run_spmd(
-                4, _every_call, engine=engine, fault_plan=plan, trace=True
-            )
-            assert results == [0] * 4
-            report.timeline.stage_seconds()
-        with pytest.raises(SpmdError, match="retransmit"):
-            run_spmd(
-                4, _every_call, engine=engine, timeout=30,
-                fault_plan=_fault_plan("drop", max_retransmits=0),
-            )
+        results, report = run_spmd(4, _every_call, engine=engine, trace=True)
+        assert results == [0] * 4
+        report.timeline.stage_seconds()
 
 
 def _cli(*argv: str) -> None:
@@ -481,12 +433,11 @@ def run_cli(tmp: Path) -> None:
     data, out = tmp / "in.txt", tmp / "out.txt"
     _cli("generate", "commoncrawl", "-n", "80", "-o", str(data))
     (tmp / "spec.json").write_text(json.dumps({"algorithm": "pdms-golomb"}))
-    (tmp / "plan.json").write_text(_fault_plan("drop").to_json())
     _cli("sort", "-i", str(data), "-p", "3", "--check", "-o", str(out), "--trace",
          "--spec", f"@{tmp / 'spec.json'}", "--exchange-topology", "hypercube")
     for algorithm in ("hquick", "ms"):
         _cli("sort", "-a", algorithm, "-w", "random", "-n", "60", "-p", "4",
-             "--fault-plan", f"@{tmp / 'plan.json'}", "--exchange-topology", "hypercube")
+             "--exchange-topology", "hypercube")
     _cli("algorithms")
     _cli("algorithms", "--json")
     _cli("trace", "run", "-n", "60", "-p", "3", "-o", str(tmp / "trace.json"),
@@ -573,7 +524,8 @@ def run_perfbench_names(tmp: Path) -> None:
 
 def run_invalid(tmp: Path) -> None:
     """Error paths: an unknown spec key, bad ``REPRO_*`` and flag values,
-    a deadlocking ``run_spmd`` program, an output the check rejects."""
+    a deadlocking ``run_spmd`` program, a receive from a peer that returned
+    on the processes engine, an output the check rejects."""
     from repro import Cluster, SortSpec, run_spmd
     from repro.cli import main
     from repro.mpi.engine import SpmdError
@@ -581,16 +533,16 @@ def run_invalid(tmp: Path) -> None:
 
     with pytest.raises(ValueError, match="sampling"):
         SortSpec.from_dict({"algorithm": "ms", "sampilng": "string"})
-    prior = os.environ.get("REPRO_WIRE_CHECKSUMS")
-    os.environ["REPRO_WIRE_CHECKSUMS"] = "maybe"
+    prior = os.environ.get("REPRO_TRACE")
+    os.environ["REPRO_TRACE"] = "maybe"
     try:
-        with pytest.raises(ValueError, match="REPRO_WIRE_CHECKSUMS"):
+        with pytest.raises(ValueError, match="REPRO_TRACE"):
             Cluster(2)
     finally:
         if prior is None:
-            del os.environ["REPRO_WIRE_CHECKSUMS"]
+            del os.environ["REPRO_TRACE"]
         else:
-            os.environ["REPRO_WIRE_CHECKSUMS"] = prior
+            os.environ["REPRO_TRACE"] = prior
     for argv in (["sort", "-p", "0"], ["sort", "--timeout", "-5"]):
         with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
             main(argv)
@@ -601,6 +553,13 @@ def run_invalid(tmp: Path) -> None:
 
     with pytest.raises(SpmdError, match="deadlock"):
         run_spmd(2, deadlock, engine="threads")
+
+    def orphan_recv(comm):
+        if comm.rank == 0:
+            comm.recv(1)
+
+    with pytest.raises(SpmdError, match="lost the connection to rank 1"):
+        run_spmd(2, orphan_recv, engine="processes", timeout=30)
 
     result = Cluster(2).sort(_small(), "ms")
     result.rank_outputs.reverse()
@@ -613,10 +572,8 @@ ENTRIES: Dict[str, Callable[[Path], None]] = {
     "import": run_import,
     "api": run_api,
     "algorithms": run_algorithms,
-    "sealed": run_sealed,
     "local sorters": run_local_sorters,
     "processes": run_processes,
-    "faults": run_faults,
     "communicator": run_communicator,
     "cli": run_cli,
     "experiments": run_experiments,

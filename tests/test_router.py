@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.dist.exchange import exchange_buckets
-from repro.faults import CHECKSUM_WIRE_BYTES
 from repro.mpi.engine import SpmdError, run_spmd
 from repro.mpi.serialization import wire_size
 from repro.net import router
@@ -122,24 +121,6 @@ def test_routed_exchange_delivers_every_payload_once(p):
     assert report.forwarded_bytes == report.total_bytes_sent - direct_total
     # every byte this program moved went through a routed batch
     assert sum(report.route_bytes.values()) == report.total_bytes_sent
-
-
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 6, 8])
-def test_sealed_frames_cost_one_seal_per_hop(monkeypatch, p):
-    """A sealed frame carries ``varint(seq)`` + a CRC32 on every hop it
-    takes; the payloads and the origin volume stay the unsealed ones."""
-    plain_results, plain = run_spmd(p, _exchange_program)
-    monkeypatch.setenv("REPRO_WIRE_CHECKSUMS", "1")
-    results, sealed = run_spmd(p, _exchange_program)
-    assert results == plain_results
-    assert sealed.origin_bytes_sent == plain.origin_bytes_sent
-    frame_hops = sum(
-        len(path(src, dst, p)) - 1 for src in range(p) for dst in range(p)
-    )
-    # fewer than 128 frames leave each PE, so every seq varint is one byte
-    seal_bytes = frame_hops * (1 + CHECKSUM_WIRE_BYTES)
-    assert sealed.total_bytes_sent == plain.total_bytes_sent + seal_bytes
-    assert sealed.forwarded_bytes == plain.forwarded_bytes + seal_bytes
 
 
 def _bucket_program(comm, name):

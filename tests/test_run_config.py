@@ -24,7 +24,6 @@ SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: one malformed value per variable
 MALFORMED = {
     "REPRO_EXCHANGE_TOPOLOGY": "bogus",
-    "REPRO_WIRE_CHECKSUMS": "sealed",
     "REPRO_SPMD_TIMEOUT": "nan",
     "REPRO_ENGINE": "mpi4py",
     "REPRO_TRACE": "verbose",
@@ -41,7 +40,7 @@ def test_cluster_keywords_are_the_fields():
     keywords = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
     settings = {f.name for f in fields(RunConfig)}
     # every other keyword, a retired setting included, is a TypeError
-    assert keywords == settings | {"machine", "fault_plan"}
+    assert keywords == settings | {"machine"}
 
 
 def test_retired_packed_setting_is_rejected():
@@ -57,7 +56,7 @@ def test_retired_packed_setting_is_rejected():
     # a number that is not 0/1 is not a boolean either, and the retired
     # grid route is no topology
     sorted(MALFORMED.items())
-    + [("REPRO_WIRE_CHECKSUMS", "2"), ("REPRO_EXCHANGE_TOPOLOGY", "grid")],
+    + [("REPRO_TRACE", "2"), ("REPRO_EXCHANGE_TOPOLOGY", "grid")],
 )
 def test_malformed_variable_fails_fast(monkeypatch, variable, value):
     monkeypatch.setenv(variable, value)
@@ -75,20 +74,17 @@ def test_malformed_variable_fails_fast(monkeypatch, variable, value):
      ("0", False), ("false", False), ("NO", False), ("Off", False)],
 )
 def test_boolean_spellings(raw, expected):
-    config = RunConfig.from_env({"REPRO_WIRE_CHECKSUMS": raw, "REPRO_TRACE": raw})
-    assert config.wire_checksums is expected and config.trace is expected
+    assert RunConfig.from_env({"REPRO_TRACE": raw}).trace is expected
 
 
 @pytest.mark.parametrize("value", ["0", "false", 1])
-@pytest.mark.parametrize("name", ["trace", "wire_checksums"])
-def test_boolean_fields_take_only_bools(name, value):
+def test_boolean_fields_take_only_bools(value):
     # "0" and "false" are truthy strings: stored as given they would arm the
     # setting they mean to disarm
-    env = next(f.metadata["env"] for f in fields(RunConfig) if f.name == name)
-    with pytest.raises(ValueError, match=f"{name} \\({env}\\) must be a bool"):
-        RunConfig(**{name: value})
-    with pytest.raises(ValueError, match=env):
-        Cluster(num_pes=2, **{name: value})
+    with pytest.raises(ValueError, match=r"trace \(REPRO_TRACE\) must be a bool"):
+        RunConfig(trace=value)
+    with pytest.raises(ValueError, match="REPRO_TRACE"):
+        Cluster(num_pes=2, trace=value)
 
 
 def test_unset_or_empty_means_the_default():
@@ -101,7 +97,6 @@ def test_every_value_is_read():
     config = RunConfig.from_env(
         {
             "REPRO_EXCHANGE_TOPOLOGY": "hypercube",
-            "REPRO_WIRE_CHECKSUMS": "1",
             "REPRO_SPMD_TIMEOUT": "42.5",
             "REPRO_ENGINE": "processes",
             "REPRO_TRACE": "1",
@@ -109,7 +104,6 @@ def test_every_value_is_read():
     )
     assert config == RunConfig(
         exchange_topology="hypercube",
-        wire_checksums=True,
         timeout=42.5,
         engine="processes",
         trace=True,
@@ -128,7 +122,7 @@ def test_keywords_beat_the_environment(monkeypatch):
 
 def test_override_ignores_none():
     base = RunConfig(trace=True)
-    assert base.override(trace=None, wire_checksums=None) == base
+    assert base.override(trace=None, timeout=None) == base
     assert base.override(trace=False) == RunConfig()
 
 

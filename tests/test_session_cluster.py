@@ -215,19 +215,19 @@ class TestMachineModel:
 
 class TestRunConfig:
     def test_none_inherits_the_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE_CHECKSUMS", "1")
+        monkeypatch.setenv("REPRO_TRACE", "1")
         cluster = Cluster(num_pes=2, exchange_topology="hypercube")
         assert cluster.config == RunConfig.from_env().override(
             exchange_topology="hypercube"
         )
-        assert cluster.config.wire_checksums
+        assert cluster.config.trace
         assert cluster.config.exchange_topology == "hypercube"
         assert cluster.engine.config is cluster.config
         data = random_strings(60, 1, 6, seed=7)
         assert cluster.sort(data, MSSpec(), check=True).sorted_strings == sorted(data)
 
     def test_every_rank_sees_the_clusters_config(self):
-        cluster = Cluster(num_pes=3, exchange_topology="hypercube", wire_checksums=True)
+        cluster = Cluster(num_pes=3, exchange_topology="hypercube", timeout=7.0)
         results, _ = cluster.engine.run(lambda comm: comm.config)
         assert results == [cluster.config] * 3
 
@@ -254,18 +254,13 @@ def _paused_ms(first: threading.Event, then: threading.Event) -> MSSpec:
 
 
 @pytest.mark.parametrize(
-    "setting, mine, theirs",
-    [
-        ("wire_checksums", True, False),
-        ("exchange_topology", "hypercube", "direct"),
-    ],
+    "setting, mine, theirs", [("exchange_topology", "hypercube", "direct")]
 )
 def test_concurrent_clusters_keep_their_own_settings(setting, mine, theirs):
     """Regression: cluster A exchanges while cluster B's run is in flight.
 
     The settings once lived in process globals that each sort flipped for
-    its duration, so B starting its run switched A's exchange to B's value
-    (unsealed, A sent 1249 B here instead of its own sealed 1257 B).
+    its duration, so B starting its run switched A's exchange to B's value.
     """
     data = random_strings(400, 1, 8, seed=31)
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from engine_conformance import at_phase
+from repro.mpi.engine import SpmdError
 from repro.net.metrics import COUNTERS, TrafficMeter, TrafficReport
 from repro.session import BatchStream, Cluster, MSSpec, PDMSGolombSpec
 from repro.strings.generators import dn_instance, random_strings
@@ -99,15 +101,27 @@ class TestSortBatches:
             dn_instance(num_strings=200, dn=0.5, length=30, seed=6)
             for _ in range(2)
         ]
-        plain = Cluster(num_pes=3, wire_checksums=False)
-        sealed = Cluster(num_pes=3, wire_checksums=True)
-        a = plain.sort_batches(chunks, MSSpec()).run()
-        b = sealed.sort_batches(chunks, MSSpec()).run()
-        # 4 seal bytes on each of the 3 x 2 cross-PE blocks of both batches
-        assert (
-            b.merged_report.total_bytes_sent - a.merged_report.total_bytes_sent
-            == 2 * 6 * 4
-        )
+        direct = Cluster(num_pes=4, exchange_topology="direct")
+        routed = Cluster(num_pes=4, exchange_topology="hypercube")
+        a = direct.sort_batches(chunks, MSSpec()).run()
+        b = routed.sort_batches(chunks, MSSpec()).run()
+        # every batch of the routed cluster relays frames through the 2-cube
+        assert a.merged_report.forwarded_bytes == 0
+        assert b.merged_report.forwarded_bytes > 0
+        assert b.merged_report.origin_bytes_sent == a.merged_report.total_bytes_sent
+
+    def test_a_failed_batch_is_resorted_by_the_next_call(self):
+        chunks = [random_strings(60, 1, 10, seed=s) for s in (1, 2, 3)]
+        stream = Cluster(num_pes=2).sort_batches(iter(chunks), MSSpec())
+        assert next(stream).sorted_strings == sorted(chunks[0])
+        with at_phase("splitter-determination", rank=0), pytest.raises(SpmdError):
+            next(stream)  # chunk 1 fails ...
+        # ... and is sorted again, not skipped
+        assert next(stream).sorted_strings == sorted(chunks[1])
+        assert next(stream).sorted_strings == sorted(chunks[2])
+        with pytest.raises(StopIteration):
+            next(stream)
+        assert stream.batches_done == 3
 
 
 def _merge(reports):
@@ -161,9 +175,6 @@ class TestReportFold:
         Timelines concatenate (every span exactly once, dropped counts
         add); the merged report's metrics render counter series that are
         the batches' sums; the inputs stay unmutated.
-        The same ``TrafficReport.fold`` path also runs on fault-retry
-        folds, so this pins the no-lost/no-double-counted-span contract
-        for retries too.
         """
         res = [
             Cluster(num_pes=2, trace=True).sort(

@@ -11,15 +11,12 @@ them holds everything else to the values recorded before the hash changed.
 
 Every algorithm runs with its default spec on 1 and 4 PEs; every knob below
 runs on 4 PEs for each algorithm whose spec has the fields.  The cluster pins
-direct delivery and unsealed blocks, so no ``REPRO_*`` variable can move a
-digest.
+direct delivery, so no ``REPRO_*`` variable can move a digest.
 
 A second axis runs the six algorithms under the run configurations that
-used to be separate CI legs — hypercube routing — and under sealed
-blocks, sealed routing and traced ranks, and holds outputs, LCP arrays,
-origins and origin wire bytes to the default configuration's.  Sealing
-alone moves the origin bytes, by one CRC32 per sealed exchange block; the
-route frames' own seals do not.
+used to be separate CI legs — hypercube routing — and under traced ranks,
+and holds outputs, LCP arrays, origins and origin wire bytes to the
+default configuration's.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ import pytest
 
 from engine_conformance import PAPER_ALGORITHMS
 from repro import Cluster, RunConfig
-from repro.faults import CHECKSUM_WIRE_BYTES
 from repro.session import spec_class
 from repro.strings import dn_instance, dna_reads
 
@@ -96,12 +92,7 @@ def case_digests(algorithm, knobs, pes, engine):
     spec = spec_class(algorithm)(**knobs)
     digests, bytes_free = {}, {}
     for p in pes:
-        with Cluster(
-            p,
-            engine=engine,
-            exchange_topology="direct",
-            wire_checksums=False,
-        ) as cluster:
+        with Cluster(p, engine=engine, exchange_topology="direct") as cluster:
             for input_name, make in _INPUTS.items():
                 result = cluster.sort(make(), spec)
                 digests[f"{input_name}/p{p}"] = result_digest(result)
@@ -337,14 +328,11 @@ def test_result_digest_is_pinned(engine, case, algorithm, knobs, pes):
 #: every run setting at its default, except the engine (the test's axis)
 _DEFAULT_RUN = {f.name: f.default for f in fields(RunConfig) if f.name != "engine"}
 
-#: the run configurations that were once CI legs of their own, and the two
-#: boolean settings
+#: the run configuration that was once a CI leg of its own, and the
+#: boolean setting
 _CONFIG_AXIS = {
     "hypercube": {"exchange_topology": "hypercube"},
-    "sealed": {"wire_checksums": True},
     "traced": {"trace": True},
-    # route frames then carry seals of their own, on top of the blocks'
-    "sealed-hypercube": {"exchange_topology": "hypercube", "wire_checksums": True},
 }
 
 
@@ -366,17 +354,4 @@ def _observables(algorithm, engine, leg=None):
 @pytest.mark.parametrize("leg", sorted(_CONFIG_AXIS))
 @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
 def test_run_config_leaves_results_unchanged(engine, algorithm, leg):
-    *results, origin_bytes = _observables(algorithm, engine, leg)
-    *expected, expected_bytes = _observables(algorithm, engine)
-    assert results == expected
-    seal_bytes = origin_bytes - expected_bytes
-    if leg == "sealed":
-        # one CRC32 per sealed block; hypercube quicksort ships no blocks
-        assert seal_bytes % CHECKSUM_WIRE_BYTES == 0
-        assert (seal_bytes > 0) == (algorithm != "hquick")
-    elif leg == "sealed-hypercube":
-        # a route frame's seal is routing overhead: only the blocks' seals
-        # are origin volume, exactly as under direct delivery
-        assert origin_bytes == _observables(algorithm, engine, "sealed")[-1]
-    else:
-        assert seal_bytes == 0
+    assert _observables(algorithm, engine, leg) == _observables(algorithm, engine)

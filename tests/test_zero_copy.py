@@ -4,8 +4,7 @@ Rank programs exchange, merge and return :class:`PackedStringArray` runs,
 and ``to_list()`` copies a run's whole arena into python objects.  This
 gate records which function calls ``to_list`` on a rank's thread while the
 six paper algorithms plus ``auto`` sort the conformance corpus at p in
-{3, 4} over every exchange topology on the threads engine, unsealed and with
-``wire_checksums`` seals on blocks and route frames.  No caller is
+{3, 4} over every exchange topology on the threads engine.  No caller is
 allowed: MS-simple and FKmerge merge their packed runs with the local
 sort's word radix.  List views built on the main thread (a
 ``SortResult``'s, the output checkers') are outside the rank programs and
@@ -44,12 +43,10 @@ def materialising_callers(
     topology: str,
     spec_cls=None,
     strings=None,
-    sealed: bool = False,
 ) -> Set[str]:
     """Names of the functions that call ``to_list`` on a rank's thread
     while ``strings`` (default: the conformance corpus) are sorted by
-    ``spec_cls`` (default: ``algorithm``'s spec class), with blocks and
-    route frames ``sealed`` or not."""
+    ``spec_cls`` (default: ``algorithm``'s spec class)."""
     callers: Set[str] = set()
     to_list = PackedStringArray.to_list
 
@@ -68,24 +65,15 @@ def materialising_callers(
     monkeypatch.setattr(PackedStringArray, "to_list", recording)
     spec = (spec_cls or spec_class(algorithm))(seed=3)
     for p in NUM_PES:
-        with Cluster(
-            num_pes=p,
-            engine="threads",
-            exchange_topology=topology,
-            wire_checksums=sealed,
-        ) as cluster:
+        with Cluster(num_pes=p, engine="threads", exchange_topology=topology) as cluster:
             cluster.sort(
                 conformance_workload() if strings is None else strings, spec, check=True
             )
     return callers
 
 
-def assert_zero_copy(
-    monkeypatch, algorithm: str, topology: str, spec_cls=None, sealed: bool = False
-) -> None:
-    extra = materialising_callers(
-        monkeypatch, algorithm, topology, spec_cls, sealed=sealed
-    )
+def assert_zero_copy(monkeypatch, algorithm: str, topology: str, spec_cls=None) -> None:
+    extra = materialising_callers(monkeypatch, algorithm, topology, spec_cls)
     assert not extra, (
         f"{algorithm} over {topology}: to_list() called on a rank by {sorted(extra)}"
     )
@@ -98,15 +86,7 @@ def test_ranks_never_materialise(monkeypatch, algorithm, topology):
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_sealed_ranks_never_materialise(monkeypatch, algorithm, topology):
-    """Sealing checksums the packed arenas and route frames in place."""
-    assert_zero_copy(monkeypatch, algorithm, topology, sealed=True)
-
-
-@pytest.mark.parametrize("sealed", (False, True), ids=("unsealed", "sealed"))
-@pytest.mark.parametrize("topology", TOPOLOGIES)
-def test_the_merge_radix_stays_zero_copy(monkeypatch, topology, sealed):
+def test_the_merge_radix_stays_zero_copy(monkeypatch, topology):
     import repro.sequential.lcp_losertree as losertree
 
     merged = []
@@ -118,7 +98,7 @@ def test_the_merge_radix_stays_zero_copy(monkeypatch, topology, sealed):
 
     monkeypatch.setattr(losertree, "_word_radix", counting)
     extra = materialising_callers(
-        monkeypatch, "ms", topology, strings=shared_prefix(6000, seed=7), sealed=sealed
+        monkeypatch, "ms", topology, strings=shared_prefix(6000, seed=7)
     )
     assert not extra, f"ms over {topology}: to_list() called on a rank by {sorted(extra)}"
     # every rank of p = 3 and p = 4 merged on the radix
