@@ -36,8 +36,8 @@ Architecture
   LCP-compressed all-to-all (``exchange``), hypercube quicksort
   (``hquick``), Golomb-coded fingerprint duplicate detection
   (``golomb``/``duplicates``), the DIST-prefix approximation
-  (``prefix_doubling``), D/N estimation (``dn_estimator``) and the
-  merge-sort rank program whose spec switches its stages (``api``);
+  (``prefix_doubling``) and the merge-sort rank program whose spec
+  switches its stages (``api``);
 * :mod:`repro.session` — the public API: :class:`Cluster` sessions over a
   reusable simulated machine, the typed :class:`SortSpec` configuration
   hierarchy whose classes run their own rank programs, and streaming batch
@@ -67,7 +67,6 @@ try:
     from .net import MachineModel, DEFAULT_MACHINE
     from .sequential import sort_strings, sort_strings_with_lcp
     from .session import (
-        AutoSpec,
         Cluster,
         FKMergeSpec,
         HQuickSpec,
@@ -95,7 +94,6 @@ __all__ = [
     "MSSimpleSpec",
     "PDMSSpec",
     "PDMSGolombSpec",
-    "AutoSpec",
     "SortResult",
     "distribute_strings",
     "merge_sort",

@@ -14,8 +14,6 @@ Layering (each module usable and testable on its own):
 * :mod:`~repro.dist.golomb` / :mod:`~repro.dist.duplicates` — Golomb-coded
   sorted sets and distributed fingerprint duplicate detection;
 * :mod:`~repro.dist.prefix_doubling` — the DIST-prefix approximation;
-* :mod:`~repro.dist.dn_estimator` — sampling-based D/N estimation for the
-  ``auto`` algorithm;
 * :mod:`~repro.dist.api` — the merge-sort SPMD rank program, which reads
   its knobs and stage switches off a :class:`~repro.session.SortSpec`, and the
   :class:`SortResult`/:class:`RankOutput` result shapes (callers sort
@@ -29,7 +27,6 @@ from .api import (
     hquick_sort,
     merge_sort,
 )
-from .dn_estimator import DnEstimate, estimate_dn_ratio, recommend_algorithm
 from .exchange import exchange_buckets
 from .prefix_doubling import PrefixDoublingResult, approximate_dist_prefixes
 
@@ -40,9 +37,6 @@ __all__ = [
     "distribute_strings",
     "hquick_sort",
     "merge_sort",
-    "DnEstimate",
-    "estimate_dn_ratio",
-    "recommend_algorithm",
     "PrefixDoublingResult",
     "approximate_dist_prefixes",
 ]

@@ -21,7 +21,6 @@ redesign:
 from .cluster import Cluster
 from .specs import (
     SPECS,
-    AutoSpec,
     FKMergeSpec,
     HQuickSpec,
     MSSimpleSpec,
@@ -47,5 +46,4 @@ __all__ = [
     "MSSimpleSpec",
     "PDMSSpec",
     "PDMSGolombSpec",
-    "AutoSpec",
 ]

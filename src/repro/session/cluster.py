@@ -35,17 +35,25 @@ from .stream import BatchStream
 __all__ = ["Cluster"]
 
 
-def _merge_rank_extras(results: List[RankOutput]) -> Dict[str, Any]:
+def _merge_rank_extras(spec: SortSpec, results: List[Any]) -> Dict[str, Any]:
     """Aggregate per-rank ``extra`` dicts, asserting the ranks agree.
 
-    Reporting ``results[0].extra`` alone would let a bug in the
-    (collective) estimate of ``AutoSpec`` have ranks silently pick
-    different algorithms.  Here every rank's extras are combined and any
+    Every rank must have returned a :class:`RankOutput`; a ``run`` that
+    returns anything else (say, one that forgets its ``return``) raises a
+    :class:`TypeError` naming the spec class and the first such rank.
+    Reporting ``results[0].extra`` alone would let a rank-dependent bug in
+    a spec's statistics (PDMS's doubling rounds, a custom spec's own keys)
+    pass silently, so every rank's extras are combined and any
     disagreement on a shared key raises.
     """
     merged: Dict[str, Any] = {}
     owner: Dict[str, int] = {}
     for rank, output in enumerate(results):
+        if not isinstance(output, RankOutput):
+            raise TypeError(
+                f"{type(spec).__name__}.run returned {type(output).__name__} "
+                f"on rank {rank}, not a RankOutput"
+            )
         for key, value in output.extra.items():
             if key in merged:
                 if merged[key] != value:
@@ -250,7 +258,7 @@ class Cluster:
             inputs_per_pe=blocks,
             rank_outputs=results,
             report=report,
-            extra=_merge_rank_extras(results),
+            extra=_merge_rank_extras(spec, results),
             machine=self.machine,
         )
 

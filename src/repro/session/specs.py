@@ -17,7 +17,6 @@ The hierarchy mirrors the paper's algorithm families:
 :class:`MSSpec`          merge sort with LCP compression + LCP-aware merge
 :class:`PDMSSpec`        prefix-doubling merge sort (Section VI)
 :class:`PDMSGolombSpec`  PDMS with Golomb-coded fingerprints
-:class:`AutoSpec`        run-time D/N estimate picks ms vs pdms-golomb
 =================== =======================================================
 
 The spec class is the algorithm: :meth:`SortSpec.run` is its SPMD rank
@@ -34,7 +33,6 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, ClassVar, Dict, Mapping, Optional, Sequence, Type
 
 from ..dist.api import RankOutput, merge_sort
-from ..dist.dn_estimator import estimate_dn_ratio, recommend_algorithm
 from ..dist.hquick import hquick_sort
 from ..mpi.comm import Communicator
 
@@ -49,7 +47,6 @@ __all__ = [
     "MSSimpleSpec",
     "PDMSSpec",
     "PDMSGolombSpec",
-    "AutoSpec",
 ]
 
 _DISTRIBUTE_BY = ("strings", "chars")
@@ -82,8 +79,9 @@ class SortSpec:
         ``"chars"`` balances character mass (the right notion for
         length-skewed workloads, Section VII-E).
     seed:
-        Randomisation seed (hQuick pivots, D/N estimation); never affects
-        the sorted output.
+        Randomisation seed of hQuick's pivots; only :class:`HQuickSpec`
+        reads it, and it never affects the sorted output.  It stays a
+        field of every spec so that no spec's ``config_hash`` moves.
     exchange_topology:
         Delivery strategy of the bucket all-to-all (Section II):
         ``"direct"`` (one message per destination), ``"hypercube"``
@@ -324,30 +322,6 @@ class PDMSGolombSpec(PDMSSpec):
     golomb: ClassVar[bool] = True
 
 
-@dataclass(frozen=True)
-class AutoSpec(PDMSSpec):
-    """Run-time algorithm selection via the sampled D/N estimate.
-
-    Carries the union of the MS and PDMS knobs; whichever algorithm the
-    estimate picks (``ms`` or ``pdms-golomb``) uses its subset.
-    """
-
-    algorithm: ClassVar[str] = "auto"
-
-    def run(self, comm: Communicator, local: Sequence) -> RankOutput:
-        """Estimate D/N, then run the chosen algorithm with this spec's knobs."""
-        # the D/N estimate is a collective, so every rank agrees on the choice;
-        # Cluster.sort's extras merge still asserts that agreement explicitly
-        estimate = estimate_dn_ratio(comm, local, seed=self.seed)
-        chosen = recommend_algorithm(estimate)
-        spec_cls = SPECS[chosen]
-        chosen_spec = spec_cls(**{f.name: getattr(self, f.name) for f in fields(spec_cls)})
-        output = merge_sort(comm, local, chosen_spec)
-        output.extra["chosen_algorithm"] = chosen
-        output.extra["estimated_dn"] = estimate.dn_ratio
-        return output
-
-
 #: algorithm name -> the spec class that configures and runs it
 SPECS: Dict[str, Type[SortSpec]] = {
     spec_cls.algorithm: spec_cls
@@ -358,7 +332,6 @@ SPECS: Dict[str, Type[SortSpec]] = {
         MSSpec,
         PDMSSpec,
         PDMSGolombSpec,
-        AutoSpec,
     )
 }
 

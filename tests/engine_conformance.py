@@ -64,8 +64,7 @@ PAPER_ALGORITHMS = ("ms", "ms-simple", "pdms", "pdms-golomb", "hquick", "fkmerge
 TOPOLOGIES = ("direct", "hypercube")
 #: the phases MS's rank program enters, in order
 MS_PHASES = ("local-sort", "splitter-determination", "exchange", "merge")
-#: the phases each algorithm's rank program enters, in order (``auto``
-#: estimates D/N first and picks MS on the conformance corpus)
+#: the phases each algorithm's rank program enters, in order
 ALGORITHM_PHASES = {
     "ms": MS_PHASES,
     "ms-simple": MS_PHASES,
@@ -73,7 +72,6 @@ ALGORITHM_PHASES = {
     "pdms": MS_PHASES[:1] + ("prefix-doubling",) + MS_PHASES[1:],
     "pdms-golomb": MS_PHASES[:1] + ("prefix-doubling",) + MS_PHASES[1:],
     "hquick": ("hquick-fold", "hquick-partition", "hquick-local-sort"),
-    "auto": ("dn-estimation",) + MS_PHASES,
 }
 #: the delivery routes, as ``(exchange topology, PEs)``: at p = 3 the
 #: hypercube falls back to one direct round
@@ -82,9 +80,8 @@ ROUTES = {
     "hypercube": ("hypercube", 4),
     "hypercube-fallback": ("hypercube", 3),
 }
-#: the traced corpus (:func:`trace_runs`): the six algorithms plus ``auto``
-#: over every topology at p = 3 and 4 (p = 3 runs hQuick's fold)
-CORPUS_ALGORITHMS = PAPER_ALGORITHMS + ("auto",)
+#: the traced corpus (:func:`trace_runs`): the six algorithms over every
+#: topology at p = 3 and 4 (p = 3 runs hQuick's fold)
 CORPUS_PES = (3, 4)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -450,7 +447,7 @@ def _namespace_changes(
 def trace_runs(
     num_pes: Iterable[int] = CORPUS_PES,
     topologies: Iterable[str] = TOPOLOGIES,
-    algorithms: Iterable[str] = CORPUS_ALGORITHMS,
+    algorithms: Iterable[str] = PAPER_ALGORITHMS,
     watched: Iterable[str] = (),
 ) -> CorpusTrace:
     """Sort the corpus in every cell on the threads engine, tracing the rank threads.

@@ -27,7 +27,6 @@ REQUIRED: Dict[str, List[str]] = {
         "SortSpec.run",
         "HQuickSpec.run",
         "_MergeSortSpec.run",
-        "AutoSpec.run",
     ],
     "repro/session/stream.py": ["BatchStream"],
     "repro/dist/exchange.py": [

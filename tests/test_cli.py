@@ -184,7 +184,7 @@ class TestAlgorithmsCommand:
         code = main(["algorithms"])
         assert code == 0
         out = capsys.readouterr().out
-        for name in ("hquick", "fkmerge", "ms-simple", "ms", "pdms", "pdms-golomb", "auto"):
+        for name in ("hquick", "fkmerge", "ms-simple", "ms", "pdms", "pdms-golomb"):
             assert name in out
         assert "config=" in out and "epsilon" in out
 
@@ -194,7 +194,7 @@ class TestAlgorithmsCommand:
         code = main(["algorithms", "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert len(payload) >= 7
+        assert len(payload) == 6
         for entry in payload:
             spec = SortSpec.from_dict(entry)
             assert spec.to_dict() == entry

@@ -17,7 +17,7 @@ from repro.strings.generators import commoncrawl_like, dna_reads
 _DATA = commoncrawl_like(500, seed=201)
 
 
-@pytest.mark.parametrize("algorithm", sorted(PAPER_ALGORITHMS) + ["auto"])
+@pytest.mark.parametrize("algorithm", sorted(PAPER_ALGORITHMS))
 def test_metrics_finite_and_positive(algorithm):
     res = Cluster(4).sort(_DATA, spec_class(algorithm)(seed=1))
     bps = res.bytes_per_string()

@@ -29,7 +29,7 @@ INSTANCES = {
 
 def test_specs_cover_all_paper_algorithms():
     assert set(PAPER_ALGORITHMS) == set(FULL_STRING_ALGORITHMS) | set(PREFIX_ALGORITHMS)
-    assert set(SPECS) == set(PAPER_ALGORITHMS) | {"auto"}
+    assert set(SPECS) == set(PAPER_ALGORITHMS)
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))

@@ -21,9 +21,10 @@ engine to report that rank's own exception as the cause;
 engine to finish the sort with the reference fingerprint, not to take the
 wait for a deadlock.  Both run MS over direct delivery;
 ``TestPhasesOfEveryAlgorithm`` holds every phase of every algorithm to the
-same two contracts over each delivery route (``TestPhaseTable`` pins the
-phases it strikes), and ``TestRunAfterAFailedRun`` sorts again on the
-cluster a failed run left behind.
+same two contracts over each delivery route on the threads and the
+processes engine (``TestPhaseTable`` pins the phases it strikes), and
+``TestRunAfterAFailedRun`` sorts again on the cluster a failed run left
+behind.
 
 ``TestSeededMutations`` holds the two test-only engines to what they are
 for: each catches a seeded bug that the threads engine runs the same way
@@ -51,7 +52,6 @@ import pytest
 
 from engine_conformance import (
     ALGORITHM_PHASES,
-    CORPUS_ALGORITHMS,
     MS_PHASES,
     PAPER_ALGORITHMS,
     REFERENCE_ENGINE,
@@ -154,19 +154,12 @@ def expected_collectives(algorithm, topology, num_pes=4):
             + sample_sort
             + [("allreduce", "unlabelled")] * 2
         )
-    if algorithm == "auto":
-        # the D/N estimate: total strings and characters, then a sample
-        estimate = [("allreduce", "dn-estimation")] * 2 + [
-            ("gather", "dn-estimation"),
-            ("bcast", "dn-estimation"),
-        ]
-        return estimate + sample_sort
     return sample_sort  # ms, ms-simple, fkmerge
 
 
 class TestCommGraph:
     @pytest.mark.parametrize("topology", TOPOLOGIES)
-    @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS + ("auto",))
+    @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
     def test_recorded_collective_sequence(self, algorithm, topology):
         recorded = _reference(algorithm, topology)["collectives"]
         assert [(kind, phase) for kind, phase, _ in recorded] == expected_collectives(
@@ -174,7 +167,7 @@ class TestCommGraph:
         )
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
-    @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS + ("auto",))
+    @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
     def test_three_pe_collective_sequence(self, algorithm, topology):
         """Off a power of two both deliveries record the same plain alltoall."""
         recorded = _reference(algorithm, topology, num_pes=3)["collectives"]
@@ -329,16 +322,15 @@ class TestHeldBackRank:
 
 def _phase_cells():
     """``(engine, route, algorithm, phase)`` for every phase of every
-    algorithm: over each route on the reference engine, over direct
-    delivery on the processes engine.  MS over direct delivery is left to
-    :class:`TestRootCause` and :class:`TestHeldBackRank`, which run it on
-    every engine."""
+    algorithm over each route on the reference and the processes engine.
+    MS over direct delivery is left to :class:`TestRootCause` and
+    :class:`TestHeldBackRank`, which run it on every engine."""
     cells = []
-    for engine, routes in ((REFERENCE_ENGINE, tuple(ROUTES)), ("processes", ("direct",))):
+    for engine in (REFERENCE_ENGINE, "processes"):
         ok, reason = engine_available(engine)
         marks = () if ok else (pytest.mark.skip(reason=reason),)
-        for route in routes:
-            for algorithm in CORPUS_ALGORITHMS:
+        for route in ROUTES:
+            for algorithm in PAPER_ALGORITHMS:
                 if algorithm == "ms" and route == "direct":
                     continue
                 for phase in ALGORITHM_PHASES[algorithm]:
@@ -352,7 +344,7 @@ def _phase_cells():
 
 
 class TestPhaseTable:
-    @pytest.mark.parametrize("algorithm", CORPUS_ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
     @pytest.mark.parametrize("route", ROUTES)
     def test_the_table_lists_every_phase_a_rank_enters(self, monkeypatch, algorithm, route):
         """``ALGORITHM_PHASES`` is what rank 1 enters, in order, so the
@@ -411,7 +403,7 @@ class TestPhasesOfEveryAlgorithm:
 
 class TestRunAfterAFailedRun:
     @pytest.mark.parametrize("engine", engine_params(test_engines=False))
-    @pytest.mark.parametrize("algorithm", CORPUS_ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
     def test_the_cluster_sorts_again_after_a_failed_run(self, engine, algorithm):
         """A rank fails in the last phase, once the run has built the most
         state; the same cluster's next sort matches the reference."""

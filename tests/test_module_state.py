@@ -4,9 +4,9 @@ Ranks of the paper's MPI programs share no memory: what one rank writes
 into a module global, another rank on another PE never sees.  The threads
 engine runs every rank in one interpreter, so such a write would pass
 silently there and leak between ranks.  This gate reads the session's
-``corpus_trace`` (``tests/conftest.py``: the six paper algorithms plus
-``auto`` over every exchange topology at p in {3, 4}, every rank thread
-traced) and requires:
+``corpus_trace`` (``tests/conftest.py``: the six paper algorithms over
+every exchange topology at p in {3, 4}, every rank thread traced) and
+requires:
 
 * no ``STORE_GLOBAL`` or ``DELETE_GLOBAL`` ran in a ``src/repro`` frame on a
   rank thread;

@@ -5,9 +5,8 @@ This gate finds every ``if`` whose condition reads ``comm.rank``, a rank
 alias (``rank = comm.rank``) or ``comm.is_root()`` inside the rank programs
 of ``src/repro/dist`` and ``src/repro/net``, then reads the session's
 ``corpus_trace`` (``tests/conftest.py``: the conformance corpus sorted with
-the six paper algorithms plus ``auto`` at p in {3, 4} over every exchange
-topology on the threads engine, tracing the lines of the rank threads) and
-asserts that each such branch took its true arm and its false arm.  p = 3
+the six paper algorithms at p in {3, 4} over every exchange topology on
+the threads engine, tracing the lines of the rank threads) and asserts that each such branch took its true arm and its false arm.  p = 3
 is needed: at p = 4 hQuick's non-power-of-two fold never runs.
 """
 
@@ -120,16 +119,15 @@ def fell_through(branch: Branch, steps) -> bool:
 
 
 def test_the_finder_sees_the_known_branches():
-    # hQuick's fold and subcube tests, the root-only estimator and splitter
-    # sort, and the router's self-delivery and arrival dispatch
+    # hQuick's fold and subcube tests, the root-only splitter sort, and the
+    # router's self-delivery and arrival dispatch
     files = {str(Path(b.path).relative_to(SRC)) for b in BRANCHES}
     assert files == {
         "dist/hquick.py",
-        "dist/dn_estimator.py",
         "dist/splitters.py",
         "net/router.py",
     }, BRANCHES
-    assert len(BRANCHES) >= 8, BRANCHES
+    assert len(BRANCHES) >= 7, BRANCHES
 
 
 @pytest.mark.parametrize("branch", BRANCHES, ids=repr)

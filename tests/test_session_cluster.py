@@ -448,12 +448,6 @@ class TestCustomAlgorithms:
 
 
 class TestExtrasAggregation:
-    def test_auto_reports_agreed_choice(self):
-        data = dn_instance(num_strings=300, dn=0.3, length=40, seed=10)
-        res = Cluster(num_pes=4).sort(data, "auto", check=True)
-        assert res.extra["chosen_algorithm"] in ("ms", "pdms-golomb")
-        assert "estimated_dn" in res.extra
-
     def test_disagreeing_extras_raise(self):
         @dataclass(frozen=True)
         class RankStampSpec(MSSpec):
@@ -465,10 +459,32 @@ class TestExtrasAggregation:
         with pytest.raises(SpmdError, match="disagree"):
             Cluster(num_pes=2).sort([b"a", b"b"], RankStampSpec())
 
-    def test_auto_aggregates_on_a_high_dn_input(self):
-        data = dn_instance(num_strings=200, dn=0.9, length=30, seed=11)
-        res = Cluster(num_pes=3).sort(data, "auto")
-        assert res.extra["chosen_algorithm"] in ("ms", "pdms-golomb")
+
+@dataclass(frozen=True)
+class ForgetfulSpec(MSSpec):
+    """Rank 2's ``run`` forgets its ``return``."""
+
+    algorithm = "forgetful"
+
+    def run(self, comm, local):
+        output = super().run(comm, local)
+        if comm.rank != 2:
+            return output
+
+
+class TestRunMustReturnARankOutput:
+    MESSAGE = "ForgetfulSpec.run returned NoneType on rank 2, not a RankOutput"
+
+    def test_sort_names_the_spec_and_the_rank(self):
+        data = dn_instance(num_strings=80, dn=0.5, length=20, seed=12)
+        with pytest.raises(TypeError, match=self.MESSAGE):
+            Cluster(num_pes=4).sort(data, ForgetfulSpec())
+
+    def test_sort_batches_names_the_spec_and_the_rank(self):
+        batches = [dn_instance(num_strings=80, dn=0.5, length=20, seed=13)]
+        stream = Cluster(num_pes=4).sort_batches(batches, ForgetfulSpec())
+        with pytest.raises(TypeError, match=self.MESSAGE):
+            next(stream)
 
 
 class TestDistributeStrings:

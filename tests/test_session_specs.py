@@ -10,7 +10,6 @@ import pytest
 
 from repro.session import (
     SPECS,
-    AutoSpec,
     FKMergeSpec,
     HQuickSpec,
     MSSimpleSpec,
@@ -28,7 +27,6 @@ ALL_SPEC_CLASSES = [
     MSSimpleSpec,
     PDMSSpec,
     PDMSGolombSpec,
-    AutoSpec,
 ]
 
 NON_DEFAULT = {
@@ -38,7 +36,6 @@ NON_DEFAULT = {
     MSSimpleSpec: dict(oversampling=2, local_sorter="multikey_quicksort"),
     PDMSSpec: dict(epsilon=0.5, initial_length=8),
     PDMSGolombSpec: dict(epsilon=3.0, sampling="character"),
-    AutoSpec: dict(seed=11, initial_length=4),
 }
 
 

@@ -50,7 +50,7 @@ _KNOBS = {
 
 def _cases():
     """``(case id, algorithm, knobs, PE counts)`` of every pinned case."""
-    for name in PAPER_ALGORITHMS + ("auto",):
+    for name in PAPER_ALGORITHMS:
         yield name, name, {}, (1, 4)
         known = {f.name for f in fields(spec_class(name))}
         for label, knobs in _KNOBS.items():
@@ -102,9 +102,9 @@ def case_digests(algorithm, knobs, pes, engine):
 
 #: case id -> ``{"<input>/p<p>": result digest}``; the ``ms-simple`` and
 #: ``fkmerge`` digests were re-recorded when their merge moved onto the word
-#: radix, which moved only the characters inspected per PE, and the ``pdms``,
-#: ``pdms-golomb`` and ``auto`` ones when duplicate detection began sending
-#: each fingerprint value once per PE, which moved only the total bytes sent
+#: radix, which moved only the characters inspected per PE, and the ``pdms``
+#: and ``pdms-golomb`` ones when duplicate detection began sending each
+#: fingerprint value once per PE, which moved only the total bytes sent
 EXPECTED = {
     "ms": {
         "dn/p1": "827dd32b31ee1ae078fa996d4a58ce6917ff70ab76c88228c540c920cc9d9dce",
@@ -250,36 +250,6 @@ EXPECTED = {
         "dn/p4": "170b4378bfda2924df2b6ef896720df6708954e6e50f4e7a1e875a6831980318",
         "dna/p4": "af6b18142bee2dd6853bca4a2093fe6df1dabda2ed2df47540d8c31b94c88c16",
     },
-    "auto": {
-        "dn/p1": "f52a5033718253fbf28bdca6cb0721245edc43d632ef86b8dd3df4fdd02e5254",
-        "dna/p1": "084f8644a0271fa393a868a3d7f56fe575796c4727ad834f392399beaf8f1d25",
-        "dn/p4": "06ca08452dcb1e226f829994cc0297a99866332f23be642c5d0d8d25c58e1d76",
-        "dna/p4": "c474d782fc33792cd8a9efc2bca2645c07b376080cff9726ca2d1f4411692709",
-    },
-    "auto[sampling=character]": {
-        "dn/p4": "2c02a95658069b63600ec8802177eb0489697ee48b7f88edcb565643ef5ac6d8",
-        "dna/p4": "2ff23f452446f3030885c3b8f9b845b556ef2b31e0fa83d7d9c45d077353fa31",
-    },
-    "auto[sample_sort=hquick]": {
-        "dn/p4": "773d05a4949f1cbdcdf723c79bee97ab639e3c587b4f0aa2081da276b92ae9d8",
-        "dna/p4": "712f863a8197bff2600771129169c7f728fba26121b32377832d3a8485e6bc22",
-    },
-    "auto[oversampling=3]": {
-        "dn/p4": "c76bd3aa3f6d21dd9dbb44045e18550acd3a931cbf8ed557c5e301f654154692",
-        "dna/p4": "154de22ad2ec2b6a8e04e1323e08491f764982b3ae81d5f36b86346792ea8a51",
-    },
-    "auto[local_sorter=multikey_quicksort]": {
-        "dn/p4": "394359b629448b318133bda18c2f9a3c1730a1c40dade0a0ec087fd52066af98",
-        "dna/p4": "ceb266cea1c5a782e606ae0f684b57107f6b34413ea19b1ac5118c043934861f",
-    },
-    "auto[epsilon=0.5,initial_length=2]": {
-        "dn/p4": "06ca08452dcb1e226f829994cc0297a99866332f23be642c5d0d8d25c58e1d76",
-        "dna/p4": "53d5253d43608667b4473bb7710034e28d35bd02cac84e23eeb5bc8d5806e125",
-    },
-    "auto[exchange_topology=hypercube]": {
-        "dn/p4": "97aa9721eaaedbfb3c8d48aa201ef334e20f2d69d273897671c1782d69a8972f",
-        "dna/p4": "bed16f32faee9ad92f494ab1baabf35eedc8791f1748ca8dffeedc71c4965410",
-    },
 }
 
 #: cases whose wire bytes follow the fingerprint hash -> ``{"<input>/p<p>":
@@ -303,13 +273,6 @@ BYTES_FREE = {
     "pdms-golomb[local_sorter=multikey_quicksort]": {"dn/p4": "3ddb26fab7f09551", "dna/p4": "41f0c647e46b2b9e"},
     "pdms-golomb[epsilon=0.5,initial_length=2]": {"dn/p4": "9caf748127d87613", "dna/p4": "28e3881ebeea8aae"},
     "pdms-golomb[exchange_topology=hypercube]": {"dn/p4": "49c6c8b2efba349d", "dna/p4": "3698c4c42f8e925b"},
-    "auto": {"dna/p4": "756c044ae28bc756"},
-    "auto[sampling=character]": {"dna/p4": "a9f85ad89f43f96b"},
-    "auto[sample_sort=hquick]": {"dna/p4": "887951c851a2bb70"},
-    "auto[oversampling=3]": {"dna/p4": "1217194e5d39e5ac"},
-    "auto[local_sorter=multikey_quicksort]": {"dna/p4": "e0a3079b6b459b82"},
-    "auto[epsilon=0.5,initial_length=2]": {"dna/p4": "410a78fb08be506d"},
-    "auto[exchange_topology=hypercube]": {"dna/p4": "756c044ae28bc756"},
 }
 
 _CASES = list(_cases())

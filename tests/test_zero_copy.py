@@ -3,7 +3,7 @@
 Rank programs exchange, merge and return :class:`PackedStringArray` runs,
 and ``to_list()`` copies a run's whole arena into python objects.  This
 gate records which function calls ``to_list`` on a rank's thread while the
-six paper algorithms plus ``auto`` sort the conformance corpus at p in
+six paper algorithms sort the conformance corpus at p in
 {3, 4} over every exchange topology on the threads engine.  No caller is
 allowed: MS-simple and FKmerge merge their packed runs with the local
 sort's word radix.  List views built on the main thread (a
@@ -33,7 +33,6 @@ from repro.dist.exchange import LcpCompressedBlock
 from repro.session import Cluster, MSSimpleSpec, MSSpec, spec_class
 from repro.strings.packed import PackedStringArray
 
-ALGORITHMS = PAPER_ALGORITHMS + ("auto",)
 NUM_PES = (3, 4)
 
 
@@ -80,7 +79,7 @@ def assert_zero_copy(monkeypatch, algorithm: str, topology: str, spec_cls=None) 
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
 def test_ranks_never_materialise(monkeypatch, algorithm, topology):
     assert_zero_copy(monkeypatch, algorithm, topology)
 
