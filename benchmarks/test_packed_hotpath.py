@@ -5,7 +5,8 @@ the packed representation carried end-to-end (sort → exchange → merge):
 
 * ``sort``       — local sort of the unsorted block (vectorized
   ``np.argsort``/``np.lexsort`` key sort vs the scalar MSD radix
-  recursion; packing cost charged to the packed side);
+  recursion, the oracle ``oracles.msd_radix``; packing cost charged to
+  the packed side);
 * ``lcp``        — LCP array of the locally sorted run (packing included);
 * ``partition``  — cutting the run into per-destination buckets;
 * ``encode``     — LCP front coding of every bucket: the packed side clips
@@ -50,13 +51,13 @@ import pytest
 from conftest import results_path, scaled
 from oracles.lcp import lcp
 from oracles.losertree import lcp_multiway_merge
+from oracles.msd_radix import msd_radix_sort
 from repro.bench.harness import peak_rss_bytes
 from repro.dist.exchange import LcpCompressedBlock
 from repro.dist.partition import split_into_buckets, string_based_samples, select_splitters
-from repro.sequential import sort_strings_with_lcp
 from repro.sequential.lcp_losertree import lcp_multiway_merge_packed
 from repro.mpi.serialization import varint_size
-from repro.sequential.msd_radix import msd_radix_sort
+from repro.sequential.vector_sort import vector_sort_with_lcp
 from repro.strings.generators import commoncrawl_like
 from repro.strings.packed import PackedStringArray, packed_lcp_array
 
@@ -151,7 +152,7 @@ def _timed(fn, reps=4):
 def local_run():
     """One PE's unsorted block, its sorted run, and splitters."""
     corpus = commoncrawl_like(NUM_STRINGS, seed=11)
-    srt, lcps = sort_strings_with_lcp(corpus)
+    srt, lcps = msd_radix_sort(corpus)
     samples = string_based_samples(srt, 16 * NUM_DESTINATIONS)
     splitters = select_splitters(sorted(samples), NUM_DESTINATIONS)
     return corpus, srt, lcps, splitters
@@ -160,7 +161,7 @@ def local_run():
 def _measure_pipelines(corpus, srt, splitters):
     """One measurement pass: per-stage best-of-reps times for both paths."""
     # -- scalar pipeline (the pre-packed code path) ----------------------------
-    t_sort_s, (sorted_s, sort_lcps_s) = _timed(lambda: sort_strings_with_lcp(corpus))
+    t_sort_s, (sorted_s, sort_lcps_s) = _timed(lambda: msd_radix_sort(corpus))
     t_lcp_s, h_s = _timed(lambda: _scalar_lcp_array(srt))
     t_part_s, buckets_s = _timed(lambda: split_into_buckets(srt, h_s, splitters))
     t_enc_s, blocks_s = _timed(lambda: [_scalar_encode(s, h) for s, h in buckets_s])
@@ -174,7 +175,7 @@ def _measure_pipelines(corpus, srt, splitters):
 
     # -- packed pipeline (packing cost charged to sort / lcp) ------------------
     t_sort_p, (sorted_p, sort_lcps_p) = _timed(
-        lambda: msd_radix_sort(PackedStringArray.from_strings(corpus))
+        lambda: vector_sort_with_lcp(PackedStringArray.from_strings(corpus))
     )
 
     def packed_lcp():

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sequential import CharStats, multiway_merge, sort_strings_with_lcp
+from repro.sequential import CharStats, multiway_merge
 from repro.strings.generators import commoncrawl_like, dn_instance, random_strings
 from repro.strings.lcp import lcp_array
 
 from conftest import scaled
 from oracles.losertree import lcp_multiway_merge
+from oracles.sorters import SORTERS as ORACLES
 
 N = scaled(3000)
 
@@ -26,6 +27,7 @@ INPUTS = {
     "web": commoncrawl_like(N, seed=3),
 }
 
+#: the scalar sorters timed, test oracles of the local sort
 SORTERS = ("msd_radix", "multikey_quicksort", "lcp_mergesort", "timsort")
 
 
@@ -33,7 +35,7 @@ SORTERS = ("msd_radix", "multikey_quicksort", "lcp_mergesort", "timsort")
 @pytest.mark.parametrize("sorter", SORTERS)
 def test_sequential_sorter(benchmark, sorter, input_name):
     data = INPUTS[input_name]
-    out, _ = benchmark(sort_strings_with_lcp, data, sorter)
+    out, _ = benchmark(ORACLES[sorter], data)
     assert out == sorted(data)
 
 

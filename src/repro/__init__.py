@@ -65,7 +65,7 @@ try:
     )
     from .mpi import Communicator, run_spmd
     from .net import MachineModel, DEFAULT_MACHINE
-    from .sequential import sort_strings, sort_strings_with_lcp
+    from .sequential import sort_strings_with_lcp
     from .session import (
         Cluster,
         FKMergeSpec,
@@ -102,7 +102,6 @@ __all__ = [
     "run_spmd",
     "MachineModel",
     "DEFAULT_MACHINE",
-    "sort_strings",
     "sort_strings_with_lcp",
     "StringSet",
     "__version__",

@@ -136,7 +136,7 @@ def merge_sort(comm: Communicator, strings: Sequence[bytes], spec: Any) -> RankO
     local sort's word radix over the runs back to back); ``returns_lcps``
     returns the output's ``int64`` LCP array.
     """
-    local_sorted, lcps = local_sort(comm, strings, spec.local_sorter)
+    local_sorted, lcps = local_sort(comm, strings)
     doubling = starts = origins = None
     if spec.prefix_doubling:
         doubling = approximate_dist_prefixes(

@@ -85,7 +85,6 @@ def hquick_sort(
     comm: Communicator,
     strings: Sequence[bytes],
     seed: int = 0,
-    local_sorter: str = "msd_radix",
 ) -> Tuple[PackedStringArray, np.ndarray]:
     """Sort the distributed string array with hypercube quicksort.
 
@@ -135,4 +134,4 @@ def hquick_sort(
                 )
                 local = keep + received
 
-    return local_sort(comm, local, local_sorter, phase="hquick-local-sort")
+    return local_sort(comm, local, phase="hquick-local-sort")

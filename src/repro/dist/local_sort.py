@@ -12,27 +12,24 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ..mpi.comm import Communicator
-from ..sequential import sort_strings_with_lcp
 from ..sequential.stats import CharStats
+from ..sequential.vector_sort import vector_sort_with_lcp
 from ..strings.packed import PackedStringArray
 
 __all__ = ["local_sort"]
 
 
 def local_sort(
-    comm: Communicator, strings: Sequence[bytes], sorter: str, phase: str = "local-sort"
+    comm: Communicator, strings: Sequence[bytes], phase: str = "local-sort"
 ) -> Tuple[PackedStringArray, np.ndarray]:
     """Sort ``strings`` into a packed run and ``int64`` LCPs inside ``phase``.
 
-    ``msd_radix`` sorts the packed block (zero-copy when it already is one)
-    with the vectorized sorter, the argsort or the word radix kernel, and
-    gets a packed run back.  The other sorters run over ``list[bytes]``;
-    their output is packed once here.
+    The block is packed once (zero-copy when it already is) and sorted by
+    the vectorized sorter, the argsort or the word radix kernel.
     """
-    if sorter == "msd_radix":
-        strings = PackedStringArray.from_strings(strings)
+    block = PackedStringArray.from_strings(strings)
     with comm.phase(phase):
         stats = CharStats()
-        out, lcps = sort_strings_with_lcp(strings, sorter, stats)
+        out, lcps = vector_sort_with_lcp(block, stats)
         comm.record_local_work(stats.chars_inspected, len(out))
-    return PackedStringArray.from_strings(out), np.asarray(lcps, dtype=np.int64)
+    return out, lcps

@@ -45,7 +45,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..config import RunConfig
 from ..net.metrics import TrafficMeter, TrafficReport
-from ..obs.recorder import DEFAULT_CAPACITY, Recorder
+from ..obs.recorder import Recorder
 from ..obs.timeline import Timeline
 from .comm import Communicator, SpmdError
 
@@ -289,14 +289,12 @@ class ThreadEngine:
         self,
         num_pes: int,
         config: Optional[RunConfig] = None,
-        trace_capacity: int = DEFAULT_CAPACITY,
     ):
         if num_pes <= 0:
             raise ValueError("num_pes must be positive")
         self.num_pes = num_pes
         #: the run configuration every rank sees as ``comm.config``
         self.config = RunConfig.from_env() if config is None else config
-        self.trace_capacity = trace_capacity
         self._state: Optional[_SharedState] = None
         # one machine runs one SPMD program at a time: concurrent run()
         # calls on the same engine serialise here (sharing one board and
@@ -363,7 +361,7 @@ class ThreadEngine:
         state = self._acquire_state(meter)
         state.recorders = (
             [
-                Recorder(rank, capacity=self.trace_capacity, clock=partial(state.now, rank))
+                Recorder(rank, clock=partial(state.now, rank))
                 for rank in range(num_pes)
             ]
             if self.config.trace

@@ -37,7 +37,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..config import RunConfig
 from ..net.metrics import TrafficMeter, TrafficReport
-from ..obs.recorder import DEFAULT_CAPACITY, Recorder
+from ..obs.recorder import Recorder
 from ..obs.timeline import Timeline
 from . import shm
 from .comm import Communicator, SpmdError
@@ -76,7 +76,6 @@ class ProcComm(Communicator):
         meter: TrafficMeter,
         config: RunConfig,
         shm_prefix: str,
-        shm_threshold: int,
         recorder: Optional[Recorder] = None,
     ):
         super().__init__(rank, size, meter, config, recorder=recorder)
@@ -85,7 +84,6 @@ class ProcComm(Communicator):
         # when this rank first aborted the run (None: it has not)
         self._failed_at: Optional[float] = None
         self._shm_prefix = shm_prefix
-        self._shm_threshold = shm_threshold
         self._shm_counter = 0
         # zero-copy segments opened on receive; closed at teardown
         self._segments: List[Any] = []
@@ -173,9 +171,7 @@ class ProcComm(Communicator):
         """Ship one frame to ``dest`` and count the real transported bytes."""
         self._shm_counter += 1
         name = f"{self._shm_prefix}-{self.rank}-{self._shm_counter}"
-        blob, shm_bytes = shm.dumps(
-            frame, segment_name=name, threshold=self._shm_threshold
-        )
+        blob, shm_bytes = shm.dumps(frame, segment_name=name)
         try:
             self._peer_conns[dest].send_bytes(blob)
         except (BrokenPipeError, OSError):
@@ -315,8 +311,6 @@ def _worker_main(
     common_args: Tuple,
     config: RunConfig,
     shm_prefix: str,
-    shm_threshold: int,
-    trace_capacity: int = DEFAULT_CAPACITY,
 ) -> None:
     """Entry point of one forked rank worker.
 
@@ -347,7 +341,7 @@ def _worker_main(
         if r != rank:
             conn.close()
     meter = TrafficMeter(size)
-    recorder = Recorder(rank, capacity=trace_capacity) if config.trace else None
+    recorder = Recorder(rank) if config.trace else None
     comm = ProcComm(
         rank,
         size,
@@ -356,7 +350,6 @@ def _worker_main(
         meter,
         config,
         shm_prefix,
-        shm_threshold,
         recorder=recorder,
     )
     status = "done"
@@ -419,8 +412,6 @@ class ProcessEngine:
         self,
         num_pes: int,
         config: Optional[RunConfig] = None,
-        shm_threshold: Optional[int] = None,
-        trace_capacity: int = DEFAULT_CAPACITY,
     ):
         ok, reason = process_engine_available()
         if not ok:
@@ -430,11 +421,7 @@ class ProcessEngine:
         self.num_pes = num_pes
         #: the run configuration every rank sees as ``comm.config``
         self.config = RunConfig.from_env() if config is None else config
-        self.trace_capacity = trace_capacity
         self._ctx = mp.get_context("fork")
-        self._shm_threshold = (
-            shm.SHM_THRESHOLD if shm_threshold is None else shm_threshold
-        )
         self._shm_prefix = f"reproshm-{os.getpid()}-{next(_ENGINE_IDS)}"
         self._run_seq = 0
         self._procs: List[Any] = []
@@ -501,7 +488,6 @@ class ProcessEngine:
                 args=(
                     rank, num_pes, pair_conns, child_ends, error_event,
                     fn, args_per_rank, common_args, self.config, prefix,
-                    self._shm_threshold, self.trace_capacity,
                 ),
                 name=f"repro-pe-{rank}",
                 daemon=True,

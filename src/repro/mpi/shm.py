@@ -55,25 +55,21 @@ def _align(n: int) -> int:
     return (n + 7) & ~7
 
 
-def dumps(
-    obj: Any,
-    segment_name: Optional[str] = None,
-    threshold: int = SHM_THRESHOLD,
-) -> Tuple[bytes, int]:
+def dumps(obj: Any, segment_name: Optional[str] = None) -> Tuple[bytes, int]:
     """Encode ``obj`` into a pipe blob, spilling bulk data to shared memory.
 
     Returns ``(blob, shm_bytes)``: the blob goes through the pipe,
     ``shm_bytes`` is how many bytes (0 for in-band messages) were placed in
     the shared segment — the caller adds both into the real-transport
     counters.  ``segment_name`` must be unique per message and is only used
-    when the payload crosses ``threshold``; pass ``None`` to force the
+    when the payload reaches :data:`SHM_THRESHOLD`; pass ``None`` to force the
     in-band path.
     """
     buffers: List[pickle.PickleBuffer] = []
     data = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
     views = [buf.raw() for buf in buffers]
     total = len(data) + sum(v.nbytes for v in views)
-    if segment_name is None or total < threshold:
+    if segment_name is None or total < SHM_THRESHOLD:
         for buf in buffers:
             buf.release()
         if not buffers:

@@ -1,13 +1,13 @@
-"""Instrumentation counters for the sequential string sorters.
+"""Instrumentation counters for the sequential string sorters and mergers.
 
 The paper's theory is stated in terms of the number of characters inspected
 (lower bound ``Omega(D)``, or ``Omega(D + n log n)`` for comparison-based
-sorters).  Every sequential sorter in this package optionally accepts a
-:class:`CharStats` object and reports how many characters it looked at and how
-many string comparisons it performed, so tests and ablation benchmarks can
-verify that the implementations stay in the expected regime (e.g. the
-LCP-aware merger inspects each distinguishing character O(1) times while a
-naive merger rescans prefixes over and over).
+sorters).  The local sort and the merges optionally accept a
+:class:`CharStats` object and report how many characters they looked at
+and, for the merges, how many string comparisons they performed, so tests
+and ablation benchmarks can verify that the implementations stay in the
+expected regime (e.g. the LCP-aware merger inspects each distinguishing
+character O(1) times while a naive merger rescans prefixes over and over).
 """
 
 from __future__ import annotations
@@ -28,11 +28,6 @@ class CharStats:
     def add_chars(self, k: int) -> None:
         """Charge ``k`` inspected characters."""
         self.chars_inspected += k
-
-    def add_comparison(self, chars: int = 0) -> None:
-        """Charge one string comparison that inspected ``chars`` characters."""
-        self.string_comparisons += 1
-        self.chars_inspected += chars
 
     def merge(self, other: "CharStats") -> None:
         """Accumulate counters from a sub-computation."""

@@ -32,14 +32,15 @@ equal, i.e. whose common prefix is 8 bytes or more.  Smaller blocks, and
 blocks whose strings part in their first word, stay on the argsort, which
 is faster there.
 
-Either kernel's output is bit-identical to the scalar sorter's
-(:func:`repro.sequential.msd_radix.msd_radix_sort` on a list): the sorted
+Either kernel's output is bit-identical to the paper's scalar sorter, MSD
+radix sort with Multikey Quicksort and LCP insertion base cases on a list,
+which is the test oracle ``tests/oracles/msd_radix.py``: the sorted
 sequence of a multiset is unique and the LCP array is a pure function of it.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from ..strings.packed import (
 )
 from .stats import CharStats
 
-__all__ = ["vector_sort_with_lcp"]
+__all__ = ["sort_strings_with_lcp", "vector_sort_with_lcp"]
 
 # smaller blocks sort faster on the argsort, shared prefix or not
 _RADIX_MIN_STRINGS = 1024
@@ -69,10 +70,10 @@ def vector_sort_with_lcp(
 ) -> Tuple[PackedStringArray, np.ndarray]:
     """Sort a packed block; returns ``(sorted, lcp_array)``.
 
-    The result is bit-identical to
-    :func:`repro.sequential.msd_radix.msd_radix_sort` on the same strings
-    as a list (sorted order and LCP array are both content-determined),
-    whichever kernel :func:`_takes_radix` picks.  ``stats`` is charged
+    The result is bit-identical to the scalar MSD radix oracle
+    (``tests/oracles/msd_radix.py``) on the same strings as a list (sorted
+    order and LCP array are both content-determined), whichever kernel
+    :func:`_takes_radix` picks.  ``stats`` is charged
     every character once and one bucket pass, whatever the kernel.
     """
     n = len(arr)
@@ -88,6 +89,22 @@ def vector_sort_with_lcp(
         stats.add_chars(arr.num_chars)
         stats.bucket_passes += 1
     return srt, lcps
+
+
+def sort_strings_with_lcp(
+    strings: Union[PackedStringArray, Sequence[bytes]],
+    algorithm: str = "msd_radix",
+    stats: Optional[CharStats] = None,
+) -> Tuple[PackedStringArray, np.ndarray]:
+    """Sort ``strings`` (packed once, no copy if already packed) with
+    :func:`vector_sort_with_lcp`; returns ``(sorted, lcp_array)``.
+
+    ``"msd_radix"`` is the one ``algorithm``: the name stays because callers
+    that resolve the local sort by name pass ``SortSpec.local_sorter``.
+    """
+    if algorithm != "msd_radix":
+        raise KeyError(f"unknown sequential sorter {algorithm!r}; available: ['msd_radix']")
+    return vector_sort_with_lcp(PackedStringArray.from_strings(strings), stats)
 
 
 def _takes_radix(arr: PackedStringArray) -> bool:

@@ -49,6 +49,7 @@ __all__ = [
     "PDMSGolombSpec",
 ]
 
+_LOCAL_SORTERS = ("msd_radix",)
 _DISTRIBUTE_BY = ("strings", "chars")
 _SAMPLING = ("string", "character")
 _SAMPLE_SORT = ("central", "hquick")
@@ -72,8 +73,10 @@ class SortSpec:
     Attributes
     ----------
     local_sorter:
-        The per-PE sequential sorter, one of
-        :data:`repro.sequential.SEQUENTIAL_SORTERS`.
+        The per-PE sequential sorter.  ``"msd_radix"`` is its one value:
+        every rank program sorts with
+        :func:`repro.sequential.vector_sort.vector_sort_with_lcp`.  The
+        field stays so that no spec's ``config_hash`` moves.
     distribute_by:
         Input distribution criterion: ``"strings"`` balances string counts,
         ``"chars"`` balances character mass (the right notion for
@@ -104,13 +107,12 @@ class SortSpec:
     def __post_init__(self) -> None:
         """Validate field values (all specs are checked at construction)."""
         from ..net.router import TOPOLOGY_NAMES
-        from ..sequential import SEQUENTIAL_SORTERS
 
-        if self.local_sorter not in SEQUENTIAL_SORTERS:
+        if self.local_sorter not in _LOCAL_SORTERS:
             raise ValueError(
                 f"unknown local_sorter {self.local_sorter!r}"
-                f"{_suggest(self.local_sorter, SEQUENTIAL_SORTERS)}; "
-                f"available: {sorted(SEQUENTIAL_SORTERS)}"
+                f"{_suggest(self.local_sorter, _LOCAL_SORTERS)}; "
+                f"use one of {list(_LOCAL_SORTERS)}"
             )
         if self.distribute_by not in _DISTRIBUTE_BY:
             raise ValueError(
@@ -201,9 +203,7 @@ class HQuickSpec(SortSpec):
 
     def run(self, comm: Communicator, local: Sequence) -> RankOutput:
         """Hypercube quicksort (:func:`repro.dist.hquick.hquick_sort`)."""
-        return RankOutput(
-            *hquick_sort(comm, local, seed=self.seed, local_sorter=self.local_sorter)
-        )
+        return RankOutput(*hquick_sort(comm, local, seed=self.seed))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""LCP-aware insertion sort — the base case of the sequential sorter stack.
+"""LCP-aware insertion sort — the base case of the scalar sorter stack.
 
 Section II-A: "Our implementation, in turn, uses LCP insertion sort as a base
 case for constant size inputs.  This algorithm has complexity O(D + n^2)."
@@ -10,15 +10,24 @@ The output is the sorted list plus its LCP array in absolute character
 positions; by convention the first LCP entry is ``depth`` (the known common
 prefix) so enclosing sorters can splice sub-arrays together, and 0 when the
 routine is used stand-alone at ``depth == 0``.
+
+:func:`compare_from` is the one scalar string comparison of the oracles,
+and :func:`add_comparison` charges it to a ``CharStats``.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .stats import CharStats
+from repro.sequential import CharStats
 
-__all__ = ["lcp_insertion_sort", "compare_from"]
+__all__ = ["add_comparison", "compare_from", "lcp_insertion_sort"]
+
+
+def add_comparison(stats: CharStats, chars: int) -> None:
+    """Charge ``stats`` one string comparison that inspected ``chars`` characters."""
+    stats.string_comparisons += 1
+    stats.chars_inspected += chars
 
 
 def compare_from(
@@ -38,7 +47,7 @@ def compare_from(
         i += 1
     inspected = i - start + (1 if i < limit else 0)
     if stats is not None:
-        stats.add_comparison(inspected)
+        add_comparison(stats, inspected)
     if i == limit:
         # one string is a prefix of the other (or they are equal)
         return (la - lb, i)

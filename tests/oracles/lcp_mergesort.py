@@ -1,13 +1,12 @@
 """Binary LCP-merging (Ng & Kakehi) and LCP mergesort.
 
 The LCP loser tree of Section II-B generalises this binary technique.  The
-binary merger is kept as an independent implementation because
+binary merger is a test oracle:
 
-* it is used by the verification tooling as a second opinion on the loser
-  tree (two independent implementations of the same contract),
-* it powers :func:`lcp_mergesort`, an alternative local sorter with the
-  comparison-based optimum of ``O(D + n log n)`` character work, and
-* ablation benchmarks compare it against the K-way tree.
+* a second opinion on the loser tree (two independent implementations of
+  the same contract), and
+* the core of :func:`lcp_mergesort`, a scalar sorter with the
+  comparison-based optimum of ``O(D + n log n)`` character work.
 
 Merging rule for two sorted runs ``A`` and ``B`` whose fronts carry LCP
 values ``la = LCP(A[i], last_output)`` and ``lb = LCP(B[j], last_output)``:
@@ -23,23 +22,11 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .stats import CharStats
+from repro.sequential import CharStats
+
+from .lcp_insertion import compare_from
 
 __all__ = ["lcp_merge", "lcp_mergesort"]
-
-
-def _char_compare(
-    a: bytes, b: bytes, start: int, stats: Optional[CharStats]
-) -> Tuple[int, int]:
-    limit = min(len(a), len(b))
-    i = start
-    while i < limit and a[i] == b[i]:
-        i += 1
-    if stats is not None:
-        stats.add_comparison(i - start + (1 if i < limit else 0))
-    if i == limit:
-        return (len(a) - len(b), i)
-    return (a[i] - b[i], i)
 
 
 def lcp_merge(
@@ -68,7 +55,7 @@ def lcp_merge(
             take_a = False
             boundary = la
         else:
-            cmp, h = _char_compare(a[i], b[j], la, stats)
+            cmp, h = compare_from(a[i], b[j], la, stats)
             take_a = cmp <= 0
             boundary = h
 
@@ -105,12 +92,7 @@ def lcp_merge(
 def lcp_mergesort(
     strings: Sequence[bytes], stats: Optional[CharStats] = None
 ) -> Tuple[List[bytes], List[int]]:
-    """Bottom-up LCP mergesort; ``O(D + n log n)`` character work.
-
-    Provided as an alternative local sorter (Section II-A notes that which
-    sequential sorter is best depends on the input; the distributed layer can
-    be configured to use any of them).
-    """
+    """Bottom-up LCP mergesort; ``O(D + n log n)`` character work."""
     n = len(strings)
     if n == 0:
         return [], []

@@ -22,6 +22,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.sequential import CharStats
 
+from .lcp_insertion import add_comparison
+
 __all__ = ["LoserTree", "LcpLoserTree", "lcp_multiway_merge"]
 
 
@@ -32,7 +34,7 @@ def _compare_count(a: bytes, b: bytes, stats: Optional[CharStats]) -> int:
         i = 0
         while i < limit and a[i] == b[i]:
             i += 1
-        stats.add_comparison(i + (1 if i < limit else 0))
+        add_comparison(stats, i + (1 if i < limit else 0))
     if a < b:
         return -1
     if a > b:
@@ -215,7 +217,7 @@ class LcpLoserTree:
         while i < limit and a[i] == b[i]:
             i += 1
         if self.stats is not None:
-            self.stats.add_comparison(i - start + (1 if i < limit else 0))
+            add_comparison(self.stats, i - start + (1 if i < limit else 0))
         if i == limit:
             return (len(a) - len(b), i)
         return (a[i] - b[i], i)

@@ -1,4 +1,5 @@
-"""MSD string radix sort with LCP-array output.
+"""MSD string radix sort with LCP-array output: the scalar oracle of the
+local sort.
 
 Section II-A: a variant of MSD String Radix Sort is used as the local
 (sequential) sorter of every distributed algorithm.  The recursion considers
@@ -9,7 +10,13 @@ once a subproblem holds fewer than ``radix_threshold`` strings, which is then
 handled by Multikey Quicksort (which itself bottoms out in LCP insertion
 sort).  Together this gives ``O(D + n log sigma)`` character work.
 
-LCP bookkeeping mirrors :mod:`repro.sequential.multikey_quicksort`: the
+Every rank program sorts with the packed kernels of
+:func:`repro.sequential.vector_sort.vector_sort_with_lcp`; this list
+recursion is the paper's sorter as written, and the kernels are held to it
+bit for bit: the sorted sequence of a multiset is unique and the LCP array
+is a pure function of it.
+
+LCP bookkeeping mirrors :mod:`oracles.multikey_quicksort`: the
 boundary between two consecutive non-empty buckets has LCP exactly ``depth``
 (the strings agree on the common prefix and differ at position ``depth``),
 strings in the end-of-string bucket are pairwise equal (LCP ``depth``), and
@@ -20,10 +27,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..strings.packed import PackedStringArray
+from repro.sequential import CharStats
+
 from .multikey_quicksort import multikey_quicksort
-from .stats import CharStats
-from .vector_sort import vector_sort_with_lcp
 
 __all__ = ["msd_radix_sort"]
 
@@ -39,20 +45,11 @@ def msd_radix_sort(
 ) -> Tuple[List[bytes], List[int]]:
     """Sort ``strings`` and return ``(sorted_strings, lcp_array)``.
 
-    This is the default local sorter used by the distributed algorithms (it
-    matches the paper's choice of MSD radix sort with Multikey Quicksort and
-    LCP insertion sort as base cases).  The produced LCP array comes at no
-    extra asymptotic cost, exactly as described in the paper.
-
-    A :class:`repro.strings.packed.PackedStringArray` input (at depth 0)
-    is sorted by the vectorized
-    :func:`repro.sequential.vector_sort.vector_sort_with_lcp` for every
-    block, and comes back packed with an ``int64`` LCP array of
-    bit-identical contents; a ``list`` input runs the scalar recursion
-    below.
+    The paper's local sorter: MSD radix sort with Multikey Quicksort and
+    LCP insertion sort as base cases.  The LCP array comes at no extra
+    asymptotic cost, exactly as described in the paper.  Any sequence of
+    ``bytes`` (a packed array too) is sorted as a list.
     """
-    if depth == 0 and isinstance(strings, PackedStringArray):
-        return vector_sort_with_lcp(strings, stats)
     out: List[bytes] = []
     lcps: List[int] = []
     _radix(list(strings), depth, out, lcps, stats, radix_threshold, insertion_threshold)

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from repro.sequential import CharStats
+
 from .lcp_insertion import lcp_insertion_sort
-from .stats import CharStats
 
 __all__ = ["multikey_quicksort"]
 

@@ -18,7 +18,6 @@ from engine_conformance import PAPER_ALGORITHMS, engine_params, set_engine
 from repro.dist import merge_sort
 from repro.dist.local_sort import local_sort
 from repro.mpi import run_spmd
-from repro.sequential import SEQUENTIAL_SORTERS
 from repro.session import (
     Cluster,
     FKMergeSpec,
@@ -161,11 +160,6 @@ class TestMS:
         res = Cluster(4).sort(data, MSSpec(sample_sort="hquick"), check=True)
         assert res.sorted_strings == sorted(data)
 
-    def test_alternative_local_sorter(self):
-        data = random_strings(400, 1, 10, seed=17)
-        res = Cluster(3).sort(data, MSSpec(local_sorter="lcp_mergesort"), check=True)
-        assert res.sorted_strings == sorted(data)
-
     def test_empty_rank_inputs(self):
         blocks = [[], random_strings(200, 1, 8, seed=18), [], [b"zz", b"aa"]]
 
@@ -187,23 +181,38 @@ class TestMS:
 
 
 class TestLocalSort:
-    """Step 1 hands the later steps one representation, whatever the sorter."""
+    """Step 1 hands the later steps one representation, list input or packed."""
 
     BLOCKS = {
         "dn": lambda: dn_instance(300, 0.5, length=30, seed=20),
-        # a NUL byte and a string past 256 bytes: msd_radix's scalar fallback
-        "fallback": lambda: [b"x" * 300 + b"\0a", b"b\0", b"a" * 10],
+        # a NUL byte and a string past 256 bytes: the word radix kernel
+        "nul": lambda: [b"x" * 300 + b"\0a", b"b\0", b"a" * 10],
+        "duplicates": lambda: duplicate_heavy(400, 12, 6, seed=21),
+        # every string a prefix of the one before it, some with an empty string
+        "prefix_chain": lambda: [b"ab" * k for k in range(120, -1, -1)],
+        # strings past the argsort's 4096-byte guard rail, parting at the end
+        "long": lambda: [b"q" * 5000 + b"b", b"q" * 5000 + b"a", b"q", b"q" * 5000],
+    }
+    #: the blocks one cluster sort of every algorithm is run on, joined
+    CLUSTER_INPUTS = {
+        "dn+nul": ("dn", "nul"),
+        "duplicates+long": ("duplicates", "prefix_chain", "long"),
     }
 
+    @pytest.mark.parametrize("radix", [False, True], ids=["argsort", "word_radix"])
     @pytest.mark.parametrize("packed_input", [False, True], ids=["list", "packed"])
     @pytest.mark.parametrize("block", sorted(BLOCKS))
-    @pytest.mark.parametrize("sorter", sorted(SEQUENTIAL_SORTERS))
-    def test_packed_run_and_int64_lcps(self, sorter, block, packed_input):
+    def test_packed_run_and_int64_lcps(self, monkeypatch, block, packed_input, radix):
+        """Either kernel, forced, sorts every block shape of a list or a
+        packed input into a packed run and ``int64`` LCPs."""
+        import repro.sequential.vector_sort as vs
+
         data = self.BLOCKS[block]()
         given = PackedStringArray.from_strings(data) if packed_input else data
+        monkeypatch.setattr(vs, "_takes_radix", lambda arr: radix)
 
         def prog(comm):
-            run, lcps = local_sort(comm, given, sorter)
+            run, lcps = local_sort(comm, given)
             assert isinstance(run, PackedStringArray)
             assert lcps.dtype.name == "int64"
             return run.to_list(), lcps.tolist()
@@ -213,15 +222,20 @@ class TestLocalSort:
         assert run == sorted(data)
         assert lcps == lcp_array(run)
 
-    @pytest.mark.parametrize("sorter", sorted(set(SEQUENTIAL_SORTERS) - {"msd_radix"}))
+    @pytest.mark.parametrize("radix", [False, True], ids=["argsort", "word_radix"])
     @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
-    def test_every_algorithm_takes_every_sorter(self, algorithm, sorter):
-        """A list-sorted run, packed once, sorts and travels like msd_radix's."""
-        data = self.BLOCKS["dn"]() + self.BLOCKS["fallback"]()
-        spec_cls = spec_class(algorithm)
+    @pytest.mark.parametrize("inputs", sorted(CLUSTER_INPUTS))
+    def test_every_algorithm_takes_either_kernel(self, monkeypatch, inputs, algorithm, radix):
+        """The local sort's kernel, forced on every block, changes nothing a
+        later step sees: outputs, LCPs, origins and origin wire bytes."""
+        import repro.sequential.vector_sort as vs
+
+        data = [s for block in self.CLUSTER_INPUTS[inputs] for s in self.BLOCKS[block]()]
+        spec = spec_class(algorithm)()
         with Cluster(4) as cluster:
-            got = cluster.sort(data, spec_cls(local_sorter=sorter), check=True)
-            want = cluster.sort(data, spec_cls())
+            want = cluster.sort(data, spec)
+            monkeypatch.setattr(vs, "_takes_radix", lambda arr: radix)
+            got = cluster.sort(data, spec, check=True)
         assert got.outputs_per_pe == want.outputs_per_pe
         assert got.lcps_per_pe == want.lcps_per_pe
         assert got.origins_per_pe == want.origins_per_pe

@@ -5,13 +5,14 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.sequential import CharStats, lcp_merge, multiway_merge
+from repro.sequential import CharStats, multiway_merge
 from repro.sequential.lcp_losertree import lcp_multiway_merge_packed
 from repro.strings.generators import random_strings
 from repro.strings.lcp import lcp_array
 from repro.strings.packed import PackedStringArray
 
 from inputs import duplicate_heavy
+from oracles.lcp_mergesort import lcp_merge
 from oracles.losertree import LcpLoserTree, LoserTree, lcp_multiway_merge
 
 

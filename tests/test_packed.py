@@ -42,6 +42,7 @@ from repro.strings.packed import (
 
 from oracles.front_coding import _front_decode_scalar, front_code, front_decode
 from oracles.lcp import lcp
+from oracles.msd_radix import msd_radix_sort
 from oracles.partition import bucket_boundaries as bisect_boundaries
 
 #: pickle framing of a packed array beyond its payload: two numpy headers
@@ -469,19 +470,18 @@ class TestPackedPartition:
 # the vectorized local sort and its row gather
 # ---------------------------------------------------------------------------
 
+SORT_SHAPES = ("ragged", "uniform", "empty", "single", "nul", "shared", "long", "nul_long", "dups")
+
+
 @st.composite
-def sort_blocks(draw):
+def sort_blocks(draw, shapes=SORT_SHAPES):
     """A block as the local sort meets it, always a window into a larger
     array: ragged (with the >255-char tail), uniform-length, all-empty,
     single-string, with trailing NULs, sharing a prefix of 8 bytes or more
     (at least 1024 strings, some ending on a word boundary), with strings
     over 4096 bytes, NUL-bearing with strings over 256 bytes, or
-    duplicate-heavy."""
-    shape = draw(
-        st.sampled_from(
-            ["ragged", "uniform", "empty", "single", "nul", "shared", "long", "nul_long", "dups"]
-        )
-    )
+    duplicate-heavy; ``shapes`` picks among them."""
+    shape = draw(st.sampled_from(shapes))
     xs = draw(string_lists(min_size=1))
     rng = random.Random(draw(st.integers(0, 2**32)))
     if shape == "uniform":
@@ -556,6 +556,46 @@ class TestLocalSort:
 
         check()
         assert reached == {"_word_radix", "sort_with_order"}
+
+    @pytest.mark.parametrize("radix", [False, True], ids=["argsort", "word_radix"])
+    def test_each_kernel_is_the_scalar_msd_oracle(self, monkeypatch, radix):
+        """Each kernel, forced on every block through ``_takes_radix``, sorts
+        like ``sorted()`` and returns the LCPs of the scalar MSD radix sort
+        (``oracles.msd_radix``), on NUL-bearing blocks, blocks with a string
+        over 4 KiB and duplicate-heavy ones."""
+        import repro.sequential.vector_sort as vs
+
+        kernel = "_word_radix" if radix else "sort_with_order"
+        original = getattr(vs, kernel)
+        calls = []
+        monkeypatch.setattr(vs, "_takes_radix", lambda arr: radix)
+        monkeypatch.setattr(vs, kernel, lambda arr: calls.append(kernel) or original(arr))
+        reached = set()
+
+        @given(sort_blocks(shapes=("nul", "long", "nul_long", "dups")))
+        @settings(max_examples=120, deadline=None)
+        def check(block):
+            xs, view = block
+            calls.clear()
+            srt, lcps = vector_sort_with_lcp(view)
+            want, want_lcps = msd_radix_sort(xs)
+            assert want == sorted(xs)
+            assert srt.to_list() == want
+            assert lcps.dtype == np.int64 and lcps.tolist() == want_lcps
+            if view.num_chars:
+                assert calls == [kernel]
+            reached.update(
+                name
+                for name, hit in (
+                    ("nul", view.has_zero_byte()),
+                    ("long", view.max_len > 4096),
+                    ("dups", 2 * len(set(xs)) <= len(xs)),
+                )
+                if hit
+            )
+
+        check()
+        assert reached == {"nul", "long", "dups"}
 
     @given(sort_blocks())
     @settings(max_examples=150, deadline=None)

@@ -33,7 +33,7 @@ from inputs import duplicate_heavy
 
 def reference_pdms(comm, strings, spec, golomb):
     """The list-based PDMS rank program, merge by ``heapq``."""
-    local_sorted, _ = local_sort(comm, strings, spec.local_sorter)
+    local_sorted, _ = local_sort(comm, strings)
     local_sorted = list(local_sorted)
     doubling = approximate_dist_prefixes(
         comm, local_sorted, initial_length=spec.initial_length,

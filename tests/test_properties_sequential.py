@@ -2,8 +2,9 @@
 
 Invariants covered:
 
-* every sorter returns a sorted permutation of its input with the exact LCP
-  array, for arbitrary byte strings;
+* every scalar sorter (the oracles of the local sort) returns a sorted
+  permutation of its input with the exact LCP array, for arbitrary byte
+  strings;
 * the LCP loser tree agrees with sorted() on arbitrary partitions of the
   input into runs;
 * the packed merge is the scalar LCP loser tree, bit for bit: strings, LCPs
@@ -30,14 +31,7 @@ from hypothesis import given, settings
 from repro import Cluster, FKMergeSpec, MSSimpleSpec
 from repro.dist.golomb import GolombCodedSet, coded_sizes, golomb_parameter
 from repro.mpi.serialization import varint_size
-from repro.sequential import (
-    CharStats,
-    lcp_insertion_sort,
-    lcp_merge,
-    msd_radix_sort,
-    multikey_quicksort,
-    multiway_merge,
-)
+from repro.sequential import CharStats, multiway_merge
 import repro.sequential.lcp_losertree as losertree
 from repro.sequential.lcp_losertree import lcp_multiway_merge_packed
 from repro.strings.generators import commoncrawl_like
@@ -46,7 +40,11 @@ from repro.strings.packed import PackedStringArray
 
 from oracles.golomb import decode_sorted, encode_sorted
 from oracles.lcp import distinguishing_prefixes, lcp
+from oracles.lcp_insertion import lcp_insertion_sort
+from oracles.lcp_mergesort import lcp_merge
 from oracles.losertree import LoserTree, lcp_multiway_merge
+from oracles.msd_radix import msd_radix_sort
+from oracles.multikey_quicksort import multikey_quicksort
 
 # byte strings over a tiny alphabet maximise shared prefixes and duplicates,
 # which is where the LCP machinery can go wrong

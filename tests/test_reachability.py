@@ -353,19 +353,19 @@ def run_algorithms(tmp: Path) -> None:
 
 
 def run_local_sorters(tmp: Path) -> None:
-    """Every local sorter of the spec, on strings with NUL bytes and on a
-    string longer than 4 KiB (blocks past the argsort's guard rails, which
-    the word radix sorts)."""
+    """The local sort by name and in a cluster, on strings with NUL bytes
+    and on a string longer than 4 KiB (blocks past the argsort's guard
+    rails, which the word radix sorts)."""
     from repro import Cluster, MSSpec
-    from repro.sequential import SEQUENTIAL_SORTERS, sort_strings
+    from repro.sequential import sort_strings_with_lcp
 
     nul = _small() + [b"a\x00b", b"\x00", b"a\x00", b"a\x00b\x00"]
     long = _small() + [b"x" * 5000, b"x" * 4999 + b"y"]
     cluster = Cluster(3)
     for data in (nul, long):
-        for sorter in SEQUENTIAL_SORTERS:
-            assert sort_strings(data, sorter) == sorted(data)
-            cluster.sort(data, MSSpec(local_sorter=sorter), check=True)
+        out, _ = sort_strings_with_lcp(data)
+        assert out.to_list() == sorted(data)
+        cluster.sort(data, MSSpec(), check=True)
 
 
 def run_processes(tmp: Path) -> None:

@@ -1,34 +1,34 @@
-"""Tests for the sequential string sorters (MSD radix, multikey quicksort, ...).
+"""Tests for the scalar sequential sorters (MSD radix, multikey quicksort,
+...), the test oracles of the local sort, and for the local sort's entry
+by name, ``repro.sequential.sort_strings_with_lcp``.
 
-Every sorter must produce exactly the same output as Python's built-in sort
-plus the correct LCP array, on a range of adversarial inputs (duplicates,
-shared prefixes, empty strings, prefix-of-other-string cases), including
-prefixes shared over more characters than Python allows frames.  The MSD
-radix and Multikey Quicksort character counters are pinned on this
+Every scalar sorter must produce exactly the same output as Python's
+built-in sort plus the correct LCP array, on a range of adversarial inputs
+(duplicates, shared prefixes, empty strings, prefix-of-other-string cases),
+including prefixes shared over more characters than Python allows frames.
+The MSD radix and Multikey Quicksort character counters are pinned on this
 module's corpus.
 """
 
 import pytest
 
-from repro import Cluster, HQuickSpec, MSSpec, PDMSSpec
-from repro.sequential import (
-    CharStats,
-    SEQUENTIAL_SORTERS,
-    lcp_insertion_sort,
-    lcp_mergesort,
-    msd_radix_sort,
-    multikey_quicksort,
-    sort_strings,
-    sort_strings_with_lcp,
-)
+from repro import Cluster
+from repro.sequential import CharStats, sort_strings_with_lcp
+from repro.strings.packed import PackedStringArray
 from repro.strings.generators import commoncrawl_like, dn_instance, random_strings, suffix_instance
 from repro.strings.lcp import lcp_array
 
+from engine_conformance import PAPER_ALGORITHMS
 from inputs import duplicate_heavy
 from oracles.lcp import lcp
+from oracles.lcp_insertion import lcp_insertion_sort
+from oracles.lcp_mergesort import lcp_mergesort
+from oracles.msd_radix import msd_radix_sort
+from oracles.multikey_quicksort import multikey_quicksort
+from oracles.sorters import SORTERS
 
 
-ALL_SORTERS = sorted(SEQUENTIAL_SORTERS)
+ALL_SORTERS = sorted(SORTERS)
 
 
 def _reference(strings):
@@ -60,7 +60,7 @@ class TestFixedCases:
     def test_sorts_and_produces_lcp(self, sorter, case):
         data = FIXED_CASES[case]
         expected, expected_lcps = _reference(data)
-        out, lcps = sort_strings_with_lcp(data, sorter)
+        out, lcps = SORTERS[sorter](data)
         assert out == expected
         assert lcps == expected_lcps
 
@@ -71,7 +71,7 @@ class TestGeneratedInputs:
     def test_random_strings(self, sorter, seed):
         data = random_strings(400, 0, 25, alphabet_size=4, seed=seed)
         expected, expected_lcps = _reference(data)
-        out, lcps = sort_strings_with_lcp(data, sorter)
+        out, lcps = SORTERS[sorter](data)
         assert out == expected
         assert lcps == expected_lcps
 
@@ -79,7 +79,7 @@ class TestGeneratedInputs:
     def test_duplicate_heavy(self, sorter):
         data = duplicate_heavy(600, num_distinct=15, seed=3)
         expected, expected_lcps = _reference(data)
-        out, lcps = sort_strings_with_lcp(data, sorter)
+        out, lcps = SORTERS[sorter](data)
         assert out == expected
         assert lcps == expected_lcps
 
@@ -87,7 +87,7 @@ class TestGeneratedInputs:
     def test_dn_instance(self, sorter):
         data = dn_instance(300, 0.6, length=50, seed=4)
         expected, expected_lcps = _reference(data)
-        out, lcps = sort_strings_with_lcp(data, sorter)
+        out, lcps = SORTERS[sorter](data)
         assert out == expected
         assert lcps == expected_lcps
 
@@ -95,7 +95,7 @@ class TestGeneratedInputs:
     def test_web_corpus(self, sorter):
         data = commoncrawl_like(500, seed=5)
         expected, expected_lcps = _reference(data)
-        out, lcps = sort_strings_with_lcp(data, sorter)
+        out, lcps = SORTERS[sorter](data)
         assert out == expected
         assert lcps == expected_lcps
 
@@ -103,7 +103,7 @@ class TestGeneratedInputs:
     def test_suffixes(self, sorter):
         data = suffix_instance(text_len=300, alphabet_size=3, seed=6)
         expected, expected_lcps = _reference(data)
-        out, lcps = sort_strings_with_lcp(data, sorter)
+        out, lcps = SORTERS[sorter](data)
         assert out == expected
         assert lcps == expected_lcps
 
@@ -124,15 +124,30 @@ class TestDeepSharedPrefixes:
     @pytest.mark.parametrize("case", sorted(DEEP_CASES))
     def test_sorts_without_recursing_per_character(self, sorter, case):
         data = DEEP_CASES[case]
-        out, lcps = sort_strings_with_lcp(list(data), sorter)
+        out, lcps = SORTERS[sorter](list(data))
         assert out == sorted(data)
         assert lcps == [0] + [lcp(a, b) for a, b in zip(out, out[1:])]
 
-    @pytest.mark.parametrize("local_sorter", ALL_SORTERS)
-    @pytest.mark.parametrize("spec_class", [MSSpec, HQuickSpec, PDMSSpec])
-    def test_every_local_sorter_runs_in_a_cluster(self, spec_class, local_sorter):
-        data = DEEP_CASES["shared_prefix_1000"]
-        Cluster(4).sort(data, spec_class(local_sorter=local_sorter), check=True)
+    @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
+    @pytest.mark.parametrize("case", sorted(DEEP_CASES))
+    def test_the_local_sort_runs_in_a_cluster(self, case, algorithm):
+        data = DEEP_CASES[case]
+        res = Cluster(4).sort(data, algorithm, check=True)
+        assert res.sorted_strings == sorted(data)
+
+    @pytest.mark.parametrize("radix", [False, True], ids=["argsort", "word_radix"])
+    @pytest.mark.parametrize("case", sorted(DEEP_CASES))
+    def test_either_kernel_sorts_like_the_oracles(self, monkeypatch, case, radix):
+        """The packed local sort, either kernel forced, is every scalar
+        oracle's ``(sorted, LCP)`` pair on prefixes shared over 1000 bytes."""
+        import repro.sequential.vector_sort as vs
+
+        data = DEEP_CASES[case]
+        monkeypatch.setattr(vs, "_takes_radix", lambda arr: radix)
+        out, lcps = sort_strings_with_lcp(list(data))
+        got = (out.to_list(), lcps.tolist())
+        for name in ALL_SORTERS:
+            assert got == SORTERS[name](list(data)), name
 
 
 def _pinned_corpus():
@@ -258,22 +273,34 @@ class TestInputPreservation:
     def test_input_not_mutated(self, sorter):
         data = random_strings(100, 1, 10, seed=7)
         snapshot = list(data)
-        sort_strings_with_lcp(data, sorter)
+        SORTERS[sorter](data)
         assert data == snapshot
 
 
 class TestDispatcher:
-    def test_unknown_algorithm_raises(self):
-        with pytest.raises(KeyError):
-            sort_strings_with_lcp([b"a"], "quantum_sort")
+    """``sort_strings_with_lcp`` is the local sort by name: the packed kernels."""
 
-    def test_sort_strings_drops_lcps(self):
-        assert sort_strings([b"b", b"a"]) == [b"a", b"b"]
+    @pytest.mark.parametrize("algorithm", ["quantum_sort", "multikey_quicksort"])
+    def test_unknown_algorithm_raises(self, algorithm):
+        with pytest.raises(KeyError, match="msd_radix"):
+            sort_strings_with_lcp([b"a"], algorithm)
 
     def test_default_algorithm_is_msd_radix(self):
         out, lcps = sort_strings_with_lcp([b"b", b"a", b"ab"])
-        assert out == [b"a", b"ab", b"b"]
-        assert lcps == [0, 1, 0]
+        assert out.to_list() == [b"a", b"ab", b"b"]
+        assert lcps.dtype.name == "int64" and lcps.tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize("case", sorted(FIXED_CASES))
+    def test_packs_a_list_once_and_sorts_like_the_oracle(self, case):
+        data = FIXED_CASES[case]
+        want = msd_radix_sort(data)
+        packed = PackedStringArray.from_strings(data)
+        for given in (data, packed):
+            stats = CharStats()
+            out, lcps = sort_strings_with_lcp(given, "msd_radix", stats)
+            assert isinstance(out, PackedStringArray)
+            assert (out.to_list(), lcps.tolist()) == want
+            assert stats.chars_inspected == packed.num_chars
 
 
 class TestThresholdBoundaries:

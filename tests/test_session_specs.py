@@ -30,10 +30,10 @@ ALL_SPEC_CLASSES = [
 ]
 
 NON_DEFAULT = {
-    HQuickSpec: dict(local_sorter="timsort", seed=3),
+    HQuickSpec: dict(seed=3, distribute_by="chars"),
     FKMergeSpec: dict(oversampling=4, distribute_by="chars"),
     MSSpec: dict(sampling="character", sample_sort="hquick"),
-    MSSimpleSpec: dict(oversampling=2, local_sorter="multikey_quicksort"),
+    MSSimpleSpec: dict(oversampling=2, sample_sort="hquick"),
     PDMSSpec: dict(epsilon=0.5, initial_length=8),
     PDMSGolombSpec: dict(epsilon=3.0, sampling="character"),
 }
@@ -174,6 +174,16 @@ class TestValidation:
             MSSpec(exchange_topology="hypercubes")
         with pytest.raises(ValueError, match=re.escape("['direct', 'hypercube']")):
             MSSpec(exchange_topology="grid")
+
+    @pytest.mark.parametrize(
+        "sorter", ["multikey_quicksort", "lcp_mergesort", "lcp_insertion", "timsort"]
+    )
+    def test_the_scalar_local_sorters_are_gone(self, sorter):
+        """``msd_radix`` is the one local sorter; the scalar ones are test
+        oracles now, and naming one fails at construction."""
+        with pytest.raises(ValueError, match=r"local_sorter .*\['msd_radix'\]"):
+            MSSpec(local_sorter=sorter)
+        assert MSSpec().local_sorter == "msd_radix"
 
     def test_specs_are_frozen(self):
         spec = MSSpec()

@@ -42,7 +42,6 @@ _KNOBS = {
     "sampling=character": {"sampling": "character"},
     "sample_sort=hquick": {"sample_sort": "hquick"},
     "oversampling=3": {"oversampling": 3},
-    "local_sorter=multikey_quicksort": {"local_sorter": "multikey_quicksort"},
     "epsilon=0.5,initial_length=2": {"epsilon": 0.5, "initial_length": 2},
     "exchange_topology=hypercube": {"exchange_topology": "hypercube"},
 }
@@ -124,10 +123,6 @@ EXPECTED = {
         "dn/p4": "24ed94b1f6bda5b6c0799f1ddea3cb00c5160a7e54a354d7521e12ed86bed8d2",
         "dna/p4": "18ad7a611cb3d681d9298417bb4f3a031436ec954233b49ad1f4a5f42906f5c4",
     },
-    "ms[local_sorter=multikey_quicksort]": {
-        "dn/p4": "156275631c7077a9539378ee96bfb181507ce3d329eecaee23102c623311b29f",
-        "dna/p4": "8f50903e01a154c7b1d6403966e4c5241fe5689b6c956af59997a01c16dbe85d",
-    },
     "ms[exchange_topology=hypercube]": {
         "dn/p4": "32fac056714adecc1f923ed822075adb802e58569239cb9bca742d0a5ac31728",
         "dna/p4": "151dae4e79df0dfe6bb264f40f0d794ff848f51fdfb86bfbb9220764cc6c7388",
@@ -150,10 +145,6 @@ EXPECTED = {
         "dn/p4": "ffd49549803f6ed3c35425ee0d0fedfd61964383c9be95de4988c4dd705a0eab",
         "dna/p4": "e3da6d845b4b7522c1b574cdbf3807d21bf980cb95c3370d586658bfd4651579",
     },
-    "ms-simple[local_sorter=multikey_quicksort]": {
-        "dn/p4": "dee463a6d159cc06af65022373c4358a132e94de12a35a064045e794b3756273",
-        "dna/p4": "8f8db1ddf2ec6af3a4bb449d940edfcf85cd084174af0aa92f2777ba12f9ce49",
-    },
     "ms-simple[exchange_topology=hypercube]": {
         "dn/p4": "10a67dbca7980a89682795f813faea447e580ebaceb427a854b054bf752aae5b",
         "dna/p4": "0328e5fc074482376e709d86a550faae33fd6ae3e209b6109712adee264c06f1",
@@ -175,10 +166,6 @@ EXPECTED = {
     "pdms[oversampling=3]": {
         "dn/p4": "d187ab6949be9def47030bbcca3f0b128891b2b79153dfeaa436dce8dfd34dd9",
         "dna/p4": "db137818ba7be09ea6358bb280a275279e2d43adf3c6f74bb03436545adac679",
-    },
-    "pdms[local_sorter=multikey_quicksort]": {
-        "dn/p4": "5069f162e610c689bf20b08ee1abe1623ef6a37d108d59757cb965dcaf06e504",
-        "dna/p4": "f826f675a50ff17e1ad2b8586821bb6d9969b9b83965bb8956549225ce03eb70",
     },
     "pdms[epsilon=0.5,initial_length=2]": {
         "dn/p4": "6d2bacff95d08a1af95661b96ad0adcc2dc00b9cb15aa905f1162f222c74a953",
@@ -206,10 +193,6 @@ EXPECTED = {
         "dn/p4": "d187ab6949be9def47030bbcca3f0b128891b2b79153dfeaa436dce8dfd34dd9",
         "dna/p4": "db137818ba7be09ea6358bb280a275279e2d43adf3c6f74bb03436545adac679",
     },
-    "pdms-golomb[local_sorter=multikey_quicksort]": {
-        "dn/p4": "5069f162e610c689bf20b08ee1abe1623ef6a37d108d59757cb965dcaf06e504",
-        "dna/p4": "f826f675a50ff17e1ad2b8586821bb6d9969b9b83965bb8956549225ce03eb70",
-    },
     "pdms-golomb[epsilon=0.5,initial_length=2]": {
         "dn/p4": "6d2bacff95d08a1af95661b96ad0adcc2dc00b9cb15aa905f1162f222c74a953",
         "dna/p4": "ffb30671226efe9aa31f554348187d6cae4346fff5ee04f86b505923c6e3303b",
@@ -224,10 +207,6 @@ EXPECTED = {
         "dn/p4": "33f5527b09a7cdd0d5bd1b8176758e381e4585dc898f4fc1c5964e4dd7368dc9",
         "dna/p4": "2293a6ade33a0160d36371078a2ae212314dc636bbf2b529f94a1c42ffee86c1",
     },
-    "hquick[local_sorter=multikey_quicksort]": {
-        "dn/p4": "d28ef29fee6dc13eb4437cf988162383f63d2c1a07b2d583bc8c0dab4c32dbaa",
-        "dna/p4": "1de0bfc88b3537e0286dbbb871eb908b0eb0fe7d73740e16ebe55b3a4dd4282e",
-    },
     "hquick[exchange_topology=hypercube]": {
         "dn/p4": "33f5527b09a7cdd0d5bd1b8176758e381e4585dc898f4fc1c5964e4dd7368dc9",
         "dna/p4": "2293a6ade33a0160d36371078a2ae212314dc636bbf2b529f94a1c42ffee86c1",
@@ -241,10 +220,6 @@ EXPECTED = {
     "fkmerge[oversampling=3]": {
         "dn/p4": "b1f333a18319f0229c4f33c85c5a8713822c10e7f7a4b702d30d6558f7f799f0",
         "dna/p4": "db5c0fbbd3a600bd383b736ad025bb8d26a623aab98d13b41daa9ab9c676d0b5",
-    },
-    "fkmerge[local_sorter=multikey_quicksort]": {
-        "dn/p4": "7bb4be2e7c6c2a8309a8bff8380f92600404cbf429d6f01be637cae00688d00a",
-        "dna/p4": "63b113524d2f17c0dafa55d2d02e34fb9b3f000a9f6e12d0984ea4ac5a0ef947",
     },
     "fkmerge[exchange_topology=hypercube]": {
         "dn/p4": "170b4378bfda2924df2b6ef896720df6708954e6e50f4e7a1e875a6831980318",
@@ -263,14 +238,12 @@ BYTES_FREE = {
     "pdms[sampling=character]": {"dn/p4": "046aa3fe08e2a854", "dna/p4": "d02106674126aab6"},
     "pdms[sample_sort=hquick]": {"dn/p4": "7a2939f3c9e59931", "dna/p4": "a40e886732a5bf3f"},
     "pdms[oversampling=3]": {"dn/p4": "87e07b198bab561f", "dna/p4": "d8ffebb73afc0cb9"},
-    "pdms[local_sorter=multikey_quicksort]": {"dn/p4": "3ddb26fab7f09551", "dna/p4": "41f0c647e46b2b9e"},
     "pdms[epsilon=0.5,initial_length=2]": {"dn/p4": "9caf748127d87613", "dna/p4": "28e3881ebeea8aae"},
     "pdms[exchange_topology=hypercube]": {"dn/p4": "49c6c8b2efba349d", "dna/p4": "3698c4c42f8e925b"},
     "pdms-golomb": {"dn/p4": "49c6c8b2efba349d", "dna/p4": "3698c4c42f8e925b"},
     "pdms-golomb[sampling=character]": {"dn/p4": "046aa3fe08e2a854", "dna/p4": "d02106674126aab6"},
     "pdms-golomb[sample_sort=hquick]": {"dn/p4": "7a2939f3c9e59931", "dna/p4": "a40e886732a5bf3f"},
     "pdms-golomb[oversampling=3]": {"dn/p4": "87e07b198bab561f", "dna/p4": "d8ffebb73afc0cb9"},
-    "pdms-golomb[local_sorter=multikey_quicksort]": {"dn/p4": "3ddb26fab7f09551", "dna/p4": "41f0c647e46b2b9e"},
     "pdms-golomb[epsilon=0.5,initial_length=2]": {"dn/p4": "9caf748127d87613", "dna/p4": "28e3881ebeea8aae"},
     "pdms-golomb[exchange_topology=hypercube]": {"dn/p4": "49c6c8b2efba349d", "dna/p4": "3698c4c42f8e925b"},
 }
