@@ -32,7 +32,7 @@ import time
 
 import pytest
 
-from conftest import results_path, scaled
+from benchscale import results_path, scaled
 from repro.dist.exchange import exchange_buckets
 from repro.dist.partition import (
     select_splitters,

@@ -39,8 +39,8 @@ import time
 
 import pytest
 
-from conftest import results_path, scaled
-from repro.bench.harness import peak_rss_bytes
+from benchscale import results_path, scaled
+from repro.obs.recorder import peak_rss_bytes
 from repro.obs import Recorder
 from repro.session import Cluster, MSSpec
 from repro.strings.generators import commoncrawl_like

@@ -48,11 +48,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import results_path, scaled
+from benchscale import results_path, scaled
 from oracles.lcp import lcp
 from oracles.losertree import lcp_multiway_merge
 from oracles.msd_radix import msd_radix_sort
-from repro.bench.harness import peak_rss_bytes
+from repro.obs.recorder import peak_rss_bytes
 from repro.dist.exchange import LcpCompressedBlock
 from repro.dist.partition import split_into_buckets, string_based_samples, select_splitters
 from repro.sequential.lcp_losertree import lcp_multiway_merge_packed

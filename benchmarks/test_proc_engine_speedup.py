@@ -30,8 +30,8 @@ import time
 
 import pytest
 
-from conftest import results_path, scaled
-from repro.bench.harness import peak_rss_bytes
+from benchscale import results_path, scaled
+from repro.obs.recorder import peak_rss_bytes
 from repro.mpi.procengine import process_engine_available
 from repro.session import Cluster
 from repro.strings.generators import dn_instance

@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""Weak-scaling study over the tunable D/N inputs (Figure 4, reduced scale).
+"""Weak scaling over the tunable D/N inputs (Figure 4, reduced scale).
 
-Reproduces the structure of the paper's main experiment: for each ratio
-D/N in {0, 0.25, 0.5, 0.75, 1.0}, run all six algorithms while growing the
-machine (weak scaling: the per-PE input stays constant) and print both panels
-of Figure 4 — modelled running time and bytes sent per string — as text
-tables.
+Reads the paper's main experiment from the figure table
+(:func:`repro.figures.table`): for each ratio D/N in {0, 0.25, 0.5, 0.75,
+1.0}, all six algorithms sort 700 strings of 160 characters per PE on 2, 4
+and 8 PEs (weak scaling: the per-PE input stays constant).  It prints both
+panels of Figure 4 — bytes sent per string, and the modelled running time
+on a machine scaled to the paper's 500 000 x 500 characters per PE — as one
+text table per D/N.
 
 Run with::
 
-    python examples/dn_weak_scaling.py [strings_per_pe]
+    python examples/dn_weak_scaling.py [seed]
 
-The default size finishes in a couple of minutes; pass a larger value to
-sharpen the trends.
+Seed 0 is the table ``tests/test_paper_claims.py`` asserts; another seed
+draws other inputs and samples.
 """
 
 from __future__ import annotations
@@ -25,36 +27,26 @@ _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.bench import ExperimentRunner, weak_scaling_dn
-from repro.net import DEFAULT_MACHINE
+from repro.figures import table
 
 
 def main() -> None:
-    strings_per_pe = int(sys.argv[1]) if len(sys.argv) > 1 else 800
-    string_length = 150
+    seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
+    rows = table("fig4", seed=seed)
+    pes = sorted({row["p"] for row in rows})
+    panels = {}
+    for row in rows:
+        dn, algorithm = row["label"].split("/")
+        panels.setdefault(dn, {}).setdefault(algorithm, {})[row["p"]] = row
 
-    # the paper runs 500 000 strings x 500 chars per PE; scale the machine
-    # model so each simulated character stands for the corresponding amount
-    # of real data (keeps the latency/bandwidth balance of the original runs)
-    scale = (500_000 * 500) / (strings_per_pe * string_length)
-    runner = ExperimentRunner(machine=DEFAULT_MACHINE.with_data_scale(scale), seed=3)
-
-    results = weak_scaling_dn(
-        dn_values=(0.0, 0.25, 0.5, 0.75, 1.0),
-        pe_counts=(2, 4, 8),
-        strings_per_pe=strings_per_pe,
-        string_length=string_length,
-        runner=runner,
-        seed=3,
-    )
-
-    for res in results:
-        print("=" * 72)
-        print(res.description)
-        print()
-        print(res.render("bytes_per_string"))
-        print()
-        print(res.render("modeled_time"))
+    for dn, series in panels.items():
+        print(f"Weak scaling, D/N {dn[3:]}: bytes per string | modelled time (s)")
+        print(f"{'algorithm':<12}" + "".join(f"{f'p={p}':>9}" for p in pes) + " |"
+              + "".join(f"{f'p={p}':>10}" for p in pes))
+        for algorithm, cells in series.items():
+            volume = "".join(f"{cells[p]['bytes_per_string']:9.1f}" for p in pes)
+            time = "".join(f"{cells[p]['model_time_s']:10.3f}" for p in pes)
+            print(f"{algorithm:<12}{volume} |{time}")
         print()
 
 

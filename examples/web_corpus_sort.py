@@ -3,16 +3,18 @@
 
 The paper's motivating workload: lines of web-page text dumps with long
 shared prefixes and many exact duplicates (boiler-plate/markup).  This
-example
+example reads Figure 5's left panel from the figure table
+(:mod:`repro.figures`):
 
-1. generates a COMMONCRAWL-like corpus and reports its D/N statistics,
-2. runs the strong-scaling sweep of Figure 5 (left) at a reduced scale,
-3. prints the two panels of the figure — modelled running time and bytes
-   sent per string — as text tables.
+1. it reports the D/N statistics of the figure's COMMONCRAWL-like corpus,
+2. it sorts the corpus with all six algorithms on 2 to 16 PEs (strong
+   scaling),
+3. it prints bytes sent per string and the output imbalance (largest over
+   mean output characters per PE) as text tables.
 
 Run with::
 
-    python examples/web_corpus_sort.py [num_strings]
+    python examples/web_corpus_sort.py [seed]
 """
 
 from __future__ import annotations
@@ -25,39 +27,30 @@ _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.bench import ExperimentRunner, strong_scaling_commoncrawl
-from repro.net import DEFAULT_MACHINE
-from repro.strings import commoncrawl_like, dn_ratio, merge_lcp_statistics
+from repro.figures import FIGURES, table
+from repro.strings import dn_ratio, merge_lcp_statistics
 
 
 def main() -> None:
-    num_strings = int(sys.argv[1]) if len(sys.argv) > 1 else 6000
+    seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
 
-    corpus = commoncrawl_like(num_strings, seed=7)
+    corpus = [s for block in FIGURES["fig5-commoncrawl"](seed)[0].blocks for s in block]
     mean_lcp, lcp_frac = merge_lcp_statistics(corpus)
     print(
-        f"corpus: {len(corpus)} lines, {sum(len(s) for s in corpus)} characters, "
+        f"commoncrawl corpus: {len(corpus)} lines, {sum(len(s) for s in corpus)} characters, "
         f"D/N = {dn_ratio(corpus):.2f}, mean LCP = {mean_lcp:.1f} "
         f"({100 * lcp_frac:.0f}% of a line)"
     )
     print("paper's COMMONCRAWL: D/N = 0.68, mean LCP = 23.9 (60% of a line)\n")
 
-    # Every simulated string stands for many real ones; scale the machine
-    # model accordingly so the time panel sits in the paper's
-    # bandwidth-dominated regime (see EXPERIMENTS.md).
-    scale = 82e9 / max(1, sum(len(s) for s in corpus))
-    machine = DEFAULT_MACHINE.with_data_scale(scale)
-    runner = ExperimentRunner(machine=machine, check=False, seed=7)
-
-    result = strong_scaling_commoncrawl(
-        num_strings=num_strings, pe_counts=(2, 4, 8, 16), runner=runner, seed=7
-    )
-
-    print(result.render("bytes_per_string"))
-    print()
-    print(result.render("modeled_time"))
-    print()
-    print(result.render("imbalance"))
+    rows = table("fig5-commoncrawl", seed=seed)
+    pes = sorted({row["p"] for row in rows})
+    for column in ("bytes_per_string", "imbalance"):
+        print(f"{column:<12}" + "".join(f"{f'p={p}':>9}" for p in pes))
+        for algorithm in dict.fromkeys(row["label"] for row in rows):
+            values = {row["p"]: row[column] for row in rows if row["label"] == algorithm}
+            print(f"{algorithm:<12}" + "".join(f"{values[p]:9.2f}" for p in pes))
+        print()
 
 
 if __name__ == "__main__":

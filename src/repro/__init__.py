@@ -3,8 +3,8 @@
 The package implements the paper's distributed string sorting algorithms
 (hQuick, FKmerge, MS, MS-simple, PDMS, PDMS-Golomb) on top of a simulated
 distributed-memory machine with exact communication-volume accounting, plus
-the full sequential string-sorting substrate (MSD radix sort, multikey
-quicksort, LCP insertion sort, LCP loser trees) they rely on.
+the packed sequential substrate they rely on (a vectorised MSD radix sort
+and LCP loser trees).
 
 Quickstart::
 
@@ -21,11 +21,11 @@ Architecture
 
 ``repro`` is layered bottom-up; every layer only depends on the ones below:
 
-* :mod:`repro.strings` — string containers, LCP/DIST machinery, workload
+* :mod:`repro.strings` — the packed string array, LCP/DIST machinery, workload
   generators (D/N family, COMMONCRAWL/DNAREADS-like corpora, suffix and
   skewed instances) and the output check;
-* :mod:`repro.sequential` — the per-PE sorters and mergers (MSD radix sort,
-  multikey quicksort, LCP insertion sort, LCP-aware loser trees);
+* :mod:`repro.sequential` — the per-PE sorter and mergers (the vectorised
+  MSD radix sort, LCP-aware loser trees);
 * :mod:`repro.net` — the alpha-beta machine model, hypercube topology
   helpers and the :class:`~repro.net.metrics.TrafficMeter` that records
   exact wire volumes;
@@ -43,9 +43,10 @@ Architecture
   hierarchy whose classes run their own rank programs, and streaming batch
   ingest; each cluster's execution settings are one frozen
   :class:`RunConfig` (:mod:`repro.config`);
-* :mod:`repro.bench` — the experiment harness reproducing the paper's
-  figures (spec-driven sweeps keyed by ``config_hash``), driven by
-  ``benchmarks/`` and the CLI (``python -m repro``).
+* :mod:`repro.figures` — the paper's figures, each defined once as cells
+  that :func:`repro.figures.table` sorts into rows of exact counters; the
+  CLI (``python -m repro experiment``) prints them and
+  ``tests/test_paper_claims.py`` asserts the paper's claims on them.
 """
 
 _SUBMODULE_HINT = (
@@ -76,7 +77,6 @@ try:
         PDMSSpec,
         SortSpec,
     )
-    from .strings import StringSet
 except ModuleNotFoundError as exc:  # pragma: no cover - import-time guard
     raise ImportError(
         _SUBMODULE_HINT.format(name=exc.name or "<unknown>", exc=exc)
@@ -103,6 +103,5 @@ __all__ = [
     "MachineModel",
     "DEFAULT_MACHINE",
     "sort_strings_with_lcp",
-    "StringSet",
     "__version__",
 ]

@@ -10,8 +10,9 @@ The subcommands cover the workflows a downstream user needs most often:
                     (JSON, via :meth:`SortSpec.from_dict`);
 * ``algorithms``  — list the algorithms: every algorithm's spec class,
                     knobs, defaults and default config hash;
-* ``experiment``  — run one of the canned figure reproductions and print its
-                    tables (optionally dump JSON);
+* ``experiment``  — sort every cell of one of the paper's figures
+                    (:mod:`repro.figures`) and print its table of exact
+                    counters (optionally dump the rows as JSON);
 * ``generate``    — write one of the synthetic workloads to a file, e.g. to
                     feed external tools;
 * ``trace run``   — run a sort with per-rank tracing armed and export the
@@ -21,7 +22,7 @@ The subcommands cover the workflows a downstream user needs most often:
                     Prometheus text exposition or JSON.
 
 The CLI is deliberately thin: it only parses arguments and delegates to the
-library (``repro.session``, ``repro.bench``), so everything it does is also
+library (``repro.session``, ``repro.figures``), so everything it does is also
 available programmatically.
 """
 
@@ -33,8 +34,7 @@ import sys
 from dataclasses import fields as dataclass_fields
 from typing import List, Optional, Sequence
 
-from .bench import experiments as canned
-from .bench.harness import ExperimentRunner
+from . import figures
 from .net.cost_model import DEFAULT_MACHINE
 from .net.router import TOPOLOGY_NAMES
 from .session import SPECS, Cluster, SortSpec
@@ -57,28 +57,6 @@ _GENERATORS = {
         text_len=n, max_suffix_len=500, seed=seed
     ),
 }
-
-_EXPERIMENTS = {
-    "fig4": lambda runner: canned.weak_scaling_dn(
-        pe_counts=(2, 4, 8), strings_per_pe=600, string_length=150, runner=runner
-    ),
-    "fig5-commoncrawl": lambda runner: [
-        canned.strong_scaling_commoncrawl(num_strings=6000, pe_counts=(2, 4, 8), runner=runner)
-    ],
-    "fig5-dnareads": lambda runner: [
-        canned.strong_scaling_dnareads(num_strings=5000, pe_counts=(2, 4, 8), runner=runner)
-    ],
-    "suffix": lambda runner: [
-        canned.suffix_instance_experiment(text_len=4000, pe_counts=(4, 8), runner=runner)
-    ],
-    "skewed": lambda runner: [
-        canned.skewed_sampling_experiment(num_strings=5000, pe_counts=(4, 8), runner=runner)
-    ],
-    "ablations": lambda runner: [
-        canned.ablation_lcp_golomb(num_strings=5000, pe_counts=(8,), runner=runner)
-    ],
-}
-
 
 def _count(raw: str) -> int:
     """A non-negative integer flag value (argparse ``type``)."""
@@ -171,15 +149,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="machine-readable output (one spec dict per algorithm)",
     )
 
-    p_exp = sub.add_parser("experiment", help="run a canned figure reproduction")
-    p_exp.add_argument("name", choices=sorted(_EXPERIMENTS))
-    p_exp.add_argument("--json", dest="json_path", help="dump the raw cells as JSON")
-    p_exp.add_argument("--seed", type=int, default=0)
+    p_exp = sub.add_parser("experiment", help="print one of the paper's figures as exact counters")
+    p_exp.add_argument("name", choices=sorted(figures.FIGURES))
+    p_exp.add_argument("--json", dest="json_path", help="dump the rows as JSON")
+    p_exp.add_argument(
+        "--seed", type=int, default=0,
+        help="shift every input and spec seed of the figure (default 0: the "
+        "table tests/test_paper_claims.py pins)",
+    )
     p_exp.add_argument(
         "--metric",
         action="append",
         default=None,
-        help="metric column(s) to print (default: bytes_per_string and modeled_time)",
+        choices=figures.COLUMNS,
+        help="column(s) to print (default: bytes_per_string and model_time_s)",
     )
 
     p_gen = sub.add_parser("generate", help="write a synthetic workload to a file")
@@ -383,22 +366,40 @@ def _cmd_algorithms(args) -> int:
     return 0
 
 
+def _format_value(value: object) -> str:
+    if isinstance(value, float):
+        if value != 0 and (abs(value) < 1e-2 or abs(value) >= 1e5):
+            return f"{value:.3e}"
+        return f"{value:.2f}"
+    return str(value)
+
+
+def _render(rows: List[dict], metric: str) -> str:
+    """One column of a figure's rows as text: a line per label, a column per p."""
+    pes = sorted({row["p"] for row in rows})
+    cells = {(row["label"], row["p"]): _format_value(row[metric]) for row in rows}
+    labels = list(dict.fromkeys(row["label"] for row in rows))
+    lines = [["label"] + [f"p={p}" for p in pes]]
+    lines += [[label] + [cells.get((label, p), "-") for p in pes] for label in labels]
+    widths = [max(len(line[i]) for line in lines) for i in range(len(lines[0]))]
+    return "\n".join(
+        "  ".join(v.ljust(w) for v, w in zip(line, widths)).rstrip() for line in lines
+    )
+
+
 def _cmd_experiment(args) -> int:
-    runner = ExperimentRunner(seed=args.seed)
-    results = _EXPERIMENTS[args.name](runner)
-    metrics = args.metric or ["bytes_per_string", "modeled_time"]
-    for res in results:
-        print("=" * 72)
-        print(f"{res.name}: {res.description}")
-        for metric in metrics:
-            print()
-            print(res.render(metric))
+    rows = figures.table(args.name, seed=args.seed)
+    for metric in args.metric or ["bytes_per_string", "model_time_s"]:
+        print(f"{args.name} (seed {args.seed}) — {metric}")
+        print(_render(rows, metric))
         print()
     if args.json_path:
-        payload = [json.loads(res.to_json()) for res in results]
+        # one row per line, so a diff of two dumps names the cells that moved
+        body = ",\n  ".join(json.dumps(row) for row in rows)
         with open(args.json_path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"raw cells written to {args.json_path}")
+            fh.write(f'{{"figure": {json.dumps(args.name)}, "seed": {args.seed}, '
+                     f'"rows": [\n  {body}\n]}}\n')
+        print(f"rows written to {args.json_path}")
     return 0
 
 

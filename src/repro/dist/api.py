@@ -52,7 +52,6 @@ from ..strings.packed import (
     truncate,
     validate_strings,
 )
-from ..strings.stringset import StringSet
 from .exchange import exchange_buckets
 from .hquick import hquick_sort
 from .local_sort import local_sort
@@ -108,12 +107,10 @@ def distribute_strings(
     (:func:`~repro.strings.packed.validate_strings`): a ``list[bytes]``
     for a sequence of ``bytes``/``str`` (``str`` UTF-8 encoded), and a
     **zero-copy** view into the shared character buffer for a
-    :class:`StringSet` or :class:`PackedStringArray`.
+    :class:`PackedStringArray`.
     """
     if num_pes <= 0:
         raise ValueError("num_pes must be positive")
-    if isinstance(data, StringSet):
-        data = data.strings
     strings = validate_strings(data)
     bounds = [0] + np.cumsum(_block_counts(strings, num_pes, by)).tolist()
     return [strings[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
@@ -247,7 +244,7 @@ class RankOutput:
 
 @dataclass(eq=False)
 class SortResult:
-    """Everything a caller (or the benchmark harness) wants to know about a run.
+    """Everything a caller (or the figure table) wants to know about a run.
 
     The per-PE outputs stay packed in :attr:`rank_outputs`; the list views
     (:attr:`outputs_per_pe`, :attr:`lcps_per_pe`, :attr:`origins_per_pe`,

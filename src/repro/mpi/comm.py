@@ -14,8 +14,8 @@ Algorithms are written as ordinary per-rank functions receiving a
 future port to real MPI only has to swap the communicator implementation.
 
 Every operation takes the actual payload *and* reports wire sizes to the
-:class:`repro.net.metrics.TrafficMeter`, which is how the benchmark harness
-obtains the exact "bytes sent per string" numbers of Figures 4 and 5.
+:class:`repro.net.metrics.TrafficMeter`, which is how the figure table
+(:mod:`repro.figures`) obtains the exact "bytes sent per string" numbers of Figures 4 and 5.
 :class:`Communicator` holds everything that must be bit-identical across
 execution engines; an engine subclasses it and implements the transport
 hooks (see the class docstring).

@@ -12,10 +12,11 @@ quoted in Section II):
 
 The model is used in two places:
 
-1. the benchmark harness converts the *exact* per-PE byte counts recorded by
-   the simulated communicator into a modelled communication time, so the
-   "running time" panels of the paper's figures can be reproduced in shape
-   even though a Python simulation cannot reproduce absolute cluster timings;
+1. the figure table (:mod:`repro.figures`) converts the *exact* per-PE
+   byte counts recorded by the simulated communicator into a modelled
+   communication time, so the "running time" panels of the paper's
+   figures can be reproduced in shape even though a Python simulation
+   cannot reproduce absolute cluster timings;
 2. the theory-bound benchmarks compare measured communication volumes against
    the bounds of Theorems 1, 4 and 5.
 
@@ -67,9 +68,10 @@ class MachineModel:
         Every simulated string stands for ``scale`` real strings: bandwidth
         and local-work terms are multiplied by ``scale`` while the per-message
         latency ``alpha`` stays fixed, preserving the latency/bandwidth
-        balance of the full-size experiment.  The figure-reproduction
-        benchmarks use this to recover the paper's bandwidth-dominated regime
-        from the necessarily smaller simulated inputs (see EXPERIMENTS.md).
+        balance of the full-size experiment.  The Fig. 4 and Fig. 5 cells of
+        :mod:`repro.figures` use this to recover the paper's
+        bandwidth-dominated regime from the necessarily smaller simulated
+        inputs.
         """
         if scale <= 0:
             raise ValueError("scale must be positive")

@@ -215,7 +215,6 @@ class Cluster:
         ----------
         data:
             A flat sequence of strings (``bytes``/``str``), a
-            :class:`~repro.strings.stringset.StringSet`, a
             :class:`~repro.strings.packed.PackedStringArray`, or — with
             ``pre_distributed=True`` — one block per PE.
         spec:

@@ -186,8 +186,8 @@ class SortSpec:
 
         Computed as SHA-256 over the canonical (sorted-key, compact) JSON
         form of :meth:`to_dict`, so it is identical across processes and
-        insensitive to field order — the key the benchmark harness uses for
-        its cells.
+        insensitive to field order; every row of
+        :func:`repro.figures.table` carries its cell's hash.
         """
         payload = json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":")

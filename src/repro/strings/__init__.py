@@ -8,7 +8,6 @@ from .packed import (
     truncate,
     validate_strings,
 )
-from .stringset import StringSet
 from .lcp import (
     lcp_array,
     distinguishing_prefix_size,
@@ -32,7 +31,6 @@ __all__ = [
     "packed_bucket_boundaries",
     "packed_sort",
     "truncate",
-    "StringSet",
     "validate_strings",
     "lcp_array",
     "distinguishing_prefix_size",

@@ -31,6 +31,7 @@ from .packed import (
     PackedStringArray,
     packed_lcp_array,
     packed_sort,
+    string_lengths,
 )
 
 __all__ = [
@@ -65,39 +66,22 @@ def _dist_of_sorted_packed(sorted_arr: PackedStringArray) -> np.ndarray:
 
 
 def _sorted_packed_of(strings: Sequence[bytes]) -> PackedStringArray:
-    """A lexicographically sorted packed view of ``strings``.
-
-    Containers that maintain their own cache (``StringSet``) are asked via
-    the ``sorted_packed()`` hook, so repeated statistics calls from the
-    bench harness reuse one sort instead of re-sorting the full input every
-    time.  Any other sequence is packed (a packed array as it is) and sorted
-    on the fly.
-    """
-    hook = getattr(strings, "sorted_packed", None)
-    if callable(hook):
-        return hook()
+    """``strings`` packed (a packed array as it is) and sorted."""
     return packed_sort(PackedStringArray.from_strings(strings))
-
-
-def _total_chars(strings: Sequence[bytes]) -> int:
-    num_chars = getattr(strings, "num_chars", None)
-    if num_chars is not None:
-        return int(num_chars)
-    return sum(len(s) for s in strings)
 
 
 def distinguishing_prefix_size(strings: Sequence[bytes]) -> int:
     """Total distinguishing prefix size ``D`` of the input.
 
-    ``D`` is order-independent, so the cached sorted packed representation
-    (when available) is used directly without tracking the permutation.
+    ``D`` is order-independent, so the sorted copy is used directly,
+    without tracking the permutation.
     """
     return int(_dist_of_sorted_packed(_sorted_packed_of(strings)).sum())
 
 
 def dn_ratio(strings: Sequence[bytes]) -> float:
     """The ratio ``D / N`` used throughout the paper's evaluation."""
-    total = _total_chars(strings)
+    total = int(string_lengths(strings).sum())
     if total == 0:
         return 0.0
     return distinguishing_prefix_size(strings) / total
@@ -109,10 +93,6 @@ def merge_lcp_statistics(strings: Sequence[bytes]) -> Tuple[float, float]:
     These are the two statistics the paper reports for its real-world inputs
     (e.g. COMMONCRAWL: average LCP 23.9, 60 % of each line) and that the
     synthetic corpus generators are calibrated against.
-
-    Passing a :class:`repro.strings.StringSet` reuses its cached sorted
-    packed representation, so the bench harness can recompute the statistic
-    as often as it likes for the price of one sort.
     """
     n = len(strings)
     if n < 2:

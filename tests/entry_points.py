@@ -18,6 +18,7 @@ REQUIRED: Dict[str, List[str]] = {
         "merge_sort",
     ],
     "repro/session/cluster.py": ["Cluster", "Cluster.sort", "Cluster.sort_batches"],
+    "repro/figures.py": ["table"],
     "repro/config.py": ["RunConfig", "RunConfig.from_env", "RunConfig.override"],
     "repro/session/specs.py": [
         "SortSpec",
@@ -43,7 +44,6 @@ REQUIRED: Dict[str, List[str]] = {
         "register_engine",
     ],
     "repro/mpi/comm.py": ["Communicator"],
-    "repro/strings/stringset.py": ["StringSet"],
     "repro/strings/packed.py": ["PackedStringArray"],
     "repro/net/metrics.py": [
         "TrafficReport",

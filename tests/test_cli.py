@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -210,16 +211,32 @@ class TestGenerateCommand:
 
 
 class TestExperimentCommand:
-    def test_experiment_prints_tables_and_dumps_json(self, capsys, tmp_path):
-        json_path = tmp_path / "cells.json"
-        code = main(["experiment", "skewed", "--json", str(json_path)])
-        assert code == 0
+    def test_experiment_prints_tables_and_dumps_the_pinned_rows(self, capsys, tmp_path):
+        paths = [tmp_path / "first.json", tmp_path / "second.json"]
+        for path in paths:
+            assert main(["experiment", "skewed", "--json", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "bytes_per_string" in out
-        payload = json.loads(json_path.read_text())
-        assert isinstance(payload, list) and payload[0]["cells"]
+        assert "bytes_per_string" in out and "character-sampling" in out
+        payload = json.loads(paths[0].read_text())
+        assert (payload["figure"], payload["seed"], len(payload["rows"])) == ("skewed", 0, 2)
+        # the dump is deterministic, and at seed 0 it is the file the
+        # paper-claims tests pin
+        pinned = Path(__file__).resolve().parent / "fixtures" / "figures" / "skewed.json"
+        assert paths[0].read_bytes() == paths[1].read_bytes() == pinned.read_bytes()
 
     def test_experiment_custom_metric(self, capsys):
         code = main(["experiment", "suffix", "--metric", "imbalance"])
         assert code == 0
         assert "imbalance" in capsys.readouterr().out
+
+    def test_an_unknown_metric_exits_2_before_any_sort(self, capsys, monkeypatch):
+        from repro import figures
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("a sort ran")
+
+        monkeypatch.setattr(figures, "table", no_sort)
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "skewed", "--metric", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err

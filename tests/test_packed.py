@@ -435,18 +435,6 @@ class TestPackedPartition:
         arr = PackedStringArray.from_strings(srt)
         assert packed_bucket_boundaries(arr, splitters) == bisect_boundaries(srt, splitters)
 
-    def test_stringset_caches_sorted_packed(self):
-        from repro.strings.lcp import merge_lcp_statistics
-        from repro.strings.stringset import StringSet
-
-        ss = StringSet([b"banana", b"band", b"apple", b"apple", b"", b"cherry"])
-        first = ss.sorted_packed()
-        assert first.to_list() == sorted(ss.strings)
-        assert ss.sorted_packed() is first  # cached, no re-sort
-        reference = merge_lcp_statistics(list(ss.strings))
-        assert merge_lcp_statistics(ss) == reference
-        assert merge_lcp_statistics(ss) == reference  # served from the cache
-
     @given(string_lists(min_size=1), st.data())
     @settings(max_examples=50, deadline=None)
     def test_split_into_buckets_packed_equals_list(self, xs, data):

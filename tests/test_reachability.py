@@ -2,7 +2,7 @@
 
 The entry corpus below runs the public surface the way its users do: the
 algorithms of ``SPECS`` over every topology on both engines, the CLI
-subcommands, the canned experiments, the examples, the names
+subcommands, the figure table, the examples, the names
 perfbench resolves, awkward inputs and invalid ones.  It runs once, under
 ``sys.setprofile`` and ``threading.setprofile``, and the profile hook
 records the code object of every call.  Forked ranks of the processes
@@ -29,9 +29,10 @@ import os
 import sys
 import threading
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Set, Tuple
+from unittest import mock
 
 import pytest
 
@@ -425,10 +426,21 @@ def _cli(*argv: str) -> None:
         assert main(list(argv)) == 0, argv
 
 
+def _tiny(build: Callable) -> Callable:
+    """A figure's cells at its smallest PE count, each block cut to its
+    first six strings."""
+
+    def tiny(seed):
+        cells = build(seed)
+        p = min(c.p for c in cells)
+        return [replace(c, blocks=[b[:6] for b in c.blocks]) for c in cells if c.p == p]
+
+    return tiny
+
+
 def run_cli(tmp: Path) -> None:
     """The six subcommands, with files for every flag that reads one."""
-    from repro.bench import experiments
-    from repro.cli import _EXPERIMENTS
+    from repro import figures
 
     data, out = tmp / "in.txt", tmp / "out.txt"
     _cli("generate", "commoncrawl", "-n", "80", "-o", str(data))
@@ -444,32 +456,22 @@ def run_cli(tmp: Path) -> None:
          "--metrics-out", str(tmp / "metrics.json"))
     _cli("metrics", "-n", "60", "-p", "2")
     _cli("metrics", "-n", "60", "-p", "2", "--format", "json", "-o", str(tmp / "m.json"))
-    saved = dict(_EXPERIMENTS)
-    _EXPERIMENTS["suffix"] = lambda runner: [
-        experiments.suffix_instance_experiment(text_len=120, pe_counts=(2,), runner=runner)
-    ]
-    try:
-        _cli("experiment", "suffix", "--json", str(tmp / "cells.json"))
-    finally:
-        _EXPERIMENTS.update(saved)
+    with mock.patch.dict(figures.FIGURES, {"suffix": _tiny(figures.FIGURES["suffix"])}):
+        _cli("experiment", "suffix", "--json", str(tmp / "rows.json"),
+             "--metric", "imbalance", "--seed", "1")
 
 
 def run_experiments(tmp: Path) -> None:
-    """The canned experiments at tiny sizes."""
-    from repro.bench import ExperimentRunner, experiments
+    """Every figure's cells, and the table of one cut to tiny blocks."""
+    from repro import figures
+    from repro.strings import generators
 
-    runner = ExperimentRunner(seed=1, check=True)
-    results = experiments.weak_scaling_dn(
-        dn_values=(0.5,), pe_counts=(2,), strings_per_pe=20, string_length=20, runner=runner
-    )
-    results.append(experiments.strong_scaling_commoncrawl(60, pe_counts=(2,), runner=runner))
-    results.append(experiments.strong_scaling_dnareads(60, pe_counts=(2,), runner=runner))
-    results.append(experiments.suffix_instance_experiment(100, 50, (2,), runner=runner))
-    results.append(experiments.skewed_sampling_experiment(60, pe_counts=(2,), runner=runner))
-    results.append(experiments.ablation_lcp_golomb(60, pe_counts=(2,), runner=runner))
-    for result in results:
-        result.render("bytes_per_string")
-        json.loads(result.to_json())
+    # the corpus generator is the slow part of building a figure
+    cheap = _capped(generators.commoncrawl_like, 300)
+    with mock.patch.object(generators, "commoncrawl_like", cheap):
+        for name, build in figures.FIGURES.items():
+            with mock.patch.dict(figures.FIGURES, {name: _tiny(build)}):
+                figures.table(name, seed=1)
 
 
 def _capped(generate: Callable, cap: int) -> Callable:
@@ -489,7 +491,11 @@ def _load(path: Path, name: str):
 
 
 def run_examples(tmp: Path) -> None:
-    """``examples/*.py`` at tiny sizes: size argument 30, at most 200 strings."""
+    """``examples/*.py`` at tiny sizes: size argument 30, at most 200 strings,
+    and each figure cut to two tiny cells."""
+    from repro import figures
+
+    tiny = {name: _tiny(build) for name, build in figures.FIGURES.items()}
     for path in sorted((ROOT / "examples").glob("*.py")):
         name = f"example_{path.stem}"
         module = _load(path, name)
@@ -498,7 +504,7 @@ def run_examples(tmp: Path) -> None:
         argv = sys.argv
         sys.argv = [str(path), "30", str(tmp / f"{path.stem}.json")]
         try:
-            with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()), mock.patch.dict(figures.FIGURES, tiny):
                 module.main()
         finally:
             sys.argv = argv
