@@ -251,7 +251,8 @@ def commoncrawl_like(
     (duplicates), and shared line prefixes — yielding a high D/N ratio
     (≈ 0.6–0.8), a large effective alphabet, ≈40-character lines and long
     LCPs, matching the statistics the paper reports (D/N = 0.68, average line
-    40 chars, average LCP 60 % of the line).
+    40 chars, average LCP 60 % of the line).  Words are drawn through one
+    CDF, which reads the same random stream as ``rng.choice(vocab_size, p=...)``.
     """
     rng = np.random.default_rng(seed)
     vocab = _zipf_word_vocabulary(rng, vocab_size)
@@ -259,12 +260,16 @@ def commoncrawl_like(
     ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
     probs = 1.0 / ranks
     probs /= probs.sum()
+    # Generator.choice with p draws random() and searches this normalised
+    # cumulative sum; building it once saves re-checking p on every word
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
 
     # a pool of boiler-plate lines that will be repeated verbatim
     boilerplate: List[bytes] = []
     for i in range(64):
         head = _WEB_MARKUP[i % len(_WEB_MARKUP)]
-        words = rng.choice(vocab_size, size=4, p=probs)
+        words = cdf.searchsorted(rng.random(4), side="right")
         line = head + b" " + b" ".join(vocab[int(w)] for w in words)
         boilerplate.append(line)
 
@@ -280,7 +285,7 @@ def commoncrawl_like(
             line += b" "
         target = max(5, int(rng.normal(avg_len, avg_len * 0.35)))
         while len(line) < target:
-            w = vocab[int(rng.choice(vocab_size, p=probs))]
+            w = vocab[int(cdf.searchsorted(rng.random(), side="right"))]
             line += w
             if rng.random() < unicode_fraction:
                 # non-ASCII bytes (UTF-8 encoded text fragments) drive the

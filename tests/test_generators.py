@@ -1,5 +1,9 @@
 """Unit tests for the workload generators (Section VII-A inputs)."""
 
+import hashlib
+import struct
+
+import numpy as np
 import pytest
 
 from repro.cli import _GENERATORS, main
@@ -108,7 +112,66 @@ class TestRandomStrings:
             random_strings(10, 5, 2)
 
 
+def _digest(strings):
+    """sha256 over each string as a 4-byte little-endian length plus its
+    bytes, first 16 hex digits."""
+    h = hashlib.sha256()
+    for s in strings:
+        h.update(struct.pack("<I", len(s)))
+        h.update(s)
+    return h.hexdigest()[:16]
+
+
+#: ``commoncrawl_like(size, seed=seed)`` for every size and seed the repo
+#: generates: the figures (Fig. 5 web panel at seeds 0 and 1, ablations),
+#: perfbench's ``web_ms_t4`` (15000 lines), the two benchmark fixtures and
+#: the test corpora.  A change to the generator that moves one of these
+#: moves the figure fixtures and perfbench's exact metrics with it.
+_COMMONCRAWL_DIGESTS = {
+    (50, 1): "90655bc1741bb14d",  # the CLI registry test
+    (100, 5): "a505380f9af7560c",
+    (500, 5): "476ba9cd61c67587",
+    (500, 13): "ebe8f84dcacca0a8",
+    (500, 201): "0864683db08347fa",
+    (600, 4): "83cf9e93c725433c",
+    (1500, 20): "9ceef7068d13f50f",
+    (2000, 1): "f35e4ab65f016a01",
+    (4000, 7): "dbc14895ec4a46b3",
+    (6000, 8): "cd68b4814651f68e",  # ablations, seed 0
+    (6000, 9): "0882a05dbe9ee7fe",  # ablations, seed 1
+    (8000, 7): "794d7f693ef54884",  # fig5-commoncrawl, seed 0
+    (8000, 8): "499ab21417d0708c",  # fig5-commoncrawl, seed 1
+    (15000, 1): "fd18a68c5aa09fd0",  # web_ms_t4, default seed
+    (15000, 56): "1b57f96bfce6ad6a",  # web_ms_t4, seed 56
+    (20000, 23): "deeb2c52a8c325e8",  # benchmarks/test_obs_overhead.py
+    (100000, 11): "b86239e3a4a94b81",  # benchmarks/test_packed_hotpath.py
+}
+
+
 class TestCommoncrawlLike:
+    @pytest.mark.parametrize("size, seed", sorted(_COMMONCRAWL_DIGESTS))
+    def test_corpus_is_pinned(self, size, seed):
+        assert _digest(commoncrawl_like(size, seed=seed)) == _COMMONCRAWL_DIGESTS[size, seed]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 56, 2024])
+    def test_one_cdf_draws_what_choice_draws(self, seed):
+        """numpy is the oracle: ``searchsorted`` on the normalised cumulative
+        sum consumes the stream exactly as ``Generator.choice(p=...)`` does."""
+        vocab_size = 4000
+        probs = 1.0 / np.arange(1, vocab_size + 1, dtype=np.float64)
+        probs /= probs.sum()
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(200):
+            assert int(cdf.searchsorted(rng.random(), side="right")) == int(
+                twin.choice(vocab_size, p=probs)
+            )
+            assert cdf.searchsorted(rng.random(4), side="right").tolist() == (
+                twin.choice(vocab_size, size=4, p=probs).tolist()
+            )
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_statistics_in_paper_ballpark(self):
         corpus = commoncrawl_like(4000, seed=7)
         ratio = dn_ratio(corpus)
